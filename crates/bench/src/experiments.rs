@@ -803,16 +803,31 @@ pub struct EvalWorkload {
     pub materialize: bool,
 }
 
+/// An [`EvalWorkload`] lowered for the compiled engine: one program per
+/// pipeline expression, plus the rows as programs see them — slot values
+/// only, in scope order (the names are the interpreter's input).
+pub struct CompiledWorkload {
+    programs: Vec<cleanm_core::calculus::Program>,
+    slots: Vec<Vec<cleanm_values::Value>>,
+}
+
 impl EvalWorkload {
     /// Compile every pipeline expression against the workload's scope.
-    pub fn compile(&self) -> Vec<cleanm_core::calculus::Program> {
-        self.exprs
+    pub fn compile(&self) -> CompiledWorkload {
+        let programs = self
+            .exprs
             .iter()
             .map(|e| {
                 cleanm_core::calculus::Program::compile(e, &self.scope, &self.ctx)
                     .expect("workload expression compiles")
             })
-            .collect()
+            .collect();
+        let slots = self
+            .rows
+            .iter()
+            .map(|row| row.iter().map(|(_, v)| v.clone()).collect())
+            .collect();
+        CompiledWorkload { programs, slots }
     }
 
     /// One interpreted pass over every row; returns a checksum so the work
@@ -858,12 +873,13 @@ impl EvalWorkload {
     /// One compiled pass over every row: the batch entry point for
     /// single-expression materializing workloads, the shared-scratch
     /// per-row entry points otherwise.
-    pub fn run_compiled(&self, programs: &[cleanm_core::calculus::Program]) -> usize {
+    pub fn run_compiled(&self, compiled: &CompiledWorkload) -> usize {
+        let CompiledWorkload { programs, slots } = compiled;
         let keep =
             |v: &cleanm_values::Value| !v.is_null() && *v != cleanm_values::Value::Bool(false);
         if self.materialize && programs.len() == 1 && self.pair_split == 0 {
             return programs[0]
-                .eval_batch(&self.rows, &self.ctx)
+                .eval_batch(slots, &self.ctx)
                 .expect("compiled batch")
                 .iter()
                 .filter(|v| keep(v))
@@ -871,10 +887,8 @@ impl EvalWorkload {
         }
         let mut scratch = Vec::new();
         let mut live = 0usize;
-        let mut outputs = self
-            .materialize
-            .then(|| Vec::with_capacity(self.rows.len()));
-        for env in &self.rows {
+        let mut outputs = self.materialize.then(|| Vec::with_capacity(slots.len()));
+        for env in slots {
             let eval_one = |p: &cleanm_core::calculus::Program,
                             scratch: &mut Vec<cleanm_values::Value>| {
                 if self.pair_split > 0 {
@@ -1207,14 +1221,11 @@ pub fn columnar_eval(scale: Scale) -> Vec<ColumnarRow> {
     use cleanm_core::physical::kernel::{GroupKeyKernel, MapKernel, PredKernel};
     use cleanm_values::{sel_all, ColumnBatch, FxHashMap, Value};
 
-    type Env = Vec<(String, Value)>;
+    type Env = Vec<Value>;
 
     let n = eval_rows(scale);
     let structs: Vec<Value> = (0..n).map(|i| customer_env_row(i, n)).collect();
-    let envs: Vec<Env> = structs
-        .iter()
-        .map(|s| vec![("c".to_string(), s.clone())])
-        .collect();
+    let envs: Vec<Env> = structs.iter().map(|s| vec![s.clone()]).collect();
     let batch = ColumnBatch::from_rows(&structs).expect("uniform customer layout");
     let ctx = EvalCtx::new();
     let scope = vec!["c".to_string()];
@@ -1339,14 +1350,8 @@ pub fn columnar_eval(scale: Scale) -> Vec<ColumnarRow> {
             .map(|i| customer_env_row((i * 31 + 7) % n, n))
             .collect();
         let rb = ColumnBatch::from_rows(&rhs).expect("uniform customer layout");
-        let l_envs: Vec<Env> = structs
-            .iter()
-            .map(|s| vec![("t1".to_string(), s.clone())])
-            .collect();
-        let r_envs: Vec<Env> = rhs
-            .iter()
-            .map(|s| vec![("t2".to_string(), s.clone())])
-            .collect();
+        let l_envs: Vec<Env> = structs.iter().map(|s| vec![s.clone()]).collect();
+        let r_envs: Vec<Env> = rhs.iter().map(|s| vec![s.clone()]).collect();
         let pair_scope = vec!["t1".to_string(), "t2".to_string()];
         let prog = Program::compile(&bench_theta_expr(), &pair_scope, &ctx).expect("compiles");
         let kernel = PredKernel::compile(&prog, &[&batch, &rb]).expect("pair predicate vectorizes");
@@ -1430,15 +1435,13 @@ pub fn fused_pipeline(scale: Scale) -> Vec<FusedRow> {
     use cleanm_core::calculus::eval::{merge_values, truthy, EvalCtx};
     use cleanm_core::calculus::{BinOp, CalcExpr, MonoidKind};
     use cleanm_core::physical::RowExpr;
-    use cleanm_exec::Dataset;
+    use cleanm_exec::{Dataset, Shuffle};
     use cleanm_values::Value;
 
-    type Env = Vec<(String, Value)>;
+    type Env = Vec<Value>;
 
     let n = eval_rows(scale);
-    let envs: Vec<Env> = (0..n)
-        .map(|i| vec![("c".to_string(), customer_env_row(i, n))])
-        .collect();
+    let envs: Vec<Env> = (0..n).map(|i| vec![customer_env_row(i, n)]).collect();
     let ctx = local_context();
     let eval_ctx = EvalCtx::new();
     let scope = vec!["c".to_string()];
@@ -1607,13 +1610,21 @@ pub fn fused_pipeline(scale: Scale) -> Vec<FusedRow> {
     let unfused_group = |ds: Dataset<Env>| -> Value {
         let emit_pair = |env: Env, out: &mut Vec<(Value, Value)>| {
             let k = key.eval_env(&env, &eval_ctx).expect("key evaluates");
-            let item = env.into_iter().next().expect("row var").1;
+            let item = env.into_iter().next().expect("row var");
             out.push((k, item));
         };
         let grouped = filter_chain(ds)
             .filter_transform("flat_map", |_| true, emit_pair)
             .expect("bench sweep runs without faults")
-            .group_by_key_local()
+            .group_fold(
+                Shuffle::LocalAggregate,
+                "aggregate_by_key",
+                |_| true,
+                |pair, out| out.push(pair),
+                Vec::new,
+                |members, item| members.push(item),
+                |members, mut more| members.append(&mut more),
+            )
             .expect("bench grouping runs without faults");
         checksum_counts(
             grouped
@@ -1624,6 +1635,7 @@ pub fn fused_pipeline(scale: Scale) -> Vec<FusedRow> {
     };
     let fused_group = |ds: Dataset<Env>| -> Value {
         let counts = ds.group_fold(
+            Shuffle::LocalAggregate,
             "group_fold",
             keep,
             |env: Env, out: &mut Vec<(Value, i64)>| {
@@ -1667,10 +1679,10 @@ impl GroupFoldRow {
 /// two grouped-consumer shapes the executor compiles:
 ///
 /// * `group_fold` — a grouped sum (every cleaning aggregate's shape).
-///   Materialized: `group_by_key_local` collects each group's values into
+///   Materialized: `group_fold` with a `Vec` accumulator collects each group's values into
 ///   a `Vec`, then a per-group fold reduces it. Fold: each value is
 ///   absorbed into its key's accumulator on contact
-///   (`aggregate_by_key_fold`); only `(key, partial)` pairs shuffle.
+///   (`group_fold` with a sum accumulator); only `(key, partial)` pairs shuffle.
 /// * `fd_group` — the FD violation shape. Materialized: group every row by
 ///   the key, then test `distinct RHS > 1` per group over the member
 ///   lists. Fold: a per-partition probe folds cap-2 distinct-RHS sets,
@@ -2490,8 +2502,8 @@ mod tests {
         // Full-size equivalence is pinned by tests/compiled_eval.rs; here a
         // cheap smoke over the bench workload shapes.
         for mut w in eval_workloads(Scale::Quick) {
-            let program = w.compile();
             w.rows.truncate(200);
+            let program = w.compile();
             assert_eq!(w.run_interpreted(), w.run_compiled(&program), "{}", w.name);
         }
     }

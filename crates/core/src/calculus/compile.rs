@@ -289,26 +289,27 @@ pub struct Program {
     max_stack: usize,
 }
 
-/// The two row shapes programs evaluate against: one environment slice, or
-/// a (left, right) pair of slices addressed as one concatenated scope —
+/// The two row shapes programs evaluate against: one slice of slot values,
+/// or a (left, right) pair of slices addressed as one concatenated scope —
 /// which lets theta-join predicates run without materializing a merged
-/// environment per candidate pair.
+/// row per candidate pair. Rows carry values only; the names live in the
+/// program's scope.
 #[derive(Clone, Copy)]
 enum Slots<'a> {
-    Env(&'a [(String, Value)]),
-    Pair(&'a [(String, Value)], &'a [(String, Value)]),
+    Env(&'a [Value]),
+    Pair(&'a [Value], &'a [Value]),
 }
 
 impl<'a> Slots<'a> {
     #[inline]
     fn get(&self, i: usize) -> &'a Value {
         match self {
-            Slots::Env(env) => &env[i].1,
+            Slots::Env(env) => &env[i],
             Slots::Pair(l, r) => {
                 if i < l.len() {
-                    &l[i].1
+                    &l[i]
                 } else {
-                    &r[i - l.len()].1
+                    &r[i - l.len()]
                 }
             }
         }
@@ -321,17 +322,35 @@ impl<'a> Slots<'a> {
         }
     }
 
-    /// Rebuild a name→value environment for an interpreter island.
-    fn rebuild_env(&self) -> Env {
-        match self {
-            Slots::Env(env) => env.to_vec(),
-            Slots::Pair(l, r) => {
-                let mut env = l.to_vec();
-                env.extend(r.iter().cloned());
-                env
-            }
-        }
+    /// Slot values in scope order.
+    fn iter(&self) -> impl Iterator<Item = &'a Value> {
+        let (l, r): (&'a [Value], &'a [Value]) = match self {
+            Slots::Env(env) => (env, &[]),
+            Slots::Pair(l, r) => (l, r),
+        };
+        l.iter().chain(r)
     }
+}
+
+/// A row whose width disagrees with the layout it is evaluated under is a
+/// typed error — never a panic, and never a silently different evaluation.
+pub(crate) fn check_width(scope: &[String], width: usize) -> Result<()> {
+    if width == scope.len() {
+        return Ok(());
+    }
+    Err(Error::Invalid(format!(
+        "row layout mismatch: {} slots [{}] in scope, row has {width}",
+        scope.len(),
+        scope.join(", ")
+    )))
+}
+
+/// Rebuild the reference evaluator's name→value environment from a scope
+/// and its slot values (width already checked) — the cold path only:
+/// interpreter islands and the wholesale interpreter fallback. Compiled
+/// evaluation never sees names.
+pub(crate) fn named_env<'v>(scope: &[String], values: impl Iterator<Item = &'v Value>) -> Env {
+    scope.iter().cloned().zip(values.cloned()).collect()
 }
 
 impl Program {
@@ -382,23 +401,23 @@ impl Program {
         &self.instrs
     }
 
-    /// Evaluate against one row environment, reusing `scratch` as the value
-    /// stack. The environment must have the compiled scope's layout.
+    /// Evaluate against one row of slot values, reusing `scratch` as the
+    /// value stack. The row must have the compiled scope's layout.
     pub fn eval_with(
         &self,
-        env: &[(String, Value)],
+        env: &[Value],
         ctx: &EvalCtx,
         scratch: &mut Vec<Value>,
     ) -> Result<Value> {
         self.run(Slots::Env(env), ctx, scratch)
     }
 
-    /// Evaluate against a concatenated (left, right) environment pair
-    /// without materializing the merged environment.
+    /// Evaluate against a concatenated (left, right) row pair without
+    /// materializing the merged row.
     pub fn eval_pair(
         &self,
-        left: &[(String, Value)],
-        right: &[(String, Value)],
+        left: &[Value],
+        right: &[Value],
         ctx: &EvalCtx,
         scratch: &mut Vec<Value>,
     ) -> Result<Value> {
@@ -407,15 +426,14 @@ impl Program {
 
     /// Convenience single-shot evaluation (tests; hot paths use
     /// [`Program::eval_with`] / [`Program::eval_batch`]).
-    pub fn eval(&self, env: &Env, ctx: &EvalCtx) -> Result<Value> {
+    pub fn eval(&self, env: &[Value], ctx: &EvalCtx) -> Result<Value> {
         let mut scratch = Vec::with_capacity(self.max_stack);
         self.eval_with(env, ctx, &mut scratch)
     }
 
     /// Batch entry point: evaluate every row of a partition with one shared
-    /// scratch stack — no per-row environment `Vec`s, name lookups, or
-    /// `String` clones in the loop.
-    pub fn eval_batch(&self, rows: &[Env], ctx: &EvalCtx) -> Result<Vec<Value>> {
+    /// scratch stack — no per-row allocation in the loop.
+    pub fn eval_batch(&self, rows: &[Vec<Value>], ctx: &EvalCtx) -> Result<Vec<Value>> {
         let mut scratch = Vec::with_capacity(self.max_stack);
         let mut out = Vec::with_capacity(rows.len());
         for row in rows {
@@ -425,13 +443,7 @@ impl Program {
     }
 
     fn run(&self, slots: Slots<'_>, ctx: &EvalCtx, stack: &mut Vec<Value>) -> Result<Value> {
-        if slots.len() != self.scope.len() {
-            return Err(Error::Invalid(format!(
-                "program compiled for {} slots, row has {}",
-                self.scope.len(),
-                slots.len()
-            )));
-        }
+        check_width(&self.scope, slots.len())?;
         // Fully fused programs — one predicate tree, one record build, one
         // three-address op — bypass the stack machine entirely. These are
         // the common shapes of filter predicates and grouping keys.
@@ -550,7 +562,7 @@ impl Program {
                     stack.push(Value::list(keys.into_iter().map(Value::from)));
                 }
                 Instr::Interp(expr) => {
-                    let env = slots.rebuild_env();
+                    let env = named_env(&self.scope, slots.iter());
                     stack.push(eval(expr, &env, ctx)?);
                 }
             }
@@ -961,12 +973,17 @@ mod tests {
         ]
     }
 
+    /// The slot values of a named environment, in scope order.
+    fn slots(env: &Env) -> Vec<Value> {
+        env.iter().map(|(_, v)| v.clone()).collect()
+    }
+
     fn check(expr: &CalcExpr) {
         let ctx = EvalCtx::new();
         let prog = Program::compile(expr, &scope(), &ctx).unwrap();
         let env = env();
         assert_eq!(
-            prog.eval(&env, &ctx).unwrap(),
+            prog.eval(&slots(&env), &ctx).unwrap(),
             eval(expr, &env, &ctx).unwrap(),
             "{expr}"
         );
@@ -993,7 +1010,7 @@ mod tests {
         );
         let prog = Program::compile(&e, &[], &ctx).unwrap();
         assert_eq!(prog.len(), 1, "constant subtree pre-evaluated");
-        assert_eq!(prog.eval(&vec![], &ctx).unwrap(), Value::Int(20));
+        assert_eq!(prog.eval(&[], &ctx).unwrap(), Value::Int(20));
     }
 
     #[test]
@@ -1047,7 +1064,7 @@ mod tests {
             ("x".to_string(), Value::Int(2)),
         ];
         let prog = Program::compile(&CalcExpr::var("x"), &scope, &ctx).unwrap();
-        assert_eq!(prog.eval(&env, &ctx).unwrap(), Value::Int(2));
+        assert_eq!(prog.eval(&slots(&env), &ctx).unwrap(), Value::Int(2));
         assert_eq!(
             eval(&CalcExpr::var("x"), &env, &ctx).unwrap(),
             Value::Int(2)
@@ -1059,7 +1076,7 @@ mod tests {
         let ctx = EvalCtx::new().with_table("t", Value::list([Value::Int(1), Value::Int(2)]));
         let e = CalcExpr::Exists(Box::new(CalcExpr::TableRef("t".into())));
         let prog = Program::compile(&e, &[], &ctx).unwrap();
-        assert_eq!(prog.eval(&vec![], &ctx).unwrap(), Value::Bool(true));
+        assert_eq!(prog.eval(&[], &ctx).unwrap(), Value::Bool(true));
         // Unknown tables fail at compile time (callers fall back).
         assert!(Program::compile(&CalcExpr::TableRef("nope".into()), &[], &ctx).is_err());
     }
@@ -1078,7 +1095,7 @@ mod tests {
         );
         let env = vec![("x".to_string(), Value::str("anna"))];
         assert_eq!(
-            prog.eval(&env, &ctx).unwrap(),
+            prog.eval(&slots(&env), &ctx).unwrap(),
             eval(&e, &env, &ctx).unwrap()
         );
     }
@@ -1099,7 +1116,7 @@ mod tests {
         let prog = Program::compile(&e, &scope, &ctx).unwrap();
         assert!(prog.instrs.iter().any(|i| matches!(i, Instr::Interp(_))));
         let env = vec![("x".to_string(), Value::Int(10))];
-        assert_eq!(prog.eval(&env, &ctx).unwrap(), Value::Int(36));
+        assert_eq!(prog.eval(&slots(&env), &ctx).unwrap(), Value::Int(36));
     }
 
     #[test]
@@ -1122,7 +1139,9 @@ mod tests {
                 ]
             })
             .collect();
-        let batch = prog.eval_batch(&rows, &ctx).unwrap();
+        let batch = prog
+            .eval_batch(&rows.iter().map(slots).collect::<Vec<_>>(), &ctx)
+            .unwrap();
         for (row, got) in rows.iter().zip(&batch) {
             assert_eq!(got, &eval(&e, row, &ctx).unwrap());
         }
@@ -1141,7 +1160,9 @@ mod tests {
         let l = vec![("l".to_string(), Value::record([("k", Value::Int(1))]))];
         let r = vec![("r".to_string(), Value::record([("k", Value::Int(2))]))];
         let mut scratch = Vec::new();
-        let got = prog.eval_pair(&l, &r, &ctx, &mut scratch).unwrap();
+        let got = prog
+            .eval_pair(&slots(&l), &slots(&r), &ctx, &mut scratch)
+            .unwrap();
         let mut env = l.clone();
         env.extend(r.iter().cloned());
         assert_eq!(got, eval(&e, &env, &ctx).unwrap());
@@ -1151,8 +1172,7 @@ mod tests {
     fn layout_mismatch_is_detected() {
         let ctx = EvalCtx::new();
         let prog = Program::compile(&CalcExpr::var("x"), &scope(), &ctx).unwrap();
-        let short = vec![("x".to_string(), Value::Int(1))];
-        assert!(prog.eval(&short, &ctx).is_err());
+        assert!(prog.eval(&[Value::Int(1)], &ctx).is_err());
     }
 
     #[test]
@@ -1169,8 +1189,8 @@ mod tests {
                 Value::record([("b", Value::str("first")), ("a", Value::Int(1))]),
             ),
         ];
-        assert_eq!(prog.eval(&env1, &ctx).unwrap(), Value::str("hi"));
-        assert_eq!(prog.eval(&env2, &ctx).unwrap(), Value::str("first"));
-        assert_eq!(prog.eval(&env1, &ctx).unwrap(), Value::str("hi"));
+        assert_eq!(prog.eval(&slots(&env1), &ctx).unwrap(), Value::str("hi"));
+        assert_eq!(prog.eval(&slots(&env2), &ctx).unwrap(), Value::str("first"));
+        assert_eq!(prog.eval(&slots(&env1), &ctx).unwrap(), Value::str("hi"));
     }
 }

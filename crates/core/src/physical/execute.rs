@@ -2,16 +2,21 @@
 //!
 //! | Algebra node | Runtime operator (per profile) |
 //! |---|---|
-//! | `Scan`      | partitioned load |
-//! | `Select`    | `filter` |
-//! | `Unnest`    | `flat_map` |
-//! | `Nest`      | `aggregate_by_key` \| sort-shuffle \| hash-shuffle, then `map_partitions` |
-//! | `Join`      | hash equi-join |
+//! | `Scan`      | partitioned load (or columnar kernel sweep under a fused `Select`) |
+//! | `Select`    | `filter_partitions`, or fused into its consumer's sweep |
+//! | `Unnest`    | `filter_transform` (fan-out) |
+//! | `Nest`      | `filter_transform` (pair emission) → `group_fold(shuffle, …)` with a `Vec` accumulator → `map` |
+//! | `Nest`+`Reduce` over monoid reductions | `group_fold(shuffle, …)` with monoid accumulators → `filter_transform` (finish) |
+//! | `Join`      | `filter_transform` (keying) → `join_hash` |
 //! | `ThetaJoin` | M-Bucket \| min-max blocks \| cartesian+filter |
-//! | `Reduce`    | `map` → collect/fold |
+//! | `Reduce`    | `filter_transform` → collect, or `filter_fold` for scalar monoids |
 //!
-//! Rows travel as [`RowEnv`] — the variable environment of the
-//! comprehension the plan was lowered from. The executor memoizes
+//! `shuffle` is the profile's (or the adaptive planner's) [`NestStrategy`]
+//! — the one grouping driver takes it as is.
+//!
+//! Rows travel as [`RowEnv`] — the values of the variable environment of
+//! the comprehension the plan was lowered from, positioned by
+//! [`env_layout`]; names never travel. The executor memoizes
 //! materialized results per plan node (when the profile shares plans), which
 //! turns the §5 DAG sharing into actual single execution, and it attributes
 //! wall time to phases (scan / grouping / similarity) for Figure 3's
@@ -36,12 +41,9 @@ use crate::engine::storage::StoredTable;
 
 use super::groupfold::{self, AggFoldShape, GroupAcc};
 use super::kernel::PredKernel;
-use super::profile::{EngineProfile, NestStrategy, ThetaStrategy};
-use super::program::{env_layout, ProgramCache, RowExpr};
+use super::profile::{nest_stage_labels, EngineProfile, NestStrategy, ThetaStrategy};
+use super::program::{env_layout, ProgramCache, RowEnv, RowExpr};
 use super::qprofile::{clip, ProfileNode};
-
-/// A row in flight: the comprehension environment (variable → value).
-pub type RowEnv = Vec<(String, Value)>;
 
 /// Skew threshold: if the most frequent grouping-key value may cover more
 /// than this share of the rows, a sort/range shuffle would pin one worker.
@@ -111,7 +113,7 @@ pub struct Executor<'a> {
     ctx: Arc<ExecContext>,
     profile: EngineProfile,
     tables: &'a HashMap<String, StoredTable>,
-    eval_ctx: Arc<EvalCtx>,
+    eval: RowEval,
     /// Compiled programs shared across runs of a cached plan (set by the
     /// session's plan cache; `None` compiles per run as before).
     program_cache: Option<Arc<ProgramCache>>,
@@ -120,7 +122,6 @@ pub struct Executor<'a> {
     /// the only ones worth materializing into the cache (caching a node
     /// with a single consumer would deep-copy its dataset for nothing).
     shared_nodes: std::collections::HashSet<usize>,
-    errors: Arc<Mutex<Vec<String>>>,
     pub timings: PhaseTimings,
     /// Per-table statistics for adaptive strategy selection (empty unless
     /// the session collected them).
@@ -157,6 +158,42 @@ pub struct Executor<'a> {
     last_fold_key: Option<String>,
 }
 
+/// What every operator sweep evaluates row expressions with: the plan's
+/// evaluation context plus the query's error sink, cloned into the worker
+/// closures. An evaluation error — a width-mismatched row included — is
+/// recorded and drops the row (or substitutes a placeholder), exactly as a
+/// standalone `Select` pass does; the first recorded error fails the query
+/// once the sweep completes ([`Executor::check_errors`]).
+#[derive(Clone)]
+struct RowEval {
+    ctx: Arc<EvalCtx>,
+    errors: Arc<Mutex<Vec<String>>>,
+}
+
+impl RowEval {
+    fn record(&self, error: impl ToString) {
+        self.errors.lock().push(error.to_string());
+    }
+
+    /// Evaluate `rx` over one row; `None` after recording an error.
+    fn eval(&self, rx: &RowExpr, env: &RowEnv) -> Option<Value> {
+        rx.eval_env(env, &self.ctx).map_err(|e| self.record(e)).ok()
+    }
+
+    /// Does one predicate hold on `env`? An error counts as a rejection.
+    fn holds(&self, rx: &RowExpr, env: &RowEnv) -> bool {
+        self.eval(rx, env).is_some_and(|v| truthy(&v))
+    }
+
+    /// Does `env` pass a fused predicate chain (conjoined into one program
+    /// by [`Executor::compile_preds`], `None` = no filter)? The
+    /// conjunction's short-circuit preserves chain order — an error a
+    /// downstream filter would never have reached stays unreached.
+    fn passes(&self, pred_rx: &Option<Arc<RowExpr>>, env: &RowEnv) -> bool {
+        pred_rx.as_ref().is_none_or(|rx| self.holds(rx, env))
+    }
+}
+
 /// Per-node profiling bookkeeping captured at node entry; resolved into a
 /// [`ProfileNode`] at exit by diffing against the executor's counters.
 struct ProfFrame {
@@ -180,11 +217,13 @@ impl<'a> Executor<'a> {
             ctx,
             profile,
             tables,
-            eval_ctx,
+            eval: RowEval {
+                ctx: eval_ctx,
+                errors: Arc::new(Mutex::new(Vec::new())),
+            },
             program_cache: None,
             cache: HashMap::new(),
             shared_nodes: std::collections::HashSet::new(),
-            errors: Arc::new(Mutex::new(Vec::new())),
             timings: PhaseTimings::default(),
             stats: StatsCatalog::new(),
             scan_vars: HashMap::new(),
@@ -333,6 +372,12 @@ impl<'a> Executor<'a> {
         self.prof_children.pop();
     }
 
+    /// Is `node` a shared DAG node whose materialized result this profile
+    /// memoizes for all its consumers?
+    fn is_shared(&self, node: &Arc<Alg>) -> bool {
+        self.profile.share_plans && self.shared_nodes.contains(&(Arc::as_ptr(node) as usize))
+    }
+
     /// Peel the chain of fusible `Select` nodes off `plan`: the predicates
     /// in evaluation order (innermost first — an error the inner filter
     /// would have hidden stays hidden) plus the producer beneath them.
@@ -345,8 +390,7 @@ impl<'a> Executor<'a> {
         let mut preds = Vec::new();
         if self.profile.fuse_selects {
             while let Alg::Select { input, pred } = &**plan {
-                let key = Arc::as_ptr(plan) as usize;
-                if self.profile.share_plans && self.shared_nodes.contains(&key) {
+                if self.is_shared(plan) {
                     break;
                 }
                 preds.push(pred);
@@ -387,11 +431,10 @@ impl<'a> Executor<'a> {
         if !self.profile.vectorize {
             return Ok(None);
         }
-        let Alg::Scan { table, var } = &**source else {
+        let Alg::Scan { table, .. } = &**source else {
             return Ok(None);
         };
-        let key = Arc::as_ptr(source) as usize;
-        if self.profile.share_plans && self.shared_nodes.contains(&key) {
+        if self.is_shared(source) {
             // A shared scan must stay materialized once for all consumers.
             return Ok(None);
         }
@@ -462,8 +505,7 @@ impl<'a> Executor<'a> {
         if self.profiling {
             self.override_rows_in = Some(total as u64);
         }
-        let var = var.clone();
-        // Survivor environments hold the *stored* row values (cheap Arc
+        // Survivor rows hold the *stored* row values (cheap Arc
         // clones, the very same values the row path emits); the columns
         // only drive the predicate sweep.
         let rows: Vec<Arc<Vec<Value>>> = stored.batches().to_vec();
@@ -480,7 +522,7 @@ impl<'a> Executor<'a> {
                 );
                 envs.reserve(sel.len());
                 for i in sel {
-                    envs.push(vec![(var.clone(), rows[bi][i as usize].clone())]);
+                    envs.push(vec![rows[bi][i as usize].clone()]);
                 }
             }
             envs
@@ -514,8 +556,8 @@ impl<'a> Executor<'a> {
     /// *plan lifetime* rather than once per run.
     fn row_expr(&mut self, expr: &CalcExpr, scope: &[String]) -> Arc<RowExpr> {
         let rx = match &self.program_cache {
-            Some(cache) => cache.get_or_compile(expr, scope, &self.eval_ctx),
-            None => Arc::new(RowExpr::compile(expr, scope, &self.eval_ctx)),
+            Some(cache) => cache.get_or_compile(expr, scope, &self.eval.ctx),
+            None => Arc::new(RowExpr::compile(expr, scope, &self.eval.ctx)),
         };
         if rx.is_compiled() {
             self.compiled_exprs += 1;
@@ -632,8 +674,7 @@ impl<'a> Executor<'a> {
         // this consumer's sweep.
         let similarity = preds.iter().any(|p| expr_has_similarity(p));
         let scope = env_layout(source);
-        let eval_ctx = Arc::clone(&self.eval_ctx);
-        let errors = Arc::clone(&self.errors);
+        let ev = self.eval.clone();
 
         // Scalar monoids with a fused filter compile the whole pipeline
         // into **one program per row** — `if pred then head else null`,
@@ -670,17 +711,13 @@ impl<'a> Executor<'a> {
                 move || zero_m.zero(),
                 |_| true,
                 move |acc, env: RowEnv| {
-                    let v = match guarded_rx.eval_env(&env, &eval_ctx) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            errors.lock().push(e.to_string());
-                            return acc;
-                        }
+                    let Some(v) = ev.eval(&guarded_rx, &env) else {
+                        return acc;
                     };
                     match merge_scalar(&m, acc, v) {
                         Ok(acc) => acc,
                         Err(e) => {
-                            errors.lock().push(e.to_string());
+                            ev.record(e);
                             m.zero()
                         }
                     }
@@ -709,19 +746,14 @@ impl<'a> Executor<'a> {
         } else {
             "map_partitions"
         };
-        let (pred_ctx, pred_errs) = (Arc::clone(&eval_ctx), Arc::clone(&errors));
+        let pred_ev = ev.clone();
         let outputs: Vec<Value> = ds
             .filter_transform(
                 label,
-                move |env: &RowEnv| passes(&pred_rxs, env, &pred_ctx, &pred_errs),
+                move |env: &RowEnv| pred_ev.passes(&pred_rxs, env),
                 move |env, out: &mut Vec<Value>| {
-                    out.push(match head_rx.eval_env(&env, &eval_ctx) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            errors.lock().push(e.to_string());
-                            Value::Null
-                        }
-                    })
+                    let v = ev.eval(&head_rx, &env);
+                    out.push(v.unwrap_or(Value::Null))
                 },
             )?
             .collect();
@@ -780,14 +812,11 @@ impl<'a> Executor<'a> {
         if !matches!(monoid, MonoidKind::Bag | MonoidKind::Set) {
             return Ok(None);
         }
-        let is_shared = |ex: &Self, node: &Arc<Alg>| {
-            ex.profile.share_plans && ex.shared_nodes.contains(&(Arc::as_ptr(node) as usize))
-        };
         // Walk the group-level Select chain down to the Nest.
         let mut group_preds: Vec<&CalcExpr> = Vec::new();
         let mut cur = input;
         loop {
-            if is_shared(self, cur) {
+            if self.is_shared(cur) {
                 return Ok(None);
             }
             match &**cur {
@@ -874,30 +903,12 @@ impl<'a> Executor<'a> {
         // Selects are consumed structurally (their passes never run).
         self.fused_selects += nfused + group_selects;
 
-        let strategy = if self.profile.adaptive {
-            let (strategy, reason) = self.choose_nest(key, ds.count() as f64);
-            self.record_decision("nest", key.to_string(), format!("{strategy:?}"), reason);
-            strategy
-        } else {
-            self.record_decision(
-                "nest",
-                key.to_string(),
-                format!("{:?}", self.profile.nest),
-                "fixed profile".to_string(),
-            );
-            self.profile.nest
-        };
-        if pred_similarity {
-            self.timings.similarity += start.elapsed();
-        } else {
-            self.timings.grouping += start.elapsed();
-        }
+        let strategy = self.decide_nest(key, ds.count() as f64);
+        self.book_grouping_phase(pred_similarity, start);
         let start = Instant::now();
 
         let slots = Arc::new(shape.slots);
-        let finish_scope = Arc::new(shape.scope);
-        let eval_ctx = Arc::clone(&self.eval_ctx);
-        let errors = Arc::clone(&self.errors);
+        let ev = self.eval.clone();
 
         // Shared fold machinery over `GroupAcc` accumulators.
         let init = {
@@ -905,21 +916,21 @@ impl<'a> Executor<'a> {
             move || slots.iter().map(|s| s.zero()).collect::<GroupAcc>()
         };
         let fold = {
-            let (slots, errors) = (Arc::clone(&slots), Arc::clone(&errors));
+            let (slots, ev) = (Arc::clone(&slots), ev.clone());
             move |acc: &mut GroupAcc, vals: Vec<Value>| {
                 for ((slot, a), v) in slots.iter().zip(acc.iter_mut()).zip(vals) {
                     if let Err(e) = slot.fold(a, v) {
-                        errors.lock().push(e.to_string());
+                        ev.record(e);
                     }
                 }
             }
         };
         let merge_accs = {
-            let (slots, errors) = (Arc::clone(&slots), Arc::clone(&errors));
+            let (slots, ev) = (Arc::clone(&slots), ev.clone());
             move |acc: &mut GroupAcc, other: GroupAcc| {
                 for ((slot, a), b) in slots.iter().zip(acc.iter_mut()).zip(other) {
                     if let Err(e) = slot.merge(a, b) {
-                        errors.lock().push(e.to_string());
+                        ev.record(e);
                     }
                 }
             }
@@ -928,45 +939,31 @@ impl<'a> Executor<'a> {
         // and drops the row (the recorded error fails the query afterwards,
         // exactly as the materialized pair-emission sweep behaves).
         let row_values = {
-            let (ctx, errors) = (Arc::clone(&eval_ctx), Arc::clone(&errors));
+            let ev = ev.clone();
             let (key_rx, slot_rxs) = (Arc::clone(&key_rx), Arc::clone(&slot_rxs));
             move |env: &RowEnv| -> Option<(Value, Vec<Value>)> {
-                let k = match key_rx.eval_env(env, &ctx) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        errors.lock().push(e.to_string());
-                        return None;
-                    }
-                };
+                let k = ev.eval(&key_rx, env)?;
                 let mut vals = Vec::with_capacity(slot_rxs.len());
                 for rx in slot_rxs.iter() {
-                    match rx.eval_env(env, &ctx) {
-                        Ok(v) => vals.push(v),
-                        Err(e) => {
-                            errors.lock().push(e.to_string());
-                            return None;
-                        }
-                    }
+                    vals.push(ev.eval(rx, env)?);
                 }
                 Some((k, vals))
             }
         };
-        // The finish environment of one group, in `finish_scope` layout.
+        // The finish row of one group, in the shape's scope layout: the
+        // key, then each slot's finished accumulator.
         let finish_env = {
-            let (slots, finish_scope) = (Arc::clone(&slots), Arc::clone(&finish_scope));
+            let slots = Arc::clone(&slots);
             move |key: Value, accs: GroupAcc| -> RowEnv {
                 let mut env: RowEnv = Vec::with_capacity(1 + slots.len());
-                env.push((finish_scope[0].clone(), key));
-                for ((slot, acc), name) in slots.iter().zip(accs).zip(&finish_scope[1..]) {
-                    env.push((name.clone(), slot.finish(acc)));
-                }
+                env.push(key);
+                env.extend(slots.iter().zip(accs).map(|(slot, acc)| slot.finish(acc)));
                 env
             }
         };
         let pred = {
-            let (ctx, errs) = (Arc::clone(&eval_ctx), Arc::clone(&errors));
-            let pred_rxs = pred_rxs.clone();
-            move |env: &RowEnv| passes(&pred_rxs, env, &ctx, &errs)
+            let (ev, pred_rxs) = (ev.clone(), pred_rxs.clone());
+            move |env: &RowEnv| ev.passes(&pred_rxs, env)
         };
 
         if keeps_groups {
@@ -1019,29 +1016,13 @@ impl<'a> Executor<'a> {
             let mut passing: FxHashSet<Value> = FxHashSet::default();
             for (k, accs) in merged {
                 let env = finish_env(k.clone(), accs);
-                let mut keep = true;
-                for rx in &finish_preds {
-                    match rx.eval_env(&env, &eval_ctx) {
-                        Ok(v) => {
-                            if !truthy(&v) {
-                                keep = false;
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            errors.lock().push(e.to_string());
-                            keep = false;
-                            break;
-                        }
-                    }
-                }
-                if keep {
+                if finish_preds.iter().all(|rx| ev.holds(rx, &env)) {
                     passing.insert(k);
                 }
             }
             self.check_errors()?;
             if passing.is_empty() {
-                self.book_fold_phase(pred_similarity, start);
+                self.book_grouping_phase(pred_similarity, start);
                 return Ok(Vec::new());
             }
 
@@ -1050,15 +1031,11 @@ impl<'a> Executor<'a> {
             let passing = Arc::new(passing);
             let item_rx = self.row_expr(item, &scope);
             let emit = {
-                let (ctx, errors) = (Arc::clone(&eval_ctx), Arc::clone(&errors));
+                let ev = ev.clone();
                 let key_rx = Arc::clone(&key_rx);
                 move |env: RowEnv, out: &mut Vec<(Value, Value)>| {
-                    let k = match key_rx.eval_env(&env, &ctx) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            errors.lock().push(e.to_string());
-                            return;
-                        }
+                    let Some(k) = ev.eval(&key_rx, &env) else {
+                        return;
                     };
                     let keys: Vec<Value> = match k {
                         Value::List(keys) => keys
@@ -1072,12 +1049,8 @@ impl<'a> Executor<'a> {
                     if keys.is_empty() {
                         return;
                     }
-                    let it = match item_rx.eval_env(&env, &ctx) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            errors.lock().push(e.to_string());
-                            return;
-                        }
+                    let Some(it) = ev.eval(&item_rx, &env) else {
+                        return;
                     };
                     let mut keys = keys;
                     let last = keys.pop().expect("non-empty");
@@ -1090,17 +1063,8 @@ impl<'a> Executor<'a> {
             let pairs: Dataset<(Value, Value)> =
                 ds.filter_transform("group_fold_materialize", pred, emit)?;
             self.check_errors()?;
-            let grouped: Dataset<(Value, Vec<Value>)> = match strategy {
-                NestStrategy::LocalAggregate => pairs.group_by_key_local()?,
-                NestStrategy::SortShuffle => pairs.group_by_key_sorted()?,
-                NestStrategy::HashShuffle => pairs.group_by_key_hash()?,
-            };
-            let outputs: Vec<Value> = grouped
-                .map(|(k, members)| {
-                    Value::record([("key", k), ("partition", Value::list(members))])
-                })?
-                .collect();
-            self.book_fold_phase(pred_similarity, start);
+            let outputs: Vec<Value> = group_members(pairs, strategy)?.map(group_record)?.collect();
+            self.book_grouping_phase(pred_similarity, start);
             return Ok(outputs);
         }
 
@@ -1119,39 +1083,17 @@ impl<'a> Executor<'a> {
                 }
             }
         };
-        let grouped: Dataset<(Value, GroupAcc)> = match strategy {
-            NestStrategy::LocalAggregate => {
-                ds.group_fold("group_fold", pred, emit, init, fold, merge_accs)?
-            }
-            NestStrategy::HashShuffle => {
-                ds.group_fold_hash("group_fold_hash", pred, emit, init, fold)?
-            }
-            NestStrategy::SortShuffle => {
-                ds.group_fold_sorted("group_fold_sorted", pred, emit, init, fold)?
-            }
-        };
+        let (_, label) = nest_stage_labels(strategy);
+        let grouped: Dataset<(Value, GroupAcc)> =
+            ds.group_fold(strategy, label, pred, emit, init, fold, merge_accs)?;
         self.check_errors()?;
         let head_rx = finish_head.expect("aggregate shape has a head");
         let finish = {
-            let (ctx, errors) = (Arc::clone(&eval_ctx), Arc::clone(&errors));
+            let ev = ev.clone();
             move |(k, accs): (Value, GroupAcc), out: &mut Vec<Value>| {
                 let env = finish_env(k, accs);
-                for rx in &finish_preds {
-                    match rx.eval_env(&env, &ctx) {
-                        Ok(v) => {
-                            if !truthy(&v) {
-                                return;
-                            }
-                        }
-                        Err(e) => {
-                            errors.lock().push(e.to_string());
-                            return;
-                        }
-                    }
-                }
-                match head_rx.eval_env(&env, &ctx) {
-                    Ok(v) => out.push(v),
-                    Err(e) => errors.lock().push(e.to_string()),
+                if finish_preds.iter().all(|rx| ev.holds(rx, &env)) {
+                    out.extend(ev.eval(&head_rx, &env));
                 }
             }
         };
@@ -1159,14 +1101,14 @@ impl<'a> Executor<'a> {
             .filter_transform("group_finish", |_| true, finish)?
             .collect();
         self.check_errors()?;
-        self.book_fold_phase(pred_similarity, start);
+        self.book_grouping_phase(pred_similarity, start);
         Ok(outputs)
     }
 
-    /// Phase attribution for a fold sweep: as in the materialized path, a
-    /// fused similarity predicate's cost books under the similarity phase
-    /// even though its pass merged into the grouping sweep.
-    fn book_fold_phase(&mut self, pred_similarity: bool, start: Instant) {
+    /// Phase attribution for a grouping-side sweep (pair emission, fold,
+    /// join keying): a fused similarity predicate's cost books under the
+    /// similarity phase even though its pass merged into the sweep.
+    fn book_grouping_phase(&mut self, pred_similarity: bool, start: Instant) {
         if pred_similarity {
             self.timings.similarity += start.elapsed();
         } else {
@@ -1175,7 +1117,7 @@ impl<'a> Executor<'a> {
     }
 
     fn check_errors(&self) -> ExecResult<()> {
-        let mut errs = self.errors.lock();
+        let mut errs = self.eval.errors.lock();
         if let Some(first) = errs.first() {
             let e = ExecError::Value(first.clone());
             errs.clear();
@@ -1184,9 +1126,11 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    fn run(&mut self, plan: &Arc<Alg>) -> ExecResult<Dataset<RowEnv>> {
+    /// Execute a row-producing node (anything but `Reduce`): every row of
+    /// the result is [`env_layout`]`(plan)` wide.
+    pub(crate) fn run(&mut self, plan: &Arc<Alg>) -> ExecResult<Dataset<RowEnv>> {
         let key = Arc::as_ptr(plan) as usize;
-        let memoize = self.profile.share_plans && self.shared_nodes.contains(&key);
+        let memoize = self.is_shared(plan);
         if memoize {
             if let Some(cached) = self.cache.get(&key) {
                 let cached = cached.clone();
@@ -1248,7 +1192,7 @@ impl<'a> Executor<'a> {
 
     fn run_uncached(&mut self, plan: &Arc<Alg>) -> ExecResult<Dataset<RowEnv>> {
         match &**plan {
-            Alg::Scan { table, var } => {
+            Alg::Scan { table, .. } => {
                 let start = Instant::now();
                 let stored = self
                     .tables
@@ -1258,7 +1202,7 @@ impl<'a> Executor<'a> {
                 // extend the row stream, history never moves.
                 let mut envs: Vec<RowEnv> = Vec::with_capacity(stored.len());
                 for batch in stored.batches() {
-                    envs.extend(batch.iter().map(|r| vec![(var.clone(), r.clone())]));
+                    envs.extend(batch.iter().map(|r| vec![r.clone()]));
                 }
                 let ds = Dataset::from_vec(&self.ctx, envs);
                 self.timings.scan += start.elapsed();
@@ -1287,10 +1231,9 @@ impl<'a> Executor<'a> {
                 let ds = self.run(source)?;
                 let start = Instant::now();
                 self.fused_selects += chained;
-                let eval_ctx = Arc::clone(&self.eval_ctx);
-                let errors = Arc::clone(&self.errors);
+                let ev = self.eval.clone();
                 let out = ds.filter_partitions(move |part| {
-                    part.retain(|env| passes(&pred_rxs, env, &eval_ctx, &errors));
+                    part.retain(|env| ev.passes(&pred_rxs, env));
                 })?;
                 self.check_errors()?;
                 if similarity {
@@ -1300,7 +1243,7 @@ impl<'a> Executor<'a> {
                 }
                 Ok(out)
             }
-            Alg::Unnest { input, path, var } => {
+            Alg::Unnest { input, path, .. } => {
                 let (preds, source) = self.peel_selects(input);
                 let nfused = preds.len();
                 let scope = env_layout(source);
@@ -1315,33 +1258,25 @@ impl<'a> Executor<'a> {
                 self.ctx.consume_budget("flat_map", ds.count() as u64)?;
                 let path_rx = self.row_expr(path, &scope);
                 self.fused_selects += nfused;
-                let eval_ctx = Arc::clone(&self.eval_ctx);
-                let errors = Arc::clone(&self.errors);
-                let var_cl = var.clone();
+                let ev = self.eval.clone();
                 let label = if pred_rxs.is_some() {
                     "fused_filter_flat_map"
                 } else {
                     "flat_map"
                 };
-                let (pred_ctx, pred_errs) = (Arc::clone(&eval_ctx), Arc::clone(&errors));
+                let pred_ev = ev.clone();
                 let out = ds.filter_transform(
                     label,
-                    move |env: &RowEnv| passes(&pred_rxs, env, &pred_ctx, &pred_errs),
-                    move |env, out: &mut Vec<RowEnv>| match path_rx.eval_env(&env, &eval_ctx) {
-                        Ok(Value::List(items)) => out.extend(items.iter().map(|item| {
-                            let mut e = env.clone();
-                            e.push((var_cl.clone(), item.clone()));
+                    move |env: &RowEnv| pred_ev.passes(&pred_rxs, env),
+                    move |env, out: &mut Vec<RowEnv>| match ev.eval(&path_rx, &env) {
+                        Some(Value::List(items)) => out.extend(items.iter().map(|item| {
+                            let mut e = Vec::with_capacity(env.len() + 1);
+                            e.extend_from_slice(&env);
+                            e.push(item.clone());
                             e
                         })),
-                        Ok(Value::Null) => {}
-                        Ok(other) => {
-                            errors
-                                .lock()
-                                .push(format!("unnest over non-list `{other}`"));
-                        }
-                        Err(e) => {
-                            errors.lock().push(e.to_string());
-                        }
+                        Some(Value::Null) | None => {}
+                        Some(other) => ev.record(format!("unnest over non-list `{other}`")),
                     },
                 )?;
                 self.check_errors()?;
@@ -1349,11 +1284,7 @@ impl<'a> Executor<'a> {
                 Ok(out)
             }
             Alg::Nest {
-                input,
-                key,
-                item,
-                group_var,
-                ..
+                input, key, item, ..
             } => {
                 let (preds, source) = self.peel_selects(input);
                 let nfused = preds.len();
@@ -1362,7 +1293,7 @@ impl<'a> Executor<'a> {
                 let pred_rxs = self.compile_preds(&preds, &scope);
                 let (ds, pred_rxs) = self.run_filtered(source, pred_rxs)?;
                 self.fused_selects += nfused;
-                self.exec_nest(ds, key, item, group_var, &scope, pred_rxs, similarity)
+                self.exec_nest(ds, key, item, &scope, pred_rxs, similarity)
             }
             Alg::Join {
                 left,
@@ -1384,9 +1315,8 @@ impl<'a> Executor<'a> {
                 self.fused_selects += nfused;
                 let keyed =
                     |ds: Dataset<RowEnv>, key_rx: Arc<RowExpr>, pred_rxs: Option<Arc<RowExpr>>| {
-                        let eval_ctx = Arc::clone(&self.eval_ctx);
-                        let errors = Arc::clone(&self.errors);
-                        let (pred_ctx, pred_errs) = (Arc::clone(&eval_ctx), Arc::clone(&errors));
+                        let ev = self.eval.clone();
+                        let pred_ev = ev.clone();
                         let label = if pred_rxs.is_none() {
                             "map_partitions"
                         } else {
@@ -1394,16 +1324,10 @@ impl<'a> Executor<'a> {
                         };
                         ds.filter_transform(
                             label,
-                            move |env: &RowEnv| passes(&pred_rxs, env, &pred_ctx, &pred_errs),
+                            move |env: &RowEnv| pred_ev.passes(&pred_rxs, env),
                             move |env, out: &mut Vec<(Value, RowEnv)>| {
-                                let k = match key_rx.eval_env(&env, &eval_ctx) {
-                                    Ok(v) => v,
-                                    Err(e) => {
-                                        errors.lock().push(e.to_string());
-                                        Value::Null
-                                    }
-                                };
-                                out.push((k, env));
+                                let k = ev.eval(&key_rx, &env);
+                                out.push((k.unwrap_or(Value::Null), env));
                             },
                         )
                     };
@@ -1412,17 +1336,10 @@ impl<'a> Executor<'a> {
                 self.check_errors()?;
                 // Phase split: the keying sweeps carry any fused similarity
                 // predicate's cost; the hash join itself is grouping.
-                if similarity {
-                    self.timings.similarity += start.elapsed();
-                } else {
-                    self.timings.grouping += start.elapsed();
-                }
+                self.book_grouping_phase(similarity, start);
                 let start = Instant::now();
                 let joined = lk.join_hash(rk)?;
-                let out = joined.map(|(_, mut lenv, renv)| {
-                    lenv.extend(renv);
-                    lenv
-                })?;
+                let out = joined.map(|(_, lenv, renv)| concat_rows((lenv, renv)))?;
                 self.timings.grouping += start.elapsed();
                 Ok(out)
             }
@@ -1461,6 +1378,19 @@ impl<'a> Executor<'a> {
         let cols = cardinality::columns_in(key);
         cols.iter()
             .find_map(|(var, field)| self.stats.get(self.scan_vars.get(var)?)?.column(field))
+    }
+
+    /// The Nest's shuffle for this run — re-decided from statistics under an
+    /// adaptive profile, the profile's fixed strategy otherwise — recorded
+    /// as a plan decision either way.
+    fn decide_nest(&mut self, key: &CalcExpr, input_rows: f64) -> NestStrategy {
+        let (strategy, reason) = if self.profile.adaptive {
+            self.choose_nest(key, input_rows)
+        } else {
+            (self.profile.nest, "fixed profile".to_string())
+        };
+        self.record_decision("nest", key.to_string(), format!("{strategy:?}"), reason);
+        strategy
     }
 
     /// Cost-based Nest strategy: group cardinality and skew decide how the
@@ -1607,13 +1537,11 @@ impl<'a> Executor<'a> {
     /// `pred_rxs` is a fused upstream `Select` chain: the pair-emission
     /// sweep filters and groups in the same pass, so the filtered
     /// intermediate collection is never materialized.
-    #[allow(clippy::too_many_arguments)]
     fn exec_nest(
         &mut self,
         ds: Dataset<RowEnv>,
         key: &CalcExpr,
         item: &CalcExpr,
-        group_var: &str,
         scope: &[String],
         pred_rxs: Option<Arc<RowExpr>>,
         pred_similarity: bool,
@@ -1621,33 +1549,24 @@ impl<'a> Executor<'a> {
         let start = Instant::now();
         let key_rx = self.row_expr(key, scope);
         let item_rx = self.row_expr(item, scope);
-        let eval_ctx = Arc::clone(&self.eval_ctx);
-        let errors = Arc::clone(&self.errors);
+        let ev = self.eval.clone();
         let label = if pred_rxs.is_none() {
             "flat_map"
         } else {
             "fused_filter_flat_map"
         };
-        let (pred_ctx, pred_errs) = (Arc::clone(&eval_ctx), Arc::clone(&errors));
+        let pred_ev = ev.clone();
         // Emit (block key, item) pairs; a list key multi-assigns (token
         // filtering / k-means with delta).
         let pairs: Dataset<(Value, Value)> = ds.filter_transform(
             label,
-            move |env: &RowEnv| passes(&pred_rxs, env, &pred_ctx, &pred_errs),
+            move |env: &RowEnv| pred_ev.passes(&pred_rxs, env),
             move |env, out: &mut Vec<(Value, Value)>| {
-                let k = match key_rx.eval_env(&env, &eval_ctx) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        errors.lock().push(e.to_string());
-                        return;
-                    }
+                let Some(k) = ev.eval(&key_rx, &env) else {
+                    return;
                 };
-                let it = match item_rx.eval_env(&env, &eval_ctx) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        errors.lock().push(e.to_string());
-                        return;
-                    }
+                let Some(it) = ev.eval(&item_rx, &env) else {
+                    return;
                 };
                 match k {
                     Value::List(keys) => out.extend(keys.iter().map(|kk| (kk.clone(), it.clone()))),
@@ -1658,38 +1577,12 @@ impl<'a> Executor<'a> {
         self.check_errors()?;
         // Phase split: the pair-emission sweep carries any fused similarity
         // predicate's cost; the shuffle/aggregation below is grouping.
-        if pred_similarity {
-            self.timings.similarity += start.elapsed();
-        } else {
-            self.timings.grouping += start.elapsed();
-        }
+        self.book_grouping_phase(pred_similarity, start);
         let start = Instant::now();
-        let strategy = if self.profile.adaptive {
-            let (strategy, reason) = self.choose_nest(key, pairs.count() as f64);
-            self.record_decision("nest", key.to_string(), format!("{strategy:?}"), reason);
-            strategy
-        } else {
-            self.record_decision(
-                "nest",
-                key.to_string(),
-                format!("{:?}", self.profile.nest),
-                "fixed profile".to_string(),
-            );
-            self.profile.nest
-        };
-        let grouped: Dataset<(Value, Vec<Value>)> = match strategy {
-            NestStrategy::LocalAggregate => pairs.group_by_key_local()?,
-            NestStrategy::SortShuffle => pairs.group_by_key_sorted()?,
-            NestStrategy::HashShuffle => pairs.group_by_key_hash()?,
-        };
-        let gv = group_var.to_string();
-        // `mapPartitions`-style finishing: wrap each group as {key, partition}.
-        let out = grouped.map(move |(k, members)| {
-            vec![(
-                gv.clone(),
-                Value::record([("key", k), ("partition", Value::list(members))]),
-            )]
-        })?;
+        let strategy = self.decide_nest(key, pairs.count() as f64);
+        // `mapPartitions`-style finishing: each group becomes the one-slot
+        // row binding the Nest's group variable.
+        let out = group_members(pairs, strategy)?.map(|group| vec![group_record(group)])?;
         self.timings.grouping += start.elapsed();
         Ok(out)
     }
@@ -1704,20 +1597,12 @@ impl<'a> Executor<'a> {
         scope_l: &[String],
         scope_r: &[String],
     ) -> ExecResult<Dataset<RowEnv>> {
-        let (strategy, bounds) = if self.profile.adaptive {
-            let (strategy, bounds, reason) =
-                self.choose_theta(hint, lds.count() as f64, rds.count() as f64);
-            self.record_decision("theta", pred.to_string(), format!("{strategy:?}"), reason);
-            (strategy, bounds)
+        let (strategy, bounds, reason) = if self.profile.adaptive {
+            self.choose_theta(hint, lds.count() as f64, rds.count() as f64)
         } else {
-            self.record_decision(
-                "theta",
-                pred.to_string(),
-                format!("{:?}", self.profile.theta),
-                "fixed profile".to_string(),
-            );
-            (self.profile.theta, None)
+            (self.profile.theta, None, "fixed profile".to_string())
         };
+        self.record_decision("theta", pred.to_string(), format!("{strategy:?}"), reason);
         // The predicate is compiled against the concatenated layout and
         // evaluated pair-wise — no merged environment is materialized per
         // candidate pair (previously two clones per comparison).
@@ -1726,22 +1611,21 @@ impl<'a> Executor<'a> {
         let pred_rx = self.row_expr(pred, &scope_both);
         let lkey_rx = self.row_expr(&hint.left_key, scope_l);
         let rkey_rx = self.row_expr(&hint.right_key, scope_r);
-        let eval_ctx = Arc::clone(&self.eval_ctx);
+        let eval_ctx = Arc::clone(&self.eval.ctx);
+        // A pair the predicate cannot evaluate — a width-mismatched side
+        // included — is rejected and recorded, as in every other sweep.
+        let ev = self.eval.clone();
+        let holds = move |l: &RowEnv, r: &RowEnv| {
+            let v = pred_rx.eval_pair(l, r, &ev.ctx).map_err(|e| ev.record(e));
+            v.is_ok_and(|v| truthy(&v))
+        };
 
         // The cartesian path needs no key domain and no key values: run it
         // directly (it prunes nothing, so it is always correct).
         if strategy == ThetaStrategy::CartesianFilter {
-            let predicate = move |l: &RowEnv, r: &RowEnv| {
-                pred_rx
-                    .eval_pair(l, r, &eval_ctx)
-                    .map(|v| truthy(&v))
-                    .unwrap_or(false)
-            };
-            let joined = theta::cartesian_filter(lds, rds, predicate)?;
-            return joined.map(|(mut l, r)| {
-                l.extend(r);
-                l
-            });
+            let joined = theta::cartesian_filter(lds, rds, holds)?;
+            self.check_errors()?;
+            return joined.map(concat_rows);
         }
 
         // Pruning strategies need each row's mapped join key *and* the key
@@ -1767,28 +1651,15 @@ impl<'a> Executor<'a> {
                 format!("{:?}", ThetaStrategy::CartesianFilter),
                 "mixed numeric/text join keys: no common pruning domain".to_string(),
             );
-            let predicate = move |l: &RowEnv, r: &RowEnv| {
-                pred_rx
-                    .eval_pair(l, r, &eval_ctx)
-                    .map(|v| truthy(&v))
-                    .unwrap_or(false)
-            };
-            let joined = theta::cartesian_filter(lds, rds, predicate)?;
-            return joined.map(|(mut l, r)| {
-                l.extend(r);
-                l
-            });
+            let joined = theta::cartesian_filter(lds, rds, holds)?;
+            self.check_errors()?;
+            return joined.map(concat_rows);
         }
 
         let compat = hint.kind.compat_fn(theta_widen(l_text || r_text));
         let lk = lds.zip_parts(l_keys);
         let rk = rds.zip_parts(r_keys);
-        let predicate = move |l: &(f64, RowEnv), r: &(f64, RowEnv)| {
-            pred_rx
-                .eval_pair(&l.1, &r.1, &eval_ctx)
-                .map(|v| truthy(&v))
-                .unwrap_or(false)
-        };
+        let predicate = move |l: &(f64, RowEnv), r: &(f64, RowEnv)| holds(&l.1, &r.1);
         let key_of = |t: &(f64, RowEnv)| t.0;
 
         let joined: Dataset<((f64, RowEnv), (f64, RowEnv))> = match (strategy, bounds) {
@@ -1803,11 +1674,41 @@ impl<'a> Executor<'a> {
             }
             (ThetaStrategy::CartesianFilter, _) => unreachable!("handled above"),
         };
-        joined.map(|((_, mut l), (_, r))| {
-            l.extend(r);
-            l
-        })
+        self.check_errors()?;
+        joined.map(|((_, l), (_, r))| concat_rows((l, r)))
     }
+}
+
+/// A joined row: the left row's slots, then the right row's — the layout
+/// both joins declare in [`env_layout`].
+fn concat_rows((mut left, right): (RowEnv, RowEnv)) -> RowEnv {
+    left.extend(right);
+    left
+}
+
+/// Materialized grouping — the Nest translation of Table 2: the one
+/// grouping driver with a `Vec` accumulator, so every `(key, item)` pair
+/// lands in its key's member list under the chosen shuffle.
+fn group_members(
+    pairs: Dataset<(Value, Value)>,
+    strategy: NestStrategy,
+) -> ExecResult<Dataset<(Value, Vec<Value>)>> {
+    let (label, _) = nest_stage_labels(strategy);
+    pairs.group_fold(
+        strategy,
+        label,
+        |_| true,
+        |pair, out| out.push(pair),
+        Vec::new,
+        |members, item| members.push(item),
+        |members, mut more| members.append(&mut more),
+    )
+}
+
+/// A materialized group as the `{key, partition}` record the group variable
+/// binds.
+fn group_record((key, members): (Value, Vec<Value>)) -> Value {
+    Value::record([("key", key), ("partition", Value::list(members))])
 }
 
 /// [`merge_values`] with the dominant numeric cases of the fused fold loop
@@ -1864,31 +1765,6 @@ fn conjoin(preds: &[&CalcExpr]) -> Option<CalcExpr> {
     Some(rest.iter().fold((*first).clone(), |acc, p| {
         CalcExpr::bin(crate::calculus::BinOp::And, acc, (*p).clone())
     }))
-}
-
-/// Evaluate a fused predicate chain (conjoined into one program by
-/// [`Executor::compile_preds`], `None` = no filter) over one row
-/// environment. An evaluation error is recorded and drops the row, exactly
-/// as a standalone `Select` pass does (the recorded error fails the query
-/// once the pass completes), and the conjunction's short-circuit preserves
-/// chain order — an error a downstream filter would never have reached
-/// stays unreached.
-fn passes(
-    pred_rx: &Option<Arc<RowExpr>>,
-    env: &RowEnv,
-    eval_ctx: &EvalCtx,
-    errors: &Mutex<Vec<String>>,
-) -> bool {
-    match pred_rx {
-        None => true,
-        Some(rx) => match rx.eval_env(env, eval_ctx) {
-            Ok(v) => truthy(&v),
-            Err(e) => {
-                errors.lock().push(e.to_string());
-                false
-            }
-        },
-    }
 }
 
 /// One probe pass over a theta side: every row's mapped f64 join key (in
@@ -2693,6 +2569,68 @@ mod tests {
         assert!(
             !reason.contains("no histograms"),
             "string histograms must feed the cost model: {reason}"
+        );
+    }
+
+    #[test]
+    fn width_mismatched_row_is_a_typed_error() {
+        // Rows two slots wide reach a Nest compiled for the one-slot layout
+        // `[c]`: by name `c.address` would still resolve, so the old
+        // drop-into-the-interpreter behaviour would have "worked" — the
+        // mismatch must fail the query instead.
+        let tables = catalog();
+        let ctx = ExecContext::new(2, 4);
+        let mut ex = Executor::new(
+            ctx.clone(),
+            EngineProfile::clean_db(),
+            &tables,
+            Arc::new(EvalCtx::new()),
+        );
+        let rows: Vec<RowEnv> = (0..8)
+            .map(|i| vec![row(i, "a st", 1, "n"), Value::Int(i)])
+            .collect();
+        let key = CalcExpr::proj(CalcExpr::var("c"), "address");
+        let err = ex
+            .exec_nest(
+                Dataset::from_vec(&ctx, rows),
+                &key,
+                &CalcExpr::var("c"),
+                &["c".to_string()],
+                None,
+                false,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, ExecError::Value(m) if m.contains("row layout mismatch")),
+            "{err}"
+        );
+
+        // The same rows as the left side of a theta join over `[t1] ++
+        // [t2]`: the pair predicate must fail the query too, not quietly
+        // reject every pair.
+        use crate::algebra::plan::{HintKind, ThetaHint};
+        let name = |v: &str| CalcExpr::proj(CalcExpr::var(v), "name");
+        let wide: Vec<RowEnv> = (0..4)
+            .map(|i| vec![row(i, "a st", 1, "n"), Value::Int(i)])
+            .collect();
+        let narrow: Vec<RowEnv> = (0..4).map(|i| vec![row(i, "a st", 1, "n")]).collect();
+        let err = ex
+            .exec_theta(
+                Dataset::from_vec(&ctx, wide),
+                Dataset::from_vec(&ctx, narrow),
+                &CalcExpr::bin(BinOp::Le, name("t1"), name("t2")),
+                &ThetaHint {
+                    left_key: name("t1"),
+                    right_key: name("t2"),
+                    kind: HintKind::LeftLessThanRight,
+                },
+                &["t1".to_string()],
+                &["t2".to_string()],
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, ExecError::Value(m) if m.contains("row layout mismatch")),
+            "{err}"
         );
     }
 

@@ -1185,9 +1185,8 @@ mod tests {
         let mut scratch = Vec::new();
         let want: Vec<u32> = (0..left.len())
             .filter(|&i| {
-                let l = vec![("t1".to_string(), left[i].clone())];
-                let r = vec![("t2".to_string(), right[i].clone())];
-                truthy(&prog.eval_pair(&l, &r, &ctx, &mut scratch).unwrap())
+                let (l, r) = (&left[i..=i], &right[i..=i]);
+                truthy(&prog.eval_pair(l, r, &ctx, &mut scratch).unwrap())
             })
             .map(|i| i as u32)
             .collect();

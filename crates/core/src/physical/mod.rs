@@ -15,7 +15,7 @@ pub mod profile;
 pub mod program;
 pub mod qprofile;
 
-pub use execute::{Executor, PhaseTimings, PlanDecision, RowEnv};
+pub use execute::{Executor, PhaseTimings, PlanDecision};
 pub use profile::{EngineProfile, NestStrategy, ThetaStrategy};
-pub use program::{env_layout, ProgramCache, RowExpr};
+pub use program::{env_layout, ProgramCache, RowEnv, RowExpr};
 pub use qprofile::{ProfileNode, QueryProfile};

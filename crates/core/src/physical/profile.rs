@@ -2,17 +2,25 @@
 
 use serde::{Deserialize, Serialize};
 
-/// How a `Nest` (grouping) operator shuffles data — §6 "Handling data skew".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NestStrategy {
-    /// CleanDB: `aggregateByKey` — combine locally per partition, shuffle
-    /// only partial groups, merge. Skew-resilient, minimal traffic.
-    LocalAggregate,
-    /// Spark SQL: sort-based aggregation — range-partition on sampled key
-    /// quantiles, sort, group runs. Heavy keys overload single workers.
-    SortShuffle,
-    /// BigDansing: hash-based shuffling of every record.
-    HashShuffle,
+/// How a `Nest` (grouping) operator shuffles data — §6 "Handling data skew":
+/// CleanDB's `LocalAggregate`, Spark SQL's `SortShuffle`, BigDansing's
+/// `HashShuffle`. This *is* the runtime's [`cleanm_exec::Shuffle`] — the
+/// profile names the strategy and the one grouping driver takes it as is
+/// (the serde shim's derives are no-ops, so the runtime crate needs none;
+/// before `shims/serde` is swapped for real serde, `Shuffle` must gain
+/// `Serialize`/`Deserialize` or [`EngineProfile`]'s derive stops compiling).
+pub use cleanm_exec::Shuffle as NestStrategy;
+
+/// The stage labels a Nest's grouping reports under, per strategy:
+/// `(materialized groups, folded groups)`. Reports, EXPLAIN output and the
+/// shuffle-volume tests key on these names, so they outlive the drivers
+/// they were once named after.
+pub(crate) fn nest_stage_labels(strategy: NestStrategy) -> (&'static str, &'static str) {
+    match strategy {
+        NestStrategy::LocalAggregate => ("aggregate_by_key", "group_fold"),
+        NestStrategy::SortShuffle => ("group_by_key_sorted", "group_fold_sorted"),
+        NestStrategy::HashShuffle => ("group_by_key_hash", "group_fold_hash"),
+    }
 }
 
 /// How a theta join executes — §6 "Handling theta joins".

@@ -1,19 +1,23 @@
-//! Compiled row-expression evaluation for the physical executor.
+//! The row format and compiled row-expression evaluation for the physical
+//! executor.
 //!
-//! The executor knows, statically per plan node, the exact layout of the
-//! row environments flowing through it ([`env_layout`] mirrors how each
-//! operator constructs its `RowEnv`s). That is what makes ahead-of-time
-//! compilation safe: every plan-node expression is lowered **once** via
-//! [`Program::compile`] against that layout, and partitions are then
-//! evaluated by the flat register machine with a per-worker reusable
-//! scratch stack — no string-keyed environment scans, no per-row
-//! environment allocation, no `Value` clones beyond the leaves.
+//! A row in flight ([`RowEnv`]) carries **values only**: one [`Value`] per
+//! variable of the comprehension environment, at the position
+//! [`env_layout`] gives that variable for the plan node producing the row.
+//! The executor knows that layout statically per plan node, which is what
+//! makes ahead-of-time compilation safe: every plan-node expression is
+//! lowered **once** via [`Program::compile`] against the layout, and
+//! partitions are then evaluated by the flat register machine with a
+//! per-worker reusable scratch stack — no names travel with the rows, no
+//! per-row environment allocation, no `Value` clones beyond the leaves.
 //!
 //! [`RowExpr`] packages a compiled program with the tree-walking
 //! interpreter as reference fallback: expressions the compiler cannot
 //! lower (unknown tables, variables outside the layout) keep the exact
-//! interpreted semantics, and `Executor` counts both outcomes so tests can
-//! pin that the hot paths really run compiled.
+//! interpreted semantics over a named environment rebuilt from the layout,
+//! and `Executor` counts both outcomes so tests can pin that the hot paths
+//! really run compiled. A row whose width disagrees with the layout is a
+//! typed error on either path.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -24,11 +28,13 @@ use parking_lot::Mutex;
 use cleanm_values::{Result, Value};
 
 use crate::algebra::plan::Alg;
-use crate::calculus::compile::Program;
+use crate::calculus::compile::{check_width, named_env, Program};
 use crate::calculus::eval::{eval, EvalCtx};
 use crate::calculus::CalcExpr;
 
-use super::execute::RowEnv;
+/// A row in flight: the values of the comprehension environment, positioned
+/// by the producing plan node's [`env_layout`].
+pub type RowEnv = Vec<Value>;
 
 thread_local! {
     /// Per-worker scratch stack shared by every compiled evaluation on this
@@ -40,9 +46,16 @@ thread_local! {
 /// A row-level expression as the executor runs it: compiled to a
 /// slot-resolved [`Program`] when the expression lowers cleanly, with the
 /// tree-walking interpreter kept as the reference fallback.
-pub struct RowExpr {
-    program: Option<Program>,
-    expr: CalcExpr,
+pub struct RowExpr(Repr);
+
+enum Repr {
+    Compiled(Program),
+    /// Compilation failed: the interpreter evaluates `expr` over a named
+    /// environment rebuilt from `scope` per row.
+    Reference {
+        expr: CalcExpr,
+        scope: Vec<String>,
+    },
 }
 
 impl RowExpr {
@@ -50,46 +63,51 @@ impl RowExpr {
     /// Compilation failure is not an error — the interpreter remains the
     /// semantics of record.
     pub fn compile(expr: &CalcExpr, scope: &[String], ctx: &EvalCtx) -> RowExpr {
-        RowExpr {
-            program: Program::compile(expr, scope, ctx).ok(),
-            expr: expr.clone(),
-        }
+        RowExpr(match Program::compile(expr, scope, ctx) {
+            Ok(program) => Repr::Compiled(program),
+            Err(_) => Repr::Reference {
+                expr: expr.clone(),
+                scope: scope.to_vec(),
+            },
+        })
     }
 
     /// Did compilation succeed (vs. interpreter fallback)?
     pub fn is_compiled(&self) -> bool {
-        self.program.is_some()
+        self.program().is_some()
     }
 
     /// The compiled program, when compilation succeeded — handed to the
     /// columnar kernel compiler ([`crate::physical::kernel`]) to try a
     /// second lowering against a concrete column batch.
     pub(crate) fn program(&self) -> Option<&Program> {
-        self.program.as_ref()
-    }
-
-    /// Evaluate one row environment.
-    pub fn eval_env(&self, env: &RowEnv, ctx: &EvalCtx) -> Result<Value> {
-        match &self.program {
-            Some(p) if p.scope_len() == env.len() => {
-                SCRATCH.with(|s| p.eval_with(env, ctx, &mut s.borrow_mut()))
-            }
-            _ => eval(&self.expr, env, ctx),
+        match &self.0 {
+            Repr::Compiled(program) => Some(program),
+            Repr::Reference { .. } => None,
         }
     }
 
-    /// Evaluate over a concatenated `(left, right)` environment pair
-    /// without materializing the merged environment — the theta-join inner
-    /// loop, which previously cloned both sides per candidate pair.
-    pub fn eval_pair(&self, left: &RowEnv, right: &RowEnv, ctx: &EvalCtx) -> Result<Value> {
-        match &self.program {
-            Some(p) if p.scope_len() == left.len() + right.len() => {
+    /// Evaluate one row.
+    pub fn eval_env(&self, env: &[Value], ctx: &EvalCtx) -> Result<Value> {
+        match &self.0 {
+            Repr::Compiled(p) => SCRATCH.with(|s| p.eval_with(env, ctx, &mut s.borrow_mut())),
+            Repr::Reference { expr, scope } => {
+                check_width(scope, env.len())?;
+                eval(expr, &named_env(scope, env.iter()), ctx)
+            }
+        }
+    }
+
+    /// Evaluate over a concatenated `(left, right)` row pair without
+    /// materializing the merged row — the theta-join inner loop.
+    pub fn eval_pair(&self, left: &[Value], right: &[Value], ctx: &EvalCtx) -> Result<Value> {
+        match &self.0 {
+            Repr::Compiled(p) => {
                 SCRATCH.with(|s| p.eval_pair(left, right, ctx, &mut s.borrow_mut()))
             }
-            _ => {
-                let mut env = left.clone();
-                env.extend(right.iter().cloned());
-                eval(&self.expr, &env, ctx)
+            Repr::Reference { expr, scope } => {
+                check_width(scope, left.len() + right.len())?;
+                eval(expr, &named_env(scope, left.iter().chain(right)), ctx)
             }
         }
     }
@@ -148,11 +166,11 @@ impl ProgramCache {
     }
 }
 
-/// The ordered variable names of the row environments `plan` produces.
-/// This mirrors exactly how the executor constructs `RowEnv`s: `Scan`
-/// binds its variable, `Select` passes through, `Unnest` appends its
-/// variable, `Nest` rebinds to the group variable, and both joins
-/// concatenate left-then-right.
+/// The ordered variable names of the rows `plan` produces — the meaning of
+/// each [`RowEnv`] position. This mirrors exactly how the executor builds
+/// rows: `Scan` binds its variable, `Select` passes through, `Unnest`
+/// appends its variable, `Nest` rebinds to the group variable, and both
+/// joins concatenate left-then-right.
 pub fn env_layout(plan: &Alg) -> Vec<String> {
     match plan {
         Alg::Scan { var, .. } => vec![var.clone()],
@@ -174,47 +192,188 @@ pub fn env_layout(plan: &Alg) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calculus::BinOp;
-    use std::sync::Arc;
+    use crate::algebra::lower_op;
+    use crate::algebra::plan::{HintKind, ThetaHint};
+    use crate::calculus::desugar::ROWID_FIELD;
+    use crate::calculus::{desugar_query, normalize, BinOp, FilterAlgo, MonoidKind};
+    use crate::engine::storage::StoredTable;
+    use crate::lang::parse_query;
+    use crate::physical::{EngineProfile, Executor};
+    use cleanm_exec::ExecContext;
+    use std::path::Path;
+
+    fn scan(table: &str, var: &str) -> Arc<Alg> {
+        Arc::new(Alg::Scan {
+            table: table.into(),
+            var: var.into(),
+        })
+    }
+
+    /// Run every row-producing node of `plan` under `profile` and check
+    /// that each row it yields is exactly as wide as the node's layout.
+    fn assert_rows_match_layout(
+        plan: &Arc<Alg>,
+        tables: &HashMap<String, StoredTable>,
+        eval_ctx: &Arc<EvalCtx>,
+        profile: &EngineProfile,
+    ) {
+        let children: Vec<&Arc<Alg>> = match &**plan {
+            Alg::Scan { .. } => vec![],
+            Alg::Select { input, .. }
+            | Alg::Unnest { input, .. }
+            | Alg::Nest { input, .. }
+            | Alg::Reduce { input, .. } => vec![input],
+            Alg::Join { left, right, .. } | Alg::ThetaJoin { left, right, .. } => {
+                vec![left, right]
+            }
+        };
+        for child in children {
+            assert_rows_match_layout(child, tables, eval_ctx, profile);
+        }
+        if matches!(&**plan, Alg::Reduce { .. }) {
+            return; // yields head values, not rows
+        }
+        let mut ex = Executor::new(
+            ExecContext::new(2, 3),
+            profile.clone(),
+            tables,
+            Arc::clone(eval_ctx),
+        );
+        let width = env_layout(plan).len();
+        let rows = ex.run(plan).unwrap().collect();
+        assert!(
+            rows.iter().all(|row| row.len() == width),
+            "{}: a row disagrees with layout {:?}\n{}",
+            profile.name,
+            env_layout(plan),
+            plan.explain()
+        );
+    }
+
+    fn profiles() -> [EngineProfile; 2] {
+        [EngineProfile::clean_db(), EngineProfile::spark_sql_like()]
+    }
 
     #[test]
-    fn env_layout_mirrors_operator_construction() {
-        let scan = Arc::new(Alg::Scan {
-            table: "t".into(),
-            var: "c".into(),
-        });
+    fn every_alg_variant_yields_rows_of_its_layout_width() {
+        let row = |id: i64, tags: &[&str]| {
+            Value::record([
+                ("id", Value::Int(id)),
+                ("tags", Value::list(tags.iter().map(|t| Value::str(*t)))),
+            ])
+        };
+        let mut tables = HashMap::new();
+        tables.insert(
+            "t".to_string(),
+            StoredTable::from_rows(vec![row(1, &["a", "b"]), row(2, &["b"]), row(3, &[])]),
+        );
+        let id = |var: &str| CalcExpr::proj(CalcExpr::var(var), "id");
         let select = Arc::new(Alg::Select {
-            input: Arc::clone(&scan),
-            pred: CalcExpr::boolean(true),
+            input: scan("t", "c"),
+            pred: CalcExpr::bin(BinOp::Gt, id("c"), CalcExpr::int(0)),
         });
         let unnest = Arc::new(Alg::Unnest {
             input: Arc::clone(&select),
-            path: CalcExpr::var("c"),
+            path: CalcExpr::proj(CalcExpr::var("c"), "tags"),
             var: "e".into(),
         });
         assert_eq!(env_layout(&unnest), vec!["c".to_string(), "e".to_string()]);
         let nest = Arc::new(Alg::Nest {
             input: Arc::clone(&unnest),
-            algo: crate::calculus::FilterAlgo::Exact,
+            algo: FilterAlgo::Exact,
             key: CalcExpr::var("e"),
-            item: CalcExpr::var("e"),
+            item: CalcExpr::var("c"),
             group_var: "g".into(),
         });
         assert_eq!(env_layout(&nest), vec!["g".to_string()]);
-        let join = Alg::ThetaJoin {
-            left: Arc::clone(&scan),
-            right: Arc::new(Alg::Scan {
-                table: "t".into(),
-                var: "d".into(),
-            }),
+        let join = Arc::new(Alg::Join {
+            left: Arc::clone(&unnest),
+            right: scan("t", "d"),
+            left_key: id("c"),
+            right_key: id("d"),
+        });
+        assert_eq!(env_layout(&join), vec!["c", "e", "d"]);
+        let theta = Arc::new(Alg::ThetaJoin {
+            left: Arc::clone(&nest),
+            right: Arc::clone(&unnest),
             pred: CalcExpr::boolean(true),
-            hint: crate::algebra::plan::ThetaHint {
-                left_key: CalcExpr::var("c"),
-                right_key: CalcExpr::var("d"),
-                kind: crate::algebra::plan::HintKind::Any,
+            hint: ThetaHint {
+                left_key: CalcExpr::proj(CalcExpr::var("g"), "key"),
+                right_key: CalcExpr::var("e"),
+                kind: HintKind::Any,
             },
-        };
-        assert_eq!(env_layout(&join), vec!["c".to_string(), "d".to_string()]);
+        });
+        assert_eq!(env_layout(&theta), vec!["g", "c", "e"]);
+        let reduce = Arc::new(Alg::Reduce {
+            input: Arc::clone(&theta),
+            monoid: MonoidKind::Bag,
+            head: CalcExpr::var("e"),
+        });
+        assert_eq!(env_layout(&reduce), env_layout(&theta));
+        let eval_ctx = Arc::new(EvalCtx::new());
+        for profile in profiles() {
+            for plan in [&join, &reduce] {
+                assert_rows_match_layout(plan, &tables, &eval_ctx, &profile);
+            }
+        }
+    }
+
+    /// Load a fixture CSV as `__rowid`-stamped records (integers where they
+    /// parse, strings otherwise) — enough typing for layout checks.
+    fn load_csv(path: &Path) -> StoredTable {
+        let text = std::fs::read_to_string(path).unwrap();
+        let mut lines = text.lines();
+        let header: Vec<&str> = lines.next().unwrap().split(',').collect();
+        let rows = lines.enumerate().map(|(i, line)| {
+            let cells = line.split(',').map(|cell| match cell.parse::<i64>() {
+                Ok(n) => Value::Int(n),
+                Err(_) => Value::str(cell),
+            });
+            let rowid = (ROWID_FIELD, Value::Int(i as i64));
+            Value::record(std::iter::once(rowid).chain(header.iter().copied().zip(cells)))
+        });
+        StoredTable::from_rows(rows.collect())
+    }
+
+    #[test]
+    fn fixture_queries_yield_rows_of_their_layout_width() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+        let mut checked = 0;
+        for dir in std::fs::read_dir(&root).unwrap() {
+            let dir = dir.unwrap().path();
+            let (Ok(sql), Ok(table_list)) = (
+                std::fs::read_to_string(dir.join("query.cm")),
+                std::fs::read_to_string(dir.join("tables.txt")),
+            ) else {
+                continue;
+            };
+            // Diagnostic fixtures hold deliberately broken sources.
+            let Ok(dq) = parse_query(sql.trim())
+                .map_err(drop)
+                .and_then(|q| desugar_query(&q, 42).map_err(drop))
+            else {
+                continue;
+            };
+            let tables: HashMap<String, StoredTable> = table_list
+                .lines()
+                .filter_map(|line| line.split_once('='))
+                .map(|(name, file)| (name.to_string(), load_csv(&dir.join(file))))
+                .collect();
+            let mut eval_ctx = EvalCtx::new();
+            let comps: Vec<_> = dq.ops.iter().map(|op| normalize(&op.comp).0).collect();
+            for comp in &comps {
+                eval_ctx.prepare_blockers(comp, &[]);
+            }
+            let eval_ctx = Arc::new(eval_ctx);
+            for comp in &comps {
+                let plan = lower_op(comp).unwrap();
+                for profile in profiles() {
+                    assert_rows_match_layout(&plan, &tables, &eval_ctx, &profile);
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked >= 12, "only {checked} fixture plans checked");
     }
 
     #[test]
@@ -225,7 +384,7 @@ mod tests {
         let expr = CalcExpr::Exists(Box::new(CalcExpr::TableRef("missing".into())));
         let rx = RowExpr::compile(&expr, &[], &ctx);
         assert!(!rx.is_compiled());
-        assert!(rx.eval_env(&Vec::new(), &ctx).is_err());
+        assert!(rx.eval_env(&[], &ctx).is_err());
     }
 
     #[test]
@@ -235,8 +394,30 @@ mod tests {
         let expr = CalcExpr::bin(BinOp::Lt, CalcExpr::var("a"), CalcExpr::var("b"));
         let rx = RowExpr::compile(&expr, &scope, &ctx);
         assert!(rx.is_compiled());
-        let l = vec![("a".to_string(), Value::Int(1))];
-        let r = vec![("b".to_string(), Value::Int(2))];
+        let (l, r) = ([Value::Int(1)], [Value::Int(2)]);
         assert_eq!(rx.eval_pair(&l, &r, &ctx).unwrap(), Value::Bool(true));
+    }
+
+    #[test]
+    fn width_mismatch_is_an_error_on_both_paths() {
+        let ctx = EvalCtx::new();
+        let scope = vec!["a".to_string(), "b".to_string()];
+        let compiled = RowExpr::compile(&CalcExpr::var("a"), &scope, &ctx);
+        // `missing` is unknown: this one runs on the interpreter fallback.
+        let fallback = RowExpr::compile(
+            &CalcExpr::Exists(Box::new(CalcExpr::TableRef("missing".into()))),
+            &scope,
+            &ctx,
+        );
+        assert!(compiled.is_compiled() && !fallback.is_compiled());
+        for rx in [&compiled, &fallback] {
+            for width in [0, 1, 3] {
+                let row = vec![Value::Int(7); width];
+                let err = rx.eval_env(&row, &ctx).unwrap_err().to_string();
+                assert!(err.contains("row layout mismatch"), "{err}");
+                let err = rx.eval_pair(&row, &[], &ctx).unwrap_err().to_string();
+                assert!(err.contains("row layout mismatch"), "{err}");
+            }
+        }
     }
 }

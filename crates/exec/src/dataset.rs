@@ -18,6 +18,38 @@ impl<T: Clone + Send + Sync + 'static> Data for T {}
 pub trait Key: Data + Hash + Eq + Ord {}
 impl<T: Data + Hash + Eq + Ord> Key for T {}
 
+/// Records across all partitions: a stage's `records_in`.
+fn count<T>(parts: &[Vec<T>]) -> u64 {
+    parts.iter().map(|p| p.len() as u64).sum()
+}
+
+/// Run `f` over `tasks` on the worker pool as one accounted stage under
+/// `label` — the one place a narrow stage's [`StageReport`] is assembled.
+/// With `partials_travel` each result is a per-partition partial sent to
+/// the driver: one shuffled record apiece is charged and reported.
+/// Otherwise nothing moves.
+fn run_stage<S: Send, R: Send>(
+    ctx: &ExecContext,
+    label: &'static str,
+    records_in: u64,
+    tasks: Vec<S>,
+    partials_travel: bool,
+    f: impl Fn(S) -> R + Sync,
+) -> ExecResult<Vec<R>> {
+    let start = Instant::now();
+    let (out, busy) = run_partitions(ctx, label, tasks, |_, task| f(task))?;
+    let records_shuffled = if partials_travel { out.len() as u64 } else { 0 };
+    ctx.charge_shuffle(records_shuffled);
+    ctx.record_stage(StageReport {
+        operator: label,
+        records_in,
+        records_shuffled,
+        worker_busy_ns: busy,
+        wall_ns: start.elapsed().as_nanos() as u64,
+    });
+    Ok(out)
+}
+
 /// A partitioned collection bound to an [`ExecContext`] — the analogue of an
 /// RDD. Narrow operators run partition-parallel on the context's worker
 /// pool; wide operators (in `shuffle`, `join`, `theta`) move data between
@@ -126,20 +158,7 @@ impl<T: Data> Dataset<T> {
     /// recorded: predicate work (e.g. similarity checks) on a skewed
     /// partition layout shows up as load imbalance here.
     pub fn filter(self, pred: impl Fn(&T) -> bool + Sync) -> ExecResult<Dataset<T>> {
-        let ctx = self.ctx;
-        let records_in: u64 = self.parts.iter().map(|p| p.len() as u64).sum();
-        let start = Instant::now();
-        let (parts, busy) = run_partitions(&ctx, "filter", self.parts, |_, part| {
-            part.into_iter().filter(|t| pred(t)).collect::<Vec<T>>()
-        })?;
-        ctx.record_stage(StageReport {
-            operator: "filter",
-            records_in,
-            records_shuffled: 0,
-            worker_busy_ns: busy,
-            wall_ns: start.elapsed().as_nanos() as u64,
-        });
-        Ok(Dataset { ctx, parts })
+        self.filter_partitions(|part| part.retain(|t| pred(t)))
     }
 
     /// Partition-at-a-time filtering (narrow): `f` retains the surviving
@@ -149,43 +168,11 @@ impl<T: Data> Dataset<T> {
     /// [`Dataset::filter`].
     pub fn filter_partitions(self, f: impl Fn(&mut Vec<T>) + Sync) -> ExecResult<Dataset<T>> {
         let ctx = self.ctx;
-        let records_in: u64 = self.parts.iter().map(|p| p.len() as u64).sum();
-        let start = Instant::now();
-        let (parts, busy) = run_partitions(&ctx, "filter", self.parts, |_, mut part| {
+        let records_in = count(&self.parts);
+        let parts = run_stage(&ctx, "filter", records_in, self.parts, false, |mut part| {
             f(&mut part);
             part
         })?;
-        ctx.record_stage(StageReport {
-            operator: "filter",
-            records_in,
-            records_shuffled: 0,
-            worker_busy_ns: busy,
-            wall_ns: start.elapsed().as_nanos() as u64,
-        });
-        Ok(Dataset { ctx, parts })
-    }
-
-    /// Partition-at-a-time transform (narrow) with an explicit stage label:
-    /// the batched analogue of [`Dataset::map`] / [`Dataset::flat_map`],
-    /// letting callers that evaluate compiled programs over whole
-    /// partitions keep the metrics attribution of the per-record operator
-    /// they replace.
-    pub fn transform_partitions<U: Data>(
-        self,
-        label: &'static str,
-        f: impl Fn(Vec<T>) -> Vec<U> + Sync,
-    ) -> ExecResult<Dataset<U>> {
-        let ctx = self.ctx;
-        let records_in: u64 = self.parts.iter().map(|p| p.len() as u64).sum();
-        let start = Instant::now();
-        let (parts, busy) = run_partitions(&ctx, label, self.parts, |_, part| f(part))?;
-        ctx.record_stage(StageReport {
-            operator: label,
-            records_in,
-            records_shuffled: 0,
-            worker_busy_ns: busy,
-            wall_ns: start.elapsed().as_nanos() as u64,
-        });
         Ok(Dataset { ctx, parts })
     }
 
@@ -203,9 +190,7 @@ impl<T: Data> Dataset<T> {
         emit: impl Fn(T, &mut Vec<U>) + Sync,
     ) -> ExecResult<Dataset<U>> {
         let ctx = self.ctx;
-        let records_in: u64 = self.parts.iter().map(|p| p.len() as u64).sum();
-        let start = Instant::now();
-        let (parts, busy) = run_partitions(&ctx, label, self.parts, |_, part| {
+        let parts = run_stage(&ctx, label, count(&self.parts), self.parts, false, |part| {
             let mut out = Vec::with_capacity(part.len());
             for t in part {
                 if pred(&t) {
@@ -214,13 +199,6 @@ impl<T: Data> Dataset<T> {
             }
             out
         })?;
-        ctx.record_stage(StageReport {
-            operator: label,
-            records_in,
-            records_shuffled: 0,
-            worker_busy_ns: busy,
-            wall_ns: start.elapsed().as_nanos() as u64,
-        });
         Ok(Dataset { ctx, parts })
     }
 
@@ -239,9 +217,8 @@ impl<T: Data> Dataset<T> {
         pred: impl Fn(&T) -> bool + Sync,
         fold: impl Fn(A, T) -> A + Sync,
     ) -> ExecResult<Vec<A>> {
-        let records_in: u64 = self.parts.iter().map(|p| p.len() as u64).sum();
-        let start = Instant::now();
-        let (partials, busy) = run_partitions(&self.ctx, label, self.parts, |_, part| {
+        let records_in = count(&self.parts);
+        run_stage(&self.ctx, label, records_in, self.parts, false, |part| {
             let mut acc = zero();
             for t in part {
                 if pred(&t) {
@@ -249,35 +226,7 @@ impl<T: Data> Dataset<T> {
                 }
             }
             acc
-        })?;
-        self.ctx.record_stage(StageReport {
-            operator: label,
-            records_in,
-            records_shuffled: 0,
-            worker_busy_ns: busy,
-            wall_ns: start.elapsed().as_nanos() as u64,
-        });
-        Ok(partials)
-    }
-
-    /// One-to-many transform (narrow) — Spark's `flatMap`, the physical
-    /// translation of the algebra's Unnest. Per-worker busy time is
-    /// recorded (unnesting a skewed group layout is where stragglers form).
-    pub fn flat_map<U: Data>(self, f: impl Fn(T) -> Vec<U> + Sync) -> ExecResult<Dataset<U>> {
-        let ctx = self.ctx;
-        let records_in: u64 = self.parts.iter().map(|p| p.len() as u64).sum();
-        let start = Instant::now();
-        let (parts, busy) = run_partitions(&ctx, "flat_map", self.parts, |_, part| {
-            part.into_iter().flat_map(&f).collect::<Vec<U>>()
-        })?;
-        ctx.record_stage(StageReport {
-            operator: "flat_map",
-            records_in,
-            records_shuffled: 0,
-            worker_busy_ns: busy,
-            wall_ns: start.elapsed().as_nanos() as u64,
-        });
-        Ok(Dataset { ctx, parts })
+        })
     }
 
     /// Whole-partition transform (narrow) — Spark's `mapPartitions`, used by
@@ -287,7 +236,10 @@ impl<T: Data> Dataset<T> {
         self,
         f: impl Fn(Vec<T>) -> Vec<U> + Sync,
     ) -> ExecResult<Dataset<U>> {
-        self.transform_partitions("map_partitions", f)
+        let ctx = self.ctx;
+        let records_in = count(&self.parts);
+        let parts = run_stage(&ctx, "map_partitions", records_in, self.parts, false, f)?;
+        Ok(Dataset { ctx, parts })
     }
 
     /// Fold each whole partition with `f` on the worker pool and return the
@@ -312,20 +264,9 @@ impl<T: Data> Dataset<T> {
         &self,
         f: impl Fn(&[T]) -> A + Sync,
     ) -> ExecResult<Vec<A>> {
-        let records_in: u64 = self.parts.iter().map(|p| p.len() as u64).sum();
         let refs: Vec<&[T]> = self.parts.iter().map(|p| p.as_slice()).collect();
-        let start = Instant::now();
-        let (partials, busy) =
-            run_partitions(&self.ctx, "summarize_partitions", refs, |_, part| f(part))?;
-        self.ctx.charge_shuffle(partials.len() as u64);
-        self.ctx.record_stage(StageReport {
-            operator: "summarize_partitions",
-            records_in,
-            records_shuffled: partials.len() as u64,
-            worker_busy_ns: busy,
-            wall_ns: start.elapsed().as_nanos() as u64,
-        });
-        Ok(partials)
+        let records_in = count(&self.parts);
+        run_stage(&self.ctx, "summarize_partitions", records_in, refs, true, f)
     }
 
     /// Fold each partition into one accumulator (borrowed pass, like
@@ -343,25 +284,14 @@ impl<T: Data> Dataset<T> {
         init: impl Fn() -> A + Sync,
         fold: impl Fn(&mut A, &T) + Sync,
     ) -> ExecResult<Vec<A>> {
-        let records_in: u64 = self.parts.iter().map(|p| p.len() as u64).sum();
         let refs: Vec<&[T]> = self.parts.iter().map(|p| p.as_slice()).collect();
-        let start = Instant::now();
-        let (partials, busy) = run_partitions(&self.ctx, label, refs, |_, part| {
+        run_stage(&self.ctx, label, count(&self.parts), refs, true, |part| {
             let mut acc = init();
             for t in part {
                 fold(&mut acc, t);
             }
             acc
-        })?;
-        self.ctx.charge_shuffle(partials.len() as u64);
-        self.ctx.record_stage(StageReport {
-            operator: label,
-            records_in,
-            records_shuffled: partials.len() as u64,
-            worker_busy_ns: busy,
-            wall_ns: start.elapsed().as_nanos() as u64,
-        });
-        Ok(partials)
+        })
     }
 
     /// Zip each partition with a parallel vector of per-record companions
@@ -418,15 +348,7 @@ pub fn produce_partitions<S: Send + Clone, T: Data>(
     tasks: Vec<S>,
     f: impl Fn(S) -> Vec<T> + Sync,
 ) -> ExecResult<Dataset<T>> {
-    let start = Instant::now();
-    let (parts, busy) = run_partitions(ctx, label, tasks, |_, task| f(task))?;
-    ctx.record_stage(StageReport {
-        operator: label,
-        records_in,
-        records_shuffled: 0,
-        worker_busy_ns: busy,
-        wall_ns: start.elapsed().as_nanos() as u64,
-    });
+    let parts = run_stage(ctx, label, records_in, tasks, false, f)?;
     Ok(Dataset {
         ctx: Arc::clone(ctx),
         parts,
@@ -450,17 +372,8 @@ pub fn summarize_rows<T: Sync, A: Data>(
     while refs.len() < p {
         refs.push(&[]);
     }
-    let start = Instant::now();
-    let (partials, busy) = run_partitions(ctx, "summarize_partitions", refs, |_, part| f(part))?;
-    ctx.charge_shuffle(partials.len() as u64);
-    ctx.record_stage(StageReport {
-        operator: "summarize_partitions",
-        records_in: rows.len() as u64,
-        records_shuffled: partials.len() as u64,
-        worker_busy_ns: busy,
-        wall_ns: start.elapsed().as_nanos() as u64,
-    });
-    Ok(partials)
+    let records_in = rows.len() as u64;
+    run_stage(ctx, "summarize_partitions", records_in, refs, true, f)
 }
 
 /// [`summarize_rows`] over **several borrowed row batches in one accounted
@@ -485,17 +398,7 @@ pub fn summarize_batches<T: Sync, A: Data>(
     while refs.len() < p {
         refs.push(&[]);
     }
-    let start = Instant::now();
-    let (partials, busy) = run_partitions(ctx, "summarize_partitions", refs, |_, part| f(part))?;
-    ctx.charge_shuffle(partials.len() as u64);
-    ctx.record_stage(StageReport {
-        operator: "summarize_partitions",
-        records_in: total as u64,
-        records_shuffled: partials.len() as u64,
-        worker_busy_ns: busy,
-        wall_ns: start.elapsed().as_nanos() as u64,
-    });
-    Ok(partials)
+    run_stage(ctx, "summarize_partitions", total as u64, refs, true, f)
 }
 
 /// Merge per-partition partials **tree-wise on the worker pool**: each
@@ -631,19 +534,16 @@ mod tests {
     }
 
     #[test]
-    fn map_filter_flat_map() {
+    fn map_then_filter() {
         let ds = Dataset::from_vec(&ctx(), (0..100).collect());
         let out = ds
             .map(|x| x * 2)
             .unwrap()
             .filter(|x| x % 4 == 0)
             .unwrap()
-            .flat_map(|x| vec![x, x + 1])
-            .unwrap()
             .collect();
-        assert_eq!(out.len(), 100);
-        assert_eq!(out[0], 0);
-        assert_eq!(out[1], 1);
+        assert_eq!(out.len(), 50);
+        assert_eq!(out[..2], [0, 4]);
     }
 
     #[test]
@@ -658,14 +558,15 @@ mod tests {
     }
 
     #[test]
-    fn filter_transform_matches_filter_then_flat_map() {
+    fn filter_transform_matches_filter_then_expand() {
         let c = ctx();
         let data: Vec<i32> = (0..100).collect();
-        let separate = Dataset::from_vec(&c, data.clone())
+        let separate: Vec<i32> = Dataset::from_vec(&c, data.clone())
             .filter(|x| x % 3 == 0)
             .unwrap()
-            .flat_map(|x| vec![x, -x])
-            .unwrap()
+            .collect()
+            .into_iter()
+            .flat_map(|x| [x, -x])
             .collect();
         let fused = Dataset::from_vec(&c, data)
             .filter_transform("fused", |x| x % 3 == 0, |x, out| out.extend([x, -x]))

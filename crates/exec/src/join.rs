@@ -1,12 +1,15 @@
-//! Equi-joins: hash inner, left outer, and full outer.
+//! Equi-joins: hash inner and full outer.
 //!
 //! Both sides are hash-partitioned on the key so matching keys meet in the
 //! same partition; the smaller side of each partition becomes the build
 //! table. Full outer join is what the algebra's DAG recombination uses to
-//! combine per-operator violation sets (§5, "overall plan").
+//! combine per-operator violation sets (§5, "overall plan"). Build tables
+//! use the seeded FxHash hasher, so join output order is identical across
+//! runs and processes.
 
-use std::collections::HashMap;
 use std::time::Instant;
+
+use cleanm_values::FxHashMap;
 
 use crate::dataset::{Data, Dataset, Key};
 use crate::error::ExecResult;
@@ -41,7 +44,7 @@ impl<K: Key, V: Data> Dataset<(K, V)> {
 
         let zipped: ZippedParts<K, V, W> = l.parts.into_iter().zip(r.parts).collect();
         let (parts, busy) = run_partitions(&ctx, "join_hash", zipped, |_, (lp, rp)| {
-            let mut build: HashMap<K, Vec<W>> = HashMap::new();
+            let mut build: FxHashMap<K, Vec<W>> = FxHashMap::default();
             for (k, w) in rp {
                 build.entry(k).or_default().push(w);
             }
@@ -65,35 +68,6 @@ impl<K: Key, V: Data> Dataset<(K, V)> {
         Ok(Dataset { ctx, parts })
     }
 
-    /// Hash left outer equi-join: unmatched left rows appear with `None`.
-    pub fn left_outer_join<W: Data>(
-        self,
-        right: Dataset<(K, W)>,
-    ) -> ExecResult<Dataset<(K, V, Option<W>)>> {
-        let (l, r) = co_partition(self, right)?;
-        let ctx = l.ctx.clone();
-        let zipped: ZippedParts<K, V, W> = l.parts.into_iter().zip(r.parts).collect();
-        let (parts, _) = run_partitions(&ctx, "left_outer_join", zipped, |_, (lp, rp)| {
-            let mut build: HashMap<K, Vec<W>> = HashMap::new();
-            for (k, w) in rp {
-                build.entry(k).or_default().push(w);
-            }
-            let mut out = Vec::new();
-            for (k, v) in lp {
-                match build.get(&k) {
-                    Some(ws) => {
-                        for w in ws {
-                            out.push((k.clone(), v.clone(), Some(w.clone())));
-                        }
-                    }
-                    None => out.push((k, v, None)),
-                }
-            }
-            out
-        })?;
-        Ok(Dataset { ctx, parts })
-    }
-
     /// Hash full outer equi-join: every key from either side appears;
     /// unmatched sides are `None`.
     #[allow(clippy::type_complexity)]
@@ -105,7 +79,7 @@ impl<K: Key, V: Data> Dataset<(K, V)> {
         let ctx = l.ctx.clone();
         let zipped: ZippedParts<K, V, W> = l.parts.into_iter().zip(r.parts).collect();
         let (parts, _) = run_partitions(&ctx, "full_outer_join", zipped, |_, (lp, rp)| {
-            let mut build: HashMap<K, (Vec<V>, Vec<W>)> = HashMap::new();
+            let mut build: FxHashMap<K, (Vec<V>, Vec<W>)> = FxHashMap::default();
             for (k, v) in lp {
                 build.entry(k).or_default().0.push(v);
             }
@@ -168,16 +142,6 @@ mod tests {
                 (3, "c", 30)
             ]
         );
-    }
-
-    #[test]
-    fn left_outer_keeps_unmatched() {
-        let c = ctx();
-        let l = Dataset::from_vec(&c, vec![(1, "a"), (2, "b")]);
-        let r = Dataset::from_vec(&c, vec![(2, 20)]);
-        let mut out = l.left_outer_join(r).unwrap().collect();
-        out.sort();
-        assert_eq!(out, vec![(1, "a", None), (2, "b", Some(20))]);
     }
 
     #[test]

@@ -9,20 +9,20 @@
 //!
 //! * a **partitioned dataset** ([`Dataset`]) processed by a pool of worker
 //!   threads, one logical "node" per partition;
-//! * **narrow operators** (`map`, `filter`, `flat_map`, `map_partitions`)
-//!   that never move data;
-//! * **shuffles** that really materialize and move records between
-//!   partitions, with counters: [`Dataset::group_by_key_hash`] (BigDansing's
-//!   strategy), [`Dataset::group_by_key_sorted`] (Spark SQL's sort-based
-//!   aggregation with sampled range partitioning — skew lands on one
-//!   worker), and [`Dataset::aggregate_by_key`] (CleanDB's map-side combine);
-//! * **streaming grouped aggregation** (`fold`): fold-into-hash variants of
-//!   all three grouping strategies ([`Dataset::aggregate_by_key_fold`],
-//!   [`Dataset::group_fold`], [`Dataset::group_fold_hash`],
-//!   [`Dataset::group_fold_sorted`]) that absorb each value into a monoid
-//!   accumulator instead of materializing `(key, Vec<value>)` groups, with
-//!   keys hashed exactly once by the seeded fast hasher;
-//! * **equi-joins** (hash, left/full outer) and three **theta joins**
+//! * **narrow operators** (`map`, `filter`, `filter_partitions`,
+//!   `map_partitions`, and the fused `filter_transform` / `filter_fold`
+//!   sweeps) that never move data;
+//! * **one grouping driver**, [`Dataset::group_fold`], that folds each
+//!   emitted `(key, value)` pair into a per-key monoid accumulator and
+//!   really moves records between partitions under the chosen [`Shuffle`]:
+//!   `LocalAggregate` (CleanDB's map-side combine — only partials move),
+//!   `SortShuffle` (Spark SQL's sort-based aggregation with sampled range
+//!   partitioning — skew lands on one worker) or `HashShuffle`
+//!   (BigDansing's — every record moves). Materialized grouping is the
+//!   same driver with a `Vec` accumulator; keys are hashed exactly once by
+//!   the seeded fast hasher, so output order is identical across runs;
+//! * **equi-joins** ([`Dataset::join_hash`], [`Dataset::full_outer_join`])
+//!   and three **theta joins**
 //!   ([`theta::cartesian_filter`], [`theta::minmax_block_join`],
 //!   [`theta::mbucket_join`]);
 //! * **metrics** ([`ExecMetrics`], [`StageReport`]): records shuffled,
@@ -48,4 +48,5 @@ pub use dataset::{
 };
 pub use error::{ExecError, ExecResult};
 pub use faults::{FaultArm, FaultKind, FaultPlan, FaultSite};
+pub use fold::Shuffle;
 pub use metrics::{ExecMetrics, MetricsSnapshot, StageReport};

@@ -1,22 +1,9 @@
-//! Wide (shuffling) operators: the three grouping strategies of §6.
-//!
-//! * [`Dataset::group_by_key_hash`] — hash-partition **every record** by key,
-//!   then group within partitions. BigDansing's strategy; the full dataset
-//!   crosses the "network".
-//! * [`Dataset::group_by_key_sorted`] — Spark SQL's sort-based aggregation:
-//!   sample the keys, compute range boundaries, send every record to its
-//!   range, sort each partition and group adjacent runs. Also moves every
-//!   record, and a heavy hitter key lands entirely on one partition — the
-//!   skew pathology of §8.
-//! * [`Dataset::aggregate_by_key`] — CleanDB's strategy: combine locally
-//!   within each input partition first, shuffle only the (key, partial
-//!   aggregate) pairs, merge. Shuffle volume is bounded by the number of
-//!   distinct keys per partition, and heavy keys are pre-reduced where they
-//!   sit.
+//! Shuffle primitives shared by every wide operator: the seeded
+//! hash → partition assignment, the scatter that moves records between
+//! partitions, and hash repartitioning (the join co-partitioner). The
+//! grouping driver built on them lives in `fold`.
 
-use std::collections::HashMap;
 use std::hash::Hash;
-use std::time::Instant;
 
 use cleanm_values::{fx_hash, HASH_SEED};
 
@@ -24,8 +11,6 @@ use crate::context::ExecContext;
 use crate::dataset::{Data, Dataset, Key};
 use crate::error::ExecResult;
 use crate::faults::FaultSite;
-use crate::metrics::StageReport;
-use crate::pool::run_partitions;
 
 /// Deterministic hash → partition assignment (seeded FxHash; see
 /// [`cleanm_values::fx_hash`]). The assignment is a pure function of the
@@ -44,6 +29,10 @@ pub(crate) fn hash_partition<K: Hash + ?Sized>(key: &K, partitions: usize) -> us
 /// local buckets directly — its records are already grouped by target, so
 /// the concatenation copy is skipped entirely.
 ///
+/// Every record crosses the simulated network: the context is charged
+/// for all of them up front, and the count moved is returned beside the
+/// buckets for the caller's stage report.
+///
 /// This is a cooperative interrupt point and the shuffle-scatter fault
 /// site: the whole region runs under the context's driver panic guard, so
 /// an injected (or genuine) panic here fails the query, not the process.
@@ -52,9 +41,11 @@ pub(crate) fn scatter<T: Data>(
     parts: Vec<Vec<T>>,
     partitions: usize,
     assign: impl Fn(&T) -> usize + Sync,
-) -> ExecResult<Vec<Vec<T>>> {
+) -> ExecResult<(Vec<Vec<T>>, u64)> {
+    let moved: u64 = parts.iter().map(|p| p.len() as u64).sum();
+    ctx.charge_shuffle(moved);
     ctx.check_interrupt("shuffle")?;
-    ctx.catch_driver("shuffle scatter", move || {
+    let buckets = ctx.catch_driver("shuffle scatter", move || {
         ctx.fault_visit(FaultSite::ShuffleScatter)?;
         // Per input partition, bucket locally (parallel), then concatenate by
         // target — mimicking map-side shuffle files + reduce-side fetch.
@@ -90,7 +81,8 @@ pub(crate) fn scatter<T: Data>(
             }
         }
         Ok(out)
-    })
+    })?;
+    Ok((buckets, moved))
 }
 
 impl<T: Data> Dataset<T> {
@@ -101,276 +93,20 @@ impl<T: Data> Dataset<T> {
     ) -> ExecResult<Dataset<T>> {
         let ctx = self.ctx;
         let n = ctx.default_partitions();
-        let records: u64 = self.parts.iter().map(|p| p.len() as u64).sum();
-        ctx.charge_shuffle(records);
-        let parts = scatter(&ctx, self.parts, n, |t| hash_partition(&key(t), n))?;
+        let (parts, _) = scatter(&ctx, self.parts, n, |t| hash_partition(&key(t), n))?;
         Ok(Dataset { ctx, parts })
-    }
-}
-
-impl<K: Key, V: Data> Dataset<(K, V)> {
-    /// BigDansing-style grouping: hash-shuffle all records, group per
-    /// partition.
-    pub fn group_by_key_hash(self) -> ExecResult<Dataset<(K, Vec<V>)>> {
-        let ctx = self.ctx;
-        let n = ctx.default_partitions();
-        let records: u64 = self.parts.iter().map(|p| p.len() as u64).sum();
-        let start = Instant::now();
-        ctx.charge_shuffle(records);
-
-        let shuffled = scatter(&ctx, self.parts, n, |(k, _)| hash_partition(k, n))?;
-        let (parts, busy) = run_partitions(&ctx, "group_by_key_hash", shuffled, |_, part| {
-            let mut groups: HashMap<K, Vec<V>> = HashMap::new();
-            for (k, v) in part {
-                groups.entry(k).or_default().push(v);
-            }
-            groups.into_iter().collect::<Vec<_>>()
-        })?;
-        ctx.record_stage(StageReport {
-            operator: "group_by_key_hash",
-            records_in: records,
-            records_shuffled: records,
-            worker_busy_ns: busy,
-            wall_ns: start.elapsed().as_nanos() as u64,
-        });
-        Ok(Dataset { ctx, parts })
-    }
-
-    /// Spark SQL-style sort-based grouping: sample keys, range-partition,
-    /// sort each partition, group adjacent equal keys. All records shuffle,
-    /// and a popular key's records all land in one range partition.
-    pub fn group_by_key_sorted(self) -> ExecResult<Dataset<(K, Vec<V>)>> {
-        let ctx = self.ctx;
-        let n = ctx.default_partitions();
-        let records: u64 = self.parts.iter().map(|p| p.len() as u64).sum();
-        let start = Instant::now();
-        ctx.charge_shuffle(records);
-
-        // Sample up to ~16 keys per partition for range boundaries.
-        let mut sample: Vec<K> = Vec::new();
-        for part in &self.parts {
-            let stride = (part.len() / 16).max(1);
-            sample.extend(part.iter().step_by(stride).map(|(k, _)| k.clone()));
-        }
-        sample.sort();
-        let bounds: Vec<K> = (1..n)
-            .filter_map(|i| sample.get(i * sample.len() / n).cloned())
-            .collect();
-
-        let shuffled = scatter(&ctx, self.parts, n, |(k, _)| {
-            bounds.partition_point(|b| b <= k)
-        })?;
-        let (parts, busy) =
-            run_partitions(&ctx, "group_by_key_sorted", shuffled, |_, mut part| {
-                // External-sort stand-in: in-memory sort of the whole partition.
-                part.sort_by(|(a, _), (b, _)| a.cmp(b));
-                let mut out: Vec<(K, Vec<V>)> = Vec::new();
-                for (k, v) in part {
-                    match out.last_mut() {
-                        Some((lk, vs)) if *lk == k => vs.push(v),
-                        _ => out.push((k, vec![v])),
-                    }
-                }
-                out
-            })?;
-        ctx.record_stage(StageReport {
-            operator: "group_by_key_sorted",
-            records_in: records,
-            records_shuffled: records,
-            worker_busy_ns: busy,
-            wall_ns: start.elapsed().as_nanos() as u64,
-        });
-        Ok(Dataset { ctx, parts })
-    }
-
-    /// CleanDB-style grouping: aggregate locally per partition (`seq`), then
-    /// shuffle only the per-partition partials and merge them (`comb`).
-    /// This is the `aggregateByKey → mapPartitions` translation of Table 2.
-    pub fn aggregate_by_key<A: Data>(
-        self,
-        init: impl Fn() -> A + Sync,
-        seq: impl Fn(&mut A, V) + Sync,
-        comb: impl Fn(&mut A, A) + Sync,
-    ) -> ExecResult<Dataset<(K, A)>> {
-        let ctx = self.ctx;
-        let n = ctx.default_partitions();
-        let records: u64 = self.parts.iter().map(|p| p.len() as u64).sum();
-
-        // Map-side combine.
-        let start = Instant::now();
-        let (combined, mut busy) =
-            run_partitions(&ctx, "aggregate_by_key", self.parts, |_, part| {
-                let mut local: HashMap<K, A> = HashMap::new();
-                for (k, v) in part {
-                    seq(local.entry(k).or_insert_with(&init), v);
-                }
-                local.into_iter().collect::<Vec<(K, A)>>()
-            })?;
-
-        // Only partials cross partitions.
-        let partials: u64 = combined.iter().map(|p| p.len() as u64).sum();
-        ctx.charge_shuffle(partials);
-        let shuffled = scatter(&ctx, combined, n, |(k, _)| hash_partition(k, n))?;
-
-        let (parts, busy2) = run_partitions(&ctx, "aggregate_by_key", shuffled, |_, part| {
-            let mut merged: HashMap<K, A> = HashMap::new();
-            for (k, a) in part {
-                match merged.entry(k) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        comb(e.get_mut(), a);
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(a);
-                    }
-                }
-            }
-            merged.into_iter().collect::<Vec<_>>()
-        })?;
-        for (b, b2) in busy.iter_mut().zip(busy2) {
-            *b += b2;
-        }
-        ctx.record_stage(StageReport {
-            operator: "aggregate_by_key",
-            records_in: records,
-            records_shuffled: partials,
-            worker_busy_ns: busy,
-            wall_ns: start.elapsed().as_nanos() as u64,
-        });
-        Ok(Dataset { ctx, parts })
-    }
-
-    /// Convenience: group values into `Vec`s via [`Self::aggregate_by_key`]
-    /// (CleanDB's default grouping for cleaning operators).
-    pub fn group_by_key_local(self) -> ExecResult<Dataset<(K, Vec<V>)>> {
-        self.aggregate_by_key(
-            Vec::new,
-            |acc, v| acc.push(v),
-            |acc, mut other| acc.append(&mut other),
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::ExecContext;
-    use std::collections::BTreeMap;
-    use std::sync::Arc;
-
-    fn ctx() -> Arc<ExecContext> {
-        ExecContext::new(4, 4)
-    }
-
-    fn pairs() -> Vec<(u32, u32)> {
-        (0..100).map(|i| (i % 7, i)).collect()
-    }
-
-    fn normalize(groups: Vec<(u32, Vec<u32>)>) -> BTreeMap<u32, Vec<u32>> {
-        groups
-            .into_iter()
-            .map(|(k, mut v)| {
-                v.sort_unstable();
-                (k, v)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn all_grouping_strategies_agree() {
-        let c = ctx();
-        let expected = {
-            let mut m: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-            for (k, v) in pairs() {
-                m.entry(k).or_default().push(v);
-            }
-            m
-        };
-        let hash = normalize(
-            Dataset::from_vec(&c, pairs())
-                .group_by_key_hash()
-                .unwrap()
-                .collect(),
-        );
-        let sorted = normalize(
-            Dataset::from_vec(&c, pairs())
-                .group_by_key_sorted()
-                .unwrap()
-                .collect(),
-        );
-        let local = normalize(
-            Dataset::from_vec(&c, pairs())
-                .group_by_key_local()
-                .unwrap()
-                .collect(),
-        );
-        assert_eq!(hash, expected);
-        assert_eq!(sorted, expected);
-        assert_eq!(local, expected);
-    }
-
-    #[test]
-    fn aggregate_by_key_shuffles_less_than_hash() {
-        // 10k records, 10 keys: the local-aggregate path shuffles at most
-        // partitions*keys partials, the hash path shuffles everything.
-        let data: Vec<(u32, u64)> = (0..10_000).map(|i| (i % 10, 1u64)).collect();
-
-        let c1 = ExecContext::new(4, 4);
-        let _ = Dataset::from_vec(&c1, data.clone())
-            .group_by_key_hash()
-            .unwrap()
-            .collect();
-        let hash_shuffled = c1.metrics().snapshot().records_shuffled;
-
-        let c2 = ExecContext::new(4, 4);
-        let _ = Dataset::from_vec(&c2, data)
-            .aggregate_by_key(|| 0u64, |a, v| *a += v, |a, b| *a += b)
-            .unwrap()
-            .collect();
-        let local_shuffled = c2.metrics().snapshot().records_shuffled;
-
-        assert_eq!(hash_shuffled, 10_000);
-        assert!(local_shuffled <= 4 * 10, "{local_shuffled}");
-    }
-
-    #[test]
-    fn aggregate_by_key_computes_sums() {
-        let c = ctx();
-        let data: Vec<(u32, u64)> = (1..=100).map(|i| (i % 3, i as u64)).collect();
-        let sums: BTreeMap<u32, u64> = Dataset::from_vec(&c, data)
-            .aggregate_by_key(|| 0u64, |a, v| *a += v, |a, b| *a += b)
-            .unwrap()
-            .collect()
-            .into_iter()
-            .collect();
-        assert_eq!(sums[&0], (3..=99).step_by(3).sum::<u64>());
-        assert_eq!(sums.values().sum::<u64>(), 5050);
-    }
-
-    #[test]
-    fn sorted_grouping_concentrates_heavy_key() {
-        // 90% of records share one key: range partitioning puts them all in
-        // a single partition.
-        let c = ctx();
-        let data: Vec<(u32, u32)> = (0..1000)
-            .map(|i| if i % 10 == 0 { (i, i) } else { (42, i) })
-            .collect();
-        let grouped = Dataset::from_vec(&c, data).group_by_key_sorted().unwrap();
-        let heavy_part_size = grouped
-            .parts
-            .iter()
-            .map(|p| p.iter().map(|(_, vs)| vs.len()).sum::<usize>())
-            .max()
-            .unwrap();
-        assert!(
-            heavy_part_size >= 900,
-            "heavy key must stay whole: {heavy_part_size}"
-        );
-    }
 
     #[test]
     fn repartition_by_hash_collocates_keys() {
-        let c = ctx();
-        let ds = Dataset::from_vec(&c, pairs())
+        let c = ExecContext::new(4, 4);
+        let pairs: Vec<(u32, u32)> = (0..100).map(|i| (i % 7, i)).collect();
+        let ds = Dataset::from_vec(&c, pairs)
             .repartition_by_hash(|(k, _)| *k)
             .unwrap();
         // Every occurrence of a key is in exactly one partition.
@@ -385,12 +121,5 @@ mod tests {
             assert_eq!(holding.len(), 1, "key {key} in {holding:?}");
         }
         assert_eq!(c.metrics().snapshot().records_shuffled, 100);
-    }
-
-    #[test]
-    fn grouping_empty_dataset() {
-        let c = ctx();
-        let ds: Dataset<(u32, u32)> = Dataset::from_vec(&c, vec![]);
-        assert!(ds.group_by_key_sorted().unwrap().collect().is_empty());
     }
 }

@@ -6,11 +6,24 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use cleanm_exec::{Dataset, ExecContext, ExecError, FaultKind, FaultPlan, FaultSite};
+use cleanm_exec::{Dataset, ExecContext, ExecError, FaultKind, FaultPlan, FaultSite, Shuffle};
 use proptest::prelude::*;
 
 fn ctx() -> Arc<ExecContext> {
     ExecContext::new(4, 5)
+}
+
+/// Hash-shuffle grouping into member lists (the wide operator under attack).
+fn group_hash(ds: Dataset<(i64, i64)>) -> Result<Dataset<(i64, Vec<i64>)>, ExecError> {
+    ds.group_fold(
+        Shuffle::HashShuffle,
+        "group_by_key_hash",
+        |_| true,
+        |pair, out| out.push(pair),
+        Vec::new,
+        |acc, v| acc.push(v),
+        |acc, mut other| acc.append(&mut other),
+    )
 }
 
 fn nums(n: i64) -> Vec<i64> {
@@ -21,10 +34,7 @@ fn nums(n: i64) -> Vec<i64> {
 /// shuffle, touching both the worker pool (PartitionStart) and the driver
 /// scatter (ShuffleScatter).
 fn pipeline(c: &Arc<ExecContext>, data: Vec<i64>) -> Result<Vec<(i64, Vec<i64>)>, ExecError> {
-    let mut out = Dataset::from_vec(c, data)
-        .map(|x| (x % 7, x * 2))?
-        .group_by_key_hash()?
-        .collect();
+    let mut out = group_hash(Dataset::from_vec(c, data).map(|x| (x % 7, x * 2))?)?.collect();
     out.sort();
     for (_, vs) in &mut out {
         vs.sort_unstable();
@@ -99,7 +109,7 @@ fn shuffle_scatter_fault_fails_the_wide_op_only() {
     ))));
     // The narrow map succeeds; the shuffle's scatter fails typed.
     let ds = Dataset::from_vec(&c, nums(40)).map(|x| (x % 3, x)).unwrap();
-    let err = ds.group_by_key_hash().unwrap_err();
+    let err = group_hash(ds).unwrap_err();
     assert_eq!(
         err,
         ExecError::FaultInjected {

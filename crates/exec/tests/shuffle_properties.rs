@@ -5,11 +5,36 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cleanm_exec::{theta, Dataset, ExecContext};
+use cleanm_exec::{theta, Data, Dataset, ExecContext, Key, Shuffle};
 use proptest::prelude::*;
 
 fn ctx() -> Arc<ExecContext> {
     ExecContext::new(4, 5)
+}
+
+const SHUFFLES: [Shuffle; 3] = [
+    Shuffle::LocalAggregate,
+    Shuffle::HashShuffle,
+    Shuffle::SortShuffle,
+];
+
+/// Materialized grouping: the one driver with a `Vec` accumulator.
+fn group<K: Key, V: Data>(
+    c: &Arc<ExecContext>,
+    pairs: Vec<(K, V)>,
+    shuffle: Shuffle,
+) -> Dataset<(K, Vec<V>)> {
+    Dataset::from_vec(c, pairs)
+        .group_fold(
+            shuffle,
+            "group",
+            |_| true,
+            |pair, out| out.push(pair),
+            Vec::new,
+            |acc, v| acc.push(v),
+            |acc, mut other| acc.append(&mut other),
+        )
+        .unwrap()
 }
 
 fn group_reference(pairs: &[(u8, i32)]) -> BTreeMap<u8, Vec<i32>> {
@@ -36,17 +61,38 @@ fn normalize(groups: Vec<(u8, Vec<i32>)>) -> BTreeMap<u8, Vec<i32>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// All three grouping strategies produce the reference grouping.
+    /// All three shuffles produce the reference grouping.
     #[test]
     fn grouping_strategies_agree(pairs in proptest::collection::vec((any::<u8>(), any::<i32>()), 0..200)) {
         let expected = group_reference(&pairs);
         let c = ctx();
-        let hash = normalize(Dataset::from_vec(&c, pairs.clone()).group_by_key_hash().unwrap().collect());
-        let sorted = normalize(Dataset::from_vec(&c, pairs.clone()).group_by_key_sorted().unwrap().collect());
-        let local = normalize(Dataset::from_vec(&c, pairs.clone()).group_by_key_local().unwrap().collect());
-        prop_assert_eq!(&hash, &expected);
-        prop_assert_eq!(&sorted, &expected);
-        prop_assert_eq!(&local, &expected);
+        for shuffle in SHUFFLES {
+            let got = normalize(group(&c, pairs.clone(), shuffle).collect());
+            prop_assert_eq!(&got, &expected, "{:?}", shuffle);
+        }
+    }
+
+    /// Grouping and joining are deterministic down to the physical layout:
+    /// two runs — through fresh contexts, datasets and hash tables — yield
+    /// identical partition contents in identical order, not merely equal
+    /// multisets. (No table may be `RandomState`-seeded.)
+    #[test]
+    fn group_and_join_layouts_repeat_exactly(
+        left in proptest::collection::vec((0u8..32, any::<i16>()), 0..120),
+        right in proptest::collection::vec((0u8..32, any::<i16>()), 0..120),
+    ) {
+        for shuffle in SHUFFLES {
+            let run = || group(&ctx(), left.clone(), shuffle).collect_partitions();
+            prop_assert_eq!(run(), run(), "{:?}", shuffle);
+        }
+        let join = || {
+            let c = ctx();
+            Dataset::from_vec(&c, left.clone())
+                .join_hash(Dataset::from_vec(&c, right.clone()))
+                .unwrap()
+                .collect_partitions()
+        };
+        prop_assert_eq!(join(), join());
     }
 
     /// Partition assignment is deterministic across runs under the fixed
@@ -72,46 +118,24 @@ proptest! {
         prop_assert_eq!(layout(pairs.clone()), layout(pairs));
     }
 
-    /// The fold-into-hash grouping agrees with materialize-then-reduce for
-    /// a sum accumulator, on any input.
+    /// A sum accumulator under any shuffle equals a sequential fold,
+    /// regardless of partitioning.
     #[test]
-    fn fold_grouping_matches_materialized(
-        pairs in proptest::collection::vec((any::<u8>(), -100i64..100), 0..300),
-    ) {
-        let c = ctx();
-        let folded: BTreeMap<u8, i64> = Dataset::from_vec(&c, pairs.clone())
-            .aggregate_by_key_fold(|| 0i64, |a, v| *a += v, |a, b| *a += b)
-            .unwrap()
-            .collect()
-            .into_iter()
-            .collect();
-        let materialized: BTreeMap<u8, i64> = Dataset::from_vec(&c, pairs)
-            .group_by_key_local()
-            .unwrap()
-            .map(|(k, vs)| (k, vs.iter().sum::<i64>()))
-            .unwrap()
-            .collect()
-            .into_iter()
-            .collect();
-        prop_assert_eq!(folded, materialized);
-    }
-
-    /// aggregate_by_key(sum) equals a sequential fold, regardless of
-    /// partitioning.
-    #[test]
-    fn aggregate_by_key_sums(pairs in proptest::collection::vec((any::<u8>(), -100i64..100), 0..300)) {
+    fn fold_sums_match_sequential(pairs in proptest::collection::vec((any::<u8>(), -100i64..100), 0..300)) {
         let mut expected: BTreeMap<u8, i64> = BTreeMap::new();
         for &(k, v) in &pairs {
             *expected.entry(k).or_insert(0) += v;
         }
         let c = ctx();
-        let got: BTreeMap<u8, i64> = Dataset::from_vec(&c, pairs)
-            .aggregate_by_key(|| 0i64, |a, v| *a += v, |a, b| *a += b)
-            .unwrap()
-            .collect()
-            .into_iter()
-            .collect();
-        prop_assert_eq!(got, expected);
+        for shuffle in SHUFFLES {
+            let got: BTreeMap<u8, i64> = Dataset::from_vec(&c, pairs.clone())
+                .group_fold(shuffle, "sum", |_| true, |pair, out| out.push(pair), || 0i64, |a, v| *a += v, |a, b| *a += b)
+                .unwrap()
+                .collect()
+                .into_iter()
+                .collect();
+            prop_assert_eq!(&got, &expected, "{:?}", shuffle);
+        }
     }
 
     /// Hash join agrees with a nested-loop reference.
@@ -219,9 +243,7 @@ proptest! {
         let mut got = Dataset::from_vec(&c, data)
             .map(|x| x as i64)
             .unwrap()
-            .filter(|x| x % 3 != 0)
-            .unwrap()
-            .flat_map(|x| vec![x, -x])
+            .filter_transform("expand", |x| x % 3 != 0, |x, out| out.extend([x, -x]))
             .unwrap()
             .collect();
         got.sort_unstable();

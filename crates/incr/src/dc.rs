@@ -58,6 +58,10 @@ impl StandingDc {
             )));
         };
         let ctx = EvalCtx::new();
+        // One-name scopes, and every row handed to these programs below is
+        // `slice::from_ref(row)` — one slot — so a layout mismatch cannot
+        // arise here; the errors `passes_filter` / `pair_violates` /
+        // `key_of` swallow are value errors (a null or mistyped field).
         let t1 = vec!["t1".to_string()];
         let t2 = vec!["t2".to_string()];
         let pair = vec!["t1".to_string(), "t2".to_string()];
@@ -101,13 +105,13 @@ impl StandingDc {
     /// O(n²) over an install.
     fn index(&mut self, rows: &[Value], ctx: &EvalCtx) {
         for row in rows {
-            let rk = key_of(&self.rkey_rx, "t2", row, ctx);
+            let rk = key_of(&self.rkey_rx, row, ctx);
             if rk.is_nan() {
                 self.prunable = false;
             }
             self.right_index.push((rk, row.clone()));
             if self.passes_filter(row, ctx) {
-                let lk = key_of(&self.lkey_rx, "t1", row, ctx);
+                let lk = key_of(&self.lkey_rx, row, ctx);
                 if lk.is_nan() {
                     self.prunable = false;
                 }
@@ -126,16 +130,15 @@ impl StandingDc {
         let Some(f) = &self.filter_rx else {
             return true;
         };
-        let env = vec![("t1".to_string(), row.clone())];
-        f.eval_env(&env, ctx).map(|v| truthy(&v)).unwrap_or(false)
+        f.eval_env(std::slice::from_ref(row), ctx)
+            .map(|v| truthy(&v))
+            .unwrap_or(false)
     }
 
     fn pair_violates(&mut self, t1: &Value, t2: &Value, ctx: &EvalCtx) -> bool {
         self.comparisons += 1;
-        let l = vec![("t1".to_string(), t1.clone())];
-        let r = vec![("t2".to_string(), t2.clone())];
         self.pred_rx
-            .eval_pair(&l, &r, ctx)
+            .eval_pair(std::slice::from_ref(t1), std::slice::from_ref(t2), ctx)
             .map(|v| truthy(&v))
             .unwrap_or(false)
     }
@@ -162,7 +165,7 @@ impl StandingDc {
             if !self.passes_filter(row, &ctx) {
                 continue;
             }
-            let lk = key_of(&self.lkey_rx, "t1", row, &ctx);
+            let lk = key_of(&self.lkey_rx, row, &ctx);
             for i in self.right_candidates(lk) {
                 let t2 = self.right_index[i].1.clone();
                 if self.pair_violates(row, &t2, &ctx) {
@@ -177,7 +180,7 @@ impl StandingDc {
             .filter_map(|r| r.field(ROWID_FIELD).ok().and_then(|v| v.as_int().ok()))
             .collect();
         for row in delta {
-            let rk = key_of(&self.rkey_rx, "t2", row, &ctx);
+            let rk = key_of(&self.rkey_rx, row, &ctx);
             for i in self.left_candidates(rk) {
                 let t1 = self.left_index[i].1.clone();
                 let t1_id = t1.field(ROWID_FIELD).ok().and_then(|v| v.as_int().ok());
@@ -223,9 +226,8 @@ impl StandingDc {
     }
 }
 
-fn key_of(rx: &RowExpr, var: &str, row: &Value, ctx: &EvalCtx) -> f64 {
-    let env = vec![(var.to_string(), row.clone())];
-    rx.eval_env(&env, ctx)
+fn key_of(rx: &RowExpr, row: &Value, ctx: &EvalCtx) -> f64 {
+    rx.eval_env(std::slice::from_ref(row), ctx)
         .ok()
         .and_then(|v| v.as_float().ok())
         .unwrap_or(f64::NAN)

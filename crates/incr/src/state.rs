@@ -26,9 +26,9 @@ use cleanm_core::ops::{DedupPlanShape, FdPlanShape, TermvalPlanShape};
 use cleanm_core::physical::RowExpr;
 use cleanm_values::{FxHashSet, Result, Value};
 
-/// One compiled predicate/expression pipeline over a single row variable.
+/// One compiled predicate/expression pipeline over a single row variable
+/// (the row itself is the one-slot environment).
 pub(crate) struct RowPipeline {
-    var: String,
     filters: Vec<RowExpr>,
 }
 
@@ -36,7 +36,6 @@ impl RowPipeline {
     fn new(var: &str, filters: &[cleanm_core::calculus::CalcExpr], ctx: &EvalCtx) -> Self {
         let scope = vec![var.to_string()];
         RowPipeline {
-            var: var.to_string(),
             filters: filters
                 .iter()
                 .map(|f| RowExpr::compile(f, &scope, ctx))
@@ -49,9 +48,8 @@ impl RowPipeline {
     /// incremental session must match that (it rebuilds via a full run,
     /// which then reports the same error).
     fn passes(&self, row: &Value, ctx: &EvalCtx) -> Result<bool> {
-        let env = vec![(self.var.clone(), row.clone())];
         for f in &self.filters {
-            if !truthy(&f.eval_env(&env, ctx)?) {
+            if !truthy(&f.eval_env(std::slice::from_ref(row), ctx)?) {
                 return Ok(false);
             }
         }
@@ -59,8 +57,7 @@ impl RowPipeline {
     }
 
     fn eval(&self, rx: &RowExpr, row: &Value, ctx: &EvalCtx) -> Result<Value> {
-        let env = vec![(self.var.clone(), row.clone())];
-        rx.eval_env(&env, ctx)
+        rx.eval_env(std::slice::from_ref(row), ctx)
     }
 }
 
@@ -68,8 +65,6 @@ impl RowPipeline {
 /// innermost-first so the cheap row-id ordering check short-circuits the
 /// similarity call.
 pub(crate) struct PairPreds {
-    left_var: String,
-    right_var: String,
     preds: Vec<RowExpr>,
 }
 
@@ -82,8 +77,6 @@ impl PairPreds {
     ) -> Self {
         let scope = vec![left_var.to_string(), right_var.to_string()];
         PairPreds {
-            left_var: left_var.to_string(),
-            right_var: right_var.to_string(),
             preds: preds
                 .iter()
                 .map(|p| RowExpr::compile(p, &scope, ctx))
@@ -94,10 +87,9 @@ impl PairPreds {
     /// Do the pair predicates all hold? Errors propagate (see
     /// [`RowPipeline::passes`]).
     fn passes(&self, left: &Value, right: &Value, ctx: &EvalCtx) -> Result<bool> {
-        let l = vec![(self.left_var.clone(), left.clone())];
-        let r = vec![(self.right_var.clone(), right.clone())];
+        let (l, r) = (std::slice::from_ref(left), std::slice::from_ref(right));
         for p in &self.preds {
-            if !truthy(&p.eval_pair(&l, &r, ctx)?) {
+            if !truthy(&p.eval_pair(l, r, ctx)?) {
                 return Ok(false);
             }
         }
@@ -130,7 +122,6 @@ struct FdGroup {
 pub(crate) struct FdState {
     pipeline: RowPipeline,
     key_rx: RowExpr,
-    member_var: String,
     rhs_rx: RowExpr,
     groups: BTreeMap<Value, FdGroup>,
 }
@@ -142,7 +133,6 @@ impl FdState {
         FdState {
             pipeline: RowPipeline::new(&shape.scan_var, &shape.filters, ctx),
             key_rx: RowExpr::compile(&shape.key, &scan_scope, ctx),
-            member_var: shape.member_var.clone(),
             rhs_rx: RowExpr::compile(&shape.rhs, &member_scope, ctx),
             groups: BTreeMap::new(),
         }
@@ -154,8 +144,7 @@ impl FdState {
                 continue;
             }
             let key = self.pipeline.eval(&self.key_rx, row, ctx)?;
-            let rhs_env = vec![(self.member_var.clone(), row.clone())];
-            let rhs = self.rhs_rx.eval_env(&rhs_env, ctx)?;
+            let rhs = self.pipeline.eval(&self.rhs_rx, row, ctx)?;
             for k in key_values(key) {
                 let group = self.groups.entry(k).or_insert_with(|| FdGroup {
                     members: Vec::new(),

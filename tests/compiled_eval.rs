@@ -11,6 +11,12 @@ use proptest::prelude::*;
 
 type Env = Vec<(String, Value)>;
 
+/// The row as compiled programs see it: slot values only, in scope order
+/// (the names are the reference interpreter's input).
+fn slots(env: &[(String, Value)]) -> Vec<Value> {
+    env.iter().map(|(_, v)| v.clone()).collect()
+}
+
 const SCOPE: [&str; 4] = ["x", "y", "s", "row"];
 const FIELDS: [&str; 3] = ["a", "b", "c"];
 
@@ -160,7 +166,7 @@ proptest! {
     fn compiled_agrees_with_interpreter(e in expr(3), env in env()) {
         let ctx = EvalCtx::new();
         let prog = Program::compile(&e, &scope(), &ctx).expect("closed expr compiles");
-        assert_agree(&e, &env, &ctx, prog.eval(&env, &ctx));
+        assert_agree(&e, &env, &ctx, prog.eval(&slots(&env), &ctx));
     }
 
     /// The batch entry point matches per-row interpretation across a
@@ -169,7 +175,7 @@ proptest! {
     fn batch_agrees_with_interpreter(e in expr(2), envs in proptest::collection::vec(env(), 1..12)) {
         let ctx = EvalCtx::new();
         let prog = Program::compile(&e, &scope(), &ctx).expect("closed expr compiles");
-        match prog.eval_batch(&envs, &ctx) {
+        match prog.eval_batch(&envs.iter().map(|e| slots(e)).collect::<Vec<_>>(), &ctx) {
             Ok(batch) => {
                 prop_assert_eq!(batch.len(), envs.len());
                 for (row, got) in envs.iter().zip(batch) {
@@ -196,7 +202,7 @@ proptest! {
         let split = split.min(env.len());
         let (l, r) = env.split_at(split);
         let mut scratch = Vec::new();
-        let compiled = prog.eval_pair(l, r, &ctx, &mut scratch);
+        let compiled = prog.eval_pair(&slots(l), &slots(r), &ctx, &mut scratch);
         assert_agree(&e, &env, &ctx, compiled);
     }
 
@@ -208,7 +214,7 @@ proptest! {
         let prog = Program::compile(&e, &scope(), &ctx).expect("closed expr compiles");
         let mut scratch = Vec::new();
         for row in &envs {
-            let compiled = prog.eval_with(row, &ctx, &mut scratch);
+            let compiled = prog.eval_with(&slots(row), &ctx, &mut scratch);
             assert_agree(&e, row, &ctx, compiled);
         }
     }
