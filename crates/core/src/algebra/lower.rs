@@ -6,7 +6,8 @@
 //! operators plus plain select-project comprehensions. Qualifiers are
 //! processed left-to-right, each one extending the current plan:
 //!
-//! * `v ← table(t)`                → `Scan`
+//! * `v ← table(t)`, alone or in a grouping body → `Scan`; two of them →
+//!   `ThetaJoin` of the scans (`lower_scans`, over the whole qualifier list)
 //! * `v ← filter{…| d ← t, p̄}`    → `Nest` over (`Select` over) `Scan`
 //! * `v ← g.partition`             → `Unnest`
 //! * a second filter-grouping generator followed by a key-equality
@@ -19,38 +20,41 @@ use std::sync::Arc;
 
 use cleanm_values::{Error, Result};
 
+use crate::calculus::subst::free_vars;
 use crate::calculus::{BinOp, CalcExpr, Comprehension, MonoidKind, Qual};
 
-use super::plan::Alg;
+use super::plan::{Alg, ThetaHint};
+
+fn select(input: Arc<Alg>, pred: &CalcExpr) -> Arc<Alg> {
+    Arc::new(Alg::Select {
+        input,
+        pred: pred.clone(),
+    })
+}
 
 /// Lower one desugared comprehension to an algebra plan.
 pub fn lower_op(comp: &CalcExpr) -> Result<Arc<Alg>> {
+    lower_op_with(comp, true)
+}
+
+/// [`lower_op`] under a profile's filter policy. With `push_filters` off a
+/// theta join is planned the way the black-box baselines of §8.3 run it:
+/// every predicate inside the pair predicate, over the unfiltered inputs.
+pub fn lower_op_with(comp: &CalcExpr, push_filters: bool) -> Result<Arc<Alg>> {
     let CalcExpr::Comp(c) = comp else {
         return Err(Error::Invalid(format!(
             "lowering expects a comprehension, got `{comp}`"
         )));
     };
-    let mut plan: Option<Arc<Alg>> = None;
+    let mut plan = lower_scans(&c.quals, push_filters);
+    let quals = if plan.is_some() { &[] } else { &c.quals[..] };
     // A grouped input lowered from a generator but not yet joined: set when
     // we see a second filter-grouping before its key-equality predicate.
     let mut pending_right: Option<Arc<Alg>> = None;
 
-    for qual in &c.quals {
+    for qual in quals {
         match qual {
             Qual::Gen(v, source) => match source {
-                CalcExpr::TableRef(t) => {
-                    if plan.is_some() {
-                        return Err(Error::Invalid(
-                            "cross products of base tables must lower through ThetaJoin \
-                             (use ops::dc for denial constraints)"
-                                .to_string(),
-                        ));
-                    }
-                    plan = Some(Arc::new(Alg::Scan {
-                        table: t.clone(),
-                        var: v.clone(),
-                    }));
-                }
                 CalcExpr::Comp(inner) if matches!(inner.monoid, MonoidKind::Filter(_)) => {
                     let nest = lower_grouping(inner, v)?;
                     if plan.is_none() {
@@ -98,10 +102,7 @@ pub fn lower_op(comp: &CalcExpr) -> Result<Arc<Alg>> {
                 let input = plan
                     .take()
                     .ok_or_else(|| Error::Invalid("predicate before any input".to_string()))?;
-                plan = Some(Arc::new(Alg::Select {
-                    input,
-                    pred: p.clone(),
-                }));
+                plan = Some(select(input, p));
             }
             Qual::Bind(v, e) => {
                 // Residual binds (rare after normalization) become Select-
@@ -122,6 +123,59 @@ pub fn lower_op(comp: &CalcExpr) -> Result<Arc<Alg>> {
         input,
         monoid: c.monoid.clone(),
         head: (*c.head).clone(),
+    }))
+}
+
+/// Base-table generators under predicates, in any order; `None` for any
+/// other qualifier list. One table `a ← T, p̄` is a filtered scan. Two,
+/// `a ← T, b ← U, p̄`, are a theta join: a predicate that reads one variable
+/// only filters that side below the join (when filters are pushed at all),
+/// the others form the join predicate, which decides hint and side order.
+fn lower_scans(quals: &[Qual], push_filters: bool) -> Option<Arc<Alg>> {
+    let mut sides: Vec<(&String, Arc<Alg>)> = Vec::new();
+    let mut preds = Vec::new();
+    for qual in quals {
+        match qual {
+            Qual::Gen(var, CalcExpr::TableRef(table)) => {
+                let scan = Alg::Scan {
+                    table: table.clone(),
+                    var: var.clone(),
+                };
+                sides.push((var, Arc::new(scan)));
+            }
+            Qual::Pred(p) => preds.push(p),
+            _ => return None,
+        }
+    }
+    let (left_var, left, right_var, right) = match &mut sides[..] {
+        [(_, scan)] => return Some(preds.into_iter().fold(Arc::clone(scan), select)),
+        [(left_var, left), (right_var, right)] => (left_var, left, right_var, right),
+        _ => return None,
+    };
+    let mut pair = Vec::new();
+    for p in preds {
+        let vars = free_vars(p);
+        let reads_only = |var: &String| push_filters && vars.iter().all(|v| v == var);
+        if reads_only(left_var) {
+            *left = select(Arc::clone(left), p);
+        } else if reads_only(right_var) {
+            *right = select(Arc::clone(right), p);
+        } else {
+            pair.push(p.clone());
+        }
+    }
+    let (hint, swapped) = ThetaHint::derive(&pair, left_var, right_var);
+    if swapped {
+        std::mem::swap(left, right);
+    }
+    let pred = pair
+        .into_iter()
+        .reduce(|all, p| CalcExpr::bin(BinOp::And, all, p));
+    Some(Arc::new(Alg::ThetaJoin {
+        left: Arc::clone(left),
+        right: Arc::clone(right),
+        pred: pred.unwrap_or_else(|| CalcExpr::boolean(true)),
+        hint,
     }))
 }
 
@@ -146,39 +200,11 @@ fn lower_grouping(inner: &Comprehension, group_var: &str) -> Result<Arc<Alg>> {
         .map(|(_, e)| e.clone())
         .ok_or_else(|| Error::Invalid("filter head lacks `item`".to_string()))?;
 
-    // Body: one table generator plus optional predicates.
-    let mut input: Option<Arc<Alg>> = None;
-    for qual in &inner.quals {
-        match qual {
-            Qual::Gen(v, CalcExpr::TableRef(t)) => {
-                if input.is_some() {
-                    return Err(Error::Invalid(
-                        "grouping body must scan exactly one table".to_string(),
-                    ));
-                }
-                input = Some(Arc::new(Alg::Scan {
-                    table: t.clone(),
-                    var: v.clone(),
-                }));
-            }
-            Qual::Pred(p) => {
-                let prev = input.take().ok_or_else(|| {
-                    Error::Invalid("grouping predicate before its scan".to_string())
-                })?;
-                input = Some(Arc::new(Alg::Select {
-                    input: prev,
-                    pred: p.clone(),
-                }));
-            }
-            other => {
-                return Err(Error::Invalid(format!(
-                    "unsupported qualifier in grouping body: {other:?}"
-                )))
-            }
-        }
-    }
-    let input =
-        input.ok_or_else(|| Error::Invalid("grouping body lacks a table scan".to_string()))?;
+    let input = lower_scans(&inner.quals, true)
+        .filter(|body| body.scan_with_filters().is_some())
+        .ok_or_else(|| {
+            Error::Invalid("grouping body must be one table scan under predicates".to_string())
+        })?;
     Ok(Arc::new(Alg::Nest {
         input,
         algo: algo.clone(),
@@ -195,9 +221,13 @@ mod tests {
     use crate::lang::parse_query;
 
     fn lower_sql(sql: &str) -> Arc<Alg> {
+        lower_with(sql, true)
+    }
+
+    fn lower_with(sql: &str, push_filters: bool) -> Arc<Alg> {
         let q = parse_query(sql).unwrap();
         let dq = desugar_query(&q, 1).unwrap();
-        lower_op(&dq.ops[0].comp).unwrap()
+        lower_op_with(&dq.ops[0].comp, push_filters).unwrap()
     }
 
     #[test]
@@ -230,6 +260,73 @@ mod tests {
         assert!(text.contains("Join on"), "{text}");
         assert_eq!(text.matches("Nest[").count(), 2, "{text}");
         assert_eq!(text.matches("Scan").count(), 2, "{text}");
+    }
+
+    fn theta_of(plan: &Alg) -> (&Alg, &Alg, &CalcExpr, &ThetaHint) {
+        let Alg::Reduce { input, .. } = plan else {
+            panic!("{}", plan.explain())
+        };
+        let Alg::ThetaJoin {
+            left,
+            right,
+            pred,
+            hint,
+        } = &**input
+        else {
+            panic!("{}", plan.explain())
+        };
+        (left, right, pred, hint)
+    }
+
+    #[test]
+    fn dc_without_equality_lowers_to_theta_join_with_derived_hint() {
+        use crate::algebra::HintKind;
+        // Rule ψ: the single-tuple conjunct is a Select under its side, the
+        // hint is the first strict cross-tuple inequality.
+        let plan = lower_sql(
+            "SELECT * FROM lineitem DC(t1.extendedprice < 60.0 \
+             AND t1.extendedprice < t2.extendedprice AND t1.discount > t2.discount)",
+        );
+        let (left, right, pred, hint) = theta_of(&plan);
+        assert_eq!(left.scan_with_filters().unwrap().2.len(), 1);
+        assert!(matches!(right, Alg::Scan { var, .. } if var == "p2"));
+        assert!(!pred.to_string().contains("60"), "{pred}");
+        assert_eq!(hint.kind, HintKind::LeftLessThanRight);
+        assert_eq!(hint.left_key.to_string(), "p1.extendedprice");
+        assert_eq!(hint.right_key.to_string(), "p2.extendedprice");
+
+        // `e(t1) > e(t2)` reads as `e(t2) < e(t1)`: the sides swap so the
+        // smaller key is the left one. WHERE filters both sides.
+        let plan =
+            lower_sql("SELECT * FROM orders o WHERE o.amount > 3 DC(t1.amount > t2.amount * 10)");
+        let (left, right, _, hint) = theta_of(&plan);
+        assert_eq!(left.scan_with_filters().unwrap().1, "p2");
+        assert_eq!(right.scan_with_filters().unwrap().2.len(), 1);
+        assert_eq!(hint.left_key.to_string(), "(p2.amount * 10)");
+        assert_eq!(hint.right_key.to_string(), "p1.amount");
+
+        // No strict inequality: nothing to prune by.
+        let plan = lower_sql("SELECT * FROM orders DC(t1.amount <= t2.amount)");
+        let (_, _, _, hint) = theta_of(&plan);
+        assert_eq!(hint.kind, HintKind::Any);
+    }
+
+    #[test]
+    fn unpushed_filters_stay_in_the_pair_predicate() {
+        let psi = "SELECT * FROM lineitem DC(t1.extendedprice < 60.0 \
+             AND t1.extendedprice < t2.extendedprice AND t2.discount > 0)";
+        let baseline = lower_with(psi, false);
+        let (left, right, pred, hint) = theta_of(&baseline);
+        assert!(matches!(left, Alg::Scan { .. }) && matches!(right, Alg::Scan { .. }));
+        assert!(
+            pred.to_string()
+                .starts_with("((((p1.extendedprice < 60.0) and (p1.extendedprice < p2."),
+            "{pred}"
+        );
+        assert_eq!(hint, theta_of(&lower_sql(psi)).3);
+        // Grouped plans have no theta join: the policy changes nothing.
+        let fd = "SELECT * FROM customer c WHERE c.nationkey = 1 FD(c.address, c.phone)";
+        assert_eq!(lower_with(fd, false), lower_sql(fd));
     }
 
     #[test]

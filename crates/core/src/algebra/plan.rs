@@ -2,7 +2,9 @@
 
 use std::sync::Arc;
 
-use crate::calculus::{CalcExpr, FilterAlgo, MonoidKind};
+use crate::calculus::desugar::ROWID_FIELD;
+use crate::calculus::subst::free_vars;
+use crate::calculus::{BinOp, CalcExpr, FilterAlgo, MonoidKind};
 
 /// Numeric key hints for a theta join: which scalar each side's pruning key
 /// comes from and how cells of the join matrix relate.
@@ -11,6 +13,44 @@ pub struct ThetaHint {
     pub left_key: CalcExpr,
     pub right_key: CalcExpr,
     pub kind: HintKind,
+}
+
+impl ThetaHint {
+    /// The hint a pair predicate implies for the join of the rows bound to
+    /// `left_var` with those bound to `right_var`: its first strict
+    /// inequality between an expression over one variable and an expression
+    /// over the other, read as `smaller < larger`. The flag is set when the
+    /// smaller side is `right_var`'s — the join must then take its inputs in
+    /// the opposite order. No such conjunct means no cell can be pruned, and
+    /// the row ids key the matrix for load balancing alone.
+    pub fn derive(conjuncts: &[CalcExpr], left_var: &str, right_var: &str) -> (ThetaHint, bool) {
+        let over = |e: &CalcExpr, var: &str| free_vars(e).iter().eq([var]);
+        let rowid = |var| CalcExpr::proj(CalcExpr::var(var), ROWID_FIELD);
+        let unpruned = (rowid(left_var), rowid(right_var), HintKind::Any, false);
+        let strict = conjuncts.iter().find_map(|c| {
+            let (small, large) = match c {
+                CalcExpr::BinOp(BinOp::Lt, l, r) => (&**l, &**r),
+                CalcExpr::BinOp(BinOp::Gt, l, r) => (&**r, &**l),
+                _ => return None,
+            };
+            let swapped = over(small, right_var) && over(large, left_var);
+            (swapped || (over(small, left_var) && over(large, right_var))).then(|| {
+                (
+                    small.clone(),
+                    large.clone(),
+                    HintKind::LeftLessThanRight,
+                    swapped,
+                )
+            })
+        });
+        let (left_key, right_key, kind, swapped) = strict.unwrap_or(unpruned);
+        let hint = ThetaHint {
+            left_key,
+            right_key,
+            kind,
+        };
+        (hint, swapped)
+    }
 }
 
 /// How (left, right) key ranges must relate for a matrix cell to possibly
@@ -114,6 +154,27 @@ pub enum Alg {
 }
 
 impl Alg {
+    /// Unwrap a stack of `Select`s down to its `Scan`, collecting the filter
+    /// predicates (outermost first): `(table, row_var, filters)`. This is
+    /// the `WHERE`-over-one-table input every cleaning operator reads;
+    /// lowering and the plan-shape matchers recognize it with this.
+    pub fn scan_with_filters(&self) -> Option<(String, String, Vec<CalcExpr>)> {
+        let mut filters = Vec::new();
+        let mut plan = self;
+        loop {
+            match plan {
+                Alg::Select { input, pred } => {
+                    filters.push(pred.clone());
+                    plan = input;
+                }
+                Alg::Scan { table, var } => {
+                    return Some((table.clone(), var.clone(), filters));
+                }
+                _ => return None,
+            }
+        }
+    }
+
     /// Indented one-operator-per-line rendering (EXPLAIN-style). Shared
     /// nodes are printed with their pointer tag so sharing is visible.
     pub fn explain(&self) -> String {

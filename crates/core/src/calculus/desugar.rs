@@ -12,11 +12,14 @@
 //!   group key, unnested, similarity-checked:
 //!   `list{ {term, repair} | g1 ← dataGroup, g2 ← dictGroup, g1.key = g2.key,
 //!   t ← g1.partition, w ← g2.partition, similar(t, w) }`
-//! * **DC** — like DEDUP, but the pairwise predicate is the user's denial
-//!   predicate over `t1`/`t2` and blocking keys come from its
-//!   `t1.x = t2.x` equality conjuncts (single block when there are none):
-//!   `bag{ {left: p1, right: p2} | g ← filter{…}, p1 ← g.partition,
-//!   p2 ← g.partition, p1.__rowid ≠ p2.__rowid, pred(p1, p2) }`
+//! * **DC** — the pairwise predicate is the user's denial predicate over
+//!   `t1`/`t2`. With `t1.x = t2.x` equality conjuncts it is DEDUP's shape,
+//!   blocked on them: `bag{ {left: p1, right: p2} | g ← filter{…},
+//!   p1 ← g.partition, p2 ← g.partition, p1.__rowid ≠ p2.__rowid,
+//!   pred(p1, p2) }`. Without one there is nothing to block on and both
+//!   tuple variables range over the table — the comprehension of a theta
+//!   self-join: `bag{ {left: p1, right: p2} | p1 ← t, p2 ← t, pred(p1, p2),
+//!   p1.__rowid ≠ p2.__rowid }`
 //!
 //! Rows flow through the calculus as structs; the engine injects a
 //! `__rowid` field so pair enumeration can break symmetry.
@@ -40,6 +43,7 @@ use crate::lang::diag::{
 };
 
 use super::expr::{BinOp, CalcExpr, FilterAlgo, Func, MonoidKind, Qual};
+use super::subst::{free_vars, substitute};
 
 /// The hidden row-identity field the engine injects into row structs.
 pub const ROWID_FIELD: &str = "__rowid";
@@ -582,25 +586,26 @@ fn desugar_clean_op(
                 kind: OpKind::TermValidation,
             })
         }
-        CleanOp::Dc { pred, span } => desugar_dc(pred, *span, i, table, d, where_pred),
+        CleanOp::Dc { pred, .. } => desugar_dc(pred, i, table, d, where_pred),
     }
 }
 
-/// Lower `DC(pred)` into a blocked pairwise comprehension. The predicate's
-/// columns must be qualified with the tuple variables `t1`/`t2`; equality
-/// conjuncts whose two sides are the same expression on opposite tuples
-/// (`t1.x = t2.x`) become the blocking key, every other conjunct stays a
-/// pairwise predicate, and pairs are distinct ordered rows.
+/// Lower `DC(pred)` into a pairwise comprehension over distinct ordered
+/// rows. The predicate's columns must be qualified with the tuple variables
+/// `t1`/`t2`. Equality conjuncts whose two sides are the same expression on
+/// opposite tuples (`t1.x = t2.x`) become a blocking key and pairs are
+/// enumerated per block; a predicate without one ranges both tuple variables
+/// over the table itself, which `algebra::lower` turns into a theta join.
 fn desugar_dc(
     pred: &Expr,
-    span: Span,
     i: usize,
     table: &str,
     d: &str,
     where_pred: &Option<CalcExpr>,
 ) -> DResult<DesugaredOp> {
-    let (uses_t1, uses_t2) = tuple_var_usage(pred);
-    if !uses_t1 || !uses_t2 {
+    let pred_calc = expr_calc(pred, &[(Some("t1"), "p1"), (Some("t2"), "p2")])?;
+    let tuples = free_vars(&pred_calc);
+    if !(tuples.contains("p1") && tuples.contains("p2")) {
         return Err(diag(
             E206_DC_VARS,
             pred.span,
@@ -609,67 +614,67 @@ fn desugar_dc(
         .with_note("example: DC(t1.zip = t2.zip AND t1.city <> t2.city)"));
     }
 
-    // Split the top-level AND chain into conjuncts.
-    let mut conjuncts = Vec::new();
-    flatten_and(pred, &mut conjuncts);
-
-    // Both tuple variables map onto the same row variable for key
-    // canonicalization: `t1.x = t2.x` has equal sides under that mapping.
-    let canon_vars: Vec<(Option<&str>, &str)> = vec![(Some("t1"), d), (Some("t2"), d)];
-    let pair_vars: Vec<(Option<&str>, &str)> = vec![(Some("t1"), "p1"), (Some("t2"), "p2")];
-
+    // `l = r` is a blocking key when reading `l` on one tuple and `r` on the
+    // other as the same row gives the same expression, over that row alone.
+    let on_row = |e: &CalcExpr, p: &str| substitute(e, p, &CalcExpr::var(d));
     let mut keys: Vec<CalcExpr> = Vec::new();
-    let mut residual: Vec<CalcExpr> = Vec::new();
-    for c in &conjuncts {
-        if let ExprKind::BinOp { op, left, right } = &c.kind {
-            if op == "=" {
-                let (l1, l2) = tuple_var_usage(left);
-                let (r1, r2) = tuple_var_usage(right);
-                let opposite = (l1 && !l2 && r2 && !r1) || (l2 && !l1 && r1 && !r2);
-                if opposite {
-                    let lk = expr_calc(left, &canon_vars)?;
-                    let rk = expr_calc(right, &canon_vars)?;
-                    if lk == rk {
-                        keys.push(lk);
-                        continue;
-                    }
-                }
-            }
+    let mut residual: Vec<Qual> = Vec::new();
+    for conjunct in pred_calc.conjuncts() {
+        let key = match conjunct {
+            CalcExpr::BinOp(BinOp::Eq, l, r) => [("p1", "p2"), ("p2", "p1")]
+                .into_iter()
+                .map(|(a, b)| (on_row(l, a), on_row(r, b)))
+                .find(|(l, r)| l == r && free_vars(l).iter().eq([d]))
+                .map(|(key, _)| key),
+            _ => None,
+        };
+        match key {
+            Some(key) => keys.push(key),
+            None => residual.push(Qual::Pred(conjunct.clone())),
         }
-        residual.push(expr_calc(c, &pair_vars)?);
     }
 
-    // No equality conjunct: a single block holds the whole table.
-    let key = if keys.is_empty() {
-        CalcExpr::int(0)
+    let distinct_rows = Qual::Pred(CalcExpr::bin(
+        BinOp::Ne,
+        CalcExpr::proj(CalcExpr::var("p1"), ROWID_FIELD),
+        CalcExpr::proj(CalcExpr::var("p2"), ROWID_FIELD),
+    ));
+    let quals: Vec<Qual> = if keys.is_empty() {
+        // The row-identity check goes last: the theta join evaluates the
+        // conjunction per candidate pair, and almost every pair has already
+        // failed the user's predicate by then.
+        let side = |p: &str| {
+            let scan = Qual::Gen(p.into(), CalcExpr::TableRef(table.to_string()));
+            let filter = where_pred
+                .as_ref()
+                .map(|w| Qual::Pred(substitute(w, d, &CalcExpr::var(p))));
+            std::iter::once(scan).chain(filter)
+        };
+        side("p1")
+            .chain(side("p2"))
+            .chain(residual)
+            .chain([distinct_rows])
+            .collect()
     } else {
-        tuple_key(&keys)
+        let groups = grouping_comp(
+            FilterAlgo::Exact,
+            table,
+            d,
+            tuple_key(&keys),
+            CalcExpr::var(d),
+            where_pred.clone(),
+        );
+        let partition = || CalcExpr::proj(CalcExpr::var("g"), "partition");
+        [
+            Qual::Gen("g".into(), groups),
+            Qual::Gen("p1".into(), partition()),
+            Qual::Gen("p2".into(), partition()),
+            distinct_rows,
+        ]
+        .into_iter()
+        .chain(residual)
+        .collect()
     };
-    let groups = grouping_comp(
-        FilterAlgo::Exact,
-        table,
-        d,
-        key,
-        CalcExpr::var(d),
-        where_pred.clone(),
-    );
-
-    let mut quals = vec![
-        Qual::Gen("g".into(), groups),
-        Qual::Gen("p1".into(), CalcExpr::proj(CalcExpr::var("g"), "partition")),
-        Qual::Gen("p2".into(), CalcExpr::proj(CalcExpr::var("g"), "partition")),
-        Qual::Pred(CalcExpr::bin(
-            BinOp::Ne,
-            CalcExpr::proj(CalcExpr::var("p1"), ROWID_FIELD),
-            CalcExpr::proj(CalcExpr::var("p2"), ROWID_FIELD),
-        )),
-    ];
-    quals.extend(residual.into_iter().map(Qual::Pred));
-    if quals.len() == 4 {
-        // Pure-equality DC (all conjuncts were keys): any distinct pair in a
-        // block violates. Nothing to add — the rowid predicate suffices.
-        let _ = span;
-    }
     let comp = CalcExpr::comp(
         MonoidKind::Bag,
         CalcExpr::record(vec![
@@ -683,40 +688,6 @@ fn desugar_dc(
         comp,
         kind: OpKind::Dc,
     })
-}
-
-/// Which of the DC tuple variables (`t1`, `t2`) an expression references.
-fn tuple_var_usage(e: &Expr) -> (bool, bool) {
-    match &e.kind {
-        ExprKind::Column { table, .. } => match table.as_deref() {
-            Some("t1") => (true, false),
-            Some("t2") => (false, true),
-            _ => (false, false),
-        },
-        ExprKind::Literal(_) | ExprKind::Star => (false, false),
-        ExprKind::Call { args, .. } => args.iter().fold((false, false), |(a, b), e| {
-            let (x, y) = tuple_var_usage(e);
-            (a || x, b || y)
-        }),
-        ExprKind::BinOp { left, right, .. } => {
-            let (a, b) = tuple_var_usage(left);
-            let (x, y) = tuple_var_usage(right);
-            (a || x, b || y)
-        }
-        ExprKind::Not(inner) => tuple_var_usage(inner),
-    }
-}
-
-/// Flatten a top-level AND chain into its conjuncts.
-fn flatten_and<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-    if let ExprKind::BinOp { op, left, right } = &e.kind {
-        if op == "AND" {
-            flatten_and(left, out);
-            flatten_and(right, out);
-            return;
-        }
-    }
-    out.push(e);
 }
 
 /// Desugar `GROUP BY … [HAVING …]` into a filter-monoid grouping:
@@ -1062,9 +1033,18 @@ mod tests {
     }
 
     #[test]
-    fn dc_without_equality_uses_single_block() {
+    fn dc_without_equality_ranges_both_variables_over_the_table() {
         let q = parse_query("SELECT * FROM t DC(t1.amount > t2.amount * 10)").unwrap();
         let dq = desugar_query(&q, 1).unwrap();
+        let CalcExpr::Comp(c) = &dq.ops[0].comp else {
+            panic!("{}", dq.ops[0].comp)
+        };
+        let table = CalcExpr::TableRef("t".into());
+        assert!(
+            matches!(&c.quals[..2], [Qual::Gen(_, a), Qual::Gen(_, b)] if *a == table && *b == table),
+            "{}",
+            dq.ops[0].comp
+        );
         let mk = |id: i64, amount: i64| {
             Value::record([
                 (ROWID_FIELD, Value::Int(id)),

@@ -277,6 +277,15 @@ impl CalcExpr {
         }
     }
 
+    /// The operands of the top-level `and` chain, left to right (the
+    /// expression itself when it is not a conjunction).
+    pub fn conjuncts(&self) -> Vec<&CalcExpr> {
+        match self {
+            CalcExpr::BinOp(BinOp::And, l, r) => [l.conjuncts(), r.conjuncts()].concat(),
+            other => vec![other],
+        }
+    }
+
     /// Does any node in the tree (including `self`) satisfy `pred`?
     pub fn any_node(&self, pred: &mut impl FnMut(&CalcExpr) -> bool) -> bool {
         if pred(self) {

@@ -22,7 +22,7 @@ use cleanm_exec::{ExecContext, ExecError};
 use cleanm_stats::{collect_batch_stats, StatsConfig, TableStats};
 use cleanm_values::{intern, intern_all, Column, ColumnBatch, Table, Value};
 
-use crate::algebra::{lower_op, rewrite_shared, Alg, RewriteStats};
+use crate::algebra::{lower_op_with, rewrite_shared, Alg, RewriteStats};
 use crate::calculus::desugar::{desugar_query, DesugaredOp, OpKind, ROWID_FIELD};
 use crate::calculus::{normalize, CalcExpr, EvalCtx, Func, NormalizeStats};
 use crate::lang::{parse_query, Query};
@@ -622,12 +622,6 @@ impl CleanDb {
         Some(stats)
     }
 
-    /// Crate-internal catalog access for operators that build algebra plans
-    /// directly (denial constraints).
-    pub(crate) fn tables_internal(&self) -> &HashMap<String, StoredTable> {
-        &self.tables
-    }
-
     /// Parse and execute a CleanM query. An exact textual repeat whose
     /// tables are at the same epochs skips parsing and planning entirely
     /// (plan-cache fast path).
@@ -799,7 +793,10 @@ impl CleanDb {
         let t = Instant::now();
         let mut plans: Vec<Arc<Alg>> = Vec::with_capacity(normalized.len());
         for op in &normalized {
-            plans.push(lower_op(&op.comp)?);
+            plans.push(lower_op_with(
+                &op.comp,
+                self.profile.push_selective_filters,
+            )?);
         }
         let (plans, rewrite_stats) = if self.profile.share_plans {
             rewrite_shared(&plans)
@@ -1078,29 +1075,26 @@ impl CleanDb {
     /// (Spark SQL-like) the engine must recombine through a distributed
     /// full outer join — the extra cost §8.2 observes.
     fn combine_violations(&self, ops: &[OpResult]) -> Result<Vec<i64>, EngineError> {
-        let mut per_op_ids: Vec<Vec<i64>> = Vec::new();
-        for op in ops {
-            let mut ids = Vec::new();
-            for v in &op.output {
-                collect_rowids(v, &mut ids);
-            }
-            if !matches!(op.kind, OpKind::Select) {
-                per_op_ids.push(ids);
-            }
-        }
-        if per_op_ids.is_empty() {
+        let cleaning = || ops.iter().filter(|op| !matches!(op.kind, OpKind::Select));
+        if cleaning().next().is_none() {
             return Ok(Vec::new());
         }
-        if self.profile.share_plans || per_op_ids.len() == 1 {
+        if self.profile.share_plans || cleaning().count() == 1 {
             Ok(combine_local_violations(ops))
         } else {
+            let mut per_op_ids = cleaning().map(|op| {
+                let mut ids = Vec::new();
+                for v in &op.output {
+                    collect_rowids(v, &mut ids);
+                }
+                ids
+            });
             // Distributed recombination via chained full outer joins.
             use cleanm_exec::Dataset;
-            let mut iter = per_op_ids.into_iter();
-            let first = iter.next().unwrap();
+            let first = per_op_ids.next().expect("checked non-empty above");
             let mut acc: Dataset<(i64, bool)> =
                 Dataset::from_vec(&self.ctx, first.into_iter().map(|id| (id, true)).collect());
-            for ids in iter {
+            for ids in per_op_ids {
                 let right: Dataset<(i64, bool)> =
                     Dataset::from_vec(&self.ctx, ids.into_iter().map(|id| (id, true)).collect());
                 acc = acc.full_outer_join(right)?.map(|(id, _, _)| (id, true))?;

@@ -1,39 +1,34 @@
 //! General denial constraints with inequality predicates (rule ψ of §8.3).
 //!
-//! A DC `∀t1,t2 ¬(p₁ ∧ … ∧ pₙ)` with inequalities requires a theta
-//! self-join. The engine profile decides the physical algorithm (M-Bucket /
-//! min-max blocks / cartesian+filter) *and* whether the single-tuple
-//! selective predicate is pushed below the join — CleanDB's monoid-level
-//! filter pushdown — or evaluated inside the pairwise predicate, as the
-//! black-box baselines do.
+//! A DC `∀t1,t2 ¬(p₁ ∧ … ∧ pₙ)` is the CleanM clause `DC(p₁ AND … AND pₙ)`:
+//! [`InequalityDc`] renders that query, runs it through the session like
+//! every other operator here, and reads the outcome off the report. Without
+//! equalities the plan is a theta self-join, and the engine profile decides
+//! its algorithm (M-Bucket / min-max blocks / cartesian+filter) and whether
+//! single-tuple conjuncts are filtered below the join — CleanDB's pushdown —
+//! or inside the pair predicate, as the black-box baselines do.
 //!
 //! Running a hopeless plan returns [`DcOutcome::BudgetExceeded`] rather than
 //! an error: Table 5 reports exactly that outcome for the baselines.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cleanm_exec::ExecError;
 use cleanm_values::Value;
 
-use crate::algebra::plan::{Alg, HintKind, ThetaHint};
-use crate::calculus::desugar::ROWID_FIELD;
-use crate::calculus::{BinOp, CalcExpr, EvalCtx, MonoidKind};
+use crate::calculus::desugar::{expr_to_calc, ROWID_FIELD};
+use crate::calculus::{BinOp, CalcExpr};
 use crate::engine::{CleanDb, EngineError};
-use crate::physical::Executor;
+use crate::lang::ast::CleanOp;
+use crate::lang::parse_query;
 
-/// A two-tuple denial constraint over one table. `t1` / `t2` are the row
-/// variables of the two sides.
+/// A two-tuple denial constraint over one table.
 #[derive(Debug, Clone)]
 pub struct InequalityDc {
     pub table: String,
-    /// Optional selective single-tuple predicate over `t1` (rule ψ's
-    /// `t1.price < X`).
-    pub selective_filter: Option<CalcExpr>,
-    /// The pairwise predicate over `t1`, `t2`.
-    pub pair_pred: CalcExpr,
-    /// Numeric pruning hints for the theta join.
-    pub hint: ThetaHint,
+    /// The denied conjunction, a CleanM expression over the tuple variables
+    /// `t1` / `t2` (e.g. `"t1.price < t2.price AND t1.discount > t2.discount"`).
+    pub pred: String,
 }
 
 /// What happened when checking the constraint.
@@ -168,20 +163,13 @@ fn term_of(e: &CalcExpr) -> Option<DcTerm> {
     }
 }
 
-fn flatten_conjunction(e: &CalcExpr, out: &mut Vec<DcAtom>) -> Option<()> {
+fn atom_of(e: &CalcExpr) -> Option<DcAtom> {
     match e {
-        CalcExpr::BinOp(BinOp::And, l, r) => {
-            flatten_conjunction(l, out)?;
-            flatten_conjunction(r, out)
-        }
-        CalcExpr::BinOp(op, l, r) if op.is_comparison() => {
-            out.push(DcAtom {
-                op: *op,
-                left: term_of(l)?,
-                right: term_of(r)?,
-            });
-            Some(())
-        }
+        CalcExpr::BinOp(op, l, r) if op.is_comparison() => Some(DcAtom {
+            op: *op,
+            left: term_of(l)?,
+            right: term_of(r)?,
+        }),
         _ => None,
     }
 }
@@ -189,86 +177,41 @@ fn flatten_conjunction(e: &CalcExpr, out: &mut Vec<DcAtom>) -> Option<()> {
 impl InequalityDc {
     /// Rule ψ of §8.3: an item cannot have a bigger discount than a more
     /// expensive item, restricted to cheap t1 items
-    /// (`t1.price < t2.price ∧ t1.discount > t2.discount ∧ t1.price < cap`).
+    /// (`t1.price < cap ∧ t1.price < t2.price ∧ t1.discount > t2.discount`).
     pub fn rule_psi(table: &str, price_cap: f64) -> Self {
-        let price = |v: &str| CalcExpr::proj(CalcExpr::var(v), "extendedprice");
-        let discount = |v: &str| CalcExpr::proj(CalcExpr::var(v), "discount");
         InequalityDc {
             table: table.to_string(),
-            selective_filter: Some(CalcExpr::bin(
-                BinOp::Lt,
-                price("t1"),
-                CalcExpr::float(price_cap),
-            )),
-            pair_pred: CalcExpr::bin(
-                BinOp::And,
-                CalcExpr::bin(BinOp::Lt, price("t1"), price("t2")),
-                CalcExpr::bin(BinOp::Gt, discount("t1"), discount("t2")),
+            pred: format!(
+                "t1.extendedprice < {} AND t1.extendedprice < t2.extendedprice \
+                 AND t1.discount > t2.discount",
+                Value::Float(price_cap)
             ),
-            hint: ThetaHint {
-                left_key: price("t1"),
-                right_key: price("t2"),
-                kind: HintKind::LeftLessThanRight,
-            },
         }
     }
 
-    /// Build the algebra plan under the session's profile.
-    pub fn plan(&self, push_filter: bool) -> Arc<Alg> {
-        let scan_l: Arc<Alg> = Arc::new(Alg::Scan {
-            table: self.table.clone(),
-            var: "t1".into(),
-        });
-        let scan_r: Arc<Alg> = Arc::new(Alg::Scan {
-            table: self.table.clone(),
-            var: "t2".into(),
-        });
-        let (left, pred) = match (&self.selective_filter, push_filter) {
-            (Some(f), true) => (
-                Arc::new(Alg::Select {
-                    input: scan_l,
-                    pred: f.clone(),
-                }) as Arc<Alg>,
-                self.pair_pred.clone(),
-            ),
-            (Some(f), false) => (
-                scan_l,
-                CalcExpr::bin(BinOp::And, f.clone(), self.pair_pred.clone()),
-            ),
-            (None, _) => (scan_l, self.pair_pred.clone()),
-        };
-        Arc::new(Alg::Reduce {
-            input: Arc::new(Alg::ThetaJoin {
-                left,
-                right: scan_r,
-                pred,
-                hint: self.hint.clone(),
-            }),
-            monoid: MonoidKind::Bag,
-            head: CalcExpr::record(vec![
-                ("t1", CalcExpr::proj(CalcExpr::var("t1"), ROWID_FIELD)),
-                ("t2", CalcExpr::proj(CalcExpr::var("t2"), ROWID_FIELD)),
-            ]),
-        })
+    /// The CleanM query text for this constraint.
+    pub fn to_sql(&self) -> String {
+        format!("SELECT * FROM {} DC({})", self.table, self.pred)
     }
 
-    /// The constraint's conjunction as structured atomic comparisons
-    /// (selective filter first, then the pairwise atoms), or `None` when
-    /// any conjunct is not a simple `term cmp term` over `t1`/`t2` cells
-    /// and constants. Detection and repair share this decomposition — the
-    /// repair engine never re-parses the [`CalcExpr`] trees.
+    /// The constraint's conjunction as structured atomic comparisons, in
+    /// the order written, or `None` when any conjunct is not a simple
+    /// `term cmp term` over `t1`/`t2` cells and constants. Detection and
+    /// repair share this decomposition — the repair engine never re-parses
+    /// the predicate.
     pub fn atoms(&self) -> Option<Vec<DcAtom>> {
-        let mut out = Vec::new();
-        if let Some(f) = &self.selective_filter {
-            flatten_conjunction(f, &mut out)?;
-        }
-        flatten_conjunction(&self.pair_pred, &mut out)?;
-        Some(out)
+        let query = parse_query(&self.to_sql()).ok()?;
+        let [CleanOp::Dc { pred, .. }] = query.clean_ops.as_slice() else {
+            return None;
+        };
+        let tuple_vars = [(Some("t1"), "t1"), (Some("t2"), "t2")];
+        let pred = expr_to_calc(pred, &tuple_vars).ok()?;
+        pred.conjuncts().into_iter().map(atom_of).collect()
     }
 
     /// Check the constraint on a session, honouring its profile and budget.
     pub fn run(&self, db: &mut CleanDb) -> Result<DcOutcome, EngineError> {
-        self.execute(db).map(|(outcome, _)| outcome)
+        self.detect(db).map(|(outcome, _)| outcome)
     }
 
     /// [`InequalityDc::run`], additionally returning one structured
@@ -278,23 +221,21 @@ impl InequalityDc {
         &self,
         db: &mut CleanDb,
     ) -> Result<(DcOutcome, Vec<DcViolation>), EngineError> {
-        let (outcome, outputs) = self.execute(db)?;
+        let (outcome, outputs) = self.detect(db)?;
         let violations = self.describe_pairs(db, &outputs)?;
         Ok((outcome, violations))
     }
 
-    /// Turn raw pair-plan output rows into structured violation records by
-    /// re-reading the offending cells and the bounds they crossed. Shared
-    /// by [`InequalityDc::run_detailed`] and incremental DC maintainers
-    /// (which hold delta pair output in the same shape).
+    /// Turn the `{left, right}` output rows of a DC operator into structured
+    /// violation records by re-reading the offending cells and the bounds
+    /// they crossed. An atom that cannot be evaluated on a reported pair
+    /// (the rows are not the ones the rule ran over) is an error.
     pub fn describe_pairs(
         &self,
         db: &CleanDb,
         outputs: &[Value],
     ) -> Result<Vec<DcViolation>, EngineError> {
-        let mut pairs = pair_ids(outputs);
-        pairs.sort_unstable();
-        pairs.dedup();
+        let pairs = pair_ids(outputs);
         if pairs.is_empty() {
             return Ok(Vec::new());
         }
@@ -315,30 +256,26 @@ impl InequalityDc {
             };
             let mut cells = Vec::new();
             for atom in &atoms {
-                if !atom.holds(r1, r2).unwrap_or(false) {
+                if !atom.holds(r1, r2)? {
                     continue;
                 }
                 let l = atom.left.value(r1, r2)?;
                 let r = atom.right.value(r1, r2)?;
-                if let DcTerm::Cell(side, col) = &atom.left {
-                    cells.push(DcCell {
-                        side: *side,
-                        row_id: if *side == DcSide::T1 { a } else { b },
-                        column: col.clone(),
-                        value: l.clone(),
-                        op: atom.op,
-                        bound: r.clone(),
-                    });
-                }
-                if let DcTerm::Cell(side, col) = &atom.right {
-                    cells.push(DcCell {
-                        side: *side,
-                        row_id: if *side == DcSide::T1 { a } else { b },
-                        column: col.clone(),
-                        value: r,
-                        op: flip(atom.op),
-                        bound: l,
-                    });
+                // The right-hand cell reads the comparison from its side.
+                for (term, value, op, bound) in [
+                    (&atom.left, &l, atom.op, &r),
+                    (&atom.right, &r, flip(atom.op), &l),
+                ] {
+                    if let DcTerm::Cell(side, col) = term {
+                        cells.push(DcCell {
+                            side: *side,
+                            row_id: if *side == DcSide::T1 { a } else { b },
+                            column: col.clone(),
+                            value: value.clone(),
+                            op,
+                            bound: bound.clone(),
+                        });
+                    }
                 }
             }
             out.push(DcViolation {
@@ -350,30 +287,22 @@ impl InequalityDc {
         Ok(out)
     }
 
-    fn execute(&self, db: &mut CleanDb) -> Result<(DcOutcome, Vec<Value>), EngineError> {
-        let push = db.profile().push_selective_filters;
-        let plan = self.plan(push);
-        let tables = db_tables(db)?;
-        db.context().metrics().reset();
-        let mut executor = Executor::new(
-            Arc::clone(db.context()),
-            db.profile().clone(),
-            tables,
-            Arc::new(EvalCtx::new()),
-        );
+    /// Run the rendered query; the outcome plus the operator's output rows.
+    fn detect(&self, db: &mut CleanDb) -> Result<(DcOutcome, Vec<Value>), EngineError> {
         let start = Instant::now();
-        match executor.run_reduce(&plan) {
-            Ok(violations) => {
+        match db.run(&self.to_sql()) {
+            Ok(mut report) => {
+                let pairs = report.ops.pop().map(|op| op.output).unwrap_or_default();
                 let outcome = DcOutcome::Completed {
-                    violations: dedup_pairs(&violations),
-                    duration: start.elapsed(),
-                    comparisons: db.context().metrics().snapshot().comparisons,
+                    violations: pair_ids(&pairs).len(),
+                    duration: report.total,
+                    comparisons: report.metrics.comparisons,
                 };
-                Ok((outcome, violations))
+                Ok((outcome, pairs))
             }
-            Err(ExecError::BudgetExceeded {
+            Err(EngineError::Exec(ExecError::BudgetExceeded {
                 operator, needed, ..
-            }) => Ok((
+            })) => Ok((
                 DcOutcome::BudgetExceeded {
                     operator,
                     needed,
@@ -381,40 +310,29 @@ impl InequalityDc {
                 },
                 Vec::new(),
             )),
-            Err(e) => Err(EngineError::Exec(e)),
+            Err(e) => Err(e),
         }
     }
 }
 
-/// Count the distinct `(t1, t2)` row-id pairs in a DC plan's output — the
-/// violation unit Table 5 reports (exposed for incremental DC maintainers,
-/// which must count new pairs the same way).
-pub fn dedup_pairs(outputs: &[Value]) -> usize {
-    let mut pairs = pair_ids(outputs);
+/// The distinct `(t1, t2)` row-id pairs of a DC operator's `{left, right}`
+/// output rows, sorted — the violation unit Table 5 reports.
+pub fn pair_ids(outputs: &[Value]) -> Vec<(i64, i64)> {
+    let rowid = |pair: &Value, side| {
+        pair.field(side)
+            .ok()?
+            .field(ROWID_FIELD)
+            .ok()?
+            .as_int()
+            .ok()
+    };
+    let mut pairs: Vec<(i64, i64)> = outputs
+        .iter()
+        .filter_map(|pair| Some((rowid(pair, "left")?, rowid(pair, "right")?)))
+        .collect();
     pairs.sort_unstable();
     pairs.dedup();
-    pairs.len()
-}
-
-/// The raw `(t1, t2)` row-id pairs of a DC plan's output (unsorted,
-/// duplicates preserved).
-pub fn pair_ids(outputs: &[Value]) -> Vec<(i64, i64)> {
-    outputs
-        .iter()
-        .filter_map(|v| {
-            let a = v.field("t1").ok()?.as_int().ok()?;
-            let b = v.field("t2").ok()?.as_int().ok()?;
-            Some((a, b))
-        })
-        .collect()
-}
-
-// The executor borrows the session's table map; expose it via a helper to
-// keep the borrow local.
-fn db_tables(
-    db: &CleanDb,
-) -> Result<&std::collections::HashMap<String, crate::engine::StoredTable>, EngineError> {
-    Ok(db.tables_internal())
+    pairs
 }
 
 #[cfg(test)]
@@ -530,6 +448,22 @@ mod tests {
         assert!(violations
             .windows(2)
             .all(|w| (w[0].t1, w[0].t2) < (w[1].t1, w[1].t2)));
+    }
+
+    #[test]
+    fn describe_pairs_rejects_pairs_its_atoms_cannot_read() {
+        let mut db = CleanDb::new(EngineProfile::clean_db());
+        db.register("lineitem", lineitem(10));
+        let report = db.run(&psi(60.0).to_sql()).unwrap();
+        let pairs = &report.ops[0].output;
+        assert_eq!(psi(60.0).describe_pairs(&db, pairs).unwrap().len(), 10);
+        // The same pairs under a rule over a column the rows lack: a
+        // violation without its cells would misreport, so it is an error.
+        let other = InequalityDc {
+            table: "lineitem".into(),
+            pred: "t1.tax < t2.tax".into(),
+        };
+        assert!(other.describe_pairs(&db, pairs).is_err());
     }
 
     #[test]

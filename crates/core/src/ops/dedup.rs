@@ -198,7 +198,7 @@ impl DedupPlanShape {
         if !over_partition(path1) || !over_partition(path2) {
             return None;
         }
-        let (table, scan_var, filters) = super::scan_with_filters(input)?;
+        let (table, scan_var, filters) = input.scan_with_filters()?;
         if *item_var != scan_var {
             return None;
         }

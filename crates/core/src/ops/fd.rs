@@ -102,7 +102,7 @@ impl FdPlanShape {
         if out_var != group_var {
             return None;
         }
-        let (table, scan_var, filters) = super::scan_with_filters(input)?;
+        let (table, scan_var, filters) = input.scan_with_filters()?;
         if *item_var != scan_var {
             return None;
         }

@@ -1,9 +1,9 @@
 //! High-level cleaning operators — the typed front doors to the pipeline.
 //!
-//! Each operator builds the corresponding CleanM construct (most via the
-//! parser, denial constraints via a direct algebra plan) and runs it through
-//! the session, so callers get §4.4 semantics without writing query strings
-//! by hand. These are what the examples and the benchmark harness use.
+//! Each operator renders the corresponding CleanM query text and runs it
+//! through the session, so callers get §4.4 semantics — and the session's
+//! plan cache, report, tracing and limits — without writing query strings by
+//! hand. These are what the examples and the benchmark harness use.
 
 pub mod dc;
 pub mod dedup;
@@ -16,26 +16,3 @@ pub use dedup::{Dedup, DedupPlanShape};
 pub use fd::{FdCheck, FdPlanShape};
 pub use termval::{TermValidation, TermvalPlanShape};
 pub use transform::{apply_transforms, semantic_map, Transform, TransformMode, TransformReport};
-
-use crate::algebra::plan::Alg;
-use crate::calculus::CalcExpr;
-
-/// Unwrap a stack of `Select`s down to its `Scan`, collecting the filter
-/// predicates (outermost first). This is the `WHERE`-over-one-table input
-/// shape every cleaning operator's grouping lowers to; shape matchers use
-/// it to recover `(table, row_var, filters)` from a cached plan.
-pub(crate) fn scan_with_filters(mut plan: &Alg) -> Option<(String, String, Vec<CalcExpr>)> {
-    let mut filters = Vec::new();
-    loop {
-        match plan {
-            Alg::Select { input, pred } => {
-                filters.push(pred.clone());
-                plan = input;
-            }
-            Alg::Scan { table, var } => {
-                return Some((table.clone(), var.clone(), filters));
-            }
-            _ => return None,
-        }
-    }
-}

@@ -162,7 +162,7 @@ impl TermvalPlanShape {
             else {
                 return None;
             };
-            let (table, scan_var, filters) = super::scan_with_filters(input)?;
+            let (table, scan_var, filters) = input.scan_with_filters()?;
             Some((
                 TermvalSideShape {
                     table,

@@ -1784,11 +1784,15 @@ fn keys_and_flags(
                     text = true;
                     cleanm_stats::string_key(&s)
                 }
+                // NaN sorts after every number in the engine's total order,
+                // so it keys as +∞. A NULL (or an error) satisfies no
+                // inequality: where its NaN key lands cannot lose a pair.
                 Ok(v) => {
                     if matches!(v, Value::Int(_) | Value::Float(_)) {
                         numeric = true;
                     }
-                    v.as_float().unwrap_or(f64::NAN)
+                    v.as_float()
+                        .map_or(f64::NAN, |f| if f.is_nan() { f64::INFINITY } else { f })
                 }
                 Err(_) => f64::NAN,
             };

@@ -249,34 +249,39 @@ fn deadline_and_budget_limits_surface_as_resource_failures() {
     assert_eq!(fail.kind, "deadline_exceeded");
     assert!(fail.resource_limit);
 
-    // Work units are charged at theta-join pair enumeration, so the
-    // budget probe uses a DC query (pair self-join over `customer`) under
-    // the cartesian baseline profile, which always pays per candidate
-    // pair (clean_db's pruning strategy can finish without charging).
-    const DC_SQL: &str = "SELECT * FROM customer c DC(t1.nationkey > t2.nationkey + 2)";
-    let mut db = session(EngineProfile::spark_sql_like());
-    let report = db
-        .run_with_limits(
-            DC_SQL,
-            RunLimits {
-                max_work: Some(1),
-                ..RunLimits::default()
-            },
-        )
-        .unwrap();
-    let fail = report
-        .failure
-        .expect("one work unit cannot cover the DC pair scan");
-    assert_eq!(fail.kind, "budget_exceeded");
-    assert!(fail.resource_limit);
+    // Table 5 from one statement: the FD completes, then the DC's theta
+    // join asks for its comparisons up front — the whole product under the
+    // cartesian baseline, the unpruned half of the matrix under clean_db.
+    const FD_DC_SQL: &str = "SELECT * FROM customer c \
+         FD(c.address | c.nationkey) DC(t1.nationkey > t2.nationkey + 2)";
+    for profile in [EngineProfile::clean_db(), EngineProfile::spark_sql_like()] {
+        let mut db = session(profile);
+        let report = db
+            .run_with_limits(
+                FD_DC_SQL,
+                RunLimits {
+                    max_work: Some(1),
+                    ..RunLimits::default()
+                },
+            )
+            .unwrap();
+        let fail = report
+            .failure
+            .expect("one work unit cannot cover the DC pair scan");
+        assert_eq!(fail.kind, "budget_exceeded");
+        assert!(fail.resource_limit);
+        assert_eq!(fail.failed_op.as_deref(), Some("DC#1"));
+        assert_eq!((fail.ops_completed, report.ops.len()), (1, 1));
+        assert!(fail.rows_processed > 0);
 
-    // Both limits were disarmed: unlimited runs succeed.
-    let report = db.run_with_limits(DC_SQL, RunLimits::default()).unwrap();
-    assert!(report.failure.is_none());
-    let report = db
-        .run_with_limits(UNIFIED_SQL, RunLimits::default())
-        .unwrap();
-    assert!(report.failure.is_none());
+        // The limit was disarmed: unlimited runs succeed.
+        let report = db.run_with_limits(FD_DC_SQL, RunLimits::default()).unwrap();
+        assert!(report.failure.is_none());
+        let report = db
+            .run_with_limits(UNIFIED_SQL, RunLimits::default())
+            .unwrap();
+        assert!(report.failure.is_none());
+    }
 }
 
 #[test]

@@ -210,9 +210,11 @@ proptest! {
     }
 }
 
-/// Tracing changes no DC outcome (the programmatic ThetaJoin path).
+/// Tracing changes no DC outcome, and a typed DC run is visible where every
+/// other operator is: layer spans, the registry, the plan cache, and a
+/// report with the theta node's decision and profile tree.
 #[test]
-fn tracing_is_read_only_for_dcs() {
+fn typed_dc_runs_are_traced_cached_and_read_only() {
     let lineitem = || {
         let schema = Schema::of([
             ("extendedprice", DataType::Float),
@@ -229,15 +231,17 @@ fn tracing_is_read_only_for_dcs() {
         rows.push(Row::new(vec![Value::Float(50.0), Value::Float(0.99)]));
         Table::new(schema, rows)
     };
+    let rule = InequalityDc::rule_psi("lineitem", 60.0);
     let run = |traced: bool| {
         let mut db = CleanDb::new(EngineProfile::clean_db());
         db.register("lineitem", lineitem());
         db.set_tracing(traced);
-        InequalityDc::rule_psi("lineitem", 60.0)
-            .run(&mut db)
-            .unwrap()
+        let outcome = rule.run(&mut db).unwrap();
+        (outcome, db)
     };
-    match (run(false), run(true)) {
+    let (plain, _) = run(false);
+    let (traced, mut db) = run(true);
+    match (plain, traced) {
         (
             DcOutcome::Completed {
                 violations: plain, ..
@@ -248,6 +252,29 @@ fn tracing_is_read_only_for_dcs() {
         ) => assert_eq!(plain, traced),
         other => panic!("{other:?}"),
     }
+
+    let log = db.context().tracer().take();
+    for layer in ["parse", "desugar", "normalize", "plan", "execute"] {
+        assert!(log.spans.iter().any(|s| s.name == layer), "no {layer} span");
+    }
+    assert_eq!(db.metrics_registry().query_latency().count(), 1);
+    assert_eq!(db.metrics_registry().violations_by_op()["Dc"], 81);
+
+    // The same rule again — typed or as text — is a plan-cache hit.
+    rule.run(&mut db).unwrap();
+    let report = db.run(&rule.to_sql()).unwrap();
+    assert_eq!(db.plan_cache_counters(), (2, 1));
+    let theta = report
+        .decisions
+        .iter()
+        .find(|d| d.operator == "theta")
+        .expect("a decision for the theta node");
+    assert_eq!(theta.strategy, "MBucket");
+    let tree = report.profile_tree();
+    assert!(
+        tree.contains("ThetaJoin") && tree.contains("Select"),
+        "{tree}"
+    );
 }
 
 /// Traced runs agree with untraced ones under every fixed engine profile,

@@ -5,20 +5,22 @@
 //! (pruned) `|T|²` matrix. The standing form keeps both sides indexed by
 //! the numeric join key, sorted:
 //!
-//! * the full table as the `t2` side;
-//! * the σ-filtered rows (the selective single-tuple predicate) as `t1`.
+//! * the full table as the join's right side;
+//! * the σ-filtered rows (the filters lowering pushed below the join) as
+//!   its left side.
 //!
-//! A delta batch Δ then only enumerates `σ(Δ) × (H ∪ Δ)` and `σ(H) × Δ`
-//! — disjoint by the `t1` side, so every new violating pair is counted
+//! Sides, filters and keys are read off the rule's cached plan. A delta
+//! batch Δ then only enumerates `σ(Δ) × (H ∪ Δ)` and `σ(H) × Δ`
+//! — disjoint by the left side, so every new violating pair is counted
 //! exactly once — and under a `LeftLessThanRight` hint each probe binary-
 //! searches its candidate range in the sorted index instead of scanning.
 
 use std::cmp::Ordering;
 use std::time::Instant;
 
-use cleanm_core::algebra::HintKind;
+use cleanm_core::algebra::{Alg, HintKind, ThetaHint};
 use cleanm_core::calculus::desugar::ROWID_FIELD;
-use cleanm_core::calculus::{eval::truthy, EvalCtx};
+use cleanm_core::calculus::{eval::truthy, BinOp, CalcExpr, EvalCtx};
 use cleanm_core::engine::EngineError;
 use cleanm_core::ops::{DcOutcome, InequalityDc};
 use cleanm_core::physical::RowExpr;
@@ -34,9 +36,9 @@ pub struct StandingDc {
     lkey_rx: RowExpr,
     rkey_rx: RowExpr,
     prunable: bool,
-    /// Every row as the `t2` side, sorted by join key.
+    /// Every row as the right side, sorted by join key.
     right_index: Vec<(f64, Value)>,
-    /// σ-filtered rows as the `t1` side, sorted by join key.
+    /// σ-filtered rows as the left side, sorted by join key.
     left_index: Vec<(f64, Value)>,
     violations: usize,
     comparisons: u64,
@@ -57,34 +59,42 @@ impl StandingDc {
                 "cannot install a DC whose baseline exceeds the work budget".to_string(),
             )));
         };
+        // The baseline run left the rule's plan in the cache: index by the
+        // sides, filters and hint the lowering derived from the predicate.
+        let entry = db.cached_plan(&dc.to_sql());
+        let Some(((_, left_var, left_filters), (_, right_var, right_filters), pred, hint)) =
+            entry.as_ref().and_then(|e| theta_sides(e.plans().first()?))
+        else {
+            return Err(EngineError::Exec(cleanm_exec::ExecError::Other(format!(
+                "`{}` does not plan as a theta join; install it as a standing query",
+                dc.pred
+            ))));
+        };
+        // Only the left index is kept filtered; the right side's filters
+        // are checked with the pair predicate.
+        let and = |all, p| CalcExpr::bin(BinOp::And, all, p);
+        let filter = left_filters.into_iter().reduce(and);
+        let pair_pred = right_filters.into_iter().fold(pred.clone(), and);
         let ctx = EvalCtx::new();
         // One-name scopes, and every row handed to these programs below is
         // `slice::from_ref(row)` — one slot — so a layout mismatch cannot
         // arise here; the errors `passes_filter` / `pair_violates` /
         // `key_of` swallow are value errors (a null or mistyped field).
-        let t1 = vec!["t1".to_string()];
-        let t2 = vec!["t2".to_string()];
-        let pair = vec!["t1".to_string(), "t2".to_string()];
-        let stored = db.table(&dc.table).ok_or_else(|| {
-            EngineError::Exec(cleanm_exec::ExecError::Other(format!(
-                "unknown table `{}`",
-                dc.table
-            )))
-        })?;
+        let left = vec![left_var];
+        let right = vec![right_var];
+        let pair = vec![left[0].clone(), right[0].clone()];
+        let stored = db.table(&dc.table).expect("the baseline ran over it");
         let cursor = Cursor {
             lineage: stored.created(),
             batches_seen: stored.batches().len(),
         };
         let batches: Vec<_> = stored.batches().to_vec();
         let mut state = StandingDc {
-            filter_rx: dc
-                .selective_filter
-                .as_ref()
-                .map(|f| RowExpr::compile(f, &t1, &ctx)),
-            pred_rx: RowExpr::compile(&dc.pair_pred, &pair, &ctx),
-            lkey_rx: RowExpr::compile(&dc.hint.left_key, &t1, &ctx),
-            rkey_rx: RowExpr::compile(&dc.hint.right_key, &t2, &ctx),
-            prunable: matches!(dc.hint.kind, HintKind::LeftLessThanRight),
+            filter_rx: filter.map(|f| RowExpr::compile(&f, &left, &ctx)),
+            pred_rx: RowExpr::compile(&pair_pred, &pair, &ctx),
+            lkey_rx: RowExpr::compile(&hint.left_key, &left, &ctx),
+            rkey_rx: RowExpr::compile(&hint.right_key, &right, &ctx),
+            prunable: matches!(hint.kind, HintKind::LeftLessThanRight),
             right_index: Vec::new(),
             left_index: Vec::new(),
             violations,
@@ -224,6 +234,32 @@ impl StandingDc {
             .partition_point(|(k, _)| k.total_cmp(&rk) == Ordering::Less);
         0..end
     }
+}
+
+/// A theta side: its table, row variable and filters.
+type Side = (String, String, Vec<CalcExpr>);
+
+/// The sides, pair predicate and hint of a plan that reduces a theta join of
+/// two filtered scans — what a DC without equality conjuncts lowers to.
+fn theta_sides(plan: &Alg) -> Option<(Side, Side, &CalcExpr, &ThetaHint)> {
+    let Alg::Reduce { input, .. } = plan else {
+        return None;
+    };
+    let Alg::ThetaJoin {
+        left,
+        right,
+        pred,
+        hint,
+    } = &**input
+    else {
+        return None;
+    };
+    Some((
+        left.scan_with_filters()?,
+        right.scan_with_filters()?,
+        pred,
+        hint,
+    ))
 }
 
 fn key_of(rx: &RowExpr, row: &Value, ctx: &EvalCtx) -> f64 {

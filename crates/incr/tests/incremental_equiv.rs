@@ -496,30 +496,67 @@ fn standing_dc_counts_new_pairs_like_batch() {
         .collect();
     let delta: Vec<(f64, f64)> = vec![(50.0, 0.99), (120.5, 0.01)];
 
-    let mut db = CleanDb::new(EngineProfile::clean_db());
-    db.register("lineitem", make(&base));
-    let mut session = IncrementalSession::new(db);
-    let dc = InequalityDc::rule_psi("lineitem", 130.0);
-    let (id, baseline) = session.install_dc(&dc).expect("install dc");
-    session.append("lineitem", make(&delta)).expect("append");
-    let refreshed = session.refresh_dc(id).expect("refresh dc");
-
-    // Reference: batch run over the concatenated table.
-    let mut all = base.clone();
-    all.extend(delta.iter().cloned());
-    let mut fresh = CleanDb::new(EngineProfile::clean_db());
-    fresh.register("lineitem", make(&all));
-    let want = dc.run(&mut fresh).expect("batch dc");
-    let (got_v, want_v) = match (&refreshed, &want) {
-        (
-            cleanm_core::ops::DcOutcome::Completed { violations: g, .. },
-            cleanm_core::ops::DcOutcome::Completed { violations: w, .. },
-        ) => (*g, *w),
-        other => panic!("unexpected outcomes: {other:?}"),
+    let rule = |pred: &str| InequalityDc {
+        table: "lineitem".into(),
+        pred: pred.into(),
     };
-    assert_eq!(got_v, want_v, "incremental DC total must match batch");
-    if let cleanm_core::ops::DcOutcome::Completed { violations, .. } = baseline {
-        assert!(got_v >= violations, "totals accumulate");
+    // (rule, does its hint prune?) — ψ; ψ read from the other tuple (the
+    // join's sides swap); a filter on the unindexed side; and a predicate
+    // with no strict inequality to index by.
+    let rules = [
+        (InequalityDc::rule_psi("lineitem", 130.0), true),
+        (
+            rule("t1.discount > 0.5 AND t1.extendedprice > t2.extendedprice"),
+            true,
+        ),
+        (
+            rule("t1.extendedprice < t2.extendedprice AND t2.discount < 0.5 AND t1.discount > t2.discount"),
+            true,
+        ),
+        (
+            rule("t1.extendedprice <= t2.extendedprice AND t1.discount >= t2.discount + 0.5"),
+            false,
+        ),
+    ];
+    for (dc, prunes) in rules {
+        let mut db = CleanDb::new(EngineProfile::clean_db());
+        db.register("lineitem", make(&base));
+        let mut session = IncrementalSession::new(db);
+        let (id, baseline) = session.install_dc(&dc).expect("install dc");
+        session.append("lineitem", make(&delta)).expect("append");
+        let refreshed = session.refresh_dc(id).expect("refresh dc");
+
+        // Reference: batch run over the concatenated table.
+        let mut all = base.clone();
+        all.extend(delta.iter().cloned());
+        let mut fresh = CleanDb::new(EngineProfile::clean_db());
+        fresh.register("lineitem", make(&all));
+        let want = dc.run(&mut fresh).expect("batch dc");
+        let (got_v, probes, want_v) = match (&refreshed, &want) {
+            (
+                cleanm_core::ops::DcOutcome::Completed {
+                    violations: g,
+                    comparisons,
+                    ..
+                },
+                cleanm_core::ops::DcOutcome::Completed { violations: w, .. },
+            ) => (*g, *comparisons, *w),
+            other => panic!("unexpected outcomes: {other:?}"),
+        };
+        assert_eq!(
+            got_v, want_v,
+            "{}: incremental total must match batch",
+            dc.pred
+        );
+        assert!(want_v > 0, "{}", dc.pred);
+        if let cleanm_core::ops::DcOutcome::Completed { violations, .. } = baseline {
+            assert!(got_v >= violations, "totals accumulate");
+        }
+        // The standing index is keyed by the hint lowering derived: with a
+        // strict inequality the delta probes a key range, not both sides
+        // whole (2 delta rows × 42 + 40 historic × 2).
+        let unpruned = (2 * all.len() + 2 * base.len()) as u64;
+        assert_eq!(probes < unpruned, prunes, "{}: {probes} probes", dc.pred);
     }
 }
 

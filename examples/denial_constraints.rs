@@ -21,8 +21,23 @@ fn main() {
         data.corrupted_rows.len()
     );
 
-    // ψ: t1.price < t2.price ∧ t1.discount > t2.discount ∧ t1.price < 12.
-    // The filter keeps ~0.01% of t1 — the paper's selectivity.
+    // ψ is a CleanM query: t1.price < 12 ∧ t1.price < t2.price ∧
+    // t1.discount > t2.discount. The filter keeps ~0.01% of t1 — the paper's
+    // selectivity. With no equality to block on, it plans as a theta join.
+    let psi = "SELECT * FROM lineitem DC(t1.extendedprice < 12.0 \
+               AND t1.extendedprice < t2.extendedprice AND t1.discount > t2.discount)";
+    let mut db = CleanDb::new(EngineProfile::clean_db());
+    db.register("lineitem", data.table.clone());
+    let report = db.run(psi).expect("psi as text");
+    println!("{psi}\n{}", report.plan_text);
+    println!(
+        "{} violating pairs, {} rows involved\n",
+        report.ops[0].output.len(),
+        report.violating_ids.len()
+    );
+
+    // The typed front door renders the same text (`dc.to_sql()`) and reads
+    // the outcome off the report.
     let dc = InequalityDc::rule_psi("lineitem", 12.0);
 
     // A fixed work budget stands in for cluster time/memory limits: a plan

@@ -2,12 +2,16 @@
 //! same logical results. These tests pin that invariant across operator
 //! families and datasets.
 
-use cleanm::core::ops::Dedup;
+use cleanm::core::calculus::BinOp;
+use cleanm::core::ops::dc::pair_ids;
+use cleanm::core::ops::{DcAtom, DcOutcome, DcSide, DcTerm, Dedup, InequalityDc};
 use cleanm::core::{CleanDb, EngineProfile};
 use cleanm::datagen::customer::CustomerGen;
 use cleanm::datagen::mag::MagGen;
 use cleanm::datagen::tpch::{LineitemGen, NoiseColumn};
 use cleanm::text::Metric;
+use cleanm::values::{DataType, Row, Schema, Table, Value};
+use proptest::prelude::*;
 
 fn profiles() -> Vec<EngineProfile> {
     vec![
@@ -129,4 +133,192 @@ fn cleandb_shuffles_no_more_than_baselines() {
         "local aggregation must not shuffle more: {shuffled:?}"
     );
     assert!(get("CleanDB") <= get("BigDansing"), "{shuffled:?}");
+}
+
+#[test]
+fn fd_and_inequality_dc_in_one_statement_identical_across_profiles() {
+    let data = LineitemGen::new(16)
+        .rows(400)
+        .noise_column(NoiseColumn::Discount)
+        .generate();
+    let fd = "FD(t.orderkey, t.linenumber | t.suppkey)";
+    let dc = "DC(t1.extendedprice < t2.extendedprice AND t1.discount > t2.discount + 0.05)";
+    let run = |profile: &EngineProfile, ops: &str| {
+        let mut db = CleanDb::new(profile.clone());
+        db.register("lineitem", data.table.clone());
+        db.run(&format!("SELECT * FROM lineitem t {ops}")).unwrap()
+    };
+    let mut results = Vec::new();
+    for profile in profiles() {
+        let unified = run(&profile, &format!("{fd} {dc}"));
+        assert!(
+            unified.plan_text.contains("ThetaJoin"),
+            "{}",
+            unified.plan_text
+        );
+        // One statement reports what the two operators report apart.
+        let mut apart = run(&profile, fd).violating_ids;
+        apart.extend(run(&profile, dc).violating_ids);
+        apart.sort_unstable();
+        apart.dedup();
+        assert_eq!(unified.violating_ids, apart, "{}", profile.name);
+        results.push(unified.violating_ids);
+    }
+    assert_eq!(results[0], results[1]);
+    assert_eq!(results[1], results[2]);
+    assert!(!results[0].is_empty());
+}
+
+// ---------------------------------------------------------------------
+// Denial constraints on generated tables and predicates: the query text
+// under every profile, the typed rule, and a nested loop over the rule's
+// own atoms all name the same pairs.
+// ---------------------------------------------------------------------
+
+/// Float columns `a`, `b` (NULL, NaN, ties) and an int column `c`.
+fn dc_rows() -> impl Strategy<Value = Vec<Row>> {
+    let float = || {
+        prop_oneof![
+            Just(Value::Null),
+            Just(Value::Float(f64::NAN)),
+            (0i64..4).prop_map(|i| Value::Float(i as f64 * 0.5)),
+        ]
+    };
+    let int = prop_oneof![Just(Value::Null), (0i64..3).prop_map(Value::Int)];
+    let row = (float(), float(), int).prop_map(|(a, b, c)| Row::new(vec![a, b, c]));
+    proptest::collection::vec(row, 0..12)
+}
+
+fn dc_op() -> impl Strategy<Value = BinOp> {
+    prop_oneof![
+        Just(BinOp::Lt),
+        Just(BinOp::Le),
+        Just(BinOp::Gt),
+        Just(BinOp::Ge),
+        Just(BinOp::Ne),
+        Just(BinOp::Eq),
+    ]
+}
+
+fn dc_cell(side: DcSide) -> impl Strategy<Value = DcTerm> {
+    prop_oneof![Just("a"), Just("b"), Just("c")].prop_map(move |c| DcTerm::Cell(side, c.into()))
+}
+
+/// `tᵢ.x op tⱼ.y` with the tuple variables on either side of the operator.
+fn dc_pair_atom() -> impl Strategy<Value = DcAtom> {
+    (
+        dc_op(),
+        dc_cell(DcSide::T1),
+        dc_cell(DcSide::T2),
+        any::<bool>(),
+    )
+        .prop_map(|(op, t1, t2, flipped)| {
+            let (left, right) = if flipped { (t2, t1) } else { (t1, t2) };
+            DcAtom { op, left, right }
+        })
+}
+
+/// `tᵢ.x op k`, or nothing.
+fn dc_single_atom() -> impl Strategy<Value = Option<DcAtom>> {
+    let cell = prop_oneof![dc_cell(DcSide::T1), dc_cell(DcSide::T2)];
+    (any::<bool>(), dc_op(), cell, 0i64..3).prop_map(|(present, op, left, k)| {
+        present.then_some(DcAtom {
+            op,
+            left,
+            right: DcTerm::Const(Value::Int(k)),
+        })
+    })
+}
+
+fn atom_text(atom: &DcAtom, t1: &str, t2: &str) -> String {
+    let term = |t: &DcTerm| match t {
+        DcTerm::Cell(DcSide::T1, c) => format!("{t1}.{c}"),
+        DcTerm::Cell(DcSide::T2, c) => format!("{t2}.{c}"),
+        DcTerm::Const(v) => v.to_string(),
+    };
+    let op = match atom.op {
+        BinOp::Lt => "<",
+        BinOp::Le => "<=",
+        BinOp::Gt => ">",
+        BinOp::Ge => ">=",
+        BinOp::Ne => "<>",
+        _ => "=",
+    };
+    format!("{} {op} {}", term(&atom.left), term(&atom.right))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn dc_text_typed_rule_and_nested_loop_agree(
+        rows in dc_rows(),
+        batch in 1usize..5,
+        single in dc_single_atom(),
+        pairwise in proptest::collection::vec(dc_pair_atom(), 1..4),
+        filter in dc_single_atom(),
+    ) {
+        let atoms: Vec<DcAtom> = single.into_iter().chain(pairwise).collect();
+        let pred = atoms
+            .iter()
+            .map(|a| atom_text(a, "t1", "t2"))
+            .collect::<Vec<_>>()
+            .join(" AND ");
+        let rule = InequalityDc { table: "t".into(), pred: pred.clone() };
+        prop_assert_eq!(rule.atoms(), Some(atoms.clone()), "{}", pred);
+        // WHERE reads the table's alias, so both sides of a WHERE atom
+        // render as the one row it filters.
+        let where_text = filter
+            .as_ref()
+            .map(|f| format!(" WHERE {}", atom_text(f, "t", "t")))
+            .unwrap_or_default();
+        let sql = format!("SELECT * FROM t{where_text} DC({pred})");
+
+        let schema = Schema::of([
+            ("a", DataType::Float),
+            ("b", DataType::Float),
+            ("c", DataType::Int),
+        ]);
+        for profile in [
+            EngineProfile::clean_db(),
+            EngineProfile::spark_sql_like(),
+            EngineProfile::big_dansing_like(),
+            EngineProfile::adaptive(),
+        ] {
+            // The rows arrive in batches: one registration, then appends.
+            let mut db = CleanDb::new(profile.clone());
+            let mut batches = rows.chunks(batch);
+            let first = batches.next().unwrap_or_default().to_vec();
+            db.register("t", Table::new(schema.clone(), first));
+            for more in batches {
+                db.append("t", Table::new(schema.clone(), more.to_vec())).unwrap();
+            }
+
+            let stored = db.table_rows("t").unwrap();
+            let kept = |r: &&Value| filter.as_ref().is_none_or(|f| f.holds(r, r).unwrap());
+            let mut expected = Vec::new();
+            for (i, r1) in stored.iter().enumerate().filter(|(_, r)| kept(r)) {
+                for (j, r2) in stored.iter().enumerate().filter(|(_, r)| kept(r)) {
+                    if i != j && atoms.iter().all(|a| a.holds(r1, r2).unwrap()) {
+                        expected.push((i as i64, j as i64));
+                    }
+                }
+            }
+
+            let report = db.run(&sql).unwrap();
+            let mut got = pair_ids(&report.ops[0].output);
+            got.sort_unstable();
+            prop_assert_eq!(&got, &expected, "{} under {}", sql, profile.name);
+
+            if filter.is_none() {
+                let (outcome, described) = rule.run_detailed(&mut db).unwrap();
+                let DcOutcome::Completed { violations, .. } = outcome else {
+                    panic!("{outcome:?}")
+                };
+                prop_assert_eq!(violations, expected.len());
+                let described: Vec<_> = described.iter().map(|v| (v.t1, v.t2)).collect();
+                prop_assert_eq!(&described, &expected, "{}", pred);
+            }
+        }
+    }
 }
