@@ -69,6 +69,12 @@ impl EvalCtx {
         self.comparisons.load(Ordering::Relaxed)
     }
 
+    /// Count similarity tests made outside `Func::Similar` — the pair
+    /// sweep adds a whole partition's worth at once.
+    pub(crate) fn add_comparisons(&self, n: u64) {
+        self.comparisons.fetch_add(n, Ordering::Relaxed);
+    }
+
     fn blocker(&self, algo: &FilterAlgo) -> Result<&Arc<dyn Blocker>> {
         self.blockers.get(&algo.to_string()).ok_or_else(|| {
             Error::Invalid(format!(

@@ -5,6 +5,7 @@
 //! | `Scan`      | partitioned load (or columnar kernel sweep under a fused `Select`) |
 //! | `Select`    | `filter_partitions`, or fused into its consumer's sweep |
 //! | `Unnest`    | `filter_transform` (fan-out) |
+//! | `Reduce` over two independent `Unnest`s | the fused block-pair sweep (`physical/pairs.rs`): `map_partitions` over the block rows, pairs kept as indices |
 //! | `Nest`      | `filter_transform` (pair emission) → `group_fold(shuffle, …)` with a `Vec` accumulator → `map` |
 //! | `Nest`+`Reduce` over monoid reductions | `group_fold(shuffle, …)` with monoid accumulators → `filter_transform` (finish) |
 //! | `Join`      | `filter_transform` (keying) → `join_hash` |
@@ -41,6 +42,7 @@ use crate::engine::storage::StoredTable;
 
 use super::groupfold::{self, AggFoldShape, GroupAcc};
 use super::kernel::PredKernel;
+use super::pairs::{self, PairShape, PairSweep};
 use super::profile::{nest_stage_labels, EngineProfile, NestStrategy, ThetaStrategy};
 use super::program::{env_layout, ProgramCache, RowEnv, RowExpr};
 use super::qprofile::{clip, ProfileNode};
@@ -165,18 +167,18 @@ pub struct Executor<'a> {
 /// standalone `Select` pass does; the first recorded error fails the query
 /// once the sweep completes ([`Executor::check_errors`]).
 #[derive(Clone)]
-struct RowEval {
-    ctx: Arc<EvalCtx>,
+pub(super) struct RowEval {
+    pub(super) ctx: Arc<EvalCtx>,
     errors: Arc<Mutex<Vec<String>>>,
 }
 
 impl RowEval {
-    fn record(&self, error: impl ToString) {
+    pub(super) fn record(&self, error: impl ToString) {
         self.errors.lock().push(error.to_string());
     }
 
     /// Evaluate `rx` over one row; `None` after recording an error.
-    fn eval(&self, rx: &RowExpr, env: &RowEnv) -> Option<Value> {
+    pub(super) fn eval(&self, rx: &RowExpr, env: &RowEnv) -> Option<Value> {
         rx.eval_env(env, &self.ctx).map_err(|e| self.record(e)).ok()
     }
 
@@ -185,11 +187,21 @@ impl RowEval {
         self.eval(rx, env).is_some_and(|v| truthy(&v))
     }
 
+    /// [`RowEval::holds`] over a concatenated `(left, right)` row pair —
+    /// no merged row is built per candidate pair.
+    #[inline]
+    pub(super) fn holds_pair(&self, rx: &RowExpr, left: &[Value], right: &[Value]) -> bool {
+        let v = rx
+            .eval_pair(left, right, &self.ctx)
+            .map_err(|e| self.record(e));
+        v.is_ok_and(|v| truthy(&v))
+    }
+
     /// Does `env` pass a fused predicate chain (conjoined into one program
     /// by [`Executor::compile_preds`], `None` = no filter)? The
     /// conjunction's short-circuit preserves chain order — an error a
     /// downstream filter would never have reached stays unreached.
-    fn passes(&self, pred_rx: &Option<Arc<RowExpr>>, env: &RowEnv) -> bool {
+    pub(super) fn passes(&self, pred_rx: &Option<Arc<RowExpr>>, env: &RowEnv) -> bool {
         pred_rx.as_ref().is_none_or(|rx| self.holds(rx, env))
     }
 }
@@ -667,6 +679,12 @@ impl<'a> Executor<'a> {
                 plan.explain()
             )));
         };
+        // A pair pipeline (two independent Unnests) never materializes
+        // its candidate pairs, whatever the profile fuses elsewhere.
+        if let Some(shape) = pairs::recognize(input, |node| self.is_shared(node)) {
+            let outputs = self.exec_pair_sweep(&shape, head)?;
+            return reduce_outputs(monoid, outputs);
+        }
         let (preds, source) = self.peel_selects(input);
         let nfused = preds.len();
         // Phase attribution survives fusion: a similarity predicate's cost
@@ -758,29 +776,68 @@ impl<'a> Executor<'a> {
             )?
             .collect();
         self.check_errors()?;
-        let result = match monoid {
-            MonoidKind::Bag | MonoidKind::List => outputs,
-            MonoidKind::Set => {
-                let mut o = outputs;
-                o.sort();
-                o.dedup();
-                o
-            }
-            prim => {
-                let mut acc = prim.zero();
-                for v in outputs {
-                    acc =
-                        merge_values(prim, acc, v).map_err(|e| ExecError::Value(e.to_string()))?;
-                }
-                vec![acc]
-            }
-        };
+        let result = reduce_outputs(monoid, outputs)?;
         if similarity {
             self.timings.similarity += start.elapsed();
         } else {
             self.timings.other += start.elapsed();
         }
         Ok(result)
+    }
+
+    /// Run a recognized pair pipeline as one sweep over its block rows
+    /// (`physical/pairs.rs`): the `Select` chain and both `Unnest`s are
+    /// consumed structurally, under every profile. Budget, cancellation
+    /// and deadline are checked per block inside the sweep.
+    ///
+    /// In a profile tree the sweep itself is the `Reduce` root (`rows_in` =
+    /// index pairs enumerated, `rows_out` = pairs kept); the two `Unnest`s
+    /// show as one child flagged `fused-pairs` over the block producer.
+    fn exec_pair_sweep(
+        &mut self,
+        shape: &PairShape<'_>,
+        head: &CalcExpr,
+    ) -> ExecResult<Vec<Value>> {
+        let (block_preds, source) = self.peel_selects(shape.input);
+        let scope = env_layout(source);
+        let frame = self.profiling.then(|| self.begin_node());
+        let block_pred = self.compile_preds(&block_preds, &scope);
+        let (ds, block_pred) = match self.run_filtered(source, block_pred) {
+            Ok(run) => run,
+            Err(e) => {
+                if frame.is_some() {
+                    self.abort_node();
+                }
+                return Err(e);
+            }
+        };
+        if let Some(frame) = frame {
+            let flags = vec!["fused-pairs".to_string()];
+            self.end_node(frame, "Unnest".to_string(), clip(shape.detail()), 0, flags);
+        }
+        let start = Instant::now();
+        self.fused_selects += block_preds.len() + shape.preds.len();
+        let (ctx, ev) = (Arc::clone(&self.ctx), self.eval.clone());
+        let sweep = Arc::new(PairSweep::compile(
+            shape,
+            head,
+            &scope,
+            block_pred,
+            ctx,
+            ev,
+            |expr, scope| self.row_expr(expr, scope),
+        ));
+        let worker = Arc::clone(&sweep);
+        let outputs = ds.map_partitions(move |blocks| worker.run_partition(blocks));
+        // The fused node's output is known only now: the pairs enumerated.
+        if let Some(node) = self.prof_children.last_mut().and_then(|c| c.last_mut()) {
+            node.rows_out = sweep.enumerated();
+        }
+        let outputs = outputs?.collect();
+        sweep.stopped()?;
+        self.check_errors()?;
+        self.timings.similarity += start.elapsed();
+        Ok(outputs)
     }
 
     /// Try the streaming grouped-aggregation path: when every consumer
@@ -1250,11 +1307,11 @@ impl<'a> Executor<'a> {
                 let pred_rxs = self.compile_preds(&preds, &scope);
                 let (ds, pred_rxs) = self.run_filtered(source, pred_rxs)?;
                 let start = Instant::now();
-                // Fan-out charges the work budget by its input size before
-                // expanding: every source row yields at least one candidate,
-                // so a hopeless pair enumeration (a DC/DEDUP block gone
-                // quadratic) fails fast instead of materializing pairs the
-                // budget can never cover.
+                // A lone fan-out (or one whose path reads an outer unnest
+                // variable) charges the work budget by its input size: its
+                // output is not known before the paths are evaluated. Pair
+                // pipelines never come here — the block sweep charges each
+                // block its `|A|·|B|` before enumerating it.
                 self.ctx.consume_budget("flat_map", ds.count() as u64)?;
                 let path_rx = self.row_expr(path, &scope);
                 self.fused_selects += nfused;
@@ -1615,10 +1672,7 @@ impl<'a> Executor<'a> {
         // A pair the predicate cannot evaluate — a width-mismatched side
         // included — is rejected and recorded, as in every other sweep.
         let ev = self.eval.clone();
-        let holds = move |l: &RowEnv, r: &RowEnv| {
-            let v = pred_rx.eval_pair(l, r, &ev.ctx).map_err(|e| ev.record(e));
-            v.is_ok_and(|v| truthy(&v))
-        };
+        let holds = move |l: &RowEnv, r: &RowEnv| ev.holds_pair(&pred_rx, l, r);
 
         // The cartesian path needs no key domain and no key values: run it
         // directly (it prunes nothing, so it is always correct).
@@ -1677,6 +1731,28 @@ impl<'a> Executor<'a> {
         self.check_errors()?;
         joined.map(|((_, l), (_, r))| concat_rows((l, r)))
     }
+}
+
+/// Combine the head values of a `Reduce` under its monoid: collections
+/// keep them (a set sorted and deduplicated), a primitive monoid folds
+/// them into one value.
+fn reduce_outputs(monoid: &MonoidKind, outputs: Vec<Value>) -> ExecResult<Vec<Value>> {
+    Ok(match monoid {
+        MonoidKind::Bag | MonoidKind::List => outputs,
+        MonoidKind::Set => {
+            let mut o = outputs;
+            o.sort();
+            o.dedup();
+            o
+        }
+        prim => {
+            let mut acc = prim.zero();
+            for v in outputs {
+                acc = merge_values(prim, acc, v).map_err(|e| ExecError::Value(e.to_string()))?;
+            }
+            vec![acc]
+        }
+    })
 }
 
 /// A joined row: the left row's slots, then the right row's — the layout
@@ -1811,7 +1887,7 @@ fn keys_and_flags(
 }
 
 /// Does the expression contain a similarity call? (Phase attribution.)
-fn expr_has_similarity(e: &CalcExpr) -> bool {
+pub(super) fn expr_has_similarity(e: &CalcExpr) -> bool {
     e.any_node(&mut |n| {
         matches!(
             n,

@@ -11,6 +11,7 @@
 pub mod execute;
 mod groupfold;
 pub mod kernel;
+mod pairs;
 pub mod profile;
 pub mod program;
 pub mod qprofile;

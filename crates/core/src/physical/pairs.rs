@@ -1,0 +1,455 @@
+//! The fused block-pair sweep: `Reduce ← Select* ← Unnest b ← Unnest a ← X`
+//! with two independent paths, run as one pass over the rows of `X`.
+//!
+//! That is the plan shape of every pairwise cleaning operator — DEDUP and
+//! blocked DC unnest the same `g.partition` twice, CLUSTER BY unnests the
+//! two sides of its block join — and executing it node by node builds one
+//! row per *candidate* pair only for the Reduce above to throw most of them
+//! away. The sweep keeps the pairs as indices instead. Per row of `X` (one
+//! block) it
+//!
+//! 1. evaluates both paths once and charges the work budget `|A|·|B|` —
+//!    after a cancellation/deadline check — *before* enumerating anything,
+//!    so a block gone quadratic fails fast;
+//! 2. evaluates the one-sided operands of the pair predicate once per block
+//!    member ([`Verify::Cmp`] / [`Verify::Similar`] columns) instead of
+//!    once per pair;
+//! 3. narrows, per outer member, a selection of inner indices conjunct by
+//!    conjunct in `Select` order — native `i64` compares where both columns
+//!    are integers (`__rowid` order tests), a prepared
+//!    [`cleanm_text::Matcher`] over borrowed `&str` for similarity, the
+//!    compiled program over `(X.., a, b)` slices for anything else;
+//! 4. evaluates the head for the surviving pairs only.
+//!
+//! Semantics are those of the stacked operators: conjuncts short-circuit in
+//! `Select` order, a pair whose predicate cannot be evaluated is rejected
+//! and the error recorded (an operand that fails for a member surfaces only
+//! if a pair reaches its conjunct), outputs keep `(X, a, b)` order.
+
+use std::slice::from_ref;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+
+use cleanm_exec::{ExecContext, ExecError, ExecResult};
+use cleanm_text::{Matcher, Metric};
+use cleanm_values::{Result, Value};
+
+use crate::algebra::plan::Alg;
+use crate::calculus::eval::{eval_binop, truthy};
+use crate::calculus::subst::free_vars;
+use crate::calculus::{BinOp, CalcExpr, Func};
+
+use super::execute::{expr_has_similarity, RowEval};
+use super::program::{env_layout, RowEnv, RowExpr};
+
+/// The operator name budget and interrupt failures of the sweep carry.
+const OPERATOR: &str = "pair_sweep";
+
+/// A recognized pair pipeline under a `Reduce`.
+pub(super) struct PairShape<'p> {
+    /// The producer of the block rows (the first `Unnest`'s input).
+    pub input: &'p Arc<Alg>,
+    pub path_a: &'p CalcExpr,
+    pub var_a: &'p str,
+    pub path_b: &'p CalcExpr,
+    pub var_b: &'p str,
+    /// The `Select` chain above the second `Unnest`, innermost first.
+    pub preds: Vec<&'p CalcExpr>,
+}
+
+impl PairShape<'_> {
+    /// How the fused node reads in profile trees.
+    pub fn detail(&self) -> String {
+        let PairShape {
+            path_a,
+            var_a,
+            path_b,
+            var_b,
+            ..
+        } = self;
+        format!("{path_a} as {var_a} × {path_b} as {var_b}")
+    }
+}
+
+/// Match `Select* ← Unnest b ← Unnest a ← X` beneath a `Reduce` whose second
+/// path does not read the first variable. `None` — the caller keeps the
+/// node-at-a-time route — for a lone `Unnest`, for a dependent second path
+/// (nested collections), when a variable would shadow another, and when a
+/// node of the chain is a shared DAG node, whose materialized result has
+/// other consumers.
+pub(super) fn recognize<'p>(
+    reduce_input: &'p Arc<Alg>,
+    is_shared: impl Fn(&Arc<Alg>) -> bool,
+) -> Option<PairShape<'p>> {
+    let mut preds = Vec::new();
+    let mut cur = reduce_input;
+    while let Alg::Select { input, pred } = &**cur {
+        if is_shared(cur) {
+            return None;
+        }
+        preds.push(pred);
+        cur = input;
+    }
+    preds.reverse();
+    let Alg::Unnest {
+        input: inner,
+        path: path_b,
+        var: var_b,
+    } = &**cur
+    else {
+        return None;
+    };
+    let Alg::Unnest {
+        input,
+        path: path_a,
+        var: var_a,
+    } = &**inner
+    else {
+        return None;
+    };
+    let outer = env_layout(input);
+    let independent = !free_vars(path_b).contains(var_a)
+        && var_a != var_b
+        && !outer.contains(var_a)
+        && !outer.contains(var_b);
+    (independent && !is_shared(cur) && !is_shared(inner)).then_some(PairShape {
+        input,
+        path_a,
+        var_a,
+        path_b,
+        var_b,
+        preds,
+    })
+}
+
+/// One conjunct of the pair predicate as the sweep verifies it.
+enum Verify {
+    /// `ea op eb`, `ea` reading the outer variable only and `eb` the inner:
+    /// both sides become per-member columns.
+    Cmp {
+        op: BinOp,
+        a: Arc<RowExpr>,
+        b: Arc<RowExpr>,
+    },
+    /// `Similar(metric, θ)(ea, eb)`, likewise: per-member text columns, the
+    /// outer member prepared once for its whole inner loop.
+    Similar {
+        metric: Metric,
+        theta: f64,
+        a: Arc<RowExpr>,
+        b: Arc<RowExpr>,
+    },
+    /// Anything else: the compiled conjunct over `(X.., a, b)`.
+    Program(Arc<RowExpr>),
+}
+
+/// The compiled sweep: shared by the workers, one [`Scratch`] each.
+pub(super) struct PairSweep {
+    ctx: Arc<ExecContext>,
+    ev: RowEval,
+    /// A `Select` chain fused from beneath the first `Unnest`.
+    block_pred: Option<Arc<RowExpr>>,
+    path_a: Arc<RowExpr>,
+    /// `None`: the same path as `path_a` (DEDUP, blocked DC) — evaluated
+    /// once per block.
+    path_b: Option<Arc<RowExpr>>,
+    verify: Vec<Verify>,
+    head: Arc<RowExpr>,
+    /// The first budget / cancellation / deadline failure: later blocks
+    /// see it and stop enumerating.
+    stop: OnceLock<ExecError>,
+    /// Index pairs enumerated (`Σ |A|·|B|`).
+    enumerated: AtomicU64,
+}
+
+impl PairSweep {
+    /// Compile the shape's expressions (`compile(expr, scope)`, counted by
+    /// the executor) against `scope`, the layout of the block rows.
+    pub fn compile(
+        shape: &PairShape<'_>,
+        head: &CalcExpr,
+        scope: &[String],
+        block_pred: Option<Arc<RowExpr>>,
+        ctx: Arc<ExecContext>,
+        ev: RowEval,
+        mut compile: impl FnMut(&CalcExpr, &[String]) -> Arc<RowExpr>,
+    ) -> PairSweep {
+        let with = |var: &str| [scope, &[var.to_string()]].concat();
+        let (scope_a, scope_b) = (with(shape.var_a), with(shape.var_b));
+        let scope_ab = [&scope_a[..], &[shape.var_b.to_string()]].concat();
+        // `ea` may not read `b`, `eb` may not read `a`; a similarity call
+        // inside an operand ticks the comparison counter per evaluation,
+        // so such an operand stays with its pair.
+        let one_sided = |ea: &CalcExpr, eb: &CalcExpr| {
+            !free_vars(ea).contains(shape.var_b)
+                && !free_vars(eb).contains(shape.var_a)
+                && !expr_has_similarity(ea)
+                && !expr_has_similarity(eb)
+        };
+        let mut verify = Vec::new();
+        for conjunct in shape.preds.iter().flat_map(|p| p.conjuncts()) {
+            verify.push(match conjunct {
+                CalcExpr::BinOp(op, ea, eb) if op.is_comparison() && one_sided(ea, eb) => {
+                    Verify::Cmp {
+                        op: *op,
+                        a: compile(ea, &scope_a),
+                        b: compile(eb, &scope_b),
+                    }
+                }
+                CalcExpr::Call(Func::Similar(metric, theta), args)
+                    if args.len() == 2 && one_sided(&args[0], &args[1]) =>
+                {
+                    Verify::Similar {
+                        metric: *metric,
+                        theta: *theta,
+                        a: compile(&args[0], &scope_a),
+                        b: compile(&args[1], &scope_b),
+                    }
+                }
+                other => Verify::Program(compile(other, &scope_ab)),
+            });
+        }
+        PairSweep {
+            ctx,
+            ev,
+            block_pred,
+            path_a: compile(shape.path_a, scope),
+            path_b: (shape.path_a != shape.path_b).then(|| compile(shape.path_b, scope)),
+            verify,
+            head: compile(head, &scope_ab),
+            stop: OnceLock::new(),
+            enumerated: AtomicU64::new(0),
+        }
+    }
+
+    /// Index pairs enumerated so far.
+    pub fn enumerated(&self) -> u64 {
+        self.enumerated.load(Ordering::Relaxed)
+    }
+
+    /// The failure that stopped the sweep, if one did.
+    pub fn stopped(&self) -> ExecResult<()> {
+        self.stop.get().map_or(Ok(()), |e| Err(e.clone()))
+    }
+
+    /// Sweep one partition of block rows into head values.
+    pub fn run_partition(&self, blocks: Vec<RowEnv>) -> Vec<Value> {
+        let mut s = Scratch {
+            columns: self.verify.iter().map(|_| Default::default()).collect(),
+            matchers: (self.verify.iter())
+                .map(|v| match v {
+                    Verify::Similar { metric, theta, .. } => Some(metric.matcher(*theta)),
+                    _ => None,
+                })
+                .collect(),
+            outer_row: Vec::new(),
+            sel: Vec::new(),
+            enumerated: 0,
+            comparisons: 0,
+        };
+        let mut out = Vec::new();
+        for x in &blocks {
+            if self.stop.get().is_some() {
+                break;
+            }
+            if self.ev.passes(&self.block_pred, x) {
+                self.block(x, &mut s, &mut out);
+            }
+        }
+        self.enumerated.fetch_add(s.enumerated, Ordering::Relaxed);
+        self.ev.ctx.add_comparisons(s.comparisons);
+        out
+    }
+
+    /// A path's members for one block row; `None` (after recording what is
+    /// an error) when there is nothing to unnest.
+    fn members(&self, path: &RowExpr, x: &RowEnv) -> Option<Arc<[Value]>> {
+        match self.ev.eval(path, x)? {
+            Value::List(items) => Some(items),
+            Value::Null => None,
+            other => {
+                self.ev.record(format!("unnest over non-list `{other}`"));
+                None
+            }
+        }
+    }
+
+    fn block(&self, x: &RowEnv, s: &mut Scratch, out: &mut Vec<Value>) {
+        let Some(outer) = self.members(&self.path_a, x) else {
+            return;
+        };
+        if outer.is_empty() {
+            return; // the second path is never evaluated without a first member
+        }
+        let inner = match &self.path_b {
+            None => Arc::clone(&outer),
+            Some(path) => match self.members(path, x) {
+                Some(inner) => inner,
+                None => return,
+            },
+        };
+        let pairs = (outer.len() as u64).saturating_mul(inner.len() as u64);
+        if pairs == 0 {
+            return;
+        }
+        let admitted = (self.ctx.check_interrupt(OPERATOR))
+            .and_then(|()| self.ctx.consume_budget(OPERATOR, pairs));
+        if let Err(e) = admitted {
+            let _ = self.stop.set(e);
+            return;
+        }
+        s.enumerated += pairs;
+
+        let ev = &self.ev;
+        for (v, (col_a, col_b)) in self.verify.iter().zip(&mut s.columns) {
+            let (a, b, text) = match v {
+                Verify::Cmp { a, b, .. } => (a, b, false),
+                Verify::Similar { a, b, .. } => (a, b, true),
+                Verify::Program(_) => continue,
+            };
+            col_a.fill(a, x, &outer, text, ev);
+            col_b.fill(b, x, &inner, text, ev);
+        }
+
+        for (i, a) in outer.iter().enumerate() {
+            s.sel.clear();
+            s.sel.extend(0..inner.len() as u32);
+            // `(X.., a)`, built when a program (conjunct or head) first
+            // needs it for this outer member.
+            s.outer_row.clear();
+            let outer_row = |row: &mut RowEnv| {
+                if row.is_empty() {
+                    row.extend_from_slice(x);
+                    row.push(a.clone());
+                }
+            };
+            for ((v, (col_a, col_b)), matcher) in
+                self.verify.iter().zip(&s.columns).zip(&mut s.matchers)
+            {
+                if s.sel.is_empty() {
+                    break;
+                }
+                match v {
+                    Verify::Program(rx) => {
+                        outer_row(&mut s.outer_row);
+                        let row = &s.outer_row;
+                        s.sel
+                            .retain(|&j| ev.holds_pair(rx, row, from_ref(&inner[j as usize])));
+                    }
+                    Verify::Cmp { op, .. } if !col_a.ints.is_empty() && !col_b.ints.is_empty() => {
+                        let l = col_a.ints[i];
+                        s.sel.retain(|&j| int_cmp(*op, l, col_b.ints[j as usize]));
+                    }
+                    // An operand that failed for this member fails every
+                    // pair that got here: one record stands for them all.
+                    _ if col_a.vals[i].is_err() => {
+                        ev.record(col_a.vals[i].as_ref().unwrap_err());
+                        s.sel.clear();
+                    }
+                    Verify::Cmp { op, .. } => {
+                        let l = col_a.vals[i].as_ref().expect("checked above");
+                        s.sel.retain(|&j| {
+                            let holds = (col_b.vals[j as usize].as_ref())
+                                .map_err(|e| ev.record(e))
+                                .and_then(|r| eval_binop(*op, l, r).map_err(|e| ev.record(e)));
+                            holds.is_ok_and(|v| truthy(&v))
+                        });
+                    }
+                    Verify::Similar { .. } => {
+                        let matcher = matcher.as_mut().expect("one per Similar conjunct");
+                        matcher.set_pattern(text(col_a.vals[i].as_ref().expect("checked above")));
+                        let comparisons = &mut s.comparisons;
+                        s.sel.retain(|&j| match &col_b.vals[j as usize] {
+                            Ok(r) => {
+                                *comparisons += 1;
+                                matcher.matches(text(r))
+                            }
+                            Err(e) => {
+                                ev.record(e);
+                                false
+                            }
+                        });
+                    }
+                }
+            }
+            if s.sel.is_empty() {
+                continue;
+            }
+            outer_row(&mut s.outer_row);
+            for &j in &s.sel {
+                let b = from_ref(&inner[j as usize]);
+                let v = (self.head.eval_pair(&s.outer_row, b, &ev.ctx)).map_err(|e| ev.record(e));
+                out.push(v.unwrap_or(Value::Null));
+            }
+        }
+    }
+}
+
+/// Per-worker state of a sweep, reused from block to block.
+struct Scratch {
+    /// The `(outer, inner)` operand columns of each conjunct (unused for
+    /// [`Verify::Program`]).
+    columns: Vec<(Column, Column)>,
+    /// The prepared matcher of each [`Verify::Similar`] conjunct.
+    matchers: Vec<Option<Matcher>>,
+    /// `(X.., a)` for the current outer member; empty until needed.
+    outer_row: RowEnv,
+    /// Inner indices still standing for the current outer member.
+    sel: Vec<u32>,
+    enumerated: u64,
+    comparisons: u64,
+}
+
+/// One operand evaluated for every member of a block side.
+#[derive(Default)]
+struct Column {
+    vals: Vec<Result<Value>>,
+    /// The same values as plain integers when every one is an `Int`
+    /// (else empty): `__rowid` tests compare these.
+    ints: Vec<i64>,
+}
+
+impl Column {
+    /// Evaluate `rx` over `(X.., member)` for each member. Similarity
+    /// operands (`text`) are rendered to strings here, once, the way
+    /// `Func::Similar` renders its arguments per call.
+    fn fill(&mut self, rx: &RowExpr, x: &RowEnv, members: &[Value], text: bool, ev: &RowEval) {
+        self.vals.clear();
+        self.ints.clear();
+        for (i, member) in members.iter().enumerate() {
+            let v = rx.eval_pair(x, from_ref(member), &ev.ctx).map(|v| match v {
+                Value::Str(_) => v,
+                other if text => Value::str(other.to_text()),
+                other => other,
+            });
+            if let (Ok(Value::Int(n)), true) = (&v, self.ints.len() == i) {
+                self.ints.push(*n);
+            }
+            self.vals.push(v);
+        }
+        if self.ints.len() != members.len() {
+            self.ints.clear();
+        }
+    }
+}
+
+/// The string a text column holds.
+fn text(v: &Value) -> &str {
+    match v {
+        Value::Str(s) => s,
+        _ => unreachable!("text columns hold strings"),
+    }
+}
+
+/// `eval_binop` on two `Int`s, without the `Value`s.
+fn int_cmp(op: BinOp, l: i64, r: i64) -> bool {
+    match op {
+        BinOp::Eq => l == r,
+        BinOp::Ne => l != r,
+        BinOp::Lt => l < r,
+        BinOp::Le => l <= r,
+        BinOp::Gt => l > r,
+        BinOp::Ge => l >= r,
+        _ => unreachable!("comparison op"),
+    }
+}

@@ -284,6 +284,58 @@ fn deadline_and_budget_limits_surface_as_resource_failures() {
     }
 }
 
+/// Skew: one block holds every row, so its pair enumeration is quadratic
+/// in the table. The sweep charges a block its `|A|·|B|` before it
+/// enumerates, so a budget a tenth of that stops the operator up front —
+/// for DEDUP and for a blocked DC, fused profile or not.
+#[test]
+fn a_quadratic_block_trips_the_work_budget_before_it_is_enumerated() {
+    const MEMBERS: usize = 3_000;
+    let one_block = || {
+        let mut table = customer_table(MEMBERS);
+        for row in &mut table.rows {
+            let mut values = row.values().to_vec();
+            values[1] = Value::str(ADDRS[0]);
+            *row = Row::new(values);
+        }
+        table
+    };
+    for profile in [EngineProfile::clean_db(), EngineProfile::spark_sql_like()] {
+        for (sql, op) in [
+            (
+                "SELECT * FROM customer c FD(c.address, c.nationkey) \
+                 DEDUP(exact, LD, 0.7, c.address, c.name)",
+                "DEDUP#1",
+            ),
+            (
+                "SELECT * FROM customer c FD(c.address, c.nationkey) \
+                 DC(t1.address = t2.address AND t1.nationkey > t2.nationkey + 3)",
+                "DC#1",
+            ),
+        ] {
+            let mut db = CleanDb::new(profile.clone());
+            db.register("customer", one_block());
+            let limits = RunLimits {
+                max_work: Some(1_000_000),
+                ..RunLimits::default()
+            };
+            let report = db.run_with_limits(sql, limits).unwrap();
+            let fail = report
+                .failure
+                .unwrap_or_else(|| panic!("{}: {op} ran 9 M pairs on a 1 M budget", profile.name));
+            assert_eq!(fail.kind, "budget_exceeded", "{}", fail.error);
+            assert!(fail.resource_limit);
+            assert_eq!(fail.failed_op.as_deref(), Some(op));
+            assert_eq!((fail.ops_completed, report.ops.len()), (1, 1));
+            assert!(
+                fail.error.contains(&(MEMBERS * MEMBERS).to_string()),
+                "the block's whole pair count is what was asked for: {}",
+                fail.error
+            );
+        }
+    }
+}
+
 #[test]
 fn apply_repairs_is_all_or_nothing_under_mid_apply_faults() {
     let fix_for = |table: &str| Fix {

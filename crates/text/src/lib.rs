@@ -5,8 +5,14 @@
 //! carve strings into tokens for blocking. This crate implements both from
 //! scratch:
 //!
-//! * [`levenshtein`] / [`levenshtein_bounded`] — edit distance (the paper's
-//!   `LD` metric) with an early-exit banded variant.
+//! * [`levenshtein`] / [`levenshtein_similarity`] — edit distance (the
+//!   paper's `LD` metric) as the plain two-row DP: the oracle.
+//! * [`levenshtein_bounded`] — "is the distance at most `max`?", allocation-
+//!   free: a length filter, then Myers' bit-vector kernel for ASCII
+//!   patterns of up to 64 characters or Ukkonen's banded DP for the rest.
+//! * [`Matcher`] — a metric and threshold with one side prepared once
+//!   ([`Metric::matcher`]), for loops that test one string against many;
+//!   [`Metric::similar`] is its one-shot form.
 //! * [`jaccard_qgrams`] / [`jaccard_words`] — Jaccard set similarity.
 //! * [`jaro`] / [`jaro_winkler`] — transposition-tolerant similarity.
 //! * [`Metric`] — the runtime-selected metric enum used by CleanM's
@@ -21,7 +27,7 @@ mod sample;
 mod sim;
 mod tokenize;
 
-pub use metric::Metric;
+pub use metric::{Matcher, Metric};
 pub use sample::{fixed_step_sample, reservoir_sample};
 pub use sim::{
     jaccard_qgrams, jaccard_words, jaro, jaro_winkler, levenshtein, levenshtein_bounded,

@@ -32,39 +32,185 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
     prev[short.len()]
 }
 
-/// Levenshtein distance with an upper bound: returns `None` as soon as the
-/// distance provably exceeds `max`. This is the hot path of similarity
-/// joins — most candidate pairs are dissimilar and abort after a few rows.
-pub fn levenshtein_bounded(a: &str, b: &str, max: usize) -> Option<usize> {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let (short, long) = if a.len() <= b.len() {
-        (&a, &b)
+/// Distance values at or above this stand for "outside the band": large
+/// enough to lose every `min`, small enough that `+ 1` cannot overflow.
+const OUT_OF_BAND: usize = usize::MAX / 2;
+
+/// One side of a bounded Levenshtein comparison, prepared once and matched
+/// against many texts — the shape of a similarity join's inner loop, where
+/// one block member meets every other. Preparing builds the per-character
+/// match masks of the bit-vector kernel (or decodes the pattern for the
+/// banded one) a single time; [`LdPattern::distance_within`] then allocates
+/// nothing once its scratch has grown to the longest text seen.
+///
+/// Two exact kernels sit behind it, chosen from the pattern alone:
+///
+/// * an ASCII pattern of at most 64 characters — Myers' bit-vector
+///   algorithm in Hyyrö's formulation: one machine word holds a whole DP
+///   column as vertical deltas, so a text character costs a dozen word
+///   operations whatever the pattern length (a non-ASCII text character
+///   simply matches no pattern position);
+/// * any other pattern (non-ASCII, or longer) — Ukkonen's banded two-row DP
+///   over `char`s, which fills only the `2·max + 1` diagonals a distance
+///   within `max` can touch.
+pub(crate) struct LdPattern {
+    /// `peq[c]` has bit `i` set iff pattern byte `i` is `c` (bit-vector
+    /// kernel; all zero unless `bitvec`).
+    peq: [u64; 128],
+    /// The pattern is ASCII and 1..=64 characters: the masks are valid.
+    bitvec: bool,
+    /// Pattern length in characters.
+    len: usize,
+    /// The decoded pattern (banded kernel; empty while `bitvec`).
+    chars: Vec<char>,
+    /// Scratch of the banded kernel: the decoded text and two DP rows.
+    text: Vec<char>,
+    prev: Vec<usize>,
+    cur: Vec<usize>,
+}
+
+impl LdPattern {
+    /// Prepare `pattern`.
+    pub(crate) fn new(pattern: &str) -> LdPattern {
+        let mut p = LdPattern {
+            peq: [0; 128],
+            bitvec: false,
+            len: 0,
+            chars: Vec::new(),
+            text: Vec::new(),
+            prev: Vec::new(),
+            cur: Vec::new(),
+        };
+        p.set(pattern);
+        p
+    }
+
+    /// Re-prepare for another pattern, keeping the scratch allocations.
+    pub(crate) fn set(&mut self, pattern: &str) {
+        if self.bitvec {
+            self.peq = [0; 128];
+        }
+        self.chars.clear();
+        self.bitvec = pattern.is_ascii() && (1..=64).contains(&pattern.len());
+        if self.bitvec {
+            self.len = pattern.len();
+            for (i, b) in pattern.bytes().enumerate() {
+                self.peq[b as usize] |= 1 << i;
+            }
+        } else {
+            self.chars.extend(pattern.chars());
+            self.len = self.chars.len();
+        }
+    }
+
+    /// Pattern length in characters.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The edit distance between the pattern and `text` when it is at most
+    /// `max`, `None` as soon as it provably is not. A length gap above
+    /// `max` rejects before either kernel runs.
+    pub(crate) fn distance_within(&mut self, text: &str, max: usize) -> Option<usize> {
+        let ascii = text.is_ascii();
+        let n = char_len(text);
+        if self.len.abs_diff(n) > max {
+            return None;
+        }
+        if !self.bitvec {
+            self.text.clear();
+            self.text.extend(text.chars());
+            return banded(&self.chars, &self.text, max, &mut self.prev, &mut self.cur);
+        }
+        let peq = &self.peq;
+        if ascii {
+            let eqs = text.bytes().map(|b| peq[b as usize]);
+            bit_vector(self.len, n, eqs, max)
+        } else {
+            let eqs = text.chars().map(|c| peq.get(c as usize).map_or(0, |m| *m));
+            bit_vector(self.len, n, eqs, max)
+        }
+    }
+}
+
+/// Length in characters; ASCII text skips the decode.
+pub(crate) fn char_len(s: &str) -> usize {
+    if s.is_ascii() {
+        s.len()
     } else {
-        (&b, &a)
-    };
-    if long.len() - short.len() > max {
-        return None;
+        s.chars().count()
     }
-    if short.is_empty() {
-        return (long.len() <= max).then_some(long.len());
+}
+
+/// Myers / Hyyrö over a pattern of `m` (1..=64) characters and a text of
+/// `n`, given per text character as the mask of pattern positions it
+/// matches. `vp`/`vn` are the +1/−1 vertical deltas of the current DP
+/// column, bit `i` for pattern row `i`; `score` tracks the bottom cell,
+/// which can fall by at most one per remaining text character — that
+/// bounds the final distance from below.
+fn bit_vector(m: usize, n: usize, eqs: impl Iterator<Item = u64>, max: usize) -> Option<usize> {
+    let last = 1u64 << (m - 1);
+    let (mut vp, mut vn) = (!0u64, 0u64);
+    let mut score = m;
+    for (seen, eq) in eqs.enumerate() {
+        let d0 = (((eq & vp).wrapping_add(vp)) ^ vp) | eq | vn;
+        let hp = vn | !(d0 | vp);
+        let hn = d0 & vp;
+        score += usize::from(hp & last != 0);
+        score -= usize::from(hn & last != 0);
+        if score > max.saturating_add(n - seen - 1) {
+            return None;
+        }
+        let hp = (hp << 1) | 1;
+        vp = (hn << 1) | !(d0 | hp);
+        vn = hp & d0;
     }
-    let mut prev: Vec<usize> = (0..=short.len()).collect();
-    let mut cur = vec![0usize; short.len() + 1];
-    for (i, &lc) in long.iter().enumerate() {
-        cur[0] = i + 1;
-        let mut row_min = cur[0];
-        for (j, &sc) in short.iter().enumerate() {
-            let cost = usize::from(lc != sc);
-            cur[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1);
-            row_min = row_min.min(cur[j + 1]);
+    (score <= max).then_some(score)
+}
+
+/// Ukkonen's cut-off: row `i` (one per text character) fills only columns
+/// `i - max ..= i + max`; cells outside the band read as [`OUT_OF_BAND`] —
+/// to the right because the band only ever moves right over rows
+/// initialised to it, to the left because each row writes its own boundary
+/// cell. A row whose minimum exceeds `max` ends the comparison. Callers
+/// have checked `|p| - |t|` against `max`.
+fn banded(
+    p: &[char],
+    t: &[char],
+    max: usize,
+    prev: &mut Vec<usize>,
+    cur: &mut Vec<usize>,
+) -> Option<usize> {
+    let m = p.len();
+    debug_assert!(m.abs_diff(t.len()) <= max, "length gap checked by caller");
+    prev.clear();
+    prev.extend((0..=m).map(|j| if j <= max { j } else { OUT_OF_BAND }));
+    cur.clear();
+    cur.resize(m + 1, OUT_OF_BAND);
+    for (i, &tc) in t.iter().enumerate() {
+        let i = i + 1;
+        let lo = i.saturating_sub(max).max(1);
+        let hi = i.saturating_add(max).min(m);
+        cur[lo - 1] = if lo == 1 { i } else { OUT_OF_BAND };
+        let mut row_min = cur[lo - 1];
+        for j in lo..=hi {
+            let sub = prev[j - 1] + usize::from(p[j - 1] != tc);
+            cur[j] = sub.min(prev[j] + 1).min(cur[j - 1] + 1);
+            row_min = row_min.min(cur[j]);
         }
         if row_min > max {
             return None;
         }
-        std::mem::swap(&mut prev, &mut cur);
+        std::mem::swap(prev, cur);
     }
-    (prev[short.len()] <= max).then_some(prev[short.len()])
+    (prev[m] <= max).then_some(prev[m])
+}
+
+/// Levenshtein distance with an upper bound: `None` as soon as the distance
+/// provably exceeds `max`. The one-shot form of the prepared pattern behind
+/// [`crate::Matcher`] — loops that hold one side fixed prepare it once.
+pub fn levenshtein_bounded(a: &str, b: &str, max: usize) -> Option<usize> {
+    LdPattern::new(a).distance_within(b, max)
 }
 
 /// Normalized Levenshtein similarity: `1 - dist / max(|a|, |b|)`.
@@ -189,15 +335,48 @@ mod tests {
         assert_eq!(levenshtein("日本語", "日本"), 1);
     }
 
+    /// Pairs on both sides of the kernel choice: ASCII patterns of 63, 64
+    /// (bit-vector) and 65 characters (banded), non-ASCII patterns, and
+    /// non-ASCII text against an ASCII pattern.
+    fn kernel_pairs() -> Vec<(String, String)> {
+        let mut pairs: Vec<(String, String)> = [
+            ("kitten", "sitting"),
+            ("abc", "abd"),
+            ("x", "yyyy"),
+            ("", ""),
+            ("", "ab"),
+            ("café", "cafe"),
+            ("cafe", "café"),
+            ("日本語", "日本"),
+            ("e\u{301}cole", "école"),
+        ]
+        .into_iter()
+        .map(|(a, b)| (a.to_string(), b.to_string()))
+        .collect();
+        for len in [63usize, 64, 65, 130] {
+            let a: String = "abcdefg".chars().cycle().take(len).collect();
+            let mut b = a.replacen("cd", "dc", 2);
+            b.insert(len / 2, 'x');
+            pairs.push((a.clone(), a.clone()));
+            pairs.push((a.clone(), b.clone()));
+            pairs.push((b, a.chars().rev().collect()));
+            pairs.push((a.clone(), a.replace('c', "ß")));
+        }
+        pairs
+    }
+
     #[test]
     fn bounded_matches_exact_within_bound() {
-        let pairs = [("kitten", "sitting"), ("abc", "abd"), ("x", "yyyy")];
-        for (a, b) in pairs {
-            let d = levenshtein(a, b);
-            assert_eq!(levenshtein_bounded(a, b, d), Some(d));
-            assert_eq!(levenshtein_bounded(a, b, d + 2), Some(d));
-            if d > 0 {
-                assert_eq!(levenshtein_bounded(a, b, d - 1), None);
+        for (a, b) in kernel_pairs() {
+            let d = levenshtein(&a, &b);
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                assert_eq!(levenshtein_bounded(x, y, d), Some(d), "{x} {y}");
+                assert_eq!(levenshtein_bounded(x, y, d + 2), Some(d), "{x} {y}");
+                assert_eq!(levenshtein_bounded(x, y, usize::MAX), Some(d), "{x} {y}");
+                if d > 0 {
+                    assert_eq!(levenshtein_bounded(x, y, d - 1), None, "{x} {y}");
+                    assert_eq!(levenshtein_bounded(x, y, 0), None, "{x} {y}");
+                }
             }
         }
     }
@@ -205,6 +384,25 @@ mod tests {
     #[test]
     fn bounded_early_exit_on_length_gap() {
         assert_eq!(levenshtein_bounded("a", "abcdefgh", 3), None);
+        assert_eq!(levenshtein_bounded("日本語日本語", "日", 3), None);
+    }
+
+    #[test]
+    fn a_reprepared_pattern_answers_as_a_fresh_one() {
+        let pairs = kernel_pairs();
+        let mut reused = LdPattern::new("");
+        for (a, _) in &pairs {
+            reused.set(a);
+            for (_, b) in &pairs {
+                for max in [0, 1, 3, 200] {
+                    assert_eq!(
+                        reused.distance_within(b, max),
+                        LdPattern::new(a).distance_within(b, max),
+                        "{a} {b} {max}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -301,6 +301,136 @@ proptest! {
     }
 }
 
+/// Rows with a list column `xs` (sometimes NULL, sometimes empty) and a
+/// list-of-records column `ys` whose records hold lists themselves.
+fn nested_table() -> BoxedStrategy<Vec<Value>> {
+    let ints = || proptest::collection::vec(-2i64..4, 0..4);
+    let xs = prop_oneof![
+        Just(Value::Null),
+        ints().prop_map(|v| Value::list(v.into_iter().map(Value::Int))),
+    ];
+    let ys = proptest::collection::vec(ints(), 0..3).prop_map(|ys| {
+        Value::list(
+            ys.into_iter()
+                .map(|zs| Value::record([("zs", Value::list(zs.into_iter().map(Value::Int)))])),
+        )
+    });
+    proptest::collection::vec((xs, ys, 0i64..4), 0..10)
+        .prop_map(|rows| {
+            rows.into_iter()
+                .map(|(xs, ys, k)| Value::record([("k", Value::Int(k)), ("xs", xs), ("ys", ys)]))
+                .collect()
+        })
+        .boxed()
+}
+
+fn unnest(input: Arc<Alg>, path: CalcExpr, var: &str) -> Arc<Alg> {
+    Arc::new(Alg::Unnest {
+        input,
+        path,
+        var: var.into(),
+    })
+}
+
+/// Run `plan` profiled under `profile`: its sorted output and whether a
+/// node of the profile tree is the fused pair node.
+fn run_profiled(
+    plan: &Arc<Alg>,
+    tables: &HashMap<String, StoredTable>,
+    profile: EngineProfile,
+    workers: usize,
+) -> (Vec<Value>, bool) {
+    fn fused(node: &cleanm::core::ProfileNode) -> bool {
+        node.flags.iter().any(|f| f == "fused-pairs") || node.children.iter().any(fused)
+    }
+    let ctx = ExecContext::new(workers, 2 * workers);
+    let mut ex = Executor::new(ctx, profile, tables, Arc::new(EvalCtx::new()));
+    ex.register_plans(std::slice::from_ref(plan));
+    ex.set_profiling(true);
+    let mut out = ex.run_reduce(plan).expect("plan executes");
+    out.sort();
+    (out, fused(&ex.take_profile_root().expect("profiled")))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Two Unnests under a Reduce. Independent paths run as the fused pair
+    /// sweep; a second path that reads the first variable cannot, and keeps
+    /// the node-at-a-time route. Either way the output is the nested loop
+    /// the plan stands for, under every profile.
+    #[test]
+    fn double_unnest_matches_the_nested_loop(rows in nested_table()) {
+        let col = |var: &str, f: &str| CalcExpr::proj(CalcExpr::var(var), f);
+        let ints = |v: &Value, f: &str| -> Vec<i64> {
+            match v.field(f).unwrap() {
+                Value::List(items) => items.iter().map(|i| i.as_int().unwrap()).collect(),
+                _ => Vec::new(),
+            }
+        };
+        let tables = catalog(rows.clone());
+
+        // bag{ {a, b} | c <- t, c.k < 2, a <- c.xs, b <- c.xs, a < b }
+        let small_k = CalcExpr::bin(BinOp::Lt, col("c", "k"), CalcExpr::int(2));
+        let pairs = Arc::new(Alg::Reduce {
+            input: select_chain(
+                unnest(
+                    unnest(select_chain(scan("c"), &[small_k]), col("c", "xs"), "a"),
+                    col("c", "xs"),
+                    "b",
+                ),
+                &[CalcExpr::bin(BinOp::Lt, CalcExpr::var("a"), CalcExpr::var("b"))],
+            ),
+            monoid: MonoidKind::Bag,
+            head: CalcExpr::record(vec![("a", CalcExpr::var("a")), ("b", CalcExpr::var("b"))]),
+        });
+        let mut expected_pairs = Vec::new();
+        for r in rows.iter().filter(|r| r.field("k").unwrap() < &Value::Int(2)) {
+            let xs = ints(r, "xs");
+            for &a in &xs {
+                for &b in xs.iter().filter(|&&b| a < b) {
+                    expected_pairs.push(Value::record([("a", Value::Int(a)), ("b", Value::Int(b))]));
+                }
+            }
+        }
+        expected_pairs.sort();
+
+        // bag{ z | c <- t, y <- c.ys, z <- y.zs, z > 0 }
+        let nested = Arc::new(Alg::Reduce {
+            input: select_chain(
+                unnest(unnest(scan("c"), col("c", "ys"), "y"), col("y", "zs"), "z"),
+                &[CalcExpr::bin(BinOp::Gt, CalcExpr::var("z"), CalcExpr::int(0))],
+            ),
+            monoid: MonoidKind::Bag,
+            head: CalcExpr::var("z"),
+        });
+        let mut expected_nested: Vec<Value> = rows
+            .iter()
+            .flat_map(|r| r.field("ys").unwrap().as_list().unwrap().to_vec())
+            .flat_map(|y| ints(&y, "zs"))
+            .filter(|&z| z > 0)
+            .map(Value::Int)
+            .collect();
+        expected_nested.sort();
+
+        for profile in [
+            EngineProfile::clean_db(),
+            EngineProfile::spark_sql_like(),
+            EngineProfile::big_dansing_like(),
+            EngineProfile::adaptive(),
+        ] {
+            for workers in [1, 2] {
+                let (out, fused) = run_profiled(&pairs, &tables, profile.clone(), workers);
+                prop_assert!(fused, "{}: independent paths must fuse", profile.name);
+                prop_assert_eq!(&out, &expected_pairs, "{}", profile.name);
+                let (out, fused) = run_profiled(&nested, &tables, profile.clone(), workers);
+                prop_assert!(!fused, "{}: a dependent path cannot fuse", profile.name);
+                prop_assert_eq!(&out, &expected_nested, "{}", profile.name);
+            }
+        }
+    }
+}
+
 /// End-to-end differential check through the full session (parse → plan →
 /// execute): WHERE + FD under the fusing profile matches the unfused twin.
 #[test]
