@@ -1200,25 +1200,26 @@ impl ColumnarRow {
     }
 }
 
-/// Measure the columnar kernels against the compiled row loops they
-/// replace, on the four hot operator shapes — the filter predicate
-/// ([`kernel::PredKernel`] refining a selection vector), the composite
-/// grouping key ([`kernel::GroupKeyKernel`] hashing raw cells), the
-/// string-builtin transform ([`kernel::MapKernel`] producing output
-/// columns), and the theta-pair predicate — over the same customer rows
-/// and the very same compiled [`Program`]s. Both engines see prebuilt
-/// inputs (envs for the row loop, `ColumnBatch`es for the kernels — the
-/// scan produces both for free); outputs are cross-checked outside the
-/// timed region. Five interleaved passes per engine, best pass counts.
+/// Measure the columnar kernels the executor calls against the compiled
+/// row loops they replace, on three hot operator shapes — the filter
+/// predicate ([`kernel::PredKernel`] refining a selection vector), the
+/// composite grouping key ([`kernel::Groups::assign`] over a
+/// [`kernel::ColumnProgram`]: key cells hashed into dense group ids, one
+/// key `Value` per group — the sweep the columnar group fold runs per
+/// chunk), and the theta-pair predicate — over the same customer rows and
+/// the very same compiled [`Program`]s. Both engines see prebuilt inputs
+/// (envs for the row loop, `ColumnBatch`es for the kernels — the scan
+/// produces both for free); outputs are cross-checked outside the timed
+/// region. Five interleaved passes per engine, best pass counts.
 ///
 /// [`kernel::PredKernel`]: cleanm_core::physical::kernel::PredKernel
-/// [`kernel::GroupKeyKernel`]: cleanm_core::physical::kernel::GroupKeyKernel
-/// [`kernel::MapKernel`]: cleanm_core::physical::kernel::MapKernel
+/// [`kernel::Groups::assign`]: cleanm_core::physical::kernel::Groups::assign
+/// [`kernel::ColumnProgram`]: cleanm_core::physical::kernel::ColumnProgram
 /// [`Program`]: cleanm_core::calculus::Program
 pub fn columnar_eval(scale: Scale) -> Vec<ColumnarRow> {
     use cleanm_core::calculus::eval::EvalCtx;
     use cleanm_core::calculus::Program;
-    use cleanm_core::physical::kernel::{GroupKeyKernel, MapKernel, PredKernel};
+    use cleanm_core::physical::kernel::{ColumnProgram, Groups, PredKernel};
     use cleanm_values::{sel_all, ColumnBatch, FxHashMap, Value};
 
     type Env = Vec<Value>;
@@ -1284,12 +1285,25 @@ pub fn columnar_eval(scale: Scale) -> Vec<ColumnarRow> {
     }
 
     // group_key: per-row key materialization + hash grouping vs the
-    // raw-cell grouping kernel (one key Value per distinct group), on the
-    // FD grouping key (clustered — many rows per group).
+    // grouping kernel (dense group ids from raw cells, one key Value per
+    // distinct group), on the FD grouping key (clustered — many rows per
+    // group).
     {
         let prog = Program::compile(&bench_fd_key_expr(), &scope, &ctx).expect("compiles");
-        let kernel = GroupKeyKernel::compile(&prog, &batch).expect("tuple key vectorizes");
+        let batches = [std::sync::Arc::new(batch.clone())];
+        let key = ColumnProgram::lower(&prog, &batches).expect("tuple key lowers to columns");
         let sel = sel_all(n);
+        // `(key, count)` per group, as the fold's finish would read them.
+        let group_counts = || {
+            let (mut groups, mut gids) = (Groups::default(), Vec::new());
+            groups.assign(&key, 0, &sel, &mut gids);
+            let mut counts = vec![0u64; groups.len()];
+            for g in gids {
+                counts[g as usize] += 1;
+            }
+            let keys = (0..groups.len() as u32).map(|g| key.value(groups.rep(g)));
+            keys.zip(counts).collect::<Vec<(Value, u64)>>()
+        };
         let mut scratch = Vec::new();
         let mut want: FxHashMap<Value, u64> = FxHashMap::default();
         for env in &envs {
@@ -1297,7 +1311,7 @@ pub fn columnar_eval(scale: Scale) -> Vec<ColumnarRow> {
                 .entry(prog.eval_with(env, &ctx, &mut scratch).unwrap())
                 .or_insert(0) += 1;
         }
-        for (k, c) in kernel.group_counts(&batch, &sel).unwrap() {
+        for (k, c) in group_counts() {
             assert_eq!(want.get(&k), Some(&c), "group kernel drifted on {k}");
         }
         push(
@@ -1312,35 +1326,7 @@ pub fn columnar_eval(scale: Scale) -> Vec<ColumnarRow> {
                 }
                 groups.len()
             },
-            &mut || kernel.group_counts(&batch, &sel).unwrap().len(),
-        );
-    }
-
-    // transform: per-row record materialization vs output-column builtins.
-    {
-        let prog = Program::compile(&bench_transform_expr(), &scope, &ctx).expect("compiles");
-        let kernel = MapKernel::compile(&prog, &batch).expect("builtin transform vectorizes");
-        let sel = sel_all(n);
-        let mut scratch = Vec::new();
-        let applied = kernel.apply(&batch, &sel).unwrap();
-        for (i, env) in envs.iter().enumerate().step_by(89) {
-            assert_eq!(
-                applied.row(i),
-                prog.eval_with(env, &ctx, &mut scratch).unwrap(),
-                "transform kernel drifted at row {i}"
-            );
-        }
-        push(
-            "transform",
-            &mut || {
-                let mut scratch = Vec::new();
-                let out: Vec<Value> = envs
-                    .iter()
-                    .map(|env| prog.eval_with(env, &ctx, &mut scratch).unwrap())
-                    .collect();
-                out.len()
-            },
-            &mut || kernel.apply(&batch, &sel).unwrap().len(),
+            &mut || group_counts().len(),
         );
     }
 

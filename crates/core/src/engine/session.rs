@@ -1121,12 +1121,12 @@ fn rows_to_structs(table: &Table, start_id: i64) -> Vec<Value> {
         .iter()
         .enumerate()
         .map(|(i, row)| {
-            let mut fields: Vec<(Arc<str>, Value)> = Vec::with_capacity(names.len());
-            fields.push((Arc::clone(&names[0]), Value::Int(start_id + i as i64)));
-            for (n, v) in names[1..].iter().zip(row.values()) {
-                fields.push((Arc::clone(n), v.clone()));
-            }
-            Value::Struct(fields.into())
+            // An exact-size chain collects straight into the shared slice:
+            // one allocation per row, not a `Vec` and then its copy.
+            let id = (Arc::clone(&names[0]), Value::Int(start_id + i as i64));
+            let cells = names[1..].iter().zip(row.values());
+            let fields = std::iter::once(id).chain(cells.map(|(n, v)| (Arc::clone(n), v.clone())));
+            Value::Struct(fields.collect())
         })
         .collect()
 }

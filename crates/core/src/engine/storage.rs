@@ -18,7 +18,7 @@
 //!   which is how incremental state (stats, standing queries) tells "new
 //!   rows arrived" from "the table was replaced".
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use cleanm_values::{ColumnBatch, FxHashMap, Value};
 
@@ -36,7 +36,15 @@ pub struct StoredTable {
     /// stable across appends (appends only push), so entries never go
     /// stale; registration via [`StoredTable::set_columnar`] pre-seeds an
     /// entry when the ingest path already decoded column-first.
-    columnar: Mutex<FxHashMap<usize, Option<Arc<ColumnBatch>>>>,
+    columnar: Mutex<FxHashMap<usize, Option<Pivot>>>,
+}
+
+/// One batch's cached pivot: every column, or only the columns some
+/// operator has asked for so far ([`StoredTable::columnar_columns`]).
+#[derive(Debug, Clone)]
+struct Pivot {
+    batch: Arc<ColumnBatch>,
+    full: bool,
 }
 
 impl StoredTable {
@@ -74,16 +82,68 @@ impl StoredTable {
     /// pivot runs outside the lock, so concurrent first requests may race
     /// to build but settle on one cached value.
     pub fn columnar_batch(&self, idx: usize) -> Option<Arc<ColumnBatch>> {
-        if let Some(cached) = self.columnar.lock().unwrap().get(&idx) {
-            return cached.clone();
+        match self.pivots().get(&idx) {
+            Some(None) => return None,
+            Some(Some(p)) if p.full => return Some(Arc::clone(&p.batch)),
+            _ => {}
         }
-        let built = ColumnBatch::from_rows(self.batches.get(idx)?).map(Arc::new);
-        self.columnar
-            .lock()
-            .unwrap()
-            .entry(idx)
-            .or_insert(built)
-            .clone()
+        let batch = ColumnBatch::from_rows(self.batches.get(idx)?).map(Arc::new);
+        self.cache_pivot(idx, batch, true)
+    }
+
+    /// The columns `fields` of batch `idx` as a batch — the projected
+    /// pivot: an operator that reads three columns of a sixteen-column
+    /// table pays for three on a fresh session. A cached pivot that covers
+    /// `fields` is returned as is (so the result may hold more columns);
+    /// otherwise the named columns are pivoted beside the ones already
+    /// cached. `None` when the rows do not columnarize (cached) or a name
+    /// is not a field of the rows (not cached: the row path reports it).
+    pub fn columnar_columns(&self, idx: usize, fields: &[&str]) -> Option<Arc<ColumnBatch>> {
+        let covers = |b: &ColumnBatch| fields.iter().all(|f| b.column_index(f).is_some());
+        let mut wanted: Vec<&str> = fields.to_vec();
+        let held = match self.pivots().get(&idx) {
+            Some(None) => return None,
+            Some(Some(p)) if p.full || covers(&p.batch) => {
+                return covers(&p.batch).then(|| Arc::clone(&p.batch))
+            }
+            Some(Some(p)) => Some(Arc::clone(&p.batch)),
+            None => None,
+        };
+        let rows = self.batches.get(idx)?;
+        let template = rows.first()?.as_struct().ok()?;
+        if !fields
+            .iter()
+            .all(|f| template.iter().any(|(n, _)| n.as_ref() == *f))
+        {
+            return None;
+        }
+        if let Some(held) = &held {
+            wanted.extend(held.names().iter().map(|n| n.as_ref()));
+        }
+        let batch = ColumnBatch::project_rows(rows, &wanted).map(Arc::new);
+        self.cache_pivot(idx, batch, false)
+    }
+
+    /// The pivot cache. Every update is a single insert of a finished
+    /// value, so the map stays valid even if a holder panicked.
+    fn pivots(&self) -> MutexGuard<'_, FxHashMap<usize, Option<Pivot>>> {
+        self.columnar.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Cache a freshly built pivot of batch `idx` — unless a racing request
+    /// already cached the full one — and return the cached batch.
+    fn cache_pivot(
+        &self,
+        idx: usize,
+        batch: Option<Arc<ColumnBatch>>,
+        full: bool,
+    ) -> Option<Arc<ColumnBatch>> {
+        let mut cache = self.pivots();
+        if !matches!(cache.get(&idx), Some(Some(held)) if held.full) {
+            cache.insert(idx, batch.map(|batch| Pivot { batch, full }));
+        }
+        let held = cache.get(&idx)?.as_ref()?;
+        Some(Arc::clone(&held.batch))
     }
 
     /// Seed the columnar cache for batch `idx` with an already-decoded
@@ -95,7 +155,8 @@ impl StoredTable {
             .get(idx)
             .is_some_and(|b| b.len() == batch.len())
         {
-            self.columnar.lock().unwrap().insert(idx, Some(batch));
+            let pivot = Pivot { batch, full: true };
+            self.pivots().insert(idx, Some(pivot));
         }
     }
 
@@ -155,6 +216,34 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.epoch(), 4);
         assert_eq!(t.created(), 3, "appends keep the lineage");
+    }
+
+    #[test]
+    fn projected_pivot_widens_and_yields_to_the_full_one() {
+        let wide = |id: i64| {
+            Value::record([
+                ("__rowid", Value::Int(id)),
+                ("a", Value::Int(id * 2)),
+                ("b", Value::str("x")),
+            ])
+        };
+        let t = StoredTable::from_rows(vec![wide(0), wide(1)]);
+        let a = t.columnar_columns(0, &["a"]).unwrap();
+        assert_eq!(a.names().len(), 1, "only the requested column is pivoted");
+        assert!(Arc::ptr_eq(&a, &t.columnar_columns(0, &["a"]).unwrap()));
+        // A second operator's columns join the cached ones.
+        let ab = t.columnar_columns(0, &["b"]).unwrap();
+        assert!(ab.column_index("a").is_some() && ab.column_index("b").is_some());
+        // A name the rows do not have is the row path's error to report.
+        assert!(t.columnar_columns(0, &["zz"]).is_none());
+        // The full pivot replaces the projection and serves it afterwards.
+        let full = t.columnar_batch(0).unwrap();
+        assert_eq!(full.names().len(), 3);
+        assert!(Arc::ptr_eq(&full, &t.columnar_columns(0, &["a"]).unwrap()));
+        // Rows that do not columnarize are remembered as such.
+        let ragged = StoredTable::from_rows(vec![wide(0), Value::Int(3)]);
+        assert!(ragged.columnar_columns(0, &["a"]).is_none());
+        assert!(ragged.columnar_batch(0).is_none());
     }
 
     #[test]

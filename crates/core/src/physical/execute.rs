@@ -30,18 +30,20 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use cleanm_exec::{
-    merge_tree, produce_partitions, theta, Dataset, ExecContext, ExecError, ExecResult,
+    merge_tree, produce_partials, produce_partitions, theta, Dataset, ExecContext, ExecError,
+    ExecResult, FaultSite,
 };
 use cleanm_values::{ColumnBatch, FxHashMap, FxHashSet, Value};
 
 use crate::algebra::cardinality::{self, StatsCatalog};
 use crate::algebra::plan::{theta_widen, Alg};
 use crate::calculus::eval::{merge_values, truthy, EvalCtx};
-use crate::calculus::{CalcExpr, Func, MonoidKind};
+use crate::calculus::subst::free_vars;
+use crate::calculus::{CalcExpr, Func, MonoidKind, Program};
 use crate::engine::storage::StoredTable;
 
-use super::groupfold::{self, AggFoldShape, GroupAcc};
-use super::kernel::PredKernel;
+use super::groupfold::{self, AggFoldShape, ColumnarFold, GroupAcc, Span, KEY_SLOT_VAR};
+use super::kernel::{PredKernel, RowRef};
 use super::pairs::{self, PairShape, PairSweep};
 use super::profile::{nest_stage_labels, EngineProfile, NestStrategy, ThetaStrategy};
 use super::program::{env_layout, ProgramCache, RowEnv, RowExpr};
@@ -460,58 +462,23 @@ impl<'a> Executor<'a> {
             return Ok(None);
         };
 
-        // Columnarize every batch and lower the predicate against each
-        // batch's concrete schema (appends may differ in column order).
-        // Columnarization runs on the driver, so it gets its own panic
-        // guard and fault/interrupt checks per batch (the chaos suite's
-        // `columnarize` and `kernel_entry` sites).
-        let nbatches = stored.batches().len();
-        let built = self.ctx.catch_driver("storage batch columnarization", || {
-            let mut cols: Vec<Arc<ColumnBatch>> = Vec::with_capacity(nbatches);
-            let mut kernels: Vec<Option<PredKernel>> = Vec::with_capacity(nbatches);
-            for idx in 0..nbatches {
-                self.ctx.check_interrupt("columnarize")?;
-                self.ctx
-                    .fault_point(cleanm_exec::FaultSite::Columnarize, idx as u64, 0)?;
-                let Some(cb) = stored.columnar_batch(idx) else {
-                    return Ok(None);
-                };
-                self.ctx
-                    .fault_point(cleanm_exec::FaultSite::KernelEntry, idx as u64, 0)?;
-                kernels.push(PredKernel::compile(program, &[&cb]));
-                cols.push(cb);
-            }
-            Ok(Some((cols, kernels)))
-        })?;
-        let Some((cols, kernels)) = built else {
-            return Ok(None);
-        };
-        let Some(kernels) = kernels.into_iter().collect::<Option<Vec<PredKernel>>>() else {
+        // Lower the predicate against each batch's concrete schema
+        // (appends may differ in column order).
+        let lowered = self.lower_on_columns(
+            stored,
+            |idx| stored.columnar_batch(idx),
+            |cols| {
+                let kernels = cols.iter().map(|cb| PredKernel::compile(program, &[&**cb]));
+                Some((cols.to_vec(), kernels.collect::<Option<Vec<_>>>()?))
+            },
+        )?;
+        let Some(((cols, kernels), rows)) = lowered else {
             return Ok(None);
         };
 
-        // Replicate the row path's partition layout: the concatenated
-        // stream split into contiguous chunks of `total.div_ceil(p)`.
         let total = stored.len();
-        let p = self.ctx.default_partitions();
-        let chunk = total.div_ceil(p).max(1);
-        let mut tasks: Vec<Vec<(usize, u32, u32)>> = Vec::with_capacity(p);
-        for k in 0..total.div_ceil(chunk) {
-            let (glo, ghi) = (k * chunk, ((k + 1) * chunk).min(total));
-            let mut spans = Vec::new();
-            let mut off = 0usize;
-            for (bi, b) in stored.batches().iter().enumerate() {
-                let (lo, hi) = (glo.max(off), ghi.min(off + b.len()));
-                if lo < hi {
-                    spans.push((bi, (lo - off) as u32, (hi - off) as u32));
-                }
-                off += b.len();
-            }
-            tasks.push(spans);
-        }
-        while tasks.len() < p {
-            tasks.push(Vec::new());
-        }
+        let lens: Vec<usize> = rows.iter().map(|b| b.len()).collect();
+        let tasks = chunk_spans(&lens, self.ctx.default_partitions());
 
         self.vectorized_rows += total as u64;
         if self.profiling {
@@ -520,7 +487,6 @@ impl<'a> Executor<'a> {
         // Survivor rows hold the *stored* row values (cheap Arc
         // clones, the very same values the row path emits); the columns
         // only drive the predicate sweep.
-        let rows: Vec<Arc<Vec<Value>>> = stored.batches().to_vec();
         let out = produce_partitions(&self.ctx, "filter", total as u64, tasks, move |spans| {
             let mut envs: Vec<RowEnv> = Vec::new();
             for (bi, lo, hi) in spans {
@@ -940,7 +906,6 @@ impl<'a> Executor<'a> {
         let pred_similarity = preds.iter().any(|p| expr_has_similarity(p));
         let scope = env_layout(source);
         let pred_rxs = self.compile_preds(&preds, &scope);
-        let (ds, pred_rxs) = self.run_filtered(source, pred_rxs)?;
         let start = Instant::now();
         let key_rx = self.row_expr(key, &scope);
         let slot_rxs: Arc<Vec<Arc<RowExpr>>> = Arc::new(
@@ -959,7 +924,26 @@ impl<'a> Executor<'a> {
         // Below-Nest filters fuse into the fold sweep; the group-level
         // Selects are consumed structurally (their passes never run).
         self.fused_selects += nfused + group_selects;
+        self.book_grouping_phase(pred_similarity, start);
 
+        // The columnar route: the fold reads the stored table's columns
+        // and no row dataset is ever built.
+        let sources = FoldSources {
+            scan: source,
+            preds: &preds,
+            pred_rx: pred_rxs.as_deref(),
+            key,
+            key_rx: &key_rx,
+            item,
+            slot_rxs: &slot_rxs,
+        };
+        if let Some((fold, rows)) = self.lower_columnar_fold(&sources, &shape)? {
+            let finish = (finish_preds, finish_head);
+            return self.exec_columnar_fold(&fold, &rows, key, &shape, finish);
+        }
+
+        let (ds, pred_rxs) = self.run_filtered(source, pred_rxs)?;
+        let start = Instant::now();
         let strategy = self.decide_nest(key, ds.count() as f64);
         self.book_grouping_phase(pred_similarity, start);
         let start = Instant::now();
@@ -1159,6 +1143,270 @@ impl<'a> Executor<'a> {
             .collect();
         self.check_errors()?;
         self.book_grouping_phase(pred_similarity, start);
+        Ok(outputs)
+    }
+
+    /// Pivot the non-empty batches of `stored` (`pivot`, by batch index)
+    /// and hand the columns to `lower` — on the driver, so under its own
+    /// panic guard, with an interrupt check and the `columnarize` /
+    /// `kernel_entry` fault sites per batch (the chaos suite's). Returns
+    /// what `lower` made with the row batches the columns view, in the
+    /// same order; `None` for an empty table, a batch that does not
+    /// columnarize, or when `lower` declines.
+    fn lower_on_columns<T>(
+        &self,
+        stored: &StoredTable,
+        pivot: impl Fn(usize) -> Option<Arc<ColumnBatch>>,
+        lower: impl FnOnce(&[Arc<ColumnBatch>]) -> Option<T>,
+    ) -> ExecResult<Option<(T, RowBatches)>> {
+        self.ctx.catch_driver("storage batch columnarization", || {
+            let (mut cols, mut rows) = (Vec::new(), Vec::new());
+            for (idx, batch) in stored.batches().iter().enumerate() {
+                if batch.is_empty() {
+                    continue;
+                }
+                self.ctx.check_interrupt("columnarize")?;
+                self.ctx
+                    .fault_point(FaultSite::Columnarize, idx as u64, 0)?;
+                let Some(cb) = pivot(idx) else {
+                    return Ok(None);
+                };
+                self.ctx
+                    .fault_point(FaultSite::KernelEntry, idx as u64, 0)?;
+                cols.push(cb);
+                rows.push(Arc::clone(batch));
+            }
+            Ok(if cols.is_empty() { None } else { lower(&cols) }.map(|made| (made, rows)))
+        })
+    }
+
+    /// Try to lower a recognized group fold onto the stored table's
+    /// columns (`physical/groupfold.rs`, [`ColumnarFold`]). Decided once,
+    /// here: `None` — the row driver runs, unchanged — unless the profile
+    /// vectorizes, the source is an unshared `Scan` (the fused `WHERE`
+    /// chain, if any, must lower into a [`PredKernel`] per batch), the
+    /// Nest's recorded decision will be `LocalAggregate`, a group-keeping
+    /// shape's members are the scanned rows themselves, every batch
+    /// columnarizes, and the key and every slot's member program lower to
+    /// column expressions over typed columns.
+    ///
+    /// Only the columns those expressions read are pivoted
+    /// ([`StoredTable::columnar_columns`]), as the vectorized `Select`
+    /// pivots ([`Executor::lower_on_columns`]). In a profile tree the
+    /// pivot is the fold's `Scan` child. Returns the lowered fold and the
+    /// row batches its [`RowRef`]s index (empty batches skipped).
+    ///
+    fn lower_columnar_fold(
+        &mut self,
+        src: &FoldSources<'_>,
+        shape: &AggFoldShape,
+    ) -> ExecResult<Option<(ColumnarFold, RowBatches)>> {
+        let Alg::Scan { table, var } = &**src.scan else {
+            return Ok(None);
+        };
+        let Some(stored) = self.tables.get(table.as_str()) else {
+            return Ok(None);
+        };
+        if !self.profile.vectorize || self.is_shared(src.scan) {
+            return Ok(None);
+        }
+        // An adaptive decision reads the row count entering the Nest,
+        // which a fused filter only knows after the sweep.
+        let local_aggregate = if self.profile.adaptive {
+            src.preds.is_empty()
+                && self.choose_nest(src.key, stored.len() as f64).0 == NestStrategy::LocalAggregate
+        } else {
+            self.profile.nest == NestStrategy::LocalAggregate
+        };
+        let members_are_rows = matches!(src.item, CalcExpr::Var(v) if v == var);
+        if !local_aggregate || (shape.keeps_groups() && !members_are_rows) {
+            return Ok(None);
+        }
+        let slot_programs: Option<Vec<&Program>> =
+            src.slot_rxs.iter().map(|rx| rx.program()).collect();
+        let (Some(key_program), Some(slot_programs)) = (src.key_rx.program(), slot_programs) else {
+            return Ok(None);
+        };
+        let pred_program = match src.pred_rx.map(RowExpr::program) {
+            Some(None) => return Ok(None),
+            lowered => lowered.flatten(),
+        };
+
+        let read = std::iter::once(src.key)
+            .chain(shape.slots.iter().map(|s| &s.row_expr))
+            .chain(src.preds.iter().copied())
+            .flat_map(cardinality::columns_in);
+        let mut fields: Vec<String> = read.filter(|(v, _)| v == var).map(|(_, f)| f).collect();
+        fields.sort_unstable();
+        fields.dedup();
+        let fields: Vec<&str> = fields.iter().map(String::as_str).collect();
+
+        let frame = self.profiling.then(|| self.begin_node());
+        let start = Instant::now();
+        let lowered = self.lower_on_columns(
+            stored,
+            |idx| stored.columnar_columns(idx, &fields),
+            |cols| {
+                let keeps = shape.keeps_groups();
+                ColumnarFold::lower(
+                    cols,
+                    key_program,
+                    &shape.slots,
+                    &slot_programs,
+                    pred_program,
+                    keeps,
+                )
+            },
+        );
+        self.timings.scan += start.elapsed();
+        match (&lowered, frame) {
+            (Ok(Some(_)), Some(frame)) => {
+                let (op, detail) = plan_label(src.scan);
+                self.end_node(frame, op, detail, stored.len() as u64, Vec::new());
+            }
+            (_, Some(_)) => self.abort_node(),
+            (_, None) => {}
+        }
+        lowered
+    }
+
+    /// Run a lowered fold: one `group_fold` / `group_fold_probe` stage
+    /// over the contiguous chunks [`Dataset::from_vec`] would have cut
+    /// (same chunks, same order — so the per-chunk partials and their
+    /// in-order merge associate float sums exactly as the row driver's
+    /// map-side combine does, and a claim is one `PartitionStart` site and
+    /// one interrupt check), the merge by representative row, then the
+    /// finish programs once per group over a reused environment. The key
+    /// `Value` of a group is built only when a finish program reads it or
+    /// the group is output.
+    ///
+    /// Aggregate heads finish on the pool (`group_finish`). A
+    /// group-keeping shape decides the passing groups, then gathers their
+    /// members — the stored row values, by index, in ascending row order —
+    /// in one `group_fold_materialize` stage that sees the violating rows
+    /// alone; with no passing group it does not run.
+    fn exec_columnar_fold(
+        &mut self,
+        fold: &ColumnarFold,
+        rows: &[Arc<Vec<Value>>],
+        key: &CalcExpr,
+        shape: &AggFoldShape,
+        (finish_preds, finish_head): (Vec<Arc<RowExpr>>, Option<Arc<RowExpr>>),
+    ) -> ExecResult<Vec<Value>> {
+        let start = Instant::now();
+        let lens: Vec<usize> = rows.iter().map(|b| b.len()).collect();
+        let total: u64 = lens.iter().map(|&n| n as u64).sum();
+        let strategy = self.decide_nest(key, total as f64);
+        debug_assert_eq!(strategy, NestStrategy::LocalAggregate);
+        self.vectorized_rows += total;
+        let ev = self.eval.clone();
+        let tasks = chunk_spans(&lens, self.ctx.default_partitions());
+        // What travels: one partial table per chunk to the probe's merge;
+        // for aggregates, every per-chunk group partial, as the keyed
+        // shuffle of the row driver would move them.
+        let (label, moved): (_, fn(&[groupfold::ChunkFold]) -> u64) = if shape.keeps_groups() {
+            ("group_fold_probe", |parts| parts.len() as u64)
+        } else {
+            (nest_stage_labels(strategy).1, |parts| {
+                parts.iter().map(|p| p.groups() as u64).sum()
+            })
+        };
+        let partials = produce_partials(&self.ctx, label, total, tasks, moved, |spans| {
+            fold.fold_chunk(&spans, &ev)
+        })?;
+        let folded = self
+            .ctx
+            .catch_driver("group fold merge", || Ok(fold.merge(partials, &ev)))?;
+        self.check_errors()?;
+
+        let groups = folded.groups.len() as u32;
+        let reads_key = |e: &CalcExpr| free_vars(e).contains(KEY_SLOT_VAR);
+        let preds_read_key = shape.preds.iter().any(reads_key);
+        // Fill the finish row of group `g` and test the group predicates.
+        let passes = |g: u32, env: &mut RowEnv| -> bool {
+            if preds_read_key {
+                env[0] = fold.key_value(&folded.groups, g);
+            }
+            for (slot, vals) in env[1..].iter_mut().zip(&folded.finished) {
+                slot.clone_from(&vals[g as usize]);
+            }
+            finish_preds.iter().all(|rx| ev.holds(rx, env))
+        };
+        let width = 1 + folded.finished.len();
+
+        let Some(head_rx) = finish_head else {
+            // ---- Group-keeping (FD): decide, then gather by index ----
+            const NONE: u32 = u32::MAX;
+            let mut out_of = vec![NONE; groups as usize];
+            let passing: Vec<u32> = self.ctx.catch_driver("group fold decide", || {
+                let mut env: RowEnv = vec![Value::Null; width];
+                Ok((0..groups).filter(|&g| passes(g, &mut env)).collect())
+            })?;
+            self.check_errors()?;
+            if passing.is_empty() {
+                self.timings.grouping += start.elapsed();
+                return Ok(Vec::new());
+            }
+            for (out, &g) in passing.iter().enumerate() {
+                out_of[g as usize] = out as u32;
+            }
+            let size = |g: &u32| folded.sizes[*g as usize];
+            let violating: u64 = passing.iter().map(|g| size(g) as u64).sum();
+            let moved: u64 = folded.members.iter().map(|m| m.kept_groups(&out_of)).sum();
+            let gathered = produce_partials(
+                &self.ctx,
+                "group_fold_materialize",
+                violating,
+                folded.members,
+                |_| moved,
+                |chunk| -> Vec<(u32, Value)> {
+                    let member = |at: RowRef| rows[at.batch as usize][at.row as usize].clone();
+                    let picked = chunk.gather(&out_of);
+                    picked.map(|(out, at)| (out, member(at))).collect()
+                },
+            )?;
+            let mut members: Vec<Vec<Value>> = passing
+                .iter()
+                .map(|g| Vec::with_capacity(size(g) as usize))
+                .collect();
+            for (out, row) in gathered.into_iter().flatten() {
+                members[out as usize].push(row);
+            }
+            let keyed = passing.iter().map(|&g| fold.key_value(&folded.groups, g));
+            let outputs = keyed.zip(members).map(group_record).collect();
+            self.timings.grouping += start.elapsed();
+            return Ok(outputs);
+        };
+
+        // ---- Grouped aggregates: finish each group on the pool ----
+        let head_reads_key = shape.head.as_ref().is_some_and(reads_key);
+        let p = self.ctx.default_partitions() as u32;
+        let step = groups.div_ceil(p).max(1);
+        let ranges: Vec<(u32, u32)> = (0..p)
+            .map(|k| ((k * step).min(groups), ((k + 1) * step).min(groups)))
+            .collect();
+        let outputs: Vec<Value> = produce_partitions(
+            &self.ctx,
+            "group_finish",
+            groups as u64,
+            ranges,
+            |(lo, hi)| {
+                let mut env: RowEnv = vec![Value::Null; width];
+                let mut out = Vec::new();
+                for g in lo..hi {
+                    if passes(g, &mut env) {
+                        if head_reads_key && !preds_read_key {
+                            env[0] = fold.key_value(&folded.groups, g);
+                        }
+                        out.extend(ev.eval(&head_rx, &env));
+                    }
+                }
+                out
+            },
+        )?
+        .collect();
+        self.check_errors()?;
+        self.timings.grouping += start.elapsed();
         Ok(outputs)
     }
 
@@ -1731,6 +1979,50 @@ impl<'a> Executor<'a> {
         self.check_errors()?;
         joined.map(|((_, l), (_, r))| concat_rows((l, r)))
     }
+}
+
+/// What a group fold reads, for [`Executor::lower_columnar_fold`]: the
+/// producer beneath the Nest with the `Select` chain peeled off it, and the
+/// Nest's key / item and the shape's slot programs compiled against it.
+struct FoldSources<'p> {
+    scan: &'p Arc<Alg>,
+    preds: &'p [&'p CalcExpr],
+    pred_rx: Option<&'p RowExpr>,
+    key: &'p CalcExpr,
+    key_rx: &'p RowExpr,
+    item: &'p CalcExpr,
+    slot_rxs: &'p [Arc<RowExpr>],
+}
+
+/// The row batches a column-first operator's batch indices refer to.
+type RowBatches = Vec<Arc<Vec<Value>>>;
+
+/// Cut the concatenated rows of batches of `lens` rows into the contiguous
+/// chunks [`Dataset::from_vec`] gives `p` partitions — `total.div_ceil(p)`
+/// rows each, padded with empty chunks to `p` — as per-batch spans, so a
+/// column-first operator works through the very partitions the row path
+/// would have scanned.
+fn chunk_spans(lens: &[usize], p: usize) -> Vec<Vec<Span>> {
+    let total: usize = lens.iter().sum();
+    let chunk = total.div_ceil(p).max(1);
+    let mut tasks: Vec<Vec<Span>> = Vec::with_capacity(p);
+    for k in 0..total.div_ceil(chunk) {
+        let (glo, ghi) = (k * chunk, ((k + 1) * chunk).min(total));
+        let mut spans = Vec::new();
+        let mut off = 0usize;
+        for (bi, &len) in lens.iter().enumerate() {
+            let (lo, hi) = (glo.max(off), ghi.min(off + len));
+            if lo < hi {
+                spans.push((bi, (lo - off) as u32, (hi - off) as u32));
+            }
+            off += len;
+        }
+        tasks.push(spans);
+    }
+    while tasks.len() < p {
+        tasks.push(Vec::new());
+    }
+    tasks
 }
 
 /// Combine the head values of a `Reduce` under its monoid: collections

@@ -27,11 +27,16 @@
 //! (`Unnest` over `g.partition`), so their plans never match and keep the
 //! materialized path.
 
-use cleanm_values::{FxHashSet, Value};
+use std::sync::Arc;
+
+use cleanm_values::{ColumnBatch, FxHashSet, Value};
 
 use crate::calculus::eval::merge_values;
 use crate::calculus::subst::{free_vars, substitute};
-use crate::calculus::{CalcExpr, Comprehension, Func, MonoidKind, Qual};
+use crate::calculus::{CalcExpr, Comprehension, Func, MonoidKind, Program, Qual};
+
+use super::execute::RowEval;
+use super::kernel::{ColumnProgram, Groups, PredKernel, RowRef};
 
 /// The variable the group key is bound to in finish-program scope.
 pub(crate) const KEY_SLOT_VAR: &str = "__gkey";
@@ -419,6 +424,334 @@ impl AggSlot {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The columnar route
+// ---------------------------------------------------------------------
+
+/// One contiguous run of rows of a stored batch: `(batch, lo, hi)`.
+pub(crate) type Span = (usize, u32, u32);
+
+/// A group fold lowered onto the columns of a stored table: the grouping
+/// key and every slot's member expression are [`ColumnProgram`]s, so a
+/// chunk of rows folds as *hash key cells → dense group ids → fold each
+/// slot's accumulators by id* without building a key record, a value
+/// vector or a row environment per row. Lowered once per execution; `None`
+/// from [`ColumnarFold::lower`] leaves the node on the row driver.
+pub(crate) struct ColumnarFold {
+    key: ColumnProgram,
+    /// Each aggregate slot with its member expression.
+    slots: Vec<(AggSlot, ColumnProgram)>,
+    /// The fused `WHERE` chain below the Nest, lowered per batch.
+    preds: Option<Vec<PredKernel>>,
+    /// Group-keeping (FD) shape: chunks remember each row's group so the
+    /// passing groups' members are gathered by index afterwards.
+    keeps_groups: bool,
+}
+
+/// The accumulators of one slot, flat and indexed by group id.
+enum SlotAccs {
+    /// A capped `count_distinct` (the FD test): per group at most `cap`
+    /// *witness rows* whose member values are pairwise distinct, compared
+    /// cell to cell — no set, no boxed value. Group `g`'s `n[g]` witnesses
+    /// sit at `rows[g * cap..]`.
+    Witnesses {
+        cap: usize,
+        n: Vec<u8>,
+        rows: Vec<RowRef>,
+    },
+    /// Every other slot, through [`AggSlot`]'s own fold / merge / finish.
+    Values(Vec<SlotAcc>),
+}
+
+impl SlotAccs {
+    fn new(slot: &AggSlot) -> SlotAccs {
+        match slot.kind {
+            AggKind::CountDistinct { cap: Some(cap) } if cap <= u8::MAX as usize => {
+                SlotAccs::Witnesses {
+                    cap,
+                    n: Vec::new(),
+                    rows: Vec::new(),
+                }
+            }
+            _ => SlotAccs::Values(Vec::new()),
+        }
+    }
+
+    /// Fold the slot's member value at each row `sel` of `batch` into the
+    /// accumulator of that row's group (`gids`, parallel to `sel`), after
+    /// extending the accumulators to `groups` groups.
+    fn fold(
+        &mut self,
+        (slot, cols): &(AggSlot, ColumnProgram),
+        groups: usize,
+        batch: u32,
+        sel: &[u32],
+        gids: &[u32],
+        ev: &RowEval,
+    ) {
+        match self {
+            SlotAccs::Witnesses { cap, n, rows } => {
+                n.resize(groups, 0);
+                rows.resize(groups * *cap, RowRef::default());
+                for (&row, &g) in sel.iter().zip(gids) {
+                    witness(*cap, n, rows, cols, g as usize, RowRef { batch, row });
+                }
+            }
+            SlotAccs::Values(accs) => {
+                accs.resize_with(groups, || slot.zero());
+                for (&row, &g) in sel.iter().zip(gids) {
+                    let v = cols.value(RowRef { batch, row });
+                    if let Err(e) = slot.fold(&mut accs[g as usize], v) {
+                        ev.record(e);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Merge another chunk's accumulators in: its group `g` is this
+    /// side's `remap[g]`, a group this side has not seen moves over as is
+    /// (new groups arrive in id order, so they are pushed).
+    fn merge(
+        &mut self,
+        (slot, cols): &(AggSlot, ColumnProgram),
+        other: SlotAccs,
+        remap: &[u32],
+        ev: &RowEval,
+    ) {
+        match (self, other) {
+            (
+                SlotAccs::Witnesses { cap, n, rows },
+                SlotAccs::Witnesses {
+                    n: on, rows: orows, ..
+                },
+            ) => {
+                for (block, (&held, &g)) in orows.chunks(*cap).zip(on.iter().zip(remap)) {
+                    if g as usize == n.len() {
+                        n.push(held);
+                        rows.extend_from_slice(block);
+                    } else {
+                        for &at in &block[..held as usize] {
+                            witness(*cap, n, rows, cols, g as usize, at);
+                        }
+                    }
+                }
+            }
+            (SlotAccs::Values(accs), SlotAccs::Values(other)) => {
+                for (acc, &g) in other.into_iter().zip(remap) {
+                    if g as usize == accs.len() {
+                        accs.push(acc);
+                    } else if let Err(e) = slot.merge(&mut accs[g as usize], acc) {
+                        ev.record(e);
+                    }
+                }
+            }
+            _ => unreachable!("accumulator layouts of one slot diverged"),
+        }
+    }
+
+    /// Each group's finished slot value, in group-id order.
+    fn finish(self, slot: &AggSlot) -> Vec<Value> {
+        match self {
+            SlotAccs::Witnesses { n, .. } => n.into_iter().map(|n| Value::Int(n as i64)).collect(),
+            SlotAccs::Values(accs) => accs.into_iter().map(|a| slot.finish(a)).collect(),
+        }
+    }
+}
+
+/// Offer row `at` as a witness of group `g`: kept when the group holds
+/// fewer than `cap` and none of them has `at`'s member value.
+#[inline]
+fn witness(
+    cap: usize,
+    n: &mut [u8],
+    rows: &mut [RowRef],
+    cols: &ColumnProgram,
+    g: usize,
+    at: RowRef,
+) {
+    let held = n[g] as usize;
+    if held < cap && !rows[g * cap..][..held].iter().any(|&w| cols.same(w, at)) {
+        rows[g * cap + held] = at;
+        n[g] += 1;
+    }
+}
+
+/// What one chunk of rows folds to: its groups, their accumulators, and —
+/// for group-keeping shapes — which group each of its rows fell into.
+pub(crate) struct ChunkFold {
+    groups: Groups,
+    accs: Vec<SlotAccs>,
+    members: ChunkMembers,
+}
+
+impl ChunkFold {
+    /// How many groups the chunk's rows fell into.
+    pub fn groups(&self) -> usize {
+        self.groups.len()
+    }
+}
+
+/// The selected rows of one chunk, in row order, with each one's group id
+/// (chunk-local until [`ColumnarFold::merge`] rewrites it).
+#[derive(Default)]
+pub(crate) struct ChunkMembers {
+    rows: Vec<RowRef>,
+    gids: Vec<u32>,
+    /// The distinct groups the chunk's rows fell into (set by the merge).
+    groups: Vec<u32>,
+}
+
+impl ChunkMembers {
+    /// The rows whose group `out_of` maps to an output position, as
+    /// `(position, row)` in row order.
+    pub fn gather<'a>(&'a self, out_of: &'a [u32]) -> impl Iterator<Item = (u32, RowRef)> + 'a {
+        let placed = self
+            .gids
+            .iter()
+            .map(|&g| out_of[g as usize])
+            .zip(&self.rows);
+        placed
+            .filter(|(out, _)| *out != u32::MAX)
+            .map(|(out, &at)| (out, at))
+    }
+
+    /// How many distinct groups of this chunk `out_of` keeps — the
+    /// per-chunk member lists a keyed shuffle would have moved.
+    pub fn kept_groups(&self, out_of: &[u32]) -> u64 {
+        let kept = self
+            .groups
+            .iter()
+            .filter(|&&g| out_of[g as usize] != u32::MAX);
+        kept.count() as u64
+    }
+}
+
+/// Every chunk merged: the table's groups with their finished slot values.
+pub(crate) struct FoldedGroups {
+    pub groups: Groups,
+    /// `finished[s][g]`: slot `s`'s value for group `g`.
+    pub finished: Vec<Vec<Value>>,
+    /// Rows per group (group-keeping shapes; empty otherwise).
+    pub sizes: Vec<u32>,
+    /// Per chunk, in chunk order (group-keeping shapes; empty otherwise).
+    pub members: Vec<ChunkMembers>,
+}
+
+impl ColumnarFold {
+    /// Lower a recognized fold onto `batches`: the key and every slot's
+    /// member program against each batch's columns, the fused `WHERE`
+    /// program (if any) into a [`PredKernel`] per batch. `None` when
+    /// anything does not lower.
+    pub fn lower(
+        batches: &[Arc<ColumnBatch>],
+        key: &Program,
+        slots: &[AggSlot],
+        slot_programs: &[&Program],
+        pred: Option<&Program>,
+        keeps_groups: bool,
+    ) -> Option<ColumnarFold> {
+        let lower_pred = |p| batches.iter().map(move |b| PredKernel::compile(p, &[&**b]));
+        Some(ColumnarFold {
+            key: ColumnProgram::lower(key, batches)?,
+            slots: slots
+                .iter()
+                .zip(slot_programs)
+                .map(|(slot, p)| Some((slot.clone(), ColumnProgram::lower(p, batches)?)))
+                .collect::<Option<_>>()?,
+            preds: match pred {
+                Some(p) => Some(lower_pred(p).collect::<Option<_>>()?),
+                None => None,
+            },
+            keeps_groups,
+        })
+    }
+
+    /// Fold one chunk: per span, select (the fused `WHERE`), assign group
+    /// ids from the key columns, then fold each slot by id.
+    pub fn fold_chunk(&self, spans: &[Span], ev: &RowEval) -> ChunkFold {
+        let mut out = ChunkFold {
+            groups: Groups::default(),
+            accs: self.new_accs(),
+            members: ChunkMembers::default(),
+        };
+        let (mut sel, mut gids): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+        for &(b, lo, hi) in spans {
+            sel.clear();
+            sel.extend(lo..hi);
+            if let Some(preds) = &self.preds {
+                // Binding cannot fail: the kernel compiled against this
+                // very batch and stored batches are immutable.
+                let batch = self.key.batch(b);
+                assert!(
+                    preds[b].filter(&[batch], &mut sel),
+                    "columnar kernel bound against a drifted batch schema"
+                );
+            }
+            let batch = b as u32;
+            gids.clear();
+            out.groups.assign(&self.key, batch, &sel, &mut gids);
+            let groups = out.groups.len();
+            for (slot, accs) in self.slots.iter().zip(&mut out.accs) {
+                accs.fold(slot, groups, batch, &sel, &gids, ev);
+            }
+            if self.keeps_groups {
+                let rows = sel.iter().map(|&row| RowRef { batch, row });
+                out.members.rows.extend(rows);
+                out.members.gids.extend_from_slice(&gids);
+            }
+        }
+        out
+    }
+
+    /// Merge the chunks' partials in chunk order — the association a
+    /// keyed shuffle of per-partition partials has — by probing each
+    /// chunk's groups into one table by representative row, then finish
+    /// every slot.
+    pub fn merge(&self, partials: Vec<ChunkFold>, ev: &RowEval) -> FoldedGroups {
+        // Room for every chunk's groups: the table never rehashes.
+        let mut groups = Groups::with_capacity(partials.iter().map(ChunkFold::groups).sum());
+        let mut accs = self.new_accs();
+        let mut members = Vec::new();
+        for mut part in partials {
+            let remap = groups.absorb(&self.key, &part.groups);
+            for ((slot, mine), theirs) in self.slots.iter().zip(&mut accs).zip(part.accs) {
+                mine.merge(slot, theirs, &remap, ev);
+            }
+            if self.keeps_groups {
+                for g in &mut part.members.gids {
+                    *g = remap[*g as usize];
+                }
+                part.members.groups = remap;
+                members.push(part.members);
+            }
+        }
+        let mut sizes = vec![0u32; if self.keeps_groups { groups.len() } else { 0 }];
+        for g in members.iter().flat_map(|m| &m.gids) {
+            sizes[*g as usize] += 1;
+        }
+        let finished = accs.into_iter().zip(&self.slots);
+        FoldedGroups {
+            finished: finished.map(|(a, (slot, _))| a.finish(slot)).collect(),
+            groups,
+            sizes,
+            members,
+        }
+    }
+
+    fn new_accs(&self) -> Vec<SlotAccs> {
+        self.slots
+            .iter()
+            .map(|(slot, _)| SlotAccs::new(slot))
+            .collect()
+    }
+
+    /// Group `g`'s key value, built from its representative row.
+    pub fn key_value(&self, groups: &Groups, g: u32) -> Value {
+        self.key.value(groups.rep(g))
     }
 }
 

@@ -8,9 +8,11 @@
 //! This module recognizes exactly those shapes and lowers them once more,
 //! against a *concrete* [`ColumnBatch`] schema, into kernels that sweep
 //! whole typed columns: a predicate refines a selection vector over
-//! `i64`/`f64`/`Arc<str>` slices, a projection produces output columns, a
-//! grouping key hashes raw cells and materializes one key `Value` per
-//! *distinct group* instead of one per row.
+//! `i64`/`f64`/`Arc<str>` slices ([`PredKernel`]); a grouping key or an
+//! aggregate's member expression becomes a [`ColumnProgram`] whose value at
+//! a row is hashed and compared cell to cell, so the grouping kernel
+//! ([`Groups`]) turns rows into dense group ids without boxing a key and
+//! one key `Value` is materialized per *group that needs it*.
 //!
 //! **Safety contract (what keeps columnar ≡ row byte-identical):** a
 //! kernel compiles only when per-row evaluation provably cannot error —
@@ -21,11 +23,13 @@
 //! over string columns. Everything else — interpreter islands, `Val`
 //! fallback columns, cross-type comparisons, shuffled schemas — returns
 //! `None` from the kernel compiler and the caller keeps the row path. The
-//! differential tests in `tests/columnar_agree.rs` pin the equivalence.
+//! differential tests in `tests/columnar_agree.rs` and
+//! `tests/group_fold.rs` pin the equivalence.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use cleanm_values::{Column, ColumnBatch, FxHashMap, NullMask, Value};
+use cleanm_values::{fx_hash, Column, ColumnBatch, NullMask, Value, HASH_SEED};
 
 use crate::calculus::compile::{BoolExpr, Instr, Operand, Program};
 use crate::calculus::eval::{lowercase_is_identity, prefix_end, uppercase_is_identity};
@@ -556,16 +560,7 @@ impl PredKernel {
     }
 }
 
-/// One output field of a projection kernel.
-enum FieldExpr {
-    /// Copy a source column (gathered by refcount bump / scalar copy).
-    Copy(usize),
-    /// A constant repeated per row.
-    ConstV(Value),
-    /// One of the four total string builtins over a string column.
-    StrFunc { func: StrFuncKind, col: usize },
-}
-
+/// One of the four total string builtins a column expression may apply.
 #[derive(Debug, Clone, Copy)]
 enum StrFuncKind {
     Lower,
@@ -585,351 +580,456 @@ impl StrFuncKind {
         }
     }
 
+    /// The builtin's result over one non-NULL cell as a view: a slice of
+    /// the source where the result is one (`trim`, `prefix`, identity case
+    /// folds), an owned string only when folding changes bytes.
+    #[inline]
+    fn view(self, s: &str) -> Cow<'_, str> {
+        match self {
+            StrFuncKind::Lower if lowercase_is_identity(s) => Cow::Borrowed(s),
+            StrFuncKind::Lower => Cow::Owned(s.to_lowercase()),
+            StrFuncKind::Upper if uppercase_is_identity(s) => Cow::Borrowed(s),
+            StrFuncKind::Upper => Cow::Owned(s.to_uppercase()),
+            StrFuncKind::Trim => Cow::Borrowed(s.trim()),
+            StrFuncKind::Prefix => Cow::Borrowed(&s[..prefix_end(s)]),
+        }
+    }
+
     /// Apply to one non-NULL cell, with exactly `eval_func`'s allocation
     /// discipline: identity results share the source `Arc`, changed
     /// results pay one allocation.
     #[inline]
     fn apply(self, s: &Arc<str>) -> Arc<str> {
+        match self.view(s) {
+            Cow::Borrowed(v) if v.len() == s.len() => Arc::clone(s),
+            v => Arc::from(&*v),
+        }
+    }
+}
+
+/// One row of a multi-batch table: the batch (an index into the list a
+/// [`ColumnProgram`] was lowered against) and the row within it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RowRef {
+    pub batch: u32,
+    pub row: u32,
+}
+
+/// One scalar cell as a column expression reads it: a typed view that
+/// borrows strings and compares with [`Value`]'s equality — NULL = NULL,
+/// NaN = NaN, −0.0 = 0.0, `1` = `1.0` — so cells of differently typed
+/// columns (an `Int` batch appended to a `Float` one) still group as their
+/// boxed values would.
+enum Cell<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(Cow<'a, str>),
+}
+
+impl PartialEq for Cell<'_> {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        use Cell::*;
+        match (self, other) {
+            (Null, Null) => true,
+            (Bool(a), Bool(b)) => a == b,
+            (Int(a), Int(b)) => a == b,
+            (Float(a), Float(b)) => Value::float_key(*a) == Value::float_key(*b),
+            (Int(a), Float(b)) | (Float(b), Int(a)) => {
+                Value::float_key(*a as f64) == Value::float_key(*b)
+            }
+            (Str(a), Str(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+/// Fold one cell into a running row hash. Equal cells ([`Cell::eq`]) mix
+/// equally: numbers go through the canonical float key whatever their
+/// column type, like [`Value`]'s own `Hash`.
+#[inline]
+fn mix(h: u64, word: u64) -> u64 {
+    fx_hash(h, &word)
+}
+
+const NULL_WORD: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Cell<'_> {
+    #[inline]
+    fn mix_into(&self, h: u64) -> u64 {
         match self {
-            StrFuncKind::Lower => {
-                if lowercase_is_identity(s) {
-                    Arc::clone(s)
-                } else {
-                    Arc::from(s.to_lowercase().as_str())
-                }
-            }
-            StrFuncKind::Upper => {
-                if uppercase_is_identity(s) {
-                    Arc::clone(s)
-                } else {
-                    Arc::from(s.to_uppercase().as_str())
-                }
-            }
-            StrFuncKind::Trim => {
-                let t = s.trim();
-                if t.len() == s.len() {
-                    Arc::clone(s)
-                } else {
-                    Arc::from(t)
-                }
-            }
-            StrFuncKind::Prefix => {
-                let end = prefix_end(s);
-                if end == s.len() {
-                    Arc::clone(s)
-                } else {
-                    Arc::from(&s[..end])
-                }
-            }
+            Cell::Null => mix(h, NULL_WORD),
+            Cell::Bool(b) => mix(h, 2 + *b as u64),
+            Cell::Int(i) => mix(h, Value::float_key(*i as f64)),
+            Cell::Float(f) => mix(h, Value::float_key(*f)),
+            Cell::Str(s) => fx_hash(h, s.as_bytes()),
         }
     }
 }
 
-/// A compiled columnar projection: the `transform` shape — a record whose
-/// fields are column copies, constants, and single-builtin string calls —
-/// or a bare single-builtin head. Produces an output [`ColumnBatch`]
-/// without materializing a struct per row.
-pub struct MapKernel {
-    names: Vec<Arc<str>>,
-    fields: Vec<FieldExpr>,
-    /// Source columns referenced by index into the bound batch.
-    refs: Vec<u32>,
-}
-
-impl MapKernel {
-    /// Lower `program` against a single-slot `batch`. Recognized shapes:
-    /// `[RecordFused]`, `[CallFused]` (bare builtin head, one unnamed
-    /// output column `"value"`), and `[field…, Record]` where every field
-    /// instruction is a fused call / slot-field / constant.
-    pub fn compile(program: &Program, batch: &ColumnBatch) -> Option<MapKernel> {
-        if program.scope_len() != 1 {
-            return None;
-        }
-        let mut k = MapKernel {
-            names: Vec::new(),
-            fields: Vec::new(),
-            refs: Vec::new(),
-        };
-        let add_ref = |col: u32, refs: &mut Vec<u32>| -> usize {
-            match refs.iter().position(|&c| c == col) {
-                Some(i) => i,
-                None => {
-                    refs.push(col);
-                    refs.len() - 1
-                }
-            }
-        };
-        let field_of = |instr: &Instr, refs: &mut Vec<u32>| -> Option<FieldExpr> {
-            match instr {
-                Instr::Const(v) => Some(FieldExpr::ConstV(v.clone())),
-                Instr::SlotField { slot: 0, field, .. } => {
-                    let col = batch.column_index(field)? as u32;
-                    Some(FieldExpr::Copy(add_ref(col, refs)))
-                }
-                Instr::CallFused { func, arg } => {
-                    let func = StrFuncKind::of(func)?;
-                    let Operand::SlotField { slot: 0, field, .. } = arg else {
-                        return None;
-                    };
-                    let col = batch.column_index(field)? as u32;
-                    // Builtin kernels require a string column: non-string
-                    // cells would route through `to_text`, which the row
-                    // path handles — keep it there.
-                    if !matches!(batch.column(col as usize), Column::Str { .. }) {
-                        return None;
-                    }
-                    Some(FieldExpr::StrFunc {
-                        func,
-                        col: add_ref(col, refs),
-                    })
-                }
-                _ => None,
-            }
-        };
-        match program.instrs() {
-            [Instr::RecordFused { names, ops }] => {
-                for (name, op) in names.iter().zip(ops.iter()) {
-                    let fe = match op {
-                        Operand::Const(v) => FieldExpr::ConstV(v.clone()),
-                        Operand::SlotField { slot: 0, field, .. } => {
-                            let col = batch.column_index(field)? as u32;
-                            FieldExpr::Copy(add_ref(col, &mut k.refs))
-                        }
-                        _ => return None,
-                    };
-                    k.names.push(Arc::clone(name));
-                    k.fields.push(fe);
-                }
-            }
-            [single @ Instr::CallFused { .. }] => {
-                k.names.push(Arc::from("value"));
-                k.fields.push(field_of(single, &mut k.refs)?);
-            }
-            [fields @ .., Instr::Record(names)] if fields.len() == names.len() => {
-                for (name, instr) in names.iter().zip(fields.iter()) {
-                    k.names.push(Arc::clone(name));
-                    let fe = field_of(instr, &mut k.refs)?;
-                    k.fields.push(fe);
-                }
-            }
-            _ => return None,
-        }
-        Some(k)
-    }
-
-    /// Apply to the rows selected by `sel`, producing one output column
-    /// per field. `None` when `batch` no longer matches the compiled
-    /// schema.
-    pub fn apply(&self, batch: &ColumnBatch, sel: &[u32]) -> Option<ColumnBatch> {
-        let srcs: Vec<&Column> = self
-            .refs
-            .iter()
-            .map(|&c| batch.column(c as usize))
-            .collect();
-        let mut cols = Vec::with_capacity(self.fields.len());
-        for fe in &self.fields {
-            let col = match fe {
-                FieldExpr::Copy(r) => srcs[*r].gather(sel),
-                FieldExpr::ConstV(v) => {
-                    Column::from_values(sel.iter().map(|_| v.clone()).collect())
-                }
-                FieldExpr::StrFunc { func, col } => {
-                    let Column::Str { data, nulls } = srcs[*col] else {
-                        return None;
-                    };
-                    let mut out: Vec<Arc<str>> = Vec::with_capacity(sel.len());
-                    let mut out_nulls: Option<NullMask> = None;
-                    let empty: Arc<str> = Arc::from("");
-                    for (j, &i) in sel.iter().enumerate() {
-                        let i = i as usize;
-                        if nulls.as_ref().is_some_and(|m| m.is_null(i)) {
-                            out.push(Arc::clone(&empty));
-                            out_nulls
-                                .get_or_insert_with(|| NullMask::new(sel.len()))
-                                .set_null(j);
-                        } else {
-                            out.push(func.apply(&data[i]));
-                        }
-                    }
-                    Column::Str {
-                        data: out,
-                        nulls: out_nulls,
-                    }
-                }
-            };
-            cols.push(col);
-        }
-        ColumnBatch::from_columns(self.names.clone(), cols).ok()
-    }
-}
-
-/// A compiled grouping-key kernel: the `tuple_key` shape (a fused record
-/// of column projections). Groups rows by hashing raw cells — the key
-/// `Value` is materialized once per *distinct group*, not once per row.
-pub struct GroupKeyKernel {
-    names: Vec<Arc<str>>,
-    /// Key columns by index into the bound batch (`None` = constant).
-    keys: Vec<KeyCol>,
-}
-
-enum KeyCol {
-    Col(u32),
+/// A column expression — what a grouping-key field or an aggregate's
+/// member expression lowers to when it needs no row: a column copy, a
+/// scalar constant, or one of the four total string builtins over a string
+/// column. Evaluation cannot fail, so a sweep over these has no error path.
+#[derive(Debug)]
+enum ColExpr {
+    /// A typed (non-`Val`) column, by index into the batch.
+    Col(usize),
+    /// A scalar constant (`count(*)`'s `1`, a literal key field).
     Const(Value),
+    /// `lower` / `upper` / `trim` / `prefix` over a string column.
+    StrFunc { func: StrFuncKind, col: usize },
 }
 
-impl GroupKeyKernel {
-    /// Lower a `[RecordFused]` key program against `batch`.
-    pub fn compile(program: &Program, batch: &ColumnBatch) -> Option<GroupKeyKernel> {
+impl ColExpr {
+    fn of_field(batch: &ColumnBatch, slot: u16, field: &str) -> Option<usize> {
+        let col = batch.column_index(field).filter(|_| slot == 0)?;
+        (!matches!(batch.column(col), Column::Val(_))).then_some(col)
+    }
+
+    /// Scalar constants only: a list or struct has no cell view.
+    fn of_const(v: &Value) -> Option<ColExpr> {
+        (!matches!(v, Value::List(_) | Value::Struct(_))).then(|| ColExpr::Const(v.clone()))
+    }
+
+    fn of_operand(op: &Operand, batch: &ColumnBatch) -> Option<ColExpr> {
+        match op {
+            Operand::Const(v) => Self::of_const(v),
+            Operand::SlotField { slot, field, .. } => {
+                Self::of_field(batch, *slot, field).map(ColExpr::Col)
+            }
+            _ => None,
+        }
+    }
+
+    fn of_instr(instr: &Instr, batch: &ColumnBatch) -> Option<ColExpr> {
+        match instr {
+            Instr::Const(v) => Self::of_const(v),
+            Instr::SlotField { slot, field, .. } => {
+                Self::of_field(batch, *slot, field).map(ColExpr::Col)
+            }
+            Instr::CallFused { func, arg } => {
+                let func = StrFuncKind::of(func)?;
+                let Operand::SlotField { slot, field, .. } = arg else {
+                    return None;
+                };
+                // Non-string cells would route through `to_text`, which
+                // the row path handles — keep them there.
+                let col = Self::of_field(batch, *slot, field)?;
+                matches!(batch.column(col), Column::Str { .. })
+                    .then_some(ColExpr::StrFunc { func, col })
+            }
+            _ => None,
+        }
+    }
+
+    /// The expression's cell at row `i`.
+    #[inline]
+    fn cell<'a>(&'a self, batch: &'a ColumnBatch, i: usize) -> Cell<'a> {
+        let (col, func) = match self {
+            ColExpr::Col(col) => (*col, None),
+            ColExpr::StrFunc { func, col } => (*col, Some(*func)),
+            ColExpr::Const(v) => {
+                return match v {
+                    Value::Bool(b) => Cell::Bool(*b),
+                    Value::Int(i) => Cell::Int(*i),
+                    Value::Float(f) => Cell::Float(*f),
+                    Value::Str(s) => Cell::Str(Cow::Borrowed(s)),
+                    _ => Cell::Null, // lowering admits scalar constants only
+                };
+            }
+        };
+        let column = batch.column(col);
+        if column.is_null(i) {
+            return Cell::Null;
+        }
+        match column {
+            Column::Int { data, .. } => Cell::Int(data[i]),
+            Column::Float { data, .. } => Cell::Float(data[i]),
+            Column::Bool { data, .. } => Cell::Bool(data[i]),
+            Column::Str { data, .. } => Cell::Str(match func {
+                Some(func) => func.view(&data[i]),
+                None => Cow::Borrowed(&data[i]),
+            }),
+            Column::Val(_) => unreachable!("lowering admits typed columns only"),
+        }
+    }
+
+    /// The expression's value at row `i` — exactly what the row program
+    /// evaluates to (string results share or allocate as `eval_func` does).
+    fn value(&self, batch: &ColumnBatch, i: usize) -> Value {
+        match self {
+            ColExpr::Col(col) => batch.column(*col).value(i),
+            ColExpr::Const(v) => v.clone(),
+            ColExpr::StrFunc { func, col } => match batch.column(*col) {
+                Column::Str { data, nulls } if !nulls.as_ref().is_some_and(|m| m.is_null(i)) => {
+                    Value::Str(func.apply(&data[i]))
+                }
+                _ => Value::Null,
+            },
+        }
+    }
+
+    /// Mix this expression's cell of every selected row into the row's
+    /// running hash — one typed loop per column, the type dispatch hoisted
+    /// out of it.
+    fn hash_into(&self, batch: &ColumnBatch, sel: &[u32], hashes: &mut [u64]) {
+        fn sweep<T>(
+            data: &[T],
+            nulls: &Option<NullMask>,
+            sel: &[u32],
+            hashes: &mut [u64],
+            word: impl Fn(&T, u64) -> u64,
+        ) {
+            for (h, &i) in hashes.iter_mut().zip(sel) {
+                let i = i as usize;
+                *h = match nulls {
+                    Some(m) if m.is_null(i) => mix(*h, NULL_WORD),
+                    _ => word(&data[i], *h),
+                };
+            }
+        }
+        if let ColExpr::Col(col) = self {
+            match batch.column(*col) {
+                Column::Int { data, nulls } => {
+                    return sweep(data, nulls, sel, hashes, |v, h| Cell::Int(*v).mix_into(h))
+                }
+                Column::Float { data, nulls } => {
+                    return sweep(data, nulls, sel, hashes, |v, h| Cell::Float(*v).mix_into(h))
+                }
+                Column::Str { data, nulls } => {
+                    return sweep(data, nulls, sel, hashes, |v, h| fx_hash(h, v.as_bytes()))
+                }
+                _ => {}
+            }
+        }
+        for (h, &i) in hashes.iter_mut().zip(sel) {
+            *h = self.cell(batch, i as usize).mix_into(*h);
+        }
+    }
+}
+
+/// A compiled [`Program`] lowered to column expressions against one batch:
+/// a bare scalar (`d0.suppkey`, `prefix(d0.phone)`, `1`) or a record of
+/// them (the `tuple_key` shape of composite FD keys).
+#[derive(Debug)]
+struct BatchProgram {
+    /// Field names of a record-valued program; `None` for a scalar.
+    names: Option<Arc<[Arc<str>]>>,
+    fields: Vec<ColExpr>,
+}
+
+impl BatchProgram {
+    /// Recognized shapes: `[RecordFused]`, a lone scalar instruction
+    /// (`[SlotField]` / `[Const]` / `[CallFused]`), and `[field…, Record]`
+    /// where every field is one. `None` for anything else — whole-row
+    /// slots, `BlockKeys`, interpreter islands, `Val` columns.
+    fn lower(program: &Program, batch: &ColumnBatch) -> Option<BatchProgram> {
         if program.scope_len() != 1 {
             return None;
         }
-        let [Instr::RecordFused { names, ops }] = program.instrs() else {
-            return None;
+        let (names, fields) = match program.instrs() {
+            [Instr::RecordFused { names, ops }] => (
+                Some(Arc::clone(names)),
+                ops.iter()
+                    .map(|op| ColExpr::of_operand(op, batch))
+                    .collect::<Option<_>>()?,
+            ),
+            [fields @ .., Instr::Record(names)] if fields.len() == names.len() => (
+                Some(Arc::clone(names)),
+                fields
+                    .iter()
+                    .map(|instr| ColExpr::of_instr(instr, batch))
+                    .collect::<Option<_>>()?,
+            ),
+            [scalar] => (None, vec![ColExpr::of_instr(scalar, batch)?]),
+            _ => return None,
         };
-        let mut keys = Vec::with_capacity(ops.len());
-        for op in ops.iter() {
-            match op {
-                Operand::Const(v) => keys.push(KeyCol::Const(v.clone())),
-                Operand::SlotField { slot: 0, field, .. } => {
-                    let col = batch.column_index(field)? as u32;
-                    // Typed or not: grouping hashes cells via `Value`
-                    // semantics, but `Val` columns would re-box anyway —
-                    // require typed columns so the sweep stays flat.
-                    column_type(batch.column(col as usize))?;
-                    keys.push(KeyCol::Col(col));
-                }
-                _ => return None,
-            }
-        }
-        Some(GroupKeyKernel {
-            names: names.iter().map(Arc::clone).collect(),
-            keys,
-        })
+        Some(BatchProgram { names, fields })
     }
 
-    /// Group the selected rows, returning `(key, count)` per distinct
-    /// group in first-appearance order. Cells hash and compare with
-    /// `Value` semantics (canonical float bits, NULL = NULL).
-    pub fn group_counts(&self, batch: &ColumnBatch, sel: &[u32]) -> Option<Vec<(Value, u64)>> {
-        use std::hash::Hasher;
-        let cols: Vec<Option<&Column>> = self
-            .keys
+    fn value(&self, batch: &ColumnBatch, i: usize) -> Value {
+        match &self.names {
+            None => self.fields[0].value(batch, i),
+            Some(names) => Value::Struct(
+                names
+                    .iter()
+                    .zip(&self.fields)
+                    .map(|(n, f)| (Arc::clone(n), f.value(batch, i)))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// A compiled [`Program`] over one scan variable, lowered to column
+/// expressions against **every batch** of a stored table: its value at a
+/// row can be hashed, compared with its value at another row (of any
+/// batch) and materialized without evaluating the program or boxing a
+/// cell. This is what the columnar group fold reads grouping keys and
+/// aggregate member expressions through.
+#[derive(Debug)]
+pub struct ColumnProgram {
+    batches: Vec<(Arc<ColumnBatch>, BatchProgram)>,
+}
+
+impl ColumnProgram {
+    /// Lower `program` against each of `batches` (appends may differ in
+    /// column order and type, so each batch lowers on its own). `None` —
+    /// the caller keeps the row path — when any batch does not lower.
+    pub fn lower(program: &Program, batches: &[Arc<ColumnBatch>]) -> Option<ColumnProgram> {
+        let batches = batches
             .iter()
-            .map(|k| match k {
-                KeyCol::Col(c) => Some(batch.column(*c as usize)),
-                KeyCol::Const(_) => None,
-            })
-            .collect();
+            .map(|b| Some((Arc::clone(b), BatchProgram::lower(program, b)?)))
+            .collect::<Option<_>>()?;
+        Some(ColumnProgram { batches })
+    }
 
-        #[inline]
-        fn hash_cell(h: &mut cleanm_values::FxHasher, col: &Column, i: usize) {
-            if col.is_null(i) {
-                h.write_u8(0);
-                return;
-            }
-            match col {
-                Column::Int { data, .. } => {
-                    h.write_u8(2);
-                    h.write_u64(Value::float_key(data[i] as f64));
-                }
-                Column::Float { data, .. } => {
-                    h.write_u8(2);
-                    h.write_u64(Value::float_key(data[i]));
-                }
-                Column::Bool { data, .. } => {
-                    h.write_u8(1);
-                    h.write_u8(data[i] as u8);
-                }
-                Column::Str { data, .. } => {
-                    h.write_u8(3);
-                    h.write(data[i].as_bytes());
-                }
-                Column::Val(_) => unreachable!("typed columns only"),
-            }
+    /// Batch `b` of the list the program was lowered against.
+    pub fn batch(&self, b: usize) -> &ColumnBatch {
+        &self.batches[b].0
+    }
+
+    /// The program's value at `at` — what the row path would have
+    /// evaluated.
+    pub fn value(&self, at: RowRef) -> Value {
+        let (batch, program) = &self.batches[at.batch as usize];
+        program.value(batch, at.row as usize)
+    }
+
+    /// Is the program's value the same at `a` and at `b` (`Value`
+    /// equality, cell by cell)?
+    #[inline]
+    pub fn same(&self, a: RowRef, b: RowRef) -> bool {
+        let (batch_a, pa) = &self.batches[a.batch as usize];
+        let (batch_b, pb) = &self.batches[b.batch as usize];
+        pa.fields
+            .iter()
+            .zip(&pb.fields)
+            .all(|(fa, fb)| fa.cell(batch_a, a.row as usize) == fb.cell(batch_b, b.row as usize))
+    }
+
+    /// Hash the program's value at every row `sel` of batch `batch` into
+    /// `hashes` (cleared first), column at a time.
+    fn hash_rows(&self, batch: u32, sel: &[u32], hashes: &mut Vec<u64>) {
+        let (cols, program) = &self.batches[batch as usize];
+        hashes.clear();
+        hashes.resize(sel.len(), HASH_SEED);
+        for field in &program.fields {
+            field.hash_into(cols, sel, hashes);
         }
+    }
+}
 
-        #[inline]
-        fn cells_eq(cols: &[Option<&Column>], a: usize, b: usize) -> bool {
-            cols.iter().all(|c| {
-                let Some(col) = c else { return true };
-                match (col.is_null(a), col.is_null(b)) {
-                    (true, true) => true,
-                    (false, false) => match col {
-                        Column::Int { data, .. } => data[a] == data[b],
-                        Column::Float { data, .. } => {
-                            Value::float_key(data[a]) == Value::float_key(data[b])
-                        }
-                        Column::Bool { data, .. } => data[a] == data[b],
-                        Column::Str { data, .. } => data[a] == data[b],
-                        Column::Val(_) => unreachable!("typed columns only"),
-                    },
-                    _ => false,
-                }
-            })
+/// The grouping kernel's state: dense `u32` group ids over the distinct
+/// values of a [`ColumnProgram`], one representative row per group. The
+/// table is open-addressed over group ids — a probe touches the slot
+/// array, the stored hash and, on a hash match, the representative's
+/// cells; nothing is allocated per row and no key is ever boxed.
+#[derive(Debug, Default)]
+pub struct Groups {
+    /// Open-addressed slots holding group ids ([`EMPTY`] = free); the
+    /// length is a power of two at least twice the group count.
+    slots: Vec<u32>,
+    /// Per group: the row hash it was entered under.
+    hashes: Vec<u64>,
+    /// Per group: its first row.
+    reps: Vec<RowRef>,
+    /// Scratch for [`Groups::assign`]'s column-at-a-time hashing.
+    scratch: Vec<u64>,
+}
+
+const EMPTY: u32 = u32::MAX;
+
+impl Groups {
+    /// An empty table with room for `groups` groups before it grows.
+    pub fn with_capacity(groups: usize) -> Groups {
+        Groups {
+            slots: vec![EMPTY; (groups * 2).next_power_of_two().max(64)],
+            hashes: Vec::with_capacity(groups),
+            reps: Vec::with_capacity(groups),
+            scratch: Vec::new(),
         }
+    }
 
-        // hash → first group with that hash; same-hash groups chain
-        // through `next` (no per-bucket allocation). Collisions resolve
-        // by raw-cell comparison against each group's first row.
-        const NONE: u32 = u32::MAX;
-        let mut table: FxHashMap<u64, u32> = FxHashMap::default();
-        // (first row, running count, next group in hash chain)
-        let mut groups: Vec<(u32, u64, u32)> = Vec::new();
-        for &i in sel {
-            let i = i as usize;
-            let mut h = cleanm_values::FxHasher::default();
-            for c in &cols {
-                if let Some(col) = c {
-                    hash_cell(&mut h, col, i);
-                } else {
-                    h.write_u8(9); // constant field: same for every row
-                }
-            }
-            let hash = h.finish();
-            match table.entry(hash) {
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(groups.len() as u32);
-                    groups.push((i as u32, 1, NONE));
-                }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let mut g = *e.get() as usize;
-                    loop {
-                        if cells_eq(&cols, groups[g].0 as usize, i) {
-                            groups[g].1 += 1;
-                            break;
-                        }
-                        if groups[g].2 == NONE {
-                            groups[g].2 = groups.len() as u32;
-                            groups.push((i as u32, 1, NONE));
-                            break;
-                        }
-                        g = groups[g].2 as usize;
-                    }
-                }
-            }
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.reps.len()
+    }
+
+    /// No groups yet?
+    pub fn is_empty(&self) -> bool {
+        self.reps.is_empty()
+    }
+
+    /// Group `g`'s representative (first) row.
+    pub fn rep(&self, g: u32) -> RowRef {
+        self.reps[g as usize]
+    }
+
+    /// Assign a group id to each row `sel` of batch `batch` by `key`'s
+    /// value there, appending the ids to `gids` in `sel` order. New groups
+    /// take the next id, so ids are dense and in first-appearance order.
+    pub fn assign(&mut self, key: &ColumnProgram, batch: u32, sel: &[u32], gids: &mut Vec<u32>) {
+        let mut hashes = std::mem::take(&mut self.scratch);
+        key.hash_rows(batch, sel, &mut hashes);
+        gids.reserve(sel.len());
+        for (&hash, &row) in hashes.iter().zip(sel) {
+            gids.push(self.upsert(key, hash, RowRef { batch, row }));
         }
+        self.scratch = hashes;
+    }
 
-        // Materialize one key Value per distinct group.
-        Some(
-            groups
-                .into_iter()
-                .map(|(first, count, _)| {
-                    let fields: Arc<[(Arc<str>, Value)]> = self
-                        .names
-                        .iter()
-                        .zip(&self.keys)
-                        .map(|(n, k)| {
-                            let v = match k {
-                                KeyCol::Col(c) => batch.column(*c as usize).value(first as usize),
-                                KeyCol::Const(v) => v.clone(),
-                            };
-                            (Arc::clone(n), v)
-                        })
-                        .collect();
-                    (Value::Struct(fields), count)
-                })
-                .collect(),
-        )
+    /// Merge `other`'s groups in: each of its groups probes by its
+    /// representative row under the hash it already carries — no key is
+    /// rebuilt or re-hashed. Returns `other`'s group id → this id.
+    pub fn absorb(&mut self, key: &ColumnProgram, other: &Groups) -> Vec<u32> {
+        other
+            .hashes
+            .iter()
+            .zip(&other.reps)
+            .map(|(&hash, &rep)| self.upsert(key, hash, rep))
+            .collect()
+    }
+
+    /// The id of the group `at` belongs to, entering a new group with `at`
+    /// as its representative when `key`'s value there is unseen.
+    #[inline]
+    fn upsert(&mut self, key: &ColumnProgram, hash: u64, at: RowRef) -> u32 {
+        if self.reps.len() * 2 >= self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let g = self.slots[slot];
+            if g == EMPTY {
+                let g = self.reps.len() as u32;
+                self.slots[slot] = g;
+                self.hashes.push(hash);
+                self.reps.push(at);
+                return g;
+            }
+            if self.hashes[g as usize] == hash && key.same(self.reps[g as usize], at) {
+                return g;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(64);
+        self.slots.clear();
+        self.slots.resize(len, EMPTY);
+        for (g, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = hash as usize & (len - 1);
+            while self.slots[slot] != EMPTY {
+                slot = (slot + 1) & (len - 1);
+            }
+            self.slots[slot] = g as u32;
+        }
     }
 }
 
@@ -938,6 +1038,7 @@ mod tests {
     use super::*;
     use crate::calculus::eval::{eval, truthy, EvalCtx};
     use crate::calculus::CalcExpr;
+    use cleanm_values::FxHashMap;
 
     fn rows() -> Vec<Value> {
         (0..200i64)
@@ -1054,80 +1155,141 @@ mod tests {
         }
     }
 
-    #[test]
-    fn map_kernel_matches_row_builtins() {
-        let rows: Vec<Value> = (0..50)
-            .map(|i| {
-                Value::record([
-                    (
-                        "phone",
-                        if i % 9 == 0 {
-                            Value::Null
-                        } else {
-                            Value::str(format!("{i:03}-555"))
-                        },
-                    ),
-                    ("name", Value::str(format!("  Name-{i} "))),
-                ])
-            })
-            .collect();
-        let batch = ColumnBatch::from_rows(&rows).unwrap();
+    /// Group `rows` through the kernel in two batches (split at `cut`) and
+    /// return `(key, count)` per group, in first-appearance order.
+    fn kernel_groups(rows: &[Value], cut: usize, e: &CalcExpr) -> Option<Vec<(Value, u64)>> {
         let ctx = EvalCtx::new();
-        let scope = vec!["c".to_string()];
-        let e = CalcExpr::Record(vec![
-            (
-                "area".to_string(),
-                CalcExpr::call(
-                    Func::Prefix,
-                    vec![CalcExpr::proj(CalcExpr::var("c"), "phone")],
-                ),
-            ),
-            (
-                "lo".to_string(),
-                CalcExpr::call(
-                    Func::Lower,
-                    vec![CalcExpr::proj(CalcExpr::var("c"), "name")],
-                ),
-            ),
-            (
-                "t".to_string(),
-                CalcExpr::call(Func::Trim, vec![CalcExpr::proj(CalcExpr::var("c"), "name")]),
-            ),
-        ]);
-        let prog = Program::compile(&e, &scope, &ctx).unwrap();
-        let kernel = MapKernel::compile(&prog, &batch).expect("builtin projection vectorizes");
-        let sel = cleanm_values::sel_all(rows.len());
-        let out = kernel.apply(&batch, &sel).unwrap();
-        for (i, r) in rows.iter().enumerate() {
+        let prog = Program::compile(e, &["c".to_string()], &ctx).unwrap();
+        let batches: Vec<Arc<ColumnBatch>> = [&rows[..cut], &rows[cut..]]
+            .iter()
+            .map(|part| Arc::new(ColumnBatch::from_rows(part).unwrap()))
+            .collect();
+        let key = ColumnProgram::lower(&prog, &batches)?;
+        let (mut groups, mut gids) = (Groups::default(), Vec::new());
+        for (b, batch) in batches.iter().enumerate() {
+            groups.assign(
+                &key,
+                b as u32,
+                &cleanm_values::sel_all(batch.len()),
+                &mut gids,
+            );
+        }
+        let mut counts = vec![0u64; groups.len()];
+        for g in gids {
+            counts[g as usize] += 1;
+        }
+        Some(
+            (0..groups.len() as u32)
+                .map(|g| (key.value(groups.rep(g)), counts[g as usize]))
+                .collect(),
+        )
+    }
+
+    fn row_groups(rows: &[Value], e: &CalcExpr) -> FxHashMap<Value, u64> {
+        let ctx = EvalCtx::new();
+        let mut want: FxHashMap<Value, u64> = FxHashMap::default();
+        for r in rows {
             let env = vec![("c".to_string(), r.clone())];
-            assert_eq!(out.row(i), eval(&e, &env, &ctx).unwrap(), "row {i}");
+            *want.entry(eval(e, &env, &ctx).unwrap()).or_insert(0) += 1;
+        }
+        want
+    }
+
+    fn assert_groups_match(rows: &[Value], cut: usize, e: &CalcExpr) {
+        let got = kernel_groups(rows, cut, e).expect("key lowers to column expressions");
+        let want = row_groups(rows, e);
+        assert_eq!(got.len(), want.len(), "{e}");
+        for (k, n) in &got {
+            assert_eq!(want.get(k), Some(n), "group {k} of {e}");
         }
     }
 
     #[test]
-    fn group_kernel_counts_match_row_grouping() {
+    fn grouping_kernel_matches_row_grouping_for_every_key_shape() {
         let rows = rows();
-        let batch = ColumnBatch::from_rows(&rows).unwrap();
+        let col = |f: &str| CalcExpr::proj(CalcExpr::var("c"), f);
+        let prefix = CalcExpr::call(Func::Prefix, vec![col("seg")]);
+        for e in [
+            // composite key (`RecordFused`)
+            CalcExpr::Record(vec![
+                ("k0".to_string(), col("seg")),
+                ("k1".to_string(), col("bal")),
+            ]),
+            // single column (`SlotField`), NULLs included
+            col("bal"),
+            // derived key (`CallFused`) alone and inside a record
+            prefix.clone(),
+            CalcExpr::Record(vec![
+                ("k0".to_string(), prefix),
+                ("k1".to_string(), col("id")),
+            ]),
+            // a constant key: one group
+            CalcExpr::Const(Value::Int(1)),
+        ] {
+            assert_groups_match(&rows, 120, &e);
+        }
+    }
+
+    #[test]
+    fn grouping_kernel_keeps_value_equality_across_batch_types() {
+        // Batch 0 types `k` as Float (NaN, −0.0), batch 1 as Int: `0`
+        // joins `−0.0`'s group and `2` joins `2.0`'s, NULL = NULL, NaN = NaN.
+        let k = |v: Value| Value::record([("k", v)]);
+        let rows = vec![
+            k(Value::Float(-0.0)),
+            k(Value::Float(f64::NAN)),
+            k(Value::Float(2.0)),
+            k(Value::Null),
+            k(Value::Float(f64::NAN)),
+            k(Value::Int(0)),
+            k(Value::Int(2)),
+            k(Value::Null),
+            k(Value::Int(7)),
+        ];
+        let e = CalcExpr::proj(CalcExpr::var("c"), "k");
+        assert_groups_match(&rows, 5, &e);
+        assert_eq!(kernel_groups(&rows, 5, &e).unwrap().len(), 5);
+    }
+
+    #[test]
+    fn absorbed_groups_probe_by_representative() {
+        let rows = rows();
+        let ctx = EvalCtx::new();
+        let e = CalcExpr::proj(CalcExpr::var("c"), "seg");
+        let prog = Program::compile(&e, &["c".to_string()], &ctx).unwrap();
+        let batch = Arc::new(ColumnBatch::from_rows(&rows).unwrap());
+        let key = ColumnProgram::lower(&prog, &[batch]).unwrap();
+        let (mut left, mut right) = (Groups::default(), Groups::default());
+        let (mut lg, mut rg) = (Vec::new(), Vec::new());
+        left.assign(&key, 0, &[1, 2], &mut lg); // B, B
+        right.assign(&key, 0, &[3, 4, 5], &mut rg); // A, B, B
+        assert_eq!((lg, rg), (vec![0, 0], vec![0, 1, 1]));
+        assert_eq!(left.absorb(&key, &right), vec![1, 0], "A is new, B merges");
+        assert_eq!(left.len(), 2);
+    }
+
+    #[test]
+    fn what_is_not_a_column_expression_does_not_lower() {
         let ctx = EvalCtx::new();
         let scope = vec!["c".to_string()];
-        let e = CalcExpr::Record(vec![
-            ("k0".to_string(), CalcExpr::proj(CalcExpr::var("c"), "seg")),
-            ("k1".to_string(), CalcExpr::proj(CalcExpr::var("c"), "bal")),
-        ]);
-        let prog = Program::compile(&e, &scope, &ctx).unwrap();
-        let kernel = GroupKeyKernel::compile(&prog, &batch).expect("tuple key vectorizes");
-        let sel = cleanm_values::sel_all(rows.len());
-        let groups = kernel.group_counts(&batch, &sel).unwrap();
-
-        let mut want: FxHashMap<Value, u64> = FxHashMap::default();
-        for r in &rows {
-            let env = vec![("c".to_string(), r.clone())];
-            *want.entry(eval(&e, &env, &ctx).unwrap()).or_insert(0) += 1;
+        let mixed = vec![
+            Value::record([("a", Value::Int(1)), ("s", Value::str("x"))]),
+            Value::record([("a", Value::str("x")), ("s", Value::str("y"))]),
+        ];
+        let batch = [Arc::new(ColumnBatch::from_rows(&mixed).unwrap())];
+        let col = |f: &str| CalcExpr::proj(CalcExpr::var("c"), f);
+        for e in [
+            col("a"),                                              // a `Val` column
+            col("zz"),                                             // not a field
+            CalcExpr::var("c"),                                    // the whole row
+            CalcExpr::call(Func::Prefix, vec![col("a")]),          // builtin over a non-string
+            CalcExpr::bin(BinOp::Add, col("a"), CalcExpr::int(1)), // arithmetic
+        ] {
+            let prog = Program::compile(&e, &scope, &ctx).unwrap();
+            assert!(ColumnProgram::lower(&prog, &batch).is_none(), "{e}");
         }
-        assert_eq!(groups.len(), want.len());
-        for (k, n) in &groups {
-            assert_eq!(want.get(k), Some(n), "group {k}");
-        }
+        let prog = Program::compile(&col("s"), &scope, &ctx).unwrap();
+        assert!(ColumnProgram::lower(&prog, &batch).is_some());
     }
 
     #[test]

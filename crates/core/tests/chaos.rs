@@ -63,6 +63,12 @@ const UNIFIED_SQL: &str = "SELECT * FROM customer c \
      FD(c.address, c.nationkey) \
      DEDUP(exact, LD, 0.7, c.address, c.name)";
 const SELECT_SQL: &str = "SELECT c.name, c.nationkey FROM customer c WHERE c.nationkey > 1";
+// An unshared FD and a grouped aggregate: under the vectorizing profiles
+// both fold the table's columns (`group_fold*` stages over chunks), so the
+// columnarize / kernel-entry / partition-start sites sit on that sweep.
+const FD_SQL: &str = "SELECT * FROM customer c WHERE c.nationkey > 0 FD(c.address | c.name)";
+const GROUP_SQL: &str = "SELECT c.address, count(*) AS n, avg(c.nationkey) AS k \
+     FROM customer c GROUP BY c.address HAVING count(*) > 1";
 
 /// The semantically meaningful parts of a report, for identical-recovery
 /// assertions. Op outputs are compared as sorted multisets: within-op
@@ -85,7 +91,7 @@ fn fingerprint(r: &CleaningReport) -> (Vec<i64>, Vec<(String, Vec<String>)>) {
 #[test]
 fn every_site_and_profile_survives_with_typed_outcome() {
     for profile in profiles() {
-        for sql in [UNIFIED_SQL, SELECT_SQL] {
+        for sql in [UNIFIED_SQL, SELECT_SQL, FD_SQL, GROUP_SQL] {
             let clean = fingerprint(&session(profile.clone()).run(sql).unwrap());
             for site in FaultSite::ALL {
                 for kind in [FaultKind::Panic, FaultKind::Error] {
@@ -142,48 +148,99 @@ fn every_site_and_profile_survives_with_typed_outcome() {
 
 #[test]
 fn columnar_fault_sites_fire_under_the_vectorizing_profile() {
-    for site in [FaultSite::Columnarize, FaultSite::KernelEntry] {
-        let mut db = session(EngineProfile::clean_db());
-        let plan = Arc::new(FaultPlan::new().arm(site, 0, FaultKind::Error, u32::MAX));
-        db.context().set_fault_plan(Some(Arc::clone(&plan)));
-        let report = db
-            .run_with_limits(SELECT_SQL, RunLimits::default())
-            .unwrap();
-        let fail = report
-            .failure
-            .unwrap_or_else(|| panic!("{} arm did not fire", site.name()));
-        assert_eq!(fail.kind, "fault_injected");
-        assert!(fail.error.contains(site.name()));
-        assert!(plan.injected_at(site) >= 1);
+    for (sql, op) in [
+        (SELECT_SQL, "SELECT"),
+        (FD_SQL, "FD#0"),
+        (GROUP_SQL, "SELECT"),
+    ] {
+        for site in [
+            FaultSite::Columnarize,
+            FaultSite::KernelEntry,
+            FaultSite::PartitionStart,
+        ] {
+            let mut db = session(EngineProfile::clean_db());
+            let plan = Arc::new(FaultPlan::new().arm(site, 0, FaultKind::Error, u32::MAX));
+            db.context().set_fault_plan(Some(Arc::clone(&plan)));
+            let report = db.run_with_limits(sql, RunLimits::default()).unwrap();
+            let fail = report
+                .failure
+                .unwrap_or_else(|| panic!("{} arm did not fire on `{sql}`", site.name()));
+            assert_eq!(fail.kind, "fault_injected");
+            assert!(fail.error.contains(site.name()));
+            assert_eq!(fail.failed_op.as_deref(), Some(op), "`{sql}`");
+            assert!(plan.injected_at(site) >= 1);
+        }
     }
 }
 
 #[test]
 fn retried_partition_panic_recovers_identically() {
-    let clean = fingerprint(&session(EngineProfile::clean_db()).run(UNIFIED_SQL).unwrap());
-    let mut db = session(EngineProfile::clean_db());
-    // Fail partition 0 once per sweep; the retry passes.
-    db.context()
-        .set_fault_plan(Some(Arc::new(FaultPlan::new().arm(
-            FaultSite::PartitionStart,
-            0,
-            FaultKind::Panic,
-            1,
-        ))));
-    let report = db
-        .run_with_limits(
-            UNIFIED_SQL,
-            RunLimits {
-                max_retries: Some(2),
-                ..RunLimits::default()
-            },
-        )
-        .unwrap();
-    assert!(report.failure.is_none(), "{:?}", report.failure);
-    assert_eq!(fingerprint(&report), clean);
-    assert!(report.metrics.partition_retries >= 1);
-    let (retries, panics, _) = db.metrics_registry().fault_counts();
-    assert!(retries >= 1 && panics >= 1);
+    for sql in [UNIFIED_SQL, FD_SQL, GROUP_SQL] {
+        let clean = fingerprint(&session(EngineProfile::clean_db()).run(sql).unwrap());
+        let mut db = session(EngineProfile::clean_db());
+        // Fail partition 0 once per sweep; the retry passes.
+        db.context()
+            .set_fault_plan(Some(Arc::new(FaultPlan::new().arm(
+                FaultSite::PartitionStart,
+                0,
+                FaultKind::Panic,
+                1,
+            ))));
+        let limits = RunLimits {
+            max_retries: Some(2),
+            ..RunLimits::default()
+        };
+        let report = db.run_with_limits(sql, limits).unwrap();
+        assert!(report.failure.is_none(), "`{sql}`: {:?}", report.failure);
+        assert_eq!(fingerprint(&report), clean, "`{sql}`");
+        assert!(report.metrics.partition_retries >= 1);
+        let (retries, panics, _) = db.metrics_registry().fault_counts();
+        assert!(retries >= 1 && panics >= 1);
+
+        // Without retries the same panic is a typed failure naming the op.
+        let report = db.run_with_limits(sql, RunLimits::default()).unwrap();
+        let fail = report.failure.expect("no retry budget: the panic surfaces");
+        assert_eq!(fail.kind, "partition_panic", "`{sql}`: {}", fail.error);
+        assert!(fail.failed_op.is_some(), "`{sql}`");
+        db.context().set_fault_plan(None);
+        assert_eq!(fingerprint(&db.run(sql).unwrap()), clean, "`{sql}`");
+    }
+}
+
+/// A cancel raised while the columnar fold is mid-sweep stops it at the
+/// next claim (a chunk of the fold, or of the stage after it): the query
+/// comes back as cancelled well inside the cancellation-latency gate
+/// (`BENCH_faults.json`: p99 < 1 s).
+#[test]
+fn cancel_mid_fold_returns_within_the_latency_bound() {
+    for sql in [FD_SQL, GROUP_SQL] {
+        let mut db = session(EngineProfile::clean_db());
+        db.context()
+            .set_fault_plan(Some(Arc::new(FaultPlan::new().arm(
+                FaultSite::PartitionStart,
+                0,
+                FaultKind::Delay(Duration::from_millis(40)),
+                u32::MAX,
+            ))));
+        let token = db.cancel_handle();
+        let canceller = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            token.cancel();
+            std::time::Instant::now()
+        });
+        let report = db.run_with_limits(sql, RunLimits::default()).unwrap();
+        let returned = std::time::Instant::now();
+        let cancelled_at = canceller.join().unwrap();
+        let fail = report.failure.expect("cancel landed mid-fold");
+        assert_eq!(fail.kind, "cancelled", "`{sql}`");
+        assert!(fail.resource_limit);
+        assert!(
+            returned.saturating_duration_since(cancelled_at) < Duration::from_secs(1),
+            "`{sql}`"
+        );
+        db.context().set_fault_plan(None);
+        assert!(db.run(sql).is_ok());
+    }
 }
 
 #[test]

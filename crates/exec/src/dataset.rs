@@ -25,20 +25,19 @@ fn count<T>(parts: &[Vec<T>]) -> u64 {
 
 /// Run `f` over `tasks` on the worker pool as one accounted stage under
 /// `label` — the one place a narrow stage's [`StageReport`] is assembled.
-/// With `partials_travel` each result is a per-partition partial sent to
-/// the driver: one shuffled record apiece is charged and reported.
-/// Otherwise nothing moves.
+/// `moved` says how many records the results send between partitions or
+/// to the driver: that many are charged and reported as shuffled.
 fn run_stage<S: Send, R: Send>(
     ctx: &ExecContext,
     label: &'static str,
     records_in: u64,
     tasks: Vec<S>,
-    partials_travel: bool,
+    moved: impl FnOnce(&[R]) -> u64,
     f: impl Fn(S) -> R + Sync,
 ) -> ExecResult<Vec<R>> {
     let start = Instant::now();
     let (out, busy) = run_partitions(ctx, label, tasks, |_, task| f(task))?;
-    let records_shuffled = if partials_travel { out.len() as u64 } else { 0 };
+    let records_shuffled = moved(&out);
     ctx.charge_shuffle(records_shuffled);
     ctx.record_stage(StageReport {
         operator: label,
@@ -48,6 +47,16 @@ fn run_stage<S: Send, R: Send>(
         wall_ns: start.elapsed().as_nanos() as u64,
     });
     Ok(out)
+}
+
+/// Nothing moves: a narrow stage whose results stay where they were made.
+fn stays<R>(_: &[R]) -> u64 {
+    0
+}
+
+/// Each result is one per-partition partial sent to the driver.
+fn one_each<R>(out: &[R]) -> u64 {
+    out.len() as u64
 }
 
 /// A partitioned collection bound to an [`ExecContext`] — the analogue of an
@@ -169,7 +178,7 @@ impl<T: Data> Dataset<T> {
     pub fn filter_partitions(self, f: impl Fn(&mut Vec<T>) + Sync) -> ExecResult<Dataset<T>> {
         let ctx = self.ctx;
         let records_in = count(&self.parts);
-        let parts = run_stage(&ctx, "filter", records_in, self.parts, false, |mut part| {
+        let parts = run_stage(&ctx, "filter", records_in, self.parts, stays, |mut part| {
             f(&mut part);
             part
         })?;
@@ -190,7 +199,7 @@ impl<T: Data> Dataset<T> {
         emit: impl Fn(T, &mut Vec<U>) + Sync,
     ) -> ExecResult<Dataset<U>> {
         let ctx = self.ctx;
-        let parts = run_stage(&ctx, label, count(&self.parts), self.parts, false, |part| {
+        let parts = run_stage(&ctx, label, count(&self.parts), self.parts, stays, |part| {
             let mut out = Vec::with_capacity(part.len());
             for t in part {
                 if pred(&t) {
@@ -218,7 +227,7 @@ impl<T: Data> Dataset<T> {
         fold: impl Fn(A, T) -> A + Sync,
     ) -> ExecResult<Vec<A>> {
         let records_in = count(&self.parts);
-        run_stage(&self.ctx, label, records_in, self.parts, false, |part| {
+        run_stage(&self.ctx, label, records_in, self.parts, stays, |part| {
             let mut acc = zero();
             for t in part {
                 if pred(&t) {
@@ -238,7 +247,7 @@ impl<T: Data> Dataset<T> {
     ) -> ExecResult<Dataset<U>> {
         let ctx = self.ctx;
         let records_in = count(&self.parts);
-        let parts = run_stage(&ctx, "map_partitions", records_in, self.parts, false, f)?;
+        let parts = run_stage(&ctx, "map_partitions", records_in, self.parts, stays, f)?;
         Ok(Dataset { ctx, parts })
     }
 
@@ -266,7 +275,14 @@ impl<T: Data> Dataset<T> {
     ) -> ExecResult<Vec<A>> {
         let refs: Vec<&[T]> = self.parts.iter().map(|p| p.as_slice()).collect();
         let records_in = count(&self.parts);
-        run_stage(&self.ctx, "summarize_partitions", records_in, refs, true, f)
+        run_stage(
+            &self.ctx,
+            "summarize_partitions",
+            records_in,
+            refs,
+            one_each,
+            f,
+        )
     }
 
     /// Fold each partition into one accumulator (borrowed pass, like
@@ -285,13 +301,20 @@ impl<T: Data> Dataset<T> {
         fold: impl Fn(&mut A, &T) + Sync,
     ) -> ExecResult<Vec<A>> {
         let refs: Vec<&[T]> = self.parts.iter().map(|p| p.as_slice()).collect();
-        run_stage(&self.ctx, label, count(&self.parts), refs, true, |part| {
-            let mut acc = init();
-            for t in part {
-                fold(&mut acc, t);
-            }
-            acc
-        })
+        run_stage(
+            &self.ctx,
+            label,
+            count(&self.parts),
+            refs,
+            one_each,
+            |part| {
+                let mut acc = init();
+                for t in part {
+                    fold(&mut acc, t);
+                }
+                acc
+            },
+        )
     }
 
     /// Zip each partition with a parallel vector of per-record companions
@@ -348,11 +371,29 @@ pub fn produce_partitions<S: Send + Clone, T: Data>(
     tasks: Vec<S>,
     f: impl Fn(S) -> Vec<T> + Sync,
 ) -> ExecResult<Dataset<T>> {
-    let parts = run_stage(ctx, label, records_in, tasks, false, f)?;
+    let parts = run_stage(ctx, label, records_in, tasks, stays, f)?;
     Ok(Dataset {
         ctx: Arc::clone(ctx),
         parts,
     })
+}
+
+/// [`produce_partitions`] for column-first *folds*: one task per chunk of
+/// the input, each returning a partial that travels to the driver instead
+/// of a partition of rows (a per-chunk group table, a gathered member
+/// list). `moved` counts the records those partials carry, for the stage's
+/// shuffle accounting — one per chunk when the partial is a single
+/// mergeable summary, the per-chunk group count when each group is its own
+/// shuffled partial.
+pub fn produce_partials<S: Send, R: Send>(
+    ctx: &Arc<ExecContext>,
+    label: &'static str,
+    records_in: u64,
+    tasks: Vec<S>,
+    moved: impl FnOnce(&[R]) -> u64,
+    f: impl Fn(S) -> R + Sync,
+) -> ExecResult<Vec<R>> {
+    run_stage(ctx, label, records_in, tasks, moved, f)
 }
 
 /// [`Dataset::summarize_partitions`] over *borrowed* rows: chunks `rows`
@@ -373,7 +414,7 @@ pub fn summarize_rows<T: Sync, A: Data>(
         refs.push(&[]);
     }
     let records_in = rows.len() as u64;
-    run_stage(ctx, "summarize_partitions", records_in, refs, true, f)
+    run_stage(ctx, "summarize_partitions", records_in, refs, one_each, f)
 }
 
 /// [`summarize_rows`] over **several borrowed row batches in one accounted
@@ -398,7 +439,7 @@ pub fn summarize_batches<T: Sync, A: Data>(
     while refs.len() < p {
         refs.push(&[]);
     }
-    run_stage(ctx, "summarize_partitions", total as u64, refs, true, f)
+    run_stage(ctx, "summarize_partitions", total as u64, refs, one_each, f)
 }
 
 /// Merge per-partition partials **tree-wise on the worker pool**: each

@@ -44,7 +44,8 @@ pub mod theta;
 
 pub use context::{CancelToken, ExecContext};
 pub use dataset::{
-    merge_tree, produce_partitions, summarize_batches, summarize_rows, Data, Dataset, Key,
+    merge_tree, produce_partials, produce_partitions, summarize_batches, summarize_rows, Data,
+    Dataset, Key,
 };
 pub use error::{ExecError, ExecResult};
 pub use faults::{FaultArm, FaultKind, FaultPlan, FaultSite};

@@ -374,6 +374,23 @@ impl ColumnBatch {
     /// Columnarize `rows` (each a [`Value::Struct`] with an identical
     /// field-name sequence). `None` when the rows are not uniform structs.
     pub fn from_rows(rows: &[Value]) -> Option<ColumnBatch> {
+        Self::pivot(rows, |_| true)
+    }
+
+    /// [`ColumnBatch::from_rows`] keeping only the columns named in
+    /// `fields` (in row field order): the layout check still covers every
+    /// field of every row — a batch either columnarizes or it does not —
+    /// but only the requested cells are copied, so an operator that reads
+    /// three columns of a wide table pays for three. Names absent from the
+    /// rows are skipped; [`ColumnBatch::row`] on the result reconstructs
+    /// the projected fields only.
+    pub fn project_rows(rows: &[Value], fields: &[&str]) -> Option<ColumnBatch> {
+        Self::pivot(rows, |name| fields.contains(&name))
+    }
+
+    /// The row→column pivot behind both constructors: validate the uniform
+    /// struct layout of every row, build the columns `keep` selects.
+    fn pivot(rows: &[Value], keep: impl Fn(&str) -> bool) -> Option<ColumnBatch> {
         let Some(first) = rows.first() else {
             return Some(ColumnBatch {
                 len: 0,
@@ -384,29 +401,37 @@ impl ColumnBatch {
         let Ok(template) = first.as_struct() else {
             return None;
         };
-        let names: Vec<Arc<str>> = template.iter().map(|(n, _)| Arc::clone(n)).collect();
-        let mut builders: Vec<ColumnBuilder> =
-            (0..names.len()).map(|_| ColumnBuilder::new()).collect();
+        let mut builders: Vec<Option<ColumnBuilder>> = template
+            .iter()
+            .map(|(n, _)| keep(n).then(ColumnBuilder::new))
+            .collect();
         for row in rows {
             let Ok(fields) = row.as_struct() else {
                 return None;
             };
-            if fields.len() != names.len() {
+            if fields.len() != template.len() {
                 return None;
             }
-            for ((name, value), (want, b)) in
-                fields.iter().zip(names.iter().zip(builders.iter_mut()))
+            for ((name, value), ((want, _), b)) in
+                fields.iter().zip(template.iter().zip(builders.iter_mut()))
             {
                 if !Arc::ptr_eq(name, want) && name != want {
                     return None; // shuffled or renamed schema → row fallback
                 }
-                b.push(value.clone());
+                if let Some(b) = b {
+                    b.push(value.clone());
+                }
             }
         }
+        let (names, cols) = template
+            .iter()
+            .zip(builders)
+            .filter_map(|((n, _), b)| Some((Arc::clone(n), b?.finish())))
+            .unzip();
         Some(ColumnBatch {
             len: rows.len(),
             names,
-            cols: builders.into_iter().map(ColumnBuilder::finish).collect(),
+            cols,
         })
     }
 
@@ -565,6 +590,28 @@ mod tests {
         ];
         assert!(ColumnBatch::from_rows(&ragged).is_none());
         assert!(ColumnBatch::from_rows(&[Value::Int(3)]).is_none());
+    }
+
+    #[test]
+    fn projection_copies_only_the_named_columns() {
+        let rows: Vec<Value> = (0..5).map(row).collect();
+        let batch = ColumnBatch::project_rows(&rows, &["name", "id", "absent"]).unwrap();
+        assert_eq!(batch.len(), 5);
+        let names: Vec<&str> = batch.names().iter().map(|n| n.as_ref()).collect();
+        assert_eq!(
+            names,
+            ["id", "name"],
+            "row field order, absent names skipped"
+        );
+        assert_eq!(batch.column(1).value(3), Value::str("n3"));
+        // No column requested: the row count survives.
+        assert_eq!(ColumnBatch::project_rows(&rows, &[]).unwrap().len(), 5);
+        // The layout check still covers the fields that are not copied.
+        let ragged = vec![
+            Value::record([("a", Value::Int(1)), ("b", Value::Int(2))]),
+            Value::record([("a", Value::Int(1)), ("c", Value::Int(2))]),
+        ];
+        assert!(ColumnBatch::project_rows(&ragged, &["a"]).is_none());
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! heavy-hitter skewed keys, shuffled schemas, and all three shuffle
 //! strategies.
 //!
+//! The second half pins the **columnar route** of the fold
+//! (`fold_groups && vectorize`, an unshared `Scan`, `LocalAggregate`): a
+//! generated-table differential against the row driver and the reference
+//! evaluator, what lowers and what falls back, and stage-volume twins of
+//! the row driver's shuffle tests.
+//!
 //! Float caveat (documented in ARCHITECTURE.md): `sum`/`avg` over *float*
 //! columns may differ from the materialized fold in the last ulp — the
 //! fold path sums per partition and merges partials, associating float
@@ -21,6 +27,7 @@ use cleanm::core::calculus::{desugar_query, EvalCtx};
 use cleanm::core::engine::storage::StoredTable;
 use cleanm::core::lang::parse_query;
 use cleanm::core::physical::{EngineProfile, Executor, NestStrategy};
+use cleanm::core::{CleanDb, CleaningReport};
 use cleanm::exec::{ExecContext, MetricsSnapshot};
 use cleanm::values::Value;
 use proptest::prelude::*;
@@ -83,6 +90,13 @@ fn catalog(rows: Vec<Value>) -> HashMap<String, StoredTable> {
 fn fold_profile(nest: NestStrategy) -> EngineProfile {
     let mut p = EngineProfile::clean_db();
     p.nest = nest;
+    p
+}
+
+/// [`fold_profile`] with the columnar route off: the row driver.
+fn row_fold_profile(nest: NestStrategy) -> EngineProfile {
+    let mut p = fold_profile(nest);
+    p.vectorize = false;
     p
 }
 
@@ -235,7 +249,7 @@ fn grouped_aggregate_shuffle_volume_is_distinct_keys_per_partition() {
         .collect();
     let tables = catalog(rows);
     let sql = "SELECT c.k, count(*) AS n, sum(c.v) AS s FROM t c GROUP BY c.k";
-    let (out, metrics) = run_sql(sql, &tables, fold_profile(NestStrategy::LocalAggregate));
+    let (out, metrics) = run_sql(sql, &tables, row_fold_profile(NestStrategy::LocalAggregate));
     assert_eq!(out.len(), 10);
     let stage = metrics
         .stages
@@ -284,7 +298,7 @@ fn fd_fold_shuffles_only_violating_groups() {
         .collect();
     let tables = catalog(rows);
     let sql = "SELECT * FROM t c FD(c.k | c.v)";
-    let (out, metrics) = run_sql(sql, &tables, fold_profile(NestStrategy::LocalAggregate));
+    let (out, metrics) = run_sql(sql, &tables, row_fold_profile(NestStrategy::LocalAggregate));
     assert_eq!(out.len(), 2, "two violating groups");
     let probe = metrics
         .stages
@@ -326,7 +340,7 @@ fn clean_fd_skips_materialization_entirely() {
     let (out, metrics) = run_sql(
         "SELECT * FROM t c FD(c.k | c.v)",
         &tables,
-        fold_profile(NestStrategy::LocalAggregate),
+        row_fold_profile(NestStrategy::LocalAggregate),
     );
     assert!(out.is_empty());
     assert!(
@@ -335,5 +349,546 @@ fn clean_fd_skips_materialization_entirely() {
             .iter()
             .any(|s| s.operator == "group_fold_materialize"),
         "no violating keys → no phase-2 sweep"
+    );
+}
+
+// ---------------------------------------------------------------------
+// The columnar route: `fold_groups && vectorize` over an unshared Scan
+// under `LocalAggregate` folds the stored table's columns — key cells
+// hashed into dense group ids, accumulators folded by id, violating groups
+// gathered by row index. Everything observable must equal the row driver
+// and the reference evaluator.
+// ---------------------------------------------------------------------
+
+/// How one append batch types its key column `a` — and whether it
+/// columnarizes at all.
+#[derive(Debug, Clone, Copy)]
+enum BatchKind {
+    IntKeys,
+    /// Floats equal in value to the int keys, plus NaN and both zeros.
+    FloatKeys,
+    /// A differently typed key column: never equal to a numeric key.
+    StrKeys,
+    /// Ints and floats in one column: a `Val` column, the row path.
+    MixedKeys,
+    /// Int keys, field order reversed: the batch does not columnarize.
+    Shuffled,
+}
+
+/// How the keys of a table are distributed.
+#[derive(Debug, Clone, Copy)]
+enum KeyMode {
+    Random,
+    Unique,
+    AllEqual,
+    /// Nine rows in ten share one key.
+    Skewed,
+}
+
+fn batch_kind() -> BoxedStrategy<BatchKind> {
+    prop_oneof![
+        Just(BatchKind::IntKeys),
+        Just(BatchKind::IntKeys),
+        Just(BatchKind::IntKeys),
+        Just(BatchKind::FloatKeys),
+        Just(BatchKind::FloatKeys),
+        Just(BatchKind::StrKeys),
+        Just(BatchKind::MixedKeys),
+        Just(BatchKind::Shuffled),
+    ]
+    .boxed()
+}
+
+fn key_mode() -> BoxedStrategy<KeyMode> {
+    prop_oneof![
+        Just(KeyMode::Random),
+        Just(KeyMode::Random),
+        Just(KeyMode::Unique),
+        Just(KeyMode::AllEqual),
+        Just(KeyMode::Skewed),
+    ]
+    .boxed()
+}
+
+/// Key `pick` (0 = NULL) as a batch of `kind` stores it. Int and float
+/// batches name the same numbers, so groups span batches of both types.
+fn key_cell(kind: BatchKind, pick: usize, row: usize) -> Value {
+    let float = match kind {
+        BatchKind::FloatKeys => true,
+        BatchKind::MixedKeys => row % 2 == 1,
+        _ => false,
+    };
+    match (kind, pick) {
+        (_, 0) => Value::Null,
+        (BatchKind::StrKeys, n) => Value::str(["", "1", "zoë", "日本"][n % 4]),
+        (BatchKind::FloatKeys, 5) => Value::Float(f64::NAN),
+        (BatchKind::FloatKeys, 6) if row % 2 == 1 => Value::Float(-0.0),
+        (BatchKind::FloatKeys, 6) => Value::Float(0.0),
+        (_, 6) => Value::Int(0),
+        (_, n) if float => Value::Float(n as f64),
+        (_, n) => Value::Int(n as i64),
+    }
+}
+
+/// One generated row before its batch types it: key picks for `a`, then
+/// the `b`, `c`, `d`, `s`, `x` cells.
+type RawRow = (usize, Value, Value, Value, Value, Value);
+
+fn raw_rows() -> BoxedStrategy<Vec<RawRow>> {
+    let small =
+        |lo: i64, hi: i64| prop_oneof![Just(Value::Null), (lo..hi).prop_map(Value::Int)].boxed();
+    // Sums of these floats are exact in any association (multiples of
+    // 0.5, NaN absorbing), so `sum` / `avg` compare bit for bit.
+    let d = prop_oneof![
+        Just(Value::Null),
+        Just(Value::Float(f64::NAN)),
+        Just(Value::Float(-0.0)),
+        Just(Value::Float(1.5)),
+        Just(Value::Float(-2.0)),
+    ];
+    let s = prop_oneof![
+        Just(Value::Null),
+        Just(Value::str("")),
+        Just(Value::str("555-1234")),
+        Just(Value::str("555-9876")),
+        Just(Value::str("556")),
+        Just(Value::str("日本語-の名前")),
+        Just(Value::str("zoë")),
+        Just(Value::str("0123456789".repeat(7))),
+    ];
+    let row = (0usize..8, small(0, 3), small(-3, 4), d, s, small(-2, 3));
+    proptest::collection::vec(row, 0..40).boxed()
+}
+
+/// Lay `raw` out as append batches of `size` rows, batch `i` typed by
+/// `kinds[i % kinds.len()]`.
+fn batches(raw: &[RawRow], mode: KeyMode, size: usize, kinds: &[BatchKind]) -> Vec<Vec<Value>> {
+    let mut out: Vec<Vec<Value>> = Vec::new();
+    for (i, (pick, b, c, d, s, x)) in raw.iter().enumerate() {
+        let kind = kinds[(i / size) % kinds.len()];
+        let pick = match mode {
+            KeyMode::Random => *pick,
+            KeyMode::Unique => 100 + i,
+            KeyMode::AllEqual => 2,
+            KeyMode::Skewed if i % 10 != 0 => 3,
+            KeyMode::Skewed => *pick,
+        };
+        let mut fields = vec![
+            ("__rowid", Value::Int(i as i64)),
+            ("a", key_cell(kind, pick, i)),
+            ("b", b.clone()),
+            ("c", c.clone()),
+            ("d", d.clone()),
+            ("s", s.clone()),
+            ("x", x.clone()),
+        ];
+        if matches!(kind, BatchKind::Shuffled) {
+            fields[1..].reverse();
+        }
+        if i % size == 0 {
+            out.push(Vec::new());
+        }
+        out.last_mut().unwrap().push(Value::record(fields));
+    }
+    out
+}
+
+fn session(
+    profile: &EngineProfile,
+    vectorize: bool,
+    workers: usize,
+    data: &[Vec<Value>],
+) -> CleanDb {
+    let mut profile = profile.clone();
+    profile.vectorize = vectorize;
+    let mut db = CleanDb::with_context(profile, ExecContext::new(workers, 2 * workers));
+    let mut data = data.iter();
+    db.register_values("t", data.next().cloned().unwrap_or_default());
+    for more in data {
+        db.append_values("t", more.clone()).unwrap();
+    }
+    db
+}
+
+/// What the calculus says `sql`'s only operator means over table `t`: the
+/// reference evaluator on the normalized comprehension.
+fn reference_output(db: &CleanDb, sql: &str) -> Vec<Value> {
+    use cleanm::core::calculus::{eval, normalize};
+    let query = parse_query(sql).unwrap();
+    let op = desugar_query(&query, 42).unwrap().ops.remove(0);
+    let (comp, _) = normalize(&op.comp);
+    let rows = db.table_rows("t").unwrap();
+    let ctx = EvalCtx::new().with_table("t", Value::list(rows.iter().cloned()));
+    let mut out = eval(&comp, &vec![], &ctx)
+        .unwrap()
+        .as_list()
+        .unwrap()
+        .to_vec();
+    out.sort();
+    out
+}
+
+/// The op's outputs as a sorted multiset. A group record carries its
+/// members as a list, so equality pins member order within each group.
+fn sorted_output(report: &CleaningReport) -> Vec<Value> {
+    let mut out = report.ops[0].output.clone();
+    out.sort();
+    out
+}
+
+const COLUMNAR_QUERIES: [&str; 8] = [
+    "SELECT * FROM t c FD(c.a | c.c)",
+    "SELECT * FROM t c FD(c.a, c.b | c.c)",
+    "SELECT * FROM t c FD(c.a | prefix(c.s))",
+    "SELECT * FROM t c FD(c.b | c.c, c.s)",
+    "SELECT * FROM t c WHERE c.x > 0 FD(c.a | c.c)",
+    "SELECT c.a, count(*) AS n, sum(c.c) AS s, min(c.c) AS mn, max(c.d) AS mx, \
+     avg(c.c) AS av, sum(c.d) AS sd, count_distinct(c.b) AS cd \
+     FROM t c GROUP BY c.a HAVING count(*) > 1",
+    "SELECT c.a, max(c.s) AS ms, count_distinct(c.s) AS cs FROM t c WHERE c.x > 0 GROUP BY c.a",
+    "SELECT count(*) AS n, min(c.c) AS m FROM t c GROUP BY prefix(c.s)",
+];
+
+fn all_profiles() -> [EngineProfile; 4] {
+    [
+        EngineProfile::clean_db(),
+        EngineProfile::spark_sql_like(),
+        EngineProfile::big_dansing_like(),
+        EngineProfile::adaptive(),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Generated tables × FD / GROUP BY shapes × four profiles ×
+    /// `vectorize` on/off × workers {1, 2}: output multisets and member
+    /// order within each group ≡ the reference evaluator (hence the row
+    /// path ≡ the columnar route), nothing interpreted.
+    #[test]
+    fn columnar_fold_agrees_with_rows_and_the_reference_evaluator(
+        raw in raw_rows(),
+        mode in key_mode(),
+        size in 1usize..14,
+        kinds in proptest::collection::vec(batch_kind(), 1..4),
+    ) {
+        let data = batches(&raw, mode, size, &kinds);
+        for profile in all_profiles() {
+            for vectorize in [false, true] {
+                for workers in [1, 2] {
+                    let mut db = session(&profile, vectorize, workers, &data);
+                    for sql in COLUMNAR_QUERIES {
+                        let report = db.run(sql).unwrap();
+                        prop_assert_eq!(report.exprs.interpreted, 0, "{}", sql);
+                        prop_assert_eq!(
+                            sorted_output(&report),
+                            reference_output(&db, sql),
+                            "{} under {} (vectorize {}, {} worker(s)) over {:?} {:?}",
+                            sql,
+                            profile.name,
+                            vectorize,
+                            workers,
+                            kinds,
+                            mode
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A table whose every batch columnarizes with typed columns: `n` rows,
+/// `keys` distinct `k`, an int `v`, a phone-like `s`, in `batches` appends.
+fn typed_session(profile: EngineProfile, n: i64, keys: i64, batches: usize) -> CleanDb {
+    let rows: Vec<Value> = (0..n)
+        .map(|i| {
+            Value::record([
+                ("__rowid", Value::Int(i)),
+                ("k", Value::Int(i % keys)),
+                ("v", Value::Int(i % 7)),
+                ("s", Value::str(format!("{:03}-{i}", i % 5))),
+            ])
+        })
+        .collect();
+    let mut db = CleanDb::with_context(profile, ExecContext::new(2, 4));
+    let mut chunks = rows.chunks((n as usize).div_ceil(batches).max(1));
+    db.register_values("t", chunks.next().unwrap_or_default().to_vec());
+    for more in chunks {
+        db.append_values("t", more.to_vec()).unwrap();
+    }
+    db
+}
+
+fn stage_names(report: &CleaningReport) -> Vec<&'static str> {
+    report.metrics.stages.iter().map(|s| s.operator).collect()
+}
+
+/// Single-column keys (`SlotField`), derived keys and member expressions
+/// (`CallFused`), constant slots (`count(*)` = `Sum{1}`), record-valued
+/// right-hand sides and fused `WHERE` chains all lower: the sweep covers
+/// every row and no row dataset (`filter`, `aggregate_by_key`) is built.
+#[test]
+fn every_column_expression_shape_takes_the_columnar_route() {
+    for sql in [
+        "SELECT * FROM t c FD(c.k | c.v)",
+        "SELECT * FROM t c FD(c.k, c.v | c.s)",
+        "SELECT * FROM t c FD(c.k | prefix(c.s))",
+        "SELECT * FROM t c FD(prefix(c.s) | c.k)",
+        "SELECT * FROM t c FD(c.k | c.v, c.s)",
+        "SELECT * FROM t c WHERE c.v > 2 FD(c.k | c.v)",
+        "SELECT c.k, count(*) AS n FROM t c GROUP BY c.k",
+        "SELECT c.k, sum(c.v) AS s, avg(c.v) AS a, count_distinct(c.s) AS d \
+         FROM t c WHERE c.v < 6 GROUP BY c.k HAVING count(*) > 1",
+        "SELECT count(*) AS n, min(c.v) AS m FROM t c GROUP BY upper(c.s)",
+    ] {
+        for batches in [1, 3] {
+            let mut db = typed_session(EngineProfile::clean_db(), 600, 40, batches);
+            let report = db.run(sql).unwrap();
+            assert_eq!(
+                report.exprs.vectorized_rows, 600,
+                "{sql}: {:?}",
+                report.exprs
+            );
+            let stages = stage_names(&report);
+            assert!(
+                stages.iter().all(|s| s.starts_with("group_f")),
+                "{sql} over {batches} batch(es) built a row dataset: {stages:?}"
+            );
+            assert_eq!(
+                report.decisions.len(),
+                1,
+                "the Nest's decision is recorded once: {:?}",
+                report.decisions
+            );
+            let mut rows =
+                typed_session(row_fold_profile(NestStrategy::LocalAggregate), 600, 40, 1);
+            let by_rows = rows.run(sql).unwrap();
+            assert_eq!(sorted_output(&report), sorted_output(&by_rows), "{sql}");
+            assert_eq!(report.violating_ids, by_rows.violating_ids, "{sql}");
+            assert_eq!(report.decisions, by_rows.decisions, "{sql}");
+        }
+    }
+}
+
+/// What does not lower runs the unchanged row driver — decided once, with
+/// the same recorded decision: non-`LocalAggregate` strategies (fixed or
+/// adaptive), a `vectorize`-less profile, a shared scan, `Val` columns,
+/// arithmetic in the key, and batches that do not columnarize.
+#[test]
+fn what_does_not_lower_keeps_the_row_driver() {
+    let fd = "SELECT * FROM t c FD(c.k | c.v)";
+    let swept = |db: &mut CleanDb, sql: &str| db.run(sql).unwrap().exprs.vectorized_rows;
+
+    for nest in [NestStrategy::HashShuffle, NestStrategy::SortShuffle] {
+        assert_eq!(
+            swept(&mut typed_session(fold_profile(nest), 200, 9, 1), fd),
+            0
+        );
+    }
+    let row_driver = row_fold_profile(NestStrategy::LocalAggregate);
+    assert_eq!(swept(&mut typed_session(row_driver, 200, 9, 1), fd), 0);
+    // Adaptive: near-unique keys decide HashShuffle, collapsing ones
+    // LocalAggregate — and a fused WHERE hides the Nest's input count.
+    let adaptive = EngineProfile::adaptive;
+    assert_eq!(swept(&mut typed_session(adaptive(), 200, 199, 1), fd), 0);
+    assert_eq!(swept(&mut typed_session(adaptive(), 200, 9, 1), fd), 200);
+    let filtered = "SELECT * FROM t c WHERE c.v > 7 FD(c.k | c.v)";
+    let mut db = typed_session(adaptive(), 200, 9, 1);
+    assert!(stage_names(&db.run(filtered).unwrap()).contains(&"filter"));
+
+    let mut db = typed_session(EngineProfile::clean_db(), 200, 9, 1);
+    // The FD's Nest is shared with the DEDUP: it stays materialized.
+    let shared = "SELECT * FROM t c FD(c.k | c.v) DEDUP(exact, LD, 0.9, c.k, c.s)";
+    assert!(stage_names(&db.run(shared).unwrap()).contains(&"aggregate_by_key"));
+    // Arithmetic is not a column expression.
+    assert_eq!(
+        swept(&mut db, "SELECT count(*) AS n FROM t c GROUP BY c.k + 1"),
+        0
+    );
+    // A `Val` key column (ints and strings), then a shuffled-layout batch.
+    db.append_values(
+        "t",
+        vec![Value::record([
+            ("__rowid", Value::Int(200)),
+            ("k", Value::str("x")),
+            ("v", Value::Int(1)),
+            ("s", Value::str("y")),
+        ])],
+    )
+    .unwrap();
+    assert_eq!(
+        swept(&mut db, fd),
+        201,
+        "a differently typed batch still lowers"
+    );
+    db.append_values(
+        "t",
+        vec![
+            Value::record([
+                ("__rowid", Value::Int(201)),
+                ("k", Value::Int(1)),
+                ("v", Value::Int(1)),
+                ("s", Value::Null),
+            ]),
+            Value::record([
+                ("__rowid", Value::Int(202)),
+                ("k", Value::str("1")),
+                ("v", Value::Int(1)),
+                ("s", Value::Null),
+            ]),
+        ],
+    )
+    .unwrap();
+    assert_eq!(swept(&mut db, fd), 0, "a `Val` key column");
+    assert_eq!(
+        swept(&mut db, "SELECT * FROM t c FD(c.v | c.k)"),
+        0,
+        "a `Val` member column"
+    );
+    let mut db = typed_session(EngineProfile::clean_db(), 200, 9, 1);
+    db.append_values(
+        "t",
+        vec![Value::record([
+            ("s", Value::str("y")),
+            ("v", Value::Int(1)),
+            ("k", Value::Int(1)),
+            ("__rowid", Value::Int(200)),
+        ])],
+    )
+    .unwrap();
+    db.append_values(
+        "t",
+        vec![Value::record([
+            ("__rowid", Value::Int(201)),
+            ("v", Value::Int(1)),
+            ("k", Value::Int(1)),
+            ("s", Value::str("y")),
+        ])],
+    )
+    .unwrap();
+    assert_eq!(
+        swept(&mut db, fd),
+        202,
+        "each batch lowers against its own column order"
+    );
+}
+
+/// An aggregate that cannot fold a cell fails the query with the same
+/// typed error on both routes.
+#[test]
+fn sum_over_a_string_column_is_the_same_typed_error_on_both_routes() {
+    let sql = "SELECT c.k, sum(c.s) AS s FROM t c GROUP BY c.k";
+    let error = |profile: EngineProfile| {
+        let mut db = typed_session(profile, 50, 5, 2);
+        db.run(sql).unwrap_err().to_string()
+    };
+    let columnar = error(EngineProfile::clean_db());
+    assert_eq!(
+        columnar,
+        error(row_fold_profile(NestStrategy::LocalAggregate))
+    );
+    assert!(columnar.contains("type mismatch"), "{columnar}");
+}
+
+/// Columnar twin of the grouped-aggregate shuffle-volume test: one
+/// `group_fold` stage over all rows moves the per-chunk group partials —
+/// at most chunks × distinct keys — and `group_finish` sees the groups.
+#[test]
+fn columnar_grouped_aggregate_moves_one_partial_per_chunk_and_group() {
+    let mut db = typed_session(EngineProfile::clean_db(), 8_000, 10, 1);
+    let report = db
+        .run("SELECT c.k, count(*) AS n, sum(c.v) AS s FROM t c GROUP BY c.k")
+        .unwrap();
+    assert_eq!(report.ops[0].output.len(), 10);
+    assert_eq!(stage_names(&report), ["group_fold", "group_finish"]);
+    let fold = &report.metrics.stages[0];
+    assert_eq!(fold.records_in, 8_000);
+    assert_eq!(
+        fold.records_shuffled,
+        4 * 10,
+        "ten groups in each of four chunks"
+    );
+    assert_eq!(report.metrics.stages[1].records_in, 10);
+    assert_eq!(report.exprs.vectorized_rows, 8_000);
+}
+
+/// Columnar twin of the FD two-phase test: the probe moves one partial
+/// table per chunk, and phase two sees the violating rows alone — gathered
+/// by index, one member list per (chunk, violating group).
+#[test]
+fn columnar_fd_gathers_only_violating_rows() {
+    let rows: Vec<Value> = (0..4_000)
+        .map(|i| {
+            let k = i % 40;
+            let v = i64::from((k == 3 || k == 17) && i % 400 == k);
+            Value::record([
+                ("__rowid", Value::Int(i)),
+                ("k", Value::Int(k)),
+                ("v", Value::Int(v)),
+            ])
+        })
+        .collect();
+    let mut db = CleanDb::with_context(EngineProfile::clean_db(), ExecContext::new(2, 4));
+    db.register_values("t", rows.clone());
+    let report = db.run("SELECT * FROM t c FD(c.k | c.v)").unwrap();
+    assert_eq!(report.ops[0].output.len(), 2, "two violating groups");
+    assert_eq!(
+        stage_names(&report),
+        ["group_fold_probe", "group_fold_materialize"]
+    );
+    let (probe, gather) = (&report.metrics.stages[0], &report.metrics.stages[1]);
+    assert_eq!(probe.records_in, 4_000);
+    assert_eq!(probe.records_shuffled, 4, "one partial table per chunk");
+    assert_eq!(gather.records_in, 200, "only violating rows are gathered");
+    assert_eq!(
+        gather.records_shuffled,
+        4 * 2,
+        "two violating groups in each chunk"
+    );
+    // Members are the stored rows, in ascending row order.
+    let mut row_db = CleanDb::new(row_fold_profile(NestStrategy::LocalAggregate));
+    row_db.register_values("t", rows);
+    let by_rows = row_db.run("SELECT * FROM t c FD(c.k | c.v)").unwrap();
+    assert_eq!(sorted_output(&report), sorted_output(&by_rows));
+    assert!(report.metrics.records_shuffled <= by_rows.metrics.records_shuffled);
+}
+
+/// Columnar twin: an all-clean FD decides from the probe alone.
+#[test]
+fn columnar_clean_fd_runs_no_phase_two() {
+    let mut db = typed_session(EngineProfile::clean_db(), 1_000, 20, 1);
+    let report = db.run("SELECT * FROM t c FD(c.k | c.k)").unwrap();
+    assert!(report.ops[0].output.is_empty());
+    assert_eq!(stage_names(&report), ["group_fold_probe"]);
+}
+
+/// The FD of `fd.lineitem` (composite key, ~10% noisy order keys) on the
+/// columnar route moves no more records than the row driver does.
+#[test]
+fn columnar_fd_on_lineitem_shuffles_no_more_than_the_row_driver() {
+    use cleanm::datagen::tpch::{LineitemGen, NoiseColumn};
+    let table = LineitemGen::new(42)
+        .rows(3_000)
+        .base_rows(3_000)
+        .noise_column(NoiseColumn::OrderKey)
+        .generate()
+        .table;
+    let sql = "SELECT * FROM lineitem l FD(l.orderkey, l.linenumber | l.suppkey)";
+    let run = |profile: EngineProfile| {
+        let mut db = CleanDb::with_context(profile, ExecContext::new(1, 4));
+        db.register("lineitem", table.clone());
+        db.run(sql).unwrap()
+    };
+    let columnar = run(EngineProfile::clean_db());
+    let by_rows = run(row_fold_profile(NestStrategy::LocalAggregate));
+    assert_eq!(columnar.exprs.vectorized_rows, 3_000);
+    assert!(!columnar.violating_ids.is_empty());
+    assert_eq!(columnar.violating_ids, by_rows.violating_ids);
+    assert!(
+        columnar.metrics.records_shuffled <= by_rows.metrics.records_shuffled,
+        "{} > {}",
+        columnar.metrics.records_shuffled,
+        by_rows.metrics.records_shuffled
     );
 }
