@@ -1,850 +1,506 @@
 //! `repro` — regenerate every table and figure of the CleanM paper.
 //!
 //! ```text
-//! repro [table3|fig3|fig4|fig5|table4|fig6|table5|fig7|fig8a|fig8b|eval|incr|repair|faults|all]
+//! repro [table3|fig3|fig4|fig5|table4|fig6|table5|fig7|fig8a|fig8b|ablation|incr|repair|faults|all]
 //! ```
 //!
 //! Set `CLEANM_SCALE=full` for the larger workloads (default: quick).
-//! `eval` additionally writes `BENCH_eval.json` (interpreted vs compiled
-//! rows/sec per workload), `incr` writes `BENCH_incr.json` (incremental
-//! re-clean after a 1% append vs full re-run), `repair` writes
-//! `BENCH_repair.json` (repair throughput at seeded violation rates and
-//! the re-validation speedup through the incremental path), and `faults`
-//! writes `BENCH_faults.json` (cancellation latency distribution, retried
-//! -panic overhead, and the clean-path cost of armed resource limits) so
-//! the perf trajectory is trackable across PRs.
+//! Three experiments are gates as well as tables: `incr` writes
+//! `BENCH_incr.json` (incremental re-clean after a 1% append vs full
+//! re-run), `repair` writes `BENCH_repair.json` (repair throughput at
+//! seeded violation rates and the re-validation speedup through the
+//! incremental path), and `faults` writes `BENCH_faults.json`
+//! (cancellation latency distribution, retried-panic overhead, and the
+//! clean-path cost of armed resource limits). Each judges its gates after
+//! its artifact is on disk; every requested experiment runs, the failures
+//! are listed at the end, and any failure exits 1.
 
 use cleanm_bench::experiments as exp;
-use cleanm_bench::{fmt_duration, Scale};
+use cleanm_bench::harness::gate;
+use cleanm_bench::{fmt_duration as ms, Scale};
 use cleanm_core::ops::DcOutcome;
+
+type Figure = fn(Scale);
+type Gate = fn(Scale) -> Vec<String>;
+
+/// The paper's tables and figures: print-only. `table3` and `fig3` are one
+/// experiment under two names.
+const FIGURES: &[(&[&str], Figure)] = &[
+    (&["table3", "fig3"], table3_fig3),
+    (&["fig4"], fig4),
+    (&["fig5"], fig5),
+    (&["table4"], table4),
+    (&["fig6"], fig6),
+    (&["table5"], table5),
+    (&["fig7"], fig7),
+    (&["fig8a"], fig8a),
+    (&["fig8b"], fig8b),
+    (&["ablation"], ablation),
+];
+
+/// The subsystem gates: each returns the acceptance gates it failed.
+const GATES: &[(&str, Gate)] = &[
+    ("incr", incr_bench),
+    ("repair", repair_bench),
+    ("faults", faults_bench),
+];
 
 fn main() {
     let scale = Scale::from_env();
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let known = [
-        "table3", "fig3", "fig4", "fig5", "table4", "fig6", "table5", "fig7", "fig8a", "fig8b",
-        "ablation", "eval", "incr", "repair", "faults", "all",
-    ];
+    let known: Vec<&str> = FIGURES
+        .iter()
+        .flat_map(|(names, _)| names.iter().copied())
+        .chain(GATES.iter().map(|(name, _)| *name))
+        .chain(["all"])
+        .collect();
     if !known.contains(&arg.as_str()) {
-        eprintln!("unknown experiment `{arg}`; one of {known:?}");
+        eprintln!("unknown experiment `{arg}`; one of {}", known.join("|"));
         std::process::exit(2);
     }
     println!("# CleanM reproduction — scale {scale:?} (CLEANM_SCALE=full for larger runs)\n");
     let want = |name: &str| arg == name || arg == "all";
 
-    if want("table3") || want("fig3") {
-        table3_fig3(scale);
+    for (names, figure) in FIGURES {
+        if names.iter().any(|name| want(name)) {
+            figure(scale);
+        }
     }
-    if want("fig4") {
-        fig4(scale);
+    let mut failures = Vec::new();
+    for (name, gate) in GATES {
+        if want(name) {
+            failures.extend(gate(scale));
+        }
     }
-    if want("fig5") {
-        fig5(scale);
-    }
-    if want("table4") {
-        table4(scale);
-    }
-    if want("fig6") {
-        fig6(scale);
-    }
-    if want("table5") {
-        table5(scale);
-    }
-    if want("fig7") {
-        fig7(scale);
-    }
-    if want("fig8a") {
-        fig8a(scale);
-    }
-    if want("fig8b") {
-        fig8b(scale);
-    }
-    if want("ablation") {
-        ablation(scale);
-    }
-    if want("eval") {
-        eval_bench(scale);
-    }
-    if want("incr") {
-        incr_bench(scale);
-    }
-    if want("repair") {
-        repair_bench(scale);
-    }
-    if want("faults") {
-        faults_bench(scale);
+    if !failures.is_empty() {
+        eprintln!("{} acceptance gate(s) failed:", failures.len());
+        for failure in &failures {
+            eprintln!("  {failure}");
+        }
+        std::process::exit(1);
     }
 }
 
-fn faults_bench(scale: Scale) {
-    println!("## Faults — cancellation latency, retry overhead, armed-limit overhead");
-    println!(
-        "{:<10} {:>10} {:>10} {:>10} {:>9} {:>10} {:>9} {:>11} {:>11}",
-        "workload",
-        "rows",
-        "clean",
-        "armed",
-        "overhead",
-        "retry",
-        "overhead",
-        "cancel p50",
-        "cancel p99"
-    );
-    let rows = exp::fault_tolerance(scale);
-    for r in &rows {
-        println!(
-            "{:<10} {:>10} {:>8.2}ms {:>8.2}ms {:>8.2}% {:>8.2}ms {:>8.2}% {:>9.2}ms {:>9.2}ms",
-            r.workload,
-            r.rows,
-            r.clean_ms,
-            r.armed_ms,
-            r.armed_overhead() * 100.0,
-            r.retry_ms,
-            r.retry_overhead() * 100.0,
-            r.cancel_p50_ms(),
-            r.cancel_p99_ms(),
-        );
-    }
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"workload\": \"{}\", \"rows\": {}, \"clean_ms\": {:.3}, \
-             \"armed_ms\": {:.3}, \"armed_overhead\": {:.4}, \
-             \"retry_ms\": {:.3}, \"retry_overhead\": {:.4}, \
-             \"cancel_p50_ms\": {:.3}, \"cancel_p99_ms\": {:.3}}}{}\n",
-            r.workload,
-            r.rows,
-            r.clean_ms,
-            r.armed_ms,
-            r.armed_overhead(),
-            r.retry_ms,
-            r.retry_overhead(),
-            r.cancel_p50_ms(),
-            r.cancel_p99_ms(),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("]\n");
-    match std::fs::write("BENCH_faults.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_faults.json"),
-        Err(e) => eprintln!("\ncould not write BENCH_faults.json: {e}"),
-    }
+/// One row of an experiment as ordered `(column, rendered value)` cells.
+/// The gates render values as JSON, so the printed table and the artifact
+/// come from the same cells.
+type Cells = Vec<(&'static str, String)>;
 
-    // Acceptance gates (the artifact is already on disk, so a perf flake
-    // never discards the measured rows): armed limits cost ≤2% on the
-    // clean path, a retried partition panic ≤5% (the failed attempt dies
-    // at partition start, before any real work), and a mid-run cancel
-    // returns well under a second even at p99. Sub-millisecond baselines
-    // get an absolute floor so scheduler jitter cannot fail the ratio.
+/// Print `rows` under `title`, every column as wide as its widest cell
+/// (JSON strings shown without their quotes).
+fn print_table(title: &str, rows: &[Cells]) {
+    println!("## {title}");
+    let Some(first) = rows.first() else { return };
+    let header: Vec<&str> = first.iter().map(|(name, _)| *name).collect();
+    let body = rows
+        .iter()
+        .map(|row| row.iter().map(|(_, v)| v.trim_matches('"')).collect());
+    let table: Vec<Vec<&str>> = std::iter::once(header).chain(body).collect();
+    let width = |col: usize| table.iter().map(|line| line[col].chars().count()).max();
+    let widths: Vec<usize> = (0..first.len()).filter_map(width).collect();
+    for line in &table {
+        let cells = line.iter().zip(&widths);
+        let padded: Vec<String> = cells.map(|(cell, &w)| format!("{cell:>w$}")).collect();
+        println!("{}", padded.join("  "));
+    }
+    println!();
+}
+
+/// Write `rows` to `path` as a JSON array of flat objects (no serde_json in
+/// the offline build — the rows are flat enough to emit by hand).
+fn write_json(path: &str, rows: &[Cells]) {
+    let objects: Vec<String> = rows
+        .iter()
+        .map(|row| {
+            let fields: Vec<String> = row.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+            format!("  {{{}}}", fields.join(", "))
+        })
+        .collect();
+    match std::fs::write(path, format!("[\n{}\n]\n", objects.join(",\n"))) {
+        Ok(()) => println!("wrote {path}\n"),
+        Err(e) => eprintln!("could not write {path}: {e}\n"),
+    }
+}
+
+fn pct(fraction: f64) -> String {
+    format!("{:.1}%", fraction * 100.0)
+}
+
+fn faults_bench(scale: Scale) -> Vec<String> {
+    let rows = exp::fault_tolerance(scale);
+    let cells: Vec<Cells> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("workload", format!("\"{}\"", r.workload)),
+                ("rows", r.rows.to_string()),
+                ("clean_ms", format!("{:.3}", r.clean_ms)),
+                ("armed_ms", format!("{:.3}", r.armed_ms)),
+                ("armed_overhead", format!("{:.4}", r.armed_overhead())),
+                ("retry_ms", format!("{:.3}", r.retry_ms)),
+                ("retry_overhead", format!("{:.4}", r.retry_overhead())),
+                ("cancel_p50_ms", format!("{:.3}", r.cancel_latency_ms(0.50))),
+                ("cancel_p99_ms", format!("{:.3}", r.cancel_latency_ms(0.99))),
+            ]
+        })
+        .collect();
+    print_table(
+        "Faults — cancellation latency, retry overhead, armed-limit overhead",
+        &cells,
+    );
+    write_json("BENCH_faults.json", &cells);
+
+    // Acceptance gates: armed limits cost ≤2% on the clean path, a retried
+    // partition panic ≤5% (the failed attempt dies at partition start,
+    // before any real work), and a mid-run cancel returns well under a
+    // second even at p99. Sub-millisecond baselines get an absolute floor
+    // so scheduler jitter cannot fail the ratio.
+    let mut failures = Vec::new();
     for r in &rows {
         let floor_ms = 2.0;
-        assert!(
+        gate(
+            &mut failures,
             r.armed_ms <= r.clean_ms * 1.02 + floor_ms,
-            "{}: armed limits cost {:.2}% (clean {:.2}ms, armed {:.2}ms)",
-            r.workload,
-            r.armed_overhead() * 100.0,
-            r.clean_ms,
-            r.armed_ms
+            format!(
+                "faults {}: armed limits cost {:.2}% (clean {:.2}ms, armed {:.2}ms)",
+                r.workload,
+                r.armed_overhead() * 100.0,
+                r.clean_ms,
+                r.armed_ms
+            ),
         );
-        assert!(
+        gate(
+            &mut failures,
             r.retry_ms <= r.clean_ms * 1.05 + floor_ms,
-            "{}: retried panic cost {:.2}% (clean {:.2}ms, retry {:.2}ms)",
-            r.workload,
-            r.retry_overhead() * 100.0,
-            r.clean_ms,
-            r.retry_ms
+            format!(
+                "faults {}: retried panic cost {:.2}% (clean {:.2}ms, retry {:.2}ms)",
+                r.workload,
+                r.retry_overhead() * 100.0,
+                r.clean_ms,
+                r.retry_ms
+            ),
         );
-        assert!(
-            r.cancel_p99_ms() < 1000.0,
-            "{}: cancellation p99 {:.2}ms",
-            r.workload,
-            r.cancel_p99_ms()
+        gate(
+            &mut failures,
+            r.cancel_latency_ms(0.99) < 1000.0,
+            format!(
+                "faults {}: cancellation p99 {:.2}ms",
+                r.workload,
+                r.cancel_latency_ms(0.99)
+            ),
         );
     }
-    println!();
+    failures
 }
 
-fn incr_bench(scale: Scale) {
-    println!("## Incr — re-clean after a 1% append: standing query vs full re-run");
-    println!(
-        "{:<10} {:>10} {:>8} {:>12} {:>12} {:>9} {:>10} {:>11}",
-        "workload", "rows", "delta", "full", "incremental", "speedup", "identical", "plan cache"
-    );
+fn incr_bench(scale: Scale) -> Vec<String> {
     let rows = exp::incr_append(scale);
-    for r in &rows {
-        println!(
-            "{:<10} {:>10} {:>8} {:>10.2}ms {:>10.2}ms {:>8.2}x {:>10} {:>11}",
-            r.workload,
-            r.rows,
-            r.delta_rows,
-            r.full_ms,
-            r.incremental_ms,
-            r.speedup(),
-            r.identical,
-            if r.workload == "dc_psi" {
-                "n/a"
-            } else if r.plan_cache_hit {
-                "hit"
-            } else {
-                "MISS"
-            },
-        );
-    }
-    // Acceptance gates: identical reports everywhere, a plan-cache hit on
-    // the repeated SQL queries, and ≥5x on at least the FD workload.
-    assert!(rows.iter().all(|r| r.identical), "reports diverged");
-    assert!(
-        rows.iter()
-            .filter(|r| r.workload != "dc_psi")
-            .all(|r| r.plan_cache_hit),
-        "repeated query missed the plan cache"
+    let cells: Vec<Cells> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("workload", format!("\"{}\"", r.workload)),
+                ("rows", r.rows.to_string()),
+                ("delta_rows", r.delta_rows.to_string()),
+                ("full_ms", format!("{:.3}", r.full_ms)),
+                ("incremental_ms", format!("{:.3}", r.incremental_ms)),
+                ("speedup", format!("{:.3}", r.speedup())),
+                ("identical", r.identical.to_string()),
+                (
+                    "plan_cache_hit",
+                    (r.plan_cache_hit == Some(true)).to_string(),
+                ),
+            ]
+        })
+        .collect();
+    print_table(
+        "Incr — re-clean after a 1% append: standing query vs full re-run",
+        &cells,
     );
+    write_json("BENCH_incr.json", &cells);
+
+    // Acceptance gates: each row's correctness gates, and ≥5x on the FD
+    // workload.
+    let mut failures: Vec<String> = rows.iter().flat_map(|r| r.unmet()).collect();
     let fd = rows.iter().find(|r| r.workload == "fd").expect("fd row");
-    assert!(
+    gate(
+        &mut failures,
         fd.speedup() >= 5.0,
-        "incremental FD re-clean must be ≥5x a full re-run, got {:.2}x",
-        fd.speedup()
+        format!(
+            "incr fd: incremental re-clean must be ≥5x a full re-run, got {:.2}x",
+            fd.speedup()
+        ),
     );
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"workload\": \"{}\", \"rows\": {}, \"delta_rows\": {}, \
-             \"full_ms\": {:.3}, \"incremental_ms\": {:.3}, \"speedup\": {:.3}, \
-             \"identical\": {}, \"plan_cache_hit\": {}}}{}\n",
-            r.workload,
-            r.rows,
-            r.delta_rows,
-            r.full_ms,
-            r.incremental_ms,
-            r.speedup(),
-            r.identical,
-            r.plan_cache_hit,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("]\n");
-    match std::fs::write("BENCH_incr.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_incr.json"),
-        Err(e) => eprintln!("\ncould not write BENCH_incr.json: {e}"),
-    }
-    println!();
+    failures
 }
 
-fn repair_bench(scale: Scale) {
-    println!("## Repair — plan+apply throughput and re-validation at seeded violation rates");
-    println!(
-        "{:<6} {:>8} {:>8} {:>7} {:>8} {:>10} {:>9} {:>9} {:>12} {:>12} {:>9} {:>7}",
-        "rate",
-        "rows",
-        "viols",
-        "fixes",
-        "dropped",
-        "detect",
-        "plan",
-        "apply",
-        "actions/s",
-        "reval full",
-        "incr",
-        "speedup"
-    );
+fn repair_bench(scale: Scale) -> Vec<String> {
     let rows = exp::repair_rates(scale);
-    for r in &rows {
-        println!(
-            "{:<6} {:>8} {:>8} {:>7} {:>8} {:>8.2}ms {:>7.2}ms {:>7.2}ms {:>12.0} {:>10.2}ms {:>7.2}ms {:>6.2}x",
-            format!("{:.0}%", r.rate * 100.0),
-            r.rows,
-            r.violations,
-            r.fixes,
-            r.rows_dropped,
-            r.detect_ms,
-            r.plan_ms,
-            r.apply_ms,
-            r.actions_per_sec(),
-            r.revalidate_full_ms,
-            r.revalidate_incr_ms,
-            r.revalidation_speedup(),
-        );
-    }
-    // Acceptance gates: seeded dirt is found and fully translated into
-    // fixes at every rate, the repaired table re-cleans with zero
-    // violations, and the incremental path beats a full re-validation.
-    for r in &rows {
-        assert!(
-            r.violations > 0,
-            "rate {:.0}%: no violations seeded",
-            r.rate * 100.0
-        );
-        assert!(
-            r.fixes + r.rows_dropped > 0,
-            "rate {:.0}%: nothing repaired",
-            r.rate * 100.0
-        );
-        assert_eq!(
-            r.unrepaired,
-            0,
-            "rate {:.0}%: unrepaired violations",
-            r.rate * 100.0
-        );
-        assert_eq!(
-            r.violations_after,
-            0,
-            "rate {:.0}%: repaired table must re-clean with zero violations",
-            r.rate * 100.0
-        );
-    }
+    let cells: Vec<Cells> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("rate", format!("{:.2}", r.rate)),
+                ("rows", r.rows.to_string()),
+                ("violations", r.violations.to_string()),
+                ("fixes", r.fixes.to_string()),
+                ("rows_dropped", r.rows_dropped.to_string()),
+                ("unrepaired", r.unrepaired.to_string()),
+                ("detect_ms", format!("{:.3}", r.detect_ms)),
+                ("plan_ms", format!("{:.3}", r.plan_ms)),
+                ("apply_ms", format!("{:.3}", r.apply_ms)),
+                ("actions_per_sec", format!("{:.1}", r.actions_per_sec())),
+                ("violations_after", r.violations_after.to_string()),
+                ("revalidate_full_ms", format!("{:.3}", r.revalidate_full_ms)),
+                ("revalidate_incr_ms", format!("{:.3}", r.revalidate_incr_ms)),
+                (
+                    "revalidation_speedup",
+                    format!("{:.3}", r.revalidation_speedup()),
+                ),
+            ]
+        })
+        .collect();
+    print_table(
+        "Repair — plan+apply throughput and re-validation at seeded violation rates",
+        &cells,
+    );
+    write_json("BENCH_repair.json", &cells);
+
+    // Acceptance gates: each row's correctness gates, and the incremental
+    // path beats a full re-validation.
+    let mut failures: Vec<String> = rows.iter().flat_map(|r| r.unmet()).collect();
     let best = rows
         .iter()
         .map(|r| r.revalidation_speedup())
         .fold(0.0f64, f64::max);
-    assert!(
+    gate(
+        &mut failures,
         best >= 2.0,
-        "incremental re-validation must be ≥2x a full re-run somewhere, got {best:.2}x"
-    );
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"rate\": {:.2}, \"rows\": {}, \"violations\": {}, \"fixes\": {}, \
-             \"rows_dropped\": {}, \"unrepaired\": {}, \"detect_ms\": {:.3}, \
-             \"plan_ms\": {:.3}, \"apply_ms\": {:.3}, \"actions_per_sec\": {:.1}, \
-             \"violations_after\": {}, \"revalidate_full_ms\": {:.3}, \
-             \"revalidate_incr_ms\": {:.3}, \"revalidation_speedup\": {:.3}}}{}\n",
-            r.rate,
-            r.rows,
-            r.violations,
-            r.fixes,
-            r.rows_dropped,
-            r.unrepaired,
-            r.detect_ms,
-            r.plan_ms,
-            r.apply_ms,
-            r.actions_per_sec(),
-            r.violations_after,
-            r.revalidate_full_ms,
-            r.revalidate_incr_ms,
-            r.revalidation_speedup(),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("]\n");
-    match std::fs::write("BENCH_repair.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_repair.json"),
-        Err(e) => eprintln!("\ncould not write BENCH_repair.json: {e}"),
-    }
-    println!();
-}
-
-fn eval_bench(scale: Scale) {
-    println!("## Eval — interpreted vs compiled expression evaluation");
-    println!(
-        "{:<16} {:>10} {:>18} {:>18} {:>9}",
-        "workload", "rows", "interpreted r/s", "compiled r/s", "speedup"
-    );
-    let rows = exp::eval_compile(scale);
-    for r in &rows {
-        println!(
-            "{:<16} {:>10} {:>18.0} {:>18.0} {:>8.2}x",
-            r.workload,
-            r.rows,
-            r.interpreted_rows_per_sec,
-            r.compiled_rows_per_sec,
-            r.speedup()
-        );
-    }
-
-    println!("\n## Fusion — one-pass filter+consume vs operator-at-a-time (compiled both ways)");
-    println!(
-        "{:<18} {:>10} {:>16} {:>16} {:>9}",
-        "workload", "rows", "unfused r/s", "fused r/s", "speedup"
-    );
-    // Noisy-host resilience: the comparison interleaves engines within a
-    // run, but a CPU-steal burst can still depress one whole measurement
-    // window — take the best of at least three rounds (up to five while a
-    // gated workload is still under its bar) per workload.
-    let mut fused = exp::fused_pipeline(scale);
-    for round in 0..4 {
-        let gates_ok = fused
-            .iter()
-            .any(|r| r.workload == "fused_filter_agg" && r.speedup() >= 1.5)
-            && fused
-                .iter()
-                .any(|r| r.workload == "fused_filter_group" && r.speedup() >= 1.5);
-        if round >= 2 && gates_ok {
-            break;
-        }
-        for (best, again) in fused.iter_mut().zip(exp::fused_pipeline(scale)) {
-            if again.speedup() > best.speedup() {
-                *best = again;
-            }
-        }
-    }
-    for r in &fused {
-        println!(
-            "{:<18} {:>10} {:>16.0} {:>16.0} {:>8.2}x",
-            r.workload,
-            r.rows,
-            r.unfused_rows_per_sec,
-            r.fused_rows_per_sec,
-            r.speedup()
-        );
-    }
-    println!("\n## Grouped fold — fold-into-hash grouping vs materialize-then-reduce");
-    println!(
-        "{:<18} {:>10} {:>18} {:>16} {:>9}",
-        "workload", "rows", "materialized r/s", "fold r/s", "speedup"
-    );
-    let mut grouped = exp::grouped_fold(scale);
-    for round in 0..4 {
-        let gate_ok = grouped
-            .iter()
-            .any(|r| r.workload == "group_fold" && r.speedup() >= 2.0);
-        if round >= 2 && gate_ok {
-            break;
-        }
-        for (best, again) in grouped.iter_mut().zip(exp::grouped_fold(scale)) {
-            if again.speedup() > best.speedup() {
-                *best = again;
-            }
-        }
-    }
-    for r in &grouped {
-        println!(
-            "{:<18} {:>10} {:>18.0} {:>16.0} {:>8.2}x",
-            r.workload,
-            r.rows,
-            r.materialized_rows_per_sec,
-            r.fold_rows_per_sec,
-            r.speedup()
-        );
-    }
-
-    println!("\n## Columnar — whole-column kernel sweeps vs compiled row-at-a-time loops");
-    println!(
-        "{:<12} {:>10} {:>16} {:>16} {:>9}",
-        "workload", "rows", "row r/s", "columnar r/s", "speedup"
-    );
-    const COLUMNAR_GATE: f64 = 3.0;
-    let mut columnar = exp::columnar_eval(scale);
-    for round in 0..4 {
-        let gates_ok = columnar.iter().all(|r| r.speedup() >= COLUMNAR_GATE);
-        if round >= 2 && gates_ok {
-            break;
-        }
-        for (best, again) in columnar.iter_mut().zip(exp::columnar_eval(scale)) {
-            if again.speedup() > best.speedup() {
-                *best = again;
-            }
-        }
-    }
-    for r in &columnar {
-        println!(
-            "{:<12} {:>10} {:>16.0} {:>16.0} {:>8.2}x",
-            r.workload,
-            r.rows,
-            r.row_rows_per_sec,
-            r.columnar_rows_per_sec,
-            r.speedup()
-        );
-    }
-
-    println!("\n## Trace overhead — end-to-end cleaning, tracing off vs on");
-    println!(
-        "{:<12} {:>10} {:>14} {:>12} {:>10}",
-        "workload", "rows", "untraced", "traced", "overhead"
-    );
-    // Same noisy-host resilience as above: keep the round with the lowest
-    // overhead per workload (up to five rounds while the gate is unmet).
-    let mut traced = exp::trace_overhead(scale);
-    for round in 0..4 {
-        let gate_ok = traced.iter().all(|r| r.overhead() <= 0.03);
-        if round >= 2 && gate_ok {
-            break;
-        }
-        for (best, again) in traced.iter_mut().zip(exp::trace_overhead(scale)) {
-            if again.overhead() < best.overhead() {
-                *best = again;
-            }
-        }
-    }
-    for r in &traced {
-        println!(
-            "{:<12} {:>10} {:>12.2}ms {:>10.2}ms {:>+9.2}%",
-            r.workload,
-            r.rows,
-            r.untraced_ms,
-            r.traced_ms,
-            r.overhead() * 100.0
-        );
-    }
-
-    // One traced e2e run's EXPLAIN ANALYZE profiles + registry snapshot —
-    // uploaded by CI as the observability artifact.
-    let artifact = exp::profile_artifact(scale);
-    match std::fs::write("PROFILE_eval.json", &artifact) {
-        Ok(()) => println!("\nwrote PROFILE_eval.json"),
-        Err(e) => eprintln!("\ncould not write PROFILE_eval.json: {e}"),
-    }
-
-    // Machine-readable trajectory for future PRs (no serde_json in the
-    // offline build — the format is flat enough to emit by hand). Written
-    // *before* the acceptance gate below so a perf flake never discards
-    // the successfully measured rows.
-    let mut json = String::from("{\n  \"eval\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"rows\": {}, \
-             \"interpreted_rows_per_sec\": {:.1}, \
-             \"compiled_rows_per_sec\": {:.1}, \"speedup\": {:.3}}}{}\n",
-            r.workload,
-            r.rows,
-            r.interpreted_rows_per_sec,
-            r.compiled_rows_per_sec,
-            r.speedup(),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n  \"fused\": [\n");
-    for (i, r) in fused.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"rows\": {}, \
-             \"unfused_rows_per_sec\": {:.1}, \
-             \"fused_rows_per_sec\": {:.1}, \"speedup\": {:.3}}}{}\n",
-            r.workload,
-            r.rows,
-            r.unfused_rows_per_sec,
-            r.fused_rows_per_sec,
-            r.speedup(),
-            if i + 1 < fused.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n  \"group_fold\": [\n");
-    for (i, r) in grouped.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"rows\": {}, \
-             \"materialized_rows_per_sec\": {:.1}, \
-             \"fold_rows_per_sec\": {:.1}, \"speedup\": {:.3}}}{}\n",
-            r.workload,
-            r.rows,
-            r.materialized_rows_per_sec,
-            r.fold_rows_per_sec,
-            r.speedup(),
-            if i + 1 < grouped.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n  \"columnar\": [\n");
-    for (i, r) in columnar.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"rows\": {}, \
-             \"row_rows_per_sec\": {:.1}, \
-             \"columnar_rows_per_sec\": {:.1}, \"speedup\": {:.3}}}{}\n",
-            r.workload,
-            r.rows,
-            r.row_rows_per_sec,
-            r.columnar_rows_per_sec,
-            r.speedup(),
-            if i + 1 < columnar.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n  \"trace_overhead\": [\n");
-    for (i, r) in traced.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"rows\": {}, \
-             \"untraced_ms\": {:.3}, \"traced_ms\": {:.3}, \
-             \"overhead\": {:.4}}}{}\n",
-            r.workload,
-            r.rows,
-            r.untraced_ms,
-            r.traced_ms,
-            r.overhead(),
-            if i + 1 < traced.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_eval.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_eval.json"),
-        Err(e) => eprintln!("\ncould not write BENCH_eval.json: {e}"),
-    }
-    println!();
-
-    // Acceptance gates (the artifact above is already on disk, so a perf
-    // flake never discards the measured rows): fusing the filter into a
-    // scalar reduce and into the grouped fold must both beat the unfused
-    // compiled pipeline by ≥ 1.5x, and fold-into-hash grouping must beat
-    // the materializing grouped path by ≥ 2x.
-    let fused_speedup = |name: &str| -> f64 {
-        fused
-            .iter()
-            .find(|r| r.workload == name)
-            .map(|r| r.speedup())
-            .expect("fused row")
-    };
-    let group_speedup = grouped
-        .iter()
-        .find(|r| r.workload == "group_fold")
-        .map(|r| r.speedup())
-        .expect("group_fold row");
-    for (workload, got, want) in [
-        ("fused_filter_agg", fused_speedup("fused_filter_agg"), 1.5),
-        (
-            "fused_filter_group",
-            fused_speedup("fused_filter_group"),
-            1.5,
+        format!(
+            "repair: incremental re-validation must be ≥2x a full re-run somewhere, got {best:.2}x"
         ),
-        ("group_fold", group_speedup, 2.0),
-    ] {
-        assert!(
-            got >= want,
-            "{workload} must reach ≥{want:.1}x over its baseline, got {got:.2}x"
-        );
-    }
-    // The columnar kernels the executor calls must decisively beat the
-    // compiled row loops they replace: ≥3x on every sweep shape (filter,
-    // grouping key, theta pair).
-    for r in &columnar {
-        assert!(
-            r.speedup() >= COLUMNAR_GATE,
-            "columnar {} must reach ≥{COLUMNAR_GATE:.1}x over the compiled row loop, got {:.2}x",
-            r.workload,
-            r.speedup()
-        );
-    }
-    // Observability must stay near-free: tracing (spans + per-node
-    // profiles) may cost at most 3% end-to-end.
-    for r in &traced {
-        assert!(
-            r.overhead() <= 0.03,
-            "tracing overhead on {} must be ≤3%, got {:+.2}% \
-             ({:.2}ms untraced vs {:.2}ms traced)",
-            r.workload,
-            r.overhead() * 100.0,
-            r.untraced_ms,
-            r.traced_ms
-        );
-    }
+    );
+    failures
 }
 
 fn ablation(scale: Scale) {
-    println!("## Ablation — blocking strategies (comparisons vs recall)");
-    println!(
-        "{:<40} {:>14} {:>10} {:>10}",
-        "strategy", "comparisons", "recall", "time"
-    );
-    for row in exp::ablation_blocking(scale) {
-        println!(
-            "{:<40} {:>14} {:>9.1}% {:>10}",
-            row.strategy,
-            row.comparisons,
-            row.recall * 100.0,
-            if row.total.is_zero() {
+    let rows: Vec<Cells> = exp::ablation_blocking(scale)
+        .into_iter()
+        .map(|row| {
+            let time = if row.total.is_zero() {
                 "-".to_string()
             } else {
-                fmt_duration(row.total)
-            },
-        );
-    }
-    println!();
+                ms(row.total)
+            };
+            vec![
+                ("strategy", row.strategy),
+                ("comparisons", row.comparisons.to_string()),
+                ("recall", pct(row.recall)),
+                ("time", time),
+            ]
+        })
+        .collect();
+    print_table(
+        "Ablation — blocking strategies (comparisons vs recall)",
+        &rows,
+    );
 }
 
 fn table3_fig3(scale: Scale) {
-    println!("## Table 3 — term validation accuracy (DBLP) + Figure 3 — runtime split");
-    println!(
-        "{:<12} {:>10} {:>10} {:>10} | {:>10} {:>10} {:>10} | {:>12}",
-        "config",
-        "grouping",
-        "similarity",
-        "total",
-        "precision",
-        "recall",
-        "F-score",
-        "comparisons"
+    let rows: Vec<Cells> = exp::table3_fig3(scale)
+        .into_iter()
+        .map(|row| {
+            vec![
+                ("config", row.config),
+                ("grouping", ms(row.grouping)),
+                ("similarity", ms(row.similarity)),
+                ("total", ms(row.total)),
+                ("precision", pct(row.accuracy.precision)),
+                ("recall", pct(row.accuracy.recall)),
+                ("F-score", pct(row.accuracy.f_score)),
+                ("comparisons", row.comparisons.to_string()),
+            ]
+        })
+        .collect();
+    print_table(
+        "Table 3 — term validation accuracy (DBLP) + Figure 3 — runtime split",
+        &rows,
     );
-    for row in exp::table3_fig3(scale) {
-        println!(
-            "{:<12} {:>10} {:>10} {:>10} | {:>9.1}% {:>9.1}% {:>9.1}% | {:>12}",
-            row.config,
-            fmt_duration(row.grouping),
-            fmt_duration(row.similarity),
-            fmt_duration(row.total),
-            row.accuracy.precision * 100.0,
-            row.accuracy.recall * 100.0,
-            row.accuracy.f_score * 100.0,
-            row.comparisons,
-        );
-    }
-    println!();
 }
 
 fn fig4(scale: Scale) {
-    println!("## Figure 4 — term validation accuracy vs noise");
-    println!(
-        "{:<8} {:<12} {:>10} {:>10} {:>10}",
-        "noise", "config", "precision", "recall", "F-score"
-    );
-    for (noise, rows) in exp::fig4(scale) {
-        for row in rows {
-            println!(
-                "{:<8} {:<12} {:>9.1}% {:>9.1}% {:>9.1}%",
-                format!("{:.0}%", noise * 100.0),
-                row.config,
-                row.accuracy.precision * 100.0,
-                row.accuracy.recall * 100.0,
-                row.accuracy.f_score * 100.0,
-            );
-        }
-    }
-    println!();
+    let rows: Vec<Cells> = exp::fig4(scale)
+        .into_iter()
+        .flat_map(|(noise, rows)| {
+            rows.into_iter().map(move |row| {
+                vec![
+                    ("noise", format!("{:.0}%", noise * 100.0)),
+                    ("config", row.config),
+                    ("precision", pct(row.accuracy.precision)),
+                    ("recall", pct(row.accuracy.recall)),
+                    ("F-score", pct(row.accuracy.f_score)),
+                ]
+            })
+        })
+        .collect();
+    print_table("Figure 4 — term validation accuracy vs noise", &rows);
 }
 
 fn fig5(scale: Scale) {
-    println!("## Figure 5 — unified cleaning on customer (FD1, FD2, DEDUP)");
-    println!(
-        "{:<12} {:>10} {:>10} {:>10} {:>12} {:>12} {:>8}",
-        "system", "FD1", "FD2", "DEDUP", "sep.total", "combined", "shared"
+    let rows: Vec<Cells> = exp::fig5(scale)
+        .into_iter()
+        .map(|row| {
+            vec![
+                ("system", row.system),
+                (
+                    "FD1",
+                    row.fd1.map(ms).unwrap_or_else(|| "unsupported".into()),
+                ),
+                ("FD2", ms(row.fd2)),
+                ("DEDUP", ms(row.dedup)),
+                ("sep.total", ms(row.separate_total)),
+                (
+                    "combined",
+                    row.combined.map(ms).unwrap_or_else(|| "one-op-only".into()),
+                ),
+                ("shared", row.shared_nests.to_string()),
+            ]
+        })
+        .collect();
+    print_table(
+        "Figure 5 — unified cleaning on customer (FD1, FD2, DEDUP)",
+        &rows,
     );
-    for row in exp::fig5(scale) {
-        println!(
-            "{:<12} {:>10} {:>10} {:>10} {:>12} {:>12} {:>8}",
-            row.system,
-            row.fd1
-                .map(fmt_duration)
-                .unwrap_or_else(|| "unsupported".into()),
-            fmt_duration(row.fd2),
-            fmt_duration(row.dedup),
-            fmt_duration(row.separate_total),
-            row.combined
-                .map(fmt_duration)
-                .unwrap_or_else(|| "one-op-only".into()),
-            row.shared_nests,
-        );
-    }
-    println!();
 }
 
 fn table4(scale: Scale) {
-    println!("## Table 4 — syntactic transformation overhead (vs plain traversal)");
-    println!("{:<42} {:>10} {:>10}", "operation", "time", "slowdown");
-    for row in exp::table4(scale) {
-        println!(
-            "{:<42} {:>10} {:>9.2}x",
-            row.operation,
-            fmt_duration(row.duration),
-            row.slowdown
-        );
-    }
-    println!();
+    let rows: Vec<Cells> = exp::table4(scale)
+        .into_iter()
+        .map(|row| {
+            vec![
+                ("operation", row.operation),
+                ("time", ms(row.duration)),
+                ("slowdown", format!("{:.2}x", row.slowdown)),
+            ]
+        })
+        .collect();
+    print_table(
+        "Table 4 — syntactic transformation overhead (vs plain traversal)",
+        &rows,
+    );
 }
 
 fn fig6(scale: Scale) {
-    println!("## Figure 6 — FD φ (orderkey,linenumber → suppkey) over TPC-H");
-    println!(
-        "{:<5} {:<8} {:<12} {:>10} {:>10} {:>12} {:>12}",
-        "SF", "format", "system", "read", "clean", "violations", "shuffled"
+    let rows: Vec<Cells> = exp::fig6(scale)
+        .into_iter()
+        .map(|row| {
+            vec![
+                ("SF", row.sf.to_string()),
+                ("format", row.format),
+                ("system", row.system),
+                ("read", ms(row.read)),
+                ("clean", ms(row.clean)),
+                ("violations", row.violations.to_string()),
+                ("shuffled", row.records_shuffled.to_string()),
+            ]
+        })
+        .collect();
+    print_table(
+        "Figure 6 — FD φ (orderkey,linenumber → suppkey) over TPC-H",
+        &rows,
     );
-    for row in exp::fig6(scale) {
-        println!(
-            "{:<5} {:<8} {:<12} {:>10} {:>10} {:>12} {:>12}",
-            row.sf,
-            row.format,
-            row.system,
-            fmt_duration(row.read),
-            fmt_duration(row.clean),
-            row.violations,
-            row.records_shuffled,
-        );
-    }
-    println!();
 }
 
 fn table5(scale: Scale) {
-    println!("## Table 5 — inequality DC ψ (budgeted; `>budget` = paper's `fails to terminate`)");
-    println!(
-        "{:<5} {:<12} {:>14} {:>14} {:>14}",
-        "SF", "system", "outcome", "time", "comparisons"
+    let rows: Vec<Cells> = exp::table5(scale)
+        .into_iter()
+        .map(|row| {
+            let (outcome, time, comparisons) = match row.outcome {
+                DcOutcome::Completed {
+                    violations,
+                    duration,
+                    comparisons,
+                } => (
+                    format!("{violations} violations"),
+                    ms(duration),
+                    comparisons.to_string(),
+                ),
+                DcOutcome::BudgetExceeded { needed, .. } => (
+                    ">budget".to_string(),
+                    "-".to_string(),
+                    format!("needs {needed}"),
+                ),
+            };
+            vec![
+                ("SF", row.sf.to_string()),
+                ("system", row.system),
+                ("outcome", outcome),
+                ("time", time),
+                ("comparisons", comparisons),
+            ]
+        })
+        .collect();
+    print_table(
+        "Table 5 — inequality DC ψ (budgeted; `>budget` = paper's `fails to terminate`)",
+        &rows,
     );
-    for row in exp::table5(scale) {
-        match &row.outcome {
-            DcOutcome::Completed {
-                violations,
-                duration,
-                comparisons,
-            } => println!(
-                "{:<5} {:<12} {:>14} {:>14} {:>14}",
-                row.sf,
-                row.system,
-                format!("{violations} violations"),
-                fmt_duration(*duration),
-                comparisons,
-            ),
-            DcOutcome::BudgetExceeded { needed, .. } => println!(
-                "{:<5} {:<12} {:>14} {:>14} {:>14}",
-                row.sf,
-                row.system,
-                ">budget",
-                "-",
-                format!("needs {needed}"),
-            ),
-        }
-    }
-    println!();
 }
 
 fn fig7(scale: Scale) {
-    println!("## Figure 7 — dedup over DBLP representations (nested vs flat)");
-    println!(
-        "{:<6} {:<12} {:<12} {:>10} {:>10} {:>10} {:>8}",
-        "scale", "format", "system", "read", "clean", "rows", "pairs"
+    let rows: Vec<Cells> = exp::fig7(scale)
+        .into_iter()
+        .map(|row| {
+            vec![
+                ("scale", row.scale_label),
+                ("format", row.format),
+                ("system", row.system),
+                ("read", ms(row.read)),
+                ("clean", ms(row.clean)),
+                ("rows", row.input_rows.to_string()),
+                ("pairs", row.pairs.to_string()),
+            ]
+        })
+        .collect();
+    print_table(
+        "Figure 7 — dedup over DBLP representations (nested vs flat)",
+        &rows,
     );
-    for row in exp::fig7(scale) {
-        println!(
-            "{:<6} {:<12} {:<12} {:>10} {:>10} {:>10} {:>8}",
-            row.scale_label,
-            row.format,
-            row.system,
-            fmt_duration(row.read),
-            fmt_duration(row.clean),
-            row.input_rows,
-            row.pairs,
-        );
-    }
-    println!();
 }
 
 fn fig8a(scale: Scale) {
-    println!("## Figure 8a — customer dedup with Zipf duplicate counts");
-    println!(
-        "{:<10} {:<12} {:>10} {:>8} {:>10} {:>10} {:>12}",
-        "interval", "system", "time", "pairs", "precision", "recall", "shuffled"
+    let rows: Vec<Cells> = exp::fig8a(scale)
+        .into_iter()
+        .map(|row| {
+            vec![
+                ("interval", row.interval),
+                ("system", row.system),
+                ("time", ms(row.duration)),
+                ("pairs", row.pairs.to_string()),
+                ("precision", pct(row.accuracy.precision)),
+                ("recall", pct(row.accuracy.recall)),
+                ("shuffled", row.records_shuffled.to_string()),
+            ]
+        })
+        .collect();
+    print_table(
+        "Figure 8a — customer dedup with Zipf duplicate counts",
+        &rows,
     );
-    for row in exp::fig8a(scale) {
-        println!(
-            "{:<10} {:<12} {:>10} {:>8} {:>9.1}% {:>9.1}% {:>12}",
-            row.interval,
-            row.system,
-            fmt_duration(row.duration),
-            row.pairs,
-            row.accuracy.precision * 100.0,
-            row.accuracy.recall * 100.0,
-            row.records_shuffled,
-        );
-    }
-    println!();
 }
 
 fn fig8b(scale: Scale) {
-    println!("## Figure 8b — MAG dedup under heavy skew");
-    println!(
-        "{:<10} {:<12} {:>10} {:>8} {:>12} {:>12}",
-        "dataset", "system", "time", "pairs", "shuffled", "imbalance"
-    );
-    for row in exp::fig8b(scale) {
-        println!(
-            "{:<10} {:<12} {:>10} {:>8} {:>12} {:>11.2}x",
-            row.dataset,
-            row.system,
-            fmt_duration(row.duration),
-            row.pairs,
-            row.records_shuffled,
-            row.max_imbalance,
-        );
-    }
-    println!();
+    let rows: Vec<Cells> = exp::fig8b(scale)
+        .into_iter()
+        .map(|row| {
+            vec![
+                ("dataset", row.dataset),
+                ("system", row.system),
+                ("time", ms(row.duration)),
+                ("pairs", row.pairs.to_string()),
+                ("shuffled", row.records_shuffled.to_string()),
+                ("imbalance", format!("{:.2}x", row.max_imbalance)),
+            ]
+        })
+        .collect();
+    print_table("Figure 8b — MAG dedup under heavy skew", &rows);
 }

@@ -1,13 +1,13 @@
 //! Shared harness utilities: scales, session construction, formatting.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cleanm_core::physical::EngineProfile;
 use cleanm_core::CleanDb;
 use cleanm_exec::ExecContext;
 
-/// How big to run the experiments. `Quick` keeps `cargo bench` and CI
+/// How big to run the experiments. `Quick` keeps `cargo test` and CI
 /// snappy; `Full` approximates the paper's relative scale span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -23,13 +23,18 @@ impl Scale {
         }
     }
 
+    /// `quick` or `full`, whichever this scale is.
+    pub fn pick<T>(self, quick: T, full: T) -> T {
+        match self {
+            Scale::Quick => quick,
+            Scale::Full => full,
+        }
+    }
+
     /// TPC-H lineitem row counts standing in for SF 15..70 (paper: 90M–420M
     /// rows; here ÷3000 under `Full`, ÷15000 under `Quick`).
     pub fn lineitem_scales(&self) -> Vec<(u32, usize)> {
-        let divisor = match self {
-            Scale::Quick => 15_000,
-            Scale::Full => 3_000,
-        };
+        let divisor = self.pick(15_000, 3_000);
         [
             (15u32, 90_000_000usize),
             (30, 180_000_000),
@@ -44,43 +49,28 @@ impl Scale {
 
     /// DBLP publication counts for the term-validation experiments.
     pub fn dblp_publications(&self) -> usize {
-        match self {
-            Scale::Quick => 1_500,
-            Scale::Full => 8_000,
-        }
+        self.pick(1_500, 8_000)
     }
 
     /// Dictionary size for term validation.
     pub fn dictionary_size(&self) -> usize {
-        match self {
-            Scale::Quick => 800,
-            Scale::Full => 4_000,
-        }
+        self.pick(800, 4_000)
     }
 
     /// Customer row count for Figure 5 / Figure 8a.
     pub fn customer_rows(&self) -> usize {
-        match self {
-            Scale::Quick => 4_000,
-            Scale::Full => 20_000,
-        }
+        self.pick(4_000, 20_000)
     }
 
     /// MAG paper count (full set; the 2014 subset is generated separately).
     pub fn mag_papers(&self) -> usize {
-        match self {
-            Scale::Quick => 6_000,
-            Scale::Full => 30_000,
-        }
+        self.pick(6_000, 30_000)
     }
 
     /// Work budget standing in for "the job ran out of time/memory on the
     /// cluster" (Table 5's non-terminating entries).
     pub fn dc_budget(&self) -> u64 {
-        match self {
-            Scale::Quick => 20_000_000,
-            Scale::Full => 400_000_000,
-        }
+        self.pick(20_000_000, 400_000_000)
     }
 }
 
@@ -134,6 +124,28 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
+/// Run every closure once per round, in slice order, and return each
+/// closure's fastest wall time in milliseconds. Interleaving means a noise
+/// burst on the host hits every side of a ratio, not just one of them.
+pub fn best_of_interleaved(rounds: usize, runs: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; runs.len()];
+    for _ in 0..rounds {
+        for (run, slot) in runs.iter_mut().zip(&mut best) {
+            let start = Instant::now();
+            run();
+            *slot = slot.min(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    best
+}
+
+/// Record `failure` unless `ok`: `assert!`'s shape, but the run goes on.
+pub fn gate(failures: &mut Vec<String>, ok: bool, failure: String) {
+    if !ok {
+        failures.push(failure);
+    }
+}
+
 /// The three compared systems, in the paper's order.
 pub fn all_profiles() -> Vec<EngineProfile> {
     vec![
@@ -162,6 +174,19 @@ mod tests {
     fn format_durations() {
         assert_eq!(fmt_duration(Duration::from_millis(250)), "250ms");
         assert!(fmt_duration(Duration::from_micros(1500)).starts_with("1.50"));
+    }
+
+    #[test]
+    fn best_of_interleaved_alternates_and_keeps_the_minimum() {
+        let order = std::cell::RefCell::new(String::new());
+        let mut naps = [30u64, 1, 30].into_iter();
+        let mut slow = || {
+            order.borrow_mut().push('a');
+            std::thread::sleep(Duration::from_millis(naps.next().unwrap()));
+        };
+        let best = best_of_interleaved(3, &mut [&mut slow, &mut || order.borrow_mut().push('b')]);
+        assert_eq!(order.into_inner(), "ababab");
+        assert!(best[1] < best[0] && best[0] < 30.0, "{best:?}");
     }
 
     #[test]

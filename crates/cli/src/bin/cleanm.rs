@@ -6,7 +6,7 @@
 //!                [--seed <n>] [--timeout <secs>] [--max-work <units>]
 //! cleanm run <file.cm|query> [--profile <p>] [--table name=file.csv]...
 //!            [--seed <n>] [--timeout <secs>] [--max-work <units>]
-//! cleanm bench [repro args...]
+//! cleanm bench [experiment]
 //! ```
 //!
 //! `check` parses and desugars every `;`-separated statement and prints all
@@ -42,8 +42,10 @@ commands:
   run <file.cm|query> [--profile <p>] [--table name=file.csv]... [--seed <n>]
       [--timeout <secs>] [--max-work <units>]
       Execute and print the cleaning report.
-  bench [args...]
-      Delegate to the `repro` benchmark harness binary.
+  bench [table3|fig3|fig4|fig5|table4|fig6|table5|fig7|fig8a|fig8b|ablation|incr|repair|faults|all]
+      Delegate to the `repro` harness binary (default: all): the paper's
+      tables and figures, then the incr / repair / faults gates, which each
+      write BENCH_<name>.json and make the exit code 1 if a gate fails.
 
 profiles: clean_db (default), spark, bigdansing, adaptive
 

@@ -394,7 +394,7 @@ impl Program {
     }
 
     /// The instruction sequence — read by the columnar kernel compiler
-    /// ([`crate::physical::kernel`]) to recognize vectorizable program
+    /// (`physical/kernel.rs`) to recognize vectorizable program
     /// shapes (a single fused predicate tree, a fused record build, a
     /// builtin-per-field projection).
     pub(crate) fn instrs(&self) -> &[Instr] {

@@ -26,7 +26,8 @@ use crate::algebra::{lower_op_with, rewrite_shared, Alg, RewriteStats};
 use crate::calculus::desugar::{desugar_query, DesugaredOp, OpKind, ROWID_FIELD};
 use crate::calculus::{normalize, CalcExpr, EvalCtx, Func, NormalizeStats};
 use crate::lang::{parse_query, Query};
-use crate::physical::{EngineProfile, Executor, ProgramCache, QueryProfile};
+use crate::physical::program::ProgramCache;
+use crate::physical::{EngineProfile, Executor, QueryProfile};
 
 use super::registry::MetricsRegistry;
 use super::report::{CleaningReport, ExprStats, OpResult, PlanCacheStats, Repair};

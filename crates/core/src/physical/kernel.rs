@@ -959,11 +959,6 @@ impl Groups {
         self.reps.len()
     }
 
-    /// No groups yet?
-    pub fn is_empty(&self) -> bool {
-        self.reps.is_empty()
-    }
-
     /// Group `g`'s representative (first) row.
     pub fn rep(&self, g: u32) -> RowRef {
         self.reps[g as usize]

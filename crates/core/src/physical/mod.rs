@@ -7,10 +7,20 @@
 //! theta join, no cross-operator sharing), or `BigDansingLike` (hash-shuffle
 //! Nest, min-max block theta join, one operation at a time), so measured
 //! differences are attributable to exactly the paper's claims.
+//!
+//! The columnar kernels are an implementation detail of the executor and
+//! stay private: timing them in isolation belongs to no harness (the
+//! `physical.vectorized_rows` metric and the end-to-end workloads of
+//! `BENCHMARK.json` show them at work), so nothing outside this module may
+//! name them. Re-exporting `kernel` means deleting this check:
+//!
+//! ```compile_fail,E0603
+//! use cleanm_core::physical::kernel;
+//! ```
 
 pub mod execute;
 mod groupfold;
-pub mod kernel;
+mod kernel;
 mod pairs;
 pub mod profile;
 pub mod program;
@@ -18,5 +28,5 @@ pub mod qprofile;
 
 pub use execute::{Executor, PhaseTimings, PlanDecision};
 pub use profile::{EngineProfile, NestStrategy, ThetaStrategy};
-pub use program::{env_layout, ProgramCache, RowEnv, RowExpr};
+pub use program::{env_layout, RowEnv, RowExpr};
 pub use qprofile::{ProfileNode, QueryProfile};

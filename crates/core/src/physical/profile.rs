@@ -74,7 +74,7 @@ pub struct EngineProfile {
     /// Execute eligible plan nodes column-at-a-time: scans decode into
     /// typed column batches and compiled predicates / projections /
     /// grouping keys re-lower into whole-column kernels
-    /// ([`crate::physical::kernel`]) that sweep `i64`/`f64`/`Arc<str>`
+    /// (`physical/kernel.rs`) that sweep `i64`/`f64`/`Arc<str>`
     /// slices behind a selection vector. Nodes whose programs do not
     /// vectorize (interpreter islands, mixed-type columns) fall back to
     /// the row path — semantics are identical either way (pinned by the

@@ -78,7 +78,7 @@ impl RowExpr {
     }
 
     /// The compiled program, when compilation succeeded — handed to the
-    /// columnar kernel compiler ([`crate::physical::kernel`]) to try a
+    /// columnar kernel compiler (`physical/kernel.rs`) to try a
     /// second lowering against a concrete column batch.
     pub(crate) fn program(&self) -> Option<&Program> {
         match &self.0 {
