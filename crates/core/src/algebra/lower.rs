@@ -37,10 +37,11 @@ pub fn lower_op(comp: &CalcExpr) -> Result<Arc<Alg>> {
     lower_op_with(comp, true)
 }
 
-/// [`lower_op`] under a profile's filter policy. With `push_filters` off a
-/// theta join is planned the way the black-box baselines of §8.3 run it:
-/// every predicate inside the pair predicate, over the unfiltered inputs.
-pub fn lower_op_with(comp: &CalcExpr, push_filters: bool) -> Result<Arc<Alg>> {
+/// [`lower_op`] as the session plans it. With `push_filters` off — the
+/// operator-at-a-time planners — a theta join is planned the way the
+/// black-box baselines of §8.3 run it: every predicate inside the pair
+/// predicate, over the unfiltered inputs.
+pub(crate) fn lower_op_with(comp: &CalcExpr, push_filters: bool) -> Result<Arc<Alg>> {
     let CalcExpr::Comp(c) = comp else {
         return Err(Error::Invalid(format!(
             "lowering expects a comprehension, got `{comp}`"

@@ -14,6 +14,7 @@ pub mod plan;
 pub mod rewrite;
 
 pub use cardinality::{estimate, CardEstimate, StatsCatalog};
-pub use lower::{lower_op, lower_op_with};
+pub use lower::lower_op;
+pub(crate) use lower::lower_op_with;
 pub use plan::{Alg, HintKind, ThetaHint};
 pub use rewrite::{rewrite_shared, RewriteStats};

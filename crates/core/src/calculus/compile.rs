@@ -87,10 +87,7 @@ pub enum Instr {
     Pred(BoolExpr),
     /// Guarded projection: evaluate `cond` natively and resolve only the
     /// taken branch — the fused form of `if c then t else e` with a
-    /// predicate-tree condition and addressable branches. A Select chain
-    /// fused into a scalar Reduce compiles to a single one of these per
-    /// row (`if pred then head else null`, `null` being the monoid's
-    /// fold identity).
+    /// predicate-tree condition and addressable branches.
     IfFused {
         cond: BoolExpr,
         then: Operand,
@@ -347,16 +344,15 @@ pub(crate) fn check_width(scope: &[String], width: usize) -> Result<()> {
 
 /// Rebuild the reference evaluator's name→value environment from a scope
 /// and its slot values (width already checked) — the cold path only:
-/// interpreter islands and the wholesale interpreter fallback. Compiled
-/// evaluation never sees names.
+/// interpreter islands. Compiled evaluation never sees names.
 pub(crate) fn named_env<'v>(scope: &[String], values: impl Iterator<Item = &'v Value>) -> Env {
     scope.iter().cloned().zip(values.cloned()).collect()
 }
 
 impl Program {
     /// Compile `expr` against the ordered slot names `scope`. Fails when a
-    /// variable is not in scope or a table reference is unknown — callers
-    /// fall back to the interpreter in that case.
+    /// variable is not in scope or a table reference is unknown — the
+    /// executor fails the query with that error before any row runs.
     pub fn compile(expr: &CalcExpr, scope: &[String], ctx: &EvalCtx) -> Result<Program> {
         let mut c = Compiler {
             instrs: Vec::new(),
@@ -1077,7 +1073,7 @@ mod tests {
         let e = CalcExpr::Exists(Box::new(CalcExpr::TableRef("t".into())));
         let prog = Program::compile(&e, &[], &ctx).unwrap();
         assert_eq!(prog.eval(&[], &ctx).unwrap(), Value::Bool(true));
-        // Unknown tables fail at compile time (callers fall back).
+        // Unknown tables fail at compile time.
         assert!(Program::compile(&CalcExpr::TableRef("nope".into()), &[], &ctx).is_err());
     }
 

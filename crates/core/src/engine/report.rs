@@ -61,8 +61,9 @@ pub struct ExprStats {
     ///
     /// [`Program`]: crate::calculus::Program
     pub compiled: usize,
-    /// Plan-node expressions that fell back to the tree-walking
-    /// interpreter (unknown tables, comprehension islands).
+    /// Plan-node expressions run by the tree-walking interpreter: always
+    /// 0 — an expression that does not compile fails the query. The key
+    /// stays because rendered reports and the benchmark read it.
     pub interpreted: usize,
     /// `Select` nodes fused into their downstream operator: their filter
     /// ran inside the consumer's partition sweep and the filtered

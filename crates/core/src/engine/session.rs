@@ -27,7 +27,7 @@ use crate::calculus::desugar::{desugar_query, DesugaredOp, OpKind, ROWID_FIELD};
 use crate::calculus::{normalize, CalcExpr, EvalCtx, Func, NormalizeStats};
 use crate::lang::{parse_query, Query};
 use crate::physical::program::ProgramCache;
-use crate::physical::{EngineProfile, Executor, QueryProfile};
+use crate::physical::{EngineProfile, Executor, Planner, QueryProfile};
 
 use super::registry::MetricsRegistry;
 use super::report::{CleaningReport, ExprStats, OpResult, PlanCacheStats, Repair};
@@ -790,16 +790,17 @@ impl CleanDb {
             return self.execute_planned(&entry, true);
         }
 
-        // Level 2: lowering + sharing rewrite.
+        // Level 2: lowering + sharing rewrite. A unified planner pushes
+        // single-table filters below the theta joins and runs common
+        // sub-plans once; an operator-at-a-time one plans each operator
+        // as its system would run it alone.
         let t = Instant::now();
+        let unified = self.profile.planner.unified();
         let mut plans: Vec<Arc<Alg>> = Vec::with_capacity(normalized.len());
         for op in &normalized {
-            plans.push(lower_op_with(
-                &op.comp,
-                self.profile.push_selective_filters,
-            )?);
+            plans.push(lower_op_with(&op.comp, unified)?);
         }
-        let (plans, rewrite_stats) = if self.profile.share_plans {
+        let (plans, rewrite_stats) = if unified {
             rewrite_shared(&plans)
         } else {
             (plans, RewriteStats::default())
@@ -882,9 +883,10 @@ impl CleanDb {
             self.plan_cache.misses += 1;
         }
 
-        // Statistics catalog (adaptive profiles only): collected once per
+        // Statistics catalog (cost-based planner only): collected once per
         // referenced table and maintained incrementally across appends.
-        let query_stats: HashMap<String, Arc<TableStats>> = if self.profile.adaptive {
+        let cost_based = self.profile.planner == Planner::CostBased;
+        let query_stats: HashMap<String, Arc<TableStats>> = if cost_based {
             entry
                 .stat_tables
                 .iter()
@@ -949,7 +951,7 @@ impl CleanDb {
         let decisions = executor.decisions.clone();
         let exprs = ExprStats {
             compiled: executor.compiled_exprs,
-            interpreted: executor.interpreted_exprs,
+            interpreted: 0,
             fused_selects: executor.fused_selects,
             vectorized_rows: executor.vectorized_rows,
         };
@@ -1071,16 +1073,16 @@ impl CleanDb {
         out
     }
 
-    /// Union the per-operator violating row ids. With sharing enabled this
-    /// is a cheap local union over already-materialized outputs; without it
-    /// (Spark SQL-like) the engine must recombine through a distributed
-    /// full outer join — the extra cost §8.2 observes.
+    /// Union the per-operator violating row ids. Under a unified planner
+    /// this is a cheap local union over already-materialized outputs; an
+    /// operator-at-a-time one (Spark SQL-like) must recombine through a
+    /// distributed full outer join — the extra cost §8.2 observes.
     fn combine_violations(&self, ops: &[OpResult]) -> Result<Vec<i64>, EngineError> {
         let cleaning = || ops.iter().filter(|op| !matches!(op.kind, OpKind::Select));
         if cleaning().next().is_none() {
             return Ok(Vec::new());
         }
-        if self.profile.share_plans || cleaning().count() == 1 {
+        if self.profile.planner.unified() || cleaning().count() == 1 {
             Ok(combine_local_violations(ops))
         } else {
             let mut per_op_ids = cleaning().map(|op| {
@@ -1323,7 +1325,7 @@ mod tests {
             assert_eq!(report.ops.len(), 2, "{}", profile.name);
             // FD flags rows 0,1; dedup also pairs (0,1): union = {0,1}.
             assert_eq!(report.violating_ids, vec![0, 1], "{}", profile.name);
-            if profile.share_plans {
+            if profile.planner.unified() {
                 assert_eq!(report.rewrite_stats.shared_nests, 1);
             } else {
                 assert_eq!(report.rewrite_stats.total_shared(), 0);

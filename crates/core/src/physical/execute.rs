@@ -12,16 +12,22 @@
 //! | `ThetaJoin` | M-Bucket \| min-max blocks \| cartesian+filter |
 //! | `Reduce`    | `filter_transform` → collect, or `filter_fold` for scalar monoids |
 //!
-//! `shuffle` is the profile's (or the adaptive planner's) [`NestStrategy`]
-//! — the one grouping driver takes it as is.
+//! `shuffle` is the profile's (or the cost-based planner's)
+//! [`NestStrategy`] — the one grouping driver takes it as is.
 //!
 //! Rows travel as [`RowEnv`] — the values of the variable environment of
 //! the comprehension the plan was lowered from, positioned by
-//! [`env_layout`]; names never travel. The executor memoizes
-//! materialized results per plan node (when the profile shares plans), which
-//! turns the §5 DAG sharing into actual single execution, and it attributes
-//! wall time to phases (scan / grouping / similarity) for Figure 3's
-//! breakdown.
+//! [`env_layout`]; names never travel. The executor memoizes the
+//! materialized result of every plan node the session's sharing rewrite
+//! gave more than one consumer, which turns the §5 DAG sharing into actual
+//! single execution, and it attributes wall time to phases (scan /
+//! grouping / similarity) for Figure 3's breakdown.
+//!
+//! The profile's [`Planner`] level is read where a path is chosen and
+//! nowhere else: `peel_input` (fuse a `Select` chain into its consumer?),
+//! `run_reduce_inner` (fold groups?), `columnar_source` (sweep a scan by
+//! column?), and `nest_strategy` / `exec_theta` (re-decide the strategy
+//! from statistics?).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -45,7 +51,7 @@ use crate::engine::storage::StoredTable;
 use super::groupfold::{self, AggFoldShape, ColumnarFold, GroupAcc, Span, KEY_SLOT_VAR};
 use super::kernel::{PredKernel, RowRef};
 use super::pairs::{self, PairShape, PairSweep};
-use super::profile::{nest_stage_labels, EngineProfile, NestStrategy, ThetaStrategy};
+use super::profile::{nest_stage_labels, EngineProfile, NestStrategy, Planner, ThetaStrategy};
 use super::program::{env_layout, ProgramCache, RowEnv, RowExpr};
 use super::qprofile::{clip, ProfileNode};
 
@@ -67,7 +73,7 @@ const SMALL_CARTESIAN_WORK: f64 = 50_000.0;
 const MBUCKET_SETUP_FACTOR: f64 = 8.0;
 
 /// One recorded physical-strategy decision, attributable to a plan node —
-/// how the adaptive planner explains itself in reports and benches.
+/// how the planner explains itself in reports and benches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanDecision {
     /// Which operator family the decision was for (`"nest"` / `"theta"`).
@@ -127,7 +133,7 @@ pub struct Executor<'a> {
     /// with a single consumer would deep-copy its dataset for nothing).
     shared_nodes: std::collections::HashSet<usize>,
     pub timings: PhaseTimings,
-    /// Per-table statistics for adaptive strategy selection (empty unless
+    /// Per-table statistics for cost-based strategy selection (empty unless
     /// the session collected them).
     stats: StatsCatalog,
     /// `var → table` bindings of all registered plans' scans, so mid-plan
@@ -135,10 +141,8 @@ pub struct Executor<'a> {
     scan_vars: HashMap<String, String>,
     /// Strategy decisions made while executing, in plan order.
     pub decisions: Vec<PlanDecision>,
-    /// Plan-node expressions compiled to slot-resolved programs (hot path).
+    /// Plan-node expressions compiled to slot-resolved programs.
     pub compiled_exprs: usize,
-    /// Plan-node expressions that fell back to the tree interpreter.
-    pub interpreted_exprs: usize,
     /// `Select` nodes whose standalone filter pass was fused into a
     /// downstream operator (or into a collapsed filter chain): their
     /// intermediate filtered collections were never materialized.
@@ -200,7 +204,7 @@ impl RowEval {
     }
 
     /// Does `env` pass a fused predicate chain (conjoined into one program
-    /// by [`Executor::compile_preds`], `None` = no filter)? The
+    /// by [`Executor::peel_input`], `None` = no filter)? The
     /// conjunction's short-circuit preserves chain order — an error a
     /// downstream filter would never have reached stays unreached.
     pub(super) fn passes(&self, pred_rx: &Option<Arc<RowExpr>>, env: &RowEnv) -> bool {
@@ -215,7 +219,6 @@ struct ProfFrame {
     stage_lo: usize,
     decision_lo: usize,
     compiled_lo: usize,
-    interpreted_lo: usize,
     fused_lo: usize,
     vectorized_lo: u64,
 }
@@ -243,7 +246,6 @@ impl<'a> Executor<'a> {
             scan_vars: HashMap::new(),
             decisions: Vec::new(),
             compiled_exprs: 0,
-            interpreted_exprs: 0,
             fused_selects: 0,
             vectorized_rows: 0,
             override_rows_in: None,
@@ -281,7 +283,6 @@ impl<'a> Executor<'a> {
             stage_lo: self.ctx.metrics().stage_count(),
             decision_lo: self.decisions.len(),
             compiled_lo: self.compiled_exprs,
-            interpreted_lo: self.interpreted_exprs,
             fused_lo: self.fused_selects,
             vectorized_lo: self.vectorized_rows,
         }
@@ -347,18 +348,15 @@ impl<'a> Executor<'a> {
         // Expression counters: the subtree delta minus what the children's
         // subtrees already account for is this node's own contribution.
         let mut compiled = self.compiled_exprs - frame.compiled_lo;
-        let mut interpreted = self.interpreted_exprs - frame.interpreted_lo;
         let mut fused = self.fused_selects - frame.fused_lo;
         let mut vectorized = self.vectorized_rows - frame.vectorized_lo;
         for c in &children {
-            let (cc, ci, cf) = c.subtree_exprs();
+            let (cc, _, cf) = c.subtree_exprs();
             compiled = compiled.saturating_sub(cc);
-            interpreted = interpreted.saturating_sub(ci);
             fused = fused.saturating_sub(cf);
             vectorized = vectorized.saturating_sub(c.subtree_vectorized());
         }
         node.compiled_exprs = compiled;
-        node.interpreted_exprs = interpreted;
         node.fused_selects = fused;
         node.vectorized_rows = vectorized;
         if vectorized > 0 {
@@ -386,89 +384,140 @@ impl<'a> Executor<'a> {
         self.prof_children.pop();
     }
 
-    /// Is `node` a shared DAG node whose materialized result this profile
-    /// memoizes for all its consumers?
+    /// Is `node` a plan node with more than one consumer among the
+    /// registered plans? Its result is materialized once and memoized for
+    /// all of them. Whether plans share nodes at all was the session's
+    /// decision when it planned; the executor only observes it.
     fn is_shared(&self, node: &Arc<Alg>) -> bool {
-        self.profile.share_plans && self.shared_nodes.contains(&(Arc::as_ptr(node) as usize))
+        self.shared_nodes.contains(&(Arc::as_ptr(node) as usize))
     }
 
-    /// Peel the chain of fusible `Select` nodes off `plan`: the predicates
-    /// in evaluation order (innermost first — an error the inner filter
-    /// would have hidden stays hidden) plus the producer beneath them.
-    /// `Select` never changes the environment layout, so every peeled
-    /// predicate compiles against the producer's layout. A `Select` is not
-    /// fusible when the profile runs operator-at-a-time, or when the node
-    /// is a shared DAG node — shared results must stay materialized once
-    /// for all their consumers.
-    fn peel_selects<'p>(&self, mut plan: &'p Arc<Alg>) -> (Vec<&'p CalcExpr>, &'p Arc<Alg>) {
+    /// The first half of every fused consumer (Reduce, the pair sweep, the
+    /// group fold, Select, Unnest, Nest, each Join side): peel the chain of
+    /// fusible `Select` nodes off `input` and compile it — followed by
+    /// `own`, a consuming `Select`'s own predicate — as the filter of the
+    /// consumer's sweep, so the filtered intermediate collection is never
+    /// materialized. The chain conjoins in evaluation order, innermost
+    /// first ([`conjoin`]), and `Select` never changes the environment
+    /// layout, so it compiles against the producer's. A `Select` stays its
+    /// own pass when the planner runs operator-at-a-time, or when the node
+    /// is shared — a shared result must stay materialized once for all its
+    /// consumers. [`Executor::run_input`] is the second half.
+    fn peel_input<'p>(
+        &mut self,
+        input: &'p Arc<Alg>,
+        own: Option<&'p CalcExpr>,
+    ) -> ExecResult<FusedInput<'p>> {
         let mut preds = Vec::new();
-        if self.profile.fuse_selects {
-            while let Alg::Select { input, pred } = &**plan {
-                if self.is_shared(plan) {
+        let mut source = input;
+        if self.profile.planner.unified() {
+            while let Alg::Select { input, pred } = &**source {
+                if self.is_shared(source) {
                     break;
                 }
                 preds.push(pred);
-                plan = input;
+                source = input;
             }
         }
         preds.reverse();
-        (preds, plan)
+        self.fused_selects += preds.len();
+        preds.extend(own);
+        let scope = env_layout(source);
+        let pred_rx = match conjoin(&preds) {
+            Some(chain) => Some(self.row_expr(&chain, &scope)?),
+            None => None,
+        };
+        Ok(FusedInput {
+            // Phase attribution survives fusion: a similarity predicate's
+            // cost books under the similarity phase even when its pass
+            // merged into the consumer's sweep.
+            similarity: preds.iter().any(|p| expr_has_similarity(p)),
+            source,
+            scope,
+            preds,
+            pred_rx,
+        })
     }
 
-    /// Compile a peeled predicate chain against the producer's layout as
-    /// **one** program: the chain conjoins left-to-right in evaluation
-    /// order (`(p1 and p2) and p3`), so the compiler's fused boolean trees
-    /// evaluate the whole chain with native short-circuit in a single
-    /// program entry — `and` preserves exactly the stacked-Select
-    /// semantics (truthiness per stage, inner errors surface, outer
-    /// predicates unreached once an inner one rejects). `None` when the
-    /// chain is empty.
-    fn compile_preds(&mut self, preds: &[&CalcExpr], scope: &[String]) -> Option<Arc<RowExpr>> {
-        conjoin(preds).map(|conj| self.row_expr(&conj, scope))
+    /// Materialize a peeled input for its consumer's sweep. A chain over a
+    /// plain scan that lowers to columnar kernels is applied right here,
+    /// by column — whichever operator fused it — and `pred_rx` comes back
+    /// `None`: the consumer's sweep has nothing left to test. Otherwise
+    /// the producer runs row-at-a-time and the consumer filters as it goes.
+    fn run_input(&mut self, fused: &mut FusedInput<'_>) -> ExecResult<Dataset<RowEnv>> {
+        if let (Some((stored, _)), Some(pred_rx)) =
+            (self.columnar_source(fused.source), &fused.pred_rx)
+        {
+            let start = Instant::now();
+            if let Some(survivors) = self.columnar_select(stored, pred_rx.program())? {
+                fused.pred_rx = None;
+                self.timings.other += start.elapsed();
+                return Ok(survivors);
+            }
+        }
+        self.run(fused.source)
     }
 
-    /// The vectorized Select: when the source is a plain (non-shared)
-    /// `Scan` and the compiled predicate re-lowers into a columnar kernel
-    /// against every stored batch's typed columns, the scan+filter runs as
+    /// The filter of a fused consumer's sweep: does a row pass what is
+    /// left of the peeled chain?
+    fn sweep_filter(
+        &self,
+        fused: &FusedInput<'_>,
+    ) -> impl Fn(&RowEnv) -> bool + Clone + Send + Sync + 'static {
+        let (ev, pred_rx) = (self.eval.clone(), fused.pred_rx.clone());
+        move |env| ev.passes(&pred_rx, env)
+    }
+
+    /// Book a consumer's sweep under `phase` — or under the similarity
+    /// phase when a similarity predicate was fused into it.
+    fn book_phase(
+        &mut self,
+        similarity: bool,
+        start: Instant,
+        phase: fn(&mut PhaseTimings) -> &mut Duration,
+    ) {
+        let spent = start.elapsed();
+        if similarity {
+            self.timings.similarity += spent;
+        } else {
+            *phase(&mut self.timings) += spent;
+        }
+    }
+
+    /// The stored table behind `source`, with the scan's variable, when the
+    /// planner reads it by column: a `Scan` under a unified planner that no
+    /// other consumer shares (a shared scan stays materialized once for all
+    /// of them). Whether the expressions over it lower to kernels and its
+    /// batches pivot into typed columns is then a property of the input.
+    fn columnar_source<'p>(&self, source: &'p Arc<Alg>) -> Option<(&'a StoredTable, &'p str)> {
+        let Alg::Scan { table, var } = &**source else {
+            return None;
+        };
+        if !self.profile.planner.unified() || self.is_shared(source) {
+            return None;
+        }
+        Some((self.tables.get(table.as_str())?, var))
+    }
+
+    /// The vectorized Select: when `pred` re-lowers into a columnar kernel
+    /// against every batch of `stored`, the scan+filter runs as
     /// whole-column sweeps — no row environments are materialized for
     /// non-survivors. Survivor rows land in exactly the partitions the row
     /// path would have produced (same contiguous-chunk layout), so every
-    /// downstream operator sees an identical dataset. `None` (fall back to
-    /// the row path) when the profile doesn't vectorize, the scan is a
-    /// shared DAG node, the predicate didn't compile, or any batch fails
-    /// to columnarize or to lower.
-    fn try_columnar_select(
+    /// downstream operator sees an identical dataset. `None` (the row path
+    /// runs) when any batch fails to columnarize or to lower.
+    fn columnar_select(
         &mut self,
-        source: &Arc<Alg>,
-        pred_rxs: &Option<Arc<RowExpr>>,
+        stored: &StoredTable,
+        pred: &Program,
     ) -> ExecResult<Option<Dataset<RowEnv>>> {
-        if !self.profile.vectorize {
-            return Ok(None);
-        }
-        let Alg::Scan { table, .. } = &**source else {
-            return Ok(None);
-        };
-        if self.is_shared(source) {
-            // A shared scan must stay materialized once for all consumers.
-            return Ok(None);
-        }
-        let Some(program) = pred_rxs.as_ref().and_then(|rx| rx.program()) else {
-            return Ok(None);
-        };
-        if program.scope_len() != 1 {
-            return Ok(None);
-        }
-        let Some(stored) = self.tables.get(table.as_str()) else {
-            return Ok(None);
-        };
-
         // Lower the predicate against each batch's concrete schema
         // (appends may differ in column order).
         let lowered = self.lower_on_columns(
             stored,
             |idx| stored.columnar_batch(idx),
             |cols| {
-                let kernels = cols.iter().map(|cb| PredKernel::compile(program, &[&**cb]));
+                let kernels = cols.iter().map(|cb| PredKernel::compile(pred, &[&**cb]));
                 Some((cols.to_vec(), kernels.collect::<Option<Vec<_>>>()?))
             },
         )?;
@@ -508,41 +557,20 @@ impl<'a> Executor<'a> {
         Ok(Some(out))
     }
 
-    /// Materialize `source` with a peeled predicate chain already applied
-    /// when it vectorizes: every fused consumer (Reduce, Nest, GroupFold,
-    /// Unnest, Join keying) funnels through here, so a `WHERE` chain over a
-    /// plain scan sweeps columnar kernels no matter which operator fused
-    /// it. On kernel success the predicates come back as `None` — the
-    /// caller's own sweep has nothing left to test; otherwise the source
-    /// runs row-at-a-time and the compiled predicates return unchanged for
-    /// the caller's fused pass.
-    fn run_filtered(
-        &mut self,
-        source: &Arc<Alg>,
-        pred_rxs: Option<Arc<RowExpr>>,
-    ) -> ExecResult<(Dataset<RowEnv>, Option<Arc<RowExpr>>)> {
-        if let Some(ds) = self.try_columnar_select(source, &pred_rxs)? {
-            return Ok((ds, None));
-        }
-        Ok((self.run(source)?, pred_rxs))
-    }
-
     /// Compile a plan-node expression against its environment layout once,
-    /// counting the outcome. Per-partition evaluation then runs the flat
-    /// program; uncompilable expressions keep interpreted semantics. With a
-    /// program cache attached (cached plans), compilation happens once per
-    /// *plan lifetime* rather than once per run.
-    fn row_expr(&mut self, expr: &CalcExpr, scope: &[String]) -> Arc<RowExpr> {
+    /// counting it; per-partition evaluation then runs the flat program.
+    /// An expression that does not compile — a variable outside the
+    /// layout, an unknown table — fails the query here, before the node
+    /// evaluates a row. With a program cache attached (cached plans), compilation
+    /// happens once per *plan lifetime* rather than once per run.
+    fn row_expr(&mut self, expr: &CalcExpr, scope: &[String]) -> ExecResult<Arc<RowExpr>> {
         let rx = match &self.program_cache {
             Some(cache) => cache.get_or_compile(expr, scope, &self.eval.ctx),
-            None => Arc::new(RowExpr::compile(expr, scope, &self.eval.ctx)),
+            None => RowExpr::compile(expr, scope, &self.eval.ctx).map(Arc::new),
         };
-        if rx.is_compiled() {
-            self.compiled_exprs += 1;
-        } else {
-            self.interpreted_exprs += 1;
-        }
-        rx
+        let rx = rx.map_err(|e| ExecError::Value(e.to_string()))?;
+        self.compiled_exprs += 1;
+        Ok(rx)
     }
 
     /// Attach a cross-run compiled-program cache (plan-cache entries own
@@ -551,7 +579,7 @@ impl<'a> Executor<'a> {
         self.program_cache = Some(cache);
     }
 
-    /// Provide table statistics for adaptive strategy selection.
+    /// Provide table statistics for cost-based strategy selection.
     pub fn set_stats(&mut self, stats: StatsCatalog) {
         self.stats = stats;
     }
@@ -629,7 +657,8 @@ impl<'a> Executor<'a> {
     }
 
     fn run_reduce_inner(&mut self, plan: &Arc<Alg>) -> ExecResult<Vec<Value>> {
-        if self.profile.fold_groups {
+        // Operator-at-a-time planners materialize every group, then reduce.
+        if self.profile.planner.unified() {
             if let Some(outputs) = self.try_group_fold(plan)? {
                 return Ok(outputs);
             }
@@ -646,30 +675,26 @@ impl<'a> Executor<'a> {
             )));
         };
         // A pair pipeline (two independent Unnests) never materializes
-        // its candidate pairs, whatever the profile fuses elsewhere.
+        // its candidate pairs, whatever the planner fuses elsewhere.
         if let Some(shape) = pairs::recognize(input, |node| self.is_shared(node)) {
             let outputs = self.exec_pair_sweep(&shape, head)?;
             return reduce_outputs(monoid, outputs);
         }
-        let (preds, source) = self.peel_selects(input);
-        let nfused = preds.len();
-        // Phase attribution survives fusion: a similarity predicate's cost
-        // books under the similarity phase even when its pass merged into
-        // this consumer's sweep.
-        let similarity = preds.iter().any(|p| expr_has_similarity(p));
-        let scope = env_layout(source);
-        let ev = self.eval.clone();
+        let mut fused = self.peel_input(input, None)?;
+        let ds = self.run_input(&mut fused)?;
+        let start = Instant::now();
+        let head_rx = self.row_expr(head, &fused.scope)?;
+        let (ev, passes) = (self.eval.clone(), self.sweep_filter(&fused));
 
-        // Scalar monoids with a fused filter compile the whole pipeline
-        // into **one program per row** — `if pred then head else null`,
-        // `null` being the monoid's fold identity — and fold each
-        // partition down to a single accumulator on the workers: neither
-        // the filtered rows nor the per-row head values are ever
-        // materialized. (`All` is excluded: null is not its identity.)
-        // Float Sum/Prod results can differ from the sequential fold in
-        // the last ulp — per-partition partials associate additions
-        // differently, as in any parallel aggregation.
-        if nfused > 0
+        // A scalar monoid under a fused filter folds each partition down
+        // to a single accumulator on the workers: neither the filtered
+        // rows nor the per-row head values are ever materialized. (A
+        // rejected head evaluation folds as `null`, the identity of these
+        // monoids; `All` is excluded: null is not its identity.) Float
+        // Sum/Prod results can differ from the sequential fold in the last
+        // ulp — per-partition partials associate additions differently, as
+        // in any parallel aggregation.
+        let folds_on_workers = !fused.preds.is_empty()
             && matches!(
                 monoid,
                 MonoidKind::Sum
@@ -677,25 +702,15 @@ impl<'a> Executor<'a> {
                     | MonoidKind::Min
                     | MonoidKind::Max
                     | MonoidKind::Any
-            )
-        {
-            let ds = self.run(source)?;
-            let start = Instant::now();
-            self.fused_selects += nfused;
-            let guarded = CalcExpr::If(
-                Box::new(conjoin(&preds).expect("nfused > 0")),
-                Box::new(head.clone()),
-                Box::new(CalcExpr::Const(Value::Null)),
             );
-            let guarded_rx = self.row_expr(&guarded, &scope);
-            let m = monoid.clone();
-            let zero_m = m.clone();
+        let result = if folds_on_workers {
+            let (m, zero_m) = (monoid.clone(), monoid.clone());
             let partials = ds.filter_fold(
                 "fused_filter_fold",
                 move || zero_m.zero(),
-                |_| true,
+                passes,
                 move |acc, env: RowEnv| {
-                    let Some(v) = ev.eval(&guarded_rx, &env) else {
+                    let Some(v) = ev.eval(&head_rx, &env) else {
                         return acc;
                     };
                     match merge_scalar(&m, acc, v) {
@@ -708,46 +723,23 @@ impl<'a> Executor<'a> {
                 },
             )?;
             self.check_errors()?;
-            let mut acc = monoid.zero();
-            for p in partials {
-                acc = merge_values(monoid, acc, p).map_err(|e| ExecError::Value(e.to_string()))?;
-            }
-            if similarity {
-                self.timings.similarity += start.elapsed();
-            } else {
-                self.timings.other += start.elapsed();
-            }
-            return Ok(vec![acc]);
-        }
-
-        let pred_rxs = self.compile_preds(&preds, &scope);
-        let (ds, pred_rxs) = self.run_filtered(source, pred_rxs)?;
-        let start = Instant::now();
-        self.fused_selects += nfused;
-        let head_rx = self.row_expr(head, &scope);
-        let label = if pred_rxs.is_some() {
-            "fused_filter_map"
+            reduce_outputs(monoid, partials)?
         } else {
-            "map_partitions"
-        };
-        let pred_ev = ev.clone();
-        let outputs: Vec<Value> = ds
-            .filter_transform(
-                label,
-                move |env: &RowEnv| pred_ev.passes(&pred_rxs, env),
-                move |env, out: &mut Vec<Value>| {
+            let label = if fused.pred_rx.is_some() {
+                "fused_filter_map"
+            } else {
+                "map_partitions"
+            };
+            let outputs: Vec<Value> = ds
+                .filter_transform(label, passes, move |env, out: &mut Vec<Value>| {
                     let v = ev.eval(&head_rx, &env);
                     out.push(v.unwrap_or(Value::Null))
-                },
-            )?
-            .collect();
-        self.check_errors()?;
-        let result = reduce_outputs(monoid, outputs)?;
-        if similarity {
-            self.timings.similarity += start.elapsed();
-        } else {
-            self.timings.other += start.elapsed();
-        }
+                })?
+                .collect();
+            self.check_errors()?;
+            reduce_outputs(monoid, outputs)?
+        };
+        self.book_phase(fused.similarity, start, |t| &mut t.other);
         Ok(result)
     }
 
@@ -764,12 +756,11 @@ impl<'a> Executor<'a> {
         shape: &PairShape<'_>,
         head: &CalcExpr,
     ) -> ExecResult<Vec<Value>> {
-        let (block_preds, source) = self.peel_selects(shape.input);
-        let scope = env_layout(source);
+        // A Select chain beneath the first Unnest is the sweep's block filter.
+        let mut blocks = self.peel_input(shape.input, None)?;
         let frame = self.profiling.then(|| self.begin_node());
-        let block_pred = self.compile_preds(&block_preds, &scope);
-        let (ds, block_pred) = match self.run_filtered(source, block_pred) {
-            Ok(run) => run,
+        let ds = match self.run_input(&mut blocks) {
+            Ok(ds) => ds,
             Err(e) => {
                 if frame.is_some() {
                     self.abort_node();
@@ -782,17 +773,18 @@ impl<'a> Executor<'a> {
             self.end_node(frame, "Unnest".to_string(), clip(shape.detail()), 0, flags);
         }
         let start = Instant::now();
-        self.fused_selects += block_preds.len() + shape.preds.len();
+        // The pair-level Selects are consumed structurally.
+        self.fused_selects += shape.preds.len();
         let (ctx, ev) = (Arc::clone(&self.ctx), self.eval.clone());
         let sweep = Arc::new(PairSweep::compile(
             shape,
             head,
-            &scope,
-            block_pred,
+            &blocks.scope,
+            blocks.pred_rx,
             ctx,
             ev,
             |expr, scope| self.row_expr(expr, scope),
-        ));
+        )?);
         let worker = Arc::clone(&sweep);
         let outputs = ds.map_partitions(move |blocks| worker.run_partition(blocks));
         // The fused node's output is known only now: the pairs enumerated.
@@ -901,37 +893,31 @@ impl<'a> Executor<'a> {
         if self.profiling {
             self.last_fold_key = Some(clip(format!("by {key}")));
         }
-        let (preds, source) = self.peel_selects(nest_input);
-        let nfused = preds.len();
-        let pred_similarity = preds.iter().any(|p| expr_has_similarity(p));
-        let scope = env_layout(source);
-        let pred_rxs = self.compile_preds(&preds, &scope);
-        let start = Instant::now();
-        let key_rx = self.row_expr(key, &scope);
-        let slot_rxs: Arc<Vec<Arc<RowExpr>>> = Arc::new(
-            shape
-                .slots
-                .iter()
-                .map(|s| self.row_expr(&s.row_expr, &scope))
-                .collect(),
-        );
-        let finish_preds: Vec<Arc<RowExpr>> = shape
-            .preds
-            .iter()
-            .map(|p| self.row_expr(p, &shape.scope))
-            .collect();
-        let finish_head = shape.head.as_ref().map(|h| self.row_expr(h, &shape.scope));
         // Below-Nest filters fuse into the fold sweep; the group-level
         // Selects are consumed structurally (their passes never run).
-        self.fused_selects += nfused + group_selects;
-        self.book_grouping_phase(pred_similarity, start);
+        let mut fused = self.peel_input(nest_input, None)?;
+        self.fused_selects += group_selects;
+        let pred_similarity = fused.similarity;
+        let start = Instant::now();
+        let key_rx = self.row_expr(key, &fused.scope)?;
+        let slot_rxs: ExecResult<Vec<Arc<RowExpr>>> = (shape.slots.iter())
+            .map(|s| self.row_expr(&s.row_expr, &fused.scope))
+            .collect();
+        let slot_rxs = Arc::new(slot_rxs?);
+        let finish_preds: ExecResult<Vec<Arc<RowExpr>>> = (shape.preds.iter())
+            .map(|p| self.row_expr(p, &shape.scope))
+            .collect();
+        let finish_preds = finish_preds?;
+        let finish_head = match &shape.head {
+            Some(head) => Some(self.row_expr(head, &shape.scope)?),
+            None => None,
+        };
+        self.book_phase(pred_similarity, start, |t| &mut t.grouping);
 
         // The columnar route: the fold reads the stored table's columns
         // and no row dataset is ever built.
         let sources = FoldSources {
-            scan: source,
-            preds: &preds,
-            pred_rx: pred_rxs.as_deref(),
+            input: &fused,
             key,
             key_rx: &key_rx,
             item,
@@ -939,13 +925,13 @@ impl<'a> Executor<'a> {
         };
         if let Some((fold, rows)) = self.lower_columnar_fold(&sources, &shape)? {
             let finish = (finish_preds, finish_head);
-            return self.exec_columnar_fold(&fold, &rows, key, &shape, finish);
+            return self.exec_columnar_fold(&fold, &rows, &shape, finish);
         }
 
-        let (ds, pred_rxs) = self.run_filtered(source, pred_rxs)?;
+        let ds = self.run_input(&mut fused)?;
         let start = Instant::now();
         let strategy = self.decide_nest(key, ds.count() as f64);
-        self.book_grouping_phase(pred_similarity, start);
+        self.book_phase(pred_similarity, start, |t| &mut t.grouping);
         let start = Instant::now();
 
         let slots = Arc::new(shape.slots);
@@ -1002,10 +988,7 @@ impl<'a> Executor<'a> {
                 env
             }
         };
-        let pred = {
-            let (ev, pred_rxs) = (ev.clone(), pred_rxs.clone());
-            move |env: &RowEnv| ev.passes(&pred_rxs, env)
-        };
+        let pred = self.sweep_filter(&fused);
 
         if keeps_groups {
             // ---- Group-keeping (FD) two-phase execution ----
@@ -1063,14 +1046,14 @@ impl<'a> Executor<'a> {
             }
             self.check_errors()?;
             if passing.is_empty() {
-                self.book_grouping_phase(pred_similarity, start);
+                self.book_phase(pred_similarity, start, |t| &mut t.grouping);
                 return Ok(Vec::new());
             }
 
             // Phase 2: materialize only the passing keys' groups — the
             // shuffle sees violating rows alone.
             let passing = Arc::new(passing);
-            let item_rx = self.row_expr(item, &scope);
+            let item_rx = self.row_expr(item, &fused.scope)?;
             let emit = {
                 let ev = ev.clone();
                 let key_rx = Arc::clone(&key_rx);
@@ -1105,7 +1088,7 @@ impl<'a> Executor<'a> {
                 ds.filter_transform("group_fold_materialize", pred, emit)?;
             self.check_errors()?;
             let outputs: Vec<Value> = group_members(pairs, strategy)?.map(group_record)?.collect();
-            self.book_grouping_phase(pred_similarity, start);
+            self.book_phase(pred_similarity, start, |t| &mut t.grouping);
             return Ok(outputs);
         }
 
@@ -1142,7 +1125,7 @@ impl<'a> Executor<'a> {
             .filter_transform("group_finish", |_| true, finish)?
             .collect();
         self.check_errors()?;
-        self.book_grouping_phase(pred_similarity, start);
+        self.book_phase(pred_similarity, start, |t| &mut t.grouping);
         Ok(outputs)
     }
 
@@ -1182,59 +1165,53 @@ impl<'a> Executor<'a> {
 
     /// Try to lower a recognized group fold onto the stored table's
     /// columns (`physical/groupfold.rs`, [`ColumnarFold`]). Decided once,
-    /// here: `None` — the row driver runs, unchanged — unless the profile
-    /// vectorizes, the source is an unshared `Scan` (the fused `WHERE`
-    /// chain, if any, must lower into a [`PredKernel`] per batch), the
-    /// Nest's recorded decision will be `LocalAggregate`, a group-keeping
-    /// shape's members are the scanned rows themselves, every batch
-    /// columnarizes, and the key and every slot's member program lower to
-    /// column expressions over typed columns.
+    /// here: `None` — the row driver runs, unchanged — unless the source is
+    /// a scan the planner reads by column ([`Executor::columnar_source`];
+    /// the fused `WHERE` chain, if any, must lower into a [`PredKernel`]
+    /// per batch), the Nest's decision is `LocalAggregate`, a
+    /// group-keeping shape's members are the scanned rows themselves,
+    /// every batch columnarizes, and the key and every slot's member
+    /// program lower to column expressions over typed columns. On success
+    /// the Nest's decision is recorded — here and nowhere else.
     ///
     /// Only the columns those expressions read are pivoted
     /// ([`StoredTable::columnar_columns`]), as the vectorized `Select`
     /// pivots ([`Executor::lower_on_columns`]). In a profile tree the
     /// pivot is the fold's `Scan` child. Returns the lowered fold and the
     /// row batches its [`RowRef`]s index (empty batches skipped).
-    ///
     fn lower_columnar_fold(
         &mut self,
         src: &FoldSources<'_>,
         shape: &AggFoldShape,
     ) -> ExecResult<Option<(ColumnarFold, RowBatches)>> {
-        let Alg::Scan { table, var } = &**src.scan else {
+        let FusedInput {
+            source,
+            preds,
+            pred_rx,
+            ..
+        } = src.input;
+        let Some((stored, var)) = self.columnar_source(source) else {
             return Ok(None);
         };
-        let Some(stored) = self.tables.get(table.as_str()) else {
+        // The columnar fold is the map-side-combine driver. A cost-based
+        // decision reads the row count entering the Nest, which a fused
+        // filter only knows after its sweep.
+        let input_rows = preds.is_empty().then_some(stored.len() as f64);
+        let Some((NestStrategy::LocalAggregate, reason)) = self.nest_strategy(src.key, input_rows)
+        else {
             return Ok(None);
-        };
-        if !self.profile.vectorize || self.is_shared(src.scan) {
-            return Ok(None);
-        }
-        // An adaptive decision reads the row count entering the Nest,
-        // which a fused filter only knows after the sweep.
-        let local_aggregate = if self.profile.adaptive {
-            src.preds.is_empty()
-                && self.choose_nest(src.key, stored.len() as f64).0 == NestStrategy::LocalAggregate
-        } else {
-            self.profile.nest == NestStrategy::LocalAggregate
         };
         let members_are_rows = matches!(src.item, CalcExpr::Var(v) if v == var);
-        if !local_aggregate || (shape.keeps_groups() && !members_are_rows) {
+        if shape.keeps_groups() && !members_are_rows {
             return Ok(None);
         }
-        let slot_programs: Option<Vec<&Program>> =
-            src.slot_rxs.iter().map(|rx| rx.program()).collect();
-        let (Some(key_program), Some(slot_programs)) = (src.key_rx.program(), slot_programs) else {
-            return Ok(None);
-        };
-        let pred_program = match src.pred_rx.map(RowExpr::program) {
-            Some(None) => return Ok(None),
-            lowered => lowered.flatten(),
-        };
+        let key_program = src.key_rx.program();
+        let slot_programs: Vec<&Program> = src.slot_rxs.iter().map(|rx| rx.program()).collect();
+        let pred_program = pred_rx.as_deref().map(RowExpr::program);
 
         let read = std::iter::once(src.key)
             .chain(shape.slots.iter().map(|s| &s.row_expr))
-            .chain(src.preds.iter().copied())
+            .chain(preds.iter().copied())
             .flat_map(cardinality::columns_in);
         let mut fields: Vec<String> = read.filter(|(v, _)| v == var).map(|(_, f)| f).collect();
         fields.sort_unstable();
@@ -1259,13 +1236,14 @@ impl<'a> Executor<'a> {
             },
         );
         self.timings.scan += start.elapsed();
-        match (&lowered, frame) {
-            (Ok(Some(_)), Some(frame)) => {
-                let (op, detail) = plan_label(src.scan);
+        if matches!(lowered, Ok(Some(_))) {
+            if let Some(frame) = frame {
+                let (op, detail) = plan_label(source);
                 self.end_node(frame, op, detail, stored.len() as u64, Vec::new());
             }
-            (_, Some(_)) => self.abort_node(),
-            (_, None) => {}
+            self.record_nest(src.key, NestStrategy::LocalAggregate, reason);
+        } else if frame.is_some() {
+            self.abort_node();
         }
         lowered
     }
@@ -1289,15 +1267,12 @@ impl<'a> Executor<'a> {
         &mut self,
         fold: &ColumnarFold,
         rows: &[Arc<Vec<Value>>],
-        key: &CalcExpr,
         shape: &AggFoldShape,
         (finish_preds, finish_head): (Vec<Arc<RowExpr>>, Option<Arc<RowExpr>>),
     ) -> ExecResult<Vec<Value>> {
         let start = Instant::now();
         let lens: Vec<usize> = rows.iter().map(|b| b.len()).collect();
         let total: u64 = lens.iter().map(|&n| n as u64).sum();
-        let strategy = self.decide_nest(key, total as f64);
-        debug_assert_eq!(strategy, NestStrategy::LocalAggregate);
         self.vectorized_rows += total;
         let ev = self.eval.clone();
         let tasks = chunk_spans(&lens, self.ctx.default_partitions());
@@ -1307,7 +1282,7 @@ impl<'a> Executor<'a> {
         let (label, moved): (_, fn(&[groupfold::ChunkFold]) -> u64) = if shape.keeps_groups() {
             ("group_fold_probe", |parts| parts.len() as u64)
         } else {
-            (nest_stage_labels(strategy).1, |parts| {
+            (nest_stage_labels(NestStrategy::LocalAggregate).1, |parts| {
                 parts.iter().map(|p| p.groups() as u64).sum()
             })
         };
@@ -1410,17 +1385,6 @@ impl<'a> Executor<'a> {
         Ok(outputs)
     }
 
-    /// Phase attribution for a grouping-side sweep (pair emission, fold,
-    /// join keying): a fused similarity predicate's cost books under the
-    /// similarity phase even though its pass merged into the sweep.
-    fn book_grouping_phase(&mut self, pred_similarity: bool, start: Instant) {
-        if pred_similarity {
-            self.timings.similarity += start.elapsed();
-        } else {
-            self.timings.grouping += start.elapsed();
-        }
-    }
-
     fn check_errors(&self) -> ExecResult<()> {
         let mut errs = self.eval.errors.lock();
         if let Some(first) = errs.first() {
@@ -1516,44 +1480,24 @@ impl<'a> Executor<'a> {
             Alg::Select { input, pred } => {
                 // Collapse the fusible chain *below* this node into this
                 // node's pass: n stacked Selects (e.g. DEDUP's similarity +
-                // rowid predicates) run as one partition sweep instead of n.
-                let (mut preds, source) = self.peel_selects(input);
-                preds.push(pred); // this node's predicate runs last
-                let chained = preds.len() - 1;
-                let scope = env_layout(source);
-                let similarity = preds.iter().any(|p| expr_has_similarity(p));
-                let pred_rxs = self.compile_preds(&preds, &scope);
-                // Columnar fast path: a compiled predicate directly over a
-                // (non-shared) scan can skip row materialization entirely —
-                // the stored table columnarizes into typed batches and the
-                // predicate re-lowers into a whole-column kernel sweep.
-                let col_start = Instant::now();
-                if let Some(out) = self.try_columnar_select(source, &pred_rxs)? {
-                    self.fused_selects += chained;
-                    self.timings.other += col_start.elapsed();
-                    return Ok(out);
+                // rowid predicates) run as one partition sweep instead of
+                // n, this node's predicate last — or, directly over a
+                // plain scan, as one whole-column kernel sweep.
+                let mut fused = self.peel_input(input, Some(pred))?;
+                let ds = self.run_input(&mut fused)?;
+                if fused.pred_rx.is_none() {
+                    return Ok(ds);
                 }
-                let ds = self.run(source)?;
                 let start = Instant::now();
-                self.fused_selects += chained;
-                let ev = self.eval.clone();
-                let out = ds.filter_partitions(move |part| {
-                    part.retain(|env| ev.passes(&pred_rxs, env));
-                })?;
+                let passes = self.sweep_filter(&fused);
+                let out = ds.filter_partitions(move |part| part.retain(&passes))?;
                 self.check_errors()?;
-                if similarity {
-                    self.timings.similarity += start.elapsed();
-                } else {
-                    self.timings.other += start.elapsed();
-                }
+                self.book_phase(fused.similarity, start, |t| &mut t.other);
                 Ok(out)
             }
             Alg::Unnest { input, path, .. } => {
-                let (preds, source) = self.peel_selects(input);
-                let nfused = preds.len();
-                let scope = env_layout(source);
-                let pred_rxs = self.compile_preds(&preds, &scope);
-                let (ds, pred_rxs) = self.run_filtered(source, pred_rxs)?;
+                let mut fused = self.peel_input(input, None)?;
+                let ds = self.run_input(&mut fused)?;
                 let start = Instant::now();
                 // A lone fan-out (or one whose path reads an outer unnest
                 // variable) charges the work budget by its input size: its
@@ -1561,18 +1505,16 @@ impl<'a> Executor<'a> {
                 // pipelines never come here — the block sweep charges each
                 // block its `|A|·|B|` before enumerating it.
                 self.ctx.consume_budget("flat_map", ds.count() as u64)?;
-                let path_rx = self.row_expr(path, &scope);
-                self.fused_selects += nfused;
+                let path_rx = self.row_expr(path, &fused.scope)?;
                 let ev = self.eval.clone();
-                let label = if pred_rxs.is_some() {
+                let label = if fused.pred_rx.is_some() {
                     "fused_filter_flat_map"
                 } else {
                     "flat_map"
                 };
-                let pred_ev = ev.clone();
                 let out = ds.filter_transform(
                     label,
-                    move |env: &RowEnv| pred_ev.passes(&pred_rxs, env),
+                    self.sweep_filter(&fused),
                     move |env, out: &mut Vec<RowEnv>| match ev.eval(&path_rx, &env) {
                         Some(Value::List(items)) => out.extend(items.iter().map(|item| {
                             let mut e = Vec::with_capacity(env.len() + 1);
@@ -1591,14 +1533,9 @@ impl<'a> Executor<'a> {
             Alg::Nest {
                 input, key, item, ..
             } => {
-                let (preds, source) = self.peel_selects(input);
-                let nfused = preds.len();
-                let similarity = preds.iter().any(|p| expr_has_similarity(p));
-                let scope = env_layout(source);
-                let pred_rxs = self.compile_preds(&preds, &scope);
-                let (ds, pred_rxs) = self.run_filtered(source, pred_rxs)?;
-                self.fused_selects += nfused;
-                self.exec_nest(ds, key, item, &scope, pred_rxs, similarity)
+                let mut fused = self.peel_input(input, None)?;
+                let ds = self.run_input(&mut fused)?;
+                self.exec_nest(ds, key, item, &fused)
             }
             Alg::Join {
                 left,
@@ -1606,42 +1543,36 @@ impl<'a> Executor<'a> {
                 left_key,
                 right_key,
             } => {
-                let (lpreds, lsource) = self.peel_selects(left);
-                let (rpreds, rsource) = self.peel_selects(right);
-                let nfused = lpreds.len() + rpreds.len();
-                let similarity = lpreds.iter().chain(&rpreds).any(|p| expr_has_similarity(p));
-                let lpred_rxs = self.compile_preds(&lpreds, &env_layout(lsource));
-                let rpred_rxs = self.compile_preds(&rpreds, &env_layout(rsource));
-                let (lds, lpred_rxs) = self.run_filtered(lsource, lpred_rxs)?;
-                let (rds, rpred_rxs) = self.run_filtered(rsource, rpred_rxs)?;
+                let mut lfused = self.peel_input(left, None)?;
+                let mut rfused = self.peel_input(right, None)?;
+                let lds = self.run_input(&mut lfused)?;
+                let rds = self.run_input(&mut rfused)?;
                 let start = Instant::now();
-                let lkey_rx = self.row_expr(left_key, &env_layout(lsource));
-                let rkey_rx = self.row_expr(right_key, &env_layout(rsource));
-                self.fused_selects += nfused;
-                let keyed =
-                    |ds: Dataset<RowEnv>, key_rx: Arc<RowExpr>, pred_rxs: Option<Arc<RowExpr>>| {
-                        let ev = self.eval.clone();
-                        let pred_ev = ev.clone();
-                        let label = if pred_rxs.is_none() {
-                            "map_partitions"
-                        } else {
-                            "fused_filter_map"
-                        };
-                        ds.filter_transform(
-                            label,
-                            move |env: &RowEnv| pred_ev.passes(&pred_rxs, env),
-                            move |env, out: &mut Vec<(Value, RowEnv)>| {
-                                let k = ev.eval(&key_rx, &env);
-                                out.push((k.unwrap_or(Value::Null), env));
-                            },
-                        )
+                let lkey_rx = self.row_expr(left_key, &lfused.scope)?;
+                let rkey_rx = self.row_expr(right_key, &rfused.scope)?;
+                let keyed = |ds: Dataset<RowEnv>, key_rx: Arc<RowExpr>, fused: &FusedInput<'_>| {
+                    let ev = self.eval.clone();
+                    let label = if fused.pred_rx.is_none() {
+                        "map_partitions"
+                    } else {
+                        "fused_filter_map"
                     };
-                let lk = keyed(lds, lkey_rx, lpred_rxs)?;
-                let rk = keyed(rds, rkey_rx, rpred_rxs)?;
+                    ds.filter_transform(
+                        label,
+                        self.sweep_filter(fused),
+                        move |env, out: &mut Vec<(Value, RowEnv)>| {
+                            let k = ev.eval(&key_rx, &env);
+                            out.push((k.unwrap_or(Value::Null), env));
+                        },
+                    )
+                };
+                let lk = keyed(lds, lkey_rx, &lfused)?;
+                let rk = keyed(rds, rkey_rx, &rfused)?;
                 self.check_errors()?;
                 // Phase split: the keying sweeps carry any fused similarity
                 // predicate's cost; the hash join itself is grouping.
-                self.book_grouping_phase(similarity, start);
+                let similarity = lfused.similarity || rfused.similarity;
+                self.book_phase(similarity, start, |t| &mut t.grouping);
                 let start = Instant::now();
                 let joined = lk.join_hash(rk)?;
                 let out = joined.map(|(_, lenv, renv)| concat_rows((lenv, renv)))?;
@@ -1685,17 +1616,33 @@ impl<'a> Executor<'a> {
             .find_map(|(var, field)| self.stats.get(self.scan_vars.get(var)?)?.column(field))
     }
 
-    /// The Nest's shuffle for this run — re-decided from statistics under an
-    /// adaptive profile, the profile's fixed strategy otherwise — recorded
-    /// as a plan decision either way.
+    /// A Nest's shuffle and why: the profile's strategy as given, or —
+    /// under the cost-based planner — re-decided from statistics and
+    /// `input_rows`, the row count entering the Nest. `None` only when the
+    /// cost-based planner is asked before that count is known.
+    fn nest_strategy(
+        &self,
+        key: &CalcExpr,
+        input_rows: Option<f64>,
+    ) -> Option<(NestStrategy, String)> {
+        if self.profile.planner != Planner::CostBased {
+            return Some((self.profile.nest, "fixed profile".to_string()));
+        }
+        input_rows.map(|rows| self.choose_nest(key, rows))
+    }
+
+    /// [`Executor::nest_strategy`] for a Nest whose input has been
+    /// counted, recorded as a plan decision.
     fn decide_nest(&mut self, key: &CalcExpr, input_rows: f64) -> NestStrategy {
-        let (strategy, reason) = if self.profile.adaptive {
-            self.choose_nest(key, input_rows)
-        } else {
-            (self.profile.nest, "fixed profile".to_string())
-        };
-        self.record_decision("nest", key.to_string(), format!("{strategy:?}"), reason);
+        let (strategy, reason) = self
+            .nest_strategy(key, Some(input_rows))
+            .expect("the input row count is known");
+        self.record_nest(key, strategy, reason);
         strategy
+    }
+
+    fn record_nest(&mut self, key: &CalcExpr, strategy: NestStrategy, reason: String) {
+        self.record_decision("nest", key.to_string(), format!("{strategy:?}"), reason);
     }
 
     /// Cost-based Nest strategy: group cardinality and skew decide how the
@@ -1838,34 +1785,30 @@ impl<'a> Executor<'a> {
         });
     }
 
-    /// The Nest translation of Table 2, by profile strategy. A non-empty
-    /// `pred_rxs` is a fused upstream `Select` chain: the pair-emission
-    /// sweep filters and groups in the same pass, so the filtered
-    /// intermediate collection is never materialized.
+    /// The Nest translation of Table 2, by profile strategy. What is left
+    /// of `fused`'s `Select` chain filters inside the pair-emission sweep,
+    /// so the filtered intermediate collection is never materialized.
     fn exec_nest(
         &mut self,
         ds: Dataset<RowEnv>,
         key: &CalcExpr,
         item: &CalcExpr,
-        scope: &[String],
-        pred_rxs: Option<Arc<RowExpr>>,
-        pred_similarity: bool,
+        fused: &FusedInput<'_>,
     ) -> ExecResult<Dataset<RowEnv>> {
         let start = Instant::now();
-        let key_rx = self.row_expr(key, scope);
-        let item_rx = self.row_expr(item, scope);
+        let key_rx = self.row_expr(key, &fused.scope)?;
+        let item_rx = self.row_expr(item, &fused.scope)?;
         let ev = self.eval.clone();
-        let label = if pred_rxs.is_none() {
+        let label = if fused.pred_rx.is_none() {
             "flat_map"
         } else {
             "fused_filter_flat_map"
         };
-        let pred_ev = ev.clone();
         // Emit (block key, item) pairs; a list key multi-assigns (token
         // filtering / k-means with delta).
         let pairs: Dataset<(Value, Value)> = ds.filter_transform(
             label,
-            move |env: &RowEnv| pred_ev.passes(&pred_rxs, env),
+            self.sweep_filter(fused),
             move |env, out: &mut Vec<(Value, Value)>| {
                 let Some(k) = ev.eval(&key_rx, &env) else {
                     return;
@@ -1882,7 +1825,7 @@ impl<'a> Executor<'a> {
         self.check_errors()?;
         // Phase split: the pair-emission sweep carries any fused similarity
         // predicate's cost; the shuffle/aggregation below is grouping.
-        self.book_grouping_phase(pred_similarity, start);
+        self.book_phase(fused.similarity, start, |t| &mut t.grouping);
         let start = Instant::now();
         let strategy = self.decide_nest(key, pairs.count() as f64);
         // `mapPartitions`-style finishing: each group becomes the one-slot
@@ -1892,7 +1835,9 @@ impl<'a> Executor<'a> {
         Ok(out)
     }
 
-    /// The theta-join translation of §6, by profile strategy.
+    /// The theta-join translation of §6, by profile strategy — or, under
+    /// the cost-based planner, by [`Executor::choose_theta`]. One decision
+    /// is recorded per node: the strategy that ran.
     fn exec_theta(
         &mut self,
         lds: Dataset<RowEnv>,
@@ -1902,69 +1847,67 @@ impl<'a> Executor<'a> {
         scope_l: &[String],
         scope_r: &[String],
     ) -> ExecResult<Dataset<RowEnv>> {
-        let (strategy, bounds, reason) = if self.profile.adaptive {
+        let (planned, bounds, reason) = if self.profile.planner == Planner::CostBased {
             self.choose_theta(hint, lds.count() as f64, rds.count() as f64)
         } else {
             (self.profile.theta, None, "fixed profile".to_string())
         };
-        self.record_decision("theta", pred.to_string(), format!("{strategy:?}"), reason);
         // The predicate is compiled against the concatenated layout and
         // evaluated pair-wise — no merged environment is materialized per
-        // candidate pair (previously two clones per comparison).
-        let mut scope_both = scope_l.to_vec();
-        scope_both.extend(scope_r.iter().cloned());
-        let pred_rx = self.row_expr(pred, &scope_both);
-        let lkey_rx = self.row_expr(&hint.left_key, scope_l);
-        let rkey_rx = self.row_expr(&hint.right_key, scope_r);
+        // candidate pair.
+        let scope_both = [scope_l, scope_r].concat();
+        let pred_rx = self.row_expr(pred, &scope_both)?;
+        let lkey_rx = self.row_expr(&hint.left_key, scope_l)?;
+        let rkey_rx = self.row_expr(&hint.right_key, scope_r)?;
         let eval_ctx = Arc::clone(&self.eval.ctx);
         // A pair the predicate cannot evaluate — a width-mismatched side
         // included — is rejected and recorded, as in every other sweep.
         let ev = self.eval.clone();
         let holds = move |l: &RowEnv, r: &RowEnv| ev.holds_pair(&pred_rx, l, r);
 
-        // The cartesian path needs no key domain and no key values: run it
-        // directly (it prunes nothing, so it is always correct).
-        if strategy == ThetaStrategy::CartesianFilter {
-            let joined = theta::cartesian_filter(lds, rds, holds)?;
-            self.check_errors()?;
-            return joined.map(concat_rows);
-        }
-
         // Pruning strategies need each row's mapped join key *and* the key
         // domain classification. One keys-plus-flags probe per side
         // computes both together: text keys map through the
         // order-preserving prefix key (`cleanm_stats::string_key`), numeric
         // keys widen to f64, and the text/numeric flags fall out of the
-        // same evaluation — previously a separate classification pass
-        // evaluated every join key once and the pruning join evaluated it
-        // all over again. The probe sees every key value (a sampled sniff
+        // same evaluation. The probe sees every key value (a sampled sniff
         // could miss strings deep in a partition and silently disable the
         // collision widening), and the evaluated keys are zipped back onto
-        // the rows so the join never re-evaluates them.
-        let (l_keys, l_text, l_num) = keys_and_flags(&lds, &lkey_rx, &eval_ctx)?;
-        let (r_keys, r_text, r_num) = keys_and_flags(&rds, &rkey_rx, &eval_ctx)?;
-        let mixed = (l_text && l_num) || (r_text && r_num) || (l_text != r_text);
-        if mixed {
-            // Mixed numeric/text keys have no common pruning domain — fall
-            // back to the always-correct cartesian path.
-            self.record_decision(
-                "theta",
-                pred.to_string(),
-                format!("{:?}", ThetaStrategy::CartesianFilter),
-                "mixed numeric/text join keys: no common pruning domain".to_string(),
-            );
+        // the rows so the join never re-evaluates them. Mixed numeric/text
+        // keys have no common pruning domain: `None`.
+        let pruning_keys = if planned == ThetaStrategy::CartesianFilter {
+            None
+        } else {
+            let (l_keys, l_text, l_num) = keys_and_flags(&lds, &lkey_rx, &eval_ctx)?;
+            let (r_keys, r_text, r_num) = keys_and_flags(&rds, &rkey_rx, &eval_ctx)?;
+            let mixed = (l_text && l_num) || (r_text && r_num) || (l_text != r_text);
+            (!mixed).then_some((l_keys, r_keys, l_text))
+        };
+        let named = |strategy: ThetaStrategy| format!("{strategy:?}");
+        let Some((l_keys, r_keys, text)) = pruning_keys else {
+            // The cartesian path needs no key domain and no key values; it
+            // prunes nothing, so it is always correct.
+            let cartesian = ThetaStrategy::CartesianFilter;
+            let reason = if planned == cartesian {
+                reason
+            } else {
+                let planned = named(planned);
+                format!("mixed numeric/text join keys: no common pruning domain for {planned}")
+            };
+            self.record_decision("theta", pred.to_string(), named(cartesian), reason);
             let joined = theta::cartesian_filter(lds, rds, holds)?;
             self.check_errors()?;
             return joined.map(concat_rows);
-        }
+        };
+        self.record_decision("theta", pred.to_string(), named(planned), reason);
 
-        let compat = hint.kind.compat_fn(theta_widen(l_text || r_text));
+        let compat = hint.kind.compat_fn(theta_widen(text));
         let lk = lds.zip_parts(l_keys);
         let rk = rds.zip_parts(r_keys);
         let predicate = move |l: &(f64, RowEnv), r: &(f64, RowEnv)| holds(&l.1, &r.1);
         let key_of = |t: &(f64, RowEnv)| t.0;
 
-        let joined: Dataset<((f64, RowEnv), (f64, RowEnv))> = match (strategy, bounds) {
+        let joined: Dataset<((f64, RowEnv), (f64, RowEnv))> = match (planned, bounds) {
             (ThetaStrategy::MinMaxBlocks, _) => {
                 theta::minmax_block_join(lk, rk, key_of, key_of, compat, predicate)?
             }
@@ -1981,13 +1924,29 @@ impl<'a> Executor<'a> {
     }
 }
 
+/// A consumer's input, split for fusion by [`Executor::peel_input`]: the
+/// producer beneath the chain of fusible `Select`s, and the chain as the
+/// filter of the consumer's own sweep.
+struct FusedInput<'p> {
+    /// The producer beneath the peeled chain.
+    source: &'p Arc<Alg>,
+    /// The producer's row layout: what the chain and the consumer's
+    /// expressions compile against.
+    scope: Vec<String>,
+    /// The chain's predicates in evaluation order, innermost first.
+    preds: Vec<&'p CalcExpr>,
+    /// The chain as one program. `None` when it is empty, or once
+    /// [`Executor::run_input`] has applied it by column.
+    pred_rx: Option<Arc<RowExpr>>,
+    /// Does the chain call a similarity function?
+    similarity: bool,
+}
+
 /// What a group fold reads, for [`Executor::lower_columnar_fold`]: the
-/// producer beneath the Nest with the `Select` chain peeled off it, and the
-/// Nest's key / item and the shape's slot programs compiled against it.
+/// Nest's input with the `Select` chain peeled off it, and the Nest's key /
+/// item and the shape's slot programs compiled against it.
 struct FoldSources<'p> {
-    scan: &'p Arc<Alg>,
-    preds: &'p [&'p CalcExpr],
-    pred_rx: Option<&'p RowExpr>,
+    input: &'p FusedInput<'p>,
     key: &'p CalcExpr,
     key_rx: &'p RowExpr,
     item: &'p CalcExpr,
@@ -2297,8 +2256,8 @@ mod tests {
 
     #[test]
     fn shared_plans_execute_nest_once() {
-        // Two ops sharing a grouping: with share_plans the Nest's shuffle
-        // runs once (visible in stage reports).
+        // Two ops sharing a grouping: once the sharing rewrite ran, the
+        // Nest's shuffle runs once (visible in stage reports).
         let q = parse_query(
             "SELECT * FROM customer c \
              FD(c.address, c.nationkey) \
@@ -2611,7 +2570,7 @@ mod tests {
     #[test]
     fn hot_path_expressions_run_compiled() {
         // Every expression of the quickstart FD+DEDUP plan lowers to a
-        // slot-resolved program — nothing silently falls back.
+        // slot-resolved program.
         let q = parse_query(
             "SELECT * FROM customer c \
              FD(c.address, c.nationkey) \
@@ -2636,10 +2595,39 @@ mod tests {
             ex.run_reduce(p).unwrap();
         }
         assert!(ex.compiled_exprs > 0, "compiled path must engage");
-        assert_eq!(
-            ex.interpreted_exprs, 0,
-            "no interpreter fallback on the quickstart plans"
-        );
+    }
+
+    #[test]
+    fn unbound_name_fails_typed_before_any_row_runs() {
+        // A hand-built plan whose head reads a variable no operator binds:
+        // the query fails when the head is compiled — over an empty table
+        // as over a populated one, fused or operator-at-a-time.
+        let plan = Arc::new(Alg::Reduce {
+            input: Arc::new(Alg::Scan {
+                table: "customer".into(),
+                var: "c".into(),
+            }),
+            monoid: MonoidKind::Bag,
+            head: CalcExpr::proj(CalcExpr::var("d"), "name"),
+        });
+        let mut empty = HashMap::new();
+        empty.insert("customer".to_string(), StoredTable::from_rows(Vec::new()));
+        for tables in [empty, catalog()] {
+            for profile in [EngineProfile::clean_db(), EngineProfile::spark_sql_like()] {
+                let ctx = ExecContext::new(2, 4);
+                let mut ex = Executor::new(ctx.clone(), profile, &tables, Arc::new(EvalCtx::new()));
+                let err = ex.run_reduce(&plan).unwrap_err();
+                assert!(
+                    matches!(&err, ExecError::Value(m) if m.contains("unbound variable `d`")),
+                    "{err}"
+                );
+                let stages = ctx.metrics().snapshot().stages;
+                assert!(
+                    stages.iter().all(|s| s.operator != "map_partitions"),
+                    "the head sweep must not start: {stages:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2758,7 +2746,7 @@ mod tests {
         ] {
             let ctx = ExecContext::new(2, 4);
             let mut ex = Executor::new(ctx, profile.clone(), &tables, Arc::new(EvalCtx::new()));
-            if profile.adaptive {
+            if profile.planner == Planner::CostBased {
                 ex.set_stats(stats_for(&tables));
             }
             ex.register_plans(std::slice::from_ref(&plan));
@@ -2901,12 +2889,20 @@ mod tests {
         );
         let out = ex.run_reduce(&plan).unwrap();
         assert_eq!(out.len(), expected);
+        // One decision for the node: the strategy that ran, with the
+        // override — not the profile's strategy, which never did.
+        let theta: Vec<_> = ex
+            .decisions
+            .iter()
+            .filter(|d| d.operator == "theta")
+            .collect();
+        assert_eq!(theta.len(), 1, "{:?}", ex.decisions);
+        assert_eq!(theta[0].strategy, "CartesianFilter", "{}", theta[0]);
         assert!(
-            ex.decisions
-                .iter()
-                .any(|d| d.reason.contains("mixed numeric/text")),
-            "{:?}",
-            ex.decisions
+            theta[0].reason.contains("mixed numeric/text")
+                && theta[0].reason.contains("MinMaxBlocks"),
+            "{}",
+            theta[0]
         );
     }
 
@@ -2962,14 +2958,17 @@ mod tests {
             .map(|i| vec![row(i, "a st", 1, "n"), Value::Int(i)])
             .collect();
         let key = CalcExpr::proj(CalcExpr::var("c"), "address");
+        let scan = Arc::new(Alg::Scan {
+            table: "customer".into(),
+            var: "c".into(),
+        });
+        let input = ex.peel_input(&scan, None).unwrap();
         let err = ex
             .exec_nest(
                 Dataset::from_vec(&ctx, rows),
                 &key,
                 &CalcExpr::var("c"),
-                &["c".to_string()],
-                None,
-                false,
+                &input,
             )
             .unwrap_err();
         assert!(

@@ -27,6 +27,6 @@ pub mod program;
 pub mod qprofile;
 
 pub use execute::{Executor, PhaseTimings, PlanDecision};
-pub use profile::{EngineProfile, NestStrategy, ThetaStrategy};
+pub use profile::{EngineProfile, NestStrategy, Planner, ThetaStrategy};
 pub use program::{env_layout, RowEnv, RowExpr};
 pub use qprofile::{ProfileNode, QueryProfile};

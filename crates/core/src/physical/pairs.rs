@@ -172,8 +172,8 @@ impl PairSweep {
         block_pred: Option<Arc<RowExpr>>,
         ctx: Arc<ExecContext>,
         ev: RowEval,
-        mut compile: impl FnMut(&CalcExpr, &[String]) -> Arc<RowExpr>,
-    ) -> PairSweep {
+        mut compile: impl FnMut(&CalcExpr, &[String]) -> ExecResult<Arc<RowExpr>>,
+    ) -> ExecResult<PairSweep> {
         let with = |var: &str| [scope, &[var.to_string()]].concat();
         let (scope_a, scope_b) = (with(shape.var_a), with(shape.var_b));
         let scope_ab = [&scope_a[..], &[shape.var_b.to_string()]].concat();
@@ -192,8 +192,8 @@ impl PairSweep {
                 CalcExpr::BinOp(op, ea, eb) if op.is_comparison() && one_sided(ea, eb) => {
                     Verify::Cmp {
                         op: *op,
-                        a: compile(ea, &scope_a),
-                        b: compile(eb, &scope_b),
+                        a: compile(ea, &scope_a)?,
+                        b: compile(eb, &scope_b)?,
                     }
                 }
                 CalcExpr::Call(Func::Similar(metric, theta), args)
@@ -202,24 +202,28 @@ impl PairSweep {
                     Verify::Similar {
                         metric: *metric,
                         theta: *theta,
-                        a: compile(&args[0], &scope_a),
-                        b: compile(&args[1], &scope_b),
+                        a: compile(&args[0], &scope_a)?,
+                        b: compile(&args[1], &scope_b)?,
                     }
                 }
-                other => Verify::Program(compile(other, &scope_ab)),
+                other => Verify::Program(compile(other, &scope_ab)?),
             });
         }
-        PairSweep {
+        let path_b = match shape.path_a != shape.path_b {
+            true => Some(compile(shape.path_b, scope)?),
+            false => None,
+        };
+        Ok(PairSweep {
             ctx,
             ev,
             block_pred,
-            path_a: compile(shape.path_a, scope),
-            path_b: (shape.path_a != shape.path_b).then(|| compile(shape.path_b, scope)),
+            path_a: compile(shape.path_a, scope)?,
+            path_b,
             verify,
-            head: compile(head, &scope_ab),
+            head: compile(head, &scope_ab)?,
             stop: OnceLock::new(),
             enumerated: AtomicU64::new(0),
-        }
+        })
     }
 
     /// Index pairs enumerated so far.

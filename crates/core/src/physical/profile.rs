@@ -34,6 +34,42 @@ pub enum ThetaStrategy {
     CartesianFilter,
 }
 
+/// How much of §5's optimization the planner applies — the one axis the
+/// paper's comparison varies besides the two physical strategies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Planner {
+    /// The baselines: every operator is planned and run on its own. Spark
+    /// SQL "is unable to detect the opportunity to group the tasks into
+    /// one" and plans rule ψ as "a cartesian product followed by a filter
+    /// condition" (§6); BigDansing "can only apply one operation at a time"
+    /// and treats a DC as a black-box pairwise UDF. No sub-plan is shared,
+    /// no filter moves below a theta join, every `Select` is its own pass,
+    /// groups are materialized before they are reduced, and rows are
+    /// evaluated one at a time.
+    OperatorAtATime,
+    /// CleanDB: the three optimization levels together. Common sub-plans
+    /// run once, single-table filters sit below the joins, `Select` chains
+    /// run inside their consumer's sweep, grouped monoid reductions fold
+    /// into per-key accumulators, and eligible scans sweep typed columns.
+    /// `nest` / `theta` are used as given.
+    Unified,
+    /// [`Planner::Unified`], with `nest` / `theta` only the *defaults*: the
+    /// executor re-decides the strategy per plan node from the session's
+    /// [`cleanm_stats::TableStats`] (group cardinality and skew for Nest,
+    /// histogram pair-pruning estimates for ThetaJoin) and falls back to
+    /// them when no statistics cover a node. Decisions are recorded per
+    /// node in the report.
+    CostBased,
+}
+
+impl Planner {
+    /// Does the planner optimize a query's operators together, rather than
+    /// one at a time?
+    pub fn unified(self) -> bool {
+        self != Planner::OperatorAtATime
+    }
+}
+
 /// A complete physical policy. Construct via [`EngineProfile::clean_db`],
 /// [`EngineProfile::spark_sql_like`], [`EngineProfile::big_dansing_like`],
 /// or [`EngineProfile::adaptive`].
@@ -42,51 +78,7 @@ pub struct EngineProfile {
     pub name: String,
     pub nest: NestStrategy,
     pub theta: ThetaStrategy,
-    /// Apply the §5 sharing rewrites (plan hash-consing + result memoing).
-    /// Spark SQL "is unable to detect the opportunity to group the tasks
-    /// into one"; BigDansing "can only apply one operation at a time".
-    pub share_plans: bool,
-    /// Push single-table selective predicates below expensive joins — the
-    /// monoid-level filter pushdown. Spark SQL's plan for rule ψ
-    /// "involv\[es\] a cartesian product followed by a filter condition"
-    /// (§6), i.e. the filter stays above the product; BigDansing treats the
-    /// DC as a black-box pairwise UDF.
-    pub push_selective_filters: bool,
-    /// Fuse `Select` chains into their downstream consumer (Nest pair
-    /// emission, Reduce head evaluation, Join keying, Unnest expansion):
-    /// the executor evaluates filter+consume in **one pass** over each
-    /// partition instead of materializing the filtered intermediate
-    /// collection first — the §5 pipelined-operator fusion the paper's
-    /// code-generating backend performs. Baselines keep the operator-at-a-
-    /// time execution their systems exhibit.
-    pub fuse_selects: bool,
-    /// Compile grouped consumers into streaming fold-into-hash grouping:
-    /// when every use of a Nest's group variable is a monoid reduction
-    /// (counts, sums, min/max, FD distinct-RHS tests), the executor folds
-    /// values straight into per-key accumulators instead of materializing
-    /// `(key, Vec<value>)` groups, and only `(key, partial)` pairs cross
-    /// the shuffle. The §5 monoid-comprehension fusion applied to the wide
-    /// operator; baselines keep the materialize-then-reduce execution their
-    /// systems exhibit. Consumers that genuinely need the members (DEDUP
-    /// pairwise comparison, CLUSTER BY) keep the materialized path either
-    /// way.
-    pub fold_groups: bool,
-    /// Execute eligible plan nodes column-at-a-time: scans decode into
-    /// typed column batches and compiled predicates / projections /
-    /// grouping keys re-lower into whole-column kernels
-    /// (`physical/kernel.rs`) that sweep `i64`/`f64`/`Arc<str>`
-    /// slices behind a selection vector. Nodes whose programs do not
-    /// vectorize (interpreter islands, mixed-type columns) fall back to
-    /// the row path — semantics are identical either way (pinned by the
-    /// `columnar_agree` differential tests). Baselines keep the row-at-a-
-    /// time Volcano-style execution their systems exhibit.
-    pub vectorize: bool,
-    /// Cost-based mode: `nest`/`theta` above are only *defaults*, and the
-    /// executor re-decides the strategy per plan node from the session's
-    /// [`cleanm_stats::TableStats`] (group cardinality and skew for Nest,
-    /// histogram pair-pruning estimates for ThetaJoin). Decisions are
-    /// recorded per node in the report.
-    pub adaptive: bool,
+    pub planner: Planner,
 }
 
 impl EngineProfile {
@@ -96,12 +88,7 @@ impl EngineProfile {
             name: "CleanDB".to_string(),
             nest: NestStrategy::LocalAggregate,
             theta: ThetaStrategy::MBucket,
-            share_plans: true,
-            push_selective_filters: true,
-            fuse_selects: true,
-            fold_groups: true,
-            vectorize: true,
-            adaptive: false,
+            planner: Planner::Unified,
         }
     }
 
@@ -111,12 +98,7 @@ impl EngineProfile {
             name: "SparkSQL".to_string(),
             nest: NestStrategy::SortShuffle,
             theta: ThetaStrategy::CartesianFilter,
-            share_plans: false,
-            push_selective_filters: false,
-            fuse_selects: false,
-            fold_groups: false,
-            vectorize: false,
-            adaptive: false,
+            planner: Planner::OperatorAtATime,
         }
     }
 
@@ -126,31 +108,18 @@ impl EngineProfile {
             name: "BigDansing".to_string(),
             nest: NestStrategy::HashShuffle,
             theta: ThetaStrategy::MinMaxBlocks,
-            share_plans: false,
-            push_selective_filters: false,
-            fuse_selects: false,
-            fold_groups: false,
-            vectorize: false,
-            adaptive: false,
+            planner: Planner::OperatorAtATime,
         }
     }
 
-    /// Cost-based profile: all cross-operator rewrites on (like
-    /// [`EngineProfile::clean_db`]), but physical strategies are chosen per
-    /// node from collected table statistics instead of being fixed. The
-    /// `nest`/`theta` fields hold the fallback used when no statistics cover
-    /// a node (e.g. a grouping key that is not a simple column).
+    /// CleanDB with the physical strategies chosen per node from collected
+    /// table statistics instead of being fixed.
     pub fn adaptive() -> Self {
         EngineProfile {
             name: "Adaptive".to_string(),
             nest: NestStrategy::LocalAggregate,
             theta: ThetaStrategy::MBucket,
-            share_plans: true,
-            push_selective_filters: true,
-            fuse_selects: true,
-            fold_groups: true,
-            vectorize: true,
-            adaptive: true,
+            planner: Planner::CostBased,
         }
     }
 }
@@ -167,8 +136,10 @@ mod tests {
         assert_eq!(c.nest, NestStrategy::LocalAggregate);
         assert_eq!(s.nest, NestStrategy::SortShuffle);
         assert_eq!(b.nest, NestStrategy::HashShuffle);
-        assert!(c.share_plans && !s.share_plans && !b.share_plans);
-        assert!(c.push_selective_filters);
+        assert_eq!(c.planner, Planner::Unified);
+        assert_eq!(s.planner, Planner::OperatorAtATime);
+        assert_eq!(b.planner, Planner::OperatorAtATime);
+        assert_eq!(EngineProfile::adaptive().planner, Planner::CostBased);
         assert_eq!(s.theta, ThetaStrategy::CartesianFilter);
         assert_eq!(b.theta, ThetaStrategy::MinMaxBlocks);
     }

@@ -11,13 +11,11 @@
 //! per-worker reusable scratch stack — no names travel with the rows, no
 //! per-row environment allocation, no `Value` clones beyond the leaves.
 //!
-//! [`RowExpr`] packages a compiled program with the tree-walking
-//! interpreter as reference fallback: expressions the compiler cannot
-//! lower (unknown tables, variables outside the layout) keep the exact
-//! interpreted semantics over a named environment rebuilt from the layout,
-//! and `Executor` counts both outcomes so tests can pin that the hot paths
-//! really run compiled. A row whose width disagrees with the layout is a
-//! typed error on either path.
+//! [`RowExpr`] is a compiled program with that scratch stack attached. An
+//! expression the compiler cannot lower (an unknown table, a variable
+//! outside the layout) is a typed error when the plan node is prepared —
+//! before any row runs — and a row whose width disagrees with the layout
+//! is a typed error when it is evaluated.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -28,8 +26,8 @@ use parking_lot::Mutex;
 use cleanm_values::{Result, Value};
 
 use crate::algebra::plan::Alg;
-use crate::calculus::compile::{check_width, named_env, Program};
-use crate::calculus::eval::{eval, EvalCtx};
+use crate::calculus::compile::Program;
+use crate::calculus::eval::EvalCtx;
 use crate::calculus::CalcExpr;
 
 /// A row in flight: the values of the comprehension environment, positioned
@@ -43,73 +41,34 @@ thread_local! {
     static SCRATCH: RefCell<Vec<Value>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A row-level expression as the executor runs it: compiled to a
-/// slot-resolved [`Program`] when the expression lowers cleanly, with the
-/// tree-walking interpreter kept as the reference fallback.
-pub struct RowExpr(Repr);
-
-enum Repr {
-    Compiled(Program),
-    /// Compilation failed: the interpreter evaluates `expr` over a named
-    /// environment rebuilt from `scope` per row.
-    Reference {
-        expr: CalcExpr,
-        scope: Vec<String>,
-    },
-}
+/// A row-level expression as the executor runs it: a slot-resolved
+/// [`Program`] evaluated on the worker's scratch stack.
+pub struct RowExpr(Program);
 
 impl RowExpr {
     /// Compile `expr` against the plan node's environment layout `scope`.
-    /// Compilation failure is not an error — the interpreter remains the
-    /// semantics of record.
-    pub fn compile(expr: &CalcExpr, scope: &[String], ctx: &EvalCtx) -> RowExpr {
-        RowExpr(match Program::compile(expr, scope, ctx) {
-            Ok(program) => Repr::Compiled(program),
-            Err(_) => Repr::Reference {
-                expr: expr.clone(),
-                scope: scope.to_vec(),
-            },
-        })
+    /// Fails when a variable is not in the layout or a table reference is
+    /// unknown.
+    pub fn compile(expr: &CalcExpr, scope: &[String], ctx: &EvalCtx) -> Result<RowExpr> {
+        Program::compile(expr, scope, ctx).map(RowExpr)
     }
 
-    /// Did compilation succeed (vs. interpreter fallback)?
-    pub fn is_compiled(&self) -> bool {
-        self.program().is_some()
-    }
-
-    /// The compiled program, when compilation succeeded — handed to the
-    /// columnar kernel compiler (`physical/kernel.rs`) to try a
-    /// second lowering against a concrete column batch.
-    pub(crate) fn program(&self) -> Option<&Program> {
-        match &self.0 {
-            Repr::Compiled(program) => Some(program),
-            Repr::Reference { .. } => None,
-        }
+    /// The compiled program — handed to the columnar kernel compiler
+    /// (`physical/kernel.rs`) to try a second lowering against a concrete
+    /// column batch.
+    pub(crate) fn program(&self) -> &Program {
+        &self.0
     }
 
     /// Evaluate one row.
     pub fn eval_env(&self, env: &[Value], ctx: &EvalCtx) -> Result<Value> {
-        match &self.0 {
-            Repr::Compiled(p) => SCRATCH.with(|s| p.eval_with(env, ctx, &mut s.borrow_mut())),
-            Repr::Reference { expr, scope } => {
-                check_width(scope, env.len())?;
-                eval(expr, &named_env(scope, env.iter()), ctx)
-            }
-        }
+        SCRATCH.with(|s| self.0.eval_with(env, ctx, &mut s.borrow_mut()))
     }
 
     /// Evaluate over a concatenated `(left, right)` row pair without
     /// materializing the merged row — the theta-join inner loop.
     pub fn eval_pair(&self, left: &[Value], right: &[Value], ctx: &EvalCtx) -> Result<Value> {
-        match &self.0 {
-            Repr::Compiled(p) => {
-                SCRATCH.with(|s| p.eval_pair(left, right, ctx, &mut s.borrow_mut()))
-            }
-            Repr::Reference { expr, scope } => {
-                check_width(scope, left.len() + right.len())?;
-                eval(expr, &named_env(scope, left.iter().chain(right)), ctx)
-            }
-        }
+        SCRATCH.with(|s| self.0.eval_pair(left, right, ctx, &mut s.borrow_mut()))
     }
 }
 
@@ -150,19 +109,24 @@ impl ProgramCache {
     }
 
     /// The cached program for `(expr, scope)`, compiling and inserting it
-    /// on first request.
-    pub fn get_or_compile(&self, expr: &CalcExpr, scope: &[String], ctx: &EvalCtx) -> Arc<RowExpr> {
+    /// on first request; a compile failure is returned, not cached.
+    pub fn get_or_compile(
+        &self,
+        expr: &CalcExpr,
+        scope: &[String],
+        ctx: &EvalCtx,
+    ) -> Result<Arc<RowExpr>> {
         use std::sync::atomic::Ordering::Relaxed;
         let key = (expr.to_string(), scope.join("\u{1f}"));
         let mut map = self.programs.lock();
         if let Some(rx) = map.get(&key) {
             self.hits.fetch_add(1, Relaxed);
-            return Arc::clone(rx);
+            return Ok(Arc::clone(rx));
         }
         self.misses.fetch_add(1, Relaxed);
-        let rx = Arc::new(RowExpr::compile(expr, scope, ctx));
+        let rx = Arc::new(RowExpr::compile(expr, scope, ctx)?);
         map.insert(key, Arc::clone(&rx));
-        rx
+        Ok(rx)
     }
 }
 
@@ -377,14 +341,15 @@ mod tests {
     }
 
     #[test]
-    fn row_expr_falls_back_when_uncompilable() {
+    fn uncompilable_expressions_are_typed_errors() {
         let ctx = EvalCtx::new();
-        // References a table the context does not know: compile fails, the
-        // interpreter fallback reports the same runtime error.
-        let expr = CalcExpr::Exists(Box::new(CalcExpr::TableRef("missing".into())));
-        let rx = RowExpr::compile(&expr, &[], &ctx);
-        assert!(!rx.is_compiled());
-        assert!(rx.eval_env(&[], &ctx).is_err());
+        let unknown_table = CalcExpr::Exists(Box::new(CalcExpr::TableRef("missing".into())));
+        let err = RowExpr::compile(&unknown_table, &[], &ctx).err().unwrap();
+        assert!(err.to_string().contains("unknown table `missing`"), "{err}");
+        let err = RowExpr::compile(&CalcExpr::var("x"), &["a".to_string()], &ctx)
+            .err()
+            .unwrap();
+        assert!(err.to_string().contains("unbound variable `x`"), "{err}");
     }
 
     #[test]
@@ -392,32 +357,22 @@ mod tests {
         let ctx = EvalCtx::new();
         let scope = vec!["a".to_string(), "b".to_string()];
         let expr = CalcExpr::bin(BinOp::Lt, CalcExpr::var("a"), CalcExpr::var("b"));
-        let rx = RowExpr::compile(&expr, &scope, &ctx);
-        assert!(rx.is_compiled());
+        let rx = RowExpr::compile(&expr, &scope, &ctx).unwrap();
         let (l, r) = ([Value::Int(1)], [Value::Int(2)]);
         assert_eq!(rx.eval_pair(&l, &r, &ctx).unwrap(), Value::Bool(true));
     }
 
     #[test]
-    fn width_mismatch_is_an_error_on_both_paths() {
+    fn width_mismatch_is_a_typed_error() {
         let ctx = EvalCtx::new();
         let scope = vec!["a".to_string(), "b".to_string()];
-        let compiled = RowExpr::compile(&CalcExpr::var("a"), &scope, &ctx);
-        // `missing` is unknown: this one runs on the interpreter fallback.
-        let fallback = RowExpr::compile(
-            &CalcExpr::Exists(Box::new(CalcExpr::TableRef("missing".into()))),
-            &scope,
-            &ctx,
-        );
-        assert!(compiled.is_compiled() && !fallback.is_compiled());
-        for rx in [&compiled, &fallback] {
-            for width in [0, 1, 3] {
-                let row = vec![Value::Int(7); width];
-                let err = rx.eval_env(&row, &ctx).unwrap_err().to_string();
-                assert!(err.contains("row layout mismatch"), "{err}");
-                let err = rx.eval_pair(&row, &[], &ctx).unwrap_err().to_string();
-                assert!(err.contains("row layout mismatch"), "{err}");
-            }
+        let rx = RowExpr::compile(&CalcExpr::var("a"), &scope, &ctx).unwrap();
+        for width in [0, 1, 3] {
+            let row = vec![Value::Int(7); width];
+            let err = rx.eval_env(&row, &ctx).unwrap_err().to_string();
+            assert!(err.contains("row layout mismatch"), "{err}");
+            let err = rx.eval_pair(&row, &[], &ctx).unwrap_err().to_string();
+            assert!(err.contains("row layout mismatch"), "{err}");
         }
     }
 }

@@ -48,7 +48,8 @@ pub struct ProfileNode {
     pub idle_fraction: f64,
     /// Plan-node expressions this node compiled to slot-resolved programs.
     pub compiled_exprs: usize,
-    /// Plan-node expressions that fell back to the tree interpreter here.
+    /// Always 0 — an expression that does not compile fails the query;
+    /// kept because the rendered tree and the benchmark read the key.
     pub interpreted_exprs: usize,
     /// `Select` passes fused into this node's sweep (never materialized).
     pub fused_selects: usize,

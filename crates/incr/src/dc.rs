@@ -89,11 +89,15 @@ impl StandingDc {
             batches_seen: stored.batches().len(),
         };
         let batches: Vec<_> = stored.batches().to_vec();
+        let compile = |expr: &CalcExpr, scope: &[String]| {
+            RowExpr::compile(expr, scope, &ctx)
+                .map_err(|e| EngineError::Exec(cleanm_exec::ExecError::Value(e.to_string())))
+        };
         let mut state = StandingDc {
-            filter_rx: filter.map(|f| RowExpr::compile(&f, &left, &ctx)),
-            pred_rx: RowExpr::compile(&pair_pred, &pair, &ctx),
-            lkey_rx: RowExpr::compile(&hint.left_key, &left, &ctx),
-            rkey_rx: RowExpr::compile(&hint.right_key, &right, &ctx),
+            filter_rx: filter.map(|f| compile(&f, &left)).transpose()?,
+            pred_rx: compile(&pair_pred, &pair)?,
+            lkey_rx: compile(&hint.left_key, &left)?,
+            rkey_rx: compile(&hint.right_key, &right)?,
             prunable: matches!(hint.kind, HintKind::LeftLessThanRight),
             right_index: Vec::new(),
             left_index: Vec::new(),

@@ -463,7 +463,7 @@ impl IncrementalSession {
                 let Some(shape) = FdPlanShape::from_plan(plan) else {
                     return Ok((OpState::Fallback, Vec::new()));
                 };
-                let mut state = FdState::new(&shape, eval_ctx);
+                let mut state = FdState::new(&shape, eval_ctx).map_err(exec_err)?;
                 state
                     .absorb(&all_rows(&shape.table), eval_ctx)
                     .map_err(exec_err)?;
@@ -476,7 +476,7 @@ impl IncrementalSession {
                 if unstable_blocker(&shape.algo) {
                     return Ok((OpState::Fallback, Vec::new()));
                 }
-                let mut state = DedupState::new(&shape, eval_ctx);
+                let mut state = DedupState::new(&shape, eval_ctx).map_err(exec_err)?;
                 state
                     .index_only(&all_rows(&shape.table), eval_ctx)
                     .map_err(exec_err)?;
@@ -490,7 +490,7 @@ impl IncrementalSession {
                 if unstable_blocker(&shape.algo) {
                     return Ok((OpState::Fallback, Vec::new()));
                 }
-                let mut state = TermvalState::new(&shape, eval_ctx);
+                let mut state = TermvalState::new(&shape, eval_ctx).map_err(exec_err)?;
                 state
                     .index_only(
                         &all_rows(&shape.data.table),
@@ -507,7 +507,8 @@ impl IncrementalSession {
             // DC pair enumeration has no incremental state yet: re-run fully.
             OpKind::Dc => Ok((OpState::Fallback, Vec::new())),
             OpKind::Select => {
-                let Some(mut state) = SelectState::from_plan(plan, eval_ctx) else {
+                let Some(mut state) = SelectState::from_plan(plan, eval_ctx).map_err(exec_err)?
+                else {
                     return Ok((OpState::Fallback, Vec::new()));
                 };
                 state.seed_outputs(baseline_output);

@@ -33,14 +33,12 @@ pub(crate) struct RowPipeline {
 }
 
 impl RowPipeline {
-    fn new(var: &str, filters: &[cleanm_core::calculus::CalcExpr], ctx: &EvalCtx) -> Self {
+    fn new(var: &str, filters: &[cleanm_core::calculus::CalcExpr], ctx: &EvalCtx) -> Result<Self> {
         let scope = vec![var.to_string()];
-        RowPipeline {
-            filters: filters
-                .iter()
-                .map(|f| RowExpr::compile(f, &scope, ctx))
-                .collect(),
-        }
+        let filters = filters.iter().map(|f| RowExpr::compile(f, &scope, ctx));
+        Ok(RowPipeline {
+            filters: filters.collect::<Result<_>>()?,
+        })
     }
 
     /// Does `row` pass every filter? Evaluation errors propagate — the
@@ -74,14 +72,12 @@ impl PairPreds {
         right_var: &str,
         preds: &[cleanm_core::calculus::CalcExpr],
         ctx: &EvalCtx,
-    ) -> Self {
+    ) -> Result<Self> {
         let scope = vec![left_var.to_string(), right_var.to_string()];
-        PairPreds {
-            preds: preds
-                .iter()
-                .map(|p| RowExpr::compile(p, &scope, ctx))
-                .collect(),
-        }
+        let preds = preds.iter().map(|p| RowExpr::compile(p, &scope, ctx));
+        Ok(PairPreds {
+            preds: preds.collect::<Result<_>>()?,
+        })
     }
 
     /// Do the pair predicates all hold? Errors propagate (see
@@ -127,15 +123,15 @@ pub(crate) struct FdState {
 }
 
 impl FdState {
-    pub(crate) fn new(shape: &FdPlanShape, ctx: &EvalCtx) -> FdState {
+    pub(crate) fn new(shape: &FdPlanShape, ctx: &EvalCtx) -> Result<FdState> {
         let scan_scope = vec![shape.scan_var.clone()];
         let member_scope = vec![shape.member_var.clone()];
-        FdState {
-            pipeline: RowPipeline::new(&shape.scan_var, &shape.filters, ctx),
-            key_rx: RowExpr::compile(&shape.key, &scan_scope, ctx),
-            rhs_rx: RowExpr::compile(&shape.rhs, &member_scope, ctx),
+        Ok(FdState {
+            pipeline: RowPipeline::new(&shape.scan_var, &shape.filters, ctx)?,
+            key_rx: RowExpr::compile(&shape.key, &scan_scope, ctx)?,
+            rhs_rx: RowExpr::compile(&shape.rhs, &member_scope, ctx)?,
             groups: BTreeMap::new(),
-        }
+        })
     }
 
     pub(crate) fn absorb(&mut self, rows: &[Value], ctx: &EvalCtx) -> Result<()> {
@@ -186,20 +182,20 @@ pub(crate) struct DedupState {
 }
 
 impl DedupState {
-    pub(crate) fn new(shape: &DedupPlanShape, ctx: &EvalCtx) -> DedupState {
+    pub(crate) fn new(shape: &DedupPlanShape, ctx: &EvalCtx) -> Result<DedupState> {
         let scan_scope = vec![shape.scan_var.clone()];
-        DedupState {
-            pipeline: RowPipeline::new(&shape.scan_var, &shape.filters, ctx),
-            key_rx: RowExpr::compile(&shape.key, &scan_scope, ctx),
+        Ok(DedupState {
+            pipeline: RowPipeline::new(&shape.scan_var, &shape.filters, ctx)?,
+            key_rx: RowExpr::compile(&shape.key, &scan_scope, ctx)?,
             pair: PairPreds::new(
                 &shape.pair_vars.0,
                 &shape.pair_vars.1,
                 &shape.pair_preds,
                 ctx,
-            ),
+            )?,
             blocks: BTreeMap::new(),
             outputs: Vec::new(),
-        }
+        })
     }
 
     /// Seed the accumulated pair output from a batch run (history pairs
@@ -279,26 +275,26 @@ pub(crate) struct TermvalState {
 }
 
 impl TermvalState {
-    pub(crate) fn new(shape: &TermvalPlanShape, ctx: &EvalCtx) -> TermvalState {
+    pub(crate) fn new(shape: &TermvalPlanShape, ctx: &EvalCtx) -> Result<TermvalState> {
         let data_scope = vec![shape.data.scan_var.clone()];
         let dict_scope = vec![shape.dict.scan_var.clone()];
-        TermvalState {
-            data_pipeline: RowPipeline::new(&shape.data.scan_var, &shape.data.filters, ctx),
-            data_key_rx: RowExpr::compile(&shape.data.key, &data_scope, ctx),
-            data_item_rx: RowExpr::compile(&shape.data.item, &data_scope, ctx),
-            dict_pipeline: RowPipeline::new(&shape.dict.scan_var, &shape.dict.filters, ctx),
-            dict_key_rx: RowExpr::compile(&shape.dict.key, &dict_scope, ctx),
-            dict_item_rx: RowExpr::compile(&shape.dict.item, &dict_scope, ctx),
+        Ok(TermvalState {
+            data_pipeline: RowPipeline::new(&shape.data.scan_var, &shape.data.filters, ctx)?,
+            data_key_rx: RowExpr::compile(&shape.data.key, &data_scope, ctx)?,
+            data_item_rx: RowExpr::compile(&shape.data.item, &data_scope, ctx)?,
+            dict_pipeline: RowPipeline::new(&shape.dict.scan_var, &shape.dict.filters, ctx)?,
+            dict_key_rx: RowExpr::compile(&shape.dict.key, &dict_scope, ctx)?,
+            dict_item_rx: RowExpr::compile(&shape.dict.item, &dict_scope, ctx)?,
             pair: PairPreds::new(
                 &shape.pair_vars.0,
                 &shape.pair_vars.1,
                 &shape.pair_preds,
                 ctx,
-            ),
+            )?,
             data_blocks: BTreeMap::new(),
             dict_blocks: BTreeMap::new(),
             outputs: Vec::new(),
-        }
+        })
     }
 
     pub(crate) fn seed_outputs(&mut self, outputs: Vec<Value>) {
@@ -448,7 +444,7 @@ impl SelectState {
     pub(crate) fn from_plan(
         plan: &cleanm_core::algebra::Alg,
         ctx: &EvalCtx,
-    ) -> Option<SelectState> {
+    ) -> Result<Option<SelectState>> {
         use cleanm_core::algebra::Alg;
         let Alg::Reduce {
             input,
@@ -456,10 +452,10 @@ impl SelectState {
             head,
         } = plan
         else {
-            return None;
+            return Ok(None);
         };
         if !matches!(monoid, MonoidKind::Bag | MonoidKind::Set | MonoidKind::List) {
-            return None;
+            return Ok(None);
         }
         let mut filters = Vec::new();
         let mut node = &**input;
@@ -471,14 +467,14 @@ impl SelectState {
                 }
                 Alg::Scan { var, .. } => {
                     let scope = vec![var.clone()];
-                    return Some(SelectState {
-                        pipeline: RowPipeline::new(var, &filters, ctx),
-                        head_rx: RowExpr::compile(head, &scope, ctx),
+                    return Ok(Some(SelectState {
+                        pipeline: RowPipeline::new(var, &filters, ctx)?,
+                        head_rx: RowExpr::compile(head, &scope, ctx)?,
                         monoid: monoid.clone(),
                         outputs: Vec::new(),
-                    });
+                    }));
                 }
-                _ => return None,
+                _ => return Ok(None),
             }
         }
     }

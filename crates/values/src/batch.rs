@@ -347,7 +347,7 @@ impl ColumnBuilder {
 impl BuilderKind {
     fn finish(self) -> Column {
         match self {
-            // An all-NULL column stays generic: no type to vectorize over.
+            // An all-NULL column stays generic: no type to specialize on.
             BuilderKind::Empty(n) => Column::Val(vec![Value::Null; n]),
             BuilderKind::Int(data, nulls) => Column::Int { data, nulls },
             BuilderKind::Float(data, nulls) => Column::Float { data, nulls },

@@ -4,7 +4,7 @@
 //! collecting its statistics in a single pass and explaining its choices.
 
 use cleanm::core::physical::NestStrategy;
-use cleanm::core::{CleanDb, EngineProfile};
+use cleanm::core::{CleanDb, EngineProfile, Planner};
 use cleanm::datagen::customer::CustomerGen;
 use cleanm::datagen::mag::MagGen;
 
@@ -128,14 +128,18 @@ fn adaptive_decisions_are_visible_and_stat_driven() {
 }
 
 #[test]
-fn adaptive_profile_flag_is_consistent() {
+fn only_the_adaptive_profile_plans_cost_based() {
     let a = EngineProfile::adaptive();
-    assert!(a.adaptive && a.share_plans && a.push_selective_filters);
+    assert_eq!(a.planner, Planner::CostBased);
+    assert!(a.planner.unified(), "cost-based is the unified planner");
+    // It is CleanDB in everything but the level.
+    let clean_db = EngineProfile::clean_db();
+    assert_eq!((a.nest, a.theta), (clean_db.nest, clean_db.theta));
     for fixed in [
-        EngineProfile::clean_db(),
+        clean_db,
         EngineProfile::spark_sql_like(),
         EngineProfile::big_dansing_like(),
     ] {
-        assert!(!fixed.adaptive, "{}", fixed.name);
+        assert_ne!(fixed.planner, Planner::CostBased, "{}", fixed.name);
     }
 }

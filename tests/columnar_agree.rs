@@ -1,15 +1,16 @@
-//! The columnar execution core is a *physical* optimization: with
-//! `EngineProfile::vectorize` on, eligible `Select` nodes sweep typed
-//! column batches with whole-column kernels; with it off the very same
-//! plans run row-at-a-time. Every observable output — violating ids,
-//! repairs, operator outputs — must be identical either way, across all
-//! four profiles, every operator family (FD / DEDUP / DC / GROUP BY /
+//! The columnar execution core is a *physical* optimization: under the
+//! unified and cost-based planners eligible `Select` and group-fold nodes
+//! sweep typed column batches with whole-column kernels; under the
+//! operator-at-a-time planner the very same queries run row-at-a-time.
+//! Every observable output — violating ids, repairs, operator outputs —
+//! must be identical either way, under the strategies of all four
+//! profiles, every operator family (FD / DEDUP / DC / GROUP BY /
 //! CLUSTER BY), and the nasty edges: NULL cells, NaN floats, empty
 //! tables, and row structs whose field order varies (which defeats
 //! columnarization and must fall back to the row path).
 
 use cleanm::core::ops::{DcOutcome, InequalityDc};
-use cleanm::core::{CleanDb, CleaningReport, EngineProfile};
+use cleanm::core::{CleanDb, CleaningReport, EngineProfile, Planner};
 use cleanm::datagen::customer::CustomerGen;
 use cleanm::datagen::tpch::{LineitemGen, NoiseColumn};
 use cleanm::formats::csv;
@@ -24,12 +25,20 @@ fn all_profiles() -> Vec<EngineProfile> {
     ]
 }
 
-fn with_vectorize(mut p: EngineProfile, on: bool) -> EngineProfile {
-    p.vectorize = on;
-    p
+/// `profile`'s strategies under another planner level.
+fn with_planner(profile: &EngineProfile, planner: Planner) -> EngineProfile {
+    EngineProfile {
+        planner,
+        ..profile.clone()
+    }
 }
 
-/// Everything observable about a run that must not depend on `vectorize`.
+/// The row-at-a-time twin of `profile`.
+fn by_rows(profile: &EngineProfile) -> EngineProfile {
+    with_planner(profile, Planner::OperatorAtATime)
+}
+
+/// Everything observable about a run that must not depend on the planner.
 type Digest = (Vec<i64>, Vec<(String, String)>, Vec<(String, Vec<Value>)>);
 
 fn digest(r: &CleaningReport) -> Digest {
@@ -64,15 +73,20 @@ fn run_with(profile: EngineProfile, name: &str, table: &Table, query: &str) -> C
     db.run(query).unwrap()
 }
 
+/// Row-at-a-time ≡ columnar for `profile`'s strategies: the
+/// operator-at-a-time planner against the unified and the cost-based one.
 fn assert_agree(profile: &EngineProfile, name: &str, table: &Table, query: &str) {
-    let row = run_with(with_vectorize(profile.clone(), false), name, table, query);
-    let col = run_with(with_vectorize(profile.clone(), true), name, table, query);
-    assert_eq!(
-        digest(&row),
-        digest(&col),
-        "row vs columnar drift under {} for `{query}`",
-        profile.name
-    );
+    let row = run_with(by_rows(profile), name, table, query);
+    assert_eq!(row.exprs.vectorized_rows, 0, "`{query}`");
+    for planner in [Planner::Unified, Planner::CostBased] {
+        let col = run_with(with_planner(profile, planner), name, table, query);
+        assert_eq!(
+            digest(&row),
+            digest(&col),
+            "row vs columnar drift under {} / {planner:?} for `{query}`",
+            profile.name
+        );
+    }
 }
 
 #[test]
@@ -109,14 +123,17 @@ fn plain_where_select_vectorizes_and_agrees() {
     let query = "SELECT c.name, c.acctbal FROM customer c \
                  WHERE c.acctbal > 500.0 AND c.nationkey >= 10";
     let row = run_with(
-        with_vectorize(EngineProfile::clean_db(), false),
+        by_rows(&EngineProfile::clean_db()),
         "customer",
         &data.table,
         query,
     );
     let col = run_with(EngineProfile::clean_db(), "customer", &data.table, query);
     assert_eq!(digest(&row), digest(&col));
-    assert_eq!(row.exprs.vectorized_rows, 0, "vectorize off must not sweep");
+    assert_eq!(
+        row.exprs.vectorized_rows, 0,
+        "the operator-at-a-time planner must not sweep"
+    );
     assert!(
         col.exprs.vectorized_rows > 0,
         "the WHERE sweep should have gone columnar: {:?}",
@@ -131,14 +148,14 @@ fn dc_identical_row_vs_columnar() {
         .noise_column(NoiseColumn::OrderKey)
         .generate();
     for profile in [EngineProfile::clean_db(), EngineProfile::adaptive()] {
-        let run = |on: bool| {
-            let mut db = CleanDb::new(with_vectorize(profile.clone(), on));
+        let run = |profile: EngineProfile| {
+            let mut db = CleanDb::new(profile);
             db.register("lineitem", data.table.clone());
             InequalityDc::rule_psi("lineitem", 20_000.0)
                 .run(&mut db)
                 .unwrap()
         };
-        match (run(false), run(true)) {
+        match (run(by_rows(&profile)), run(profile.clone())) {
             (
                 DcOutcome::Completed {
                     violations: row, ..
@@ -213,8 +230,8 @@ fn empty_table_agrees() {
 #[test]
 fn shuffled_struct_layout_falls_back_to_rows() {
     // Structs whose field order differs row to row cannot columnarize
-    // (`ColumnBatch::from_rows` requires one layout); the vectorized
-    // profile must silently take the row path and agree.
+    // (`ColumnBatch::from_rows` requires one layout); the unified planner
+    // must silently take the row path and agree.
     let mk = |id: i64, a: i64, b: &str, flipped: bool| {
         if flipped {
             Value::record([
@@ -234,16 +251,17 @@ fn shuffled_struct_layout_falls_back_to_rows() {
         .map(|i| mk(i, i % 13, ["x", "y", "z"][(i % 3) as usize], i % 2 == 1))
         .collect();
     let query = "SELECT t.a, t.b FROM shuffled t WHERE t.a > 4";
-    let run = |on: bool| {
-        let mut db = CleanDb::new(with_vectorize(EngineProfile::clean_db(), on));
+    let run = |profile: EngineProfile| {
+        let mut db = CleanDb::new(profile);
         db.register_values("shuffled", rows.clone());
         db.run(query).unwrap()
     };
-    let (row, col) = (run(false), run(true));
+    let clean_db = EngineProfile::clean_db();
+    let (row, col) = (run(by_rows(&clean_db)), run(clean_db));
     assert_eq!(digest(&row), digest(&col));
     assert_eq!(
         col.exprs.vectorized_rows, 0,
-        "mixed layouts must not vectorize"
+        "mixed layouts must not sweep by column"
     );
 }
 

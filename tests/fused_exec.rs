@@ -1,5 +1,5 @@
-//! Differential property tests for Select fusion: a plan executed with
-//! `fuse_selects` on (filter evaluated inside the downstream operator's
+//! Differential property tests for Select fusion: a plan executed by the
+//! unified planner (filter evaluated inside the downstream operator's
 //! partition sweep) must produce exactly the results of the
 //! operator-at-a-time execution — across Select→Nest, Select→Reduce
 //! (collection and scalar monoids), Select→Join, Select→ThetaJoin, and
@@ -19,7 +19,7 @@ use std::sync::Arc;
 use cleanm::core::algebra::{Alg, HintKind, ThetaHint};
 use cleanm::core::calculus::{BinOp, CalcExpr, EvalCtx, Func, MonoidKind};
 use cleanm::core::engine::storage::StoredTable;
-use cleanm::core::physical::{EngineProfile, Executor};
+use cleanm::core::physical::{EngineProfile, Executor, Planner};
 use cleanm::exec::ExecContext;
 use cleanm::values::Value;
 use proptest::prelude::*;
@@ -120,13 +120,13 @@ fn run(
     (out, ex.fused_selects)
 }
 
-/// The operator-at-a-time twin of the fusing profile: identical policies,
-/// fusion off — so any output difference is attributable to fusion alone.
+/// The operator-at-a-time twin of the fusing profile: the same physical
+/// strategies, every `Select` its own pass and every group materialized.
 fn unfused_profile() -> EngineProfile {
-    let mut p = EngineProfile::clean_db();
-    p.fuse_selects = false;
-    p.fold_groups = false; // the operator-at-a-time twin materializes groups
-    p
+    EngineProfile {
+        planner: Planner::OperatorAtATime,
+        ..EngineProfile::clean_db()
+    }
 }
 
 /// fused ≡ unfused for a given plan, requiring that fusion engaged

@@ -1,17 +1,21 @@
 //! Differential property tests for streaming grouped aggregation: a plan
-//! executed with `fold_groups` on (rows folded straight into per-key monoid
+//! executed by the unified planner (rows folded straight into per-key monoid
 //! accumulators, no `(key, Vec<member>)` materialization) must produce
-//! exactly the results of the materialize-then-reduce execution — across
+//! exactly the results of the operator-at-a-time planner's
+//! materialize-then-reduce execution — across
 //! every supported aggregate (count, sum, min, max, avg, count_distinct /
 //! the FD distinct-RHS test), under `Null`/`NaN` values, empty tables,
 //! heavy-hitter skewed keys, shuffled schemas, and all three shuffle
 //! strategies.
 //!
-//! The second half pins the **columnar route** of the fold
-//! (`fold_groups && vectorize`, an unshared `Scan`, `LocalAggregate`): a
+//! The second half pins the **columnar route** of the fold (the unified
+//! planner over an unshared `Scan` under `LocalAggregate`): a
 //! generated-table differential against the row driver and the reference
 //! evaluator, what lowers and what falls back, and stage-volume twins of
-//! the row driver's shuffle tests.
+//! the row driver's shuffle tests. No option selects the row driver: the
+//! tests that want it hand it an input that does not columnarize
+//! ([`ragged`]), a non-`LocalAggregate` strategy, or an expression that is
+//! not a column expression.
 //!
 //! Float caveat (documented in ARCHITECTURE.md): `sum`/`avg` over *float*
 //! columns may differ from the materialized fold in the last ulp — the
@@ -26,7 +30,7 @@ use cleanm::core::algebra::{lower_op, Alg};
 use cleanm::core::calculus::{desugar_query, EvalCtx};
 use cleanm::core::engine::storage::StoredTable;
 use cleanm::core::lang::parse_query;
-use cleanm::core::physical::{EngineProfile, Executor, NestStrategy};
+use cleanm::core::physical::{EngineProfile, Executor, NestStrategy, Planner};
 use cleanm::core::{CleanDb, CleaningReport};
 use cleanm::exec::{ExecContext, MetricsSnapshot};
 use cleanm::values::Value;
@@ -88,22 +92,50 @@ fn catalog(rows: Vec<Value>) -> HashMap<String, StoredTable> {
 }
 
 fn fold_profile(nest: NestStrategy) -> EngineProfile {
-    let mut p = EngineProfile::clean_db();
-    p.nest = nest;
-    p
+    EngineProfile {
+        nest,
+        ..EngineProfile::clean_db()
+    }
 }
 
-/// [`fold_profile`] with the columnar route off: the row driver.
-fn row_fold_profile(nest: NestStrategy) -> EngineProfile {
-    let mut p = fold_profile(nest);
-    p.vectorize = false;
-    p
-}
-
+/// The operator-at-a-time twin of [`fold_profile`]: groups are
+/// materialized, then reduced.
 fn materialize_profile(nest: NestStrategy) -> EngineProfile {
-    let mut p = fold_profile(nest);
-    p.fold_groups = false;
-    p
+    EngineProfile {
+        planner: Planner::OperatorAtATime,
+        ..fold_profile(nest)
+    }
+}
+
+/// `rows` with the field order of the last one reversed. A batch of mixed
+/// layouts does not columnarize, so a fold over it takes the row driver —
+/// chosen by the input; every cell is where it was.
+fn ragged(mut rows: Vec<Value>) -> Vec<Value> {
+    if let Some(last) = rows.last_mut() {
+        let mut fields = fields_of(last);
+        fields.reverse();
+        *last = Value::record(fields);
+    }
+    rows
+}
+
+fn fields_of(record: &Value) -> Vec<(String, Value)> {
+    let fields = record.as_struct().unwrap().iter();
+    fields.map(|(n, v)| (n.to_string(), v.clone())).collect()
+}
+
+/// `v` with the fields of every record in name order, so a [`ragged`] row
+/// compares equal to the row it was made from.
+fn by_name(v: &Value) -> Value {
+    match v {
+        Value::Struct(_) => {
+            let mut fields = fields_of(v);
+            fields.sort_by(|a, b| a.0.cmp(&b.0));
+            Value::record(fields.into_iter().map(|(n, v)| (n, by_name(&v))))
+        }
+        Value::List(items) => Value::list(items.iter().map(by_name)),
+        other => other.clone(),
+    }
 }
 
 /// Run `sql`'s first operator under `profile`; returns the sorted outputs
@@ -213,12 +245,7 @@ proptest! {
                 if i % 10 == 0 {
                     r.clone()
                 } else {
-                    let mut fields: Vec<(String, Value)> = r
-                        .as_struct()
-                        .unwrap()
-                        .iter()
-                        .map(|(n, v)| (n.to_string(), v.clone()))
-                        .collect();
+                    let mut fields = fields_of(r);
                     for (n, v) in &mut fields {
                         if n == "k" {
                             *v = heavy.clone();
@@ -247,9 +274,9 @@ fn grouped_aggregate_shuffle_volume_is_distinct_keys_per_partition() {
             ])
         })
         .collect();
-    let tables = catalog(rows);
+    let tables = catalog(ragged(rows));
     let sql = "SELECT c.k, count(*) AS n, sum(c.v) AS s FROM t c GROUP BY c.k";
-    let (out, metrics) = run_sql(sql, &tables, row_fold_profile(NestStrategy::LocalAggregate));
+    let (out, metrics) = run_sql(sql, &tables, EngineProfile::clean_db());
     assert_eq!(out.len(), 10);
     let stage = metrics
         .stages
@@ -296,9 +323,9 @@ fn fd_fold_shuffles_only_violating_groups() {
             ])
         })
         .collect();
-    let tables = catalog(rows);
+    let tables = catalog(ragged(rows));
     let sql = "SELECT * FROM t c FD(c.k | c.v)";
-    let (out, metrics) = run_sql(sql, &tables, row_fold_profile(NestStrategy::LocalAggregate));
+    let (out, metrics) = run_sql(sql, &tables, EngineProfile::clean_db());
     assert_eq!(out.len(), 2, "two violating groups");
     let probe = metrics
         .stages
@@ -336,11 +363,11 @@ fn clean_fd_skips_materialization_entirely() {
             ])
         })
         .collect();
-    let tables = catalog(rows);
+    let tables = catalog(ragged(rows));
     let (out, metrics) = run_sql(
         "SELECT * FROM t c FD(c.k | c.v)",
         &tables,
-        row_fold_profile(NestStrategy::LocalAggregate),
+        EngineProfile::clean_db(),
     );
     assert!(out.is_empty());
     assert!(
@@ -353,8 +380,8 @@ fn clean_fd_skips_materialization_entirely() {
 }
 
 // ---------------------------------------------------------------------
-// The columnar route: `fold_groups && vectorize` over an unshared Scan
-// under `LocalAggregate` folds the stored table's columns — key cells
+// The columnar route: the unified planner over an unshared Scan under
+// `LocalAggregate` folds the stored table's columns — key cells
 // hashed into dense group ids, accumulators folded by id, violating groups
 // gathered by row index. Everything observable must equal the row driver
 // and the reference evaluator.
@@ -493,14 +520,7 @@ fn batches(raw: &[RawRow], mode: KeyMode, size: usize, kinds: &[BatchKind]) -> V
     out
 }
 
-fn session(
-    profile: &EngineProfile,
-    vectorize: bool,
-    workers: usize,
-    data: &[Vec<Value>],
-) -> CleanDb {
-    let mut profile = profile.clone();
-    profile.vectorize = vectorize;
+fn session(profile: EngineProfile, workers: usize, data: &[Vec<Value>]) -> CleanDb {
     let mut db = CleanDb::with_context(profile, ExecContext::new(workers, 2 * workers));
     let mut data = data.iter();
     db.register_values("t", data.next().cloned().unwrap_or_default());
@@ -536,6 +556,14 @@ fn sorted_output(report: &CleaningReport) -> Vec<Value> {
     out
 }
 
+/// [`sorted_output`] with every record's fields in name order, for
+/// comparing a run over a [`ragged`] table with one over the original.
+fn named_output(report: &CleaningReport) -> Vec<Value> {
+    let mut out: Vec<Value> = report.ops[0].output.iter().map(by_name).collect();
+    out.sort();
+    out
+}
+
 const COLUMNAR_QUERIES: [&str; 8] = [
     "SELECT * FROM t c FD(c.a | c.c)",
     "SELECT * FROM t c FD(c.a, c.b | c.c)",
@@ -549,22 +577,44 @@ const COLUMNAR_QUERIES: [&str; 8] = [
     "SELECT count(*) AS n, min(c.c) AS m FROM t c GROUP BY prefix(c.s)",
 ];
 
-fn all_profiles() -> [EngineProfile; 4] {
-    [
-        EngineProfile::clean_db(),
-        EngineProfile::spark_sql_like(),
-        EngineProfile::big_dansing_like(),
-        EngineProfile::adaptive(),
-    ]
+/// Every planner level under every Nest strategy — all the policy a
+/// grouping query can see.
+fn all_profiles() -> Vec<EngineProfile> {
+    let planners = [
+        Planner::OperatorAtATime,
+        Planner::Unified,
+        Planner::CostBased,
+    ];
+    let nests = [
+        NestStrategy::LocalAggregate,
+        NestStrategy::SortShuffle,
+        NestStrategy::HashShuffle,
+    ];
+    let mut profiles = Vec::new();
+    for planner in planners {
+        for nest in nests {
+            profiles.push(EngineProfile {
+                name: format!("{planner:?}/{nest:?}"),
+                nest,
+                planner,
+                ..EngineProfile::clean_db()
+            });
+        }
+    }
+    profiles
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Generated tables × FD / GROUP BY shapes × four profiles ×
-    /// `vectorize` on/off × workers {1, 2}: output multisets and member
-    /// order within each group ≡ the reference evaluator (hence the row
-    /// path ≡ the columnar route), nothing interpreted.
+    /// Generated tables × FD / GROUP BY shapes × every planner level and
+    /// Nest strategy × workers {1, 2}: output multisets and member order
+    /// within each group ≡ the reference evaluator. The columnar route runs
+    /// under the unified and cost-based planners with `LocalAggregate`
+    /// wherever the generated batches columnarize; the row fold driver
+    /// under their other strategies and over `MixedKeys` / non-columnar
+    /// batches; the materialized groups under the operator-at-a-time
+    /// planner — hence all three agree.
     #[test]
     fn columnar_fold_agrees_with_rows_and_the_reference_evaluator(
         raw in raw_rows(),
@@ -573,25 +623,25 @@ proptest! {
         kinds in proptest::collection::vec(batch_kind(), 1..4),
     ) {
         let data = batches(&raw, mode, size, &kinds);
+        // The reference reads the stored rows, the same in every session.
+        let stored = session(EngineProfile::clean_db(), 1, &data);
+        let expected = COLUMNAR_QUERIES.map(|sql| reference_output(&stored, sql));
         for profile in all_profiles() {
-            for vectorize in [false, true] {
-                for workers in [1, 2] {
-                    let mut db = session(&profile, vectorize, workers, &data);
-                    for sql in COLUMNAR_QUERIES {
-                        let report = db.run(sql).unwrap();
-                        prop_assert_eq!(report.exprs.interpreted, 0, "{}", sql);
-                        prop_assert_eq!(
-                            sorted_output(&report),
-                            reference_output(&db, sql),
-                            "{} under {} (vectorize {}, {} worker(s)) over {:?} {:?}",
-                            sql,
-                            profile.name,
-                            vectorize,
-                            workers,
-                            kinds,
-                            mode
-                        );
-                    }
+            for workers in [1, 2] {
+                let mut db = session(profile.clone(), workers, &data);
+                for (sql, expected) in COLUMNAR_QUERIES.iter().zip(&expected) {
+                    let report = db.run(sql).unwrap();
+                    prop_assert_eq!(report.exprs.interpreted, 0, "{}", sql);
+                    prop_assert_eq!(
+                        &sorted_output(&report),
+                        expected,
+                        "{} under {} ({} worker(s)) over {:?} {:?}",
+                        sql,
+                        profile.name,
+                        workers,
+                        kinds,
+                        mode
+                    );
                 }
             }
         }
@@ -601,7 +651,11 @@ proptest! {
 /// A table whose every batch columnarizes with typed columns: `n` rows,
 /// `keys` distinct `k`, an int `v`, a phone-like `s`, in `batches` appends.
 fn typed_session(profile: EngineProfile, n: i64, keys: i64, batches: usize) -> CleanDb {
-    let rows: Vec<Value> = (0..n)
+    session_over(profile, typed_rows(n, keys), batches)
+}
+
+fn typed_rows(n: i64, keys: i64) -> Vec<Value> {
+    (0..n)
         .map(|i| {
             Value::record([
                 ("__rowid", Value::Int(i)),
@@ -610,9 +664,19 @@ fn typed_session(profile: EngineProfile, n: i64, keys: i64, batches: usize) -> C
                 ("s", Value::str(format!("{:03}-{i}", i % 5))),
             ])
         })
-        .collect();
+        .collect()
+}
+
+/// The same table in one batch that does not columnarize ([`ragged`]):
+/// CleanDB folds it with the row driver.
+fn row_driver_session(n: i64, keys: i64) -> CleanDb {
+    session_over(EngineProfile::clean_db(), ragged(typed_rows(n, keys)), 1)
+}
+
+fn session_over(profile: EngineProfile, rows: Vec<Value>, batches: usize) -> CleanDb {
+    let n = rows.len();
     let mut db = CleanDb::with_context(profile, ExecContext::new(2, 4));
-    let mut chunks = rows.chunks((n as usize).div_ceil(batches).max(1));
+    let mut chunks = rows.chunks(n.div_ceil(batches).max(1));
     db.register_values("t", chunks.next().unwrap_or_default().to_vec());
     for more in chunks {
         db.append_values("t", more.to_vec()).unwrap();
@@ -661,10 +725,9 @@ fn every_column_expression_shape_takes_the_columnar_route() {
                 "the Nest's decision is recorded once: {:?}",
                 report.decisions
             );
-            let mut rows =
-                typed_session(row_fold_profile(NestStrategy::LocalAggregate), 600, 40, 1);
-            let by_rows = rows.run(sql).unwrap();
-            assert_eq!(sorted_output(&report), sorted_output(&by_rows), "{sql}");
+            let by_rows = row_driver_session(600, 40).run(sql).unwrap();
+            assert_eq!(by_rows.exprs.vectorized_rows, 0, "{sql}");
+            assert_eq!(named_output(&report), named_output(&by_rows), "{sql}");
             assert_eq!(report.violating_ids, by_rows.violating_ids, "{sql}");
             assert_eq!(report.decisions, by_rows.decisions, "{sql}");
         }
@@ -673,8 +736,8 @@ fn every_column_expression_shape_takes_the_columnar_route() {
 
 /// What does not lower runs the unchanged row driver — decided once, with
 /// the same recorded decision: non-`LocalAggregate` strategies (fixed or
-/// adaptive), a `vectorize`-less profile, a shared scan, `Val` columns,
-/// arithmetic in the key, and batches that do not columnarize.
+/// cost-based), a shared scan, `Val` columns, arithmetic in the key, and
+/// batches that do not columnarize.
 #[test]
 fn what_does_not_lower_keeps_the_row_driver() {
     let fd = "SELECT * FROM t c FD(c.k | c.v)";
@@ -686,9 +749,8 @@ fn what_does_not_lower_keeps_the_row_driver() {
             0
         );
     }
-    let row_driver = row_fold_profile(NestStrategy::LocalAggregate);
-    assert_eq!(swept(&mut typed_session(row_driver, 200, 9, 1), fd), 0);
-    // Adaptive: near-unique keys decide HashShuffle, collapsing ones
+    assert_eq!(swept(&mut row_driver_session(200, 9), fd), 0);
+    // Cost-based: near-unique keys decide HashShuffle, collapsing ones
     // LocalAggregate — and a fused WHERE hides the Nest's input count.
     let adaptive = EngineProfile::adaptive;
     assert_eq!(swept(&mut typed_session(adaptive(), 200, 199, 1), fd), 0);
@@ -784,10 +846,8 @@ fn sum_over_a_string_column_is_the_same_typed_error_on_both_routes() {
         db.run(sql).unwrap_err().to_string()
     };
     let columnar = error(EngineProfile::clean_db());
-    assert_eq!(
-        columnar,
-        error(row_fold_profile(NestStrategy::LocalAggregate))
-    );
+    let by_rows = row_driver_session(50, 5).run(sql).unwrap_err();
+    assert_eq!(columnar, by_rows.to_string());
     assert!(columnar.contains("type mismatch"), "{columnar}");
 }
 
@@ -847,10 +907,11 @@ fn columnar_fd_gathers_only_violating_rows() {
         "two violating groups in each chunk"
     );
     // Members are the stored rows, in ascending row order.
-    let mut row_db = CleanDb::new(row_fold_profile(NestStrategy::LocalAggregate));
-    row_db.register_values("t", rows);
+    let mut row_db = CleanDb::new(EngineProfile::clean_db());
+    row_db.register_values("t", ragged(rows));
     let by_rows = row_db.run("SELECT * FROM t c FD(c.k | c.v)").unwrap();
-    assert_eq!(sorted_output(&report), sorted_output(&by_rows));
+    assert_eq!(by_rows.exprs.vectorized_rows, 0);
+    assert_eq!(named_output(&report), named_output(&by_rows));
     assert!(report.metrics.records_shuffled <= by_rows.metrics.records_shuffled);
 }
 
@@ -875,14 +936,14 @@ fn columnar_fd_on_lineitem_shuffles_no_more_than_the_row_driver() {
         .generate()
         .table;
     let sql = "SELECT * FROM lineitem l FD(l.orderkey, l.linenumber | l.suppkey)";
-    let run = |profile: EngineProfile| {
-        let mut db = CleanDb::with_context(profile, ExecContext::new(1, 4));
-        db.register("lineitem", table.clone());
-        db.run(sql).unwrap()
-    };
-    let columnar = run(EngineProfile::clean_db());
-    let by_rows = run(row_fold_profile(NestStrategy::LocalAggregate));
+    let mut db = CleanDb::with_context(EngineProfile::clean_db(), ExecContext::new(1, 4));
+    db.register("lineitem", table);
+    let columnar = db.run(sql).unwrap();
+    let rows = db.table_rows("lineitem").unwrap();
+    db.register_values("lineitem", ragged(rows.to_vec()));
+    let by_rows = db.run(sql).unwrap();
     assert_eq!(columnar.exprs.vectorized_rows, 3_000);
+    assert_eq!(by_rows.exprs.vectorized_rows, 0);
     assert!(!columnar.violating_ids.is_empty());
     assert_eq!(columnar.violating_ids, by_rows.violating_ids);
     assert!(

@@ -5,7 +5,8 @@
 use cleanm::core::calculus::BinOp;
 use cleanm::core::ops::dc::pair_ids;
 use cleanm::core::ops::{DcAtom, DcOutcome, DcSide, DcTerm, Dedup, InequalityDc};
-use cleanm::core::{CleanDb, EngineProfile};
+use cleanm::core::physical::{NestStrategy, ThetaStrategy};
+use cleanm::core::{CleanDb, EngineProfile, Planner};
 use cleanm::datagen::customer::CustomerGen;
 use cleanm::datagen::mag::MagGen;
 use cleanm::datagen::tpch::{LineitemGen, NoiseColumn};
@@ -19,6 +20,56 @@ fn profiles() -> Vec<EngineProfile> {
         EngineProfile::spark_sql_like(),
         EngineProfile::big_dansing_like(),
     ]
+}
+
+/// The whole policy space: every planner level × Nest strategy × theta
+/// strategy — 27 points, the four named profiles among them.
+fn policy_space() -> Vec<EngineProfile> {
+    let planners = [
+        Planner::OperatorAtATime,
+        Planner::Unified,
+        Planner::CostBased,
+    ];
+    let nests = [
+        NestStrategy::LocalAggregate,
+        NestStrategy::SortShuffle,
+        NestStrategy::HashShuffle,
+    ];
+    let thetas = [
+        ThetaStrategy::MBucket,
+        ThetaStrategy::MinMaxBlocks,
+        ThetaStrategy::CartesianFilter,
+    ];
+    let mut space = Vec::new();
+    for planner in planners {
+        for nest in nests {
+            for theta in thetas {
+                space.push(EngineProfile {
+                    name: format!("{planner:?}/{nest:?}/{theta:?}"),
+                    nest,
+                    theta,
+                    planner,
+                });
+            }
+        }
+    }
+    space
+}
+
+#[test]
+fn the_named_profiles_are_points_of_the_policy_space() {
+    let space = policy_space();
+    assert_eq!(space.len(), 27);
+    for named in [
+        EngineProfile::clean_db(),
+        EngineProfile::spark_sql_like(),
+        EngineProfile::big_dansing_like(),
+        EngineProfile::adaptive(),
+    ] {
+        let point = |p: &EngineProfile| (p.planner, p.nest, p.theta);
+        let hits = space.iter().filter(|p| point(p) == point(&named));
+        assert_eq!(hits.count(), 1, "{}", named.name);
+    }
 }
 
 #[test]
@@ -171,8 +222,8 @@ fn fd_and_inequality_dc_in_one_statement_identical_across_profiles() {
 
 // ---------------------------------------------------------------------
 // Denial constraints on generated tables and predicates: the query text
-// under every profile, the typed rule, and a nested loop over the rule's
-// own atoms all name the same pairs.
+// at every point of the policy space and worker count, the typed rule, and
+// a nested loop over the rule's own atoms all name the same pairs.
 // ---------------------------------------------------------------------
 
 /// Float columns `a`, `b` (NULL, NaN, ties) and an int column `c`.
@@ -248,7 +299,7 @@ fn atom_text(atom: &DcAtom, t1: &str, t2: &str) -> String {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn dc_text_typed_rule_and_nested_loop_agree(
@@ -279,54 +330,52 @@ proptest! {
             ("b", DataType::Float),
             ("c", DataType::Int),
         ]);
-        for profile in [
-            EngineProfile::clean_db(),
-            EngineProfile::spark_sql_like(),
-            EngineProfile::big_dansing_like(),
-            EngineProfile::adaptive(),
-        ] {
-            // The rows arrive in batches: one registration, then appends.
-            let mut db = CleanDb::new(profile.clone());
-            let mut batches = rows.chunks(batch);
-            let first = batches.next().unwrap_or_default().to_vec();
-            db.register("t", Table::new(schema.clone(), first));
-            for more in batches {
-                db.append("t", Table::new(schema.clone(), more.to_vec())).unwrap();
-            }
+        for profile in policy_space() {
+            for workers in [1, 2] {
+                // The rows arrive in batches: one registration, then appends.
+                let ctx = cleanm::exec::ExecContext::new(workers, 2 * workers);
+                let mut db = CleanDb::with_context(profile.clone(), ctx);
+                let mut batches = rows.chunks(batch);
+                let first = batches.next().unwrap_or_default().to_vec();
+                db.register("t", Table::new(schema.clone(), first));
+                for more in batches {
+                    db.append("t", Table::new(schema.clone(), more.to_vec())).unwrap();
+                }
 
-            let stored = db.table_rows("t").unwrap();
-            let kept = |r: &&Value| filter.as_ref().is_none_or(|f| f.holds(r, r).unwrap());
-            let mut expected = Vec::new();
-            for (i, r1) in stored.iter().enumerate().filter(|(_, r)| kept(r)) {
-                for (j, r2) in stored.iter().enumerate().filter(|(_, r)| kept(r)) {
-                    if i != j && atoms.iter().all(|a| a.holds(r1, r2).unwrap()) {
-                        expected.push((i as i64, j as i64));
+                let stored = db.table_rows("t").unwrap();
+                let kept = |r: &&Value| filter.as_ref().is_none_or(|f| f.holds(r, r).unwrap());
+                let mut expected = Vec::new();
+                for (i, r1) in stored.iter().enumerate().filter(|(_, r)| kept(r)) {
+                    for (j, r2) in stored.iter().enumerate().filter(|(_, r)| kept(r)) {
+                        if i != j && atoms.iter().all(|a| a.holds(r1, r2).unwrap()) {
+                            expected.push((i as i64, j as i64));
+                        }
                     }
                 }
-            }
 
-            let report = db.run(&sql).unwrap();
-            let mut got = pair_ids(&report.ops[0].output);
-            got.sort_unstable();
-            prop_assert_eq!(&got, &expected, "{} under {}", sql, profile.name);
+                let report = db.run(&sql).unwrap();
+                let mut got = pair_ids(&report.ops[0].output);
+                got.sort_unstable();
+                prop_assert_eq!(&got, &expected, "{} under {}", sql, profile.name);
 
-            if filter.is_none() {
-                let (outcome, described) = rule.run_detailed(&mut db).unwrap();
-                let DcOutcome::Completed { violations, .. } = outcome else {
-                    panic!("{outcome:?}")
-                };
-                prop_assert_eq!(violations, expected.len());
-                let described: Vec<_> = described.iter().map(|v| (v.t1, v.t2)).collect();
-                prop_assert_eq!(&described, &expected, "{}", pred);
+                if filter.is_none() {
+                    let (outcome, described) = rule.run_detailed(&mut db).unwrap();
+                    let DcOutcome::Completed { violations, .. } = outcome else {
+                        panic!("{outcome:?}")
+                    };
+                    prop_assert_eq!(violations, expected.len());
+                    let described: Vec<_> = described.iter().map(|v| (v.t1, v.t2)).collect();
+                    prop_assert_eq!(&described, &expected, "{}", pred);
+                }
             }
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Pair pipelines (DEDUP, blocked DC, CLUSTER BY): the block sweep under
-// every profile and worker count names the pairs the reference evaluator
-// finds on the normalized comprehension.
+// Pair pipelines (DEDUP, blocked DC, CLUSTER BY): the block sweep at
+// every point of the policy space and worker count names the pairs the
+// reference evaluator finds on the normalized comprehension.
 // ---------------------------------------------------------------------
 
 /// Rows `(k, name, x)`: a skewed block key (most rows share key 0, the
@@ -390,7 +439,7 @@ fn reference_output(db: &CleanDb, sql: &str) -> Vec<Value> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn pair_sweep_agrees_with_the_reference_evaluator(
@@ -408,30 +457,32 @@ proptest! {
                 .map(|t| Row::new(vec![Value::str(t)]))
                 .to_vec(),
         );
-        for profile in [
-            EngineProfile::clean_db(),
-            EngineProfile::spark_sql_like(),
-            EngineProfile::big_dansing_like(),
-            EngineProfile::adaptive(),
-        ] {
+        let session = |profile: EngineProfile, workers: usize| {
+            let ctx = cleanm::exec::ExecContext::new(workers, 2 * workers);
+            let mut db = CleanDb::with_context(profile, ctx);
+            let mut batches = rows.chunks(batch);
+            let first = batches.next().unwrap_or_default().to_vec();
+            db.register("t", Table::new(schema.clone(), first));
+            for more in batches {
+                db.append("t", Table::new(schema.clone(), more.to_vec())).unwrap();
+            }
+            db.register("dict", dict.clone());
+            db
+        };
+        // The reference reads the stored rows, the same in every session.
+        let stored = session(EngineProfile::clean_db(), 1);
+        let expected = PAIR_QUERIES.map(|sql| reference_output(&stored, sql));
+        for profile in policy_space() {
             for workers in [1, 2] {
-                let ctx = cleanm::exec::ExecContext::new(workers, 2 * workers);
-                let mut db = CleanDb::with_context(profile.clone(), ctx);
-                let mut batches = rows.chunks(batch);
-                let first = batches.next().unwrap_or_default().to_vec();
-                db.register("t", Table::new(schema.clone(), first));
-                for more in batches {
-                    db.append("t", Table::new(schema.clone(), more.to_vec())).unwrap();
-                }
-                db.register("dict", dict.clone());
-                for sql in PAIR_QUERIES {
+                let mut db = session(profile.clone(), workers);
+                for (sql, expected) in PAIR_QUERIES.iter().zip(&expected) {
                     let report = db.run(sql).unwrap();
                     prop_assert_eq!(report.exprs.interpreted, 0, "{}", sql);
                     let mut got = report.ops[0].output.clone();
                     got.sort();
                     prop_assert_eq!(
-                        got,
-                        reference_output(&db, sql),
+                        &got,
+                        expected,
                         "{} under {} with {} worker(s)",
                         sql,
                         profile.name,
