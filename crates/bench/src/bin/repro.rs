@@ -19,6 +19,7 @@ use cleanm_bench::experiments as exp;
 use cleanm_bench::harness::gate;
 use cleanm_bench::{fmt_duration as ms, Scale};
 use cleanm_core::ops::DcOutcome;
+use cleanm_trace::json;
 
 type Figure = fn(Scale);
 type Gate = fn(Scale) -> Vec<String>;
@@ -106,17 +107,10 @@ fn print_table(title: &str, rows: &[Cells]) {
     println!();
 }
 
-/// Write `rows` to `path` as a JSON array of flat objects (no serde_json in
-/// the offline build — the rows are flat enough to emit by hand).
+/// Write `rows` to `path` as a JSON array of flat objects, one per line.
 fn write_json(path: &str, rows: &[Cells]) {
-    let objects: Vec<String> = rows
-        .iter()
-        .map(|row| {
-            let fields: Vec<String> = row.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
-            format!("  {{{}}}", fields.join(", "))
-        })
-        .collect();
-    match std::fs::write(path, format!("[\n{}\n]\n", objects.join(",\n"))) {
+    let objects = rows.iter().map(|row| json::object(row.iter().cloned()));
+    match std::fs::write(path, json::lines(objects)) {
         Ok(()) => println!("wrote {path}\n"),
         Err(e) => eprintln!("could not write {path}: {e}\n"),
     }
@@ -132,7 +126,7 @@ fn faults_bench(scale: Scale) -> Vec<String> {
         .iter()
         .map(|r| {
             vec![
-                ("workload", format!("\"{}\"", r.workload)),
+                ("workload", json::string(&r.workload)),
                 ("rows", r.rows.to_string()),
                 ("clean_ms", format!("{:.3}", r.clean_ms)),
                 ("armed_ms", format!("{:.3}", r.armed_ms)),
@@ -199,7 +193,7 @@ fn incr_bench(scale: Scale) -> Vec<String> {
         .iter()
         .map(|r| {
             vec![
-                ("workload", format!("\"{}\"", r.workload)),
+                ("workload", json::string(&r.workload)),
                 ("rows", r.rows.to_string()),
                 ("delta_rows", r.delta_rows.to_string()),
                 ("full_ms", format!("{:.3}", r.full_ms)),
@@ -312,8 +306,8 @@ fn table3_fig3(scale: Scale) {
         .map(|row| {
             vec![
                 ("config", row.config),
-                ("grouping", ms(row.grouping)),
-                ("similarity", ms(row.similarity)),
+                ("grouping", ms(row.phases.grouping)),
+                ("similarity", ms(row.phases.similarity)),
                 ("total", ms(row.total)),
                 ("precision", pct(row.accuracy.precision)),
                 ("recall", pct(row.accuracy.recall)),

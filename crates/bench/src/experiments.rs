@@ -16,7 +16,7 @@ use cleanm_datagen::tpch::{LineitemGen, NoiseColumn};
 use cleanm_formats::{colbin, csv, flatten, json};
 use cleanm_text::Metric;
 
-use cleanm_core::{CleanDb, CleaningReport};
+use cleanm_core::{CleanDb, CleaningReport, PhaseSplit};
 use cleanm_incr::IncrementalSession;
 use cleanm_repair::RepairEngine;
 use cleanm_values::Table;
@@ -46,12 +46,12 @@ pub const TERMVAL_CONFIGS: [(&str, &str); 6] = [
     ("kmeans k=20", "kmeans(20)"),
 ];
 
-/// One measured term-validation run.
+/// One measured term-validation run. `phases` is Figure 3's split, read
+/// off the run's traced plan tree.
 #[derive(Debug, Clone)]
 pub struct TermvalRow {
     pub config: String,
-    pub grouping: Duration,
-    pub similarity: Duration,
+    pub phases: PhaseSplit,
     pub total: Duration,
     pub accuracy: Accuracy,
     pub comparisons: u64,
@@ -77,6 +77,7 @@ pub fn run_termval(data: &DblpData, (label, block_op): (&str, &str), theta: f64)
 
     let mut db = session(EngineProfile::clean_db());
     db.set_seed(SEED);
+    db.set_tracing(true);
     db.register("dblp", flat.clone());
     db.register_dictionary("dict", data.dictionary.clone());
 
@@ -102,8 +103,7 @@ pub fn run_termval(data: &DblpData, (label, block_op): (&str, &str), theta: f64)
 
     TermvalRow {
         config: label.to_string(),
-        grouping: report.timings.grouping,
-        similarity: report.timings.similarity,
+        phases: PhaseSplit::of(&report.profiles),
         total,
         accuracy,
         comparisons: report.metrics.comparisons,

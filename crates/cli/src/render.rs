@@ -56,8 +56,8 @@ pub fn render_plan(report: &CleaningReport) -> String {
         out.push_str(&format!("decision: {d}\n"));
     }
     out.push_str(&format!(
-        "exprs: {} compiled, {} interpreted, {} fused select(s)\n",
-        report.exprs.compiled, report.exprs.interpreted, report.exprs.fused_selects
+        "exprs: {} compiled, {} fused select(s)\n",
+        report.exprs.compiled, report.exprs.fused_selects
     ));
     out
 }

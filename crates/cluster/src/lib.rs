@@ -19,15 +19,12 @@
 //!
 //! The paper's optional variants are implemented too: [`kmeans_multipass`]
 //! (the classic iterative algorithm, §4.3 "multi-pass partitional") and
-//! [`hierarchical_cluster`] (§4.3 "hierarchical", a sequence of Min-monoid
-//! steps), plus [`LengthBand`] blocking (§4.3 "extensibility").
+//! [`LengthBand`] blocking (§4.3 "extensibility").
 
 mod blocking;
 mod groups;
-mod hierarchical;
 mod kmeans;
 
 pub use blocking::{Blocker, BlockerKind, ExactKey, LengthBand, TokenFilter};
 pub use groups::{group_all, merge_groups, unit as group_unit, GroupMap};
-pub use hierarchical::{hierarchical_cluster, Dendrogram};
 pub use kmeans::{kmeans_multipass, select_centers, CenterInit, KMeansBlocker};

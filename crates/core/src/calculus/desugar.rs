@@ -33,7 +33,6 @@
 //! plain [`desugar_query`] wrapper flattens them into `Error::Invalid` for
 //! engine callers.
 
-use cleanm_text::Metric;
 use cleanm_values::{Error, Result};
 
 use crate::lang::ast::{BlockSpec, CleanOp, Expr, ExprKind, Query};
@@ -833,11 +832,6 @@ fn select_head(q: &Query, row_vars: &[(Option<&str>, &str)]) -> DResult<CalcExpr
         fields.push((name, expr_calc(&item.expr, row_vars)?));
     }
     Ok(CalcExpr::Record(fields))
-}
-
-/// Metric re-export point for desugar consumers.
-pub fn default_metric() -> Metric {
-    Metric::Levenshtein
 }
 
 #[cfg(test)]

@@ -59,12 +59,6 @@ impl EvalCtx {
         }
     }
 
-    /// Register an already-built blocker.
-    pub fn with_blocker(mut self, algo: &FilterAlgo, blocker: Arc<dyn Blocker>) -> Self {
-        self.blockers.insert(algo.to_string(), blocker);
-        self
-    }
-
     pub fn comparisons(&self) -> u64 {
         self.comparisons.load(Ordering::Relaxed)
     }

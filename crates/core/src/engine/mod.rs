@@ -4,8 +4,8 @@
 //! the parser → Monoid Rewriter (desugar) → Monoid Optimizer (normalize) →
 //! algebra lowering → plan rewriter (sharing) → physical execution under the
 //! session's [`EngineProfile`](crate::physical::EngineProfile), producing a
-//! [`CleaningReport`] with violations, suggested repairs, per-phase timings,
-//! optimizer statistics, and runtime metrics.
+//! [`CleaningReport`] with violations, suggested repairs, optimizer
+//! statistics, runtime metrics and — when traced — per-node profiles.
 
 pub mod registry;
 pub mod repair;

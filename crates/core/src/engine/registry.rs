@@ -85,19 +85,15 @@ impl LatencyTrack {
 
     fn json(&self) -> String {
         let pct = |q: f64| {
-            json::num(
-                self.quantile(q)
-                    .map(|d| d.as_secs_f64() * 1e3)
-                    .unwrap_or(f64::NAN),
-            )
+            let ms = self.quantile(q).map(|d| d.as_secs_f64() * 1e3);
+            json::num(ms.unwrap_or(f64::NAN))
         };
-        format!(
-            "{{\"count\": {}, \"p50_ms\": {}, \"p90_ms\": {}, \"p99_ms\": {}}}",
-            self.observed,
-            pct(0.5),
-            pct(0.9),
-            pct(0.99)
-        )
+        json::object([
+            ("count", self.observed.to_string()),
+            ("p50_ms", pct(0.5)),
+            ("p90_ms", pct(0.9)),
+            ("p99_ms", pct(0.99)),
+        ])
     }
 }
 
@@ -124,9 +120,8 @@ pub struct MetricsRegistry {
     comparisons: u64,
     /// Violating entities found, by operator kind (`"Fd"`, `"Dedup"`, …).
     violations_by_op: BTreeMap<String, u64>,
-    /// Plan-node expressions run compiled / interpreted, cumulative.
+    /// Plan-node expressions compiled to programs, cumulative.
     compiled_exprs: u64,
-    interpreted_exprs: u64,
     /// `Select` passes fused into consumers, cumulative.
     fused_selects: u64,
     /// Rows processed by columnar kernels instead of row-at-a-time
@@ -185,7 +180,6 @@ impl MetricsRegistry {
             *self.failures_by_kind.entry(fail.kind.clone()).or_insert(0) += 1;
         }
         self.compiled_exprs += report.exprs.compiled as u64;
-        self.interpreted_exprs += report.exprs.interpreted as u64;
         self.fused_selects += report.exprs.fused_selects as u64;
         self.rows_vectorized += report.exprs.vectorized_rows;
         for op in &report.ops {
@@ -291,72 +285,62 @@ impl MetricsRegistry {
         )
     }
 
-    /// Machine-readable snapshot of everything the registry tracks.
+    /// Machine-readable snapshot of everything the registry tracks. A
+    /// ratio with nothing observed yet is `null`.
     pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"query_latency\": {}, \"refresh_latency\": {}",
-            self.query_latency.json(),
-            self.refresh_latency.json()
-        ));
-        out.push_str(&format!(
-            ", \"plan_cache\": {{\"hits\": {}, \"misses\": {}, \"hit_ratio\": {}}}",
-            self.plan_cache_hits,
-            self.plan_cache_misses,
-            json::num(self.plan_cache_hit_ratio().unwrap_or(f64::NAN))
-        ));
-        out.push_str(&format!(
-            ", \"program_cache\": {{\"hits\": {}, \"misses\": {}, \"hit_ratio\": {}}}",
-            self.program_cache_hits,
-            self.program_cache_misses,
-            json::num(self.program_cache_hit_ratio().unwrap_or(f64::NAN))
-        ));
-        out.push_str(&format!(
-            ", \"records_shuffled\": {}, \"comparisons\": {}",
-            self.records_shuffled, self.comparisons
-        ));
-        out.push_str(&format!(
-            ", \"exprs\": {{\"compiled\": {}, \"interpreted\": {}, \"fused_selects\": {}, \
-             \"rows_vectorized\": {}}}",
-            self.compiled_exprs, self.interpreted_exprs, self.fused_selects, self.rows_vectorized
-        ));
-        out.push_str(", \"violations_by_op\": {");
-        for (i, (k, v)) in self.violations_by_op.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {v}", json::string(k)));
-        }
-        out.push('}');
-        out.push_str(&format!(
-            ", \"faults\": {{\"partition_retries\": {}, \"partition_panics\": {}, \
-             \"faults_injected\": {}, \"failures_by_kind\": {{",
-            self.partition_retries, self.partition_panics, self.faults_injected
-        ));
-        for (i, (k, v)) in self.failures_by_kind.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {v}", json::string(k)));
-        }
-        out.push_str("}}");
-        out.push_str(&format!(
-            ", \"repairs\": {{\"plan_latency\": {}, \"applied\": {}, \"stale\": {}, \
-             \"rows_dropped\": {}, \"unrepaired\": {}, \"fixes_by_rule\": {{",
-            self.repair_latency.json(),
-            self.fixes_applied,
-            self.fixes_stale,
-            self.repair_rows_dropped,
-            self.unrepaired
-        ));
-        for (i, (k, v)) in self.fixes_by_rule.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {v}", json::string(k)));
-        }
-        out.push_str("}}}");
-        out
+        let cache = |hits: u64, misses: u64| {
+            json::object([
+                ("hits", hits.to_string()),
+                ("misses", misses.to_string()),
+                (
+                    "hit_ratio",
+                    json::num(ratio(hits, misses).unwrap_or(f64::NAN)),
+                ),
+            ])
+        };
+        json::object([
+            ("query_latency", self.query_latency.json()),
+            ("refresh_latency", self.refresh_latency.json()),
+            (
+                "plan_cache",
+                cache(self.plan_cache_hits, self.plan_cache_misses),
+            ),
+            (
+                "program_cache",
+                cache(self.program_cache_hits, self.program_cache_misses),
+            ),
+            ("records_shuffled", self.records_shuffled.to_string()),
+            ("comparisons", self.comparisons.to_string()),
+            (
+                "exprs",
+                json::object([
+                    ("compiled", self.compiled_exprs.to_string()),
+                    ("fused_selects", self.fused_selects.to_string()),
+                    ("rows_vectorized", self.rows_vectorized.to_string()),
+                ]),
+            ),
+            ("violations_by_op", json::map(&self.violations_by_op)),
+            (
+                "faults",
+                json::object([
+                    ("partition_retries", self.partition_retries.to_string()),
+                    ("partition_panics", self.partition_panics.to_string()),
+                    ("faults_injected", self.faults_injected.to_string()),
+                    ("failures_by_kind", json::map(&self.failures_by_kind)),
+                ]),
+            ),
+            (
+                "repairs",
+                json::object([
+                    ("plan_latency", self.repair_latency.json()),
+                    ("applied", self.fixes_applied.to_string()),
+                    ("stale", self.fixes_stale.to_string()),
+                    ("rows_dropped", self.repair_rows_dropped.to_string()),
+                    ("unrepaired", self.unrepaired.to_string()),
+                    ("fixes_by_rule", json::map(&self.fixes_by_rule)),
+                ]),
+            ),
+        ])
     }
 
     /// Human-readable one-screen summary.
@@ -388,12 +372,11 @@ impl MetricsRegistry {
             fmt_ratio(self.program_cache_hit_ratio()),
         ));
         out.push_str(&format!(
-            "  shuffled {} records, {} comparisons; exprs {} compiled / {} interpreted, {} fused; \
+            "  shuffled {} records, {} comparisons; exprs {} compiled, {} fused; \
              {} rows vectorized\n",
             self.records_shuffled,
             self.comparisons,
             self.compiled_exprs,
-            self.interpreted_exprs,
             self.fused_selects,
             self.rows_vectorized
         ));

@@ -12,7 +12,9 @@ use crate::algebra::RewriteStats;
 use crate::calculus::desugar::OpKind;
 use crate::calculus::NormalizeStats;
 use crate::engine::repair::RepairSection;
-use crate::physical::{PhaseTimings, PlanDecision, QueryProfile};
+use cleanm_trace::json;
+
+use crate::physical::{PlanDecision, QueryProfile};
 
 /// One operator's output.
 #[derive(Debug, Clone)]
@@ -61,9 +63,8 @@ pub struct ExprStats {
     ///
     /// [`Program`]: crate::calculus::Program
     pub compiled: usize,
-    /// Plan-node expressions run by the tree-walking interpreter: always
-    /// 0 — an expression that does not compile fails the query. The key
-    /// stays because rendered reports and the benchmark read it.
+    /// Always 0 — an expression that does not compile fails the query.
+    /// Kept only because `benchmark/src/layers.rs` reads it.
     pub interpreted: usize,
     /// `Select` nodes fused into their downstream operator: their filter
     /// ran inside the consumer's partition sweep and the filtered
@@ -142,7 +143,6 @@ pub struct CleaningReport {
     pub repairs: Vec<Repair>,
     pub normalize_stats: NormalizeStats,
     pub rewrite_stats: RewriteStats,
-    pub timings: PhaseTimings,
     pub total: Duration,
     pub metrics: MetricsSnapshot,
     /// EXPLAIN text of the executed (possibly shared) plans.
@@ -154,8 +154,8 @@ pub struct CleaningReport {
     /// The statistics catalog entries consulted for this query (empty for
     /// non-adaptive profiles).
     pub table_stats: HashMap<String, Arc<TableStats>>,
-    /// Expression-evaluation accounting: compiled vs interpreted plan-node
-    /// expressions, plus the `Select` nodes fused into their consumers.
+    /// Expression-evaluation accounting: compiled plan-node expressions,
+    /// the `Select` nodes fused into their consumers, vectorized rows.
     pub exprs: ExprStats,
     /// Plan-cache accounting (hit/miss for this run + session counters).
     pub plan_cache: PlanCacheStats,
@@ -217,15 +217,7 @@ impl CleaningReport {
 
     /// The profiles as one JSON array (machine-readable EXPLAIN ANALYZE).
     pub fn profiles_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, p) in self.profiles.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&p.to_json());
-        }
-        out.push(']');
-        out
+        json::array(self.profiles.iter().map(QueryProfile::to_json))
     }
 
     /// Human-readable summary (used by examples and the repro harness).
@@ -261,8 +253,8 @@ impl CleaningReport {
         // not fill these counters in — print only when they carry data.
         if self.exprs != ExprStats::default() {
             out.push_str(&format!(
-                "  exprs (this query): {} compiled, {} interpreted, {} select(s) fused downstream\n",
-                self.exprs.compiled, self.exprs.interpreted, self.exprs.fused_selects
+                "  exprs (this query): {} compiled, {} select(s) fused downstream\n",
+                self.exprs.compiled, self.exprs.fused_selects
             ));
             if self.exprs.vectorized_rows > 0 {
                 out.push_str(&format!(
@@ -337,7 +329,6 @@ mod tests {
             repairs: vec![],
             normalize_stats: NormalizeStats::default(),
             rewrite_stats: RewriteStats::default(),
-            timings: PhaseTimings::default(),
             total: Duration::from_millis(9),
             metrics: MetricsSnapshot::default(),
             plan_text: String::new(),

@@ -185,7 +185,6 @@ pub struct CleanDb {
     dictionaries: HashMap<String, Arc<Vec<String>>>,
     /// Per-table statistics, maintained incrementally across appends.
     stats: HashMap<String, CachedStats>,
-    stats_config: StatsConfig,
     seed: u64,
     /// Session-global epoch counter: every catalog mutation takes the next
     /// value, so epochs never repeat across re-registrations.
@@ -236,7 +235,6 @@ impl CleanDb {
             tables: HashMap::new(),
             dictionaries: HashMap::new(),
             stats: HashMap::new(),
-            stats_config: StatsConfig::default(),
             seed: 42,
             epoch_counter: 0,
             dict_gen: 0,
@@ -295,13 +293,6 @@ impl CleanDb {
         let result = self.run(sql);
         self.set_tracing(was);
         Ok(result?.profile_tree())
-    }
-
-    /// Override the statistics-collection knobs (sketch sizes, histogram
-    /// resolution) for subsequently collected tables.
-    pub fn set_stats_config(&mut self, config: StatsConfig) {
-        self.stats_config = config;
-        self.stats.clear();
     }
 
     /// Seed for randomized blockers (k-means center sampling).
@@ -602,14 +593,15 @@ impl CleanDb {
             Some(c) if c.lineage == stored.created() && c.batches_seen < total_batches => {
                 ((*c.stats).clone(), c.batches_seen)
             }
-            _ => (TableStats::new(self.stats_config), 0),
+            _ => (TableStats::new(StatsConfig::default()), 0),
         };
         // Statistics are advisory (the adaptive planner falls back to fixed
         // heuristics without them), so a runtime failure here — an armed
         // fault or a cancellation racing the collection — yields `None`
         // rather than poisoning the cache.
         let fresh =
-            collect_batch_stats(&self.ctx, &stored.batches()[seen..], self.stats_config).ok()?;
+            collect_batch_stats(&self.ctx, &stored.batches()[seen..], StatsConfig::default())
+                .ok()?;
         base.merge(&fresh);
         let stats = Arc::new(base);
         self.stats.insert(
@@ -636,13 +628,7 @@ impl CleanDb {
         let t = Instant::now();
         let query = parse_query(sql)?;
         self.ctx.tracer().record_complete("parse", t.elapsed());
-        self.run_query_internal(Some(sql), &query)
-    }
-
-    /// Execute a parsed query through the full three-level pipeline (or the
-    /// plan cache, when its normalized calculus was planned before).
-    pub fn run_query(&mut self, query: &Query) -> Result<CleaningReport, EngineError> {
-        self.run_query_internal(None, query)
+        self.run_query_internal(sql, &query)
     }
 
     /// Run a query under per-run resource limits, reporting runtime
@@ -748,7 +734,7 @@ impl CleanDb {
 
     fn run_query_internal(
         &mut self,
-        text: Option<&str>,
+        sql: &str,
         query: &Query,
     ) -> Result<CleaningReport, EngineError> {
         // Level 1a: Monoid Rewriter (desugar).
@@ -784,9 +770,7 @@ impl CleanDb {
             self.ctx
                 .tracer()
                 .event("plan_cache_calc_hit", "lowering + blocker prep skipped");
-            if let Some(sql) = text {
-                self.remember_text_alias(sql, &calc_key);
-            }
+            self.remember_text_alias(sql, &calc_key);
             return self.execute_planned(&entry, true);
         }
 
@@ -851,9 +835,7 @@ impl CleanDb {
         self.plan_cache
             .by_calc
             .insert(calc_key.clone(), Arc::clone(&entry));
-        if let Some(sql) = text {
-            self.remember_text_alias(sql, &calc_key);
-        }
+        self.remember_text_alias(sql, &calc_key);
         self.ctx.tracer().record_complete("plan", t.elapsed());
         self.execute_planned(&entry, false)
     }
@@ -947,7 +929,6 @@ impl CleanDb {
             });
         }
         drop(exec_span);
-        let timings = executor.timings.clone();
         let decisions = executor.decisions.clone();
         let exprs = ExprStats {
             compiled: executor.compiled_exprs,
@@ -999,7 +980,6 @@ impl CleanDb {
             repairs,
             normalize_stats: entry.normalize_stats.clone(),
             rewrite_stats: entry.rewrite_stats.clone(),
-            timings,
             total: started.elapsed(),
             metrics,
             plan_text: entry.plan_text.clone(),
@@ -1219,13 +1199,6 @@ pub fn collect_repairs(ops: &[OpResult]) -> Vec<Repair> {
         }
     }
     out
-}
-
-/// Helper for ops modules: does a desugared op contain a `BlockKeys` over a
-/// given algorithm? (Used in tests.)
-pub fn op_uses_blocker(op: &DesugaredOp) -> bool {
-    op.comp
-        .any_node(&mut |e| matches!(e, CalcExpr::Call(Func::BlockKeys(_), _)))
 }
 
 /// Does an op block via k-means (the one blocker whose behavior depends on

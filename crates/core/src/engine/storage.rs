@@ -31,20 +31,14 @@ pub struct StoredTable {
     /// Lazily concatenated whole-table view for consumers that need one
     /// contiguous vector; rebuilt on demand after an append.
     merged: OnceLock<Arc<Vec<Value>>>,
-    /// Lazily columnarized batches, keyed by batch index (`None` caches
-    /// "does not columnarize" — ragged/mixed-shape rows). Batch indices are
-    /// stable across appends (appends only push), so entries never go
-    /// stale; registration via [`StoredTable::set_columnar`] pre-seeds an
-    /// entry when the ingest path already decoded column-first.
-    columnar: Mutex<FxHashMap<usize, Option<Pivot>>>,
-}
-
-/// One batch's cached pivot: every column, or only the columns some
-/// operator has asked for so far ([`StoredTable::columnar_columns`]).
-#[derive(Debug, Clone)]
-struct Pivot {
-    batch: Arc<ColumnBatch>,
-    full: bool,
+    /// Lazily columnarized batches, keyed by batch index: the columns
+    /// operators have asked for so far ([`StoredTable::columnar_columns`]),
+    /// or `None` for "does not columnarize" — ragged/mixed-shape rows.
+    /// Batch indices are stable across appends (appends only push), so
+    /// entries never go stale; registration via
+    /// [`StoredTable::set_columnar`] pre-seeds an entry when the ingest path
+    /// already decoded column-first.
+    columnar: Mutex<FxHashMap<usize, Option<Arc<ColumnBatch>>>>,
 }
 
 impl StoredTable {
@@ -76,21 +70,6 @@ impl StoredTable {
         &self.batches
     }
 
-    /// The columnar view of batch `idx`, built on first request and cached
-    /// (`None` when the batch's rows are not a uniform struct shape — the
-    /// vectorized executor then keeps the row path). Thread-safe: the
-    /// pivot runs outside the lock, so concurrent first requests may race
-    /// to build but settle on one cached value.
-    pub fn columnar_batch(&self, idx: usize) -> Option<Arc<ColumnBatch>> {
-        match self.pivots().get(&idx) {
-            Some(None) => return None,
-            Some(Some(p)) if p.full => return Some(Arc::clone(&p.batch)),
-            _ => {}
-        }
-        let batch = ColumnBatch::from_rows(self.batches.get(idx)?).map(Arc::new);
-        self.cache_pivot(idx, batch, true)
-    }
-
     /// The columns `fields` of batch `idx` as a batch — the projected
     /// pivot: an operator that reads three columns of a sixteen-column
     /// table pays for three on a fresh session. A cached pivot that covers
@@ -98,20 +77,25 @@ impl StoredTable {
     /// otherwise the named columns are pivoted beside the ones already
     /// cached. `None` when the rows do not columnarize (cached) or a name
     /// is not a field of the rows (not cached: the row path reports it).
-    pub fn columnar_columns(&self, idx: usize, fields: &[&str]) -> Option<Arc<ColumnBatch>> {
-        let covers = |b: &ColumnBatch| fields.iter().all(|f| b.column_index(f).is_some());
-        let mut wanted: Vec<&str> = fields.to_vec();
+    /// Thread-safe: the pivot runs outside the lock, so concurrent first
+    /// requests may race to build; the last to finish is the one cached.
+    pub fn columnar_columns(
+        &self,
+        idx: usize,
+        fields: &[impl AsRef<str>],
+    ) -> Option<Arc<ColumnBatch>> {
+        let mut wanted: Vec<&str> = fields.iter().map(AsRef::as_ref).collect();
         let held = match self.pivots().get(&idx) {
             Some(None) => return None,
-            Some(Some(p)) if p.full || covers(&p.batch) => {
-                return covers(&p.batch).then(|| Arc::clone(&p.batch))
+            Some(Some(b)) if wanted.iter().all(|f| b.column_index(f).is_some()) => {
+                return Some(Arc::clone(b))
             }
-            Some(Some(p)) => Some(Arc::clone(&p.batch)),
+            Some(Some(b)) => Some(Arc::clone(b)),
             None => None,
         };
         let rows = self.batches.get(idx)?;
         let template = rows.first()?.as_struct().ok()?;
-        if !fields
+        if !wanted
             .iter()
             .all(|f| template.iter().any(|(n, _)| n.as_ref() == *f))
         {
@@ -121,29 +105,14 @@ impl StoredTable {
             wanted.extend(held.names().iter().map(|n| n.as_ref()));
         }
         let batch = ColumnBatch::project_rows(rows, &wanted).map(Arc::new);
-        self.cache_pivot(idx, batch, false)
+        self.pivots().insert(idx, batch.clone());
+        batch
     }
 
     /// The pivot cache. Every update is a single insert of a finished
     /// value, so the map stays valid even if a holder panicked.
-    fn pivots(&self) -> MutexGuard<'_, FxHashMap<usize, Option<Pivot>>> {
+    fn pivots(&self) -> MutexGuard<'_, FxHashMap<usize, Option<Arc<ColumnBatch>>>> {
         self.columnar.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Cache a freshly built pivot of batch `idx` — unless a racing request
-    /// already cached the full one — and return the cached batch.
-    fn cache_pivot(
-        &self,
-        idx: usize,
-        batch: Option<Arc<ColumnBatch>>,
-        full: bool,
-    ) -> Option<Arc<ColumnBatch>> {
-        let mut cache = self.pivots();
-        if !matches!(cache.get(&idx), Some(Some(held)) if held.full) {
-            cache.insert(idx, batch.map(|batch| Pivot { batch, full }));
-        }
-        let held = cache.get(&idx)?.as_ref()?;
-        Some(Arc::clone(&held.batch))
     }
 
     /// Seed the columnar cache for batch `idx` with an already-decoded
@@ -155,8 +124,7 @@ impl StoredTable {
             .get(idx)
             .is_some_and(|b| b.len() == batch.len())
         {
-            let pivot = Pivot { batch, full: true };
-            self.pivots().insert(idx, Some(pivot));
+            self.pivots().insert(idx, Some(batch));
         }
     }
 
@@ -219,7 +187,7 @@ mod tests {
     }
 
     #[test]
-    fn projected_pivot_widens_and_yields_to_the_full_one() {
+    fn projected_pivot_widens_and_serves_what_it_covers() {
         let wide = |id: i64| {
             Value::record([
                 ("__rowid", Value::Int(id)),
@@ -234,16 +202,22 @@ mod tests {
         // A second operator's columns join the cached ones.
         let ab = t.columnar_columns(0, &["b"]).unwrap();
         assert!(ab.column_index("a").is_some() && ab.column_index("b").is_some());
+        // ... and the widened batch serves either request afterwards.
+        assert!(Arc::ptr_eq(&ab, &t.columnar_columns(0, &["a"]).unwrap()));
         // A name the rows do not have is the row path's error to report.
         assert!(t.columnar_columns(0, &["zz"]).is_none());
-        // The full pivot replaces the projection and serves it afterwards.
-        let full = t.columnar_batch(0).unwrap();
-        assert_eq!(full.names().len(), 3);
-        assert!(Arc::ptr_eq(&full, &t.columnar_columns(0, &["a"]).unwrap()));
+        // A batch the ingest path decoded column-first is an ordinary entry.
+        let seeded = StoredTable::from_rows(vec![wide(0), wide(1)]);
+        let full = Arc::new(ColumnBatch::from_rows(&seeded.batches()[0]).unwrap());
+        seeded.set_columnar(0, Arc::clone(&full));
+        assert!(Arc::ptr_eq(
+            &full,
+            &seeded.columnar_columns(0, &["a"]).unwrap()
+        ));
         // Rows that do not columnarize are remembered as such.
         let ragged = StoredTable::from_rows(vec![wide(0), Value::Int(3)]);
         assert!(ragged.columnar_columns(0, &["a"]).is_none());
-        assert!(ragged.columnar_batch(0).is_none());
+        assert!(ragged.columnar_columns(0, &["__rowid"]).is_none());
     }
 
     #[test]

@@ -41,4 +41,4 @@ pub mod quality;
 pub use calculus::desugar::OpKind;
 pub use engine::{CleanDb, CleaningReport, FailureInfo, MetricsRegistry, RunLimits};
 pub use lang::{analyze, parse_program, parse_query, pretty_query, Analysis, Diagnostic, Span};
-pub use physical::{EngineProfile, Planner, ProfileNode, QueryProfile};
+pub use physical::{EngineProfile, PhaseSplit, Planner, ProfileNode, QueryProfile};

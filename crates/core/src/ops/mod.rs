@@ -15,4 +15,4 @@ pub use dc::{DcAtom, DcCell, DcOutcome, DcSide, DcTerm, DcViolation, InequalityD
 pub use dedup::{Dedup, DedupPlanShape};
 pub use fd::{FdCheck, FdPlanShape};
 pub use termval::{TermValidation, TermvalPlanShape};
-pub use transform::{apply_transforms, semantic_map, Transform, TransformMode, TransformReport};
+pub use transform::{apply_transforms, Transform, TransformMode, TransformReport};

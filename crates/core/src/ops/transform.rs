@@ -202,70 +202,6 @@ fn run_pass(ctx: &Arc<ExecContext>, table: &Table, specs: &[ResolvedTransform]) 
     Ok(Table::new(schema, rows))
 }
 
-/// Semantic transformation (§4.4 "Transformations"): map the values of one
-/// column through an auxiliary table (e.g. airports → cities). Reuses the
-/// term-validation machinery — exact match first, then the most similar
-/// mapping key above `theta` — and projects the mapped value as the
-/// suggested replacement.
-///
-/// `mapping` is a two-column view of the auxiliary table: `(from, to)`.
-/// Returns the rewritten table plus, per row, whether a mapping applied.
-pub fn semantic_map(
-    ctx: &Arc<ExecContext>,
-    table: &Table,
-    column: &str,
-    mapping: &[(String, String)],
-    metric: cleanm_text::Metric,
-    theta: f64,
-) -> Result<(Table, usize)> {
-    let index = table.schema.index_of(column)?;
-    // Exact lookups by normalized key; similarity fallback scans candidates
-    // sharing a first character bucket (cheap blocking).
-    let exact: std::collections::HashMap<String, &String> = mapping
-        .iter()
-        .map(|(from, to)| (cleanm_text::normalize(from).into_owned(), to))
-        .collect();
-    let mapping = mapping.to_vec();
-
-    let ds = Dataset::from_vec(ctx, table.rows.clone());
-    let mapped: Vec<(Row, bool)> = ds
-        .map(move |row| {
-            let raw = match row.get(index) {
-                Ok(v) if !v.is_null() => v.to_text(),
-                _ => return (row, false),
-            };
-            let norm = cleanm_text::normalize(&raw);
-            let replacement = exact
-                .get(norm.as_ref())
-                .map(|to| (*to).clone())
-                .or_else(|| {
-                    mapping
-                        .iter()
-                        .map(|(from, to)| (cleanm_text::normalize(from), to))
-                        .filter(|(from, _)| metric.similar(&norm, from, theta))
-                        .max_by(|(a, _), (b, _)| {
-                            metric
-                                .similarity(&norm, a)
-                                .total_cmp(&metric.similarity(&norm, b))
-                        })
-                        .map(|(_, to)| to.clone())
-                });
-            match replacement {
-                Some(to) => {
-                    let mut values = row.values().to_vec();
-                    values[index] = Value::str(to);
-                    (Row::new(values), true)
-                }
-                None => (row, false),
-            }
-        })
-        .map_err(exec_err)?
-        .collect();
-    let applied = mapped.iter().filter(|(_, hit)| *hit).count();
-    let rows = mapped.into_iter().map(|(r, _)| r).collect();
-    Ok((Table::new(table.schema.clone(), rows), applied))
-}
-
 fn split_date_text(s: &str) -> (Value, Value, Value) {
     let mut parts = s.split('-');
     let mut next_int = || {
@@ -392,53 +328,5 @@ mod tests {
     fn baseline_scan_runs() {
         let d = baseline_scan(&ctx(), &table());
         assert!(d > Duration::ZERO);
-    }
-
-    #[test]
-    fn semantic_map_exact_and_similar() {
-        let schema = Schema::of([("airport", DataType::Str)]);
-        let t = Table::new(
-            schema,
-            vec![
-                Row::new(vec![Value::str("GVA")]),
-                Row::new(vec![Value::str("gva")]), // exact after normalize
-                Row::new(vec![Value::str("ZRHH")]), // similar to ZRH
-                Row::new(vec![Value::str("XXX")]), // no mapping
-                Row::new(vec![Value::Null]),
-            ],
-        );
-        let mapping = vec![
-            ("GVA".to_string(), "Geneva".to_string()),
-            ("ZRH".to_string(), "Zurich".to_string()),
-        ];
-        let (out, applied) = semantic_map(
-            &ctx(),
-            &t,
-            "airport",
-            &mapping,
-            cleanm_text::Metric::Levenshtein,
-            0.7,
-        )
-        .unwrap();
-        assert_eq!(applied, 3);
-        assert_eq!(out.rows[0].values()[0], Value::str("Geneva"));
-        assert_eq!(out.rows[1].values()[0], Value::str("Geneva"));
-        assert_eq!(out.rows[2].values()[0], Value::str("Zurich"));
-        assert_eq!(out.rows[3].values()[0], Value::str("XXX"));
-        assert!(out.rows[4].values()[0].is_null());
-    }
-
-    #[test]
-    fn semantic_map_unknown_column_errors() {
-        let mapping = vec![("a".to_string(), "b".to_string())];
-        assert!(semantic_map(
-            &ctx(),
-            &table(),
-            "nope",
-            &mapping,
-            cleanm_text::Metric::Levenshtein,
-            0.8
-        )
-        .is_err());
     }
 }

@@ -20,8 +20,9 @@
 //! [`env_layout`]; names never travel. The executor memoizes the
 //! materialized result of every plan node the session's sharing rewrite
 //! gave more than one consumer, which turns the §5 DAG sharing into actual
-//! single execution, and it attributes wall time to phases (scan /
-//! grouping / similarity) for Figure 3's breakdown.
+//! single execution. Time is measured once, per plan node, when profiling
+//! is on ([`ProfileNode`]); Figure 3's grouping / similarity split is a
+//! rollup of that tree ([`PhaseSplit`](super::PhaseSplit)).
 //!
 //! The profile's [`Planner`] level is read where a path is chosen and
 //! nowhere else: `peel_input` (fuse a `Select` chain into its consumer?),
@@ -31,7 +32,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -45,7 +46,7 @@ use crate::algebra::cardinality::{self, StatsCatalog};
 use crate::algebra::plan::{theta_widen, Alg};
 use crate::calculus::eval::{merge_values, truthy, EvalCtx};
 use crate::calculus::subst::free_vars;
-use crate::calculus::{CalcExpr, Func, MonoidKind, Program};
+use crate::calculus::{CalcExpr, MonoidKind, Program};
 use crate::engine::storage::StoredTable;
 
 use super::groupfold::{self, AggFoldShape, ColumnarFold, GroupAcc, Span, KEY_SLOT_VAR};
@@ -96,28 +97,6 @@ impl std::fmt::Display for PlanDecision {
     }
 }
 
-/// Wall-time attribution per operator family.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PhaseTimings {
-    pub scan: Duration,
-    pub grouping: Duration,
-    pub similarity: Duration,
-    pub other: Duration,
-}
-
-impl PhaseTimings {
-    pub fn total(&self) -> Duration {
-        self.scan + self.grouping + self.similarity + self.other
-    }
-
-    pub fn add(&mut self, other: &PhaseTimings) {
-        self.scan += other.scan;
-        self.grouping += other.grouping;
-        self.similarity += other.similarity;
-        self.other += other.other;
-    }
-}
-
 /// Executes algebra plans against a table catalog.
 pub struct Executor<'a> {
     ctx: Arc<ExecContext>,
@@ -132,7 +111,6 @@ pub struct Executor<'a> {
     /// the only ones worth materializing into the cache (caching a node
     /// with a single consumer would deep-copy its dataset for nothing).
     shared_nodes: std::collections::HashSet<usize>,
-    pub timings: PhaseTimings,
     /// Per-table statistics for cost-based strategy selection (empty unless
     /// the session collected them).
     stats: StatsCatalog,
@@ -241,7 +219,6 @@ impl<'a> Executor<'a> {
             program_cache: None,
             cache: HashMap::new(),
             shared_nodes: std::collections::HashSet::new(),
-            timings: PhaseTimings::default(),
             stats: StatsCatalog::new(),
             scan_vars: HashMap::new(),
             decisions: Vec::new(),
@@ -351,7 +328,7 @@ impl<'a> Executor<'a> {
         let mut fused = self.fused_selects - frame.fused_lo;
         let mut vectorized = self.vectorized_rows - frame.vectorized_lo;
         for c in &children {
-            let (cc, _, cf) = c.subtree_exprs();
+            let (cc, cf) = c.subtree_exprs();
             compiled = compiled.saturating_sub(cc);
             fused = fused.saturating_sub(cf);
             vectorized = vectorized.saturating_sub(c.subtree_vectorized());
@@ -428,10 +405,6 @@ impl<'a> Executor<'a> {
             None => None,
         };
         Ok(FusedInput {
-            // Phase attribution survives fusion: a similarity predicate's
-            // cost books under the similarity phase even when its pass
-            // merged into the consumer's sweep.
-            similarity: preds.iter().any(|p| expr_has_similarity(p)),
             source,
             scope,
             preds,
@@ -445,13 +418,12 @@ impl<'a> Executor<'a> {
     /// `None`: the consumer's sweep has nothing left to test. Otherwise
     /// the producer runs row-at-a-time and the consumer filters as it goes.
     fn run_input(&mut self, fused: &mut FusedInput<'_>) -> ExecResult<Dataset<RowEnv>> {
-        if let (Some((stored, _)), Some(pred_rx)) =
+        if let (Some((stored, var)), Some(pred_rx)) =
             (self.columnar_source(fused.source), &fused.pred_rx)
         {
-            let start = Instant::now();
-            if let Some(survivors) = self.columnar_select(stored, pred_rx.program())? {
+            let fields = fields_of(var, fused.preds.iter().copied());
+            if let Some(survivors) = self.columnar_select(stored, &fields, pred_rx.program())? {
                 fused.pred_rx = None;
-                self.timings.other += start.elapsed();
                 return Ok(survivors);
             }
         }
@@ -466,22 +438,6 @@ impl<'a> Executor<'a> {
     ) -> impl Fn(&RowEnv) -> bool + Clone + Send + Sync + 'static {
         let (ev, pred_rx) = (self.eval.clone(), fused.pred_rx.clone());
         move |env| ev.passes(&pred_rx, env)
-    }
-
-    /// Book a consumer's sweep under `phase` — or under the similarity
-    /// phase when a similarity predicate was fused into it.
-    fn book_phase(
-        &mut self,
-        similarity: bool,
-        start: Instant,
-        phase: fn(&mut PhaseTimings) -> &mut Duration,
-    ) {
-        let spent = start.elapsed();
-        if similarity {
-            self.timings.similarity += spent;
-        } else {
-            *phase(&mut self.timings) += spent;
-        }
     }
 
     /// The stored table behind `source`, with the scan's variable, when the
@@ -504,20 +460,22 @@ impl<'a> Executor<'a> {
     /// whole-column sweeps — no row environments are materialized for
     /// non-survivors. Survivor rows land in exactly the partitions the row
     /// path would have produced (same contiguous-chunk layout), so every
-    /// downstream operator sees an identical dataset. `None` (the row path
-    /// runs) when any batch fails to columnarize or to lower.
+    /// downstream operator sees an identical dataset. Only `fields`, the
+    /// columns the predicate reads, are pivoted. `None` (the row path runs)
+    /// when any batch fails to columnarize or to lower.
     fn columnar_select(
         &mut self,
         stored: &StoredTable,
+        fields: &[String],
         pred: &Program,
     ) -> ExecResult<Option<Dataset<RowEnv>>> {
         // Lower the predicate against each batch's concrete schema
         // (appends may differ in column order).
         let lowered = self.lower_on_columns(
             stored,
-            |idx| stored.columnar_batch(idx),
+            |idx| stored.columnar_columns(idx, fields),
             |cols| {
-                let kernels = cols.iter().map(|cb| PredKernel::compile(pred, &[&**cb]));
+                let kernels = cols.iter().map(|cb| PredKernel::compile(pred, cb));
                 Some((cols.to_vec(), kernels.collect::<Option<Vec<_>>>()?))
             },
         )?;
@@ -544,7 +502,7 @@ impl<'a> Executor<'a> {
                 // Binding cannot fail: the kernel compiled against this
                 // very batch and stored batches are immutable.
                 assert!(
-                    kernels[bi].filter(&[cb], &mut sel),
+                    kernels[bi].filter(cb, &mut sel),
                     "columnar kernel bound against a drifted batch schema"
                 );
                 envs.reserve(sel.len());
@@ -682,7 +640,6 @@ impl<'a> Executor<'a> {
         }
         let mut fused = self.peel_input(input, None)?;
         let ds = self.run_input(&mut fused)?;
-        let start = Instant::now();
         let head_rx = self.row_expr(head, &fused.scope)?;
         let (ev, passes) = (self.eval.clone(), self.sweep_filter(&fused));
 
@@ -703,7 +660,7 @@ impl<'a> Executor<'a> {
                     | MonoidKind::Max
                     | MonoidKind::Any
             );
-        let result = if folds_on_workers {
+        if folds_on_workers {
             let (m, zero_m) = (monoid.clone(), monoid.clone());
             let partials = ds.filter_fold(
                 "fused_filter_fold",
@@ -723,7 +680,7 @@ impl<'a> Executor<'a> {
                 },
             )?;
             self.check_errors()?;
-            reduce_outputs(monoid, partials)?
+            reduce_outputs(monoid, partials)
         } else {
             let label = if fused.pred_rx.is_some() {
                 "fused_filter_map"
@@ -737,10 +694,8 @@ impl<'a> Executor<'a> {
                 })?
                 .collect();
             self.check_errors()?;
-            reduce_outputs(monoid, outputs)?
-        };
-        self.book_phase(fused.similarity, start, |t| &mut t.other);
-        Ok(result)
+            reduce_outputs(monoid, outputs)
+        }
     }
 
     /// Run a recognized pair pipeline as one sweep over its block rows
@@ -772,7 +727,6 @@ impl<'a> Executor<'a> {
             let flags = vec!["fused-pairs".to_string()];
             self.end_node(frame, "Unnest".to_string(), clip(shape.detail()), 0, flags);
         }
-        let start = Instant::now();
         // The pair-level Selects are consumed structurally.
         self.fused_selects += shape.preds.len();
         let (ctx, ev) = (Arc::clone(&self.ctx), self.eval.clone());
@@ -794,7 +748,6 @@ impl<'a> Executor<'a> {
         let outputs = outputs?.collect();
         sweep.stopped()?;
         self.check_errors()?;
-        self.timings.similarity += start.elapsed();
         Ok(outputs)
     }
 
@@ -897,8 +850,6 @@ impl<'a> Executor<'a> {
         // Selects are consumed structurally (their passes never run).
         let mut fused = self.peel_input(nest_input, None)?;
         self.fused_selects += group_selects;
-        let pred_similarity = fused.similarity;
-        let start = Instant::now();
         let key_rx = self.row_expr(key, &fused.scope)?;
         let slot_rxs: ExecResult<Vec<Arc<RowExpr>>> = (shape.slots.iter())
             .map(|s| self.row_expr(&s.row_expr, &fused.scope))
@@ -912,7 +863,6 @@ impl<'a> Executor<'a> {
             Some(head) => Some(self.row_expr(head, &shape.scope)?),
             None => None,
         };
-        self.book_phase(pred_similarity, start, |t| &mut t.grouping);
 
         // The columnar route: the fold reads the stored table's columns
         // and no row dataset is ever built.
@@ -929,10 +879,7 @@ impl<'a> Executor<'a> {
         }
 
         let ds = self.run_input(&mut fused)?;
-        let start = Instant::now();
         let strategy = self.decide_nest(key, ds.count() as f64);
-        self.book_phase(pred_similarity, start, |t| &mut t.grouping);
-        let start = Instant::now();
 
         let slots = Arc::new(shape.slots);
         let ev = self.eval.clone();
@@ -1046,7 +993,6 @@ impl<'a> Executor<'a> {
             }
             self.check_errors()?;
             if passing.is_empty() {
-                self.book_phase(pred_similarity, start, |t| &mut t.grouping);
                 return Ok(Vec::new());
             }
 
@@ -1087,9 +1033,7 @@ impl<'a> Executor<'a> {
             let pairs: Dataset<(Value, Value)> =
                 ds.filter_transform("group_fold_materialize", pred, emit)?;
             self.check_errors()?;
-            let outputs: Vec<Value> = group_members(pairs, strategy)?.map(group_record)?.collect();
-            self.book_phase(pred_similarity, start, |t| &mut t.grouping);
-            return Ok(outputs);
+            return Ok(group_members(pairs, strategy)?.map(group_record)?.collect());
         }
 
         // ---- Grouped-aggregate execution: fold, then finish per group ----
@@ -1125,7 +1069,6 @@ impl<'a> Executor<'a> {
             .filter_transform("group_finish", |_| true, finish)?
             .collect();
         self.check_errors()?;
-        self.book_phase(pred_similarity, start, |t| &mut t.grouping);
         Ok(outputs)
     }
 
@@ -1211,15 +1154,10 @@ impl<'a> Executor<'a> {
 
         let read = std::iter::once(src.key)
             .chain(shape.slots.iter().map(|s| &s.row_expr))
-            .chain(preds.iter().copied())
-            .flat_map(cardinality::columns_in);
-        let mut fields: Vec<String> = read.filter(|(v, _)| v == var).map(|(_, f)| f).collect();
-        fields.sort_unstable();
-        fields.dedup();
-        let fields: Vec<&str> = fields.iter().map(String::as_str).collect();
+            .chain(preds.iter().copied());
+        let fields = fields_of(var, read);
 
         let frame = self.profiling.then(|| self.begin_node());
-        let start = Instant::now();
         let lowered = self.lower_on_columns(
             stored,
             |idx| stored.columnar_columns(idx, &fields),
@@ -1235,7 +1173,6 @@ impl<'a> Executor<'a> {
                 )
             },
         );
-        self.timings.scan += start.elapsed();
         if matches!(lowered, Ok(Some(_))) {
             if let Some(frame) = frame {
                 let (op, detail) = plan_label(source);
@@ -1270,7 +1207,6 @@ impl<'a> Executor<'a> {
         shape: &AggFoldShape,
         (finish_preds, finish_head): (Vec<Arc<RowExpr>>, Option<Arc<RowExpr>>),
     ) -> ExecResult<Vec<Value>> {
-        let start = Instant::now();
         let lens: Vec<usize> = rows.iter().map(|b| b.len()).collect();
         let total: u64 = lens.iter().map(|&n| n as u64).sum();
         self.vectorized_rows += total;
@@ -1319,7 +1255,6 @@ impl<'a> Executor<'a> {
             })?;
             self.check_errors()?;
             if passing.is_empty() {
-                self.timings.grouping += start.elapsed();
                 return Ok(Vec::new());
             }
             for (out, &g) in passing.iter().enumerate() {
@@ -1348,9 +1283,7 @@ impl<'a> Executor<'a> {
                 members[out as usize].push(row);
             }
             let keyed = passing.iter().map(|&g| fold.key_value(&folded.groups, g));
-            let outputs = keyed.zip(members).map(group_record).collect();
-            self.timings.grouping += start.elapsed();
-            return Ok(outputs);
+            return Ok(keyed.zip(members).map(group_record).collect());
         };
 
         // ---- Grouped aggregates: finish each group on the pool ----
@@ -1381,7 +1314,6 @@ impl<'a> Executor<'a> {
         )?
         .collect();
         self.check_errors()?;
-        self.timings.grouping += start.elapsed();
         Ok(outputs)
     }
 
@@ -1462,7 +1394,6 @@ impl<'a> Executor<'a> {
     fn run_uncached(&mut self, plan: &Arc<Alg>) -> ExecResult<Dataset<RowEnv>> {
         match &**plan {
             Alg::Scan { table, .. } => {
-                let start = Instant::now();
                 let stored = self
                     .tables
                     .get(table)
@@ -1473,9 +1404,7 @@ impl<'a> Executor<'a> {
                 for batch in stored.batches() {
                     envs.extend(batch.iter().map(|r| vec![r.clone()]));
                 }
-                let ds = Dataset::from_vec(&self.ctx, envs);
-                self.timings.scan += start.elapsed();
-                Ok(ds)
+                Ok(Dataset::from_vec(&self.ctx, envs))
             }
             Alg::Select { input, pred } => {
                 // Collapse the fusible chain *below* this node into this
@@ -1488,17 +1417,14 @@ impl<'a> Executor<'a> {
                 if fused.pred_rx.is_none() {
                     return Ok(ds);
                 }
-                let start = Instant::now();
                 let passes = self.sweep_filter(&fused);
                 let out = ds.filter_partitions(move |part| part.retain(&passes))?;
                 self.check_errors()?;
-                self.book_phase(fused.similarity, start, |t| &mut t.other);
                 Ok(out)
             }
             Alg::Unnest { input, path, .. } => {
                 let mut fused = self.peel_input(input, None)?;
                 let ds = self.run_input(&mut fused)?;
-                let start = Instant::now();
                 // A lone fan-out (or one whose path reads an outer unnest
                 // variable) charges the work budget by its input size: its
                 // output is not known before the paths are evaluated. Pair
@@ -1527,7 +1453,6 @@ impl<'a> Executor<'a> {
                     },
                 )?;
                 self.check_errors()?;
-                self.timings.similarity += start.elapsed();
                 Ok(out)
             }
             Alg::Nest {
@@ -1547,7 +1472,6 @@ impl<'a> Executor<'a> {
                 let mut rfused = self.peel_input(right, None)?;
                 let lds = self.run_input(&mut lfused)?;
                 let rds = self.run_input(&mut rfused)?;
-                let start = Instant::now();
                 let lkey_rx = self.row_expr(left_key, &lfused.scope)?;
                 let rkey_rx = self.row_expr(right_key, &rfused.scope)?;
                 let keyed = |ds: Dataset<RowEnv>, key_rx: Arc<RowExpr>, fused: &FusedInput<'_>| {
@@ -1569,15 +1493,8 @@ impl<'a> Executor<'a> {
                 let lk = keyed(lds, lkey_rx, &lfused)?;
                 let rk = keyed(rds, rkey_rx, &rfused)?;
                 self.check_errors()?;
-                // Phase split: the keying sweeps carry any fused similarity
-                // predicate's cost; the hash join itself is grouping.
-                let similarity = lfused.similarity || rfused.similarity;
-                self.book_phase(similarity, start, |t| &mut t.grouping);
-                let start = Instant::now();
-                let joined = lk.join_hash(rk)?;
-                let out = joined.map(|(_, lenv, renv)| concat_rows((lenv, renv)))?;
-                self.timings.grouping += start.elapsed();
-                Ok(out)
+                lk.join_hash(rk)?
+                    .map(|(_, lenv, renv)| concat_rows((lenv, renv)))
             }
             Alg::ThetaJoin {
                 left,
@@ -1592,12 +1509,9 @@ impl<'a> Executor<'a> {
                 // single filter pass via the `Select` arm below.
                 let lds = self.run(left)?;
                 let rds = self.run(right)?;
-                let start = Instant::now();
                 let scope_l = env_layout(left);
                 let scope_r = env_layout(right);
-                let out = self.exec_theta(lds, rds, pred, hint, &scope_l, &scope_r)?;
-                self.timings.similarity += start.elapsed();
-                Ok(out)
+                self.exec_theta(lds, rds, pred, hint, &scope_l, &scope_r)
             }
             Alg::Reduce { .. } => Err(ExecError::Other(
                 "nested Reduce must be consumed via run_reduce".to_string(),
@@ -1795,7 +1709,6 @@ impl<'a> Executor<'a> {
         item: &CalcExpr,
         fused: &FusedInput<'_>,
     ) -> ExecResult<Dataset<RowEnv>> {
-        let start = Instant::now();
         let key_rx = self.row_expr(key, &fused.scope)?;
         let item_rx = self.row_expr(item, &fused.scope)?;
         let ev = self.eval.clone();
@@ -1823,16 +1736,10 @@ impl<'a> Executor<'a> {
             },
         )?;
         self.check_errors()?;
-        // Phase split: the pair-emission sweep carries any fused similarity
-        // predicate's cost; the shuffle/aggregation below is grouping.
-        self.book_phase(fused.similarity, start, |t| &mut t.grouping);
-        let start = Instant::now();
         let strategy = self.decide_nest(key, pairs.count() as f64);
         // `mapPartitions`-style finishing: each group becomes the one-slot
         // row binding the Nest's group variable.
-        let out = group_members(pairs, strategy)?.map(|group| vec![group_record(group)])?;
-        self.timings.grouping += start.elapsed();
-        Ok(out)
+        group_members(pairs, strategy)?.map(|group| vec![group_record(group)])
     }
 
     /// The theta-join translation of §6, by profile strategy — or, under
@@ -1938,8 +1845,6 @@ struct FusedInput<'p> {
     /// The chain as one program. `None` when it is empty, or once
     /// [`Executor::run_input`] has applied it by column.
     pred_rx: Option<Arc<RowExpr>>,
-    /// Does the chain call a similarity function?
-    similarity: bool,
 }
 
 /// What a group fold reads, for [`Executor::lower_columnar_fold`]: the
@@ -1955,6 +1860,16 @@ struct FoldSources<'p> {
 
 /// The row batches a column-first operator's batch indices refer to.
 type RowBatches = Vec<Arc<Vec<Value>>>;
+
+/// The fields of the scan variable `var` that `exprs` read, sorted and
+/// deduplicated: the columns a column-first operator over that scan pivots.
+fn fields_of<'e>(var: &str, exprs: impl IntoIterator<Item = &'e CalcExpr>) -> Vec<String> {
+    let read = exprs.into_iter().flat_map(cardinality::columns_in);
+    let mut fields: Vec<String> = read.filter(|(v, _)| v == var).map(|(_, f)| f).collect();
+    fields.sort_unstable();
+    fields.dedup();
+    fields
+}
 
 /// Cut the concatenated rows of batches of `lens` rows into the contiguous
 /// chunks [`Dataset::from_vec`] gives `p` partitions — `total.div_ceil(p)`
@@ -2137,16 +2052,6 @@ fn keys_and_flags(
     Ok((key_parts, text, numeric))
 }
 
-/// Does the expression contain a similarity call? (Phase attribution.)
-pub(super) fn expr_has_similarity(e: &CalcExpr) -> bool {
-    e.any_node(&mut |n| {
-        matches!(
-            n,
-            CalcExpr::Call(Func::Similar(..) | Func::Similarity(..), _)
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2154,6 +2059,7 @@ mod tests {
     use crate::calculus::desugar::ROWID_FIELD;
     use crate::calculus::{desugar_query, BinOp};
     use crate::lang::parse_query;
+    use crate::physical::{PhaseSplit, QueryProfile};
 
     fn row(id: i64, addr: &str, nation: i64, name: &str) -> Value {
         Value::record([
@@ -3006,18 +2912,36 @@ mod tests {
     }
 
     #[test]
-    fn timings_attribute_phases() {
-        let sql = "SELECT * FROM customer c DEDUP(token_filtering(2), LD, 0.7, c.name)";
-        let q = parse_query(sql).unwrap();
-        let dq = desugar_query(&q, 1).unwrap();
-        let plan = lower_op(&dq.ops[0].comp).unwrap();
-        let tables = catalog();
-        let mut eval_ctx = EvalCtx::new();
-        eval_ctx.prepare_blockers(&dq.ops[0].comp, &[]);
-        let ctx = ExecContext::new(2, 4);
-        let mut ex = Executor::new(ctx, EngineProfile::clean_db(), &tables, Arc::new(eval_ctx));
-        ex.run_reduce(&plan).unwrap();
-        assert!(ex.timings.grouping > Duration::ZERO);
-        assert!(ex.timings.total() > Duration::ZERO);
+    fn profile_rollup_splits_grouping_from_similarity() {
+        // Figure 3's split is the traced tree's self times: a GROUP BY's
+        // time is in its GroupFold, a DEDUP's in its pair sweep — each
+        // within the root's wall time.
+        let traced = |sql: &str| {
+            let q = parse_query(sql).unwrap();
+            let dq = desugar_query(&q, 1).unwrap();
+            let plan = lower_op(&dq.ops[0].comp).unwrap();
+            let tables = catalog();
+            let mut eval_ctx = EvalCtx::new();
+            eval_ctx.prepare_blockers(&dq.ops[0].comp, &[]);
+            let ctx = ExecContext::new(2, 4);
+            let mut ex = Executor::new(ctx, EngineProfile::clean_db(), &tables, Arc::new(eval_ctx));
+            ex.set_profiling(true);
+            ex.run_reduce(&plan).unwrap();
+            let root = ex.take_profile_root().expect("profiled");
+            let wall = root.wall();
+            let split = PhaseSplit::of(&[QueryProfile {
+                op: sql.to_string(),
+                root,
+            }]);
+            assert!(
+                split.grouping <= wall && split.similarity <= wall,
+                "{split:?}"
+            );
+            split
+        };
+        let group = traced("SELECT c.address, count(*) AS n FROM customer c GROUP BY c.address");
+        assert!(group.grouping > std::time::Duration::ZERO, "{group:?}");
+        let dedup = traced("SELECT * FROM customer c DEDUP(token_filtering(2), LD, 0.7, c.name)");
+        assert!(dedup.similarity > std::time::Duration::ZERO, "{dedup:?}");
     }
 }

@@ -654,7 +654,7 @@ impl ColumnarFold {
         pred: Option<&Program>,
         keeps_groups: bool,
     ) -> Option<ColumnarFold> {
-        let lower_pred = |p| batches.iter().map(move |b| PredKernel::compile(p, &[&**b]));
+        let lower_pred = |p| batches.iter().map(move |b| PredKernel::compile(p, b));
         Some(ColumnarFold {
             key: ColumnProgram::lower(key, batches)?,
             slots: slots
@@ -687,7 +687,7 @@ impl ColumnarFold {
                 // very batch and stored batches are immutable.
                 let batch = self.key.batch(b);
                 assert!(
-                    preds[b].filter(&[batch], &mut sel),
+                    preds[b].filter(batch, &mut sel),
                     "columnar kernel bound against a drifted batch schema"
                 );
             }

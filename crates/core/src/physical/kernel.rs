@@ -36,8 +36,8 @@ use crate::calculus::eval::{lowercase_is_identity, prefix_end, uppercase_is_iden
 use crate::calculus::{BinOp, Func};
 
 /// A resolved column reference: a flat index into the kernel's typed bind
-/// list. The `(slot, column)` pair it came from lives in the bind list, so
-/// the runtime reference is just the flat index.
+/// list. The batch column it came from lives in the bind list, so the
+/// runtime reference is just the flat index.
 #[derive(Debug, Clone, Copy)]
 struct ColRef {
     col: u32,
@@ -350,20 +350,21 @@ impl<'a> Bound<'a> {
     }
 }
 
-/// Shared compile-time state: maps `(slot, field)` references onto typed
-/// bind lists, validating against the concrete batch schemas.
+/// Shared compile-time state: maps `field` references of the one-slot
+/// environment onto typed bind lists, validating against the concrete
+/// batch schema.
 struct KernelCx<'a> {
-    batches: &'a [&'a ColumnBatch],
-    /// `(slot, col, type)` of every reference, in bind order per type.
-    ints: Vec<(u8, u32)>,
-    floats: Vec<(u8, u32)>,
-    strs: Vec<(u8, u32)>,
+    batch: &'a ColumnBatch,
+    /// Batch column of every reference, in bind order per type.
+    ints: Vec<u32>,
+    floats: Vec<u32>,
+    strs: Vec<u32>,
 }
 
 impl<'a> KernelCx<'a> {
-    fn new(batches: &'a [&'a ColumnBatch]) -> Self {
+    fn new(batch: &'a ColumnBatch) -> Self {
         KernelCx {
-            batches,
+            batch,
             ints: Vec::new(),
             floats: Vec::new(),
             strs: Vec::new(),
@@ -371,20 +372,20 @@ impl<'a> KernelCx<'a> {
     }
 
     /// Resolve `slot.field` to a typed reference, registering the column
-    /// for binding. `None` when out of range or the column is untyped.
+    /// for binding. `None` for a slot other than the batch's, a field the
+    /// batch lacks, or an untyped column.
     fn resolve(&mut self, slot: u16, field: &str) -> Option<(ColRef, CellType)> {
-        let batch = self.batches.get(slot as usize)?;
-        let col = batch.column_index(field)? as u32;
-        let ty = column_type(batch.column(col as usize))?;
+        let col = self.batch.column_index(field).filter(|_| slot == 0)? as u32;
+        let ty = column_type(self.batch.column(col as usize))?;
         let list = match ty {
             CellType::Int => &mut self.ints,
             CellType::Float => &mut self.floats,
             CellType::Str => &mut self.strs,
         };
-        let idx = match list.iter().position(|&(s, c)| s == slot as u8 && c == col) {
+        let idx = match list.iter().position(|&c| c == col) {
             Some(i) => i as u32,
             None => {
-                list.push((slot as u8, col));
+                list.push(col);
                 (list.len() - 1) as u32
             }
         };
@@ -479,61 +480,53 @@ impl<'a> KernelCx<'a> {
         }
     }
 
-    /// Bind the registered references against `batches` (the same schemas
-    /// the kernel compiled against).
+    /// Bind the registered references against `batch` (the schema the
+    /// kernel compiled against); `None` if a column's type drifted.
     fn bind_lists(
-        ints: &[(u8, u32)],
-        floats: &[(u8, u32)],
-        strs: &[(u8, u32)],
-        batches: &[&'a ColumnBatch],
+        ints: &[u32],
+        floats: &[u32],
+        strs: &[u32],
+        batch: &'a ColumnBatch,
     ) -> Option<Bound<'a>> {
-        let mut b = Bound {
-            ints: Vec::with_capacity(ints.len()),
-            floats: Vec::with_capacity(floats.len()),
-            strs: Vec::with_capacity(strs.len()),
-        };
-        for &(slot, col) in ints {
-            match batches.get(slot as usize)?.column(col as usize) {
-                Column::Int { data, nulls } => b.ints.push((data.as_slice(), nulls.as_ref())),
-                _ => return None,
-            }
-        }
-        for &(slot, col) in floats {
-            match batches.get(slot as usize)?.column(col as usize) {
-                Column::Float { data, nulls } => b.floats.push((data.as_slice(), nulls.as_ref())),
-                _ => return None,
-            }
-        }
-        for &(slot, col) in strs {
-            match batches.get(slot as usize)?.column(col as usize) {
-                Column::Str { data, nulls } => b.strs.push((data.as_slice(), nulls.as_ref())),
-                _ => return None,
-            }
-        }
-        Some(b)
+        let col = |c: &u32| batch.column(*c as usize);
+        let ints = ints.iter().map(|c| match col(c) {
+            Column::Int { data, nulls } => Some((data.as_slice(), nulls.as_ref())),
+            _ => None,
+        });
+        let floats = floats.iter().map(|c| match col(c) {
+            Column::Float { data, nulls } => Some((data.as_slice(), nulls.as_ref())),
+            _ => None,
+        });
+        let strs = strs.iter().map(|c| match col(c) {
+            Column::Str { data, nulls } => Some((data.as_slice(), nulls.as_ref())),
+            _ => None,
+        });
+        Some(Bound {
+            ints: ints.collect::<Option<_>>()?,
+            floats: floats.collect::<Option<_>>()?,
+            strs: strs.collect::<Option<_>>()?,
+        })
     }
 }
 
-/// A compiled columnar predicate: refines a selection vector over whole
-/// typed columns. Compile with the concrete batch(es) the program's slots
-/// bind to — one batch per environment variable, two for a theta pair
-/// (both sides indexed by the same row position).
+/// A compiled columnar predicate over a one-variable environment: refines
+/// a selection vector over the whole typed columns of one batch.
 pub struct PredKernel {
     root: BoolKernel,
-    ints: Vec<(u8, u32)>,
-    floats: Vec<(u8, u32)>,
-    strs: Vec<(u8, u32)>,
+    ints: Vec<u32>,
+    floats: Vec<u32>,
+    strs: Vec<u32>,
 }
 
 impl PredKernel {
-    /// Lower `program` against the concrete `batches` (one per slot).
-    /// `None` when the program is not a single fused predicate, or any
-    /// reference fails to resolve to a typed column.
-    pub fn compile(program: &Program, batches: &[&ColumnBatch]) -> Option<PredKernel> {
-        if program.scope_len() != batches.len() {
+    /// Lower `program` against the concrete `batch` its one slot binds to.
+    /// `None` when the program is not a single fused predicate over one
+    /// variable, or any reference fails to resolve to a typed column.
+    pub fn compile(program: &Program, batch: &ColumnBatch) -> Option<PredKernel> {
+        if program.scope_len() != 1 {
             return None;
         }
-        let mut cx = KernelCx::new(batches);
+        let mut cx = KernelCx::new(batch);
         let root = match program.instrs() {
             [Instr::Pred(p)] => cx.bool_kernel(p)?,
             [Instr::BinFused { op, lhs, rhs }] => BoolKernel::Cmp(cx.cmp(*op, lhs, rhs)?),
@@ -547,12 +540,11 @@ impl PredKernel {
         })
     }
 
-    /// Refine `sel` to the rows where the predicate is truthy. `batches`
-    /// must have the schemas the kernel compiled against (returns `false`
+    /// Refine `sel` to the rows where the predicate is truthy. `batch`
+    /// must have the schema the kernel compiled against (returns `false`
     /// untouched otherwise, so the caller can fall back).
-    pub fn filter(&self, batches: &[&ColumnBatch], sel: &mut Vec<u32>) -> bool {
-        let Some(bound) = KernelCx::bind_lists(&self.ints, &self.floats, &self.strs, batches)
-        else {
+    pub fn filter(&self, batch: &ColumnBatch, sel: &mut Vec<u32>) -> bool {
+        let Some(bound) = KernelCx::bind_lists(&self.ints, &self.floats, &self.strs, batch) else {
             return false;
         };
         self.root.filter(&bound, sel);
@@ -1091,9 +1083,9 @@ mod tests {
         let batch = ColumnBatch::from_rows(&rows).unwrap();
         let scope = vec!["c".to_string()];
         let prog = Program::compile(&pred_expr(), &scope, &ctx).unwrap();
-        let kernel = PredKernel::compile(&prog, &[&batch]).expect("fused predicate vectorizes");
+        let kernel = PredKernel::compile(&prog, &batch).expect("fused predicate vectorizes");
         let mut sel = cleanm_values::sel_all(rows.len());
-        assert!(kernel.filter(&[&batch], &mut sel));
+        assert!(kernel.filter(&batch, &mut sel));
 
         let survivors: Vec<u32> = rows
             .iter()
@@ -1132,11 +1124,11 @@ mod tests {
             let prog = Program::compile(&e, &scope, &ctx).unwrap();
             // `x != null` style predicates may constant-fold differently;
             // only check when the kernel compiles.
-            let Some(kernel) = PredKernel::compile(&prog, &[&batch]) else {
+            let Some(kernel) = PredKernel::compile(&prog, &batch) else {
                 continue;
             };
             let mut sel = cleanm_values::sel_all(rows.len());
-            kernel.filter(&[&batch], &mut sel);
+            kernel.filter(&batch, &mut sel);
             let want: Vec<u32> = rows
                 .iter()
                 .enumerate()
@@ -1301,52 +1293,6 @@ mod tests {
             CalcExpr::Const(Value::Int(5)),
         );
         let prog = Program::compile(&e, &["c".to_string()], &ctx).unwrap();
-        assert!(PredKernel::compile(&prog, &[&batch]).is_none());
-    }
-
-    #[test]
-    fn theta_pair_kernel_matches_eval_pair() {
-        let left: Vec<Value> = (0..100i64)
-            .map(|i| Value::record([("bal", Value::Float(i as f64)), ("nk", Value::Int(i % 25))]))
-            .collect();
-        let right: Vec<Value> = (0..100i64)
-            .map(|i| {
-                Value::record([
-                    ("bal", Value::Float(((i * 31 + 7) % 100) as f64)),
-                    ("nk", Value::Int((i * 3) % 25)),
-                ])
-            })
-            .collect();
-        let lb = ColumnBatch::from_rows(&left).unwrap();
-        let rb = ColumnBatch::from_rows(&right).unwrap();
-        let ctx = EvalCtx::new();
-        let scope = vec!["t1".to_string(), "t2".to_string()];
-        let e = CalcExpr::bin(
-            BinOp::And,
-            CalcExpr::bin(
-                BinOp::Lt,
-                CalcExpr::proj(CalcExpr::var("t1"), "bal"),
-                CalcExpr::proj(CalcExpr::var("t2"), "bal"),
-            ),
-            CalcExpr::bin(
-                BinOp::Ge,
-                CalcExpr::proj(CalcExpr::var("t1"), "nk"),
-                CalcExpr::proj(CalcExpr::var("t2"), "nk"),
-            ),
-        );
-        let prog = Program::compile(&e, &scope, &ctx).unwrap();
-        let kernel = PredKernel::compile(&prog, &[&lb, &rb]).expect("pair predicate vectorizes");
-        let mut sel = cleanm_values::sel_all(left.len());
-        assert!(kernel.filter(&[&lb, &rb], &mut sel));
-
-        let mut scratch = Vec::new();
-        let want: Vec<u32> = (0..left.len())
-            .filter(|&i| {
-                let (l, r) = (&left[i..=i], &right[i..=i]);
-                truthy(&prog.eval_pair(l, r, &ctx, &mut scratch).unwrap())
-            })
-            .map(|i| i as u32)
-            .collect();
-        assert_eq!(sel, want);
+        assert!(PredKernel::compile(&prog, &batch).is_none());
     }
 }

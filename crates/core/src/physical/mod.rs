@@ -26,7 +26,7 @@ pub mod profile;
 pub mod program;
 pub mod qprofile;
 
-pub use execute::{Executor, PhaseTimings, PlanDecision};
+pub use execute::{Executor, PlanDecision};
 pub use profile::{EngineProfile, NestStrategy, Planner, ThetaStrategy};
 pub use program::{env_layout, RowEnv, RowExpr};
-pub use qprofile::{ProfileNode, QueryProfile};
+pub use qprofile::{PhaseSplit, ProfileNode, QueryProfile};

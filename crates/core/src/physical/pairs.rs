@@ -39,7 +39,7 @@ use crate::calculus::eval::{eval_binop, truthy};
 use crate::calculus::subst::free_vars;
 use crate::calculus::{BinOp, CalcExpr, Func};
 
-use super::execute::{expr_has_similarity, RowEval};
+use super::execute::RowEval;
 use super::program::{env_layout, RowEnv, RowExpr};
 
 /// The operator name budget and interrupt failures of the sweep carry.
@@ -119,6 +119,17 @@ pub(super) fn recognize<'p>(
         path_b,
         var_b,
         preds,
+    })
+}
+
+/// Does the expression call a similarity function? Such a call ticks the
+/// comparison counter per evaluation.
+fn expr_has_similarity(e: &CalcExpr) -> bool {
+    e.any_node(&mut |n| {
+        matches!(
+            n,
+            CalcExpr::Call(Func::Similar(..) | Func::Similarity(..), _)
+        )
     })
 }
 

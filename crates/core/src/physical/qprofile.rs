@@ -48,9 +48,6 @@ pub struct ProfileNode {
     pub idle_fraction: f64,
     /// Plan-node expressions this node compiled to slot-resolved programs.
     pub compiled_exprs: usize,
-    /// Always 0 — an expression that does not compile fails the query;
-    /// kept because the rendered tree and the benchmark read the key.
-    pub interpreted_exprs: usize,
     /// `Select` passes fused into this node's sweep (never materialized).
     pub fused_selects: usize,
     /// Rows this node processed through columnar kernels (whole-column
@@ -87,20 +84,21 @@ impl ProfileNode {
         1 + self.children.iter().map(ProfileNode::size).sum::<usize>()
     }
 
-    /// `(compiled, interpreted, fused)` totals over the subtree.
-    pub fn subtree_exprs(&self) -> (usize, usize, usize) {
-        let mut t = (
-            self.compiled_exprs,
-            self.interpreted_exprs,
-            self.fused_selects,
-        );
+    /// `(compiled, fused)` totals over the subtree.
+    pub fn subtree_exprs(&self) -> (usize, usize) {
+        let mut t = (self.compiled_exprs, self.fused_selects);
         for c in &self.children {
             let s = c.subtree_exprs();
             t.0 += s.0;
             t.1 += s.1;
-            t.2 += s.2;
         }
         t
+    }
+
+    /// Wall time minus the children's: what this node spent itself.
+    pub fn self_ns(&self) -> u64 {
+        let children: u64 = self.children.iter().map(|c| c.wall_ns).sum();
+        self.wall_ns.saturating_sub(children)
     }
 
     /// Vectorized-row total over the subtree.
@@ -159,18 +157,11 @@ impl ProfileNode {
         if self.idle_fraction > 0.0 {
             out.push_str(&format!("  idle {:.0}%", self.idle_fraction * 100.0));
         }
-        let (c, i, f) = (
-            self.compiled_exprs,
-            self.interpreted_exprs,
-            self.fused_selects,
-        );
-        if c + i + f > 0 {
+        let (c, f) = (self.compiled_exprs, self.fused_selects);
+        if c + f > 0 {
             let mut parts = Vec::new();
             if c > 0 {
                 parts.push(format!("{c} compiled"));
-            }
-            if i > 0 {
-                parts.push(format!("{i} interpreted"));
             }
             if f > 0 {
                 parts.push(format!("{f} fused"));
@@ -200,51 +191,72 @@ impl ProfileNode {
         }
     }
 
-    /// JSON object for this subtree (hand-rolled; the workspace serde shim
-    /// is a no-op).
+    /// JSON object for this subtree.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"op\": {}, \"detail\": {}, \"rows_in\": {}, \"rows_out\": {}, \
-             \"wall_ns\": {}, \"busy_ns\": {}, \"shuffled\": {}, \
-             \"max_imbalance\": {}, \"idle_fraction\": {}, \
-             \"compiled_exprs\": {}, \"interpreted_exprs\": {}, \
-             \"fused_selects\": {}, \"vectorized_rows\": {}",
-            json::string(&self.op),
-            json::string(&self.detail),
-            self.rows_in,
-            self.rows_out,
-            self.wall_ns,
-            self.busy_ns,
-            self.shuffled,
-            json::num(self.max_imbalance),
-            json::num(self.idle_fraction),
-            self.compiled_exprs,
-            self.interpreted_exprs,
-            self.fused_selects,
-            self.vectorized_rows,
-        );
-        let str_list = |items: &[String]| {
-            items
-                .iter()
-                .map(|s| json::string(s))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        out.push_str(&format!(", \"flags\": [{}]", str_list(&self.flags)));
-        out.push_str(&format!(
-            ", \"strategies\": [{}]",
-            str_list(&self.strategies)
-        ));
-        out.push_str(&format!(", \"stages\": [{}]", str_list(&self.stage_ops)));
-        out.push_str(", \"children\": [");
-        for (i, c) in self.children.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&c.to_json());
+        let strings = |items: &[String]| json::array(items.iter().map(|s| json::string(s)));
+        json::object([
+            ("op", json::string(&self.op)),
+            ("detail", json::string(&self.detail)),
+            ("rows_in", self.rows_in.to_string()),
+            ("rows_out", self.rows_out.to_string()),
+            ("wall_ns", self.wall_ns.to_string()),
+            ("busy_ns", self.busy_ns.to_string()),
+            ("shuffled", self.shuffled.to_string()),
+            ("max_imbalance", json::num(self.max_imbalance)),
+            ("idle_fraction", json::num(self.idle_fraction)),
+            ("compiled_exprs", self.compiled_exprs.to_string()),
+            ("fused_selects", self.fused_selects.to_string()),
+            ("vectorized_rows", self.vectorized_rows.to_string()),
+            ("flags", strings(&self.flags)),
+            ("strategies", strings(&self.strategies)),
+            ("stages", strings(&self.stage_ops)),
+            (
+                "children",
+                json::array(self.children.iter().map(ProfileNode::to_json)),
+            ),
+        ])
+    }
+}
+
+/// Figure 3's runtime split, read off executed-plan trees: the self time
+/// ([`ProfileNode::self_ns`]) of the nodes doing each kind of work, summed.
+/// Everything else (scans, filters, plain reduces) is in neither.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseSplit {
+    /// `Nest`, `GroupFold` and `Join` nodes: grouping and the shuffles
+    /// behind it.
+    pub grouping: Duration,
+    /// The block-pair sweep — its `Reduce` and the `fused-pairs` `Unnest`
+    /// under it — and `ThetaJoin` nodes: pair enumeration and verification.
+    pub similarity: Duration,
+}
+
+impl PhaseSplit {
+    /// The split over every profile of a traced run (zero for an
+    /// untraced one, whose report carries no profiles).
+    pub fn of(profiles: &[QueryProfile]) -> PhaseSplit {
+        let mut split = PhaseSplit::default();
+        for p in profiles {
+            split.add(&p.root);
         }
-        out.push_str("]}");
-        out
+        split
+    }
+
+    fn add(&mut self, node: &ProfileNode) {
+        let fused_pairs = |n: &ProfileNode| n.flags.iter().any(|f| f == "fused-pairs");
+        let sweep = node.op.starts_with("Reduce") && node.children.iter().any(fused_pairs);
+        let phase = match node.op.as_str() {
+            "Nest" | "GroupFold" | "Join" => Some(&mut self.grouping),
+            "ThetaJoin" => Some(&mut self.similarity),
+            _ if sweep || fused_pairs(node) => Some(&mut self.similarity),
+            _ => None,
+        };
+        if let Some(phase) = phase {
+            *phase += Duration::from_nanos(node.self_ns());
+        }
+        for c in &node.children {
+            self.add(c);
+        }
     }
 }
 
@@ -269,11 +281,10 @@ impl QueryProfile {
 
     /// JSON object `{"op": ..., "root": {...}}`.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"op\": {}, \"root\": {}}}",
-            json::string(&self.op),
-            self.root.to_json()
-        )
+        json::object([
+            ("op", json::string(&self.op)),
+            ("root", self.root.to_json()),
+        ])
     }
 }
 
@@ -340,13 +351,42 @@ mod tests {
         root.compiled_exprs = 2;
         let mut child = leaf("Scan", 8);
         child.shuffled = 3;
-        child.interpreted_exprs = 1;
+        child.fused_selects = 1;
         root.children.push(child);
         assert_eq!(root.subtree_shuffled(), 13);
-        assert_eq!(root.subtree_exprs(), (2, 1, 0));
+        assert_eq!(root.subtree_exprs(), (2, 1));
         assert_eq!(root.size(), 2);
         assert!(root.find("Scan").is_some());
         assert!(root.find("Join").is_none());
+    }
+
+    #[test]
+    fn phase_split_sums_self_times_by_kind() {
+        let timed = |op: &str, wall_ns: u64, children: Vec<ProfileNode>| ProfileNode {
+            op: op.to_string(),
+            wall_ns,
+            children,
+            ..ProfileNode::default()
+        };
+        // A pair sweep over a block Nest over a scan: 100 = 60 sweep + 40
+        // under the Unnest, of which 30 are the Nest and 5 the scan.
+        let nest = timed("Nest", 30, vec![timed("Scan", 5, vec![])]);
+        let mut unnest = timed("Unnest", 40, vec![nest]);
+        unnest.flags.push("fused-pairs".into());
+        let dedup = timed("Reduce[Bag]", 100, vec![unnest]);
+        let fd = timed("GroupFold", 20, vec![timed("Scan", 8, vec![])]);
+        let profile = |root| QueryProfile {
+            op: "op".into(),
+            root,
+        };
+        let split = PhaseSplit::of(&[profile(dedup), profile(fd)]);
+        assert_eq!(split.grouping, Duration::from_nanos(25 + 12));
+        assert_eq!(split.similarity, Duration::from_nanos(60 + 10));
+        // A plain Reduce is neither.
+        assert_eq!(
+            PhaseSplit::of(&[profile(timed("Reduce[Bag]", 9, vec![]))]),
+            PhaseSplit::default()
+        );
     }
 
     #[test]

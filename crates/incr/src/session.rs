@@ -325,7 +325,6 @@ impl IncrementalSession {
             repairs,
             normalize_stats: Default::default(),
             rewrite_stats: Default::default(),
-            timings: Default::default(),
             total: started.elapsed(),
             metrics: self.db.context().metrics().snapshot(),
             plan_text: entry.plan_text().to_string(),

@@ -201,16 +201,6 @@ impl ColumnStats {
         EquiDepthHistogram::from_sample(self.sample.items(), buckets, self.sample.seen())
     }
 
-    /// Exact number of numeric (int/float) observations.
-    pub fn numeric_count(&self) -> u64 {
-        self.numeric
-    }
-
-    /// Exact number of string observations.
-    pub fn string_count(&self) -> u64 {
-        self.strings
-    }
-
     /// Is the column (mostly) text? String histograms only exist for these.
     pub fn is_textual(&self) -> bool {
         let non_null = self.count - self.nulls;

@@ -105,11 +105,6 @@ impl EquiDepthHistogram {
         acc.clamp(0.0, 1.0)
     }
 
-    /// Estimated fraction of rows with key in `[lo, hi)`.
-    pub fn selectivity_between(&self, lo: f64, hi: f64) -> f64 {
-        (self.selectivity_lt(hi) - self.selectivity_lt(lo)).clamp(0.0, 1.0)
-    }
-
     /// The key at quantile `q ∈ [0, 1]` — the inverse of
     /// [`selectivity_lt`], interpolated linearly inside the covering
     /// bucket. `q = 0.5` is the estimated median; `q ≥ 1` returns the max.

@@ -16,9 +16,10 @@
 //!   tracers on one thread (common in tests) never cross-link.
 //! - **Monotonic clocks.** All timestamps are [`Instant`]s relative to the
 //!   tracer's epoch — wall-clock changes cannot corrupt durations.
-//! - **Hand-rolled JSON.** The workspace's `serde` shim is a no-op marker
-//!   trait, so [`TraceLog::to_json`] and the [`json`] helpers emit JSON
-//!   directly; other crates reuse [`json`] for their own exports.
+//! - **One JSON writer.** The workspace's `serde` shim is a no-op marker
+//!   trait, so [`json`] holds the object / array / map builders every
+//!   export in the workspace renders through — [`TraceLog::to_json`]
+//!   included.
 //!
 //! # Example
 //!
@@ -315,17 +316,6 @@ pub struct TraceLog {
 }
 
 impl TraceLog {
-    /// Total duration of root spans (spans with no recorded parent).
-    pub fn root_duration(&self) -> Duration {
-        Duration::from_nanos(
-            self.spans
-                .iter()
-                .filter(|s| s.parent == 0)
-                .map(|s| s.duration_ns)
-                .sum(),
-        )
-    }
-
     /// Render the spans as an indented tree (children under parents, in
     /// start order), one line per span with its duration in milliseconds.
     pub fn render(&self) -> String {
@@ -364,42 +354,28 @@ impl TraceLog {
         out
     }
 
-    /// Export as JSON: `{"spans": [...], "counters": {...}}`. Hand-rolled —
-    /// the workspace serde shim is a no-op marker trait.
+    /// Export as JSON: `{"spans": [...], "counters": {...}}`; a span's
+    /// `detail` key is present only when it has one.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"spans\": [\n");
-        for (i, s) in self.spans.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"id\": {}, \"parent\": {}, \"name\": {}, \"start_ns\": {}, \
-                 \"duration_ns\": {}, \"thread\": {}",
-                s.id,
-                s.parent,
-                json::string(s.name),
-                s.start_ns,
-                s.duration_ns,
-                s.thread,
-            ));
-            if let Some(d) = &s.detail {
-                out.push_str(&format!(", \"detail\": {}", json::string(d)));
-            }
-            out.push('}');
-            if i + 1 < self.spans.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}: {}", json::string(name), v));
-        }
-        if !self.counters.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
+        let span = |s: &SpanRecord| {
+            let fields = [
+                ("id", s.id.to_string()),
+                ("parent", s.parent.to_string()),
+                ("name", json::string(s.name)),
+                ("start_ns", s.start_ns.to_string()),
+                ("duration_ns", s.duration_ns.to_string()),
+                ("thread", s.thread.to_string()),
+            ];
+            let detail = s.detail.as_deref().map(|d| ("detail", json::string(d)));
+            json::object(fields.into_iter().chain(detail))
+        };
+        json::object([
+            ("spans", json::array(self.spans.iter().map(span))),
+            (
+                "counters",
+                json::map(self.counters.iter().map(|(k, v)| (k, v))),
+            ),
+        ])
     }
 }
 

@@ -154,17 +154,6 @@ impl Column {
         }
     }
 
-    /// Build a typed column from owned values (used by format decoders
-    /// that already produced one `Vec<Value>` per column). Falls back to
-    /// [`Column::Val`] for mixed-type or nested content.
-    pub fn from_values(values: Vec<Value>) -> Column {
-        let mut b = ColumnBuilder::new();
-        for v in values {
-            b.push(v);
-        }
-        b.finish()
-    }
-
     /// Gather the cells selected by `sel` into a new column, preserving
     /// selection order. String cells gather by refcount bump.
     pub fn gather(&self, sel: &[u32]) -> Column {

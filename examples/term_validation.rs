@@ -7,7 +7,7 @@
 
 use cleanm::core::ops::TermValidation;
 use cleanm::core::quality::term_validation_accuracy;
-use cleanm::core::{CleanDb, EngineProfile};
+use cleanm::core::{CleanDb, EngineProfile, PhaseSplit};
 use cleanm::datagen::dblp::DblpGen;
 use cleanm::formats::flatten;
 use cleanm::text::Metric;
@@ -48,6 +48,8 @@ fn main() {
         "kmeans(20)",
     ] {
         let mut db = CleanDb::new(EngineProfile::clean_db());
+        // Traced, so the report carries the plan tree the split is read off.
+        db.set_tracing(true);
         db.register("dblp", flat.clone());
         db.register_dictionary("dict", data.dictionary.clone());
 
@@ -55,14 +57,15 @@ fn main() {
             .metric(Metric::Levenshtein, 0.70);
         let (report, best) = tv.run(&mut db).expect("term validation");
         let acc = term_validation_accuracy(&dirty, &clean, &best);
+        let phases = PhaseSplit::of(&report.profiles);
         println!(
             "{block_op:<20} precision {:5.1}%  recall {:5.1}%  F {:5.1}%  \
              (grouping {:?}, similarity {:?}, {} comparisons)",
             acc.precision * 100.0,
             acc.recall * 100.0,
             acc.f_score * 100.0,
-            report.timings.grouping,
-            report.timings.similarity,
+            phases.grouping,
+            phases.similarity,
             report.metrics.comparisons,
         );
     }

@@ -6,7 +6,7 @@
 //! cargo run --release --example unified_cleaning
 //! ```
 
-use cleanm::core::{CleanDb, EngineProfile};
+use cleanm::core::{CleanDb, EngineProfile, PhaseSplit};
 use cleanm::datagen::customer::CustomerGen;
 use cleanm::datagen::names;
 
@@ -33,14 +33,17 @@ fn main() {
     ] {
         let name = profile.name.clone();
         let mut db = CleanDb::new(profile);
+        // Traced, so the report carries the plan tree the split is read off.
+        db.set_tracing(true);
         db.register("customer", data.table.clone());
         db.register_dictionary("dictionary", dictionary.clone());
         match db.run(query) {
             Ok(report) => {
+                let phases = PhaseSplit::of(&report.profiles);
                 println!("== {name} ==");
                 println!(
                     "  total {:?}  (grouping {:?}, similarity {:?})",
-                    report.total, report.timings.grouping, report.timings.similarity
+                    report.total, phases.grouping, phases.similarity
                 );
                 println!(
                     "  {} violating entities, {} repair candidates, \
