@@ -9,7 +9,7 @@
 //! | `Nest`      | `filter_transform` (pair emission) → `group_fold(shuffle, …)` with a `Vec` accumulator → `map` |
 //! | `Nest`+`Reduce` over monoid reductions | `group_fold(shuffle, …)` with monoid accumulators → `filter_transform` (finish) |
 //! | `Join`      | `filter_transform` (keying) → `join_hash` |
-//! | `ThetaJoin` | M-Bucket \| min-max blocks \| cartesian+filter |
+//! | `ThetaJoin` | M-Bucket \| min-max blocks \| cartesian+filter — over row indices, each pair tested by a column kernel, when both sides are filtered scans that lower (`physical/theta.rs`); over rows otherwise |
 //! | `Reduce`    | `filter_transform` → collect, or `filter_fold` for scalar monoids |
 //!
 //! `shuffle` is the profile's (or the cost-based planner's)
@@ -27,10 +27,11 @@
 //! The profile's [`Planner`] level is read where a path is chosen and
 //! nowhere else: `peel_input` (fuse a `Select` chain into its consumer?),
 //! `run_reduce_inner` (fold groups?), `columnar_source` (sweep a scan by
-//! column?), and `nest_strategy` / `exec_theta` (re-decide the strategy
+//! column?), and `nest_strategy` / `plan_theta` (re-decide the strategy
 //! from statistics?).
 
 use std::collections::HashMap;
+use std::slice::from_ref;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -43,18 +44,19 @@ use cleanm_exec::{
 use cleanm_values::{ColumnBatch, FxHashMap, FxHashSet, Value};
 
 use crate::algebra::cardinality::{self, StatsCatalog};
-use crate::algebra::plan::{theta_widen, Alg};
+use crate::algebra::plan::{theta_widen, Alg, ThetaHint};
 use crate::calculus::eval::{merge_values, truthy, EvalCtx};
 use crate::calculus::subst::free_vars;
 use crate::calculus::{CalcExpr, MonoidKind, Program};
 use crate::engine::storage::StoredTable;
 
 use super::groupfold::{self, AggFoldShape, ColumnarFold, GroupAcc, Span, KEY_SLOT_VAR};
-use super::kernel::{PredKernel, RowRef};
+use super::kernel::{KeyKinds, PredKernel, RowRef};
 use super::pairs::{self, PairShape, PairSweep};
 use super::profile::{nest_stage_labels, EngineProfile, NestStrategy, Planner, ThetaStrategy};
 use super::program::{env_layout, ProgramCache, RowEnv, RowExpr};
 use super::qprofile::{clip, ProfileNode};
+use super::theta::{run_pruning, ColumnarTheta, Item, ThetaSide};
 
 /// Skew threshold: if the most frequent grouping-key value may cover more
 /// than this share of the rows, a sort/range shuffle would pin one worker.
@@ -171,14 +173,18 @@ impl RowEval {
         self.eval(rx, env).is_some_and(|v| truthy(&v))
     }
 
-    /// [`RowEval::holds`] over a concatenated `(left, right)` row pair —
-    /// no merged row is built per candidate pair.
+    /// [`RowEval::eval`] over a concatenated `(left, right)` row pair —
+    /// no merged row is built.
+    #[inline]
+    fn eval_pair(&self, rx: &RowExpr, left: &[Value], right: &[Value]) -> Option<Value> {
+        let v = rx.eval_pair(left, right, &self.ctx);
+        v.map_err(|e| self.record(e)).ok()
+    }
+
+    /// [`RowEval::holds`] over a concatenated `(left, right)` row pair.
     #[inline]
     pub(super) fn holds_pair(&self, rx: &RowExpr, left: &[Value], right: &[Value]) -> bool {
-        let v = rx
-            .eval_pair(left, right, &self.ctx)
-            .map_err(|e| self.record(e));
-        v.is_ok_and(|v| truthy(&v))
+        self.eval_pair(rx, left, right).is_some_and(|v| truthy(&v))
     }
 
     /// Does `env` pass a fused predicate chain (conjoined into one program
@@ -474,12 +480,12 @@ impl<'a> Executor<'a> {
         let lowered = self.lower_on_columns(
             stored,
             |idx| stored.columnar_columns(idx, fields),
-            |cols| {
+            |cols, rows| {
                 let kernels = cols.iter().map(|cb| PredKernel::compile(pred, cb));
-                Some((cols.to_vec(), kernels.collect::<Option<Vec<_>>>()?))
+                Some((cols.to_vec(), kernels.collect::<Option<Vec<_>>>()?, rows))
             },
         )?;
-        let Some(((cols, kernels), rows)) = lowered else {
+        let Some((cols, kernels, rows)) = lowered else {
             return Ok(None);
         };
 
@@ -522,13 +528,19 @@ impl<'a> Executor<'a> {
     /// evaluates a row. With a program cache attached (cached plans), compilation
     /// happens once per *plan lifetime* rather than once per run.
     fn row_expr(&mut self, expr: &CalcExpr, scope: &[String]) -> ExecResult<Arc<RowExpr>> {
+        let rx = self.compile(expr, scope)?;
+        self.compiled_exprs += 1;
+        Ok(rx)
+    }
+
+    /// [`Executor::row_expr`] without counting the expression: for a route
+    /// that may still decline, and counts what it compiled once it runs.
+    fn compile(&self, expr: &CalcExpr, scope: &[String]) -> ExecResult<Arc<RowExpr>> {
         let rx = match &self.program_cache {
             Some(cache) => cache.get_or_compile(expr, scope, &self.eval.ctx),
             None => RowExpr::compile(expr, scope, &self.eval.ctx).map(Arc::new),
         };
-        let rx = rx.map_err(|e| ExecError::Value(e.to_string()))?;
-        self.compiled_exprs += 1;
-        Ok(rx)
+        rx.map_err(|e| ExecError::Value(e.to_string()))
     }
 
     /// Attach a cross-run compiled-program cache (plan-cache entries own
@@ -636,6 +648,9 @@ impl<'a> Executor<'a> {
         // its candidate pairs, whatever the planner fuses elsewhere.
         if let Some(shape) = pairs::recognize(input, |node| self.is_shared(node)) {
             let outputs = self.exec_pair_sweep(&shape, head)?;
+            return reduce_outputs(monoid, outputs);
+        }
+        if let Some(outputs) = self.try_columnar_theta(input, head)? {
             return reduce_outputs(monoid, outputs);
         }
         let mut fused = self.peel_input(input, None)?;
@@ -1073,18 +1088,18 @@ impl<'a> Executor<'a> {
     }
 
     /// Pivot the non-empty batches of `stored` (`pivot`, by batch index)
-    /// and hand the columns to `lower` — on the driver, so under its own
-    /// panic guard, with an interrupt check and the `columnarize` /
-    /// `kernel_entry` fault sites per batch (the chaos suite's). Returns
-    /// what `lower` made with the row batches the columns view, in the
-    /// same order; `None` for an empty table, a batch that does not
-    /// columnarize, or when `lower` declines.
+    /// and hand the columns to `lower` with the row batches they view, in
+    /// the same order — on the driver, so under its own panic guard, with
+    /// an interrupt check and the `columnarize` / `kernel_entry` fault
+    /// sites per batch (the chaos suite's). Returns what `lower` made;
+    /// `None` for an empty table, a batch that does not columnarize, or
+    /// when `lower` declines.
     fn lower_on_columns<T>(
         &self,
         stored: &StoredTable,
         pivot: impl Fn(usize) -> Option<Arc<ColumnBatch>>,
-        lower: impl FnOnce(&[Arc<ColumnBatch>]) -> Option<T>,
-    ) -> ExecResult<Option<(T, RowBatches)>> {
+        lower: impl FnOnce(&[Arc<ColumnBatch>], RowBatches) -> Option<T>,
+    ) -> ExecResult<Option<T>> {
         self.ctx.catch_driver("storage batch columnarization", || {
             let (mut cols, mut rows) = (Vec::new(), Vec::new());
             for (idx, batch) in stored.batches().iter().enumerate() {
@@ -1102,7 +1117,11 @@ impl<'a> Executor<'a> {
                 cols.push(cb);
                 rows.push(Arc::clone(batch));
             }
-            Ok(if cols.is_empty() { None } else { lower(&cols) }.map(|made| (made, rows)))
+            Ok(if cols.is_empty() {
+                None
+            } else {
+                lower(&cols, rows)
+            })
         })
     }
 
@@ -1161,16 +1180,17 @@ impl<'a> Executor<'a> {
         let lowered = self.lower_on_columns(
             stored,
             |idx| stored.columnar_columns(idx, &fields),
-            |cols| {
+            |cols, rows| {
                 let keeps = shape.keeps_groups();
-                ColumnarFold::lower(
+                let fold = ColumnarFold::lower(
                     cols,
                     key_program,
                     &shape.slots,
                     &slot_programs,
                     pred_program,
                     keeps,
-                )
+                )?;
+                Some((fold, rows))
             },
         );
         if matches!(lowered, Ok(Some(_))) {
@@ -1288,16 +1308,11 @@ impl<'a> Executor<'a> {
 
         // ---- Grouped aggregates: finish each group on the pool ----
         let head_reads_key = shape.head.as_ref().is_some_and(reads_key);
-        let p = self.ctx.default_partitions() as u32;
-        let step = groups.div_ceil(p).max(1);
-        let ranges: Vec<(u32, u32)> = (0..p)
-            .map(|k| ((k * step).min(groups), ((k + 1) * step).min(groups)))
-            .collect();
         let outputs: Vec<Value> = produce_partitions(
             &self.ctx,
             "group_finish",
             groups as u64,
-            ranges,
+            chunk_ranges(groups, self.ctx.default_partitions()),
             |(lo, hi)| {
                 let mut env: RowEnv = vec![Value::Null; width];
                 let mut out = Vec::new();
@@ -1742,23 +1757,278 @@ impl<'a> Executor<'a> {
         group_members(pairs, strategy)?.map(|group| vec![group_record(group)])
     }
 
-    /// The theta-join translation of §6, by profile strategy — or, under
-    /// the cost-based planner, by [`Executor::choose_theta`]. One decision
-    /// is recorded per node: the strategy that ran.
+    /// A theta side the planner reads by column: the stored table and
+    /// variable of a scan under a chain of `Select`s, none of them shared
+    /// ([`Executor::columnar_source`]), with the chain's predicates in
+    /// evaluation order (innermost first).
+    fn theta_side<'p>(
+        &self,
+        side: &'p Arc<Alg>,
+    ) -> Option<(&'a StoredTable, &'p str, Vec<&'p CalcExpr>)> {
+        let mut chain = Vec::new();
+        let mut node = side;
+        while let Alg::Select { input, pred } = &**node {
+            if self.is_shared(node) {
+                return None;
+            }
+            chain.push(pred);
+            node = input;
+        }
+        chain.reverse();
+        let (stored, var) = self.columnar_source(node)?;
+        Some((stored, var, chain))
+    }
+
+    /// Try to lower a theta join onto its sides' columns
+    /// (`physical/theta.rs`, [`ColumnarTheta`]). Decided once, here: `None`
+    /// — the row route runs, unchanged — unless both sides are
+    /// [`Executor::theta_side`]s, every stored batch of each pivots the
+    /// columns its `Select` chain, its join key and the join predicate
+    /// read, and all of those lower to kernels. On success the expressions
+    /// are counted as the row route counts them: each side's chain as one
+    /// compiled filter with the rest of its `Select`s fused, the predicate
+    /// and both keys.
+    fn lower_columnar_theta(
+        &mut self,
+        left: &Arc<Alg>,
+        right: &Arc<Alg>,
+        pred: &CalcExpr,
+        hint: &ThetaHint,
+    ) -> ExecResult<Option<ColumnarTheta>> {
+        let (Some(l), Some(r)) = (self.theta_side(left), self.theta_side(right)) else {
+            return Ok(None);
+        };
+        // A compile failure is the row route's to report.
+        let Ok(pred_rx) = self.compile(pred, &[l.1.to_string(), r.1.to_string()]) else {
+            return Ok(None);
+        };
+        let Some(left_side) = self.lower_theta_side(&l, &hint.left_key, pred)? else {
+            return Ok(None);
+        };
+        let Some(right_side) = self.lower_theta_side(&r, &hint.right_key, pred)? else {
+            return Ok(None);
+        };
+        let Some(columnar) = ColumnarTheta::lower(left_side, right_side, pred_rx.program()) else {
+            return Ok(None);
+        };
+        for (_, _, chain) in [&l, &r] {
+            self.compiled_exprs += usize::from(!chain.is_empty());
+            self.fused_selects += chain.len().saturating_sub(1);
+        }
+        self.compiled_exprs += 3;
+        Ok(Some(columnar))
+    }
+
+    /// One side of [`Executor::lower_columnar_theta`]: its chain and `key`
+    /// compiled, and lowered over the columns they and `pred` read.
+    fn lower_theta_side(
+        &self,
+        (stored, var, chain): &(&StoredTable, &str, Vec<&CalcExpr>),
+        key: &CalcExpr,
+        pred: &CalcExpr,
+    ) -> ExecResult<Option<ThetaSide>> {
+        let scope = [var.to_string()];
+        let filter_rx = conjoin(chain).map(|c| self.compile(&c, &scope)).transpose();
+        let (Ok(filter_rx), Ok(key_rx)) = (filter_rx, self.compile(key, &scope)) else {
+            return Ok(None);
+        };
+        let fields = fields_of(var, chain.iter().copied().chain([key, pred]));
+        let filter = filter_rx.as_deref().map(RowExpr::program);
+        self.lower_on_columns(
+            stored,
+            |idx| stored.columnar_columns(idx, &fields),
+            |cols, rows| ThetaSide::lower(cols, rows, &fields, filter, key_rx.program()),
+        )
+    }
+
+    /// The column route of a theta join the `Reduce` reads directly
+    /// ([`Executor::lower_columnar_theta`]): the join over row indices,
+    /// then the head evaluated on each surviving pair's stored rows — no
+    /// row environment is built for a pair. `None` — the row route runs —
+    /// for any other input, a shared join, or a join that does not lower.
+    /// In a profile tree the join is the node `run` would have made, with
+    /// the sides as its children.
+    fn try_columnar_theta(
+        &mut self,
+        input: &Arc<Alg>,
+        head: &CalcExpr,
+    ) -> ExecResult<Option<Vec<Value>>> {
+        let Alg::ThetaJoin {
+            left,
+            right,
+            pred,
+            hint,
+        } = &**input
+        else {
+            return Ok(None);
+        };
+        if self.is_shared(input) {
+            return Ok(None);
+        }
+        let frame = self.profiling.then(|| self.begin_node());
+        let joined = self
+            .lower_columnar_theta(left, right, pred, hint)
+            .and_then(|lowered| {
+                let Some(columnar) = lowered else {
+                    return Ok(None);
+                };
+                let joined = self.join_columnar_theta(&columnar, [left, right], pred, hint)?;
+                Ok(Some((columnar, joined)))
+            });
+        let (columnar, joined) = match joined {
+            Ok(Some(joined)) => joined,
+            declined => {
+                if frame.is_some() {
+                    self.abort_node();
+                }
+                return declined.map(|_| None);
+            }
+        };
+        if let Some(frame) = frame {
+            let (op, detail) = plan_label(input);
+            self.end_node(frame, op, detail, joined.count() as u64, Vec::new());
+        }
+        let head_rx = self.row_expr(head, &env_layout(input))?;
+        let (ev, sides) = (self.eval.clone(), [&columnar.left, &columnar.right]);
+        let outputs = joined
+            .filter_transform(
+                "map_partitions",
+                |_| true,
+                move |((_, a), (_, b)), out: &mut Vec<Value>| {
+                    let (l, r) = (sides[0].row(a), sides[1].row(b));
+                    let v = ev.eval_pair(&head_rx, from_ref(l), from_ref(r));
+                    out.push(v.unwrap_or(Value::Null))
+                },
+            )?
+            .collect();
+        self.check_errors()?;
+        Ok(Some(outputs))
+    }
+
+    /// Join a lowered theta join's sides: each side's filter and key sweep
+    /// through the partition layout the row route scans, then the strategy
+    /// is planned and recorded as over rows and runs over `(key, row)`
+    /// items with the pair kernel as its pair test. Returns the surviving
+    /// pairs. The join's own vectorized rows are the items it joined by
+    /// index.
+    fn join_columnar_theta(
+        &mut self,
+        columnar: &ColumnarTheta,
+        [left, right]: [&Arc<Alg>; 2],
+        pred: &CalcExpr,
+        hint: &ThetaHint,
+    ) -> ExecResult<Dataset<(Item, Item)>> {
+        let (l, l_kinds) = self.sweep_theta_side(&columnar.left, left)?;
+        let (r, r_kinds) = self.sweep_theta_side(&columnar.right, right)?;
+        self.vectorized_rows += (l.count() + r.count()) as u64;
+        let (planned, bounds, reason) = self.plan_theta(hint, l.count() as f64, r.count() as f64);
+        let domain = KeyKinds::domain(l_kinds, r_kinds);
+        let verify = columnar.verifier();
+        match self.decide_theta(pred, planned, reason, domain) {
+            Some(text) => {
+                let compat = hint.kind.compat_fn(theta_widen(text));
+                run_pruning(planned, bounds, compat, l, r, verify)
+            }
+            None => theta::cartesian_filter(l, r, verify),
+        }
+    }
+
+    /// One `theta_keys` stage over a lowered side, `node` in the plan: its
+    /// filtered, keyed rows, partitioned as the row route partitions the
+    /// side, and the kinds its keys took.
+    fn sweep_theta_side(
+        &mut self,
+        side: &ThetaSide,
+        node: &Alg,
+    ) -> ExecResult<(Dataset<Item>, KeyKinds)> {
+        let frame = self.profiling.then(|| self.begin_node());
+        let rows = side.len();
+        let tasks = chunk_ranges(rows as u32, self.ctx.default_partitions());
+        let swept = produce_partials(
+            &self.ctx,
+            "theta_keys",
+            rows as u64,
+            tasks,
+            |_| 0,
+            |range| side.sweep(range),
+        );
+        let swept = match swept {
+            Ok(swept) => swept,
+            Err(e) => {
+                if frame.is_some() {
+                    self.abort_node();
+                }
+                return Err(e);
+            }
+        };
+        let (parts, kinds): (Vec<Vec<Item>>, Vec<KeyKinds>) = swept.into_iter().unzip();
+        let items = Dataset::from_partitions(&self.ctx, parts);
+        self.vectorized_rows += rows as u64;
+        if let Some(frame) = frame {
+            self.override_rows_in = Some(rows as u64);
+            let (op, detail) = plan_label(node);
+            self.end_node(frame, op, detail, items.count() as u64, Vec::new());
+        }
+        let kinds = kinds.into_iter().fold(KeyKinds::default(), KeyKinds::merge);
+        Ok((items, kinds))
+    }
+
+    /// The theta strategy planned for a join of `left_rows` × `right_rows`
+    /// — the profile's, or under the cost-based planner the one
+    /// [`Executor::choose_theta`] picks — with its matrix bounds and why.
+    fn plan_theta(
+        &self,
+        hint: &ThetaHint,
+        left_rows: f64,
+        right_rows: f64,
+    ) -> (ThetaStrategy, Option<Vec<f64>>, String) {
+        if self.profile.planner == Planner::CostBased {
+            self.choose_theta(hint, left_rows, right_rows)
+        } else {
+            (self.profile.theta, None, "fixed profile".to_string())
+        }
+    }
+
+    /// Record the strategy that runs — one decision per node — and return
+    /// the key domain it prunes in: `planned` when it prunes and the keys
+    /// share a `domain` ([`KeyKinds::domain`]), else the cartesian product
+    /// (`None`), which needs no key domain and prunes nothing, so it is
+    /// always correct.
+    fn decide_theta(
+        &mut self,
+        pred: &CalcExpr,
+        planned: ThetaStrategy,
+        reason: String,
+        domain: Option<bool>,
+    ) -> Option<bool> {
+        let cartesian = ThetaStrategy::CartesianFilter;
+        let (ran, reason, domain) = match domain {
+            _ if planned == cartesian => (cartesian, reason, None),
+            Some(text) => (planned, reason, Some(text)),
+            None => (
+                cartesian,
+                format!("mixed numeric/text join keys: no common pruning domain for {planned:?}"),
+                None,
+            ),
+        };
+        self.record_decision("theta", pred.to_string(), format!("{ran:?}"), reason);
+        domain
+    }
+
+    /// The theta-join translation of §6 over rows: the strategy of
+    /// [`Executor::plan_theta`] as [`Executor::decide_theta`] records it,
+    /// each candidate pair tested by evaluating the compiled predicate.
     fn exec_theta(
         &mut self,
         lds: Dataset<RowEnv>,
         rds: Dataset<RowEnv>,
         pred: &CalcExpr,
-        hint: &crate::algebra::plan::ThetaHint,
+        hint: &ThetaHint,
         scope_l: &[String],
         scope_r: &[String],
     ) -> ExecResult<Dataset<RowEnv>> {
-        let (planned, bounds, reason) = if self.profile.planner == Planner::CostBased {
-            self.choose_theta(hint, lds.count() as f64, rds.count() as f64)
-        } else {
-            (self.profile.theta, None, "fixed profile".to_string())
-        };
+        let (planned, bounds, reason) =
+            self.plan_theta(hint, lds.count() as f64, rds.count() as f64);
         // The predicate is compiled against the concatenated layout and
         // evaluated pair-wise — no merged environment is materialized per
         // candidate pair.
@@ -1773,59 +2043,32 @@ impl<'a> Executor<'a> {
         let holds = move |l: &RowEnv, r: &RowEnv| ev.holds_pair(&pred_rx, l, r);
 
         // Pruning strategies need each row's mapped join key *and* the key
-        // domain classification. One keys-plus-flags probe per side
+        // domain classification. One keys-plus-kinds probe per side
         // computes both together: text keys map through the
         // order-preserving prefix key (`cleanm_stats::string_key`), numeric
-        // keys widen to f64, and the text/numeric flags fall out of the
-        // same evaluation. The probe sees every key value (a sampled sniff
+        // keys widen to f64, and the kinds fall out of the same
+        // evaluation. The probe sees every key value (a sampled sniff
         // could miss strings deep in a partition and silently disable the
         // collision widening), and the evaluated keys are zipped back onto
-        // the rows so the join never re-evaluates them. Mixed numeric/text
-        // keys have no common pruning domain: `None`.
-        let pruning_keys = if planned == ThetaStrategy::CartesianFilter {
+        // the rows so the join never re-evaluates them.
+        let keys = if planned == ThetaStrategy::CartesianFilter {
             None
         } else {
-            let (l_keys, l_text, l_num) = keys_and_flags(&lds, &lkey_rx, &eval_ctx)?;
-            let (r_keys, r_text, r_num) = keys_and_flags(&rds, &rkey_rx, &eval_ctx)?;
-            let mixed = (l_text && l_num) || (r_text && r_num) || (l_text != r_text);
-            (!mixed).then_some((l_keys, r_keys, l_text))
+            let (l_keys, l_kinds) = keys_and_flags(&lds, &lkey_rx, &eval_ctx)?;
+            let (r_keys, r_kinds) = keys_and_flags(&rds, &rkey_rx, &eval_ctx)?;
+            Some((l_keys, r_keys, KeyKinds::domain(l_kinds, r_kinds)))
         };
-        let named = |strategy: ThetaStrategy| format!("{strategy:?}");
-        let Some((l_keys, r_keys, text)) = pruning_keys else {
-            // The cartesian path needs no key domain and no key values; it
-            // prunes nothing, so it is always correct.
-            let cartesian = ThetaStrategy::CartesianFilter;
-            let reason = if planned == cartesian {
-                reason
-            } else {
-                let planned = named(planned);
-                format!("mixed numeric/text join keys: no common pruning domain for {planned}")
-            };
-            self.record_decision("theta", pred.to_string(), named(cartesian), reason);
-            let joined = theta::cartesian_filter(lds, rds, holds)?;
+        let domain = keys.as_ref().and_then(|(_, _, domain)| *domain);
+        let decided = self.decide_theta(pred, planned, reason, domain);
+        let (Some(text), Some((l_keys, r_keys, _))) = (decided, keys) else {
+            let joined = theta::cartesian_filter(lds, rds, theta::pairwise(holds))?;
             self.check_errors()?;
             return joined.map(concat_rows);
         };
-        self.record_decision("theta", pred.to_string(), named(planned), reason);
-
         let compat = hint.kind.compat_fn(theta_widen(text));
-        let lk = lds.zip_parts(l_keys);
-        let rk = rds.zip_parts(r_keys);
-        let predicate = move |l: &(f64, RowEnv), r: &(f64, RowEnv)| holds(&l.1, &r.1);
-        let key_of = |t: &(f64, RowEnv)| t.0;
-
-        let joined: Dataset<((f64, RowEnv), (f64, RowEnv))> = match (planned, bounds) {
-            (ThetaStrategy::MinMaxBlocks, _) => {
-                theta::minmax_block_join(lk, rk, key_of, key_of, compat, predicate)?
-            }
-            (ThetaStrategy::MBucket, Some(bounds)) => {
-                theta::mbucket_join_with_bounds(lk, rk, key_of, key_of, compat, predicate, bounds)?
-            }
-            (ThetaStrategy::MBucket, None) => {
-                theta::mbucket_join(lk, rk, key_of, key_of, compat, predicate, None)?
-            }
-            (ThetaStrategy::CartesianFilter, _) => unreachable!("handled above"),
-        };
+        let verify = theta::pairwise(move |l: &(f64, RowEnv), r: &(f64, RowEnv)| holds(&l.1, &r.1));
+        let (lk, rk) = (lds.zip_parts(l_keys), rds.zip_parts(r_keys));
+        let joined = run_pruning(planned, bounds, compat, lk, rk, verify)?;
         self.check_errors()?;
         joined.map(|((_, l), (_, r))| concat_rows((l, r)))
     }
@@ -1871,11 +2114,19 @@ fn fields_of<'e>(var: &str, exprs: impl IntoIterator<Item = &'e CalcExpr>) -> Ve
     fields
 }
 
-/// Cut the concatenated rows of batches of `lens` rows into the contiguous
-/// chunks [`Dataset::from_vec`] gives `p` partitions — `total.div_ceil(p)`
-/// rows each, padded with empty chunks to `p` — as per-batch spans, so a
-/// column-first operator works through the very partitions the row path
-/// would have scanned.
+/// The row ranges of the `p` contiguous chunks [`Dataset::from_vec`] cuts
+/// `n` rows into — `n.div_ceil(p)` rows each, padded with empty chunks to
+/// `p` — so a column-first operator over one block of rows works through
+/// the very partitions the row path would have scanned.
+fn chunk_ranges(n: u32, p: usize) -> Vec<(u32, u32)> {
+    let step = n.div_ceil(p as u32).max(1);
+    (0..p as u32)
+        .map(|k| ((k * step).min(n), ((k + 1) * step).min(n)))
+        .collect()
+}
+
+/// [`chunk_ranges`] over the concatenated rows of batches of `lens` rows,
+/// as per-batch spans.
 fn chunk_spans(lens: &[usize], p: usize) -> Vec<Vec<Span>> {
     let total: usize = lens.iter().sum();
     let chunk = total.div_ceil(p).max(1);
@@ -2010,20 +2261,20 @@ fn conjoin(preds: &[&CalcExpr]) -> Option<CalcExpr> {
 }
 
 /// One probe pass over a theta side: every row's mapped f64 join key (in
-/// partition structure, ready for [`Dataset::zip_parts`]) plus whether any
-/// key evaluated to text / to a number.
+/// partition structure, ready for [`Dataset::zip_parts`]) plus the kinds
+/// the keys took — the row twin of [`KeyKernel::keys`](super::kernel::KeyKernel::keys).
 fn keys_and_flags(
     ds: &Dataset<RowEnv>,
     rx: &Arc<RowExpr>,
     eval_ctx: &Arc<EvalCtx>,
-) -> ExecResult<(Vec<Vec<f64>>, bool, bool)> {
+) -> ExecResult<(Vec<Vec<f64>>, KeyKinds)> {
     let parts = ds.probe_partitions(|part| {
         let mut keys = Vec::with_capacity(part.len());
-        let (mut text, mut numeric) = (false, false);
+        let mut kinds = KeyKinds::default();
         for env in part {
             let key = match rx.eval_env(env, eval_ctx) {
                 Ok(Value::Str(s)) => {
-                    text = true;
+                    kinds.text = true;
                     cleanm_stats::string_key(&s)
                 }
                 // NaN sorts after every number in the engine's total order,
@@ -2031,7 +2282,7 @@ fn keys_and_flags(
                 // inequality: where its NaN key lands cannot lose a pair.
                 Ok(v) => {
                     if matches!(v, Value::Int(_) | Value::Float(_)) {
-                        numeric = true;
+                        kinds.numeric = true;
                     }
                     v.as_float()
                         .map_or(f64::NAN, |f| if f.is_nan() { f64::INFINITY } else { f })
@@ -2040,16 +2291,11 @@ fn keys_and_flags(
             };
             keys.push(key);
         }
-        (keys, text, numeric)
+        (keys, kinds)
     })?;
-    let mut key_parts = Vec::with_capacity(parts.len());
-    let (mut text, mut numeric) = (false, false);
-    for (keys, t, n) in parts {
-        key_parts.push(keys);
-        text |= t;
-        numeric |= n;
-    }
-    Ok((key_parts, text, numeric))
+    let (key_parts, kinds): (Vec<Vec<f64>>, Vec<KeyKinds>) = parts.into_iter().unzip();
+    let kinds = kinds.into_iter().fold(KeyKinds::default(), KeyKinds::merge);
+    Ok((key_parts, kinds))
 }
 
 #[cfg(test)]

@@ -8,11 +8,15 @@
 //! This module recognizes exactly those shapes and lowers them once more,
 //! against a *concrete* [`ColumnBatch`] schema, into kernels that sweep
 //! whole typed columns: a predicate refines a selection vector over
-//! `i64`/`f64`/`Arc<str>` slices ([`PredKernel`]); a grouping key or an
-//! aggregate's member expression becomes a [`ColumnProgram`] whose value at
-//! a row is hashed and compared cell to cell, so the grouping kernel
-//! ([`Groups`]) turns rows into dense group ids without boxing a key and
-//! one key `Value` is materialized per *group that needs it*.
+//! `i64`/`f64`/`Arc<str>` slices ([`PredKernel`]); a theta join's predicate
+//! reads two batches, slot 0 the left side's and slot 1 the right's, and
+//! refines a selection of right rows for one left row ([`PairKernel`]),
+//! while its join key is read as an `f64` per row ([`KeyKernel`]); a
+//! grouping key or an aggregate's member expression becomes a
+//! [`ColumnProgram`] whose value at a row is hashed and compared cell to
+//! cell, so the grouping kernel ([`Groups`]) turns rows into dense group
+//! ids without boxing a key and one key `Value` is materialized per *group
+//! that needs it*.
 //!
 //! **Safety contract (what keeps columnar ≡ row byte-identical):** a
 //! kernel compiles only when per-row evaluation provably cannot error —
@@ -35,13 +39,18 @@ use crate::calculus::compile::{BoolExpr, Instr, Operand, Program};
 use crate::calculus::eval::{lowercase_is_identity, prefix_end, uppercase_is_identity};
 use crate::calculus::{BinOp, Func};
 
-/// A resolved column reference: a flat index into the kernel's typed bind
-/// list. The batch column it came from lives in the bind list, so the
-/// runtime reference is just the flat index.
+/// A resolved column reference: the environment slot it reads and a flat
+/// index into the kernel's typed bind list. The batch column it came from
+/// lives in the bind list, so the runtime reference is just the index.
 #[derive(Debug, Clone, Copy)]
 struct ColRef {
+    slot: u8,
     col: u32,
 }
+
+/// The row each environment slot is at: a one-slot kernel reads slot 0, a
+/// pair kernel reads its left batch at slot 0 and its right at slot 1.
+type At = [usize; 2];
 
 /// Static cell type of a referenced column, fixed at kernel-compile time
 /// from the actual batch.
@@ -91,16 +100,45 @@ impl NumExpr {
         }
     }
 
+    /// The environment slots the expression reads, as a bit mask.
+    fn reads(&self) -> u8 {
+        match self {
+            NumExpr::IntCol(r) | NumExpr::FloatCol(r) => 1 << r.slot,
+            NumExpr::IntConst(_) | NumExpr::FloatConst(_) => 0,
+            NumExpr::Bin { l, r, .. } => l.reads() | r.reads(),
+        }
+    }
+
+    /// How a filter over `cols` reads the expression as `i64`; `first`
+    /// holds the first entry's rows.
+    fn reader_i<'r>(&'r self, cols: &'r Bound<'_>, first: At) -> Reader<'r, i64> {
+        match self {
+            _ if self.reads() & cols.varying == 0 => Reader::Fixed(self.eval_i(cols, first)),
+            NumExpr::IntCol(r) => Reader::Col(cols.ints(*r)),
+            _ => Reader::Eval(Box::new(move |at| self.eval_i(cols, at))),
+        }
+    }
+
+    /// How a filter over `cols` reads the expression as `f64`; `first`
+    /// holds the first entry's rows.
+    fn reader_f<'r>(&'r self, cols: &'r Bound<'_>, first: At) -> Reader<'r, f64> {
+        match self {
+            _ if self.reads() & cols.varying == 0 => Reader::Fixed(self.eval_f(cols, first)),
+            NumExpr::FloatCol(r) => Reader::Col(cols.floats(*r)),
+            _ => Reader::Eval(Box::new(move |at| self.eval_f(cols, at))),
+        }
+    }
+
     /// Evaluate as `i64` (valid only when [`NumExpr::is_int`]); `None` is
     /// NULL. Mirrors `eval_binop`'s wrapping integer arithmetic.
     #[inline]
-    fn eval_i(&self, cols: &Bound<'_>, i: usize) -> Option<i64> {
+    fn eval_i(&self, cols: &Bound<'_>, at: At) -> Option<i64> {
         match self {
-            NumExpr::IntCol(r) => cols.int(*r, i),
+            NumExpr::IntCol(r) => cols.ints(*r).get(at).copied(),
             NumExpr::IntConst(v) => Some(*v),
             NumExpr::Bin { op, l, r, .. } => {
-                let a = l.eval_i(cols, i)?;
-                let b = r.eval_i(cols, i)?;
+                let a = l.eval_i(cols, at)?;
+                let b = r.eval_i(cols, at)?;
                 Some(match op {
                     BinOp::Add => a.wrapping_add(b),
                     BinOp::Sub => a.wrapping_sub(b),
@@ -117,16 +155,16 @@ impl NumExpr {
     /// Evaluate as `f64`, widening like `eval_binop` (`i as f64`); `None`
     /// is NULL (including division by zero).
     #[inline]
-    fn eval_f(&self, cols: &Bound<'_>, i: usize) -> Option<f64> {
+    fn eval_f(&self, cols: &Bound<'_>, at: At) -> Option<f64> {
         match self {
-            NumExpr::IntCol(r) => cols.int(*r, i).map(|v| v as f64),
-            NumExpr::FloatCol(r) => cols.float(*r, i),
+            NumExpr::IntCol(r) => cols.ints(*r).get(at).map(|&v| v as f64),
+            NumExpr::FloatCol(r) => cols.floats(*r).get(at).copied(),
             NumExpr::IntConst(v) => Some(*v as f64),
             NumExpr::FloatConst(v) => Some(*v),
-            NumExpr::Bin { int: true, .. } => self.eval_i(cols, i).map(|v| v as f64),
+            NumExpr::Bin { int: true, .. } => self.eval_i(cols, at).map(|v| v as f64),
             NumExpr::Bin { op, l, r, .. } => {
-                let a = l.eval_f(cols, i)?;
-                let b = r.eval_f(cols, i)?;
+                let a = l.eval_f(cols, at)?;
+                let b = r.eval_f(cols, at)?;
                 match op {
                     BinOp::Add => Some(a + b),
                     BinOp::Sub => Some(a - b),
@@ -141,6 +179,29 @@ impl NumExpr {
     }
 }
 
+/// How a filter reads a numeric operand at each entry of a selection;
+/// `None` is NULL.
+enum Reader<'r, T> {
+    /// The same value at every entry: a constant, or an operand over the
+    /// rows the selection holds fixed (the left row of a pair refinement).
+    Fixed(Option<T>),
+    /// A column, read in place.
+    Col(Cells<'r, T>),
+    /// Arithmetic, or a column widened to `f64`, evaluated per entry.
+    Eval(Box<dyn Fn(At) -> Option<T> + 'r>),
+}
+
+impl<T: Copy> Reader<'_, T> {
+    #[inline]
+    fn get(&self, at: At) -> Option<T> {
+        match self {
+            Reader::Fixed(v) => *v,
+            Reader::Col(cells) => cells.get(at).copied(),
+            Reader::Eval(eval) => eval(at),
+        }
+    }
+}
+
 /// A string side of a comparison: a string column or constant.
 #[derive(Debug)]
 enum StrOperand {
@@ -150,9 +211,9 @@ enum StrOperand {
 
 impl StrOperand {
     #[inline]
-    fn get<'a>(&'a self, cols: &Bound<'a>, i: usize) -> Option<&'a str> {
+    fn get<'a>(&'a self, cols: &Bound<'a>, at: At) -> Option<&'a str> {
         match self {
-            StrOperand::Col(r) => cols.str(*r, i),
+            StrOperand::Col(r) => cols.strs(*r).get(at).map(|s| s.as_ref()),
             StrOperand::Const(s) => Some(s),
         }
     }
@@ -219,20 +280,64 @@ enum CmpAtom {
 
 impl CmpAtom {
     #[inline]
-    fn eval(&self, cols: &Bound<'_>, i: usize) -> bool {
+    fn eval(&self, cols: &Bound<'_>, at: At) -> bool {
         match self {
-            CmpAtom::IntInt { op, l, r } => match (l.eval_i(cols, i), r.eval_i(cols, i)) {
+            CmpAtom::IntInt { op, l, r } => match (l.eval_i(cols, at), r.eval_i(cols, at)) {
                 (Some(a), Some(b)) => ord_cmp(*op, a.cmp(&b)),
                 (a, b) => null_cmp(*op, a.is_none(), b.is_none()),
             },
-            CmpAtom::Num { op, l, r } => match (l.eval_f(cols, i), r.eval_f(cols, i)) {
+            CmpAtom::Num { op, l, r } => match (l.eval_f(cols, at), r.eval_f(cols, at)) {
                 (Some(a), Some(b)) => float_cmp_total(*op, a, b),
                 (a, b) => null_cmp(*op, a.is_none(), b.is_none()),
             },
-            CmpAtom::Str { op, l, r } => match (l.get(cols, i), r.get(cols, i)) {
+            CmpAtom::Str { op, l, r } => match (l.get(cols, at), r.get(cols, at)) {
                 (Some(a), Some(b)) => ord_cmp(*op, a.cmp(b)),
                 (a, b) => null_cmp(*op, a.is_none(), b.is_none()),
             },
+        }
+    }
+
+    /// Refine a non-empty `sel` to the entries where the atom holds, in
+    /// one loop: an operand the selection holds fixed is evaluated once,
+    /// a column operand is read in place.
+    fn filter(&self, cols: &Bound<'_>, sel: &mut Vec<u32>, at: &impl Fn(u32) -> At) {
+        fn keep<T: Copy>(
+            sel: &mut Vec<u32>,
+            at: &impl Fn(u32) -> At,
+            operands: (Reader<'_, T>, Reader<'_, T>),
+            op: BinOp,
+            holds: impl Fn(T, T) -> bool,
+        ) {
+            let test = |a: Option<T>, b: Option<T>| match (a, b) {
+                (Some(a), Some(b)) => holds(a, b),
+                (a, b) => null_cmp(op, a.is_none(), b.is_none()),
+            };
+            // A column against one value — the dominant shape — gets a loop
+            // of its own.
+            match operands {
+                (Reader::Col(a), Reader::Fixed(b)) => {
+                    sel.retain(|&k| test(a.get(at(k)).copied(), b))
+                }
+                (Reader::Fixed(a), Reader::Col(b)) => {
+                    sel.retain(|&k| test(a, b.get(at(k)).copied()))
+                }
+                (a, b) => sel.retain(|&k| {
+                    let at = at(k);
+                    test(a.get(at), b.get(at))
+                }),
+            }
+        }
+        let first = at(sel[0]);
+        match self {
+            CmpAtom::IntInt { op, l, r } => {
+                let operands = (l.reader_i(cols, first), r.reader_i(cols, first));
+                keep(sel, at, operands, *op, |a, b| ord_cmp(*op, a.cmp(&b)))
+            }
+            CmpAtom::Num { op, l, r } => {
+                let operands = (l.reader_f(cols, first), r.reader_f(cols, first));
+                keep(sel, at, operands, *op, |a, b| float_cmp_total(*op, a, b))
+            }
+            CmpAtom::Str { .. } => sel.retain(|&k| self.eval(cols, at(k))),
         }
     }
 }
@@ -250,30 +355,31 @@ enum BoolKernel {
 
 impl BoolKernel {
     #[inline]
-    fn eval_row(&self, cols: &Bound<'_>, i: usize) -> bool {
+    fn eval_row(&self, cols: &Bound<'_>, at: At) -> bool {
         match self {
-            BoolKernel::Cmp(a) => a.eval(cols, i),
-            BoolKernel::Not(k) => !k.eval_row(cols, i),
-            BoolKernel::AllOf(ks) => ks.iter().all(|k| k.eval_row(cols, i)),
-            BoolKernel::AnyOf(ks) => ks.iter().any(|k| k.eval_row(cols, i)),
+            BoolKernel::Cmp(a) => a.eval(cols, at),
+            BoolKernel::Not(k) => !k.eval_row(cols, at),
+            BoolKernel::AllOf(ks) => ks.iter().all(|k| k.eval_row(cols, at)),
+            BoolKernel::AnyOf(ks) => ks.iter().any(|k| k.eval_row(cols, at)),
         }
     }
 
-    /// Refine `sel` to the rows where the kernel holds. A conjunction runs
+    /// Refine `sel` — ascending entries, each naming the rows `at` maps it
+    /// to — to the entries where the kernel holds. A conjunction runs
     /// atom-by-atom over the shrinking selection, a disjunction runs
     /// branch-by-branch over the shrinking *undecided* set (each branch
-    /// only sees rows no earlier branch accepted) — so every comparison
+    /// only sees entries no earlier branch accepted) — so every comparison
     /// atom is one tight `retain` loop over its columns, never a per-row
     /// recursive tree walk. Atoms are total, so decomposition order is
     /// unobservable.
-    fn filter(&self, cols: &Bound<'_>, sel: &mut Vec<u32>) {
+    fn filter(&self, cols: &Bound<'_>, sel: &mut Vec<u32>, at: &impl Fn(u32) -> At) {
         match self {
             BoolKernel::AllOf(ks) => {
                 for k in ks {
                     if sel.is_empty() {
                         return;
                     }
-                    k.filter(cols, sel);
+                    k.filter(cols, sel, at);
                 }
             }
             BoolKernel::AnyOf(ks) => {
@@ -284,7 +390,7 @@ impl BoolKernel {
                         break;
                     }
                     let mut pass = pending.clone();
-                    k.filter(cols, &mut pass);
+                    k.filter(cols, &mut pass, at);
                     if pass.len() == pending.len() {
                         // Branch accepted everything: done.
                         accepted.extend_from_slice(&pass);
@@ -307,8 +413,8 @@ impl BoolKernel {
                 accepted.sort_unstable();
                 *sel = accepted;
             }
-            BoolKernel::Cmp(a) => sel.retain(|&i| a.eval(cols, i as usize)),
-            other => sel.retain(|&i| other.eval_row(cols, i as usize)),
+            BoolKernel::Cmp(a) if !sel.is_empty() => a.filter(cols, sel, at),
+            other => sel.retain(|&i| other.eval_row(cols, at(i))),
         }
     }
 }
@@ -316,80 +422,133 @@ impl BoolKernel {
 /// Typed column slices resolved once per sweep: kernels index these
 /// directly, so the per-row cost is a slice load plus a null-bit test.
 struct Bound<'a> {
+    /// The slots whose row varies across a selection, as a bit mask: slot
+    /// 0 for a one-slot kernel, slot 1 (the right row) for a pair kernel.
+    varying: u8,
     ints: Vec<(&'a [i64], Option<&'a NullMask>)>,
     floats: Vec<(&'a [f64], Option<&'a NullMask>)>,
     strs: Vec<(&'a [Arc<str>], Option<&'a NullMask>)>,
 }
 
 impl<'a> Bound<'a> {
-    #[inline]
-    fn int(&self, r: ColRef, i: usize) -> Option<i64> {
-        let (data, nulls) = self.ints[r.col as usize];
-        match nulls {
-            Some(m) if m.is_null(i) => None,
-            _ => Some(data[i]),
+    fn ints(&self, r: ColRef) -> Cells<'a, i64> {
+        Cells::new(self.ints[r.col as usize], r)
+    }
+
+    fn floats(&self, r: ColRef) -> Cells<'a, f64> {
+        Cells::new(self.floats[r.col as usize], r)
+    }
+
+    fn strs(&self, r: ColRef) -> Cells<'a, Arc<str>> {
+        Cells::new(self.strs[r.col as usize], r)
+    }
+}
+
+/// One bound column, read at its slot's row.
+#[derive(Clone, Copy)]
+struct Cells<'a, T> {
+    data: &'a [T],
+    nulls: Option<&'a NullMask>,
+    slot: usize,
+}
+
+impl<'a, T> Cells<'a, T> {
+    fn new((data, nulls): (&'a [T], Option<&'a NullMask>), r: ColRef) -> Self {
+        Cells {
+            data,
+            nulls,
+            slot: r.slot as usize,
         }
     }
 
+    /// The cell at the slot's row of `at`; `None` is NULL.
     #[inline]
-    fn float(&self, r: ColRef, i: usize) -> Option<f64> {
-        let (data, nulls) = self.floats[r.col as usize];
-        match nulls {
+    fn get(&self, at: At) -> Option<&'a T> {
+        let i = at[self.slot];
+        match self.nulls {
             Some(m) if m.is_null(i) => None,
-            _ => Some(data[i]),
-        }
-    }
-
-    #[inline]
-    fn str(&self, r: ColRef, i: usize) -> Option<&'a str> {
-        let (data, nulls) = self.strs[r.col as usize];
-        match nulls {
-            Some(m) if m.is_null(i) => None,
-            _ => Some(data[i].as_ref()),
+            _ => Some(&self.data[i]),
         }
     }
 }
 
-/// Shared compile-time state: maps `field` references of the one-slot
-/// environment onto typed bind lists, validating against the concrete
-/// batch schema.
+/// The typed columns a kernel reads, per type in bind order: the
+/// environment slot and the column of that slot's batch.
+#[derive(Debug, Default)]
+struct Binds {
+    ints: Vec<(u8, u32)>,
+    floats: Vec<(u8, u32)>,
+    strs: Vec<(u8, u32)>,
+}
+
+impl Binds {
+    /// Bind against `batches`, one per slot — the schemas the kernel
+    /// compiled against; `None` if a column is missing or its type drifted.
+    fn bind<'a>(&self, batches: &[&'a ColumnBatch], varying: u8) -> Option<Bound<'a>> {
+        let col = |&(slot, c): &(u8, u32)| batches.get(slot as usize)?.columns().get(c as usize);
+        let ints = self.ints.iter().map(|c| match col(c)? {
+            Column::Int { data, nulls } => Some((data.as_slice(), nulls.as_ref())),
+            _ => None,
+        });
+        let floats = self.floats.iter().map(|c| match col(c)? {
+            Column::Float { data, nulls } => Some((data.as_slice(), nulls.as_ref())),
+            _ => None,
+        });
+        let strs = self.strs.iter().map(|c| match col(c)? {
+            Column::Str { data, nulls } => Some((data.as_slice(), nulls.as_ref())),
+            _ => None,
+        });
+        Some(Bound {
+            varying,
+            ints: ints.collect::<Option<_>>()?,
+            floats: floats.collect::<Option<_>>()?,
+            strs: strs.collect::<Option<_>>()?,
+        })
+    }
+}
+
+/// Shared compile-time state: maps `slot.field` references onto typed bind
+/// lists, validating against the concrete batch each slot binds to.
 struct KernelCx<'a> {
-    batch: &'a ColumnBatch,
-    /// Batch column of every reference, in bind order per type.
-    ints: Vec<u32>,
-    floats: Vec<u32>,
-    strs: Vec<u32>,
+    batches: &'a [&'a ColumnBatch],
+    binds: Binds,
 }
 
 impl<'a> KernelCx<'a> {
-    fn new(batch: &'a ColumnBatch) -> Self {
+    fn new(batches: &'a [&'a ColumnBatch]) -> Self {
         KernelCx {
-            batch,
-            ints: Vec::new(),
-            floats: Vec::new(),
-            strs: Vec::new(),
+            batches,
+            binds: Binds::default(),
         }
     }
 
     /// Resolve `slot.field` to a typed reference, registering the column
-    /// for binding. `None` for a slot other than the batch's, a field the
-    /// batch lacks, or an untyped column.
+    /// for binding. `None` for a slot without a batch, a field the batch
+    /// lacks, or an untyped column.
     fn resolve(&mut self, slot: u16, field: &str) -> Option<(ColRef, CellType)> {
-        let col = self.batch.column_index(field).filter(|_| slot == 0)? as u32;
-        let ty = column_type(self.batch.column(col as usize))?;
+        let batch = self.batches.get(slot as usize)?;
+        let col = batch.column_index(field)? as u32;
+        let ty = column_type(batch.column(col as usize))?;
         let list = match ty {
-            CellType::Int => &mut self.ints,
-            CellType::Float => &mut self.floats,
-            CellType::Str => &mut self.strs,
+            CellType::Int => &mut self.binds.ints,
+            CellType::Float => &mut self.binds.floats,
+            CellType::Str => &mut self.binds.strs,
         };
-        let idx = match list.iter().position(|&c| c == col) {
+        let bind = (slot as u8, col);
+        let idx = match list.iter().position(|&b| b == bind) {
             Some(i) => i as u32,
             None => {
-                list.push(col);
+                list.push(bind);
                 (list.len() - 1) as u32
             }
         };
-        Some((ColRef { col: idx }, ty))
+        Some((
+            ColRef {
+                slot: bind.0,
+                col: idx,
+            },
+            ty,
+        ))
     }
 
     fn num_operand(&mut self, op: &Operand) -> Option<NumExpr> {
@@ -401,23 +560,26 @@ impl<'a> KernelCx<'a> {
                 (r, CellType::Float) => Some(NumExpr::FloatCol(r)),
                 _ => None,
             },
-            Operand::Bin { op, l, r } => {
-                if !matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div) {
-                    return None;
-                }
-                let l = self.num_operand(l)?;
-                let r = self.num_operand(r)?;
-                let int = l.is_int() && r.is_int() && *op != BinOp::Div;
-                Some(NumExpr::Bin {
-                    op: *op,
-                    int,
-                    l: Box::new(l),
-                    r: Box::new(r),
-                })
-            }
+            Operand::Bin { op, l, r } => self.arith(*op, l, r),
             // Whole-row slots and non-scalar constants stay on the row path.
             _ => None,
         }
+    }
+
+    /// Lower `l op r` for an arithmetic `op` over numeric operands.
+    fn arith(&mut self, op: BinOp, l: &Operand, r: &Operand) -> Option<NumExpr> {
+        if !matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div) {
+            return None;
+        }
+        let l = self.num_operand(l)?;
+        let r = self.num_operand(r)?;
+        let int = l.is_int() && r.is_int() && op != BinOp::Div;
+        Some(NumExpr::Bin {
+            op,
+            int,
+            l: Box::new(l),
+            r: Box::new(r),
+        })
     }
 
     fn str_operand(&mut self, op: &Operand) -> Option<StrOperand> {
@@ -480,32 +642,19 @@ impl<'a> KernelCx<'a> {
         }
     }
 
-    /// Bind the registered references against `batch` (the schema the
-    /// kernel compiled against); `None` if a column's type drifted.
-    fn bind_lists(
-        ints: &[u32],
-        floats: &[u32],
-        strs: &[u32],
-        batch: &'a ColumnBatch,
-    ) -> Option<Bound<'a>> {
-        let col = |c: &u32| batch.column(*c as usize);
-        let ints = ints.iter().map(|c| match col(c) {
-            Column::Int { data, nulls } => Some((data.as_slice(), nulls.as_ref())),
-            _ => None,
-        });
-        let floats = floats.iter().map(|c| match col(c) {
-            Column::Float { data, nulls } => Some((data.as_slice(), nulls.as_ref())),
-            _ => None,
-        });
-        let strs = strs.iter().map(|c| match col(c) {
-            Column::Str { data, nulls } => Some((data.as_slice(), nulls.as_ref())),
-            _ => None,
-        });
-        Some(Bound {
-            ints: ints.collect::<Option<_>>()?,
-            floats: floats.collect::<Option<_>>()?,
-            strs: strs.collect::<Option<_>>()?,
-        })
+    /// Lower a fused predicate program whose slots bind to `batches`, one
+    /// batch per environment variable.
+    fn predicate(program: &Program, batches: &'a [&'a ColumnBatch]) -> Option<(BoolKernel, Binds)> {
+        if program.scope_len() != batches.len() {
+            return None;
+        }
+        let mut cx = KernelCx::new(batches);
+        let root = match program.instrs() {
+            [Instr::Pred(p)] => cx.bool_kernel(p)?,
+            [Instr::BinFused { op, lhs, rhs }] => BoolKernel::Cmp(cx.cmp(*op, lhs, rhs)?),
+            _ => return None,
+        };
+        Some((root, cx.binds))
     }
 }
 
@@ -513,9 +662,7 @@ impl<'a> KernelCx<'a> {
 /// a selection vector over the whole typed columns of one batch.
 pub struct PredKernel {
     root: BoolKernel,
-    ints: Vec<u32>,
-    floats: Vec<u32>,
-    strs: Vec<u32>,
+    binds: Binds,
 }
 
 impl PredKernel {
@@ -523,32 +670,177 @@ impl PredKernel {
     /// `None` when the program is not a single fused predicate over one
     /// variable, or any reference fails to resolve to a typed column.
     pub fn compile(program: &Program, batch: &ColumnBatch) -> Option<PredKernel> {
-        if program.scope_len() != 1 {
-            return None;
-        }
-        let mut cx = KernelCx::new(batch);
-        let root = match program.instrs() {
-            [Instr::Pred(p)] => cx.bool_kernel(p)?,
-            [Instr::BinFused { op, lhs, rhs }] => BoolKernel::Cmp(cx.cmp(*op, lhs, rhs)?),
-            _ => return None,
-        };
-        Some(PredKernel {
-            root,
-            ints: cx.ints,
-            floats: cx.floats,
-            strs: cx.strs,
-        })
+        let (root, binds) = KernelCx::predicate(program, &[batch])?;
+        Some(PredKernel { root, binds })
     }
 
     /// Refine `sel` to the rows where the predicate is truthy. `batch`
     /// must have the schema the kernel compiled against (returns `false`
     /// untouched otherwise, so the caller can fall back).
     pub fn filter(&self, batch: &ColumnBatch, sel: &mut Vec<u32>) -> bool {
-        let Some(bound) = KernelCx::bind_lists(&self.ints, &self.floats, &self.strs, batch) else {
+        let Some(bound) = self.binds.bind(&[batch], 0b01) else {
             return false;
         };
-        self.root.filter(&bound, sel);
+        self.root.filter(&bound, sel, &|i| [i as usize, 0]);
         true
+    }
+}
+
+/// A theta join's predicate over the `(left, right)` environment, lowered
+/// against one batch per side: slot 0 reads the left batch, slot 1 the
+/// right. [`BoundPair::refine`] tests one left row against a selection of
+/// right rows — what the row path's pair evaluation makes truthy, by the
+/// same comparison rules as [`PredKernel`].
+pub struct PairKernel {
+    root: BoolKernel,
+    binds: Binds,
+}
+
+impl PairKernel {
+    /// Lower `program` (compiled against the concatenated two-variable
+    /// layout) against the sides' batches. `None` as for
+    /// [`PredKernel::compile`].
+    pub fn compile(
+        program: &Program,
+        left: &ColumnBatch,
+        right: &ColumnBatch,
+    ) -> Option<PairKernel> {
+        let (root, binds) = KernelCx::predicate(program, &[left, right])?;
+        Some(PairKernel { root, binds })
+    }
+
+    /// The kernel over the columns of `left` and `right`; `None` unless they
+    /// have the schemas it compiled against.
+    pub fn bind<'a>(
+        &'a self,
+        left: &'a ColumnBatch,
+        right: &'a ColumnBatch,
+    ) -> Option<BoundPair<'a>> {
+        Some(BoundPair {
+            root: &self.root,
+            cols: self.binds.bind(&[left, right], 0b10)?,
+        })
+    }
+}
+
+/// A [`PairKernel`] with its two sides' columns resolved.
+pub struct BoundPair<'a> {
+    root: &'a BoolKernel,
+    cols: Bound<'a>,
+}
+
+impl BoundPair<'_> {
+    /// Refine `sel` — ascending entries, entry `k` naming right row
+    /// `right(k)` — to the entries whose right row satisfies the predicate
+    /// with left row `left`.
+    pub fn refine(&self, left: u32, sel: &mut Vec<u32>, right: impl Fn(u32) -> u32) {
+        let at = |k| [left as usize, right(k) as usize];
+        self.root.filter(&self.cols, sel, &at);
+    }
+}
+
+/// The kinds of value a theta side's join keys took.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct KeyKinds {
+    /// Some key was a string (keyed by its order-preserving prefix).
+    pub text: bool,
+    /// Some key was a number.
+    pub numeric: bool,
+}
+
+impl KeyKinds {
+    /// The kinds of two sets of keys together.
+    pub fn merge(self, other: KeyKinds) -> KeyKinds {
+        KeyKinds {
+            text: self.text || other.text,
+            numeric: self.numeric || other.numeric,
+        }
+    }
+
+    /// The key domain two sides can prune in — `Some(true)` for prefix
+    /// keys of strings, `Some(false)` for numbers — or `None` when a side
+    /// mixes the two or the sides differ: mixed keys have no common order
+    /// to prune by.
+    pub fn domain(left: KeyKinds, right: KeyKinds) -> Option<bool> {
+        let mixed = |k: KeyKinds| k.text && k.numeric;
+        (!mixed(left) && !mixed(right) && left.text == right.text).then_some(left.text)
+    }
+}
+
+/// A theta join key lowered against one side's batch: a numeric column
+/// expression (a column, or arithmetic over columns and constants) or a
+/// string column.
+pub struct KeyKernel {
+    key: KeyExpr,
+    binds: Binds,
+}
+
+enum KeyExpr {
+    Num(NumExpr),
+    Str(StrOperand),
+}
+
+impl KeyKernel {
+    /// Lower a key `program` over one variable against `batch`. `None` for
+    /// any other shape, or a reference that does not resolve to a typed
+    /// column.
+    pub fn compile(program: &Program, batch: &ColumnBatch) -> Option<KeyKernel> {
+        if program.scope_len() != 1 {
+            return None;
+        }
+        let batches = [batch];
+        let mut cx = KernelCx::new(&batches);
+        let key = match program.instrs() {
+            [Instr::SlotField { slot, field, .. }] => match cx.resolve(*slot, field)? {
+                (r, CellType::Int) => KeyExpr::Num(NumExpr::IntCol(r)),
+                (r, CellType::Float) => KeyExpr::Num(NumExpr::FloatCol(r)),
+                (r, CellType::Str) => KeyExpr::Str(StrOperand::Col(r)),
+            },
+            [Instr::BinFused { op, lhs, rhs }] => KeyExpr::Num(cx.arith(*op, lhs, rhs)?),
+            _ => return None,
+        };
+        Some(KeyKernel {
+            key,
+            binds: cx.binds,
+        })
+    }
+
+    /// The keys of rows `sel` of `batch`, each with its row, as the pruning
+    /// strategies read a key: a number as itself but NaN as +∞ (NaN sorts
+    /// after every number in the engine's total order), a string as its
+    /// order-preserving prefix key, NULL as NaN (NULL satisfies no
+    /// inequality, so where its key lands cannot lose a pair). `kinds`
+    /// notes what the keys were. `None` unless `batch` has the schema the
+    /// kernel compiled against.
+    pub fn keys(
+        &self,
+        batch: &ColumnBatch,
+        sel: &[u32],
+        kinds: &mut KeyKinds,
+    ) -> Option<Vec<(f64, u32)>> {
+        let cols = self.binds.bind(&[batch], 0b01)?;
+        let mut key = |i: u32| {
+            let at = [i as usize, 0];
+            match &self.key {
+                KeyExpr::Num(e) => e.eval_f(&cols, at).map(|f| {
+                    kinds.numeric = true;
+                    if f.is_nan() {
+                        f64::INFINITY
+                    } else {
+                        f
+                    }
+                }),
+                KeyExpr::Str(s) => s.get(&cols, at).map(|s| {
+                    kinds.text = true;
+                    cleanm_stats::string_key(s)
+                }),
+            }
+        };
+        Some(
+            sel.iter()
+                .map(|&i| (key(i).unwrap_or(f64::NAN), i))
+                .collect(),
+        )
     }
 }
 
@@ -1277,6 +1569,64 @@ mod tests {
         }
         let prog = Program::compile(&col("s"), &scope, &ctx).unwrap();
         assert!(ColumnProgram::lower(&prog, &batch).is_some());
+    }
+
+    #[test]
+    fn pair_kernel_refines_as_pair_evaluation_does() {
+        let bal = [
+            Value::Null,
+            Value::Float(f64::NAN),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+        ];
+        let rows: Vec<Value> = (0..48i64)
+            .map(|i| {
+                Value::record([
+                    ("id", Value::Int(i)),
+                    ("bal", bal[i as usize % 4].clone()),
+                    ("seg", Value::str(if i % 3 == 0 { "A" } else { "B" })),
+                ])
+            })
+            .collect();
+        let batch = ColumnBatch::from_rows(&rows).unwrap();
+        let col = |v: &str, f: &str| CalcExpr::proj(CalcExpr::var(v), f);
+        // (a.bal * 2 <= b.bal or a.seg = b.seg) and a.id != b.id + 1
+        let e = CalcExpr::bin(
+            BinOp::And,
+            CalcExpr::bin(
+                BinOp::Or,
+                CalcExpr::bin(
+                    BinOp::Le,
+                    CalcExpr::bin(BinOp::Mul, col("a", "bal"), CalcExpr::int(2)),
+                    col("b", "bal"),
+                ),
+                CalcExpr::bin(BinOp::Eq, col("a", "seg"), col("b", "seg")),
+            ),
+            CalcExpr::bin(
+                BinOp::Ne,
+                col("a", "id"),
+                CalcExpr::bin(BinOp::Add, col("b", "id"), CalcExpr::int(1)),
+            ),
+        );
+        let ctx = EvalCtx::new();
+        let prog = Program::compile(&e, &["a".to_string(), "b".to_string()], &ctx).unwrap();
+        let kernel = PairKernel::compile(&prog, &batch, &batch).expect("pair predicate lowers");
+        let pair = kernel.bind(&batch, &batch).unwrap();
+        // A block of right rows in no particular order, as a bucket holds them.
+        let block: Vec<u32> = (0..rows.len() as u32).rev().step_by(3).collect();
+        let mut scratch = Vec::new();
+        for left in 0..rows.len() {
+            let mut sel: Vec<u32> = (0..block.len() as u32).collect();
+            pair.refine(left as u32, &mut sel, |k| block[k as usize]);
+            let want: Vec<u32> = (0..block.len() as u32)
+                .filter(|&k| {
+                    let (l, r) = (left, block[k as usize] as usize);
+                    let v = prog.eval_pair(&rows[l..=l], &rows[r..=r], &ctx, &mut scratch);
+                    truthy(&v.unwrap())
+                })
+                .collect();
+            assert_eq!(sel, want, "left row {left}");
+        }
     }
 
     #[test]

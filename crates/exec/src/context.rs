@@ -111,16 +111,6 @@ impl ExecContext {
         ExecContext::build(workers, partitions, Some(budget))
     }
 
-    /// A context whose queries must finish within `deadline` of this call,
-    /// after which cooperative check points fail with
-    /// [`ExecError::DeadlineExceeded`]. Re-arm per query with
-    /// [`ExecContext::set_deadline`].
-    pub fn with_deadline(workers: usize, partitions: usize, deadline: Duration) -> Arc<Self> {
-        let ctx = ExecContext::build(workers, partitions, None);
-        ctx.set_deadline(deadline);
-        ctx
-    }
-
     /// Sensible local default: one worker per available core, 2 partitions
     /// per worker.
     pub fn local() -> Arc<Self> {
@@ -340,11 +330,6 @@ impl ExecContext {
         }
     }
 
-    /// Restore the budget to a fixed value (between benchmark repetitions).
-    pub fn reset_budget(&self, budget: u64) {
-        self.budget_remaining.store(budget, Ordering::Relaxed);
-    }
-
     /// Arm the work budget at `budget` units on a context built without
     /// one — per-query resource limits (`CleanDb::run_with_limits`) use
     /// this to cap a single run.
@@ -413,14 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_budget_restores() {
-        let ctx = ExecContext::with_budget(1, 1, 10);
-        ctx.consume_budget("t", 10).unwrap();
-        ctx.reset_budget(10);
-        ctx.consume_budget("t", 10).unwrap();
-    }
-
-    #[test]
     #[should_panic]
     fn zero_workers_panics() {
         let _ = ExecContext::new(0, 1);
@@ -444,7 +421,8 @@ mod tests {
 
     #[test]
     fn deadline_expires_and_clears() {
-        let ctx = ExecContext::with_deadline(1, 1, Duration::ZERO);
+        let ctx = ExecContext::new(1, 1);
+        ctx.set_deadline(Duration::ZERO);
         assert_eq!(
             ctx.check_interrupt("t").unwrap_err(),
             ExecError::DeadlineExceeded { operator: "t" }

@@ -132,12 +132,6 @@ impl<T: Data> Dataset<T> {
         self.parts.iter().map(|p| p.len()).sum()
     }
 
-    /// Sizes of the individual partitions — used by tests and by skew
-    /// reports.
-    pub fn partition_sizes(&self) -> Vec<usize> {
-        self.parts.iter().map(|p| p.len()).collect()
-    }
-
     /// Gather the partitions themselves, preserving partition structure —
     /// for callers that assert on the physical layout (shuffle determinism
     /// tests, skew reports).
@@ -562,8 +556,9 @@ mod tests {
         let ds = Dataset::from_vec(&ctx(), (0..10).collect());
         assert_eq!(ds.num_partitions(), 4);
         assert_eq!(ds.count(), 10);
-        assert_eq!(ds.partition_sizes(), vec![3, 3, 3, 1]);
-        assert_eq!(ds.collect(), (0..10).collect::<Vec<_>>());
+        let parts = ds.collect_partitions();
+        assert_eq!(parts.iter().map(Vec::len).collect::<Vec<_>>(), [3, 3, 3, 1]);
+        assert_eq!(parts.concat(), (0..10).collect::<Vec<_>>());
     }
 
     #[test]

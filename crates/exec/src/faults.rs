@@ -181,14 +181,6 @@ impl FaultPlan {
     pub fn injected_at(&self, site: FaultSite) -> u64 {
         self.injected[site.index()].load(Ordering::Relaxed)
     }
-
-    /// Total arm firings across all sites.
-    pub fn total_injected(&self) -> u64 {
-        self.injected
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
 }
 
 /// SplitMix64: the standard 64-bit finalizer, good enough to derive
@@ -214,7 +206,6 @@ mod tests {
         );
         assert_eq!(plan.check(FaultSite::ShuffleScatter, 2, 0), None);
         assert_eq!(plan.injected_at(FaultSite::PartitionStart), 1);
-        assert_eq!(plan.total_injected(), 1);
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //! estimate, so a hopeless plan fails fast with
 //! [`ExecError::BudgetExceeded`](crate::ExecError) rather than running for
 //! hours — mirroring the paper's ">10h" / "unable to terminate" entries.
+//!
+//! They differ only in which pairs they enumerate. The pair test is the
+//! caller's `verify(t, block, out)`: push onto `out`, in `block` order, every
+//! `(t, u)` with `u` in `block` that satisfies the join predicate — one call
+//! per left record and block of right records, so a caller can test a whole
+//! block at once. [`pairwise`] makes one from a predicate over single pairs.
 
 use crate::dataset::{Data, Dataset};
 use crate::error::ExecResult;
@@ -26,12 +32,26 @@ use crate::pool::run_partitions;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// The block test of a predicate over single pairs: `(t, u)` for every `u`
+/// of the block with `pred(t, u)`, in block order.
+pub fn pairwise<T: Data, U: Data>(
+    pred: impl Fn(&T, &U) -> bool + Sync,
+) -> impl Fn(&T, &[U], &mut Vec<(T, U)>) + Sync {
+    move |t, block, out| {
+        for u in block {
+            if pred(t, u) {
+                out.push((t.clone(), u.clone()));
+            }
+        }
+    }
+}
+
 /// Full cross product + filter. Work = `|L| × |R|` comparisons, consumed
 /// from the budget before any work happens.
 pub fn cartesian_filter<T: Data, U: Data>(
     left: Dataset<T>,
     right: Dataset<U>,
-    pred: impl Fn(&T, &U) -> bool + Sync,
+    verify: impl Fn(&T, &[U], &mut Vec<(T, U)>) + Sync,
 ) -> ExecResult<Dataset<(T, U)>> {
     let ctx = left.ctx.clone();
     let start = Instant::now();
@@ -46,11 +66,7 @@ pub fn cartesian_filter<T: Data, U: Data>(
     let (parts, busy) = run_partitions(&ctx, "cartesian_filter", left.parts, |_, lp| {
         let mut out = Vec::new();
         for t in &lp {
-            for u in broadcast.iter() {
-                if pred(t, u) {
-                    out.push((t.clone(), u.clone()));
-                }
-            }
+            verify(t, &broadcast, &mut out);
         }
         out
     })?;
@@ -79,7 +95,7 @@ pub fn minmax_block_join<T: Data, U: Data>(
     key_l: impl Fn(&T) -> f64 + Sync,
     key_r: impl Fn(&U) -> f64 + Sync,
     ranges_compatible: impl Fn((f64, f64), (f64, f64)) -> bool + Sync,
-    pred: impl Fn(&T, &U) -> bool + Sync,
+    verify: impl Fn(&T, &[U], &mut Vec<(T, U)>) + Sync,
 ) -> ExecResult<Dataset<(T, U)>> {
     let ctx = left.ctx.clone();
     let start = Instant::now();
@@ -139,11 +155,7 @@ pub fn minmax_block_join<T: Data, U: Data>(
         let mut out = Vec::new();
         for (i, j) in assigned {
             for t in &left[i] {
-                for u in &right[j] {
-                    if pred(t, u) {
-                        out.push((t.clone(), u.clone()));
-                    }
-                }
+                verify(t, &right[j], &mut out);
             }
         }
         out
@@ -177,7 +189,7 @@ pub fn mbucket_join<T: Data, U: Data>(
     key_l: impl Fn(&T) -> f64 + Sync,
     key_r: impl Fn(&U) -> f64 + Sync,
     cell_compatible: impl Fn((f64, f64), (f64, f64)) -> bool + Sync,
-    pred: impl Fn(&T, &U) -> bool + Sync,
+    verify: impl Fn(&T, &[U], &mut Vec<(T, U)>) + Sync,
     buckets_per_side: Option<usize>,
 ) -> ExecResult<Dataset<(T, U)>> {
     let buckets = buckets_per_side.unwrap_or(left.ctx.workers() * 4).max(1);
@@ -203,7 +215,7 @@ pub fn mbucket_join<T: Data, U: Data>(
             .map(|i| keys[i * keys.len() / buckets])
             .collect()
     };
-    mbucket_join_with_bounds(left, right, key_l, key_r, cell_compatible, pred, bounds)
+    mbucket_join_with_bounds(left, right, key_l, key_r, cell_compatible, verify, bounds)
 }
 
 /// [`mbucket_join`] with caller-supplied matrix boundaries — the entry point
@@ -216,7 +228,7 @@ pub fn mbucket_join_with_bounds<T: Data, U: Data>(
     key_l: impl Fn(&T) -> f64 + Sync,
     key_r: impl Fn(&U) -> f64 + Sync,
     cell_compatible: impl Fn((f64, f64), (f64, f64)) -> bool + Sync,
-    pred: impl Fn(&T, &U) -> bool + Sync,
+    verify: impl Fn(&T, &[U], &mut Vec<(T, U)>) + Sync,
     mut bounds: Vec<f64>,
 ) -> ExecResult<Dataset<(T, U)>> {
     let ctx = left.ctx.clone();
@@ -306,11 +318,7 @@ pub fn mbucket_join_with_bounds<T: Data, U: Data>(
         let mut out = Vec::new();
         for cell in assigned {
             for t in &l_buckets[cell.l_bucket] {
-                for u in &r_buckets[cell.r_bucket] {
-                    if pred(t, u) {
-                        out.push((t.clone(), u.clone()));
-                    }
-                }
+                verify(t, &r_buckets[cell.r_bucket], &mut out);
             }
         }
         out
@@ -364,7 +372,7 @@ mod tests {
         let cart = cartesian_filter(
             Dataset::from_vec(&c, l.clone()),
             Dataset::from_vec(&c, r.clone()),
-            |a, b| a < b,
+            pairwise(|a, b| a < b),
         )
         .unwrap();
         assert_eq!(sorted(cart.collect()), expected);
@@ -375,7 +383,7 @@ mod tests {
             |&a| a as f64,
             |&b| b as f64,
             |(lmin, _), (_, rmax)| lmin < rmax,
-            |a, b| a < b,
+            pairwise(|a, b| a < b),
         )
         .unwrap();
         assert_eq!(sorted(mm.collect()), expected);
@@ -386,7 +394,7 @@ mod tests {
             |&a| a as f64,
             |&b| b as f64,
             |(lmin, _), (_, rmax)| lmin < rmax,
-            |a, b| a < b,
+            pairwise(|a, b| a < b),
             None,
         )
         .unwrap();
@@ -399,7 +407,7 @@ mod tests {
         let l = Dataset::from_vec(&c, (0i64..100).collect());
         let r = Dataset::from_vec(&c, (0i64..100).collect());
         // 100*100 = 10_000 > 1_000: fails fast.
-        let err = cartesian_filter(l, r, |a, b| a < b).unwrap_err();
+        let err = cartesian_filter(l, r, pairwise(|a, b| a < b)).unwrap_err();
         assert!(matches!(err, ExecError::BudgetExceeded { .. }));
     }
 
@@ -415,7 +423,7 @@ mod tests {
         let err = cartesian_filter(
             Dataset::from_vec(&c1, (0..n).collect()),
             Dataset::from_vec(&c1, (0..n).collect()),
-            |a, b| a < b,
+            pairwise(|a, b| a < b),
         );
         assert!(err.is_err());
 
@@ -426,7 +434,7 @@ mod tests {
             |&a| a as f64,
             |&b| b as f64,
             |(lmin, _), (_, rmax)| lmin < rmax,
-            |a, b| a < b,
+            pairwise(|a, b| a < b),
             Some(16),
         );
         assert!(ok.is_ok(), "{ok:?}");
@@ -446,7 +454,7 @@ mod tests {
             |&a| a as f64,
             |&b| b as f64,
             |(lmin, _), (_, rmax)| lmin < rmax,
-            |a, b| a < b,
+            pairwise(|a, b| a < b),
         );
         assert!(matches!(err, Err(ExecError::BudgetExceeded { .. })));
     }
@@ -463,7 +471,7 @@ mod tests {
             |&a| a as f64,
             |&b| b as f64,
             |(lmin, _), (_, rmax)| lmin < rmax,
-            |a, b| a < b,
+            pairwise(|a, b| a < b),
         )
         .unwrap();
         assert_eq!(out.count(), 200 * 199 / 2);
@@ -479,7 +487,7 @@ mod tests {
             |&a| a as f64,
             |&b| b as f64,
             |_, _| true,
-            |a, b| (a - b).abs() <= 1,
+            pairwise(|a: &i64, b: &i64| (a - b).abs() <= 1),
             Some(16),
         )
         .unwrap();
@@ -513,7 +521,7 @@ mod tests {
             |&a| a as f64,
             |&b| b as f64,
             |(lmin, _), (_, rmax)| lmin < rmax,
-            |a, b| a < b,
+            pairwise(|a, b| a < b),
             bounds,
         )
         .unwrap();
@@ -525,17 +533,19 @@ mod tests {
         let c = ctx();
         let l: Dataset<i64> = Dataset::from_vec(&c, vec![]);
         let r = Dataset::from_vec(&c, vec![1i64]);
-        assert!(cartesian_filter(l.clone(), r.clone(), |_, _| true)
-            .unwrap()
-            .collect()
-            .is_empty());
+        assert!(
+            cartesian_filter(l.clone(), r.clone(), pairwise(|_, _| true))
+                .unwrap()
+                .collect()
+                .is_empty()
+        );
         assert!(mbucket_join(
             l,
             r,
             |&a| a as f64,
             |&b| b as f64,
             |_, _| true,
-            |_, _| true,
+            pairwise(|_, _| true),
             None
         )
         .unwrap()

@@ -202,7 +202,7 @@ proptest! {
         let cart = theta::cartesian_filter(
             Dataset::from_vec(&c, left.clone()),
             Dataset::from_vec(&c, right.clone()),
-            |a, b| a < b,
+            theta::pairwise(|a, b| a < b),
         ).unwrap().collect();
         prop_assert_eq!(sort(cart), expected.clone());
 
@@ -212,7 +212,7 @@ proptest! {
             |&a| a as f64,
             |&b| b as f64,
             |(lmin, _), (_, rmax)| lmin < rmax,
-            |a, b| a < b,
+            theta::pairwise(|a, b| a < b),
         ).unwrap().collect();
         prop_assert_eq!(sort(mm), expected.clone());
 
@@ -222,7 +222,7 @@ proptest! {
             |&a| a as f64,
             |&b| b as f64,
             |(lmin, _), (_, rmax)| lmin < rmax,
-            |a, b| a < b,
+            theta::pairwise(|a, b| a < b),
             Some(7),
         ).unwrap().collect();
         prop_assert_eq!(sort(mb), expected);

@@ -54,9 +54,8 @@ pub fn parse_records(text: &str, delimiter: char) -> Result<Vec<Vec<String>>> {
                         return Err(Error::Parse("quote inside unquoted field".to_string()));
                     }
                 }
-                '\r' => {
-                    // Swallow; the `\n` that follows terminates the record.
-                }
+                // `\r\n` ends a record like `\n`; a lone `\r` is a cell byte.
+                '\r' if chars.peek() == Some(&'\n') => {}
                 '\n' => {
                     record.push(std::mem::take(&mut field));
                     records.push(std::mem::take(&mut record));

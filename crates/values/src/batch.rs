@@ -491,6 +491,35 @@ impl ColumnBatch {
         (0..self.len).map(|i| self.row(i)).collect()
     }
 
+    /// The columns `names` of `parts`, stacked in part order: exactly the
+    /// pivot the concatenated rows would have had — a column that is all
+    /// NULL in one part takes the type of the others, and parts typed
+    /// differently stack as [`Column::Val`]. `None` when a part lacks one
+    /// of the names.
+    pub fn concat(parts: &[&ColumnBatch], names: &[impl AsRef<str>]) -> Option<ColumnBatch> {
+        let first = parts.first()?;
+        let mut out_names = Vec::with_capacity(names.len());
+        let mut cols = Vec::with_capacity(names.len());
+        for name in names {
+            let name = name.as_ref();
+            out_names.push(Arc::clone(&first.names[first.column_index(name)?]));
+            let mut builder = ColumnBuilder::new();
+            for part in parts {
+                let col = part.column(part.column_index(name)?);
+                for i in 0..col.len() {
+                    builder.push(col.value(i));
+                }
+            }
+            cols.push(builder.finish());
+        }
+        let len = parts.iter().map(|p| p.len).sum();
+        Some(ColumnBatch {
+            len,
+            names: out_names,
+            cols,
+        })
+    }
+
     /// Gather the rows selected by `sel` into a new batch.
     pub fn gather(&self, sel: &[u32]) -> ColumnBatch {
         ColumnBatch {
@@ -652,6 +681,37 @@ mod tests {
         assert!(col.value(1).is_null());
         // Exact variant preserved — Int(7), not Float(7.0).
         assert!(matches!(col.value(2), Value::Int(7)));
+    }
+
+    #[test]
+    fn concat_is_the_pivot_of_the_concatenated_rows() {
+        let rec = |a: Value, b: Value| Value::record([("a", a), ("b", b), ("c", Value::Int(0))]);
+        let parts = [
+            vec![
+                rec(Value::Null, Value::Int(1)),
+                rec(Value::Null, Value::Int(2)),
+            ],
+            vec![rec(Value::Float(0.5), Value::str("x"))],
+            vec![rec(Value::Null, Value::Int(3))],
+        ];
+        let batches: Vec<ColumnBatch> = parts
+            .iter()
+            .map(|rows| ColumnBatch::from_rows(rows).unwrap())
+            .collect();
+        assert!(matches!(batches[0].column(0), Column::Val(_)), "all NULL");
+        let refs: Vec<&ColumnBatch> = batches.iter().collect();
+        let stacked = ColumnBatch::concat(&refs, &["b", "a"]).unwrap();
+        let all: Vec<Value> = parts.concat();
+        let pivot = ColumnBatch::project_rows(&all, &["a", "b"]).unwrap();
+        assert_eq!(stacked.len(), 4);
+        assert!(matches!(stacked.column(1), Column::Float { .. }), "typed");
+        assert!(matches!(stacked.column(0), Column::Val(_)), "Int then Str");
+        for (name, col) in ["b", "a"].iter().zip(stacked.columns()) {
+            let want = pivot.column(pivot.column_index(name).unwrap());
+            let cells = |c: &Column| (0..c.len()).map(|i| c.value(i)).collect::<Vec<_>>();
+            assert_eq!(cells(col), cells(want), "{name}");
+        }
+        assert!(ColumnBatch::concat(&refs, &["zz"]).is_none());
     }
 
     #[test]

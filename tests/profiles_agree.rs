@@ -2,11 +2,12 @@
 //! same logical results. These tests pin that invariant across operator
 //! families and datasets.
 
+use cleanm::core::calculus::desugar::ROWID_FIELD;
 use cleanm::core::calculus::BinOp;
 use cleanm::core::ops::dc::pair_ids;
 use cleanm::core::ops::{DcAtom, DcOutcome, DcSide, DcTerm, Dedup, InequalityDc};
 use cleanm::core::physical::{NestStrategy, ThetaStrategy};
-use cleanm::core::{CleanDb, EngineProfile, Planner};
+use cleanm::core::{CleanDb, CleaningReport, EngineProfile, Planner};
 use cleanm::datagen::customer::CustomerGen;
 use cleanm::datagen::mag::MagGen;
 use cleanm::datagen::tpch::{LineitemGen, NoiseColumn};
@@ -223,21 +224,36 @@ fn fd_and_inequality_dc_in_one_statement_identical_across_profiles() {
 // ---------------------------------------------------------------------
 // Denial constraints on generated tables and predicates: the query text
 // at every point of the policy space and worker count, the typed rule, and
-// a nested loop over the rule's own atoms all name the same pairs.
+// a nested loop over the rule's own atoms all name the same pairs. A theta
+// join runs by column exactly when the planner fuses and the input lowers,
+// and then in the order, and with the comparisons, of the row route.
 // ---------------------------------------------------------------------
 
-/// Float columns `a`, `b` (NULL, NaN, ties) and an int column `c`.
-fn dc_rows() -> impl Strategy<Value = Vec<Row>> {
+/// Rows `(a, b, c, s)`: float columns `a`, `b` (NULL, NaN, ±0, ties), an
+/// int column `c`, and a text column `s` whose strings share a prefix
+/// longer than a prefix key.
+fn dc_rows() -> impl Strategy<Value = Vec<[Value; 4]>> {
     let float = || {
         prop_oneof![
             Just(Value::Null),
             Just(Value::Float(f64::NAN)),
+            Just(Value::Float(-0.0)),
             (0i64..4).prop_map(|i| Value::Float(i as f64 * 0.5)),
         ]
     };
     let int = prop_oneof![Just(Value::Null), (0i64..3).prop_map(Value::Int)];
-    let row = (float(), float(), int).prop_map(|(a, b, c)| Row::new(vec![a, b, c]));
+    let row = (float(), float(), int, dc_text()).prop_map(|(a, b, c, s)| [a, b, c, s]);
     proptest::collection::vec(row, 0..12)
+}
+
+fn dc_text() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        Just(Value::str("")),
+        Just(Value::str("b")),
+        Just(Value::str("abcdefgh1")),
+        Just(Value::str("abcdefgh2")),
+    ]
 }
 
 fn dc_op() -> impl Strategy<Value = BinOp> {
@@ -251,51 +267,254 @@ fn dc_op() -> impl Strategy<Value = BinOp> {
     ]
 }
 
-fn dc_cell(side: DcSide) -> impl Strategy<Value = DcTerm> {
-    prop_oneof![Just("a"), Just("b"), Just("c")].prop_map(move |c| DcTerm::Cell(side, c.into()))
+/// True one time in four.
+fn rarely() -> impl Strategy<Value = bool> {
+    prop_oneof![Just(false), Just(false), Just(false), Just(true)]
 }
 
-/// `tᵢ.x op tⱼ.y` with the tuple variables on either side of the operator.
-fn dc_pair_atom() -> impl Strategy<Value = DcAtom> {
-    (
-        dc_op(),
-        dc_cell(DcSide::T1),
-        dc_cell(DcSide::T2),
-        any::<bool>(),
-    )
-        .prop_map(|(op, t1, t2, flipped)| {
-            let (left, right) = if flipped { (t2, t1) } else { (t1, t2) };
-            DcAtom { op, left, right }
-        })
+/// One side of a generated comparison: `tᵢ.x`, `tᵢ.x + k` or `tᵢ.x * k`
+/// (numeric `x` only), or a constant.
+#[derive(Debug, Clone, PartialEq)]
+enum Term {
+    Cell {
+        side: DcSide,
+        col: &'static str,
+        arith: Option<(BinOp, i64)>,
+    },
+    Const(Value),
 }
 
-/// `tᵢ.x op k`, or nothing.
-fn dc_single_atom() -> impl Strategy<Value = Option<DcAtom>> {
-    let cell = prop_oneof![dc_cell(DcSide::T1), dc_cell(DcSide::T2)];
-    (any::<bool>(), dc_op(), cell, 0i64..3).prop_map(|(present, op, left, k)| {
-        present.then_some(DcAtom {
-            op,
-            left,
-            right: DcTerm::Const(Value::Int(k)),
+impl Term {
+    fn is_text(&self) -> bool {
+        matches!(
+            self,
+            Term::Cell { col: "s", .. } | Term::Const(Value::Str(_))
+        )
+    }
+
+    fn text(&self, t1: &str, t2: &str) -> String {
+        match self {
+            Term::Cell { side, col, arith } => {
+                let var = if *side == DcSide::T1 { t1 } else { t2 };
+                match arith {
+                    None => format!("{var}.{col}"),
+                    Some((BinOp::Add, k)) => format!("{var}.{col} + {k}"),
+                    Some((_, k)) => format!("{var}.{col} * {k}"),
+                }
+            }
+            Term::Const(Value::Str(s)) => format!("'{s}'"),
+            Term::Const(v) => v.to_string(),
+        }
+    }
+
+    /// The term's value on a `(t1, t2)` pair, as the engine computes it.
+    fn value(&self, t1: &Value, t2: &Value) -> Value {
+        let (side, col, arith) = match self {
+            Term::Cell { side, col, arith } => (side, col, arith),
+            Term::Const(v) => return v.clone(),
+        };
+        let cell = if *side == DcSide::T1 { t1 } else { t2 }
+            .field(col)
+            .unwrap();
+        match (arith, cell) {
+            (None, v) | (Some(_), v @ Value::Null) => v.clone(),
+            (Some((BinOp::Add, k)), Value::Int(i)) => Value::Int(i.wrapping_add(*k)),
+            (Some((_, k)), Value::Int(i)) => Value::Int(i.wrapping_mul(*k)),
+            (Some((BinOp::Add, k)), Value::Float(f)) => Value::Float(f + *k as f64),
+            (Some((_, k)), Value::Float(f)) => Value::Float(f * *k as f64),
+            (Some(_), other) => panic!("arithmetic over {other}"),
+        }
+    }
+
+    /// The term as the typed rule reads it; `None` under arithmetic.
+    fn plain(&self) -> Option<DcTerm> {
+        match self {
+            Term::Cell {
+                side,
+                col,
+                arith: None,
+            } => Some(DcTerm::Cell(*side, col.to_string())),
+            Term::Cell { .. } => None,
+            Term::Const(v) => Some(DcTerm::Const(v.clone())),
+        }
+    }
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct Atom {
+    op: BinOp,
+    left: Term,
+    right: Term,
+}
+
+impl Atom {
+    fn text(&self, t1: &str, t2: &str) -> String {
+        let op = match self.op {
+            BinOp::Lt => "<",
+            BinOp::Le => "<=",
+            BinOp::Gt => ">",
+            BinOp::Ge => ">=",
+            BinOp::Ne => "<>",
+            _ => "=",
+        };
+        format!(
+            "{} {op} {}",
+            self.left.text(t1, t2),
+            self.right.text(t1, t2)
+        )
+    }
+
+    /// Does the comparison hold on `(t1, t2)` under the engine's rules?
+    fn holds(&self, t1: &Value, t2: &Value) -> bool {
+        let (left, right) = (self.left.value(t1, t2), self.right.value(t1, t2));
+        let atom = DcAtom {
+            op: self.op,
+            left: DcTerm::Const(left),
+            right: DcTerm::Const(right),
+        };
+        atom.holds(&Value::Null, &Value::Null).unwrap()
+    }
+
+    fn plain(&self) -> Option<DcAtom> {
+        Some(DcAtom {
+            op: self.op,
+            left: self.left.plain()?,
+            right: self.right.plain()?,
         })
+    }
+
+    /// A text term against a numeric one compares by type rank, which no
+    /// column kernel does.
+    fn cross_type(&self) -> bool {
+        self.left.is_text() != self.right.is_text()
+    }
+
+    fn columns(&self) -> impl Iterator<Item = &'static str> + '_ {
+        [&self.left, &self.right]
+            .into_iter()
+            .filter_map(|t| match t {
+                Term::Cell { col, .. } => Some(*col),
+                Term::Const(_) => None,
+            })
+    }
+}
+
+/// A cell of `side` two ways: a numeric column, maybe under `+ k` or
+/// `* k`, and the text column.
+fn dc_cells(side: DcSide) -> impl Strategy<Value = [Term; 2]> {
+    let arith = prop_oneof![
+        Just(None),
+        Just(None),
+        (0i64..3).prop_map(|k| Some((BinOp::Add, k))),
+        (0i64..3).prop_map(|k| Some((BinOp::Mul, k))),
+    ];
+    let col = prop_oneof![Just("a"), Just("b"), Just("c")];
+    (col, arith).prop_map(move |(col, arith)| {
+        let text = Term::Cell {
+            side,
+            col: "s",
+            arith: None,
+        };
+        [Term::Cell { side, col, arith }, text]
     })
 }
 
-fn atom_text(atom: &DcAtom, t1: &str, t2: &str) -> String {
-    let term = |t: &DcTerm| match t {
-        DcTerm::Cell(DcSide::T1, c) => format!("{t1}.{c}"),
-        DcTerm::Cell(DcSide::T2, c) => format!("{t2}.{c}"),
-        DcTerm::Const(v) => v.to_string(),
+/// `tᵢ.x op tⱼ.y` with the tuple variables on either side of the operator;
+/// now and then a text term against a numeric one.
+fn dc_pair_atom() -> impl Strategy<Value = Atom> {
+    let kinds = (rarely(), rarely());
+    let cells = (dc_cells(DcSide::T1), dc_cells(DcSide::T2));
+    (dc_op(), kinds, cells, any::<bool>()).prop_map(|(op, (text, cross), (t1, t2), flipped)| {
+        let [t1, t2] = [&t1[usize::from(text)], &t2[usize::from(text != cross)]];
+        let (left, right) = if flipped { (t2, t1) } else { (t1, t2) };
+        Atom {
+            op,
+            left: left.clone(),
+            right: right.clone(),
+        }
+    })
+}
+
+/// `tᵢ.x op k` — `k` a string for the text column — or nothing.
+fn dc_single_atom() -> impl Strategy<Value = Option<Atom>> {
+    let cell = (
+        any::<bool>(),
+        rarely(),
+        dc_cells(DcSide::T1),
+        dc_cells(DcSide::T2),
+    );
+    let text = prop_oneof![Just(""), Just("b"), Just("abcdefgh1"), Just("abcdefgh2")];
+    (any::<bool>(), dc_op(), cell, 0i64..3, text).prop_map(
+        |(present, op, (right_side, text_cell, t1, t2), k, s)| {
+            let side = if right_side { t2 } else { t1 };
+            let (left, right) = if text_cell {
+                (side[1].clone(), Value::str(s))
+            } else {
+                (side[0].clone(), Value::Int(k))
+            };
+            present.then_some(Atom {
+                op,
+                left,
+                right: Term::Const(right),
+            })
+        },
+    )
+}
+
+/// A session holding `rows` as table `t`: one registration and appends of
+/// `batch` rows, the last two rows together in a final append — the last
+/// one with its fields in reverse order when `ragged`, so that append
+/// does not columnarize.
+fn dc_session(
+    profile: &EngineProfile,
+    workers: usize,
+    rows: &[Value],
+    batch: usize,
+    ragged: bool,
+) -> CleanDb {
+    let ctx = cleanm::exec::ExecContext::new(workers, 2 * workers);
+    let mut db = CleanDb::with_context(profile.clone(), ctx);
+    db.set_tracing(true);
+    let (head, tail) = rows.split_at(rows.len().saturating_sub(2));
+    let mut batches = head.chunks(batch);
+    db.register_values("t", batches.next().unwrap_or_default().to_vec());
+    for more in batches {
+        db.append_values("t", more.to_vec()).unwrap();
+    }
+    let mut tail = tail.to_vec();
+    if let (true, Some(last)) = (ragged, tail.last_mut()) {
+        let fields = last.as_struct().unwrap().iter().rev();
+        *last = Value::record(fields.map(|(n, v)| (n.to_string(), v.clone())));
+    }
+    db.append_values("t", tail).unwrap();
+    db
+}
+
+/// The violating pairs in output order.
+fn pairs_in_order(report: &CleaningReport) -> Vec<(i64, i64)> {
+    let id = |pair: &Value, side| {
+        pair.field(side)
+            .unwrap()
+            .field(ROWID_FIELD)
+            .unwrap()
+            .as_int()
+            .unwrap()
     };
-    let op = match atom.op {
-        BinOp::Lt => "<",
-        BinOp::Le => "<=",
-        BinOp::Gt => ">",
-        BinOp::Ge => ">=",
-        BinOp::Ne => "<>",
-        _ => "=",
-    };
-    format!("{} {op} {}", term(&atom.left), term(&atom.right))
+    report.ops[0]
+        .output
+        .iter()
+        .map(|p| (id(p, "left"), id(p, "right")))
+        .collect()
+}
+
+/// The theta join's node, if the plan has one: did it run by column, and
+/// how many rows did it join?
+fn theta_route(report: &CleaningReport) -> Option<(bool, u64)> {
+    let node = report
+        .profiles
+        .iter()
+        .find_map(|p| p.root.find("ThetaJoin"))?;
+    Some((node.flags.iter().any(|f| f == "vectorized"), node.rows_in))
 }
 
 proptest! {
@@ -309,54 +528,85 @@ proptest! {
         pairwise in proptest::collection::vec(dc_pair_atom(), 1..4),
         filter in dc_single_atom(),
     ) {
-        let atoms: Vec<DcAtom> = single.into_iter().chain(pairwise).collect();
+        let atoms: Vec<Atom> = single.into_iter().chain(pairwise).collect();
         let pred = atoms
             .iter()
-            .map(|a| atom_text(a, "t1", "t2"))
+            .map(|a| a.text("t1", "t2"))
             .collect::<Vec<_>>()
             .join(" AND ");
         let rule = InequalityDc { table: "t".into(), pred: pred.clone() };
-        prop_assert_eq!(rule.atoms(), Some(atoms.clone()), "{}", pred);
+        let plain: Option<Vec<DcAtom>> = atoms.iter().map(Atom::plain).collect();
+        prop_assert_eq!(rule.atoms(), plain, "{}", pred);
         // WHERE reads the table's alias, so both sides of a WHERE atom
         // render as the one row it filters.
         let where_text = filter
             .as_ref()
-            .map(|f| format!(" WHERE {}", atom_text(f, "t", "t")))
+            .map(|f| format!(" WHERE {}", f.text("t", "t")))
             .unwrap_or_default();
         let sql = format!("SELECT * FROM t{where_text} DC({pred})");
 
-        let schema = Schema::of([
-            ("a", DataType::Float),
-            ("b", DataType::Float),
-            ("c", DataType::Int),
-        ]);
+        let stored: Vec<Value> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, [a, b, c, s])| {
+                Value::record([
+                    (ROWID_FIELD, Value::Int(i as i64)),
+                    ("a", a.clone()),
+                    ("b", b.clone()),
+                    ("c", c.clone()),
+                    ("s", s.clone()),
+                ])
+            })
+            .collect();
+        let kept = |r: &&Value| filter.as_ref().is_none_or(|f| f.holds(r, r));
+        let mut expected = Vec::new();
+        for (i, r1) in stored.iter().enumerate().filter(|(_, r)| kept(r)) {
+            for (j, r2) in stored.iter().enumerate().filter(|(_, r)| kept(r)) {
+                if i != j && atoms.iter().all(|a| a.holds(r1, r2)) {
+                    expected.push((i as i64, j as i64));
+                }
+            }
+        }
+        // The column route needs every comparison to be numeric or textual
+        // on both sides, and every column it reads typed — a column with
+        // no non-NULL cell pivots untyped.
+        let all_atoms = || atoms.iter().chain(&filter);
+        let typed = |col: &str| stored.iter().any(|r| !r.field(col).unwrap().is_null());
+        let lowers = !all_atoms().any(Atom::cross_type)
+            && all_atoms().flat_map(Atom::columns).all(typed);
+
         for profile in policy_space() {
+            let fuses = profile.planner != Planner::OperatorAtATime;
             for workers in [1, 2] {
-                // The rows arrive in batches: one registration, then appends.
-                let ctx = cleanm::exec::ExecContext::new(workers, 2 * workers);
-                let mut db = CleanDb::with_context(profile.clone(), ctx);
-                let mut batches = rows.chunks(batch);
-                let first = batches.next().unwrap_or_default().to_vec();
-                db.register("t", Table::new(schema.clone(), first));
-                for more in batches {
-                    db.append("t", Table::new(schema.clone(), more.to_vec())).unwrap();
-                }
-
-                let stored = db.table_rows("t").unwrap();
-                let kept = |r: &&Value| filter.as_ref().is_none_or(|f| f.holds(r, r).unwrap());
-                let mut expected = Vec::new();
-                for (i, r1) in stored.iter().enumerate().filter(|(_, r)| kept(r)) {
-                    for (j, r2) in stored.iter().enumerate().filter(|(_, r)| kept(r)) {
-                        if i != j && atoms.iter().all(|a| a.holds(r1, r2).unwrap()) {
-                            expected.push((i as i64, j as i64));
-                        }
-                    }
-                }
-
+                let mut db = dc_session(&profile, workers, &stored, batch, false);
                 let report = db.run(&sql).unwrap();
                 let mut got = pair_ids(&report.ops[0].output);
                 got.sort_unstable();
                 prop_assert_eq!(&got, &expected, "{} under {}", sql, profile.name);
+                if let Some((by_column, joined)) = theta_route(&report) {
+                    prop_assert_eq!(
+                        by_column,
+                        fuses && lowers && joined > 0,
+                        "{} under {}",
+                        sql,
+                        profile.name
+                    );
+                }
+
+                // The same rows with a ragged append: the row route, the
+                // same pairs in the same order, the same comparisons.
+                if fuses && stored.len() >= 2 {
+                    let ragged = dc_session(&profile, workers, &stored, batch, true).run(&sql).unwrap();
+                    prop_assert_eq!(theta_route(&ragged).is_some_and(|(v, _)| v), false, "{}", sql);
+                    prop_assert_eq!(pairs_in_order(&ragged), pairs_in_order(&report), "{} under {}", sql, profile.name);
+                    prop_assert_eq!(
+                        ragged.metrics.comparisons,
+                        report.metrics.comparisons,
+                        "{} under {}",
+                        sql,
+                        profile.name
+                    );
+                }
 
                 if filter.is_none() {
                     let (outcome, described) = rule.run_detailed(&mut db).unwrap();
