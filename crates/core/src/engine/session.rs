@@ -337,7 +337,7 @@ impl CleanDb {
     /// Register a table directly from a typed [`ColumnBatch`] — the
     /// column-first ingest path (`cleanm_formats::colbin::decode_columnar`,
     /// `cleanm_formats::csv::read_str_columnar`). The batch, extended with
-    /// the `__rowid` column, pre-seeds the table's columnar cache so
+    /// the `__rowid` column, pre-seeds the table's pivot so
     /// vectorized scans skip the row→column pivot entirely; row structs for
     /// the row-at-a-time operators are materialized from the same columns,
     /// so both views are cell-identical.
@@ -356,7 +356,7 @@ impl CleanDb {
         let rows: Vec<Value> = (0..stored.len()).map(|i| stored.row(i)).collect();
         self.register_values(name, rows);
         if let Some(t) = self.tables.get(name) {
-            t.set_columnar(0, Arc::new(stored));
+            t.set_columnar(Arc::new(stored));
         }
     }
 

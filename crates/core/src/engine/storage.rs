@@ -8,6 +8,12 @@
 //! the new rows, and incremental consumers (standing queries) read the
 //! batches past their cursor as the delta.
 //!
+//! The batches stop here: an operator reads a table as one block of rows
+//! ([`StoredTable::merged_rows`]) or, by column, as one pivot of that
+//! block ([`StoredTable::columns`]). A table reads by column when all its
+//! rows share one field layout, whichever batch they arrived in — the
+//! same rule a single batch has to meet.
+//!
 //! Two counters identify a table's state:
 //!
 //! * `epoch` — bumped on *every* mutation (registration or append). The
@@ -20,7 +26,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use cleanm_values::{ColumnBatch, FxHashMap, Value};
+use cleanm_values::{ColumnBatch, Value};
 
 /// One catalog entry: row batches in arrival order plus its epochs.
 #[derive(Debug)]
@@ -31,14 +37,12 @@ pub struct StoredTable {
     /// Lazily concatenated whole-table view for consumers that need one
     /// contiguous vector; rebuilt on demand after an append.
     merged: OnceLock<Arc<Vec<Value>>>,
-    /// Lazily columnarized batches, keyed by batch index: the columns
-    /// operators have asked for so far ([`StoredTable::columnar_columns`]),
-    /// or `None` for "does not columnarize" — ragged/mixed-shape rows.
-    /// Batch indices are stable across appends (appends only push), so
-    /// entries never go stale; registration via
-    /// [`StoredTable::set_columnar`] pre-seeds an entry when the ingest path
+    /// The whole table's pivot over the columns operators have asked for
+    /// so far ([`StoredTable::columns`]): unset until first asked,
+    /// `Some(None)` once the rows are known not to columnarize. Dropped on
+    /// append; [`StoredTable::set_columnar`] seeds it when the ingest path
     /// already decoded column-first.
-    columnar: Mutex<FxHashMap<usize, Option<Arc<ColumnBatch>>>>,
+    pivot: Mutex<Option<Option<Arc<ColumnBatch>>>>,
 }
 
 impl StoredTable {
@@ -49,7 +53,7 @@ impl StoredTable {
             epoch,
             created: epoch,
             merged: OnceLock::new(),
-            columnar: Mutex::new(FxHashMap::default()),
+            pivot: Mutex::new(None),
         }
     }
 
@@ -63,6 +67,7 @@ impl StoredTable {
         self.batches.push(Arc::new(rows));
         self.epoch = epoch;
         self.merged = OnceLock::new();
+        self.pivot = Mutex::new(None);
     }
 
     /// The append batches, in arrival order.
@@ -70,30 +75,32 @@ impl StoredTable {
         &self.batches
     }
 
-    /// The columns `fields` of batch `idx` as a batch — the projected
-    /// pivot: an operator that reads three columns of a sixteen-column
-    /// table pays for three on a fresh session. A cached pivot that covers
-    /// `fields` is returned as is (so the result may hold more columns);
-    /// otherwise the named columns are pivoted beside the ones already
-    /// cached. `None` when the rows do not columnarize (cached) or a name
-    /// is not a field of the rows (not cached: the row path reports it).
-    /// Thread-safe: the pivot runs outside the lock, so concurrent first
-    /// requests may race to build; the last to finish is the one cached.
-    pub fn columnar_columns(
+    /// The columns `fields` of the whole table, with the rows
+    /// ([`StoredTable::merged_rows`]) whose indices they share — the one
+    /// way an operator reads a table by column, however its rows arrived.
+    /// The pivot is projected: an operator that reads three columns of a
+    /// sixteen-column table pays for three on a fresh session. A cached
+    /// pivot that covers `fields` is returned as is (so it may hold more
+    /// columns); otherwise the named columns are pivoted beside the ones
+    /// already cached. `None` when the table is empty, its rows do not
+    /// share one field layout (cached), or a name is not a field of the
+    /// rows (not cached: the row path reports it). Thread-safe: the pivot
+    /// runs outside the lock, so concurrent first requests may race to
+    /// build; the last to finish is the one cached.
+    pub fn columns(
         &self,
-        idx: usize,
         fields: &[impl AsRef<str>],
-    ) -> Option<Arc<ColumnBatch>> {
+    ) -> Option<(Arc<ColumnBatch>, Arc<Vec<Value>>)> {
+        let rows = self.merged_rows();
         let mut wanted: Vec<&str> = fields.iter().map(AsRef::as_ref).collect();
-        let held = match self.pivots().get(&idx) {
+        let held = match &*self.pivot() {
             Some(None) => return None,
             Some(Some(b)) if wanted.iter().all(|f| b.column_index(f).is_some()) => {
-                return Some(Arc::clone(b))
+                return Some((Arc::clone(b), rows))
             }
             Some(Some(b)) => Some(Arc::clone(b)),
             None => None,
         };
-        let rows = self.batches.get(idx)?;
         let template = rows.first()?.as_struct().ok()?;
         if !wanted
             .iter()
@@ -104,27 +111,23 @@ impl StoredTable {
         if let Some(held) = &held {
             wanted.extend(held.names().iter().map(|n| n.as_ref()));
         }
-        let batch = ColumnBatch::project_rows(rows, &wanted).map(Arc::new);
-        self.pivots().insert(idx, batch.clone());
-        batch
+        let pivot = ColumnBatch::project_rows(&rows, &wanted).map(Arc::new);
+        *self.pivot() = Some(pivot.clone());
+        Some((pivot?, rows))
     }
 
-    /// The pivot cache. Every update is a single insert of a finished
-    /// value, so the map stays valid even if a holder panicked.
-    fn pivots(&self) -> MutexGuard<'_, FxHashMap<usize, Option<Arc<ColumnBatch>>>> {
-        self.columnar.lock().unwrap_or_else(|e| e.into_inner())
+    /// The pivot cache. Every update is a single store of a finished
+    /// value, so it stays valid even if a holder panicked.
+    fn pivot(&self) -> MutexGuard<'_, Option<Option<Arc<ColumnBatch>>>> {
+        self.pivot.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Seed the columnar cache for batch `idx` with an already-decoded
-    /// column batch (column-first ingest paths). Ignored unless the batch
-    /// exists and the row counts agree.
-    pub fn set_columnar(&self, idx: usize, batch: Arc<ColumnBatch>) {
-        if self
-            .batches
-            .get(idx)
-            .is_some_and(|b| b.len() == batch.len())
-        {
-            self.pivots().insert(idx, Some(batch));
+    /// Seed the pivot with an already-decoded column batch of the whole
+    /// table (column-first ingest paths). Ignored unless the row counts
+    /// agree.
+    pub fn set_columnar(&self, batch: Arc<ColumnBatch>) {
+        if batch.len() == self.len() {
+            *self.pivot() = Some(Some(batch));
         }
     }
 
@@ -195,29 +198,50 @@ mod tests {
                 ("b", Value::str("x")),
             ])
         };
+        let block = |t: &StoredTable, fields: &[&str]| t.columns(fields).map(|(b, _)| b);
         let t = StoredTable::from_rows(vec![wide(0), wide(1)]);
-        let a = t.columnar_columns(0, &["a"]).unwrap();
+        let (a, rows) = t.columns(&["a"]).unwrap();
         assert_eq!(a.names().len(), 1, "only the requested column is pivoted");
-        assert!(Arc::ptr_eq(&a, &t.columnar_columns(0, &["a"]).unwrap()));
+        assert!(Arc::ptr_eq(&rows, &t.batches()[0]), "the rows it indexes");
+        assert!(Arc::ptr_eq(&a, &block(&t, &["a"]).unwrap()));
         // A second operator's columns join the cached ones.
-        let ab = t.columnar_columns(0, &["b"]).unwrap();
+        let ab = block(&t, &["b"]).unwrap();
         assert!(ab.column_index("a").is_some() && ab.column_index("b").is_some());
-        // ... and the widened batch serves either request afterwards.
-        assert!(Arc::ptr_eq(&ab, &t.columnar_columns(0, &["a"]).unwrap()));
+        // ... and the widened pivot serves either request afterwards.
+        assert!(Arc::ptr_eq(&ab, &block(&t, &["a"]).unwrap()));
         // A name the rows do not have is the row path's error to report.
-        assert!(t.columnar_columns(0, &["zz"]).is_none());
-        // A batch the ingest path decoded column-first is an ordinary entry.
+        assert!(block(&t, &["zz"]).is_none());
+        // A batch the ingest path decoded column-first is the pivot.
         let seeded = StoredTable::from_rows(vec![wide(0), wide(1)]);
         let full = Arc::new(ColumnBatch::from_rows(&seeded.batches()[0]).unwrap());
-        seeded.set_columnar(0, Arc::clone(&full));
-        assert!(Arc::ptr_eq(
-            &full,
-            &seeded.columnar_columns(0, &["a"]).unwrap()
-        ));
+        seeded.set_columnar(Arc::clone(&full));
+        assert!(Arc::ptr_eq(&full, &block(&seeded, &["a"]).unwrap()));
         // Rows that do not columnarize are remembered as such.
         let ragged = StoredTable::from_rows(vec![wide(0), Value::Int(3)]);
-        assert!(ragged.columnar_columns(0, &["a"]).is_none());
-        assert!(ragged.columnar_columns(0, &["__rowid"]).is_none());
+        assert!(block(&ragged, &["a"]).is_none());
+        assert!(block(&ragged, &["__rowid"]).is_none());
+    }
+
+    #[test]
+    fn one_pivot_spans_every_batch_and_append_drops_it() {
+        let rec = |id: i64, a: Value| Value::record([("__rowid", Value::Int(id)), ("a", a)]);
+        let mut t = StoredTable::from_rows(vec![rec(0, Value::Int(1))]);
+        let before = t.columns(&["a"]).unwrap().0;
+        t.append(vec![rec(1, Value::Int(2)), rec(2, Value::Null)], 1);
+        let (after, rows) = t.columns(&["a"]).unwrap();
+        assert!(!Arc::ptr_eq(&before, &after), "append drops the pivot");
+        assert_eq!((after.len(), rows.len()), (3, 3));
+        assert_eq!(after.column(0).value(1), Value::Int(2));
+        // One rule for the whole table: a batch of another layout stops it
+        // reading by column.
+        t.append(
+            vec![Value::record([
+                ("a", Value::Int(3)),
+                ("__rowid", Value::Int(3)),
+            ])],
+            2,
+        );
+        assert!(t.columns(&["a"]).is_none());
     }
 
     #[test]

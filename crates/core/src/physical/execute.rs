@@ -15,6 +15,13 @@
 //! `shuffle` is the profile's (or the cost-based planner's)
 //! [`NestStrategy`] — the one grouping driver takes it as is.
 //!
+//! The three column routes — the vectorized `Select`, the columnar group
+//! fold and each side of a theta join — read a stored table the same way:
+//! one column scan (`physical/scan.rs`) over the pivot of all its rows,
+//! its `Select` chain lowered once into the scan's kernel and swept in the
+//! partition layout of the row path (`lower_on_columns`). None of them
+//! sees the table's append batches.
+//!
 //! Rows travel as [`RowEnv`] — the values of the variable environment of
 //! the comprehension the plan was lowered from, positioned by
 //! [`env_layout`]; names never travel. The executor memoizes the
@@ -41,7 +48,7 @@ use cleanm_exec::{
     merge_tree, produce_partials, produce_partitions, theta, Dataset, ExecContext, ExecError,
     ExecResult, FaultSite,
 };
-use cleanm_values::{ColumnBatch, FxHashMap, FxHashSet, Value};
+use cleanm_values::{FxHashMap, FxHashSet, Value};
 
 use crate::algebra::cardinality::{self, StatsCatalog};
 use crate::algebra::plan::{theta_widen, Alg, ThetaHint};
@@ -50,12 +57,13 @@ use crate::calculus::subst::free_vars;
 use crate::calculus::{CalcExpr, MonoidKind, Program};
 use crate::engine::storage::StoredTable;
 
-use super::groupfold::{self, AggFoldShape, ColumnarFold, GroupAcc, Span, KEY_SLOT_VAR};
-use super::kernel::{KeyKinds, PredKernel, RowRef};
+use super::groupfold::{self, AggFoldShape, ColumnarFold, GroupAcc, KEY_SLOT_VAR};
+use super::kernel::KeyKinds;
 use super::pairs::{self, PairShape, PairSweep};
 use super::profile::{nest_stage_labels, EngineProfile, NestStrategy, Planner, ThetaStrategy};
 use super::program::{env_layout, ProgramCache, RowEnv, RowExpr};
 use super::qprofile::{clip, ProfileNode};
+use super::scan::{chunk_ranges, ColumnScan};
 use super::theta::{run_pruning, ColumnarTheta, Item, ThetaSide};
 
 /// Skew threshold: if the most frequent grouping-key value may cover more
@@ -450,7 +458,7 @@ impl<'a> Executor<'a> {
     /// planner reads it by column: a `Scan` under a unified planner that no
     /// other consumer shares (a shared scan stays materialized once for all
     /// of them). Whether the expressions over it lower to kernels and its
-    /// batches pivot into typed columns is then a property of the input.
+    /// rows pivot into typed columns is then a property of the input.
     fn columnar_source<'p>(&self, source: &'p Arc<Alg>) -> Option<(&'a StoredTable, &'p str)> {
         let Alg::Scan { table, var } = &**source else {
             return None;
@@ -461,62 +469,36 @@ impl<'a> Executor<'a> {
         Some((self.tables.get(table.as_str())?, var))
     }
 
-    /// The vectorized Select: when `pred` re-lowers into a columnar kernel
-    /// against every batch of `stored`, the scan+filter runs as
-    /// whole-column sweeps — no row environments are materialized for
-    /// non-survivors. Survivor rows land in exactly the partitions the row
-    /// path would have produced (same contiguous-chunk layout), so every
-    /// downstream operator sees an identical dataset. Only `fields`, the
-    /// columns the predicate reads, are pivoted. `None` (the row path runs)
-    /// when any batch fails to columnarize or to lower.
+    /// The vectorized Select: when `pred` lowers into the columnar kernel
+    /// of a scan of `stored` ([`Executor::lower_on_columns`]), the
+    /// scan+filter runs as whole-column sweeps — no row environments are
+    /// materialized for non-survivors. Survivor rows land in exactly the
+    /// partitions the row path would have produced (same contiguous-chunk
+    /// layout), so every downstream operator sees an identical dataset.
+    /// Only `fields`, the columns the predicate reads, are pivoted. `None`
+    /// (the row path runs) when the table does not read by column or the
+    /// predicate does not lower.
     fn columnar_select(
         &mut self,
         stored: &StoredTable,
         fields: &[String],
         pred: &Program,
     ) -> ExecResult<Option<Dataset<RowEnv>>> {
-        // Lower the predicate against each batch's concrete schema
-        // (appends may differ in column order).
-        let lowered = self.lower_on_columns(
-            stored,
-            |idx| stored.columnar_columns(idx, fields),
-            |cols, rows| {
-                let kernels = cols.iter().map(|cb| PredKernel::compile(pred, cb));
-                Some((cols.to_vec(), kernels.collect::<Option<Vec<_>>>()?, rows))
-            },
-        )?;
-        let Some((cols, kernels, rows)) = lowered else {
+        let Some(scan) = self.lower_on_columns(stored, fields, Some(pred), Some)? else {
             return Ok(None);
         };
-
-        let total = stored.len();
-        let lens: Vec<usize> = rows.iter().map(|b| b.len()).collect();
-        let tasks = chunk_spans(&lens, self.ctx.default_partitions());
-
+        let total = scan.len();
         self.vectorized_rows += total as u64;
         if self.profiling {
             self.override_rows_in = Some(total as u64);
         }
-        // Survivor rows hold the *stored* row values (cheap Arc
-        // clones, the very same values the row path emits); the columns
-        // only drive the predicate sweep.
-        let out = produce_partitions(&self.ctx, "filter", total as u64, tasks, move |spans| {
-            let mut envs: Vec<RowEnv> = Vec::new();
-            for (bi, lo, hi) in spans {
-                let cb = &cols[bi];
-                let mut sel: Vec<u32> = (lo..hi).collect();
-                // Binding cannot fail: the kernel compiled against this
-                // very batch and stored batches are immutable.
-                assert!(
-                    kernels[bi].filter(cb, &mut sel),
-                    "columnar kernel bound against a drifted batch schema"
-                );
-                envs.reserve(sel.len());
-                for i in sel {
-                    envs.push(vec![rows[bi][i as usize].clone()]);
-                }
-            }
-            envs
+        // Survivor rows hold the *stored* row values (cheap Arc clones,
+        // the very same values the row path emits); the columns only drive
+        // the predicate sweep.
+        let tasks = chunk_ranges(total as u32, self.ctx.default_partitions());
+        let out = produce_partitions(&self.ctx, "filter", total as u64, tasks, |range| {
+            let sel = scan.sweep(range);
+            sel.into_iter().map(|i| vec![scan.row(i).clone()]).collect()
         })?;
         Ok(Some(out))
     }
@@ -888,9 +870,9 @@ impl<'a> Executor<'a> {
             item,
             slot_rxs: &slot_rxs,
         };
-        if let Some((fold, rows)) = self.lower_columnar_fold(&sources, &shape)? {
+        if let Some(fold) = self.lower_columnar_fold(&sources, &shape)? {
             let finish = (finish_preds, finish_head);
-            return self.exec_columnar_fold(&fold, &rows, &shape, finish);
+            return self.exec_columnar_fold(&fold, &shape, finish);
         }
 
         let ds = self.run_input(&mut fused)?;
@@ -1087,41 +1069,32 @@ impl<'a> Executor<'a> {
         Ok(outputs)
     }
 
-    /// Pivot the non-empty batches of `stored` (`pivot`, by batch index)
-    /// and hand the columns to `lower` with the row batches they view, in
-    /// the same order — on the driver, so under its own panic guard, with
-    /// an interrupt check and the `columnarize` / `kernel_entry` fault
-    /// sites per batch (the chaos suite's). Returns what `lower` made;
-    /// `None` for an empty table, a batch that does not columnarize, or
-    /// when `lower` declines.
+    /// Read `stored` by column for one route: the scan of the columns
+    /// `fields` of the whole table ([`StoredTable::columns`]) with `filter`,
+    /// the route's `Select` chain, as its one kernel, handed to `lower` for
+    /// the route's own programs — on the driver, so under its own panic
+    /// guard, with an interrupt check and the `columnarize` /
+    /// `kernel_entry` fault sites (the chaos suite's). Returns what `lower`
+    /// made; `None` for an empty table, rows that do not columnarize, or
+    /// when the filter or `lower` declines.
     fn lower_on_columns<T>(
         &self,
         stored: &StoredTable,
-        pivot: impl Fn(usize) -> Option<Arc<ColumnBatch>>,
-        lower: impl FnOnce(&[Arc<ColumnBatch>], RowBatches) -> Option<T>,
+        fields: &[String],
+        filter: Option<&Program>,
+        lower: impl FnOnce(ColumnScan) -> Option<T>,
     ) -> ExecResult<Option<T>> {
-        self.ctx.catch_driver("storage batch columnarization", || {
-            let (mut cols, mut rows) = (Vec::new(), Vec::new());
-            for (idx, batch) in stored.batches().iter().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                self.ctx.check_interrupt("columnarize")?;
-                self.ctx
-                    .fault_point(FaultSite::Columnarize, idx as u64, 0)?;
-                let Some(cb) = pivot(idx) else {
-                    return Ok(None);
-                };
-                self.ctx
-                    .fault_point(FaultSite::KernelEntry, idx as u64, 0)?;
-                cols.push(cb);
-                rows.push(Arc::clone(batch));
+        self.ctx.catch_driver("storage columnarization", || {
+            if stored.is_empty() {
+                return Ok(None);
             }
-            Ok(if cols.is_empty() {
-                None
-            } else {
-                lower(&cols, rows)
-            })
+            self.ctx.check_interrupt("columnarize")?;
+            self.ctx.fault_point(FaultSite::Columnarize, 0, 0)?;
+            let Some((block, rows)) = stored.columns(fields) else {
+                return Ok(None);
+            };
+            self.ctx.fault_point(FaultSite::KernelEntry, 0, 0)?;
+            Ok(ColumnScan::lower(block, rows, filter).and_then(lower))
         })
     }
 
@@ -1129,23 +1102,21 @@ impl<'a> Executor<'a> {
     /// columns (`physical/groupfold.rs`, [`ColumnarFold`]). Decided once,
     /// here: `None` — the row driver runs, unchanged — unless the source is
     /// a scan the planner reads by column ([`Executor::columnar_source`];
-    /// the fused `WHERE` chain, if any, must lower into a [`PredKernel`]
-    /// per batch), the Nest's decision is `LocalAggregate`, a
-    /// group-keeping shape's members are the scanned rows themselves,
-    /// every batch columnarizes, and the key and every slot's member
-    /// program lower to column expressions over typed columns. On success
-    /// the Nest's decision is recorded — here and nowhere else.
+    /// the fused `WHERE` chain, if any, must lower into the scan's kernel),
+    /// the Nest's decision is `LocalAggregate`, a group-keeping shape's
+    /// members are the scanned rows themselves, the table reads by column,
+    /// and the key and every slot's member program lower to column
+    /// expressions over typed columns. On success the Nest's decision is
+    /// recorded — here and nowhere else.
     ///
-    /// Only the columns those expressions read are pivoted
-    /// ([`StoredTable::columnar_columns`]), as the vectorized `Select`
-    /// pivots ([`Executor::lower_on_columns`]). In a profile tree the
-    /// pivot is the fold's `Scan` child. Returns the lowered fold and the
-    /// row batches its [`RowRef`]s index (empty batches skipped).
+    /// Only the columns those expressions read are pivoted, as the
+    /// vectorized `Select` pivots ([`Executor::lower_on_columns`]). In a
+    /// profile tree the pivot is the fold's `Scan` child.
     fn lower_columnar_fold(
         &mut self,
         src: &FoldSources<'_>,
         shape: &AggFoldShape,
-    ) -> ExecResult<Option<(ColumnarFold, RowBatches)>> {
+    ) -> ExecResult<Option<ColumnarFold>> {
         let FusedInput {
             source,
             preds,
@@ -1177,22 +1148,10 @@ impl<'a> Executor<'a> {
         let fields = fields_of(var, read);
 
         let frame = self.profiling.then(|| self.begin_node());
-        let lowered = self.lower_on_columns(
-            stored,
-            |idx| stored.columnar_columns(idx, &fields),
-            |cols, rows| {
-                let keeps = shape.keeps_groups();
-                let fold = ColumnarFold::lower(
-                    cols,
-                    key_program,
-                    &shape.slots,
-                    &slot_programs,
-                    pred_program,
-                    keeps,
-                )?;
-                Some((fold, rows))
-            },
-        );
+        let lowered = self.lower_on_columns(stored, &fields, pred_program, |scan| {
+            let keeps = shape.keeps_groups();
+            ColumnarFold::lower(scan, key_program, &shape.slots, &slot_programs, keeps)
+        });
         if matches!(lowered, Ok(Some(_))) {
             if let Some(frame) = frame {
                 let (op, detail) = plan_label(source);
@@ -1223,15 +1182,13 @@ impl<'a> Executor<'a> {
     fn exec_columnar_fold(
         &mut self,
         fold: &ColumnarFold,
-        rows: &[Arc<Vec<Value>>],
         shape: &AggFoldShape,
         (finish_preds, finish_head): (Vec<Arc<RowExpr>>, Option<Arc<RowExpr>>),
     ) -> ExecResult<Vec<Value>> {
-        let lens: Vec<usize> = rows.iter().map(|b| b.len()).collect();
-        let total: u64 = lens.iter().map(|&n| n as u64).sum();
+        let total = fold.scan.len() as u64;
         self.vectorized_rows += total;
         let ev = self.eval.clone();
-        let tasks = chunk_spans(&lens, self.ctx.default_partitions());
+        let tasks = chunk_ranges(total as u32, self.ctx.default_partitions());
         // What travels: one partial table per chunk to the probe's merge;
         // for aggregates, every per-chunk group partial, as the keyed
         // shuffle of the row driver would move them.
@@ -1242,8 +1199,8 @@ impl<'a> Executor<'a> {
                 parts.iter().map(|p| p.groups() as u64).sum()
             })
         };
-        let partials = produce_partials(&self.ctx, label, total, tasks, moved, |spans| {
-            fold.fold_chunk(&spans, &ev)
+        let partials = produce_partials(&self.ctx, label, total, tasks, moved, |range| {
+            fold.fold_chunk(range, &ev)
         })?;
         let folded = self
             .ctx
@@ -1290,9 +1247,10 @@ impl<'a> Executor<'a> {
                 folded.members,
                 |_| moved,
                 |chunk| -> Vec<(u32, Value)> {
-                    let member = |at: RowRef| rows[at.batch as usize][at.row as usize].clone();
                     let picked = chunk.gather(&out_of);
-                    picked.map(|(out, at)| (out, member(at))).collect()
+                    picked
+                        .map(|(out, at)| (out, fold.scan.row(at).clone()))
+                        .collect()
                 },
             )?;
             let mut members: Vec<Vec<Value>> = passing
@@ -1413,12 +1371,8 @@ impl<'a> Executor<'a> {
                     .tables
                     .get(table)
                     .ok_or_else(|| ExecError::Other(format!("unknown table `{table}`")))?;
-                // Batches scan in arrival order: appended partitions simply
-                // extend the row stream, history never moves.
                 let mut envs: Vec<RowEnv> = Vec::with_capacity(stored.len());
-                for batch in stored.batches() {
-                    envs.extend(batch.iter().map(|r| vec![r.clone()]));
-                }
+                envs.extend(stored.iter_rows().map(|r| vec![r.clone()]));
                 Ok(Dataset::from_vec(&self.ctx, envs))
             }
             Alg::Select { input, pred } => {
@@ -1782,8 +1736,8 @@ impl<'a> Executor<'a> {
     /// Try to lower a theta join onto its sides' columns
     /// (`physical/theta.rs`, [`ColumnarTheta`]). Decided once, here: `None`
     /// — the row route runs, unchanged — unless both sides are
-    /// [`Executor::theta_side`]s, every stored batch of each pivots the
-    /// columns its `Select` chain, its join key and the join predicate
+    /// [`Executor::theta_side`]s, each side's table reads by column over
+    /// the columns its `Select` chain, its join key and the join predicate
     /// read, and all of those lower to kernels. On success the expressions
     /// are counted as the row route counts them: each side's chain as one
     /// compiled filter with the rest of its `Select`s fused, the predicate
@@ -1834,11 +1788,9 @@ impl<'a> Executor<'a> {
         };
         let fields = fields_of(var, chain.iter().copied().chain([key, pred]));
         let filter = filter_rx.as_deref().map(RowExpr::program);
-        self.lower_on_columns(
-            stored,
-            |idx| stored.columnar_columns(idx, &fields),
-            |cols, rows| ThetaSide::lower(cols, rows, &fields, filter, key_rx.program()),
-        )
+        self.lower_on_columns(stored, &fields, filter, |scan| {
+            ThetaSide::lower(scan, key_rx.program())
+        })
     }
 
     /// The column route of a theta join the `Reduce` reads directly
@@ -1895,7 +1847,7 @@ impl<'a> Executor<'a> {
                 "map_partitions",
                 |_| true,
                 move |((_, a), (_, b)), out: &mut Vec<Value>| {
-                    let (l, r) = (sides[0].row(a), sides[1].row(b));
+                    let (l, r) = (sides[0].scan.row(a), sides[1].scan.row(b));
                     let v = ev.eval_pair(&head_rx, from_ref(l), from_ref(r));
                     out.push(v.unwrap_or(Value::Null))
                 },
@@ -1942,7 +1894,7 @@ impl<'a> Executor<'a> {
         node: &Alg,
     ) -> ExecResult<(Dataset<Item>, KeyKinds)> {
         let frame = self.profiling.then(|| self.begin_node());
-        let rows = side.len();
+        let rows = side.scan.len();
         let tasks = chunk_ranges(rows as u32, self.ctx.default_partitions());
         let swept = produce_partials(
             &self.ctx,
@@ -2101,9 +2053,6 @@ struct FoldSources<'p> {
     slot_rxs: &'p [Arc<RowExpr>],
 }
 
-/// The row batches a column-first operator's batch indices refer to.
-type RowBatches = Vec<Arc<Vec<Value>>>;
-
 /// The fields of the scan variable `var` that `exprs` read, sorted and
 /// deduplicated: the columns a column-first operator over that scan pivots.
 fn fields_of<'e>(var: &str, exprs: impl IntoIterator<Item = &'e CalcExpr>) -> Vec<String> {
@@ -2112,42 +2061,6 @@ fn fields_of<'e>(var: &str, exprs: impl IntoIterator<Item = &'e CalcExpr>) -> Ve
     fields.sort_unstable();
     fields.dedup();
     fields
-}
-
-/// The row ranges of the `p` contiguous chunks [`Dataset::from_vec`] cuts
-/// `n` rows into — `n.div_ceil(p)` rows each, padded with empty chunks to
-/// `p` — so a column-first operator over one block of rows works through
-/// the very partitions the row path would have scanned.
-fn chunk_ranges(n: u32, p: usize) -> Vec<(u32, u32)> {
-    let step = n.div_ceil(p as u32).max(1);
-    (0..p as u32)
-        .map(|k| ((k * step).min(n), ((k + 1) * step).min(n)))
-        .collect()
-}
-
-/// [`chunk_ranges`] over the concatenated rows of batches of `lens` rows,
-/// as per-batch spans.
-fn chunk_spans(lens: &[usize], p: usize) -> Vec<Vec<Span>> {
-    let total: usize = lens.iter().sum();
-    let chunk = total.div_ceil(p).max(1);
-    let mut tasks: Vec<Vec<Span>> = Vec::with_capacity(p);
-    for k in 0..total.div_ceil(chunk) {
-        let (glo, ghi) = (k * chunk, ((k + 1) * chunk).min(total));
-        let mut spans = Vec::new();
-        let mut off = 0usize;
-        for (bi, &len) in lens.iter().enumerate() {
-            let (lo, hi) = (glo.max(off), ghi.min(off + len));
-            if lo < hi {
-                spans.push((bi, (lo - off) as u32, (hi - off) as u32));
-            }
-            off += len;
-        }
-        tasks.push(spans);
-    }
-    while tasks.len() < p {
-        tasks.push(Vec::new());
-    }
-    tasks
 }
 
 /// Combine the head values of a `Reduce` under its monoid: collections

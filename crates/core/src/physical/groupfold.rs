@@ -27,16 +27,15 @@
 //! (`Unnest` over `g.partition`), so their plans never match and keep the
 //! materialized path.
 
-use std::sync::Arc;
-
-use cleanm_values::{ColumnBatch, FxHashSet, Value};
+use cleanm_values::{FxHashSet, Value};
 
 use crate::calculus::eval::merge_values;
 use crate::calculus::subst::{free_vars, substitute};
 use crate::calculus::{CalcExpr, Comprehension, Func, MonoidKind, Program, Qual};
 
 use super::execute::RowEval;
-use super::kernel::{ColumnProgram, Groups, PredKernel, RowRef};
+use super::kernel::{ColumnProgram, Groups};
+use super::scan::ColumnScan;
 
 /// The variable the group key is bound to in finish-program scope.
 pub(crate) const KEY_SLOT_VAR: &str = "__gkey";
@@ -431,21 +430,19 @@ impl AggSlot {
 // The columnar route
 // ---------------------------------------------------------------------
 
-/// One contiguous run of rows of a stored batch: `(batch, lo, hi)`.
-pub(crate) type Span = (usize, u32, u32);
-
-/// A group fold lowered onto the columns of a stored table: the grouping
-/// key and every slot's member expression are [`ColumnProgram`]s, so a
-/// chunk of rows folds as *hash key cells → dense group ids → fold each
-/// slot's accumulators by id* without building a key record, a value
-/// vector or a row environment per row. Lowered once per execution; `None`
-/// from [`ColumnarFold::lower`] leaves the node on the row driver.
+/// A group fold lowered onto the columns of a stored table: the fused
+/// `WHERE` chain below the Nest is the scan's filter, and the grouping key
+/// and every slot's member expression are [`ColumnProgram`]s over its
+/// block, so a chunk of rows folds as *hash key cells → dense group ids →
+/// fold each slot's accumulators by id* without building a key record, a
+/// value vector or a row environment per row. Lowered once per execution;
+/// `None` from [`ColumnarFold::lower`] leaves the node on the row driver.
 pub(crate) struct ColumnarFold {
+    /// The table the fold reads, filtered by the fused `WHERE` chain.
+    pub(super) scan: ColumnScan,
     key: ColumnProgram,
     /// Each aggregate slot with its member expression.
     slots: Vec<(AggSlot, ColumnProgram)>,
-    /// The fused `WHERE` chain below the Nest, lowered per batch.
-    preds: Option<Vec<PredKernel>>,
     /// Group-keeping (FD) shape: chunks remember each row's group so the
     /// passing groups' members are gathered by index afterwards.
     keeps_groups: bool,
@@ -460,7 +457,7 @@ enum SlotAccs {
     Witnesses {
         cap: usize,
         n: Vec<u8>,
-        rows: Vec<RowRef>,
+        rows: Vec<u32>,
     },
     /// Every other slot, through [`AggSlot`]'s own fold / merge / finish.
     Values(Vec<SlotAcc>),
@@ -480,14 +477,13 @@ impl SlotAccs {
         }
     }
 
-    /// Fold the slot's member value at each row `sel` of `batch` into the
+    /// Fold the slot's member value at each row of `sel` into the
     /// accumulator of that row's group (`gids`, parallel to `sel`), after
     /// extending the accumulators to `groups` groups.
     fn fold(
         &mut self,
         (slot, cols): &(AggSlot, ColumnProgram),
         groups: usize,
-        batch: u32,
         sel: &[u32],
         gids: &[u32],
         ev: &RowEval,
@@ -495,15 +491,15 @@ impl SlotAccs {
         match self {
             SlotAccs::Witnesses { cap, n, rows } => {
                 n.resize(groups, 0);
-                rows.resize(groups * *cap, RowRef::default());
+                rows.resize(groups * *cap, 0);
                 for (&row, &g) in sel.iter().zip(gids) {
-                    witness(*cap, n, rows, cols, g as usize, RowRef { batch, row });
+                    witness(*cap, n, rows, cols, g as usize, row);
                 }
             }
             SlotAccs::Values(accs) => {
                 accs.resize_with(groups, || slot.zero());
                 for (&row, &g) in sel.iter().zip(gids) {
-                    let v = cols.value(RowRef { batch, row });
+                    let v = cols.value(row);
                     if let Err(e) = slot.fold(&mut accs[g as usize], v) {
                         ev.record(e);
                     }
@@ -565,14 +561,7 @@ impl SlotAccs {
 /// Offer row `at` as a witness of group `g`: kept when the group holds
 /// fewer than `cap` and none of them has `at`'s member value.
 #[inline]
-fn witness(
-    cap: usize,
-    n: &mut [u8],
-    rows: &mut [RowRef],
-    cols: &ColumnProgram,
-    g: usize,
-    at: RowRef,
-) {
+fn witness(cap: usize, n: &mut [u8], rows: &mut [u32], cols: &ColumnProgram, g: usize, at: u32) {
     let held = n[g] as usize;
     if held < cap && !rows[g * cap..][..held].iter().any(|&w| cols.same(w, at)) {
         rows[g * cap + held] = at;
@@ -599,7 +588,7 @@ impl ChunkFold {
 /// (chunk-local until [`ColumnarFold::merge`] rewrites it).
 #[derive(Default)]
 pub(crate) struct ChunkMembers {
-    rows: Vec<RowRef>,
+    rows: Vec<u32>,
     gids: Vec<u32>,
     /// The distinct groups the chunk's rows fell into (set by the merge).
     groups: Vec<u32>,
@@ -608,7 +597,7 @@ pub(crate) struct ChunkMembers {
 impl ChunkMembers {
     /// The rows whose group `out_of` maps to an output position, as
     /// `(position, row)` in row order.
-    pub fn gather<'a>(&'a self, out_of: &'a [u32]) -> impl Iterator<Item = (u32, RowRef)> + 'a {
+    pub fn gather<'a>(&'a self, out_of: &'a [u32]) -> impl Iterator<Item = (u32, u32)> + 'a {
         let placed = self
             .gids
             .iter()
@@ -642,69 +631,53 @@ pub(crate) struct FoldedGroups {
 }
 
 impl ColumnarFold {
-    /// Lower a recognized fold onto `batches`: the key and every slot's
-    /// member program against each batch's columns, the fused `WHERE`
-    /// program (if any) into a [`PredKernel`] per batch. `None` when
-    /// anything does not lower.
+    /// Lower a recognized fold onto `scan`: the key and every slot's
+    /// member program against its block. `None` when any does not lower.
     pub fn lower(
-        batches: &[Arc<ColumnBatch>],
+        scan: ColumnScan,
         key: &Program,
         slots: &[AggSlot],
         slot_programs: &[&Program],
-        pred: Option<&Program>,
         keeps_groups: bool,
     ) -> Option<ColumnarFold> {
-        let lower_pred = |p| batches.iter().map(move |b| PredKernel::compile(p, b));
+        let block = scan.block();
         Some(ColumnarFold {
-            key: ColumnProgram::lower(key, batches)?,
+            key: ColumnProgram::lower(key, block)?,
             slots: slots
                 .iter()
                 .zip(slot_programs)
-                .map(|(slot, p)| Some((slot.clone(), ColumnProgram::lower(p, batches)?)))
+                .map(|(slot, p)| Some((slot.clone(), ColumnProgram::lower(p, block)?)))
                 .collect::<Option<_>>()?,
-            preds: match pred {
-                Some(p) => Some(lower_pred(p).collect::<Option<_>>()?),
-                None => None,
-            },
+            scan,
             keeps_groups,
         })
     }
 
-    /// Fold one chunk: per span, select (the fused `WHERE`), assign group
-    /// ids from the key columns, then fold each slot by id.
-    pub fn fold_chunk(&self, spans: &[Span], ev: &RowEval) -> ChunkFold {
-        let mut out = ChunkFold {
-            groups: Groups::default(),
-            accs: self.new_accs(),
-            members: ChunkMembers::default(),
-        };
-        let (mut sel, mut gids): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
-        for &(b, lo, hi) in spans {
-            sel.clear();
-            sel.extend(lo..hi);
-            if let Some(preds) = &self.preds {
-                // Binding cannot fail: the kernel compiled against this
-                // very batch and stored batches are immutable.
-                let batch = self.key.batch(b);
-                assert!(
-                    preds[b].filter(batch, &mut sel),
-                    "columnar kernel bound against a drifted batch schema"
-                );
-            }
-            let batch = b as u32;
-            gids.clear();
-            out.groups.assign(&self.key, batch, &sel, &mut gids);
-            let groups = out.groups.len();
-            for (slot, accs) in self.slots.iter().zip(&mut out.accs) {
-                accs.fold(slot, groups, batch, &sel, &gids, ev);
-            }
-            if self.keeps_groups {
-                let rows = sel.iter().map(|&row| RowRef { batch, row });
-                out.members.rows.extend(rows);
-                out.members.gids.extend_from_slice(&gids);
-            }
+    /// Fold one chunk, the table's rows `lo..hi`: select (the fused
+    /// `WHERE`), assign group ids from the key columns, then fold each
+    /// slot by id.
+    pub fn fold_chunk(&self, range: (u32, u32), ev: &RowEval) -> ChunkFold {
+        let sel = self.scan.sweep(range);
+        let (mut groups, mut gids) = (Groups::default(), Vec::new());
+        groups.assign(&self.key, &sel, &mut gids);
+        let mut accs = self.new_accs();
+        for (slot, accs) in self.slots.iter().zip(&mut accs) {
+            accs.fold(slot, groups.len(), &sel, &gids, ev);
         }
-        out
+        let members = if self.keeps_groups {
+            ChunkMembers {
+                rows: sel,
+                gids,
+                groups: Vec::new(),
+            }
+        } else {
+            ChunkMembers::default()
+        };
+        ChunkFold {
+            groups,
+            accs,
+            members,
+        }
     }
 
     /// Merge the chunks' partials in chunk order — the association a

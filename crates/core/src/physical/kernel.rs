@@ -6,8 +6,9 @@
 //! comparison ([`Instr::BinFused`]), a record of projections
 //! ([`Instr::RecordFused`]), a single-builtin call ([`Instr::CallFused`]).
 //! This module recognizes exactly those shapes and lowers them once more,
-//! against a *concrete* [`ColumnBatch`] schema, into kernels that sweep
-//! whole typed columns: a predicate refines a selection vector over
+//! against the one *concrete* [`ColumnBatch`] a table is read as — the
+//! pivot of all its rows, so a kernel lowers once per plan node — into
+//! kernels that sweep whole typed columns: a predicate refines a selection vector over
 //! `i64`/`f64`/`Arc<str>` slices ([`PredKernel`]); a theta join's predicate
 //! reads two batches, slot 0 the left side's and slot 1 the right's, and
 //! refines a selection of right rows for one left row ([`PairKernel`]),
@@ -891,19 +892,9 @@ impl StrFuncKind {
     }
 }
 
-/// One row of a multi-batch table: the batch (an index into the list a
-/// [`ColumnProgram`] was lowered against) and the row within it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RowRef {
-    pub batch: u32,
-    pub row: u32,
-}
-
 /// One scalar cell as a column expression reads it: a typed view that
 /// borrows strings and compares with [`Value`]'s equality — NULL = NULL,
-/// NaN = NaN, −0.0 = 0.0, `1` = `1.0` — so cells of differently typed
-/// columns (an `Int` batch appended to a `Float` one) still group as their
-/// boxed values would.
+/// NaN = NaN, −0.0 = 0.0 — so rows group as their boxed values would.
 enum Cell<'a> {
     Null,
     Bool(bool),
@@ -921,9 +912,6 @@ impl PartialEq for Cell<'_> {
             (Bool(a), Bool(b)) => a == b,
             (Int(a), Int(b)) => a == b,
             (Float(a), Float(b)) => Value::float_key(*a) == Value::float_key(*b),
-            (Int(a), Float(b)) | (Float(b), Int(a)) => {
-                Value::float_key(*a as f64) == Value::float_key(*b)
-            }
             (Str(a), Str(b)) => a == b,
             _ => false,
         }
@@ -931,8 +919,8 @@ impl PartialEq for Cell<'_> {
 }
 
 /// Fold one cell into a running row hash. Equal cells ([`Cell::eq`]) mix
-/// equally: numbers go through the canonical float key whatever their
-/// column type, like [`Value`]'s own `Hash`.
+/// equally: floats go through the canonical float key, like [`Value`]'s
+/// own `Hash`.
 #[inline]
 fn mix(h: u64, word: u64) -> u64 {
     fx_hash(h, &word)
@@ -946,7 +934,7 @@ impl Cell<'_> {
         match self {
             Cell::Null => mix(h, NULL_WORD),
             Cell::Bool(b) => mix(h, 2 + *b as u64),
-            Cell::Int(i) => mix(h, Value::float_key(*i as f64)),
+            Cell::Int(i) => mix(h, *i as u64),
             Cell::Float(f) => mix(h, Value::float_key(*f)),
             Cell::Str(s) => fx_hash(h, s.as_bytes()),
         }
@@ -1095,22 +1083,28 @@ impl ColExpr {
     }
 }
 
-/// A compiled [`Program`] lowered to column expressions against one batch:
-/// a bare scalar (`d0.suppkey`, `prefix(d0.phone)`, `1`) or a record of
-/// them (the `tuple_key` shape of composite FD keys).
+/// A compiled [`Program`] over one scan variable, lowered to column
+/// expressions against a table's block: a bare scalar (`d0.suppkey`,
+/// `prefix(d0.phone)`, `1`) or a record of them (the `tuple_key` shape of
+/// composite FD keys). Its value at a row can be hashed, compared with its
+/// value at another row and materialized without evaluating the program
+/// or boxing a cell. This is what the columnar group fold reads grouping
+/// keys and aggregate member expressions through.
 #[derive(Debug)]
-struct BatchProgram {
+pub struct ColumnProgram {
+    block: Arc<ColumnBatch>,
     /// Field names of a record-valued program; `None` for a scalar.
     names: Option<Arc<[Arc<str>]>>,
     fields: Vec<ColExpr>,
 }
 
-impl BatchProgram {
-    /// Recognized shapes: `[RecordFused]`, a lone scalar instruction
-    /// (`[SlotField]` / `[Const]` / `[CallFused]`), and `[field…, Record]`
-    /// where every field is one. `None` for anything else — whole-row
-    /// slots, `BlockKeys`, interpreter islands, `Val` columns.
-    fn lower(program: &Program, batch: &ColumnBatch) -> Option<BatchProgram> {
+impl ColumnProgram {
+    /// Lower `program` against `block`. Recognized shapes:
+    /// `[RecordFused]`, a lone scalar instruction (`[SlotField]` /
+    /// `[Const]` / `[CallFused]`), and `[field…, Record]` where every field
+    /// is one. `None` — the caller keeps the row path — for anything else:
+    /// whole-row slots, `BlockKeys`, interpreter islands, `Val` columns.
+    pub fn lower(program: &Program, block: &Arc<ColumnBatch>) -> Option<ColumnProgram> {
         if program.scope_len() != 1 {
             return None;
         }
@@ -1118,91 +1112,59 @@ impl BatchProgram {
             [Instr::RecordFused { names, ops }] => (
                 Some(Arc::clone(names)),
                 ops.iter()
-                    .map(|op| ColExpr::of_operand(op, batch))
+                    .map(|op| ColExpr::of_operand(op, block))
                     .collect::<Option<_>>()?,
             ),
             [fields @ .., Instr::Record(names)] if fields.len() == names.len() => (
                 Some(Arc::clone(names)),
                 fields
                     .iter()
-                    .map(|instr| ColExpr::of_instr(instr, batch))
+                    .map(|instr| ColExpr::of_instr(instr, block))
                     .collect::<Option<_>>()?,
             ),
-            [scalar] => (None, vec![ColExpr::of_instr(scalar, batch)?]),
+            [scalar] => (None, vec![ColExpr::of_instr(scalar, block)?]),
             _ => return None,
         };
-        Some(BatchProgram { names, fields })
+        Some(ColumnProgram {
+            block: Arc::clone(block),
+            names,
+            fields,
+        })
     }
 
-    fn value(&self, batch: &ColumnBatch, i: usize) -> Value {
+    /// The program's value at row `i` — what the row path would have
+    /// evaluated.
+    pub fn value(&self, i: u32) -> Value {
+        let (block, i) = (&*self.block, i as usize);
         match &self.names {
-            None => self.fields[0].value(batch, i),
+            None => self.fields[0].value(block, i),
             Some(names) => Value::Struct(
                 names
                     .iter()
                     .zip(&self.fields)
-                    .map(|(n, f)| (Arc::clone(n), f.value(batch, i)))
+                    .map(|(n, f)| (Arc::clone(n), f.value(block, i)))
                     .collect(),
             ),
         }
     }
-}
 
-/// A compiled [`Program`] over one scan variable, lowered to column
-/// expressions against **every batch** of a stored table: its value at a
-/// row can be hashed, compared with its value at another row (of any
-/// batch) and materialized without evaluating the program or boxing a
-/// cell. This is what the columnar group fold reads grouping keys and
-/// aggregate member expressions through.
-#[derive(Debug)]
-pub struct ColumnProgram {
-    batches: Vec<(Arc<ColumnBatch>, BatchProgram)>,
-}
-
-impl ColumnProgram {
-    /// Lower `program` against each of `batches` (appends may differ in
-    /// column order and type, so each batch lowers on its own). `None` —
-    /// the caller keeps the row path — when any batch does not lower.
-    pub fn lower(program: &Program, batches: &[Arc<ColumnBatch>]) -> Option<ColumnProgram> {
-        let batches = batches
-            .iter()
-            .map(|b| Some((Arc::clone(b), BatchProgram::lower(program, b)?)))
-            .collect::<Option<_>>()?;
-        Some(ColumnProgram { batches })
-    }
-
-    /// Batch `b` of the list the program was lowered against.
-    pub fn batch(&self, b: usize) -> &ColumnBatch {
-        &self.batches[b].0
-    }
-
-    /// The program's value at `at` — what the row path would have
-    /// evaluated.
-    pub fn value(&self, at: RowRef) -> Value {
-        let (batch, program) = &self.batches[at.batch as usize];
-        program.value(batch, at.row as usize)
-    }
-
-    /// Is the program's value the same at `a` and at `b` (`Value`
+    /// Is the program's value the same at rows `a` and `b` (`Value`
     /// equality, cell by cell)?
     #[inline]
-    pub fn same(&self, a: RowRef, b: RowRef) -> bool {
-        let (batch_a, pa) = &self.batches[a.batch as usize];
-        let (batch_b, pb) = &self.batches[b.batch as usize];
-        pa.fields
+    pub fn same(&self, a: u32, b: u32) -> bool {
+        let (block, a, b) = (&*self.block, a as usize, b as usize);
+        self.fields
             .iter()
-            .zip(&pb.fields)
-            .all(|(fa, fb)| fa.cell(batch_a, a.row as usize) == fb.cell(batch_b, b.row as usize))
+            .all(|f| f.cell(block, a) == f.cell(block, b))
     }
 
-    /// Hash the program's value at every row `sel` of batch `batch` into
-    /// `hashes` (cleared first), column at a time.
-    fn hash_rows(&self, batch: u32, sel: &[u32], hashes: &mut Vec<u64>) {
-        let (cols, program) = &self.batches[batch as usize];
+    /// Hash the program's value at every row of `sel` into `hashes`
+    /// (cleared first), column at a time.
+    fn hash_rows(&self, sel: &[u32], hashes: &mut Vec<u64>) {
         hashes.clear();
         hashes.resize(sel.len(), HASH_SEED);
-        for field in &program.fields {
-            field.hash_into(cols, sel, hashes);
+        for field in &self.fields {
+            field.hash_into(&self.block, sel, hashes);
         }
     }
 }
@@ -1220,7 +1182,7 @@ pub struct Groups {
     /// Per group: the row hash it was entered under.
     hashes: Vec<u64>,
     /// Per group: its first row.
-    reps: Vec<RowRef>,
+    reps: Vec<u32>,
     /// Scratch for [`Groups::assign`]'s column-at-a-time hashing.
     scratch: Vec<u64>,
 }
@@ -1244,19 +1206,19 @@ impl Groups {
     }
 
     /// Group `g`'s representative (first) row.
-    pub fn rep(&self, g: u32) -> RowRef {
+    pub fn rep(&self, g: u32) -> u32 {
         self.reps[g as usize]
     }
 
-    /// Assign a group id to each row `sel` of batch `batch` by `key`'s
-    /// value there, appending the ids to `gids` in `sel` order. New groups
-    /// take the next id, so ids are dense and in first-appearance order.
-    pub fn assign(&mut self, key: &ColumnProgram, batch: u32, sel: &[u32], gids: &mut Vec<u32>) {
+    /// Assign a group id to each row of `sel` by `key`'s value there,
+    /// appending the ids to `gids` in `sel` order. New groups take the
+    /// next id, so ids are dense and in first-appearance order.
+    pub fn assign(&mut self, key: &ColumnProgram, sel: &[u32], gids: &mut Vec<u32>) {
         let mut hashes = std::mem::take(&mut self.scratch);
-        key.hash_rows(batch, sel, &mut hashes);
+        key.hash_rows(sel, &mut hashes);
         gids.reserve(sel.len());
         for (&hash, &row) in hashes.iter().zip(sel) {
-            gids.push(self.upsert(key, hash, RowRef { batch, row }));
+            gids.push(self.upsert(key, hash, row));
         }
         self.scratch = hashes;
     }
@@ -1276,7 +1238,7 @@ impl Groups {
     /// The id of the group `at` belongs to, entering a new group with `at`
     /// as its representative when `key`'s value there is unseen.
     #[inline]
-    fn upsert(&mut self, key: &ColumnProgram, hash: u64, at: RowRef) -> u32 {
+    fn upsert(&mut self, key: &ColumnProgram, hash: u64, at: u32) -> u32 {
         if self.reps.len() * 2 >= self.slots.len() {
             self.grow();
         }
@@ -1376,7 +1338,7 @@ mod tests {
         let scope = vec!["c".to_string()];
         let prog = Program::compile(&pred_expr(), &scope, &ctx).unwrap();
         let kernel = PredKernel::compile(&prog, &batch).expect("fused predicate vectorizes");
-        let mut sel = cleanm_values::sel_all(rows.len());
+        let mut sel: Vec<u32> = (0..rows.len() as u32).collect();
         assert!(kernel.filter(&batch, &mut sel));
 
         let survivors: Vec<u32> = rows
@@ -1419,7 +1381,7 @@ mod tests {
             let Some(kernel) = PredKernel::compile(&prog, &batch) else {
                 continue;
             };
-            let mut sel = cleanm_values::sel_all(rows.len());
+            let mut sel: Vec<u32> = (0..rows.len() as u32).collect();
             kernel.filter(&batch, &mut sel);
             let want: Vec<u32> = rows
                 .iter()
@@ -1434,25 +1396,16 @@ mod tests {
         }
     }
 
-    /// Group `rows` through the kernel in two batches (split at `cut`) and
-    /// return `(key, count)` per group, in first-appearance order.
-    fn kernel_groups(rows: &[Value], cut: usize, e: &CalcExpr) -> Option<Vec<(Value, u64)>> {
+    /// Group `rows` through the kernel and return `(key, count)` per
+    /// group, in first-appearance order.
+    fn kernel_groups(rows: &[Value], e: &CalcExpr) -> Option<Vec<(Value, u64)>> {
         let ctx = EvalCtx::new();
         let prog = Program::compile(e, &["c".to_string()], &ctx).unwrap();
-        let batches: Vec<Arc<ColumnBatch>> = [&rows[..cut], &rows[cut..]]
-            .iter()
-            .map(|part| Arc::new(ColumnBatch::from_rows(part).unwrap()))
-            .collect();
-        let key = ColumnProgram::lower(&prog, &batches)?;
+        let block = Arc::new(ColumnBatch::from_rows(rows).unwrap());
+        let key = ColumnProgram::lower(&prog, &block)?;
         let (mut groups, mut gids) = (Groups::default(), Vec::new());
-        for (b, batch) in batches.iter().enumerate() {
-            groups.assign(
-                &key,
-                b as u32,
-                &cleanm_values::sel_all(batch.len()),
-                &mut gids,
-            );
-        }
+        let all: Vec<u32> = (0..rows.len() as u32).collect();
+        groups.assign(&key, &all, &mut gids);
         let mut counts = vec![0u64; groups.len()];
         for g in gids {
             counts[g as usize] += 1;
@@ -1474,8 +1427,8 @@ mod tests {
         want
     }
 
-    fn assert_groups_match(rows: &[Value], cut: usize, e: &CalcExpr) {
-        let got = kernel_groups(rows, cut, e).expect("key lowers to column expressions");
+    fn assert_groups_match(rows: &[Value], e: &CalcExpr) {
+        let got = kernel_groups(rows, e).expect("key lowers to column expressions");
         let want = row_groups(rows, e);
         assert_eq!(got.len(), want.len(), "{e}");
         for (k, n) in &got {
@@ -1505,14 +1458,13 @@ mod tests {
             // a constant key: one group
             CalcExpr::Const(Value::Int(1)),
         ] {
-            assert_groups_match(&rows, 120, &e);
+            assert_groups_match(&rows, &e);
         }
     }
 
     #[test]
-    fn grouping_kernel_keeps_value_equality_across_batch_types() {
-        // Batch 0 types `k` as Float (NaN, −0.0), batch 1 as Int: `0`
-        // joins `−0.0`'s group and `2` joins `2.0`'s, NULL = NULL, NaN = NaN.
+    fn grouping_kernel_keeps_value_equality() {
+        // `−0.0` joins `0.0`'s group, NULL = NULL, NaN = NaN.
         let k = |v: Value| Value::record([("k", v)]);
         let rows = vec![
             k(Value::Float(-0.0)),
@@ -1520,14 +1472,14 @@ mod tests {
             k(Value::Float(2.0)),
             k(Value::Null),
             k(Value::Float(f64::NAN)),
-            k(Value::Int(0)),
-            k(Value::Int(2)),
+            k(Value::Float(0.0)),
+            k(Value::Float(2.0)),
             k(Value::Null),
-            k(Value::Int(7)),
+            k(Value::Float(7.0)),
         ];
         let e = CalcExpr::proj(CalcExpr::var("c"), "k");
-        assert_groups_match(&rows, 5, &e);
-        assert_eq!(kernel_groups(&rows, 5, &e).unwrap().len(), 5);
+        assert_groups_match(&rows, &e);
+        assert_eq!(kernel_groups(&rows, &e).unwrap().len(), 5);
     }
 
     #[test]
@@ -1536,12 +1488,12 @@ mod tests {
         let ctx = EvalCtx::new();
         let e = CalcExpr::proj(CalcExpr::var("c"), "seg");
         let prog = Program::compile(&e, &["c".to_string()], &ctx).unwrap();
-        let batch = Arc::new(ColumnBatch::from_rows(&rows).unwrap());
-        let key = ColumnProgram::lower(&prog, &[batch]).unwrap();
+        let block = Arc::new(ColumnBatch::from_rows(&rows).unwrap());
+        let key = ColumnProgram::lower(&prog, &block).unwrap();
         let (mut left, mut right) = (Groups::default(), Groups::default());
         let (mut lg, mut rg) = (Vec::new(), Vec::new());
-        left.assign(&key, 0, &[1, 2], &mut lg); // B, B
-        right.assign(&key, 0, &[3, 4, 5], &mut rg); // A, B, B
+        left.assign(&key, &[1, 2], &mut lg); // B, B
+        right.assign(&key, &[3, 4, 5], &mut rg); // A, B, B
         assert_eq!((lg, rg), (vec![0, 0], vec![0, 1, 1]));
         assert_eq!(left.absorb(&key, &right), vec![1, 0], "A is new, B merges");
         assert_eq!(left.len(), 2);
@@ -1555,7 +1507,7 @@ mod tests {
             Value::record([("a", Value::Int(1)), ("s", Value::str("x"))]),
             Value::record([("a", Value::str("x")), ("s", Value::str("y"))]),
         ];
-        let batch = [Arc::new(ColumnBatch::from_rows(&mixed).unwrap())];
+        let block = Arc::new(ColumnBatch::from_rows(&mixed).unwrap());
         let col = |f: &str| CalcExpr::proj(CalcExpr::var("c"), f);
         for e in [
             col("a"),                                              // a `Val` column
@@ -1565,10 +1517,10 @@ mod tests {
             CalcExpr::bin(BinOp::Add, col("a"), CalcExpr::int(1)), // arithmetic
         ] {
             let prog = Program::compile(&e, &scope, &ctx).unwrap();
-            assert!(ColumnProgram::lower(&prog, &batch).is_none(), "{e}");
+            assert!(ColumnProgram::lower(&prog, &block).is_none(), "{e}");
         }
         let prog = Program::compile(&col("s"), &scope, &ctx).unwrap();
-        assert!(ColumnProgram::lower(&prog, &batch).is_some());
+        assert!(ColumnProgram::lower(&prog, &block).is_some());
     }
 
     #[test]

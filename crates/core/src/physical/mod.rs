@@ -25,6 +25,7 @@ mod pairs;
 pub mod profile;
 pub mod program;
 pub mod qprofile;
+mod scan;
 mod theta;
 
 pub use execute::{Executor, PlanDecision};

@@ -1,32 +1,29 @@
 //! The column route of a theta join (§6): both sides are `Select* ← Scan`
-//! over stored tables whose batches pivot into typed columns, so a side
-//! is a list of row indices and a candidate pair is two of them.
+//! over stored tables that read by column, so a side is a list of row
+//! indices and a candidate pair is two of them.
 //!
-//! Each side reads one column block — every stored row of its table, the
+//! Each side is a [`ColumnScan`] of its table — every stored row, as the
 //! columns its filter, its join key and the join predicate read. Its
-//! `Select` chain runs as a [`PredKernel`] selection vector and its key is
-//! read as an `f64` per surviving row ([`KeyKernel`]), chunk by chunk in
-//! the partition layout the row route scans, so the three theta
-//! algorithms of `cleanm_exec::theta` bucket, prune and charge exactly as
-//! they do over rows. Only the pair test differs: a [`PairKernel`] over
-//! the two blocks refines, for one left row, a selection of the right
-//! block's rows. Only the pairs that pass reach row values: the `Reduce`
-//! reading the join evaluates its head on their stored rows
-//! ([`ThetaSide::row`]).
+//! `Select` chain is the scan's filter and its key is read as an `f64` per
+//! surviving row ([`KeyKernel`]), chunk by chunk in the partition layout
+//! the row route scans, so the three theta algorithms of
+//! `cleanm_exec::theta` bucket, prune and charge exactly as they do over
+//! rows. Only the pair test differs: a [`PairKernel`] over the two blocks
+//! refines, for one left row, a selection of the right block's rows. Only
+//! the pairs that pass reach row values: the `Reduce` reading the join
+//! evaluates its head on their stored rows ([`ColumnScan::row`]).
 //!
 //! [`ColumnarTheta::lower`] declines (the caller keeps the row route)
 //! when any of the filter, the keys or the predicate does not lower.
 //! [`run_pruning`] dispatches the pruning strategies for both routes.
 
-use std::sync::Arc;
-
 use cleanm_exec::{theta, Data, Dataset, ExecResult};
-use cleanm_values::{ColumnBatch, Value};
 
 use crate::calculus::Program;
 
-use super::kernel::{BoundPair, KeyKernel, KeyKinds, PairKernel, PredKernel};
+use super::kernel::{BoundPair, KeyKernel, KeyKinds, PairKernel};
 use super::profile::ThetaStrategy;
+use super::scan::ColumnScan;
 
 /// A theta join candidate with its join key.
 type Keyed<T> = (f64, T);
@@ -36,82 +33,26 @@ pub(super) type Item = Keyed<u32>;
 
 /// One side of a theta join lowered onto its table's columns.
 pub(super) struct ThetaSide {
-    /// Every stored row of the table (row `i` is the table's `i`-th row),
-    /// as the columns the side reads.
-    block: Arc<ColumnBatch>,
-    /// The stored row batches the block was pivoted from, in order.
-    rows: Vec<Arc<Vec<Value>>>,
-    /// The block row each of `rows` starts at.
-    starts: Vec<u32>,
-    /// The side's `Select` chain, if any.
-    filter: Option<PredKernel>,
+    /// The side's table, filtered by its `Select` chain.
+    pub(super) scan: ColumnScan,
     key: KeyKernel,
 }
 
 impl ThetaSide {
-    /// Lower a side over `pivots`, the columns `fields` of each non-empty
-    /// stored batch (the `rows`, in the same order), with its `Select`
-    /// chain conjoined into `filter` and its join `key`.
-    pub(super) fn lower(
-        pivots: &[Arc<ColumnBatch>],
-        rows: Vec<Arc<Vec<Value>>>,
-        fields: &[String],
-        filter: Option<&Program>,
-        key: &Program,
-    ) -> Option<ThetaSide> {
-        let block = match pivots {
-            [one] => Arc::clone(one),
-            many => {
-                let parts: Vec<&ColumnBatch> = many.iter().map(|b| &**b).collect();
-                Arc::new(ColumnBatch::concat(&parts, fields)?)
-            }
-        };
-        let filter = match filter {
-            Some(program) => Some(PredKernel::compile(program, &block)?),
-            None => None,
-        };
-        let key = KeyKernel::compile(key, &block)?;
-        let starts = rows
-            .iter()
-            .scan(0u32, |next, batch| {
-                let start = *next;
-                *next += batch.len() as u32;
-                Some(start)
-            })
-            .collect();
-        Some(ThetaSide {
-            block,
-            rows,
-            starts,
-            filter,
-            key,
-        })
-    }
-
-    /// Number of stored rows the side reads.
-    pub(super) fn len(&self) -> usize {
-        self.block.len()
+    /// Lower a side's join `key` over its `scan`.
+    pub(super) fn lower(scan: ColumnScan, key: &Program) -> Option<ThetaSide> {
+        let key = KeyKernel::compile(key, scan.block())?;
+        Some(ThetaSide { scan, key })
     }
 
     /// The rows `lo..hi` of the table that pass the side's filter, keyed,
     /// with the kinds their keys took.
-    pub(super) fn sweep(&self, (lo, hi): (u32, u32)) -> (Vec<Item>, KeyKinds) {
-        // Neither kernel can fail to bind: both compiled against this very
-        // block, and blocks are immutable.
-        const BOUND: &str = "theta kernel bound against its own block";
-        let mut sel: Vec<u32> = (lo..hi).collect();
-        if let Some(filter) = &self.filter {
-            assert!(filter.filter(&self.block, &mut sel), "{BOUND}");
-        }
+    pub(super) fn sweep(&self, range: (u32, u32)) -> (Vec<Item>, KeyKinds) {
+        let sel = self.scan.sweep(range);
         let mut kinds = KeyKinds::default();
-        let items = self.key.keys(&self.block, &sel, &mut kinds).expect(BOUND);
+        let items = (self.key.keys(self.scan.block(), &sel, &mut kinds))
+            .expect("theta key bound against its own block");
         (items, kinds)
-    }
-
-    /// The stored row at block row `i`.
-    pub(super) fn row(&self, i: u32) -> &Value {
-        let batch = self.starts.partition_point(|&s| s <= i) - 1;
-        &self.rows[batch][(i - self.starts[batch]) as usize]
     }
 }
 
@@ -126,7 +67,7 @@ impl ColumnarTheta {
     /// Lower the join predicate `pred` (compiled against the concatenated
     /// `(left, right)` layout) over the two sides' blocks.
     pub(super) fn lower(left: ThetaSide, right: ThetaSide, pred: &Program) -> Option<Self> {
-        let pair = PairKernel::compile(pred, &left.block, &right.block)?;
+        let pair = PairKernel::compile(pred, left.scan.block(), right.scan.block())?;
         Some(ColumnarTheta { left, right, pair })
     }
 
@@ -136,7 +77,7 @@ impl ColumnarTheta {
     pub(super) fn verifier(&self) -> impl Fn(&Item, &[Item], &mut Vec<(Item, Item)>) + Sync + '_ {
         let pair: BoundPair<'_> = self
             .pair
-            .bind(&self.left.block, &self.right.block)
+            .bind(self.left.scan.block(), self.right.scan.block())
             .expect("pair kernel bound against the blocks it compiled on");
         move |t, block, out| {
             let mut sel: Vec<u32> = (0..block.len() as u32).collect();

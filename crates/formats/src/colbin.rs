@@ -21,6 +21,11 @@
 //! Like Parquet, strings are dictionary-encoded, columns are stored
 //! contiguously (so a reader touching two of 16 columns skips the rest), and
 //! the file carries its own schema.
+//!
+//! Decoding trusts no count in the file: a malformed or hostile document —
+//! truncated, a count of `u32::MAX`, nesting deeper than `MAX_DEPTH` — is
+//! an [`Error::Parse`], never a panic or an allocation the bytes cannot
+//! back.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cleanm_values::{
@@ -31,6 +36,8 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"CBIN";
 const VERSION: u8 = 1;
+/// The deepest list/struct nesting decoding accepts, in a type or a value.
+const MAX_DEPTH: usize = 128;
 
 // ---------------------------------------------------------------- encoding
 
@@ -241,11 +248,27 @@ impl Reader {
         self.need(n)?;
         Ok(self.bytes.copy_to_bytes(n))
     }
+
+    /// A count read off the file, for its loop, and the capacity to
+    /// reserve for it: every element takes at least one byte, so no more
+    /// than the bytes left can follow.
+    fn count(&mut self) -> Result<(usize, usize)> {
+        let n = self.u32()? as usize;
+        Ok((n, n.min(self.bytes.remaining())))
+    }
 }
 
-/// Deserialize a colbin document into a [`Table`].
-pub fn decode(bytes: Bytes) -> Result<Table> {
-    let mut r = Reader { bytes };
+fn nested(depth: usize) -> Result<usize> {
+    if depth >= MAX_DEPTH {
+        return Err(Error::Parse(format!(
+            "colbin: nesting deeper than {MAX_DEPTH}"
+        )));
+    }
+    Ok(depth + 1)
+}
+
+/// The magic, the version, the schema and the row count.
+fn decode_header(r: &mut Reader) -> Result<(Schema, usize)> {
     let magic = r.raw(4)?;
     if magic.as_ref() != MAGIC {
         return Err(Error::Parse("not a colbin file".to_string()));
@@ -256,8 +279,19 @@ pub fn decode(bytes: Bytes) -> Result<Table> {
             "unsupported colbin version {version}"
         )));
     }
-    let schema = decode_schema(&mut r)?;
-    let row_count = r.u64()? as usize;
+    let schema = decode_schema(r)?;
+    let rows = r.u64()? as usize;
+    // With no column, no byte of the file backs a row.
+    if schema.is_empty() && rows > 0 {
+        return Err(Error::Parse(format!("colbin: {rows} rows but no column")));
+    }
+    Ok((schema, rows))
+}
+
+/// Deserialize a colbin document into a [`Table`].
+pub fn decode(bytes: Bytes) -> Result<Table> {
+    let mut r = Reader { bytes };
+    let (schema, row_count) = decode_header(&mut r)?;
 
     // Columns arrive column-major; build row-major output.
     let mut columns: Vec<Vec<Value>> = Vec::with_capacity(schema.len());
@@ -282,18 +316,7 @@ pub fn decode(bytes: Bytes) -> Result<Table> {
 /// `table.rows[i].to_struct(&schema)`.
 pub fn decode_columnar(bytes: Bytes) -> Result<(Schema, ColumnBatch)> {
     let mut r = Reader { bytes };
-    let magic = r.raw(4)?;
-    if magic.as_ref() != MAGIC {
-        return Err(Error::Parse("not a colbin file".to_string()));
-    }
-    let version = r.u8()?;
-    if version != VERSION {
-        return Err(Error::Parse(format!(
-            "unsupported colbin version {version}"
-        )));
-    }
-    let schema = decode_schema(&mut r)?;
-    let row_count = r.u64()? as usize;
+    let (schema, row_count) = decode_header(&mut r)?;
     let names = cleanm_values::intern_all(schema.fields().iter().map(|f| f.name.as_str()));
     let mut cols = Vec::with_capacity(schema.len());
     for field in schema.fields() {
@@ -357,11 +380,7 @@ fn decode_column_typed(r: &mut Reader, rows: usize, dtype: &DataType) -> Result<
             Column::Bool { data, nulls }
         }
         DataType::Str => {
-            let dict_len = r.u32()? as usize;
-            let mut dict: Vec<Arc<str>> = Vec::with_capacity(dict_len);
-            for _ in 0..dict_len {
-                dict.push(Arc::from(r.str()?.as_str()));
-            }
+            let dict = decode_dict(r)?;
             let empty: Arc<str> = Arc::from("");
             let mut data = vec![Arc::clone(&empty); rows];
             for (i, slot) in data.iter_mut().enumerate() {
@@ -381,7 +400,7 @@ fn decode_column_typed(r: &mut Reader, rows: usize, dtype: &DataType) -> Result<
                     let len = r.u32()? as usize;
                     let inner = r.raw(len)?;
                     let mut ir = Reader { bytes: inner };
-                    *slot = decode_value(&mut ir)?;
+                    *slot = decode_value(&mut ir, 0)?;
                 }
             }
             Column::Val(data)
@@ -390,34 +409,40 @@ fn decode_column_typed(r: &mut Reader, rows: usize, dtype: &DataType) -> Result<
 }
 
 fn decode_schema(r: &mut Reader) -> Result<Schema> {
-    let n = r.u32()? as usize;
-    let mut fields = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.str()?;
-        let dtype = decode_dtype(r)?;
-        fields.push(Field::new(name, dtype));
-    }
-    Schema::new(fields)
+    Schema::new(decode_fields(r, 0)?)
 }
 
-fn decode_dtype(r: &mut Reader) -> Result<DataType> {
+/// A field count, then each field's name and type.
+fn decode_fields(r: &mut Reader, depth: usize) -> Result<Vec<Field>> {
+    let (n, cap) = r.count()?;
+    let mut fields = Vec::with_capacity(cap);
+    for _ in 0..n {
+        let name = r.str()?;
+        fields.push(Field::new(name, decode_dtype(r, depth)?));
+    }
+    Ok(fields)
+}
+
+fn decode_dtype(r: &mut Reader, depth: usize) -> Result<DataType> {
     match r.u8()? {
         0 => Ok(DataType::Bool),
         1 => Ok(DataType::Int),
         2 => Ok(DataType::Float),
         3 => Ok(DataType::Str),
-        4 => Ok(DataType::List(Box::new(decode_dtype(r)?))),
-        5 => {
-            let n = r.u32()? as usize;
-            let mut fields = Vec::with_capacity(n);
-            for _ in 0..n {
-                let name = r.str()?;
-                fields.push(Field::new(name, decode_dtype(r)?));
-            }
-            Ok(DataType::Struct(fields))
-        }
+        4 => Ok(DataType::List(Box::new(decode_dtype(r, nested(depth)?)?))),
+        5 => Ok(DataType::Struct(decode_fields(r, nested(depth)?)?)),
         t => Err(Error::Parse(format!("unknown dtype tag {t}"))),
     }
+}
+
+/// A string column's dictionary: an entry count, then the entries.
+fn decode_dict(r: &mut Reader) -> Result<Vec<Arc<str>>> {
+    let (n, cap) = r.count()?;
+    let mut dict = Vec::with_capacity(cap);
+    for _ in 0..n {
+        dict.push(Arc::from(r.str()?.as_str()));
+    }
+    Ok(dict)
 }
 
 fn decode_column(r: &mut Reader, rows: usize, dtype: &DataType) -> Result<Vec<Value>> {
@@ -448,11 +473,7 @@ fn decode_column(r: &mut Reader, rows: usize, dtype: &DataType) -> Result<Vec<Va
             }
         }
         DataType::Str => {
-            let dict_len = r.u32()? as usize;
-            let mut dict: Vec<Arc<str>> = Vec::with_capacity(dict_len);
-            for _ in 0..dict_len {
-                dict.push(Arc::from(r.str()?.as_str()));
-            }
+            let dict = decode_dict(r)?;
             for _ in 0..present_count {
                 let code = r.u32()? as usize;
                 let s = dict
@@ -466,7 +487,7 @@ fn decode_column(r: &mut Reader, rows: usize, dtype: &DataType) -> Result<Vec<Va
                 let len = r.u32()? as usize;
                 let inner = r.raw(len)?;
                 let mut ir = Reader { bytes: inner };
-                present.push(decode_value(&mut ir)?);
+                present.push(decode_value(&mut ir, 0)?);
             }
         }
     }
@@ -486,7 +507,7 @@ fn decode_column(r: &mut Reader, rows: usize, dtype: &DataType) -> Result<Vec<Va
     Ok(out)
 }
 
-fn decode_value(r: &mut Reader) -> Result<Value> {
+fn decode_value(r: &mut Reader, depth: usize) -> Result<Value> {
     match r.u8()? {
         0 => Ok(Value::Null),
         1 => Ok(Value::Bool(r.u8()? != 0)),
@@ -494,19 +515,21 @@ fn decode_value(r: &mut Reader) -> Result<Value> {
         3 => Ok(Value::Float(r.f64()?)),
         4 => Ok(Value::from(r.str()?)),
         5 => {
-            let n = r.u32()? as usize;
-            let mut items = Vec::with_capacity(n);
+            let depth = nested(depth)?;
+            let (n, cap) = r.count()?;
+            let mut items = Vec::with_capacity(cap);
             for _ in 0..n {
-                items.push(decode_value(r)?);
+                items.push(decode_value(r, depth)?);
             }
             Ok(Value::list(items))
         }
         6 => {
-            let n = r.u32()? as usize;
-            let mut fields: Vec<(Arc<str>, Value)> = Vec::with_capacity(n);
+            let depth = nested(depth)?;
+            let (n, cap) = r.count()?;
+            let mut fields: Vec<(Arc<str>, Value)> = Vec::with_capacity(cap);
             for _ in 0..n {
                 let name = r.str()?;
-                fields.push((Arc::from(name.as_str()), decode_value(r)?));
+                fields.push((Arc::from(name.as_str()), decode_value(r, depth)?));
             }
             Ok(Value::Struct(fields.into()))
         }

@@ -9,30 +9,17 @@
 //! ([`ColumnBatch::row`] is byte-identical to the source row), so the
 //! row-at-a-time interpreter remains the semantics of record and columnar
 //! kernels are pinned against it by differential tests.
-//!
-//! Selection vectors ([`SelVec`]) carry "which rows survive" between
-//! kernels as plain row indices: a predicate sweep refines the selection
-//! in place and downstream operators gather only the survivors.
 
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::value::Value;
 
-/// A selection vector: ascending row indices into a [`ColumnBatch`].
-pub type SelVec = Vec<u32>;
-
-/// The identity selection over `len` rows.
-pub fn sel_all(len: usize) -> SelVec {
-    (0..len as u32).collect()
-}
-
 /// A null bitmap over one column: bit set ⇒ the slot is NULL (the typed
 /// data vector holds a default at that slot).
 #[derive(Debug, Clone, Default)]
 pub struct NullMask {
     bits: Vec<u64>,
-    count: usize,
 }
 
 impl NullMask {
@@ -40,7 +27,6 @@ impl NullMask {
     pub fn new(len: usize) -> Self {
         NullMask {
             bits: vec![0u64; len.div_ceil(64)],
-            count: 0,
         }
     }
 
@@ -49,12 +35,7 @@ impl NullMask {
         if i / 64 >= self.bits.len() {
             self.bits.resize(i / 64 + 1, 0);
         }
-        let w = &mut self.bits[i / 64];
-        let bit = 1u64 << (i % 64);
-        if *w & bit == 0 {
-            *w |= bit;
-            self.count += 1;
-        }
+        self.bits[i / 64] |= 1u64 << (i % 64);
     }
 
     /// Is slot `i` NULL? Slots past the bitmap's end are valid (the bitmap
@@ -65,11 +46,6 @@ impl NullMask {
             Some(w) => (w >> (i % 64)) & 1 == 1,
             None => false,
         }
-    }
-
-    /// Number of NULL slots.
-    pub fn null_count(&self) -> usize {
-        self.count
     }
 }
 
@@ -113,7 +89,7 @@ pub enum Column {
 
 impl Column {
     /// Number of cells.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Column::Int { data, .. } => data.len(),
             Column::Float { data, .. } => data.len(),
@@ -121,11 +97,6 @@ impl Column {
             Column::Str { data, .. } => data.len(),
             Column::Val(data) => data.len(),
         }
-    }
-
-    /// Is the column empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Is cell `i` NULL?
@@ -153,43 +124,6 @@ impl Column {
             Column::Val(data) => data[i].clone(),
         }
     }
-
-    /// Gather the cells selected by `sel` into a new column, preserving
-    /// selection order. String cells gather by refcount bump.
-    pub fn gather(&self, sel: &[u32]) -> Column {
-        fn mask<T: Clone>(data: &[T], nulls: &Option<NullMask>, sel: &[u32]) -> Option<NullMask> {
-            let m = nulls.as_ref()?;
-            let mut out = NullMask::new(sel.len());
-            for (j, &i) in sel.iter().enumerate() {
-                if m.is_null(i as usize) {
-                    out.set_null(j);
-                }
-            }
-            let _ = data;
-            (out.null_count() > 0).then_some(out)
-        }
-        match self {
-            Column::Int { data, nulls } => Column::Int {
-                data: sel.iter().map(|&i| data[i as usize]).collect(),
-                nulls: mask(data, nulls, sel),
-            },
-            Column::Float { data, nulls } => Column::Float {
-                data: sel.iter().map(|&i| data[i as usize]).collect(),
-                nulls: mask(data, nulls, sel),
-            },
-            Column::Bool { data, nulls } => Column::Bool {
-                data: sel.iter().map(|&i| data[i as usize]).collect(),
-                nulls: mask(data, nulls, sel),
-            },
-            Column::Str { data, nulls } => Column::Str {
-                data: sel.iter().map(|&i| Arc::clone(&data[i as usize])).collect(),
-                nulls: mask(data, nulls, sel),
-            },
-            Column::Val(data) => {
-                Column::Val(sel.iter().map(|&i| data[i as usize].clone()).collect())
-            }
-        }
-    }
 }
 
 /// Incremental typed-column builder with progressive type inference:
@@ -199,7 +133,6 @@ impl Column {
 #[derive(Debug)]
 pub struct ColumnBuilder {
     kind: BuilderKind,
-    len: usize,
 }
 
 #[derive(Debug)]
@@ -232,23 +165,11 @@ impl ColumnBuilder {
     pub fn new() -> Self {
         ColumnBuilder {
             kind: BuilderKind::Empty(0),
-            len: 0,
         }
-    }
-
-    /// Number of cells pushed so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// No cells pushed yet?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Append one cell.
     pub fn push(&mut self, v: Value) {
-        self.len += 1;
         // Type-lock on first non-null; demote to Val on mismatch.
         let demote = match (&mut self.kind, &v) {
             (BuilderKind::Empty(n), Value::Null) => {
@@ -276,8 +197,7 @@ impl ColumnBuilder {
                     }
                 }
                 self.kind = kind;
-                self.len -= 1; // recurse once for the actual value
-                self.push(v);
+                self.push(v); // once more, for the actual value
                 return;
             }
             (BuilderKind::Int(d, m), Value::Null) => {
@@ -485,54 +405,16 @@ impl ColumnBatch {
             .collect();
         Value::Struct(fields)
     }
-
-    /// Reconstruct every row (round-trip tests, row-path handoff).
-    pub fn to_rows(&self) -> Vec<Value> {
-        (0..self.len).map(|i| self.row(i)).collect()
-    }
-
-    /// The columns `names` of `parts`, stacked in part order: exactly the
-    /// pivot the concatenated rows would have had — a column that is all
-    /// NULL in one part takes the type of the others, and parts typed
-    /// differently stack as [`Column::Val`]. `None` when a part lacks one
-    /// of the names.
-    pub fn concat(parts: &[&ColumnBatch], names: &[impl AsRef<str>]) -> Option<ColumnBatch> {
-        let first = parts.first()?;
-        let mut out_names = Vec::with_capacity(names.len());
-        let mut cols = Vec::with_capacity(names.len());
-        for name in names {
-            let name = name.as_ref();
-            out_names.push(Arc::clone(&first.names[first.column_index(name)?]));
-            let mut builder = ColumnBuilder::new();
-            for part in parts {
-                let col = part.column(part.column_index(name)?);
-                for i in 0..col.len() {
-                    builder.push(col.value(i));
-                }
-            }
-            cols.push(builder.finish());
-        }
-        let len = parts.iter().map(|p| p.len).sum();
-        Some(ColumnBatch {
-            len,
-            names: out_names,
-            cols,
-        })
-    }
-
-    /// Gather the rows selected by `sel` into a new batch.
-    pub fn gather(&self, sel: &[u32]) -> ColumnBatch {
-        ColumnBatch {
-            len: sel.len(),
-            names: self.names.clone(),
-            cols: self.cols.iter().map(|c| c.gather(sel)).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every row of `batch`, reconstructed.
+    fn to_rows(batch: &ColumnBatch) -> Vec<Value> {
+        (0..batch.len()).map(|i| batch.row(i)).collect()
+    }
 
     fn row(i: i64) -> Value {
         Value::record([
@@ -550,7 +432,7 @@ mod tests {
         assert!(matches!(batch.column(0), Column::Int { .. }));
         assert!(matches!(batch.column(1), Column::Float { .. }));
         assert!(matches!(batch.column(2), Column::Str { .. }));
-        assert_eq!(batch.to_rows(), rows);
+        assert_eq!(to_rows(&batch), rows);
     }
 
     #[test]
@@ -561,7 +443,7 @@ mod tests {
             Value::record([("a", Value::Null), ("b", Value::str("y"))]),
         ];
         let batch = ColumnBatch::from_rows(&rows).unwrap();
-        assert_eq!(batch.to_rows(), rows);
+        assert_eq!(to_rows(&batch), rows);
         assert!(batch.column(0).is_null(0));
         assert!(!batch.column(0).is_null(1));
         assert!(batch.column(1).is_null(1));
@@ -575,7 +457,7 @@ mod tests {
         ];
         let batch = ColumnBatch::from_rows(&rows).unwrap();
         assert!(matches!(batch.column(0), Column::Val(_)));
-        assert_eq!(batch.to_rows(), rows);
+        assert_eq!(to_rows(&batch), rows);
     }
 
     #[test]
@@ -585,7 +467,7 @@ mod tests {
             Value::record([("f", Value::Float(-0.0))]),
         ];
         let batch = ColumnBatch::from_rows(&rows).unwrap();
-        let back = batch.to_rows();
+        let back = to_rows(&batch);
         match (&back[0], &back[1]) {
             (Value::Struct(a), Value::Struct(b)) => {
                 assert!(matches!(a[0].1, Value::Float(f) if f.is_nan()));
@@ -636,26 +518,7 @@ mod tests {
     fn empty_input_yields_empty_batch() {
         let batch = ColumnBatch::from_rows(&[]).unwrap();
         assert!(batch.is_empty());
-        assert!(batch.to_rows().is_empty());
-    }
-
-    #[test]
-    fn gather_preserves_selection_order_and_nulls() {
-        let rows = vec![
-            Value::record([("a", Value::Int(0))]),
-            Value::record([("a", Value::Null)]),
-            Value::record([("a", Value::Int(2))]),
-            Value::record([("a", Value::Int(3))]),
-        ];
-        let batch = ColumnBatch::from_rows(&rows).unwrap();
-        let picked = batch.gather(&[3, 1]);
-        assert_eq!(
-            picked.to_rows(),
-            vec![
-                Value::record([("a", Value::Int(3))]),
-                Value::record([("a", Value::Null)]),
-            ]
-        );
+        assert!(to_rows(&batch).is_empty());
     }
 
     #[test]
@@ -666,7 +529,7 @@ mod tests {
         ];
         let batch = ColumnBatch::from_rows(&rows).unwrap();
         assert!(matches!(batch.column(0), Column::Val(_)));
-        assert_eq!(batch.to_rows(), rows);
+        assert_eq!(to_rows(&batch), rows);
     }
 
     #[test]
@@ -681,42 +544,5 @@ mod tests {
         assert!(col.value(1).is_null());
         // Exact variant preserved — Int(7), not Float(7.0).
         assert!(matches!(col.value(2), Value::Int(7)));
-    }
-
-    #[test]
-    fn concat_is_the_pivot_of_the_concatenated_rows() {
-        let rec = |a: Value, b: Value| Value::record([("a", a), ("b", b), ("c", Value::Int(0))]);
-        let parts = [
-            vec![
-                rec(Value::Null, Value::Int(1)),
-                rec(Value::Null, Value::Int(2)),
-            ],
-            vec![rec(Value::Float(0.5), Value::str("x"))],
-            vec![rec(Value::Null, Value::Int(3))],
-        ];
-        let batches: Vec<ColumnBatch> = parts
-            .iter()
-            .map(|rows| ColumnBatch::from_rows(rows).unwrap())
-            .collect();
-        assert!(matches!(batches[0].column(0), Column::Val(_)), "all NULL");
-        let refs: Vec<&ColumnBatch> = batches.iter().collect();
-        let stacked = ColumnBatch::concat(&refs, &["b", "a"]).unwrap();
-        let all: Vec<Value> = parts.concat();
-        let pivot = ColumnBatch::project_rows(&all, &["a", "b"]).unwrap();
-        assert_eq!(stacked.len(), 4);
-        assert!(matches!(stacked.column(1), Column::Float { .. }), "typed");
-        assert!(matches!(stacked.column(0), Column::Val(_)), "Int then Str");
-        for (name, col) in ["b", "a"].iter().zip(stacked.columns()) {
-            let want = pivot.column(pivot.column_index(name).unwrap());
-            let cells = |c: &Column| (0..c.len()).map(|i| c.value(i)).collect::<Vec<_>>();
-            assert_eq!(cells(col), cells(want), "{name}");
-        }
-        assert!(ColumnBatch::concat(&refs, &["zz"]).is_none());
-    }
-
-    #[test]
-    fn sel_all_covers_every_row() {
-        assert_eq!(sel_all(3), vec![0, 1, 2]);
-        assert!(sel_all(0).is_empty());
     }
 }

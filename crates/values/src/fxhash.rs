@@ -39,7 +39,7 @@ pub struct FxHasher {
 impl FxHasher {
     /// A hasher starting from `seed`.
     #[inline]
-    pub fn with_seed(seed: u64) -> FxHasher {
+    pub(crate) fn with_seed(seed: u64) -> FxHasher {
         FxHasher { hash: seed }
     }
 
@@ -116,39 +116,16 @@ impl Hasher for FxHasher {
     }
 }
 
-/// [`BuildHasher`] for [`FxHasher`] carrying an explicit seed.
-#[derive(Debug, Clone, Copy)]
-pub struct FxBuildHasher {
-    seed: u64,
-}
-
-impl FxBuildHasher {
-    /// The engine-default seeded builder ([`HASH_SEED`]).
-    #[inline]
-    pub fn new() -> FxBuildHasher {
-        FxBuildHasher { seed: HASH_SEED }
-    }
-
-    /// A builder hashing from a caller-chosen seed.
-    #[inline]
-    pub fn with_seed(seed: u64) -> FxBuildHasher {
-        FxBuildHasher { seed }
-    }
-}
-
-impl Default for FxBuildHasher {
-    #[inline]
-    fn default() -> Self {
-        FxBuildHasher::new()
-    }
-}
+/// [`BuildHasher`] for [`FxHasher`] seeded with [`HASH_SEED`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FxBuildHasher;
 
 impl BuildHasher for FxBuildHasher {
     type Hasher = FxHasher;
 
     #[inline]
     fn build_hasher(&self) -> FxHasher {
-        FxHasher::with_seed(self.seed)
+        FxHasher::with_seed(HASH_SEED)
     }
 }
 

@@ -22,7 +22,7 @@ mod strview;
 mod types;
 mod value;
 
-pub use batch::{sel_all, Column, ColumnBatch, ColumnBuilder, NullMask, SelVec};
+pub use batch::{Column, ColumnBatch, ColumnBuilder, NullMask};
 pub use error::{Error, Result};
 pub use fxhash::{fx_hash, FxBuildHasher, FxHashMap, FxHashSet, FxHasher, HASH_SEED};
 pub use intern::{intern, intern_all};

@@ -47,30 +47,6 @@ impl Row {
         })
     }
 
-    /// A new row with `other`'s values appended (join output).
-    pub fn concat(&self, other: &Row) -> Row {
-        let mut values = Vec::with_capacity(self.len() + other.len());
-        values.extend_from_slice(&self.values);
-        values.extend_from_slice(&other.values);
-        Row::new(values)
-    }
-
-    /// A new row keeping only the given positions, in order (projection).
-    pub fn project(&self, indices: &[usize]) -> Result<Row> {
-        let mut values = Vec::with_capacity(indices.len());
-        for &i in indices {
-            values.push(self.get(i)?.clone());
-        }
-        Ok(Row::new(values))
-    }
-
-    /// A new row with `extra` values appended.
-    pub fn extend(&self, extra: impl IntoIterator<Item = Value>) -> Row {
-        let mut values = self.values.to_vec();
-        values.extend(extra);
-        Row::new(values)
-    }
-
     /// Package the row as a [`Value::Struct`] using the schema's field names
     /// (used when nesting rows inside group values). Field names go through
     /// the process-wide intern table so repeated conversion of a table's
@@ -149,12 +125,6 @@ impl Table {
         }
         Ok(())
     }
-
-    /// Column values by field name.
-    pub fn column(&self, name: &str) -> Result<Vec<&Value>> {
-        let i = self.schema.index_of(name)?;
-        Ok(self.rows.iter().map(|r| &r.values()[i]).collect())
-    }
 }
 
 #[cfg(test)]
@@ -174,17 +144,6 @@ mod tests {
             r.get(5),
             Err(Error::IndexOutOfBounds { index: 5, len: 2 })
         ));
-    }
-
-    #[test]
-    fn concat_and_project() {
-        let a = Row::new(vec![Value::Int(1), Value::str("a")]);
-        let b = Row::new(vec![Value::Bool(true)]);
-        let c = a.concat(&b);
-        assert_eq!(c.len(), 3);
-        let p = c.project(&[2, 0]).unwrap();
-        assert_eq!(p.values(), &[Value::Bool(true), Value::Int(1)]);
-        assert!(c.project(&[9]).is_err());
     }
 
     #[test]
@@ -210,20 +169,6 @@ mod tests {
             vec![Row::new(vec![Value::str("x"), Value::str("a")])],
         );
         assert!(bad_type.validate().is_err());
-    }
-
-    #[test]
-    fn column_extraction() {
-        let t = Table::new(
-            schema(),
-            vec![
-                Row::new(vec![Value::Int(1), Value::str("a")]),
-                Row::new(vec![Value::Int(2), Value::str("b")]),
-            ],
-        );
-        let names = t.column("name").unwrap();
-        assert_eq!(names, vec![&Value::str("a"), &Value::str("b")]);
-        assert!(t.column("zz").is_err());
     }
 
     #[test]

@@ -71,18 +71,12 @@ impl<'a> StrView<'a> {
     }
 
     /// The viewed text.
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         match self {
             StrView::Shared { src, start, end } => &src[*start..*end],
             StrView::Borrowed(s) => s,
             StrView::Owned(s) => s,
         }
-    }
-
-    /// Is this view guaranteed to materialize without copying bytes (a
-    /// whole-source shared view)?
-    pub fn is_zero_copy(&self) -> bool {
-        matches!(self, StrView::Shared { src, start, end } if *start == 0 && *end == src.len())
     }
 
     /// Materialize into an owned [`Value::Str`]. A whole-source shared
@@ -117,9 +111,7 @@ mod tests {
     #[test]
     fn whole_view_materializes_by_refcount() {
         let src: Arc<str> = Arc::from("abc");
-        let v = StrView::whole(&src);
-        assert!(v.is_zero_copy());
-        match v.into_value() {
+        match StrView::whole(&src).into_value() {
             Value::Str(s) => assert!(Arc::ptr_eq(&s, &src)),
             other => panic!("expected Str, got {other:?}"),
         }
@@ -129,7 +121,6 @@ mod tests {
     fn partial_slice_allocates_once_with_right_bytes() {
         let src: Arc<str> = Arc::from("123-4567");
         let v = StrView::slice(&src, 0, 3);
-        assert!(!v.is_zero_copy());
         assert_eq!(v.as_str(), "123");
         assert_eq!(v.into_value(), Value::str("123"));
     }

@@ -169,21 +169,6 @@ impl Schema {
     pub fn field(&self, name: &str) -> Result<&Field> {
         self.index_of(name).map(|i| &self.fields[i])
     }
-
-    /// A new schema with `other`'s fields appended, prefixing clashing names
-    /// with `prefix` (used when joining two relations).
-    pub fn join(&self, other: &Schema, prefix: &str) -> Result<Schema> {
-        let mut fields: Vec<Field> = self.fields.to_vec();
-        for f in other.fields() {
-            let name = if fields.iter().any(|g| g.name == f.name) {
-                format!("{prefix}{}", f.name)
-            } else {
-                f.name.clone()
-            };
-            fields.push(Field::new(name, f.dtype.clone()));
-        }
-        Schema::new(fields)
-    }
 }
 
 impl fmt::Display for Schema {
@@ -240,15 +225,6 @@ mod tests {
         let s = DataType::Struct(vec![Field::new("a", DataType::Int)]);
         assert!(s.admits(&Value::record([("a", Value::Int(1))])));
         assert!(!s.admits(&Value::record([("b", Value::Int(1))])));
-    }
-
-    #[test]
-    fn join_prefixes_clashes() {
-        let a = Schema::of([("k", DataType::Int), ("v", DataType::Str)]);
-        let b = Schema::of([("k", DataType::Int), ("w", DataType::Str)]);
-        let j = a.join(&b, "r_").unwrap();
-        let names: Vec<_> = j.fields().iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["k", "v", "r_k", "w"]);
     }
 
     #[test]

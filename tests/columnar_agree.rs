@@ -292,3 +292,96 @@ fn register_columnar_matches_row_register() {
         via_cols.exprs.vectorized_rows
     );
 }
+
+/// `n` rows of `t`: `__rowid`, an int key `k`, a float `v` and a string
+/// `s`. From row `drift_at` on, `k` holds strings (`drift_type`) or the
+/// fields come in reverse order (otherwise).
+fn drifting_rows(n: i64, drift_at: i64, drift_type: bool) -> Vec<Value> {
+    (0..n)
+        .map(|id| {
+            let drifted = id >= drift_at;
+            let k = if drifted && drift_type {
+                Value::str(format!("k{}", id % 7))
+            } else {
+                Value::Int(id % 7)
+            };
+            let mut fields = vec![
+                ("__rowid", Value::Int(id)),
+                ("k", k),
+                ("v", Value::Float((id * 37 % 100) as f64)),
+                ("s", Value::str(["a", "b", "c"][(id % 3) as usize])),
+            ];
+            if drifted && !drift_type {
+                fields.reverse();
+            }
+            Value::record(fields)
+        })
+        .collect()
+}
+
+/// Run `query` over `rows` registered as one batch, then `parts - 1`
+/// appends of equal size.
+fn run_split(rows: &[Value], parts: usize, query: &str) -> CleaningReport {
+    let mut chunks = rows.chunks(rows.len().div_ceil(parts));
+    let mut db = CleanDb::new(EngineProfile::clean_db());
+    db.register_values("t", chunks.next().unwrap().to_vec());
+    for chunk in chunks {
+        db.append_values("t", chunk.to_vec()).unwrap();
+    }
+    db.run(query).unwrap()
+}
+
+const SPLIT_QUERIES: [&str; 4] = [
+    "SELECT c.k, c.v FROM t c WHERE c.v > 30.0",
+    "SELECT c.k, count(*) AS n, sum(c.v) AS sv FROM t c WHERE c.v < 80.0 \
+     GROUP BY c.k HAVING count(*) > 2",
+    "SELECT * FROM t c FD(c.k | c.s)",
+    "SELECT * FROM t DC(t1.v < 20.0 AND t1.v < t2.v AND t1.k > t2.k)",
+];
+
+/// Registered whole or as 2 or 5 appends, a table reads the same: equal
+/// reports and equal vectorized rows for a filter-project, a `GROUP BY …
+/// HAVING`, an FD and a theta DC — however the rows arrived.
+fn assert_split_invariant(rows: &[Value], label: &str) -> Vec<u64> {
+    SPLIT_QUERIES
+        .iter()
+        .map(|query| {
+            let whole = run_split(rows, 1, query);
+            for parts in [2, 5] {
+                let split = run_split(rows, parts, query);
+                assert_eq!(
+                    digest(&whole),
+                    digest(&split),
+                    "{label} / {parts}: `{query}`"
+                );
+                assert_eq!(
+                    whole.exprs.vectorized_rows, split.exprs.vectorized_rows,
+                    "{label} / {parts}: `{query}`"
+                );
+                assert_eq!(whole.decisions, split.decisions, "{label} / {parts}");
+            }
+            whole.exprs.vectorized_rows
+        })
+        .collect()
+}
+
+#[test]
+fn uniform_appends_vectorize_like_one_batch() {
+    let swept = assert_split_invariant(&drifting_rows(120, 120, false), "uniform");
+    assert!(
+        swept.iter().all(|&n| n > 0),
+        "every query reads by column: {swept:?}"
+    );
+}
+
+/// A key that changes type between appends is one `Val` column, and a
+/// second field layout stops the table reading by column — exactly as if
+/// the rows had arrived in one batch.
+#[test]
+fn drifting_appends_read_like_one_batch() {
+    let swept = assert_split_invariant(&drifting_rows(120, 60, true), "type drift");
+    assert!(swept[0] > 0, "a filter on `v` alone still reads by column");
+    assert_eq!(swept[2], 0, "FD over the `Val` key column");
+    let swept = assert_split_invariant(&drifting_rows(120, 60, false), "layout drift");
+    assert_eq!(swept, [0; 4], "two field layouts never read by column");
+}

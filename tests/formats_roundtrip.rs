@@ -129,6 +129,257 @@ fn malformed_csv_is_a_typed_error_or_the_exact_cells() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A colbin document written by hand, in the encoder's layout, that can
+/// make any one of its counts hostile: count number `hostile`, in file
+/// order, is written as `u32::MAX`.
+struct Doc {
+    bytes: Vec<u8>,
+    counts: usize,
+    hostile: Option<usize>,
+}
+
+impl Doc {
+    fn new(hostile: Option<usize>) -> Doc {
+        let mut doc = Doc {
+            bytes: b"CBIN".to_vec(),
+            counts: 0,
+            hostile,
+        };
+        doc.u8(1);
+        doc
+    }
+
+    fn u8(&mut self, v: u8) {
+        self.bytes.push(v);
+    }
+
+    fn i64(&mut self, v: i64) {
+        self.bytes.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// The next count's value: `n`, or `u32::MAX` if it is the hostile one.
+    fn next(&mut self, n: usize) -> u32 {
+        self.counts += 1;
+        if self.hostile == Some(self.counts - 1) {
+            u32::MAX
+        } else {
+            n as u32
+        }
+    }
+
+    fn count(&mut self, n: usize) {
+        let n = self.next(n);
+        self.bytes.extend_from_slice(&n.to_le_bytes());
+    }
+
+    fn rows(&mut self, n: usize) {
+        let n = u64::from(self.next(n));
+        self.bytes.extend_from_slice(&n.to_le_bytes());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.count(s.len());
+        self.bytes.extend_from_slice(s.as_bytes());
+    }
+
+    /// A nested value behind its byte length.
+    fn nested(&mut self, value: impl FnOnce(&mut Doc)) {
+        let hostile = self.next(0) == u32::MAX;
+        let at = self.bytes.len();
+        self.bytes.extend_from_slice(&[0; 4]);
+        value(self);
+        let len = if hostile {
+            u32::MAX
+        } else {
+            (self.bytes.len() - at - 4) as u32
+        };
+        self.bytes[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+}
+
+/// The table [`colbin_by_hand`] writes: every column kind, NULLs included.
+fn colbin_table() -> cleanm::values::Table {
+    use cleanm::values::{DataType, Field, Row, Schema, Table, Value};
+    let schema = Schema::of([
+        ("id", DataType::Int),
+        ("name", DataType::Str),
+        ("ok", DataType::Bool),
+        ("tags", DataType::List(Box::new(DataType::Int))),
+        (
+            "info",
+            DataType::Struct(vec![Field::new("a", DataType::Int)]),
+        ),
+    ]);
+    let info = |a: i64| Value::record([("a", Value::Int(a))]);
+    let rows = vec![
+        Row::new(vec![
+            Value::Int(1),
+            Value::str("ann"),
+            Value::Bool(true),
+            Value::list([Value::Int(1), Value::Int(2)]),
+            info(5),
+        ]),
+        Row::new(vec![
+            Value::Int(2),
+            Value::Null,
+            Value::Null,
+            Value::Null,
+            info(6),
+        ]),
+    ];
+    Table::new(schema, rows)
+}
+
+/// [`colbin_table`] as the encoder writes it, with count `hostile` made
+/// `u32::MAX` and `code` as the string column's dictionary code.
+fn colbin_by_hand(hostile: Option<usize>, code: u32) -> Doc {
+    let mut d = Doc::new(hostile);
+    d.count(5);
+    for (name, tag) in [("id", 1), ("name", 3), ("ok", 0), ("tags", 4)] {
+        d.str(name);
+        d.u8(tag);
+    }
+    d.u8(1); // the list's element type
+    d.str("info");
+    d.u8(5);
+    d.count(1);
+    d.str("a");
+    d.u8(1);
+    d.rows(2);
+    // id: both present.
+    d.u8(0b11);
+    d.i64(1);
+    d.i64(2);
+    // name: row 0 present, a one-entry dictionary.
+    d.u8(0b01);
+    d.count(1);
+    d.str("ann");
+    d.bytes.extend_from_slice(&code.to_le_bytes());
+    // ok: row 0 present, one packed bit.
+    d.u8(0b01);
+    d.count(1);
+    d.u8(0b1);
+    // tags: row 0 present, the list [1, 2].
+    d.u8(0b01);
+    d.nested(|d| {
+        d.u8(5);
+        d.count(2);
+        for v in [1, 2] {
+            d.u8(2);
+            d.i64(v);
+        }
+    });
+    // info: both present, `{a: 5}` and `{a: 6}`.
+    d.u8(0b11);
+    for a in [5, 6] {
+        d.nested(|d| {
+            d.u8(6);
+            d.count(1);
+            d.str("a");
+            d.u8(2);
+            d.i64(a);
+        });
+    }
+    d
+}
+
+/// `bytes` must be a typed error from every colbin reader — never a panic,
+/// an abort or a table.
+fn assert_colbin_rejected(case: &str, bytes: &[u8]) {
+    // One file per test thread: the corpus tests run side by side.
+    let thread = std::thread::current().id();
+    let name = format!("cleanm_colbin_corpus_{}_{thread:?}", std::process::id());
+    let path = std::env::temp_dir().join(name);
+    std::fs::write(&path, bytes).unwrap();
+    let decoded = colbin::decode(bytes.to_vec().into()).err();
+    let columnar = colbin::decode_columnar(bytes.to_vec().into()).err();
+    let from_path = colbin::read_path(&path).err();
+    std::fs::remove_file(&path).unwrap();
+    for (reader, err) in [
+        ("decode", decoded),
+        ("decode_columnar", columnar),
+        ("read_path", from_path),
+    ] {
+        assert!(err.is_some(), "{case}: {reader} accepted the document");
+    }
+}
+
+#[test]
+fn colbin_hand_written_document_is_the_encoders() {
+    let table = colbin_table();
+    let bytes = colbin_by_hand(None, 0).bytes;
+    assert_eq!(bytes, colbin::encode(&table).unwrap().to_vec());
+    assert_eq!(colbin::decode(bytes.into()).unwrap(), table);
+}
+
+/// Every strict prefix of a valid document is cut short somewhere.
+#[test]
+fn malformed_colbin_truncations_are_typed_errors() {
+    let bytes = colbin::encode(&colbin_table()).unwrap();
+    for len in 0..bytes.len() {
+        assert_colbin_rejected(&format!("first {len} bytes"), &bytes[..len]);
+    }
+}
+
+/// `u32::MAX` at each count the decoder reads — schema and struct field
+/// counts, name lengths, the row count, the dictionary, the bool count,
+/// nested byte lengths, list and struct lengths — asks for more than the
+/// bytes hold instead of reserving it.
+#[test]
+fn malformed_colbin_hostile_counts_are_typed_errors() {
+    let counts = colbin_by_hand(None, 0).counts;
+    assert_eq!(counts, 20, "every count of the document is aimed at");
+    for at in 0..counts {
+        let bytes = colbin_by_hand(Some(at), 0).bytes;
+        assert_colbin_rejected(&format!("count {at} of {counts} at u32::MAX"), &bytes);
+    }
+}
+
+#[test]
+fn malformed_colbin_headers_codes_and_nesting_are_typed_errors() {
+    let valid = colbin::encode(&colbin_table()).unwrap().to_vec();
+    let mut bad_magic = valid.clone();
+    bad_magic[..4].copy_from_slice(b"NOPE");
+    assert_colbin_rejected("bad magic", &bad_magic);
+    let mut bad_version = valid;
+    bad_version[4] = 9;
+    assert_colbin_rejected("bad version", &bad_version);
+    assert_colbin_rejected("dictionary code 7 of 1", &colbin_by_hand(None, 7).bytes);
+
+    // No column, yet four billion rows: no byte backs them.
+    let mut no_columns = Doc::new(None);
+    no_columns.count(0);
+    no_columns.rows(u32::MAX as usize);
+    assert_colbin_rejected("rows without a column", &no_columns.bytes);
+
+    // A list type nested far deeper than any stack allows recursing.
+    const DEEP: usize = 100_000;
+    let mut deep_type = Doc::new(None);
+    deep_type.count(1);
+    deep_type.str("l");
+    deep_type.bytes.extend(std::iter::repeat_n(4u8, DEEP));
+    deep_type.u8(1);
+    deep_type.rows(0);
+    assert_colbin_rejected("deeply nested list type", &deep_type.bytes);
+
+    // ... and a list value nested as deep, in a column of one list.
+    let mut deep_value = Doc::new(None);
+    deep_value.count(1);
+    deep_value.str("l");
+    deep_value.u8(4);
+    deep_value.u8(1);
+    deep_value.rows(1);
+    deep_value.u8(0b1);
+    deep_value.nested(|d| {
+        for _ in 0..DEEP {
+            d.u8(5);
+            d.count(1);
+        }
+        d.u8(0);
+    });
+    assert_colbin_rejected("deeply nested list value", &deep_value.bytes);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
