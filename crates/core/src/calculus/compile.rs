@@ -22,11 +22,12 @@
 //! Programs are evaluated by a non-recursive loop over a reusable scratch
 //! stack ([`Program::eval_with`]), with a batch entry point
 //! ([`Program::eval_batch`]) that amortizes the scratch across a whole
-//! partition. Comprehensions and explicit merges nested inside an
-//! expression fall back to the tree-walking interpreter via an
-//! [`Instr::Interp`] island — the reference semantics stay the single
-//! source of truth, and the differential property tests pin
-//! compiled ≡ interpreted.
+//! partition. Every expression compiles: a nested comprehension is one
+//! [`Instr::Comp`] whose qualifiers and head are sub-programs over the
+//! scope extended by the variables bound before them, and an explicit
+//! monoid merge is one [`Instr::Merge`]. The tree-walking evaluator
+//! ([`super::eval()`]) is the reference semantics; the differential
+//! property tests pin compiled ≡ interpreted.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -34,8 +35,8 @@ use std::sync::Arc;
 use cleanm_cluster::Blocker;
 use cleanm_values::{Error, Result, Value};
 
-use super::eval::{eval, eval_binop, eval_func, truthy, Env, EvalCtx};
-use super::expr::{BinOp, CalcExpr, Func};
+use super::eval::{eval_binop, eval_func, finalize, merge_values, monoid_unit, truthy, EvalCtx};
+use super::expr::{BinOp, CalcExpr, Func, MonoidKind, Qual};
 
 /// One instruction of a compiled program. The machine is a value stack:
 /// every instruction pops a fixed number of operands and pushes at most one
@@ -110,10 +111,110 @@ pub enum Instr {
     CallFused { func: Func, arg: Operand },
     /// Pop the term, push the pre-bound blocker's keys as a string list.
     BlockKeys(Arc<dyn Blocker>),
-    /// Interpreter island: evaluate `expr` with the reference evaluator
-    /// over an environment rebuilt from the slots (comprehensions and
-    /// explicit monoid merges — the documented fallback).
-    Interp(Arc<CalcExpr>),
+    /// Push the value of a nested comprehension.
+    Comp(Box<CompProgram>),
+    /// Pop `r` then `l`, push their merge under the monoid, finished.
+    Merge(MonoidKind),
+}
+
+/// A compiled comprehension `⊕{ head | q₁, …, qₙ }`: each qualifier and
+/// the head is a program over the enclosing scope extended by the
+/// variables the qualifiers before it bind. Qualifiers run left to right;
+/// a head value enters the accumulator through the monoid's unit and
+/// merge, and the accumulator is finished once — exactly the reference
+/// evaluator's semantics.
+pub struct CompProgram {
+    monoid: MonoidKind,
+    quals: Vec<QualProgram>,
+    head: Program,
+}
+
+enum QualProgram {
+    /// Bind the next slot to each member of the list the program yields;
+    /// NULL yields nothing.
+    Gen(Program),
+    /// Bind the next slot to the program's value.
+    Bind(Program),
+    /// Go on only where the program's value is truthy.
+    Pred(Program),
+}
+
+/// A comprehension's running accumulator. Collection monoids collect the
+/// head values in one vector — the unit-then-concatenate merge without
+/// re-copying the accumulator per member.
+enum CompAcc {
+    Items(Vec<Value>),
+    Value(Value),
+}
+
+impl CompProgram {
+    fn run(&self, slots: Slots<'_>, ctx: &EvalCtx) -> Result<Value> {
+        let mut env: Vec<Value> = Vec::with_capacity(self.head.scope.len());
+        env.extend(slots.iter().cloned());
+        // Sub-programs get a stack of their own: the enclosing evaluation
+        // still holds the one it was handed.
+        let mut scratch = Vec::new();
+        let mut acc = match self.monoid {
+            MonoidKind::Bag | MonoidKind::Set | MonoidKind::List => CompAcc::Items(Vec::new()),
+            _ => CompAcc::Value(self.monoid.zero()),
+        };
+        self.qualify(0, &mut env, ctx, &mut scratch, &mut acc)?;
+        let acc = match acc {
+            CompAcc::Items(items) => Value::list(items),
+            CompAcc::Value(v) => v,
+        };
+        finalize(&self.monoid, acc)
+    }
+
+    /// Run qualifier `i` and everything after it over `env`, folding each
+    /// head value into `acc`.
+    fn qualify(
+        &self,
+        i: usize,
+        env: &mut Vec<Value>,
+        ctx: &EvalCtx,
+        scratch: &mut Vec<Value>,
+        acc: &mut CompAcc,
+    ) -> Result<()> {
+        let Some(qual) = self.quals.get(i) else {
+            let head = self.head.run(Slots::Env(env), ctx, scratch)?;
+            match acc {
+                CompAcc::Items(items) => items.push(head),
+                CompAcc::Value(v) => {
+                    let unit = monoid_unit(&self.monoid, head)?;
+                    *v = merge_values(&self.monoid, std::mem::take(v), unit)?;
+                }
+            }
+            return Ok(());
+        };
+        match qual {
+            QualProgram::Gen(source) => {
+                let coll = source.run(Slots::Env(env), ctx, scratch)?;
+                if coll.is_null() {
+                    return Ok(());
+                }
+                for item in coll.as_list()? {
+                    env.push(item.clone());
+                    let done = self.qualify(i + 1, env, ctx, scratch, acc);
+                    env.pop();
+                    done?;
+                }
+            }
+            QualProgram::Bind(value) => {
+                let v = value.run(Slots::Env(env), ctx, scratch)?;
+                env.push(v);
+                let done = self.qualify(i + 1, env, ctx, scratch, acc);
+                env.pop();
+                done?;
+            }
+            QualProgram::Pred(pred) => {
+                if truthy(&pred.run(Slots::Env(env), ctx, scratch)?) {
+                    self.qualify(i + 1, env, ctx, scratch, acc)?;
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A directly addressable operand of a fused instruction: resolved by
@@ -342,22 +443,22 @@ pub(crate) fn check_width(scope: &[String], width: usize) -> Result<()> {
     )))
 }
 
-/// Rebuild the reference evaluator's name→value environment from a scope
-/// and its slot values (width already checked) — the cold path only:
-/// interpreter islands. Compiled evaluation never sees names.
-pub(crate) fn named_env<'v>(scope: &[String], values: impl Iterator<Item = &'v Value>) -> Env {
-    scope.iter().cloned().zip(values.cloned()).collect()
-}
-
 impl Program {
     /// Compile `expr` against the ordered slot names `scope`. Fails when a
     /// variable is not in scope or a table reference is unknown — the
     /// executor fails the query with that error before any row runs.
     pub fn compile(expr: &CalcExpr, scope: &[String], ctx: &EvalCtx) -> Result<Program> {
+        Program::build(expr, scope, ctx, true)
+    }
+
+    /// [`Program::compile`], pre-evaluating pure constant subtrees when
+    /// `fold` is set.
+    fn build(expr: &CalcExpr, scope: &[String], ctx: &EvalCtx, fold: bool) -> Result<Program> {
         let mut c = Compiler {
             instrs: Vec::new(),
             scope,
             ctx,
+            fold,
             depth: 0,
             max_depth: 0,
         };
@@ -420,7 +521,7 @@ impl Program {
         self.run(Slots::Pair(left, right), ctx, scratch)
     }
 
-    /// Convenience single-shot evaluation (tests; hot paths use
+    /// Single-shot evaluation (constant folding, tests; hot paths use
     /// [`Program::eval_with`] / [`Program::eval_batch`]).
     pub fn eval(&self, env: &[Value], ctx: &EvalCtx) -> Result<Value> {
         let mut scratch = Vec::with_capacity(self.max_stack);
@@ -557,9 +658,11 @@ impl Program {
                     };
                     stack.push(Value::list(keys.into_iter().map(Value::from)));
                 }
-                Instr::Interp(expr) => {
-                    let env = named_env(&self.scope, slots.iter());
-                    stack.push(eval(expr, &env, ctx)?);
+                Instr::Comp(comp) => stack.push(comp.run(slots, ctx)?),
+                Instr::Merge(m) => {
+                    let r = stack.pop().expect("merge rhs");
+                    let l = stack.pop().expect("merge lhs");
+                    stack.push(finalize(m, merge_values(m, l, r)?)?);
                 }
             }
             pc += 1;
@@ -595,6 +698,8 @@ struct Compiler<'a> {
     instrs: Vec<Instr>,
     scope: &'a [String],
     ctx: &'a EvalCtx,
+    /// Pre-evaluate pure constant subtrees?
+    fold: bool,
     depth: usize,
     max_depth: usize,
 }
@@ -732,12 +837,14 @@ impl Compiler<'_> {
     }
 
     fn emit(&mut self, e: &CalcExpr) -> Result<()> {
-        // Constant pre-evaluation: fold any pure constant subtree now. If
-        // constant evaluation fails (a type error the interpreter would
-        // also raise per row), emit the unfolded code so the runtime error
-        // is identical.
-        if !matches!(e, CalcExpr::Const(_)) && Self::is_pure_const(e) {
-            if let Ok(v) = eval(e, &Vec::new(), self.ctx) {
+        // Constant pre-evaluation: fold any pure constant subtree now, by
+        // compiling it unfolded and running it on an empty row. If that
+        // fails (a type error the program would also raise per row), emit
+        // the unfolded code so the runtime error is identical.
+        if self.fold && !matches!(e, CalcExpr::Const(_)) && Self::is_pure_const(e) {
+            let folded =
+                Program::build(e, &[], self.ctx, false).and_then(|p| p.eval(&[], self.ctx));
+            if let Ok(v) = folded {
                 self.push_instr(Instr::Const(v), 1);
                 return Ok(());
             }
@@ -937,23 +1044,51 @@ impl Compiler<'_> {
                 self.emit(inner)?;
                 self.push_instr(Instr::Exists, 0);
             }
-            CalcExpr::Comp(_) | CalcExpr::Merge(..) => {
-                // Interpreter island. Verify free variables resolve now so
-                // an unbound name is a compile error, not a per-row one.
-                for name in super::subst::free_vars(e) {
-                    self.slot_of(&name)?;
+            CalcExpr::Comp(c) => {
+                // Each qualifier sees the variables bound before it.
+                let mut scope = self.scope.to_vec();
+                let mut quals = Vec::with_capacity(c.quals.len());
+                for q in &c.quals {
+                    quals.push(match q {
+                        Qual::Gen(var, e) => {
+                            let source = self.sub_program(e, &scope)?;
+                            scope.push(var.clone());
+                            QualProgram::Gen(source)
+                        }
+                        Qual::Bind(var, e) => {
+                            let value = self.sub_program(e, &scope)?;
+                            scope.push(var.clone());
+                            QualProgram::Bind(value)
+                        }
+                        Qual::Pred(e) => QualProgram::Pred(self.sub_program(e, &scope)?),
+                    });
                 }
-                self.push_instr(Instr::Interp(Arc::new(e.clone())), 1);
+                let comp = CompProgram {
+                    monoid: c.monoid.clone(),
+                    quals,
+                    head: self.sub_program(&c.head, &scope)?,
+                };
+                self.push_instr(Instr::Comp(Box::new(comp)), 1);
+            }
+            CalcExpr::Merge(m, l, r) => {
+                self.emit(l)?;
+                self.emit(r)?;
+                self.push_instr(Instr::Merge(m.clone()), -1);
             }
         }
         Ok(())
+    }
+
+    fn sub_program(&self, e: &CalcExpr, scope: &[String]) -> Result<Program> {
+        Program::build(e, scope, self.ctx, self.fold)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calculus::expr::{FilterAlgo, MonoidKind, Qual};
+    use crate::calculus::eval::{eval, Env};
+    use crate::calculus::expr::FilterAlgo;
 
     fn scope() -> Vec<String> {
         vec!["x".to_string(), "row".to_string()]
@@ -1097,7 +1232,7 @@ mod tests {
     }
 
     #[test]
-    fn comprehension_falls_back_to_interp_island() {
+    fn comprehension_compiles_to_one_comp_instruction() {
         let ctx = EvalCtx::new();
         // sum{ v + x | v <- [1,2,3] } over slot x.
         let e = CalcExpr::comp(
@@ -1110,9 +1245,80 @@ mod tests {
         );
         let scope = vec!["x".to_string()];
         let prog = Program::compile(&e, &scope, &ctx).unwrap();
-        assert!(prog.instrs.iter().any(|i| matches!(i, Instr::Interp(_))));
+        assert!(matches!(prog.instrs.as_slice(), [Instr::Comp(_)]));
         let env = vec![("x".to_string(), Value::Int(10))];
         assert_eq!(prog.eval(&slots(&env), &ctx).unwrap(), Value::Int(36));
+        // An unbound name inside the comprehension fails at compile time.
+        let unbound = CalcExpr::comp(MonoidKind::Sum, CalcExpr::var("w"), Vec::new());
+        assert!(Program::compile(&unbound, &scope, &ctx).is_err());
+    }
+
+    #[test]
+    fn qualifiers_follow_the_reference() {
+        // bag{ w | v <- source, w := v * x, w > 7 }: NULL generates nothing,
+        // a scalar is the reference's typed error, `w` binds per member.
+        let comp = |source: CalcExpr| {
+            let w = CalcExpr::bin(BinOp::Mul, CalcExpr::var("v"), CalcExpr::var("x"));
+            CalcExpr::comp(
+                MonoidKind::Bag,
+                CalcExpr::var("w"),
+                vec![
+                    Qual::Gen("v".into(), source),
+                    Qual::Bind("w".into(), w),
+                    Qual::Pred(CalcExpr::bin(
+                        BinOp::Gt,
+                        CalcExpr::var("w"),
+                        CalcExpr::int(7),
+                    )),
+                ],
+            )
+        };
+        check(&comp(CalcExpr::Const(Value::list([
+            Value::Int(1),
+            Value::Int(2),
+        ]))));
+        check(&comp(CalcExpr::Const(Value::Null)));
+        let ctx = EvalCtx::new();
+        let scalar = comp(CalcExpr::proj(CalcExpr::var("row"), "a"));
+        let prog = Program::compile(&scalar, &scope(), &ctx).unwrap();
+        assert_eq!(
+            prog.eval(&slots(&env()), &ctx).unwrap_err().to_string(),
+            eval(&scalar, &env(), &ctx).unwrap_err().to_string()
+        );
+    }
+
+    #[test]
+    fn merges_compile_to_one_instruction_and_constant_ones_fold() {
+        let ctx = EvalCtx::new();
+        let ints = |ns: &[i64]| Value::list(ns.iter().map(|&n| Value::Int(n)));
+        let xs = CalcExpr::comp(
+            MonoidKind::Bag,
+            CalcExpr::var("x"),
+            vec![Qual::Gen("v".into(), CalcExpr::Const(ints(&[0, 0])))],
+        );
+        let e = CalcExpr::Merge(
+            MonoidKind::Set,
+            Box::new(xs),
+            Box::new(CalcExpr::Const(ints(&[9, 7]))),
+        );
+        let prog = Program::compile(&e, &scope(), &ctx).unwrap();
+        assert!(matches!(
+            prog.instrs.last(),
+            Some(Instr::Merge(MonoidKind::Set))
+        ));
+        // x = 7 twice, then 9 and 7: the set's finish dedups and sorts.
+        assert_eq!(prog.eval(&slots(&env()), &ctx).unwrap(), ints(&[7, 9]));
+        check(&e);
+        let one_two = CalcExpr::Merge(
+            MonoidKind::Sum,
+            Box::new(CalcExpr::int(1)),
+            Box::new(CalcExpr::int(2)),
+        );
+        let prog = Program::compile(&one_two, &[], &ctx).unwrap();
+        assert!(matches!(
+            prog.instrs.as_slice(),
+            [Instr::Const(Value::Int(3))]
+        ));
     }
 
     #[test]

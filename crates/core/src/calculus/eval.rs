@@ -1,10 +1,11 @@
 //! Reference evaluator for the calculus.
 //!
-//! Single-node, straightforward semantics. It serves three purposes:
-//! (1) it *defines* the meaning of a comprehension, (2) the property tests
-//! check that normalization preserves it, and (3) the physical executor
-//! uses it to evaluate row-level and group-level expressions inside
-//! distributed operators.
+//! Single-node, straightforward semantics. It *defines* the meaning of a
+//! comprehension, and it is the oracle of the property tests: that
+//! normalization preserves it, and that compiled programs
+//! ([`super::compile`]) — which the physical executor runs for every
+//! expression — compute it. The builtins, the monoid unit / merge /
+//! finish and the binary operators here are shared by both.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -622,7 +623,7 @@ fn eval_quals(
 }
 
 /// U⊕: lift one head value into the monoid.
-fn monoid_unit(m: &MonoidKind, head: Value) -> Result<Value> {
+pub(crate) fn monoid_unit(m: &MonoidKind, head: Value) -> Result<Value> {
     match m {
         MonoidKind::Bag | MonoidKind::Set | MonoidKind::List => Ok(Value::list([head])),
         MonoidKind::Filter(_) => {
@@ -716,7 +717,7 @@ pub fn merge_values(m: &MonoidKind, l: Value, r: Value) -> Result<Value> {
 
 /// Final adjustment: Set dedups (and sorts, for determinism); Filter sorts
 /// groups by key.
-fn finalize(m: &MonoidKind, acc: Value) -> Result<Value> {
+pub(crate) fn finalize(m: &MonoidKind, acc: Value) -> Result<Value> {
     match m {
         MonoidKind::Set => {
             let mut items = acc.as_list()?.to_vec();

@@ -13,8 +13,8 @@
 //!   against);
 //! * [`compile`](mod@compile) — ahead-of-time lowering of expressions to flat,
 //!   slot-resolved [`Program`]s evaluated by a non-recursive register
-//!   machine (the hot-path twin of the reference evaluator; comprehensions
-//!   fall back to interpreter islands);
+//!   machine (the hot-path twin of the reference evaluator; every
+//!   expression compiles, nested comprehensions included);
 //! * [`normalize`](mod@normalize) — the §4.2 rewrites, applied bottom-up to fixpoint;
 //! * [`desugar`] — the Monoid Rewriter: CleanM AST → comprehensions, per
 //!   the semantics given in §4.4.

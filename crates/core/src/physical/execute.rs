@@ -7,13 +7,15 @@
 //! | `Unnest`    | `filter_transform` (fan-out) |
 //! | `Reduce` over two independent `Unnest`s | the fused block-pair sweep (`physical/pairs.rs`): `map_partitions` over the block rows, pairs kept as indices |
 //! | `Nest`      | `filter_transform` (pair emission) → `group_fold(shuffle, …)` with a `Vec` accumulator → `map` |
-//! | `Nest`+`Reduce` over monoid reductions | `group_fold(shuffle, …)` with monoid accumulators → `filter_transform` (finish) |
+//! | `Nest`+`Reduce` over monoid reductions | the columnar fold when the Nest reads a scan whose key and slots lower under `LocalAggregate` (`physical/groupfold.rs`): chunk folds → merge → finish; else the `Nest` above, then `Reduce` |
 //! | `Join`      | `filter_transform` (keying) → `join_hash` |
 //! | `ThetaJoin` | M-Bucket \| min-max blocks \| cartesian+filter — over row indices, each pair tested by a column kernel, when both sides are filtered scans that lower (`physical/theta.rs`); over rows otherwise |
-//! | `Reduce`    | `filter_transform` → collect, or `filter_fold` for scalar monoids |
+//! | `Reduce`    | `filter_transform` (the compiled head, the fused `Select` chain as its filter) → merged under the monoid |
 //!
 //! `shuffle` is the profile's (or the cost-based planner's)
-//! [`NestStrategy`] — the one grouping driver takes it as is.
+//! [`NestStrategy`] — the one grouping driver takes it as is. A grouped
+//! `Reduce` has two routes, chosen by its input: the columnar fold, or
+//! materialize-then-reduce.
 //!
 //! The three column routes — the vectorized `Select`, the columnar group
 //! fold and each side of a theta join — read a stored table the same way:
@@ -32,10 +34,10 @@
 //! rollup of that tree ([`PhaseSplit`](super::PhaseSplit)).
 //!
 //! The profile's [`Planner`] level is read where a path is chosen and
-//! nowhere else: `peel_input` (fuse a `Select` chain into its consumer?),
-//! `run_reduce_inner` (fold groups?), `columnar_source` (sweep a scan by
-//! column?), and `nest_strategy` / `plan_theta` (re-decide the strategy
-//! from statistics?).
+//! nowhere else: `fusible_chain` (fuse a `Select` chain into its
+//! consumer?), `run_reduce_inner` (fold groups by column?),
+//! `columnar_source` (sweep a scan by column?), and `nest_strategy` /
+//! `plan_theta` (re-decide the strategy from statistics?).
 
 use std::collections::HashMap;
 use std::slice::from_ref;
@@ -45,10 +47,10 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use cleanm_exec::{
-    merge_tree, produce_partials, produce_partitions, theta, Dataset, ExecContext, ExecError,
-    ExecResult, FaultSite,
+    produce_partials, produce_partitions, theta, Dataset, ExecContext, ExecError, ExecResult,
+    FaultSite,
 };
-use cleanm_values::{FxHashMap, FxHashSet, Value};
+use cleanm_values::Value;
 
 use crate::algebra::cardinality::{self, StatsCatalog};
 use crate::algebra::plan::{theta_widen, Alg, ThetaHint};
@@ -57,10 +59,10 @@ use crate::calculus::subst::free_vars;
 use crate::calculus::{CalcExpr, MonoidKind, Program};
 use crate::engine::storage::StoredTable;
 
-use super::groupfold::{self, AggFoldShape, ColumnarFold, GroupAcc, KEY_SLOT_VAR};
+use super::groupfold::{self, AggFoldShape, ColumnarFold, KEY_SLOT_VAR};
 use super::kernel::KeyKinds;
 use super::pairs::{self, PairShape, PairSweep};
-use super::profile::{nest_stage_labels, EngineProfile, NestStrategy, Planner, ThetaStrategy};
+use super::profile::{nest_stage_label, EngineProfile, NestStrategy, Planner, ThetaStrategy};
 use super::program::{env_layout, ProgramCache, RowEnv, RowExpr};
 use super::qprofile::{clip, ProfileNode};
 use super::scan::{chunk_ranges, ColumnScan};
@@ -148,9 +150,10 @@ pub struct Executor<'a> {
     /// Stack of child collectors: the top entry receives nodes whose parent
     /// frame is still open; the bottom entry collects completed plan roots.
     prof_children: Vec<Vec<ProfileNode>>,
-    /// Set by the group-fold path so the `run_reduce` profiling wrapper can
-    /// label its root `GroupFold` (fold-into-accumulators) rather than
-    /// `Reduce` (materialize-then-reduce). Holds the grouping key rendering.
+    /// Set by the columnar fold once it runs, so the `run_reduce`
+    /// profiling wrapper can label its root `GroupFold`
+    /// (fold-into-accumulators) rather than `Reduce`
+    /// (materialize-then-reduce). Holds the grouping key rendering.
     last_fold_key: Option<String>,
 }
 
@@ -399,18 +402,7 @@ impl<'a> Executor<'a> {
         input: &'p Arc<Alg>,
         own: Option<&'p CalcExpr>,
     ) -> ExecResult<FusedInput<'p>> {
-        let mut preds = Vec::new();
-        let mut source = input;
-        if self.profile.planner.unified() {
-            while let Alg::Select { input, pred } = &**source {
-                if self.is_shared(source) {
-                    break;
-                }
-                preds.push(pred);
-                source = input;
-            }
-        }
-        preds.reverse();
+        let (source, mut preds) = self.fusible_chain(input);
         self.fused_selects += preds.len();
         preds.extend(own);
         let scope = env_layout(source);
@@ -424,6 +416,25 @@ impl<'a> Executor<'a> {
             preds,
             pred_rx,
         })
+    }
+
+    /// The producer beneath `input`'s chain of fusible `Select`s, and the
+    /// chain's predicates in evaluation order (innermost first): empty
+    /// under an operator-at-a-time planner, and stopping at a shared node.
+    fn fusible_chain<'p>(&self, input: &'p Arc<Alg>) -> (&'p Arc<Alg>, Vec<&'p CalcExpr>) {
+        let mut preds = Vec::new();
+        let mut source = input;
+        if self.profile.planner.unified() {
+            while let Alg::Select { input, pred } = &**source {
+                if self.is_shared(source) {
+                    break;
+                }
+                preds.push(pred);
+                source = input;
+            }
+        }
+        preds.reverse();
+        (source, preds)
     }
 
     /// Materialize a peeled input for its consumer's sweep. A chain over a
@@ -573,14 +584,12 @@ impl<'a> Executor<'a> {
 
     /// Execute a full per-operator plan (must be a `Reduce` root) and return
     /// the reduced output collection. A fusible `Select` chain feeding the
-    /// Reduce runs *inside* the head-evaluation pass — and for scalar
-    /// monoids the pass folds each partition down to one accumulator on
-    /// the workers ([`Dataset::filter_fold`]), so neither the filtered rows
-    /// nor the per-row head values are ever materialized.
+    /// Reduce runs *inside* the head-evaluation pass, so the filtered rows
+    /// are never materialized.
     ///
     /// With profiling on, the whole per-operator execution becomes the
-    /// root [`ProfileNode`]: `GroupFold` when the streaming grouped path
-    /// consumed the Nest+Reduce, `Reduce[monoid]` otherwise.
+    /// root [`ProfileNode`]: `GroupFold` when the columnar fold consumed
+    /// the Nest+Reduce, `Reduce[monoid]` otherwise.
     pub fn run_reduce(&mut self, plan: &Arc<Alg>) -> ExecResult<Vec<Value>> {
         if !self.profiling {
             return self.run_reduce_inner(plan);
@@ -609,7 +618,10 @@ impl<'a> Executor<'a> {
     }
 
     fn run_reduce_inner(&mut self, plan: &Arc<Alg>) -> ExecResult<Vec<Value>> {
-        // Operator-at-a-time planners materialize every group, then reduce.
+        // A grouped Reduce folds the table's columns where its input
+        // allows; otherwise — and always under an operator-at-a-time
+        // planner — its Nest materializes the groups and the Reduce below
+        // consumes them.
         if self.profile.planner.unified() {
             if let Some(outputs) = self.try_group_fold(plan)? {
                 return Ok(outputs);
@@ -639,60 +651,19 @@ impl<'a> Executor<'a> {
         let ds = self.run_input(&mut fused)?;
         let head_rx = self.row_expr(head, &fused.scope)?;
         let (ev, passes) = (self.eval.clone(), self.sweep_filter(&fused));
-
-        // A scalar monoid under a fused filter folds each partition down
-        // to a single accumulator on the workers: neither the filtered
-        // rows nor the per-row head values are ever materialized. (A
-        // rejected head evaluation folds as `null`, the identity of these
-        // monoids; `All` is excluded: null is not its identity.) Float
-        // Sum/Prod results can differ from the sequential fold in the last
-        // ulp — per-partition partials associate additions differently, as
-        // in any parallel aggregation.
-        let folds_on_workers = !fused.preds.is_empty()
-            && matches!(
-                monoid,
-                MonoidKind::Sum
-                    | MonoidKind::Prod
-                    | MonoidKind::Min
-                    | MonoidKind::Max
-                    | MonoidKind::Any
-            );
-        if folds_on_workers {
-            let (m, zero_m) = (monoid.clone(), monoid.clone());
-            let partials = ds.filter_fold(
-                "fused_filter_fold",
-                move || zero_m.zero(),
-                passes,
-                move |acc, env: RowEnv| {
-                    let Some(v) = ev.eval(&head_rx, &env) else {
-                        return acc;
-                    };
-                    match merge_scalar(&m, acc, v) {
-                        Ok(acc) => acc,
-                        Err(e) => {
-                            ev.record(e);
-                            m.zero()
-                        }
-                    }
-                },
-            )?;
-            self.check_errors()?;
-            reduce_outputs(monoid, partials)
+        let label = if fused.pred_rx.is_some() {
+            "fused_filter_map"
         } else {
-            let label = if fused.pred_rx.is_some() {
-                "fused_filter_map"
-            } else {
-                "map_partitions"
-            };
-            let outputs: Vec<Value> = ds
-                .filter_transform(label, passes, move |env, out: &mut Vec<Value>| {
-                    let v = ev.eval(&head_rx, &env);
-                    out.push(v.unwrap_or(Value::Null))
-                })?
-                .collect();
-            self.check_errors()?;
-            reduce_outputs(monoid, outputs)
-        }
+            "map_partitions"
+        };
+        let outputs: Vec<Value> = ds
+            .filter_transform(label, passes, move |env, out: &mut Vec<Value>| {
+                let v = ev.eval(&head_rx, &env);
+                out.push(v.unwrap_or(Value::Null))
+            })?
+            .collect();
+        self.check_errors()?;
+        reduce_outputs(monoid, outputs)
     }
 
     /// Run a recognized pair pipeline as one sweep over its block rows
@@ -748,17 +719,19 @@ impl<'a> Executor<'a> {
         Ok(outputs)
     }
 
-    /// Try the streaming grouped-aggregation path: when every consumer
-    /// above an unshared `Nest` reduces the group purely through monoid
+    /// The columnar fold of a grouped `Reduce`: when every consumer above
+    /// an unshared `Nest` reduces the group purely through monoid
     /// reductions (grouped aggregates, FD distinct-RHS tests — see
-    /// `groupfold`), rows fold straight into per-key accumulators and the
-    /// `(key, Vec<member>)` group lists are never built. The group-level
-    /// `Select`s and the Reduce itself are consumed structurally; only
-    /// `(key, partial)` pairs cross the shuffle on the combine-friendly
-    /// strategy. Returns `None` — caller keeps the materialized path —
-    /// when the plan does not match, when the `Nest` or an intermediate
-    /// `Select` is a shared DAG node (its materialized result has other
-    /// consumers), or for a non-collection outer monoid.
+    /// `groupfold`) and the Nest reads a table by column
+    /// ([`Executor::lower_columnar_fold`]), the table's key and slot columns
+    /// fold into per-group accumulators and the `(key, Vec<member>)` group
+    /// lists are never built. The group-level `Select`s and the Reduce
+    /// itself are consumed structurally. Returns `None` — the Nest
+    /// materializes its groups and the Reduce consumes them — when the
+    /// plan does not match, when the `Nest` or an intermediate `Select` is
+    /// a shared DAG node (its materialized result has other consumers), for
+    /// a non-collection outer monoid, or when the fold does not lower; a
+    /// declined fold leaves no count, decision or profile node behind.
     ///
     /// Semantics note: aggregate member expressions are evaluated for
     /// *every* row during the fold, so an evaluation error in an aggregate
@@ -807,266 +780,19 @@ impl<'a> Executor<'a> {
         let Some(shape) = groupfold::recognize(group_var, item, head, &group_preds) else {
             return Ok(None);
         };
-        let outputs = self.exec_group_fold(nest_input, key, item, shape, group_preds.len())?;
-        Ok(Some(match monoid {
-            MonoidKind::Set => {
-                let mut o = outputs;
-                o.sort();
-                o.dedup();
-                o
-            }
-            _ => outputs,
-        }))
-    }
-
-    /// Execute a recognized group-fold shape. A fusible `Select` chain
-    /// below the Nest runs inside the fold sweep (`pred`); the three skew
-    /// strategies keep their meaning with fold-based execution:
-    /// `LocalAggregate` folds map-side and shuffles only partials,
-    /// `HashShuffle` shuffles every pair then folds at the target,
-    /// `SortShuffle` range-partitions, sorts and folds adjacent runs.
-    ///
-    /// Aggregate-head shapes finish per group on the pool. Group-keeping
-    /// shapes (FD) run two phases: fold the per-key accumulators where the
-    /// rows sit, merge those partial maps **tree-wise on the pool**
-    /// ([`merge_tree`]), decide the passing keys, then materialize *only*
-    /// those keys' groups — non-violating rows never shuffle.
-    fn exec_group_fold(
-        &mut self,
-        nest_input: &Arc<Alg>,
-        key: &CalcExpr,
-        item: &CalcExpr,
-        shape: AggFoldShape,
-        group_selects: usize,
-    ) -> ExecResult<Vec<Value>> {
-        let keeps_groups = shape.keeps_groups();
+        let Some((fold, finish)) = self.lower_columnar_fold(nest_input, key, item, &shape)? else {
+            return Ok(None);
+        };
+        self.fused_selects += group_preds.len();
         if self.profiling {
             self.last_fold_key = Some(clip(format!("by {key}")));
         }
-        // Below-Nest filters fuse into the fold sweep; the group-level
-        // Selects are consumed structurally (their passes never run).
-        let mut fused = self.peel_input(nest_input, None)?;
-        self.fused_selects += group_selects;
-        let key_rx = self.row_expr(key, &fused.scope)?;
-        let slot_rxs: ExecResult<Vec<Arc<RowExpr>>> = (shape.slots.iter())
-            .map(|s| self.row_expr(&s.row_expr, &fused.scope))
-            .collect();
-        let slot_rxs = Arc::new(slot_rxs?);
-        let finish_preds: ExecResult<Vec<Arc<RowExpr>>> = (shape.preds.iter())
-            .map(|p| self.row_expr(p, &shape.scope))
-            .collect();
-        let finish_preds = finish_preds?;
-        let finish_head = match &shape.head {
-            Some(head) => Some(self.row_expr(head, &shape.scope)?),
-            None => None,
-        };
-
-        // The columnar route: the fold reads the stored table's columns
-        // and no row dataset is ever built.
-        let sources = FoldSources {
-            input: &fused,
-            key,
-            key_rx: &key_rx,
-            item,
-            slot_rxs: &slot_rxs,
-        };
-        if let Some(fold) = self.lower_columnar_fold(&sources, &shape)? {
-            let finish = (finish_preds, finish_head);
-            return self.exec_columnar_fold(&fold, &shape, finish);
+        let mut outputs = self.exec_columnar_fold(&fold, &shape, finish)?;
+        if *monoid == MonoidKind::Set {
+            outputs.sort();
+            outputs.dedup();
         }
-
-        let ds = self.run_input(&mut fused)?;
-        let strategy = self.decide_nest(key, ds.count() as f64);
-
-        let slots = Arc::new(shape.slots);
-        let ev = self.eval.clone();
-
-        // Shared fold machinery over `GroupAcc` accumulators.
-        let init = {
-            let slots = Arc::clone(&slots);
-            move || slots.iter().map(|s| s.zero()).collect::<GroupAcc>()
-        };
-        let fold = {
-            let (slots, ev) = (Arc::clone(&slots), ev.clone());
-            move |acc: &mut GroupAcc, vals: Vec<Value>| {
-                for ((slot, a), v) in slots.iter().zip(acc.iter_mut()).zip(vals) {
-                    if let Err(e) = slot.fold(a, v) {
-                        ev.record(e);
-                    }
-                }
-            }
-        };
-        let merge_accs = {
-            let (slots, ev) = (Arc::clone(&slots), ev.clone());
-            move |acc: &mut GroupAcc, other: GroupAcc| {
-                for ((slot, a), b) in slots.iter().zip(acc.iter_mut()).zip(other) {
-                    if let Err(e) = slot.merge(a, b) {
-                        ev.record(e);
-                    }
-                }
-            }
-        };
-        // Evaluate one row's key and slot values; `None` records the error
-        // and drops the row (the recorded error fails the query afterwards,
-        // exactly as the materialized pair-emission sweep behaves).
-        let row_values = {
-            let ev = ev.clone();
-            let (key_rx, slot_rxs) = (Arc::clone(&key_rx), Arc::clone(&slot_rxs));
-            move |env: &RowEnv| -> Option<(Value, Vec<Value>)> {
-                let k = ev.eval(&key_rx, env)?;
-                let mut vals = Vec::with_capacity(slot_rxs.len());
-                for rx in slot_rxs.iter() {
-                    vals.push(ev.eval(rx, env)?);
-                }
-                Some((k, vals))
-            }
-        };
-        // The finish row of one group, in the shape's scope layout: the
-        // key, then each slot's finished accumulator.
-        let finish_env = {
-            let slots = Arc::clone(&slots);
-            move |key: Value, accs: GroupAcc| -> RowEnv {
-                let mut env: RowEnv = Vec::with_capacity(1 + slots.len());
-                env.push(key);
-                env.extend(slots.iter().zip(accs).map(|(slot, acc)| slot.finish(acc)));
-                env
-            }
-        };
-        let pred = self.sweep_filter(&fused);
-
-        if keeps_groups {
-            // ---- Group-keeping (FD) two-phase execution ----
-            // Phase 1: fold per-partition key→accumulator maps where the
-            // rows sit; nothing but the maps' merge moves.
-            let probe = {
-                let row_values = row_values.clone();
-                let (init, fold) = (init.clone(), fold.clone());
-                let pred = pred.clone();
-                move |map: &mut FxHashMap<Value, GroupAcc>, env: &RowEnv| {
-                    if !pred(env) {
-                        return;
-                    }
-                    let Some((k, vals)) = row_values(env) else {
-                        return;
-                    };
-                    let mut fold_one = |kk: Value, vals: Vec<Value>| {
-                        fold(map.entry(kk).or_insert_with(&init), vals);
-                    };
-                    match k {
-                        Value::List(keys) => {
-                            for kk in keys.iter() {
-                                fold_one(kk.clone(), vals.clone());
-                            }
-                        }
-                        scalar => fold_one(scalar, vals),
-                    }
-                }
-            };
-            let partial_maps = ds.fold_partitions("group_fold_probe", FxHashMap::default, probe)?;
-            let merged: FxHashMap<Value, GroupAcc> =
-                merge_tree(ds.context(), partial_maps, |mut a, b| {
-                    for (k, accs) in b {
-                        match a.entry(k) {
-                            std::collections::hash_map::Entry::Occupied(mut e) => {
-                                merge_accs(e.get_mut(), accs)
-                            }
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                e.insert(accs);
-                            }
-                        }
-                    }
-                    a
-                })?
-                .unwrap_or_default();
-            self.check_errors()?;
-
-            // Decide the passing keys from the folded accumulators.
-            let mut passing: FxHashSet<Value> = FxHashSet::default();
-            for (k, accs) in merged {
-                let env = finish_env(k.clone(), accs);
-                if finish_preds.iter().all(|rx| ev.holds(rx, &env)) {
-                    passing.insert(k);
-                }
-            }
-            self.check_errors()?;
-            if passing.is_empty() {
-                return Ok(Vec::new());
-            }
-
-            // Phase 2: materialize only the passing keys' groups — the
-            // shuffle sees violating rows alone.
-            let passing = Arc::new(passing);
-            let item_rx = self.row_expr(item, &fused.scope)?;
-            let emit = {
-                let ev = ev.clone();
-                let key_rx = Arc::clone(&key_rx);
-                move |env: RowEnv, out: &mut Vec<(Value, Value)>| {
-                    let Some(k) = ev.eval(&key_rx, &env) else {
-                        return;
-                    };
-                    let keys: Vec<Value> = match k {
-                        Value::List(keys) => keys
-                            .iter()
-                            .filter(|kk| passing.contains(kk))
-                            .cloned()
-                            .collect(),
-                        scalar if passing.contains(&scalar) => vec![scalar],
-                        _ => return,
-                    };
-                    if keys.is_empty() {
-                        return;
-                    }
-                    let Some(it) = ev.eval(&item_rx, &env) else {
-                        return;
-                    };
-                    let mut keys = keys;
-                    let last = keys.pop().expect("non-empty");
-                    for kk in keys {
-                        out.push((kk, it.clone()));
-                    }
-                    out.push((last, it));
-                }
-            };
-            let pairs: Dataset<(Value, Value)> =
-                ds.filter_transform("group_fold_materialize", pred, emit)?;
-            self.check_errors()?;
-            return Ok(group_members(pairs, strategy)?.map(group_record)?.collect());
-        }
-
-        // ---- Grouped-aggregate execution: fold, then finish per group ----
-        let emit = {
-            let row_values = row_values.clone();
-            move |env: RowEnv, out: &mut Vec<(Value, Vec<Value>)>| {
-                let Some((k, vals)) = row_values(&env) else {
-                    return;
-                };
-                match k {
-                    Value::List(keys) => {
-                        out.extend(keys.iter().map(|kk| (kk.clone(), vals.clone())))
-                    }
-                    scalar => out.push((scalar, vals)),
-                }
-            }
-        };
-        let (_, label) = nest_stage_labels(strategy);
-        let grouped: Dataset<(Value, GroupAcc)> =
-            ds.group_fold(strategy, label, pred, emit, init, fold, merge_accs)?;
-        self.check_errors()?;
-        let head_rx = finish_head.expect("aggregate shape has a head");
-        let finish = {
-            let ev = ev.clone();
-            move |(k, accs): (Value, GroupAcc), out: &mut Vec<Value>| {
-                let env = finish_env(k, accs);
-                if finish_preds.iter().all(|rx| ev.holds(rx, &env)) {
-                    out.extend(ev.eval(&head_rx, &env));
-                }
-            }
-        };
-        let outputs: Vec<Value> = grouped
-            .filter_transform("group_finish", |_| true, finish)?
-            .collect();
-        self.check_errors()?;
-        Ok(outputs)
+        Ok(Some(outputs))
     }
 
     /// Read `stored` by column for one route: the scan of the columns
@@ -1100,29 +826,28 @@ impl<'a> Executor<'a> {
 
     /// Try to lower a recognized group fold onto the stored table's
     /// columns (`physical/groupfold.rs`, [`ColumnarFold`]). Decided once,
-    /// here: `None` — the row driver runs, unchanged — unless the source is
-    /// a scan the planner reads by column ([`Executor::columnar_source`];
-    /// the fused `WHERE` chain, if any, must lower into the scan's kernel),
+    /// here: `None` — the Nest materializes its groups — unless the Nest's
+    /// input is a scan the planner reads by column
+    /// ([`Executor::columnar_source`]) beneath its fusible `WHERE` chain,
     /// the Nest's decision is `LocalAggregate`, a group-keeping shape's
-    /// members are the scanned rows themselves, the table reads by column,
-    /// and the key and every slot's member program lower to column
-    /// expressions over typed columns. On success the Nest's decision is
-    /// recorded — here and nowhere else.
+    /// members are the scanned rows themselves, every program compiles,
+    /// the table reads by column, and the chain, the key and every slot's
+    /// member program lower to kernels over typed columns. On success —
+    /// and only then — the Nest's decision is recorded and the programs
+    /// and fused `Select`s are counted; with them come the programs that
+    /// finish each group, compiled against the shape's scope.
     ///
     /// Only the columns those expressions read are pivoted, as the
     /// vectorized `Select` pivots ([`Executor::lower_on_columns`]). In a
     /// profile tree the pivot is the fold's `Scan` child.
     fn lower_columnar_fold(
         &mut self,
-        src: &FoldSources<'_>,
+        nest_input: &Arc<Alg>,
+        key: &CalcExpr,
+        item: &CalcExpr,
         shape: &AggFoldShape,
-    ) -> ExecResult<Option<ColumnarFold>> {
-        let FusedInput {
-            source,
-            preds,
-            pred_rx,
-            ..
-        } = src.input;
+    ) -> ExecResult<Option<(ColumnarFold, Finish)>> {
+        let (source, preds) = self.fusible_chain(nest_input);
         let Some((stored, var)) = self.columnar_source(source) else {
             return Ok(None);
         };
@@ -1130,47 +855,72 @@ impl<'a> Executor<'a> {
         // decision reads the row count entering the Nest, which a fused
         // filter only knows after its sweep.
         let input_rows = preds.is_empty().then_some(stored.len() as f64);
-        let Some((NestStrategy::LocalAggregate, reason)) = self.nest_strategy(src.key, input_rows)
+        let Some((NestStrategy::LocalAggregate, reason)) = self.nest_strategy(key, input_rows)
         else {
             return Ok(None);
         };
-        let members_are_rows = matches!(src.item, CalcExpr::Var(v) if v == var);
+        let members_are_rows = matches!(item, CalcExpr::Var(v) if v == var);
         if shape.keeps_groups() && !members_are_rows {
             return Ok(None);
         }
-        let key_program = src.key_rx.program();
-        let slot_programs: Vec<&Program> = src.slot_rxs.iter().map(|rx| rx.program()).collect();
-        let pred_program = pred_rx.as_deref().map(RowExpr::program);
+        // A compile failure is the materialized path's to report.
+        let scope = [var.to_string()];
+        let compile_all = |exprs: &[&CalcExpr], scope: &[String]| -> ExecResult<Vec<_>> {
+            exprs.iter().map(|e| self.compile(e, scope)).collect()
+        };
+        let chain = conjoin(&preds);
+        let row_exprs: Vec<&CalcExpr> = (chain.iter().chain([key]))
+            .chain(shape.slots.iter().map(|s| &s.row_expr))
+            .collect();
+        let finish_exprs: Vec<&CalcExpr> = shape.preds.iter().chain(&shape.head).collect();
+        let (Ok(row_rxs), Ok(mut finish_rxs)) = (
+            compile_all(&row_exprs, &scope),
+            compile_all(&finish_exprs, &shape.scope),
+        ) else {
+            return Ok(None);
+        };
+        let (filter, rest) = row_rxs.split_at(usize::from(chain.is_some()));
+        let (key_rx, slot_rxs) = rest.split_first().expect("the key is compiled");
+        let slot_programs: Vec<&Program> = slot_rxs.iter().map(|rx| rx.program()).collect();
 
-        let read = std::iter::once(src.key)
+        let read = std::iter::once(key)
             .chain(shape.slots.iter().map(|s| &s.row_expr))
             .chain(preds.iter().copied());
         let fields = fields_of(var, read);
 
         let frame = self.profiling.then(|| self.begin_node());
-        let lowered = self.lower_on_columns(stored, &fields, pred_program, |scan| {
-            let keeps = shape.keeps_groups();
-            ColumnarFold::lower(scan, key_program, &shape.slots, &slot_programs, keeps)
+        let filter_program = filter.first().map(|rx| rx.program());
+        let lowered = self.lower_on_columns(stored, &fields, filter_program, |scan| {
+            let (keeps, key) = (shape.keeps_groups(), key_rx.program());
+            ColumnarFold::lower(scan, key, &shape.slots, &slot_programs, keeps)
         });
-        if matches!(lowered, Ok(Some(_))) {
-            if let Some(frame) = frame {
-                let (op, detail) = plan_label(source);
-                self.end_node(frame, op, detail, stored.len() as u64, Vec::new());
+        let fold = match lowered {
+            Ok(Some(fold)) => fold,
+            declined => {
+                if frame.is_some() {
+                    self.abort_node();
+                }
+                return declined.map(|_| None);
             }
-            self.record_nest(src.key, NestStrategy::LocalAggregate, reason);
-        } else if frame.is_some() {
-            self.abort_node();
+        };
+        if let Some(frame) = frame {
+            let (op, detail) = plan_label(source);
+            self.end_node(frame, op, detail, stored.len() as u64, Vec::new());
         }
-        lowered
+        self.record_nest(key, NestStrategy::LocalAggregate, reason);
+        self.compiled_exprs += row_rxs.len() + finish_rxs.len();
+        self.fused_selects += preds.len();
+        let head = shape.head.as_ref().and_then(|_| finish_rxs.pop());
+        Ok(Some((fold, (finish_rxs, head))))
     }
 
     /// Run a lowered fold: one `group_fold` / `group_fold_probe` stage
     /// over the contiguous chunks [`Dataset::from_vec`] would have cut
-    /// (same chunks, same order — so the per-chunk partials and their
-    /// in-order merge associate float sums exactly as the row driver's
-    /// map-side combine does, and a claim is one `PartitionStart` site and
-    /// one interrupt check), the merge by representative row, then the
-    /// finish programs once per group over a reused environment. The key
+    /// (same chunks, same order — so a claim is one `PartitionStart` site
+    /// and one interrupt check, and the per-chunk partials merge in chunk
+    /// order: float sums associate per chunk, as in any map-side combine),
+    /// the merge by representative row, then the finish programs once per
+    /// group over a reused environment. The key
     /// `Value` of a group is built only when a finish program reads it or
     /// the group is output.
     ///
@@ -1183,19 +933,19 @@ impl<'a> Executor<'a> {
         &mut self,
         fold: &ColumnarFold,
         shape: &AggFoldShape,
-        (finish_preds, finish_head): (Vec<Arc<RowExpr>>, Option<Arc<RowExpr>>),
+        (finish_preds, finish_head): Finish,
     ) -> ExecResult<Vec<Value>> {
         let total = fold.scan.len() as u64;
         self.vectorized_rows += total;
         let ev = self.eval.clone();
         let tasks = chunk_ranges(total as u32, self.ctx.default_partitions());
         // What travels: one partial table per chunk to the probe's merge;
-        // for aggregates, every per-chunk group partial, as the keyed
-        // shuffle of the row driver would move them.
+        // for aggregates, every per-chunk group partial, as a keyed
+        // shuffle of map-side partials moves them.
         let (label, moved): (_, fn(&[groupfold::ChunkFold]) -> u64) = if shape.keeps_groups() {
             ("group_fold_probe", |parts| parts.len() as u64)
         } else {
-            (nest_stage_labels(NestStrategy::LocalAggregate).1, |parts| {
+            ("group_fold", |parts| {
                 parts.iter().map(|p| p.groups() as u64).sum()
             })
         };
@@ -2042,16 +1792,10 @@ struct FusedInput<'p> {
     pred_rx: Option<Arc<RowExpr>>,
 }
 
-/// What a group fold reads, for [`Executor::lower_columnar_fold`]: the
-/// Nest's input with the `Select` chain peeled off it, and the Nest's key /
-/// item and the shape's slot programs compiled against it.
-struct FoldSources<'p> {
-    input: &'p FusedInput<'p>,
-    key: &'p CalcExpr,
-    key_rx: &'p RowExpr,
-    item: &'p CalcExpr,
-    slot_rxs: &'p [Arc<RowExpr>],
-}
+/// The programs that finish each group of a columnar fold, over the
+/// shape's scope: the group predicates, then the head (`None` for a
+/// group-keeping shape).
+type Finish = (Vec<Arc<RowExpr>>, Option<Arc<RowExpr>>);
 
 /// The fields of the scan variable `var` that `exprs` read, sorted and
 /// deduplicated: the columns a column-first operator over that scan pivots.
@@ -2099,10 +1843,9 @@ fn group_members(
     pairs: Dataset<(Value, Value)>,
     strategy: NestStrategy,
 ) -> ExecResult<Dataset<(Value, Vec<Value>)>> {
-    let (label, _) = nest_stage_labels(strategy);
     pairs.group_fold(
         strategy,
-        label,
+        nest_stage_label(strategy),
         |_| true,
         |pair, out| out.push(pair),
         Vec::new,
@@ -2115,28 +1858,6 @@ fn group_members(
 /// binds.
 fn group_record((key, members): (Value, Vec<Value>)) -> Value {
     Value::record([("key", key), ("partition", Value::list(members))])
-}
-
-/// [`merge_values`] with the dominant numeric cases of the fused fold loop
-/// inlined — a filtered row's `Null` is the identity and two numbers add
-/// without the generic monoid dispatch. Semantics are identical;
-/// `merge_values` remains the fallback (and the reference) for every other
-/// case.
-pub(crate) fn merge_scalar(m: &MonoidKind, acc: Value, v: Value) -> cleanm_values::Result<Value> {
-    if matches!(m, MonoidKind::Sum) {
-        match (&acc, &v) {
-            (Value::Int(a), Value::Int(b)) => return Ok(Value::Int(a.wrapping_add(*b))),
-            (Value::Float(a), Value::Float(b)) => return Ok(Value::Float(a + b)),
-            (Value::Int(a), Value::Float(b)) => return Ok(Value::Float(*a as f64 + b)),
-            (Value::Float(a), Value::Int(b)) => return Ok(Value::Float(a + *b as f64)),
-            (_, Value::Null) => return Ok(acc),
-            _ => {}
-        }
-    } else if v.is_null() && matches!(m, MonoidKind::Prod | MonoidKind::Min | MonoidKind::Max) {
-        // merge_values keeps the non-null side for these monoids.
-        return Ok(acc);
-    }
-    merge_values(m, acc, v)
 }
 
 /// Operator label and defining-expression detail of a plan node, as shown
@@ -2723,20 +2444,23 @@ mod tests {
     }
 
     #[test]
-    fn fused_scalar_reduce_folds_on_workers() {
-        // Select → Reduce(Sum) with fusion: one fused_filter_fold pass, no
-        // per-row output materialization — and the same sum as unfused.
+    fn fused_scalar_reduce_is_one_filter_map_sweep() {
+        // Select → Reduce(Sum) with fusion: one fused_filter_map sweep
+        // evaluates the head over the rows passing the filter (a predicate
+        // no column kernel takes, so the rows are tested one by one), and
+        // no `filter` pass runs — with the same sum as unfused, merged in
+        // row order.
         let scan = Arc::new(Alg::Scan {
             table: "customer".into(),
             var: "c".into(),
         });
+        let name_len = CalcExpr::call(
+            crate::calculus::Func::Length,
+            vec![CalcExpr::proj(CalcExpr::var("c"), "name")],
+        );
         let select = Arc::new(Alg::Select {
             input: scan,
-            pred: CalcExpr::bin(
-                BinOp::Gt,
-                CalcExpr::proj(CalcExpr::var("c"), "nationkey"),
-                CalcExpr::int(1),
-            ),
+            pred: CalcExpr::bin(BinOp::Gt, name_len, CalcExpr::int(5)),
         });
         let plan = Arc::new(Alg::Reduce {
             input: select,
@@ -2749,17 +2473,19 @@ mod tests {
             let ctx = ExecContext::new(2, 4);
             let mut ex = Executor::new(ctx.clone(), profile, &tables, Arc::new(EvalCtx::new()));
             let out = ex.run_reduce(&plan).unwrap();
+            let stages = ctx.metrics().snapshot().stages;
+            let ops: Vec<&str> = stages.iter().map(|s| s.operator).collect();
             if ex.fused_selects > 0 {
-                let stages = ctx.metrics().snapshot().stages;
-                assert!(
-                    stages.iter().any(|s| s.operator == "fused_filter_fold"),
-                    "{stages:?}"
-                );
+                assert_eq!(ops, ["fused_filter_map"]);
+                assert_eq!(stages[0].records_in, 5, "the sweep reads every row");
+            } else {
+                assert_eq!(ops, ["filter", "map_partitions"]);
             }
             results.push(out);
         }
-        // nationkeys 1,2,3,3,4 → keys > 1 sum to 12.
-        assert_eq!(results[0], vec![Value::Int(12)]);
+        // anderson, andersen and miller have names longer than five
+        // letters: nationkeys 1 + 2 + 4.
+        assert_eq!(results[0], vec![Value::Int(7)]);
         assert_eq!(results[0], results[1]);
     }
 

@@ -1,8 +1,12 @@
-//! Fold-shape analysis for grouped consumers: when everything above a
-//! `Nest` consumes the group variable only through monoid reductions, the
-//! executor can skip `(key, Vec<member>)` materialization entirely and fold
-//! each row straight into per-key accumulators (the streaming grouped
-//! aggregation of the paper's monoid framing — a group *is* a fold).
+//! The columnar fold of a grouped `Reduce`: when everything above a `Nest`
+//! consumes the group variable only through monoid reductions and the Nest
+//! reads a stored table by column, the executor skips `(key, Vec<member>)`
+//! materialization entirely and folds the table's key and member columns
+//! straight into per-group accumulators (the streaming grouped aggregation
+//! of the paper's monoid framing — a group *is* a fold). Where the shape
+//! does not match or the columns do not lower, the `Nest` materializes its
+//! groups and the compiled `Reduce` consumes them: a grouped `Reduce` has
+//! those two routes and no other.
 //!
 //! Two recognized consumer families:
 //!
@@ -10,18 +14,18 @@
 //!   HAVING-style Selects between Reduce and Nest) reference the group
 //!   only via `g.key` and aggregate comprehensions over `g.partition`
 //!   (`Sum/Prod/Min/Max/Any/All`, `count_distinct(bag{…})`,
-//!   `avg(bag{…})`). The whole consumer compiles to a fused group-fold
-//!   program: one *key* program and one composed *item* program per
-//!   aggregate slot evaluated per input row, per-key accumulator folds, a
-//!   mergeable partial per key, and a *finish* program that rebuilds the
-//!   head over the accumulated slot values.
+//!   `avg(bag{…})`). The whole consumer becomes a fused group fold: one
+//!   *key* column program and one composed *item* column program per
+//!   aggregate slot, per-group accumulator folds per chunk, a mergeable
+//!   partial per chunk, and a *finish* program that rebuilds the head over
+//!   the accumulated slot values.
 //! * **Group filters** ([`AggFoldShape`] with [`AggFoldShape::keeps_groups`])
 //!   — the head is the group variable itself (the FD shape: violating
 //!   groups are the output) while the predicates are all aggregate-foldable.
 //!   Phase one folds only the tiny accumulators (for FD's
-//!   `count_distinct(…) > 1`, a distinct-RHS set capped at two values) and
-//!   decides which keys pass; phase two materializes only those keys'
-//!   groups — non-violating rows never shuffle.
+//!   `count_distinct(…) > 1`, at most two witness rows per group) and
+//!   decides which groups pass; phase two gathers only those groups'
+//!   members by row index — non-violating rows never move.
 //!
 //! DEDUP's pairwise comparison and CLUSTER BY genuinely consume members
 //! (`Unnest` over `g.partition`), so their plans never match and keep the
@@ -338,10 +342,6 @@ fn scan_uses(e: &CalcExpr, var: &str, max_k: &mut Option<i64>) {
 // Accumulators
 // ---------------------------------------------------------------------
 
-/// One group's accumulator vector — `Data`-compatible so it can ride
-/// through the runtime's fold drivers and shuffles.
-pub(crate) type GroupAcc = Vec<SlotAcc>;
-
 /// The running state of one aggregate slot.
 #[derive(Debug, Clone)]
 pub(crate) enum SlotAcc {
@@ -368,7 +368,7 @@ impl AggSlot {
     pub fn fold(&self, acc: &mut SlotAcc, v: Value) -> cleanm_values::Result<()> {
         match (&self.kind, acc) {
             (AggKind::Monoid(m), SlotAcc::Monoid(a)) => {
-                *a = super::execute::merge_scalar(m, std::mem::take(a), v)?;
+                *a = merge_scalar(m, std::mem::take(a), v)?;
             }
             (AggKind::CountDistinct { cap }, SlotAcc::Distinct(set)) => {
                 if cap.is_none_or(|c| set.len() < c) {
@@ -426,6 +426,27 @@ impl AggSlot {
     }
 }
 
+/// [`merge_values`] with the dominant numeric cases of a slot's fold
+/// inlined — a `Null` member is the identity and two numbers add without
+/// the generic monoid dispatch. Semantics are identical; `merge_values`
+/// remains the fallback (and the reference) for every other case.
+fn merge_scalar(m: &MonoidKind, acc: Value, v: Value) -> cleanm_values::Result<Value> {
+    if matches!(m, MonoidKind::Sum) {
+        match (&acc, &v) {
+            (Value::Int(a), Value::Int(b)) => return Ok(Value::Int(a.wrapping_add(*b))),
+            (Value::Float(a), Value::Float(b)) => return Ok(Value::Float(a + b)),
+            (Value::Int(a), Value::Float(b)) => return Ok(Value::Float(*a as f64 + b)),
+            (Value::Float(a), Value::Int(b)) => return Ok(Value::Float(a + *b as f64)),
+            (_, Value::Null) => return Ok(acc),
+            _ => {}
+        }
+    } else if v.is_null() && matches!(m, MonoidKind::Prod | MonoidKind::Min | MonoidKind::Max) {
+        // merge_values keeps the non-null side for these monoids.
+        return Ok(acc);
+    }
+    merge_values(m, acc, v)
+}
+
 // ---------------------------------------------------------------------
 // The columnar route
 // ---------------------------------------------------------------------
@@ -436,7 +457,8 @@ impl AggSlot {
 /// block, so a chunk of rows folds as *hash key cells → dense group ids →
 /// fold each slot's accumulators by id* without building a key record, a
 /// value vector or a row environment per row. Lowered once per execution;
-/// `None` from [`ColumnarFold::lower`] leaves the node on the row driver.
+/// `None` from [`ColumnarFold::lower`] leaves the `Nest` to materialize its
+/// groups.
 pub(crate) struct ColumnarFold {
     /// The table the fold reads, filtered by the fused `WHERE` chain.
     pub(super) scan: ColumnScan,

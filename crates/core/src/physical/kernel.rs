@@ -25,7 +25,7 @@
 //! columns (where `eval_binop`'s only non-value outcomes are NULL
 //! propagation and divide-by-zero → NULL), and string builtins are
 //! restricted to the four total ones (`lower`/`upper`/`trim`/`prefix`)
-//! over string columns. Everything else — interpreter islands, `Val`
+//! over string columns. Everything else — comprehensions, `Val`
 //! fallback columns, cross-type comparisons, shuffled schemas — returns
 //! `None` from the kernel compiler and the caller keeps the row path. The
 //! differential tests in `tests/columnar_agree.rs` and
@@ -1103,7 +1103,7 @@ impl ColumnProgram {
     /// `[RecordFused]`, a lone scalar instruction (`[SlotField]` /
     /// `[Const]` / `[CallFused]`), and `[field…, Record]` where every field
     /// is one. `None` — the caller keeps the row path — for anything else:
-    /// whole-row slots, `BlockKeys`, interpreter islands, `Val` columns.
+    /// whole-row slots, `BlockKeys`, comprehensions, `Val` columns.
     pub fn lower(program: &Program, block: &Arc<ColumnBatch>) -> Option<ColumnProgram> {
         if program.scope_len() != 1 {
             return None;

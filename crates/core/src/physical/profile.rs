@@ -11,15 +11,14 @@ use serde::{Deserialize, Serialize};
 /// `Serialize`/`Deserialize` or [`EngineProfile`]'s derive stops compiling).
 pub use cleanm_exec::Shuffle as NestStrategy;
 
-/// The stage labels a Nest's grouping reports under, per strategy:
-/// `(materialized groups, folded groups)`. Reports, EXPLAIN output and the
-/// shuffle-volume tests key on these names, so they outlive the drivers
-/// they were once named after.
-pub(crate) fn nest_stage_labels(strategy: NestStrategy) -> (&'static str, &'static str) {
+/// The stage label a Nest's materialized grouping reports under, per
+/// strategy. Reports, EXPLAIN output and the shuffle-volume tests key on
+/// these names, so they outlive the drivers they were once named after.
+pub(crate) fn nest_stage_label(strategy: NestStrategy) -> &'static str {
     match strategy {
-        NestStrategy::LocalAggregate => ("aggregate_by_key", "group_fold"),
-        NestStrategy::SortShuffle => ("group_by_key_sorted", "group_fold_sorted"),
-        NestStrategy::HashShuffle => ("group_by_key_hash", "group_fold_hash"),
+        NestStrategy::LocalAggregate => "aggregate_by_key",
+        NestStrategy::SortShuffle => "group_by_key_sorted",
+        NestStrategy::HashShuffle => "group_by_key_hash",
     }
 }
 

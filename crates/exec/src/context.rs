@@ -30,11 +30,6 @@ impl CancelToken {
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Relaxed);
     }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
 }
 
 /// Shared context for a "cluster": how many worker threads, how many
@@ -120,7 +115,7 @@ impl ExecContext {
         ExecContext::new(workers, workers * 2)
     }
 
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.workers
     }
 
@@ -142,7 +137,7 @@ impl ExecContext {
     /// counters and, when tracing is enabled, emits an exec-layer span named
     /// after the operator with the stage's wall time. Every dataset driver
     /// reports through here so the trace and the metrics stay in lockstep.
-    pub fn record_stage(&self, report: StageReport) {
+    pub(crate) fn record_stage(&self, report: StageReport) {
         if self.tracer.is_enabled() {
             self.tracer
                 .record_complete(report.operator, Duration::from_nanos(report.wall_ns));
@@ -204,7 +199,7 @@ impl ExecContext {
     /// How many times the pool re-runs a panicked partition task before
     /// failing the query. Deterministic: retries replay the same partition
     /// data on the same inputs.
-    pub fn retry_max(&self) -> u32 {
+    pub(crate) fn retry_max(&self) -> u32 {
         self.retry_max.load(Ordering::Relaxed)
     }
 
@@ -220,14 +215,6 @@ impl ExecContext {
     pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
         self.faults_armed.store(plan.is_some(), Ordering::Relaxed);
         *self.fault_plan.lock() = plan;
-    }
-
-    /// The installed fault plan, if any (to read its injection counters).
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        if !self.faults_armed.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.fault_plan.lock().clone()
     }
 
     /// Indexed fault-injection point (parallel sites: partition/batch
@@ -353,7 +340,7 @@ impl ExecContext {
     /// Account `records` crossing the simulated network: bumps the shuffle
     /// counter and, when network simulation is on, spins for the modelled
     /// transfer time. Called by every wide operator.
-    pub fn charge_shuffle(&self, records: u64) {
+    pub(crate) fn charge_shuffle(&self, records: u64) {
         self.metrics.add_shuffled(records);
         let ns = self.network_ns_per_record.load(Ordering::Relaxed);
         if ns > 0 && records > 0 {
@@ -409,7 +396,6 @@ mod tests {
         ctx.check_interrupt("t").unwrap();
         let token = ctx.cancel_token();
         token.cancel();
-        assert!(token.is_cancelled());
         assert_eq!(
             ctx.check_interrupt("t").unwrap_err(),
             ExecError::Cancelled { operator: "t" }

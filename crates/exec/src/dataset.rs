@@ -72,7 +72,7 @@ fn one_each<R>(out: &[R]) -> u64 {
 /// let ctx = ExecContext::new(2, 4); // 2 workers, 4 partitions
 /// let ds = Dataset::from_vec(&ctx, (0..100i64).collect());
 /// let total: i64 = ds
-///     .filter(|x| x % 2 == 0)
+///     .filter_partitions(|part| part.retain(|x| x % 2 == 0))
 ///     .unwrap()
 ///     .map(|x| x * 10)
 ///     .unwrap()
@@ -119,14 +119,6 @@ impl<T: Data> Dataset<T> {
         }
     }
 
-    pub fn context(&self) -> &Arc<ExecContext> {
-        &self.ctx
-    }
-
-    pub fn num_partitions(&self) -> usize {
-        self.parts.len()
-    }
-
     /// Total record count (cheap: no data movement).
     pub fn count(&self) -> usize {
         self.parts.iter().map(|p| p.len()).sum()
@@ -157,18 +149,12 @@ impl<T: Data> Dataset<T> {
         Ok(Dataset { ctx, parts })
     }
 
-    /// Keep records satisfying `pred` (narrow). Per-worker busy time is
-    /// recorded: predicate work (e.g. similarity checks) on a skewed
-    /// partition layout shows up as load imbalance here.
-    pub fn filter(self, pred: impl Fn(&T) -> bool + Sync) -> ExecResult<Dataset<T>> {
-        self.filter_partitions(|part| part.retain(|t| pred(t)))
-    }
-
     /// Partition-at-a-time filtering (narrow): `f` retains the surviving
     /// records of each partition in place. This is the batch entry point
     /// compiled row programs use — one scratch allocation per partition
-    /// instead of per record — and it reports the same `filter` stage as
-    /// [`Dataset::filter`].
+    /// instead of per record — and it reports one `filter` stage, with
+    /// per-worker busy time: predicate work (e.g. similarity checks) on a
+    /// skewed partition layout shows up as load imbalance there.
     pub fn filter_partitions(self, f: impl Fn(&mut Vec<T>) + Sync) -> ExecResult<Dataset<T>> {
         let ctx = self.ctx;
         let records_in = count(&self.parts);
@@ -205,33 +191,6 @@ impl<T: Data> Dataset<T> {
         Ok(Dataset { ctx, parts })
     }
 
-    /// Fused filter+fold (narrow): one pass per partition that folds the
-    /// records surviving `pred` into a per-partition accumulator, returning
-    /// the partials in partition order. This is the fusion driver for a
-    /// `Select` feeding a primitive-monoid `Reduce`: instead of
-    /// materializing the filtered rows, then their head values, then
-    /// merging them one by one on the driver, each worker folds its own
-    /// partition and only the partials travel. `fold` must be associative
-    /// in the accumulated positions (the accumulator is a monoid value).
-    pub fn filter_fold<A: Data>(
-        self,
-        label: &'static str,
-        zero: impl Fn() -> A + Sync,
-        pred: impl Fn(&T) -> bool + Sync,
-        fold: impl Fn(A, T) -> A + Sync,
-    ) -> ExecResult<Vec<A>> {
-        let records_in = count(&self.parts);
-        run_stage(&self.ctx, label, records_in, self.parts, stays, |part| {
-            let mut acc = zero();
-            for t in part {
-                if pred(&t) {
-                    acc = fold(acc, t);
-                }
-            }
-            acc
-        })
-    }
-
     /// Whole-partition transform (narrow) — Spark's `mapPartitions`, used by
     /// the Nest translation to apply per-group output/filter functions after
     /// the shuffle.
@@ -249,66 +208,12 @@ impl<T: Data> Dataset<T> {
     /// per-partition results — a metrics-silent analytical peek (no stage
     /// report, no shuffle accounting) for planner-side checks such as key
     /// type classification. For accounted statistics collection use
-    /// [`Dataset::summarize_partitions`] instead.
+    /// [`summarize_rows`] instead.
     pub fn probe_partitions<A: Data>(&self, f: impl Fn(&[T]) -> A + Sync) -> ExecResult<Vec<A>> {
         let refs: Vec<&[T]> = self.parts.iter().map(|p| p.as_slice()).collect();
         let (partials, _busy) =
             run_partitions(&self.ctx, "probe_partitions", refs, |_, part| f(part))?;
         Ok(partials)
-    }
-
-    /// One-pass per-partition summarization: apply `f` to each whole
-    /// partition in parallel and return one summary per partition, in
-    /// partition order. This is the statistics-collection hook: a mergeable
-    /// summary (a monoid) is computed where the data sits and only the
-    /// per-partition partials travel to the driver, so the pass is charged
-    /// one shuffled record per partition — nothing else moves.
-    pub fn summarize_partitions<A: Data>(
-        &self,
-        f: impl Fn(&[T]) -> A + Sync,
-    ) -> ExecResult<Vec<A>> {
-        let refs: Vec<&[T]> = self.parts.iter().map(|p| p.as_slice()).collect();
-        let records_in = count(&self.parts);
-        run_stage(
-            &self.ctx,
-            "summarize_partitions",
-            records_in,
-            refs,
-            one_each,
-            f,
-        )
-    }
-
-    /// Fold each partition into one accumulator (borrowed pass, like
-    /// [`Dataset::summarize_partitions`] but with an explicit fold loop and
-    /// stage label): `fold` absorbs every record of a partition into that
-    /// partition's accumulator, and the per-partition partials are returned
-    /// in partition order for the caller to merge (typically tree-wise on
-    /// the pool via [`merge_tree`]). One shuffled record per partition is
-    /// charged — only the partials travel. This is the discovery half of
-    /// two-phase grouped folds (e.g. finding FD-violating keys before
-    /// materializing only their groups).
-    pub fn fold_partitions<A: Data>(
-        &self,
-        label: &'static str,
-        init: impl Fn() -> A + Sync,
-        fold: impl Fn(&mut A, &T) + Sync,
-    ) -> ExecResult<Vec<A>> {
-        let refs: Vec<&[T]> = self.parts.iter().map(|p| p.as_slice()).collect();
-        run_stage(
-            &self.ctx,
-            label,
-            count(&self.parts),
-            refs,
-            one_each,
-            |part| {
-                let mut acc = init();
-                for t in part {
-                    fold(&mut acc, t);
-                }
-                acc
-            },
-        )
     }
 
     /// Zip each partition with a parallel vector of per-record companions
@@ -336,16 +241,6 @@ impl<T: Data> Dataset<T> {
             ctx: self.ctx,
             parts,
         }
-    }
-
-    /// Concatenate two datasets (narrow; partitions are appended).
-    pub fn union(mut self, other: Dataset<T>) -> Dataset<T> {
-        assert!(
-            Arc::ptr_eq(&self.ctx, &other.ctx),
-            "datasets belong to different contexts"
-        );
-        self.parts.extend(other.parts);
-        self
     }
 }
 
@@ -390,12 +285,14 @@ pub fn produce_partials<S: Send, R: Send>(
     run_stage(ctx, label, records_in, tasks, moved, f)
 }
 
-/// [`Dataset::summarize_partitions`] over *borrowed* rows: chunks `rows`
+/// One-pass per-chunk summarization over *borrowed* rows: chunks `rows`
 /// into the context's default partition count in place (same contiguous
-/// layout as [`Dataset::from_vec`]) and folds each chunk in parallel —
-/// zero copies of the data, same stage accounting. This is the entry point
-/// for statistics collection over rows already materialized elsewhere
-/// (e.g. a session catalog holding `Arc<Vec<Value>>`).
+/// layout as [`Dataset::from_vec`]) and applies `f` to each chunk in
+/// parallel — zero copies of the data. This is the statistics-collection
+/// hook: a mergeable summary (a monoid) is computed where the data sits
+/// and only the per-chunk partials travel to the driver, so the
+/// `summarize_partitions` stage is charged one shuffled record per chunk
+/// — nothing else moves.
 pub fn summarize_rows<T: Sync, A: Data>(
     ctx: &Arc<ExecContext>,
     rows: &[T],
@@ -554,7 +451,6 @@ mod tests {
     #[test]
     fn from_vec_balances_chunks() {
         let ds = Dataset::from_vec(&ctx(), (0..10).collect());
-        assert_eq!(ds.num_partitions(), 4);
         assert_eq!(ds.count(), 10);
         let parts = ds.collect_partitions();
         assert_eq!(parts.iter().map(Vec::len).collect::<Vec<_>>(), [3, 3, 3, 1]);
@@ -565,8 +461,7 @@ mod tests {
     fn empty_dataset() {
         let ds: Dataset<i32> = Dataset::from_vec(&ctx(), vec![]);
         assert_eq!(ds.count(), 0);
-        assert_eq!(ds.num_partitions(), 4); // empty partitions kept
-        assert!(ds.collect().is_empty());
+        assert_eq!(ds.collect_partitions().len(), 4); // empty partitions kept
     }
 
     #[test]
@@ -575,7 +470,7 @@ mod tests {
         let out = ds
             .map(|x| x * 2)
             .unwrap()
-            .filter(|x| x % 4 == 0)
+            .filter_partitions(|p| p.retain(|x| x % 4 == 0))
             .unwrap()
             .collect();
         assert_eq!(out.len(), 50);
@@ -598,7 +493,7 @@ mod tests {
         let c = ctx();
         let data: Vec<i32> = (0..100).collect();
         let separate: Vec<i32> = Dataset::from_vec(&c, data.clone())
-            .filter(|x| x % 3 == 0)
+            .filter_partitions(|p| p.retain(|x| x % 3 == 0))
             .unwrap()
             .collect()
             .into_iter()
@@ -612,44 +507,5 @@ mod tests {
         let stage = c.metrics().snapshot().stages.pop().unwrap();
         assert_eq!(stage.operator, "fused");
         assert_eq!(stage.records_in, 100);
-    }
-
-    #[test]
-    fn filter_fold_matches_filter_then_sum() {
-        let c = ctx();
-        let data: Vec<i64> = (0..1000).collect();
-        let expected: i64 = data.iter().filter(|x| *x % 2 == 0).sum();
-        let partials = Dataset::from_vec(&c, data)
-            .filter_fold("fused_fold", || 0i64, |x| x % 2 == 0, |acc, x| acc + x)
-            .unwrap();
-        assert_eq!(partials.len(), 4, "one partial per partition");
-        assert_eq!(partials.iter().sum::<i64>(), expected);
-    }
-
-    #[test]
-    fn filter_fold_empty_partitions_yield_zeros() {
-        let c = ctx();
-        let ds: Dataset<i64> = Dataset::from_vec(&c, vec![]);
-        let partials = ds
-            .filter_fold("fused_fold", || 7i64, |_| true, |acc, x| acc + x)
-            .unwrap();
-        assert_eq!(partials, vec![7, 7, 7, 7]);
-    }
-
-    #[test]
-    fn union_concatenates() {
-        let c = ctx();
-        let a = Dataset::from_vec(&c, vec![1, 2]);
-        let b = Dataset::from_vec(&c, vec![3]);
-        let u = a.union(b);
-        assert_eq!(u.count(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "different contexts")]
-    fn union_across_contexts_panics() {
-        let a = Dataset::from_vec(&ctx(), vec![1]);
-        let b = Dataset::from_vec(&ctx(), vec![2]);
-        let _ = a.union(b);
     }
 }

@@ -81,7 +81,7 @@ pub enum FaultKind {
 /// One injection arm: fire `kind` at `site` when the site's key equals
 /// `key`, for the first `fail_attempts` attempts of that execution point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultArm {
+pub(crate) struct FaultArm {
     /// The instrumented site this arm watches.
     pub site: FaultSite,
     /// Partition/batch index (parallel sites) or visit ordinal
@@ -101,8 +101,8 @@ impl FaultArm {
     pub const ANY_KEY: u64 = u64::MAX;
 }
 
-/// A deterministic set of [`FaultArm`]s plus per-site counters of how often
-/// they fired. Cheap to share; install on a context with
+/// A deterministic set of injection arms ([`FaultPlan::arm`]) plus
+/// per-site counters of how often they fired. Cheap to share; install on a context with
 /// [`crate::ExecContext::set_fault_plan`].
 #[derive(Debug, Default)]
 pub struct FaultPlan {
@@ -153,11 +153,6 @@ impl FaultPlan {
             plan = plan.arm(*site, (h >> 8) % modulus.max(1), kind, u32::MAX);
         }
         plan
-    }
-
-    /// The configured arms.
-    pub fn arms(&self) -> &[FaultArm] {
-        &self.arms
     }
 
     /// Next visit ordinal for a driver-thread site (monotone per plan).
@@ -228,9 +223,9 @@ mod tests {
     fn seeded_plans_are_deterministic() {
         let a = FaultPlan::seeded(7, &FaultSite::ALL, 4);
         let b = FaultPlan::seeded(7, &FaultSite::ALL, 4);
-        assert_eq!(a.arms(), b.arms());
-        assert_eq!(a.arms().len(), 5);
+        assert_eq!(a.arms, b.arms);
+        assert_eq!(a.arms.len(), 5);
         let c = FaultPlan::seeded(8, &FaultSite::ALL, 4);
-        assert_ne!(a.arms(), c.arms());
+        assert_ne!(a.arms, c.arms);
     }
 }

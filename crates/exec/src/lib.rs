@@ -9,9 +9,11 @@
 //!
 //! * a **partitioned dataset** ([`Dataset`]) processed by a pool of worker
 //!   threads, one logical "node" per partition;
-//! * **narrow operators** (`map`, `filter`, `filter_partitions`,
-//!   `map_partitions`, and the fused `filter_transform` / `filter_fold`
-//!   sweeps) that never move data;
+//! * **narrow operators** (`map`, `filter_partitions`, `map_partitions`,
+//!   and the fused `filter_transform` sweep) that never
+//!   move data, and column-first stages that build a dataset or per-chunk
+//!   partials from caller-described tasks ([`produce_partitions`],
+//!   [`produce_partials`]);
 //! * **one grouping driver**, [`Dataset::group_fold`], that folds each
 //!   emitted `(key, value)` pair into a per-key monoid accumulator and
 //!   really moves records between partitions under the chosen [`Shuffle`]:
@@ -48,6 +50,6 @@ pub use dataset::{
     Dataset, Key,
 };
 pub use error::{ExecError, ExecResult};
-pub use faults::{FaultArm, FaultKind, FaultPlan, FaultSite};
+pub use faults::{FaultKind, FaultPlan, FaultSite};
 pub use fold::Shuffle;
 pub use metrics::{ExecMetrics, MetricsSnapshot, StageReport};

@@ -78,7 +78,7 @@ pub struct ExecMetrics {
 }
 
 impl ExecMetrics {
-    pub fn add_shuffled(&self, n: u64) {
+    pub(crate) fn add_shuffled(&self, n: u64) {
         self.records_shuffled.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -87,22 +87,22 @@ impl ExecMetrics {
     }
 
     /// Count a panicked partition task being re-run by the pool.
-    pub fn add_partition_retries(&self, n: u64) {
+    pub(crate) fn add_partition_retries(&self, n: u64) {
         self.partition_retries.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Count a partition task panic caught by the pool (whether or not a
     /// retry followed).
-    pub fn add_partition_panics(&self, n: u64) {
+    pub(crate) fn add_partition_panics(&self, n: u64) {
         self.partition_panics.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Count a fault-injection arm firing (any kind, any site).
-    pub fn add_faults_injected(&self, n: u64) {
+    pub(crate) fn add_faults_injected(&self, n: u64) {
         self.faults_injected.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub fn push_stage(&self, report: StageReport) {
+    pub(crate) fn push_stage(&self, report: StageReport) {
         self.stages.lock().push(report);
     }
 

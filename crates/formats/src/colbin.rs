@@ -23,7 +23,7 @@
 //! the file carries its own schema.
 //!
 //! Decoding trusts no count in the file: a malformed or hostile document —
-//! truncated, a count of `u32::MAX`, nesting deeper than `MAX_DEPTH` — is
+//! truncated, a count of `u32::MAX`, nesting deeper than [`MAX_DEPTH`](crate::MAX_DEPTH) — is
 //! an [`Error::Parse`], never a panic or an allocation the bytes cannot
 //! back.
 
@@ -36,8 +36,6 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"CBIN";
 const VERSION: u8 = 1;
-/// The deepest list/struct nesting decoding accepts, in a type or a value.
-const MAX_DEPTH: usize = 128;
 
 // ---------------------------------------------------------------- encoding
 
@@ -259,12 +257,7 @@ impl Reader {
 }
 
 fn nested(depth: usize) -> Result<usize> {
-    if depth >= MAX_DEPTH {
-        return Err(Error::Parse(format!(
-            "colbin: nesting deeper than {MAX_DEPTH}"
-        )));
-    }
-    Ok(depth + 1)
+    crate::nested("colbin", depth)
 }
 
 /// The magic, the version, the schema and the row count.

@@ -2,14 +2,16 @@
 //!
 //! The parser produces [`Value`] trees: objects become [`Value::Struct`]
 //! (field order preserved), arrays become [`Value::List`], and numbers become
-//! `Int` when integral, else `Float`.
+//! `Int` when integral, else `Float`. A malformed document — truncated, a
+//! bad escape, a lone surrogate, arrays and objects nested deeper than
+//! [`MAX_DEPTH`](crate::MAX_DEPTH) — is an [`Error::Parse`], never a panic.
 
 use cleanm_values::{DataType, Error, Result, Row, Schema, Table, Value};
 
 /// Parse a complete JSON document into a [`Value`].
 pub fn parse(text: &str) -> Result<Value> {
     let mut p = Parser::new(text);
-    let v = p.parse_value()?;
+    let v = p.parse_value(0)?;
     p.skip_ws();
     if p.pos < p.bytes.len() {
         return Err(Error::Parse(format!(
@@ -63,11 +65,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value> {
+    /// Parse the value at the cursor, `depth` arrays and objects deep.
+    fn parse_value(&mut self, depth: usize) -> Result<Value> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.parse_object(crate::nested("JSON", depth)?),
+            Some(b'[') => self.parse_array(crate::nested("JSON", depth)?),
             Some(b'"') => Ok(Value::from(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
@@ -93,7 +96,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<Value> {
+    fn parse_object(&mut self, depth: usize) -> Result<Value> {
         self.expect(b'{')?;
         let mut fields: Vec<(std::sync::Arc<str>, Value)> = Vec::new();
         self.skip_ws();
@@ -106,7 +109,7 @@ impl<'a> Parser<'a> {
             let key = self.parse_string()?;
             self.skip_ws();
             self.expect(b':')?;
-            let value = self.parse_value()?;
+            let value = self.parse_value(depth)?;
             fields.push((std::sync::Arc::from(key.as_str()), value));
             self.skip_ws();
             match self.peek() {
@@ -129,7 +132,7 @@ impl<'a> Parser<'a> {
         Ok(Value::Struct(fields.into()))
     }
 
-    fn parse_array(&mut self) -> Result<Value> {
+    fn parse_array(&mut self, depth: usize) -> Result<Value> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -138,7 +141,7 @@ impl<'a> Parser<'a> {
             return Ok(Value::list(items));
         }
         loop {
-            items.push(self.parse_value()?);
+            items.push(self.parse_value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -189,17 +192,19 @@ impl<'a> Parser<'a> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let code = self.parse_hex4()?;
-                            // Handle surrogate pairs.
+                            // A high surrogate must be followed by a low one;
+                            // a lone surrogate of either half is invalid.
                             let c = if (0xD800..0xDC00).contains(&code) {
                                 if self.text[self.pos..].starts_with("\\u") {
                                     self.pos += 2;
                                     let low = self.parse_hex4()?;
-                                    let combined =
-                                        0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                    char::from_u32(combined)
+                                    (0xDC00..0xE000)
+                                        .contains(&low)
+                                        .then(|| 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
                                 } else {
                                     None
                                 }
+                                .and_then(char::from_u32)
                             } else {
                                 char::from_u32(code)
                             };
@@ -227,10 +232,9 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_hex4(&mut self) -> Result<u32> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(Error::Parse("truncated \\u escape".to_string()));
-        }
-        let hex = &self.text[self.pos..self.pos + 4];
+        let hex = (self.text.get(self.pos..self.pos + 4))
+            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(|| Error::Parse(format!("bad \\u escape at byte {}", self.pos)))?;
         self.pos += 4;
         u32::from_str_radix(hex, 16).map_err(|_| Error::Parse(format!("invalid hex `{hex}`")))
     }

@@ -23,3 +23,19 @@ pub mod json;
 pub mod xml;
 
 pub use cleanm_values::{DataType, Error, Field, Result, Row, Schema, Table, Value};
+
+/// The deepest nesting a reader accepts — colbin list/struct types and
+/// values, JSON arrays and objects, XML elements. Past it a document is an
+/// [`Error::Parse`], never a recursion deeper than the stack holds.
+pub const MAX_DEPTH: usize = 128;
+
+/// The depth one level below `depth`, or `format`'s typed error past
+/// [`MAX_DEPTH`].
+fn nested(format: &str, depth: usize) -> Result<usize> {
+    if depth >= MAX_DEPTH {
+        return Err(Error::Parse(format!(
+            "{format}: nesting deeper than {MAX_DEPTH}"
+        )));
+    }
+    Ok(depth + 1)
+}

@@ -10,6 +10,10 @@
 //! * an element with children becomes a [`Value::Struct`]; children that
 //!   repeat under the same tag become one field holding a [`Value::List`];
 //! * attributes become leading struct fields named `@attr`.
+//!
+//! A malformed document — truncated, an unterminated tag, a mismatched
+//! closing tag, elements nested deeper than
+//! [`MAX_DEPTH`](crate::MAX_DEPTH) — is an [`Error::Parse`], never a panic.
 
 use cleanm_values::{Error, Result, Row, Schema, Table, Value};
 use std::sync::Arc;
@@ -31,7 +35,7 @@ pub fn parse(text: &str) -> Result<Element> {
         pos: 0,
     };
     p.skip_misc();
-    let root = p.parse_element()?;
+    let root = p.parse_element(0)?;
     p.skip_misc();
     if p.pos < p.bytes.len() {
         return Err(Error::Parse(format!(
@@ -85,7 +89,9 @@ impl<'a> XmlParser<'a> {
         }
     }
 
-    fn parse_element(&mut self) -> Result<Element> {
+    /// Parse the element at the cursor, inside `depth` others.
+    fn parse_element(&mut self, depth: usize) -> Result<Element> {
+        let depth = crate::nested("XML", depth)?;
         if self.bytes.get(self.pos) != Some(&b'<') {
             return Err(Error::Parse(format!("expected `<` at byte {}", self.pos)));
         }
@@ -186,7 +192,7 @@ impl<'a> XmlParser<'a> {
                     None => return Err(Error::Parse("unterminated CDATA".to_string())),
                 }
             } else if rest.starts_with('<') {
-                children.push(self.parse_element()?);
+                children.push(self.parse_element(depth)?);
             } else {
                 let next_tag = rest.find('<').unwrap_or(rest.len());
                 text.push_str(&unescape(&rest[..next_tag])?);

@@ -8,8 +8,8 @@
 //! `observe` distributes over partitioning. That is exactly what makes the
 //! statistics collectable in **one pass** on the `cleanm-exec` substrate:
 //! each partition folds its rows into a partial summary where the data sits
-//! ([`cleanm_exec::Dataset::summarize_partitions`]), and only the partials —
-//! one record per partition — travel to the driver to be merged.
+//! ([`cleanm_exec::summarize_rows`]), and only the partials — one record per
+//! partition — travel to the driver to be merged.
 //!
 //! Per column, a [`ColumnStats`] tracks:
 //!

@@ -1,11 +1,14 @@
 //! Differential property tests: the compiled register machine must agree
 //! with the reference tree-walking evaluator on randomized expressions,
 //! environments, and row schemas — including NaN ordering, `Null`
-//! propagation, type errors, and shuffled struct field orders (which
-//! exercise the self-tuning projection hints).
+//! propagation, type errors, shuffled struct field orders (which exercise
+//! the self-tuning projection hints), and comprehensions: every monoid,
+//! `Bind` and predicate qualifiers, generators over NULL and over
+//! non-lists, comprehensions nested inside comprehensions and inside
+//! `count_distinct` / `avg`, and explicit monoid merges.
 
 use cleanm::core::calculus::compile::Program;
-use cleanm::core::calculus::{eval, BinOp, CalcExpr, EvalCtx, Func, MonoidKind, Qual};
+use cleanm::core::calculus::{eval, BinOp, CalcExpr, EvalCtx, FilterAlgo, Func, MonoidKind, Qual};
 use cleanm::values::Value;
 use proptest::prelude::*;
 
@@ -67,9 +70,134 @@ fn env() -> BoxedStrategy<Env> {
         .boxed()
 }
 
+/// Every monoid a comprehension or a merge reduces with.
+fn monoid(i: usize) -> MonoidKind {
+    use MonoidKind::*;
+    [
+        Sum,
+        Prod,
+        Min,
+        Max,
+        Any,
+        All,
+        Bag,
+        Set,
+        List,
+        Filter(FilterAlgo::Exact),
+    ][i % 10]
+        .clone()
+}
+
+const BAG: usize = 6;
+
+fn ints(ns: &[i64]) -> CalcExpr {
+    CalcExpr::Const(Value::list(ns.iter().map(|&n| Value::Int(n))))
+}
+
+/// The random parts of one comprehension, before its monoid picks the head:
+/// the generator's source, two operand expressions, which extra qualifiers
+/// follow the generator, whether the generated variable shadows the
+/// scope's `x`, and which head shape to use.
+type CompParts = (CalcExpr, CalcExpr, CalcExpr, usize, bool, bool);
+
+fn comp_parts(inner: BoxedStrategy<CalcExpr>) -> BoxedStrategy<CompParts> {
+    // Unsorted, with a duplicate: every collection monoid's finish shows.
+    let unsorted = || Just(ints(&[1, 2, 3, 2]));
+    let source = prop_oneof![
+        unsorted(),
+        unsorted(),
+        unsorted(),
+        proptest::collection::vec(scalar(), 0..4).prop_map(|xs| CalcExpr::Const(Value::list(xs))),
+        // NULL generates nothing; a scalar is a typed error (or NULL).
+        Just(CalcExpr::Const(Value::Null)),
+        Just(CalcExpr::int(5)),
+        inner.clone(),
+        inner
+            .clone()
+            .prop_map(|e| CalcExpr::call(Func::Split("-".into()), vec![e])),
+        // Two deep: generate over another comprehension's bag.
+        inner.clone().prop_map(|e| CalcExpr::comp(
+            MonoidKind::Bag,
+            CalcExpr::bin(BinOp::Add, CalcExpr::var("t"), e),
+            vec![Qual::Gen("t".into(), ints(&[1, 2, 2]))],
+        )),
+    ];
+    // Operands are well-typed half the time, so heads and qualifiers
+    // mostly run rather than raise a type error.
+    let operand = || prop_oneof![inner.clone(), (0i64..4).prop_map(CalcExpr::int)];
+    (
+        source,
+        operand(),
+        operand(),
+        0usize..4,
+        proptest::bool::ANY,
+        proptest::bool::ANY,
+    )
+        .boxed()
+}
+
+/// `⊕{ head | v ← source [, w := v * a] [, v < a] }` under `monoid(m)`:
+/// the head reads the last bound variable and `b`, in the shape the monoid
+/// needs (`{key, item}` for `Filter`).
+fn build_comp(m: usize, (source, a, b, extra, shadow, simple): CompParts) -> CalcExpr {
+    let v = if shadow { "x" } else { "v" }; // the innermost binding wins
+    let mut quals = vec![Qual::Gen(v.into(), source)];
+    let mut bound = v;
+    if extra % 2 == 1 {
+        let w = CalcExpr::bin(BinOp::Mul, CalcExpr::var(v), a.clone());
+        quals.push(Qual::Bind("w".into(), w));
+        bound = "w";
+    }
+    if extra >= 2 {
+        quals.push(Qual::Pred(CalcExpr::bin(BinOp::Lt, CalcExpr::var(v), a)));
+    }
+    let var = CalcExpr::var(bound);
+    let head = match monoid(m) {
+        MonoidKind::Any | MonoidKind::All => CalcExpr::bin(BinOp::Le, var, b),
+        MonoidKind::Filter(_) => CalcExpr::record(vec![("key", b), ("item", var)]),
+        _ if simple => var,
+        MonoidKind::Bag | MonoidKind::Set | MonoidKind::List => {
+            CalcExpr::record(vec![("p", var), ("q", b)])
+        }
+        _ => CalcExpr::bin(BinOp::Add, var, b),
+    };
+    CalcExpr::comp(monoid(m), head, quals)
+}
+
+/// A comprehension under any monoid over `inner` operands, a bag
+/// comprehension counted distinct or averaged (the aggregates of grouped
+/// queries), or a merge — of two comprehensions under their monoid, or of
+/// any two operands, whose types need not fit it.
+fn comprehension(inner: BoxedStrategy<CalcExpr>) -> BoxedStrategy<CalcExpr> {
+    prop_oneof![
+        (0usize..10, comp_parts(inner.clone())).prop_map(|(m, p)| build_comp(m, p)),
+        (0usize..10, comp_parts(inner.clone())).prop_map(|(m, p)| build_comp(m, p)),
+        (comp_parts(inner.clone()), proptest::bool::ANY).prop_map(|(p, avg)| {
+            let func = if avg { Func::Avg } else { Func::CountDistinct };
+            CalcExpr::call(func, vec![build_comp(BAG, p)])
+        }),
+        (
+            0usize..10,
+            comp_parts(inner.clone()),
+            comp_parts(inner.clone())
+        )
+            .prop_map(|(m, p, q)| CalcExpr::Merge(
+                monoid(m),
+                Box::new(build_comp(m, p)),
+                Box::new(build_comp(m, q)),
+            )),
+        (0usize..10, inner.clone(), inner).prop_map(|(m, l, r)| CalcExpr::Merge(
+            monoid(m),
+            Box::new(l),
+            Box::new(r)
+        )),
+    ]
+    .boxed()
+}
+
 /// Random expressions over the fixed scope, covering arithmetic,
-/// comparisons, logic, conditionals, projections, records, builtins, and
-/// (as interpreter islands) nested comprehensions.
+/// comparisons, logic, conditionals, projections, records, builtins,
+/// comprehensions (nested as deep as the recursion goes) and merges.
 fn expr(depth: u32) -> BoxedStrategy<CalcExpr> {
     let leaf = prop_oneof![
         scalar().prop_map(CalcExpr::Const),
@@ -122,16 +250,8 @@ fn expr(depth: u32) -> BoxedStrategy<CalcExpr> {
             // Projection through a freshly built record.
             (inner.clone(), inner.clone())
                 .prop_map(|(a, b)| CalcExpr::proj(CalcExpr::record(vec![("p", a), ("q", b)]), "q")),
-            // A nested comprehension: compiled as an interpreter island
-            // whose environment is rebuilt from the slots.
-            inner.clone().prop_map(|e| CalcExpr::comp(
-                MonoidKind::Sum,
-                CalcExpr::bin(BinOp::Add, CalcExpr::var("v"), e),
-                vec![Qual::Gen(
-                    "v".into(),
-                    CalcExpr::Const(Value::list([Value::Int(1), Value::Int(2), Value::Int(3)])),
-                )],
-            )),
+            comprehension(inner.clone()),
+            comprehension(inner.clone()),
         ]
     })
     .boxed()
@@ -164,6 +284,15 @@ proptest! {
     /// `Program::eval` ≡ reference `eval` on random expressions and rows.
     #[test]
     fn compiled_agrees_with_interpreter(e in expr(3), env in env()) {
+        let ctx = EvalCtx::new();
+        let prog = Program::compile(&e, &scope(), &ctx).expect("closed expr compiles");
+        assert_agree(&e, &env, &ctx, prog.eval(&slots(&env), &ctx));
+    }
+
+    /// Comprehensions and merges at the root, over random operands (which
+    /// nest further comprehensions): compiled ≡ interpreted.
+    #[test]
+    fn compiled_comprehensions_agree(e in comprehension(expr(2)), env in env()) {
         let ctx = EvalCtx::new();
         let prog = Program::compile(&e, &scope(), &ctx).expect("closed expr compiles");
         assert_agree(&e, &env, &ctx, prog.eval(&slots(&env), &ctx));

@@ -380,6 +380,148 @@ fn malformed_colbin_headers_codes_and_nesting_are_typed_errors() {
     assert_colbin_rejected("deeply nested list value", &deep_value.bytes);
 }
 
+/// `bytes`, as a text reader sees them (the lossy decoding), must be a
+/// typed parse error from `parse` and from `read_table` — never a panic,
+/// an abort or a value.
+fn assert_text_rejected<P, T: std::fmt::Debug>(
+    case: &str,
+    bytes: &[u8],
+    parse: impl Fn(&str) -> cleanm::values::Result<P>,
+    read_table: impl Fn(&str) -> cleanm::values::Result<T>,
+) {
+    use cleanm::values::Error;
+    let text = String::from_utf8_lossy(bytes);
+    assert!(
+        matches!(parse(&text).err(), Some(Error::Parse(_))),
+        "{case}: parse accepted the document"
+    );
+    match read_table(&text) {
+        Err(Error::Parse(_)) => {}
+        other => panic!("{case}: read_table gave {other:?}"),
+    }
+}
+
+/// Past [`cleanm::formats::MAX_DEPTH`], far deeper than any stack allows
+/// recursing.
+const DEEP: usize = 100_000;
+
+/// Malformed JSON: every strict prefix of a valid document, bad escapes,
+/// lone surrogates, invalid UTF-8, an unterminated string and nesting
+/// 100 000 deep are typed errors from both readers.
+#[test]
+fn malformed_json_is_a_typed_error() {
+    use cleanm::values::{DataType, Schema};
+    let schema = Schema::of([("id", DataType::Int), ("name", DataType::Str)]);
+    let reject = |case: &str, bytes: &[u8]| {
+        let read = |text: &str| json::read_table(text, &schema);
+        assert_text_rejected(case, bytes, json::parse, read);
+    };
+    let valid = r#"[{"id": 1, "name": "a\"b\u00e9 é😀 \ud83d\ude00"}, {"id": 2, "name": null}]"#;
+    assert_eq!(json::read_table(valid, &schema).unwrap().len(), 2);
+    // The empty document is an empty JSON-lines table; every longer strict
+    // prefix is cut short inside the array.
+    assert_eq!(json::read_table("", &schema).unwrap().len(), 0);
+    for len in 1..valid.len() {
+        reject(&format!("first {len} bytes"), &valid.as_bytes()[..len]);
+    }
+    let cases: [(&str, &[u8]); 10] = [
+        ("bad escape", br#"[{"id": 1, "name": "a\qb"}]"#),
+        ("lone high surrogate", br#"[{"id": 1, "name": "\ud800"}]"#),
+        (
+            "high surrogate, then no low one",
+            br#"[{"id": 1, "name": "\ud800\u0041"}]"#,
+        ),
+        ("lone low surrogate", br#"[{"id": 1, "name": "\udc00"}]"#),
+        ("short \\u escape", br#"[{"id": 1, "name": "\u00"}]"#),
+        (
+            "\\u escape over a multi-byte char",
+            "[{\"name\": \"\\u00é\"}]".as_bytes(),
+        ),
+        ("invalid UTF-8", b"[{\"id\": 1, \"name\": \xff\xfe}]"),
+        ("unterminated string", br#"[{"id": 1, "name": "abc}]"#),
+        (
+            "JSON-lines, lone surrogate",
+            br#"{"id": 1, "name": "\ud800"}"#,
+        ),
+        ("JSON-lines, unterminated object", br#"{"id": 1"#),
+    ];
+    for (case, bytes) in cases {
+        reject(case, bytes);
+    }
+    let deep = |open: &str, close: &str| [open.repeat(DEEP), close.repeat(DEEP)].concat();
+    reject("100 000 unclosed arrays", "[".repeat(DEEP).as_bytes());
+    reject("100 000 nested arrays", deep("[", "]").as_bytes());
+    reject("100 000 nested objects", deep(r#"{"a":"#, "}").as_bytes());
+    let at_bound = deep("[", "]");
+    let at_bound = &at_bound[DEEP - cleanm::formats::MAX_DEPTH..DEEP + cleanm::formats::MAX_DEPTH];
+    assert!(json::parse(at_bound).is_ok(), "nesting at the bound parses");
+}
+
+/// Malformed XML: every strict prefix of a valid document, unterminated
+/// tags, a mismatched closing tag, bad entities, invalid UTF-8 and
+/// elements 100 000 deep are typed errors from both readers.
+#[test]
+fn malformed_xml_is_a_typed_error() {
+    use cleanm::values::{DataType, Schema};
+    let schema = Schema::of([
+        ("title", DataType::Str),
+        ("year", DataType::Int),
+        ("authors", DataType::List(Box::new(DataType::Str))),
+    ]);
+    let reject = |case: &str, bytes: &[u8]| {
+        let read = |text: &str| xml::read_table(text, &schema);
+        assert_text_rejected(case, bytes, xml::parse, read);
+    };
+    let valid = "<?xml version=\"1.0\"?><!-- c --><pubs>\
+                 <pub key=\"k&amp;1\"><title>A &amp; B é 😀</title><year>2001</year>\
+                 <authors>X</authors><authors>Y</authors></pub>\
+                 <pub><title><![CDATA[1 < 2]]></title><year>2002</year></pub></pubs>";
+    assert_eq!(xml::read_table(valid, &schema).unwrap().len(), 2);
+    for len in 0..valid.len() {
+        reject(&format!("first {len} bytes"), &valid.as_bytes()[..len]);
+    }
+    let cases: [(&str, &[u8]); 9] = [
+        ("unterminated tag", b"<pubs><pub"),
+        (
+            "unterminated attribute",
+            b"<pubs><pub key=\"k></pub></pubs>",
+        ),
+        ("unterminated closing tag", b"<pubs><pub></pub</pubs>"),
+        ("unclosed element", b"<pubs><pub><title>T</title>"),
+        (
+            "mismatched closing tag",
+            b"<pubs><pub><title>T</pub></title></pubs>",
+        ),
+        (
+            "unknown entity",
+            b"<pubs><pub><title>&bogus;</title></pub></pubs>",
+        ),
+        (
+            "surrogate entity",
+            b"<pubs><pub><title>&#xD800;</title></pub></pubs>",
+        ),
+        ("invalid UTF-8", b"<pubs><\xff\xfe/></pubs>"),
+        (
+            "unterminated CDATA",
+            b"<pubs><pub><title><![CDATA[x</title></pub></pubs>",
+        ),
+    ];
+    for (case, bytes) in cases {
+        reject(case, bytes);
+    }
+    let deep = [
+        "<pubs>".to_string(),
+        "<a>".repeat(DEEP),
+        "</a>".repeat(DEEP),
+        "</pubs>".to_string(),
+    ];
+    reject("100 000 unclosed elements", "<a>".repeat(DEEP).as_bytes());
+    reject("100 000 nested elements", deep.concat().as_bytes());
+    let bound = cleanm::formats::MAX_DEPTH;
+    let at_bound = ["<a>".repeat(bound), "</a>".repeat(bound)].concat();
+    assert!(xml::parse(&at_bound).is_ok(), "nesting at the bound parses");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

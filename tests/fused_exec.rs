@@ -4,14 +4,8 @@
 //! operator-at-a-time execution — across Select→Nest, Select→Reduce
 //! (collection and scalar monoids), Select→Join, Select→ThetaJoin, and
 //! transform-shaped heads, under `Null`/`NaN` predicate values and empty
-//! partitions.
-//!
-//! One documented exception to bit-exactness: `Sum`/`Prod` over *float*
-//! heads. The fused path folds per partition and merges partials, so
-//! float additions associate differently than the unfused driver-
-//! sequential fold — last-ulp differences, as in any parallel aggregation
-//! (the scalar-monoid property below uses an integer head, where both
-//! orders are exact).
+//! partitions. Both sides merge the head values in row order, so results
+//! are bit-exact for every monoid, floats included.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -174,9 +168,8 @@ proptest! {
         assert_fused_matches(&plan, &tables, 2);
     }
 
-    /// Select → Reduce over every scalar monoid (the parallel
-    /// `filter_fold` path) plus Set (dedup finish). Heads are integers:
-    /// exact under any fold association (see the module note on floats).
+    /// Select → Reduce over every scalar monoid (one `fused_filter_map`
+    /// sweep, then the monoid merge) plus Set (dedup finish).
     #[test]
     fn select_reduce_scalar_monoids_fused_match(
         rows in table(),

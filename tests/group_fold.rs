@@ -1,27 +1,31 @@
-//! Differential property tests for streaming grouped aggregation: a plan
-//! executed by the unified planner (rows folded straight into per-key monoid
-//! accumulators, no `(key, Vec<member>)` materialization) must produce
-//! exactly the results of the operator-at-a-time planner's
-//! materialize-then-reduce execution — across
-//! every supported aggregate (count, sum, min, max, avg, count_distinct /
-//! the FD distinct-RHS test), under `Null`/`NaN` values, empty tables,
-//! heavy-hitter skewed keys, shuffled schemas, and all three shuffle
-//! strategies.
+//! Differential property tests for grouped aggregation. A grouped `Reduce`
+//! has two routes, chosen by its input: the **columnar fold** (the unified
+//! planner over an unshared `Scan` under `LocalAggregate`, whose key and
+//! slot expressions lower onto typed columns — rows folded straight into
+//! per-group accumulators, no `(key, Vec<member>)` materialization), or
+//! **materialize-then-reduce** (the `Nest` builds its groups, the compiled
+//! `Reduce` consumes them — what the operator-at-a-time planner always
+//! runs). Both must produce exactly the reference evaluator's results
+//! across every supported aggregate (count, sum, min, max, avg,
+//! count_distinct / the FD distinct-RHS test), under `Null`/`NaN` values,
+//! empty tables, heavy-hitter skewed keys, shuffled schemas, and all three
+//! shuffle strategies — and the route rule is pinned both ways: a
+//! `group_fold*` stage appears exactly when the columnar fold runs.
 //!
-//! The second half pins the **columnar route** of the fold (the unified
-//! planner over an unshared `Scan` under `LocalAggregate`): a
-//! generated-table differential against the row driver and the reference
-//! evaluator, what lowers and what falls back, and stage-volume twins of
-//! the row driver's shuffle tests. No option selects the row driver: the
-//! tests that want it hand it an input that does not columnarize
-//! ([`ragged`]), a non-`LocalAggregate` strategy, or an expression that is
-//! not a column expression.
+//! The second half pins the columnar route itself: a generated-table
+//! differential against materialized groups and the reference evaluator,
+//! what lowers and what does not, and its stage volumes. No option
+//! selects a route: the tests that want materialized groups under CleanDB
+//! hand it an input that does not columnarize ([`ragged`]), a
+//! non-`LocalAggregate` strategy, or an expression that is not a column
+//! expression.
 //!
 //! Float caveat (documented in ARCHITECTURE.md): `sum`/`avg` over *float*
-//! columns may differ from the materialized fold in the last ulp — the
-//! fold path sums per partition and merges partials, associating float
-//! additions differently. The aggregated columns here are integers, NULLs
-//! and NaNs, where both orders are bit-exact (NaN is absorbing either way).
+//! columns may differ in the last ulp between the routes — the columnar
+//! fold sums per chunk and merges the chunk partials, associating float
+//! additions differently from the sequential reduce. The aggregated
+//! columns here are integers, NULLs and NaNs, or floats whose sums are
+//! exact, where both orders are bit-exact (NaN is absorbing either way).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,10 +34,10 @@ use cleanm::core::algebra::{lower_op, Alg};
 use cleanm::core::calculus::{desugar_query, EvalCtx};
 use cleanm::core::engine::storage::StoredTable;
 use cleanm::core::lang::parse_query;
-use cleanm::core::physical::{EngineProfile, Executor, NestStrategy, Planner};
+use cleanm::core::physical::{EngineProfile, Executor, NestStrategy, Planner, ProfileNode};
 use cleanm::core::{CleanDb, CleaningReport};
 use cleanm::exec::{ExecContext, MetricsSnapshot};
-use cleanm::values::Value;
+use cleanm::values::{Column, ColumnBatch, Value};
 use proptest::prelude::*;
 
 /// Aggregation-column pool: integers, NULL, and NaN — exact under any
@@ -107,9 +111,10 @@ fn materialize_profile(nest: NestStrategy) -> EngineProfile {
     }
 }
 
-/// `rows` with the field order of the last one reversed. A batch of mixed
-/// layouts does not columnarize, so a fold over it takes the row driver —
-/// chosen by the input; every cell is where it was.
+/// `rows` with the field order of the last one reversed. A table of mixed
+/// layouts does not columnarize, so a grouped `Reduce` over it
+/// materializes its groups — chosen by the input; every cell is where it
+/// was.
 fn ragged(mut rows: Vec<Value>) -> Vec<Value> {
     if let Some(last) = rows.last_mut() {
         let mut fields = fields_of(last);
@@ -156,32 +161,69 @@ fn run_sql(
     (out, ctx.metrics().snapshot())
 }
 
-/// fold ≡ materialize for `sql` under every Nest strategy, with the fold
-/// path required to actually engage (a `group_fold*` stage must appear).
-fn assert_fold_matches(sql: &str, table_rows: Vec<Value>) {
-    let tables = catalog(table_rows);
+/// The route rule, stated from the input alone: the columnar fold runs
+/// under `LocalAggregate` over a non-empty table whose rows share one
+/// field layout and whose columns `read` each hold one type of non-NULL
+/// value.
+fn folds_by_column(rows: &[Value], read: &[&str], nest: NestStrategy) -> bool {
+    let typed = |batch: ColumnBatch| {
+        let column = |f: &&str| batch.column(batch.column_index(f).expect("a read column"));
+        read.iter().all(|f| !matches!(column(f), Column::Val(_)))
+    };
+    nest == NestStrategy::LocalAggregate
+        && !rows.is_empty()
+        && ColumnBatch::from_rows(rows).is_some_and(typed)
+}
+
+/// `rows` with every non-NULL cell an integer — strings and NaN renamed to
+/// ints no other cell holds — so each column holds one type unless it is
+/// all NULL, and the columnar fold's side of the route rule is exercised.
+fn int_cells(rows: &[Value]) -> Vec<Value> {
+    let int = |v: &Value| match v {
+        Value::Str(s) if &**s == "a st" => Value::Int(100),
+        Value::Str(_) => Value::Int(101),
+        Value::Float(_) => Value::Int(102),
+        other => other.clone(),
+    };
+    let row = |r: &Value| Value::record(fields_of(r).into_iter().map(|(n, v)| (n, int(&v))));
+    rows.iter().map(row).collect()
+}
+
+/// Under every Nest strategy, over `table_rows` and over its
+/// [`int_cells`] twin: the unified planner's output ≡ the
+/// operator-at-a-time planner's ≡ the reference evaluator's, and a
+/// `group_fold*` stage appears exactly when [`folds_by_column`] says the
+/// columnar fold runs over the columns `read`.
+fn assert_routes_agree(sql: &str, table_rows: Vec<Value>, read: &[&str]) {
+    let typed = int_cells(&table_rows);
+    for table_rows in [table_rows, typed] {
+        assert_routes_agree_over(sql, table_rows, read);
+    }
+}
+
+fn assert_routes_agree_over(sql: &str, table_rows: Vec<Value>, read: &[&str]) {
+    let expected = reference_of(&table_rows, sql);
+    let tables = catalog(table_rows.clone());
     for nest in [
         NestStrategy::LocalAggregate,
         NestStrategy::HashShuffle,
         NestStrategy::SortShuffle,
     ] {
-        let (folded, metrics) = run_sql(sql, &tables, fold_profile(nest));
+        let (unified, metrics) = run_sql(sql, &tables, fold_profile(nest));
         let (materialized, _) = run_sql(sql, &tables, materialize_profile(nest));
         assert_eq!(
-            folded, materialized,
-            "fold path diverged under {nest:?} for `{sql}`"
+            unified, expected,
+            "unified diverged under {nest:?} for `{sql}`"
         );
-        assert!(
-            metrics
-                .stages
-                .iter()
-                .any(|s| s.operator.starts_with("group_fold")),
-            "fold path did not engage under {nest:?} for `{sql}`: {:?}",
-            metrics
-                .stages
-                .iter()
-                .map(|s| s.operator)
-                .collect::<Vec<_>>()
+        assert_eq!(
+            materialized, expected,
+            "operator-at-a-time diverged under {nest:?} for `{sql}`"
+        );
+        let stages: Vec<&str> = metrics.stages.iter().map(|s| s.operator).collect();
+        assert_eq!(
+            stages.iter().any(|s| s.starts_with("group_fold")),
+            folds_by_column(&table_rows, read, nest),
+            "route under {nest:?} for `{sql}`: {stages:?}"
         );
     }
 }
@@ -197,24 +239,25 @@ proptest! {
     /// (empty included) with NULL/NaN values.
     #[test]
     fn grouped_aggregates_fold_matches_materialize(rows in rows(false)) {
-        assert_fold_matches(GROUP_AGG_SQL, rows);
+        assert_routes_agree(GROUP_AGG_SQL, rows, &["k", "v", "w"]);
     }
 
     /// The same aggregates over tables with reversed field order: the
     /// composed item programs must resolve fields by name, not position.
     #[test]
     fn shuffled_schema_fold_matches(rows in rows(true)) {
-        assert_fold_matches(GROUP_AGG_SQL, rows);
+        assert_routes_agree(GROUP_AGG_SQL, rows, &["k", "v", "w"]);
     }
 
     /// HAVING predicates (group filters over folded aggregates).
     #[test]
     fn having_fold_matches(rows in rows(false), cut in 0i64..4) {
-        assert_fold_matches(
+        assert_routes_agree(
             &format!(
                 "SELECT c.k, count(*) AS n FROM t c GROUP BY c.k HAVING count(*) > {cut}"
             ),
             rows,
+            &["k"],
         );
     }
 
@@ -222,17 +265,18 @@ proptest! {
     /// including a WHERE chain fused below the grouping.
     #[test]
     fn fd_fold_matches(rows in rows(false), cut in 0i64..10) {
-        assert_fold_matches("SELECT * FROM t c FD(c.k | c.v)", rows.clone());
-        assert_fold_matches(
+        assert_routes_agree("SELECT * FROM t c FD(c.k | c.v)", rows.clone(), &["k", "v"]);
+        assert_routes_agree(
             &format!("SELECT * FROM t c WHERE c.v >= {cut} FD(c.k | c.w)"),
             rows,
+            &["v", "k", "w"],
         );
     }
 
     /// Composite FD keys and derived RHS expressions.
     #[test]
     fn fd_composite_fold_matches(rows in rows(false)) {
-        assert_fold_matches("SELECT * FROM t c FD(c.k, c.w | c.v)", rows);
+        assert_routes_agree("SELECT * FROM t c FD(c.k, c.w | c.v)", rows, &["k", "w", "v"]);
     }
 
     /// Heavy-hitter skew: ~90% of the rows share one key.
@@ -255,136 +299,54 @@ proptest! {
                 }
             })
             .collect();
-        assert_fold_matches(GROUP_AGG_SQL, skewed.clone());
-        assert_fold_matches("SELECT * FROM t c FD(c.k | c.v)", skewed);
+        assert_routes_agree(GROUP_AGG_SQL, skewed.clone(), &["k", "v", "w"]);
+        assert_routes_agree("SELECT * FROM t c FD(c.k | c.v)", skewed, &["k", "v"]);
     }
 }
 
-/// Grouped-aggregate shuffle volume: with the fold path on the combine-
-/// friendly strategy, only `(key, partial)` pairs cross the shuffle — at
-/// most partitions × distinct keys records, independent of row count.
+/// A fold that declines leaves nothing behind: a ragged FD under CleanDB
+/// records one decision for its one `Nest`, counts exactly the programs
+/// and fused `Select`s the materialized path counts — as many as under
+/// `HashShuffle`, where the fold is never tried — and its profile tree has
+/// one `Nest` node and no `GroupFold`.
 #[test]
-fn grouped_aggregate_shuffle_volume_is_distinct_keys_per_partition() {
-    let rows: Vec<Value> = (0..8_000)
-        .map(|i| {
-            Value::record([
-                ("__rowid", Value::Int(i)),
-                ("k", Value::Int(i % 10)),
-                ("v", Value::Int(i % 97)),
-            ])
-        })
-        .collect();
-    let tables = catalog(ragged(rows));
-    let sql = "SELECT c.k, count(*) AS n, sum(c.v) AS s FROM t c GROUP BY c.k";
-    let (out, metrics) = run_sql(sql, &tables, EngineProfile::clean_db());
-    assert_eq!(out.len(), 10);
-    let stage = metrics
-        .stages
-        .iter()
-        .find(|s| s.operator == "group_fold")
-        .expect("fold stage");
-    assert_eq!(stage.records_in, 8_000);
-    assert!(
-        stage.records_shuffled <= 4 * 10,
-        "shuffle volume must be ~distinct keys per partition, got {}",
-        stage.records_shuffled
-    );
-    // The materialized path moves the same number of *partials*, but each
-    // carries the whole member list; the fold partials are scalars.
-    let (_, mat) = run_sql(sql, &tables, materialize_profile(NestStrategy::HashShuffle));
-    let mat_stage = mat
-        .stages
-        .iter()
-        .find(|s| s.operator == "group_by_key_hash")
-        .expect("materialized stage");
+fn a_declined_fold_leaves_nothing_behind() {
+    let fd = "SELECT * FROM t c FD(c.k | c.v)";
+    let mut db = ragged_session(200, 9);
+    db.set_tracing(true);
+    let declined = db.run(fd).unwrap();
+    let hash = fold_profile(NestStrategy::HashShuffle);
+    let never_tried = typed_session(hash, 200, 9, 1).run(fd).unwrap();
+    assert_eq!(declined.violating_ids, never_tried.violating_ids);
+    let nests: Vec<_> = declined.decisions.iter().map(|d| d.operator).collect();
+    assert_eq!(nests, ["nest"], "{:?}", declined.decisions);
+    assert_eq!(declined.exprs.compiled, never_tried.exprs.compiled);
     assert_eq!(
-        mat_stage.records_shuffled, 8_000,
-        "hash path moves all rows"
+        declined.exprs.fused_selects,
+        never_tried.exprs.fused_selects
     );
-}
+    assert_eq!(declined.exprs.vectorized_rows, 0);
 
-/// FD two-phase execution: the probe moves one partial map per partition
-/// and phase two shuffles only the violating rows.
-#[test]
-fn fd_fold_shuffles_only_violating_groups() {
-    // 4000 rows, 40 keys; exactly two keys violate (two distinct RHS).
-    let rows: Vec<Value> = (0..4_000)
-        .map(|i| {
-            let k = i % 40;
-            let v = if (k == 3 || k == 17) && i % 400 == k {
-                1
-            } else {
-                0
-            };
-            Value::record([
-                ("__rowid", Value::Int(i)),
-                ("k", Value::Int(k)),
-                ("v", Value::Int(v)),
-            ])
-        })
-        .collect();
-    let tables = catalog(ragged(rows));
-    let sql = "SELECT * FROM t c FD(c.k | c.v)";
-    let (out, metrics) = run_sql(sql, &tables, EngineProfile::clean_db());
-    assert_eq!(out.len(), 2, "two violating groups");
-    let probe = metrics
-        .stages
+    fn ops<'a>(node: &'a ProfileNode, out: &mut Vec<&'a str>) {
+        out.push(&node.op);
+        node.children.iter().for_each(|c| ops(c, out));
+    }
+    let mut seen = Vec::new();
+    declined
+        .profiles
         .iter()
-        .find(|s| s.operator == "group_fold_probe")
-        .expect("probe stage");
-    assert_eq!(probe.records_in, 4_000);
-    assert_eq!(probe.records_shuffled, 4, "one partial map per partition");
-    // Grouping shuffle afterwards: only the two violating keys' partials.
-    let group = metrics
-        .stages
-        .iter()
-        .find(|s| s.operator == "aggregate_by_key")
-        .expect("phase-2 grouping stage");
-    assert!(
-        group.records_shuffled <= 4 * 2,
-        "only violating groups shuffle, got {}",
-        group.records_shuffled
-    );
-    assert_eq!(
-        group.records_in, 200,
-        "only violating rows enter the grouping"
-    );
-}
-
-/// An all-clean FD (no violations) never runs phase two at all.
-#[test]
-fn clean_fd_skips_materialization_entirely() {
-    let rows: Vec<Value> = (0..1_000)
-        .map(|i| {
-            Value::record([
-                ("__rowid", Value::Int(i)),
-                ("k", Value::Int(i % 20)),
-                ("v", Value::Int((i % 20) * 7)),
-            ])
-        })
-        .collect();
-    let tables = catalog(ragged(rows));
-    let (out, metrics) = run_sql(
-        "SELECT * FROM t c FD(c.k | c.v)",
-        &tables,
-        EngineProfile::clean_db(),
-    );
-    assert!(out.is_empty());
-    assert!(
-        !metrics
-            .stages
-            .iter()
-            .any(|s| s.operator == "group_fold_materialize"),
-        "no violating keys → no phase-2 sweep"
-    );
+        .for_each(|p| ops(&p.root, &mut seen));
+    assert!(!seen.contains(&"GroupFold"), "{}", declined.profile_tree());
+    let nest_nodes = seen.iter().filter(|op| **op == "Nest").count();
+    assert_eq!(nest_nodes, 1, "{}", declined.profile_tree());
 }
 
 // ---------------------------------------------------------------------
 // The columnar route: the unified planner over an unshared Scan under
 // `LocalAggregate` folds the stored table's columns — key cells
 // hashed into dense group ids, accumulators folded by id, violating groups
-// gathered by row index. Everything observable must equal the row driver
-// and the reference evaluator.
+// gathered by row index. Everything observable must equal materialized
+// groups and the reference evaluator.
 // ---------------------------------------------------------------------
 
 /// How one append batch types its key column `a` — and whether it
@@ -530,14 +492,20 @@ fn session(profile: EngineProfile, workers: usize, data: &[Vec<Value>]) -> Clean
     db
 }
 
-/// What the calculus says `sql`'s only operator means over table `t`: the
-/// reference evaluator on the normalized comprehension.
+/// What the calculus says `sql`'s only operator means over the stored
+/// rows of table `t`.
 fn reference_output(db: &CleanDb, sql: &str) -> Vec<Value> {
+    reference_of(&db.table_rows("t").unwrap(), sql)
+}
+
+/// What the calculus says `sql`'s only operator means over table `t` =
+/// `rows`: the reference evaluator on the normalized comprehension, its
+/// outputs sorted.
+fn reference_of(rows: &[Value], sql: &str) -> Vec<Value> {
     use cleanm::core::calculus::{eval, normalize};
     let query = parse_query(sql).unwrap();
     let op = desugar_query(&query, 42).unwrap().ops.remove(0);
     let (comp, _) = normalize(&op.comp);
-    let rows = db.table_rows("t").unwrap();
     let ctx = EvalCtx::new().with_table("t", Value::list(rows.iter().cloned()));
     let mut out = eval(&comp, &vec![], &ctx)
         .unwrap()
@@ -611,10 +579,10 @@ proptest! {
     /// Nest strategy × workers {1, 2}: output multisets and member order
     /// within each group ≡ the reference evaluator. The columnar route runs
     /// under the unified and cost-based planners with `LocalAggregate`
-    /// wherever the generated batches columnarize; the row fold driver
-    /// under their other strategies and over `MixedKeys` / non-columnar
-    /// batches; the materialized groups under the operator-at-a-time
-    /// planner — hence all three agree.
+    /// wherever the generated batches columnarize; materialized groups
+    /// everywhere else — under their other strategies, over `MixedKeys` /
+    /// non-columnar batches, and under the operator-at-a-time planner —
+    /// hence the two routes agree.
     #[test]
     fn columnar_fold_agrees_with_rows_and_the_reference_evaluator(
         raw in raw_rows(),
@@ -668,8 +636,8 @@ fn typed_rows(n: i64, keys: i64) -> Vec<Value> {
 }
 
 /// The same table in one batch that does not columnarize ([`ragged`]):
-/// CleanDB folds it with the row driver.
-fn row_driver_session(n: i64, keys: i64) -> CleanDb {
+/// CleanDB materializes its groups.
+fn ragged_session(n: i64, keys: i64) -> CleanDb {
     session_over(EngineProfile::clean_db(), ragged(typed_rows(n, keys)), 1)
 }
 
@@ -725,21 +693,21 @@ fn every_column_expression_shape_takes_the_columnar_route() {
                 "the Nest's decision is recorded once: {:?}",
                 report.decisions
             );
-            let by_rows = row_driver_session(600, 40).run(sql).unwrap();
-            assert_eq!(by_rows.exprs.vectorized_rows, 0, "{sql}");
-            assert_eq!(named_output(&report), named_output(&by_rows), "{sql}");
-            assert_eq!(report.violating_ids, by_rows.violating_ids, "{sql}");
-            assert_eq!(report.decisions, by_rows.decisions, "{sql}");
+            let materialized = ragged_session(600, 40).run(sql).unwrap();
+            assert_eq!(materialized.exprs.vectorized_rows, 0, "{sql}");
+            assert_eq!(named_output(&report), named_output(&materialized), "{sql}");
+            assert_eq!(report.violating_ids, materialized.violating_ids, "{sql}");
+            assert_eq!(report.decisions, materialized.decisions, "{sql}");
         }
     }
 }
 
-/// What does not lower runs the unchanged row driver — decided once, with
-/// the same recorded decision: non-`LocalAggregate` strategies (fixed or
+/// What does not lower materializes its groups — decided once, with the
+/// same recorded decision: non-`LocalAggregate` strategies (fixed or
 /// cost-based), a shared scan, `Val` columns, arithmetic in the key, and
 /// tables whose rows do not columnarize.
 #[test]
-fn what_does_not_lower_keeps_the_row_driver() {
+fn what_does_not_lower_materializes_its_groups() {
     let fd = "SELECT * FROM t c FD(c.k | c.v)";
     let swept = |db: &mut CleanDb, sql: &str| db.run(sql).unwrap().exprs.vectorized_rows;
 
@@ -749,7 +717,7 @@ fn what_does_not_lower_keeps_the_row_driver() {
             0
         );
     }
-    assert_eq!(swept(&mut row_driver_session(200, 9), fd), 0);
+    assert_eq!(swept(&mut ragged_session(200, 9), fd), 0);
     // Cost-based: near-unique keys decide HashShuffle, collapsing ones
     // LocalAggregate — and a fused WHERE hides the Nest's input count.
     let adaptive = EngineProfile::adaptive;
@@ -846,14 +814,15 @@ fn sum_over_a_string_column_is_the_same_typed_error_on_both_routes() {
         db.run(sql).unwrap_err().to_string()
     };
     let columnar = error(EngineProfile::clean_db());
-    let by_rows = row_driver_session(50, 5).run(sql).unwrap_err();
-    assert_eq!(columnar, by_rows.to_string());
+    let materialized = ragged_session(50, 5).run(sql).unwrap_err();
+    assert_eq!(columnar, materialized.to_string());
     assert!(columnar.contains("type mismatch"), "{columnar}");
 }
 
-/// Columnar twin of the grouped-aggregate shuffle-volume test: one
-/// `group_fold` stage over all rows moves the per-chunk group partials —
-/// at most chunks × distinct keys — and `group_finish` sees the groups.
+/// Grouped-aggregate shuffle volume: one `group_fold` stage over all rows
+/// moves the per-chunk group partials — at most chunks × distinct keys,
+/// independent of row count — and `group_finish` sees the groups. Hash
+/// grouping, materialized, moves every row.
 #[test]
 fn columnar_grouped_aggregate_moves_one_partial_per_chunk_and_group() {
     let mut db = typed_session(EngineProfile::clean_db(), 8_000, 10, 1);
@@ -871,11 +840,22 @@ fn columnar_grouped_aggregate_moves_one_partial_per_chunk_and_group() {
     );
     assert_eq!(report.metrics.stages[1].records_in, 10);
     assert_eq!(report.exprs.vectorized_rows, 8_000);
+    let hash = materialize_profile(NestStrategy::HashShuffle);
+    let materialized = typed_session(hash, 8_000, 10, 1)
+        .run("SELECT c.k, count(*) AS n, sum(c.v) AS s FROM t c GROUP BY c.k")
+        .unwrap();
+    let stages = &materialized.metrics.stages;
+    let grouping = stages.iter().find(|s| s.operator == "group_by_key_hash");
+    let grouping = grouping.unwrap();
+    assert_eq!(
+        grouping.records_shuffled, 8_000,
+        "hash grouping moves all rows"
+    );
 }
 
-/// Columnar twin of the FD two-phase test: the probe moves one partial
-/// table per chunk, and phase two sees the violating rows alone — gathered
-/// by index, one member list per (chunk, violating group).
+/// FD two-phase execution: the probe moves one partial table per chunk,
+/// and phase two sees the violating rows alone — gathered by index, one
+/// member list per (chunk, violating group).
 #[test]
 fn columnar_fd_gathers_only_violating_rows() {
     let rows: Vec<Value> = (0..4_000)
@@ -909,13 +889,13 @@ fn columnar_fd_gathers_only_violating_rows() {
     // Members are the stored rows, in ascending row order.
     let mut row_db = CleanDb::new(EngineProfile::clean_db());
     row_db.register_values("t", ragged(rows));
-    let by_rows = row_db.run("SELECT * FROM t c FD(c.k | c.v)").unwrap();
-    assert_eq!(by_rows.exprs.vectorized_rows, 0);
-    assert_eq!(named_output(&report), named_output(&by_rows));
-    assert!(report.metrics.records_shuffled <= by_rows.metrics.records_shuffled);
+    let materialized = row_db.run("SELECT * FROM t c FD(c.k | c.v)").unwrap();
+    assert_eq!(materialized.exprs.vectorized_rows, 0);
+    assert_eq!(named_output(&report), named_output(&materialized));
+    assert!(report.metrics.records_shuffled <= materialized.metrics.records_shuffled);
 }
 
-/// Columnar twin: an all-clean FD decides from the probe alone.
+/// An all-clean FD decides from the probe alone: phase two never runs.
 #[test]
 fn columnar_clean_fd_runs_no_phase_two() {
     let mut db = typed_session(EngineProfile::clean_db(), 1_000, 20, 1);
@@ -925,9 +905,9 @@ fn columnar_clean_fd_runs_no_phase_two() {
 }
 
 /// The FD of `fd.lineitem` (composite key, ~10% noisy order keys) on the
-/// columnar route moves no more records than the row driver does.
+/// columnar route moves no more records than materialized groups do.
 #[test]
-fn columnar_fd_on_lineitem_shuffles_no_more_than_the_row_driver() {
+fn columnar_fd_on_lineitem_shuffles_no_more_than_materialized_groups() {
     use cleanm::datagen::tpch::{LineitemGen, NoiseColumn};
     let table = LineitemGen::new(42)
         .rows(3_000)
@@ -941,15 +921,15 @@ fn columnar_fd_on_lineitem_shuffles_no_more_than_the_row_driver() {
     let columnar = db.run(sql).unwrap();
     let rows = db.table_rows("lineitem").unwrap();
     db.register_values("lineitem", ragged(rows.to_vec()));
-    let by_rows = db.run(sql).unwrap();
+    let materialized = db.run(sql).unwrap();
     assert_eq!(columnar.exprs.vectorized_rows, 3_000);
-    assert_eq!(by_rows.exprs.vectorized_rows, 0);
+    assert_eq!(materialized.exprs.vectorized_rows, 0);
     assert!(!columnar.violating_ids.is_empty());
-    assert_eq!(columnar.violating_ids, by_rows.violating_ids);
+    assert_eq!(columnar.violating_ids, materialized.violating_ids);
     assert!(
-        columnar.metrics.records_shuffled <= by_rows.metrics.records_shuffled,
+        columnar.metrics.records_shuffled <= materialized.metrics.records_shuffled,
         "{} > {}",
         columnar.metrics.records_shuffled,
-        by_rows.metrics.records_shuffled
+        materialized.metrics.records_shuffled
     );
 }
