@@ -301,7 +301,7 @@ pub fn scan_bindings(plan: &Alg, out: &mut HashMap<String, String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cleanm_stats::{collect_table_stats, StatsConfig};
+    use cleanm_stats::collect_table_stats;
     use cleanm_values::Value;
 
     fn catalog(rows: usize, distinct_addr: usize) -> StatsCatalog {
@@ -315,7 +315,7 @@ mod tests {
             })
             .collect();
         let ctx = cleanm_exec::ExecContext::new(2, 4);
-        let ts = collect_table_stats(&ctx, Arc::new(data), StatsConfig::default()).unwrap();
+        let ts = collect_table_stats(&ctx, Arc::new(data)).unwrap();
         let mut m = HashMap::new();
         m.insert("customer".to_string(), Arc::new(ts));
         m

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cleanm_exec::{ExecContext, ExecError};
-use cleanm_stats::{collect_batch_stats, StatsConfig, TableStats};
+use cleanm_stats::{collect_batch_stats, TableStats};
 use cleanm_values::{intern, intern_all, Column, ColumnBatch, Table, Value};
 
 use crate::algebra::{lower_op_with, rewrite_shared, Alg, RewriteStats};
@@ -593,15 +593,13 @@ impl CleanDb {
             Some(c) if c.lineage == stored.created() && c.batches_seen < total_batches => {
                 ((*c.stats).clone(), c.batches_seen)
             }
-            _ => (TableStats::new(StatsConfig::default()), 0),
+            _ => (TableStats::new(), 0),
         };
         // Statistics are advisory (the adaptive planner falls back to fixed
         // heuristics without them), so a runtime failure here — an armed
         // fault or a cancellation racing the collection — yields `None`
         // rather than poisoning the cache.
-        let fresh =
-            collect_batch_stats(&self.ctx, &stored.batches()[seen..], StatsConfig::default())
-                .ok()?;
+        let fresh = collect_batch_stats(&self.ctx, &stored.batches()[seen..]).ok()?;
         base.merge(&fresh);
         let stats = Arc::new(base);
         self.stats.insert(

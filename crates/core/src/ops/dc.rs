@@ -222,38 +222,22 @@ impl InequalityDc {
         db: &mut CleanDb,
     ) -> Result<(DcOutcome, Vec<DcViolation>), EngineError> {
         let (outcome, outputs) = self.detect(db)?;
-        let violations = self.describe_pairs(db, &outputs)?;
+        let violations = self.describe_pairs(&outputs)?;
         Ok((outcome, violations))
     }
 
     /// Turn the `{left, right}` output rows of a DC operator into structured
-    /// violation records by re-reading the offending cells and the bounds
-    /// they crossed. An atom that cannot be evaluated on a reported pair
+    /// violation records — one per distinct `(t1, t2)` pair, sorted — by
+    /// reading the offending cells, and the bounds they crossed, off the
+    /// pair's own rows. An atom that cannot be evaluated on a reported pair
     /// (the rows are not the ones the rule ran over) is an error.
-    pub fn describe_pairs(
-        &self,
-        db: &CleanDb,
-        outputs: &[Value],
-    ) -> Result<Vec<DcViolation>, EngineError> {
-        let pairs = pair_ids(outputs);
-        if pairs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let rows = db.table_rows(&self.table).ok_or_else(|| {
-            EngineError::Plan(cleanm_values::Error::Invalid(format!(
-                "DC over unknown table `{}`",
-                self.table
-            )))
-        })?;
+    pub fn describe_pairs(&self, outputs: &[Value]) -> Result<Vec<DcViolation>, EngineError> {
+        let mut pairs: Vec<_> = pair_rows(outputs).collect();
+        pairs.sort_by_key(|(ids, ..)| *ids);
+        pairs.dedup_by_key(|(ids, ..)| *ids);
         let atoms = self.atoms().unwrap_or_default();
         let mut out = Vec::with_capacity(pairs.len());
-        for (a, b) in pairs {
-            let (Some(r1), Some(r2)) = (
-                usize::try_from(a).ok().and_then(|i| rows.get(i)),
-                usize::try_from(b).ok().and_then(|i| rows.get(i)),
-            ) else {
-                continue;
-            };
+        for ((a, b), r1, r2) in pairs {
             let mut cells = Vec::new();
             for atom in &atoms {
                 if !atom.holds(r1, r2)? {
@@ -315,21 +299,20 @@ impl InequalityDc {
     }
 }
 
+/// The `{left, right}` output rows of a DC operator that carry both row
+/// ids, as `((t1, t2), left row, right row)`.
+fn pair_rows(outputs: &[Value]) -> impl Iterator<Item = ((i64, i64), &Value, &Value)> {
+    let rowid = |row: &Value| row.field(ROWID_FIELD).ok()?.as_int().ok();
+    outputs.iter().filter_map(move |pair| {
+        let (left, right) = (pair.field("left").ok()?, pair.field("right").ok()?);
+        Some(((rowid(left)?, rowid(right)?), left, right))
+    })
+}
+
 /// The distinct `(t1, t2)` row-id pairs of a DC operator's `{left, right}`
 /// output rows, sorted — the violation unit Table 5 reports.
 pub fn pair_ids(outputs: &[Value]) -> Vec<(i64, i64)> {
-    let rowid = |pair: &Value, side| {
-        pair.field(side)
-            .ok()?
-            .field(ROWID_FIELD)
-            .ok()?
-            .as_int()
-            .ok()
-    };
-    let mut pairs: Vec<(i64, i64)> = outputs
-        .iter()
-        .filter_map(|pair| Some((rowid(pair, "left")?, rowid(pair, "right")?)))
-        .collect();
+    let mut pairs: Vec<(i64, i64)> = pair_rows(outputs).map(|(ids, ..)| ids).collect();
     pairs.sort_unstable();
     pairs.dedup();
     pairs
@@ -456,14 +439,77 @@ mod tests {
         db.register("lineitem", lineitem(10));
         let report = db.run(&psi(60.0).to_sql()).unwrap();
         let pairs = &report.ops[0].output;
-        assert_eq!(psi(60.0).describe_pairs(&db, pairs).unwrap().len(), 10);
+        assert_eq!(psi(60.0).describe_pairs(pairs).unwrap().len(), 10);
         // The same pairs under a rule over a column the rows lack: a
         // violation without its cells would misreport, so it is an error.
         let other = InequalityDc {
             table: "lineitem".into(),
             pred: "t1.tax < t2.tax".into(),
         };
-        assert!(other.describe_pairs(&db, pairs).is_err());
+        assert!(other.describe_pairs(pairs).is_err());
+    }
+
+    #[test]
+    fn describe_pairs_describes_each_pair_once_in_order() {
+        // Records out of order and repeated: one violation per distinct
+        // `(t1, t2)`, sorted.
+        let row = |id: i64, price: f64| {
+            Value::record([
+                (ROWID_FIELD, Value::Int(id)),
+                ("extendedprice", Value::Float(price)),
+                ("discount", Value::Float(1.0 - price / 100.0)),
+            ])
+        };
+        let pair =
+            |l: &Value, r: &Value| Value::record([("left", l.clone()), ("right", r.clone())]);
+        let (x, y, z) = (row(7, 10.0), row(3, 20.0), row(5, 30.0));
+        let outputs = [pair(&y, &z), pair(&x, &y), pair(&y, &z), pair(&x, &z)];
+        let described = psi(1000.0).describe_pairs(&outputs).unwrap();
+        let ids: Vec<(i64, i64)> = described.iter().map(|v| (v.t1, v.t2)).collect();
+        assert_eq!(ids, [(3, 5), (7, 3), (7, 5)]);
+    }
+
+    #[test]
+    fn run_detailed_describes_pairs_by_their_own_rows() {
+        // Row ids that are not row positions — past the table's end, and
+        // reversed: every pair is described, each cell by the row whose id
+        // it names.
+        let n = 20;
+        let id_maps: [fn(i64) -> i64; 2] = [|i| 100 + i, |i| 19 - i];
+        for id_of in id_maps {
+            let rows: Vec<Value> = (0..n)
+                .map(|i| {
+                    Value::record([
+                        (ROWID_FIELD, Value::Int(id_of(i))),
+                        ("extendedprice", Value::Float(100.0 + i as f64)),
+                        ("discount", Value::Float((n - i) as f64 / n as f64)),
+                    ])
+                })
+                .collect();
+            let mut db = CleanDb::new(EngineProfile::clean_db());
+            db.register_values("lineitem", rows.clone());
+            let (outcome, violations) = psi(1000.0).run_detailed(&mut db).unwrap();
+            // Pricier rows have smaller discounts: every pair violates.
+            let expected = (n * (n - 1) / 2) as usize;
+            let DcOutcome::Completed {
+                violations: count, ..
+            } = outcome
+            else {
+                panic!("{outcome:?}")
+            };
+            assert_eq!((count, violations.len()), (expected, expected));
+            let row_of = |id: i64| {
+                rows.iter()
+                    .find(|r| r.field(ROWID_FIELD).unwrap() == &Value::Int(id))
+            };
+            for v in &violations {
+                assert_eq!(v.cells.len(), 5, "{v:?}");
+                for cell in &v.cells {
+                    let row = row_of(cell.row_id).unwrap();
+                    assert_eq!(row.field(&cell.column).unwrap(), &cell.value, "{v:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! | `Select`    | `filter_partitions`, or fused into its consumer's sweep |
 //! | `Unnest`    | `filter_transform` (fan-out) |
 //! | `Reduce` over two independent `Unnest`s | the fused block-pair sweep (`physical/pairs.rs`): `map_partitions` over the block rows, pairs kept as indices |
-//! | `Nest`      | `filter_transform` (pair emission) → `group_fold(shuffle, …)` with a `Vec` accumulator → `map` |
+//! | `Nest`      | `filter_transform` (pair emission) → `group_by_key(shuffle, …)` → `map` |
 //! | `Nest`+`Reduce` over monoid reductions | the columnar fold when the Nest reads a scan whose key and slots lower under `LocalAggregate` (`physical/groupfold.rs`): chunk folds → merge → finish; else the `Nest` above, then `Reduce` |
 //! | `Join`      | `filter_transform` (keying) → `join_hash` |
-//! | `ThetaJoin` | M-Bucket \| min-max blocks \| cartesian+filter — over row indices, each pair tested by a column kernel, when both sides are filtered scans that lower (`physical/theta.rs`); over rows otherwise |
+//! | `ThetaJoin` | M-Bucket \| min-max blocks \| cartesian+filter, one join over row indices (`physical/theta.rs`): each side read by column when both are filtered scans that lower, by row otherwise; a `Reduce` reads the pairs by index |
 //! | `Reduce`    | `filter_transform` (the compiled head, the fused `Select` chain as its filter) → merged under the monoid |
 //!
 //! `shuffle` is the profile's (or the cost-based planner's)
@@ -37,36 +37,33 @@
 //! nowhere else: `fusible_chain` (fuse a `Select` chain into its
 //! consumer?), `run_reduce_inner` (fold groups by column?),
 //! `columnar_source` (sweep a scan by column?), and `nest_strategy` /
-//! `plan_theta` (re-decide the strategy from statistics?).
+//! `plan_theta` in `physical/theta.rs` (re-decide the strategy from
+//! statistics?).
 
 use std::collections::HashMap;
-use std::slice::from_ref;
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use cleanm_exec::{
-    produce_partials, produce_partitions, theta, Dataset, ExecContext, ExecError, ExecResult,
-    FaultSite,
+    produce_partials, produce_partitions, Dataset, ExecContext, ExecError, ExecResult, FaultSite,
 };
 use cleanm_values::Value;
 
 use crate::algebra::cardinality::{self, StatsCatalog};
-use crate::algebra::plan::{theta_widen, Alg, ThetaHint};
+use crate::algebra::plan::Alg;
 use crate::calculus::eval::{merge_values, truthy, EvalCtx};
 use crate::calculus::subst::free_vars;
 use crate::calculus::{CalcExpr, MonoidKind, Program};
 use crate::engine::storage::StoredTable;
 
 use super::groupfold::{self, AggFoldShape, ColumnarFold, KEY_SLOT_VAR};
-use super::kernel::KeyKinds;
 use super::pairs::{self, PairShape, PairSweep};
-use super::profile::{nest_stage_label, EngineProfile, NestStrategy, Planner, ThetaStrategy};
+use super::profile::{nest_stage_label, EngineProfile, NestStrategy, Planner};
 use super::program::{env_layout, ProgramCache, RowEnv, RowExpr};
 use super::qprofile::{clip, ProfileNode};
 use super::scan::{chunk_ranges, ColumnScan};
-use super::theta::{run_pruning, ColumnarTheta, Item, ThetaSide};
 
 /// Skew threshold: if the most frequent grouping-key value may cover more
 /// than this share of the rows, a sort/range shuffle would pin one worker.
@@ -76,14 +73,6 @@ const SKEW_TOP_SHARE: f64 = 0.25;
 /// combine pass pure overhead. Measured on the uniform-customer workload:
 /// at avg group 1.2 LocalAggregate still beats HashShuffle by ~20%.
 const LOCAL_AGG_MIN_GROUP_SIZE: f64 = 1.1;
-/// Below this estimated comparison count a cartesian product's low constant
-/// overhead beats both pruning operators.
-const SMALL_CARTESIAN_WORK: f64 = 50_000.0;
-/// M-Bucket's setup cost relative to input size: bucketing both sides,
-/// shuffling them, and assigning matrix cells costs a few passes over
-/// `|L| + |R|` records. Cartesian is preferred when the comparisons pruning
-/// would save are worth less than this.
-const MBUCKET_SETUP_FACTOR: f64 = 8.0;
 
 /// One recorded physical-strategy decision, attributable to a plan node —
 /// how the planner explains itself in reports and benches.
@@ -111,10 +100,10 @@ impl std::fmt::Display for PlanDecision {
 
 /// Executes algebra plans against a table catalog.
 pub struct Executor<'a> {
-    ctx: Arc<ExecContext>,
-    profile: EngineProfile,
+    pub(super) ctx: Arc<ExecContext>,
+    pub(super) profile: EngineProfile,
     tables: &'a HashMap<String, StoredTable>,
-    eval: RowEval,
+    pub(super) eval: RowEval,
     /// Compiled programs shared across runs of a cached plan (set by the
     /// session's plan cache; `None` compiles per run as before).
     program_cache: Option<Arc<ProgramCache>>,
@@ -143,10 +132,10 @@ pub struct Executor<'a> {
     /// Input-row count for the profile node being closed, set by paths
     /// that consume a table directly (the vectorized scan+filter has no
     /// `Scan` child to sum rows from). Taken by `end_node`.
-    override_rows_in: Option<u64>,
+    pub(super) override_rows_in: Option<u64>,
     /// When set, every executed plan node is wrapped in a profiling frame
     /// and assembled into a [`ProfileNode`] tree (EXPLAIN ANALYZE).
-    profiling: bool,
+    pub(super) profiling: bool,
     /// Stack of child collectors: the top entry receives nodes whose parent
     /// frame is still open; the bottom entry collects completed plan roots.
     prof_children: Vec<Vec<ProfileNode>>,
@@ -187,7 +176,7 @@ impl RowEval {
     /// [`RowEval::eval`] over a concatenated `(left, right)` row pair —
     /// no merged row is built.
     #[inline]
-    fn eval_pair(&self, rx: &RowExpr, left: &[Value], right: &[Value]) -> Option<Value> {
+    pub(super) fn eval_pair(&self, rx: &RowExpr, left: &[Value], right: &[Value]) -> Option<Value> {
         let v = rx.eval_pair(left, right, &self.ctx);
         v.map_err(|e| self.record(e)).ok()
     }
@@ -209,7 +198,7 @@ impl RowEval {
 
 /// Per-node profiling bookkeeping captured at node entry; resolved into a
 /// [`ProfileNode`] at exit by diffing against the executor's counters.
-struct ProfFrame {
+pub(super) struct ProfFrame {
     start: Instant,
     stage_lo: usize,
     decision_lo: usize,
@@ -270,7 +259,7 @@ impl<'a> Executor<'a> {
 
     /// Open a profiling frame: snapshot every counter the node's execution
     /// will advance, and push a collector for its children.
-    fn begin_node(&mut self) -> ProfFrame {
+    pub(super) fn begin_node(&mut self) -> ProfFrame {
         self.prof_children.push(Vec::new());
         ProfFrame {
             start: Instant::now(),
@@ -286,7 +275,7 @@ impl<'a> Executor<'a> {
     /// parent frame. Attribution works by delta ranges: everything recorded
     /// between entry and exit belongs to this subtree, and whatever the
     /// children's own ranges claim is subtracted to leave this node's share.
-    fn end_node(
+    pub(super) fn end_node(
         &mut self,
         frame: ProfFrame,
         op: String,
@@ -374,15 +363,30 @@ impl<'a> Executor<'a> {
 
     /// Discard an open frame after an execution error, keeping the frame
     /// stack balanced for the next plan.
-    fn abort_node(&mut self) {
+    pub(super) fn abort_node(&mut self) {
         self.prof_children.pop();
+    }
+
+    /// Run `f` inside a profiling frame when profiling is on, and hand the
+    /// open frame back with its result for the caller to close; an error
+    /// discards the frame.
+    pub(super) fn in_frame<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> ExecResult<T>,
+    ) -> ExecResult<(T, Option<ProfFrame>)> {
+        let frame = self.profiling.then(|| self.begin_node());
+        let out = f(self);
+        if out.is_err() && frame.is_some() {
+            self.abort_node();
+        }
+        Ok((out?, frame))
     }
 
     /// Is `node` a plan node with more than one consumer among the
     /// registered plans? Its result is materialized once and memoized for
     /// all of them. Whether plans share nodes at all was the session's
     /// decision when it planned; the executor only observes it.
-    fn is_shared(&self, node: &Arc<Alg>) -> bool {
+    pub(super) fn is_shared(&self, node: &Arc<Alg>) -> bool {
         self.shared_nodes.contains(&(Arc::as_ptr(node) as usize))
     }
 
@@ -470,7 +474,10 @@ impl<'a> Executor<'a> {
     /// other consumer shares (a shared scan stays materialized once for all
     /// of them). Whether the expressions over it lower to kernels and its
     /// rows pivot into typed columns is then a property of the input.
-    fn columnar_source<'p>(&self, source: &'p Arc<Alg>) -> Option<(&'a StoredTable, &'p str)> {
+    pub(super) fn columnar_source<'p>(
+        &self,
+        source: &'p Arc<Alg>,
+    ) -> Option<(&'a StoredTable, &'p str)> {
         let Alg::Scan { table, var } = &**source else {
             return None;
         };
@@ -520,7 +527,11 @@ impl<'a> Executor<'a> {
     /// layout, an unknown table — fails the query here, before the node
     /// evaluates a row. With a program cache attached (cached plans), compilation
     /// happens once per *plan lifetime* rather than once per run.
-    fn row_expr(&mut self, expr: &CalcExpr, scope: &[String]) -> ExecResult<Arc<RowExpr>> {
+    pub(super) fn row_expr(
+        &mut self,
+        expr: &CalcExpr,
+        scope: &[String],
+    ) -> ExecResult<Arc<RowExpr>> {
         let rx = self.compile(expr, scope)?;
         self.compiled_exprs += 1;
         Ok(rx)
@@ -528,7 +539,7 @@ impl<'a> Executor<'a> {
 
     /// [`Executor::row_expr`] without counting the expression: for a route
     /// that may still decline, and counts what it compiled once it runs.
-    fn compile(&self, expr: &CalcExpr, scope: &[String]) -> ExecResult<Arc<RowExpr>> {
+    pub(super) fn compile(&self, expr: &CalcExpr, scope: &[String]) -> ExecResult<Arc<RowExpr>> {
         let rx = match &self.program_cache {
             Some(cache) => cache.get_or_compile(expr, scope, &self.eval.ctx),
             None => RowExpr::compile(expr, scope, &self.eval.ctx).map(Arc::new),
@@ -591,30 +602,23 @@ impl<'a> Executor<'a> {
     /// root [`ProfileNode`]: `GroupFold` when the columnar fold consumed
     /// the Nest+Reduce, `Reduce[monoid]` otherwise.
     pub fn run_reduce(&mut self, plan: &Arc<Alg>) -> ExecResult<Vec<Value>> {
-        if !self.profiling {
-            return self.run_reduce_inner(plan);
-        }
         self.last_fold_key = None;
-        let frame = self.begin_node();
-        let result = self.run_reduce_inner(plan);
-        match &result {
-            Ok(outputs) => {
-                let (op, detail, flags) = match self.last_fold_key.take() {
-                    Some(key) => (
-                        "GroupFold".to_string(),
-                        key,
-                        vec!["fold-groups".to_string()],
-                    ),
-                    None => {
-                        let (op, detail) = plan_label(plan);
-                        (op, detail, Vec::new())
-                    }
-                };
-                self.end_node(frame, op, detail, outputs.len() as u64, flags);
-            }
-            Err(_) => self.abort_node(),
+        let (outputs, frame) = self.in_frame(|ex| ex.run_reduce_inner(plan))?;
+        if let Some(frame) = frame {
+            let (op, detail, flags) = match self.last_fold_key.take() {
+                Some(key) => (
+                    "GroupFold".to_string(),
+                    key,
+                    vec!["fold-groups".to_string()],
+                ),
+                None => {
+                    let (op, detail) = plan_label(plan);
+                    (op, detail, Vec::new())
+                }
+            };
+            self.end_node(frame, op, detail, outputs.len() as u64, flags);
         }
-        result
+        Ok(outputs)
     }
 
     fn run_reduce_inner(&mut self, plan: &Arc<Alg>) -> ExecResult<Vec<Value>> {
@@ -644,7 +648,9 @@ impl<'a> Executor<'a> {
             let outputs = self.exec_pair_sweep(&shape, head)?;
             return reduce_outputs(monoid, outputs);
         }
-        if let Some(outputs) = self.try_columnar_theta(input, head)? {
+        // A theta join only this Reduce reads never builds its joined rows.
+        if matches!(**input, Alg::ThetaJoin { .. }) && !self.is_shared(input) {
+            let outputs = self.reduce_theta(input, head)?;
             return reduce_outputs(monoid, outputs);
         }
         let mut fused = self.peel_input(input, None)?;
@@ -681,16 +687,7 @@ impl<'a> Executor<'a> {
     ) -> ExecResult<Vec<Value>> {
         // A Select chain beneath the first Unnest is the sweep's block filter.
         let mut blocks = self.peel_input(shape.input, None)?;
-        let frame = self.profiling.then(|| self.begin_node());
-        let ds = match self.run_input(&mut blocks) {
-            Ok(ds) => ds,
-            Err(e) => {
-                if frame.is_some() {
-                    self.abort_node();
-                }
-                return Err(e);
-            }
-        };
+        let (ds, frame) = self.in_frame(|ex| ex.run_input(&mut blocks))?;
         if let Some(frame) = frame {
             let flags = vec!["fused-pairs".to_string()];
             self.end_node(frame, "Unnest".to_string(), clip(shape.detail()), 0, flags);
@@ -803,7 +800,7 @@ impl<'a> Executor<'a> {
     /// `kernel_entry` fault sites (the chaos suite's). Returns what `lower`
     /// made; `None` for an empty table, rows that do not columnarize, or
     /// when the filter or `lower` declines.
-    fn lower_on_columns<T>(
+    pub(super) fn lower_on_columns<T>(
         &self,
         stored: &StoredTable,
         fields: &[String],
@@ -888,20 +885,18 @@ impl<'a> Executor<'a> {
             .chain(preds.iter().copied());
         let fields = fields_of(var, read);
 
-        let frame = self.profiling.then(|| self.begin_node());
         let filter_program = filter.first().map(|rx| rx.program());
-        let lowered = self.lower_on_columns(stored, &fields, filter_program, |scan| {
-            let (keeps, key) = (shape.keeps_groups(), key_rx.program());
-            ColumnarFold::lower(scan, key, &shape.slots, &slot_programs, keeps)
-        });
-        let fold = match lowered {
-            Ok(Some(fold)) => fold,
-            declined => {
-                if frame.is_some() {
-                    self.abort_node();
-                }
-                return declined.map(|_| None);
+        let (lowered, frame) = self.in_frame(|ex| {
+            ex.lower_on_columns(stored, &fields, filter_program, |scan| {
+                let (keeps, key) = (shape.keeps_groups(), key_rx.program());
+                ColumnarFold::lower(scan, key, &shape.slots, &slot_programs, keeps)
+            })
+        })?;
+        let Some(fold) = lowered else {
+            if frame.is_some() {
+                self.abort_node();
             }
+            return Ok(None);
         };
         if let Some(frame) = frame {
             let (op, detail) = plan_label(source);
@@ -1040,7 +1035,7 @@ impl<'a> Executor<'a> {
         Ok(outputs)
     }
 
-    fn check_errors(&self) -> ExecResult<()> {
+    pub(super) fn check_errors(&self) -> ExecResult<()> {
         let mut errs = self.eval.errors.lock();
         if let Some(first) = errs.first() {
             let e = ExecError::Value(first.clone());
@@ -1083,35 +1078,22 @@ impl<'a> Executor<'a> {
                 return Ok(cached);
             }
         }
-        if !self.profiling {
-            let result = self.run_uncached(plan)?;
+        let (result, frame) = self.in_frame(|ex| ex.run_uncached(plan))?;
+        if let Some(frame) = frame {
+            let (op, detail) = plan_label(plan);
+            let mut flags = Vec::new();
             if memoize {
-                self.cache.insert(key, result.clone());
+                flags.push("shared".to_string());
             }
-            return Ok(result);
+            if matches!(&**plan, Alg::Nest { .. }) {
+                flags.push("materialize-groups".to_string());
+            }
+            self.end_node(frame, op, detail, result.count() as u64, flags);
         }
-        let frame = self.begin_node();
-        match self.run_uncached(plan) {
-            Ok(result) => {
-                let (op, detail) = plan_label(plan);
-                let mut flags = Vec::new();
-                if memoize {
-                    flags.push("shared".to_string());
-                }
-                if matches!(&**plan, Alg::Nest { .. }) {
-                    flags.push("materialize-groups".to_string());
-                }
-                self.end_node(frame, op, detail, result.count() as u64, flags);
-                if memoize {
-                    self.cache.insert(key, result.clone());
-                }
-                Ok(result)
-            }
-            Err(e) => {
-                self.abort_node();
-                Err(e)
-            }
+        if memoize {
+            self.cache.insert(key, result.clone());
         }
+        Ok(result)
     }
 
     fn run_uncached(&mut self, plan: &Arc<Alg>) -> ExecResult<Dataset<RowEnv>> {
@@ -1212,26 +1194,13 @@ impl<'a> Executor<'a> {
                 let lk = keyed(lds, lkey_rx, &lfused)?;
                 let rk = keyed(rds, rkey_rx, &rfused)?;
                 self.check_errors()?;
-                lk.join_hash(rk)?
-                    .map(|(_, lenv, renv)| concat_rows((lenv, renv)))
+                // A joined row: the left row's slots, then the right row's.
+                lk.join_hash(rk)?.map(|(_, mut row, right)| {
+                    row.extend(right);
+                    row
+                })
             }
-            Alg::ThetaJoin {
-                left,
-                right,
-                pred,
-                hint,
-            } => {
-                // Theta sides are *not* fused into the join: the pruning
-                // strategies probe each side's materialized key domain
-                // before any pair is formed, so the sides must exist as
-                // datasets. A Select chain on a side still collapses to a
-                // single filter pass via the `Select` arm below.
-                let lds = self.run(left)?;
-                let rds = self.run(right)?;
-                let scope_l = env_layout(left);
-                let scope_r = env_layout(right);
-                self.exec_theta(lds, rds, pred, hint, &scope_l, &scope_r)
-            }
+            Alg::ThetaJoin { .. } => self.run_theta(plan),
             Alg::Reduce { .. } => Err(ExecError::Other(
                 "nested Reduce must be consumed via run_reduce".to_string(),
             )),
@@ -1240,7 +1209,7 @@ impl<'a> Executor<'a> {
 
     /// Column statistics for a key expression, resolved through the plans'
     /// scan bindings.
-    fn key_column_stats(&self, key: &CalcExpr) -> Option<&cleanm_stats::ColumnStats> {
+    pub(super) fn key_column_stats(&self, key: &CalcExpr) -> Option<&cleanm_stats::ColumnStats> {
         // For composite keys, use the first resolvable column (skew and
         // distinct-count reads on composites go through
         // `cardinality::group_count`, which sees every component).
@@ -1321,89 +1290,7 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Cost-based theta strategy from histograms (§6 "handling theta joins",
-    /// fed by the statistics catalog instead of blind sampling). Compares
-    /// the two strategies whose cost the catalog can actually predict:
-    ///
-    /// * cartesian: `|L|·|R|` comparisons, no setup;
-    /// * M-Bucket: `frac·|L|·|R|` comparisons (the histogram pair-pruning
-    ///   estimate) plus a bucketing pass over both inputs.
-    ///
-    /// Min-max block pruning is *not* selectable from column statistics:
-    /// its effectiveness depends on whether the physical partitioning
-    /// aligns with the key, which histograms cannot see — and a wrong pick
-    /// degenerates to the full product. It remains reachable as the
-    /// profile-default fallback when no histograms exist.
-    fn choose_theta(
-        &self,
-        hint: &crate::algebra::plan::ThetaHint,
-        left_rows: f64,
-        right_rows: f64,
-    ) -> (ThetaStrategy, Option<Vec<f64>>, String) {
-        let full_work = left_rows * right_rows;
-        if full_work <= SMALL_CARTESIAN_WORK {
-            return (
-                ThetaStrategy::CartesianFilter,
-                None,
-                format!("tiny input ({full_work:.0} pairs): cartesian overhead-free"),
-            );
-        }
-        let lh = self
-            .key_column_stats(&hint.left_key)
-            .and_then(|c| c.pruning_histogram());
-        let rh = self
-            .key_column_stats(&hint.right_key)
-            .and_then(|c| c.pruning_histogram());
-        match (lh, rh) {
-            // Histograms over different key domains (one numeric, one
-            // prefix-key) cannot be compared — treated as no histograms.
-            (Some((lh, l_text)), Some((rh, r_text))) if l_text == r_text => {
-                // String histograms hold prefix keys: widen ranges by the
-                // key resolution so prefix collisions cannot prune a cell a
-                // real string pair could land in.
-                let frac = lh.fraction_pairs(
-                    &rh,
-                    hint.kind
-                        .compat_fn(crate::algebra::plan::theta_widen(l_text)),
-                );
-                // Cartesian wins when the comparisons M-Bucket would prune
-                // are worth less than its bucketing/shuffle setup (a few
-                // passes over both inputs).
-                let pruned_work = (1.0 - frac) * full_work;
-                let mbucket_overhead = MBUCKET_SETUP_FACTOR * (left_rows + right_rows);
-                if pruned_work <= mbucket_overhead {
-                    return (
-                        ThetaStrategy::CartesianFilter,
-                        None,
-                        format!(
-                            "histograms: only {:.0}% of matrix prunable — less than \
-                             M-Bucket setup (~{mbucket_overhead:.0} units); cartesian",
-                            (1.0 - frac) * 100.0
-                        ),
-                    );
-                }
-                // Feed the M-Bucket matrix the real equi-depth boundaries of
-                // both sides instead of letting it re-sample blindly.
-                let mut bounds = lh.boundaries();
-                bounds.extend(rh.boundaries());
-                (
-                    ThetaStrategy::MBucket,
-                    Some(bounds),
-                    format!(
-                        "histograms: {:.0}% of matrix survives pruning; M-Bucket on real quantiles",
-                        frac * 100.0
-                    ),
-                )
-            }
-            _ => (
-                self.profile.theta,
-                None,
-                "no histograms for join keys; profile default".to_string(),
-            ),
-        }
-    }
-
-    fn record_decision(
+    pub(super) fn record_decision(
         &mut self,
         operator: &'static str,
         node: String,
@@ -1458,321 +1345,8 @@ impl<'a> Executor<'a> {
         let strategy = self.decide_nest(key, pairs.count() as f64);
         // `mapPartitions`-style finishing: each group becomes the one-slot
         // row binding the Nest's group variable.
-        group_members(pairs, strategy)?.map(|group| vec![group_record(group)])
-    }
-
-    /// A theta side the planner reads by column: the stored table and
-    /// variable of a scan under a chain of `Select`s, none of them shared
-    /// ([`Executor::columnar_source`]), with the chain's predicates in
-    /// evaluation order (innermost first).
-    fn theta_side<'p>(
-        &self,
-        side: &'p Arc<Alg>,
-    ) -> Option<(&'a StoredTable, &'p str, Vec<&'p CalcExpr>)> {
-        let mut chain = Vec::new();
-        let mut node = side;
-        while let Alg::Select { input, pred } = &**node {
-            if self.is_shared(node) {
-                return None;
-            }
-            chain.push(pred);
-            node = input;
-        }
-        chain.reverse();
-        let (stored, var) = self.columnar_source(node)?;
-        Some((stored, var, chain))
-    }
-
-    /// Try to lower a theta join onto its sides' columns
-    /// (`physical/theta.rs`, [`ColumnarTheta`]). Decided once, here: `None`
-    /// — the row route runs, unchanged — unless both sides are
-    /// [`Executor::theta_side`]s, each side's table reads by column over
-    /// the columns its `Select` chain, its join key and the join predicate
-    /// read, and all of those lower to kernels. On success the expressions
-    /// are counted as the row route counts them: each side's chain as one
-    /// compiled filter with the rest of its `Select`s fused, the predicate
-    /// and both keys.
-    fn lower_columnar_theta(
-        &mut self,
-        left: &Arc<Alg>,
-        right: &Arc<Alg>,
-        pred: &CalcExpr,
-        hint: &ThetaHint,
-    ) -> ExecResult<Option<ColumnarTheta>> {
-        let (Some(l), Some(r)) = (self.theta_side(left), self.theta_side(right)) else {
-            return Ok(None);
-        };
-        // A compile failure is the row route's to report.
-        let Ok(pred_rx) = self.compile(pred, &[l.1.to_string(), r.1.to_string()]) else {
-            return Ok(None);
-        };
-        let Some(left_side) = self.lower_theta_side(&l, &hint.left_key, pred)? else {
-            return Ok(None);
-        };
-        let Some(right_side) = self.lower_theta_side(&r, &hint.right_key, pred)? else {
-            return Ok(None);
-        };
-        let Some(columnar) = ColumnarTheta::lower(left_side, right_side, pred_rx.program()) else {
-            return Ok(None);
-        };
-        for (_, _, chain) in [&l, &r] {
-            self.compiled_exprs += usize::from(!chain.is_empty());
-            self.fused_selects += chain.len().saturating_sub(1);
-        }
-        self.compiled_exprs += 3;
-        Ok(Some(columnar))
-    }
-
-    /// One side of [`Executor::lower_columnar_theta`]: its chain and `key`
-    /// compiled, and lowered over the columns they and `pred` read.
-    fn lower_theta_side(
-        &self,
-        (stored, var, chain): &(&StoredTable, &str, Vec<&CalcExpr>),
-        key: &CalcExpr,
-        pred: &CalcExpr,
-    ) -> ExecResult<Option<ThetaSide>> {
-        let scope = [var.to_string()];
-        let filter_rx = conjoin(chain).map(|c| self.compile(&c, &scope)).transpose();
-        let (Ok(filter_rx), Ok(key_rx)) = (filter_rx, self.compile(key, &scope)) else {
-            return Ok(None);
-        };
-        let fields = fields_of(var, chain.iter().copied().chain([key, pred]));
-        let filter = filter_rx.as_deref().map(RowExpr::program);
-        self.lower_on_columns(stored, &fields, filter, |scan| {
-            ThetaSide::lower(scan, key_rx.program())
-        })
-    }
-
-    /// The column route of a theta join the `Reduce` reads directly
-    /// ([`Executor::lower_columnar_theta`]): the join over row indices,
-    /// then the head evaluated on each surviving pair's stored rows — no
-    /// row environment is built for a pair. `None` — the row route runs —
-    /// for any other input, a shared join, or a join that does not lower.
-    /// In a profile tree the join is the node `run` would have made, with
-    /// the sides as its children.
-    fn try_columnar_theta(
-        &mut self,
-        input: &Arc<Alg>,
-        head: &CalcExpr,
-    ) -> ExecResult<Option<Vec<Value>>> {
-        let Alg::ThetaJoin {
-            left,
-            right,
-            pred,
-            hint,
-        } = &**input
-        else {
-            return Ok(None);
-        };
-        if self.is_shared(input) {
-            return Ok(None);
-        }
-        let frame = self.profiling.then(|| self.begin_node());
-        let joined = self
-            .lower_columnar_theta(left, right, pred, hint)
-            .and_then(|lowered| {
-                let Some(columnar) = lowered else {
-                    return Ok(None);
-                };
-                let joined = self.join_columnar_theta(&columnar, [left, right], pred, hint)?;
-                Ok(Some((columnar, joined)))
-            });
-        let (columnar, joined) = match joined {
-            Ok(Some(joined)) => joined,
-            declined => {
-                if frame.is_some() {
-                    self.abort_node();
-                }
-                return declined.map(|_| None);
-            }
-        };
-        if let Some(frame) = frame {
-            let (op, detail) = plan_label(input);
-            self.end_node(frame, op, detail, joined.count() as u64, Vec::new());
-        }
-        let head_rx = self.row_expr(head, &env_layout(input))?;
-        let (ev, sides) = (self.eval.clone(), [&columnar.left, &columnar.right]);
-        let outputs = joined
-            .filter_transform(
-                "map_partitions",
-                |_| true,
-                move |((_, a), (_, b)), out: &mut Vec<Value>| {
-                    let (l, r) = (sides[0].scan.row(a), sides[1].scan.row(b));
-                    let v = ev.eval_pair(&head_rx, from_ref(l), from_ref(r));
-                    out.push(v.unwrap_or(Value::Null))
-                },
-            )?
-            .collect();
-        self.check_errors()?;
-        Ok(Some(outputs))
-    }
-
-    /// Join a lowered theta join's sides: each side's filter and key sweep
-    /// through the partition layout the row route scans, then the strategy
-    /// is planned and recorded as over rows and runs over `(key, row)`
-    /// items with the pair kernel as its pair test. Returns the surviving
-    /// pairs. The join's own vectorized rows are the items it joined by
-    /// index.
-    fn join_columnar_theta(
-        &mut self,
-        columnar: &ColumnarTheta,
-        [left, right]: [&Arc<Alg>; 2],
-        pred: &CalcExpr,
-        hint: &ThetaHint,
-    ) -> ExecResult<Dataset<(Item, Item)>> {
-        let (l, l_kinds) = self.sweep_theta_side(&columnar.left, left)?;
-        let (r, r_kinds) = self.sweep_theta_side(&columnar.right, right)?;
-        self.vectorized_rows += (l.count() + r.count()) as u64;
-        let (planned, bounds, reason) = self.plan_theta(hint, l.count() as f64, r.count() as f64);
-        let domain = KeyKinds::domain(l_kinds, r_kinds);
-        let verify = columnar.verifier();
-        match self.decide_theta(pred, planned, reason, domain) {
-            Some(text) => {
-                let compat = hint.kind.compat_fn(theta_widen(text));
-                run_pruning(planned, bounds, compat, l, r, verify)
-            }
-            None => theta::cartesian_filter(l, r, verify),
-        }
-    }
-
-    /// One `theta_keys` stage over a lowered side, `node` in the plan: its
-    /// filtered, keyed rows, partitioned as the row route partitions the
-    /// side, and the kinds its keys took.
-    fn sweep_theta_side(
-        &mut self,
-        side: &ThetaSide,
-        node: &Alg,
-    ) -> ExecResult<(Dataset<Item>, KeyKinds)> {
-        let frame = self.profiling.then(|| self.begin_node());
-        let rows = side.scan.len();
-        let tasks = chunk_ranges(rows as u32, self.ctx.default_partitions());
-        let swept = produce_partials(
-            &self.ctx,
-            "theta_keys",
-            rows as u64,
-            tasks,
-            |_| 0,
-            |range| side.sweep(range),
-        );
-        let swept = match swept {
-            Ok(swept) => swept,
-            Err(e) => {
-                if frame.is_some() {
-                    self.abort_node();
-                }
-                return Err(e);
-            }
-        };
-        let (parts, kinds): (Vec<Vec<Item>>, Vec<KeyKinds>) = swept.into_iter().unzip();
-        let items = Dataset::from_partitions(&self.ctx, parts);
-        self.vectorized_rows += rows as u64;
-        if let Some(frame) = frame {
-            self.override_rows_in = Some(rows as u64);
-            let (op, detail) = plan_label(node);
-            self.end_node(frame, op, detail, items.count() as u64, Vec::new());
-        }
-        let kinds = kinds.into_iter().fold(KeyKinds::default(), KeyKinds::merge);
-        Ok((items, kinds))
-    }
-
-    /// The theta strategy planned for a join of `left_rows` × `right_rows`
-    /// — the profile's, or under the cost-based planner the one
-    /// [`Executor::choose_theta`] picks — with its matrix bounds and why.
-    fn plan_theta(
-        &self,
-        hint: &ThetaHint,
-        left_rows: f64,
-        right_rows: f64,
-    ) -> (ThetaStrategy, Option<Vec<f64>>, String) {
-        if self.profile.planner == Planner::CostBased {
-            self.choose_theta(hint, left_rows, right_rows)
-        } else {
-            (self.profile.theta, None, "fixed profile".to_string())
-        }
-    }
-
-    /// Record the strategy that runs — one decision per node — and return
-    /// the key domain it prunes in: `planned` when it prunes and the keys
-    /// share a `domain` ([`KeyKinds::domain`]), else the cartesian product
-    /// (`None`), which needs no key domain and prunes nothing, so it is
-    /// always correct.
-    fn decide_theta(
-        &mut self,
-        pred: &CalcExpr,
-        planned: ThetaStrategy,
-        reason: String,
-        domain: Option<bool>,
-    ) -> Option<bool> {
-        let cartesian = ThetaStrategy::CartesianFilter;
-        let (ran, reason, domain) = match domain {
-            _ if planned == cartesian => (cartesian, reason, None),
-            Some(text) => (planned, reason, Some(text)),
-            None => (
-                cartesian,
-                format!("mixed numeric/text join keys: no common pruning domain for {planned:?}"),
-                None,
-            ),
-        };
-        self.record_decision("theta", pred.to_string(), format!("{ran:?}"), reason);
-        domain
-    }
-
-    /// The theta-join translation of §6 over rows: the strategy of
-    /// [`Executor::plan_theta`] as [`Executor::decide_theta`] records it,
-    /// each candidate pair tested by evaluating the compiled predicate.
-    fn exec_theta(
-        &mut self,
-        lds: Dataset<RowEnv>,
-        rds: Dataset<RowEnv>,
-        pred: &CalcExpr,
-        hint: &ThetaHint,
-        scope_l: &[String],
-        scope_r: &[String],
-    ) -> ExecResult<Dataset<RowEnv>> {
-        let (planned, bounds, reason) =
-            self.plan_theta(hint, lds.count() as f64, rds.count() as f64);
-        // The predicate is compiled against the concatenated layout and
-        // evaluated pair-wise — no merged environment is materialized per
-        // candidate pair.
-        let scope_both = [scope_l, scope_r].concat();
-        let pred_rx = self.row_expr(pred, &scope_both)?;
-        let lkey_rx = self.row_expr(&hint.left_key, scope_l)?;
-        let rkey_rx = self.row_expr(&hint.right_key, scope_r)?;
-        let eval_ctx = Arc::clone(&self.eval.ctx);
-        // A pair the predicate cannot evaluate — a width-mismatched side
-        // included — is rejected and recorded, as in every other sweep.
-        let ev = self.eval.clone();
-        let holds = move |l: &RowEnv, r: &RowEnv| ev.holds_pair(&pred_rx, l, r);
-
-        // Pruning strategies need each row's mapped join key *and* the key
-        // domain classification. One keys-plus-kinds probe per side
-        // computes both together: text keys map through the
-        // order-preserving prefix key (`cleanm_stats::string_key`), numeric
-        // keys widen to f64, and the kinds fall out of the same
-        // evaluation. The probe sees every key value (a sampled sniff
-        // could miss strings deep in a partition and silently disable the
-        // collision widening), and the evaluated keys are zipped back onto
-        // the rows so the join never re-evaluates them.
-        let keys = if planned == ThetaStrategy::CartesianFilter {
-            None
-        } else {
-            let (l_keys, l_kinds) = keys_and_flags(&lds, &lkey_rx, &eval_ctx)?;
-            let (r_keys, r_kinds) = keys_and_flags(&rds, &rkey_rx, &eval_ctx)?;
-            Some((l_keys, r_keys, KeyKinds::domain(l_kinds, r_kinds)))
-        };
-        let domain = keys.as_ref().and_then(|(_, _, domain)| *domain);
-        let decided = self.decide_theta(pred, planned, reason, domain);
-        let (Some(text), Some((l_keys, r_keys, _))) = (decided, keys) else {
-            let joined = theta::cartesian_filter(lds, rds, theta::pairwise(holds))?;
-            self.check_errors()?;
-            return joined.map(concat_rows);
-        };
-        let compat = hint.kind.compat_fn(theta_widen(text));
-        let verify = theta::pairwise(move |l: &(f64, RowEnv), r: &(f64, RowEnv)| holds(&l.1, &r.1));
-        let (lk, rk) = (lds.zip_parts(l_keys), rds.zip_parts(r_keys));
-        let joined = run_pruning(planned, bounds, compat, lk, rk, verify)?;
-        self.check_errors()?;
-        joined.map(|((_, l), (_, r))| concat_rows((l, r)))
+        let groups = pairs.group_by_key(strategy, nest_stage_label(strategy))?;
+        groups.map(|group| vec![group_record(group)])
     }
 }
 
@@ -1799,7 +1373,10 @@ type Finish = (Vec<Arc<RowExpr>>, Option<Arc<RowExpr>>);
 
 /// The fields of the scan variable `var` that `exprs` read, sorted and
 /// deduplicated: the columns a column-first operator over that scan pivots.
-fn fields_of<'e>(var: &str, exprs: impl IntoIterator<Item = &'e CalcExpr>) -> Vec<String> {
+pub(super) fn fields_of<'e>(
+    var: &str,
+    exprs: impl IntoIterator<Item = &'e CalcExpr>,
+) -> Vec<String> {
     let read = exprs.into_iter().flat_map(cardinality::columns_in);
     let mut fields: Vec<String> = read.filter(|(v, _)| v == var).map(|(_, f)| f).collect();
     fields.sort_unstable();
@@ -1829,31 +1406,6 @@ fn reduce_outputs(monoid: &MonoidKind, outputs: Vec<Value>) -> ExecResult<Vec<Va
     })
 }
 
-/// A joined row: the left row's slots, then the right row's — the layout
-/// both joins declare in [`env_layout`].
-fn concat_rows((mut left, right): (RowEnv, RowEnv)) -> RowEnv {
-    left.extend(right);
-    left
-}
-
-/// Materialized grouping — the Nest translation of Table 2: the one
-/// grouping driver with a `Vec` accumulator, so every `(key, item)` pair
-/// lands in its key's member list under the chosen shuffle.
-fn group_members(
-    pairs: Dataset<(Value, Value)>,
-    strategy: NestStrategy,
-) -> ExecResult<Dataset<(Value, Vec<Value>)>> {
-    pairs.group_fold(
-        strategy,
-        nest_stage_label(strategy),
-        |_| true,
-        |pair, out| out.push(pair),
-        Vec::new,
-        |members, item| members.push(item),
-        |members, mut more| members.append(&mut more),
-    )
-}
-
 /// A materialized group as the `{key, partition}` record the group variable
 /// binds.
 fn group_record((key, members): (Value, Vec<Value>)) -> Value {
@@ -1863,7 +1415,7 @@ fn group_record((key, members): (Value, Vec<Value>)) -> Value {
 /// Operator label and defining-expression detail of a plan node, as shown
 /// in profile trees. `Select` details render the node's own predicate; a
 /// collapsed chain's extra predicates show up in the node's fused count.
-fn plan_label(plan: &Alg) -> (String, String) {
+pub(super) fn plan_label(plan: &Alg) -> (String, String) {
     match plan {
         Alg::Scan { table, var } => ("Scan".to_string(), clip(format!("{table} as {var}"))),
         Alg::Select { pred, .. } => ("Select".to_string(), clip(pred)),
@@ -1887,59 +1439,22 @@ fn plan_label(plan: &Alg) -> (String, String) {
 /// stacked-Select semantics (truthiness per stage, inner errors surface,
 /// outer predicates unreached once an inner one rejects). `None` when the
 /// chain is empty.
-fn conjoin(preds: &[&CalcExpr]) -> Option<CalcExpr> {
+pub(super) fn conjoin(preds: &[&CalcExpr]) -> Option<CalcExpr> {
     let (first, rest) = preds.split_first()?;
     Some(rest.iter().fold((*first).clone(), |acc, p| {
         CalcExpr::bin(crate::calculus::BinOp::And, acc, (*p).clone())
     }))
 }
 
-/// One probe pass over a theta side: every row's mapped f64 join key (in
-/// partition structure, ready for [`Dataset::zip_parts`]) plus the kinds
-/// the keys took — the row twin of [`KeyKernel::keys`](super::kernel::KeyKernel::keys).
-fn keys_and_flags(
-    ds: &Dataset<RowEnv>,
-    rx: &Arc<RowExpr>,
-    eval_ctx: &Arc<EvalCtx>,
-) -> ExecResult<(Vec<Vec<f64>>, KeyKinds)> {
-    let parts = ds.probe_partitions(|part| {
-        let mut keys = Vec::with_capacity(part.len());
-        let mut kinds = KeyKinds::default();
-        for env in part {
-            let key = match rx.eval_env(env, eval_ctx) {
-                Ok(Value::Str(s)) => {
-                    kinds.text = true;
-                    cleanm_stats::string_key(&s)
-                }
-                // NaN sorts after every number in the engine's total order,
-                // so it keys as +∞. A NULL (or an error) satisfies no
-                // inequality: where its NaN key lands cannot lose a pair.
-                Ok(v) => {
-                    if matches!(v, Value::Int(_) | Value::Float(_)) {
-                        kinds.numeric = true;
-                    }
-                    v.as_float()
-                        .map_or(f64::NAN, |f| if f.is_nan() { f64::INFINITY } else { f })
-                }
-                Err(_) => f64::NAN,
-            };
-            keys.push(key);
-        }
-        (keys, kinds)
-    })?;
-    let (key_parts, kinds): (Vec<Vec<f64>>, Vec<KeyKinds>) = parts.into_iter().unzip();
-    let kinds = kinds.into_iter().fold(KeyKinds::default(), KeyKinds::merge);
-    Ok((key_parts, kinds))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algebra::lower_op;
+    use crate::algebra::plan::{HintKind, ThetaHint};
     use crate::calculus::desugar::ROWID_FIELD;
     use crate::calculus::{desugar_query, BinOp};
     use crate::lang::parse_query;
-    use crate::physical::{PhaseSplit, QueryProfile};
+    use crate::physical::{PhaseSplit, QueryProfile, ThetaStrategy};
 
     fn row(id: i64, addr: &str, nation: i64, name: &str) -> Value {
         Value::record([
@@ -2087,37 +1602,7 @@ mod tests {
     #[test]
     fn theta_join_via_plan() {
         // Manual ThetaJoin plan: pairs (l, r) with l.nationkey < r.nationkey.
-        use crate::algebra::plan::{HintKind, ThetaHint};
-        let scan_l = Arc::new(Alg::Scan {
-            table: "customer".into(),
-            var: "t1".into(),
-        });
-        let scan_r = Arc::new(Alg::Scan {
-            table: "customer".into(),
-            var: "t2".into(),
-        });
-        let pred = CalcExpr::bin(
-            BinOp::Lt,
-            CalcExpr::proj(CalcExpr::var("t1"), "nationkey"),
-            CalcExpr::proj(CalcExpr::var("t2"), "nationkey"),
-        );
-        let plan = Arc::new(Alg::Reduce {
-            input: Arc::new(Alg::ThetaJoin {
-                left: scan_l,
-                right: scan_r,
-                pred: pred.clone(),
-                hint: ThetaHint {
-                    left_key: CalcExpr::proj(CalcExpr::var("t1"), "nationkey"),
-                    right_key: CalcExpr::proj(CalcExpr::var("t2"), "nationkey"),
-                    kind: HintKind::LeftLessThanRight,
-                },
-            }),
-            monoid: MonoidKind::Bag,
-            head: CalcExpr::record(vec![
-                ("l", CalcExpr::proj(CalcExpr::var("t1"), ROWID_FIELD)),
-                ("r", CalcExpr::proj(CalcExpr::var("t2"), ROWID_FIELD)),
-            ]),
-        });
+        let plan = lt_join("customer", "nationkey", pair_ids());
         let tables = catalog();
         // nation keys: 1,2,3,3,4 -> pairs with l<r: (1,*4)=4? count manually:
         // 1<2,1<3,1<3,1<4; 2<3,2<3,2<4; 3<4,3<4 = 9
@@ -2133,22 +1618,78 @@ mod tests {
         }
     }
 
+    #[test]
+    fn shared_theta_join_runs_once_for_both_consumers() {
+        // Two Reduces over one ThetaJoin node: the join runs once, its
+        // sides read by row, and its joined rows serve both consumers.
+        let pairs_plan = lt_join("customer", "nationkey", pair_ids());
+        let Alg::Reduce { input, .. } = &*pairs_plan else {
+            unreachable!("lt_join builds a Reduce")
+        };
+        let rights_plan = Arc::new(Alg::Reduce {
+            input: Arc::clone(input),
+            monoid: MonoidKind::Bag,
+            head: CalcExpr::proj(CalcExpr::var("t2"), ROWID_FIELD),
+        });
+        let tables = catalog();
+        let ctx = ExecContext::new(2, 4);
+        let profile = EngineProfile::clean_db();
+        let mut ex = Executor::new(ctx.clone(), profile, &tables, Arc::new(EvalCtx::new()));
+        ex.register_plans(&[Arc::clone(&pairs_plan), Arc::clone(&rights_plan)]);
+        let pairs = ex.run_reduce(&pairs_plan).unwrap();
+        let rights = ex.run_reduce(&rights_plan).unwrap();
+        assert_eq!(pairs.len(), 9);
+        let r_of: Vec<Value> = pairs
+            .iter()
+            .map(|p| p.field("r").unwrap().clone())
+            .collect();
+        assert_eq!(rights, r_of, "the same joined rows, in the same order");
+        let stages = ctx.metrics().snapshot().stages;
+        let joins = stages.iter().filter(|s| s.operator == "mbucket_join");
+        assert_eq!(joins.count(), 1);
+        assert_eq!(ex.decisions.len(), 1);
+        assert_eq!(ex.vectorized_rows, 0);
+    }
+
+    /// `t1.__rowid` / `t2.__rowid` as a `{l, r}` record.
+    fn pair_ids() -> CalcExpr {
+        let id = |v: &str| CalcExpr::proj(CalcExpr::var(v), ROWID_FIELD);
+        CalcExpr::record(vec![("l", id("t1")), ("r", id("t2"))])
+    }
+
+    /// `Reduce[Bag] head` over the self-join of `table` as `t1`, `t2` on
+    /// `t1.field < t2.field`, hinted `LeftLessThanRight`.
+    fn lt_join(table: &str, field: &str, head: CalcExpr) -> Arc<Alg> {
+        let scan = |var: &str| {
+            Arc::new(Alg::Scan {
+                table: table.into(),
+                var: var.into(),
+            })
+        };
+        let key = |var: &str| CalcExpr::proj(CalcExpr::var(var), field);
+        Arc::new(Alg::Reduce {
+            input: Arc::new(Alg::ThetaJoin {
+                left: scan("t1"),
+                right: scan("t2"),
+                pred: CalcExpr::bin(BinOp::Lt, key("t1"), key("t2")),
+                hint: ThetaHint {
+                    left_key: key("t1"),
+                    right_key: key("t2"),
+                    kind: HintKind::LeftLessThanRight,
+                },
+            }),
+            monoid: MonoidKind::Bag,
+            head,
+        })
+    }
+
     fn stats_for(tables: &HashMap<String, StoredTable>) -> StatsCatalog {
         let ctx = ExecContext::new(2, 4);
         tables
             .iter()
             .map(|(name, stored)| {
-                (
-                    name.clone(),
-                    Arc::new(
-                        cleanm_stats::collect_table_stats(
-                            &ctx,
-                            stored.merged_rows(),
-                            cleanm_stats::StatsConfig::default(),
-                        )
-                        .unwrap(),
-                    ),
-                )
+                let stats = cleanm_stats::collect_table_stats(&ctx, stored.merged_rows());
+                (name.clone(), Arc::new(stats.unwrap()))
             })
             .collect()
     }
@@ -2215,36 +1756,9 @@ mod tests {
 
     #[test]
     fn adaptive_theta_uses_histogram_bounds() {
-        use crate::algebra::plan::{HintKind, ThetaHint};
         let tables = catalog();
-        let pred = CalcExpr::bin(
-            BinOp::Lt,
-            CalcExpr::proj(CalcExpr::var("t1"), "nationkey"),
-            CalcExpr::proj(CalcExpr::var("t2"), "nationkey"),
-        );
-        let plan = Arc::new(Alg::Reduce {
-            input: Arc::new(Alg::ThetaJoin {
-                left: Arc::new(Alg::Scan {
-                    table: "customer".into(),
-                    var: "t1".into(),
-                }),
-                right: Arc::new(Alg::Scan {
-                    table: "customer".into(),
-                    var: "t2".into(),
-                }),
-                pred: pred.clone(),
-                hint: ThetaHint {
-                    left_key: CalcExpr::proj(CalcExpr::var("t1"), "nationkey"),
-                    right_key: CalcExpr::proj(CalcExpr::var("t2"), "nationkey"),
-                    kind: HintKind::LeftLessThanRight,
-                },
-            }),
-            monoid: MonoidKind::Bag,
-            head: CalcExpr::record(vec![(
-                "l",
-                CalcExpr::proj(CalcExpr::var("t1"), crate::calculus::desugar::ROWID_FIELD),
-            )]),
-        });
+        let head = CalcExpr::proj(CalcExpr::var("t1"), ROWID_FIELD);
+        let plan = lt_join("customer", "nationkey", head);
         let ctx = ExecContext::new(2, 4);
         let mut ex = Executor::new(
             ctx,
@@ -2269,7 +1783,6 @@ mod tests {
 
     #[test]
     fn adaptive_theta_cost_model_picks_by_prunable_work() {
-        use crate::algebra::plan::{HintKind, ThetaHint};
         // 300×300 rows = 90k pairs: above the tiny-input threshold, so the
         // histogram cost model decides.
         let mut tables = HashMap::new();
@@ -2493,40 +2006,12 @@ mod tests {
     fn string_keyed_theta_join_prunes_soundly() {
         // Theta join on a *string* key: prefix-key pruning must not drop
         // pairs, whichever strategy runs.
-        use crate::algebra::plan::{HintKind, ThetaHint};
         let mut tables = HashMap::new();
         let rows: Vec<Value> = (0..60)
             .map(|i| row(i, "a st", 1, &format!("n{:02}", i)))
             .collect();
         tables.insert("customer".to_string(), StoredTable::from_rows(rows));
-        let pred = CalcExpr::bin(
-            BinOp::Lt,
-            CalcExpr::proj(CalcExpr::var("t1"), "name"),
-            CalcExpr::proj(CalcExpr::var("t2"), "name"),
-        );
-        let plan = Arc::new(Alg::Reduce {
-            input: Arc::new(Alg::ThetaJoin {
-                left: Arc::new(Alg::Scan {
-                    table: "customer".into(),
-                    var: "t1".into(),
-                }),
-                right: Arc::new(Alg::Scan {
-                    table: "customer".into(),
-                    var: "t2".into(),
-                }),
-                pred: pred.clone(),
-                hint: ThetaHint {
-                    left_key: CalcExpr::proj(CalcExpr::var("t1"), "name"),
-                    right_key: CalcExpr::proj(CalcExpr::var("t2"), "name"),
-                    kind: HintKind::LeftLessThanRight,
-                },
-            }),
-            monoid: MonoidKind::Bag,
-            head: CalcExpr::record(vec![
-                ("l", CalcExpr::proj(CalcExpr::var("t1"), ROWID_FIELD)),
-                ("r", CalcExpr::proj(CalcExpr::var("t2"), ROWID_FIELD)),
-            ]),
-        });
+        let plan = lt_join("customer", "name", pair_ids());
         // 60 distinct names: l.name < r.name holds for 60*59/2 pairs.
         let expected = 60 * 59 / 2;
         for profile in [
@@ -2553,7 +2038,6 @@ mod tests {
         // while the rest are strings sharing a 6-byte prefix (all collide
         // onto one prefix key, so unwidened Lt pruning would drop every
         // block).
-        use crate::algebra::plan::{HintKind, ThetaHint};
         let mut tables = HashMap::new();
         let mut rows = vec![Value::record([
             (ROWID_FIELD, Value::Int(0)),
@@ -2566,31 +2050,11 @@ mod tests {
             ])
         }));
         tables.insert("customer".to_string(), StoredTable::from_rows(rows));
-        let pred = CalcExpr::bin(
-            BinOp::Lt,
-            CalcExpr::proj(CalcExpr::var("t1"), "name"),
-            CalcExpr::proj(CalcExpr::var("t2"), "name"),
+        let plan = lt_join(
+            "customer",
+            "name",
+            CalcExpr::proj(CalcExpr::var("t1"), ROWID_FIELD),
         );
-        let plan = Arc::new(Alg::Reduce {
-            input: Arc::new(Alg::ThetaJoin {
-                left: Arc::new(Alg::Scan {
-                    table: "customer".into(),
-                    var: "t1".into(),
-                }),
-                right: Arc::new(Alg::Scan {
-                    table: "customer".into(),
-                    var: "t2".into(),
-                }),
-                pred: pred.clone(),
-                hint: ThetaHint {
-                    left_key: CalcExpr::proj(CalcExpr::var("t1"), "name"),
-                    right_key: CalcExpr::proj(CalcExpr::var("t2"), "name"),
-                    kind: HintKind::LeftLessThanRight,
-                },
-            }),
-            monoid: MonoidKind::Bag,
-            head: CalcExpr::proj(CalcExpr::var("t1"), ROWID_FIELD),
-        });
         // 39 distinct non-null names: 39*38/2 Lt pairs; NULL compares false.
         let expected = 39 * 38 / 2;
         for profile in [EngineProfile::big_dansing_like(), EngineProfile::clean_db()] {
@@ -2606,7 +2070,6 @@ mod tests {
         // Numeric and string keys have no common pruning domain (and
         // Value's cross-type order ranks every number below every string):
         // pruning strategies must be overridden to the cartesian path.
-        use crate::algebra::plan::{HintKind, ThetaHint};
         let mut tables = HashMap::new();
         let rows: Vec<Value> = (0..30)
             .map(|i| {
@@ -2646,31 +2109,7 @@ mod tests {
             }
         }
         tables.insert("t".to_string(), StoredTable::from_rows(rows));
-        let pred = CalcExpr::bin(
-            BinOp::Lt,
-            CalcExpr::proj(CalcExpr::var("t1"), "k"),
-            CalcExpr::proj(CalcExpr::var("t2"), "k"),
-        );
-        let plan = Arc::new(Alg::Reduce {
-            input: Arc::new(Alg::ThetaJoin {
-                left: Arc::new(Alg::Scan {
-                    table: "t".into(),
-                    var: "t1".into(),
-                }),
-                right: Arc::new(Alg::Scan {
-                    table: "t".into(),
-                    var: "t2".into(),
-                }),
-                pred: pred.clone(),
-                hint: ThetaHint {
-                    left_key: CalcExpr::proj(CalcExpr::var("t1"), "k"),
-                    right_key: CalcExpr::proj(CalcExpr::var("t2"), "k"),
-                    kind: HintKind::LeftLessThanRight,
-                },
-            }),
-            monoid: MonoidKind::Bag,
-            head: CalcExpr::proj(CalcExpr::var("t1"), ROWID_FIELD),
-        });
+        let plan = lt_join("t", "k", CalcExpr::proj(CalcExpr::var("t1"), ROWID_FIELD));
         let ctx = ExecContext::new(2, 4);
         let mut ex = Executor::new(
             ctx,
@@ -2718,7 +2157,6 @@ mod tests {
         ex.set_stats(stats);
         ex.scan_vars.insert("t1".into(), "customer".into());
         ex.scan_vars.insert("t2".into(), "customer".into());
-        use crate::algebra::plan::{HintKind, ThetaHint};
         let hint = ThetaHint {
             left_key: CalcExpr::proj(CalcExpr::var("t1"), "name"),
             right_key: CalcExpr::proj(CalcExpr::var("t2"), "name"),
@@ -2769,27 +2207,35 @@ mod tests {
 
         // The same rows as the left side of a theta join over `[t1] ++
         // [t2]`: the pair predicate must fail the query too, not quietly
-        // reject every pair.
-        use crate::algebra::plan::{HintKind, ThetaHint};
+        // reject every pair. Each side's scan reads rows the executor
+        // already holds for it — two slots wide on the left.
         let name = |v: &str| CalcExpr::proj(CalcExpr::var(v), "name");
-        let wide: Vec<RowEnv> = (0..4)
-            .map(|i| vec![row(i, "a st", 1, "n"), Value::Int(i)])
-            .collect();
-        let narrow: Vec<RowEnv> = (0..4).map(|i| vec![row(i, "a st", 1, "n")]).collect();
-        let err = ex
-            .exec_theta(
-                Dataset::from_vec(&ctx, wide),
-                Dataset::from_vec(&ctx, narrow),
-                &CalcExpr::bin(BinOp::Le, name("t1"), name("t2")),
-                &ThetaHint {
-                    left_key: name("t1"),
-                    right_key: name("t2"),
-                    kind: HintKind::LeftLessThanRight,
-                },
-                &["t1".to_string()],
-                &["t2".to_string()],
-            )
-            .unwrap_err();
+        let scan = |var: &str| {
+            Arc::new(Alg::Scan {
+                table: "customer".into(),
+                var: var.into(),
+            })
+        };
+        let (left, right) = (scan("t1"), scan("t2"));
+        for (side, width) in [(&left, 2), (&right, 1)] {
+            let rows: Vec<RowEnv> = (0..4)
+                .map(|i| vec![row(i, "a st", 1, "n"), Value::Int(i)][..width].to_vec())
+                .collect();
+            let at = Arc::as_ptr(side) as usize;
+            ex.shared_nodes.insert(at);
+            ex.cache.insert(at, Dataset::from_vec(&ctx, rows));
+        }
+        let join = Alg::ThetaJoin {
+            left,
+            right,
+            pred: CalcExpr::bin(BinOp::Le, name("t1"), name("t2")),
+            hint: ThetaHint {
+                left_key: name("t1"),
+                right_key: name("t2"),
+                kind: HintKind::LeftLessThanRight,
+            },
+        };
+        let err = ex.run_theta(&join).unwrap_err();
         assert!(
             matches!(&err, ExecError::Value(m) if m.contains("row layout mismatch")),
             "{err}"

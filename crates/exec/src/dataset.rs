@@ -215,33 +215,6 @@ impl<T: Data> Dataset<T> {
             run_partitions(&self.ctx, "probe_partitions", refs, |_, part| f(part))?;
         Ok(partials)
     }
-
-    /// Zip each partition with a parallel vector of per-record companions
-    /// (narrow, in place). `companions` must mirror the dataset's partition
-    /// structure exactly — this is the hand-back half of a
-    /// [`Dataset::probe_partitions`] pass that computed something per record
-    /// (e.g. evaluated join keys), letting downstream operators reuse the
-    /// probe's work instead of re-evaluating it.
-    pub fn zip_parts<U: Data>(self, companions: Vec<Vec<U>>) -> Dataset<(U, T)> {
-        assert_eq!(
-            self.parts.len(),
-            companions.len(),
-            "companion partition count mismatch"
-        );
-        let parts: Vec<Vec<(U, T)>> = self
-            .parts
-            .into_iter()
-            .zip(companions)
-            .map(|(part, comp)| {
-                assert_eq!(part.len(), comp.len(), "companion record count mismatch");
-                comp.into_iter().zip(part).collect()
-            })
-            .collect();
-        Dataset {
-            ctx: self.ctx,
-            parts,
-        }
-    }
 }
 
 /// Build a [`Dataset`] by running one task per output partition on the

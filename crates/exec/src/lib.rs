@@ -14,14 +14,13 @@
 //!   move data, and column-first stages that build a dataset or per-chunk
 //!   partials from caller-described tasks ([`produce_partitions`],
 //!   [`produce_partials`]);
-//! * **one grouping driver**, [`Dataset::group_fold`], that folds each
-//!   emitted `(key, value)` pair into a per-key monoid accumulator and
-//!   really moves records between partitions under the chosen [`Shuffle`]:
-//!   `LocalAggregate` (CleanDB's map-side combine — only partials move),
-//!   `SortShuffle` (Spark SQL's sort-based aggregation with sampled range
-//!   partitioning — skew lands on one worker) or `HashShuffle`
-//!   (BigDansing's — every record moves). Materialized grouping is the
-//!   same driver with a `Vec` accumulator; keys are hashed exactly once by
+//! * **one grouping operator**, [`Dataset::group_by_key`], that gathers
+//!   each `(key, value)` pair into its key's member list and really moves
+//!   records between partitions under the chosen [`Shuffle`]:
+//!   `LocalAggregate` (CleanDB's map-side combine — only partial groups
+//!   move), `SortShuffle` (Spark SQL's sort-based aggregation with sampled
+//!   range partitioning — skew lands on one worker) or `HashShuffle`
+//!   (BigDansing's — every record moves); keys are hashed exactly once by
 //!   the seeded fast hasher, so output order is identical across runs;
 //! * **equi-joins** ([`Dataset::join_hash`], [`Dataset::full_outer_join`])
 //!   and three **theta joins**

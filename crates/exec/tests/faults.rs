@@ -15,15 +15,7 @@ fn ctx() -> Arc<ExecContext> {
 
 /// Hash-shuffle grouping into member lists (the wide operator under attack).
 fn group_hash(ds: Dataset<(i64, i64)>) -> Result<Dataset<(i64, Vec<i64>)>, ExecError> {
-    ds.group_fold(
-        Shuffle::HashShuffle,
-        "group_by_key_hash",
-        |_| true,
-        |pair, out| out.push(pair),
-        Vec::new,
-        |acc, v| acc.push(v),
-        |acc, mut other| acc.append(&mut other),
-    )
+    ds.group_by_key(Shuffle::HashShuffle, "group_by_key_hash")
 }
 
 fn nums(n: i64) -> Vec<i64> {

@@ -18,22 +18,14 @@ const SHUFFLES: [Shuffle; 3] = [
     Shuffle::SortShuffle,
 ];
 
-/// Materialized grouping: the one driver with a `Vec` accumulator.
+/// Grouping through `group_by_key`.
 fn group<K: Key, V: Data>(
     c: &Arc<ExecContext>,
     pairs: Vec<(K, V)>,
     shuffle: Shuffle,
 ) -> Dataset<(K, Vec<V>)> {
     Dataset::from_vec(c, pairs)
-        .group_fold(
-            shuffle,
-            "group",
-            |_| true,
-            |pair, out| out.push(pair),
-            Vec::new,
-            |acc, v| acc.push(v),
-            |acc, mut other| acc.append(&mut other),
-        )
+        .group_by_key(shuffle, "group")
         .unwrap()
 }
 
@@ -116,26 +108,6 @@ proptest! {
             parts
         };
         prop_assert_eq!(layout(pairs.clone()), layout(pairs));
-    }
-
-    /// A sum accumulator under any shuffle equals a sequential fold,
-    /// regardless of partitioning.
-    #[test]
-    fn fold_sums_match_sequential(pairs in proptest::collection::vec((any::<u8>(), -100i64..100), 0..300)) {
-        let mut expected: BTreeMap<u8, i64> = BTreeMap::new();
-        for &(k, v) in &pairs {
-            *expected.entry(k).or_insert(0) += v;
-        }
-        let c = ctx();
-        for shuffle in SHUFFLES {
-            let got: BTreeMap<u8, i64> = Dataset::from_vec(&c, pairs.clone())
-                .group_fold(shuffle, "sum", |_| true, |pair, out| out.push(pair), || 0i64, |a, v| *a += v, |a, b| *a += b)
-                .unwrap()
-                .collect()
-                .into_iter()
-                .collect();
-            prop_assert_eq!(&got, &expected, "{:?}", shuffle);
-        }
     }
 
     /// Hash join agrees with a nested-loop reference.

@@ -7,7 +7,7 @@ use crate::histogram::EquiDepthHistogram;
 use crate::hll::Hll;
 use crate::reservoir::Reservoir;
 use crate::strkey::string_key;
-use crate::StatsConfig;
+use crate::{HEAVY_CAPACITY, HISTOGRAM_BUCKETS, HLL_PRECISION, SAMPLE_CAPACITY};
 
 /// Streaming summary of one column. Every part is mergeable, so
 /// `ColumnStats` itself is: `merge(stats(A), stats(B))` describes `A ∪ B`.
@@ -15,11 +15,11 @@ use crate::StatsConfig;
 /// # Example
 ///
 /// ```
-/// use cleanm_stats::{ColumnStats, StatsConfig};
+/// use cleanm_stats::ColumnStats;
 /// use cleanm_values::Value;
 ///
-/// let mut a = ColumnStats::new(StatsConfig::default());
-/// let mut b = ColumnStats::new(StatsConfig::default());
+/// let mut a = ColumnStats::new();
+/// let mut b = ColumnStats::new();
 /// for i in 0..500 {
 ///     a.observe(&Value::Int(i % 50));
 ///     b.observe(&Value::Int(i % 50));
@@ -35,7 +35,6 @@ use crate::StatsConfig;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ColumnStats {
-    config: StatsConfig,
     /// Total observations, including nulls.
     count: u64,
     nulls: u64,
@@ -54,20 +53,19 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    /// An empty column summary collecting under `config`.
-    pub fn new(config: StatsConfig) -> Self {
+    /// An empty column summary.
+    pub fn new() -> Self {
         ColumnStats {
-            config,
             count: 0,
             nulls: 0,
             numeric: 0,
             strings: 0,
             min: None,
             max: None,
-            distinct: Hll::new(config.hll_precision),
-            sample: Reservoir::new(config.sample_capacity),
-            str_sample: Reservoir::new(config.sample_capacity),
-            heavy: HeavyHitters::new(config.heavy_capacity),
+            distinct: Hll::new(HLL_PRECISION),
+            sample: Reservoir::new(SAMPLE_CAPACITY),
+            str_sample: Reservoir::new(SAMPLE_CAPACITY),
+            heavy: HeavyHitters::new(HEAVY_CAPACITY),
         }
     }
 
@@ -97,9 +95,8 @@ impl ColumnStats {
         }
     }
 
-    /// Monoid merge. Panics on mismatched configuration.
+    /// Monoid merge.
     pub fn merge(&mut self, other: &Self) {
-        assert_eq!(self.config, other.config, "mismatched stats configs");
         self.count += other.count;
         self.nulls += other.nulls;
         self.numeric += other.numeric;
@@ -187,10 +184,10 @@ impl ColumnStats {
         self.heavy.error_bound()
     }
 
-    /// Cut an equi-depth histogram at the configured resolution from the
+    /// Cut an equi-depth histogram at the default resolution from the
     /// numeric sample. `None` when the column has no numeric values.
     pub fn histogram(&self) -> Option<EquiDepthHistogram> {
-        self.histogram_with(self.config.histogram_buckets)
+        self.histogram_with(HISTOGRAM_BUCKETS)
     }
 
     /// Cut an equi-depth histogram with an explicit bucket count.
@@ -216,7 +213,7 @@ impl ColumnStats {
         }
         EquiDepthHistogram::from_sample(
             self.str_sample.items(),
-            self.config.histogram_buckets,
+            HISTOGRAM_BUCKETS,
             self.str_sample.seen(),
         )
     }
@@ -234,13 +231,19 @@ impl ColumnStats {
     }
 }
 
+impl Default for ColumnStats {
+    fn default() -> Self {
+        ColumnStats::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn tracks_min_max_nulls_exactly() {
-        let mut c = ColumnStats::new(StatsConfig::default());
+        let mut c = ColumnStats::new();
         for i in 0..100 {
             c.observe(&Value::Int(i));
         }
@@ -257,7 +260,7 @@ mod tests {
 
     #[test]
     fn string_columns_have_no_numeric_histogram() {
-        let mut c = ColumnStats::new(StatsConfig::default());
+        let mut c = ColumnStats::new();
         c.observe(&Value::str("a"));
         c.observe(&Value::str("b"));
         assert!(!c.is_numeric());
@@ -268,7 +271,7 @@ mod tests {
 
     #[test]
     fn text_columns_cut_string_histograms() {
-        let mut c = ColumnStats::new(StatsConfig::default());
+        let mut c = ColumnStats::new();
         for i in 0..500 {
             c.observe(&Value::str(format!("name-{:04}", i)));
         }
@@ -283,7 +286,7 @@ mod tests {
         assert!(lo <= crate::string_key("name-0000"));
         assert!(hi >= crate::string_key("name-0499"));
         // A numeric column still reports a numeric pruning histogram.
-        let mut n = ColumnStats::new(StatsConfig::default());
+        let mut n = ColumnStats::new();
         for i in 0..100 {
             n.observe(&Value::Int(i));
         }
@@ -293,9 +296,9 @@ mod tests {
 
     #[test]
     fn string_sample_merge_matches_single_pass() {
-        let mut a = ColumnStats::new(StatsConfig::default());
-        let mut b = ColumnStats::new(StatsConfig::default());
-        let mut whole = ColumnStats::new(StatsConfig::default());
+        let mut a = ColumnStats::new();
+        let mut b = ColumnStats::new();
+        let mut whole = ColumnStats::new();
         for i in 0..400 {
             let v = Value::str(format!("w{i:03}"));
             if i % 2 == 0 {
@@ -315,9 +318,9 @@ mod tests {
 
     #[test]
     fn merge_matches_single_pass_on_exact_parts() {
-        let mut a = ColumnStats::new(StatsConfig::default());
-        let mut b = ColumnStats::new(StatsConfig::default());
-        let mut whole = ColumnStats::new(StatsConfig::default());
+        let mut a = ColumnStats::new();
+        let mut b = ColumnStats::new();
+        let mut whole = ColumnStats::new();
         for i in 0..1000i64 {
             let v = if i % 50 == 0 {
                 Value::Null
@@ -342,7 +345,7 @@ mod tests {
 
     #[test]
     fn skew_is_visible_in_top_share() {
-        let mut c = ColumnStats::new(StatsConfig::default());
+        let mut c = ColumnStats::new();
         for i in 0..1000i64 {
             c.observe(&Value::Int(if i % 5 != 0 { 7 } else { i }));
         }

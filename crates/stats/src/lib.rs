@@ -43,27 +43,13 @@ pub use reservoir::Reservoir;
 pub use strkey::{string_key, STRING_KEY_BYTES, STRING_KEY_RESOLUTION};
 pub use table::{collect_batch_stats, collect_table_stats, TableStats};
 
-/// Tuning knobs for statistics collection. The defaults keep a per-column
-/// summary around a few KiB regardless of table size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatsConfig {
-    /// HyperLogLog precision (register count = `2^precision`). 4..=16.
-    pub hll_precision: u8,
-    /// Reservoir capacity for the numeric sample behind histograms.
-    pub sample_capacity: usize,
-    /// Misra–Gries counter capacity for heavy-hitter tracking.
-    pub heavy_capacity: usize,
-    /// Default bucket count when cutting equi-depth histograms.
-    pub histogram_buckets: usize,
-}
-
-impl Default for StatsConfig {
-    fn default() -> Self {
-        StatsConfig {
-            hll_precision: 12,
-            sample_capacity: 1024,
-            heavy_capacity: 16,
-            histogram_buckets: 32,
-        }
-    }
-}
+// Summary sizes: together they keep a per-column summary around a few
+// KiB regardless of table size.
+/// HyperLogLog precision (register count = `2^precision`).
+const HLL_PRECISION: u8 = 12;
+/// Reservoir capacity for the samples behind histograms.
+const SAMPLE_CAPACITY: usize = 1024;
+/// Misra–Gries counter capacity for heavy-hitter tracking.
+const HEAVY_CAPACITY: usize = 16;
+/// Bucket count when cutting equi-depth histograms.
+const HISTOGRAM_BUCKETS: usize = 32;

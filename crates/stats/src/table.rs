@@ -7,46 +7,33 @@ use cleanm_exec::{ExecContext, ExecResult};
 use cleanm_values::Value;
 
 use crate::column::ColumnStats;
-use crate::StatsConfig;
 
 /// Statistics for one table: a row count plus per-column summaries.
 /// The column-wise product of monoids is itself a monoid.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TableStats {
-    config: StatsConfig,
     rows: u64,
     columns: BTreeMap<String, ColumnStats>,
 }
 
 impl TableStats {
-    /// An empty summary collecting under `config`.
-    pub fn new(config: StatsConfig) -> Self {
-        TableStats {
-            config,
-            rows: 0,
-            columns: BTreeMap::new(),
-        }
+    /// An empty summary.
+    pub fn new() -> Self {
+        TableStats::default()
     }
 
     /// Fold one row (a `Value::Struct`) into the summary. Non-struct rows
     /// are summarized under a single `""` column.
     pub fn observe_row(&mut self, row: &Value) {
         self.rows += 1;
-        let config = self.config;
         match row.as_struct() {
             Ok(fields) => {
                 for (name, v) in fields {
-                    self.columns
-                        .entry(name.to_string())
-                        .or_insert_with(|| ColumnStats::new(config))
-                        .observe(v);
+                    self.columns.entry(name.to_string()).or_default().observe(v);
                 }
             }
             Err(_) => {
-                self.columns
-                    .entry(String::new())
-                    .or_insert_with(|| ColumnStats::new(config))
-                    .observe(row);
+                self.columns.entry(String::new()).or_default().observe(row);
             }
         }
     }
@@ -81,8 +68,8 @@ impl TableStats {
 
     /// Summarize a slice of rows (single-threaded reference path; also the
     /// per-partition fold used by [`collect_table_stats`]).
-    pub fn of_rows(rows: &[Value], config: StatsConfig) -> Self {
-        let mut s = TableStats::new(config);
+    pub fn of_rows(rows: &[Value]) -> Self {
+        let mut s = TableStats::new();
         for r in rows {
             s.observe_row(r);
         }
@@ -116,15 +103,13 @@ impl TableStats {
 pub fn collect_table_stats(
     ctx: &Arc<ExecContext>,
     rows: Arc<Vec<Value>>,
-    config: StatsConfig,
 ) -> ExecResult<TableStats> {
-    let partials =
-        cleanm_exec::summarize_rows(ctx, &rows, move |part| TableStats::of_rows(part, config))?;
+    let partials = cleanm_exec::summarize_rows(ctx, &rows, TableStats::of_rows)?;
     Ok(cleanm_exec::merge_tree(ctx, partials, |mut a, b| {
         a.merge(&b);
         a
     })?
-    .unwrap_or_else(|| TableStats::new(config)))
+    .unwrap_or_default())
 }
 
 /// [`collect_table_stats`] over a table stored as **append batches**: one
@@ -137,16 +122,14 @@ pub fn collect_table_stats(
 pub fn collect_batch_stats(
     ctx: &Arc<ExecContext>,
     batches: &[Arc<Vec<Value>>],
-    config: StatsConfig,
 ) -> ExecResult<TableStats> {
     let refs: Vec<&[Value]> = batches.iter().map(|b| b.as_slice()).collect();
-    let partials =
-        cleanm_exec::summarize_batches(ctx, &refs, move |part| TableStats::of_rows(part, config))?;
+    let partials = cleanm_exec::summarize_batches(ctx, &refs, TableStats::of_rows)?;
     Ok(cleanm_exec::merge_tree(ctx, partials, |mut a, b| {
         a.merge(&b);
         a
     })?
-    .unwrap_or_else(|| TableStats::new(config)))
+    .unwrap_or_default())
 }
 
 #[cfg(test)]
@@ -163,7 +146,7 @@ mod tests {
 
     #[test]
     fn observes_all_columns() {
-        let mut t = TableStats::new(StatsConfig::default());
+        let mut t = TableStats::new();
         t.observe_row(&row(0, "a", 1));
         t.observe_row(&row(1, "b", 1));
         assert_eq!(t.rows(), 2);
@@ -175,8 +158,8 @@ mod tests {
 
     #[test]
     fn merge_is_columnwise() {
-        let mut a = TableStats::new(StatsConfig::default());
-        let mut b = TableStats::new(StatsConfig::default());
+        let mut a = TableStats::new();
+        let mut b = TableStats::new();
         a.observe_row(&row(0, "a", 1));
         b.observe_row(&row(1, "b", 2));
         a.merge(&b);
@@ -190,9 +173,8 @@ mod tests {
             .map(|i| row(i, if i % 3 == 0 { "x" } else { "y" }, i % 17))
             .collect();
         let ctx = ExecContext::new(4, 8);
-        let stats =
-            collect_table_stats(&ctx, Arc::new(rows.clone()), StatsConfig::default()).unwrap();
-        let reference = TableStats::of_rows(&rows, StatsConfig::default());
+        let stats = collect_table_stats(&ctx, Arc::new(rows.clone())).unwrap();
+        let reference = TableStats::of_rows(&rows);
         assert_eq!(stats.rows(), reference.rows());
         assert_eq!(
             stats.column("nationkey").unwrap().min(),

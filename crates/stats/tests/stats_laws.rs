@@ -7,7 +7,7 @@
 
 use std::collections::HashSet;
 
-use cleanm_stats::{ColumnStats, EquiDepthHistogram, HeavyHitters, Hll, StatsConfig, TableStats};
+use cleanm_stats::{ColumnStats, EquiDepthHistogram, HeavyHitters, Hll, TableStats};
 use cleanm_values::Value;
 use proptest::prelude::*;
 
@@ -23,7 +23,7 @@ fn arb_scalar() -> BoxedStrategy<Value> {
 }
 
 fn stats_of(values: &[Value]) -> ColumnStats {
-    let mut c = ColumnStats::new(StatsConfig::default());
+    let mut c = ColumnStats::new();
     for v in values {
         c.observe(v);
     }
@@ -181,10 +181,10 @@ proptest! {
         let rows = |xs: &[(i16, String)]| xs.iter().map(|(n, s)| {
             Value::record([("num", Value::Int(*n as i64)), ("name", Value::str(s))])
         }).collect::<Vec<_>>();
-        let mut merged = TableStats::of_rows(&rows(&a), StatsConfig::default());
-        merged.merge(&TableStats::of_rows(&rows(&b), StatsConfig::default()));
+        let mut merged = TableStats::of_rows(&rows(&a));
+        merged.merge(&TableStats::of_rows(&rows(&b)));
         let union: Vec<(i16, String)> = a.iter().chain(b.iter()).cloned().collect();
-        let whole = TableStats::of_rows(&rows(&union), StatsConfig::default());
+        let whole = TableStats::of_rows(&rows(&union));
 
         prop_assert_eq!(merged.rows(), whole.rows());
         if !union.is_empty() {

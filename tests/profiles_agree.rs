@@ -225,8 +225,9 @@ fn fd_and_inequality_dc_in_one_statement_identical_across_profiles() {
 // Denial constraints on generated tables and predicates: the query text
 // at every point of the policy space and worker count, the typed rule, and
 // a nested loop over the rule's own atoms all name the same pairs. A theta
-// join runs by column exactly when the planner fuses and the input lowers,
-// and then in the order, and with the comparisons, of the row route.
+// join reads its sides by column exactly when the planner fuses and the
+// input lowers, and then in the order, and with the comparisons, of row
+// sides.
 // ---------------------------------------------------------------------
 
 /// Rows `(a, b, c, s)`: float columns `a`, `b` (NULL, NaN, ±0, ties), an
@@ -490,8 +491,8 @@ fn dc_session(
     db
 }
 
-/// The violating pairs in output order.
-fn pairs_in_order(report: &CleaningReport) -> Vec<(i64, i64)> {
+/// The violating pairs of operator `op`, in output order.
+fn pairs_in_order(report: &CleaningReport, op: usize) -> Vec<(i64, i64)> {
     let id = |pair: &Value, side| {
         pair.field(side)
             .unwrap()
@@ -500,7 +501,7 @@ fn pairs_in_order(report: &CleaningReport) -> Vec<(i64, i64)> {
             .as_int()
             .unwrap()
     };
-    report.ops[0]
+    report.ops[op]
         .output
         .iter()
         .map(|p| (id(p, "left"), id(p, "right")))
@@ -518,7 +519,7 @@ fn theta_route(report: &CleaningReport) -> Option<(bool, u64)> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(72))]
 
     #[test]
     fn dc_text_typed_rule_and_nested_loop_agree(
@@ -527,13 +528,16 @@ proptest! {
         single in dc_single_atom(),
         pairwise in proptest::collection::vec(dc_pair_atom(), 1..4),
         filter in dc_single_atom(),
+        other_single in dc_single_atom(),
+        other_pairwise in proptest::collection::vec(dc_pair_atom(), 1..4),
     ) {
         let atoms: Vec<Atom> = single.into_iter().chain(pairwise).collect();
-        let pred = atoms
-            .iter()
-            .map(|a| a.text("t1", "t2"))
-            .collect::<Vec<_>>()
-            .join(" AND ");
+        let text = |atoms: &[Atom]| {
+            atoms.iter().map(|a| a.text("t1", "t2")).collect::<Vec<_>>().join(" AND ")
+        };
+        let pred = text(&atoms);
+        let other: Vec<Atom> = other_single.into_iter().chain(other_pairwise).collect();
+        let other_pred = text(&other);
         let rule = InequalityDc { table: "t".into(), pred: pred.clone() };
         let plain: Option<Vec<DcAtom>> = atoms.iter().map(Atom::plain).collect();
         prop_assert_eq!(rule.atoms(), plain, "{}", pred);
@@ -544,6 +548,8 @@ proptest! {
             .map(|f| format!(" WHERE {}", f.text("t", "t")))
             .unwrap_or_default();
         let sql = format!("SELECT * FROM t{where_text} DC({pred})");
+        let other_sql = format!("SELECT * FROM t{where_text} DC({other_pred})");
+        let both_sql = format!("SELECT * FROM t{where_text} DC({pred}) DC({other_pred})");
 
         let stored: Vec<Value> = rows
             .iter()
@@ -567,7 +573,7 @@ proptest! {
                 }
             }
         }
-        // The column route needs every comparison to be numeric or textual
+        // Column sides need every comparison to be numeric or textual
         // on both sides, and every column it reads typed — a column with
         // no non-NULL cell pivots untyped.
         let all_atoms = || atoms.iter().chain(&filter);
@@ -593,12 +599,12 @@ proptest! {
                     );
                 }
 
-                // The same rows with a ragged append: the row route, the
-                // same pairs in the same order, the same comparisons.
+                // The same rows with a ragged append: row sides, the same
+                // pairs in the same order, the same comparisons.
                 if fuses && stored.len() >= 2 {
                     let ragged = dc_session(&profile, workers, &stored, batch, true).run(&sql).unwrap();
                     prop_assert_eq!(theta_route(&ragged).is_some_and(|(v, _)| v), false, "{}", sql);
-                    prop_assert_eq!(pairs_in_order(&ragged), pairs_in_order(&report), "{} under {}", sql, profile.name);
+                    prop_assert_eq!(pairs_in_order(&ragged, 0), pairs_in_order(&report, 0), "{} under {}", sql, profile.name);
                     prop_assert_eq!(
                         ragged.metrics.comparisons,
                         report.metrics.comparisons,
@@ -606,6 +612,31 @@ proptest! {
                         sql,
                         profile.name
                     );
+                }
+
+                // A second rule beside the first: each operator has the
+                // pairs, in the order, and the comparisons it has alone.
+                if other_pred != pred {
+                    let session = || dc_session(&profile, workers, &stored, batch, false);
+                    let alone = session().run(&other_sql).unwrap();
+                    let both = session().run(&both_sql).unwrap();
+                    prop_assert_eq!(pairs_in_order(&both, 0), pairs_in_order(&report, 0), "{} under {}", both_sql, profile.name);
+                    prop_assert_eq!(pairs_in_order(&both, 1), pairs_in_order(&alone, 0), "{} under {}", both_sql, profile.name);
+                    prop_assert_eq!(
+                        both.metrics.comparisons,
+                        report.metrics.comparisons + alone.metrics.comparisons,
+                        "{} under {}",
+                        both_sql,
+                        profile.name
+                    );
+                    // Two theta joins read the same two scans: by row.
+                    let joins: Vec<_> = both
+                        .profiles
+                        .iter()
+                        .filter_map(|p| p.root.find("ThetaJoin"))
+                        .collect();
+                    let by_column = joins.iter().any(|j| j.flags.iter().any(|f| f == "vectorized"));
+                    prop_assert!(joins.len() < 2 || !by_column, "{} under {}", both_sql, profile.name);
                 }
 
                 if filter.is_none() {
