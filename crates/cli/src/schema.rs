@@ -3,32 +3,40 @@
 //! back to `Str` on the first cell that fits neither. Empty cells are
 //! typeless (they parse to `Null` under any type).
 
-use cleanm_formats::csv::{parse_records, read_str, CsvOptions};
+use cleanm_formats::csv::{read_str, CsvOptions, Records};
 use cleanm_values::{DataType, Field, Schema, Table};
 
 /// Infer a schema from CSV text (first record must be the header row).
 pub fn infer_schema(text: &str, options: &CsvOptions) -> Result<Schema, String> {
-    let records = parse_records(text, options.delimiter).map_err(|e| e.to_string())?;
-    let Some(header) = records.first() else {
+    let mut records = Records::new(text, options.delimiter).map_err(|e| e.to_string())?;
+    let mut names = Vec::new();
+    let header = records.next_record(|_, name| {
+        names.push(name.trim().to_string());
+        Ok(())
+    });
+    if header.map_err(|e| e.to_string())?.is_none() {
         return Err("empty CSV: no header row".to_string());
-    };
-    let mut types = vec![DataType::Int; header.len()];
-    for record in &records[1..] {
-        for (i, cell) in record.iter().enumerate().take(types.len()) {
-            if cell.is_empty() {
-                continue;
-            }
-            types[i] = match types[i] {
+    }
+    let mut types = vec![DataType::Int; names.len()];
+    let mut widen = |i: usize, cell: &str| {
+        if let Some(dtype) = types.get_mut(i).filter(|_| !cell.is_empty()) {
+            *dtype = match dtype {
                 DataType::Int if cell.parse::<i64>().is_ok() => DataType::Int,
                 DataType::Int | DataType::Float if cell.parse::<f64>().is_ok() => DataType::Float,
                 _ => DataType::Str,
             };
         }
-    }
-    let fields = header
-        .iter()
+        Ok(())
+    };
+    while records
+        .next_record(&mut widen)
+        .map_err(|e| e.to_string())?
+        .is_some()
+    {}
+    let fields = names
+        .into_iter()
         .zip(types)
-        .map(|(name, dtype)| Field::new(name.trim(), dtype))
+        .map(|(name, dtype)| Field::new(name, dtype))
         .collect();
     Schema::new(fields).map_err(|e| e.to_string())
 }
@@ -71,6 +79,13 @@ mod tests {
         let t = read_csv_inferred("x,y\n,10\n2,\n").unwrap();
         assert_eq!(t.rows[0].values()[0], Value::Null);
         assert_eq!(t.rows[1].values()[0], Value::Int(2));
+    }
+
+    #[test]
+    fn byte_order_mark_is_not_part_of_the_first_name() {
+        let t = read_csv_inferred("\u{feff}id,name\r\n1,ann\r\n").unwrap();
+        assert_eq!(t.schema.fields()[0].name, "id");
+        assert_eq!(t.rows[0].values()[0], Value::Int(1));
     }
 
     #[test]

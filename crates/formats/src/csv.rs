@@ -1,4 +1,10 @@
 //! CSV reading and writing (RFC-4180 quoting rules).
+//!
+//! Reading is one pass over the text's bytes. [`Records`] hands over each
+//! cell as a `&str` borrowed from the text — or, when a quoted cell's
+//! content does not lie in one piece (an escaped `""`, text after the
+//! closing quote), from one reused scratch buffer — and the readers type
+//! the cell where it is found, so no record is ever collected as strings.
 
 use cleanm_values::{
     intern_all, ColumnBatch, ColumnBuilder, Error, Result, Row, Schema, Table, Value,
@@ -21,96 +27,265 @@ impl Default for CsvOptions {
     }
 }
 
-/// Split CSV text into records of fields, honouring quotes (`"a,b"`),
-/// escaped quotes (`""`), and embedded newlines inside quoted fields.
-pub fn parse_records(text: &str, delimiter: char) -> Result<Vec<Vec<String>>> {
-    let mut records = Vec::new();
-    let mut record: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut chars = text.chars().peekable();
-    let mut in_quotes = false;
-    let mut saw_any = false;
+/// What ended a cell.
+#[derive(PartialEq)]
+enum End {
+    Field,
+    Record,
+    Input,
+}
 
-    while let Some(c) = chars.next() {
-        saw_any = true;
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                _ => field.push(c),
+/// A cell's content so far: nothing, one span of the text, or the scratch
+/// buffer once its pieces stopped being contiguous.
+enum Cell {
+    Empty,
+    Span(usize, usize),
+    Scratch,
+}
+
+/// A record scanner over CSV text: one leading U+FEFF byte-order mark is
+/// skipped, quotes (`"a,b"`), escaped quotes (`""`) and line breaks inside
+/// quotes are honoured, and `\r\n` outside quotes ends a record like `\n`
+/// (a lone `\r` is a cell byte). A quote opens only at an empty field; text
+/// after the closing quote continues the field. A final record without a
+/// trailing newline is kept.
+pub struct Records<'a> {
+    text: &'a str,
+    pos: usize,
+    delimiter: char,
+    /// `special[b]`: byte `b` can end an unquoted run — `"`, `\r`, `\n` or
+    /// the delimiter's first byte.
+    special: [bool; 256],
+    scratch: String,
+}
+
+impl<'a> Records<'a> {
+    /// Scan `text` with `delimiter`, which may be any `char` but a quote or
+    /// a line break.
+    pub fn new(text: &'a str, delimiter: char) -> Result<Self> {
+        if matches!(delimiter, '"' | '\n' | '\r') {
+            return Err(Error::Invalid(format!(
+                "CSV delimiter {delimiter:?} cannot be a quote or a line break"
+            )));
+        }
+        let lead = delimiter.encode_utf8(&mut [0; 4]).as_bytes()[0];
+        let mut special = [false; 256];
+        for b in [b'"', b'\r', b'\n', lead] {
+            special[usize::from(b)] = true;
+        }
+        Ok(Records {
+            text: text.strip_prefix('\u{feff}').unwrap_or(text),
+            pos: 0,
+            delimiter,
+            special,
+            scratch: String::new(),
+        })
+    }
+
+    /// Scan the next record, calling `cell(i, text)` for its cells in
+    /// order; `Ok(Some(n))` is its cell count, `Ok(None)` the end of the
+    /// input. A grammar error, or the first error `cell` returns, ends the
+    /// scan.
+    pub fn next_record(
+        &mut self,
+        mut cell: impl FnMut(usize, &str) -> Result<()>,
+    ) -> Result<Option<usize>> {
+        if self.pos == self.text.len() {
+            return Ok(None);
+        }
+        let mut n = 0;
+        loop {
+            let (value, end) = self.cell()?;
+            // Input that ends in an empty quoted cell (`""`) is no record.
+            if end == End::Input && n == 0 && value.is_empty() {
+                return Ok(None);
             }
-        } else {
-            match c {
-                '"' => {
-                    if field.is_empty() {
-                        in_quotes = true;
-                    } else {
-                        return Err(Error::Parse("quote inside unquoted field".to_string()));
-                    }
-                }
-                // `\r\n` ends a record like `\n`; a lone `\r` is a cell byte.
-                '\r' if chars.peek() == Some(&'\n') => {}
-                '\n' => {
-                    record.push(std::mem::take(&mut field));
-                    records.push(std::mem::take(&mut record));
-                }
-                c if c == delimiter => {
-                    record.push(std::mem::take(&mut field));
-                }
-                c => field.push(c),
+            cell(n, value)?;
+            n += 1;
+            if end != End::Field {
+                return Ok(Some(n));
             }
         }
     }
-    if in_quotes {
-        return Err(Error::Parse("unterminated quoted field".to_string()));
+
+    /// The first byte at or after `i` that can end an unquoted run, or the
+    /// text's length.
+    fn run_end(&self, i: usize) -> usize {
+        let bytes = self.text.as_bytes();
+        let special = bytes[i..]
+            .iter()
+            .position(|&b| self.special[usize::from(b)]);
+        special.map_or(bytes.len(), |k| i + k)
     }
-    if saw_any && (!field.is_empty() || !record.is_empty()) {
-        record.push(field);
-        records.push(record);
+
+    /// The next cell and what ended it.
+    #[inline]
+    fn cell(&mut self) -> Result<(&str, End)> {
+        let (text, start) = (self.text, self.pos);
+        let bytes = text.as_bytes();
+        let i = self.run_end(start);
+        // Most cells are one unquoted run that the first special byte ends.
+        let (next, end) = match bytes.get(i) {
+            None => (i, End::Input),
+            Some(b'\n') => (i + 1, End::Record),
+            Some(b'\r') if bytes.get(i + 1) == Some(&b'\n') => (i + 2, End::Record),
+            Some(&b) if self.delimiter.is_ascii() && b == self.delimiter as u8 => {
+                (i + 1, End::Field)
+            }
+            _ => return self.cell_from(i),
+        };
+        self.pos = next;
+        Ok((&text[start..i], end))
     }
-    Ok(records)
+
+    /// The next cell when its first special byte, at `i`, does not end it:
+    /// a quote, a lone `\r`, or the lead byte of a multi-byte delimiter.
+    fn cell_from(&mut self, mut i: usize) -> Result<(&str, End)> {
+        let text = self.text;
+        let bytes = text.as_bytes();
+        let mut cell = Cell::Empty;
+        // The unquoted run being scanned is `run..i`.
+        let mut run = self.pos;
+        let end = loop {
+            let Some(&b) = bytes.get(i) else {
+                self.push(&mut cell, run, i);
+                self.pos = i;
+                break End::Input;
+            };
+            match b {
+                // A quote opens only at the cell's first byte: right after
+                // a closing quote it would have been an escaped pair.
+                b'"' => {
+                    if i != self.pos {
+                        return Err(Error::Parse("quote inside unquoted field".to_string()));
+                    }
+                    i += 1;
+                    loop {
+                        let Some(q) = bytes[i..].iter().position(|&b| b == b'"') else {
+                            return Err(Error::Parse("unterminated quoted field".to_string()));
+                        };
+                        let q = i + q;
+                        if bytes.get(q + 1) == Some(&b'"') {
+                            // Keep the first quote of the pair.
+                            self.push(&mut cell, i, q + 1);
+                            i = q + 2;
+                        } else {
+                            self.push(&mut cell, i, q);
+                            i = q + 1;
+                            break;
+                        }
+                    }
+                    run = i;
+                }
+                b'\r' if bytes.get(i + 1) == Some(&b'\n') => {
+                    self.push(&mut cell, run, i);
+                    self.pos = i + 2;
+                    break End::Record;
+                }
+                b'\n' => {
+                    self.push(&mut cell, run, i);
+                    self.pos = i + 1;
+                    break End::Record;
+                }
+                _ if text[i..].starts_with(self.delimiter) => {
+                    self.push(&mut cell, run, i);
+                    self.pos = i + self.delimiter.len_utf8();
+                    break End::Field;
+                }
+                // A lone `\r`, or another char sharing the delimiter's
+                // first byte.
+                _ => i += 1,
+            }
+            i = self.run_end(i);
+        };
+        let value = match cell {
+            Cell::Empty => "",
+            Cell::Span(from, to) => &text[from..to],
+            Cell::Scratch => &self.scratch,
+        };
+        Ok((value, end))
+    }
+
+    /// Append `text[from..to]` to the cell.
+    fn push(&mut self, cell: &mut Cell, from: usize, to: usize) {
+        if from == to {
+            return;
+        }
+        *cell = match *cell {
+            Cell::Empty => Cell::Span(from, to),
+            Cell::Span(start, end) if end == from => Cell::Span(start, to),
+            Cell::Span(start, end) => {
+                self.scratch.clear();
+                self.scratch.push_str(&self.text[start..end]);
+                self.scratch.push_str(&self.text[from..to]);
+                Cell::Scratch
+            }
+            Cell::Scratch => {
+                self.scratch.push_str(&self.text[from..to]);
+                Cell::Scratch
+            }
+        };
+    }
+}
+
+/// Scan `text`'s data records, parsing each cell with its schema column's
+/// type as it is found, and hand each record's values to `row`. If
+/// `options.has_header` the header is validated against the schema's
+/// field names first.
+fn read_typed(
+    text: &str,
+    schema: &Schema,
+    options: &CsvOptions,
+    mut row: impl FnMut(std::vec::Drain<'_, Value>),
+) -> Result<()> {
+    let mut records = Records::new(text, options.delimiter)?;
+    let fields = schema.fields();
+    if options.has_header {
+        let mut same = true;
+        let header = records.next_record(|i, cell| {
+            same &= fields.get(i).is_some_and(|f| f.name == cell);
+            Ok(())
+        })?;
+        match header {
+            None => return Ok(()),
+            Some(n) if same && n == fields.len() => {}
+            Some(_) => {
+                let expected: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                let got = records.text[..records.pos].trim_end_matches(['\r', '\n']);
+                return Err(Error::Parse(format!(
+                    "header mismatch: expected {expected:?}, got {got:?}"
+                )));
+            }
+        }
+    }
+    let mut values = Vec::with_capacity(fields.len());
+    let mut line_no = 0;
+    while let Some(n) = records.next_record(|i, cell| {
+        if let Some(field) = fields.get(i) {
+            values.push(field.dtype.parse(cell)?);
+        }
+        Ok(())
+    })? {
+        if n != fields.len() {
+            return Err(Error::Parse(format!(
+                "record {line_no}: {n} fields, schema has {}",
+                fields.len()
+            )));
+        }
+        row(values.drain(..));
+        line_no += 1;
+    }
+    Ok(())
 }
 
 /// Read a CSV document into a [`Table`], parsing each cell with the schema's
 /// column type. If `options.has_header` the header is validated against the
-/// schema's field names.
+/// schema's field names. Each row is built in one allocation.
 pub fn read_str(text: &str, schema: &Schema, options: &CsvOptions) -> Result<Table> {
-    let mut records = parse_records(text, options.delimiter)?.into_iter();
-    if options.has_header {
-        match records.next() {
-            Some(header) => {
-                let expected: Vec<&str> = schema.fields().iter().map(|f| f.name.as_str()).collect();
-                let got: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-                if expected != got {
-                    return Err(Error::Parse(format!(
-                        "header mismatch: expected {expected:?}, got {got:?}"
-                    )));
-                }
-            }
-            None => return Ok(Table::new(schema.clone(), Vec::new())),
-        }
-    }
     let mut rows = Vec::new();
-    for (line_no, record) in records.enumerate() {
-        if record.len() != schema.len() {
-            return Err(Error::Parse(format!(
-                "record {line_no}: {} fields, schema has {}",
-                record.len(),
-                schema.len()
-            )));
-        }
-        let mut values = Vec::with_capacity(record.len());
-        for (cell, field) in record.iter().zip(schema.fields()) {
-            values.push(field.dtype.parse(cell)?);
-        }
-        rows.push(Row::new(values));
-    }
+    read_typed(text, schema, options, |values| {
+        rows.push(Row::from_iter(values))
+    })?;
     Ok(Table::new(schema.clone(), rows))
 }
 
@@ -121,39 +296,14 @@ pub fn read_str(text: &str, schema: &Schema, options: &CsvOptions) -> Result<Tab
 /// [`read_str`], and so is the result: `batch.row(i)` equals
 /// `table.rows[i].to_struct(schema)`.
 pub fn read_str_columnar(text: &str, schema: &Schema, options: &CsvOptions) -> Result<ColumnBatch> {
-    let mut records = parse_records(text, options.delimiter)?.into_iter();
     let names = intern_all(schema.fields().iter().map(|f| f.name.as_str()));
     let mut builders: Vec<ColumnBuilder> =
         (0..schema.len()).map(|_| ColumnBuilder::new()).collect();
-    if options.has_header {
-        match records.next() {
-            Some(header) => {
-                let expected: Vec<&str> = schema.fields().iter().map(|f| f.name.as_str()).collect();
-                let got: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-                if expected != got {
-                    return Err(Error::Parse(format!(
-                        "header mismatch: expected {expected:?}, got {got:?}"
-                    )));
-                }
-            }
-            None => {
-                let cols = builders.into_iter().map(ColumnBuilder::finish).collect();
-                return ColumnBatch::from_columns(names, cols);
-            }
+    read_typed(text, schema, options, |values| {
+        for (builder, value) in builders.iter_mut().zip(values) {
+            builder.push(value);
         }
-    }
-    for (line_no, record) in records.enumerate() {
-        if record.len() != schema.len() {
-            return Err(Error::Parse(format!(
-                "record {line_no}: {} fields, schema has {}",
-                record.len(),
-                schema.len()
-            )));
-        }
-        for ((cell, field), builder) in record.iter().zip(schema.fields()).zip(&mut builders) {
-            builder.push(field.dtype.parse(cell)?);
-        }
-    }
+    })?;
     ColumnBatch::from_columns(
         names,
         builders.into_iter().map(ColumnBuilder::finish).collect(),
@@ -261,10 +411,44 @@ mod tests {
         assert_eq!(write_str(&t, &CsvOptions::default()), text);
     }
 
+    /// Every record of `text`, its cells copied out.
+    fn records(text: &str, delimiter: char) -> Result<Vec<Vec<String>>> {
+        let mut scan = Records::new(text, delimiter)?;
+        let mut out = Vec::new();
+        let mut record = Vec::new();
+        while scan
+            .next_record(|_, cell| {
+                record.push(cell.to_string());
+                Ok(())
+            })?
+            .is_some()
+        {
+            out.push(std::mem::take(&mut record));
+        }
+        Ok(out)
+    }
+
     #[test]
     fn embedded_newline_in_quotes() {
-        let recs = parse_records("a,\"x\ny\",b\n", ',').unwrap();
+        let recs = records("a,\"x\ny\",b\n", ',').unwrap();
         assert_eq!(recs, vec![vec!["a", "x\ny", "b"]]);
+    }
+
+    #[test]
+    fn quoted_pieces_join_and_later_cells_borrow_again() {
+        let recs = records("\"a\"\"b\"c,\"\",d\n\"x\"\"\"\n\"\"", ',').unwrap();
+        assert_eq!(
+            recs,
+            vec![vec!["a\"bc", "", "d"], vec!["x\""]],
+            "a final `\"\"` with no newline is no record"
+        );
+    }
+
+    #[test]
+    fn multi_byte_delimiter() {
+        // `©` shares `§`'s first UTF-8 byte.
+        let recs = records("1§é§\"§\"\n2§§x©", '§').unwrap();
+        assert_eq!(recs, vec![vec!["1", "é", "§"], vec!["2", "", "x©"]]);
     }
 
     #[test]
@@ -308,7 +492,38 @@ mod tests {
 
     #[test]
     fn unterminated_quote_is_error() {
-        assert!(parse_records("\"abc\n", ',').is_err());
+        assert!(matches!(records("\"abc\n", ','), Err(Error::Parse(_))));
+    }
+
+    /// A delimiter the grammar gives another meaning is refused by every
+    /// reader, by name.
+    fn assert_delimiter_refused(delimiter: char) {
+        let opts = CsvOptions {
+            delimiter,
+            has_header: false,
+        };
+        let named = |e: Error| match e {
+            Error::Invalid(msg) => assert!(msg.contains(&format!("{delimiter:?}")), "{msg}"),
+            other => panic!("{delimiter:?}: {other:?}"),
+        };
+        named(read_str("1,a,0.5\n", &schema(), &opts).unwrap_err());
+        named(read_str_columnar("1,a,0.5\n", &schema(), &opts).unwrap_err());
+        named(Records::new("", delimiter).err().unwrap());
+    }
+
+    #[test]
+    fn quote_delimiter_is_invalid() {
+        assert_delimiter_refused('"');
+    }
+
+    #[test]
+    fn newline_delimiter_is_invalid() {
+        assert_delimiter_refused('\n');
+    }
+
+    #[test]
+    fn carriage_return_delimiter_is_invalid() {
+        assert_delimiter_refused('\r');
     }
 
     #[test]
