@@ -110,10 +110,6 @@ pub struct MetricsRegistry {
     plan_cache_hits: u64,
     /// Session plan-cache misses observed through reports.
     plan_cache_misses: u64,
-    /// Compiled-program cache hits across all cached plans.
-    program_cache_hits: u64,
-    /// Compiled-program cache misses across all cached plans.
-    program_cache_misses: u64,
     /// Records physically moved between partitions, all queries.
     records_shuffled: u64,
     /// Pairwise similarity comparisons, all queries.
@@ -160,17 +156,14 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// Fold one batch query's report in. The session calls this after
-    /// every `run`; `program_delta` is the program-cache `(hits, misses)`
-    /// delta attributable to the run.
-    pub fn record_query(&mut self, report: &CleaningReport, program_delta: (u64, u64)) {
+    /// every `run`.
+    pub fn record_query(&mut self, report: &CleaningReport) {
         self.query_latency.observe(report.total);
         if report.plan_cache.hit {
             self.plan_cache_hits += 1;
         } else {
             self.plan_cache_misses += 1;
         }
-        self.program_cache_hits += program_delta.0;
-        self.program_cache_misses += program_delta.1;
         self.records_shuffled += report.metrics.records_shuffled;
         self.comparisons += report.metrics.comparisons;
         self.partition_retries += report.metrics.partition_retries;
@@ -255,11 +248,6 @@ impl MetricsRegistry {
         ratio(self.plan_cache_hits, self.plan_cache_misses)
     }
 
-    /// Compiled-program cache hit ratio over the session.
-    pub fn program_cache_hit_ratio(&self) -> Option<f64> {
-        ratio(self.program_cache_hits, self.program_cache_misses)
-    }
-
     /// Records physically moved between partitions, all queries.
     pub fn records_shuffled(&self) -> u64 {
         self.records_shuffled
@@ -288,26 +276,17 @@ impl MetricsRegistry {
     /// Machine-readable snapshot of everything the registry tracks. A
     /// ratio with nothing observed yet is `null`.
     pub fn snapshot_json(&self) -> String {
-        let cache = |hits: u64, misses: u64| {
-            json::object([
-                ("hits", hits.to_string()),
-                ("misses", misses.to_string()),
-                (
-                    "hit_ratio",
-                    json::num(ratio(hits, misses).unwrap_or(f64::NAN)),
-                ),
-            ])
-        };
+        let hit_ratio = self.plan_cache_hit_ratio().unwrap_or(f64::NAN);
         json::object([
             ("query_latency", self.query_latency.json()),
             ("refresh_latency", self.refresh_latency.json()),
             (
                 "plan_cache",
-                cache(self.plan_cache_hits, self.plan_cache_misses),
-            ),
-            (
-                "program_cache",
-                cache(self.program_cache_hits, self.program_cache_misses),
+                json::object([
+                    ("hits", self.plan_cache_hits.to_string()),
+                    ("misses", self.plan_cache_misses.to_string()),
+                    ("hit_ratio", json::num(hit_ratio)),
+                ]),
             ),
             ("records_shuffled", self.records_shuffled.to_string()),
             ("comparisons", self.comparisons.to_string()),
@@ -363,13 +342,10 @@ impl MetricsRegistry {
         out.push_str(&fmt_track("queries", &self.query_latency));
         out.push_str(&fmt_track("refreshes", &self.refresh_latency));
         out.push_str(&format!(
-            "  plan cache: {} hits / {} misses ({}); program cache: {} hits / {} misses ({})\n",
+            "  plan cache: {} hits / {} misses ({})\n",
             self.plan_cache_hits,
             self.plan_cache_misses,
             fmt_ratio(self.plan_cache_hit_ratio()),
-            self.program_cache_hits,
-            self.program_cache_misses,
-            fmt_ratio(self.program_cache_hit_ratio()),
         ));
         out.push_str(&format!(
             "  shuffled {} records, {} comparisons; exprs {} compiled, {} fused; \

@@ -7,13 +7,15 @@
 //!   batches as new partitions instead of replacing the table, bumps the
 //!   table's stats epoch, and tops up cached [`TableStats`] by summarizing
 //!   only the new batches and monoid-merging them in;
-//! * a **plan cache** keyed by the *normalized calculus* of a query plus
-//!   the stats epochs of every table it touches: repeated (or syntactically
-//!   different but calculus-identical) queries skip lowering, sharing
-//!   rewrites, blocker preparation, and expression compilation entirely,
-//!   with hits/misses surfaced in the [`CleaningReport`].
+//! * a **plan cache** keyed by the query text (under the session's profile
+//!   and seed) and guarded by the stats epochs of every table the plan
+//!   touches: an exact repeat over unchanged tables skips parsing,
+//!   lowering, sharing rewrites and blocker preparation, with hits/misses
+//!   surfaced in the [`CleaningReport`]. [`CleanDb::plan`] hands the same
+//!   entries to incremental and repair consumers; row programs compile per
+//!   run.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -25,8 +27,7 @@ use cleanm_values::{intern, intern_all, Column, ColumnBatch, Table, Value};
 use crate::algebra::{lower_op_with, rewrite_shared, Alg, RewriteStats};
 use crate::calculus::desugar::{desugar_query, DesugaredOp, OpKind, ROWID_FIELD};
 use crate::calculus::{normalize, CalcExpr, EvalCtx, Func, NormalizeStats};
-use crate::lang::{parse_query, Query};
-use crate::physical::program::ProgramCache;
+use crate::lang::parse_query;
 use crate::physical::{EngineProfile, Executor, Planner, QueryProfile};
 
 use super::registry::MetricsRegistry;
@@ -64,10 +65,10 @@ impl From<ExecError> for EngineError {
     }
 }
 
-/// A fully planned query, cached across runs: the normalized operator
-/// comprehensions, their (possibly shared) algebra plans, the prepared
-/// evaluation context (blockers), and the compiled row programs the
-/// executor fills in on first execution.
+/// A fully planned query, cached across runs by its text: the normalized
+/// operator comprehensions, their (possibly shared) algebra plans, and the
+/// prepared evaluation context (blockers). [`CleanDb::plan`] is the only
+/// way to get one; the executor compiles its row programs on every run.
 pub struct PlannedQuery {
     ops: Vec<DesugaredOp>,
     plans: Vec<Arc<Alg>>,
@@ -75,7 +76,6 @@ pub struct PlannedQuery {
     normalize_stats: NormalizeStats,
     rewrite_stats: RewriteStats,
     eval_ctx: Arc<EvalCtx>,
-    programs: Arc<ProgramCache>,
     /// Tables whose statistics the adaptive planner consults.
     stat_tables: Vec<String>,
     /// Epoch guard: every table (and dictionary) whose state the plan was
@@ -123,27 +123,17 @@ impl PlannedQuery {
     }
 }
 
-/// Bounded plan cache: normalized-calculus key → planned query, plus a raw
-/// query-text alias that skips parsing for exact repeats.
+/// Bounded plan cache: query text (under the session's profile and seed)
+/// → planned query, cleared wholesale at [`PLAN_CACHE_CAP`] entries.
+/// `hits` / `misses` count [`CleanDb::run`]'s lookups only.
+#[derive(Default)]
 struct PlanCache {
-    by_calc: HashMap<String, Arc<PlannedQuery>>,
-    by_text: HashMap<String, String>,
+    entries: HashMap<String, Arc<PlannedQuery>>,
     hits: u64,
     misses: u64,
 }
 
 const PLAN_CACHE_CAP: usize = 128;
-
-impl PlanCache {
-    fn new() -> Self {
-        PlanCache {
-            by_calc: HashMap::new(),
-            by_text: HashMap::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
 
 /// Cached per-table statistics plus the cursor needed to maintain them
 /// incrementally: how many batches the summary has absorbed, and which
@@ -182,7 +172,8 @@ pub struct CleanDb {
     tables: HashMap<String, StoredTable>,
     /// Dictionary tables (registered via [`CleanDb::register_dictionary`]):
     /// their terms also serve as the k-means center corpus, as in §8.1.
-    dictionaries: HashMap<String, Arc<Vec<String>>>,
+    /// Name-ordered, so the corpus does not depend on hash order.
+    dictionaries: BTreeMap<String, Arc<Vec<String>>>,
     /// Per-table statistics, maintained incrementally across appends.
     stats: HashMap<String, CachedStats>,
     seed: u64,
@@ -233,12 +224,12 @@ impl CleanDb {
             ctx,
             profile,
             tables: HashMap::new(),
-            dictionaries: HashMap::new(),
+            dictionaries: BTreeMap::new(),
             stats: HashMap::new(),
             seed: 42,
             epoch_counter: 0,
             dict_gen: 0,
-            plan_cache: PlanCache::new(),
+            plan_cache: PlanCache::default(),
             registry: MetricsRegistry::default(),
             capture_failures: false,
         }
@@ -447,7 +438,6 @@ impl CleanDb {
         &mut self,
         section: &super::repair::RepairSection,
     ) -> Result<super::repair::AppliedRepairs, EngineError> {
-        use std::collections::BTreeMap;
         let ctx = Arc::clone(&self.ctx);
         let _span = ctx.tracer().span("apply_repairs");
         // Group the plan by table; BTreeMap keeps the outcome table-ordered.
@@ -617,16 +607,13 @@ impl CleanDb {
     /// tables are at the same epochs skips parsing and planning entirely
     /// (plan-cache fast path).
     pub fn run(&mut self, sql: &str) -> Result<CleaningReport, EngineError> {
-        if let Some(entry) = self.lookup_text(sql) {
+        let (entry, hit) = self.lookup_or_plan(sql)?;
+        if hit {
             self.ctx
                 .tracer()
                 .event("plan_cache_text_hit", "parse + plan skipped");
-            return self.execute_planned(&entry, true);
         }
-        let t = Instant::now();
-        let query = parse_query(sql)?;
-        self.ctx.tracer().record_complete("parse", t.elapsed());
-        self.run_query_internal(sql, &query)
+        self.execute_planned(&entry, hit)
     }
 
     /// Run a query under per-run resource limits, reporting runtime
@@ -674,25 +661,17 @@ impl CleanDb {
         result
     }
 
-    /// The cached plan for a query text, if present and still valid — the
-    /// hook incremental sessions use to reuse a run's plans and context.
-    pub fn cached_plan(&self, sql: &str) -> Option<Arc<PlannedQuery>> {
-        let calc_key = self.plan_cache.by_text.get(&self.text_key(sql))?;
-        let entry = self.plan_cache.by_calc.get(calc_key)?;
-        self.entry_valid(entry).then(|| Arc::clone(entry))
+    /// The planned query for `sql`: the cached entry while it is still
+    /// valid, else a fresh plan, cached under the query text. This is how
+    /// incremental and repair consumers read a query's operators, plans
+    /// and evaluation context. The plan-cache counters count runs, so
+    /// `plan` does not move them.
+    pub fn plan(&mut self, sql: &str) -> Result<Arc<PlannedQuery>, EngineError> {
+        self.lookup_or_plan(sql).map(|(entry, _)| entry)
     }
 
     fn text_key(&self, sql: &str) -> String {
         format!("{}\u{1f}{}\u{1f}{sql}", self.profile.name, self.seed)
-    }
-
-    fn calc_key(&self, ops: &[DesugaredOp]) -> String {
-        use std::fmt::Write;
-        let mut key = format!("{}\u{1f}{}", self.profile.name, self.seed);
-        for op in ops {
-            let _ = write!(key, "\u{1f}{:?} {}", op.kind, op.comp);
-        }
-        key
     }
 
     /// Is a cached plan still safe to run? Every table it was planned
@@ -713,31 +692,32 @@ impl CleanDb {
                 .all(|(t, e)| self.tables.get(t).map(StoredTable::epoch) == *e)
     }
 
-    fn lookup_text(&mut self, sql: &str) -> Option<Arc<PlannedQuery>> {
-        let calc_key = self.plan_cache.by_text.get(&self.text_key(sql))?.clone();
-        self.lookup_calc(&calc_key)
-    }
-
-    fn lookup_calc(&mut self, calc_key: &str) -> Option<Arc<PlannedQuery>> {
-        match self.plan_cache.by_calc.get(calc_key) {
-            Some(entry) if self.entry_valid(entry) => Some(Arc::clone(entry)),
-            Some(_) => {
-                // Stale (an epoch moved): drop it; the caller re-plans.
-                self.plan_cache.by_calc.remove(calc_key);
-                None
+    /// `sql`'s valid cached entry (`true`), or a fresh plan now cached in
+    /// place of any stale one (`false`).
+    fn lookup_or_plan(&mut self, sql: &str) -> Result<(Arc<PlannedQuery>, bool), EngineError> {
+        let key = self.text_key(sql);
+        if let Some(entry) = self.plan_cache.entries.get(&key) {
+            if self.entry_valid(entry) {
+                return Ok((Arc::clone(entry), true));
             }
-            None => None,
         }
+        let entry = Arc::new(self.plan_fresh(sql)?);
+        if self.plan_cache.entries.len() >= PLAN_CACHE_CAP {
+            self.plan_cache.entries.clear();
+        }
+        self.plan_cache.entries.insert(key, Arc::clone(&entry));
+        Ok((entry, false))
     }
 
-    fn run_query_internal(
-        &mut self,
-        sql: &str,
-        query: &Query,
-    ) -> Result<CleaningReport, EngineError> {
+    /// Levels 1–2: parse, desugar, normalize, then lower and share.
+    fn plan_fresh(&self, sql: &str) -> Result<PlannedQuery, EngineError> {
+        let t = Instant::now();
+        let query = parse_query(sql)?;
+        self.ctx.tracer().record_complete("parse", t.elapsed());
+
         // Level 1a: Monoid Rewriter (desugar).
         let t = Instant::now();
-        let dq = desugar_query(query, self.seed)?;
+        let dq = desugar_query(&query, self.seed)?;
         self.ctx.tracer().record_complete("desugar", t.elapsed());
 
         // Level 1b: Monoid Optimizer (normalization).
@@ -760,17 +740,6 @@ impl CleanDb {
         }
 
         self.ctx.tracer().record_complete("normalize", t.elapsed());
-
-        // Plan-cache lookup on the normalized calculus: a hit skips
-        // lowering, sharing rewrites, blocker prep, and compilation.
-        let calc_key = self.calc_key(&normalized);
-        if let Some(entry) = self.lookup_calc(&calc_key) {
-            self.ctx
-                .tracer()
-                .event("plan_cache_calc_hit", "lowering + blocker prep skipped");
-            self.remember_text_alias(sql, &calc_key);
-            return self.execute_planned(&entry, true);
-        }
 
         // Level 2: lowering + sharing rewrite. A unified planner pushes
         // single-table filters below the theta joins and runs common
@@ -813,40 +782,20 @@ impl CleanDb {
         .then_some(self.epoch_counter);
 
         let eval_ctx = self.build_eval_ctx(&normalized);
-        let entry = Arc::new(PlannedQuery {
+        let entry = PlannedQuery {
             ops: normalized,
             plans,
             plan_text,
             normalize_stats,
             rewrite_stats,
             eval_ctx,
-            programs: Arc::new(ProgramCache::new()),
             stat_tables,
             guard,
             dict_gen: self.dict_gen,
             sampled_corpus_epoch,
-        });
-        if self.plan_cache.by_calc.len() >= PLAN_CACHE_CAP {
-            self.plan_cache.by_calc.clear();
-            self.plan_cache.by_text.clear();
-        }
-        self.plan_cache
-            .by_calc
-            .insert(calc_key.clone(), Arc::clone(&entry));
-        self.remember_text_alias(sql, &calc_key);
+        };
         self.ctx.tracer().record_complete("plan", t.elapsed());
-        self.execute_planned(&entry, false)
-    }
-
-    /// Record a raw-text alias for a cached calculus key, keeping the
-    /// alias map bounded (textually unique but calculus-identical queries
-    /// would otherwise grow it forever — hit path included).
-    fn remember_text_alias(&mut self, sql: &str, calc_key: &str) {
-        if self.plan_cache.by_text.len() >= 4 * PLAN_CACHE_CAP {
-            self.plan_cache.by_text.clear();
-        }
-        let tk = self.text_key(sql);
-        self.plan_cache.by_text.insert(tk, calc_key.to_string());
+        Ok(entry)
     }
 
     /// Level 3: physical execution of a planned query.
@@ -880,7 +829,6 @@ impl CleanDb {
         // only this run's delta into the metrics.
         let comparisons_before = entry.eval_ctx.comparisons();
         let traced = self.ctx.tracer().is_enabled();
-        let programs_before = entry.programs.counters();
 
         let mut executor = Executor::new(
             Arc::clone(&self.ctx),
@@ -889,7 +837,6 @@ impl CleanDb {
             Arc::clone(&entry.eval_ctx),
         );
         executor.set_stats(query_stats.clone());
-        executor.set_program_cache(Arc::clone(&entry.programs));
         executor.register_plans(&entry.plans);
         executor.set_profiling(traced);
         let mut ops: Vec<OpResult> = Vec::with_capacity(entry.plans.len());
@@ -994,14 +941,7 @@ impl CleanDb {
             profiles,
             failure: failure_info,
         };
-        let programs_after = entry.programs.counters();
-        self.registry.record_query(
-            &report,
-            (
-                programs_after.0 - programs_before.0,
-                programs_after.1 - programs_before.1,
-            ),
-        );
+        self.registry.record_query(&report);
         if let Some((_, e)) = failure {
             // `run` keeps its `Err` contract; `run_with_limits` asks for
             // the failure as report data instead.
@@ -1014,8 +954,9 @@ impl CleanDb {
 
     /// Build the evaluation context: tables (for any residual reference
     /// evaluation) plus prepared blockers. K-means centers come from a
-    /// registered dictionary when available, falling back to the blocking
-    /// attribute's own values (§8.1 obtains centers "from the dictionary").
+    /// registered dictionary when available (the first by name), falling
+    /// back to the blocking attribute's own values (§8.1 obtains centers
+    /// "from the dictionary").
     fn build_eval_ctx(&self, ops: &[DesugaredOp]) -> Arc<EvalCtx> {
         let mut ctx = EvalCtx::new();
         let corpus: Vec<String> = match self.dictionaries.values().next() {
@@ -1028,10 +969,13 @@ impl CleanDb {
         Arc::new(ctx)
     }
 
-    /// Fallback k-means corpus: sampled string values from the catalog.
+    /// Fallback k-means corpus: sampled string values from the catalog,
+    /// walked in table-name order so the centers do not depend on hash
+    /// order.
     fn sample_string_corpus(&self, limit: usize) -> Vec<String> {
         let mut out = Vec::new();
-        for stored in self.tables.values() {
+        let by_name: BTreeMap<&String, &StoredTable> = self.tables.iter().collect();
+        for stored in by_name.into_values() {
             let step = (stored.len() / 512).max(1);
             for row in stored.iter_rows().step_by(step) {
                 if let Ok(fields) = row.as_struct() {
@@ -1401,6 +1345,59 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// Sixty distinct lower-case names, varied by `salt`.
+    fn name_table(salt: usize) -> Table {
+        let syllables = [
+            "an", "der", "son", "zha", "ng", "mil", "ler", "ko", "va", "ski",
+        ];
+        let rows = (0..60)
+            .map(|i: usize| {
+                let j = i * 7 + salt * 13;
+                let name = format!(
+                    "{}{}{}",
+                    syllables[j % 10],
+                    syllables[(j / 10) % 10],
+                    syllables[(i + salt) % 10]
+                );
+                Row::new(vec![Value::str(name)])
+            })
+            .collect();
+        Table::new(Schema::of([("name", DataType::Str)]), rows)
+    }
+
+    /// K-means centers come from a corpus walked in name order, so fresh
+    /// sessions agree whatever order their maps iterate in: with no
+    /// dictionary the corpus samples every table, with several it is the
+    /// first dictionary's terms.
+    #[test]
+    fn kmeans_blocking_is_deterministic_across_sessions() {
+        let run = |dictionaries: bool| {
+            let mut db = CleanDb::new(EngineProfile::clean_db());
+            for (salt, name) in ["a", "b", "c"].into_iter().enumerate() {
+                db.register(name, name_table(salt));
+            }
+            let sql = if dictionaries {
+                for (salt, name) in ["d1", "d2"].into_iter().enumerate() {
+                    let terms = name_table(salt + 5).rows;
+                    let terms = terms.iter().map(|r| r.values()[0].to_text()).collect();
+                    db.register_dictionary(name, terms);
+                }
+                "SELECT * FROM a x, d1 d CLUSTER BY(kmeans(4), LD, 0.6, x.name)"
+            } else {
+                "SELECT * FROM a x DEDUP(kmeans(4), LD, 0.6, x.name)"
+            };
+            let report = db.run(sql).unwrap();
+            (report.violating_ids, report.ops[0].output.clone())
+        };
+        for dictionaries in [false, true] {
+            let first = run(dictionaries);
+            assert!(!first.1.is_empty(), "dictionaries: {dictionaries}");
+            for _ in 0..16 {
+                assert_eq!(run(dictionaries), first, "dictionaries: {dictionaries}");
+            }
+        }
+    }
+
     #[test]
     fn append_extends_table_and_continues_rowids() {
         let mut db = CleanDb::new(EngineProfile::clean_db());
@@ -1482,11 +1479,13 @@ mod tests {
         assert!(second.plan_cache.hit, "identical text must hit");
         assert_eq!(second.plan_cache.hits, 1);
         assert_eq!(second.violating_ids, first.violating_ids);
-        // A calculus-identical but textually different query also hits.
+        // The cache is keyed by text: a textually different query with the
+        // same calculus is planned afresh, with the same result.
         let third = db
             .run("SELECT  *  FROM customer c FD(c.address, c.nationkey)")
             .unwrap();
-        assert!(third.plan_cache.hit, "normalized-calculus key must hit");
+        assert!(!third.plan_cache.hit, "only identical text hits");
+        assert_eq!(third.violating_ids, first.violating_ids);
         // An append moves the epoch: the cached plan is stale.
         db.append("customer", extra_rows()).unwrap();
         let fourth = db.run(sql).unwrap();
@@ -1499,18 +1498,27 @@ mod tests {
     }
 
     #[test]
-    fn cached_plan_is_exposed_after_a_run() {
+    fn plan_serves_before_a_run_and_replans_after_an_append() {
         let mut db = CleanDb::new(EngineProfile::clean_db());
         db.register("customer", customer_table());
         let sql = "SELECT * FROM customer c FD(c.address, c.nationkey)";
-        assert!(db.cached_plan(sql).is_none());
-        db.run(sql).unwrap();
-        let entry = db.cached_plan(sql).expect("entry cached");
-        assert_eq!(entry.ops().len(), 1);
-        assert_eq!(entry.plans().len(), 1);
-        // Appending invalidates the exposed handle's validity check.
+        let planned = db.plan(sql).unwrap();
+        assert_eq!(planned.ops().len(), 1);
+        assert_eq!(planned.plans().len(), 1);
+        assert_eq!(db.plan_cache_counters(), (0, 0), "`plan` counts no run");
+        // The run reuses the entry `plan` cached.
+        assert!(db.run(sql).unwrap().plan_cache.hit);
+        assert!(Arc::ptr_eq(&planned, &db.plan(sql).unwrap()));
+        // An append moves the epoch: `plan` re-plans instead of serving
+        // the stale entry.
         db.append("customer", extra_rows()).unwrap();
-        assert!(db.cached_plan(sql).is_none());
+        let replanned = db.plan(sql).unwrap();
+        assert!(!Arc::ptr_eq(&planned, &replanned));
+        assert!(db.run(sql).unwrap().plan_cache.hit);
+        assert!(matches!(
+            db.plan("SELECT * FROM"),
+            Err(EngineError::Plan(_))
+        ));
     }
 
     #[test]

@@ -61,7 +61,7 @@ use crate::engine::storage::StoredTable;
 use super::groupfold::{self, AggFoldShape, ColumnarFold, KEY_SLOT_VAR};
 use super::pairs::{self, PairShape, PairSweep};
 use super::profile::{nest_stage_label, EngineProfile, NestStrategy, Planner};
-use super::program::{env_layout, ProgramCache, RowEnv, RowExpr};
+use super::program::{env_layout, RowEnv, RowExpr};
 use super::qprofile::{clip, ProfileNode};
 use super::scan::{chunk_ranges, ColumnScan};
 
@@ -104,9 +104,6 @@ pub struct Executor<'a> {
     pub(super) profile: EngineProfile,
     tables: &'a HashMap<String, StoredTable>,
     pub(super) eval: RowEval,
-    /// Compiled programs shared across runs of a cached plan (set by the
-    /// session's plan cache; `None` compiles per run as before).
-    program_cache: Option<Arc<ProgramCache>>,
     cache: HashMap<usize, Dataset<RowEnv>>,
     /// Plan nodes referenced more than once across the registered plans —
     /// the only ones worth materializing into the cache (caching a node
@@ -222,7 +219,6 @@ impl<'a> Executor<'a> {
                 ctx: eval_ctx,
                 errors: Arc::new(Mutex::new(Vec::new())),
             },
-            program_cache: None,
             cache: HashMap::new(),
             shared_nodes: std::collections::HashSet::new(),
             stats: StatsCatalog::new(),
@@ -525,8 +521,8 @@ impl<'a> Executor<'a> {
     /// counting it; per-partition evaluation then runs the flat program.
     /// An expression that does not compile — a variable outside the
     /// layout, an unknown table — fails the query here, before the node
-    /// evaluates a row. With a program cache attached (cached plans), compilation
-    /// happens once per *plan lifetime* rather than once per run.
+    /// evaluates a row. Programs are compiled on every run, a cached plan's
+    /// included.
     pub(super) fn row_expr(
         &mut self,
         expr: &CalcExpr,
@@ -540,17 +536,9 @@ impl<'a> Executor<'a> {
     /// [`Executor::row_expr`] without counting the expression: for a route
     /// that may still decline, and counts what it compiled once it runs.
     pub(super) fn compile(&self, expr: &CalcExpr, scope: &[String]) -> ExecResult<Arc<RowExpr>> {
-        let rx = match &self.program_cache {
-            Some(cache) => cache.get_or_compile(expr, scope, &self.eval.ctx),
-            None => RowExpr::compile(expr, scope, &self.eval.ctx).map(Arc::new),
-        };
-        rx.map_err(|e| ExecError::Value(e.to_string()))
-    }
-
-    /// Attach a cross-run compiled-program cache (plan-cache entries own
-    /// one per planned query).
-    pub fn set_program_cache(&mut self, cache: Arc<ProgramCache>) {
-        self.program_cache = Some(cache);
+        RowExpr::compile(expr, scope, &self.eval.ctx)
+            .map(Arc::new)
+            .map_err(|e| ExecError::Value(e.to_string()))
     }
 
     /// Provide table statistics for cost-based strategy selection.

@@ -18,10 +18,6 @@
 //! is a typed error when it is evaluated.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use cleanm_values::{Result, Value};
 
@@ -72,64 +68,6 @@ impl RowExpr {
     }
 }
 
-/// Compiled row programs shared **across executor runs** of one cached
-/// plan. Keyed by the expression's rendering plus its environment layout —
-/// stable identities for a given plan — so a plan-cache hit reuses every
-/// program the first execution compiled instead of re-lowering them.
-/// All entries are compiled against the same [`EvalCtx`] (the cached
-/// plan's), which is what makes reuse sound.
-#[derive(Default)]
-pub struct ProgramCache {
-    programs: Mutex<HashMap<(String, String), Arc<RowExpr>>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-}
-
-impl ProgramCache {
-    pub fn new() -> Self {
-        ProgramCache::default()
-    }
-
-    /// Number of cached programs (diagnostics).
-    pub fn len(&self) -> usize {
-        self.programs.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime `(hits, misses)` of [`get_or_compile`] lookups — the
-    /// program-cache hit ratio the session metrics registry reports.
-    ///
-    /// [`get_or_compile`]: ProgramCache::get_or_compile
-    pub fn counters(&self) -> (u64, u64) {
-        use std::sync::atomic::Ordering::Relaxed;
-        (self.hits.load(Relaxed), self.misses.load(Relaxed))
-    }
-
-    /// The cached program for `(expr, scope)`, compiling and inserting it
-    /// on first request; a compile failure is returned, not cached.
-    pub fn get_or_compile(
-        &self,
-        expr: &CalcExpr,
-        scope: &[String],
-        ctx: &EvalCtx,
-    ) -> Result<Arc<RowExpr>> {
-        use std::sync::atomic::Ordering::Relaxed;
-        let key = (expr.to_string(), scope.join("\u{1f}"));
-        let mut map = self.programs.lock();
-        if let Some(rx) = map.get(&key) {
-            self.hits.fetch_add(1, Relaxed);
-            return Ok(Arc::clone(rx));
-        }
-        self.misses.fetch_add(1, Relaxed);
-        let rx = Arc::new(RowExpr::compile(expr, scope, ctx)?);
-        map.insert(key, Arc::clone(&rx));
-        Ok(rx)
-    }
-}
-
 /// The ordered variable names of the rows `plan` produces — the meaning of
 /// each [`RowEnv`] position. This mirrors exactly how the executor builds
 /// rows: `Scan` binds its variable, `Select` passes through, `Unnest`
@@ -164,7 +102,9 @@ mod tests {
     use crate::lang::parse_query;
     use crate::physical::{EngineProfile, Executor};
     use cleanm_exec::ExecContext;
+    use std::collections::HashMap;
     use std::path::Path;
+    use std::sync::Arc;
 
     fn scan(table: &str, var: &str) -> Arc<Alg> {
         Arc::new(Alg::Scan {

@@ -287,16 +287,13 @@ pub fn decode(bytes: Bytes) -> Result<Table> {
     let (schema, row_count) = decode_header(&mut r)?;
 
     // Columns arrive column-major; build row-major output.
-    let mut columns: Vec<Vec<Value>> = Vec::with_capacity(schema.len());
+    let mut columns = Vec::with_capacity(schema.len());
     for field in schema.fields() {
-        columns.push(decode_column(&mut r, row_count, &field.dtype)?);
+        columns.push(decode_column_typed(&mut r, row_count, &field.dtype)?);
     }
-    let mut rows = Vec::with_capacity(row_count);
-    for i in 0..row_count {
-        rows.push(Row::new(
-            columns.iter().map(|c| c[i].clone()).collect::<Vec<_>>(),
-        ));
-    }
+    let rows = (0..row_count)
+        .map(|i| Row::new(columns.iter().map(|c| c.value(i)).collect::<Vec<_>>()))
+        .collect();
     Ok(Table::new(schema, rows))
 }
 
@@ -319,8 +316,8 @@ pub fn decode_columnar(bytes: Bytes) -> Result<(Schema, ColumnBatch)> {
     Ok((schema, batch))
 }
 
-/// Decode one column block into typed columnar storage (the column-first
-/// twin of [`decode_column`]).
+/// Decode one column block into typed columnar storage — the one column
+/// decoder under both [`decode`] and [`decode_columnar`].
 fn decode_column_typed(r: &mut Reader, rows: usize, dtype: &DataType) -> Result<Column> {
     let bitmap = r.raw(rows.div_ceil(8))?;
     let is_present = |i: usize| bitmap[i / 8] & (1 << (i % 8)) != 0;
@@ -436,68 +433,6 @@ fn decode_dict(r: &mut Reader) -> Result<Vec<Arc<str>>> {
         dict.push(Arc::from(r.str()?.as_str()));
     }
     Ok(dict)
-}
-
-fn decode_column(r: &mut Reader, rows: usize, dtype: &DataType) -> Result<Vec<Value>> {
-    let bitmap = r.raw(rows.div_ceil(8))?;
-    let is_present = |i: usize| bitmap[i / 8] & (1 << (i % 8)) != 0;
-    let present_count = (0..rows).filter(|&i| is_present(i)).count();
-
-    let mut present: Vec<Value> = Vec::with_capacity(present_count);
-    match dtype {
-        DataType::Int => {
-            for _ in 0..present_count {
-                present.push(Value::Int(r.i64()?));
-            }
-        }
-        DataType::Float => {
-            for _ in 0..present_count {
-                present.push(Value::Float(r.f64()?));
-            }
-        }
-        DataType::Bool => {
-            let n = r.u32()? as usize;
-            if n != present_count {
-                return Err(Error::Parse("bool column count mismatch".to_string()));
-            }
-            let packed = r.raw(n.div_ceil(8))?;
-            for i in 0..n {
-                present.push(Value::Bool(packed[i / 8] & (1 << (i % 8)) != 0));
-            }
-        }
-        DataType::Str => {
-            let dict = decode_dict(r)?;
-            for _ in 0..present_count {
-                let code = r.u32()? as usize;
-                let s = dict
-                    .get(code)
-                    .ok_or_else(|| Error::Parse(format!("dictionary code {code} out of range")))?;
-                present.push(Value::Str(Arc::clone(s)));
-            }
-        }
-        DataType::List(_) | DataType::Struct(_) => {
-            for _ in 0..present_count {
-                let len = r.u32()? as usize;
-                let inner = r.raw(len)?;
-                let mut ir = Reader { bytes: inner };
-                present.push(decode_value(&mut ir, 0)?);
-            }
-        }
-    }
-
-    let mut out = Vec::with_capacity(rows);
-    let mut it = present.into_iter();
-    for i in 0..rows {
-        if is_present(i) {
-            out.push(
-                it.next()
-                    .ok_or_else(|| Error::Parse("column shorter than bitmap".to_string()))?,
-            );
-        } else {
-            out.push(Value::Null);
-        }
-    }
-    Ok(out)
 }
 
 fn decode_value(r: &mut Reader, depth: usize) -> Result<Value> {
@@ -648,8 +583,8 @@ mod tests {
 
     #[test]
     fn columnar_decode_matches_row_decode() {
-        // Every dtype incl. a nested list column with nulls: the typed
-        // decode must agree row-for-row with the row-pivoting decode.
+        // Every dtype incl. a nested list column with nulls: the batch
+        // must agree row-for-row with the row decode.
         let t = sample_table();
         let bytes = encode(&t).unwrap();
         let table = decode(bytes.clone()).unwrap();

@@ -59,11 +59,11 @@ impl StandingDc {
                 "cannot install a DC whose baseline exceeds the work budget".to_string(),
             )));
         };
-        // The baseline run left the rule's plan in the cache: index by the
-        // sides, filters and hint the lowering derived from the predicate.
-        let entry = db.cached_plan(&dc.to_sql());
+        // Index by the sides, filters and hint the lowering derived from
+        // the predicate (the baseline run left the plan in the cache).
+        let entry = db.plan(&dc.to_sql())?;
         let Some(((_, left_var, left_filters), (_, right_var, right_filters), pred, hint)) =
-            entry.as_ref().and_then(|e| theta_sides(e.plans().first()?))
+            entry.plans().first().and_then(|plan| theta_sides(plan))
         else {
             return Err(EngineError::Exec(cleanm_exec::ExecError::Other(format!(
                 "`{}` does not plan as a theta join; install it as a standing query",

@@ -8,8 +8,8 @@
 //!   table's stats epoch, and maintains `TableStats` by summarizing only
 //!   the new batches (the stats monoid absorbs deltas without
 //!   recollection).
-//! * **Standing queries** — [`IncrementalSession::install`] plans and
-//!   compiles a query once (via the session plan cache) and retains
+//! * **Standing queries** — [`IncrementalSession::install`] runs a query
+//!   once, takes its plan from `CleanDb::plan`, and retains
 //!   per-operator state: FD group maps, DEDUP blocking indexes, CLUSTER BY
 //!   dictionary indexes, DC join-key domains. Each appended batch is then
 //!   validated delta-vs-delta and delta-vs-history, producing a
@@ -17,9 +17,10 @@
 //!   violations and repairs as a from-scratch run — without rescanning old
 //!   rows. Operators whose state cannot be maintained fall back to a full
 //!   re-run, counted in `report.incremental`.
-//! * **Plan cache** — repeated or calculus-identical queries skip
-//!   parse/normalize/plan/compile entirely; hits and misses are surfaced
-//!   in every report's `plan_cache` field.
+//! * **Plan cache** — an exact textual repeat over unchanged tables skips
+//!   parse/normalize/plan entirely; hits and misses are surfaced in every
+//!   report's `plan_cache` field. A plan evicted from the cache is planned
+//!   again on request, so no consumer has a missing-plan branch.
 
 mod dc;
 mod session;

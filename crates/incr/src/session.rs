@@ -1,9 +1,9 @@
 //! The incremental session: standing queries over an append-aware
 //! [`CleanDb`].
 //!
-//! [`IncrementalSession::install`] runs a CleanM query once (seeding the
-//! session plan cache), grabs the cached plan, recognizes each operator's
-//! shape, and builds the per-operator state of [`crate::state`]. From then
+//! [`IncrementalSession::install`] runs a CleanM query once, takes its
+//! plan from [`CleanDb::plan`], recognizes each operator's shape, and
+//! builds the per-operator state of [`crate::state`]. From then
 //! on, [`IncrementalSession::refresh`] validates only the rows appended
 //! since the last refresh — delta-vs-delta and delta-vs-history — and
 //! assembles a [`CleaningReport`] whose violations and repairs are
@@ -56,7 +56,10 @@ struct InstalledOp {
 
 struct Standing {
     sql: String,
-    entry: Option<Arc<PlannedQuery>>,
+    entry: Arc<PlannedQuery>,
+    /// Set when a delta failed to absorb: retained state is half-updated,
+    /// so the next refresh reinstalls instead of absorbing again.
+    poisoned: bool,
     ops: Vec<InstalledOp>,
     /// Every table the query depends on (base tables + dictionary sides).
     cursors: HashMap<String, Cursor>,
@@ -81,7 +84,7 @@ struct Standing {
 ///     Table::new(schema.clone(), vec![row("a st", 1), row("b st", 2)]),
 /// );
 ///
-/// // Install once: planned, compiled, and per-operator state retained.
+/// // Install once: one full run, then per-operator state retained.
 /// let (id, baseline) = session
 ///     .install("SELECT * FROM customer c FD(c.address, c.nationkey)")
 ///     .unwrap();
@@ -120,8 +123,8 @@ impl IncrementalSession {
         self.db.append(name, table)
     }
 
-    /// Install a standing query: one full run (plans + compiles once,
-    /// seeding the plan cache), then per-operator state built from the
+    /// Install a standing query: one full run (which caches its plan for
+    /// [`CleanDb::plan`]), then per-operator state built from the
     /// current table contents. Returns the handle and the baseline report.
     pub fn install(&mut self, sql: &str) -> Result<(QueryId, CleaningReport), EngineError> {
         let report = self.db.run(sql)?;
@@ -181,8 +184,8 @@ impl IncrementalSession {
         // queries can be audited for *why* refreshes stopped being cheap.
         let rebuild_reason = {
             let q = &self.queries[id.0];
-            if q.entry.is_none() {
-                Some("no cached plan (evicted or poisoned); full re-run")
+            if q.poisoned {
+                Some("retained state poisoned by a failed absorb; full re-run")
             } else if q.dict_gen != self.db.dictionaries_generation() {
                 Some("dictionary (re)registered; blockers stale; full re-run")
             } else if q.cursors.iter().any(|(t, cur)| match self.db.table(t) {
@@ -238,10 +241,7 @@ impl IncrementalSession {
             None
         };
 
-        let entry = self.queries[id.0]
-            .entry
-            .clone()
-            .expect("rebuild handled entry-less queries");
+        let entry = Arc::clone(&self.queries[id.0].entry);
         let eval_ctx = Arc::clone(entry.eval_ctx());
         let comparisons_before = eval_ctx.comparisons();
 
@@ -304,7 +304,7 @@ impl IncrementalSession {
                 "refresh_fallback",
                 format!("{e}; retained state untrustworthy; rebuilding"),
             );
-            self.queries[id.0].entry = None;
+            self.queries[id.0].poisoned = true;
             let report = self.reinstall(id)?;
             self.db.record_refresh_latency(report.total);
             return Ok(report);
@@ -382,51 +382,40 @@ impl IncrementalSession {
         sql: &str,
         report: &CleaningReport,
     ) -> Result<Standing, EngineError> {
-        let entry = self.db.cached_plan(sql);
+        let entry = self.db.plan(sql)?;
+        let eval_ctx = Arc::clone(entry.eval_ctx());
+        let corpus_sampled = entry.corpus_sampled();
         let mut ops = Vec::new();
         let mut cursors: HashMap<String, Cursor> = HashMap::new();
-        if let Some(entry) = &entry {
-            let eval_ctx = Arc::clone(entry.eval_ctx());
-            let corpus_sampled = entry.corpus_sampled();
-            for (plan, dop) in entry.plans().iter().zip(entry.ops()) {
-                let baseline = report
-                    .op_output(&dop.label)
-                    .map(|o| o.to_vec())
-                    .unwrap_or_default();
-                let (state, tables) =
-                    self.build_state(plan, dop.kind, &eval_ctx, baseline, corpus_sampled)?;
-                for t in &tables {
-                    if let Some(stored) = self.db.table(t) {
-                        cursors.insert(
-                            t.clone(),
-                            Cursor {
-                                lineage: stored.created(),
-                                batches_seen: stored.batches().len(),
-                            },
-                        );
-                    }
+        for (plan, dop) in entry.plans().iter().zip(entry.ops()) {
+            let baseline = report
+                .op_output(&dop.label)
+                .map(|o| o.to_vec())
+                .unwrap_or_default();
+            let (state, tables) =
+                self.build_state(plan, dop.kind, &eval_ctx, baseline, corpus_sampled)?;
+            for t in &tables {
+                if let Some(stored) = self.db.table(t) {
+                    cursors.insert(
+                        t.clone(),
+                        Cursor {
+                            lineage: stored.created(),
+                            batches_seen: stored.batches().len(),
+                        },
+                    );
                 }
-                ops.push(InstalledOp {
-                    label: dop.label.clone(),
-                    kind: dop.kind,
-                    tables,
-                    state,
-                });
             }
-        } else {
-            // Plan cache unavailable (evicted): every op falls back.
-            for op in &report.ops {
-                ops.push(InstalledOp {
-                    label: op.label.clone(),
-                    kind: op.kind,
-                    tables: Vec::new(),
-                    state: OpState::Fallback,
-                });
-            }
+            ops.push(InstalledOp {
+                label: dop.label.clone(),
+                kind: dop.kind,
+                tables,
+                state,
+            });
         }
         Ok(Standing {
             sql: sql.to_string(),
             entry,
+            poisoned: false,
             ops,
             cursors,
             dict_gen: self.db.dictionaries_generation(),

@@ -13,7 +13,7 @@
 //! * SELECT — accumulated projected output (plus the filters to run on
 //!   delta rows).
 //!
-//! Expressions are compiled once per install against the cached plan's
+//! Expressions are compiled once per install against the query plan's
 //! evaluation context ([`RowExpr`]), so blocking keys and similarity
 //! semantics match the batch run bit-for-bit. Anything whose plan does not
 //! match a maintainable shape becomes [`OpState::Fallback`] and re-runs in

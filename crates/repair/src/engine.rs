@@ -52,10 +52,9 @@ impl RepairEngine {
         Ok(report)
     }
 
-    /// Plan fixes for an already-run query's report. The query must still
-    /// be plan-cached (it is, immediately after `db.run(sql)`); an evicted
-    /// plan degrades to counting every violating output as unrepaired
-    /// rather than guessing at operator shapes.
+    /// Plan fixes for an already-run query's report. The operator shapes
+    /// come from [`CleanDb::plan`]: the run's cached plan, or the same
+    /// query planned again if the cache has evicted it since.
     pub fn plan_for_report(
         &self,
         db: &mut CleanDb,
@@ -66,11 +65,7 @@ impl RepairEngine {
         let ctx = Arc::clone(db.context());
         let _span = ctx.tracer().span("repair");
         let mut section = RepairSection::default();
-        let Some(entry) = db.cached_plan(sql) else {
-            section.unrepaired = report.ops.iter().map(|o| o.output.len()).sum();
-            section.duration = started.elapsed();
-            return Ok(section);
-        };
+        let entry = db.plan(sql)?;
         for (i, op) in entry.ops().iter().enumerate() {
             let output = report.op_output(&op.label).unwrap_or(&[]);
             if output.is_empty() {

@@ -154,7 +154,7 @@ mod tests {
         let mut db = db_with(vec![("a", 1), ("a", 1), ("a", 2), ("b", 7)]);
         let report = db.run(sql).unwrap();
         let shape = {
-            let entry = db.cached_plan(sql).unwrap();
+            let entry = db.plan(sql).unwrap();
             FdPlanShape::from_plan(&entry.plans()[0]).unwrap()
         };
         let output = report.op_output("FD#0").unwrap();
@@ -177,7 +177,7 @@ mod tests {
         let mut db = db_with(vec![("a", 1), ("a", 2), ("b", 2), ("c", 2), ("d", 2)]);
         let report = db.run(sql).unwrap();
         let shape = {
-            let entry = db.cached_plan(sql).unwrap();
+            let entry = db.plan(sql).unwrap();
             FdPlanShape::from_plan(&entry.plans()[0]).unwrap()
         };
         let stats = db.table_stats("t").unwrap();
@@ -201,7 +201,7 @@ mod tests {
         let mut db = db_with(vec![("abc", 100), ("xyz", 100)]);
         let report = db.run(sql).unwrap();
         let shape = {
-            let entry = db.cached_plan(sql).unwrap();
+            let entry = db.plan(sql).unwrap();
             FdPlanShape::from_plan(&entry.plans()[0]).unwrap()
         };
         let output = report.op_output("FD#0").unwrap();

@@ -14,7 +14,14 @@ const QUERY: &str = "SELECT * FROM customer c \
                      FD(c.address, c.nationkey) \
                      DEDUP(exact, LD, 0.8, c.address, c.name)";
 
-fn plan_fixes(profile: EngineProfile, partitions: usize) -> (Vec<Fix>, Vec<(String, i64)>) {
+/// Fig. 5's unified query: two FDs and a DEDUP over one table.
+const FIG5: &str = "SELECT * FROM customer c \
+                    FD(c.address, prefix(c.phone)) \
+                    FD(c.address, c.nationkey) \
+                    DEDUP(exact, LD, 0.8, c.address, c.name)";
+
+/// A session over 600 dirty customer rows.
+fn customer_db(profile: EngineProfile, partitions: usize) -> CleanDb {
     let data = CustomerGen::new(11)
         .rows(600)
         .duplicate_fraction(0.12)
@@ -22,12 +29,20 @@ fn plan_fixes(profile: EngineProfile, partitions: usize) -> (Vec<Fix>, Vec<(Stri
         .generate();
     let mut db = CleanDb::with_context(profile, ExecContext::new(2, partitions));
     db.register("customer", data.table);
-    // A rewriting merge policy so DEDUP contributes fixes, not just drops.
-    let engine = RepairEngine::new(RepairConfig {
+    db
+}
+
+/// A rewriting merge policy so DEDUP contributes fixes, not just drops.
+fn engine() -> RepairEngine {
+    RepairEngine::new(RepairConfig {
         merge: MergePolicy::keep_canonical().with_column("name", MergeFn::Longest),
         ..RepairConfig::default()
-    });
-    let report = engine.run(&mut db, QUERY).unwrap();
+    })
+}
+
+fn plan_fixes(profile: EngineProfile, partitions: usize) -> (Vec<Fix>, Vec<(String, i64)>) {
+    let mut db = customer_db(profile, partitions);
+    let report = engine().run(&mut db, QUERY).unwrap();
     let section = report.repair.unwrap();
     (section.fixes, section.dropped_rows)
 }
@@ -70,4 +85,28 @@ fn fixes_come_out_sorted_by_table_row_column() {
     let mut dropped_sorted = dropped.clone();
     dropped_sorted.sort();
     assert_eq!(dropped, dropped_sorted);
+}
+
+/// Planning repairs for a report does not depend on the query's plan still
+/// being cached: after more distinct queries than the plan cache holds,
+/// the same report plans the same section.
+#[test]
+fn a_repair_plan_survives_plan_cache_eviction() {
+    let mut db = customer_db(EngineProfile::clean_db(), 2);
+    let engine = engine();
+    let report = db.run(FIG5).unwrap();
+    let before = engine.plan_for_report(&mut db, FIG5, &report).unwrap();
+    assert!(!before.fixes.is_empty(), "corpus must produce fixes");
+    assert!(
+        !before.dropped_rows.is_empty(),
+        "corpus must produce merges"
+    );
+    for i in 0..150 {
+        let sql = format!("SELECT c.name AS n FROM customer c WHERE c.nationkey = {i}");
+        assert!(!db.run(&sql).unwrap().plan_cache.hit);
+    }
+    let after = engine.plan_for_report(&mut db, FIG5, &report).unwrap();
+    assert_eq!(after.fixes, before.fixes);
+    assert_eq!(after.dropped_rows, before.dropped_rows);
+    assert_eq!(after.unrepaired, before.unrepaired);
 }

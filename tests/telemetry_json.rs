@@ -29,11 +29,10 @@ const NODE_KEYS: [&str; 16] = [
     "stages",
     "children",
 ];
-const SNAPSHOT_KEYS: [&str; 10] = [
+const SNAPSHOT_KEYS: [&str; 9] = [
     "query_latency",
     "refresh_latency",
     "plan_cache",
-    "program_cache",
     "records_shuffled",
     "comparisons",
     "exprs",
@@ -157,10 +156,11 @@ fn fresh_snapshot_has_nulls_for_ratios_and_empty_maps() {
         assert_eq!(latency.field("count").unwrap(), &Value::Int(0));
         assert!(latency.field("p99_ms").unwrap().is_null(), "{track}");
     }
-    for cache in ["plan_cache", "program_cache"] {
-        assert_eq!(names(at(&js, cache)), ["hits", "misses", "hit_ratio"]);
-        assert!(at(&js, &format!("{cache}.hit_ratio")).is_null());
-    }
+    assert_eq!(
+        names(at(&js, "plan_cache")),
+        ["hits", "misses", "hit_ratio"]
+    );
+    assert!(at(&js, "plan_cache.hit_ratio").is_null());
     assert_eq!(
         names(at(&js, "exprs")),
         ["compiled", "fused_selects", "rows_vectorized"]
