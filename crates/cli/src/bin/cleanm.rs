@@ -47,7 +47,7 @@ commands:
       tables and figures, then the incr / repair / faults gates, which each
       write BENCH_<name>.json and make the exit code 1 if a gate fails.
 
-profiles: clean_db (default), spark, bigdansing, adaptive
+profiles: clean_db (default), spark, bigdansing
 
 exit codes: 0 success; 1 diagnostics or execution failure; 2 usage error;
 3 resource limit (--timeout deadline, --max-work budget, or cancellation)";
@@ -118,7 +118,9 @@ fn parse_exec_args(args: &[String]) -> Result<ExecArgs, String> {
             }
             "--profile" => {
                 let name = it.next().ok_or("--profile needs a name")?;
-                profile = parse_profile(name).ok_or_else(|| format!("unknown profile `{name}`"))?;
+                profile = parse_profile(name).ok_or_else(|| {
+                    format!("unknown profile `{name}` (accepted: clean_db, spark, bigdansing)")
+                })?;
             }
             "--table" => {
                 let spec = it.next().ok_or("--table needs name=file.csv")?;

@@ -19,7 +19,6 @@ pub fn parse_profile(name: &str) -> Option<EngineProfile> {
         "clean_db" | "cleandb" => Some(EngineProfile::clean_db()),
         "spark" | "spark_sql" | "sparksql" => Some(EngineProfile::spark_sql_like()),
         "bigdansing" | "big_dansing" => Some(EngineProfile::big_dansing_like()),
-        "adaptive" => Some(EngineProfile::adaptive()),
         _ => None,
     }
 }
@@ -37,9 +36,11 @@ mod tests {
 
     #[test]
     fn profile_names_resolve() {
-        for name in ["clean_db", "CleanDB", "spark", "bigdansing", "adaptive"] {
+        for name in ["clean_db", "CleanDB", "spark", "bigdansing"] {
             assert!(parse_profile(name).is_some(), "{name}");
         }
-        assert!(parse_profile("postgres").is_none());
+        for name in ["postgres", "adaptive"] {
+            assert!(parse_profile(name).is_none(), "{name}");
+        }
     }
 }

@@ -8,12 +8,10 @@
 //! coalesces the two grouping passes of FD and DEDUP into one, and how the
 //! "Overall Plan" scans the dataset once.
 
-pub mod cardinality;
 pub mod lower;
 pub mod plan;
 pub mod rewrite;
 
-pub use cardinality::{estimate, CardEstimate, StatsCatalog};
 pub use lower::lower_op;
 pub(crate) use lower::lower_op_with;
 pub use plan::{Alg, HintKind, ThetaHint};

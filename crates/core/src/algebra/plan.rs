@@ -76,10 +76,9 @@ impl HintKind {
     /// [`HintKind::compatible`] with both range maxes widened by `widen`
     /// before the check — the sound form for prefix-key (string) domains,
     /// where distinct values can collide onto one key
-    /// ([`cleanm_stats::STRING_KEY_RESOLUTION`]). Widening only ever
-    /// weakens pruning, never unsoundly strengthens it. This is the single
-    /// place the widening rule lives; the executor, the cost model, and
-    /// the cardinality estimator all build their checks from it.
+    /// ([`STRING_KEY_RESOLUTION`]). Widening only ever weakens pruning,
+    /// never unsoundly strengthens it. This is the single place the
+    /// widening rule lives; the executor builds its checks from it.
     pub fn compat_fn(self, widen: f64) -> impl Fn((f64, f64), (f64, f64)) -> bool + Copy {
         move |l: (f64, f64), r: (f64, f64)| self.compatible((l.0, l.1 + widen), (r.0, r.1 + widen))
     }
@@ -90,10 +89,34 @@ impl HintKind {
 /// (string) domains.
 pub fn theta_widen(text: bool) -> f64 {
     if text {
-        cleanm_stats::STRING_KEY_RESOLUTION
+        STRING_KEY_RESOLUTION
     } else {
         0.0
     }
+}
+
+/// Bytes of a string folded into its theta-join key ([`string_key`]):
+/// 48 bits, exact in an `f64` mantissa.
+pub const STRING_KEY_BYTES: usize = 6;
+
+/// Minimum spacing between the keys of strings that differ within the
+/// prefix. Pruning over string-key ranges widens by this much
+/// ([`theta_widen`]) to stay sound under prefix collisions.
+pub const STRING_KEY_RESOLUTION: f64 = 1.0;
+
+/// The order-preserving `f64` key a theta join prunes a string under: the
+/// integer formed by its first [`STRING_KEY_BYTES`] bytes, big-endian. A
+/// bytewise `a <= b` implies `string_key(a) <= string_key(b)`, and strings
+/// that differ within the prefix are at least [`STRING_KEY_RESOLUTION`]
+/// apart — but distinct strings sharing the prefix collide onto one key,
+/// which is why pruning widens.
+pub fn string_key(s: &str) -> f64 {
+    let mut k: u64 = 0;
+    let bytes = s.as_bytes();
+    for i in 0..STRING_KEY_BYTES {
+        k = (k << 8) | u64::from(bytes.get(i).copied().unwrap_or(0));
+    }
+    k as f64
 }
 
 /// A nested-relational-algebra operator. Plans form a DAG via `Arc` — after
@@ -346,5 +369,18 @@ mod tests {
             group_var: "g".into(),
         };
         assert_ne!(nest_a.fingerprint(), nest_b.fingerprint());
+    }
+
+    #[test]
+    fn string_key_is_monotone_and_collides_only_past_the_prefix() {
+        let mut words = vec![
+            "", "a", "ab", "abcdef", "abcdefg", "b", "zz", "éclair", "Zebra", "  ", "0", "9",
+        ];
+        words.sort_unstable();
+        for w in words.windows(2) {
+            assert!(string_key(w[0]) <= string_key(w[1]), "{w:?}");
+        }
+        assert_eq!(string_key("abcdefXXX"), string_key("abcdefYYY"));
+        assert!(string_key("abcdf") - string_key("abcde") >= STRING_KEY_RESOLUTION);
     }
 }

@@ -9,11 +9,9 @@
 //! [`MetricsRegistry::snapshot_json`] exports the whole thing for
 //! dashboards or the bench harness.
 //!
-//! Latency percentiles reuse the statistics layer's equi-depth histograms
-//! ([`EquiDepthHistogram`]): samples are kept in a bounded buffer (a
+//! Latency percentiles are read from a bounded sample buffer (a
 //! deterministic every-other-sample decimation once full, so early *and*
-//! late queries stay represented), cut into equi-depth buckets on demand,
-//! and read back through [`EquiDepthHistogram::quantile`].
+//! late queries stay represented), sorted once per read.
 //!
 //! [`CleanDb`]: super::CleanDb
 //! [`CleaningReport`]: super::CleaningReport
@@ -21,7 +19,6 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use cleanm_stats::EquiDepthHistogram;
 use cleanm_trace::json;
 
 use super::repair::{AppliedRepairs, RepairSection};
@@ -66,33 +63,27 @@ impl LatencyTrack {
         self.observed
     }
 
-    /// The latency at quantile `q ∈ [0, 1]`, or `None` before any
-    /// observation.
-    pub fn quantile(&self, q: f64) -> Option<Duration> {
-        let sample: Vec<f64> = self.samples.iter().map(|&n| n as f64).collect();
-        let h = EquiDepthHistogram::from_sample(&sample, 64, self.observed)?;
-        Some(Duration::from_nanos(h.quantile(q) as u64))
-    }
-
-    /// `(p50, p90, p99)`, or `None` before any observation.
+    /// `(p50, p90, p99)` of the retained samples (nearest rank), or
+    /// `None` before any observation.
     pub fn percentiles(&self) -> Option<(Duration, Duration, Duration)> {
-        Some((
-            self.quantile(0.5)?,
-            self.quantile(0.9)?,
-            self.quantile(0.99)?,
-        ))
+        let mut sorted = self.samples.clone();
+        sorted.sort_unstable();
+        let last = sorted.len().checked_sub(1)?;
+        let at = |q: f64| Duration::from_nanos(sorted[(q * last as f64).round() as usize]);
+        Some((at(0.5), at(0.9), at(0.99)))
     }
 
     fn json(&self) -> String {
-        let pct = |q: f64| {
-            let ms = self.quantile(q).map(|d| d.as_secs_f64() * 1e3);
-            json::num(ms.unwrap_or(f64::NAN))
+        let ms = |d: Duration| json::num(d.as_secs_f64() * 1e3);
+        let [p50, p90, p99] = match self.percentiles() {
+            Some((p50, p90, p99)) => [p50, p90, p99].map(ms),
+            None => [(); 3].map(|_| json::num(f64::NAN)),
         };
         json::object([
             ("count", self.observed.to_string()),
-            ("p50_ms", pct(0.5)),
-            ("p90_ms", pct(0.9)),
-            ("p99_ms", pct(0.99)),
+            ("p50_ms", p50),
+            ("p90_ms", p90),
+            ("p99_ms", p99),
         ])
     }
 }

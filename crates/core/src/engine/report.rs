@@ -1,11 +1,8 @@
 //! Query results: what a cleaning run found and what it cost.
 
-use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 use cleanm_exec::MetricsSnapshot;
-use cleanm_stats::TableStats;
 use cleanm_values::Value;
 
 use crate::algebra::RewriteStats;
@@ -148,12 +145,9 @@ pub struct CleaningReport {
     /// EXPLAIN text of the executed (possibly shared) plans.
     pub plan_text: String,
     /// Physical-strategy decision per Nest/ThetaJoin node, in execution
-    /// order — under `EngineProfile::adaptive()` each carries the statistics
-    /// that drove it; under fixed profiles the reason is `"fixed profile"`.
+    /// order — the strategy that ran, with `"fixed profile"` as the reason
+    /// unless the profile's strategy could not run.
     pub decisions: Vec<PlanDecision>,
-    /// The statistics catalog entries consulted for this query (empty for
-    /// non-adaptive profiles).
-    pub table_stats: HashMap<String, Arc<TableStats>>,
     /// Expression-evaluation accounting: compiled plan-node expressions,
     /// the `Select` nodes fused into their consumers, vectorized rows.
     pub exprs: ExprStats,
@@ -338,7 +332,6 @@ mod tests {
                 strategy: "LocalAggregate".into(),
                 reason: "fixed profile".into(),
             }],
-            table_stats: HashMap::new(),
             exprs: ExprStats {
                 compiled: 3,
                 interpreted: 0,

@@ -4,11 +4,10 @@
 //! the session maintains two cross-run structures:
 //!
 //! * an **append-aware catalog** ([`StoredTable`]): `append` adds row
-//!   batches as new partitions instead of replacing the table, bumps the
-//!   table's stats epoch, and tops up cached [`TableStats`] by summarizing
-//!   only the new batches and monoid-merging them in;
+//!   batches as new partitions instead of replacing the table, and bumps
+//!   the table's epoch;
 //! * a **plan cache** keyed by the query text (under the session's profile
-//!   and seed) and guarded by the stats epochs of every table the plan
+//!   and seed) and guarded by the epochs of every table the plan
 //!   touches: an exact repeat over unchanged tables skips parsing,
 //!   lowering, sharing rewrites and blocker preparation, with hits/misses
 //!   surfaced in the [`CleaningReport`]. [`CleanDb::plan`] hands the same
@@ -21,14 +20,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cleanm_exec::{ExecContext, ExecError};
-use cleanm_stats::{collect_batch_stats, TableStats};
 use cleanm_values::{intern, intern_all, Column, ColumnBatch, Table, Value};
 
 use crate::algebra::{lower_op_with, rewrite_shared, Alg, RewriteStats};
 use crate::calculus::desugar::{desugar_query, DesugaredOp, OpKind, ROWID_FIELD};
 use crate::calculus::{normalize, CalcExpr, EvalCtx, Func, NormalizeStats};
 use crate::lang::parse_query;
-use crate::physical::{EngineProfile, Executor, Planner, QueryProfile};
+use crate::physical::{EngineProfile, Executor, QueryProfile};
 
 use super::registry::MetricsRegistry;
 use super::report::{CleaningReport, ExprStats, OpResult, PlanCacheStats, Repair};
@@ -76,8 +74,6 @@ pub struct PlannedQuery {
     normalize_stats: NormalizeStats,
     rewrite_stats: RewriteStats,
     eval_ctx: Arc<EvalCtx>,
-    /// Tables whose statistics the adaptive planner consults.
-    stat_tables: Vec<String>,
     /// Epoch guard: every table (and dictionary) whose state the plan was
     /// built against, with its epoch at plan time (`None` = absent then).
     guard: Vec<(String, Option<u64>)>,
@@ -135,15 +131,6 @@ struct PlanCache {
 
 const PLAN_CACHE_CAP: usize = 128;
 
-/// Cached per-table statistics plus the cursor needed to maintain them
-/// incrementally: how many batches the summary has absorbed, and which
-/// registration lineage they belong to.
-struct CachedStats {
-    stats: Arc<TableStats>,
-    batches_seen: usize,
-    lineage: u64,
-}
-
 /// A CleanDB session: a catalog of registered tables plus the engine
 /// profile and runtime context queries execute under.
 ///
@@ -174,8 +161,6 @@ pub struct CleanDb {
     /// their terms also serve as the k-means center corpus, as in §8.1.
     /// Name-ordered, so the corpus does not depend on hash order.
     dictionaries: BTreeMap<String, Arc<Vec<String>>>,
-    /// Per-table statistics, maintained incrementally across appends.
-    stats: HashMap<String, CachedStats>,
     seed: u64,
     /// Session-global epoch counter: every catalog mutation takes the next
     /// value, so epochs never repeat across re-registrations.
@@ -225,7 +210,6 @@ impl CleanDb {
             profile,
             tables: HashMap::new(),
             dictionaries: BTreeMap::new(),
-            stats: HashMap::new(),
             seed: 42,
             epoch_counter: 0,
             dict_gen: 0,
@@ -356,14 +340,11 @@ impl CleanDb {
         let epoch = self.next_epoch();
         self.tables
             .insert(name.to_string(), StoredTable::new(rows, epoch));
-        self.stats.remove(name);
     }
 
     /// Append a batch of rows to a registered table as **new partitions**:
-    /// history batches are untouched, the table's stats epoch is bumped,
-    /// and any cached [`TableStats`] are maintained by summarizing only the
-    /// new rows and monoid-merging them into the cached entry. Row ids
-    /// continue from the current row count.
+    /// history batches are untouched and the table's epoch is bumped. Row
+    /// ids continue from the current row count.
     pub fn append(&mut self, name: &str, table: Table) -> Result<(), EngineError> {
         let start = self
             .tables
@@ -384,10 +365,6 @@ impl CleanDb {
             .get_mut(name)
             .ok_or_else(|| unknown_table(name))?;
         stored.append(rows, epoch);
-        // Eagerly top up cached statistics from the new partitions only.
-        if self.stats.contains_key(name) {
-            let _ = self.table_stats(name);
-        }
         Ok(())
     }
 
@@ -569,40 +546,6 @@ impl CleanDb {
         self.tables.get(name).map(|t| t.merged_rows())
     }
 
-    /// Statistics for a registered table. First request collects them in a
-    /// single accounted pass; after appends only the **new** batches are
-    /// summarized and merged into the cached summary (the monoid property
-    /// makes the result identical to recollecting from scratch).
-    pub fn table_stats(&mut self, name: &str) -> Option<Arc<TableStats>> {
-        let stored = self.tables.get(name)?;
-        let total_batches = stored.batches().len();
-        let (mut base, seen) = match self.stats.get(name) {
-            Some(c) if c.lineage == stored.created() && c.batches_seen == total_batches => {
-                return Some(Arc::clone(&c.stats));
-            }
-            Some(c) if c.lineage == stored.created() && c.batches_seen < total_batches => {
-                ((*c.stats).clone(), c.batches_seen)
-            }
-            _ => (TableStats::new(), 0),
-        };
-        // Statistics are advisory (the adaptive planner falls back to fixed
-        // heuristics without them), so a runtime failure here — an armed
-        // fault or a cancellation racing the collection — yields `None`
-        // rather than poisoning the cache.
-        let fresh = collect_batch_stats(&self.ctx, &stored.batches()[seen..]).ok()?;
-        base.merge(&fresh);
-        let stats = Arc::new(base);
-        self.stats.insert(
-            name.to_string(),
-            CachedStats {
-                stats: Arc::clone(&stats),
-                batches_seen: total_batches,
-                lineage: stored.created(),
-            },
-        );
-        Some(stats)
-    }
-
     /// Parse and execute a CleanM query. An exact textual repeat whose
     /// tables are at the same epochs skips parsing and planning entirely
     /// (plan-cache fast path).
@@ -762,8 +705,7 @@ impl CleanDb {
             .map(|(p, op)| format!("-- {}\n{}", op.label, p.explain()))
             .collect();
 
-        let stat_tables = referenced_tables(&normalized);
-        let mut guard_names: HashSet<String> = stat_tables.iter().cloned().collect();
+        let mut guard_names = referenced_tables(&normalized);
         guard_names.extend(self.dictionaries.keys().cloned());
         let mut guard: Vec<(String, Option<u64>)> = guard_names
             .into_iter()
@@ -789,7 +731,6 @@ impl CleanDb {
             normalize_stats,
             rewrite_stats,
             eval_ctx,
-            stat_tables,
             guard,
             dict_gen: self.dict_gen,
             sampled_corpus_epoch,
@@ -812,19 +753,6 @@ impl CleanDb {
             self.plan_cache.misses += 1;
         }
 
-        // Statistics catalog (cost-based planner only): collected once per
-        // referenced table and maintained incrementally across appends.
-        let cost_based = self.profile.planner == Planner::CostBased;
-        let query_stats: HashMap<String, Arc<TableStats>> = if cost_based {
-            entry
-                .stat_tables
-                .iter()
-                .filter_map(|t| self.table_stats(t).map(|s| (t.clone(), s)))
-                .collect()
-        } else {
-            HashMap::new()
-        };
-
         // Cached entries accumulate comparison counts across runs; charge
         // only this run's delta into the metrics.
         let comparisons_before = entry.eval_ctx.comparisons();
@@ -836,7 +764,6 @@ impl CleanDb {
             &self.tables,
             Arc::clone(&entry.eval_ctx),
         );
-        executor.set_stats(query_stats.clone());
         executor.register_plans(&entry.plans);
         executor.set_profiling(traced);
         let mut ops: Vec<OpResult> = Vec::with_capacity(entry.plans.len());
@@ -929,7 +856,6 @@ impl CleanDb {
             metrics,
             plan_text: entry.plan_text.clone(),
             decisions,
-            table_stats: query_stats,
             exprs,
             plan_cache: PlanCacheStats {
                 hit,
@@ -1062,9 +988,8 @@ fn unknown_table(name: &str) -> EngineError {
     )))
 }
 
-/// Every base table a set of desugared operators reads — the tables whose
-/// statistics the adaptive planner needs.
-fn referenced_tables(ops: &[DesugaredOp]) -> Vec<String> {
+/// Every base table a set of desugared operators reads.
+fn referenced_tables(ops: &[DesugaredOp]) -> HashSet<String> {
     fn walk(e: &CalcExpr, out: &mut HashSet<String>) {
         if let CalcExpr::TableRef(t) = e {
             out.insert(t.clone());
@@ -1075,9 +1000,7 @@ fn referenced_tables(ops: &[DesugaredOp]) -> Vec<String> {
     for op in ops {
         walk(&op.comp, &mut set);
     }
-    let mut out: Vec<String> = set.into_iter().collect();
-    out.sort();
-    out
+    set
 }
 
 /// Pull every `__rowid` out of a (possibly nested) output value.
@@ -1288,48 +1211,13 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_session_collects_stats_and_reports_decisions() {
-        let mut db = CleanDb::new(EngineProfile::adaptive());
-        db.register("customer", customer_table());
-        let report = db
-            .run("SELECT * FROM customer c FD(c.address, c.nationkey)")
-            .unwrap();
-        // Same logical result as the fixed profiles.
-        assert_eq!(report.violating_ids, vec![0, 1]);
-        // The stats catalog was collected for the referenced table and
-        // surfaced in the report.
-        let stats = report.table_stats.get("customer").expect("customer stats");
-        assert_eq!(stats.rows(), 3);
-        assert!(stats.column("address").is_some());
-        // Per-node decisions are recorded with stat-driven reasons.
-        assert!(!report.decisions.is_empty());
-        assert!(report.decisions.iter().all(|d| d.reason != "fixed profile"));
-        // A second query reuses the cached stats (no second collection).
-        let again = db
-            .run("SELECT * FROM customer c FD(c.address, c.nationkey)")
-            .unwrap();
-        let stat_stages = again
-            .metrics
-            .stages
-            .iter()
-            .filter(|s| s.operator == "summarize_partitions")
-            .count();
-        assert_eq!(stat_stages, 0, "stats cached across queries");
-    }
-
-    #[test]
-    fn fixed_profiles_skip_stats_collection() {
+    fn decisions_cite_the_fixed_profile() {
         let mut db = CleanDb::new(EngineProfile::clean_db());
         db.register("customer", customer_table());
         let report = db
             .run("SELECT * FROM customer c FD(c.address, c.nationkey)")
             .unwrap();
-        assert!(report.table_stats.is_empty());
-        assert!(report
-            .metrics
-            .stages
-            .iter()
-            .all(|s| s.operator != "summarize_partitions"));
+        assert!(!report.decisions.is_empty());
         assert!(report.decisions.iter().all(|d| d.reason == "fixed profile"));
     }
 
@@ -1424,47 +1312,6 @@ mod tests {
             db.append("nope", customer_table()),
             Err(EngineError::Plan(_))
         ));
-    }
-
-    #[test]
-    fn append_maintains_stats_from_new_partitions_only() {
-        let mut db = CleanDb::new(EngineProfile::adaptive());
-        db.register("customer", customer_table());
-        let s0 = db.table_stats("customer").unwrap();
-        assert_eq!(s0.rows(), 3);
-        db.context().metrics().reset();
-        db.append("customer", extra_rows()).unwrap();
-        let s1 = db.table_stats("customer").unwrap();
-        assert_eq!(s1.rows(), 4, "merged summary covers old + new rows");
-        assert_eq!(
-            s1.column("nationkey").unwrap().max(),
-            Some(&Value::Int(9)),
-            "new batch observed"
-        );
-        // Only the delta was summarized: one stage, one row in.
-        let snap = db.context().metrics().snapshot();
-        let stages: Vec<_> = snap
-            .stages
-            .iter()
-            .filter(|s| s.operator == "summarize_partitions")
-            .collect();
-        assert_eq!(stages.len(), 1);
-        assert_eq!(stages[0].records_in, 1, "history not rescanned");
-        // Identical to collecting from scratch (monoid law end-to-end).
-        let mut fresh = CleanDb::new(EngineProfile::adaptive());
-        let mut all = customer_table();
-        all.rows.extend(extra_rows().rows);
-        fresh.register("customer", all);
-        let sf = fresh.table_stats("customer").unwrap();
-        assert_eq!(s1.rows(), sf.rows());
-        assert_eq!(
-            s1.column("nationkey").unwrap().min(),
-            sf.column("nationkey").unwrap().min()
-        );
-        assert_eq!(
-            s1.column("nationkey").unwrap().max(),
-            sf.column("nationkey").unwrap().max()
-        );
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! of **append batches** (the initial registration plus every
 //! [`crate::engine::CleanDb::append`] since), each an immutable shared
 //! vector of row structs. Appending a batch therefore never touches
-//! history — existing batches keep their `Arc`s, statistics summarize only
-//! the new rows, and incremental consumers (standing queries) read the
-//! batches past their cursor as the delta.
+//! history — existing batches keep their `Arc`s, and incremental consumers
+//! (standing queries) read the batches past their cursor as the delta.
 //!
 //! The batches stop here: an operator reads a table as one block of rows
 //! ([`StoredTable::merged_rows`]) or, by column, as one pivot of that
@@ -21,7 +20,7 @@
 //!   match is guaranteed to see the environment it was compiled for.
 //! * `created` — the epoch at registration. It identifies the *lineage*:
 //!   an append keeps `created` while a re-registration starts a new one,
-//!   which is how incremental state (stats, standing queries) tells "new
+//!   which is how incremental state (standing queries) tells "new
 //!   rows arrived" from "the table was replaced".
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};

@@ -12,10 +12,9 @@
 //! | `ThetaJoin` | M-Bucket \| min-max blocks \| cartesian+filter, one join over row indices (`physical/theta.rs`): each side read by column when both are filtered scans that lower, by row otherwise; a `Reduce` reads the pairs by index |
 //! | `Reduce`    | `filter_transform` (the compiled head, the fused `Select` chain as its filter) → merged under the monoid |
 //!
-//! `shuffle` is the profile's (or the cost-based planner's)
-//! [`NestStrategy`] — the one grouping driver takes it as is. A grouped
-//! `Reduce` has two routes, chosen by its input: the columnar fold, or
-//! materialize-then-reduce.
+//! `shuffle` is the profile's [`NestStrategy`] — the one grouping driver
+//! takes it as is. A grouped `Reduce` has two routes, chosen by its input:
+//! the columnar fold, or materialize-then-reduce.
 //!
 //! The three column routes — the vectorized `Select`, the columnar group
 //! fold and each side of a theta join — read a stored table the same way:
@@ -33,12 +32,10 @@
 //! is on ([`ProfileNode`]); Figure 3's grouping / similarity split is a
 //! rollup of that tree ([`PhaseSplit`](super::PhaseSplit)).
 //!
-//! The profile's [`Planner`] level is read where a path is chosen and
-//! nowhere else: `fusible_chain` (fuse a `Select` chain into its
-//! consumer?), `run_reduce_inner` (fold groups by column?),
-//! `columnar_source` (sweep a scan by column?), and `nest_strategy` /
-//! `plan_theta` in `physical/theta.rs` (re-decide the strategy from
-//! statistics?).
+//! The profile's [`Planner`](super::Planner) level is read where a path is
+//! chosen and nowhere else: `fusible_chain` (fuse a `Select` chain into its
+//! consumer?), `run_reduce_inner` (fold groups by column?) and
+//! `columnar_source` (sweep a scan by column?).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,7 +48,6 @@ use cleanm_exec::{
 };
 use cleanm_values::Value;
 
-use crate::algebra::cardinality::{self, StatsCatalog};
 use crate::algebra::plan::Alg;
 use crate::calculus::eval::{merge_values, truthy, EvalCtx};
 use crate::calculus::subst::free_vars;
@@ -60,19 +56,10 @@ use crate::engine::storage::StoredTable;
 
 use super::groupfold::{self, AggFoldShape, ColumnarFold, KEY_SLOT_VAR};
 use super::pairs::{self, PairShape, PairSweep};
-use super::profile::{nest_stage_label, EngineProfile, NestStrategy, Planner};
+use super::profile::{nest_stage_label, EngineProfile, NestStrategy};
 use super::program::{env_layout, RowEnv, RowExpr};
 use super::qprofile::{clip, ProfileNode};
 use super::scan::{chunk_ranges, ColumnScan};
-
-/// Skew threshold: if the most frequent grouping-key value may cover more
-/// than this share of the rows, a sort/range shuffle would pin one worker.
-const SKEW_TOP_SHARE: f64 = 0.25;
-/// Group-collapse threshold: local aggregation wins whenever groups collapse
-/// at all; only near-unique keys (avg group below this) make the map-side
-/// combine pass pure overhead. Measured on the uniform-customer workload:
-/// at avg group 1.2 LocalAggregate still beats HashShuffle by ~20%.
-const LOCAL_AGG_MIN_GROUP_SIZE: f64 = 1.1;
 
 /// One recorded physical-strategy decision, attributable to a plan node —
 /// how the planner explains itself in reports and benches.
@@ -84,7 +71,7 @@ pub struct PlanDecision {
     pub node: String,
     /// The strategy chosen, e.g. `"LocalAggregate"`.
     pub strategy: String,
-    /// Why: the statistics that drove the choice, or `"fixed profile"`.
+    /// Why: `"fixed profile"`, or why the profile's strategy could not run.
     pub reason: String,
 }
 
@@ -109,12 +96,6 @@ pub struct Executor<'a> {
     /// the only ones worth materializing into the cache (caching a node
     /// with a single consumer would deep-copy its dataset for nothing).
     shared_nodes: std::collections::HashSet<usize>,
-    /// Per-table statistics for cost-based strategy selection (empty unless
-    /// the session collected them).
-    stats: StatsCatalog,
-    /// `var → table` bindings of all registered plans' scans, so mid-plan
-    /// key expressions resolve to catalog columns.
-    scan_vars: HashMap<String, String>,
     /// Strategy decisions made while executing, in plan order.
     pub decisions: Vec<PlanDecision>,
     /// Plan-node expressions compiled to slot-resolved programs.
@@ -221,8 +202,6 @@ impl<'a> Executor<'a> {
             },
             cache: HashMap::new(),
             shared_nodes: std::collections::HashSet::new(),
-            stats: StatsCatalog::new(),
-            scan_vars: HashMap::new(),
             decisions: Vec::new(),
             compiled_exprs: 0,
             fused_selects: 0,
@@ -541,11 +520,6 @@ impl<'a> Executor<'a> {
             .map_err(|e| ExecError::Value(e.to_string()))
     }
 
-    /// Provide table statistics for cost-based strategy selection.
-    pub fn set_stats(&mut self, stats: StatsCatalog) {
-        self.stats = stats;
-    }
-
     /// Inspect the full set of plans this executor will run and record the
     /// DAG nodes that appear more than once (directly, or via the sharing
     /// rewrite). Only those results are memoized.
@@ -572,7 +546,6 @@ impl<'a> Executor<'a> {
         }
         for plan in plans {
             visit(plan, &mut counts);
-            cardinality::scan_bindings(plan, &mut self.scan_vars);
         }
         self.shared_nodes = counts
             .into_iter()
@@ -836,14 +809,10 @@ impl<'a> Executor<'a> {
         let Some((stored, var)) = self.columnar_source(source) else {
             return Ok(None);
         };
-        // The columnar fold is the map-side-combine driver. A cost-based
-        // decision reads the row count entering the Nest, which a fused
-        // filter only knows after its sweep.
-        let input_rows = preds.is_empty().then_some(stored.len() as f64);
-        let Some((NestStrategy::LocalAggregate, reason)) = self.nest_strategy(key, input_rows)
-        else {
+        // The columnar fold is the map-side-combine driver.
+        if self.profile.nest != NestStrategy::LocalAggregate {
             return Ok(None);
-        };
+        }
         let members_are_rows = matches!(item, CalcExpr::Var(v) if v == var);
         if shape.keeps_groups() && !members_are_rows {
             return Ok(None);
@@ -890,7 +859,7 @@ impl<'a> Executor<'a> {
             let (op, detail) = plan_label(source);
             self.end_node(frame, op, detail, stored.len() as u64, Vec::new());
         }
-        self.record_nest(key, NestStrategy::LocalAggregate, reason);
+        self.decide_nest(key);
         self.compiled_exprs += row_rxs.len() + finish_rxs.len();
         self.fused_selects += preds.len();
         let head = shape.head.as_ref().and_then(|_| finish_rxs.pop());
@@ -1195,87 +1164,13 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Column statistics for a key expression, resolved through the plans'
-    /// scan bindings.
-    pub(super) fn key_column_stats(&self, key: &CalcExpr) -> Option<&cleanm_stats::ColumnStats> {
-        // For composite keys, use the first resolvable column (skew and
-        // distinct-count reads on composites go through
-        // `cardinality::group_count`, which sees every component).
-        let cols = cardinality::columns_in(key);
-        cols.iter()
-            .find_map(|(var, field)| self.stats.get(self.scan_vars.get(var)?)?.column(field))
-    }
-
-    /// A Nest's shuffle and why: the profile's strategy as given, or —
-    /// under the cost-based planner — re-decided from statistics and
-    /// `input_rows`, the row count entering the Nest. `None` only when the
-    /// cost-based planner is asked before that count is known.
-    fn nest_strategy(
-        &self,
-        key: &CalcExpr,
-        input_rows: Option<f64>,
-    ) -> Option<(NestStrategy, String)> {
-        if self.profile.planner != Planner::CostBased {
-            return Some((self.profile.nest, "fixed profile".to_string()));
-        }
-        input_rows.map(|rows| self.choose_nest(key, rows))
-    }
-
-    /// [`Executor::nest_strategy`] for a Nest whose input has been
-    /// counted, recorded as a plan decision.
-    fn decide_nest(&mut self, key: &CalcExpr, input_rows: f64) -> NestStrategy {
-        let (strategy, reason) = self
-            .nest_strategy(key, Some(input_rows))
-            .expect("the input row count is known");
-        self.record_nest(key, strategy, reason);
-        strategy
-    }
-
-    fn record_nest(&mut self, key: &CalcExpr, strategy: NestStrategy, reason: String) {
+    /// A Nest's shuffle — the profile's, as given — recorded as a plan
+    /// decision.
+    fn decide_nest(&mut self, key: &CalcExpr) -> NestStrategy {
+        let strategy = self.profile.nest;
+        let reason = "fixed profile".to_string();
         self.record_decision("nest", key.to_string(), format!("{strategy:?}"), reason);
-    }
-
-    /// Cost-based Nest strategy: group cardinality and skew decide how the
-    /// grouping shuffles (§6 "handling data skew", made data-dependent).
-    fn choose_nest(&self, key: &CalcExpr, input_rows: f64) -> (NestStrategy, String) {
-        let Some(col) = self.key_column_stats(key) else {
-            return (
-                self.profile.nest,
-                "no column statistics; profile default".to_string(),
-            );
-        };
-        let (distinct, _) = cardinality::group_count(key, input_rows, &self.scan_vars, &self.stats);
-        let avg_group = input_rows / distinct.max(1.0);
-        if avg_group < LOCAL_AGG_MIN_GROUP_SIZE {
-            // Nearly-unique composite keys: even if one component is skewed,
-            // the composite groups are singletons, so local aggregation buys
-            // nothing — hashing every record costs the same shuffle without
-            // the combine pass.
-            (
-                NestStrategy::HashShuffle,
-                format!(
-                    "≈{distinct:.0} groups over {input_rows:.0} rows: keys nearly unique, combine futile"
-                ),
-            )
-        } else if col.top_share() > SKEW_TOP_SHARE {
-            // A heavy key would land whole on one range partition: combine
-            // it where it sits instead of shipping it to a single worker.
-            (
-                NestStrategy::LocalAggregate,
-                format!(
-                    "skewed: top key ≤{:.0}% of rows (> {:.0}% threshold)",
-                    col.top_share() * 100.0,
-                    SKEW_TOP_SHARE * 100.0
-                ),
-            )
-        } else {
-            // Groups collapse meaningfully: map-side combine cuts shuffle
-            // volume by the group size factor.
-            (
-                NestStrategy::LocalAggregate,
-                format!("≈{distinct:.0} groups, avg size {avg_group:.1}: map-side combine pays"),
-            )
-        }
+        strategy
     }
 
     pub(super) fn record_decision(
@@ -1330,7 +1225,7 @@ impl<'a> Executor<'a> {
             },
         )?;
         self.check_errors()?;
-        let strategy = self.decide_nest(key, pairs.count() as f64);
+        let strategy = self.decide_nest(key);
         // `mapPartitions`-style finishing: each group becomes the one-slot
         // row binding the Nest's group variable.
         let groups = pairs.group_by_key(strategy, nest_stage_label(strategy))?;
@@ -1365,11 +1260,28 @@ pub(super) fn fields_of<'e>(
     var: &str,
     exprs: impl IntoIterator<Item = &'e CalcExpr>,
 ) -> Vec<String> {
-    let read = exprs.into_iter().flat_map(cardinality::columns_in);
+    let read = exprs.into_iter().flat_map(columns_in);
     let mut fields: Vec<String> = read.filter(|(v, _)| v == var).map(|(_, f)| f).collect();
     fields.sort_unstable();
     fields.dedup();
     fields
+}
+
+/// Every base-column reference `var.field` inside `expr`, in reading
+/// order.
+fn columns_in(expr: &CalcExpr) -> Vec<(String, String)> {
+    fn walk(e: &CalcExpr, out: &mut Vec<(String, String)>) {
+        if let CalcExpr::Proj(inner, field) = e {
+            if let CalcExpr::Var(v) = &**inner {
+                out.push((v.clone(), field.clone()));
+                return;
+            }
+        }
+        e.for_each_child(&mut |child| walk(child, out));
+    }
+    let mut out = Vec::new();
+    walk(expr, &mut out);
+    out
 }
 
 /// Combine the head values of a `Reduce` under its monoid: collections
@@ -1442,7 +1354,7 @@ mod tests {
     use crate::calculus::desugar::ROWID_FIELD;
     use crate::calculus::{desugar_query, BinOp};
     use crate::lang::parse_query;
-    use crate::physical::{PhaseSplit, QueryProfile, ThetaStrategy};
+    use crate::physical::{PhaseSplit, QueryProfile};
 
     fn row(id: i64, addr: &str, nation: i64, name: &str) -> Value {
         Value::record([
@@ -1671,187 +1583,15 @@ mod tests {
         })
     }
 
-    fn stats_for(tables: &HashMap<String, StoredTable>) -> StatsCatalog {
-        let ctx = ExecContext::new(2, 4);
-        tables
-            .iter()
-            .map(|(name, stored)| {
-                let stats = cleanm_stats::collect_table_stats(&ctx, stored.merged_rows());
-                (name.clone(), Arc::new(stats.unwrap()))
-            })
-            .collect()
-    }
-
     #[test]
-    fn adaptive_profile_records_stat_driven_decisions() {
-        let sql = "SELECT * FROM customer c FD(c.address, c.nationkey)";
-        let q = parse_query(sql).unwrap();
-        let dq = desugar_query(&q, 1).unwrap();
-        let plan = lower_op(&dq.ops[0].comp).unwrap();
-        let tables = catalog();
-        let mut eval_ctx = EvalCtx::new();
-        eval_ctx.prepare_blockers(&dq.ops[0].comp, &[]);
-        let ctx = ExecContext::new(2, 4);
-        let mut ex = Executor::new(ctx, EngineProfile::adaptive(), &tables, Arc::new(eval_ctx));
-        ex.set_stats(stats_for(&tables));
-        ex.register_plans(std::slice::from_ref(&plan));
-        let out = ex.run_reduce(&plan).unwrap();
-        assert_eq!(out.len(), 1, "same result as fixed profiles");
-        let nest: Vec<_> = ex
-            .decisions
-            .iter()
-            .filter(|d| d.operator == "nest")
-            .collect();
-        assert!(!nest.is_empty(), "nest decision must be recorded");
-        assert_ne!(nest[0].reason, "fixed profile", "decision must cite stats");
-    }
-
-    #[test]
-    fn adaptive_avoids_sort_shuffle_on_skewed_keys() {
-        // 90% of rows share one address: top_share is high, so the planner
-        // must not pick SortShuffle (the one-hot-worker pathology).
-        let mut tables = HashMap::new();
-        let rows: Vec<Value> = (0..1000)
-            .map(|i| {
-                row(
-                    i,
-                    if i % 10 == 0 { "rare st" } else { "main st" },
-                    i % 25,
-                    "name",
-                )
-            })
-            .collect();
-        tables.insert("customer".to_string(), StoredTable::from_rows(rows));
-        let sql = "SELECT * FROM customer c FD(c.address, c.nationkey)";
-        let q = parse_query(sql).unwrap();
-        let dq = desugar_query(&q, 1).unwrap();
-        let plan = lower_op(&dq.ops[0].comp).unwrap();
-        let mut eval_ctx = EvalCtx::new();
-        eval_ctx.prepare_blockers(&dq.ops[0].comp, &[]);
-        let ctx = ExecContext::new(2, 4);
-        let mut ex = Executor::new(ctx, EngineProfile::adaptive(), &tables, Arc::new(eval_ctx));
-        ex.set_stats(stats_for(&tables));
-        ex.register_plans(std::slice::from_ref(&plan));
-        ex.run_reduce(&plan).unwrap();
-        let nest = ex
-            .decisions
-            .iter()
-            .find(|d| d.operator == "nest")
-            .expect("nest decision");
-        assert_eq!(nest.strategy, "LocalAggregate", "{nest}");
-        assert!(nest.reason.contains("skew"), "{nest}");
-    }
-
-    #[test]
-    fn adaptive_theta_uses_histogram_bounds() {
-        let tables = catalog();
-        let head = CalcExpr::proj(CalcExpr::var("t1"), ROWID_FIELD);
-        let plan = lt_join("customer", "nationkey", head);
-        let ctx = ExecContext::new(2, 4);
-        let mut ex = Executor::new(
-            ctx,
-            EngineProfile::adaptive(),
-            &tables,
-            Arc::new(EvalCtx::new()),
-        );
-        ex.set_stats(stats_for(&tables));
-        ex.register_plans(std::slice::from_ref(&plan));
-        let out = ex.run_reduce(&plan).unwrap();
-        assert_eq!(out.len(), 9, "same pairs as the fixed profiles");
-        let theta = ex
-            .decisions
-            .iter()
-            .find(|d| d.operator == "theta")
-            .expect("theta decision");
-        // 5 rows × 5 rows = 25 pairs: under the small-work threshold, so the
-        // cost model must pick the overhead-free cartesian product.
-        assert_eq!(theta.strategy, "CartesianFilter", "{theta}");
-        assert!(theta.reason.contains("tiny input"), "{theta}");
-    }
-
-    #[test]
-    fn adaptive_theta_cost_model_picks_by_prunable_work() {
-        // 300×300 rows = 90k pairs: above the tiny-input threshold, so the
-        // histogram cost model decides.
-        let mut tables = HashMap::new();
-        let rows: Vec<Value> = (0..300).map(|i| row(i, "a st", i % 100, "n")).collect();
-        tables.insert("customer".to_string(), StoredTable::from_rows(rows));
-        let stats = stats_for(&tables);
-        let hint = |kind| ThetaHint {
-            left_key: CalcExpr::proj(CalcExpr::var("t1"), "nationkey"),
-            right_key: CalcExpr::proj(CalcExpr::var("t2"), "nationkey"),
-            kind,
-        };
-        let executor_with = |tables| {
-            let ctx = ExecContext::new(2, 4);
-            let mut ex = Executor::new(
-                ctx,
-                EngineProfile::adaptive(),
-                tables,
-                Arc::new(EvalCtx::new()),
-            );
-            ex.set_stats(stats.clone());
-            ex.scan_vars.insert("t1".into(), "customer".into());
-            ex.scan_vars.insert("t2".into(), "customer".into());
-            ex
-        };
-        let ex = executor_with(&tables);
-        // HintKind::Any: nothing is prunable (frac = 1.0) — paying M-Bucket
-        // setup buys zero saved comparisons, so cartesian wins.
-        let (s, bounds, reason) = ex.choose_theta(&hint(HintKind::Any), 300.0, 300.0);
-        assert_eq!(s, ThetaStrategy::CartesianFilter, "{reason}");
-        assert!(bounds.is_none());
-        assert!(reason.contains("prunable"), "{reason}");
-        // LeftLessThanRight on a uniform key: ~half the matrix is prunable,
-        // far more than the setup cost — M-Bucket with histogram bounds.
-        let (s, bounds, reason) = ex.choose_theta(&hint(HintKind::LeftLessThanRight), 300.0, 300.0);
-        assert_eq!(s, ThetaStrategy::MBucket, "{reason}");
-        assert!(bounds.is_some());
-    }
-
-    #[test]
-    fn adaptive_nest_prefers_hash_for_near_unique_composite_keys() {
-        // Composite key (address, __rowid): address is heavily skewed but
-        // __rowid is unique, so composite groups are singletons — the skew
-        // signal must not force a futile map-side combine.
-        let mut tables = HashMap::new();
-        let rows: Vec<Value> = (0..1000).map(|i| row(i, "main st", 1, "n")).collect();
-        tables.insert("customer".to_string(), StoredTable::from_rows(rows));
-        let stats = stats_for(&tables);
-        let ctx = ExecContext::new(2, 4);
-        let mut ex = Executor::new(
-            ctx,
-            EngineProfile::adaptive(),
-            &tables,
-            Arc::new(EvalCtx::new()),
-        );
-        ex.set_stats(stats);
-        ex.scan_vars.insert("c".into(), "customer".into());
+    fn columns_in_walks_records_and_calls() {
         let key = CalcExpr::record(vec![
             ("a", CalcExpr::proj(CalcExpr::var("c"), "address")),
-            ("r", CalcExpr::proj(CalcExpr::var("c"), ROWID_FIELD)),
+            ("n", CalcExpr::proj(CalcExpr::var("c"), "nationkey")),
         ]);
-        let (s, reason) = ex.choose_nest(&key, 1000.0);
-        assert_eq!(s, NestStrategy::HashShuffle, "{reason}");
-        assert!(reason.contains("nearly unique"), "{reason}");
-    }
-
-    #[test]
-    fn adaptive_without_stats_falls_back_to_profile_defaults() {
-        let sql = "SELECT * FROM customer c FD(c.address, c.nationkey)";
-        let q = parse_query(sql).unwrap();
-        let dq = desugar_query(&q, 1).unwrap();
-        let plan = lower_op(&dq.ops[0].comp).unwrap();
-        let tables = catalog();
-        let mut eval_ctx = EvalCtx::new();
-        eval_ctx.prepare_blockers(&dq.ops[0].comp, &[]);
-        let ctx = ExecContext::new(2, 4);
-        let mut ex = Executor::new(ctx, EngineProfile::adaptive(), &tables, Arc::new(eval_ctx));
-        ex.register_plans(std::slice::from_ref(&plan));
-        let out = ex.run_reduce(&plan).unwrap();
-        assert_eq!(out.len(), 1);
-        let nest = ex.decisions.iter().find(|d| d.operator == "nest").unwrap();
-        assert!(nest.reason.contains("no column statistics"), "{nest}");
+        let cols = columns_in(&key);
+        assert_eq!(cols.len(), 2);
+        assert_eq!(cols[0], ("c".to_string(), "address".to_string()));
     }
 
     #[test]
@@ -2006,13 +1746,9 @@ mod tests {
             EngineProfile::clean_db(),
             EngineProfile::spark_sql_like(),
             EngineProfile::big_dansing_like(),
-            EngineProfile::adaptive(),
         ] {
             let ctx = ExecContext::new(2, 4);
             let mut ex = Executor::new(ctx, profile.clone(), &tables, Arc::new(EvalCtx::new()));
-            if profile.planner == Planner::CostBased {
-                ex.set_stats(stats_for(&tables));
-            }
             ex.register_plans(std::slice::from_ref(&plan));
             let out = ex.run_reduce(&plan).unwrap();
             assert_eq!(out.len(), expected, "{}", profile.name);
@@ -2121,39 +1857,6 @@ mod tests {
                 && theta[0].reason.contains("MinMaxBlocks"),
             "{}",
             theta[0]
-        );
-    }
-
-    #[test]
-    fn adaptive_theta_reads_string_histograms() {
-        // Text join keys + enough rows to clear the tiny-input threshold:
-        // the cost model must consult the *string* histograms rather than
-        // falling back to "no histograms".
-        let mut tables = HashMap::new();
-        let rows: Vec<Value> = (0..300)
-            .map(|i| row(i, "a st", 1, &format!("name-{:04}", i)))
-            .collect();
-        tables.insert("customer".to_string(), StoredTable::from_rows(rows));
-        let stats = stats_for(&tables);
-        let ctx = ExecContext::new(2, 4);
-        let mut ex = Executor::new(
-            ctx,
-            EngineProfile::adaptive(),
-            &tables,
-            Arc::new(EvalCtx::new()),
-        );
-        ex.set_stats(stats);
-        ex.scan_vars.insert("t1".into(), "customer".into());
-        ex.scan_vars.insert("t2".into(), "customer".into());
-        let hint = ThetaHint {
-            left_key: CalcExpr::proj(CalcExpr::var("t1"), "name"),
-            right_key: CalcExpr::proj(CalcExpr::var("t2"), "name"),
-            kind: HintKind::LeftLessThanRight,
-        };
-        let (_, _, reason) = ex.choose_theta(&hint, 300.0, 300.0);
-        assert!(
-            !reason.contains("no histograms"),
-            "string histograms must feed the cost model: {reason}"
         );
     }
 

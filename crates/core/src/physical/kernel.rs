@@ -36,6 +36,7 @@ use std::sync::Arc;
 
 use cleanm_values::{fx_hash, Column, ColumnBatch, NullMask, Value, HASH_SEED};
 
+use crate::algebra::plan::string_key;
 use crate::calculus::compile::{BoolExpr, Instr, Operand, Program};
 use crate::calculus::eval::{lowercase_is_identity, prefix_end, uppercase_is_identity};
 use crate::calculus::{BinOp, Func};
@@ -833,7 +834,7 @@ impl KeyKernel {
                 }),
                 KeyExpr::Str(s) => s.get(&cols, at).map(|s| {
                     kinds.text = true;
-                    cleanm_stats::string_key(s)
+                    string_key(s)
                 }),
             }
         };

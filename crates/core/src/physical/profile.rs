@@ -25,7 +25,8 @@ pub(crate) fn nest_stage_label(strategy: NestStrategy) -> &'static str {
 /// How a theta join executes — §6 "Handling theta joins".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ThetaStrategy {
-    /// CleanDB: statistics-aware matrix partitioning (Okcan & Riedewald).
+    /// CleanDB: matrix partitioning over the join keys' sampled quantiles
+    /// (Okcan & Riedewald).
     MBucket,
     /// BigDansing: per-block min/max pruning on the existing partitioning.
     MinMaxBlocks,
@@ -52,26 +53,18 @@ pub enum Planner {
     /// into per-key accumulators, and eligible scans sweep typed columns.
     /// `nest` / `theta` are used as given.
     Unified,
-    /// [`Planner::Unified`], with `nest` / `theta` only the *defaults*: the
-    /// executor re-decides the strategy per plan node from the session's
-    /// [`cleanm_stats::TableStats`] (group cardinality and skew for Nest,
-    /// histogram pair-pruning estimates for ThetaJoin) and falls back to
-    /// them when no statistics cover a node. Decisions are recorded per
-    /// node in the report.
-    CostBased,
 }
 
 impl Planner {
     /// Does the planner optimize a query's operators together, rather than
     /// one at a time?
     pub fn unified(self) -> bool {
-        self != Planner::OperatorAtATime
+        self == Planner::Unified
     }
 }
 
 /// A complete physical policy. Construct via [`EngineProfile::clean_db`],
-/// [`EngineProfile::spark_sql_like`], [`EngineProfile::big_dansing_like`],
-/// or [`EngineProfile::adaptive`].
+/// [`EngineProfile::spark_sql_like`] or [`EngineProfile::big_dansing_like`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineProfile {
     pub name: String,
@@ -110,17 +103,6 @@ impl EngineProfile {
             planner: Planner::OperatorAtATime,
         }
     }
-
-    /// CleanDB with the physical strategies chosen per node from collected
-    /// table statistics instead of being fixed.
-    pub fn adaptive() -> Self {
-        EngineProfile {
-            name: "Adaptive".to_string(),
-            nest: NestStrategy::LocalAggregate,
-            theta: ThetaStrategy::MBucket,
-            planner: Planner::CostBased,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +120,6 @@ mod tests {
         assert_eq!(c.planner, Planner::Unified);
         assert_eq!(s.planner, Planner::OperatorAtATime);
         assert_eq!(b.planner, Planner::OperatorAtATime);
-        assert_eq!(EngineProfile::adaptive().planner, Planner::CostBased);
         assert_eq!(s.theta, ThetaStrategy::CartesianFilter);
         assert_eq!(b.theta, ThetaStrategy::MinMaxBlocks);
     }

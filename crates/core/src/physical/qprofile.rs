@@ -7,7 +7,7 @@
 //! `GroupFold` root, and memoized DAG nodes appear as `cached` leaves at
 //! every reuse site. Each node folds in the [`StageReport`]s its own
 //! execution pushed (shuffle volume, worker-busy time, imbalance, idle
-//! fraction), the adaptive strategy decisions made at that node, and the
+//! fraction), the strategy decisions made at that node, and the
 //! expression-compilation counts it contributed — so a regression localizes
 //! to a node, not a number.
 //!
@@ -58,7 +58,7 @@ pub struct ProfileNode {
     /// grouped aggregation), `materialize-groups` (group lists built),
     /// `vectorized` (columnar kernel sweep).
     pub flags: Vec<String>,
-    /// Adaptive strategy decisions made at this node, as
+    /// Strategy decisions made at this node, as
     /// `"Strategy (reason)"` strings.
     pub strategies: Vec<String>,
     /// Labels of the exec stages attributed to this node, in push order.

@@ -1,12 +1,12 @@
 //! Theta joins (§6): one join, two kinds of side.
 //!
 //! Every theta join runs the same way. Both sides are read; the strategy
-//! is planned from their sizes ([`Executor::plan_theta`]) and the one that
-//! runs is recorded, once per node ([`Executor::decide_theta`]); then
-//! M-Bucket, min-max blocks or the cartesian product of
-//! `cleanm_exec::theta` joins *candidates* — `(key, row)` items, the row a
-//! `u32` index into its side, in the side's partitions — and the pairs
-//! that pass come back as index pairs. Only how a side is read differs:
+//! that runs — the profile's, or the cartesian product when the keys share
+//! no pruning domain — is recorded, once per node
+//! ([`Executor::decide_theta`]); then M-Bucket, min-max blocks or the
+//! cartesian product of `cleanm_exec::theta` joins *candidates* — `(key,
+//! row)` items, the row a `u32` index into its side, in the side's
+//! partitions — and the pairs that pass come back as index pairs. Only how a side is read differs:
 //!
 //! * **by column**, when both sides are `Select* ← Scan` over stored tables
 //!   that read by column and their filters, their keys and the predicate
@@ -30,24 +30,15 @@ use std::sync::Arc;
 use cleanm_exec::{produce_partials, theta, Dataset, ExecContext, ExecResult};
 use cleanm_values::Value;
 
-use crate::algebra::plan::{theta_widen, Alg, HintKind, ThetaHint};
+use crate::algebra::plan::{string_key, theta_widen, Alg, HintKind, ThetaHint};
 use crate::calculus::{CalcExpr, Program};
 use crate::engine::storage::StoredTable;
 
 use super::execute::{conjoin, fields_of, plan_label, Executor, RowEval};
 use super::kernel::{BoundPair, KeyKernel, KeyKinds, PairKernel};
-use super::profile::{Planner, ThetaStrategy};
+use super::profile::ThetaStrategy;
 use super::program::{env_layout, RowEnv, RowExpr};
 use super::scan::{chunk_ranges, ColumnScan};
-
-/// Below this estimated comparison count a cartesian product's low constant
-/// overhead beats both pruning operators.
-const SMALL_CARTESIAN_WORK: f64 = 50_000.0;
-/// M-Bucket's setup cost relative to input size: bucketing both sides,
-/// shuffling them, and assigning matrix cells costs a few passes over
-/// `|L| + |R|` records. Cartesian is preferred when the comparisons pruning
-/// would save are worth less than this.
-const MBUCKET_SETUP_FACTOR: f64 = 8.0;
 
 /// A side's candidate: its join key and its row's index in the side.
 type Item = (f64, u32);
@@ -165,15 +156,15 @@ impl RowSides {
 
 /// A row's join key as the pruning strategies read it — the row twin of
 /// [`KeyKernel::keys`]: a string as its order-preserving prefix key
-/// (`cleanm_stats::string_key`), a number as itself but NaN as +∞ (NaN
-/// sorts after every number in the engine's total order), anything else —
+/// ([`string_key`]), a number as itself but NaN as +∞ (NaN sorts after
+/// every number in the engine's total order), anything else —
 /// NULL, or an error — as NaN: it satisfies no inequality, so where its
 /// key lands cannot lose a pair.
 fn row_key(key: cleanm_values::Result<Value>, kinds: &mut KeyKinds) -> f64 {
     match key {
         Ok(Value::Str(s)) => {
             kinds.text = true;
-            cleanm_stats::string_key(&s)
+            string_key(&s)
         }
         Ok(v) => {
             if matches!(v, Value::Int(_) | Value::Float(_)) {
@@ -229,12 +220,10 @@ impl Sides {
 
 /// Join keyed candidates by the strategy `decided` — the key domain the
 /// planned strategy prunes in, `None` for the cartesian product — with
-/// `verify` as the pair test: min-max blocks, or M-Bucket cut at the
-/// catalog's `bounds` when there are any and at sampled ones otherwise.
+/// `verify` as the pair test: min-max blocks, or M-Bucket.
 fn join_items(
     decided: Option<bool>,
     planned: ThetaStrategy,
-    bounds: Option<Vec<f64>>,
     kind: HintKind,
     [left, right]: [Dataset<Item>; 2],
     verify: Verify<'_>,
@@ -244,17 +233,12 @@ fn join_items(
     };
     let compat = kind.compat_fn(theta_widen(text));
     let key = |t: &Item| t.0;
-    match (planned, bounds) {
-        (ThetaStrategy::MinMaxBlocks, _) => {
+    match planned {
+        ThetaStrategy::MinMaxBlocks => {
             theta::minmax_block_join(left, right, key, key, compat, verify)
         }
-        (ThetaStrategy::MBucket, Some(bounds)) => {
-            theta::mbucket_join_with_bounds(left, right, key, key, compat, verify, bounds)
-        }
-        (ThetaStrategy::MBucket, None) => {
-            theta::mbucket_join(left, right, key, key, compat, verify, None)
-        }
-        (ThetaStrategy::CartesianFilter, _) => unreachable!("the cartesian product prunes nothing"),
+        ThetaStrategy::MBucket => theta::mbucket_join(left, right, key, key, compat, verify, None),
+        ThetaStrategy::CartesianFilter => unreachable!("the cartesian product prunes nothing"),
     }
 }
 
@@ -300,8 +284,8 @@ impl<'a> Executor<'a> {
 
     /// The join itself: read both sides — by column when `by_column` allows
     /// and [`Executor::lower_columnar_theta`] lowers them, by row
-    /// otherwise — plan and decide the strategy once, and join the
-    /// candidates. Returns the sides and the pairs that pass.
+    /// otherwise — decide the strategy once, and join the candidates.
+    /// Returns the sides and the pairs that pass.
     fn join_theta(
         &mut self,
         join: &Alg,
@@ -321,7 +305,7 @@ impl<'a> Executor<'a> {
             false => None,
         };
         // Column sides key their candidates as they sweep; row sides only
-        // once a strategy that prunes is planned.
+        // under a strategy that prunes.
         let (sides, [mut l, mut r], mut kinds) = match lowered {
             Some(columnar) => {
                 let (l, l_kinds) = self.sweep_theta_side(&columnar.left, left)?;
@@ -338,7 +322,7 @@ impl<'a> Executor<'a> {
                 (Sides::Rows(rows), items, None)
             }
         };
-        let (planned, bounds, reason) = self.plan_theta(hint, l.count() as f64, r.count() as f64);
+        let planned = self.profile.theta;
         if let Sides::Rows(rows) = &sides {
             if planned != ThetaStrategy::CartesianFilter {
                 let (ctx, ev) = (&self.ctx, &self.eval);
@@ -348,9 +332,9 @@ impl<'a> Executor<'a> {
             }
         }
         let domain = kinds.and_then(|[l_kinds, r_kinds]| KeyKinds::domain(l_kinds, r_kinds));
-        let decided = self.decide_theta(pred, planned, reason, domain);
+        let decided = self.decide_theta(pred, planned, domain);
         let verify = sides.verifier(&self.eval);
-        let joined = join_items(decided, planned, bounds, hint.kind, [l, r], verify)?;
+        let joined = join_items(decided, planned, hint.kind, [l, r], verify)?;
         self.check_errors()?;
         Ok((sides, joined))
     }
@@ -483,100 +467,6 @@ impl<'a> Executor<'a> {
         Ok((items, kinds))
     }
 
-    /// The theta strategy planned for a join of `left_rows` × `right_rows`
-    /// — the profile's, or under the cost-based planner the one
-    /// [`Executor::choose_theta`] picks — with its matrix bounds and why.
-    fn plan_theta(
-        &self,
-        hint: &ThetaHint,
-        left_rows: f64,
-        right_rows: f64,
-    ) -> (ThetaStrategy, Option<Vec<f64>>, String) {
-        if self.profile.planner == Planner::CostBased {
-            self.choose_theta(hint, left_rows, right_rows)
-        } else {
-            (self.profile.theta, None, "fixed profile".to_string())
-        }
-    }
-
-    /// Cost-based theta strategy from histograms (§6 "handling theta joins",
-    /// fed by the statistics catalog instead of blind sampling). Compares
-    /// the two strategies whose cost the catalog can actually predict:
-    ///
-    /// * cartesian: `|L|·|R|` comparisons, no setup;
-    /// * M-Bucket: `frac·|L|·|R|` comparisons (the histogram pair-pruning
-    ///   estimate) plus a bucketing pass over both inputs.
-    ///
-    /// Min-max block pruning is *not* selectable from column statistics:
-    /// its effectiveness depends on whether the physical partitioning
-    /// aligns with the key, which histograms cannot see — and a wrong pick
-    /// degenerates to the full product. It remains reachable as the
-    /// profile-default fallback when no histograms exist.
-    pub(super) fn choose_theta(
-        &self,
-        hint: &ThetaHint,
-        left_rows: f64,
-        right_rows: f64,
-    ) -> (ThetaStrategy, Option<Vec<f64>>, String) {
-        let full_work = left_rows * right_rows;
-        if full_work <= SMALL_CARTESIAN_WORK {
-            return (
-                ThetaStrategy::CartesianFilter,
-                None,
-                format!("tiny input ({full_work:.0} pairs): cartesian overhead-free"),
-            );
-        }
-        let lh = self
-            .key_column_stats(&hint.left_key)
-            .and_then(|c| c.pruning_histogram());
-        let rh = self
-            .key_column_stats(&hint.right_key)
-            .and_then(|c| c.pruning_histogram());
-        match (lh, rh) {
-            // Histograms over different key domains (one numeric, one
-            // prefix-key) cannot be compared — treated as no histograms.
-            (Some((lh, l_text)), Some((rh, r_text))) if l_text == r_text => {
-                // String histograms hold prefix keys: widen ranges by the
-                // key resolution so prefix collisions cannot prune a cell a
-                // real string pair could land in.
-                let frac = lh.fraction_pairs(&rh, hint.kind.compat_fn(theta_widen(l_text)));
-                // Cartesian wins when the comparisons M-Bucket would prune
-                // are worth less than its bucketing/shuffle setup (a few
-                // passes over both inputs).
-                let pruned_work = (1.0 - frac) * full_work;
-                let mbucket_overhead = MBUCKET_SETUP_FACTOR * (left_rows + right_rows);
-                if pruned_work <= mbucket_overhead {
-                    return (
-                        ThetaStrategy::CartesianFilter,
-                        None,
-                        format!(
-                            "histograms: only {:.0}% of matrix prunable — less than \
-                             M-Bucket setup (~{mbucket_overhead:.0} units); cartesian",
-                            (1.0 - frac) * 100.0
-                        ),
-                    );
-                }
-                // Feed the M-Bucket matrix the real equi-depth boundaries of
-                // both sides instead of letting it re-sample blindly.
-                let mut bounds = lh.boundaries();
-                bounds.extend(rh.boundaries());
-                (
-                    ThetaStrategy::MBucket,
-                    Some(bounds),
-                    format!(
-                        "histograms: {:.0}% of matrix survives pruning; M-Bucket on real quantiles",
-                        frac * 100.0
-                    ),
-                )
-            }
-            _ => (
-                self.profile.theta,
-                None,
-                "no histograms for join keys; profile default".to_string(),
-            ),
-        }
-    }
-
     /// Record the strategy that runs — one decision per node — and return
     /// the key domain it prunes in: `planned` when it prunes and the keys
     /// share a `domain` ([`KeyKinds::domain`]), else the cartesian product
@@ -586,10 +476,10 @@ impl<'a> Executor<'a> {
         &mut self,
         pred: &CalcExpr,
         planned: ThetaStrategy,
-        reason: String,
         domain: Option<bool>,
     ) -> Option<bool> {
         let cartesian = ThetaStrategy::CartesianFilter;
+        let reason = "fixed profile".to_string();
         let (ran, reason, domain) = match domain {
             _ if planned == cartesian => (cartesian, reason, None),
             Some(text) => (planned, reason, Some(text)),

@@ -55,7 +55,6 @@ fn profiles() -> Vec<EngineProfile> {
         EngineProfile::clean_db(),
         EngineProfile::spark_sql_like(),
         EngineProfile::big_dansing_like(),
-        EngineProfile::adaptive(),
     ]
 }
 

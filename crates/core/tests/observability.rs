@@ -285,7 +285,6 @@ fn tracing_is_read_only_across_profiles() {
         EngineProfile::clean_db(),
         EngineProfile::spark_sql_like(),
         EngineProfile::big_dansing_like(),
-        EngineProfile::adaptive(),
     ] {
         let data = customer_table();
         let mut plain = session(profile.clone(), &data, false);

@@ -54,11 +54,6 @@ fn stays<R>(_: &[R]) -> u64 {
     0
 }
 
-/// Each result is one per-partition partial sent to the driver.
-fn one_each<R>(out: &[R]) -> u64 {
-    out.len() as u64
-}
-
 /// A partitioned collection bound to an [`ExecContext`] — the analogue of an
 /// RDD. Narrow operators run partition-parallel on the context's worker
 /// pool; wide operators (in `shuffle`, `join`, `theta`) move data between
@@ -207,8 +202,7 @@ impl<T: Data> Dataset<T> {
     /// Fold each whole partition with `f` on the worker pool and return the
     /// per-partition results — a metrics-silent analytical peek (no stage
     /// report, no shuffle accounting) for planner-side checks such as key
-    /// type classification. For accounted statistics collection use
-    /// [`summarize_rows`] instead.
+    /// type classification.
     pub fn probe_partitions<A: Data>(&self, f: impl Fn(&[T]) -> A + Sync) -> ExecResult<Vec<A>> {
         let refs: Vec<&[T]> = self.parts.iter().map(|p| p.as_slice()).collect();
         let (partials, _busy) =
@@ -256,152 +250,6 @@ pub fn produce_partials<S: Send, R: Send>(
     f: impl Fn(S) -> R + Sync,
 ) -> ExecResult<Vec<R>> {
     run_stage(ctx, label, records_in, tasks, moved, f)
-}
-
-/// One-pass per-chunk summarization over *borrowed* rows: chunks `rows`
-/// into the context's default partition count in place (same contiguous
-/// layout as [`Dataset::from_vec`]) and applies `f` to each chunk in
-/// parallel — zero copies of the data. This is the statistics-collection
-/// hook: a mergeable summary (a monoid) is computed where the data sits
-/// and only the per-chunk partials travel to the driver, so the
-/// `summarize_partitions` stage is charged one shuffled record per chunk
-/// — nothing else moves.
-pub fn summarize_rows<T: Sync, A: Data>(
-    ctx: &Arc<ExecContext>,
-    rows: &[T],
-    f: impl Fn(&[T]) -> A + Sync,
-) -> ExecResult<Vec<A>> {
-    let p = ctx.default_partitions();
-    let chunk = rows.len().div_ceil(p).max(1);
-    let mut refs: Vec<&[T]> = rows.chunks(chunk).collect();
-    while refs.len() < p {
-        refs.push(&[]);
-    }
-    let records_in = rows.len() as u64;
-    run_stage(ctx, "summarize_partitions", records_in, refs, one_each, f)
-}
-
-/// [`summarize_rows`] over **several borrowed row batches in one accounted
-/// pass**: each batch is chunked independently (so batch boundaries — e.g.
-/// append deltas — never straddle a partition) and all chunks fold on the
-/// worker pool together. One `summarize_partitions` stage is charged for
-/// the whole call, seeing exactly the rows of the given batches — the entry
-/// point for *incremental* statistics maintenance, where only the
-/// newly-appended batches of a table are summarized.
-pub fn summarize_batches<T: Sync, A: Data>(
-    ctx: &Arc<ExecContext>,
-    batches: &[&[T]],
-    f: impl Fn(&[T]) -> A + Sync,
-) -> ExecResult<Vec<A>> {
-    let total: usize = batches.iter().map(|b| b.len()).sum();
-    let p = ctx.default_partitions();
-    let chunk = total.div_ceil(p).max(1);
-    let mut refs: Vec<&[T]> = Vec::with_capacity(p);
-    for batch in batches {
-        refs.extend(batch.chunks(chunk));
-    }
-    while refs.len() < p {
-        refs.push(&[]);
-    }
-    run_stage(ctx, "summarize_partitions", total as u64, refs, one_each, f)
-}
-
-/// Merge per-partition partials **tree-wise on the worker pool**: each
-/// round pairs partials up and merges every pair in parallel, so the merge
-/// depth is `⌈log₂ n⌉` rounds instead of a driver-sequential chain of
-/// `n - 1` merges. `merge` must be associative (the partials are monoid
-/// values). Returns `None` for an empty input.
-///
-/// No stage or shuffle is charged: the partials were already accounted for
-/// by the collection pass that produced them, and the merges run where the
-/// pool's workers sit.
-pub fn merge_tree<A: Data>(
-    ctx: &Arc<ExecContext>,
-    mut partials: Vec<A>,
-    merge: impl Fn(A, A) -> A + Sync,
-) -> ExecResult<Option<A>> {
-    while partials.len() > 1 {
-        let mut pairs: Vec<Vec<A>> = Vec::with_capacity(partials.len().div_ceil(2));
-        let mut it = partials.into_iter();
-        while let Some(first) = it.next() {
-            match it.next() {
-                Some(second) => pairs.push(vec![first, second]),
-                None => pairs.push(vec![first]),
-            }
-        }
-        let (merged, _busy) = run_partitions(ctx, "merge_tree", pairs, |_, pair| {
-            let mut it = pair.into_iter();
-            match (it.next(), it.next()) {
-                (Some(first), Some(second)) => Some(merge(first, second)),
-                (first, _) => first,
-            }
-        })?;
-        partials = merged.into_iter().flatten().collect();
-    }
-    Ok(partials.into_iter().next())
-}
-
-#[cfg(test)]
-mod merge_tree_tests {
-    use super::*;
-
-    #[test]
-    fn tree_merge_equals_sequential_fold() {
-        let ctx = ExecContext::new(4, 8);
-        for n in [0usize, 1, 2, 3, 7, 8, 33] {
-            let partials: Vec<Vec<u64>> = (0..n).map(|i| vec![i as u64]).collect();
-            let merged = merge_tree(&ctx, partials.clone(), |mut a, b| {
-                a.extend(b);
-                a
-            })
-            .unwrap();
-            match n {
-                0 => assert!(merged.is_none()),
-                _ => {
-                    let mut got = merged.unwrap();
-                    got.sort_unstable();
-                    let want: Vec<u64> = (0..n as u64).collect();
-                    assert_eq!(got, want, "n = {n}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tree_merge_moves_no_records() {
-        let ctx = ExecContext::new(2, 4);
-        let before = ctx.metrics().snapshot().records_shuffled;
-        let out = merge_tree(&ctx, vec![1u64, 2, 3, 4, 5], |a, b| a + b).unwrap();
-        assert_eq!(out, Some(15));
-        assert_eq!(ctx.metrics().snapshot().records_shuffled, before);
-    }
-}
-
-#[cfg(test)]
-mod summarize_rows_tests {
-    use super::*;
-
-    #[test]
-    fn borrowed_summaries_match_dataset_path() {
-        let ctx = ExecContext::new(4, 8);
-        let rows: Vec<u64> = (0..1000).collect();
-        let partials = summarize_rows(&ctx, &rows, |part| part.iter().sum::<u64>()).unwrap();
-        assert_eq!(partials.len(), 8);
-        assert_eq!(partials.iter().sum::<u64>(), 999 * 1000 / 2);
-        let stage = ctx.metrics().snapshot().stages.pop().unwrap();
-        assert_eq!(stage.operator, "summarize_partitions");
-        assert_eq!(stage.records_in, 1000);
-        assert_eq!(stage.records_shuffled, 8);
-    }
-
-    #[test]
-    fn empty_rows_still_yield_one_partial_per_partition() {
-        let ctx = ExecContext::new(2, 4);
-        let rows: Vec<u64> = vec![];
-        let partials = summarize_rows(&ctx, &rows, |part| part.len()).unwrap();
-        assert_eq!(partials.len(), 4);
-        assert!(partials.iter().all(|&n| n == 0));
-    }
 }
 
 impl<T: Data + std::fmt::Debug> std::fmt::Debug for Dataset<T> {

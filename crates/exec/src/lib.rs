@@ -44,10 +44,7 @@ mod shuffle;
 pub mod theta;
 
 pub use context::{CancelToken, ExecContext};
-pub use dataset::{
-    merge_tree, produce_partials, produce_partitions, summarize_batches, summarize_rows, Data,
-    Dataset, Key,
-};
+pub use dataset::{produce_partials, produce_partitions, Data, Dataset, Key};
 pub use error::{ExecError, ExecResult};
 pub use faults::{FaultKind, FaultPlan, FaultSite};
 pub use fold::Shuffle;

@@ -208,36 +208,20 @@ pub fn mbucket_join<T: Data, U: Data>(
     }
     keys.sort_by(f64::total_cmp);
     keys.dedup();
-    let bounds: Vec<f64> = if keys.len() <= buckets {
-        keys.clone()
+    let mut bounds: Vec<f64> = if keys.len() <= buckets {
+        keys
     } else {
         (1..buckets)
             .map(|i| keys[i * keys.len() / buckets])
             .collect()
     };
-    mbucket_join_with_bounds(left, right, key_l, key_r, cell_compatible, verify, bounds)
-}
+    bounds.retain(|b| b.is_finite());
+    bounds.dedup();
 
-/// [`mbucket_join`] with caller-supplied matrix boundaries — the entry point
-/// for a statistics catalog that already holds equi-depth histograms of the
-/// join keys: the operator skips its own sampling pass and cuts the matrix
-/// exactly at the histogram's quantile points.
-pub fn mbucket_join_with_bounds<T: Data, U: Data>(
-    left: Dataset<T>,
-    right: Dataset<U>,
-    key_l: impl Fn(&T) -> f64 + Sync,
-    key_r: impl Fn(&U) -> f64 + Sync,
-    cell_compatible: impl Fn((f64, f64), (f64, f64)) -> bool + Sync,
-    verify: impl Fn(&T, &[U], &mut Vec<(T, U)>) + Sync,
-    mut bounds: Vec<f64>,
-) -> ExecResult<Dataset<(T, U)>> {
     let ctx = left.ctx.clone();
     let start = Instant::now();
     let ln = left.count() as u64;
     let rn = right.count() as u64;
-    bounds.retain(|b| b.is_finite());
-    bounds.sort_by(f64::total_cmp);
-    bounds.dedup();
     let nb = bounds.len() + 1;
     let bucket_of = |k: f64| bounds.partition_point(|b| *b <= k);
 
@@ -505,27 +489,6 @@ mod tests {
             "regions should be balanced: {:?}",
             stage.worker_busy_ns
         );
-    }
-
-    #[test]
-    fn mbucket_with_external_bounds_matches_reference() {
-        let c = ctx();
-        let l: Vec<i64> = (0..40).map(|i| (i * 7) % 23).collect();
-        let r: Vec<i64> = (0..60).map(|i| (i * 5) % 31).collect();
-        let expected = reference(&l, &r);
-        // Histogram-style quantile boundaries supplied by the caller.
-        let bounds = vec![5.0, 10.0, 15.0, 20.0, 25.0];
-        let out = mbucket_join_with_bounds(
-            Dataset::from_vec(&c, l),
-            Dataset::from_vec(&c, r),
-            |&a| a as f64,
-            |&b| b as f64,
-            |(lmin, _), (_, rmax)| lmin < rmax,
-            pairwise(|a, b| a < b),
-            bounds,
-        )
-        .unwrap();
-        assert_eq!(sorted(out.collect()), expected);
     }
 
     #[test]

@@ -4,10 +4,8 @@
 //! run. This crate turns violation detection into inference over *changes*:
 //!
 //! * **Append ingestion** — [`CleanDb::append`](cleanm_core::CleanDb)
-//!   (re-exported session) adds row batches as new partitions, bumps the
-//!   table's stats epoch, and maintains `TableStats` by summarizing only
-//!   the new batches (the stats monoid absorbs deltas without
-//!   recollection).
+//!   (re-exported session) adds row batches as new partitions and bumps
+//!   the table's epoch.
 //! * **Standing queries** — [`IncrementalSession::install`] runs a query
 //!   once, takes its plan from `CleanDb::plan`, and retains
 //!   per-operator state: FD group maps, DEDUP blocking indexes, CLUSTER BY

@@ -117,8 +117,8 @@ impl IncrementalSession {
         &mut self.db
     }
 
-    /// Append a batch to a registered table (new partitions; stats epochs
-    /// bump; standing queries pick the rows up on their next refresh).
+    /// Append a batch to a registered table (new partitions; the table's
+    /// epoch bumps; standing queries pick the rows up on their next refresh).
     pub fn append(&mut self, name: &str, table: Table) -> Result<(), EngineError> {
         self.db.append(name, table)
     }
@@ -329,7 +329,6 @@ impl IncrementalSession {
             metrics: self.db.context().metrics().snapshot(),
             plan_text: entry.plan_text().to_string(),
             decisions: Vec::new(),
-            table_stats: HashMap::new(),
             // Expression accounting is not maintained on the incremental
             // path (its per-batch programs live outside the executor);
             // summary() omits the line when the counters are empty.

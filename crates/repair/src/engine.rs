@@ -75,8 +75,8 @@ impl RepairEngine {
             match op.kind {
                 OpKind::Fd => match FdPlanShape::from_plan(plan) {
                     Some(shape) => {
-                        let stats = db.table_stats(&shape.table);
-                        section.merge(fd::plan(&shape, output, stats.as_ref()));
+                        let rows = db.table_rows(&shape.table).unwrap_or_default();
+                        section.merge(fd::plan(&shape, output, &rows));
                     }
                     None => section.unrepaired += output.len(),
                 },

@@ -1,14 +1,13 @@
 //! FD repairs: per violating LHS group, pick the right-hand side by
-//! weighted in-group frequency, breaking ties with table-level statistics.
+//! weighted in-group frequency, breaking ties by the value's count in the
+//! whole table.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
 
 use cleanm_core::calculus::desugar::ROWID_FIELD;
 use cleanm_core::calculus::CalcExpr;
 use cleanm_core::engine::{Fix, RepairSection};
 use cleanm_core::ops::FdPlanShape;
-use cleanm_stats::TableStats;
 use cleanm_values::Value;
 
 /// The columns an FD right-hand side rewrites, or `None` when any
@@ -33,23 +32,14 @@ fn rhs_columns(shape: &FdPlanShape) -> Option<Vec<String>> {
         .collect()
 }
 
-/// Global frequency of `v` in the table's column, from the stats catalog's
-/// heavy hitters (0 when untracked or stats are absent). Sketches that
-/// truncated anywhere (`heavy_error_bound() > 0`) are ignored entirely:
-/// their lower-bound counts depend on how the rows were partitioned, and a
-/// repair plan must be byte-identical across partition layouts.
-fn global_count(stats: Option<&Arc<TableStats>>, column: &str, v: &Value) -> u64 {
-    stats
-        .and_then(|s| s.column(column))
-        .filter(|c| c.heavy_error_bound() == 0)
-        .map(|c| {
-            c.heavy_hitters()
-                .iter()
-                .find(|(hv, _)| hv == v)
-                .map(|(_, n)| *n)
-                .unwrap_or(0)
-        })
-        .unwrap_or(0)
+/// How often each value of `column` occurs in the table's `rows`: exact,
+/// so a repair plan does not depend on how the rows were partitioned.
+fn column_counts<'r>(rows: &'r [Value], column: &str) -> HashMap<&'r Value, u64> {
+    let mut counts = HashMap::new();
+    for v in rows.iter().filter_map(|r| r.field(column).ok()) {
+        *counts.entry(v).or_insert(0) += 1;
+    }
+    counts
 }
 
 /// Plan FD repairs from the op's violating-group output (`{key, partition}`
@@ -57,19 +47,16 @@ fn global_count(stats: Option<&Arc<TableStats>>, column: &str, v: &Value) -> u64
 ///
 /// Per group and repairable RHS column: the winner is the most frequent
 /// member value (weighted frequency within the group), ties broken by the
-/// table-level heavy-hitter count, then by the canonical value order. One
-/// [`Fix`] is emitted per member cell differing from the winner, with
-/// `confidence = winner_count / group_size`.
-pub(crate) fn plan(
-    shape: &FdPlanShape,
-    output: &[Value],
-    stats: Option<&Arc<TableStats>>,
-) -> RepairSection {
+/// value's count in the column over the table's `rows`, then by the
+/// canonical value order. One [`Fix`] is emitted per member cell differing
+/// from the winner, with `confidence = winner_count / group_size`.
+pub(crate) fn plan(shape: &FdPlanShape, output: &[Value], rows: &[Value]) -> RepairSection {
     let mut section = RepairSection::default();
     let Some(columns) = rhs_columns(shape) else {
         section.unrepaired = output.len();
         return section;
     };
+    let globals: Vec<_> = columns.iter().map(|c| column_counts(rows, c)).collect();
     for group in output {
         let Ok(members) = group.field("partition").and_then(|p| p.as_list()) else {
             section.unrepaired += 1;
@@ -78,7 +65,7 @@ pub(crate) fn plan(
         if members.is_empty() {
             continue;
         }
-        for column in &columns {
+        for (column, global) in columns.iter().zip(&globals) {
             // Weighted in-group frequency per candidate value.
             let mut counts: BTreeMap<&Value, usize> = BTreeMap::new();
             for m in members {
@@ -88,8 +75,8 @@ pub(crate) fn plan(
             }
             let mut best: Option<(&Value, usize, u64)> = None;
             for (v, n) in counts {
-                let g = global_count(stats, column, v);
-                // Count desc, global heavy-hitter count desc; the BTreeMap
+                let g = global.get(v).copied().unwrap_or(0);
+                // Count desc, table-wide count desc; the BTreeMap
                 // order resolves remaining ties toward the smaller value.
                 let better = match best {
                     None => true,
@@ -159,7 +146,7 @@ mod tests {
         };
         let output = report.op_output("FD#0").unwrap();
         assert_eq!(output.len(), 1, "one violating group (addr = a)");
-        let section = plan(&shape, output, None);
+        let section = plan(&shape, output, &[]);
         assert_eq!(section.fixes.len(), 1);
         let fix = &section.fixes[0];
         assert_eq!(fix.column, "nation");
@@ -171,28 +158,34 @@ mod tests {
     }
 
     #[test]
-    fn ties_break_with_table_level_heavy_hitters() {
+    fn ties_break_with_the_table_mode() {
         let sql = "SELECT * FROM t x FD(x.addr, x.nation)";
-        // Group "a" ties 1-vs-2; globally nation=2 dominates via "b" rows.
-        let mut db = db_with(vec![("a", 1), ("a", 2), ("b", 2), ("c", 2), ("d", 2)]);
-        let report = db.run(sql).unwrap();
-        let shape = {
-            let entry = db.plan(sql).unwrap();
-            FdPlanShape::from_plan(&entry.plans()[0]).unwrap()
-        };
-        let stats = db.table_stats("t").unwrap();
-        let output = report.op_output("FD#0").unwrap().to_vec();
-        let section = plan(&shape, &output, Some(&stats));
-        assert_eq!(section.fixes.len(), 1);
-        assert_eq!(
-            section.fixes[0].repaired,
-            Value::Int(2),
-            "global mode wins the tie"
-        );
-        assert_eq!(section.fixes[0].row_id, 0);
-        // Without stats the tie falls to the smaller value.
-        let section = plan(&shape, &output, None);
-        assert_eq!(section.fixes[0].repaired, Value::Int(1));
+        // Group "a" ties 1-vs-2; globally nation=2 dominates via "b" rows —
+        // alone, and among 20 more rows of distinct nations.
+        let tie = vec![("a", 1), ("a", 2), ("b", 2), ("c", 2), ("d", 2)];
+        let addrs: Vec<String> = (0..20).map(|i| format!("e{i}")).collect();
+        let distinct = addrs.iter().zip(100..).map(|(a, n)| (a.as_str(), n));
+        let many = tie.iter().copied().chain(distinct).collect();
+        for rows in [tie, many] {
+            let mut db = db_with(rows);
+            let report = db.run(sql).unwrap();
+            let shape = {
+                let entry = db.plan(sql).unwrap();
+                FdPlanShape::from_plan(&entry.plans()[0]).unwrap()
+            };
+            let output = report.op_output("FD#0").unwrap().to_vec();
+            let section = plan(&shape, &output, &db.table_rows("t").unwrap());
+            assert_eq!(section.fixes.len(), 1);
+            assert_eq!(
+                section.fixes[0].repaired,
+                Value::Int(2),
+                "global mode wins the tie"
+            );
+            assert_eq!(section.fixes[0].row_id, 0);
+            // Without the table's rows the tie falls to the smaller value.
+            let section = plan(&shape, &output, &[]);
+            assert_eq!(section.fixes[0].repaired, Value::Int(1));
+        }
     }
 
     #[test]
@@ -205,7 +198,7 @@ mod tests {
             FdPlanShape::from_plan(&entry.plans()[0]).unwrap()
         };
         let output = report.op_output("FD#0").unwrap();
-        let section = plan(&shape, output, None);
+        let section = plan(&shape, output, &[]);
         assert!(section.fixes.is_empty());
         assert_eq!(section.unrepaired, output.len());
     }

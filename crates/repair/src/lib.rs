@@ -12,8 +12,8 @@
 //!
 //! * **FD repairs** — per violating LHS group, the right-hand side is set
 //!   to the group's most frequent value (weighted in-group frequency), ties
-//!   broken by table-level `cleanm-stats` heavy hitters; confidence is the
-//!   winner's in-group share.
+//!   broken by the value's exact count in the whole table; confidence is
+//!   the winner's in-group share.
 //! * **DEDUP / CLUSTER BY merges** — duplicate clusters collapse onto their
 //!   canonical record through matching-dependency-style [`MergeFn`]s per
 //!   column (most-frequent, longest, non-null, mean/min/max, custom

@@ -59,7 +59,6 @@ fn fixes_are_identical_across_profiles_and_partition_counts() {
         EngineProfile::clean_db(),
         EngineProfile::spark_sql_like(),
         EngineProfile::big_dansing_like(),
-        EngineProfile::adaptive(),
     ] {
         for partitions in [1, 3, 7] {
             let name = profile.name.clone();

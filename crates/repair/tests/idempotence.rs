@@ -11,12 +11,11 @@ use cleanm_repair::RepairEngine;
 use cleanm_values::Value;
 use proptest::prelude::*;
 
-fn profiles() -> [EngineProfile; 4] {
+fn profiles() -> [EngineProfile; 3] {
     [
         EngineProfile::clean_db(),
         EngineProfile::spark_sql_like(),
         EngineProfile::big_dansing_like(),
-        EngineProfile::adaptive(),
     ]
 }
 

@@ -1,9 +1,9 @@
 //! The columnar execution core is a *physical* optimization: under the
-//! unified and cost-based planners eligible `Select` and group-fold nodes
+//! unified planner eligible `Select` and group-fold nodes
 //! sweep typed column batches with whole-column kernels; under the
 //! operator-at-a-time planner the very same queries run row-at-a-time.
 //! Every observable output — violating ids, repairs, operator outputs —
-//! must be identical either way, under the strategies of all four
+//! must be identical either way, under the strategies of all three
 //! profiles, every operator family (FD / DEDUP / DC / GROUP BY /
 //! CLUSTER BY), and the nasty edges: NULL cells, NaN floats, empty
 //! tables, and row structs whose field order varies (which defeats
@@ -21,7 +21,6 @@ fn all_profiles() -> Vec<EngineProfile> {
         EngineProfile::clean_db(),
         EngineProfile::spark_sql_like(),
         EngineProfile::big_dansing_like(),
-        EngineProfile::adaptive(),
     ]
 }
 
@@ -74,19 +73,17 @@ fn run_with(profile: EngineProfile, name: &str, table: &Table, query: &str) -> C
 }
 
 /// Row-at-a-time ≡ columnar for `profile`'s strategies: the
-/// operator-at-a-time planner against the unified and the cost-based one.
+/// operator-at-a-time planner against the unified one.
 fn assert_agree(profile: &EngineProfile, name: &str, table: &Table, query: &str) {
     let row = run_with(by_rows(profile), name, table, query);
     assert_eq!(row.exprs.vectorized_rows, 0, "`{query}`");
-    for planner in [Planner::Unified, Planner::CostBased] {
-        let col = run_with(with_planner(profile, planner), name, table, query);
-        assert_eq!(
-            digest(&row),
-            digest(&col),
-            "row vs columnar drift under {} / {planner:?} for `{query}`",
-            profile.name
-        );
-    }
+    let col = run_with(with_planner(profile, Planner::Unified), name, table, query);
+    assert_eq!(
+        digest(&row),
+        digest(&col),
+        "row vs columnar drift under {} for `{query}`",
+        profile.name
+    );
 }
 
 #[test]
@@ -147,25 +144,24 @@ fn dc_identical_row_vs_columnar() {
         .rows(2_000)
         .noise_column(NoiseColumn::OrderKey)
         .generate();
-    for profile in [EngineProfile::clean_db(), EngineProfile::adaptive()] {
-        let run = |profile: EngineProfile| {
-            let mut db = CleanDb::new(profile);
-            db.register("lineitem", data.table.clone());
-            InequalityDc::rule_psi("lineitem", 20_000.0)
-                .run(&mut db)
-                .unwrap()
-        };
-        match (run(by_rows(&profile)), run(profile.clone())) {
-            (
-                DcOutcome::Completed {
-                    violations: row, ..
-                },
-                DcOutcome::Completed {
-                    violations: col, ..
-                },
-            ) => assert_eq!(row, col, "DC drift under {}", profile.name),
-            (r, c) => panic!("DC outcomes diverged: {r:?} vs {c:?}"),
-        }
+    let run = |profile: EngineProfile| {
+        let mut db = CleanDb::new(profile);
+        db.register("lineitem", data.table.clone());
+        InequalityDc::rule_psi("lineitem", 20_000.0)
+            .run(&mut db)
+            .unwrap()
+    };
+    let profile = EngineProfile::clean_db();
+    match (run(by_rows(&profile)), run(profile)) {
+        (
+            DcOutcome::Completed {
+                violations: row, ..
+            },
+            DcOutcome::Completed {
+                violations: col, ..
+            },
+        ) => assert_eq!(row, col, "DC drift"),
+        (r, c) => panic!("DC outcomes diverged: {r:?} vs {c:?}"),
     }
 }
 

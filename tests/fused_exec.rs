@@ -410,7 +410,6 @@ proptest! {
             EngineProfile::clean_db(),
             EngineProfile::spark_sql_like(),
             EngineProfile::big_dansing_like(),
-            EngineProfile::adaptive(),
         ] {
             for workers in [1, 2] {
                 let (out, fused) = run_profiled(&pairs, &tables, profile.clone(), workers);

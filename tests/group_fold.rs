@@ -548,11 +548,7 @@ const COLUMNAR_QUERIES: [&str; 8] = [
 /// Every planner level under every Nest strategy — all the policy a
 /// grouping query can see.
 fn all_profiles() -> Vec<EngineProfile> {
-    let planners = [
-        Planner::OperatorAtATime,
-        Planner::Unified,
-        Planner::CostBased,
-    ];
+    let planners = [Planner::OperatorAtATime, Planner::Unified];
     let nests = [
         NestStrategy::LocalAggregate,
         NestStrategy::SortShuffle,
@@ -578,7 +574,7 @@ proptest! {
     /// Generated tables × FD / GROUP BY shapes × every planner level and
     /// Nest strategy × workers {1, 2}: output multisets and member order
     /// within each group ≡ the reference evaluator. The columnar route runs
-    /// under the unified and cost-based planners with `LocalAggregate`
+    /// under the unified planner with `LocalAggregate`
     /// wherever the generated batches columnarize; materialized groups
     /// everywhere else — under their other strategies, over `MixedKeys` /
     /// non-columnar batches, and under the operator-at-a-time planner —
@@ -703,8 +699,7 @@ fn every_column_expression_shape_takes_the_columnar_route() {
 }
 
 /// What does not lower materializes its groups — decided once, with the
-/// same recorded decision: non-`LocalAggregate` strategies (fixed or
-/// cost-based), a shared scan, `Val` columns, arithmetic in the key, and
+/// same recorded decision: non-`LocalAggregate` strategies, a shared scan, `Val` columns, arithmetic in the key, and
 /// tables whose rows do not columnarize.
 #[test]
 fn what_does_not_lower_materializes_its_groups() {
@@ -718,14 +713,6 @@ fn what_does_not_lower_materializes_its_groups() {
         );
     }
     assert_eq!(swept(&mut ragged_session(200, 9), fd), 0);
-    // Cost-based: near-unique keys decide HashShuffle, collapsing ones
-    // LocalAggregate — and a fused WHERE hides the Nest's input count.
-    let adaptive = EngineProfile::adaptive;
-    assert_eq!(swept(&mut typed_session(adaptive(), 200, 199, 1), fd), 0);
-    assert_eq!(swept(&mut typed_session(adaptive(), 200, 9, 1), fd), 200);
-    let filtered = "SELECT * FROM t c WHERE c.v > 7 FD(c.k | c.v)";
-    let mut db = typed_session(adaptive(), 200, 9, 1);
-    assert!(stage_names(&db.run(filtered).unwrap()).contains(&"filter"));
 
     let mut db = typed_session(EngineProfile::clean_db(), 200, 9, 1);
     // The FD's Nest is shared with the DEDUP: it stays materialized.

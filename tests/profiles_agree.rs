@@ -24,13 +24,9 @@ fn profiles() -> Vec<EngineProfile> {
 }
 
 /// The whole policy space: every planner level × Nest strategy × theta
-/// strategy — 27 points, the four named profiles among them.
+/// strategy — 18 points, the three named profiles among them.
 fn policy_space() -> Vec<EngineProfile> {
-    let planners = [
-        Planner::OperatorAtATime,
-        Planner::Unified,
-        Planner::CostBased,
-    ];
+    let planners = [Planner::OperatorAtATime, Planner::Unified];
     let nests = [
         NestStrategy::LocalAggregate,
         NestStrategy::SortShuffle,
@@ -60,13 +56,8 @@ fn policy_space() -> Vec<EngineProfile> {
 #[test]
 fn the_named_profiles_are_points_of_the_policy_space() {
     let space = policy_space();
-    assert_eq!(space.len(), 27);
-    for named in [
-        EngineProfile::clean_db(),
-        EngineProfile::spark_sql_like(),
-        EngineProfile::big_dansing_like(),
-        EngineProfile::adaptive(),
-    ] {
+    assert_eq!(space.len(), 18);
+    for named in profiles() {
         let point = |p: &EngineProfile| (p.planner, p.nest, p.theta);
         let hits = space.iter().filter(|p| point(p) == point(&named));
         assert_eq!(hits.count(), 1, "{}", named.name);
