@@ -200,10 +200,7 @@ fn incr_bench(scale: Scale) -> Vec<String> {
                 ("incremental_ms", format!("{:.3}", r.incremental_ms)),
                 ("speedup", format!("{:.3}", r.speedup())),
                 ("identical", r.identical.to_string()),
-                (
-                    "plan_cache_hit",
-                    (r.plan_cache_hit == Some(true)).to_string(),
-                ),
+                ("plan_cache_hit", r.plan_cache_hit.to_string()),
             ]
         })
         .collect();

@@ -725,9 +725,8 @@ pub struct IncrRow {
     pub incremental_ms: f64,
     /// Violation/repair reports byte-identical between the two paths.
     pub identical: bool,
-    /// A repeated query on the batch session hit the plan cache; `None`
-    /// for the DC workload, which builds plans directly and never asks it.
-    pub plan_cache_hit: Option<bool>,
+    /// A repeated query on the batch session hit the plan cache.
+    pub plan_cache_hit: bool,
 }
 
 impl IncrRow {
@@ -736,13 +735,16 @@ impl IncrRow {
     }
 
     /// The correctness gates this row fails: identical reports, and a
-    /// plan-cache hit where the repeated query was probed for one.
+    /// plan-cache hit on the repeated query.
     pub fn unmet(&self) -> Vec<String> {
         let at = format!("incr {}", self.workload);
-        let cached = self.plan_cache_hit != Some(false);
         let mut unmet = Vec::new();
         gate(&mut unmet, self.identical, format!("{at}: diverged"));
-        gate(&mut unmet, cached, format!("{at}: plan-cache miss"));
+        gate(
+            &mut unmet,
+            self.plan_cache_hit,
+            format!("{at}: plan-cache miss"),
+        );
         unmet
     }
 }
@@ -778,22 +780,14 @@ fn fd_customers(rows: usize) -> Table {
         .table
 }
 
-/// Time a standing session's append+`refresh` against `full` on a fresh
-/// session over the same rows. `table` splits into a base, which the
-/// standing session `install`s over, and one ~1% delta per round off its
-/// tail; each round the standing session absorbs the next delta and a fresh
-/// batch session runs over everything appended so far. Returns the row (no
-/// plan-cache probe yet), the last refresh's result and the last batch
-/// session, which by then both cover the whole table.
-fn incr_vs_full<Id: Copy, R>(
-    workload: &str,
-    table_name: &str,
-    table: Table,
-    install: impl Fn(&mut IncrementalSession) -> Id,
-    refresh: impl Fn(&mut IncrementalSession, Id) -> R,
-    full: impl Fn(&mut CleanDb) -> R,
-    same: impl Fn(&R, &R) -> bool,
-) -> (IncrRow, R, CleanDb) {
+/// Time a standing query's append+`refresh` against the same query from
+/// scratch on a fresh session over the same rows, and check the two agree:
+/// identical violation/repair reports, no fallback op, and a plan-cache hit
+/// when the batch session repeats the query. `table` splits into a base,
+/// which the standing session `install`s over, and one ~1% delta per round
+/// off its tail; each round the standing session absorbs the next delta and
+/// a fresh batch session runs over everything appended so far.
+fn run_incr_workload(workload: &str, table_name: &str, table: Table, sql: &str) -> IncrRow {
     let rows = table.rows.len();
     let delta_rows = (rows / 100).max(1);
     let mut base = table;
@@ -810,7 +804,7 @@ fn incr_vs_full<Id: Copy, R>(
         db
     };
     let mut incr = IncrementalSession::new(fresh(base.clone()));
-    let id = install(&mut incr);
+    let id = incr.install(sql).expect("install standing query").0;
     let mut grown = base;
     let mut batch: Vec<CleanDb> = deltas
         .iter()
@@ -828,53 +822,38 @@ fn incr_vs_full<Id: Copy, R>(
             &mut || {
                 let delta = next_delta.next().expect("one delta per round");
                 incr.append(table_name, delta).expect("append");
-                incremental = Some(refresh(&mut incr, id));
+                incremental = Some(incr.refresh(id).expect("refresh"));
             },
             &mut || {
                 let db = next_batch.next().expect("one session per round");
-                from_scratch = Some(full(db));
+                from_scratch = Some(db.run(sql).expect("full re-run"));
             },
         ],
     );
-    let incremental = incremental.expect("rounds > 0");
-    let row = IncrRow {
+    let refreshed = incremental.expect("rounds > 0");
+    assert_eq!(
+        refreshed.incremental.as_ref().map(|i| i.fallback_ops),
+        Some(0),
+        "{workload}: all ops must revalidate from state"
+    );
+    let repeat = (batch.last_mut().expect("rounds > 0"))
+        .run(sql)
+        .expect("repeat run");
+    IncrRow {
         workload: workload.to_string(),
         rows,
         delta_rows,
         full_ms: best[1],
         incremental_ms: best[0],
-        identical: same(&incremental, &from_scratch.expect("rounds > 0")),
-        plan_cache_hit: None,
-    };
-    (row, incremental, batch.pop().expect("rounds > 0"))
-}
-
-/// A standing SQL query against the same query from scratch: identical
-/// violation/repair reports, no fallback op, and a plan-cache hit when the
-/// batch session repeats the query.
-fn run_incr_workload(workload: &str, table_name: &str, table: Table, sql: &str) -> IncrRow {
-    let (mut row, refreshed, mut full_db) = incr_vs_full(
-        workload,
-        table_name,
-        table,
-        |incr| incr.install(sql).expect("install standing query").0,
-        |incr, id| incr.refresh(id).expect("refresh"),
-        |db| db.run(sql).expect("full re-run"),
-        |a, b| report_fingerprint(a) == report_fingerprint(b),
-    );
-    assert_eq!(
-        refreshed.incremental.map(|i| i.fallback_ops),
-        Some(0),
-        "{workload}: all ops must revalidate from state"
-    );
-    let repeat = full_db.run(sql).expect("repeat run");
-    row.plan_cache_hit = Some(repeat.plan_cache.hit && repeat.plan_cache.hits > 0);
-    row
+        identical: report_fingerprint(&refreshed)
+            == report_fingerprint(&from_scratch.expect("rounds > 0")),
+        plan_cache_hit: repeat.plan_cache.hit && repeat.plan_cache.hits > 0,
+    }
 }
 
 /// The incremental-cleaning workloads: an FD check over a wide customer
 /// table, the unified FD+DEDUP query of §8.2, and a standing inequality
-/// DC over lineitem (join-key-domain indexes).
+/// DC over lineitem (sorted join-key indexes).
 pub fn incr_append(scale: Scale) -> Vec<IncrRow> {
     let mut out = Vec::new();
 
@@ -908,22 +887,12 @@ pub fn incr_append(scale: Scale) -> Vec<IncrRow> {
         .generate();
     let cap = low_price(&dc_data.table, 100);
     let dc = InequalityDc::rule_psi("lineitem", cap);
-    let (row, _, _) = incr_vs_full(
+    out.push(run_incr_workload(
         "dc_psi",
         "lineitem",
         dc_data.table,
-        |incr| incr.install_dc(&dc).expect("install dc").0,
-        |incr, id| incr.refresh_dc(id).expect("refresh dc"),
-        |db| dc.run(db).expect("full dc"),
-        |a, b| match (a, b) {
-            (
-                DcOutcome::Completed { violations: a, .. },
-                DcOutcome::Completed { violations: b, .. },
-            ) => a == b,
-            _ => false,
-        },
-    );
-    out.push(row);
+        &dc.to_sql(),
+    ));
     out
 }
 

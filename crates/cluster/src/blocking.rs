@@ -9,9 +9,8 @@ use crate::kmeans::KMeansBlocker;
 /// Blockers must be **pure**: the keys of a term may not depend on any other
 /// term or on evaluation order. Purity makes "group the dataset by blocker
 /// key" a monoid homomorphism — each element's contribution is a singleton
-/// group-map, and partial maps merge associatively (see
-/// [`crate::merge_groups`]) — which is what lets the paper run blocking
-/// inside an `aggregateByKey` without a global pass.
+/// group-map, and partial maps merge associatively — which is what lets the
+/// paper run blocking inside an `aggregateByKey` without a global pass.
 pub trait Blocker: Send + Sync {
     /// The group keys for `term`. Must be non-empty so every record lands in
     /// at least one group (otherwise recall silently drops).

@@ -13,18 +13,15 @@
 //!
 //! The common interface is [`Blocker`]: a pure function from a term to the
 //! set of group keys it belongs to. Purity is exactly what makes the
-//! grouping a monoid homomorphism — merging two partial group-maps is
-//! associative and commutative, which [`merge_groups`] implements and the
-//! property tests verify.
+//! grouping a monoid homomorphism: the engine's `Nest` operator groups by
+//! blocker key partition by partition and merges the partial groups.
 //!
 //! The paper's optional variants are implemented too: [`kmeans_multipass`]
 //! (the classic iterative algorithm, §4.3 "multi-pass partitional") and
 //! [`LengthBand`] blocking (§4.3 "extensibility").
 
 mod blocking;
-mod groups;
 mod kmeans;
 
 pub use blocking::{Blocker, BlockerKind, ExactKey, LengthBand, TokenFilter};
-pub use groups::{group_all, merge_groups, unit as group_unit, GroupMap};
 pub use kmeans::{kmeans_multipass, select_centers, CenterInit, KMeansBlocker};

@@ -9,7 +9,8 @@
 //! * **Standing queries** — [`IncrementalSession::install`] runs a query
 //!   once, takes its plan from `CleanDb::plan`, and retains
 //!   per-operator state: FD group maps, DEDUP blocking indexes, CLUSTER BY
-//!   dictionary indexes, DC join-key domains. Each appended batch is then
+//!   dictionary indexes, sorted join-key indexes for a `DC(...)` clause
+//!   that plans as a theta join. Each appended batch is then
 //!   validated delta-vs-delta and delta-vs-history, producing a
 //!   [`CleaningReport`](cleanm_core::CleaningReport) with the same
 //!   violations and repairs as a from-scratch run — without rescanning old
@@ -24,5 +25,4 @@ mod dc;
 mod session;
 mod state;
 
-pub use dc::StandingDc;
-pub use session::{DcId, IncrementalSession, QueryId};
+pub use session::{IncrementalSession, QueryId};

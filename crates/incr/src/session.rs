@@ -16,40 +16,38 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use cleanm_core::algebra::Alg;
 use cleanm_core::calculus::desugar::OpKind;
 use cleanm_core::engine::{
     collect_repairs, combine_local_violations, EngineError, IncrementalInfo, PlanCacheStats,
     PlannedQuery,
 };
-use cleanm_core::ops::{DcOutcome, DedupPlanShape, FdPlanShape, InequalityDc, TermvalPlanShape};
+use cleanm_core::ops::{DedupPlanShape, FdPlanShape, TermvalPlanShape};
 use cleanm_core::{CleanDb, CleaningReport};
 use cleanm_values::{Table, Value};
 
-use crate::dc::StandingDc;
+use crate::dc::DcState;
 use crate::state::{DedupState, FdState, OpState, SelectState, TermvalState};
 
 /// Handle to an installed standing query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryId(usize);
 
-/// Handle to an installed standing denial constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DcId(usize);
-
-/// Where a standing structure stands relative to a table's batch list.
+/// Where a standing query stands relative to a table's batch list.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Cursor {
+struct Cursor {
     /// `StoredTable::created` of the lineage the state was built on.
-    pub(crate) lineage: u64,
+    lineage: u64,
     /// Batches already absorbed.
-    pub(crate) batches_seen: usize,
+    batches_seen: usize,
 }
 
 struct InstalledOp {
     label: String,
     kind: OpKind,
     /// Tables whose deltas this op absorbs, in shape order (base table
-    /// first, CLUSTER BY's dictionary second; empty for fallbacks).
+    /// first, CLUSTER BY's dictionary second); a fallback's are the tables
+    /// its plan scans.
     tables: Vec<String>,
     state: OpState,
 }
@@ -100,7 +98,6 @@ struct Standing {
 pub struct IncrementalSession {
     db: CleanDb,
     queries: Vec<Standing>,
-    dcs: Vec<StandingDc>,
 }
 
 impl IncrementalSession {
@@ -108,7 +105,6 @@ impl IncrementalSession {
         IncrementalSession {
             db,
             queries: Vec::new(),
-            dcs: Vec::new(),
         }
     }
 
@@ -131,40 +127,6 @@ impl IncrementalSession {
         let standing = self.build_standing(sql, &report)?;
         self.queries.push(standing);
         Ok((QueryId(self.queries.len() - 1), report))
-    }
-
-    /// Install a standing denial constraint (join-key domain index).
-    pub fn install_dc(&mut self, dc: &InequalityDc) -> Result<(DcId, DcOutcome), EngineError> {
-        let (state, baseline) = StandingDc::install(dc, &mut self.db)?;
-        self.dcs.push(state);
-        Ok((DcId(self.dcs.len() - 1), baseline))
-    }
-
-    /// Re-validate a standing DC against the rows appended since the last
-    /// refresh (or install).
-    pub fn refresh_dc(&mut self, id: DcId) -> Result<DcOutcome, EngineError> {
-        let state = &self.dcs[id.0];
-        let stored = self.db.table(&state.table);
-        let rebuild = match stored {
-            Some(s) => s.created() != state.cursor.lineage,
-            None => true,
-        };
-        if rebuild {
-            return Err(EngineError::Exec(cleanm_exec::ExecError::Other(format!(
-                "table `{}` was re-registered; reinstall the standing DC",
-                state.table
-            ))));
-        }
-        let stored = stored.expect("checked above");
-        let delta: Vec<Value> = stored.batches()[state.cursor.batches_seen..]
-            .iter()
-            .flat_map(|b| b.iter().cloned())
-            .collect();
-        let batches_now = stored.batches().len();
-        let state = &mut self.dcs[id.0];
-        let outcome = state.refresh(&delta);
-        state.cursor.batches_seen = batches_now;
-        Ok(outcome)
     }
 
     /// Re-validate a standing query against the rows appended since the
@@ -247,7 +209,7 @@ impl IncrementalSession {
 
         let ctx = Arc::clone(self.db.context());
         let mut ops = Vec::new();
-        let (mut incremental_ops, mut fallback_ops) = (0usize, 0usize);
+        let (mut incremental_ops, mut fallback_ops, mut pair_tests) = (0usize, 0usize, 0u64);
         // Delta absorption runs under panic isolation with a deterministic
         // fault-injection point: a panic or injected fault mid-absorb —
         // like a delta row that fails to evaluate — leaves retained state
@@ -269,21 +231,17 @@ impl IncrementalSession {
                             .unwrap_or_default()
                     } else {
                         incremental_ops += 1;
-                        if op
+                        // A delta row that fails to evaluate leaves this
+                        // and earlier ops' state half-updated: rebuild
+                        // from a full run, which reports the same
+                        // evaluation error the batch engine would (or
+                        // succeeds if only our state was stale).
+                        pair_tests += op
                             .state
                             .absorb_deltas(&op.tables, &deltas, &eval_ctx)
-                            .is_err()
-                        {
-                            // A delta row failed to evaluate. Earlier ops
-                            // may have absorbed this delta already, so
-                            // retained state is no longer trustworthy:
-                            // rebuild from a full run, which reports the
-                            // same evaluation error the batch engine would
-                            // (or succeeds if only our state was stale).
-                            return Err(cleanm_exec::ExecError::Other(
-                                "delta row failed to evaluate".into(),
-                            ));
-                        }
+                            .map_err(|_| {
+                                cleanm_exec::ExecError::Other("delta row failed to evaluate".into())
+                            })?;
                         op.state.output()
                     };
                     ops.push(cleanm_core::engine::OpResult {
@@ -314,7 +272,7 @@ impl IncrementalSession {
         self.db
             .context()
             .metrics()
-            .add_comparisons(eval_ctx.comparisons() - comparisons_before);
+            .add_comparisons(eval_ctx.comparisons() - comparisons_before + pair_tests);
         let violating_ids = combine_local_violations(&ops);
         let repairs = collect_repairs(&ops);
         let (hits, misses) = self.db.plan_cache_counters();
@@ -427,7 +385,7 @@ impl IncrementalSession {
     /// catalog change, so k-means ops cannot keep state and fall back.
     fn build_state(
         &self,
-        plan: &cleanm_core::algebra::Alg,
+        plan: &Alg,
         kind: OpKind,
         eval_ctx: &cleanm_core::calculus::EvalCtx,
         baseline_output: Vec<Value>,
@@ -445,10 +403,11 @@ impl IncrementalSession {
         };
         let unstable_blocker =
             |algo: &FilterAlgo| corpus_sampled && matches!(algo, FilterAlgo::KMeans { .. });
+        let fallback = || Ok((OpState::Fallback, scanned_tables(plan)));
         match kind {
             OpKind::Fd => {
                 let Some(shape) = FdPlanShape::from_plan(plan) else {
-                    return Ok((OpState::Fallback, Vec::new()));
+                    return fallback();
                 };
                 let mut state = FdState::new(&shape, eval_ctx).map_err(exec_err)?;
                 state
@@ -458,10 +417,10 @@ impl IncrementalSession {
             }
             OpKind::Dedup => {
                 let Some(shape) = DedupPlanShape::from_plan(plan) else {
-                    return Ok((OpState::Fallback, Vec::new()));
+                    return fallback();
                 };
                 if unstable_blocker(&shape.algo) {
-                    return Ok((OpState::Fallback, Vec::new()));
+                    return fallback();
                 }
                 let mut state = DedupState::new(&shape, eval_ctx).map_err(exec_err)?;
                 state
@@ -472,10 +431,10 @@ impl IncrementalSession {
             }
             OpKind::TermValidation => {
                 let Some(shape) = TermvalPlanShape::from_plan(plan) else {
-                    return Ok((OpState::Fallback, Vec::new()));
+                    return fallback();
                 };
                 if unstable_blocker(&shape.algo) {
-                    return Ok((OpState::Fallback, Vec::new()));
+                    return fallback();
                 }
                 let mut state = TermvalState::new(&shape, eval_ctx).map_err(exec_err)?;
                 state
@@ -491,32 +450,52 @@ impl IncrementalSession {
                     vec![shape.data.table.clone(), shape.dict.table.clone()],
                 ))
             }
-            // DC pair enumeration has no incremental state yet: re-run fully.
-            OpKind::Dc => Ok((OpState::Fallback, Vec::new())),
+            // A DC with an equality conjunct plans as a blocked pair sweep,
+            // not a theta join: it keeps no state.
+            OpKind::Dc => {
+                let Some((mut state, table)) =
+                    DcState::from_plan(plan, eval_ctx).map_err(exec_err)?
+                else {
+                    return fallback();
+                };
+                state
+                    .index_only(&all_rows(&table), eval_ctx)
+                    .map_err(exec_err)?;
+                state.seed_outputs(baseline_output);
+                Ok((OpState::Dc(Box::new(state)), vec![table]))
+            }
             OpKind::Select => {
                 let Some(mut state) = SelectState::from_plan(plan, eval_ctx).map_err(exec_err)?
                 else {
-                    return Ok((OpState::Fallback, Vec::new()));
+                    return fallback();
                 };
                 state.seed_outputs(baseline_output);
-                let table = scan_table(plan);
-                Ok((
-                    OpState::Select(Box::new(state)),
-                    table.into_iter().collect(),
-                ))
+                Ok((OpState::Select(Box::new(state)), scanned_tables(plan)))
             }
         }
     }
 }
 
-/// The single base table a filtered-scan plan reads, if that is its shape.
-fn scan_table(plan: &cleanm_core::algebra::Alg) -> Option<String> {
-    use cleanm_core::algebra::Alg;
-    match plan {
-        Alg::Scan { table, .. } => Some(table.clone()),
-        Alg::Select { input, .. } | Alg::Reduce { input, .. } | Alg::Unnest { input, .. } => {
-            scan_table(input)
+/// Every base table a plan scans, once each, in plan order.
+fn scanned_tables(plan: &Alg) -> Vec<String> {
+    fn walk(plan: &Alg, out: &mut Vec<String>) {
+        match plan {
+            Alg::Scan { table, .. } => {
+                if !out.contains(table) {
+                    out.push(table.clone());
+                }
+            }
+            Alg::Select { input, .. }
+            | Alg::Reduce { input, .. }
+            | Alg::Unnest { input, .. }
+            | Alg::Nest { input, .. } => walk(input, out),
+            Alg::Join { left, right, .. } | Alg::ThetaJoin { left, right, .. } => {
+                walk(left, out);
+                walk(right, out);
+            }
         }
-        _ => None,
     }
+    let mut out = Vec::new();
+    walk(plan, &mut out);
+    out
 }

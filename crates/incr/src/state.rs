@@ -10,6 +10,8 @@
 //!   only against the members of its own blocks;
 //! * CLUSTER BY — the dictionary side indexed by blocking key once; each
 //!   appended term probes the matching dictionary blocks;
+//! * DC — each theta side's filtered rows sorted by join key
+//!   ([`crate::dc`]);
 //! * SELECT — accumulated projected output (plus the filters to run on
 //!   delta rows).
 //!
@@ -26,6 +28,8 @@ use cleanm_core::ops::{DedupPlanShape, FdPlanShape, TermvalPlanShape};
 use cleanm_core::physical::RowExpr;
 use cleanm_values::{FxHashSet, Result, Value};
 
+use crate::dc::DcState;
+
 /// One compiled predicate/expression pipeline over a single row variable
 /// (the row itself is the one-slot environment).
 pub(crate) struct RowPipeline {
@@ -33,7 +37,11 @@ pub(crate) struct RowPipeline {
 }
 
 impl RowPipeline {
-    fn new(var: &str, filters: &[cleanm_core::calculus::CalcExpr], ctx: &EvalCtx) -> Result<Self> {
+    pub(crate) fn new(
+        var: &str,
+        filters: &[cleanm_core::calculus::CalcExpr],
+        ctx: &EvalCtx,
+    ) -> Result<Self> {
         let scope = vec![var.to_string()];
         let filters = filters.iter().map(|f| RowExpr::compile(f, &scope, ctx));
         Ok(RowPipeline {
@@ -45,7 +53,7 @@ impl RowPipeline {
     /// batch executor fails the whole run on a predicate error, and the
     /// incremental session must match that (it rebuilds via a full run,
     /// which then reports the same error).
-    fn passes(&self, row: &Value, ctx: &EvalCtx) -> Result<bool> {
+    pub(crate) fn passes(&self, row: &Value, ctx: &EvalCtx) -> Result<bool> {
         for f in &self.filters {
             if !truthy(&f.eval_env(std::slice::from_ref(row), ctx)?) {
                 return Ok(false);
@@ -67,7 +75,7 @@ pub(crate) struct PairPreds {
 }
 
 impl PairPreds {
-    fn new(
+    pub(crate) fn new(
         left_var: &str,
         right_var: &str,
         preds: &[cleanm_core::calculus::CalcExpr],
@@ -82,7 +90,7 @@ impl PairPreds {
 
     /// Do the pair predicates all hold? Errors propagate (see
     /// [`RowPipeline::passes`]).
-    fn passes(&self, left: &Value, right: &Value, ctx: &EvalCtx) -> Result<bool> {
+    pub(crate) fn passes(&self, left: &Value, right: &Value, ctx: &EvalCtx) -> Result<bool> {
         let (l, r) = (std::slice::from_ref(left), std::slice::from_ref(right));
         for p in &self.preds {
             if !truthy(&p.eval_pair(l, r, ctx)?) {
@@ -518,6 +526,7 @@ pub(crate) enum OpState {
     Fd(Box<FdState>),
     Dedup(Box<DedupState>),
     Termval(Box<TermvalState>),
+    Dc(Box<DcState>),
     Select(Box<SelectState>),
     /// Shape not maintainable: the op re-runs in full on every refresh.
     Fallback,
@@ -532,12 +541,14 @@ impl OpState {
     /// op's dependency list in shape order (base table first; CLUSTER BY
     /// adds the dictionary second — its data side absorbs before the
     /// dictionary side so same-refresh pairs are counted exactly once).
+    /// Returns the DC pair tests run (the eval context counts the
+    /// similarity calls of the other ops).
     pub(crate) fn absorb_deltas(
         &mut self,
         tables: &[String],
         deltas: &std::collections::HashMap<String, Vec<Value>>,
         ctx: &EvalCtx,
-    ) -> Result<()> {
+    ) -> Result<u64> {
         let delta_of = |i: usize| -> &[Value] {
             tables
                 .get(i)
@@ -546,15 +557,17 @@ impl OpState {
                 .unwrap_or(&[])
         };
         match self {
-            OpState::Fd(s) => s.absorb(delta_of(0), ctx),
-            OpState::Dedup(s) => s.absorb(delta_of(0), ctx),
+            OpState::Fd(s) => s.absorb(delta_of(0), ctx)?,
+            OpState::Dedup(s) => s.absorb(delta_of(0), ctx)?,
             OpState::Termval(s) => {
                 s.absorb_data(delta_of(0), ctx)?;
-                s.absorb_dict(delta_of(1), ctx)
+                s.absorb_dict(delta_of(1), ctx)?
             }
-            OpState::Select(s) => s.absorb(delta_of(0), ctx),
-            OpState::Fallback => Ok(()),
+            OpState::Dc(s) => return s.absorb(delta_of(0), ctx),
+            OpState::Select(s) => s.absorb(delta_of(0), ctx)?,
+            OpState::Fallback => {}
         }
+        Ok(0)
     }
 
     /// The op's current full output (identical to a from-scratch run).
@@ -563,6 +576,7 @@ impl OpState {
             OpState::Fd(s) => s.output(),
             OpState::Dedup(s) => s.output(),
             OpState::Termval(s) => s.output(),
+            OpState::Dc(s) => s.output(),
             OpState::Select(s) => s.output(),
             OpState::Fallback => Vec::new(),
         }

@@ -211,6 +211,17 @@ proptest! {
     }
 
     #[test]
+    fn fd_dc_incremental_equals_batch(batches in batches_strategy()) {
+        check_incremental(
+            "SELECT * FROM customer c \
+             FD(c.address, c.nationkey) \
+             DC(t1.nationkey < t2.nationkey AND t1.name > t2.name)",
+            &batches,
+            None,
+        );
+    }
+
+    #[test]
     fn fd_with_where_incremental_equals_batch(batches in batches_strategy()) {
         check_incremental(
             "SELECT * FROM customer c WHERE c.nationkey < 2 FD(c.address, c.name)",
@@ -254,6 +265,7 @@ fn unsupported_shapes_fall_back_and_stay_correct() {
     let info = got.incremental.clone().expect("incremental info");
     assert_eq!(info.fallback_ops, 1, "GROUP BY op must fall back");
     assert_eq!(info.incremental_ops, 0);
+    assert_eq!(info.delta_rows, 1, "a fallback op's tables are tracked");
     let want = batch_run(sql, &batches, None);
     assert_eq!(canonical(&got), canonical(&want));
 }
@@ -477,24 +489,28 @@ fn table_replacement_forces_full_rebuild() {
     assert!(got.violating_ids.is_empty(), "{:?}", got.violating_ids);
 }
 
-#[test]
-fn standing_dc_counts_new_pairs_like_batch() {
+fn lineitem(rows: &[(f64, Value)]) -> Table {
     let schema = Schema::of([
         ("extendedprice", DataType::Float),
         ("discount", DataType::Float),
     ]);
-    let make = |rows: &[(f64, f64)]| {
-        Table::new(
-            schema.clone(),
-            rows.iter()
-                .map(|&(p, d)| Row::new(vec![Value::Float(p), Value::Float(d)]))
-                .collect(),
-        )
+    let rows = rows
+        .iter()
+        .map(|(p, d)| Row::new(vec![Value::Float(*p), d.clone()]));
+    Table::new(schema, rows.collect())
+}
+
+#[test]
+fn standing_dc_counts_new_pairs_like_batch() {
+    let floats = |rows: &[(f64, f64)]| -> Vec<(f64, Value)> {
+        rows.iter().map(|&(p, d)| (p, Value::Float(d))).collect()
     };
-    let base: Vec<(f64, f64)> = (0..40)
-        .map(|i| (100.0 + i as f64, i as f64 / 40.0))
-        .collect();
-    let delta: Vec<(f64, f64)> = vec![(50.0, 0.99), (120.5, 0.01)];
+    let base = floats(
+        &(0..40)
+            .map(|i| (100.0 + i as f64, i as f64 / 40.0))
+            .collect::<Vec<_>>(),
+    );
+    let delta = floats(&[(50.0, 0.99), (120.5, 0.01)]);
 
     let rule = |pred: &str| InequalityDc {
         table: "lineitem".into(),
@@ -519,44 +535,59 @@ fn standing_dc_counts_new_pairs_like_batch() {
         ),
     ];
     for (dc, prunes) in rules {
+        let sql = dc.to_sql();
         let mut db = CleanDb::new(EngineProfile::clean_db());
-        db.register("lineitem", make(&base));
+        db.register("lineitem", lineitem(&base));
         let mut session = IncrementalSession::new(db);
-        let (id, baseline) = session.install_dc(&dc).expect("install dc");
-        session.append("lineitem", make(&delta)).expect("append");
-        let refreshed = session.refresh_dc(id).expect("refresh dc");
+        let (id, baseline) = session.install(&sql).expect("install dc");
+        session
+            .append("lineitem", lineitem(&delta))
+            .expect("append");
+        let refreshed = session.refresh(id).expect("refresh dc");
+        assert_eq!(
+            refreshed.incremental.as_ref().unwrap().fallback_ops,
+            0,
+            "{sql}"
+        );
 
         // Reference: batch run over the concatenated table.
-        let mut all = base.clone();
-        all.extend(delta.iter().cloned());
+        let all = [&base[..], &delta[..]].concat();
         let mut fresh = CleanDb::new(EngineProfile::clean_db());
-        fresh.register("lineitem", make(&all));
-        let want = dc.run(&mut fresh).expect("batch dc");
-        let (got_v, probes, want_v) = match (&refreshed, &want) {
-            (
-                cleanm_core::ops::DcOutcome::Completed {
-                    violations: g,
-                    comparisons,
-                    ..
-                },
-                cleanm_core::ops::DcOutcome::Completed { violations: w, .. },
-            ) => (*g, *comparisons, *w),
-            other => panic!("unexpected outcomes: {other:?}"),
-        };
-        assert_eq!(
-            got_v, want_v,
-            "{}: incremental total must match batch",
-            dc.pred
-        );
-        assert!(want_v > 0, "{}", dc.pred);
-        if let cleanm_core::ops::DcOutcome::Completed { violations, .. } = baseline {
-            assert!(got_v >= violations, "totals accumulate");
-        }
+        fresh.register("lineitem", lineitem(&all));
+        let want = fresh.run(&sql).expect("batch dc");
+        assert_eq!(canonical(&refreshed), canonical(&want), "{sql}");
+        assert!(want.violations() > baseline.violations(), "{sql}");
         // The standing index is keyed by the hint lowering derived: with a
         // strict inequality the delta probes a key range, not both sides
         // whole (2 delta rows × 42 + 40 historic × 2).
+        let probes = refreshed.metrics.comparisons;
         let unpruned = (2 * all.len() + 2 * base.len()) as u64;
-        assert_eq!(probes < unpruned, prunes, "{}: {probes} probes", dc.pred);
+        assert_eq!(probes < unpruned, prunes, "{sql}: {probes} probes");
+    }
+}
+
+#[test]
+fn standing_dc_fails_a_refresh_like_the_batch_run() {
+    let sql = "SELECT * FROM lineitem DC(t1.extendedprice < t2.extendedprice \
+               AND t1.discount > t2.discount + 0.5)";
+    let base: Vec<(f64, Value)> = (0..20)
+        .map(|i| (100.0 + i as f64, Value::Float(i as f64 / 20.0)))
+        .collect();
+    let delta = [(200.0, Value::str("n/a"))];
+    for profile in [EngineProfile::clean_db(), EngineProfile::spark_sql_like()] {
+        let mut db = CleanDb::new(profile.clone());
+        db.register("lineitem", lineitem(&base));
+        let mut session = IncrementalSession::new(db);
+        let (id, _) = session.install(sql).expect("install dc");
+        session
+            .append("lineitem", lineitem(&delta))
+            .expect("append");
+        let got = session.refresh(id).expect_err("a string discount fails");
+
+        let mut fresh = CleanDb::new(profile.clone());
+        fresh.register("lineitem", lineitem(&[&base[..], &delta[..]].concat()));
+        let want = fresh.run(sql).expect_err("the batch run fails");
+        assert_eq!(got.to_string(), want.to_string(), "{}", profile.name);
     }
 }
 

@@ -1,13 +1,17 @@
 //! DC repairs via relaxation: move the offending cell to the boundary the
 //! constraint implies, with a verified null-out fallback.
 //!
+//! Any statement's `DC(...)` clause is repaired from its op's own
+//! `{left, right}` output; the structured violations are read off each
+//! pair's own rows.
+//!
 //! Following the paper authors' follow-up ("Cleaning Denial Constraint
 //! Violations through Relaxation"), an inequality DC violation is exited by
 //! the *minimal cell adjustment*: for a strict pairwise atom `a < b` /
 //! `a > b`, setting the offending side to the extremal partner value makes
 //! the atom (and hence the conjunction) false for every partner at once.
 //! The plan is then **verified by simulation** — the fixes are applied to a
-//! scratch session and the constraint re-run; any residual violations are
+//! scratch session and the clause re-run; any residual violations are
 //! nulled out (NULL compares non-truthy, so the pair exits the predicate)
 //! with low confidence.
 
@@ -16,7 +20,8 @@ use std::time::Instant;
 
 use cleanm_core::calculus::BinOp;
 use cleanm_core::engine::{CleanDb, EngineError, Fix, RepairSection};
-use cleanm_core::ops::dc::{DcAtom, DcOutcome, DcSide, DcTerm, DcViolation, InequalityDc};
+use cleanm_core::lang::{pretty_expr, pretty_query, CleanOp, Query};
+use cleanm_core::ops::dc::{DcAtom, DcSide, DcTerm, DcViolation, InequalityDc};
 use cleanm_values::Value;
 
 /// Confidence of a relaxation moving `old` to `new`: decays with the
@@ -149,23 +154,35 @@ fn boundary_value(original: &Value, boundary: f64) -> Value {
     }
 }
 
-/// Plan repairs for an inequality DC: detect (structured), relax, verify
-/// by simulation, null out what survives. Returns the detection outcome
-/// and the verified repair section (fixes unsorted; the engine sorts).
+/// Plan repairs for the `clause` of `query` whose op produced the
+/// `{left, right}` pairs `output`: describe the pairs, relax, verify by
+/// simulation, null out what survives. Returns the verified section (fixes
+/// unsorted; the engine sorts).
 pub(crate) fn plan(
-    db: &mut CleanDb,
-    dc: &InequalityDc,
-) -> Result<(DcOutcome, RepairSection), EngineError> {
+    db: &CleanDb,
+    query: &Query,
+    clause: &CleanOp,
+    output: &[Value],
+) -> Result<RepairSection, EngineError> {
     let started = Instant::now();
-    let (outcome, violations) = dc.run_detailed(db)?;
+    let CleanOp::Dc { pred, .. } = clause else {
+        unreachable!("the engine hands DC ops their DC clause");
+    };
+    // A DC reads the statement's primary table only; the simulation
+    // re-runs this one clause over it.
+    let from = query.from[..1].to_vec();
+    let dc = InequalityDc {
+        table: from[0].name.clone(),
+        pred: pretty_expr(pred),
+    };
+    let sim_sql = pretty_query(&Query {
+        from,
+        clean_ops: vec![clause.clone()],
+        ..query.clone()
+    });
+    let violations = dc.describe_pairs(output)?;
     let mut section = RepairSection::default();
-    if !outcome.completed() || violations.is_empty() {
-        section.duration = started.elapsed();
-        return Ok((outcome, section));
-    }
-    let rows = db
-        .table_rows(&dc.table)
-        .expect("run_detailed resolved the table");
+    let rows = db.table_rows(&dc.table).expect("the statement ran over it");
     let atoms = dc.atoms().unwrap_or_default();
 
     // Fixes keyed by (row, column): a null-out replaces the relaxation
@@ -228,10 +245,9 @@ pub(crate) fn plan(
         }
         let mut scratch = CleanDb::new(db.profile().clone());
         scratch.register_values(&dc.table, patched);
-        let (sim_outcome, residual) = dc.run_detailed(&mut scratch)?;
-        if !sim_outcome.completed() {
-            break;
-        }
+        let mut sim = scratch.run(&sim_sql)?;
+        let pairs = sim.ops.pop().map(|op| op.output).unwrap_or_default();
+        let residual = dc.describe_pairs(&pairs)?;
         if residual.is_empty() {
             unrepaired = 0;
             break;
@@ -285,5 +301,5 @@ pub(crate) fn plan(
     section.fixes = fixes.into_values().collect();
     section.unrepaired = unrepaired;
     section.duration = started.elapsed();
-    Ok((outcome, section))
+    Ok(section)
 }

@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use cleanm_core::calculus::desugar::OpKind;
 use cleanm_core::engine::{CleanDb, CleaningReport, EngineError, RepairSection};
-use cleanm_core::ops::dc::{DcOutcome, InequalityDc};
+use cleanm_core::lang::parse_query;
 use cleanm_core::ops::{DedupPlanShape, FdPlanShape, TermvalPlanShape};
 use cleanm_text::Metric;
 
@@ -54,7 +54,9 @@ impl RepairEngine {
 
     /// Plan fixes for an already-run query's report. The operator shapes
     /// come from [`CleanDb::plan`]: the run's cached plan, or the same
-    /// query planned again if the cache has evicted it since.
+    /// query planned again if the cache has evicted it since. A DC op's
+    /// constraint comes from its clause in `sql` (the `i`-th clause is the
+    /// `i`-th op).
     pub fn plan_for_report(
         &self,
         db: &mut CleanDb,
@@ -66,6 +68,7 @@ impl RepairEngine {
         let _span = ctx.tracer().span("repair");
         let mut section = RepairSection::default();
         let entry = db.plan(sql)?;
+        let query = parse_query(sql)?;
         for (i, op) in entry.ops().iter().enumerate() {
             let output = report.op_output(&op.label).unwrap_or(&[]);
             if output.is_empty() {
@@ -101,9 +104,9 @@ impl RepairEngine {
                     }
                     None => section.unrepaired += output.len(),
                 },
-                // Denial-constraint repairs need holistic reasoning over the
-                // violation hypergraph; report the pairs as unrepaired.
-                OpKind::Dc => section.unrepaired += output.len(),
+                OpKind::Dc => {
+                    section.merge(dc::plan(db, &query, &query.clean_ops[i], output)?);
+                }
                 // Projections have nothing to repair.
                 OpKind::Select => {}
             }
@@ -120,30 +123,5 @@ impl RepairEngine {
             ),
         );
         Ok(section)
-    }
-
-    /// Plan repairs for an inequality denial constraint: relax offending
-    /// cells to the boundary the constraint implies, verify by simulation,
-    /// and null out residual offenders with low confidence. Returns the
-    /// detection outcome alongside the verified, sorted section.
-    pub fn repair_dc(
-        &self,
-        db: &mut CleanDb,
-        dc: &InequalityDc,
-    ) -> Result<(DcOutcome, RepairSection), EngineError> {
-        let ctx = Arc::clone(db.context());
-        let _span = ctx.tracer().span("repair");
-        let (outcome, mut section) = dc::plan(db, dc)?;
-        section.sort();
-        db.record_repair_plan(&section);
-        ctx.tracer().event(
-            "repair_planned",
-            format!(
-                "dc: {} fix(es), {} unrepaired",
-                section.fixes.len(),
-                section.unrepaired
-            ),
-        );
-        Ok((outcome, section))
     }
 }

@@ -19,10 +19,11 @@
 //!   column (most-frequent, longest, non-null, mean/min/max, custom
 //!   precedence); dirty terms are rewritten to their best dictionary
 //!   suggestion, confidence-scored by string similarity.
-//! * **DC repairs via relaxation** — for inequality denial constraints, the
-//!   offending cell moves to the boundary the constraint implies (the
-//!   minimal adjustment that exits the predicate), verified by simulation,
-//!   with a low-confidence null-out fallback for anything that survives.
+//! * **DC repairs via relaxation** — for the `DC(...)` clause of any
+//!   statement, the offending cell moves to the boundary the constraint
+//!   implies (the minimal adjustment that exits the predicate), verified by
+//!   re-running the clause over the patched table, with a low-confidence
+//!   null-out fallback for anything that survives.
 //!
 //! Fixes are deterministic — sorted by `(table, row_id, column)` regardless
 //! of shuffle strategy or partition count — and *applicable*:

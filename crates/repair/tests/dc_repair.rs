@@ -1,9 +1,10 @@
 //! DC repair end-to-end: relaxation moves offending cells to the
 //! constraint boundary, the plan is simulation-verified, applying it
 //! leaves zero violations, and non-numeric offenders fall back to
-//! low-confidence null-outs.
+//! low-confidence null-outs — for a `DC(...)` clause alone or beside
+//! other clauses of one statement.
 
-use cleanm_core::engine::CleanDb;
+use cleanm_core::engine::{CleanDb, RepairSection};
 use cleanm_core::ops::{DcOutcome, InequalityDc};
 use cleanm_core::physical::EngineProfile;
 use cleanm_repair::RepairEngine;
@@ -35,6 +36,12 @@ fn violations(db: &mut CleanDb, dc: &InequalityDc) -> usize {
     }
 }
 
+/// The repair section the engine plans for `sql`.
+fn repair(db: &mut CleanDb, sql: &str) -> RepairSection {
+    let report = RepairEngine::default().run(db, sql).unwrap();
+    report.repair.expect("the engine attaches a section")
+}
+
 #[test]
 fn relaxation_repairs_the_poisoned_row_to_zero_violations() {
     let dc = InequalityDc::rule_psi("lineitem", 60.0);
@@ -42,9 +49,7 @@ fn relaxation_repairs_the_poisoned_row_to_zero_violations() {
     db.register("lineitem", lineitem(100));
     assert_eq!(violations(&mut db, &dc), 99, "poisoned corpus baseline");
 
-    let engine = RepairEngine::default();
-    let (outcome, section) = engine.repair_dc(&mut db, &dc).unwrap();
-    assert!(outcome.completed());
+    let section = repair(&mut db, &dc.to_sql());
     assert_eq!(section.unrepaired, 0, "simulation must verify the plan");
     assert!(!section.fixes.is_empty());
     // The minimal adjustment touches only the single poisoned row (id 100):
@@ -89,8 +94,7 @@ fn non_numeric_offenders_fall_back_to_null_out() {
     db.register_values("lineitem", rows);
     assert_eq!(violations(&mut db, &dc), 2);
 
-    let engine = RepairEngine::default();
-    let (_, section) = engine.repair_dc(&mut db, &dc).unwrap();
+    let section = repair(&mut db, &dc.to_sql());
     assert_eq!(section.unrepaired, 0);
     let null_outs: Vec<_> = section
         .fixes
@@ -126,8 +130,32 @@ fn clean_table_plans_nothing() {
         .collect();
     db.register("lineitem", Table::new(schema, rows));
 
-    let engine = RepairEngine::default();
-    let (outcome, section) = engine.repair_dc(&mut db, &dc).unwrap();
-    assert!(outcome.completed());
+    let section = repair(&mut db, &dc.to_sql());
     assert!(section.is_empty(), "{section:?}");
+}
+
+#[test]
+fn a_dc_clause_beside_an_fd_repairs_like_the_clause_alone() {
+    let dc = InequalityDc::rule_psi("lineitem", 60.0);
+    let mut alone = CleanDb::new(EngineProfile::clean_db());
+    alone.register("lineitem", lineitem(100));
+    let want = repair(&mut alone, &dc.to_sql()).fixes;
+    assert!(!want.is_empty());
+
+    let sql = format!(
+        "SELECT * FROM lineitem l FD(l.extendedprice, l.discount) DC({})",
+        dc.pred
+    );
+    let mut db = CleanDb::new(EngineProfile::clean_db());
+    db.register("lineitem", lineitem(100));
+    let section = repair(&mut db, &sql);
+    let dc_fixes: Vec<_> = (section.fixes.iter())
+        .filter(|f| f.rule.starts_with("dc:"))
+        .cloned()
+        .collect();
+    assert_eq!(dc_fixes, want);
+    assert_eq!(section.unrepaired, 0);
+
+    db.apply_repairs(&section).unwrap();
+    assert_eq!(violations(&mut db, &dc), 0);
 }

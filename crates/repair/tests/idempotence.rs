@@ -192,8 +192,8 @@ proptest! {
             db.register_values("lineitem", lineitem_table(&rows));
             let engine = RepairEngine::default();
 
-            let (outcome, section) = engine.repair_dc(&mut db, &dc).unwrap();
-            prop_assert!(outcome.completed(), "profile {}", &name);
+            let report = engine.run(&mut db, &dc.to_sql()).unwrap();
+            let section = report.repair.unwrap();
             // The plan is simulation-verified: nothing may remain.
             prop_assert_eq!(section.unrepaired, 0, "profile {}", &name);
             db.apply_repairs(&section).unwrap();
@@ -201,7 +201,7 @@ proptest! {
             prop_assert_eq!(dc_violations(&mut db, &dc), 0, "profile {}", &name);
 
             // Second pass: clean table plans no further fixes.
-            let (_, again) = engine.repair_dc(&mut db, &dc).unwrap();
+            let again = engine.run(&mut db, &dc.to_sql()).unwrap().repair.unwrap();
             prop_assert!(again.is_empty(), "profile {}: {:?}", &name, again);
         }
     }

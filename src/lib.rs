@@ -9,8 +9,8 @@
 //! * [`formats`] — CSV / JSON / XML readers and writers plus the `colbin`
 //!   columnar binary format (the repo's Parquet stand-in).
 //! * [`text`] — string similarity metrics and q-gram tokenization.
-//! * [`cluster`] — single-pass & multi-pass k-means and token-filter
-//!   blocking, all with monoid-style merge laws.
+//! * [`cluster`] — the blockers: exact keys, token filtering, length
+//!   bands, single-pass & multi-pass k-means.
 //! * [`exec`] — the scale-out runtime substrate: partitioned datasets,
 //!   shuffles, equi-joins, and three theta-join algorithms.
 //! * [`datagen`] — deterministic TPC-H / DBLP / MAG-shaped workload
