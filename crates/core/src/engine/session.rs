@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cleanm_exec::{ExecContext, ExecError};
-use cleanm_values::{intern, intern_all, Column, ColumnBatch, Table, Value};
+use cleanm_values::{intern, intern_all, Column, ColumnBatch, Row, Table, Value};
 
 use crate::algebra::{lower_op_with, rewrite_shared, Alg, RewriteStats};
 use crate::calculus::desugar::{desugar_query, DesugaredOp, OpKind, ROWID_FIELD};
@@ -345,13 +345,20 @@ impl CleanDb {
     /// Append a batch of rows to a registered table as **new partitions**:
     /// history batches are untouched and the table's epoch is bumped. Row
     /// ids continue from the current row count.
+    ///
+    /// The batch must carry the table's columns: one whose columns differ
+    /// from the stored rows' is a [`EngineError::Plan`] naming the missing
+    /// and extra columns, and leaves the table as it was; one with the same
+    /// columns in another order is stored in the table's order, so the
+    /// table still reads by column. An empty table takes any columns.
     pub fn append(&mut self, name: &str, table: Table) -> Result<(), EngineError> {
-        let start = self
-            .tables
-            .get(name)
-            .ok_or_else(|| unknown_table(name))?
-            .len();
-        let rows = rows_to_structs(&table, start as i64);
+        let stored = self.tables.get(name).ok_or_else(|| unknown_table(name))?;
+        let start = stored.len() as i64;
+        let table = match stored.iter_rows().next().map(Value::as_struct) {
+            Some(Ok(layout)) => in_layout(name, layout, table)?,
+            _ => table,
+        };
+        let rows = rows_to_structs(&table, start);
         self.append_values(name, rows)
     }
 
@@ -982,6 +989,55 @@ fn rows_to_structs(table: &Table, start_id: i64) -> Vec<Value> {
         .collect()
 }
 
+/// `table` with its columns in the order of `layout`, a stored row of the
+/// table `name` (`__rowid` aside); an error naming the difference when
+/// the two hold different columns.
+fn in_layout(name: &str, layout: &[(Arc<str>, Value)], table: Table) -> Result<Table, EngineError> {
+    let registered: Vec<&str> = (layout.iter())
+        .map(|(n, _)| n.as_ref())
+        .filter(|n| *n != ROWID_FIELD)
+        .collect();
+    let given: Vec<&str> = table
+        .schema
+        .fields()
+        .iter()
+        .map(|f| f.name.as_str())
+        .collect();
+    if given == registered {
+        return Ok(table);
+    }
+    let absent = |from: &[&str], of: &[&str]| -> Vec<String> {
+        (from.iter().filter(|c| !of.contains(c)))
+            .map(|c| format!("`{c}`"))
+            .collect()
+    };
+    let (missing, extra) = (absent(&registered, &given), absent(&given, &registered));
+    if !missing.is_empty() || !extra.is_empty() {
+        return Err(EngineError::Plan(cleanm_values::Error::Invalid(format!(
+            "cannot append to `{name}`: the batch's columns differ from the table's \
+             (missing: [{}], extra: [{}])",
+            missing.join(", "),
+            extra.join(", ")
+        ))));
+    }
+    let order: Vec<usize> = (registered.iter())
+        .map(|c| given.iter().position(|g| g == c).expect("same columns"))
+        .collect();
+    let fields = order.iter().map(|&i| table.schema.fields()[i].clone());
+    let schema = cleanm_values::Schema::new(fields.collect()).map_err(EngineError::Plan)?;
+    let rows = (table.rows.iter())
+        .map(|row| {
+            Row::new(
+                order
+                    .iter()
+                    .filter_map(|&i| row.values().get(i).cloned())
+                    .collect(),
+            )
+        })
+        .collect();
+    Ok(Table::new(schema, rows))
+}
+
 fn unknown_table(name: &str) -> EngineError {
     EngineError::Plan(cleanm_values::Error::Invalid(format!(
         "cannot append to unknown table `{name}`"
@@ -1312,6 +1368,89 @@ mod tests {
             db.append("nope", customer_table()),
             Err(EngineError::Plan(_))
         ));
+    }
+
+    /// `extra_rows` with only the columns `keep`, in that order.
+    fn extra_rows_as(keep: &[&'static str]) -> Table {
+        let full = extra_rows();
+        let index = |c: &str| full.schema.index_of(c).unwrap();
+        let schema = Schema::of(
+            keep.iter()
+                .map(|&c| (c, full.schema.fields()[index(c)].dtype.clone())),
+        );
+        let rows = (full.rows.iter())
+            .map(|r| Row::new(keep.iter().map(|c| r.values()[index(c)].clone()).collect()))
+            .collect();
+        Table::new(schema, rows)
+    }
+
+    /// Appending `batch` fails naming `named`, and leaves the table whole.
+    fn assert_append_refused(batch: Table, named: &str) {
+        let mut db = CleanDb::new(EngineProfile::clean_db());
+        db.register("customer", customer_table());
+        let epoch = db.table("customer").unwrap().epoch();
+        let err = db.append("customer", batch).unwrap_err();
+        assert!(matches!(err, EngineError::Plan(_)), "{err}");
+        assert!(err.to_string().contains(named), "{err}");
+        let stored = db.table("customer").unwrap();
+        assert_eq!((stored.len(), stored.epoch()), (3, epoch));
+        let report = db
+            .run("SELECT * FROM customer c FD(c.address, c.nationkey)")
+            .unwrap();
+        assert_eq!(report.violating_ids, vec![0, 1]);
+    }
+
+    #[test]
+    fn append_missing_a_column_is_refused() {
+        assert_append_refused(extra_rows_as(&["name", "address", "phone"]), "`nationkey`");
+    }
+
+    #[test]
+    fn append_with_an_extra_column_is_refused() {
+        let full = extra_rows();
+        let mut fields = full.schema.fields().to_vec();
+        fields.push(cleanm_values::Field::new("acctbal", DataType::Float));
+        let rows = (full.rows.iter())
+            .map(|r| Row::new([r.values(), &[Value::Float(1.5)]].concat()))
+            .collect();
+        let batch = Table::new(Schema::new(fields).unwrap(), rows);
+        assert_append_refused(batch, "`acctbal`");
+    }
+
+    #[test]
+    fn append_in_another_column_order_is_stored_in_the_tables() {
+        let mut db = CleanDb::new(EngineProfile::clean_db());
+        db.register("customer", customer_table());
+        let batch = extra_rows_as(&["phone", "nationkey", "name", "address"]);
+        db.append("customer", batch).unwrap();
+        let stored = db.table("customer").unwrap();
+        let names = |row: &Value| -> Vec<String> {
+            (row.as_struct().unwrap().iter())
+                .map(|(n, _)| n.to_string())
+                .collect()
+        };
+        assert_eq!(
+            names(&stored.batches()[1][0]),
+            names(&stored.batches()[0][0])
+        );
+        assert_eq!(
+            stored.batches()[1][0].field("nationkey").unwrap(),
+            &Value::Int(9)
+        );
+        assert!(stored.columns(&["address", "nationkey"]).is_some());
+        let report = db
+            .run("SELECT * FROM customer c FD(c.address, c.nationkey)")
+            .unwrap();
+        assert_eq!(report.violating_ids, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn append_to_an_empty_table_takes_any_columns() {
+        let mut db = CleanDb::new(EngineProfile::clean_db());
+        db.register_values("customer", Vec::new());
+        db.append("customer", extra_rows_as(&["name", "address"]))
+            .unwrap();
+        assert_eq!(db.table("customer").unwrap().len(), 1);
     }
 
     #[test]

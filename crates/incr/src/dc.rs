@@ -20,7 +20,7 @@ use cleanm_core::calculus::{CalcExpr, EvalCtx};
 use cleanm_core::physical::RowExpr;
 use cleanm_values::{Result, Value};
 
-use crate::state::{PairPreds, RowPipeline};
+use crate::state::{emit, PairPreds, RowPipeline};
 
 /// A side's rows that pass its filters, each under its join key.
 type Index = Vec<(f64, Value)>;
@@ -83,9 +83,15 @@ impl DcState {
     }
 
     /// Emit the new violating pairs a delta batch brings, each through the
-    /// plan's head; returns the pair tests run. Evaluation errors propagate
-    /// (see `RowPipeline::passes`).
-    pub(crate) fn absorb(&mut self, delta: &[Value], ctx: &EvalCtx) -> Result<u64> {
+    /// plan's head, noting the `__rowid`s each holds in `ids`; returns the
+    /// pair tests run. Evaluation errors propagate (see
+    /// `RowPipeline::passes`).
+    pub(crate) fn absorb(
+        &mut self,
+        delta: &[Value],
+        ctx: &EvalCtx,
+        ids: &mut Vec<i64>,
+    ) -> Result<u64> {
         let lefts = keyed(&self.left, &self.lkey_rx, delta, ctx, &mut self.prunable)?;
         let rights = keyed(&self.right, &self.rkey_rx, delta, ctx, &mut self.prunable)?;
         // The right index takes the delta first, so Δ-vs-Δ pairs fall out
@@ -97,7 +103,7 @@ impl DcState {
             tests += 1;
             if pred.passes(t1, t2, ctx)? {
                 let (l, r) = (std::slice::from_ref(t1), std::slice::from_ref(t2));
-                outputs.push(head_rx.eval_pair(l, r, ctx)?);
+                emit(outputs, ids, head_rx.eval_pair(l, r, ctx)?);
             }
             Ok(())
         };

@@ -14,8 +14,11 @@
 //!   validated delta-vs-delta and delta-vs-history, producing a
 //!   [`CleaningReport`](cleanm_core::CleaningReport) with the same
 //!   violations and repairs as a from-scratch run — without rescanning old
-//!   rows. Operators whose state cannot be maintained fall back to a full
-//!   re-run, counted in `report.incremental`.
+//!   rows, and without walking the retained output: violating ids and FD
+//!   violators are maintained as deltas arrive, so a refresh costs the
+//!   delta and the violation count. Operators whose state cannot be
+//!   maintained fall back to a full re-run, counted in
+//!   `report.incremental`.
 //! * **Plan cache** — an exact textual repeat over unchanged tables skips
 //!   parse/normalize/plan entirely; hits and misses are surfaced in every
 //!   report's `plan_cache` field. A plan evicted from the cache is planned

@@ -11,6 +11,16 @@
 //! whose state cannot be maintained (unrecognized shapes, a re-registered
 //! table, a changed dictionary) fall back to a full re-run, counted in
 //! `report.incremental`.
+//!
+//! A refresh costs the delta and the violation count, not the retained
+//! output. Each standing query keeps its violating `__rowid`s as one
+//! sorted set, seeded from the install run's outputs; every absorb reports
+//! the ids of the output records it adds or replaces, and the set takes
+//! them in (under appends it only grows). The report's `violating_ids` is
+//! that set, merged with the ids of any fallback op's freshly re-run
+//! output; no refresh walks a maintained op's whole output. The tracer
+//! splits each `refresh` span into `absorb` (delta work) and `assemble`
+//! (report work).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,7 +29,7 @@ use std::time::Instant;
 use cleanm_core::algebra::Alg;
 use cleanm_core::calculus::desugar::OpKind;
 use cleanm_core::engine::{
-    collect_repairs, combine_local_violations, EngineError, IncrementalInfo, PlanCacheStats,
+    collect_repairs, collect_rowids, EngineError, IncrementalInfo, OpResult, PlanCacheStats,
     PlannedQuery,
 };
 use cleanm_core::ops::{DedupPlanShape, FdPlanShape, TermvalPlanShape};
@@ -27,7 +37,7 @@ use cleanm_core::{CleanDb, CleaningReport};
 use cleanm_values::{Table, Value};
 
 use crate::dc::DcState;
-use crate::state::{DedupState, FdState, OpState, SelectState, TermvalState};
+use crate::state::{merge_sorted, DedupState, FdState, OpState, SelectState, TermvalState};
 
 /// Handle to an installed standing query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,6 +69,11 @@ struct Standing {
     /// so the next refresh reinstalls instead of absorbing again.
     poisoned: bool,
     ops: Vec<InstalledOp>,
+    /// The `__rowid`s in the outputs of the maintainable cleaning ops,
+    /// sorted and distinct: seeded from the install run's outputs, then
+    /// grown by the records each absorb adds (under appends an output only
+    /// grows, so the set only grows).
+    violating: Vec<i64>,
     /// Every table the query depends on (base tables + dictionary sides).
     cursors: HashMap<String, Cursor>,
     dict_gen: u64,
@@ -208,27 +223,24 @@ impl IncrementalSession {
         let comparisons_before = eval_ctx.comparisons();
 
         let ctx = Arc::clone(self.db.context());
-        let mut ops = Vec::new();
         let (mut incremental_ops, mut fallback_ops, mut pair_tests) = (0usize, 0usize, 0u64);
+        let mut durations = Vec::new();
+        let mut new_ids = Vec::new();
         // Delta absorption runs under panic isolation with a deterministic
         // fault-injection point: a panic or injected fault mid-absorb —
         // like a delta row that fails to evaluate — leaves retained state
         // half-updated, so all three recover the same way below: poison
         // the standing state and rebuild from a full run.
         let absorbed = {
+            let _absorb_span = tracer.span("absorb");
             let q = &mut self.queries[id.0];
-            ops.reserve(q.ops.len());
+            durations.reserve(q.ops.len());
             ctx.catch_driver("incremental refresh", || {
                 ctx.fault_visit(cleanm_exec::FaultSite::IncrRefresh)?;
                 for op in &mut q.ops {
                     let op_start = Instant::now();
-                    let output = if op.state.is_fallback() {
+                    if op.state.is_fallback() {
                         fallback_ops += 1;
-                        full_report
-                            .as_ref()
-                            .and_then(|r| r.op_output(&op.label))
-                            .map(|o| o.to_vec())
-                            .unwrap_or_default()
                     } else {
                         incremental_ops += 1;
                         // A delta row that fails to evaluate leaves this
@@ -238,18 +250,12 @@ impl IncrementalSession {
                         // succeeds if only our state was stale).
                         pair_tests += op
                             .state
-                            .absorb_deltas(&op.tables, &deltas, &eval_ctx)
+                            .absorb_deltas(&op.tables, &deltas, &eval_ctx, &mut new_ids)
                             .map_err(|_| {
                                 cleanm_exec::ExecError::Other("delta row failed to evaluate".into())
                             })?;
-                        op.state.output()
-                    };
-                    ops.push(cleanm_core::engine::OpResult {
-                        label: op.label.clone(),
-                        kind: op.kind,
-                        output,
-                        duration: op_start.elapsed(),
-                    });
+                    }
+                    durations.push(op_start.elapsed());
                 }
                 Ok(())
             })
@@ -267,13 +273,45 @@ impl IncrementalSession {
             self.db.record_refresh_latency(report.total);
             return Ok(report);
         }
-        self.queries[id.0].cursors = new_cursors;
+
+        // Assemble the report from retained state: each op's output, and
+        // the maintained violating ids with those of any fallback op.
+        let _assemble_span = tracer.span("assemble");
+        let q = &mut self.queries[id.0];
+        q.cursors = new_cursors;
+        merge_sorted(&mut q.violating, new_ids);
+        let mut violating_ids = q.violating.clone();
+        let mut fallback_ids = Vec::new();
+        let ops: Vec<OpResult> = (q.ops.iter().zip(durations))
+            .map(|(op, duration)| {
+                let output = if op.state.is_fallback() {
+                    let output = (full_report.as_ref())
+                        .and_then(|r| r.op_output(&op.label))
+                        .map(|o| o.to_vec())
+                        .unwrap_or_default();
+                    if op.kind != OpKind::Select {
+                        output
+                            .iter()
+                            .for_each(|v| collect_rowids(v, &mut fallback_ids));
+                    }
+                    output
+                } else {
+                    op.state.output()
+                };
+                OpResult {
+                    label: op.label.clone(),
+                    kind: op.kind,
+                    output,
+                    duration,
+                }
+            })
+            .collect();
+        merge_sorted(&mut violating_ids, fallback_ids);
 
         self.db
             .context()
             .metrics()
             .add_comparisons(eval_ctx.comparisons() - comparisons_before + pair_tests);
-        let violating_ids = combine_local_violations(&ops);
         let repairs = collect_repairs(&ops);
         let (hits, misses) = self.db.plan_cache_counters();
         let report = CleaningReport {
@@ -305,7 +343,8 @@ impl IncrementalSession {
             // The incremental path drives exec datasets directly rather
             // than through the plan executor, so no per-node tree exists;
             // refresh cost shows up in the registry's refresh latencies
-            // and in the tracer's `refresh` span instead.
+            // and in the tracer's `refresh` span instead, split into its
+            // `absorb` (delta work) and `assemble` (report work) children.
             profiles: Vec::new(),
             // Refresh failures either fall back to a full run (above) or
             // propagate as `Err`; a refresh report is always a success.
@@ -343,14 +382,17 @@ impl IncrementalSession {
         let eval_ctx = Arc::clone(entry.eval_ctx());
         let corpus_sampled = entry.corpus_sampled();
         let mut ops = Vec::new();
+        let mut violating = Vec::new();
         let mut cursors: HashMap<String, Cursor> = HashMap::new();
         for (plan, dop) in entry.plans().iter().zip(entry.ops()) {
-            let baseline = report
-                .op_output(&dop.label)
-                .map(|o| o.to_vec())
-                .unwrap_or_default();
+            let baseline = report.op_output(&dop.label).unwrap_or_default();
             let (state, tables) =
-                self.build_state(plan, dop.kind, &eval_ctx, baseline, corpus_sampled)?;
+                self.build_state(plan, dop.kind, &eval_ctx, baseline.to_vec(), corpus_sampled)?;
+            if !state.is_fallback() && dop.kind != OpKind::Select {
+                baseline
+                    .iter()
+                    .for_each(|v| collect_rowids(v, &mut violating));
+            }
             for t in &tables {
                 if let Some(stored) = self.db.table(t) {
                     cursors.insert(
@@ -369,11 +411,14 @@ impl IncrementalSession {
                 state,
             });
         }
+        violating.sort_unstable();
+        violating.dedup();
         Ok(Standing {
             sql: sql.to_string(),
             entry,
             poisoned: false,
             ops,
+            violating,
             cursors,
             dict_gen: self.db.dictionaries_generation(),
         })
@@ -411,7 +456,7 @@ impl IncrementalSession {
                 };
                 let mut state = FdState::new(&shape, eval_ctx).map_err(exec_err)?;
                 state
-                    .absorb(&all_rows(&shape.table), eval_ctx)
+                    .absorb(&all_rows(&shape.table), eval_ctx, &mut Vec::new())
                     .map_err(exec_err)?;
                 Ok((OpState::Fd(Box::new(state)), vec![shape.table]))
             }

@@ -5,7 +5,8 @@
 //! old rows:
 //!
 //! * FD — a grouping-key map holding each group's members and its distinct
-//!   right-hand-side values;
+//!   right-hand-side values, plus the `{key, partition}` record of every
+//!   violating group, rebuilt only when a delta touches the group;
 //! * DEDUP — a blocking-key index of row members; a new row is compared
 //!   only against the members of its own blocks;
 //! * CLUSTER BY — the dictionary side indexed by blocking key once; each
@@ -13,7 +14,11 @@
 //! * DC — each theta side's filtered rows sorted by join key
 //!   ([`crate::dc`]);
 //! * SELECT — accumulated projected output (plus the filters to run on
-//!   delta rows).
+//!   delta rows), kept sorted and deduplicated under `DISTINCT`.
+//!
+//! Each absorb reports the `__rowid`s of the output records it adds or
+//! replaces, so the session maintains a query's violating ids without
+//! walking retained output, and `output` is a clone of what is kept.
 //!
 //! Expressions are compiled once per install against the query plan's
 //! evaluation context ([`RowExpr`]), so blocking keys and similarity
@@ -24,6 +29,7 @@
 use std::collections::BTreeMap;
 
 use cleanm_core::calculus::{eval::truthy, EvalCtx, MonoidKind};
+use cleanm_core::engine::collect_rowids;
 use cleanm_core::ops::{DedupPlanShape, FdPlanShape, TermvalPlanShape};
 use cleanm_core::physical::RowExpr;
 use cleanm_values::{FxHashSet, Result, Value};
@@ -110,6 +116,27 @@ fn key_values(key: Value) -> Vec<Value> {
     }
 }
 
+/// Merge `new` into `set`, which is sorted and holds no duplicates, and
+/// keep it so. Costs the size of `new` when nothing in it is new; else one
+/// pass over `set`, where the two sorted runs merge.
+pub(crate) fn merge_sorted<T: Ord>(set: &mut Vec<T>, mut new: Vec<T>) {
+    new.retain(|x| set.binary_search(x).is_err());
+    if new.is_empty() {
+        return;
+    }
+    new.sort_unstable();
+    new.dedup();
+    set.append(&mut new);
+    // Two sorted runs: the stable sort merges them in one pass.
+    set.sort();
+}
+
+/// Keep an output record, noting the `__rowid`s it holds in `ids`.
+pub(crate) fn emit(outputs: &mut Vec<Value>, ids: &mut Vec<i64>, record: Value) {
+    collect_rowids(&record, ids);
+    outputs.push(record);
+}
+
 // ---------------------------------------------------------------------
 // FD
 // ---------------------------------------------------------------------
@@ -128,6 +155,9 @@ pub(crate) struct FdState {
     key_rx: RowExpr,
     rhs_rx: RowExpr,
     groups: BTreeMap<Value, FdGroup>,
+    /// The `{key, partition}` record of every violating group, rebuilt
+    /// only when a delta touches the group.
+    violators: BTreeMap<Value, Value>,
 }
 
 impl FdState {
@@ -139,10 +169,21 @@ impl FdState {
             key_rx: RowExpr::compile(&shape.key, &scan_scope, ctx)?,
             rhs_rx: RowExpr::compile(&shape.rhs, &member_scope, ctx)?,
             groups: BTreeMap::new(),
+            violators: BTreeMap::new(),
         })
     }
 
-    pub(crate) fn absorb(&mut self, rows: &[Value], ctx: &EvalCtx) -> Result<()> {
+    /// Add rows to their groups, then rebuild the record of each touched
+    /// group that violates, noting its members' `__rowid`s in `ids`. A
+    /// group only gains members and right-hand sides, so a violator stays
+    /// one.
+    pub(crate) fn absorb(
+        &mut self,
+        rows: &[Value],
+        ctx: &EvalCtx,
+        ids: &mut Vec<i64>,
+    ) -> Result<()> {
+        let mut touched = Vec::new();
         for row in rows {
             if !self.pipeline.passes(row, ctx)? {
                 continue;
@@ -150,30 +191,35 @@ impl FdState {
             let key = self.pipeline.eval(&self.key_rx, row, ctx)?;
             let rhs = self.pipeline.eval(&self.rhs_rx, row, ctx)?;
             for k in key_values(key) {
-                let group = self.groups.entry(k).or_insert_with(|| FdGroup {
+                let group = self.groups.entry(k.clone()).or_insert_with(|| FdGroup {
                     members: Vec::new(),
                     rhs_distinct: FxHashSet::default(),
                 });
                 group.members.push(row.clone());
                 group.rhs_distinct.insert(rhs.clone());
+                touched.push(k);
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for k in touched {
+            let group = &self.groups[&k];
+            if group.rhs_distinct.len() > 1 {
+                let record = Value::record([
+                    ("key", k.clone()),
+                    ("partition", Value::list(group.members.iter().cloned())),
+                ]);
+                collect_rowids(&record, ids);
+                self.violators.insert(k, record);
             }
         }
         Ok(())
     }
 
     /// Current operator output: the violating groups as `{key, partition}`
-    /// records (the batch FD plan's reduced output).
+    /// records in key order (the batch FD plan's reduced output).
     pub(crate) fn output(&self) -> Vec<Value> {
-        self.groups
-            .iter()
-            .filter(|(_, g)| g.rhs_distinct.len() > 1)
-            .map(|(k, g)| {
-                Value::record([
-                    ("key", k.clone()),
-                    ("partition", Value::list(g.members.iter().cloned())),
-                ])
-            })
-            .collect()
+        self.violators.values().cloned().collect()
     }
 }
 
@@ -229,8 +275,14 @@ impl DedupState {
 
     /// Validate delta rows: each new row is compared against the existing
     /// members of its blocks (history + earlier delta rows), both pair
-    /// orders, exactly like the batch pair enumeration within a group.
-    pub(crate) fn absorb(&mut self, rows: &[Value], ctx: &EvalCtx) -> Result<()> {
+    /// orders, exactly like the batch pair enumeration within a group. The
+    /// `__rowid`s of each new pair go to `ids`.
+    pub(crate) fn absorb(
+        &mut self,
+        rows: &[Value],
+        ctx: &EvalCtx,
+        ids: &mut Vec<i64>,
+    ) -> Result<()> {
         for row in rows {
             if !self.pipeline.passes(row, ctx)? {
                 continue;
@@ -240,16 +292,12 @@ impl DedupState {
                 let members = self.blocks.entry(k).or_default();
                 for existing in members.iter() {
                     if self.pair.passes(existing, row, ctx)? {
-                        self.outputs.push(Value::record([
-                            ("left", existing.clone()),
-                            ("right", row.clone()),
-                        ]));
+                        let pair = [("left", existing.clone()), ("right", row.clone())];
+                        emit(&mut self.outputs, ids, Value::record(pair));
                     }
                     if self.pair.passes(row, existing, ctx)? {
-                        self.outputs.push(Value::record([
-                            ("left", row.clone()),
-                            ("right", existing.clone()),
-                        ]));
+                        let pair = [("left", row.clone()), ("right", existing.clone())];
+                        emit(&mut self.outputs, ids, Value::record(pair));
                     }
                 }
                 members.push(row.clone());
@@ -364,8 +412,14 @@ impl TermvalState {
     }
 
     /// Validate appended data terms against the dictionary index, then
-    /// index them (dictionary rows arriving later will see them).
-    pub(crate) fn absorb_data(&mut self, rows: &[Value], ctx: &EvalCtx) -> Result<()> {
+    /// index them (dictionary rows arriving later will see them). The
+    /// `__rowid`s a new `{term, repair}` record holds, if any, go to `ids`.
+    pub(crate) fn absorb_data(
+        &mut self,
+        rows: &[Value],
+        ctx: &EvalCtx,
+        ids: &mut Vec<i64>,
+    ) -> Result<()> {
         for row in rows {
             let Some((keys, term)) = Self::keyed_term(
                 &self.data_pipeline,
@@ -381,10 +435,8 @@ impl TermvalState {
                 if let Some(entries) = self.dict_blocks.get(&k) {
                     for dict_term in entries {
                         if self.pair.passes(&term, dict_term, ctx)? {
-                            self.outputs.push(Value::record([
-                                ("term", term.clone()),
-                                ("repair", dict_term.clone()),
-                            ]));
+                            let fix = [("term", term.clone()), ("repair", dict_term.clone())];
+                            emit(&mut self.outputs, ids, Value::record(fix));
                         }
                     }
                 }
@@ -398,7 +450,12 @@ impl TermvalState {
     /// terms, then index them. Call after [`TermvalState::absorb_data`] in
     /// a refresh so a same-refresh (data, dict) pair is counted exactly
     /// once (here, where the data side is already indexed).
-    pub(crate) fn absorb_dict(&mut self, rows: &[Value], ctx: &EvalCtx) -> Result<()> {
+    pub(crate) fn absorb_dict(
+        &mut self,
+        rows: &[Value],
+        ctx: &EvalCtx,
+        ids: &mut Vec<i64>,
+    ) -> Result<()> {
         for row in rows {
             let Some((keys, dict_term)) = Self::keyed_term(
                 &self.dict_pipeline,
@@ -414,10 +471,8 @@ impl TermvalState {
                 if let Some(terms) = self.data_blocks.get(&k) {
                     for term in terms {
                         if self.pair.passes(term, &dict_term, ctx)? {
-                            self.outputs.push(Value::record([
-                                ("term", term.clone()),
-                                ("repair", dict_term.clone()),
-                            ]));
+                            let fix = [("term", term.clone()), ("repair", dict_term.clone())];
+                            emit(&mut self.outputs, ids, Value::record(fix));
                         }
                     }
                 }
@@ -443,6 +498,8 @@ pub(crate) struct SelectState {
     pipeline: RowPipeline,
     head_rx: RowExpr,
     monoid: MonoidKind,
+    /// The projected rows; under `DISTINCT` (the set monoid) kept sorted
+    /// and deduplicated as they arrive.
     outputs: Vec<Value>,
 }
 
@@ -488,30 +545,31 @@ impl SelectState {
     }
 
     pub(crate) fn seed_outputs(&mut self, outputs: Vec<Value>) {
-        self.outputs = outputs;
+        self.outputs = Vec::new();
+        self.add(outputs);
     }
 
     pub(crate) fn absorb(&mut self, rows: &[Value], ctx: &EvalCtx) -> Result<()> {
+        let mut projected = Vec::new();
         for row in rows {
             if !self.pipeline.passes(row, ctx)? {
                 continue;
             }
-            self.outputs
-                .push(self.pipeline.eval(&self.head_rx, row, ctx)?);
+            projected.push(self.pipeline.eval(&self.head_rx, row, ctx)?);
         }
+        self.add(projected);
         Ok(())
     }
 
-    pub(crate) fn output(&self) -> Vec<Value> {
+    fn add(&mut self, projected: Vec<Value>) {
         match self.monoid {
-            MonoidKind::Set => {
-                let mut out = self.outputs.clone();
-                out.sort();
-                out.dedup();
-                out
-            }
-            _ => self.outputs.clone(),
+            MonoidKind::Set => merge_sorted(&mut self.outputs, projected),
+            _ => self.outputs.extend(projected),
         }
+    }
+
+    pub(crate) fn output(&self) -> Vec<Value> {
+        self.outputs.clone()
     }
 }
 
@@ -541,13 +599,16 @@ impl OpState {
     /// op's dependency list in shape order (base table first; CLUSTER BY
     /// adds the dictionary second — its data side absorbs before the
     /// dictionary side so same-refresh pairs are counted exactly once).
-    /// Returns the DC pair tests run (the eval context counts the
-    /// similarity calls of the other ops).
+    /// The `__rowid`s of every output record the deltas add or replace go
+    /// to `ids` (a SELECT's rows are not violations and add none). Returns
+    /// the DC pair tests run (the eval context counts the similarity calls
+    /// of the other ops).
     pub(crate) fn absorb_deltas(
         &mut self,
         tables: &[String],
         deltas: &std::collections::HashMap<String, Vec<Value>>,
         ctx: &EvalCtx,
+        ids: &mut Vec<i64>,
     ) -> Result<u64> {
         let delta_of = |i: usize| -> &[Value] {
             tables
@@ -557,13 +618,13 @@ impl OpState {
                 .unwrap_or(&[])
         };
         match self {
-            OpState::Fd(s) => s.absorb(delta_of(0), ctx)?,
-            OpState::Dedup(s) => s.absorb(delta_of(0), ctx)?,
+            OpState::Fd(s) => s.absorb(delta_of(0), ctx, ids)?,
+            OpState::Dedup(s) => s.absorb(delta_of(0), ctx, ids)?,
             OpState::Termval(s) => {
-                s.absorb_data(delta_of(0), ctx)?;
-                s.absorb_dict(delta_of(1), ctx)?
+                s.absorb_data(delta_of(0), ctx, ids)?;
+                s.absorb_dict(delta_of(1), ctx, ids)?
             }
-            OpState::Dc(s) => return s.absorb(delta_of(0), ctx),
+            OpState::Dc(s) => return s.absorb(delta_of(0), ctx, ids),
             OpState::Select(s) => s.absorb(delta_of(0), ctx)?,
             OpState::Fallback => {}
         }

@@ -202,6 +202,15 @@ proptest! {
     }
 
     #[test]
+    fn distinct_select_incremental_equals_batch(batches in batches_strategy()) {
+        check_incremental(
+            "SELECT DISTINCT c.nationkey FROM customer c",
+            &batches,
+            None,
+        );
+    }
+
+    #[test]
     fn termval_incremental_equals_batch(batches in batches_strategy()) {
         check_incremental(
             "SELECT * FROM customer c, dict w CLUSTER BY(token_filtering(2), LD, 0.7, c.name)",
@@ -647,8 +656,17 @@ fn refreshes_feed_the_session_registry_and_trace() {
     assert_eq!(reg.refresh_latency().count(), 2);
     assert_eq!(reg.query_latency().count(), 1);
     assert!(reg.refresh_latency().percentiles().is_some());
-    // And the tracer saw one `refresh` span per refresh.
+    // And the tracer saw one `refresh` span per refresh, each split into
+    // one `absorb` (delta work) and one `assemble` (report work) child.
     let log = session.db().context().tracer().take();
-    let refreshes = log.spans.iter().filter(|s| s.name == "refresh").count();
-    assert_eq!(refreshes, 2, "{:?}", log.render());
+    let named = |name: &str| -> Vec<_> { log.spans.iter().filter(|s| s.name == name).collect() };
+    let refreshes = named("refresh");
+    assert_eq!(refreshes.len(), 2, "{:?}", log.render());
+    for child in ["absorb", "assemble"] {
+        let spans = named(child);
+        assert_eq!(spans.len(), 2, "{child}: {:?}", log.render());
+        for (span, refresh) in spans.iter().zip(&refreshes) {
+            assert_eq!(span.parent, refresh.id, "{child}: {:?}", log.render());
+        }
+    }
 }
