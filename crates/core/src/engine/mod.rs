@@ -16,8 +16,5 @@ pub mod storage;
 pub use registry::{LatencyTrack, MetricsRegistry};
 pub use repair::{AppliedRepairs, AppliedTable, Fix, RepairSection};
 pub use report::{CleaningReport, FailureInfo, IncrementalInfo, OpResult, PlanCacheStats, Repair};
-pub use session::{
-    collect_repairs, collect_rowids, combine_local_violations, CleanDb, EngineError, PlannedQuery,
-    RunLimits,
-};
+pub use session::{collect_repairs, collect_rowids, CleanDb, EngineError, PlannedQuery, RunLimits};
 pub use storage::StoredTable;

@@ -1083,10 +1083,9 @@ pub fn collect_rowids(v: &Value, out: &mut Vec<i64>) {
 }
 
 /// The local-union combination of per-operator violating ids (the path
-/// shared plans take): distinct row ids over all non-Select outputs,
-/// sorted. Exposed for incremental sessions, which assemble reports from
-/// retained operator state.
-pub fn combine_local_violations(ops: &[OpResult]) -> Vec<i64> {
+/// unified plans take, and any plan with one cleaning operator): distinct
+/// row ids over all non-Select outputs, sorted.
+fn combine_local_violations(ops: &[OpResult]) -> Vec<i64> {
     let mut set: HashSet<i64> = HashSet::new();
     for op in ops {
         if matches!(op.kind, OpKind::Select) {

@@ -80,8 +80,10 @@ impl StoredTable {
     /// The pivot is projected: an operator that reads three columns of a
     /// sixteen-column table pays for three on a fresh session. A cached
     /// pivot that covers `fields` is returned as is (so it may hold more
-    /// columns); otherwise the named columns are pivoted beside the ones
-    /// already cached. `None` when the table is empty, its rows do not
+    /// columns); otherwise only the names it lacks are pivoted and joined
+    /// with the ones it holds ([`ColumnBatch::widen`]: the layout was
+    /// checked when the cached pivot was built, and its columns are not
+    /// pivoted again). `None` when the table is empty, its rows do not
     /// share one field layout (cached), or a name is not a field of the
     /// rows (not cached: the row path reports it). Thread-safe: the pivot
     /// runs outside the lock, so concurrent first requests may race to
@@ -91,7 +93,7 @@ impl StoredTable {
         fields: &[impl AsRef<str>],
     ) -> Option<(Arc<ColumnBatch>, Arc<Vec<Value>>)> {
         let rows = self.merged_rows();
-        let mut wanted: Vec<&str> = fields.iter().map(AsRef::as_ref).collect();
+        let wanted: Vec<&str> = fields.iter().map(AsRef::as_ref).collect();
         let held = match &*self.pivot() {
             Some(None) => return None,
             Some(Some(b)) if wanted.iter().all(|f| b.column_index(f).is_some()) => {
@@ -107,10 +109,11 @@ impl StoredTable {
         {
             return None;
         }
-        if let Some(held) = &held {
-            wanted.extend(held.names().iter().map(|n| n.as_ref()));
-        }
-        let pivot = ColumnBatch::project_rows(&rows, &wanted).map(Arc::new);
+        let pivot = match held {
+            Some(held) => held.widen(&rows, &wanted),
+            None => ColumnBatch::project_rows(&rows, &wanted),
+        };
+        let pivot = pivot.map(Arc::new);
         *self.pivot() = Some(pivot.clone());
         Some((pivot?, rows))
     }
@@ -203,9 +206,19 @@ mod tests {
         assert_eq!(a.names().len(), 1, "only the requested column is pivoted");
         assert!(Arc::ptr_eq(&rows, &t.batches()[0]), "the rows it indexes");
         assert!(Arc::ptr_eq(&a, &block(&t, &["a"]).unwrap()));
-        // A second operator's columns join the cached ones.
+        // A second operator's columns join the cached ones: cell for cell
+        // and in the order a fresh pivot of both would have.
         let ab = block(&t, &["b"]).unwrap();
-        assert!(ab.column_index("a").is_some() && ab.column_index("b").is_some());
+        let fresh = ColumnBatch::project_rows(&t.batches()[0], &["a", "b"]).unwrap();
+        assert_eq!(ab.names(), fresh.names());
+        assert!((0..fresh.len()).all(|i| ab.row(i) == fresh.row(i)));
+        // Widened again, by a column that sorts before the held ones.
+        let wider = StoredTable::from_rows(vec![wide(0), wide(1)]);
+        block(&wider, &["b"]).unwrap();
+        let all = block(&wider, &["__rowid", "a"]).unwrap();
+        let fresh = ColumnBatch::from_rows(&wider.batches()[0]).unwrap();
+        assert_eq!(all.names(), fresh.names());
+        assert!((0..fresh.len()).all(|i| all.row(i) == fresh.row(i)));
         // ... and the widened pivot serves either request afterwards.
         assert!(Arc::ptr_eq(&ab, &block(&t, &["a"]).unwrap()));
         // A name the rows do not have is the row path's error to report.

@@ -55,6 +55,7 @@ use crate::calculus::{CalcExpr, MonoidKind, Program};
 use crate::engine::storage::StoredTable;
 
 use super::groupfold::{self, AggFoldShape, ColumnarFold, KEY_SLOT_VAR};
+use super::kernel::{ColumnProgram, PredKernel};
 use super::pairs::{self, PairShape, PairSweep};
 use super::profile::{nest_stage_label, EngineProfile, NestStrategy};
 use super::program::{env_layout, RowEnv, RowExpr};
@@ -871,10 +872,13 @@ impl<'a> Executor<'a> {
     /// (same chunks, same order — so a claim is one `PartitionStart` site
     /// and one interrupt check, and the per-chunk partials merge in chunk
     /// order: float sums associate per chunk, as in any map-side combine),
-    /// the merge by representative row, then the finish programs once per
-    /// group over a reused environment. The key
-    /// `Value` of a group is built only when a finish program reads it or
-    /// the group is output.
+    /// the merge by representative row, then the finish over the finished
+    /// slots as one batch, a row per group ([`ColumnarFold::finish_batch`],
+    /// with the key's column only when a finish program reads it): group
+    /// predicates that lower run as [`PredKernel`] sweeps over it, a head
+    /// of key and slot references is built from it by a
+    /// [`ColumnProgram`]; what does not lower runs its compiled program
+    /// once per group over a reused environment filled from the batch.
     ///
     /// Aggregate heads finish on the pool (`group_finish`). A
     /// group-keeping shape decides the passing groups, then gathers their
@@ -911,27 +915,46 @@ impl<'a> Executor<'a> {
 
         let groups = folded.groups.len() as u32;
         let reads_key = |e: &CalcExpr| free_vars(e).contains(KEY_SLOT_VAR);
-        let preds_read_key = shape.preds.iter().any(reads_key);
-        // Fill the finish row of group `g` and test the group predicates.
-        let passes = |g: u32, env: &mut RowEnv| -> bool {
-            if preds_read_key {
-                env[0] = fold.key_value(&folded.groups, g);
+        let with_key = shape.preds.iter().chain(&shape.head).any(reads_key);
+        let batch = fold.finish_batch(&folded.groups, folded.finished, with_key);
+        let batch = Arc::new(batch);
+        let scope = &shape.scope;
+        // The group predicates run as kernel sweeps over the finished
+        // slots when every one lowers; otherwise per group over its row.
+        let kernels: Option<Vec<PredKernel>> = (finish_preds.iter())
+            .map(|rx| PredKernel::compile_slots(rx.program(), &batch, scope))
+            .collect();
+        // Fill group `g`'s finish row: the key (when read), then each slot.
+        let fill = |g: u32, env: &mut RowEnv| {
+            let skip = usize::from(!with_key);
+            for (cell, col) in env[skip..].iter_mut().zip(batch.columns()) {
+                *cell = col.value(g as usize);
             }
-            for (slot, vals) in env[1..].iter_mut().zip(&folded.finished) {
-                slot.clone_from(&vals[g as usize]);
-            }
-            finish_preds.iter().all(|rx| ev.holds(rx, env))
         };
-        let width = 1 + folded.finished.len();
+        // The groups of `lo..hi` that pass every group predicate.
+        let select = |(lo, hi): (u32, u32)| -> Vec<u32> {
+            let mut sel: Vec<u32> = (lo..hi).collect();
+            match &kernels {
+                Some(kernels) => kernels.iter().for_each(|k| {
+                    assert!(k.filter(&batch, &mut sel), "finish kernel bound elsewhere")
+                }),
+                None => {
+                    let mut env: RowEnv = vec![Value::Null; scope.len()];
+                    sel.retain(|&g| {
+                        fill(g, &mut env);
+                        finish_preds.iter().all(|rx| ev.holds(rx, &env))
+                    });
+                }
+            }
+            sel
+        };
 
         let Some(head_rx) = finish_head else {
             // ---- Group-keeping (FD): decide, then gather by index ----
             const NONE: u32 = u32::MAX;
             let mut out_of = vec![NONE; groups as usize];
-            let passing: Vec<u32> = self.ctx.catch_driver("group fold decide", || {
-                let mut env: RowEnv = vec![Value::Null; width];
-                Ok((0..groups).filter(|&g| passes(g, &mut env)).collect())
-            })?;
+            let passing =
+                (self.ctx).catch_driver("group fold decide", || Ok(select((0, groups))))?;
             self.check_errors()?;
             if passing.is_empty() {
                 return Ok(Vec::new());
@@ -967,22 +990,23 @@ impl<'a> Executor<'a> {
         };
 
         // ---- Grouped aggregates: finish each group on the pool ----
-        let head_reads_key = shape.head.as_ref().is_some_and(reads_key);
+        // A head of key and slot references is read off the batch.
+        let head = ColumnProgram::lower_slots(head_rx.program(), &batch, scope);
         let outputs: Vec<Value> = produce_partitions(
             &self.ctx,
             "group_finish",
             groups as u64,
             chunk_ranges(groups, self.ctx.default_partitions()),
-            |(lo, hi)| {
-                let mut env: RowEnv = vec![Value::Null; width];
-                let mut out = Vec::new();
-                for g in lo..hi {
-                    if passes(g, &mut env) {
-                        if head_reads_key && !preds_read_key {
-                            env[0] = fold.key_value(&folded.groups, g);
-                        }
-                        out.extend(ev.eval(&head_rx, &env));
-                    }
+            |range| {
+                let passing = select(range);
+                if let Some(head) = &head {
+                    return passing.into_iter().map(|g| head.value(g)).collect();
+                }
+                let mut env: RowEnv = vec![Value::Null; scope.len()];
+                let mut out = Vec::with_capacity(passing.len());
+                for g in passing {
+                    fill(g, &mut env);
+                    out.extend(ev.eval(&head_rx, &env));
                 }
                 out
             },

@@ -31,7 +31,9 @@
 //! (`Unnest` over `g.partition`), so their plans never match and keep the
 //! materialized path.
 
-use cleanm_values::{FxHashSet, Value};
+use std::sync::Arc;
+
+use cleanm_values::{Column, ColumnBatch, ColumnBuilder, FxHashSet, NullMask, Value};
 
 use crate::calculus::eval::merge_values;
 use crate::calculus::subst::{free_vars, substitute};
@@ -342,7 +344,8 @@ fn scan_uses(e: &CalcExpr, var: &str, max_k: &mut Option<i64>) {
 // Accumulators
 // ---------------------------------------------------------------------
 
-/// The running state of one aggregate slot.
+/// The running state of one aggregate slot on the generic path
+/// ([`SlotAccs::Values`]).
 #[derive(Debug, Clone)]
 pub(crate) enum SlotAcc {
     /// A primitive monoid value (starts at the monoid's zero).
@@ -368,7 +371,7 @@ impl AggSlot {
     pub fn fold(&self, acc: &mut SlotAcc, v: Value) -> cleanm_values::Result<()> {
         match (&self.kind, acc) {
             (AggKind::Monoid(m), SlotAcc::Monoid(a)) => {
-                *a = merge_scalar(m, std::mem::take(a), v)?;
+                *a = merge_values(m, std::mem::take(a), v)?;
             }
             (AggKind::CountDistinct { cap }, SlotAcc::Distinct(set)) => {
                 if cap.is_none_or(|c| set.len() < c) {
@@ -426,27 +429,6 @@ impl AggSlot {
     }
 }
 
-/// [`merge_values`] with the dominant numeric cases of a slot's fold
-/// inlined — a `Null` member is the identity and two numbers add without
-/// the generic monoid dispatch. Semantics are identical; `merge_values`
-/// remains the fallback (and the reference) for every other case.
-fn merge_scalar(m: &MonoidKind, acc: Value, v: Value) -> cleanm_values::Result<Value> {
-    if matches!(m, MonoidKind::Sum) {
-        match (&acc, &v) {
-            (Value::Int(a), Value::Int(b)) => return Ok(Value::Int(a.wrapping_add(*b))),
-            (Value::Float(a), Value::Float(b)) => return Ok(Value::Float(a + b)),
-            (Value::Int(a), Value::Float(b)) => return Ok(Value::Float(*a as f64 + b)),
-            (Value::Float(a), Value::Int(b)) => return Ok(Value::Float(a + *b as f64)),
-            (_, Value::Null) => return Ok(acc),
-            _ => {}
-        }
-    } else if v.is_null() && matches!(m, MonoidKind::Prod | MonoidKind::Min | MonoidKind::Max) {
-        // merge_values keeps the non-null side for these monoids.
-        return Ok(acc);
-    }
-    merge_values(m, acc, v)
-}
-
 // ---------------------------------------------------------------------
 // The columnar route
 // ---------------------------------------------------------------------
@@ -463,14 +445,25 @@ pub(crate) struct ColumnarFold {
     /// The table the fold reads, filtered by the fused `WHERE` chain.
     pub(super) scan: ColumnScan,
     key: ColumnProgram,
-    /// Each aggregate slot with its member expression.
-    slots: Vec<(AggSlot, ColumnProgram)>,
+    /// Each aggregate slot with its member expression and its empty
+    /// accumulators (which kind is decided once, at lowering).
+    slots: Vec<FoldSlot>,
     /// Group-keeping (FD) shape: chunks remember each row's group so the
     /// passing groups' members are gathered by index afterwards.
     keeps_groups: bool,
 }
 
-/// The accumulators of one slot, flat and indexed by group id.
+/// One aggregate slot of a lowered fold.
+struct FoldSlot {
+    slot: AggSlot,
+    member: ColumnProgram,
+    empty: SlotAccs,
+}
+
+/// The accumulators of one slot, flat and indexed by group id. Numeric
+/// slots are typed — no boxed value per row or per group — and merge as
+/// vector operations through the merge's group remap.
+#[derive(Clone)]
 enum SlotAccs {
     /// A capped `count_distinct` (the FD test): per group at most `cap`
     /// *witness rows* whose member values are pairwise distinct, compared
@@ -481,18 +474,65 @@ enum SlotAccs {
         n: Vec<u8>,
         rows: Vec<u32>,
     },
-    /// Every other slot, through [`AggSlot`]'s own fold / merge / finish.
+    /// `Sum` over integer cells (`count(*)` sums the constant 1): wrapping
+    /// `i64` sums from the monoid's zero, as `eval_binop` adds two `Int`s.
+    IntSum(Vec<i64>),
+    /// `Sum` over float cells, or `avg` over numeric ones: per group the
+    /// `f64` sum of the non-NULL cells, added in row order from `0.0`
+    /// (integer cells widened `i as f64`), and how many there were. A sum
+    /// over none finishes to the monoid's zero `Int(0)`, an average to
+    /// NULL.
+    FloatSum { avg: bool, acc: Vec<(f64, u64)> },
+    /// `Min` / `Max` over integer cells, NULL until the first non-NULL
+    /// cell.
+    IntExtreme { max: bool, acc: Vec<Option<i64>> },
+    /// `Min` / `Max` over float cells, compared by [`Value`]'s canonical
+    /// float order ([`Value::float_key`]: NaN above every number, −0.0
+    /// equal to 0.0).
+    FloatExtreme { max: bool, acc: Vec<Option<f64>> },
+    /// Every other slot, through [`AggSlot`]'s own fold / merge / finish
+    /// over boxed values: `Prod`, `Any` and `All`; `Sum`, `Min`, `Max` and
+    /// `avg` over string or boolean cells, a NULL constant or a
+    /// record-valued member (a `Sum` over strings fails the query, as on
+    /// the row path); and a `count_distinct` that is uncapped or capped
+    /// above 255.
     Values(Vec<SlotAcc>),
 }
 
 impl SlotAccs {
-    fn new(slot: &AggSlot) -> SlotAccs {
-        match slot.kind {
-            AggKind::CountDistinct { cap: Some(cap) } if cap <= u8::MAX as usize => {
+    /// The empty accumulators for `slot` folding the cells of `member`.
+    fn new(slot: &AggSlot, member: &ColumnProgram) -> SlotAccs {
+        let numbers = member.numbers();
+        let int = numbers.is_some_and(|n| n.is_int());
+        match (&slot.kind, numbers) {
+            (AggKind::CountDistinct { cap: Some(cap) }, _) if *cap <= u8::MAX as usize => {
                 SlotAccs::Witnesses {
-                    cap,
+                    cap: *cap,
                     n: Vec::new(),
                     rows: Vec::new(),
+                }
+            }
+            (AggKind::Monoid(MonoidKind::Sum), Some(_)) if int => SlotAccs::IntSum(Vec::new()),
+            (AggKind::Monoid(MonoidKind::Sum), Some(_)) => SlotAccs::FloatSum {
+                avg: false,
+                acc: Vec::new(),
+            },
+            (AggKind::Avg, Some(_)) => SlotAccs::FloatSum {
+                avg: true,
+                acc: Vec::new(),
+            },
+            (AggKind::Monoid(m @ (MonoidKind::Min | MonoidKind::Max)), Some(_)) => {
+                let max = *m == MonoidKind::Max;
+                if int {
+                    SlotAccs::IntExtreme {
+                        max,
+                        acc: Vec::new(),
+                    }
+                } else {
+                    SlotAccs::FloatExtreme {
+                        max,
+                        acc: Vec::new(),
+                    }
                 }
             }
             _ => SlotAccs::Values(Vec::new()),
@@ -502,14 +542,9 @@ impl SlotAccs {
     /// Fold the slot's member value at each row of `sel` into the
     /// accumulator of that row's group (`gids`, parallel to `sel`), after
     /// extending the accumulators to `groups` groups.
-    fn fold(
-        &mut self,
-        (slot, cols): &(AggSlot, ColumnProgram),
-        groups: usize,
-        sel: &[u32],
-        gids: &[u32],
-        ev: &RowEval,
-    ) {
+    fn fold(&mut self, fs: &FoldSlot, groups: usize, sel: &[u32], gids: &[u32], ev: &RowEval) {
+        let cols = &fs.member;
+        let numbers = || cols.numbers().expect("a typed slot reads numeric cells");
         match self {
             SlotAccs::Witnesses { cap, n, rows } => {
                 n.resize(groups, 0);
@@ -518,11 +553,32 @@ impl SlotAccs {
                     witness(*cap, n, rows, cols, g as usize, row);
                 }
             }
+            SlotAccs::IntSum(acc) => {
+                acc.resize(groups, 0);
+                numbers().each_int(sel, gids, |g, v| acc[g] = acc[g].wrapping_add(v));
+            }
+            SlotAccs::FloatSum { acc, .. } => {
+                acc.resize(groups, (0.0, 0));
+                numbers().each_float(sel, gids, |g, v| {
+                    acc[g].0 += v;
+                    acc[g].1 += 1;
+                });
+            }
+            SlotAccs::IntExtreme { max, acc } => {
+                acc.resize(groups, None);
+                numbers().each_int(sel, gids, |g, v| offer(*max, &mut acc[g], v, |x| x));
+            }
+            SlotAccs::FloatExtreme { max, acc } => {
+                acc.resize(groups, None);
+                numbers().each_float(sel, gids, |g, v| {
+                    offer(*max, &mut acc[g], v, Value::float_key)
+                });
+            }
             SlotAccs::Values(accs) => {
+                let slot = &fs.slot;
                 accs.resize_with(groups, || slot.zero());
                 for (&row, &g) in sel.iter().zip(gids) {
-                    let v = cols.value(row);
-                    if let Err(e) = slot.fold(&mut accs[g as usize], v) {
+                    if let Err(e) = slot.fold(&mut accs[g as usize], cols.value(row)) {
                         ev.record(e);
                     }
                 }
@@ -533,13 +589,7 @@ impl SlotAccs {
     /// Merge another chunk's accumulators in: its group `g` is this
     /// side's `remap[g]`, a group this side has not seen moves over as is
     /// (new groups arrive in id order, so they are pushed).
-    fn merge(
-        &mut self,
-        (slot, cols): &(AggSlot, ColumnProgram),
-        other: SlotAccs,
-        remap: &[u32],
-        ev: &RowEval,
-    ) {
+    fn merge(&mut self, fs: &FoldSlot, other: SlotAccs, remap: &[u32], ev: &RowEval) {
         match (self, other) {
             (
                 SlotAccs::Witnesses { cap, n, rows },
@@ -553,31 +603,136 @@ impl SlotAccs {
                         rows.extend_from_slice(block);
                     } else {
                         for &at in &block[..held as usize] {
-                            witness(*cap, n, rows, cols, g as usize, at);
+                            witness(*cap, n, rows, &fs.member, g as usize, at);
                         }
                     }
                 }
             }
+            (SlotAccs::IntSum(acc), SlotAccs::IntSum(other)) => {
+                merge_by(acc, other, remap, |a, b| *a = a.wrapping_add(b));
+            }
+            (SlotAccs::FloatSum { acc, .. }, SlotAccs::FloatSum { acc: other, .. }) => {
+                merge_by(acc, other, remap, |a, (sum, n)| {
+                    a.0 += sum;
+                    a.1 += n;
+                });
+            }
+            (SlotAccs::IntExtreme { max, acc }, SlotAccs::IntExtreme { acc: other, .. }) => {
+                merge_by(acc, other, remap, |a, b| {
+                    if let Some(b) = b {
+                        offer(*max, a, b, |x| x);
+                    }
+                });
+            }
+            (SlotAccs::FloatExtreme { max, acc }, SlotAccs::FloatExtreme { acc: other, .. }) => {
+                merge_by(acc, other, remap, |a, b| {
+                    if let Some(b) = b {
+                        offer(*max, a, b, Value::float_key);
+                    }
+                });
+            }
             (SlotAccs::Values(accs), SlotAccs::Values(other)) => {
-                for (acc, &g) in other.into_iter().zip(remap) {
-                    if g as usize == accs.len() {
-                        accs.push(acc);
-                    } else if let Err(e) = slot.merge(&mut accs[g as usize], acc) {
+                merge_by(accs, other, remap, |a, b| {
+                    if let Err(e) = fs.slot.merge(a, b) {
                         ev.record(e);
                     }
-                }
+                });
             }
             _ => unreachable!("accumulator layouts of one slot diverged"),
         }
     }
 
-    /// Each group's finished slot value, in group-id order.
-    fn finish(self, slot: &AggSlot) -> Vec<Value> {
+    /// Every group's finished slot value, in group-id order, as one
+    /// column: exactly the values [`AggSlot::finish`] gives.
+    fn finish(self, slot: &AggSlot) -> Column {
         match self {
-            SlotAccs::Witnesses { n, .. } => n.into_iter().map(|n| Value::Int(n as i64)).collect(),
-            SlotAccs::Values(accs) => accs.into_iter().map(|a| slot.finish(a)).collect(),
+            SlotAccs::Witnesses { n, .. } => Column::Int {
+                data: n.into_iter().map(i64::from).collect(),
+                nulls: None,
+            },
+            SlotAccs::IntSum(data) => Column::Int { data, nulls: None },
+            SlotAccs::FloatSum { avg: true, acc } => {
+                let avg = acc
+                    .into_iter()
+                    .map(|(sum, n)| (n > 0).then(|| sum / n as f64));
+                let (data, nulls) = nullable(avg);
+                Column::Float { data, nulls }
+            }
+            SlotAccs::FloatSum { avg: false, acc } => {
+                if acc.iter().all(|&(_, n)| n > 0) {
+                    let data = acc.into_iter().map(|(sum, _)| sum).collect();
+                    Column::Float { data, nulls: None }
+                } else {
+                    // A group with no non-NULL cell sums to `Int(0)`.
+                    let sums = acc.into_iter().map(|(sum, n)| match n {
+                        0 => Value::Int(0),
+                        _ => Value::Float(sum),
+                    });
+                    column_of(sums)
+                }
+            }
+            SlotAccs::IntExtreme { acc, .. } => {
+                let (data, nulls) = nullable(acc.into_iter());
+                Column::Int { data, nulls }
+            }
+            SlotAccs::FloatExtreme { acc, .. } => {
+                let (data, nulls) = nullable(acc.into_iter());
+                Column::Float { data, nulls }
+            }
+            SlotAccs::Values(accs) => column_of(accs.into_iter().map(|a| slot.finish(a))),
         }
     }
+}
+
+/// Offer `x` to a running `Min` (`max` false) or `Max`: it replaces the
+/// held value only when strictly smaller (larger) by `key` — ties keep the
+/// earlier cell, as `merge_values` keeps its left side.
+#[inline]
+fn offer<T: Copy, K: Ord>(max: bool, held: &mut Option<T>, x: T, key: impl Fn(T) -> K) {
+    let replace = match *held {
+        None => true,
+        Some(h) if max => key(x) > key(h),
+        Some(h) => key(x) < key(h),
+    };
+    if replace {
+        *held = Some(x);
+    }
+}
+
+/// Merge `theirs` into `mine` through `remap`: a group new to `mine` is
+/// pushed (new groups arrive in id order), a known one combined by `add`.
+fn merge_by<T>(mine: &mut Vec<T>, theirs: Vec<T>, remap: &[u32], mut add: impl FnMut(&mut T, T)) {
+    for (v, &g) in theirs.into_iter().zip(remap) {
+        match mine.get_mut(g as usize) {
+            Some(acc) => add(acc, v),
+            None => mine.push(v),
+        }
+    }
+}
+
+/// Typed cells with a NULL mask (`None` when no cell is NULL).
+fn nullable<T: Default>(
+    cells: impl ExactSizeIterator<Item = Option<T>>,
+) -> (Vec<T>, Option<NullMask>) {
+    let len = cells.len();
+    let mut nulls: Option<NullMask> = None;
+    let data = cells
+        .enumerate()
+        .map(|(i, c)| {
+            c.unwrap_or_else(|| {
+                nulls.get_or_insert_with(|| NullMask::new(len)).set_null(i);
+                T::default()
+            })
+        })
+        .collect();
+    (data, nulls)
+}
+
+/// Boxed values as one column, typed when they share a type.
+fn column_of(values: impl Iterator<Item = Value>) -> Column {
+    let mut out = ColumnBuilder::new();
+    values.for_each(|v| out.push(v));
+    out.finish()
 }
 
 /// Offer row `at` as a witness of group `g`: kept when the group holds
@@ -644,8 +799,8 @@ impl ChunkMembers {
 /// Every chunk merged: the table's groups with their finished slot values.
 pub(crate) struct FoldedGroups {
     pub groups: Groups,
-    /// `finished[s][g]`: slot `s`'s value for group `g`.
-    pub finished: Vec<Vec<Value>>,
+    /// Slot `s`'s value for group `g` is `finished[s].value(g)`.
+    pub finished: Vec<Column>,
     /// Rows per group (group-keeping shapes; empty otherwise).
     pub sizes: Vec<u32>,
     /// Per chunk, in chunk order (group-keeping shapes; empty otherwise).
@@ -654,7 +809,9 @@ pub(crate) struct FoldedGroups {
 
 impl ColumnarFold {
     /// Lower a recognized fold onto `scan`: the key and every slot's
-    /// member program against its block. `None` when any does not lower.
+    /// member program against its block, and each slot's accumulator kind
+    /// from its aggregate and its member's cells. `None` when any program
+    /// does not lower.
     pub fn lower(
         scan: ColumnScan,
         key: &Program,
@@ -663,12 +820,20 @@ impl ColumnarFold {
         keeps_groups: bool,
     ) -> Option<ColumnarFold> {
         let block = scan.block();
+        let lower_slot = |(slot, p): (&AggSlot, &&Program)| {
+            let member = ColumnProgram::lower(p, block)?;
+            Some(FoldSlot {
+                empty: SlotAccs::new(slot, &member),
+                slot: slot.clone(),
+                member,
+            })
+        };
         Some(ColumnarFold {
             key: ColumnProgram::lower(key, block)?,
             slots: slots
                 .iter()
                 .zip(slot_programs)
-                .map(|(slot, p)| Some((slot.clone(), ColumnProgram::lower(p, block)?)))
+                .map(lower_slot)
                 .collect::<Option<_>>()?,
             scan,
             keeps_groups,
@@ -680,7 +845,8 @@ impl ColumnarFold {
     /// slot by id.
     pub fn fold_chunk(&self, range: (u32, u32), ev: &RowEval) -> ChunkFold {
         let sel = self.scan.sweep(range);
-        let (mut groups, mut gids) = (Groups::default(), Vec::new());
+        // At most one group per selected row: the table never rehashes.
+        let (mut groups, mut gids) = (Groups::with_capacity(sel.len()), Vec::new());
         groups.assign(&self.key, &sel, &mut gids);
         let mut accs = self.new_accs();
         for (slot, accs) in self.slots.iter().zip(&mut accs) {
@@ -730,7 +896,7 @@ impl ColumnarFold {
         }
         let finished = accs.into_iter().zip(&self.slots);
         FoldedGroups {
-            finished: finished.map(|(a, (slot, _))| a.finish(slot)).collect(),
+            finished: finished.map(|(a, fs)| a.finish(&fs.slot)).collect(),
             groups,
             sizes,
             members,
@@ -738,15 +904,32 @@ impl ColumnarFold {
     }
 
     fn new_accs(&self) -> Vec<SlotAccs> {
-        self.slots
-            .iter()
-            .map(|(slot, _)| SlotAccs::new(slot))
-            .collect()
+        self.slots.iter().map(|fs| fs.empty.clone()).collect()
     }
 
     /// Group `g`'s key value, built from its representative row.
     pub fn key_value(&self, groups: &Groups, g: u32) -> Value {
         self.key.value(groups.rep(g))
+    }
+
+    /// The finished slots as one batch with a row per group, each column
+    /// named by its finish-scope variable (`__agg{i}`), led by the key's
+    /// column `__gkey` when `with_key`: what the finish step's kernels
+    /// read ([`ColumnProgram::lower_slots`]).
+    pub fn finish_batch(
+        &self,
+        groups: &Groups,
+        finished: Vec<Column>,
+        with_key: bool,
+    ) -> ColumnBatch {
+        let key = with_key.then(|| {
+            let keys = groups.reps().iter().map(|&rep| self.key.value(rep));
+            (Arc::from(KEY_SLOT_VAR), column_of(keys))
+        });
+        let slots =
+            (finished.into_iter().enumerate()).map(|(i, c)| (Arc::from(agg_slot_var(i)), c));
+        let (names, cols) = key.into_iter().chain(slots).unzip();
+        ColumnBatch::from_columns(names, cols).expect("one cell per group in every column")
     }
 }
 
@@ -853,6 +1036,61 @@ mod tests {
             vec![CalcExpr::proj(CalcExpr::var("g"), "partition")],
         );
         assert!(recognize("g", &CalcExpr::var("d"), &CalcExpr::var("g"), &[&pred]).is_none());
+    }
+
+    #[test]
+    fn numeric_slots_get_typed_accumulators() {
+        use crate::calculus::EvalCtx;
+        let rows: Vec<Value> = (0..4i64)
+            .map(|i| {
+                Value::record([
+                    ("i", Value::Int(i)),
+                    ("f", Value::Float(i as f64)),
+                    ("s", Value::str("x")),
+                ])
+            })
+            .collect();
+        let block = Arc::new(ColumnBatch::from_rows(&rows).unwrap());
+        let accs = |kind: AggKind, row_expr: CalcExpr| {
+            let program = Program::compile(&row_expr, &["d".to_string()], &EvalCtx::new());
+            let member = ColumnProgram::lower(&program.unwrap(), &block).unwrap();
+            SlotAccs::new(&AggSlot { kind, row_expr }, &member)
+        };
+        let col = |f: &str| CalcExpr::proj(CalcExpr::var("d"), f);
+        let m = AggKind::Monoid;
+        use MonoidKind::{All, Max, Min, Prod, Sum};
+        assert!(matches!(
+            accs(m(Sum), CalcExpr::int(1)),
+            SlotAccs::IntSum(_)
+        ));
+        assert!(matches!(accs(m(Sum), col("i")), SlotAccs::IntSum(_)));
+        assert!(matches!(
+            accs(m(Sum), col("f")),
+            SlotAccs::FloatSum { avg: false, .. }
+        ));
+        assert!(matches!(
+            accs(AggKind::Avg, col("i")),
+            SlotAccs::FloatSum { avg: true, .. }
+        ));
+        assert!(matches!(
+            accs(m(Min), col("i")),
+            SlotAccs::IntExtreme { max: false, .. }
+        ));
+        assert!(matches!(
+            accs(m(Max), col("f")),
+            SlotAccs::FloatExtreme { max: true, .. }
+        ));
+        // What stays generic: strings, `prod`, `all`, an uncapped distinct.
+        for (kind, e) in [
+            (m(Sum), col("s")),
+            (m(Max), col("s")),
+            (AggKind::Avg, col("s")),
+            (m(Prod), col("i")),
+            (m(All), col("i")),
+            (AggKind::CountDistinct { cap: None }, col("i")),
+        ] {
+            assert!(matches!(accs(kind, e), SlotAccs::Values(_)));
+        }
     }
 
     #[test]

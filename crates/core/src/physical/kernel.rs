@@ -54,6 +54,57 @@ struct ColRef {
 /// pair kernel reads its left batch at slot 0 and its right at slot 1.
 type At = [usize; 2];
 
+/// How a program's environment slots map onto the batches a kernel lowers
+/// against.
+#[derive(Debug, Clone, Copy)]
+enum SlotMap<'n> {
+    /// Slot `k` is a row of batch `k`; `slot.field` reads that batch's
+    /// column `field` (a scan's filter, a theta join's two sides).
+    Rows,
+    /// Slot `i` is a whole value, the row's cell of the one batch's column
+    /// `names[i]` (a group fold's finish scope, one column per slot).
+    Columns(&'n [String]),
+}
+
+impl<'n> SlotMap<'n> {
+    /// How many environment slots a program lowered under this map has.
+    fn scope_len(self, batches: usize) -> usize {
+        match self {
+            SlotMap::Rows => batches,
+            SlotMap::Columns(names) => names.len(),
+        }
+    }
+
+    /// The `(batch, column name)` a cell reference reads: `slot.field`
+    /// over rows, a bare slot over columns; `None` for any other operand.
+    fn column_of<'o>(self, op: &'o Operand) -> Option<(u16, &'o str)>
+    where
+        'n: 'o,
+    {
+        match (self, op) {
+            (SlotMap::Rows, Operand::SlotField { slot, field, .. }) => Some((*slot, field)),
+            (SlotMap::Columns(names), Operand::Slot(slot)) => {
+                Some((0, names.get(*slot as usize)?.as_str()))
+            }
+            _ => None,
+        }
+    }
+
+    /// [`SlotMap::column_of`] for a lone instruction.
+    fn column_of_instr<'o>(self, instr: &'o Instr) -> Option<(u16, &'o str)>
+    where
+        'n: 'o,
+    {
+        match (self, instr) {
+            (SlotMap::Rows, Instr::SlotField { slot, field, .. }) => Some((*slot, field)),
+            (SlotMap::Columns(names), Instr::Slot(slot)) => {
+                Some((0, names.get(*slot as usize)?.as_str()))
+            }
+            _ => None,
+        }
+    }
+}
+
 /// Static cell type of a referenced column, fixed at kernel-compile time
 /// from the actual batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -513,13 +564,15 @@ impl Binds {
 /// lists, validating against the concrete batch each slot binds to.
 struct KernelCx<'a> {
     batches: &'a [&'a ColumnBatch],
+    map: SlotMap<'a>,
     binds: Binds,
 }
 
 impl<'a> KernelCx<'a> {
-    fn new(batches: &'a [&'a ColumnBatch]) -> Self {
+    fn new(batches: &'a [&'a ColumnBatch], map: SlotMap<'a>) -> Self {
         KernelCx {
             batches,
+            map,
             binds: Binds::default(),
         }
     }
@@ -557,14 +610,16 @@ impl<'a> KernelCx<'a> {
         match op {
             Operand::Const(Value::Int(i)) => Some(NumExpr::IntConst(*i)),
             Operand::Const(Value::Float(f)) => Some(NumExpr::FloatConst(*f)),
-            Operand::SlotField { slot, field, .. } => match self.resolve(*slot, field)? {
-                (r, CellType::Int) => Some(NumExpr::IntCol(r)),
-                (r, CellType::Float) => Some(NumExpr::FloatCol(r)),
-                _ => None,
-            },
             Operand::Bin { op, l, r } => self.arith(*op, l, r),
             // Whole-row slots and non-scalar constants stay on the row path.
-            _ => None,
+            _ => {
+                let (slot, field) = self.map.column_of(op)?;
+                match self.resolve(slot, field)? {
+                    (r, CellType::Int) => Some(NumExpr::IntCol(r)),
+                    (r, CellType::Float) => Some(NumExpr::FloatCol(r)),
+                    _ => None,
+                }
+            }
         }
     }
 
@@ -587,11 +642,13 @@ impl<'a> KernelCx<'a> {
     fn str_operand(&mut self, op: &Operand) -> Option<StrOperand> {
         match op {
             Operand::Const(Value::Str(s)) => Some(StrOperand::Const(Arc::clone(s))),
-            Operand::SlotField { slot, field, .. } => match self.resolve(*slot, field)? {
-                (r, CellType::Str) => Some(StrOperand::Col(r)),
-                _ => None,
-            },
-            _ => None,
+            _ => {
+                let (slot, field) = self.map.column_of(op)?;
+                match self.resolve(slot, field)? {
+                    (r, CellType::Str) => Some(StrOperand::Col(r)),
+                    _ => None,
+                }
+            }
         }
     }
 
@@ -617,7 +674,9 @@ impl<'a> KernelCx<'a> {
     /// `str_operand` without registering bindings on failure — probe-only.
     fn try_str(&mut self, op: &Operand) -> Option<StrOperand> {
         match op {
-            Operand::Const(Value::Str(_)) | Operand::SlotField { .. } => self.str_operand(op),
+            Operand::Const(Value::Str(_)) | Operand::SlotField { .. } | Operand::Slot(_) => {
+                self.str_operand(op)
+            }
             _ => None,
         }
     }
@@ -644,13 +703,17 @@ impl<'a> KernelCx<'a> {
         }
     }
 
-    /// Lower a fused predicate program whose slots bind to `batches`, one
-    /// batch per environment variable.
-    fn predicate(program: &Program, batches: &'a [&'a ColumnBatch]) -> Option<(BoolKernel, Binds)> {
-        if program.scope_len() != batches.len() {
+    /// Lower a fused predicate program whose slots bind to `batches` as
+    /// `map` says.
+    fn predicate(
+        program: &Program,
+        batches: &'a [&'a ColumnBatch],
+        map: SlotMap<'a>,
+    ) -> Option<(BoolKernel, Binds)> {
+        if program.scope_len() != map.scope_len(batches.len()) {
             return None;
         }
-        let mut cx = KernelCx::new(batches);
+        let mut cx = KernelCx::new(batches, map);
         let root = match program.instrs() {
             [Instr::Pred(p)] => cx.bool_kernel(p)?,
             [Instr::BinFused { op, lhs, rhs }] => BoolKernel::Cmp(cx.cmp(*op, lhs, rhs)?),
@@ -672,7 +735,20 @@ impl PredKernel {
     /// `None` when the program is not a single fused predicate over one
     /// variable, or any reference fails to resolve to a typed column.
     pub fn compile(program: &Program, batch: &ColumnBatch) -> Option<PredKernel> {
-        let (root, binds) = KernelCx::predicate(program, &[batch])?;
+        let (root, binds) = KernelCx::predicate(program, &[batch], SlotMap::Rows)?;
+        Some(PredKernel { root, binds })
+    }
+
+    /// Lower `program` over an environment of whole values, slot `i` the
+    /// row's cell of `batch`'s column `names[i]` — a group predicate over
+    /// the finished slots, one row per group. `None` as for
+    /// [`PredKernel::compile`], or when a slot it reads has no typed column.
+    pub fn compile_slots(
+        program: &Program,
+        batch: &ColumnBatch,
+        names: &[String],
+    ) -> Option<PredKernel> {
+        let (root, binds) = KernelCx::predicate(program, &[batch], SlotMap::Columns(names))?;
         Some(PredKernel { root, binds })
     }
 
@@ -707,7 +783,7 @@ impl PairKernel {
         left: &ColumnBatch,
         right: &ColumnBatch,
     ) -> Option<PairKernel> {
-        let (root, binds) = KernelCx::predicate(program, &[left, right])?;
+        let (root, binds) = KernelCx::predicate(program, &[left, right], SlotMap::Rows)?;
         Some(PairKernel { root, binds })
     }
 
@@ -791,7 +867,7 @@ impl KeyKernel {
             return None;
         }
         let batches = [batch];
-        let mut cx = KernelCx::new(&batches);
+        let mut cx = KernelCx::new(&batches, SlotMap::Rows);
         let key = match program.instrs() {
             [Instr::SlotField { slot, field, .. }] => match cx.resolve(*slot, field)? {
                 (r, CellType::Int) => KeyExpr::Num(NumExpr::IntCol(r)),
@@ -957,7 +1033,7 @@ enum ColExpr {
 }
 
 impl ColExpr {
-    fn of_field(batch: &ColumnBatch, slot: u16, field: &str) -> Option<usize> {
+    fn of_field(batch: &ColumnBatch, (slot, field): (u16, &str)) -> Option<usize> {
         let col = batch.column_index(field).filter(|_| slot == 0)?;
         (!matches!(batch.column(col), Column::Val(_))).then_some(col)
     }
@@ -967,34 +1043,25 @@ impl ColExpr {
         (!matches!(v, Value::List(_) | Value::Struct(_))).then(|| ColExpr::Const(v.clone()))
     }
 
-    fn of_operand(op: &Operand, batch: &ColumnBatch) -> Option<ColExpr> {
+    fn of_operand(op: &Operand, batch: &ColumnBatch, map: SlotMap<'_>) -> Option<ColExpr> {
         match op {
             Operand::Const(v) => Self::of_const(v),
-            Operand::SlotField { slot, field, .. } => {
-                Self::of_field(batch, *slot, field).map(ColExpr::Col)
-            }
-            _ => None,
+            _ => Self::of_field(batch, map.column_of(op)?).map(ColExpr::Col),
         }
     }
 
-    fn of_instr(instr: &Instr, batch: &ColumnBatch) -> Option<ColExpr> {
+    fn of_instr(instr: &Instr, batch: &ColumnBatch, map: SlotMap<'_>) -> Option<ColExpr> {
         match instr {
             Instr::Const(v) => Self::of_const(v),
-            Instr::SlotField { slot, field, .. } => {
-                Self::of_field(batch, *slot, field).map(ColExpr::Col)
-            }
             Instr::CallFused { func, arg } => {
                 let func = StrFuncKind::of(func)?;
-                let Operand::SlotField { slot, field, .. } = arg else {
-                    return None;
-                };
                 // Non-string cells would route through `to_text`, which
                 // the row path handles — keep them there.
-                let col = Self::of_field(batch, *slot, field)?;
+                let col = Self::of_field(batch, map.column_of(arg)?)?;
                 matches!(batch.column(col), Column::Str { .. })
                     .then_some(ColExpr::StrFunc { func, col })
             }
-            _ => None,
+            _ => Self::of_field(batch, map.column_of_instr(instr)?).map(ColExpr::Col),
         }
     }
 
@@ -1106,24 +1173,44 @@ impl ColumnProgram {
     /// is one. `None` — the caller keeps the row path — for anything else:
     /// whole-row slots, `BlockKeys`, comprehensions, `Val` columns.
     pub fn lower(program: &Program, block: &Arc<ColumnBatch>) -> Option<ColumnProgram> {
-        if program.scope_len() != 1 {
+        Self::lower_in(program, block, SlotMap::Rows)
+    }
+
+    /// [`ColumnProgram::lower`] over an environment of whole values, slot
+    /// `i` the row's cell of `block`'s column `names[i]` (the finish scope
+    /// of a group fold: a head that is a record of the key and finished
+    /// slots).
+    pub fn lower_slots(
+        program: &Program,
+        block: &Arc<ColumnBatch>,
+        names: &[String],
+    ) -> Option<ColumnProgram> {
+        Self::lower_in(program, block, SlotMap::Columns(names))
+    }
+
+    fn lower_in(
+        program: &Program,
+        block: &Arc<ColumnBatch>,
+        map: SlotMap<'_>,
+    ) -> Option<ColumnProgram> {
+        if program.scope_len() != map.scope_len(1) {
             return None;
         }
         let (names, fields) = match program.instrs() {
             [Instr::RecordFused { names, ops }] => (
                 Some(Arc::clone(names)),
                 ops.iter()
-                    .map(|op| ColExpr::of_operand(op, block))
+                    .map(|op| ColExpr::of_operand(op, block, map))
                     .collect::<Option<_>>()?,
             ),
             [fields @ .., Instr::Record(names)] if fields.len() == names.len() => (
                 Some(Arc::clone(names)),
                 fields
                     .iter()
-                    .map(|instr| ColExpr::of_instr(instr, block))
+                    .map(|instr| ColExpr::of_instr(instr, block, map))
                     .collect::<Option<_>>()?,
             ),
-            [scalar] => (None, vec![ColExpr::of_instr(scalar, block)?]),
+            [scalar] => (None, vec![ColExpr::of_instr(scalar, block, map)?]),
             _ => return None,
         };
         Some(ColumnProgram {
@@ -1149,6 +1236,25 @@ impl ColumnProgram {
         }
     }
 
+    /// The program's cells as numbers, unboxed: `Some` for a bare `Int` or
+    /// `Float` column or a numeric constant (`count(*)`'s `1`) — the member
+    /// expressions a typed group-fold accumulator reads.
+    pub fn numbers(&self) -> Option<Numbers<'_>> {
+        if self.names.is_some() {
+            return None;
+        }
+        match &self.fields[0] {
+            ColExpr::Const(Value::Int(c)) => Some(Numbers::IntConst(*c)),
+            ColExpr::Const(Value::Float(c)) => Some(Numbers::FloatConst(*c)),
+            ColExpr::Col(col) => match self.block.column(*col) {
+                Column::Int { data, nulls } => Some(Numbers::Int(data, nulls.as_ref())),
+                Column::Float { data, nulls } => Some(Numbers::Float(data, nulls.as_ref())),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
     /// Is the program's value the same at rows `a` and `b` (`Value`
     /// equality, cell by cell)?
     #[inline]
@@ -1167,6 +1273,68 @@ impl ColumnProgram {
         for field in &self.fields {
             field.hash_into(&self.block, sel, hashes);
         }
+    }
+}
+
+/// A scalar column program's cells as numbers ([`ColumnProgram::numbers`]):
+/// a typed column with its NULL mask, or one constant at every row.
+#[derive(Debug, Clone, Copy)]
+pub enum Numbers<'a> {
+    /// An `Int` column.
+    Int(&'a [i64], Option<&'a NullMask>),
+    /// A `Float` column.
+    Float(&'a [f64], Option<&'a NullMask>),
+    /// An integer constant.
+    IntConst(i64),
+    /// A float constant.
+    FloatConst(f64),
+}
+
+impl Numbers<'_> {
+    /// Are the cells integers (so a `Sum` over them stays `Int`)?
+    pub fn is_int(self) -> bool {
+        matches!(self, Numbers::Int(..) | Numbers::IntConst(_))
+    }
+
+    /// Call `f(group, cell)` for every non-NULL cell at a row of `sel`,
+    /// `gids` holding each row's group — in row order, one typed loop per
+    /// case. Integer cells only.
+    #[inline]
+    pub fn each_int(self, sel: &[u32], gids: &[u32], mut f: impl FnMut(usize, i64)) {
+        match self {
+            Numbers::Int(data, nulls) => each(data, nulls, sel, gids, f),
+            Numbers::IntConst(c) => gids.iter().for_each(|&g| f(g as usize, c)),
+            Numbers::Float(..) | Numbers::FloatConst(_) => unreachable!("float cells read as ints"),
+        }
+    }
+
+    /// [`Numbers::each_int`] as `f64`: integer cells widen `i as f64`, as
+    /// [`Value::as_float`] does.
+    #[inline]
+    pub fn each_float(self, sel: &[u32], gids: &[u32], mut f: impl FnMut(usize, f64)) {
+        match self {
+            Numbers::Float(data, nulls) => each(data, nulls, sel, gids, f),
+            Numbers::FloatConst(c) => gids.iter().for_each(|&g| f(g as usize, c)),
+            ints => ints.each_int(sel, gids, |g, v| f(g, v as f64)),
+        }
+    }
+}
+
+/// The non-NULL cells of `data` at the rows of `sel`, each with its group.
+#[inline]
+fn each<T: Copy>(
+    data: &[T],
+    nulls: Option<&NullMask>,
+    sel: &[u32],
+    gids: &[u32],
+    mut f: impl FnMut(usize, T),
+) {
+    let rows = sel.iter().zip(gids);
+    match nulls {
+        None => rows.for_each(|(&i, &g)| f(g as usize, data[i as usize])),
+        Some(m) => rows
+            .filter(|(&i, _)| !m.is_null(i as usize))
+            .for_each(|(&i, &g)| f(g as usize, data[i as usize])),
     }
 }
 
@@ -1204,6 +1372,11 @@ impl Groups {
     /// Number of groups.
     pub fn len(&self) -> usize {
         self.reps.len()
+    }
+
+    /// Every group's representative row, in group-id order.
+    pub fn reps(&self) -> &[u32] {
+        &self.reps
     }
 
     /// Group `g`'s representative (first) row.
@@ -1280,7 +1453,7 @@ mod tests {
     use super::*;
     use crate::calculus::eval::{eval, truthy, EvalCtx};
     use crate::calculus::CalcExpr;
-    use cleanm_values::FxHashMap;
+    use cleanm_values::{ColumnBuilder, FxHashMap};
 
     fn rows() -> Vec<Value> {
         (0..200i64)
@@ -1580,6 +1753,73 @@ mod tests {
                 .collect();
             assert_eq!(sel, want, "left row {left}");
         }
+    }
+
+    #[test]
+    fn whole_slots_read_as_columns() {
+        // A group fold's finish scope: one column per environment slot.
+        let scope: Vec<String> = ["__gkey", "__agg0", "__agg1", "__agg2"]
+            .map(String::from)
+            .into();
+        let n = 40usize;
+        let cells = |f: &dyn Fn(usize) -> Value| {
+            let mut b = ColumnBuilder::new();
+            (0..n).for_each(|g| b.push(f(g)));
+            b.finish()
+        };
+        let cols = vec![
+            cells(&|g| Value::Int(g as i64 * 7 % 11)),
+            cells(&|g| Value::Int(g as i64 % 4)),
+            cells(&|g| match g % 5 {
+                0 => Value::Null,
+                1 => Value::Float(f64::NAN),
+                _ => Value::Float(g as f64 / 8.0),
+            }),
+            cells(&|g| match g % 2 {
+                0 => Value::Int(1),
+                _ => Value::str("x"),
+            }),
+        ];
+        let names = scope.iter().map(|s| Arc::from(s.as_str())).collect();
+        let batch = Arc::new(ColumnBatch::from_columns(names, cols).unwrap());
+        let env = |g: usize| -> Vec<Value> { batch.columns().iter().map(|c| c.value(g)).collect() };
+        let ctx = EvalCtx::new();
+        let var = |i: usize| CalcExpr::var(&scope[i]);
+        let having = CalcExpr::bin(
+            BinOp::And,
+            CalcExpr::bin(BinOp::Gt, var(1), CalcExpr::int(1)),
+            CalcExpr::bin(BinOp::Lt, var(2), CalcExpr::Const(Value::Float(3.0))),
+        );
+        let prog = Program::compile(&having, &scope, &ctx).unwrap();
+        let kernel =
+            PredKernel::compile_slots(&prog, &batch, &scope).expect("slot predicate lowers");
+        let mut sel: Vec<u32> = (0..n as u32).collect();
+        assert!(kernel.filter(&batch, &mut sel));
+        let want: Vec<u32> = (0..n as u32)
+            .filter(|&g| truthy(&prog.eval(&env(g as usize), &ctx).unwrap()))
+            .collect();
+        assert_eq!(sel, want);
+        assert!(!sel.is_empty() && sel.len() < n, "non-trivial");
+
+        let head = CalcExpr::Record(vec![
+            ("k".into(), var(0)),
+            ("n".into(), var(1)),
+            ("p".into(), var(2)),
+            ("one".into(), CalcExpr::int(1)),
+        ]);
+        let prog = Program::compile(&head, &scope, &ctx).unwrap();
+        let built = ColumnProgram::lower_slots(&prog, &batch, &scope).expect("slot head lowers");
+        for g in 0..n {
+            let want = prog.eval(&env(g), &ctx).unwrap();
+            assert_eq!(format!("{:?}", built.value(g as u32)), format!("{want:?}"));
+        }
+        // A `Val` column has no kernel; a row-slot lowering sees no field.
+        let val = CalcExpr::bin(BinOp::Gt, var(3), CalcExpr::int(0));
+        let prog = Program::compile(&val, &scope, &ctx).unwrap();
+        assert!(PredKernel::compile_slots(&prog, &batch, &scope).is_none());
+        let prog = Program::compile(&var(3), &scope, &ctx).unwrap();
+        assert!(ColumnProgram::lower_slots(&prog, &batch, &scope).is_none());
+        assert!(ColumnProgram::lower(&prog, &batch).is_none());
     }
 
     #[test]

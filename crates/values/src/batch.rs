@@ -133,6 +133,8 @@ impl Column {
 #[derive(Debug)]
 pub struct ColumnBuilder {
     kind: BuilderKind,
+    /// Cells to reserve when the builder locks to a type.
+    capacity: usize,
 }
 
 #[derive(Debug)]
@@ -163,8 +165,29 @@ fn push_null<T: Default>(data: &mut Vec<T>, nulls: &mut Option<NullMask>, cap_hi
 impl ColumnBuilder {
     /// A fresh, untyped builder.
     pub fn new() -> Self {
+        ColumnBuilder::with_capacity(0)
+    }
+
+    /// A fresh, untyped builder that reserves room for `capacity` cells
+    /// once it locks to a type.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         ColumnBuilder {
             kind: BuilderKind::Empty(0),
+            capacity,
+        }
+    }
+
+    /// Append one cell by reference: a scalar cell of the locked type is
+    /// copied straight into the column, anything else is cloned and
+    /// [`ColumnBuilder::push`]ed.
+    #[inline]
+    pub(crate) fn push_ref(&mut self, v: &Value) {
+        match (&mut self.kind, v) {
+            (BuilderKind::Int(d, _), Value::Int(i)) => d.push(*i),
+            (BuilderKind::Float(d, _), Value::Float(f)) => d.push(*f),
+            (BuilderKind::Bool(d, _), Value::Bool(b)) => d.push(*b),
+            (BuilderKind::Str(d, _), Value::Str(s)) => d.push(Arc::clone(s)),
+            _ => self.push(v.clone()),
         }
     }
 
@@ -178,12 +201,13 @@ impl ColumnBuilder {
             }
             (BuilderKind::Empty(n), _) => {
                 let n = *n;
+                let cap = self.capacity.max(n + 1);
                 let mut kind = match &v {
-                    Value::Int(_) => BuilderKind::Int(Vec::new(), None),
-                    Value::Float(_) => BuilderKind::Float(Vec::new(), None),
-                    Value::Bool(_) => BuilderKind::Bool(Vec::new(), None),
-                    Value::Str(_) => BuilderKind::Str(Vec::new(), None),
-                    _ => BuilderKind::Val(Vec::new()),
+                    Value::Int(_) => BuilderKind::Int(Vec::with_capacity(cap), None),
+                    Value::Float(_) => BuilderKind::Float(Vec::with_capacity(cap), None),
+                    Value::Bool(_) => BuilderKind::Bool(Vec::with_capacity(cap), None),
+                    Value::Str(_) => BuilderKind::Str(Vec::with_capacity(cap), None),
+                    _ => BuilderKind::Val(Vec::with_capacity(cap)),
                 };
                 // Re-play the leading NULLs into the typed storage.
                 for _ in 0..n {
@@ -297,6 +321,56 @@ impl ColumnBatch {
         Self::pivot(rows, |name| fields.contains(&name))
     }
 
+    /// This batch, a projection of `rows`, widened by the columns `fields`
+    /// names: only the names it lacks are pivoted, and its own columns are
+    /// kept, all in row field order — what [`ColumnBatch::project_rows`]
+    /// gives over both name sets, without checking every field of every
+    /// row again (the pivot that built this batch did). Names absent from
+    /// the rows are skipped; `None` when a row is not a struct as wide as
+    /// the first.
+    pub fn widen(&self, rows: &[Value], fields: &[&str]) -> Option<ColumnBatch> {
+        let Some(first) = rows.first() else {
+            return Some(self.clone());
+        };
+        let template = first.as_struct().ok()?;
+        // Per kept field: its held column, or `None` for the next new one.
+        let mut picks: Vec<(&Arc<str>, Option<usize>)> = Vec::new();
+        let mut missing: Vec<usize> = Vec::new();
+        for (at, (name, _)) in template.iter().enumerate() {
+            if let Some(held) = self.column_index(name) {
+                picks.push((name, Some(held)));
+            } else if fields.contains(&name.as_ref()) {
+                picks.push((name, None));
+                missing.push(at);
+            }
+        }
+        let mut builders: Vec<ColumnBuilder> = (missing.iter())
+            .map(|_| ColumnBuilder::with_capacity(rows.len()))
+            .collect();
+        for row in rows {
+            let cells = row.as_struct().ok().filter(|c| c.len() == template.len())?;
+            for (b, &at) in builders.iter_mut().zip(&missing) {
+                b.push_ref(&cells[at].1);
+            }
+        }
+        let mut built = builders.into_iter().map(ColumnBuilder::finish);
+        let (names, cols) = picks
+            .into_iter()
+            .map(|(name, held)| {
+                let col = match held {
+                    Some(held) => self.cols[held].clone(),
+                    None => built.next().expect("a new column per missing name"),
+                };
+                (Arc::clone(name), col)
+            })
+            .unzip();
+        Some(ColumnBatch {
+            len: rows.len(),
+            names,
+            cols,
+        })
+    }
+
     /// The row→column pivot behind both constructors: validate the uniform
     /// struct layout of every row, build the columns `keep` selects.
     fn pivot(rows: &[Value], keep: impl Fn(&str) -> bool) -> Option<ColumnBatch> {
@@ -312,7 +386,7 @@ impl ColumnBatch {
         };
         let mut builders: Vec<Option<ColumnBuilder>> = template
             .iter()
-            .map(|(n, _)| keep(n).then(ColumnBuilder::new))
+            .map(|(n, _)| keep(n).then(|| ColumnBuilder::with_capacity(rows.len())))
             .collect();
         for row in rows {
             let Ok(fields) = row.as_struct() else {
@@ -328,7 +402,7 @@ impl ColumnBatch {
                     return None; // shuffled or renamed schema → row fallback
                 }
                 if let Some(b) = b {
-                    b.push(value.clone());
+                    b.push_ref(value);
                 }
             }
         }
@@ -512,6 +586,20 @@ mod tests {
             Value::record([("a", Value::Int(1)), ("c", Value::Int(2))]),
         ];
         assert!(ColumnBatch::project_rows(&ragged, &["a"]).is_none());
+    }
+
+    #[test]
+    fn widening_pivots_only_the_missing_columns() {
+        let rows: Vec<Value> = (0..5).map(row).collect();
+        let held = ColumnBatch::project_rows(&rows, &["name"]).unwrap();
+        let wide = held.widen(&rows, &["id", "absent"]).unwrap();
+        let fresh = ColumnBatch::project_rows(&rows, &["name", "id"]).unwrap();
+        assert_eq!(wide.names(), fresh.names(), "row field order");
+        assert_eq!(to_rows(&wide), to_rows(&fresh));
+        // A row of another width is caught.
+        let mut ragged = rows.clone();
+        ragged.push(Value::record([("id", Value::Int(9))]));
+        assert!(held.widen(&ragged, &["id"]).is_none());
     }
 
     #[test]

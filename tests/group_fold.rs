@@ -212,11 +212,13 @@ fn assert_routes_agree_over(sql: &str, table_rows: Vec<Value>, read: &[&str]) {
         let (unified, metrics) = run_sql(sql, &tables, fold_profile(nest));
         let (materialized, _) = run_sql(sql, &tables, materialize_profile(nest));
         assert_eq!(
-            unified, expected,
+            exact(&unified),
+            exact(&expected),
             "unified diverged under {nest:?} for `{sql}`"
         );
         assert_eq!(
-            materialized, expected,
+            exact(&materialized),
+            exact(&expected),
             "operator-at-a-time diverged under {nest:?} for `{sql}`"
         );
         let stages: Vec<&str> = metrics.stages.iter().map(|s| s.operator).collect();
@@ -226,6 +228,13 @@ fn assert_routes_agree_over(sql: &str, table_rows: Vec<Value>, read: &[&str]) {
             "route under {nest:?} for `{sql}`: {stages:?}"
         );
     }
+}
+
+/// Each value rendered in full — a float by its sign and digits, so
+/// `-0.0` and `0.0` differ — for comparing outputs byte for byte where
+/// `Value`'s equality would not tell them apart.
+fn exact(values: &[Value]) -> Vec<String> {
+    values.iter().map(|v| format!("{v:?}")).collect()
 }
 
 const GROUP_AGG_SQL: &str = "SELECT c.k, count(*) AS n, sum(c.v) AS s, min(c.v) AS mn, \
@@ -587,29 +596,174 @@ proptest! {
         kinds in proptest::collection::vec(batch_kind(), 1..4),
     ) {
         let data = batches(&raw, mode, size, &kinds);
-        // The reference reads the stored rows, the same in every session.
-        let stored = session(EngineProfile::clean_db(), 1, &data);
-        let expected = COLUMNAR_QUERIES.map(|sql| reference_output(&stored, sql));
-        for profile in all_profiles() {
-            for workers in [1, 2] {
-                let mut db = session(profile.clone(), workers, &data);
-                for (sql, expected) in COLUMNAR_QUERIES.iter().zip(&expected) {
-                    let report = db.run(sql).unwrap();
-                    prop_assert_eq!(report.exprs.interpreted, 0, "{}", sql);
-                    prop_assert_eq!(
-                        &sorted_output(&report),
-                        expected,
-                        "{} under {} ({} worker(s)) over {:?} {:?}",
-                        sql,
-                        profile.name,
-                        workers,
-                        kinds,
-                        mode
-                    );
-                }
+        assert_columnar_agrees(&data, &COLUMNAR_QUERIES, &format!("{kinds:?} {mode:?}"))?;
+    }
+}
+
+/// `queries` over the table `data` lays out (one append batch each) under
+/// every planner level and Nest strategy with 1 and 2 workers: each op's
+/// outputs ≡ the reference evaluator's over the stored rows, byte for byte
+/// ([`exact`]).
+fn assert_columnar_agrees(
+    data: &[Vec<Value>],
+    queries: &[&str],
+    over: &str,
+) -> Result<(), TestCaseError> {
+    // The reference reads the stored rows, the same in every session.
+    let stored = session(EngineProfile::clean_db(), 1, data);
+    let expected: Vec<_> = queries
+        .iter()
+        .map(|sql| exact(&reference_output(&stored, sql)))
+        .collect();
+    for profile in all_profiles() {
+        for workers in [1, 2] {
+            let mut db = session(profile.clone(), workers, data);
+            for (sql, expected) in queries.iter().zip(&expected) {
+                let report = db.run(sql).unwrap();
+                prop_assert_eq!(report.exprs.interpreted, 0, "{}", sql);
+                prop_assert_eq!(
+                    &exact(&sorted_output(&report)),
+                    expected,
+                    "{} under {} ({} worker(s)) over {}",
+                    sql,
+                    profile.name,
+                    workers,
+                    over
+                );
             }
         }
     }
+    Ok(())
+}
+
+/// A table of one append batch per entry of `batches`: rows
+/// `{__rowid, k, v, f}` with the given key, `Int` cell and `Float` cell.
+fn edge_batches(batches: &[&[(i64, Value, Value)]]) -> Vec<Vec<Value>> {
+    let mut id = 0;
+    let row = |(k, v, f): &(i64, Value, Value), id: &mut i64| {
+        *id += 1;
+        Value::record([
+            ("__rowid", Value::Int(*id)),
+            ("k", Value::Int(*k)),
+            ("v", v.clone()),
+            ("f", f.clone()),
+        ])
+    };
+    (batches.iter())
+        .map(|rows| rows.iter().map(|r| row(r, &mut id)).collect())
+        .collect()
+}
+
+/// The edges of the typed accumulators, fed to both differential
+/// harnesses (every Nest strategy over 4 partitions; every planner level
+/// with 1 and 2 workers): `i64` sums that wrap inside a chunk and across a
+/// chunk boundary; a float sum whose value depends on association
+/// (`1.0 + 1e16 - 1e16`: every chunking of its three rows adds them in row
+/// order); groups whose cells are all NULL (`sum` is `Int(0)`, `avg`,
+/// `min`, `max` are NULL); NaN and ±0.0 cells, where `min` / `max` keep the
+/// earlier of two equal cells; and an `Int` batch appended to a `Float`
+/// one, which reads as a `Val` column and materializes its groups. Every
+/// output is byte-identical across the routes and to the reference
+/// evaluator.
+#[test]
+fn typed_accumulators_agree_exactly_at_their_edges() {
+    use Value::{Float, Int, Null};
+    let (max, min) = (i64::MAX, i64::MIN);
+    let ints = "SELECT c.k, count(*) AS n, sum(c.v) AS s, min(c.v) AS mn, max(c.v) AS mx \
+         FROM t c GROUP BY c.k";
+    let floats = "SELECT c.k, count(*) AS n, sum(c.f) AS s, min(c.f) AS mn, max(c.f) AS mx, \
+         avg(c.f) AS a, avg(c.v) AS av FROM t c GROUP BY c.k";
+    let rows: &[(i64, Value, Value)] = &[
+        // Key 0: wrapping int sums; 8 rows, so chunks of 2 and of 4.
+        (0, Int(max), Int(1)),
+        (0, Int(max), Null),
+        (0, Int(max), Int(2)),
+        (0, Int(1), Null),
+        (0, Int(min), Null),
+        (0, Int(max), Null),
+        (0, Int(max), Null),
+        (0, Int(-3), Null),
+    ];
+    let data = edge_batches(&[rows]);
+    assert_routes_agree(ints, data[0].clone(), &["k", "v"]);
+    assert_columnar_agrees(&data, &[ints], "wrapping sums").unwrap();
+
+    let rows: &[(i64, Value, Value)] = &[
+        // Key 0: association (three rows, whatever the chunking).
+        (0, Int(1), Float(1.0)),
+        (0, Int(2), Float(1e16)),
+        (0, Int(3), Float(-1e16)),
+    ];
+    let data = edge_batches(&[rows]);
+    assert_routes_agree(floats, data[0].clone(), &["k", "v", "f"]);
+    assert_columnar_agrees(&data, &[floats], "float association").unwrap();
+
+    let rows: &[(i64, Value, Value)] = &[
+        (1, Null, Null),
+        (2, Int(4), Float(-0.0)),
+        (2, Int(5), Float(0.0)),
+        (1, Null, Null),
+        (3, Int(6), Float(0.0)),
+        (3, Int(7), Float(-0.0)),
+        (4, Int(8), Float(f64::NAN)),
+        (4, Int(9), Float(1.5)),
+        (2, Null, Float(-0.0)),
+        (4, Int(10), Float(-2.0)),
+        (1, Null, Null),
+    ];
+    let data = edge_batches(&[rows]);
+    assert_routes_agree(ints, data[0].clone(), &["k", "v"]);
+    assert_routes_agree(floats, data[0].clone(), &["k", "v", "f"]);
+    assert_columnar_agrees(&data, &[ints, floats], "NULL groups, NaN, ±0.0").unwrap();
+
+    // An `Int` batch after a `Float` one: `f` is a `Val` column.
+    let data = edge_batches(&[rows, &[(2, Int(11), Int(7)), (5, Int(12), Int(0))]]);
+    assert_columnar_agrees(&data, &[ints, floats], "an Int batch after a Float one").unwrap();
+    let mut db = session(EngineProfile::clean_db(), 2, &data);
+    assert_eq!(
+        db.run(floats).unwrap().exprs.vectorized_rows,
+        0,
+        "f is generic"
+    );
+    assert!(
+        db.run(ints).unwrap().exprs.vectorized_rows > 0,
+        "v stays typed"
+    );
+}
+
+/// Float sums associate as a map-side combine does: in row order within a
+/// chunk, then the chunk partials in chunk order. Over two chunks of
+/// `0.0, 1.0 | 1e16, -1e16` that is `1.0 + 0.0`, where a row-at-a-time sum
+/// — the materialized groups, the reference evaluator — gives `0.0`: the
+/// documented last-digits caveat of float aggregates.
+#[test]
+fn float_sums_associate_per_chunk_then_in_chunk_order() {
+    use Value::{Float, Int};
+    let sql = "SELECT c.k, sum(c.f) AS s FROM t c GROUP BY c.k";
+    let rows: &[(i64, Value, Value)] = &[
+        (0, Int(0), Float(0.0)),
+        (0, Int(0), Float(1.0)),
+        (0, Int(0), Float(1e16)),
+        (0, Int(0), Float(-1e16)),
+    ];
+    let data = edge_batches(&[rows]);
+    let sum = |report: &CleaningReport| report.ops[0].output[0].field("s").unwrap().clone();
+    // One worker: two partitions, so two chunks of two rows.
+    let columnar = session(EngineProfile::clean_db(), 1, &data)
+        .run(sql)
+        .unwrap();
+    assert!(columnar.exprs.vectorized_rows > 0);
+    assert_eq!(format!("{:?}", sum(&columnar)), format!("{:?}", Float(1.0)));
+    let stored = session(EngineProfile::clean_db(), 1, &data);
+    let reference = reference_output(&stored, sql);
+    assert_eq!(
+        format!("{:?}", reference[0].field("s").unwrap()),
+        "Float(0.0)"
+    );
+    let mut materialized = session_over(EngineProfile::clean_db(), ragged(data[0].clone()), 1);
+    let materialized = materialized.run(sql).unwrap();
+    assert_eq!(materialized.exprs.vectorized_rows, 0);
+    assert_eq!(format!("{:?}", sum(&materialized)), "Float(0.0)");
 }
 
 /// A table whose every batch columnarizes with typed columns: `n` rows,
