@@ -19,7 +19,7 @@ use cleanm_text::Metric;
 use cleanm_core::{CleanDb, CleaningReport, PhaseSplit};
 use cleanm_incr::IncrementalSession;
 use cleanm_repair::RepairEngine;
-use cleanm_values::Table;
+use cleanm_values::{Table, Value};
 
 use crate::harness::{
     all_profiles, best_of_interleaved, budgeted_session, gate, local_context, session, Scale,
@@ -749,16 +749,41 @@ impl IncrRow {
     }
 }
 
-/// The violation/repair outcome of a report as comparable bytes: the
-/// (sorted) violating ids plus the sorted repair pairs.
+/// The cleaning outcome of a report as comparable bytes: the (sorted)
+/// violating ids, the sorted repair pairs, and each op's output as a sorted
+/// multiset with every list inside it sorted too (a group's partition is
+/// order-free), so a wrong SELECT or GROUP BY output shows as well.
 fn report_fingerprint(report: &CleaningReport) -> String {
+    fn canonical(v: &Value) -> Value {
+        match v {
+            Value::List(items) => {
+                let mut items: Vec<Value> = items.iter().map(canonical).collect();
+                items.sort();
+                Value::list(items)
+            }
+            Value::Struct(fields) => Value::Struct(
+                fields
+                    .iter()
+                    .map(|(n, x)| (n.clone(), canonical(x)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
     let mut repairs: Vec<(String, String)> = report
         .repairs
         .iter()
         .map(|r| (r.term.clone(), r.suggestion.clone()))
         .collect();
     repairs.sort();
-    format!("{:?}|{repairs:?}", report.violating_ids)
+    let ops: Vec<(&str, Vec<Value>)> = (report.ops.iter())
+        .map(|op| {
+            let mut output: Vec<Value> = op.output.iter().map(canonical).collect();
+            output.sort();
+            (op.label.as_str(), output)
+        })
+        .collect();
+    format!("{:?}|{repairs:?}|{ops:?}", report.violating_ids)
 }
 
 /// The FD workload the `incr` and `faults` gates share.
@@ -768,6 +793,18 @@ const FD_SQL: &str = "SELECT * FROM customer c FD(c.address | c.nationkey)";
 const FD_DEDUP_SQL: &str = "SELECT * FROM customer c \
                             FD(c.address | c.nationkey) \
                             DEDUP(exact, LD, 0.8, c.address, c.name)";
+
+/// A DC with an equality conjunct: it blocks on the address and plans as
+/// the pair pipeline DEDUP runs.
+const DC_BLOCKED_SQL: &str =
+    "SELECT * FROM customer c DC(t1.address = t2.address AND t1.nationkey < t2.nationkey)";
+
+/// A grouped aggregate with a `HAVING`, over `Int` aggregates: a float sum
+/// folded row by row may differ from the batch's chunked fold in the last
+/// ulp.
+const GROUP_BY_SQL: &str = "SELECT c.address AS a, count(*) AS n, sum(c.nationkey) AS s, \
+                            max(c.nationkey) AS m FROM customer c \
+                            GROUP BY c.address HAVING count(*) > 1";
 
 /// `rows` customers with 2% FD noise and no duplicates: grouping dominates
 /// the batch cost of [`FD_SQL`] over them.
@@ -852,15 +889,17 @@ fn run_incr_workload(workload: &str, table_name: &str, table: Table, sql: &str) 
 }
 
 /// The incremental-cleaning workloads: an FD check over a wide customer
-/// table, the unified FD+DEDUP query of §8.2, and a standing inequality
-/// DC over lineitem (sorted join-key indexes).
+/// table, the unified FD+DEDUP query of §8.2, a standing inequality DC over
+/// lineitem (sorted join-key indexes), a blocked DC and a `GROUP BY …
+/// HAVING` over customer.
 pub fn incr_append(scale: Scale) -> Vec<IncrRow> {
     let mut out = Vec::new();
+    let customer_rows = scale.pick(40_000, 160_000);
 
     out.push(run_incr_workload(
         "fd",
         "customer",
-        fd_customers(scale.pick(40_000, 160_000)),
+        fd_customers(customer_rows),
         FD_SQL,
     ));
 
@@ -892,6 +931,22 @@ pub fn incr_append(scale: Scale) -> Vec<IncrRow> {
         "lineitem",
         dc_data.table,
         &dc.to_sql(),
+    ));
+
+    // A blocked DC: each delta row probes its address block.
+    out.push(run_incr_workload(
+        "dc_blocked",
+        "customer",
+        fd_customers(customer_rows),
+        DC_BLOCKED_SQL,
+    ));
+
+    // A grouped aggregate: a delta folds into the groups it touches.
+    out.push(run_incr_workload(
+        "group_by",
+        "customer",
+        fd_customers(customer_rows),
+        GROUP_BY_SQL,
     ));
     out
 }

@@ -14,5 +14,5 @@ pub mod rewrite;
 
 pub use lower::lower_op;
 pub(crate) use lower::lower_op_with;
-pub use plan::{Alg, HintKind, ThetaHint};
+pub use plan::{env_layout, Alg, HintKind, PairShape, ThetaHint};
 pub use rewrite::{rewrite_shared, RewriteStats};

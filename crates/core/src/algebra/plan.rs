@@ -198,6 +198,93 @@ impl Alg {
         }
     }
 
+    /// Match the pair pipeline `Select* ← Unnest b ← Unnest a ← X` beneath
+    /// a `Reduce` (`self` is the Reduce's input) whose second path does not
+    /// read the first variable: the plan of every pairwise cleaning
+    /// operator. DEDUP and a blocked DC unnest one `Nest`'s `g.partition`
+    /// twice; CLUSTER BY unnests the two sides of a block `Join`. The batch
+    /// executor sweeps the shape as one pass, the incremental engine keeps
+    /// its two sides indexed. `None` for a lone `Unnest`, for a dependent
+    /// second path (nested collections), when a variable would shadow
+    /// another, and when a node of the chain is a shared DAG node
+    /// (`is_shared`), whose materialized result has other consumers.
+    pub fn pair_pipeline<'p>(
+        self: &'p Arc<Alg>,
+        is_shared: impl Fn(&Arc<Alg>) -> bool,
+    ) -> Option<PairShape<'p>> {
+        let mut preds = Vec::new();
+        let mut cur = self;
+        while let Alg::Select { input, pred } = &**cur {
+            if is_shared(cur) {
+                return None;
+            }
+            preds.push(pred);
+            cur = input;
+        }
+        preds.reverse();
+        let Alg::Unnest {
+            input: inner,
+            path: path_b,
+            var: var_b,
+        } = &**cur
+        else {
+            return None;
+        };
+        let Alg::Unnest {
+            input,
+            path: path_a,
+            var: var_a,
+        } = &**inner
+        else {
+            return None;
+        };
+        let outer = env_layout(input);
+        let independent = !free_vars(path_b).contains(var_a)
+            && var_a != var_b
+            && !outer.contains(var_a)
+            && !outer.contains(var_b);
+        (independent && !is_shared(cur) && !is_shared(inner)).then_some(PairShape {
+            input,
+            path_a,
+            var_a,
+            path_b,
+            var_b,
+            preds,
+        })
+    }
+
+    /// The plan's nodes, each after the node that reads it.
+    pub fn nodes(&self) -> Vec<&Alg> {
+        let mut nodes = vec![self];
+        let mut next = 0;
+        while let Some(&node) = nodes.get(next) {
+            match node {
+                Alg::Scan { .. } => {}
+                Alg::Select { input, .. }
+                | Alg::Reduce { input, .. }
+                | Alg::Unnest { input, .. }
+                | Alg::Nest { input, .. } => nodes.push(input),
+                Alg::Join { left, right, .. } | Alg::ThetaJoin { left, right, .. } => {
+                    nodes.extend([&**left, &**right])
+                }
+            }
+            next += 1;
+        }
+        nodes
+    }
+
+    /// Every base table the plan scans, once each.
+    pub fn scanned_tables(&self) -> Vec<String> {
+        let mut tables: Vec<String> = Vec::new();
+        for node in self.nodes() {
+            match node {
+                Alg::Scan { table, .. } if !tables.contains(table) => tables.push(table.clone()),
+                _ => {}
+            }
+        }
+        tables
+    }
+
     /// Indented one-operator-per-line rendering (EXPLAIN-style). Shared
     /// nodes are printed with their pointer tag so sharing is visible.
     pub fn explain(&self) -> String {
@@ -305,6 +392,55 @@ impl Alg {
                 monoid,
                 head,
             } => format!("reduce:{:p}:{monoid:?}:{head}", Arc::as_ptr(input)),
+        }
+    }
+}
+
+/// A pair pipeline recognized by [`Alg::pair_pipeline`].
+pub struct PairShape<'p> {
+    /// The producer of the block rows (the first `Unnest`'s input).
+    pub input: &'p Arc<Alg>,
+    pub path_a: &'p CalcExpr,
+    pub var_a: &'p str,
+    pub path_b: &'p CalcExpr,
+    pub var_b: &'p str,
+    /// The `Select` chain above the second `Unnest`, innermost first.
+    pub preds: Vec<&'p CalcExpr>,
+}
+
+impl PairShape<'_> {
+    /// How the fused node reads in profile trees.
+    pub fn detail(&self) -> String {
+        let PairShape {
+            path_a,
+            var_a,
+            path_b,
+            var_b,
+            ..
+        } = self;
+        format!("{path_a} as {var_a} × {path_b} as {var_b}")
+    }
+}
+
+/// The ordered variable names of the rows `plan` produces — the meaning of
+/// each position of the executor's row environment. This mirrors exactly
+/// how the executor builds rows: `Scan` binds its variable, `Select` passes
+/// through, `Unnest` appends its variable, `Nest` rebinds to the group
+/// variable, and both joins concatenate left-then-right.
+pub fn env_layout(plan: &Alg) -> Vec<String> {
+    match plan {
+        Alg::Scan { var, .. } => vec![var.clone()],
+        Alg::Select { input, .. } | Alg::Reduce { input, .. } => env_layout(input),
+        Alg::Unnest { input, var, .. } => {
+            let mut layout = env_layout(input);
+            layout.push(var.clone());
+            layout
+        }
+        Alg::Nest { group_var, .. } => vec![group_var.clone()],
+        Alg::Join { left, right, .. } | Alg::ThetaJoin { left, right, .. } => {
+            let mut layout = env_layout(left);
+            layout.extend(env_layout(right));
+            layout
         }
     }
 }

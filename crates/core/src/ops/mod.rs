@@ -12,7 +12,7 @@ pub mod termval;
 pub mod transform;
 
 pub use dc::{DcAtom, DcCell, DcOutcome, DcSide, DcTerm, DcViolation, InequalityDc};
-pub use dedup::{Dedup, DedupPlanShape};
+pub use dedup::Dedup;
 pub use fd::{FdCheck, FdPlanShape};
 pub use termval::{TermValidation, TermvalPlanShape};
 pub use transform::{apply_transforms, Transform, TransformMode, TransformReport};

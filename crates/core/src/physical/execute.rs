@@ -48,7 +48,7 @@ use cleanm_exec::{
 };
 use cleanm_values::Value;
 
-use crate::algebra::plan::Alg;
+use crate::algebra::plan::{Alg, PairShape};
 use crate::calculus::eval::{merge_values, truthy, EvalCtx};
 use crate::calculus::subst::free_vars;
 use crate::calculus::{CalcExpr, MonoidKind, Program};
@@ -56,7 +56,7 @@ use crate::engine::storage::StoredTable;
 
 use super::groupfold::{self, AggFoldShape, ColumnarFold, KEY_SLOT_VAR};
 use super::kernel::{ColumnProgram, PredKernel};
-use super::pairs::{self, PairShape, PairSweep};
+use super::pairs::PairSweep;
 use super::profile::{nest_stage_label, EngineProfile, NestStrategy};
 use super::program::{env_layout, RowEnv, RowExpr};
 use super::qprofile::{clip, ProfileNode};
@@ -606,7 +606,7 @@ impl<'a> Executor<'a> {
         };
         // A pair pipeline (two independent Unnests) never materializes
         // its candidate pairs, whatever the planner fuses elsewhere.
-        if let Some(shape) = pairs::recognize(input, |node| self.is_shared(node)) {
+        if let Some(shape) = input.pair_pipeline(|node| self.is_shared(node)) {
             let outputs = self.exec_pair_sweep(&shape, head)?;
             return reduce_outputs(monoid, outputs);
         }

@@ -53,7 +53,7 @@ pub(crate) fn agg_slot_var(i: usize) -> String {
 
 /// What one aggregate slot accumulates.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum AggKind {
+pub enum AggKind {
     /// A primitive-monoid fold (`Sum{h(x) | x ← g.partition}` …).
     Monoid(MonoidKind),
     /// `count_distinct(bag{h(x) | x ← g.partition})`: the distinct set of
@@ -70,7 +70,7 @@ pub(crate) enum AggKind {
 
 /// One aggregate reduction a grouped consumer performs per group.
 #[derive(Debug, Clone)]
-pub(crate) struct AggSlot {
+pub struct AggSlot {
     pub kind: AggKind,
     /// The aggregate's member-head expression with the member variable
     /// substituted by the Nest's item expression — i.e. composed down to
@@ -81,7 +81,7 @@ pub(crate) struct AggSlot {
 
 /// A grouped consumer recognized as fully foldable.
 #[derive(Debug, Clone)]
-pub(crate) struct AggFoldShape {
+pub struct AggFoldShape {
     /// The aggregate slots, in discovery order.
     pub slots: Vec<AggSlot>,
     /// Group-level predicates (Selects between Reduce and Nest), rewritten
@@ -109,7 +109,7 @@ impl AggFoldShape {
 ///
 /// Returns `None` when any use of the group variable falls outside the
 /// foldable forms — the caller keeps the materialized path.
-pub(crate) fn recognize(
+pub fn recognize(
     group_var: &str,
     item: &CalcExpr,
     head: &CalcExpr,
@@ -344,10 +344,10 @@ fn scan_uses(e: &CalcExpr, var: &str, max_k: &mut Option<i64>) {
 // Accumulators
 // ---------------------------------------------------------------------
 
-/// The running state of one aggregate slot on the generic path
-/// ([`SlotAccs::Values`]).
+/// The running state of one aggregate slot over boxed values: the batch
+/// fold's generic path, and the incremental engine's per-group state.
 #[derive(Debug, Clone)]
-pub(crate) enum SlotAcc {
+pub enum SlotAcc {
     /// A primitive monoid value (starts at the monoid's zero).
     Monoid(Value),
     /// Distinct head values, optionally capped (see
@@ -414,15 +414,15 @@ impl AggSlot {
     }
 
     /// Finish the accumulator into the value the rewritten consumer sees.
-    pub fn finish(&self, acc: SlotAcc) -> Value {
+    pub fn finish(&self, acc: &SlotAcc) -> Value {
         match acc {
-            SlotAcc::Monoid(v) => v,
+            SlotAcc::Monoid(v) => v.clone(),
             SlotAcc::Distinct(set) => Value::Int(set.len() as i64),
             SlotAcc::Avg { sum, n } => {
-                if n == 0 {
+                if *n == 0 {
                     Value::Null
                 } else {
-                    Value::Float(sum / n as f64)
+                    Value::Float(sum / *n as f64)
                 }
             }
         }
@@ -679,7 +679,7 @@ impl SlotAccs {
                 let (data, nulls) = nullable(acc.into_iter());
                 Column::Float { data, nulls }
             }
-            SlotAccs::Values(accs) => column_of(accs.into_iter().map(|a| slot.finish(a))),
+            SlotAccs::Values(accs) => column_of(accs.iter().map(|a| slot.finish(a))),
         }
     }
 }

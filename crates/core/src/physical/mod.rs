@@ -29,6 +29,7 @@ mod scan;
 mod theta;
 
 pub use execute::{Executor, PlanDecision};
+pub use groupfold::{recognize as recognize_group_fold, AggFoldShape, AggKind, AggSlot, SlotAcc};
 pub use profile::{EngineProfile, NestStrategy, Planner, ThetaStrategy};
 pub use program::{env_layout, RowEnv, RowExpr};
 pub use qprofile::{PhaseSplit, ProfileNode, QueryProfile};

@@ -1,5 +1,6 @@
 //! The fused block-pair sweep: `Reduce ← Select* ← Unnest b ← Unnest a ← X`
-//! with two independent paths, run as one pass over the rows of `X`.
+//! with two independent paths ([`crate::algebra::Alg::pair_pipeline`]), run
+//! as one pass over the rows of `X`.
 //!
 //! That is the plan shape of every pairwise cleaning operator — DEDUP and
 //! blocked DC unnest the same `g.partition` twice, CLUSTER BY unnests the
@@ -34,93 +35,16 @@ use cleanm_exec::{ExecContext, ExecError, ExecResult};
 use cleanm_text::{Matcher, Metric};
 use cleanm_values::{Result, Value};
 
-use crate::algebra::plan::Alg;
+use crate::algebra::plan::PairShape;
 use crate::calculus::eval::{eval_binop, truthy};
 use crate::calculus::subst::free_vars;
 use crate::calculus::{BinOp, CalcExpr, Func};
 
 use super::execute::RowEval;
-use super::program::{env_layout, RowEnv, RowExpr};
+use super::program::{RowEnv, RowExpr};
 
 /// The operator name budget and interrupt failures of the sweep carry.
 const OPERATOR: &str = "pair_sweep";
-
-/// A recognized pair pipeline under a `Reduce`.
-pub(super) struct PairShape<'p> {
-    /// The producer of the block rows (the first `Unnest`'s input).
-    pub input: &'p Arc<Alg>,
-    pub path_a: &'p CalcExpr,
-    pub var_a: &'p str,
-    pub path_b: &'p CalcExpr,
-    pub var_b: &'p str,
-    /// The `Select` chain above the second `Unnest`, innermost first.
-    pub preds: Vec<&'p CalcExpr>,
-}
-
-impl PairShape<'_> {
-    /// How the fused node reads in profile trees.
-    pub fn detail(&self) -> String {
-        let PairShape {
-            path_a,
-            var_a,
-            path_b,
-            var_b,
-            ..
-        } = self;
-        format!("{path_a} as {var_a} × {path_b} as {var_b}")
-    }
-}
-
-/// Match `Select* ← Unnest b ← Unnest a ← X` beneath a `Reduce` whose second
-/// path does not read the first variable. `None` — the caller keeps the
-/// node-at-a-time route — for a lone `Unnest`, for a dependent second path
-/// (nested collections), when a variable would shadow another, and when a
-/// node of the chain is a shared DAG node, whose materialized result has
-/// other consumers.
-pub(super) fn recognize<'p>(
-    reduce_input: &'p Arc<Alg>,
-    is_shared: impl Fn(&Arc<Alg>) -> bool,
-) -> Option<PairShape<'p>> {
-    let mut preds = Vec::new();
-    let mut cur = reduce_input;
-    while let Alg::Select { input, pred } = &**cur {
-        if is_shared(cur) {
-            return None;
-        }
-        preds.push(pred);
-        cur = input;
-    }
-    preds.reverse();
-    let Alg::Unnest {
-        input: inner,
-        path: path_b,
-        var: var_b,
-    } = &**cur
-    else {
-        return None;
-    };
-    let Alg::Unnest {
-        input,
-        path: path_a,
-        var: var_a,
-    } = &**inner
-    else {
-        return None;
-    };
-    let outer = env_layout(input);
-    let independent = !free_vars(path_b).contains(var_a)
-        && var_a != var_b
-        && !outer.contains(var_a)
-        && !outer.contains(var_b);
-    (independent && !is_shared(cur) && !is_shared(inner)).then_some(PairShape {
-        input,
-        path_a,
-        var_a,
-        path_b,
-        var_b,
-        preds,
-    })
-}
 
 /// Does the expression call a similarity function? Such a call ticks the
 /// comparison counter per evaluation.

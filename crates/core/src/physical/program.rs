@@ -21,7 +21,7 @@ use std::cell::RefCell;
 
 use cleanm_values::{Result, Value};
 
-use crate::algebra::plan::Alg;
+pub use crate::algebra::plan::env_layout;
 use crate::calculus::compile::Program;
 use crate::calculus::eval::EvalCtx;
 use crate::calculus::CalcExpr;
@@ -68,34 +68,11 @@ impl RowExpr {
     }
 }
 
-/// The ordered variable names of the rows `plan` produces — the meaning of
-/// each [`RowEnv`] position. This mirrors exactly how the executor builds
-/// rows: `Scan` binds its variable, `Select` passes through, `Unnest`
-/// appends its variable, `Nest` rebinds to the group variable, and both
-/// joins concatenate left-then-right.
-pub fn env_layout(plan: &Alg) -> Vec<String> {
-    match plan {
-        Alg::Scan { var, .. } => vec![var.clone()],
-        Alg::Select { input, .. } | Alg::Reduce { input, .. } => env_layout(input),
-        Alg::Unnest { input, var, .. } => {
-            let mut layout = env_layout(input);
-            layout.push(var.clone());
-            layout
-        }
-        Alg::Nest { group_var, .. } => vec![group_var.clone()],
-        Alg::Join { left, right, .. } | Alg::ThetaJoin { left, right, .. } => {
-            let mut layout = env_layout(left);
-            layout.extend(env_layout(right));
-            layout
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algebra::lower_op;
-    use crate::algebra::plan::{HintKind, ThetaHint};
+    use crate::algebra::plan::{Alg, HintKind, ThetaHint};
     use crate::calculus::desugar::ROWID_FIELD;
     use crate::calculus::{desugar_query, normalize, BinOp, FilterAlgo, MonoidKind};
     use crate::engine::storage::StoredTable;

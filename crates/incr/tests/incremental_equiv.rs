@@ -3,8 +3,8 @@
 //! Interleave `append` + standing-query refreshes and assert every report
 //! matches a from-scratch run over the concatenated data — violating ids,
 //! repairs, and per-operator outputs (canonicalized: group partitions are
-//! order-free multisets). Fallback paths (unsupported shapes, dictionary
-//! changes) are exercised too.
+//! order-free multisets). Fallback paths (catalog-sampled k-means,
+//! dictionary changes, replaced tables) are exercised too.
 
 use cleanm_core::engine::CleaningReport;
 use cleanm_core::ops::InequalityDc;
@@ -231,6 +231,27 @@ proptest! {
     }
 
     #[test]
+    fn blocked_dc_incremental_equals_batch(batches in batches_strategy()) {
+        check_incremental(
+            "SELECT * FROM customer c DC(t1.address = t2.address AND t1.nationkey < t2.nationkey)",
+            &batches,
+            None,
+        );
+    }
+
+    #[test]
+    fn group_by_having_incremental_equals_batch(batches in batches_strategy()) {
+        // Integer aggregates: a float sum folded row by row may differ from
+        // the batch's chunked fold in the last ulp.
+        check_incremental(
+            "SELECT c.address AS a, count(*) AS n, sum(c.nationkey) AS s, max(c.nationkey) AS m \
+             FROM customer c GROUP BY c.address HAVING count(*) > 1",
+            &batches,
+            None,
+        );
+    }
+
+    #[test]
     fn fd_with_where_incremental_equals_batch(batches in batches_strategy()) {
         check_incremental(
             "SELECT * FROM customer c WHERE c.nationkey < 2 FD(c.address, c.name)",
@@ -241,8 +262,9 @@ proptest! {
 }
 
 #[test]
-fn unsupported_shapes_fall_back_and_stay_correct() {
-    // GROUP BY lowers to a Nest-shaped select: no incremental state.
+fn group_by_is_maintained_from_its_group_fold() {
+    // GROUP BY lowers to a grouped Reduce the batch group fold accepts: its
+    // groups are kept and folded into.
     let sql = "SELECT c.address AS a, count(*) AS n FROM customer c GROUP BY c.address";
     let batches = vec![
         vec![
@@ -272,9 +294,8 @@ fn unsupported_shapes_fall_back_and_stay_correct() {
         .expect("append");
     let got = session.refresh(id).expect("refresh");
     let info = got.incremental.clone().expect("incremental info");
-    assert_eq!(info.fallback_ops, 1, "GROUP BY op must fall back");
-    assert_eq!(info.incremental_ops, 0);
-    assert_eq!(info.delta_rows, 1, "a fallback op's tables are tracked");
+    assert_eq!(info.fallback_ops, 0, "GROUP BY op must be maintained");
+    assert_eq!(info.incremental_ops, 1);
     let want = batch_run(sql, &batches, None);
     assert_eq!(canonical(&got), canonical(&want));
 }
@@ -312,6 +333,7 @@ fn catalog_sampled_kmeans_blocking_falls_back_to_stay_correct() {
         info.fallback_ops > 0,
         "catalog-sampled k-means must not keep state"
     );
+    assert_eq!(info.delta_rows, 1, "a fallback op's tables are tracked");
     let want = batch_run(sql, &batches, None);
     assert_eq!(canonical(&got), canonical(&want));
 }

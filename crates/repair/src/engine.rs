@@ -7,7 +7,7 @@ use std::time::Instant;
 use cleanm_core::calculus::desugar::OpKind;
 use cleanm_core::engine::{CleanDb, CleaningReport, EngineError, RepairSection};
 use cleanm_core::lang::parse_query;
-use cleanm_core::ops::{DedupPlanShape, FdPlanShape, TermvalPlanShape};
+use cleanm_core::ops::{FdPlanShape, TermvalPlanShape};
 use cleanm_text::Metric;
 
 use crate::merge::MergePolicy;
@@ -83,11 +83,9 @@ impl RepairEngine {
                     }
                     None => section.unrepaired += output.len(),
                 },
-                OpKind::Dedup => match DedupPlanShape::from_plan(plan) {
-                    Some(shape) => {
-                        section.merge(dedup::plan(&shape.table, output, &self.config.merge));
-                    }
-                    None => section.unrepaired += output.len(),
+                OpKind::Dedup => match plan.scanned_tables().as_slice() {
+                    [table] => section.merge(dedup::plan(table, output, &self.config.merge)),
+                    _ => section.unrepaired += output.len(),
                 },
                 OpKind::TermValidation => match TermvalPlanShape::from_plan(plan) {
                     Some(shape) => {
