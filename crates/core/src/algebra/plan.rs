@@ -180,7 +180,7 @@ impl Alg {
     /// Unwrap a stack of `Select`s down to its `Scan`, collecting the filter
     /// predicates (outermost first): `(table, row_var, filters)`. This is
     /// the `WHERE`-over-one-table input every cleaning operator reads;
-    /// lowering and the plan-shape matchers recognize it with this.
+    /// lowering and the incremental engine recognize it with this.
     pub fn scan_with_filters(&self) -> Option<(String, String, Vec<CalcExpr>)> {
         let mut filters = Vec::new();
         let mut plan = self;
@@ -251,6 +251,38 @@ impl Alg {
             var_b,
             preds,
         })
+    }
+
+    /// Match the grouped consumer `Select* ← Nest` beneath a `Reduce`
+    /// (`self` is the Reduce's input): the plan of an FD and of a
+    /// `GROUP BY … HAVING`. Returns the Nest's `(input, key, item,
+    /// group_var)` and the Select predicates above it in evaluation order
+    /// (innermost first). `None` when a node of the chain is a shared DAG
+    /// node (`is_shared`), whose materialized result has other consumers.
+    #[allow(clippy::type_complexity)]
+    pub fn group_pipeline(
+        self: &Arc<Alg>,
+        is_shared: impl Fn(&Arc<Alg>) -> bool,
+    ) -> Option<(&Arc<Alg>, &CalcExpr, &CalcExpr, &str, Vec<&CalcExpr>)> {
+        let mut preds = Vec::new();
+        let mut cur = self;
+        while let Alg::Select { input, pred } = &**cur {
+            if is_shared(cur) {
+                return None;
+            }
+            preds.insert(0, pred);
+            cur = input;
+        }
+        match &**cur {
+            Alg::Nest {
+                input,
+                key,
+                item,
+                group_var,
+                ..
+            } if !is_shared(cur) => Some((input, key, item, group_var.as_str(), preds)),
+            _ => None,
+        }
     }
 
     /// The plan's nodes, each after the node that reads it.

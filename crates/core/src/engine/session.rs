@@ -613,9 +613,10 @@ impl CleanDb {
 
     /// The planned query for `sql`: the cached entry while it is still
     /// valid, else a fresh plan, cached under the query text. This is how
-    /// incremental and repair consumers read a query's operators, plans
-    /// and evaluation context. The plan-cache counters count runs, so
-    /// `plan` does not move them.
+    /// the incremental engine reads a query's operators, plans and
+    /// evaluation context (the repair engine reads each operator from its
+    /// clause instead). The plan-cache counters count runs, so `plan` does
+    /// not move them.
     pub fn plan(&mut self, sql: &str) -> Result<Arc<PlannedQuery>, EngineError> {
         self.lookup_or_plan(sql).map(|(entry, _)| entry)
     }

@@ -13,6 +13,6 @@ pub mod transform;
 
 pub use dc::{DcAtom, DcCell, DcOutcome, DcSide, DcTerm, DcViolation, InequalityDc};
 pub use dedup::Dedup;
-pub use fd::{FdCheck, FdPlanShape};
-pub use termval::{TermValidation, TermvalPlanShape};
+pub use fd::FdCheck;
+pub use termval::TermValidation;
 pub use transform::{apply_transforms, Transform, TransformMode, TransformReport};

@@ -709,33 +709,11 @@ impl<'a> Executor<'a> {
         if !matches!(monoid, MonoidKind::Bag | MonoidKind::Set) {
             return Ok(None);
         }
-        // Walk the group-level Select chain down to the Nest.
-        let mut group_preds: Vec<&CalcExpr> = Vec::new();
-        let mut cur = input;
-        loop {
-            if self.is_shared(cur) {
-                return Ok(None);
-            }
-            match &**cur {
-                Alg::Select { input, pred } => {
-                    group_preds.push(pred);
-                    cur = input;
-                }
-                Alg::Nest { .. } => break,
-                _ => return Ok(None),
-            }
-        }
-        let Alg::Nest {
-            input: nest_input,
-            key,
-            item,
-            group_var,
-            ..
-        } = &**cur
+        let Some((nest_input, key, item, group_var, group_preds)) =
+            input.group_pipeline(|node| self.is_shared(node))
         else {
-            unreachable!("loop exits on Nest");
+            return Ok(None);
         };
-        group_preds.reverse(); // evaluation order: innermost Select first
         let Some(shape) = groupfold::recognize(group_var, item, head, &group_preds) else {
             return Ok(None);
         };

@@ -33,19 +33,20 @@ impl Accuracy {
 
 /// Pick the best repair per term from the full candidate list: the most
 /// similar dictionary entry (ties broken lexicographically for
-/// determinism). A term whose best candidate is itself needs no update.
-pub fn select_best_repairs(repairs: &[Repair], metric: Metric) -> HashMap<String, String> {
-    let mut best: HashMap<String, (f64, String)> = HashMap::new();
+/// determinism), with its similarity. A term whose best candidate is
+/// itself needs no update.
+pub fn select_best_repairs(repairs: &[Repair], metric: Metric) -> HashMap<String, (String, f64)> {
+    let mut best: HashMap<String, (String, f64)> = HashMap::new();
     for r in repairs {
         let sim = metric.similarity(&r.term, &r.suggestion);
         match best.get(&r.term) {
-            Some((s, cand)) if *s > sim || (*s == sim && cand <= &r.suggestion) => {}
+            Some((cand, s)) if *s > sim || (*s == sim && cand <= &r.suggestion) => {}
             _ => {
-                best.insert(r.term.clone(), (sim, r.suggestion.clone()));
+                best.insert(r.term.clone(), (r.suggestion.clone(), sim));
             }
         }
     }
-    best.into_iter().map(|(t, (_, s))| (t, s)).collect()
+    best
 }
 
 /// Score term validation per occurrence: `dirty_terms[i]` is what the data
@@ -142,8 +143,8 @@ mod tests {
             repair("smith", "smith"),
         ];
         let best = select_best_repairs(&repairs, Metric::Levenshtein);
-        assert_eq!(best["andersen"], "anderson");
-        assert_eq!(best["smith"], "smith");
+        assert_eq!(best["andersen"].0, "anderson");
+        assert_eq!(best["smith"], ("smith".to_string(), 1.0));
     }
 
     #[test]

@@ -57,21 +57,7 @@ impl Groups {
         if !matches!(monoid, MonoidKind::Bag | MonoidKind::Set) {
             return Ok(None);
         }
-        let mut preds = Vec::new();
-        let mut node = input;
-        while let Alg::Select { input, pred } = &**node {
-            preds.push(pred);
-            node = input;
-        }
-        preds.reverse(); // evaluation order: innermost Select first
-        let Alg::Nest {
-            input,
-            key,
-            item,
-            group_var,
-            ..
-        } = &**node
-        else {
+        let Some((input, key, item, group_var, preds)) = input.group_pipeline(|_| false) else {
             return Ok(None);
         };
         let Some(shape) = recognize_group_fold(group_var, item, head, &preds) else {

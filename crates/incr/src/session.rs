@@ -22,8 +22,7 @@ use std::time::Instant;
 
 use cleanm_core::calculus::desugar::OpKind;
 use cleanm_core::engine::{
-    collect_repairs, collect_rowids, EngineError, IncrementalInfo, OpResult, PlanCacheStats,
-    PlannedQuery,
+    collect_repairs, EngineError, IncrementalInfo, OpResult, PlanCacheStats, PlannedQuery,
 };
 use cleanm_core::{CleanDb, CleaningReport};
 use cleanm_values::{Table, Value};
@@ -52,9 +51,9 @@ struct Standing {
     /// Each op's state, in the order of `entry.ops()`.
     states: Vec<OpState>,
     /// The `__rowid`s in the outputs of the cleaning ops, sorted and
-    /// distinct: seeded from the install run's outputs, then grown by the
-    /// records each absorb adds (under appends an output only grows, so the
-    /// set only grows).
+    /// distinct: seeded from the install run's `violating_ids`, then grown
+    /// by the records each absorb adds (under appends an output only grows,
+    /// so the set only grows).
     violating: Vec<i64>,
     /// Every table the query depends on (base tables + dictionary sides).
     cursors: HashMap<String, Cursor>,
@@ -297,7 +296,6 @@ impl IncrementalSession {
         let eval_ctx = Arc::clone(entry.eval_ctx());
         let corpus_sampled = entry.corpus_sampled();
         let mut states = Vec::new();
-        let mut violating = Vec::new();
         let mut cursors: HashMap<String, Cursor> = HashMap::new();
         for (plan, dop) in entry.plans().iter().zip(entry.ops()) {
             let baseline = report.op_output(&dop.label).unwrap_or_default();
@@ -310,9 +308,6 @@ impl IncrementalSession {
             };
             let state = OpState::install(plan, &eval_ctx, corpus_sampled, baseline, history)
                 .map_err(|e| EngineError::Exec(cleanm_exec::ExecError::Value(e.to_string())))?;
-            if dop.kind != OpKind::Select {
-                (baseline.iter()).for_each(|v| collect_rowids(v, &mut violating));
-            }
             for (t, stored) in tables.iter().filter_map(|t| Some((t, self.db.table(t)?))) {
                 let (lineage, batches_seen) = (stored.created(), stored.batches().len());
                 cursors.insert(
@@ -325,14 +320,12 @@ impl IncrementalSession {
             }
             states.push(state);
         }
-        violating.sort_unstable();
-        violating.dedup();
         Ok(Standing {
             sql: sql.to_string(),
             entry,
             poisoned: false,
             states,
-            violating,
+            violating: report.violating_ids.clone(),
             cursors,
             dict_gen: self.db.dictionaries_generation(),
         })

@@ -4,11 +4,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use cleanm_core::calculus::desugar::OpKind;
 use cleanm_core::engine::{CleanDb, CleaningReport, EngineError, RepairSection};
-use cleanm_core::lang::parse_query;
-use cleanm_core::ops::{FdPlanShape, TermvalPlanShape};
-use cleanm_text::Metric;
+use cleanm_core::lang::{parse_query, CleanOp};
 
 use crate::merge::MergePolicy;
 use crate::{dc, dedup, fd, termval};
@@ -20,8 +17,6 @@ pub struct RepairConfig {
     /// to [`MergePolicy::keep_canonical`], the only policy that guarantees
     /// zero violations on re-run).
     pub merge: MergePolicy,
-    /// Similarity metric scoring CLUSTER BY suggestion confidence.
-    pub term_metric: Metric,
 }
 
 /// Plans repairs from detection output. One engine serves any number of
@@ -52,14 +47,16 @@ impl RepairEngine {
         Ok(report)
     }
 
-    /// Plan fixes for an already-run query's report. The operator shapes
-    /// come from [`CleanDb::plan`]: the run's cached plan, or the same
-    /// query planned again if the cache has evicted it since. A DC op's
-    /// constraint comes from its clause in `sql` (the `i`-th clause is the
-    /// `i`-th op).
+    /// Plan fixes for an already-run query's report. Every op is read
+    /// from its clause in `sql` — the `i`-th clause is the `i`-th op of
+    /// the report — over the statement's primary table: an FD rewrites
+    /// the columns its right-hand side names, a CLUSTER BY the column its
+    /// term names, a DEDUP merges its pairs' rows, and a DC relaxes the
+    /// cells its atoms read. No plan is consulted, so the section does not
+    /// depend on the plan cache.
     pub fn plan_for_report(
         &self,
-        db: &mut CleanDb,
+        db: &CleanDb,
         sql: &str,
         report: &CleaningReport,
     ) -> Result<RepairSection, EngineError> {
@@ -67,46 +64,30 @@ impl RepairEngine {
         let ctx = Arc::clone(db.context());
         let _span = ctx.tracer().span("repair");
         let mut section = RepairSection::default();
-        let entry = db.plan(sql)?;
         let query = parse_query(sql)?;
-        for (i, op) in entry.ops().iter().enumerate() {
-            let output = report.op_output(&op.label).unwrap_or(&[]);
+        for (clause, op) in query.clean_ops.iter().zip(&report.ops) {
+            let output = op.output.as_slice();
             if output.is_empty() {
                 continue;
             }
-            let plan = &entry.plans()[i];
-            match op.kind {
-                OpKind::Fd => match FdPlanShape::from_plan(plan) {
-                    Some(shape) => {
-                        let rows = db.table_rows(&shape.table).unwrap_or_default();
-                        section.merge(fd::plan(&shape, output, &rows));
-                    }
-                    None => section.unrepaired += output.len(),
-                },
-                OpKind::Dedup => match plan.scanned_tables().as_slice() {
-                    [table] => section.merge(dedup::plan(table, output, &self.config.merge)),
-                    _ => section.unrepaired += output.len(),
-                },
-                OpKind::TermValidation => match TermvalPlanShape::from_plan(plan) {
-                    Some(shape) => {
-                        let Some(rows) = db.table_rows(&shape.data.table) else {
-                            section.unrepaired += output.len();
-                            continue;
-                        };
-                        section.merge(termval::plan(
-                            &shape,
-                            output,
-                            &rows,
-                            self.config.term_metric,
-                        ));
-                    }
-                    None => section.unrepaired += output.len(),
-                },
-                OpKind::Dc => {
-                    section.merge(dc::plan(db, &query, &query.clean_ops[i], output)?);
+            // A cleaning clause reads the statement's primary table.
+            let table = query.from[0].name.as_str();
+            match clause {
+                CleanOp::Fd { rhs, .. } => {
+                    let rows = db.table_rows(table).unwrap_or_default();
+                    section.merge(fd::plan(table, rhs, output, &rows));
                 }
-                // Projections have nothing to repair.
-                OpKind::Select => {}
+                CleanOp::Dedup { .. } => {
+                    section.merge(dedup::plan(table, output, &self.config.merge));
+                }
+                CleanOp::ClusterBy { term, metric, .. } => {
+                    let Some(rows) = db.table_rows(table) else {
+                        section.unrepaired += output.len();
+                        continue;
+                    };
+                    section.merge(termval::plan(table, term, output, &rows, *metric));
+                }
+                CleanOp::Dc { .. } => section.merge(dc::plan(db, &query, clause, output)?),
             }
         }
         section.sort();

@@ -5,32 +5,11 @@
 use std::collections::{BTreeMap, HashMap};
 
 use cleanm_core::calculus::desugar::ROWID_FIELD;
-use cleanm_core::calculus::CalcExpr;
 use cleanm_core::engine::{Fix, RepairSection};
-use cleanm_core::ops::FdPlanShape;
+use cleanm_core::lang::Expr;
 use cleanm_values::Value;
 
-/// The columns an FD right-hand side rewrites, or `None` when any
-/// component is a derived expression (e.g. `prefix(t.phone)`): a derived
-/// component cannot be inverted into a cell assignment, so such groups are
-/// counted as unrepaired rather than half-fixed (repairing only the plain
-/// columns could leave the group violating).
-fn rhs_columns(shape: &FdPlanShape) -> Option<Vec<String>> {
-    let components: Vec<&CalcExpr> = match &shape.rhs {
-        CalcExpr::Record(fields) => fields.iter().map(|(_, e)| e).collect(),
-        other => vec![other],
-    };
-    components
-        .into_iter()
-        .map(|c| match c {
-            CalcExpr::Proj(base, col) => match base.as_ref() {
-                CalcExpr::Var(v) if *v == shape.member_var => Some(col.clone()),
-                _ => None,
-            },
-            _ => None,
-        })
-        .collect()
-}
+use crate::column_of;
 
 /// How often each value of `column` occurs in the table's `rows`: exact,
 /// so a repair plan does not depend on how the rows were partitioned.
@@ -43,16 +22,21 @@ fn column_counts<'r>(rows: &'r [Value], column: &str) -> HashMap<&'r Value, u64>
 }
 
 /// Plan FD repairs from the op's violating-group output (`{key, partition}`
-/// records with full member rows).
+/// records with full member rows) over `table`, the clause's `rhs` naming
+/// the columns to rewrite.
 ///
 /// Per group and repairable RHS column: the winner is the most frequent
 /// member value (weighted frequency within the group), ties broken by the
 /// value's count in the column over the table's `rows`, then by the
 /// canonical value order. One [`Fix`] is emitted per member cell differing
-/// from the winner, with `confidence = winner_count / group_size`.
-pub(crate) fn plan(shape: &FdPlanShape, output: &[Value], rows: &[Value]) -> RepairSection {
+/// from the winner, with `confidence = winner_count / group_size`. A
+/// derived component (e.g. `prefix(t.phone)`) cannot be inverted into a
+/// cell assignment, so such groups are counted as unrepaired rather than
+/// half-fixed (repairing only the plain columns could leave the group
+/// violating).
+pub(crate) fn plan(table: &str, rhs: &[Expr], output: &[Value], rows: &[Value]) -> RepairSection {
     let mut section = RepairSection::default();
-    let Some(columns) = rhs_columns(shape) else {
+    let Some(columns) = rhs.iter().map(column_of).collect::<Option<Vec<_>>>() else {
         section.unrepaired = output.len();
         return section;
     };
@@ -100,7 +84,7 @@ pub(crate) fn plan(shape: &FdPlanShape, output: &[Value], rows: &[Value]) -> Rep
                 };
                 if *current != winner {
                     section.fixes.push(Fix {
-                        table: shape.table.clone(),
+                        table: table.to_string(),
                         column: column.clone(),
                         row_id: rowid,
                         original: current.clone(),
@@ -119,6 +103,7 @@ pub(crate) fn plan(shape: &FdPlanShape, output: &[Value], rows: &[Value]) -> Rep
 mod tests {
     use super::*;
     use cleanm_core::engine::CleanDb;
+    use cleanm_core::lang::{parse_query, CleanOp};
     use cleanm_core::physical::EngineProfile;
     use cleanm_values::{DataType, Row, Schema, Table};
 
@@ -135,18 +120,23 @@ mod tests {
         db
     }
 
+    /// The right-hand side of the statement's one FD clause.
+    fn rhs_of(sql: &str) -> Vec<Expr> {
+        match parse_query(sql).unwrap().clean_ops.remove(0) {
+            CleanOp::Fd { rhs, .. } => rhs,
+            other => panic!("not an FD: {other:?}"),
+        }
+    }
+
     #[test]
     fn in_group_majority_wins_with_confidence() {
         let sql = "SELECT * FROM t x FD(x.addr, x.nation)";
         let mut db = db_with(vec![("a", 1), ("a", 1), ("a", 2), ("b", 7)]);
         let report = db.run(sql).unwrap();
-        let shape = {
-            let entry = db.plan(sql).unwrap();
-            FdPlanShape::from_plan(&entry.plans()[0]).unwrap()
-        };
+        let rhs = rhs_of(sql);
         let output = report.op_output("FD#0").unwrap();
         assert_eq!(output.len(), 1, "one violating group (addr = a)");
-        let section = plan(&shape, output, &[]);
+        let section = plan("t", &rhs, output, &[]);
         assert_eq!(section.fixes.len(), 1);
         let fix = &section.fixes[0];
         assert_eq!(fix.column, "nation");
@@ -169,12 +159,9 @@ mod tests {
         for rows in [tie, many] {
             let mut db = db_with(rows);
             let report = db.run(sql).unwrap();
-            let shape = {
-                let entry = db.plan(sql).unwrap();
-                FdPlanShape::from_plan(&entry.plans()[0]).unwrap()
-            };
+            let rhs = rhs_of(sql);
             let output = report.op_output("FD#0").unwrap().to_vec();
-            let section = plan(&shape, &output, &db.table_rows("t").unwrap());
+            let section = plan("t", &rhs, &output, &db.table_rows("t").unwrap());
             assert_eq!(section.fixes.len(), 1);
             assert_eq!(
                 section.fixes[0].repaired,
@@ -183,7 +170,7 @@ mod tests {
             );
             assert_eq!(section.fixes[0].row_id, 0);
             // Without the table's rows the tie falls to the smaller value.
-            let section = plan(&shape, &output, &[]);
+            let section = plan("t", &rhs, &output, &[]);
             assert_eq!(section.fixes[0].repaired, Value::Int(1));
         }
     }
@@ -193,12 +180,9 @@ mod tests {
         let sql = "SELECT * FROM t x FD(x.nation, prefix(x.addr))";
         let mut db = db_with(vec![("abc", 100), ("xyz", 100)]);
         let report = db.run(sql).unwrap();
-        let shape = {
-            let entry = db.plan(sql).unwrap();
-            FdPlanShape::from_plan(&entry.plans()[0]).unwrap()
-        };
+        let rhs = rhs_of(sql);
         let output = report.op_output("FD#0").unwrap();
-        let section = plan(&shape, output, &[]);
+        let section = plan("t", &rhs, output, &[]);
         assert!(section.fixes.is_empty());
         assert_eq!(section.unrepaired, output.len());
     }

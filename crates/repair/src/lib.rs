@@ -6,19 +6,26 @@
 //! confidence-scored cell fixes
 //! ([`Fix`]`{table, column, row_id, original, repaired, confidence, rule}`),
 //! collected into the [`RepairSection`] a
-//! [`CleaningReport`](cleanm_core::engine::CleaningReport) carries.
+//! [`CleaningReport`](cleanm_core::engine::CleaningReport) carries. Each
+//! operator is read from its own clause in the statement (the `i`-th
+//! clause is the report's `i`-th op) over the statement's primary table;
+//! no plan is consulted.
 //!
-//! Three repair families:
+//! Four repair families:
 //!
-//! * **FD repairs** — per violating LHS group, the right-hand side is set
-//!   to the group's most frequent value (weighted in-group frequency), ties
-//!   broken by the value's exact count in the whole table; confidence is
-//!   the winner's in-group share.
-//! * **DEDUP / CLUSTER BY merges** — duplicate clusters collapse onto their
-//!   canonical record through matching-dependency-style [`MergeFn`]s per
-//!   column (most-frequent, longest, non-null, mean/min/max, custom
-//!   precedence); dirty terms are rewritten to their best dictionary
-//!   suggestion, confidence-scored by string similarity.
+//! * **FD repairs** — per violating LHS group, each column the clause's
+//!   right-hand side names is set to the group's most frequent value
+//!   (weighted in-group frequency), ties broken by the value's exact count
+//!   in the whole table; confidence is the winner's in-group share. A
+//!   derived right-hand side (`prefix(x.phone)`) stays unrepaired.
+//! * **DEDUP merges** — duplicate clusters collapse onto their canonical
+//!   record through matching-dependency-style [`MergeFn`]s per column
+//!   (most-frequent, longest, non-null, mean/min/max, custom precedence).
+//! * **CLUSTER BY term repairs** — terms in the column a CLUSTER BY's
+//!   `term` names are rewritten to their best dictionary suggestion
+//!   ([`select_best_repairs`](cleanm_core::quality::select_best_repairs))
+//!   under the clause's own metric, which also scores the confidence,
+//!   unless the term is itself a dictionary word.
 //! * **DC repairs via relaxation** — for the `DC(...)` clause of any
 //!   statement, the offending cell moves to the boundary the constraint
 //!   implies (the minimal adjustment that exits the predicate), verified by
@@ -67,9 +74,21 @@ mod fd;
 mod merge;
 mod termval;
 
+use cleanm_core::lang::{Expr, ExprKind};
+
 pub use engine::{RepairConfig, RepairEngine};
 pub use merge::{MergeFn, MergePolicy};
 
 // The record types live in cleanm-core (the report embeds them); re-export
 // for one-stop imports.
 pub use cleanm_core::engine::{AppliedRepairs, AppliedTable, Fix, RepairSection};
+
+/// The column a clause expression names (`x.nation`), or `None` for a
+/// derived expression (`prefix(x.phone)`), which no cell assignment
+/// inverts.
+fn column_of(e: &Expr) -> Option<String> {
+    match &e.kind {
+        ExprKind::Column { name, .. } => Some(name.clone()),
+        _ => None,
+    }
+}

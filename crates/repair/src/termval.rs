@@ -1,64 +1,50 @@
 //! CLUSTER BY repairs: replace every occurrence of a dirty term with its
 //! best dictionary suggestion, confidence-scored by string similarity.
 
-use std::collections::BTreeMap;
-
 use cleanm_core::calculus::desugar::ROWID_FIELD;
-use cleanm_core::calculus::CalcExpr;
-use cleanm_core::engine::{Fix, RepairSection};
-use cleanm_core::ops::TermvalPlanShape;
+use cleanm_core::engine::{Fix, Repair, RepairSection};
+use cleanm_core::lang::Expr;
+use cleanm_core::quality::select_best_repairs;
 use cleanm_text::Metric;
 use cleanm_values::Value;
 
-/// The data-side term column, or `None` when the clustered term is a
-/// derived expression that cannot be inverted into a cell assignment.
-fn term_column(shape: &TermvalPlanShape) -> Option<String> {
-    match &shape.data.item {
-        CalcExpr::Proj(base, col) => match base.as_ref() {
-            CalcExpr::Var(v) if *v == shape.data.scan_var => Some(col.clone()),
-            _ => None,
-        },
-        _ => None,
-    }
-}
+use crate::column_of;
 
 /// Plan CLUSTER BY repairs from the op's `{term, repair}` candidate output
-/// and the data table's rows.
+/// and the rows of `table`, whose column the clause's `term` names.
 ///
-/// Per dirty term the best suggestion wins (highest similarity, ties to
-/// the lexicographically smaller candidate — mirroring
-/// `cleanm_core::quality::select_best_repairs`); every cell holding the
-/// term becomes one [`Fix`] with `confidence = similarity`.
+/// Per term the best suggestion wins, picked by
+/// [`select_best_repairs`] (highest similarity, ties to the
+/// lexicographically smaller candidate); a term whose best suggestion is
+/// itself — a clean dictionary term — gets no fix. Every cell holding a
+/// dirty term becomes one [`Fix`] with `confidence = similarity`. A
+/// derived term expression cannot be inverted into a cell assignment, so
+/// its output counts as unrepaired.
 pub(crate) fn plan(
-    shape: &TermvalPlanShape,
+    table: &str,
+    term: &Expr,
     output: &[Value],
     rows: &[Value],
     metric: Metric,
 ) -> RepairSection {
     let mut section = RepairSection::default();
-    let Some(column) = term_column(shape) else {
+    let Some(column) = column_of(term) else {
         section.unrepaired = output.len();
         return section;
     };
-    // Best (similarity, suggestion) per dirty term.
-    let mut best: BTreeMap<String, (f64, String)> = BTreeMap::new();
+    let mut candidates = Vec::with_capacity(output.len());
     for v in output {
         let (Ok(term), Ok(repair)) = (v.field("term"), v.field("repair")) else {
             section.unrepaired += 1;
             continue;
         };
-        let (term, repair) = (term.to_text(), repair.to_text());
-        if term == repair {
-            continue;
-        }
-        let sim = metric.similarity(&term, &repair);
-        match best.get(&term) {
-            Some((s, cand)) if *s > sim || (*s == sim && *cand <= repair) => {}
-            _ => {
-                best.insert(term, (sim, repair));
-            }
-        }
+        candidates.push(Repair {
+            term: term.to_text(),
+            suggestion: repair.to_text(),
+        });
     }
+    let mut best = select_best_repairs(&candidates, metric);
+    best.retain(|term, (suggestion, _)| term != suggestion);
     for row in rows {
         let (Ok(current), Ok(rowid)) = (
             row.field(&column),
@@ -69,9 +55,9 @@ pub(crate) fn plan(
         let Ok(text) = current.as_str() else {
             continue;
         };
-        if let Some((sim, suggestion)) = best.get(text) {
+        if let Some((suggestion, sim)) = best.get(text) {
             section.fixes.push(Fix {
-                table: shape.data.table.clone(),
+                table: table.to_string(),
                 column: column.clone(),
                 row_id: rowid,
                 original: current.clone(),

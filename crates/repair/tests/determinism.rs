@@ -36,7 +36,6 @@ fn customer_db(profile: EngineProfile, partitions: usize) -> CleanDb {
 fn engine() -> RepairEngine {
     RepairEngine::new(RepairConfig {
         merge: MergePolicy::keep_canonical().with_column("name", MergeFn::Longest),
-        ..RepairConfig::default()
     })
 }
 
@@ -94,7 +93,7 @@ fn a_repair_plan_survives_plan_cache_eviction() {
     let mut db = customer_db(EngineProfile::clean_db(), 2);
     let engine = engine();
     let report = db.run(FIG5).unwrap();
-    let before = engine.plan_for_report(&mut db, FIG5, &report).unwrap();
+    let before = engine.plan_for_report(&db, FIG5, &report).unwrap();
     assert!(!before.fixes.is_empty(), "corpus must produce fixes");
     assert!(
         !before.dropped_rows.is_empty(),
@@ -104,7 +103,7 @@ fn a_repair_plan_survives_plan_cache_eviction() {
         let sql = format!("SELECT c.name AS n FROM customer c WHERE c.nationkey = {i}");
         assert!(!db.run(&sql).unwrap().plan_cache.hit);
     }
-    let after = engine.plan_for_report(&mut db, FIG5, &report).unwrap();
+    let after = engine.plan_for_report(&db, FIG5, &report).unwrap();
     assert_eq!(after.fixes, before.fixes);
     assert_eq!(after.dropped_rows, before.dropped_rows);
     assert_eq!(after.unrepaired, before.unrepaired);

@@ -5,9 +5,10 @@
 
 use cleanm_core::calculus::desugar::ROWID_FIELD;
 use cleanm_core::engine::CleanDb;
-use cleanm_core::ops::{DcOutcome, InequalityDc};
+use cleanm_core::ops::{DcOutcome, InequalityDc, TermValidation};
 use cleanm_core::physical::EngineProfile;
 use cleanm_repair::RepairEngine;
+use cleanm_text::Metric;
 use cleanm_values::Value;
 use proptest::prelude::*;
 
@@ -203,6 +204,116 @@ proptest! {
             // Second pass: clean table plans no further fixes.
             let again = engine.run(&mut db, &dc.to_sql()).unwrap().repair.unwrap();
             prop_assert!(again.is_empty(), "profile {}: {:?}", &name, again);
+        }
+    }
+}
+
+// -------------------------------------------------------- CLUSTER BY ----
+
+const TERM_SQL: &str = "SELECT * FROM t x, dict w CLUSTER BY(token_filtering(2), LD, 0.7, x.name)";
+
+/// Near-miss pairs (`smith`/`smyth`, `miller`/`millar`) so that clean
+/// dictionary terms are each other's candidates.
+const VOCABULARY: [&str; 6] = ["smith", "smyth", "miller", "millar", "anderson", "zhang"];
+
+/// A vocabulary word, clean or with a typo: the last letter replaced, or
+/// the first dropped.
+fn term(word: u8, typo: u8) -> String {
+    let w = VOCABULARY[usize::from(word)];
+    match typo {
+        0 => w.to_string(),
+        1 => format!("{}x", &w[..w.len() - 1]),
+        _ => w[1..].to_string(),
+    }
+}
+
+fn term_table(terms: &[String]) -> Vec<Value> {
+    terms
+        .iter()
+        .enumerate()
+        .map(|(i, t)| Value::record([(ROWID_FIELD, Value::Int(i as i64)), ("name", Value::str(t))]))
+        .collect()
+}
+
+#[test]
+fn cluster_by_leaves_clean_dictionary_terms_alone() {
+    let terms = ["smith", "smyth", "smitx"].map(String::from);
+    for profile in profiles() {
+        let name = profile.name.clone();
+        let mut db = CleanDb::new(profile);
+        db.register_values("t", term_table(&terms));
+        db.register_dictionary("dict", vec!["smith".into(), "smyth".into()]);
+        let report = RepairEngine::default().run(&mut db, TERM_SQL).unwrap();
+        let section = report.repair.unwrap();
+        let fixes: Vec<_> = (section.fixes.iter())
+            .map(|f| (f.row_id, f.original.clone(), f.repaired.clone()))
+            .collect();
+        assert_eq!(
+            fixes,
+            vec![(2, Value::str("smitx"), Value::str("smith"))],
+            "profile {name}: only the term outside the dictionary is rewritten"
+        );
+        assert!((section.fixes[0].confidence - 0.8).abs() < 1e-9);
+    }
+}
+
+#[test]
+fn cluster_by_repair_ranks_by_the_clauses_metric() {
+    // Under Jaro-Winkler `jonhson` is nearer `johnson`; under Levenshtein
+    // `johnsen` is. Repair must pick what term validation picks.
+    let tv = TermValidation::new("t", "dict", "token_filtering(2)", "t.name")
+        .metric(Metric::JaroWinkler, 0.8);
+    for profile in profiles() {
+        let name = profile.name.clone();
+        let mut db = CleanDb::new(profile);
+        db.register_values("t", term_table(&["johnson".to_string()]));
+        db.register_dictionary("dict", vec!["jonhson".into(), "johnsen".into()]);
+        let (_, best) = tv.run(&mut db).unwrap();
+        assert_eq!(best["johnson"], "jonhson", "profile {name}");
+        let report = RepairEngine::default().run(&mut db, &tv.to_sql()).unwrap();
+        let fixes = report.repair.unwrap().fixes;
+        assert_eq!(fixes.len(), 1, "profile {name}");
+        assert_eq!(fixes[0].repaired, Value::str("jonhson"), "profile {name}");
+        let jw = Metric::JaroWinkler.similarity("johnson", "jonhson");
+        assert!((fixes[0].confidence - jw).abs() < 1e-9, "profile {name}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn cluster_by_repair_is_idempotent_under_every_profile(
+        words in proptest::collection::vec((0u8..6, 0u8..3), 0..16),
+        dictionary in 0u8..64,
+    ) {
+        let terms: Vec<String> = words.iter().map(|&(w, typo)| term(w, typo)).collect();
+        let dict: Vec<String> = (VOCABULARY.iter().enumerate())
+            .filter(|(i, _)| dictionary & (1 << i) != 0)
+            .map(|(_, w)| w.to_string())
+            .collect();
+        for profile in profiles() {
+            let name = profile.name.clone();
+            let mut db = CleanDb::new(profile);
+            db.register_values("t", term_table(&terms));
+            db.register_dictionary("dict", dict.clone());
+            let engine = RepairEngine::default();
+
+            let report = engine.run(&mut db, TERM_SQL).unwrap();
+            let section = report.repair.clone().unwrap();
+            prop_assert_eq!(section.unrepaired, 0, "profile {}", &name);
+            for fix in &section.fixes {
+                let repaired = fix.repaired.as_str().unwrap().to_string();
+                prop_assert!(dict.contains(&repaired), "profile {}: {:?}", &name, fix);
+            }
+            db.apply_repairs(&section).unwrap();
+
+            // Second pass: every term left is clean or has no candidate.
+            let again = engine.run(&mut db, TERM_SQL).unwrap();
+            prop_assert!(
+                again.repair.as_ref().unwrap().is_empty(),
+                "profile {}: {:?}", &name, again.repair
+            );
         }
     }
 }

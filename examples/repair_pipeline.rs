@@ -38,7 +38,6 @@ fn main() {
     // clusters collapse onto canonical records (longest name survives).
     let engine = RepairEngine::new(RepairConfig {
         merge: MergePolicy::keep_canonical().with_column("name", MergeFn::Longest),
-        ..RepairConfig::default()
     });
     let section = engine
         .plan_for_report(session.db(), query, &baseline)
