@@ -69,6 +69,20 @@ pub enum OpKind {
     Select,
 }
 
+impl OpKind {
+    /// The kind's name as `Debug` prints it (`"Fd"`, `"Dedup"`, …): what
+    /// the session registry counts violations under.
+    pub fn name(self) -> &'static str {
+        match self {
+            OpKind::Fd => "Fd",
+            OpKind::Dedup => "Dedup",
+            OpKind::TermValidation => "TermValidation",
+            OpKind::Dc => "Dc",
+            OpKind::Select => "Select",
+        }
+    }
+}
+
 /// The full desugared query: the plain select part (if meaningful) plus one
 /// comprehension per cleaning operator.
 #[derive(Debug, Clone, PartialEq)]

@@ -106,7 +106,7 @@ pub struct MetricsRegistry {
     /// Pairwise similarity comparisons, all queries.
     comparisons: u64,
     /// Violating entities found, by operator kind (`"Fd"`, `"Dedup"`, …).
-    violations_by_op: BTreeMap<String, u64>,
+    violations_by_op: BTreeMap<&'static str, u64>,
     /// Plan-node expressions compiled to programs, cumulative.
     compiled_exprs: u64,
     /// `Select` passes fused into consumers, cumulative.
@@ -146,9 +146,12 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Fold one batch query's report in. The session calls this after
-    /// every `run`.
-    pub fn record_query(&mut self, report: &CleaningReport) {
+    /// Fold one batch query's report in, with `violations`: per op of the
+    /// report, its kind's name ([`OpKind::name`]) and how many distinct
+    /// row ids its output holds. The session calls this after every `run`.
+    ///
+    /// [`OpKind::name`]: crate::OpKind::name
+    pub fn record_query(&mut self, report: &CleaningReport, violations: &[(&'static str, u64)]) {
         self.query_latency.observe(report.total);
         if report.plan_cache.hit {
             self.plan_cache_hits += 1;
@@ -166,17 +169,8 @@ impl MetricsRegistry {
         self.compiled_exprs += report.exprs.compiled as u64;
         self.fused_selects += report.exprs.fused_selects as u64;
         self.rows_vectorized += report.exprs.vectorized_rows;
-        for op in &report.ops {
-            let mut ids = Vec::new();
-            for v in &op.output {
-                super::session::collect_rowids(v, &mut ids);
-            }
-            ids.sort_unstable();
-            ids.dedup();
-            *self
-                .violations_by_op
-                .entry(format!("{:?}", op.kind))
-                .or_insert(0) += ids.len() as u64;
+        for &(op, n) in violations {
+            *self.violations_by_op.entry(op).or_insert(0) += n;
         }
     }
 
@@ -245,7 +239,7 @@ impl MetricsRegistry {
     }
 
     /// Violating entities found per operator kind.
-    pub fn violations_by_op(&self) -> &BTreeMap<String, u64> {
+    pub fn violations_by_op(&self) -> &BTreeMap<&'static str, u64> {
         &self.violations_by_op
     }
 

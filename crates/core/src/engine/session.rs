@@ -820,11 +820,17 @@ impl CleanDb {
             .metrics()
             .add_comparisons(entry.eval_ctx.comparisons() - comparisons_before);
 
+        // One walk per op: its distinct row ids, which the combination and
+        // the registry both read.
+        let op_ids: Vec<Vec<i64>> = ops.iter().map(|op| output_rowids(&op.output)).collect();
+        let counts: Vec<(&'static str, u64)> = (ops.iter().zip(&op_ids))
+            .map(|(op, ids)| (op.kind.name(), ids.len() as u64))
+            .collect();
         // Combine per-operator violations (§4.4 outer-join semantics). A
         // runtime error here (cancellation racing the combine) becomes the
         // run's failure too.
         let violating_ids = if failure.is_none() {
-            match self.combine_violations(&ops) {
+            match self.combine_violations(&ops, &op_ids) {
                 Ok(ids) => ids,
                 Err(EngineError::Exec(e)) => {
                     failure = Some((None, e));
@@ -875,7 +881,7 @@ impl CleanDb {
             profiles,
             failure: failure_info,
         };
-        self.registry.record_query(&report);
+        self.registry.record_query(&report, &counts);
         if let Some((_, e)) = failure {
             // `run` keeps its `Err` contract; `run_with_limits` asks for
             // the failure as report data instead.
@@ -929,40 +935,43 @@ impl CleanDb {
         out
     }
 
-    /// Union the per-operator violating row ids. Under a unified planner
-    /// this is a cheap local union over already-materialized outputs; an
+    /// Union the per-operator violating row ids, `op_ids` holding each
+    /// op's distinct ids. Under a unified planner (and for one cleaning
+    /// operator) this is a local merge of those lists; an
     /// operator-at-a-time one (Spark SQL-like) must recombine through a
     /// distributed full outer join — the extra cost §8.2 observes.
-    fn combine_violations(&self, ops: &[OpResult]) -> Result<Vec<i64>, EngineError> {
-        let cleaning = || ops.iter().filter(|op| !matches!(op.kind, OpKind::Select));
-        if cleaning().next().is_none() {
+    fn combine_violations(
+        &self,
+        ops: &[OpResult],
+        op_ids: &[Vec<i64>],
+    ) -> Result<Vec<i64>, EngineError> {
+        let cleaning: Vec<&Vec<i64>> = (ops.iter().zip(op_ids))
+            .filter(|(op, _)| !matches!(op.kind, OpKind::Select))
+            .map(|(_, ids)| ids)
+            .collect();
+        let Some((first, rest)) = cleaning.split_first() else {
             return Ok(Vec::new());
-        }
-        if self.profile.planner.unified() || cleaning().count() == 1 {
-            Ok(combine_local_violations(ops))
+        };
+        let ids: Vec<i64> = if self.profile.planner.unified() || rest.is_empty() {
+            cleaning
+                .iter()
+                .flat_map(|ids| ids.iter().copied())
+                .collect()
         } else {
-            let mut per_op_ids = cleaning().map(|op| {
-                let mut ids = Vec::new();
-                for v in &op.output {
-                    collect_rowids(v, &mut ids);
-                }
-                ids
-            });
             // Distributed recombination via chained full outer joins.
             use cleanm_exec::Dataset;
-            let first = per_op_ids.next().expect("checked non-empty above");
-            let mut acc: Dataset<(i64, bool)> =
-                Dataset::from_vec(&self.ctx, first.into_iter().map(|id| (id, true)).collect());
-            for ids in per_op_ids {
-                let right: Dataset<(i64, bool)> =
-                    Dataset::from_vec(&self.ctx, ids.into_iter().map(|id| (id, true)).collect());
-                acc = acc.full_outer_join(right)?.map(|(id, _, _)| (id, true))?;
+            let keyed = |ids: &[i64]| -> Dataset<(i64, bool)> {
+                Dataset::from_vec(&self.ctx, ids.iter().map(|&id| (id, true)).collect())
+            };
+            let mut acc = keyed(first);
+            for ids in rest {
+                acc = acc
+                    .full_outer_join(keyed(ids))?
+                    .map(|(id, _, _)| (id, true))?;
             }
-            let mut out: Vec<i64> = acc.collect().into_iter().map(|(id, _)| id).collect();
-            out.sort_unstable();
-            out.dedup();
-            Ok(out)
-        }
+            acc.collect().into_iter().map(|(id, _)| id).collect()
+        };
+        Ok(distinct_sorted(ids))
     }
 }
 
@@ -1065,12 +1074,12 @@ pub fn collect_rowids(v: &Value, out: &mut Vec<i64>) {
     match v {
         Value::Struct(fields) => {
             for (name, inner) in fields.iter() {
-                if name.as_ref() == ROWID_FIELD {
-                    if let Value::Int(id) = inner {
-                        out.push(*id);
+                match inner {
+                    Value::Int(id) if name.as_ref() == ROWID_FIELD => out.push(*id),
+                    Value::Struct(_) | Value::List(_) if name.as_ref() != ROWID_FIELD => {
+                        collect_rowids(inner, out)
                     }
-                } else {
-                    collect_rowids(inner, out);
+                    _ => {}
                 }
             }
         }
@@ -1083,24 +1092,20 @@ pub fn collect_rowids(v: &Value, out: &mut Vec<i64>) {
     }
 }
 
-/// The local-union combination of per-operator violating ids (the path
-/// unified plans take, and any plan with one cleaning operator): distinct
-/// row ids over all non-Select outputs, sorted.
-fn combine_local_violations(ops: &[OpResult]) -> Vec<i64> {
-    let mut set: HashSet<i64> = HashSet::new();
-    for op in ops {
-        if matches!(op.kind, OpKind::Select) {
-            continue;
-        }
-        let mut ids = Vec::new();
-        for v in &op.output {
-            collect_rowids(v, &mut ids);
-        }
-        set.extend(ids);
+/// The distinct `__rowid`s of an op's output, ascending.
+fn output_rowids(output: &[Value]) -> Vec<i64> {
+    let mut ids = Vec::new();
+    for v in output {
+        collect_rowids(v, &mut ids);
     }
-    let mut out: Vec<i64> = set.into_iter().collect();
-    out.sort_unstable();
-    out
+    distinct_sorted(ids)
+}
+
+/// `ids` sorted and deduplicated.
+fn distinct_sorted(mut ids: Vec<i64>) -> Vec<i64> {
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
 /// Extract (term, repair) pairs from term-validation outputs.

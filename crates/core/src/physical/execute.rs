@@ -8,13 +8,17 @@
 //! | `Reduce` over two independent `Unnest`s | the fused block-pair sweep (`physical/pairs.rs`): `map_partitions` over the block rows, pairs kept as indices |
 //! | `Nest`      | `filter_transform` (pair emission) → `group_by_key(shuffle, …)` → `map` |
 //! | `Nest`+`Reduce` over monoid reductions | the columnar fold when the Nest reads a scan whose key and slots lower under `LocalAggregate` (`physical/groupfold.rs`): chunk folds → merge → finish; else the `Nest` above, then `Reduce` |
+//! | `Nest` read by pair sweeps, or shared by folds and pair sweeps | grouped blocks (`physical/blocks.rs`) when it reads a scan whose key lowers under `LocalAggregate`: one grouping pass, group ids for the folds, row ranges for the sweeps; else the `Nest` above |
 //! | `Join`      | `filter_transform` (keying) → `join_hash` |
 //! | `ThetaJoin` | M-Bucket \| min-max blocks \| cartesian+filter, one join over row indices (`physical/theta.rs`): each side read by column when both are filtered scans that lower, by row otherwise; a `Reduce` reads the pairs by index |
 //! | `Reduce`    | `filter_transform` (the compiled head, the fused `Select` chain as its filter) → merged under the monoid |
 //!
 //! `shuffle` is the profile's [`NestStrategy`] — the one grouping driver
-//! takes it as is. A grouped `Reduce` has two routes, chosen by its input:
-//! the columnar fold, or materialize-then-reduce.
+//! takes it as is. A `Nest`'s groups take one of three carriers, decided
+//! from the registered plans by its consumers and its input: the columnar
+//! fold (its one consumer folds), grouped blocks (it is read by pair
+//! sweeps or shared, every consumer a fold or a pair sweep), or
+//! materialized groups.
 //!
 //! The three column routes — the vectorized `Select`, the columnar group
 //! fold and each side of a theta join — read a stored table the same way:
@@ -37,7 +41,7 @@
 //! consumer?), `run_reduce_inner` (fold groups by column?) and
 //! `columnar_source` (sweep a scan by column?).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,12 +55,13 @@ use cleanm_values::Value;
 use crate::algebra::plan::{Alg, PairShape};
 use crate::calculus::eval::{merge_values, truthy, EvalCtx};
 use crate::calculus::subst::free_vars;
-use crate::calculus::{CalcExpr, MonoidKind, Program};
+use crate::calculus::{CalcExpr, Func, MonoidKind, Program};
 use crate::engine::storage::StoredTable;
 
+use super::blocks::GroupedBlocks;
 use super::groupfold::{self, AggFoldShape, ColumnarFold, KEY_SLOT_VAR};
 use super::kernel::{ColumnProgram, PredKernel};
-use super::pairs::PairSweep;
+use super::pairs::{PairSweep, SweepInput};
 use super::profile::{nest_stage_label, EngineProfile, NestStrategy};
 use super::program::{env_layout, RowEnv, RowExpr};
 use super::qprofile::{clip, ProfileNode};
@@ -96,7 +101,14 @@ pub struct Executor<'a> {
     /// Plan nodes referenced more than once across the registered plans —
     /// the only ones worth materializing into the cache (caching a node
     /// with a single consumer would deep-copy its dataset for nothing).
-    shared_nodes: std::collections::HashSet<usize>,
+    shared_nodes: HashSet<usize>,
+    /// The `Nest`s that run as grouped blocks (`physical/blocks.rs`), by
+    /// node, each with the fields of the scanned rows its consumers read —
+    /// decided from the registered plans ([`Executor::register_plans`]).
+    grouped: HashMap<usize, Vec<String>>,
+    /// Each grouped `Nest`'s blocks once grouped, `None` when its table
+    /// or key did not lower onto columns (it then materializes).
+    blocks: HashMap<usize, Option<Arc<GroupedBlocks>>>,
     /// Strategy decisions made while executing, in plan order.
     pub decisions: Vec<PlanDecision>,
     /// Plan-node expressions compiled to slot-resolved programs.
@@ -202,7 +214,9 @@ impl<'a> Executor<'a> {
                 errors: Arc::new(Mutex::new(Vec::new())),
             },
             cache: HashMap::new(),
-            shared_nodes: std::collections::HashSet::new(),
+            shared_nodes: HashSet::new(),
+            grouped: HashMap::new(),
+            blocks: HashMap::new(),
             decisions: Vec::new(),
             compiled_exprs: 0,
             fused_selects: 0,
@@ -548,11 +562,216 @@ impl<'a> Executor<'a> {
         for plan in plans {
             visit(plan, &mut counts);
         }
-        self.shared_nodes = counts
-            .into_iter()
-            .filter(|(_, n)| *n > 1)
-            .map(|(k, _)| k)
+        self.shared_nodes = (counts.iter())
+            .filter(|(_, n)| **n > 1)
+            .map(|(k, _)| *k)
             .collect();
+        // Each consumer of a shared `Unnest` chain sweeps the blocks
+        // beneath it itself ([`Executor::pair_shape`]): they are what is
+        // shared, and run once.
+        for plan in plans {
+            let Alg::Reduce { input, .. } = &**plan else {
+                continue;
+            };
+            if let Some(shape) = self.pair_shape(input) {
+                let inner = reader_of(plan, shape.input);
+                if self.is_shared(inner) || self.is_shared(reader_of(plan, inner)) {
+                    let blocks = Arc::as_ptr(shape.input) as usize;
+                    self.shared_nodes.insert(blocks);
+                }
+            }
+        }
+        self.grouped = self.plan_grouped_blocks(plans, &counts);
+    }
+
+    /// The `Nest`s of `plans` that run as grouped blocks
+    /// (`physical/blocks.rs`), each with the fields of the scanned rows
+    /// its consumers read. Under a unified planner with the
+    /// local-aggregate shuffle, a `Nest` qualifies when every node that
+    /// reads it belongs to a consumer [`Executor::block_consumer`]
+    /// recognizes, it is shared or has a pair consumer (a lone fold folds
+    /// its own groups), its input beneath the fusible `WHERE` chain is a
+    /// scan the planner reads by column ([`Executor::columnar_source`]),
+    /// its members are that scan's rows and its key is not a list of
+    /// blocking keys. Whether the table and the key then lower onto
+    /// columns is the input's to say, at the first consumer
+    /// ([`Executor::grouped_blocks`]).
+    fn plan_grouped_blocks(
+        &self,
+        plans: &[Arc<Alg>],
+        counts: &HashMap<usize, usize>,
+    ) -> HashMap<usize, Vec<String>> {
+        let mut grouped = HashMap::new();
+        if !self.profile.planner.unified() || self.profile.nest != NestStrategy::LocalAggregate {
+            return grouped;
+        }
+        // Per Nest: the node, the nodes of its consumers that read it
+        // (a DEDUP and a blocked DC may read it through one shared
+        // `Unnest`), whether one pairs, and what they read.
+        type Consumers<'p> = (&'p Arc<Alg>, HashSet<usize>, bool, Vec<String>);
+        let mut consumers: HashMap<usize, Consumers<'_>> = HashMap::new();
+        let mut roots = HashSet::new();
+        for plan in plans.iter().filter(|p| roots.insert(Arc::as_ptr(p))) {
+            let Some((nest, pairs, fields)) = self.block_consumer(plan) else {
+                continue;
+            };
+            let at = Arc::as_ptr(nest) as usize;
+            let entry = (consumers.entry(at)).or_insert((nest, HashSet::new(), false, Vec::new()));
+            entry.1.insert(Arc::as_ptr(reader_of(plan, nest)) as usize);
+            entry.2 |= pairs;
+            entry.3.extend(fields);
+        }
+        for (at, (nest, readers, pairs, mut fields)) in consumers {
+            let Alg::Nest {
+                input, key, item, ..
+            } = &**nest
+            else {
+                continue;
+            };
+            let shared = counts[&at] > 1;
+            if readers.len() != counts[&at] || !(shared || pairs) {
+                continue;
+            }
+            let (source, chain) = self.fusible_chain(input);
+            let Some((_, var)) = self.columnar_source(source) else {
+                continue;
+            };
+            let list_key =
+                key.any_node(&mut |e| matches!(e, CalcExpr::Call(Func::BlockKeys(_), _)));
+            if *item != CalcExpr::var(var) || list_key {
+                continue;
+            }
+            fields.extend(fields_of(var, chain.into_iter().chain([key])));
+            fields.sort_unstable();
+            fields.dedup();
+            grouped.insert(at, fields);
+        }
+        grouped
+    }
+
+    /// The `Nest` a registered plan consumes as grouped blocks, whether it
+    /// pairs their members, and the fields of the members it reads by
+    /// column: a grouped `Reduce` whose group predicates and head fold
+    /// ([`groupfold::recognize`]; the `Nest` may be shared, the `Select`s
+    /// above it not), or a pair pipeline directly over the `Nest` that
+    /// unnests its `partition` twice and whose predicates and head do not
+    /// read the group variable (the sweep never builds the group record).
+    #[allow(clippy::type_complexity)]
+    fn block_consumer<'p>(&self, plan: &'p Arc<Alg>) -> Option<(&'p Arc<Alg>, bool, Vec<String>)> {
+        let Alg::Reduce {
+            input,
+            monoid,
+            head,
+        } = &**plan
+        else {
+            return None;
+        };
+        let nest_shared =
+            |node: &Arc<Alg>| self.is_shared(node) && !matches!(**node, Alg::Nest { .. });
+        if let Some((_, _, item, group_var, preds)) = input.group_pipeline(nest_shared) {
+            let shape = groupfold::recognize(group_var, item, head, &preds)?;
+            let CalcExpr::Var(var) = item else {
+                return None;
+            };
+            let folds = matches!(monoid, MonoidKind::Bag | MonoidKind::Set);
+            let fields = fields_of(var, shape.slots.iter().map(|s| &s.row_expr));
+            return folds.then(|| (beneath_selects(input), false, fields));
+        }
+        let shape = self.pair_shape(input)?;
+        let Alg::Nest { group_var, .. } = &**shape.input else {
+            return None;
+        };
+        let partition = CalcExpr::proj(CalcExpr::var(group_var), "partition");
+        let reads_group = (shape.preds.iter().copied().chain([head]))
+            .any(|e| free_vars(e).contains(group_var.as_str()));
+        if *shape.path_a != partition || *shape.path_b != partition || reads_group {
+            return None;
+        }
+        let mut fields = fields_of(shape.var_a, shape.preds.iter().copied());
+        fields.extend(fields_of(shape.var_b, shape.preds.iter().copied()));
+        Some((shape.input, true, fields))
+    }
+
+    /// Does `node` run as grouped blocks?
+    fn is_grouped(&self, node: &Arc<Alg>) -> bool {
+        self.grouped.contains_key(&(Arc::as_ptr(node) as usize))
+    }
+
+    /// A grouped `Nest`'s blocks, grouped at its first consumer and
+    /// memoized for the rest: the scan of the fields its consumers read
+    /// (`lower_on_columns`, its `WHERE` chain as the scan's kernel), its
+    /// key lowered onto the block, then [`GroupedBlocks::group`]. In a
+    /// profile tree the first consumer shows the `Nest` flagged
+    /// `group-blocks` over its `Scan`, the others a `cached` leaf.
+    /// `None` — memoized too, and the `Nest` materializes its groups for
+    /// every consumer — when the node is not grouped, a program does not
+    /// compile, or the table or the key does not lower; a declined
+    /// grouping leaves no count, decision or profile node behind.
+    fn grouped_blocks(&mut self, nest: &Arc<Alg>) -> ExecResult<Option<Arc<GroupedBlocks>>> {
+        let at = Arc::as_ptr(nest) as usize;
+        let Some(fields) = self.grouped.get(&at).cloned() else {
+            return Ok(None);
+        };
+        if let Some(memo) = self.blocks.get(&at).cloned() {
+            if let Some(blocks) = &memo {
+                self.cached_leaf(nest, blocks.len() as u64);
+            }
+            return Ok(memo);
+        }
+        let Alg::Nest { input, key, .. } = &**nest else {
+            unreachable!("only Nests are grouped")
+        };
+        let (source, preds) = self.fusible_chain(input);
+        let (stored, var) = self.columnar_source(source).expect("checked when planned");
+        let scope = [var.to_string()];
+        let chain = conjoin(&preds).map(|chain| self.compile(&chain, &scope));
+        let (Ok(filter), Ok(key_rx)) = (chain.transpose(), self.compile(key, &scope)) else {
+            self.blocks.insert(at, None);
+            return Ok(None);
+        };
+        let (blocks, frame) = self.in_frame(|ex| {
+            let filter_program = filter.as_ref().map(|rx| rx.program());
+            let (lowered, scan) = ex.in_frame(|ex| {
+                ex.lower_on_columns(stored, &fields, filter_program, |scan| {
+                    let key = ColumnProgram::lower(key_rx.program(), scan.block())?;
+                    Some((scan, key))
+                })
+            })?;
+            match (&lowered, scan) {
+                (Some(_), Some(frame)) => {
+                    let (op, detail) = plan_label(source);
+                    ex.end_node(frame, op, detail, stored.len() as u64, Vec::new());
+                }
+                (None, Some(_)) => ex.abort_node(),
+                _ => {}
+            }
+            let Some((scan, key_program)) = lowered else {
+                return Ok(None);
+            };
+            ex.decide_nest(key);
+            ex.compiled_exprs += 1 + usize::from(filter.is_some());
+            ex.fused_selects += preds.len();
+            ex.vectorized_rows += scan.len() as u64;
+            Ok(Some(Arc::new(GroupedBlocks::group(
+                &ex.ctx,
+                scan,
+                key_program,
+            )?)))
+        })?;
+        match (&blocks, frame) {
+            (Some(b), Some(frame)) => {
+                let (op, detail) = plan_label(nest);
+                let mut flags = vec!["group-blocks".to_string()];
+                if self.is_shared(nest) {
+                    flags.insert(0, "shared".to_string());
+                }
+                self.end_node(frame, op, detail, b.len() as u64, flags);
+            }
+            (None, Some(_)) => self.abort_node(),
+            _ => {}
+        }
+        self.blocks.insert(at, blocks.clone());
+        Ok(blocks)
     }
 
     /// Execute a full per-operator plan (must be a `Reduce` root) and return
@@ -606,7 +825,7 @@ impl<'a> Executor<'a> {
         };
         // A pair pipeline (two independent Unnests) never materializes
         // its candidate pairs, whatever the planner fuses elsewhere.
-        if let Some(shape) = input.pair_pipeline(|node| self.is_shared(node)) {
+        if let Some(shape) = self.pair_shape(input) {
             let outputs = self.exec_pair_sweep(&shape, head)?;
             return reduce_outputs(monoid, outputs);
         }
@@ -634,6 +853,14 @@ impl<'a> Executor<'a> {
         reduce_outputs(monoid, outputs)
     }
 
+    /// The pair pipeline beneath a `Reduce` ([`Alg::pair_pipeline`]). Its
+    /// `Unnest`s may be shared — the sharing rewrite shares them between a
+    /// DEDUP and a blocked DC over one `Nest` — and each consumer then
+    /// sweeps the blocks itself: the candidate pairs are never built.
+    fn pair_shape<'p>(&self, input: &'p Arc<Alg>) -> Option<PairShape<'p>> {
+        input.pair_pipeline(|node| self.is_shared(node) && !matches!(**node, Alg::Unnest { .. }))
+    }
+
     /// Run a recognized pair pipeline as one sweep over its block rows
     /// (`physical/pairs.rs`): the `Select` chain and both `Unnest`s are
     /// consumed structurally, under every profile. Budget, cancellation
@@ -642,32 +869,49 @@ impl<'a> Executor<'a> {
     /// In a profile tree the sweep itself is the `Reduce` root (`rows_in` =
     /// index pairs enumerated, `rows_out` = pairs kept); the two `Unnest`s
     /// show as one child flagged `fused-pairs` over the block producer.
+    ///
+    /// Over a grouped `Nest` ([`Executor::grouped_blocks`]) the sweep
+    /// walks its blocks as row ranges, a contiguous range of groups per
+    /// partition, and never builds a group record or a member list.
     fn exec_pair_sweep(
         &mut self,
         shape: &PairShape<'_>,
         head: &CalcExpr,
     ) -> ExecResult<Vec<Value>> {
-        // A Select chain beneath the first Unnest is the sweep's block filter.
-        let mut blocks = self.peel_input(shape.input, None)?;
-        let (ds, frame) = self.in_frame(|ex| ex.run_input(&mut blocks))?;
+        let (input, frame) = self.in_frame(|ex| ex.pair_input(shape.input))?;
         if let Some(frame) = frame {
             let flags = vec!["fused-pairs".to_string()];
             self.end_node(frame, "Unnest".to_string(), clip(shape.detail()), 0, flags);
         }
         // The pair-level Selects are consumed structurally.
         self.fused_selects += shape.preds.len();
+        let sweep_input = match &input {
+            PairInput::Blocks(blocks) => SweepInput::Blocks(Arc::clone(blocks)),
+            PairInput::Rows(_, fused) => SweepInput::Rows {
+                scope: &fused.scope,
+                pred: fused.pred_rx.clone(),
+            },
+        };
         let (ctx, ev) = (Arc::clone(&self.ctx), self.eval.clone());
         let sweep = Arc::new(PairSweep::compile(
             shape,
             head,
-            &blocks.scope,
-            blocks.pred_rx,
+            sweep_input,
             ctx,
             ev,
             |expr, scope| self.row_expr(expr, scope),
         )?);
         let worker = Arc::clone(&sweep);
-        let outputs = ds.map_partitions(move |blocks| worker.run_partition(blocks));
+        let outputs = match input {
+            PairInput::Rows(ds, _) => ds.map_partitions(move |rows| worker.run_partition(rows)),
+            PairInput::Blocks(blocks) => {
+                let groups = blocks.len() as u32;
+                let tasks = chunk_ranges(groups, self.ctx.default_partitions());
+                produce_partitions(&self.ctx, "map_partitions", groups as u64, tasks, |range| {
+                    worker.run_blocks(range)
+                })
+            }
+        };
         // The fused node's output is known only now: the pairs enumerated.
         if let Some(node) = self.prof_children.last_mut().and_then(|c| c.last_mut()) {
             node.rows_out = sweep.enumerated();
@@ -676,6 +920,18 @@ impl<'a> Executor<'a> {
         sweep.stopped()?;
         self.check_errors()?;
         Ok(outputs)
+    }
+
+    /// What a pair sweep walks: a grouped `Nest`'s blocks, or the block
+    /// rows `input` produces, a `Select` chain beneath the first `Unnest`
+    /// the sweep's block filter.
+    fn pair_input<'p>(&mut self, input: &'p Arc<Alg>) -> ExecResult<PairInput<'p>> {
+        if let Some(blocks) = self.grouped_blocks(input)? {
+            return Ok(PairInput::Blocks(blocks));
+        }
+        let mut fused = self.peel_input(input, None)?;
+        let ds = self.run_input(&mut fused)?;
+        Ok(PairInput::Rows(ds, fused))
     }
 
     /// The columnar fold of a grouped `Reduce`: when every consumer above
@@ -690,7 +946,9 @@ impl<'a> Executor<'a> {
     /// plan does not match, when the `Nest` or an intermediate `Select` is
     /// a shared DAG node (its materialized result has other consumers), for
     /// a non-collection outer monoid, or when the fold does not lower; a
-    /// declined fold leaves no count, decision or profile node behind.
+    /// declined fold leaves no count, decision or profile node behind. A
+    /// shared `Nest` that runs as grouped blocks is the exception: every
+    /// fold above it folds by its group ids.
     ///
     /// Semantics note: aggregate member expressions are evaluated for
     /// *every* row during the fold, so an evaluation error in an aggregate
@@ -709,22 +967,22 @@ impl<'a> Executor<'a> {
         if !matches!(monoid, MonoidKind::Bag | MonoidKind::Set) {
             return Ok(None);
         }
-        let Some((nest_input, key, item, group_var, group_preds)) =
-            input.group_pipeline(|node| self.is_shared(node))
-        else {
+        let shared = |node: &Arc<Alg>| self.is_shared(node) && !self.is_grouped(node);
+        let Some((_, key, item, group_var, group_preds)) = input.group_pipeline(shared) else {
             return Ok(None);
         };
         let Some(shape) = groupfold::recognize(group_var, item, head, &group_preds) else {
             return Ok(None);
         };
-        let Some((fold, finish)) = self.lower_columnar_fold(nest_input, key, item, &shape)? else {
+        let lowered = self.lower_columnar_fold(beneath_selects(input), &shape)?;
+        let Some((fold, finish, blocks)) = lowered else {
             return Ok(None);
         };
         self.fused_selects += group_preds.len();
         if self.profiling {
             self.last_fold_key = Some(clip(format!("by {key}")));
         }
-        let mut outputs = self.exec_columnar_fold(&fold, &shape, finish)?;
+        let mut outputs = self.exec_columnar_fold(&fold, &shape, finish, blocks.as_deref())?;
         if *monoid == MonoidKind::Set {
             outputs.sort();
             outputs.dedup();
@@ -761,10 +1019,10 @@ impl<'a> Executor<'a> {
         })
     }
 
-    /// Try to lower a recognized group fold onto the stored table's
-    /// columns (`physical/groupfold.rs`, [`ColumnarFold`]). Decided once,
-    /// here: `None` — the Nest materializes its groups — unless the Nest's
-    /// input is a scan the planner reads by column
+    /// Try to lower a recognized group fold of `nest` onto the stored
+    /// table's columns (`physical/groupfold.rs`, [`ColumnarFold`]).
+    /// Decided once, here: `None` — the Nest materializes its groups —
+    /// unless the Nest's input is a scan the planner reads by column
     /// ([`Executor::columnar_source`]) beneath its fusible `WHERE` chain,
     /// the Nest's decision is `LocalAggregate`, a group-keeping shape's
     /// members are the scanned rows themselves, every program compiles,
@@ -777,14 +1035,36 @@ impl<'a> Executor<'a> {
     /// Only the columns those expressions read are pivoted, as the
     /// vectorized `Select` pivots ([`Executor::lower_on_columns`]). In a
     /// profile tree the pivot is the fold's `Scan` child.
+    ///
+    /// A grouped `Nest` ([`Executor::grouped_blocks`]) has grouped — or
+    /// groups now — and made the decision, the chain and the pivot its
+    /// own: the fold lowers onto its blocks' scan, unfiltered, and folds
+    /// by its group ids, which come back with the fold.
     fn lower_columnar_fold(
         &mut self,
-        nest_input: &Arc<Alg>,
-        key: &CalcExpr,
-        item: &CalcExpr,
+        nest: &Arc<Alg>,
         shape: &AggFoldShape,
-    ) -> ExecResult<Option<(ColumnarFold, Finish)>> {
-        let (source, preds) = self.fusible_chain(nest_input);
+    ) -> ExecResult<Option<LoweredFold>> {
+        let Alg::Nest {
+            input: nest_input,
+            key,
+            item,
+            ..
+        } = &**nest
+        else {
+            unreachable!("a group pipeline ends in a Nest")
+        };
+        // A grouped Nest groups first, whatever this consumer's own
+        // programs do, so one grouping serves every consumer.
+        let blocks = if self.is_grouped(nest) {
+            let Some(blocks) = self.grouped_blocks(nest)? else {
+                return Ok(None);
+            };
+            Some(blocks)
+        } else {
+            None
+        };
+        let (source, mut preds) = self.fusible_chain(nest_input);
         let Some((stored, var)) = self.columnar_source(source) else {
             return Ok(None);
         };
@@ -801,6 +1081,9 @@ impl<'a> Executor<'a> {
         let compile_all = |exprs: &[&CalcExpr], scope: &[String]| -> ExecResult<Vec<_>> {
             exprs.iter().map(|e| self.compile(e, scope)).collect()
         };
+        if blocks.is_some() {
+            preds.clear(); // the blocks hold the rows the chain selected
+        }
         let chain = conjoin(&preds);
         let row_exprs: Vec<&CalcExpr> = (chain.iter().chain([key]))
             .chain(shape.slots.iter().map(|s| &s.row_expr))
@@ -821,28 +1104,35 @@ impl<'a> Executor<'a> {
             .chain(preds.iter().copied());
         let fields = fields_of(var, read);
 
-        let filter_program = filter.first().map(|rx| rx.program());
-        let (lowered, frame) = self.in_frame(|ex| {
-            ex.lower_on_columns(stored, &fields, filter_program, |scan| {
-                let (keeps, key) = (shape.keeps_groups(), key_rx.program());
-                ColumnarFold::lower(scan, key, &shape.slots, &slot_programs, keeps)
-            })
-        })?;
-        let Some(fold) = lowered else {
-            if frame.is_some() {
-                self.abort_node();
+        let (keeps, key_program) = (shape.keeps_groups(), key_rx.program());
+        let lower =
+            |scan| ColumnarFold::lower(scan, key_program, &shape.slots, &slot_programs, keeps);
+        let fold = if let Some(blocks) = &blocks {
+            let Some(fold) = lower(blocks.scan.unfiltered()) else {
+                return Ok(None);
+            };
+            fold
+        } else {
+            let filter_program = filter.first().map(|rx| rx.program());
+            let (lowered, frame) =
+                self.in_frame(|ex| ex.lower_on_columns(stored, &fields, filter_program, lower))?;
+            let Some(fold) = lowered else {
+                if frame.is_some() {
+                    self.abort_node();
+                }
+                return Ok(None);
+            };
+            if let Some(frame) = frame {
+                let (op, detail) = plan_label(source);
+                self.end_node(frame, op, detail, stored.len() as u64, Vec::new());
             }
-            return Ok(None);
+            self.decide_nest(key);
+            self.fused_selects += preds.len();
+            fold
         };
-        if let Some(frame) = frame {
-            let (op, detail) = plan_label(source);
-            self.end_node(frame, op, detail, stored.len() as u64, Vec::new());
-        }
-        self.decide_nest(key);
         self.compiled_exprs += row_rxs.len() + finish_rxs.len();
-        self.fused_selects += preds.len();
         let head = shape.head.as_ref().and_then(|_| finish_rxs.pop());
-        Ok(Some((fold, (finish_rxs, head))))
+        Ok(Some((fold, (finish_rxs, head), blocks)))
     }
 
     /// Run a lowered fold: one `group_fold` / `group_fold_probe` stage
@@ -863,38 +1153,62 @@ impl<'a> Executor<'a> {
     /// members — the stored row values, by index, in ascending row order —
     /// in one `group_fold_materialize` stage that sees the violating rows
     /// alone; with no passing group it does not run.
+    ///
+    /// Over the `blocks` of a grouped `Nest`, one `fold_slots` stage folds
+    /// each of its chunks by their group ids — it groups nothing, and
+    /// nothing moves that the grouping did not already move — and the
+    /// passing groups' members are read off their row ranges.
     fn exec_columnar_fold(
         &mut self,
         fold: &ColumnarFold,
         shape: &AggFoldShape,
         (finish_preds, finish_head): Finish,
+        blocks: Option<&GroupedBlocks>,
     ) -> ExecResult<Vec<Value>> {
         let total = fold.scan.len() as u64;
         self.vectorized_rows += total;
         let ev = self.eval.clone();
-        let tasks = chunk_ranges(total as u32, self.ctx.default_partitions());
-        // What travels: one partial table per chunk to the probe's merge;
-        // for aggregates, every per-chunk group partial, as a keyed
-        // shuffle of map-side partials moves them.
-        let (label, moved): (_, fn(&[groupfold::ChunkFold]) -> u64) = if shape.keeps_groups() {
-            ("group_fold_probe", |parts| parts.len() as u64)
-        } else {
-            ("group_fold", |parts| {
-                parts.iter().map(|p| p.groups() as u64).sum()
-            })
+        let folded = match blocks {
+            Some(blocks) => {
+                let groups = blocks.len();
+                let tasks = blocks.chunks().iter().collect();
+                let partials = produce_partials(
+                    &self.ctx,
+                    "fold_slots",
+                    total,
+                    tasks,
+                    |_| 0,
+                    |(rows, gids)| fold.fold_rows(groups, rows, gids, &ev),
+                )?;
+                let merge = || Ok(fold.merge_shared(partials, blocks, &ev));
+                self.ctx.catch_driver("group fold merge", merge)?
+            }
+            None => {
+                let tasks = chunk_ranges(total as u32, self.ctx.default_partitions());
+                // What travels: one partial table per chunk to the probe's
+                // merge; for aggregates, every per-chunk group partial, as
+                // a keyed shuffle of map-side partials moves them.
+                let (label, moved): (_, fn(&[groupfold::ChunkFold]) -> u64) =
+                    if shape.keeps_groups() {
+                        ("group_fold_probe", |parts| parts.len() as u64)
+                    } else {
+                        ("group_fold", |parts| {
+                            parts.iter().map(|p| p.groups() as u64).sum()
+                        })
+                    };
+                let partials = produce_partials(&self.ctx, label, total, tasks, moved, |range| {
+                    fold.fold_chunk(range, &ev)
+                })?;
+                let merge = || Ok(fold.merge(partials, &ev));
+                self.ctx.catch_driver("group fold merge", merge)?
+            }
         };
-        let partials = produce_partials(&self.ctx, label, total, tasks, moved, |range| {
-            fold.fold_chunk(range, &ev)
-        })?;
-        let folded = self
-            .ctx
-            .catch_driver("group fold merge", || Ok(fold.merge(partials, &ev)))?;
         self.check_errors()?;
 
-        let groups = folded.groups.len() as u32;
+        let groups = folded.reps.len() as u32;
         let reads_key = |e: &CalcExpr| free_vars(e).contains(KEY_SLOT_VAR);
         let with_key = shape.preds.iter().chain(&shape.head).any(reads_key);
-        let batch = fold.finish_batch(&folded.groups, folded.finished, with_key);
+        let batch = fold.finish_batch(&folded.reps, folded.finished, with_key);
         let batch = Arc::new(batch);
         let scope = &shape.scope;
         // The group predicates run as kernel sweeps over the finished
@@ -929,14 +1243,20 @@ impl<'a> Executor<'a> {
 
         let Some(head_rx) = finish_head else {
             // ---- Group-keeping (FD): decide, then gather by index ----
-            const NONE: u32 = u32::MAX;
-            let mut out_of = vec![NONE; groups as usize];
             let passing =
                 (self.ctx).catch_driver("group fold decide", || Ok(select((0, groups))))?;
             self.check_errors()?;
             if passing.is_empty() {
                 return Ok(Vec::new());
             }
+            let keyed = passing.iter().map(|&g| fold.key_value(&folded.reps, g));
+            if let Some(blocks) = blocks {
+                let rows = |g: u32| blocks.rows(g).iter().map(|&r| fold.scan.row(r).clone());
+                let members = passing.iter().map(|&g| rows(g).collect());
+                return Ok(keyed.zip(members).map(group_record).collect());
+            }
+            const NONE: u32 = u32::MAX;
+            let mut out_of = vec![NONE; groups as usize];
             for (out, &g) in passing.iter().enumerate() {
                 out_of[g as usize] = out as u32;
             }
@@ -963,7 +1283,6 @@ impl<'a> Executor<'a> {
             for (out, row) in gathered.into_iter().flatten() {
                 members[out as usize].push(row);
             }
-            let keyed = passing.iter().map(|&g| fold.key_value(&folded.groups, g));
             return Ok(keyed.zip(members).map(group_record).collect());
         };
 
@@ -1012,28 +1331,7 @@ impl<'a> Executor<'a> {
         if memoize {
             if let Some(cached) = self.cache.get(&key) {
                 let cached = cached.clone();
-                if self.profiling {
-                    // A reuse of a memoized DAG node: a zero-cost leaf in
-                    // the tree (its compute was profiled at the first
-                    // consumer, flagged `shared`).
-                    let (op, detail) = plan_label(plan);
-                    let rows = cached.count() as u64;
-                    let lo = self.ctx.metrics().stage_count();
-                    let dlo = self.decisions.len();
-                    self.prof_children
-                        .last_mut()
-                        .expect("profiling root collector")
-                        .push(ProfileNode {
-                            op,
-                            detail,
-                            rows_in: rows,
-                            rows_out: rows,
-                            flags: vec!["cached".to_string()],
-                            stage_range: (lo, lo),
-                            decision_range: (dlo, dlo),
-                            ..ProfileNode::default()
-                        });
-                }
+                self.cached_leaf(plan, cached.count() as u64);
                 return Ok(cached);
             }
         }
@@ -1053,6 +1351,31 @@ impl<'a> Executor<'a> {
             self.cache.insert(key, result.clone());
         }
         Ok(result)
+    }
+
+    /// A reuse of a memoized DAG node: a zero-cost leaf in the profile
+    /// tree (its compute was profiled at the first consumer, flagged
+    /// `shared`).
+    fn cached_leaf(&mut self, plan: &Alg, rows: u64) {
+        if !self.profiling {
+            return;
+        }
+        let (op, detail) = plan_label(plan);
+        let lo = self.ctx.metrics().stage_count();
+        let dlo = self.decisions.len();
+        self.prof_children
+            .last_mut()
+            .expect("profiling root collector")
+            .push(ProfileNode {
+                op,
+                detail,
+                rows_in: rows,
+                rows_out: rows,
+                flags: vec!["cached".to_string()],
+                stage_range: (lo, lo),
+                decision_range: (dlo, dlo),
+                ..ProfileNode::default()
+            });
     }
 
     fn run_uncached(&mut self, plan: &Arc<Alg>) -> ExecResult<Dataset<RowEnv>> {
@@ -1118,6 +1441,11 @@ impl<'a> Executor<'a> {
             Alg::Nest {
                 input, key, item, ..
             } => {
+                // A consumer of grouped blocks whose own programs did not
+                // lower reads the groups built from the blocks.
+                if let Some(Some(blocks)) = self.blocks.get(&(Arc::as_ptr(plan) as usize)) {
+                    return Ok(blocks.materialize(&self.ctx));
+                }
                 let mut fused = self.peel_input(input, None)?;
                 let ds = self.run_input(&mut fused)?;
                 self.exec_nest(ds, key, item, &fused)
@@ -1251,6 +1579,17 @@ struct FusedInput<'p> {
     pred_rx: Option<Arc<RowExpr>>,
 }
 
+/// A fold lowered onto columns ([`Executor::lower_columnar_fold`]): the
+/// fold, its finish programs, and the grouped blocks whose ids it folds by
+/// (`None`: it groups its own chunks).
+type LoweredFold = (ColumnarFold, Finish, Option<Arc<GroupedBlocks>>);
+
+/// What a pair sweep walks ([`Executor::pair_input`]).
+enum PairInput<'p> {
+    Blocks(Arc<GroupedBlocks>),
+    Rows(Dataset<RowEnv>, FusedInput<'p>),
+}
+
 /// The programs that finish each group of a columnar fold, over the
 /// shape's scope: the group predicates, then the head (`None` for a
 /// group-keeping shape).
@@ -1310,8 +1649,33 @@ fn reduce_outputs(monoid: &MonoidKind, outputs: Vec<Value>) -> ExecResult<Vec<Va
 
 /// A materialized group as the `{key, partition}` record the group variable
 /// binds.
-fn group_record((key, members): (Value, Vec<Value>)) -> Value {
+pub(super) fn group_record((key, members): (Value, Vec<Value>)) -> Value {
     Value::record([("key", key), ("partition", Value::list(members))])
+}
+
+/// The node of `plan`'s chain of one-input nodes that reads `target`.
+fn reader_of<'p>(mut plan: &'p Arc<Alg>, target: &Arc<Alg>) -> &'p Arc<Alg> {
+    loop {
+        let (Alg::Select { input, .. }
+        | Alg::Unnest { input, .. }
+        | Alg::Nest { input, .. }
+        | Alg::Reduce { input, .. }) = &**plan
+        else {
+            unreachable!("a consumer's chain reaches its Nest")
+        };
+        if Arc::ptr_eq(input, target) {
+            return plan;
+        }
+        plan = input;
+    }
+}
+
+/// The node beneath a chain of `Select`s.
+fn beneath_selects(mut node: &Arc<Alg>) -> &Arc<Alg> {
+    while let Alg::Select { input, .. } = &**node {
+        node = input;
+    }
+    node
 }
 
 /// Operator label and defining-expression detail of a plan node, as shown

@@ -28,8 +28,11 @@
 //!   members by row index — non-violating rows never move.
 //!
 //! DEDUP's pairwise comparison and CLUSTER BY genuinely consume members
-//! (`Unnest` over `g.partition`), so their plans never match and keep the
-//! materialized path.
+//! (`Unnest` over `g.partition`), so their plans never match. When an FD
+//! shares its `Nest` with them (or with another fold), the `Nest` groups
+//! once as grouped blocks (`physical/blocks.rs`) and the fold folds its
+//! slots by the blocks' group ids ([`ColumnarFold::fold_rows`],
+//! [`ColumnarFold::merge_shared`]).
 
 use std::sync::Arc;
 
@@ -39,6 +42,7 @@ use crate::calculus::eval::merge_values;
 use crate::calculus::subst::{free_vars, substitute};
 use crate::calculus::{CalcExpr, Comprehension, Func, MonoidKind, Program, Qual};
 
+use super::blocks::GroupedBlocks;
 use super::execute::RowEval;
 use super::kernel::{ColumnProgram, Groups};
 use super::scan::ColumnScan;
@@ -464,7 +468,7 @@ struct FoldSlot {
 /// slots are typed — no boxed value per row or per group — and merge as
 /// vector operations through the merge's group remap.
 #[derive(Clone)]
-enum SlotAccs {
+pub(crate) enum SlotAccs {
     /// A capped `count_distinct` (the FD test): per group at most `cap`
     /// *witness rows* whose member values are pairwise distinct, compared
     /// cell to cell — no set, no boxed value. Group `g`'s `n[g]` witnesses
@@ -798,7 +802,8 @@ impl ChunkMembers {
 
 /// Every chunk merged: the table's groups with their finished slot values.
 pub(crate) struct FoldedGroups {
-    pub groups: Groups,
+    /// Each group's representative row, in group-id order.
+    pub reps: Vec<u32>,
     /// Slot `s`'s value for group `g` is `finished[s].value(g)`.
     pub finished: Vec<Column>,
     /// Rows per group (group-keeping shapes; empty otherwise).
@@ -848,10 +853,7 @@ impl ColumnarFold {
         // At most one group per selected row: the table never rehashes.
         let (mut groups, mut gids) = (Groups::with_capacity(sel.len()), Vec::new());
         groups.assign(&self.key, &sel, &mut gids);
-        let mut accs = self.new_accs();
-        for (slot, accs) in self.slots.iter().zip(&mut accs) {
-            accs.fold(slot, groups.len(), &sel, &gids, ev);
-        }
+        let accs = self.fold_rows(groups.len(), &sel, &gids, ev);
         let members = if self.keeps_groups {
             ChunkMembers {
                 rows: sel,
@@ -894,13 +896,60 @@ impl ColumnarFold {
         for g in members.iter().flat_map(|m| &m.gids) {
             sizes[*g as usize] += 1;
         }
-        let finished = accs.into_iter().zip(&self.slots);
         FoldedGroups {
-            finished: finished.map(|(a, fs)| a.finish(&fs.slot)).collect(),
-            groups,
+            finished: self.finish(accs),
+            reps: groups.reps().to_vec(),
             sizes,
             members,
         }
+    }
+
+    /// Fold every slot over the rows `sel`, `gids` holding each one's
+    /// group among `groups`.
+    pub fn fold_rows(
+        &self,
+        groups: usize,
+        sel: &[u32],
+        gids: &[u32],
+        ev: &RowEval,
+    ) -> Vec<SlotAccs> {
+        let mut accs = self.new_accs();
+        for (slot, accs) in self.slots.iter().zip(&mut accs) {
+            accs.fold(slot, groups, sel, gids, ev);
+        }
+        accs
+    }
+
+    /// Merge per-chunk partials folded by the shared group ids of
+    /// `blocks` ([`ColumnarFold::fold_rows`] over each of its chunks) in
+    /// chunk order: every partial spans all groups, a group absent from a
+    /// chunk holding its slot's identity, so a float sum still associates
+    /// per chunk, then in chunk order.
+    pub fn merge_shared(
+        &self,
+        partials: Vec<Vec<SlotAccs>>,
+        blocks: &GroupedBlocks,
+        ev: &RowEval,
+    ) -> FoldedGroups {
+        let same: Vec<u32> = (0..blocks.len() as u32).collect();
+        let mut accs = self.new_accs();
+        for part in partials {
+            for ((slot, mine), theirs) in self.slots.iter().zip(&mut accs).zip(part) {
+                mine.merge(slot, theirs, &same, ev);
+            }
+        }
+        // Members are read off the blocks' row ranges.
+        FoldedGroups {
+            finished: self.finish(accs),
+            reps: blocks.reps().to_vec(),
+            sizes: Vec::new(),
+            members: Vec::new(),
+        }
+    }
+
+    fn finish(&self, accs: Vec<SlotAccs>) -> Vec<Column> {
+        let finished = accs.into_iter().zip(&self.slots);
+        finished.map(|(a, fs)| a.finish(&fs.slot)).collect()
     }
 
     fn new_accs(&self) -> Vec<SlotAccs> {
@@ -908,22 +957,17 @@ impl ColumnarFold {
     }
 
     /// Group `g`'s key value, built from its representative row.
-    pub fn key_value(&self, groups: &Groups, g: u32) -> Value {
-        self.key.value(groups.rep(g))
+    pub fn key_value(&self, reps: &[u32], g: u32) -> Value {
+        self.key.value(reps[g as usize])
     }
 
     /// The finished slots as one batch with a row per group, each column
     /// named by its finish-scope variable (`__agg{i}`), led by the key's
     /// column `__gkey` when `with_key`: what the finish step's kernels
     /// read ([`ColumnProgram::lower_slots`]).
-    pub fn finish_batch(
-        &self,
-        groups: &Groups,
-        finished: Vec<Column>,
-        with_key: bool,
-    ) -> ColumnBatch {
+    pub fn finish_batch(&self, reps: &[u32], finished: Vec<Column>, with_key: bool) -> ColumnBatch {
         let key = with_key.then(|| {
-            let keys = groups.reps().iter().map(|&rep| self.key.value(rep));
+            let keys = reps.iter().map(|&rep| self.key.value(rep));
             (Arc::from(KEY_SLOT_VAR), column_of(keys))
         });
         let slots =

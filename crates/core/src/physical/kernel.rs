@@ -1379,11 +1379,6 @@ impl Groups {
         &self.reps
     }
 
-    /// Group `g`'s representative (first) row.
-    pub fn rep(&self, g: u32) -> u32 {
-        self.reps[g as usize]
-    }
-
     /// Assign a group id to each row of `sel` by `key`'s value there,
     /// appending the ids to `gids` in `sel` order. New groups take the
     /// next id, so ids are dense and in first-appearance order.
@@ -1586,7 +1581,7 @@ mod tests {
         }
         Some(
             (0..groups.len() as u32)
-                .map(|g| (key.value(groups.rep(g)), counts[g as usize]))
+                .map(|g| (key.value(groups.reps()[g as usize]), counts[g as usize]))
                 .collect(),
         )
     }

@@ -18,6 +18,7 @@
 //! use cleanm_core::physical::kernel;
 //! ```
 
+mod blocks;
 pub mod execute;
 mod groupfold;
 mod kernel;

@@ -1,20 +1,25 @@
 //! The fused block-pair sweep: `Reduce ← Select* ← Unnest b ← Unnest a ← X`
 //! with two independent paths ([`crate::algebra::Alg::pair_pipeline`]), run
-//! as one pass over the rows of `X`.
+//! as one pass over the blocks of `X`.
 //!
 //! That is the plan shape of every pairwise cleaning operator — DEDUP and
 //! blocked DC unnest the same `g.partition` twice, CLUSTER BY unnests the
 //! two sides of its block join — and executing it node by node builds one
 //! row per *candidate* pair only for the Reduce above to throw most of them
-//! away. The sweep keeps the pairs as indices instead. Per row of `X` (one
-//! block) it
+//! away. The sweep keeps the pairs as indices instead. A block is a row of
+//! `X` whose paths give its members, or — when `X` is a `Nest` running as
+//! grouped blocks (`physical/blocks.rs`) — a range of rows of the scan the
+//! `Nest` grouped, with `X` itself empty ([`SweepInput`]). Per block it
 //!
-//! 1. evaluates both paths once and charges the work budget `|A|·|B|` —
-//!    after a cancellation/deadline check — *before* enumerating anything,
-//!    so a block gone quadratic fails fast;
+//! 1. finds both sides' members (evaluating both paths once, over a block
+//!    row) and charges the work budget `|A|·|B|` — after a
+//!    cancellation/deadline check — *before* enumerating anything, so a
+//!    block gone quadratic fails fast;
 //! 2. evaluates the one-sided operands of the pair predicate once per block
 //!    member ([`Verify::Cmp`] / [`Verify::Similar`] columns) instead of
-//!    once per pair;
+//!    once per pair, when a member first reaches their conjunct — over
+//!    grouped blocks by reading the scan's columns at the member's row
+//!    where the operand lowers onto them ([`Operand`]);
 //! 3. narrows, per outer member, a selection of inner indices conjunct by
 //!    conjunct in `Select` order — native `i64` compares where both columns
 //!    are integers (`__rowid` order tests), a prepared
@@ -25,7 +30,9 @@
 //! Semantics are those of the stacked operators: conjuncts short-circuit in
 //! `Select` order, a pair whose predicate cannot be evaluated is rejected
 //! and the error recorded (an operand that fails for a member surfaces only
-//! if a pair reaches its conjunct), outputs keep `(X, a, b)` order.
+//! if a pair reaches its conjunct), outputs keep `(X, a, b)` order —
+//! grouped blocks in first-appearance group order, so the same pairs as
+//! over materialized groups, in another block order.
 
 use std::slice::from_ref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,8 +47,11 @@ use crate::calculus::eval::{eval_binop, truthy};
 use crate::calculus::subst::free_vars;
 use crate::calculus::{BinOp, CalcExpr, Func};
 
+use super::blocks::GroupedBlocks;
 use super::execute::RowEval;
+use super::kernel::ColumnProgram;
 use super::program::{RowEnv, RowExpr};
+use super::scan::ColumnScan;
 
 /// The operator name budget and interrupt failures of the sweep carry.
 const OPERATOR: &str = "pair_sweep";
@@ -61,33 +71,84 @@ fn expr_has_similarity(e: &CalcExpr) -> bool {
 enum Verify {
     /// `ea op eb`, `ea` reading the outer variable only and `eb` the inner:
     /// both sides become per-member columns.
-    Cmp {
-        op: BinOp,
-        a: Arc<RowExpr>,
-        b: Arc<RowExpr>,
-    },
+    Cmp { op: BinOp, a: Operand, b: Operand },
     /// `Similar(metric, θ)(ea, eb)`, likewise: per-member text columns, the
     /// outer member prepared once for its whole inner loop.
     Similar {
         metric: Metric,
         theta: f64,
-        a: Arc<RowExpr>,
-        b: Arc<RowExpr>,
+        a: Operand,
+        b: Operand,
     },
     /// Anything else: the compiled conjunct over `(X.., a, b)`.
     Program(Arc<RowExpr>),
+}
+
+/// One side of a [`Verify::Cmp`] / [`Verify::Similar`] conjunct.
+enum Operand {
+    /// The compiled operand over `(X.., member)`.
+    Row(Arc<RowExpr>),
+    /// Over grouped blocks, the operand lowered onto the scan's columns:
+    /// read at the member's row, no row evaluated.
+    Column(ColumnProgram),
+}
+
+/// What a sweep walks, as [`PairSweep::compile`] takes it.
+pub(super) enum SweepInput<'s> {
+    /// Block rows laid out as `scope`, filtered by `pred` (a `Select`
+    /// chain fused from beneath the first `Unnest`), each unnesting its
+    /// members through the shape's paths.
+    Rows {
+        scope: &'s [String],
+        pred: Option<Arc<RowExpr>>,
+    },
+    /// A grouped `Nest`'s blocks (`physical/blocks.rs`): each block's
+    /// members are a range of rows of its scan, both paths its
+    /// `partition`, and nothing the sweep evaluates reads the group — so
+    /// `X` is empty.
+    Blocks(Arc<GroupedBlocks>),
+}
+
+/// The blocks of a compiled sweep.
+enum Blocks {
+    /// See [`SweepInput::Rows`]; `path_b` is `None` when it is the same
+    /// path as `path_a` (DEDUP, blocked DC) — evaluated once per block.
+    Rows {
+        pred: Option<Arc<RowExpr>>,
+        path_a: Arc<RowExpr>,
+        path_b: Option<Arc<RowExpr>>,
+    },
+    Grouped(Arc<GroupedBlocks>),
+}
+
+/// One side of a block: a path's values, or a range of a scan's rows.
+#[derive(Clone, Copy)]
+enum Members<'m> {
+    Values(&'m [Value]),
+    Rows(&'m ColumnScan, &'m [u32]),
+}
+
+impl<'m> Members<'m> {
+    fn len(self) -> usize {
+        match self {
+            Members::Values(values) => values.len(),
+            Members::Rows(_, rows) => rows.len(),
+        }
+    }
+
+    fn get(self, j: usize) -> &'m Value {
+        match self {
+            Members::Values(values) => &values[j],
+            Members::Rows(scan, rows) => scan.row(rows[j]),
+        }
+    }
 }
 
 /// The compiled sweep: shared by the workers, one [`Scratch`] each.
 pub(super) struct PairSweep {
     ctx: Arc<ExecContext>,
     ev: RowEval,
-    /// A `Select` chain fused from beneath the first `Unnest`.
-    block_pred: Option<Arc<RowExpr>>,
-    path_a: Arc<RowExpr>,
-    /// `None`: the same path as `path_a` (DEDUP, blocked DC) — evaluated
-    /// once per block.
-    path_b: Option<Arc<RowExpr>>,
+    blocks: Blocks,
     verify: Vec<Verify>,
     head: Arc<RowExpr>,
     /// The first budget / cancellation / deadline failure: later blocks
@@ -99,16 +160,27 @@ pub(super) struct PairSweep {
 
 impl PairSweep {
     /// Compile the shape's expressions (`compile(expr, scope)`, counted by
-    /// the executor) against `scope`, the layout of the block rows.
+    /// the executor) against the layout of the block rows — none over
+    /// grouped blocks, where each operand that lowers onto the scan's
+    /// columns reads them instead.
     pub fn compile(
         shape: &PairShape<'_>,
         head: &CalcExpr,
-        scope: &[String],
-        block_pred: Option<Arc<RowExpr>>,
+        input: SweepInput<'_>,
         ctx: Arc<ExecContext>,
         ev: RowEval,
         mut compile: impl FnMut(&CalcExpr, &[String]) -> ExecResult<Arc<RowExpr>>,
     ) -> ExecResult<PairSweep> {
+        let (scope, block) = match &input {
+            SweepInput::Rows { scope, .. } => (*scope, None),
+            SweepInput::Blocks(blocks) => (&[][..], Some(blocks.scan.block())),
+        };
+        let operand = |rx: Arc<RowExpr>| match block
+            .and_then(|block| ColumnProgram::lower(rx.program(), block))
+        {
+            Some(columns) => Operand::Column(columns),
+            None => Operand::Row(rx),
+        };
         let with = |var: &str| [scope, &[var.to_string()]].concat();
         let (scope_a, scope_b) = (with(shape.var_a), with(shape.var_b));
         let scope_ab = [&scope_a[..], &[shape.var_b.to_string()]].concat();
@@ -127,8 +199,8 @@ impl PairSweep {
                 CalcExpr::BinOp(op, ea, eb) if op.is_comparison() && one_sided(ea, eb) => {
                     Verify::Cmp {
                         op: *op,
-                        a: compile(ea, &scope_a)?,
-                        b: compile(eb, &scope_b)?,
+                        a: operand(compile(ea, &scope_a)?),
+                        b: operand(compile(eb, &scope_b)?),
                     }
                 }
                 CalcExpr::Call(Func::Similar(metric, theta), args)
@@ -137,25 +209,31 @@ impl PairSweep {
                     Verify::Similar {
                         metric: *metric,
                         theta: *theta,
-                        a: compile(&args[0], &scope_a)?,
-                        b: compile(&args[1], &scope_b)?,
+                        a: operand(compile(&args[0], &scope_a)?),
+                        b: operand(compile(&args[1], &scope_b)?),
                     }
                 }
                 other => Verify::Program(compile(other, &scope_ab)?),
             });
         }
-        let path_b = match shape.path_a != shape.path_b {
-            true => Some(compile(shape.path_b, scope)?),
-            false => None,
+        let head = compile(head, &scope_ab)?;
+        let blocks = match input {
+            SweepInput::Rows { scope, pred } => Blocks::Rows {
+                pred,
+                path_a: compile(shape.path_a, scope)?,
+                path_b: match shape.path_a != shape.path_b {
+                    true => Some(compile(shape.path_b, scope)?),
+                    false => None,
+                },
+            },
+            SweepInput::Blocks(blocks) => Blocks::Grouped(blocks),
         };
         Ok(PairSweep {
             ctx,
             ev,
-            block_pred,
-            path_a: compile(shape.path_a, scope)?,
-            path_b,
+            blocks,
             verify,
-            head: compile(head, &scope_ab)?,
+            head,
             stop: OnceLock::new(),
             enumerated: AtomicU64::new(0),
         })
@@ -172,9 +250,48 @@ impl PairSweep {
     }
 
     /// Sweep one partition of block rows into head values.
-    pub fn run_partition(&self, blocks: Vec<RowEnv>) -> Vec<Value> {
+    pub fn run_partition(&self, rows: Vec<RowEnv>) -> Vec<Value> {
+        let Blocks::Rows {
+            pred,
+            path_a,
+            path_b,
+        } = &self.blocks
+        else {
+            unreachable!("grouped blocks sweep by range")
+        };
+        self.sweep(|s, out| {
+            for x in &rows {
+                if self.stop.get().is_some() {
+                    break;
+                }
+                if self.ev.passes(pred, x) {
+                    self.block_row(x, path_a, path_b.as_deref(), s, out);
+                }
+            }
+        })
+    }
+
+    /// Sweep the grouped blocks `lo..hi` into head values.
+    pub fn run_blocks(&self, (lo, hi): (u32, u32)) -> Vec<Value> {
+        let Blocks::Grouped(blocks) = &self.blocks else {
+            unreachable!("block rows sweep by partition")
+        };
+        self.sweep(|s, out| {
+            for g in lo..hi {
+                if self.stop.get().is_some() {
+                    break;
+                }
+                let members = Members::Rows(&blocks.scan, blocks.rows(g));
+                self.block(&[], members, members, s, out);
+            }
+        })
+    }
+
+    /// Run `each` with a fresh [`Scratch`], then publish its counters.
+    fn sweep(&self, each: impl FnOnce(&mut Scratch, &mut Vec<Value>)) -> Vec<Value> {
         let mut s = Scratch {
             columns: self.verify.iter().map(|_| Default::default()).collect(),
+            filled: Vec::new(),
             matchers: (self.verify.iter())
                 .map(|v| match v {
                     Verify::Similar { metric, theta, .. } => Some(metric.matcher(*theta)),
@@ -187,14 +304,7 @@ impl PairSweep {
             comparisons: 0,
         };
         let mut out = Vec::new();
-        for x in &blocks {
-            if self.stop.get().is_some() {
-                break;
-            }
-            if self.ev.passes(&self.block_pred, x) {
-                self.block(x, &mut s, &mut out);
-            }
-        }
+        each(&mut s, &mut out);
         self.enumerated.fetch_add(s.enumerated, Ordering::Relaxed);
         self.ev.ctx.add_comparisons(s.comparisons);
         out
@@ -213,20 +323,43 @@ impl PairSweep {
         }
     }
 
-    fn block(&self, x: &RowEnv, s: &mut Scratch, out: &mut Vec<Value>) {
-        let Some(outer) = self.members(&self.path_a, x) else {
+    /// One block row: unnest its members through the paths, then pair
+    /// them.
+    fn block_row(
+        &self,
+        x: &RowEnv,
+        path_a: &RowExpr,
+        path_b: Option<&RowExpr>,
+        s: &mut Scratch,
+        out: &mut Vec<Value>,
+    ) {
+        let Some(outer) = self.members(path_a, x) else {
             return;
         };
         if outer.is_empty() {
             return; // the second path is never evaluated without a first member
         }
-        let inner = match &self.path_b {
+        let inner = match path_b {
             None => Arc::clone(&outer),
             Some(path) => match self.members(path, x) {
                 Some(inner) => inner,
                 None => return,
             },
         };
+        let (outer, inner) = (Members::Values(&outer), Members::Values(&inner));
+        self.block(x, outer, inner, s, out);
+    }
+
+    /// Pair one block's members: charge the budget, fill the operand
+    /// columns, narrow and verify per outer member, build the heads.
+    fn block(
+        &self,
+        x: &[Value],
+        outer: Members<'_>,
+        inner: Members<'_>,
+        s: &mut Scratch,
+        out: &mut Vec<Value>,
+    ) {
         let pairs = (outer.len() as u64).saturating_mul(inner.len() as u64);
         if pairs == 0 {
             return;
@@ -240,17 +373,10 @@ impl PairSweep {
         s.enumerated += pairs;
 
         let ev = &self.ev;
-        for (v, (col_a, col_b)) in self.verify.iter().zip(&mut s.columns) {
-            let (a, b, text) = match v {
-                Verify::Cmp { a, b, .. } => (a, b, false),
-                Verify::Similar { a, b, .. } => (a, b, true),
-                Verify::Program(_) => continue,
-            };
-            col_a.fill(a, x, &outer, text, ev);
-            col_b.fill(b, x, &inner, text, ev);
-        }
-
-        for (i, a) in outer.iter().enumerate() {
+        s.filled.clear();
+        s.filled.resize(self.verify.len(), false);
+        for i in 0..outer.len() {
+            let a = outer.get(i);
             s.sel.clear();
             s.sel.extend(0..inner.len() as u32);
             // `(X.., a)`, built when a program (conjunct or head) first
@@ -262,18 +388,30 @@ impl PairSweep {
                     row.push(a.clone());
                 }
             };
-            for ((v, (col_a, col_b)), matcher) in
-                self.verify.iter().zip(&s.columns).zip(&mut s.matchers)
-            {
+            let conjuncts = (self.verify.iter().zip(&mut s.columns))
+                .zip(&mut s.matchers)
+                .zip(&mut s.filled);
+            for (((v, (col_a, col_b)), matcher), filled) in conjuncts {
                 if s.sel.is_empty() {
                     break;
+                }
+                // A conjunct's operand columns are filled when a member of
+                // the block first reaches it (a one-member block rejected
+                // by its `__rowid` test fills no text column).
+                if let (false, Verify::Cmp { a, b, .. } | Verify::Similar { a, b, .. }) =
+                    (*filled, v)
+                {
+                    let text = matches!(v, Verify::Similar { .. });
+                    col_a.fill(a, x, outer, text, ev);
+                    col_b.fill(b, x, inner, text, ev);
+                    *filled = true;
                 }
                 match v {
                     Verify::Program(rx) => {
                         outer_row(&mut s.outer_row);
                         let row = &s.outer_row;
                         s.sel
-                            .retain(|&j| ev.holds_pair(rx, row, from_ref(&inner[j as usize])));
+                            .retain(|&j| ev.holds_pair(rx, row, from_ref(inner.get(j as usize))));
                     }
                     Verify::Cmp { op, .. } if !col_a.ints.is_empty() && !col_b.ints.is_empty() => {
                         let l = col_a.ints[i];
@@ -316,7 +454,7 @@ impl PairSweep {
             }
             outer_row(&mut s.outer_row);
             for &j in &s.sel {
-                let b = from_ref(&inner[j as usize]);
+                let b = from_ref(inner.get(j as usize));
                 let v = (self.head.eval_pair(&s.outer_row, b, &ev.ctx)).map_err(|e| ev.record(e));
                 out.push(v.unwrap_or(Value::Null));
             }
@@ -329,6 +467,8 @@ struct Scratch {
     /// The `(outer, inner)` operand columns of each conjunct (unused for
     /// [`Verify::Program`]).
     columns: Vec<(Column, Column)>,
+    /// Which conjuncts' columns hold the current block's operands.
+    filled: Vec<bool>,
     /// The prepared matcher of each [`Verify::Similar`] conjunct.
     matchers: Vec<Option<Matcher>>,
     /// `(X.., a)` for the current outer member; empty until needed.
@@ -349,14 +489,23 @@ struct Column {
 }
 
 impl Column {
-    /// Evaluate `rx` over `(X.., member)` for each member. Similarity
+    /// Evaluate `operand` for each member: its program over
+    /// `(X.., member)`, or its columns at the member's row. Similarity
     /// operands (`text`) are rendered to strings here, once, the way
-    /// `Func::Similar` renders its arguments per call.
-    fn fill(&mut self, rx: &RowExpr, x: &RowEnv, members: &[Value], text: bool, ev: &RowEval) {
+    /// `Func::Similar` renders its arguments per call (a NULL cell as the
+    /// empty string).
+    fn fill(&mut self, operand: &Operand, x: &[Value], members: Members, text: bool, ev: &RowEval) {
         self.vals.clear();
         self.ints.clear();
-        for (i, member) in members.iter().enumerate() {
-            let v = rx.eval_pair(x, from_ref(member), &ev.ctx).map(|v| match v {
+        for i in 0..members.len() {
+            let v = match (operand, members) {
+                (Operand::Row(rx), _) => rx.eval_pair(x, from_ref(members.get(i)), &ev.ctx),
+                (Operand::Column(columns), Members::Rows(_, rows)) => Ok(columns.value(rows[i])),
+                (Operand::Column(_), Members::Values(_)) => {
+                    unreachable!("column operands read grouped blocks")
+                }
+            };
+            let v = v.map(|v| match v {
                 Value::Str(_) => v,
                 other if text => Value::str(other.to_text()),
                 other => other,

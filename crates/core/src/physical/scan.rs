@@ -48,6 +48,16 @@ impl ColumnScan {
         })
     }
 
+    /// The same table and block without the filter: for a route over
+    /// rows another route already selected.
+    pub(super) fn unfiltered(&self) -> ColumnScan {
+        ColumnScan {
+            block: Arc::clone(&self.block),
+            rows: Arc::clone(&self.rows),
+            filter: None,
+        }
+    }
+
     /// The block the route's own programs lower against.
     pub(super) fn block(&self) -> &Arc<ColumnBatch> {
         &self.block

@@ -869,9 +869,12 @@ fn what_does_not_lower_materializes_its_groups() {
     assert_eq!(swept(&mut ragged_session(200, 9), fd), 0);
 
     let mut db = typed_session(EngineProfile::clean_db(), 200, 9, 1);
-    // The FD's Nest is shared with the DEDUP: it stays materialized.
+    // The FD's Nest is shared with the DEDUP: it groups once, by column,
+    // and neither consumer materializes its groups.
     let shared = "SELECT * FROM t c FD(c.k | c.v) DEDUP(exact, LD, 0.9, c.k, c.s)";
-    assert!(stage_names(&db.run(shared).unwrap()).contains(&"aggregate_by_key"));
+    let report = db.run(shared).unwrap();
+    assert!(!stage_names(&report).contains(&"aggregate_by_key"));
+    assert!(report.exprs.vectorized_rows > 0);
     // Arithmetic is not a column expression.
     assert_eq!(
         swept(&mut db, "SELECT count(*) AS n FROM t c GROUP BY c.k + 1"),
@@ -1073,4 +1076,247 @@ fn columnar_fd_on_lineitem_shuffles_no_more_than_materialized_groups() {
         columnar.metrics.records_shuffled,
         materialized.metrics.records_shuffled
     );
+}
+
+// ---------------------------------------------------------------------
+// Grouped blocks: one `Nest` read by an FD's fold and two pair sweeps
+// ---------------------------------------------------------------------
+
+/// An FD, an exact DEDUP and a blocked DC over one `Nest` key — in one
+/// statement (the `Nest` shared by all three), each alone, all three
+/// beneath a `WHERE` chain, and an FD whose right-hand side does not lower
+/// onto columns beside the DEDUP (it reads groups materialized from the
+/// blocks) — with the columns each statement reads.
+const BLOCK_QUERIES: [(&str, &[&str]); 6] = [
+    (
+        "SELECT * FROM t c FD(c.k | c.v) DEDUP(exact, LD, 0.7, c.k, c.n) \
+         DC(t1.k = t2.k AND t1.v > t2.v)",
+        &["k", "n", "v"],
+    ),
+    ("SELECT * FROM t c FD(c.k | c.v)", &["k", "v"]),
+    (
+        "SELECT * FROM t c DEDUP(exact, LD, 0.7, c.k, c.n)",
+        &["k", "n"],
+    ),
+    (
+        "SELECT * FROM t c DC(t1.k = t2.k AND t1.v > t2.v)",
+        &["k", "v"],
+    ),
+    (
+        "SELECT * FROM t c WHERE c.v > 0 FD(c.k | c.v) DEDUP(exact, LD, 0.7, c.k, c.n) \
+         DC(t1.k = t2.k AND t1.v > t2.v)",
+        &["k", "n", "v"],
+    ),
+    (
+        "SELECT * FROM t c FD(c.k | c.v + 1) DEDUP(exact, LD, 0.7, c.k, c.n)",
+        &["k", "n"],
+    ),
+];
+
+/// Rows `{__rowid, k, n, v}` from `(k, n, v)` cells.
+fn block_table(cells: impl IntoIterator<Item = (Value, Value, Value)>) -> Vec<Value> {
+    let row = |(i, (k, n, v)): (usize, (Value, Value, Value))| {
+        Value::record([
+            ("__rowid", Value::Int(i as i64)),
+            ("k", k),
+            ("n", n),
+            ("v", v),
+        ])
+    };
+    cells.into_iter().enumerate().map(row).collect()
+}
+
+/// A generated block table: float keys with NULL, NaN and both zeros
+/// among them (NULL and NaN each block together, `-0.0` with `0.0`),
+/// names with NULL and near-duplicates among them, small ints with NULL.
+fn block_rows() -> BoxedStrategy<Vec<Value>> {
+    let key = prop_oneof![
+        Just(Value::Null),
+        Just(Value::Float(f64::NAN)),
+        Just(Value::Float(-0.0)),
+        Just(Value::Float(0.0)),
+        Just(Value::Float(1.5)),
+        Just(Value::Float(2.0)),
+    ];
+    let name = prop_oneof![
+        Just(Value::Null),
+        Just(Value::str("")),
+        Just(Value::str("anderson")),
+        Just(Value::str("andersen")),
+        Just(Value::str("zhang")),
+    ];
+    let v = prop_oneof![Just(Value::Null), (0i64..4).prop_map(Value::Int)];
+    proptest::collection::vec((key, name, v), 0..40)
+        .prop_map(block_table)
+        .boxed()
+}
+
+fn block_session(profile: EngineProfile, workers: usize, rows: Vec<Value>) -> CleanDb {
+    let mut db = CleanDb::with_context(profile, ExecContext::new(workers, 2 * workers));
+    db.set_tracing(true);
+    db.register_values("t", rows);
+    db
+}
+
+/// Index pairs the pair sweeps enumerated: the `rows_in` of every traced
+/// root over a `fused-pairs` node.
+fn pairs_enumerated(report: &CleaningReport) -> u64 {
+    let pairs = |n: &ProfileNode| {
+        n.children
+            .iter()
+            .any(|c| c.flags.iter().any(|f| f == "fused-pairs"))
+    };
+    (report.profiles.iter())
+        .filter(|p| pairs(&p.root))
+        .map(|p| p.root.rows_in)
+        .sum()
+}
+
+/// Every op's outputs as a sorted multiset, fields in name order (member
+/// order within each group pinned).
+fn all_named_outputs(report: &CleaningReport) -> Vec<Vec<String>> {
+    let named = |op: &cleanm::core::engine::OpResult| {
+        let mut out: Vec<Value> = op.output.iter().map(by_name).collect();
+        out.sort();
+        exact(&out)
+    };
+    report.ops.iter().map(named).collect()
+}
+
+/// Each of [`BLOCK_QUERIES`] over `rows` with 1 and 2 workers: CleanDB over
+/// the typed table (grouped blocks wherever the columns it reads are
+/// typed), CleanDB over the same table made [`ragged`] (materialized
+/// groups) and the SparkSQL-like profile agree on every op's outputs, the
+/// violating ids, the index pairs enumerated and the comparisons.
+fn assert_blocks_agree(rows: &[Value]) -> Result<(), TestCaseError> {
+    for (sql, read) in BLOCK_QUERIES {
+        let typed = |c: &&str| rows.iter().any(|r| !r.field(c).unwrap().is_null());
+        let columnar = !rows.is_empty() && read.iter().all(typed);
+        let pairs = sql.contains("DEDUP") || sql.contains("DC(");
+        for workers in [1, 2] {
+            let run = |profile: EngineProfile, rows: Vec<Value>| {
+                block_session(profile, workers, rows).run(sql).unwrap()
+            };
+            let grouped = run(EngineProfile::clean_db(), rows.to_vec());
+            let by_row = run(EngineProfile::clean_db(), ragged(rows.to_vec()));
+            let spark = run(EngineProfile::spark_sql_like(), rows.to_vec());
+            prop_assert_eq!(
+                stage_names(&grouped).contains(&"group_blocks"),
+                columnar && pairs,
+                "{} ({} worker(s))",
+                sql,
+                workers
+            );
+            prop_assert!(!stage_names(&by_row).contains(&"group_blocks"), "{}", sql);
+            for (other, route) in [(&by_row, "ragged"), (&spark, "SparkSQL")] {
+                let on = format!("{sql} against {route} ({workers} worker(s))");
+                prop_assert_eq!(
+                    all_named_outputs(&grouped),
+                    all_named_outputs(other),
+                    "{}",
+                    on
+                );
+                prop_assert_eq!(&grouped.violating_ids, &other.violating_ids, "{}", on);
+                prop_assert_eq!(
+                    pairs_enumerated(&grouped),
+                    pairs_enumerated(other),
+                    "{}",
+                    on
+                );
+                prop_assert_eq!(
+                    grouped.metrics.comparisons,
+                    other.metrics.comparisons,
+                    "{}",
+                    on
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn grouped_blocks_agree_with_materialized_groups(rows in block_rows()) {
+        assert_blocks_agree(&rows)?;
+    }
+}
+
+/// The edges of block tables: none, all singletons, one 60-member block.
+#[test]
+fn grouped_blocks_agree_at_their_edges() {
+    let names = ["anderson", "andersen", "anders", "zhang"];
+    let singletons = (0..30).map(|i| {
+        (
+            Value::Float(i as f64),
+            Value::str(names[i % 4]),
+            Value::Int(i as i64 % 3),
+        )
+    });
+    let one_block = (0..60).map(|i| {
+        (
+            Value::Float(1.5),
+            Value::str(names[i % 4]),
+            Value::Int(i as i64 % 5),
+        )
+    });
+    for rows in [Vec::new(), block_table(singletons), block_table(one_block)] {
+        assert_blocks_agree(&rows).unwrap();
+    }
+}
+
+/// A DEDUP and a blocked DC over one `Nest` share its `Unnest` chain; each
+/// sweeps the blocks itself, and the blocks are grouped once on either
+/// route: by column, or materialized once for both sweeps.
+#[test]
+fn two_sweeps_over_a_shared_unnest_group_once() {
+    let sql = "SELECT * FROM t c DEDUP(exact, LD, 0.7, c.k, c.n) DC(t1.k = t2.k AND t1.v > t2.v)";
+    let cells = (0..40).map(|i| {
+        let name = ["anderson", "andersen", "zhang"][i % 3];
+        (
+            Value::Float((i % 7) as f64),
+            Value::str(name),
+            Value::Int(i as i64 % 5),
+        )
+    });
+    let rows = block_table(cells);
+    for (rows, grouping) in [
+        (rows.clone(), "group_blocks"),
+        (ragged(rows), "aggregate_by_key"),
+    ] {
+        let report = block_session(EngineProfile::clean_db(), 1, rows)
+            .run(sql)
+            .unwrap();
+        let grouped = |s: &&str| s.contains("aggregate") || s.contains("group");
+        let stages: Vec<&str> = stage_names(&report).into_iter().filter(grouped).collect();
+        assert_eq!(stages, [grouping]);
+    }
+}
+
+/// A work budget below a block's `|B|²` stops either route's sweep with
+/// the same typed failure.
+#[test]
+fn a_block_over_the_budget_fails_alike_on_both_routes() {
+    let one_block = (0..60).map(|i| (Value::Float(1.5), Value::str("anderson"), Value::Int(i)));
+    let rows = block_table(one_block);
+    let sql = BLOCK_QUERIES[0].0;
+    let limits = cleanm::core::RunLimits {
+        max_work: Some(60 * 60 - 1),
+        ..Default::default()
+    };
+    for rows in [rows.clone(), ragged(rows)] {
+        let mut db = block_session(EngineProfile::clean_db(), 2, rows);
+        let failure = db.run_with_limits(sql, limits).unwrap().failure.unwrap();
+        assert_eq!(failure.kind, "budget_exceeded");
+        assert!(failure.resource_limit);
+        assert!(
+            failure
+                .error
+                .starts_with("work budget exceeded in pair_sweep"),
+            "{}",
+            failure.error
+        );
+    }
 }
