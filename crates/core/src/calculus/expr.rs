@@ -390,7 +390,9 @@ impl fmt::Display for CalcExpr {
 
 /// Convert a [`FilterAlgo`] into a runnable blocker from `cleanm-cluster`.
 /// K-means centers are sampled from the provided corpus (term validation
-/// samples them from the dictionary, as in §8.1).
+/// samples them from the dictionary, as in §8.1); an empty corpus (an empty
+/// dictionary, or an empty table to sample) gives one center, the empty
+/// string, so every term falls into one block.
 pub fn make_blocker(
     algo: &FilterAlgo,
     center_corpus: &[String],
@@ -402,11 +404,10 @@ pub fn make_blocker(
         FilterAlgo::Exact => BlockerKind::Exact(ExactKey),
         FilterAlgo::TokenFilter { q } => BlockerKind::TokenFilter(TokenFilter::new(*q)),
         FilterAlgo::KMeans { k, delta, seed } => {
-            let corpus: Vec<&str> = center_corpus.iter().map(|s| s.as_str()).collect();
-            assert!(
-                !corpus.is_empty(),
-                "k-means blocking requires a center corpus (e.g. the dictionary)"
-            );
+            let mut corpus: Vec<&str> = center_corpus.iter().map(|s| s.as_str()).collect();
+            if corpus.is_empty() {
+                corpus.push("");
+            }
             BlockerKind::KMeans(KMeansBlocker::from_corpus(
                 corpus,
                 *k,

@@ -1092,13 +1092,36 @@ pub fn collect_rowids(v: &Value, out: &mut Vec<i64>) {
     }
 }
 
-/// The distinct `__rowid`s of an op's output, ascending.
+/// The distinct `__rowid`s of an op's output, ascending: marked in a
+/// bitmap over `[min, max]` when that span is at most 64 bits per id
+/// collected (a pair output names each row many times), else sorted and
+/// deduplicated.
 fn output_rowids(output: &[Value]) -> Vec<i64> {
     let mut ids = Vec::new();
     for v in output {
         collect_rowids(v, &mut ids);
     }
-    distinct_sorted(ids)
+    let (Some(&min), Some(&max)) = (ids.iter().min(), ids.iter().max()) else {
+        return ids;
+    };
+    let span = (max as i128 - min as i128) as u128 + 1;
+    if span > 64 * ids.len() as u128 {
+        return distinct_sorted(ids);
+    }
+    let mut bits = vec![0u64; (span as usize).div_ceil(64)];
+    for &id in &ids {
+        let at = (id - min) as usize;
+        bits[at / 64] |= 1 << (at % 64);
+    }
+    ids.clear();
+    for (w, &word) in bits.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            ids.push(min + (w * 64) as i64 + word.trailing_zeros() as i64);
+            word &= word - 1;
+        }
+    }
+    ids
 }
 
 /// `ids` sorted and deduplicated.
@@ -1143,6 +1166,29 @@ fn uses_kmeans_blocker(op: &DesugaredOp) -> bool {
 mod tests {
     use super::*;
     use cleanm_values::{DataType, Row, Schema};
+
+    /// The bitmap walk and sort + dedup give the same ids: dense and
+    /// sparse spans, negative ids, ids at the ends of `i64`, repeats.
+    #[test]
+    fn output_rowids_mark_or_sort_alike() {
+        let pair = |a: i64, b: i64| {
+            let row = |id: i64| Value::record([(ROWID_FIELD, Value::Int(id))]);
+            Value::record([("left", row(a)), ("right", row(b))])
+        };
+        let cases: [&[(i64, i64)]; 5] = [
+            &[],
+            &[(3, 1), (1, 3), (2, 3), (130, 64), (63, 65)],
+            &[(-5, 70), (-5, -6), (0, 0)],
+            &[(i64::MIN, i64::MAX), (0, 1)],
+            &[(7, 1_000_000), (7, 8)],
+        ];
+        for ids in cases {
+            let output: Vec<Value> = ids.iter().map(|&(a, b)| pair(a, b)).collect();
+            let mut all = Vec::new();
+            output.iter().for_each(|v| collect_rowids(v, &mut all));
+            assert_eq!(output_rowids(&output), distinct_sorted(all), "{ids:?}");
+        }
+    }
 
     fn customer_table() -> Table {
         let schema = Schema::of([

@@ -8,7 +8,8 @@
 //! | `Reduce` over two independent `Unnest`s | the fused block-pair sweep (`physical/pairs.rs`): `map_partitions` over the block rows, pairs kept as indices |
 //! | `Nest`      | `filter_transform` (pair emission) → `group_by_key(shuffle, …)` → `map` |
 //! | `Nest`+`Reduce` over monoid reductions | the columnar fold when the Nest reads a scan whose key and slots lower under `LocalAggregate` (`physical/groupfold.rs`): chunk folds → merge → finish; else the `Nest` above, then `Reduce` |
-//! | `Nest` read by pair sweeps, or shared by folds and pair sweeps | grouped blocks (`physical/blocks.rs`) when it reads a scan whose key lowers under `LocalAggregate`: one grouping pass, group ids for the folds, row ranges for the sweeps; else the `Nest` above |
+//! | `Nest` read by pair sweeps, or shared by folds and pair sweeps | grouped blocks (`physical/blocks.rs`) when it reads a scan whose key lowers under `LocalAggregate`: one grouping pass, group ids for the folds, row ranges for the sweeps — keyed blocks for a `BlockKeys(algo)(e)` key, grouped by `e` with the keys run once per distinct value; else the `Nest` above |
+//! | `Join` of two keyed `Nest`s on their keys under a pair sweep (CLUSTER BY) | the sweep matches their block ids; no join runs |
 //! | `Join`      | `filter_transform` (keying) → `join_hash` |
 //! | `ThetaJoin` | M-Bucket \| min-max blocks \| cartesian+filter, one join over row indices (`physical/theta.rs`): each side read by column when both are filtered scans that lower, by row otherwise; a `Reduce` reads the pairs by index |
 //! | `Reduce`    | `filter_transform` (the compiled head, the fused `Select` chain as its filter) → merged under the monoid |
@@ -16,8 +17,8 @@
 //! `shuffle` is the profile's [`NestStrategy`] — the one grouping driver
 //! takes it as is. A `Nest`'s groups take one of three carriers, decided
 //! from the registered plans by its consumers and its input: the columnar
-//! fold (its one consumer folds), grouped blocks (it is read by pair
-//! sweeps or shared, every consumer a fold or a pair sweep), or
+//! fold (its one consumer folds), grouped or keyed blocks (it is read by
+//! pair sweeps or shared, every consumer a fold or a pair sweep), or
 //! materialized groups.
 //!
 //! The three column routes — the vectorized `Select`, the columnar group
@@ -42,6 +43,7 @@
 //! `columnar_source` (sweep a scan by column?).
 
 use std::collections::{HashMap, HashSet};
+use std::slice::from_ref;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -58,10 +60,10 @@ use crate::calculus::subst::free_vars;
 use crate::calculus::{CalcExpr, Func, MonoidKind, Program};
 use crate::engine::storage::StoredTable;
 
-use super::blocks::GroupedBlocks;
+use super::blocks::{Collects, GroupedBlocks, KeysOf};
 use super::groupfold::{self, AggFoldShape, ColumnarFold, KEY_SLOT_VAR};
 use super::kernel::{ColumnProgram, PredKernel};
-use super::pairs::{PairSweep, SweepInput};
+use super::pairs::{BlockPairs, PairSweep, SweepInput};
 use super::profile::{nest_stage_label, EngineProfile, NestStrategy};
 use super::program::{env_layout, RowEnv, RowExpr};
 use super::qprofile::{clip, ProfileNode};
@@ -109,6 +111,9 @@ pub struct Executor<'a> {
     /// Each grouped `Nest`'s blocks once grouped, `None` when its table
     /// or key did not lower onto columns (it then materializes).
     blocks: HashMap<usize, Option<Arc<GroupedBlocks>>>,
+    /// Shared scans that only grouped `Nest`s read: they read by column
+    /// ([`Executor::columnar_source`]).
+    block_scans: HashSet<usize>,
     /// Strategy decisions made while executing, in plan order.
     pub decisions: Vec<PlanDecision>,
     /// Plan-node expressions compiled to slot-resolved programs.
@@ -217,6 +222,7 @@ impl<'a> Executor<'a> {
             shared_nodes: HashSet::new(),
             grouped: HashMap::new(),
             blocks: HashMap::new(),
+            block_scans: HashSet::new(),
             decisions: Vec::new(),
             compiled_exprs: 0,
             fused_selects: 0,
@@ -462,8 +468,10 @@ impl<'a> Executor<'a> {
     /// The stored table behind `source`, with the scan's variable, when the
     /// planner reads it by column: a `Scan` under a unified planner that no
     /// other consumer shares (a shared scan stays materialized once for all
-    /// of them). Whether the expressions over it lower to kernels and its
-    /// rows pivot into typed columns is then a property of the input.
+    /// of them), or that only grouped `Nest`s read
+    /// ([`Executor::plan_grouped_blocks`]). Whether the expressions over it
+    /// lower to kernels and its rows pivot into typed columns is then a
+    /// property of the input.
     pub(super) fn columnar_source<'p>(
         &self,
         source: &'p Arc<Alg>,
@@ -471,7 +479,8 @@ impl<'a> Executor<'a> {
         let Alg::Scan { table, var } = &**source else {
             return None;
         };
-        if !self.profile.planner.unified() || self.is_shared(source) {
+        let blocks_only = self.block_scans.contains(&(Arc::as_ptr(source) as usize));
+        if !self.profile.planner.unified() || (self.is_shared(source) && !blocks_only) {
             return None;
         }
         Some((self.tables.get(table.as_str())?, var))
@@ -581,47 +590,73 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        self.grouped = self.plan_grouped_blocks(plans, &counts);
+        self.plan_grouped_blocks(plans, &counts);
     }
 
-    /// The `Nest`s of `plans` that run as grouped blocks
+    /// The `Nest`s of `plans` that run as grouped or keyed blocks
     /// (`physical/blocks.rs`), each with the fields of the scanned rows
     /// its consumers read. Under a unified planner with the
     /// local-aggregate shuffle, a `Nest` qualifies when every node that
-    /// reads it belongs to a consumer [`Executor::block_consumer`]
-    /// recognizes, it is shared or has a pair consumer (a lone fold folds
-    /// its own groups), its input beneath the fusible `WHERE` chain is a
-    /// scan the planner reads by column ([`Executor::columnar_source`]),
-    /// its members are that scan's rows and its key is not a list of
-    /// blocking keys. Whether the table and the key then lower onto
-    /// columns is the input's to say, at the first consumer
+    /// reads it belongs to a consumer [`Executor::block_consumers`]
+    /// recognizes, and its input beneath the fusible `WHERE` chain is a
+    /// scan — one that no other node reads, or whose every reader is a
+    /// qualifying `Nest` or its chain ([`Executor::columnar_source`]).
+    /// Then by its key:
+    ///
+    /// - a scalar key: grouped blocks, when the `Nest` is shared or has a
+    ///   pair consumer (a lone fold folds its own groups) and its members
+    ///   are the scan's rows;
+    /// - `BlockKeys(algo)(e)`: keyed blocks, when every consumer pairs and
+    ///   the members are the scan's rows or `e`;
+    /// - any other key reading `BlockKeys`: none.
+    ///
+    /// Whether the table and the grouped program then lower onto columns
+    /// is the input's to say, at the first consumer
     /// ([`Executor::grouped_blocks`]).
-    fn plan_grouped_blocks(
-        &self,
-        plans: &[Arc<Alg>],
-        counts: &HashMap<usize, usize>,
-    ) -> HashMap<usize, Vec<String>> {
-        let mut grouped = HashMap::new();
+    fn plan_grouped_blocks(&mut self, plans: &[Arc<Alg>], counts: &HashMap<usize, usize>) {
+        self.grouped.clear();
+        self.block_scans.clear();
         if !self.profile.planner.unified() || self.profile.nest != NestStrategy::LocalAggregate {
-            return grouped;
+            return;
         }
         // Per Nest: the node, the nodes of its consumers that read it
         // (a DEDUP and a blocked DC may read it through one shared
-        // `Unnest`), whether one pairs, and what they read.
-        type Consumers<'p> = (&'p Arc<Alg>, HashSet<usize>, bool, Vec<String>);
-        let mut consumers: HashMap<usize, Consumers<'_>> = HashMap::new();
+        // `Unnest`), whether one pairs and whether one folds, and what
+        // they read.
+        #[derive(Default)]
+        struct Consumers {
+            readers: HashSet<usize>,
+            pairs: bool,
+            folds: bool,
+            fields: Vec<String>,
+        }
+        let mut consumers: HashMap<usize, (&Arc<Alg>, Consumers)> = HashMap::new();
         let mut roots = HashSet::new();
         for plan in plans.iter().filter(|p| roots.insert(Arc::as_ptr(p))) {
-            let Some((nest, pairs, fields)) = self.block_consumer(plan) else {
-                continue;
-            };
-            let at = Arc::as_ptr(nest) as usize;
-            let entry = (consumers.entry(at)).or_insert((nest, HashSet::new(), false, Vec::new()));
-            entry.1.insert(Arc::as_ptr(reader_of(plan, nest)) as usize);
-            entry.2 |= pairs;
-            entry.3.extend(fields);
+            for (nest, reader, pairs, fields) in self.block_consumers(plan) {
+                let at = Arc::as_ptr(nest) as usize;
+                let (_, entry) = consumers.entry(at).or_insert((nest, Consumers::default()));
+                entry.readers.insert(Arc::as_ptr(reader) as usize);
+                entry.pairs |= pairs;
+                entry.folds |= !pairs;
+                entry.fields.extend(fields);
+            }
         }
-        for (at, (nest, readers, pairs, mut fields)) in consumers {
+        // Per qualifying Nest: its scan and the node that reads the scan.
+        let mut scans: HashMap<usize, (usize, usize)> = HashMap::new();
+        for (
+            at,
+            (
+                nest,
+                Consumers {
+                    readers,
+                    pairs,
+                    folds,
+                    mut fields,
+                },
+            ),
+        ) in consumers
+        {
             let Alg::Nest {
                 input, key, item, ..
             } = &**nest
@@ -629,70 +664,146 @@ impl<'a> Executor<'a> {
                 continue;
             };
             let shared = counts[&at] > 1;
-            if readers.len() != counts[&at] || !(shared || pairs) {
+            if readers.len() != counts[&at] {
                 continue;
             }
             let (source, chain) = self.fusible_chain(input);
-            let Some((_, var)) = self.columnar_source(source) else {
+            let Alg::Scan { var, .. } = &**source else {
                 continue;
             };
-            let list_key =
-                key.any_node(&mut |e| matches!(e, CalcExpr::Call(Func::BlockKeys(_), _)));
-            if *item != CalcExpr::var(var) || list_key {
+            let rows = *item == CalcExpr::var(var);
+            let qualifies = match block_keys_arg(key) {
+                Some(e) => pairs && !folds && (rows || item == e),
+                None => {
+                    let list_key =
+                        key.any_node(&mut |e| matches!(e, CalcExpr::Call(Func::BlockKeys(_), _)));
+                    (shared || pairs) && rows && !list_key
+                }
+            };
+            if !qualifies {
                 continue;
             }
             fields.extend(fields_of(var, chain.into_iter().chain([key])));
             fields.sort_unstable();
             fields.dedup();
-            grouped.insert(at, fields);
+            self.grouped.insert(at, fields);
+            let scan_reader = reader_of(nest, source);
+            let scan = Arc::as_ptr(source) as usize;
+            scans.insert(at, (scan, Arc::as_ptr(scan_reader) as usize));
         }
-        grouped
+        // A shared scan reads by column when every node that reads it is
+        // a qualifying Nest or its chain; else those Nests materialize.
+        let mut readers: HashMap<usize, HashSet<usize>> = HashMap::new();
+        for &(scan, reader) in scans.values() {
+            readers.entry(scan).or_default().insert(reader);
+        }
+        for (scan, readers) in readers {
+            if counts[&scan] == 1 {
+                continue;
+            }
+            if readers.len() == counts[&scan] {
+                self.block_scans.insert(scan);
+            } else {
+                self.grouped.retain(|at, _| scans[at].0 != scan);
+            }
+        }
     }
 
-    /// The `Nest` a registered plan consumes as grouped blocks, whether it
-    /// pairs their members, and the fields of the members it reads by
-    /// column: a grouped `Reduce` whose group predicates and head fold
+    /// The `Nest`s a registered plan consumes as grouped or keyed blocks,
+    /// each with the node that reads it, whether the consumer pairs their
+    /// members, and the fields of the members it reads by column: a
+    /// grouped `Reduce` whose group predicates and head fold
     /// ([`groupfold::recognize`]; the `Nest` may be shared, the `Select`s
-    /// above it not), or a pair pipeline directly over the `Nest` that
-    /// unnests its `partition` twice and whose predicates and head do not
-    /// read the group variable (the sweep never builds the group record).
+    /// above it not), a pair pipeline directly over the `Nest` that
+    /// unnests its `partition` twice, or a pair pipeline over an unshared
+    /// `Join` of two `Nest`s on their keys that unnests each one's
+    /// `partition` (CLUSTER BY) — neither pipeline's predicates nor its
+    /// head reading a group variable (the sweep never builds the group
+    /// record).
     #[allow(clippy::type_complexity)]
-    fn block_consumer<'p>(&self, plan: &'p Arc<Alg>) -> Option<(&'p Arc<Alg>, bool, Vec<String>)> {
+    fn block_consumers<'p>(
+        &self,
+        plan: &'p Arc<Alg>,
+    ) -> Vec<(&'p Arc<Alg>, &'p Arc<Alg>, bool, Vec<String>)> {
         let Alg::Reduce {
             input,
             monoid,
             head,
         } = &**plan
         else {
-            return None;
+            return Vec::new();
         };
         let nest_shared =
             |node: &Arc<Alg>| self.is_shared(node) && !matches!(**node, Alg::Nest { .. });
         if let Some((_, _, item, group_var, preds)) = input.group_pipeline(nest_shared) {
-            let shape = groupfold::recognize(group_var, item, head, &preds)?;
-            let CalcExpr::Var(var) = item else {
-                return None;
+            let (Some(shape), CalcExpr::Var(var)) =
+                (groupfold::recognize(group_var, item, head, &preds), item)
+            else {
+                return Vec::new();
             };
-            let folds = matches!(monoid, MonoidKind::Bag | MonoidKind::Set);
             let fields = fields_of(var, shape.slots.iter().map(|s| &s.row_expr));
-            return folds.then(|| (beneath_selects(input), false, fields));
+            let nest = beneath_selects(input);
+            return match monoid {
+                MonoidKind::Bag | MonoidKind::Set => {
+                    vec![(nest, reader_of(plan, nest), false, fields)]
+                }
+                _ => Vec::new(),
+            };
         }
-        let shape = self.pair_shape(input)?;
-        let Alg::Nest { group_var, .. } = &**shape.input else {
-            return None;
+        let Some(shape) = self.pair_shape(input) else {
+            return Vec::new();
         };
-        let partition = CalcExpr::proj(CalcExpr::var(group_var), "partition");
-        let reads_group = (shape.preds.iter().copied().chain([head]))
-            .any(|e| free_vars(e).contains(group_var.as_str()));
-        if *shape.path_a != partition || *shape.path_b != partition || reads_group {
-            return None;
+        // A Nest's group variable `g` as `g.<field>`, when nothing the
+        // sweep evaluates reads `g` itself.
+        let group = |nest: &Arc<Alg>, field: &str| match &**nest {
+            Alg::Nest { group_var, .. } => {
+                let reads_group = (shape.preds.iter().copied().chain([head]))
+                    .any(|e| free_vars(e).contains(group_var.as_str()));
+                (!reads_group).then(|| CalcExpr::proj(CalcExpr::var(group_var), field))
+            }
+            _ => None,
+        };
+        let fields = |var: &str| fields_of(var, shape.preds.iter().copied());
+        match &**shape.input {
+            Alg::Nest { .. } => {
+                let Some(partition) = group(shape.input, "partition") else {
+                    return Vec::new();
+                };
+                if *shape.path_a != partition || *shape.path_b != partition {
+                    return Vec::new();
+                }
+                let mut read = fields(shape.var_a);
+                read.extend(fields(shape.var_b));
+                let reader = reader_of(plan, shape.input);
+                vec![(shape.input, reader, true, read)]
+            }
+            Alg::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+            } if !self.is_shared(shape.input) => {
+                let paths = [
+                    (shape.path_a, left, left_key),
+                    (shape.path_b, right, right_key),
+                ];
+                let on_keys = paths.iter().all(|(path, nest, key)| {
+                    group(nest, "partition").is_some_and(|p| **path == p)
+                        && group(nest, "key").is_some_and(|k| **key == k)
+                });
+                if !on_keys {
+                    return Vec::new();
+                }
+                vec![
+                    (left, shape.input, true, fields(shape.var_a)),
+                    (right, shape.input, true, fields(shape.var_b)),
+                ]
+            }
+            _ => Vec::new(),
         }
-        let mut fields = fields_of(shape.var_a, shape.preds.iter().copied());
-        fields.extend(fields_of(shape.var_b, shape.preds.iter().copied()));
-        Some((shape.input, true, fields))
     }
 
-    /// Does `node` run as grouped blocks?
+    /// Does `node` run as grouped or keyed blocks?
     fn is_grouped(&self, node: &Arc<Alg>) -> bool {
         self.grouped.contains_key(&(Arc::as_ptr(node) as usize))
     }
@@ -718,14 +829,22 @@ impl<'a> Executor<'a> {
             }
             return Ok(memo);
         }
-        let Alg::Nest { input, key, .. } = &**nest else {
+        let Alg::Nest {
+            input, key, item, ..
+        } = &**nest
+        else {
             unreachable!("only Nests are grouped")
         };
         let (source, preds) = self.fusible_chain(input);
         let (stored, var) = self.columnar_source(source).expect("checked when planned");
         let scope = [var.to_string()];
+        // A keyed Nest groups by `BlockKeys`' argument and runs the key
+        // once per distinct value of it.
+        let coded = block_keys_arg(key);
         let chain = conjoin(&preds).map(|chain| self.compile(&chain, &scope));
-        let (Ok(filter), Ok(key_rx)) = (chain.transpose(), self.compile(key, &scope)) else {
+        let value_rx = self.compile(coded.unwrap_or(key), &scope);
+        let key_rx = coded.map(|_| self.compile(key, &scope)).transpose();
+        let (Ok(filter), Ok(value_rx), Ok(key_rx)) = (chain.transpose(), value_rx, key_rx) else {
             self.blocks.insert(at, None);
             return Ok(None);
         };
@@ -733,8 +852,8 @@ impl<'a> Executor<'a> {
             let filter_program = filter.as_ref().map(|rx| rx.program());
             let (lowered, scan) = ex.in_frame(|ex| {
                 ex.lower_on_columns(stored, &fields, filter_program, |scan| {
-                    let key = ColumnProgram::lower(key_rx.program(), scan.block())?;
-                    Some((scan, key))
+                    let value = ColumnProgram::lower(value_rx.program(), scan.block())?;
+                    (coded.is_none() || value.text_exact()).then_some((scan, value))
                 })
             })?;
             match (&lowered, scan) {
@@ -745,18 +864,23 @@ impl<'a> Executor<'a> {
                 (None, Some(_)) => ex.abort_node(),
                 _ => {}
             }
-            let Some((scan, key_program)) = lowered else {
+            let Some((scan, value)) = lowered else {
                 return Ok(None);
             };
             ex.decide_nest(key);
-            ex.compiled_exprs += 1 + usize::from(filter.is_some());
+            ex.compiled_exprs += 1 + usize::from(filter.is_some()) + usize::from(coded.is_some());
             ex.fused_selects += preds.len();
             ex.vectorized_rows += scan.len() as u64;
-            Ok(Some(Arc::new(GroupedBlocks::group(
-                &ex.ctx,
-                scan,
-                key_program,
-            )?)))
+            let collects = Collects {
+                var: var.to_string(),
+                item: item.clone(),
+                coded: coded.cloned(),
+            };
+            let ev = ex.eval.clone();
+            let keys = key_rx.map(|rx| move |row: &Value| ev.eval_pair(&rx, &[], from_ref(row)));
+            let keys = keys.as_ref().map(|f| f as KeysOf<'_>);
+            let blocks = GroupedBlocks::group(&ex.ctx, scan, value, collects, keys)?;
+            Ok(Some(Arc::new(blocks)))
         })?;
         match (&blocks, frame) {
             (Some(b), Some(frame)) => {
@@ -885,12 +1009,20 @@ impl<'a> Executor<'a> {
         }
         // The pair-level Selects are consumed structurally.
         self.fused_selects += shape.preds.len();
-        let sweep_input = match &input {
-            PairInput::Blocks(blocks) => SweepInput::Blocks(Arc::clone(blocks)),
-            PairInput::Rows(_, fused) => SweepInput::Rows {
-                scope: &fused.scope,
-                pred: fused.pred_rx.clone(),
-            },
+        let scope;
+        let (rows, sweep_input) = match input {
+            PairInput::Blocks(pairs) => (None, SweepInput::Blocks(pairs)),
+            PairInput::Rows(ds, fused) => {
+                scope = fused.scope;
+                let pred = fused.pred_rx;
+                (
+                    Some(ds),
+                    SweepInput::Rows {
+                        scope: &scope,
+                        pred,
+                    },
+                )
+            }
         };
         let (ctx, ev) = (Arc::clone(&self.ctx), self.eval.clone());
         let sweep = Arc::new(PairSweep::compile(
@@ -902,14 +1034,18 @@ impl<'a> Executor<'a> {
             |expr, scope| self.row_expr(expr, scope),
         )?);
         let worker = Arc::clone(&sweep);
-        let outputs = match input {
-            PairInput::Rows(ds, _) => ds.map_partitions(move |rows| worker.run_partition(rows)),
-            PairInput::Blocks(blocks) => {
-                let groups = blocks.len() as u32;
-                let tasks = chunk_ranges(groups, self.ctx.default_partitions());
-                produce_partitions(&self.ctx, "map_partitions", groups as u64, tasks, |range| {
-                    worker.run_blocks(range)
-                })
+        let outputs = match rows {
+            Some(ds) => ds.map_partitions(move |rows| worker.run_partition(rows)),
+            None => {
+                let blocks = sweep.block_pairs();
+                let tasks = blocks.tasks(self.ctx.default_partitions());
+                produce_partitions(
+                    &self.ctx,
+                    "map_partitions",
+                    blocks.len() as u64,
+                    tasks,
+                    |range| worker.run_blocks(range),
+                )
             }
         };
         // The fused node's output is known only now: the pairs enumerated.
@@ -927,7 +1063,16 @@ impl<'a> Executor<'a> {
     /// the sweep's block filter.
     fn pair_input<'p>(&mut self, input: &'p Arc<Alg>) -> ExecResult<PairInput<'p>> {
         if let Some(blocks) = self.grouped_blocks(input)? {
-            return Ok(PairInput::Blocks(blocks));
+            return Ok(PairInput::Blocks(BlockPairs::within(blocks)));
+        }
+        if let Alg::Join { left, right, .. } = &**input {
+            if self.is_grouped(left) && self.is_grouped(right) {
+                if let Some(left) = self.grouped_blocks(left)? {
+                    if let Some(right) = self.grouped_blocks(right)? {
+                        return Ok(PairInput::Blocks(BlockPairs::joined(left, right)));
+                    }
+                }
+            }
         }
         let mut fused = self.peel_input(input, None)?;
         let ds = self.run_input(&mut fused)?;
@@ -1586,7 +1731,7 @@ type LoweredFold = (ColumnarFold, Finish, Option<Arc<GroupedBlocks>>);
 
 /// What a pair sweep walks ([`Executor::pair_input`]).
 enum PairInput<'p> {
-    Blocks(Arc<GroupedBlocks>),
+    Blocks(BlockPairs),
     Rows(Dataset<RowEnv>, FusedInput<'p>),
 }
 
@@ -1667,6 +1812,14 @@ fn reader_of<'p>(mut plan: &'p Arc<Alg>, target: &Arc<Alg>) -> &'p Arc<Alg> {
             return plan;
         }
         plan = input;
+    }
+}
+
+/// `e` of a keyed `Nest`'s key `BlockKeys(algo)(e)`.
+fn block_keys_arg(key: &CalcExpr) -> Option<&CalcExpr> {
+    match key {
+        CalcExpr::Call(Func::BlockKeys(_), args) if args.len() == 1 => Some(&args[0]),
+        _ => None,
     }
 }
 

@@ -1255,6 +1255,17 @@ impl ColumnProgram {
         }
     }
 
+    /// Do rows whose values are the same ([`ColumnProgram::same`]) render
+    /// the same text? Not where a float is read: `-0.0` and `0.0` are one
+    /// value but two texts.
+    pub fn text_exact(&self) -> bool {
+        self.fields.iter().all(|f| match f {
+            ColExpr::Col(col) => !matches!(self.block.column(*col), Column::Float { .. }),
+            ColExpr::Const(v) => !matches!(v, Value::Float(_)),
+            ColExpr::StrFunc { .. } => true,
+        })
+    }
+
     /// Is the program's value the same at rows `a` and `b` (`Value`
     /// equality, cell by cell)?
     #[inline]

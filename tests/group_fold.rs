@@ -27,11 +27,11 @@
 //! columns here are integers, NULLs and NaNs, or floats whose sums are
 //! exact, where both orders are bit-exact (NaN is absorbing either way).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use cleanm::core::algebra::{lower_op, Alg};
-use cleanm::core::calculus::{desugar_query, EvalCtx};
+use cleanm::core::calculus::{desugar_query, eval, CalcExpr, EvalCtx};
 use cleanm::core::engine::storage::StoredTable;
 use cleanm::core::lang::parse_query;
 use cleanm::core::physical::{EngineProfile, Executor, NestStrategy, Planner, ProfileNode};
@@ -1319,4 +1319,312 @@ fn a_block_over_the_budget_fails_alike_on_both_routes() {
             failure.error
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Keyed blocks: token-filter and k-means `Nest`s under CLUSTER BY and
+// DEDUP, grouped by the distinct values of `BlockKeys`' argument
+// ---------------------------------------------------------------------
+
+/// CLUSTER BY and DEDUP over token filtering (q = 2 and 3) and k-means,
+/// with and without a `WHERE` chain, with the columns each reads.
+const KEYED_QUERIES: [(&str, &[&str]); 7] = [
+    (
+        "SELECT * FROM t x, dict w CLUSTER BY(token_filtering(2), LD, 0.6, x.name)",
+        &["name"],
+    ),
+    (
+        "SELECT * FROM t x, dict w WHERE x.v > 0 CLUSTER BY(token_filtering(3), LD, 0.5, x.name)",
+        &["name", "v"],
+    ),
+    (
+        "SELECT * FROM t x, dict w CLUSTER BY(kmeans(2), LD, 0.5, x.name)",
+        &["name"],
+    ),
+    (
+        "SELECT * FROM t c DEDUP(token_filtering(2), LD, 0.6, c.name)",
+        &["name"],
+    ),
+    (
+        "SELECT * FROM t c WHERE c.v > 0 DEDUP(token_filtering(3), LD, 0.5, c.name)",
+        &["name", "v"],
+    ),
+    (
+        "SELECT * FROM t c DEDUP(kmeans(2), LD, 0.5, c.name)",
+        &["name"],
+    ),
+    (
+        "SELECT * FROM t c DEDUP(token_filtering(2), LD, 0.5, c.name, c.v)",
+        &["name", "v"],
+    ),
+];
+
+/// Terms: NULL, empty, shorter than q, non-ASCII and near-duplicates.
+const TERMS: [&str; 10] = [
+    "", "a", "ab", "anderson", "andersen", "zoë", "zoe", "müller", "mueller", "smith",
+];
+
+/// Rows `{__rowid, name, v}`: a name from [`TERMS`] or NULL (index 10),
+/// and a small int or NULL.
+fn term_table(cells: &[(usize, Option<i64>)]) -> Vec<Value> {
+    let name = |i: usize| TERMS.get(i).map_or(Value::Null, Value::str);
+    let row = |(i, &(n, v)): (usize, &(usize, Option<i64>))| {
+        Value::record([
+            ("__rowid", Value::Int(i as i64)),
+            ("name", name(n)),
+            ("v", v.map_or(Value::Null, Value::Int)),
+        ])
+    };
+    cells.iter().enumerate().map(row).collect()
+}
+
+/// A generated table (repeated names among up to 30 rows) and dictionary
+/// (up to six terms, repeats allowed, possibly none).
+fn term_inputs() -> BoxedStrategy<(Vec<Value>, Vec<String>)> {
+    let cell = (
+        0usize..11,
+        prop_oneof![Just(None), (0i64..3).prop_map(Some)],
+    );
+    let rows = proptest::collection::vec(cell, 0..30).prop_map(|cells| term_table(&cells));
+    let dict = proptest::collection::vec((0usize..10).prop_map(|i| TERMS[i].to_string()), 0..6);
+    (rows, dict).boxed()
+}
+
+fn keyed_session(
+    profile: EngineProfile,
+    workers: usize,
+    rows: Vec<Value>,
+    dict: &[String],
+) -> CleanDb {
+    let mut db = block_session(profile, workers, rows);
+    db.register_dictionary("dict", dict.to_vec());
+    db
+}
+
+/// The reference evaluator's context for `sql`'s one operator over the
+/// session's tables, its blockers prepared as the session prepares them
+/// (k-means centers from the dictionary), and the operator's
+/// comprehension.
+fn keyed_reference(db: &CleanDb, sql: &str, dict: &[String]) -> (EvalCtx, CalcExpr) {
+    use cleanm::core::calculus::normalize;
+    let query = parse_query(sql).unwrap();
+    let op = desugar_query(&query, 42).unwrap().ops.remove(0);
+    let (comp, _) = normalize(&op.comp);
+    let table = |name: &str| Value::list(db.table_rows(name).unwrap().iter().cloned());
+    let mut ctx = EvalCtx::new()
+        .with_table("t", table("t"))
+        .with_table("dict", table("dict"));
+    ctx.prepare_blockers(&comp, dict);
+    (ctx, comp)
+}
+
+/// The blocking keys of `term` under the operator's blocker.
+fn block_keys(ctx: &EvalCtx, comp: &CalcExpr, term: &Value) -> Vec<Value> {
+    use cleanm::core::calculus::Func;
+    let mut algo = None;
+    comp.any_node(&mut |e| match e {
+        CalcExpr::Call(Func::BlockKeys(a), _) => {
+            algo = Some(a.clone());
+            true
+        }
+        _ => false,
+    });
+    let call = CalcExpr::call(
+        Func::BlockKeys(algo.expect("a keyed operator")),
+        vec![CalcExpr::Const(term.clone())],
+    );
+    eval(&call, &vec![], ctx)
+        .unwrap()
+        .as_list()
+        .unwrap()
+        .to_vec()
+}
+
+/// The distinct `(outer, inner)` value pairs that reach the similarity
+/// conjunct, counted from the data: CLUSTER BY's (term, dictionary word)
+/// pairs sharing a block, DEDUP's (name, name) pairs of rows sharing a
+/// block with ascending `__rowid`s.
+fn distinct_value_pairs(db: &CleanDb, sql: &str, dict: &[String]) -> usize {
+    let (ctx, comp) = keyed_reference(db, sql, dict);
+    let keys = |v: &Value| -> HashSet<Value> { block_keys(&ctx, &comp, v).into_iter().collect() };
+    let passes = |r: &Value| {
+        !sql.contains("WHERE") || matches!(r.field("v").unwrap(), Value::Int(v) if *v > 0)
+    };
+    let table = db.table_rows("t").unwrap();
+    let rows: Vec<&Value> = table.iter().filter(|r| passes(r)).collect();
+    let name = |r: &Value| r.field("name").unwrap().clone();
+    let mut pairs: HashSet<(Value, Value)> = HashSet::new();
+    if sql.contains("CLUSTER BY") {
+        for r in &rows {
+            for w in dict {
+                let w = Value::str(w);
+                if !keys(&name(r)).is_disjoint(&keys(&w)) {
+                    pairs.insert((name(r), w));
+                }
+            }
+        }
+    } else {
+        for a in &rows {
+            for b in &rows {
+                let ordered = a.field("__rowid").unwrap() < b.field("__rowid").unwrap();
+                if ordered && !keys(&name(a)).is_disjoint(&keys(&name(b))) {
+                    pairs.insert((name(a), name(b)));
+                }
+            }
+        }
+    }
+    pairs.len()
+}
+
+/// Each of [`KEYED_QUERIES`] over `rows` and `dict` with 1 and 2 workers:
+/// CleanDB over the typed table (keyed blocks when the columns it reads
+/// are typed), CleanDB over the same table made [`ragged`] (materialized
+/// groups), the SparkSQL-like profile and the reference evaluator agree on
+/// the outputs as sorted multisets; the three runs enumerate the same
+/// index pairs; and at 1 worker the typed run compares each distinct value
+/// pair that reaches the similarity conjunct once — never more than the
+/// row route, which compares once per shared block.
+fn assert_keyed_agree(rows: &[Value], dict: &[String]) -> Result<(), TestCaseError> {
+    for (sql, read) in KEYED_QUERIES {
+        let typed = |c: &&str| rows.iter().any(|r| !r.field(c).unwrap().is_null());
+        let columnar = !rows.is_empty() && read.iter().all(typed);
+        let memo = columnar && !sql.contains("c.v)");
+        for workers in [1, 2] {
+            let run = |profile: EngineProfile, rows: Vec<Value>| {
+                let mut db = keyed_session(profile, workers, rows, dict);
+                let report = db.run(sql).unwrap();
+                (db, report)
+            };
+            let (db, keyed) = run(EngineProfile::clean_db(), rows.to_vec());
+            let (_, by_row) = run(EngineProfile::clean_db(), ragged(rows.to_vec()));
+            let (_, spark) = run(EngineProfile::spark_sql_like(), rows.to_vec());
+            let on = format!("{sql} ({workers} worker(s))");
+            prop_assert_eq!(
+                stage_names(&keyed).contains(&"group_blocks"),
+                columnar,
+                "{}",
+                on
+            );
+            // One row reversed is still one layout: it reads by column.
+            let by_rows = rows.len() > 1;
+            prop_assert!(
+                !stage_names(&by_row).contains(&"group_blocks") || !by_rows,
+                "{}",
+                on
+            );
+            prop_assert!(!stage_names(&spark).contains(&"group_blocks"), "{}", on);
+            let joined = stage_names(&keyed).contains(&"join_hash");
+            prop_assert!(!joined || !columnar || dict.is_empty(), "{}", on);
+            let (ctx, comp) = keyed_reference(&db, sql, dict);
+            let mut reference = eval(&comp, &vec![], &ctx)
+                .unwrap()
+                .as_list()
+                .unwrap()
+                .to_vec();
+            reference.sort();
+            prop_assert_eq!(exact(&sorted_output(&keyed)), exact(&reference), "{}", on);
+            for (other, route) in [(&by_row, "ragged"), (&spark, "SparkSQL")] {
+                let on = format!("{on} against {route}");
+                prop_assert_eq!(named_output(&keyed), named_output(other), "{}", on);
+                prop_assert_eq!(&keyed.violating_ids, &other.violating_ids, "{}", on);
+                prop_assert_eq!(pairs_enumerated(&keyed), pairs_enumerated(other), "{}", on);
+                prop_assert!(
+                    keyed.metrics.comparisons <= other.metrics.comparisons,
+                    "{}: {} > {}",
+                    on,
+                    keyed.metrics.comparisons,
+                    other.metrics.comparisons
+                );
+            }
+            if memo && workers == 1 {
+                let distinct = distinct_value_pairs(&db, sql, dict) as u64;
+                prop_assert_eq!(keyed.metrics.comparisons, distinct, "{}", on);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn keyed_blocks_agree_with_materialized_groups((rows, dict) in term_inputs()) {
+        assert_keyed_agree(&rows, &dict)?;
+    }
+}
+
+/// The edges: no rows, no dictionary, one name repeated forty times
+/// against a dictionary of one word repeated, every term once.
+#[test]
+fn keyed_blocks_agree_at_their_edges() {
+    let all: Vec<(usize, Option<i64>)> = (0..11).map(|i| (i, Some(1))).collect();
+    let same: Vec<(usize, Option<i64>)> = (0..40).map(|i| (3, Some(i % 3))).collect();
+    let words = |n: usize, w: &str| vec![w.to_string(); n];
+    for (cells, dict) in [
+        (Vec::new(), words(2, "smith")),
+        (all.clone(), Vec::new()),
+        (same, words(5, "andersen")),
+        (all, TERMS.iter().map(|t| t.to_string()).collect()),
+    ] {
+        assert_keyed_agree(&term_table(&cells), &dict).unwrap();
+    }
+}
+
+/// A work budget below the largest block pair stops either route's sweep
+/// with the same typed failure.
+#[test]
+fn a_keyed_block_over_the_budget_fails_alike_on_both_routes() {
+    let cells: Vec<(usize, Option<i64>)> = (0..40).map(|i| (3, Some(i))).collect();
+    let rows = term_table(&cells);
+    let dict = vec!["anderson".to_string(); 40];
+    let limits = cleanm::core::RunLimits {
+        max_work: Some(40 * 40 - 1),
+        ..Default::default()
+    };
+    for (sql, _) in [KEYED_QUERIES[0], KEYED_QUERIES[3]] {
+        for rows in [rows.clone(), ragged(rows.clone())] {
+            let mut db = keyed_session(EngineProfile::clean_db(), 2, rows, &dict);
+            let failure = db.run_with_limits(sql, limits).unwrap().failure.unwrap();
+            assert_eq!(failure.kind, "budget_exceeded", "{sql}");
+            assert!(
+                failure
+                    .error
+                    .starts_with("work budget exceeded in pair_sweep"),
+                "{sql}: {}",
+                failure.error
+            );
+        }
+    }
+}
+
+/// A scan that only grouped and keyed `Nest`s read — fig. 1's shape: an
+/// FD and an exact DEDUP over one shared `Nest` beside CLUSTER BY's name
+/// blocks over the same table — reads by column: no `Nest` materializes
+/// its groups, and every op's outputs are the row route's.
+#[test]
+fn a_scan_shared_only_by_block_carriers_reads_by_column() {
+    let sql = "SELECT * FROM t x, dict w FD(x.v | x.name) DEDUP(exact, LD, 0.6, x.v, x.name) \
+               CLUSTER BY(token_filtering(2), LD, 0.6, x.name)";
+    let cells: Vec<(usize, Option<i64>)> = (0..30).map(|i| (i % 10, Some(i as i64 % 4))).collect();
+    let rows = term_table(&cells);
+    let dict: Vec<String> = ["anderson", "smith", "zoe"].map(String::from).to_vec();
+    let run = |rows: Vec<Value>| {
+        keyed_session(EngineProfile::clean_db(), 2, rows, &dict)
+            .run(sql)
+            .unwrap()
+    };
+    let (columns, by_row) = (run(rows.clone()), run(ragged(rows)));
+    let materialized = |report: &CleaningReport| {
+        fn walk(n: &ProfileNode) -> bool {
+            n.flags.iter().any(|f| f == "materialize-groups") || n.children.iter().any(walk)
+        }
+        report.profiles.iter().any(|p| walk(&p.root))
+    };
+    assert!(!materialized(&columns));
+    assert!(!stage_names(&columns).contains(&"aggregate_by_key"));
+    assert_eq!(columns.exprs.vectorized_rows, 3 * 30 + 3);
+    assert!(materialized(&by_row));
+    assert_eq!(all_named_outputs(&columns), all_named_outputs(&by_row));
+    assert_eq!(columns.violating_ids, by_row.violating_ids);
 }
