@@ -4,7 +4,7 @@
 
 use cleanm_text::{fixed_step_sample, levenshtein, normalize, reservoir_sample};
 
-use crate::blocking::Blocker;
+use crate::blocking::{Blocker, KeyIds};
 
 /// How to pick the k initial centers — the parameterizations of the function
 /// composition monoid described in §4.3.
@@ -100,6 +100,16 @@ impl Blocker for KMeansBlocker {
 
     fn describe(&self) -> String {
         format!("kmeans(k={}, delta={})", self.centers.len(), self.delta)
+    }
+
+    /// The assigned center indices, ascending.
+    fn key_ids(&self, term: &str, _: Option<&mut KeyIds>, out: &mut Vec<u64>) -> bool {
+        out.extend(self.assign(term).into_iter().map(|i| i as u64));
+        true
+    }
+
+    fn render_key(&self, id: u64, _: &KeyIds) -> String {
+        format!("km{id}")
     }
 }
 

@@ -15,6 +15,9 @@
 //! set of group keys it belongs to. Purity is exactly what makes the
 //! grouping a monoid homomorphism: the engine's `Nest` operator groups by
 //! blocker key partition by partition and merges the partial groups.
+//! [`Blocker::key_ids`] gives the same keys as integers ([`KeyIds`]: a key
+//! of at most eight bytes packed into a `u64`, a longer one interned), the
+//! form the engine's keyed blocks compare and count.
 //!
 //! The paper's optional variants are implemented too: [`kmeans_multipass`]
 //! (the classic iterative algorithm, §4.3 "multi-pass partitional") and
@@ -23,5 +26,7 @@
 mod blocking;
 mod kmeans;
 
-pub use blocking::{Blocker, BlockerKind, ExactKey, LengthBand, TokenFilter};
+pub use blocking::{
+    normalizes_per_char, Blocker, BlockerKind, ExactKey, KeyIds, LengthBand, TokenFilter,
+};
 pub use kmeans::{kmeans_multipass, select_centers, CenterInit, KMeansBlocker};

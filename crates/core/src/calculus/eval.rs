@@ -369,7 +369,7 @@ pub(crate) fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
 
 /// The textual content of a value without allocating for the common
 /// `Value::Str` case.
-fn text_of(v: &Value) -> Cow<'_, str> {
+pub(crate) fn text_of(v: &Value) -> Cow<'_, str> {
     match v {
         Value::Str(s) => Cow::Borrowed(s),
         other => Cow::Owned(other.to_text()),

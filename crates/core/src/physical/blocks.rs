@@ -10,7 +10,7 @@
 //! dense codes per chunk ([`Groups::assign`]), the chunks merge in chunk
 //! order ([`Groups::absorb`]) into first-appearance codes over the whole
 //! table — one per distinct value — and a counting sort lays the selected
-//! rows out by block: block `b` is the range `order[offsets[b]..offsets[b +
+//! rows out by code: code `c` is the range `order[offsets[c]..offsets[c +
 //! 1]]` of ascending row indices into the scan.
 //!
 //! Two kinds of `Nest` group this way:
@@ -19,23 +19,35 @@
 //!   each code is a block. A fold consumer folds its slots by these codes;
 //!   a pair consumer sweeps the ranges.
 //! - **keyed blocks**, a key `BlockKeys(algo)(e)` (token filtering,
-//!   k-means): `e` is the grouped program, the blocker runs once per
-//!   distinct value of `e` (on the value's first row), its keys are
-//!   interned to block ids in first-appearance order, and the counting sort
-//!   runs over the `(row, block)` incidences. A member is the scanned row
-//!   or — when the `Nest` collects `e` itself (CLUSTER BY) — the value of
-//!   its code. Two keyed `Nest`s joined on their keys match by block id
+//!   k-means): `e` is the grouped program, and the key ids
+//!   ([`cleanm_cluster::Blocker::key_ids`]) of each distinct value are
+//!   computed straight from the coded value. Under token filtering each
+//!   chunk's task computes those of the values it holds (a code keeps the
+//!   ids of the chunk that first held it); k-means keys, k edit distances
+//!   a value, are computed once per code on the driver. A key that does
+//!   not pack into a `u64` is interned on the driver, in code order,
+//!   through the interner the query's keyed `Nest`s share ([`KeyedBy`]). The ids are numbered
+//!   into blocks in first-appearance order; each code keeps its blocks
+//!   (sorted by key id, one per distinct key) and each block its codes
+//!   (ascending), the two sides of the count filter's merge
+//!   (`physical/pairs.rs`). A member is the scanned row or — when the
+//!   `Nest` collects `e` itself (CLUSTER BY) — the value of its code. Two
+//!   keyed `Nest`s joined on their keys match by key id
 //!   ([`GroupedBlocks::matched`]).
 //!
-//! No key is hashed per row, and no group record or member list is built
-//! unless a consumer's own programs do not lower
+//! No key is hashed per row, and no group record, member list or key value
+//! is built unless a consumer's own programs do not lower
 //! ([`GroupedBlocks::materialize`]).
 
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+
+use cleanm_cluster::{normalizes_per_char, Blocker, KeyIds};
 use cleanm_exec::{produce_partials, Dataset, ExecContext, ExecResult};
 use cleanm_values::{FxHashMap, Value};
 
+use crate::calculus::eval::text_of;
 use crate::calculus::CalcExpr;
 
 use super::execute::group_record;
@@ -64,12 +76,19 @@ impl Collects {
     }
 }
 
-/// A keyed `Nest`'s keys of the distinct value at a stored row; `None`
-/// after recording an evaluation error.
-pub(super) type KeysOf<'k> = &'k dyn Fn(&Value) -> Option<Value>;
+/// How a keyed `Nest` keys its distinct values.
+pub(super) struct KeyedBy {
+    /// The prepared blocker of its `BlockKeys(algo)`.
+    pub(super) blocker: Arc<dyn Blocker>,
+    /// The ids of keys that do not pack, shared by the query's keyed
+    /// `Nest`s so that their ids compare.
+    pub(super) long: Arc<Mutex<KeyIds>>,
+    /// `q` when the keys are token filtering's q-grams.
+    pub(super) qgrams: Option<usize>,
+}
 
 /// A `Nest` grouped by column: the scan it read, the program it grouped
-/// by, and its blocks as ranges of row indices.
+/// by, and its rows by code.
 pub(super) struct GroupedBlocks {
     /// The table read by column over every field the Nest's consumers
     /// read, filtered by the `WHERE` chain fused beneath the Nest.
@@ -81,114 +100,189 @@ pub(super) struct GroupedBlocks {
     reps: Vec<u32>,
     /// Per chunk, in chunk order.
     chunks: Vec<ChunkIds>,
-    /// The selected rows by block, ascending within each block.
+    /// The selected rows by code, ascending within each code.
     order: Vec<u32>,
-    /// Block `b`'s rows are `order[offsets[b]..offsets[b + 1]]`.
+    /// Code `c`'s rows are `order[offsets[c]..offsets[c + 1]]`.
     offsets: Vec<u32>,
-    /// What keyed blocks add; `None` for grouped blocks, whose block ids
-    /// are the codes.
+    /// What keyed blocks add; `None` for grouped blocks, whose blocks are
+    /// the codes.
     keyed: Option<Keyed>,
     pub(super) collects: Collects,
 }
 
 /// The blocks of a keyed `Nest` beyond its codes.
 struct Keyed {
-    /// Block `b`'s key.
-    keys: Vec<Value>,
+    by: KeyedBy,
+    /// Block `b`'s key id.
+    ids: Vec<u64>,
+    /// Code `c`'s blocks are `blocks[at[c]..at[c + 1]]`, in key-id order.
+    at: Vec<u32>,
+    blocks: Vec<u32>,
+    /// Block `b`'s codes are `codes_in[starts[b]..starts[b + 1]]`,
+    /// ascending.
+    starts: Vec<u32>,
+    codes_in: Vec<u32>,
+    /// Rows in block `b`.
+    weights: Vec<u64>,
+    /// Code `c`'s text (as `BlockKeys` and a similarity test read it,
+    /// NULL as the empty string): its length in characters, and whether it
+    /// normalizes character by character
+    /// ([`cleanm_cluster::normalizes_per_char`]).
+    lens: Vec<u32>,
+    per_char: Vec<bool>,
     /// Each scanned row's code (`u32::MAX` for a row the chain dropped).
     codes: Vec<u32>,
     /// Code `c`'s value, when the members are values.
     values: Option<Vec<Value>>,
 }
 
+/// One chunk's task's result: its groups, selected rows and their local
+/// codes, and — when it computes them — the keys of its distinct values.
+type Chunk = (Groups, Vec<u32>, Vec<u32>, Option<CodeKeys>);
+
+/// The keys of one chunk's distinct values, in local-code order.
+#[derive(Default)]
+struct CodeKeys {
+    /// Code `c`'s key ids are `ids[at[c]..at[c + 1]]`.
+    at: Vec<u32>,
+    ids: Vec<u64>,
+    lens: Vec<u32>,
+    per_char: Vec<bool>,
+    /// Did a key of code `c` not pack (its ids are left to the driver)?
+    deferred: Vec<bool>,
+}
+
+impl CodeKeys {
+    fn new() -> CodeKeys {
+        CodeKeys {
+            at: vec![0],
+            ..CodeKeys::default()
+        }
+    }
+
+    /// The keys of each value of `value` at `reps`, computed without an
+    /// interner: a value with a key that does not pack is left to the
+    /// driver.
+    fn of(blocker: &dyn Blocker, value: &ColumnProgram, reps: &[u32]) -> CodeKeys {
+        let mut keys = CodeKeys::new();
+        for &rep in reps {
+            let deferred = !keys.push(blocker, &value.value(rep), None);
+            if deferred {
+                keys.lens.push(0);
+                keys.per_char.push(false);
+                keys.at.push(keys.ids.len() as u32);
+            }
+            keys.deferred.push(deferred);
+        }
+        keys
+    }
+
+    /// Append the keys of `v`; `false`, appending nothing, when a key does
+    /// not pack and there is no interner.
+    fn push(&mut self, blocker: &dyn Blocker, v: &Value, long: Option<&mut KeyIds>) -> bool {
+        let text = text_of(v);
+        if !blocker.key_ids(&text, long, &mut self.ids) {
+            return false;
+        }
+        self.lens.push(text.chars().count() as u32);
+        self.per_char.push(normalizes_per_char(&text));
+        self.at.push(self.ids.len() as u32);
+        true
+    }
+
+    /// Append `other`'s code `c`, unless it was left to the driver.
+    fn copy(&mut self, other: &CodeKeys, c: usize) -> bool {
+        if other.deferred[c] {
+            return false;
+        }
+        let (lo, hi) = (other.at[c] as usize, other.at[c + 1] as usize);
+        self.ids.extend_from_slice(&other.ids[lo..hi]);
+        self.lens.push(other.lens[c]);
+        self.per_char.push(other.per_char[c]);
+        self.at.push(self.ids.len() as u32);
+        true
+    }
+}
+
 impl GroupedBlocks {
     /// Group `scan` by `value`: one `group_blocks` stage over the chunks
     /// the row path would have scanned (so a claim is one `PartitionStart`
-    /// site), each chunk's codes moving as the map-side partials of a
+    /// site), each chunk's codes — and, when the `Nest` is keyed, the key
+    /// ids of its distinct values — moving as the map-side partials of a
     /// local-aggregate shuffle move (the per-chunk distinct values), then
-    /// the merge in chunk order, the keys of each distinct value when the
-    /// `Nest` is keyed (`keys` at the value's first row) and the counting
-    /// sort on the driver.
+    /// the merge in chunk order and the counting sorts on the driver.
     pub(super) fn group(
         ctx: &Arc<ExecContext>,
         scan: ColumnScan,
         value: ColumnProgram,
         collects: Collects,
-        keys: Option<KeysOf<'_>>,
+        keyed_by: Option<KeyedBy>,
     ) -> ExecResult<GroupedBlocks> {
         let total = scan.len() as u32;
         let tasks = chunk_ranges(total, ctx.default_partitions());
-        let moved = |parts: &[(Groups, Vec<u32>, Vec<u32>)]| {
-            parts.iter().map(|(groups, ..)| groups.len() as u64).sum()
-        };
+        let moved = |parts: &[Chunk]| parts.iter().map(|(groups, ..)| groups.len() as u64).sum();
+        // q-grams are cheap to compute: each chunk's task computes those of
+        // its distinct values. Other keys (k-means: k edit distances per
+        // value) are computed on the driver, once per code.
+        let in_chunks = keyed_by.as_ref().filter(|by| by.qgrams.is_some());
+        let blocker = in_chunks.map(|by| &*by.blocker);
         let partials =
             produce_partials(ctx, "group_blocks", total as u64, tasks, moved, |range| {
                 let sel = scan.sweep(range);
                 // At most one group per selected row: the table never rehashes.
                 let (mut groups, mut gids) = (Groups::with_capacity(sel.len()), Vec::new());
                 groups.assign(&value, &sel, &mut gids);
-                (groups, sel, gids)
+                let keys = blocker.map(|b| CodeKeys::of(b, &value, groups.reps()));
+                (groups, sel, gids, keys)
             })?;
         ctx.catch_driver("group blocks merge", || {
             let room = partials.iter().map(|(groups, ..)| groups.len()).sum();
             let mut groups = Groups::with_capacity(room);
+            let mut keys = keyed_by
+                .as_ref()
+                .map(|by| (CodeKeys::new(), by, by.long.lock()));
             let chunks: Vec<ChunkIds> = (partials.into_iter())
-                .map(|(local, rows, mut gids)| {
+                .map(|(local, rows, mut gids, local_keys)| {
                     let remap = groups.absorb(&value, &local);
+                    if let Some((all, by, long)) = &mut keys {
+                        // A code new to the table takes this chunk's keys,
+                        // or its keys are computed here; new codes come in
+                        // local-code order.
+                        for (c, &g) in remap.iter().enumerate() {
+                            if g as usize == all.lens.len()
+                                && !local_keys.as_ref().is_some_and(|k| all.copy(k, c))
+                            {
+                                let v = value.value(local.reps()[c]);
+                                all.push(&*by.blocker, &v, Some(long));
+                            }
+                        }
+                    }
                     gids.iter_mut().for_each(|g| *g = remap[*g as usize]);
                     (rows, gids)
                 })
                 .collect();
             let reps = groups.reps().to_vec();
-            // Per code, its blocks: itself, or its interned keys.
-            let (mut blocks, mut at) = (Vec::new(), Vec::with_capacity(reps.len() + 1));
-            let keyed = keys.map(|keys_of| {
-                let mut ids: FxHashMap<Value, u32> = FxHashMap::default();
-                let mut keys = Vec::new();
-                at.push(0);
-                for &rep in &reps {
-                    let mut intern = |key: &Value| {
-                        let id = ids.get(key).copied().unwrap_or_else(|| {
-                            ids.insert(key.clone(), keys.len() as u32);
-                            keys.push(key.clone());
-                            keys.len() as u32 - 1
-                        });
-                        blocks.push(id);
-                    };
-                    match keys_of(scan.row(rep)) {
-                        Some(Value::List(list)) => list.iter().for_each(&mut intern),
-                        Some(scalar) => intern(&scalar),
-                        None => {}
-                    }
-                    at.push(blocks.len() as u32);
-                }
-                let mut codes = vec![u32::MAX; total as usize];
-                for (rows, gids) in &chunks {
-                    rows.iter()
-                        .zip(gids)
-                        .for_each(|(&r, &c)| codes[r as usize] = c);
-                }
-                let values =
-                    (collects.values()).then(|| reps.iter().map(|&r| value.value(r)).collect());
-                Keyed {
-                    keys,
-                    codes,
-                    values,
-                }
-            });
-            let csr = keyed.as_ref().map(|_| (&at[..], &blocks[..]));
-            let n = keyed.as_ref().map_or(reps.len(), |k| k.keys.len());
+            let n = reps.len();
             let mut offsets = vec![0u32; n + 1];
-            incidences(&chunks, csr, |_, b| offsets[b as usize + 1] += 1);
-            for b in 0..n {
-                offsets[b + 1] += offsets[b];
+            incidences(&chunks, |_, c| offsets[c as usize + 1] += 1);
+            for c in 0..n {
+                offsets[c + 1] += offsets[c];
             }
             let mut next = offsets[..n].to_vec();
             let mut order = vec![0u32; offsets[n] as usize];
-            incidences(&chunks, csr, |row, b| {
-                order[next[b as usize] as usize] = row;
-                next[b as usize] += 1;
+            incidences(&chunks, |row, c| {
+                order[next[c as usize] as usize] = row;
+                next[c as usize] += 1;
             });
+            let keys = keys.map(|(keys, ..)| keys);
+            let keyed = match (keys, keyed_by) {
+                (Some(keys), Some(by)) => {
+                    let values =
+                        (collects.values()).then(|| reps.iter().map(|&r| value.value(r)).collect());
+                    Some(Keyed::new(by, keys, &chunks, &offsets, total, values))
+                }
+                _ => None,
+            };
             Ok(GroupedBlocks {
                 scan,
                 value,
@@ -204,7 +298,7 @@ impl GroupedBlocks {
 
     /// Number of blocks.
     pub(super) fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.keyed.as_ref().map_or(self.reps.len(), |k| k.ids.len())
     }
 
     /// Number of distinct values of the grouped program.
@@ -217,10 +311,20 @@ impl GroupedBlocks {
         &self.reps
     }
 
-    /// Block `b`'s rows, ascending.
-    pub(super) fn rows(&self, b: u32) -> &[u32] {
-        let (lo, hi) = (self.offsets[b as usize], self.offsets[b as usize + 1]);
+    /// Code `c`'s rows, ascending — block `c`'s, for grouped blocks.
+    pub(super) fn rows(&self, c: u32) -> &[u32] {
+        let (lo, hi) = self.span(c);
         &self.order[lo as usize..hi as usize]
+    }
+
+    /// Where code `c`'s rows lie in [`GroupedBlocks::by_code`].
+    pub(super) fn span(&self, c: u32) -> (u32, u32) {
+        (self.offsets[c as usize], self.offsets[c as usize + 1])
+    }
+
+    /// The selected rows, by code.
+    pub(super) fn by_code(&self) -> &[u32] {
+        &self.order
     }
 
     /// The chunks, in chunk order.
@@ -228,9 +332,13 @@ impl GroupedBlocks {
         &self.chunks
     }
 
-    /// Row `r`'s code, for keyed blocks.
-    pub(super) fn code(&self, r: u32) -> u32 {
-        self.keyed.as_ref().expect("keyed blocks carry codes").codes[r as usize]
+    fn keyed(&self) -> &Keyed {
+        self.keyed.as_ref().expect("keyed blocks")
+    }
+
+    /// Are these keyed blocks?
+    pub(super) fn is_keyed(&self) -> bool {
+        self.keyed.is_some()
     }
 
     /// Are the members the values of their codes ([`Collects`])?
@@ -240,31 +348,71 @@ impl GroupedBlocks {
 
     /// The member of the block row `r`.
     pub(super) fn member(&self, r: u32) -> &Value {
-        match self.keyed.as_ref().and_then(|k| k.values.as_ref()) {
-            Some(values) => &values[self.code(r) as usize],
+        match self
+            .keyed
+            .as_ref()
+            .and_then(|k| k.values.as_ref().map(|v| (k, v)))
+        {
+            Some((keyed, values)) => &values[keyed.codes[r as usize] as usize],
             None => self.scan.row(r),
         }
     }
 
-    /// Block `b`'s key.
+    /// Rows in block `b`.
+    pub(super) fn weight(&self, b: u32) -> u64 {
+        match &self.keyed {
+            Some(keyed) => keyed.weights[b as usize],
+            None => self.rows(b).len() as u64,
+        }
+    }
+
+    /// Keyed code `c`'s blocks, one per distinct key.
+    pub(super) fn blocks_of(&self, c: u32) -> &[u32] {
+        let keyed = self.keyed();
+        let (lo, hi) = (keyed.at[c as usize], keyed.at[c as usize + 1]);
+        &keyed.blocks[lo as usize..hi as usize]
+    }
+
+    /// Keyed block `b`'s codes, ascending.
+    pub(super) fn codes_in(&self, b: u32) -> &[u32] {
+        let keyed = self.keyed();
+        let (lo, hi) = (keyed.starts[b as usize], keyed.starts[b as usize + 1]);
+        &keyed.codes_in[lo as usize..hi as usize]
+    }
+
+    /// Keyed code `c`'s text: its length in characters, and whether it
+    /// normalizes character by character.
+    pub(super) fn text_shape(&self, c: u32) -> (usize, bool) {
+        let keyed = self.keyed();
+        (keyed.lens[c as usize] as usize, keyed.per_char[c as usize])
+    }
+
+    /// `q` when the keyed blocks are token filtering's q-grams.
+    pub(super) fn qgrams(&self) -> Option<usize> {
+        self.keyed().by.qgrams
+    }
+
+    /// Block `b`'s key as the `Nest` would have grouped it.
     fn key(&self, b: u32) -> Value {
         match &self.keyed {
-            Some(keyed) => keyed.keys[b as usize].clone(),
+            Some(keyed) => {
+                let long = keyed.by.long.lock();
+                Value::str(keyed.by.blocker.render_key(keyed.ids[b as usize], &long))
+            }
             None => self.value.value(self.reps[b as usize]),
         }
     }
 
-    /// The blocks of two keyed `Nest`s joined on their keys: each pair of
-    /// block ids with equal keys, in `self`'s block order — what a hash
-    /// join of the two `{key, partition}` collections on `key` pairs.
-    pub(super) fn matched(&self, other: &GroupedBlocks) -> Vec<(u32, u32)> {
-        let (mine, theirs) = (self.keyed.as_ref(), other.keyed.as_ref());
-        let (Some(mine), Some(theirs)) = (mine, theirs) else {
-            unreachable!("only keyed blocks match by key")
-        };
-        let ids: FxHashMap<&Value, u32> = (theirs.keys.iter()).zip(0..).collect();
-        (mine.keys.iter().zip(0..))
-            .filter_map(|(key, b)| Some((b, *ids.get(key)?)))
+    /// The blocks of two keyed `Nest`s joined on their keys: per block of
+    /// `self`, the block of `other` with the same key id (`u32::MAX` when
+    /// none) — what a hash join of the two `{key, partition}` collections
+    /// on `key` pairs. Both sides' keys come from one blocker (CLUSTER BY
+    /// names one algorithm) and one interner.
+    pub(super) fn matched(&self, other: &GroupedBlocks) -> Vec<u32> {
+        let (mine, theirs) = (self.keyed(), other.keyed());
+        let ids: FxHashMap<u64, u32> = (theirs.ids.iter().copied()).zip(0..).collect();
+        (mine.ids.iter())
+            .map(|id| ids.get(id).copied().unwrap_or(u32::MAX))
             .collect()
     }
 
@@ -274,28 +422,82 @@ impl GroupedBlocks {
     /// scan's columns.
     pub(super) fn materialize(&self, ctx: &Arc<ExecContext>) -> Dataset<RowEnv> {
         let blocks = (0..self.len() as u32).map(|b| {
-            let members = self.rows(b).iter().map(|&r| self.member(r).clone());
+            let mut rows: Vec<u32> = match &self.keyed {
+                Some(_) => (self.codes_in(b).iter())
+                    .flat_map(|&c| self.rows(c))
+                    .copied()
+                    .collect(),
+                None => self.rows(b).to_vec(),
+            };
+            rows.sort_unstable();
+            let members = rows.iter().map(|&r| self.member(r).clone());
             vec![group_record((self.key(b), members.collect()))]
         });
         Dataset::from_vec(ctx, blocks.collect())
     }
 }
 
-/// Call `visit(row, block)` for every selected row and each of its blocks,
-/// in chunk order: the row's code, or the blocks `blocks[at[c]..at[c + 1]]`
-/// of its code `c` when the `Nest` is keyed.
-fn incidences(chunks: &[ChunkIds], csr: Option<(&[u32], &[u32])>, mut visit: impl FnMut(u32, u32)) {
+impl Keyed {
+    /// Number the codes' key ids into blocks in first-appearance order and
+    /// lay each block's codes out by a counting sort.
+    fn new(
+        by: KeyedBy,
+        keys: CodeKeys,
+        chunks: &[ChunkIds],
+        offsets: &[u32],
+        total: u32,
+        values: Option<Vec<Value>>,
+    ) -> Keyed {
+        let mut numbered: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut ids = Vec::new();
+        let blocks: Vec<u32> = (keys.ids.iter())
+            .map(|&id| {
+                *numbered.entry(id).or_insert_with(|| {
+                    ids.push(id);
+                    ids.len() as u32 - 1
+                })
+            })
+            .collect();
+        let codes = keys.lens.len();
+        let of = |c: usize| &blocks[keys.at[c] as usize..keys.at[c + 1] as usize];
+        let mut starts = vec![0u32; ids.len() + 1];
+        (0..codes).for_each(|c| of(c).iter().for_each(|&b| starts[b as usize + 1] += 1));
+        for b in 0..ids.len() {
+            starts[b + 1] += starts[b];
+        }
+        let (mut next, mut codes_in) = (starts.clone(), vec![0u32; blocks.len()]);
+        let mut weights = vec![0u64; ids.len()];
+        for c in 0..codes {
+            let rows = (offsets[c + 1] - offsets[c]) as u64;
+            for &b in of(c) {
+                codes_in[next[b as usize] as usize] = c as u32;
+                next[b as usize] += 1;
+                weights[b as usize] += rows;
+            }
+        }
+        let mut row_codes = vec![u32::MAX; total as usize];
+        incidences(chunks, |r, c| row_codes[r as usize] = c);
+        Keyed {
+            by,
+            ids,
+            at: keys.at,
+            blocks,
+            starts,
+            codes_in,
+            weights,
+            lens: keys.lens,
+            per_char: keys.per_char,
+            codes: row_codes,
+            values,
+        }
+    }
+}
+
+/// Call `visit(row, code)` for every selected row, in chunk order.
+fn incidences(chunks: &[ChunkIds], mut visit: impl FnMut(u32, u32)) {
     for (rows, codes) in chunks {
         for (&row, &code) in rows.iter().zip(codes) {
-            match csr {
-                None => visit(row, code),
-                Some((at, blocks)) => {
-                    let (lo, hi) = (at[code as usize], at[code as usize + 1]);
-                    blocks[lo as usize..hi as usize]
-                        .iter()
-                        .for_each(|&b| visit(row, b));
-                }
-            }
+            visit(row, code)
         }
     }
 }

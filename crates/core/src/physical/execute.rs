@@ -43,12 +43,12 @@
 //! `columnar_source` (sweep a scan by column?).
 
 use std::collections::{HashMap, HashSet};
-use std::slice::from_ref;
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use cleanm_cluster::KeyIds;
 use cleanm_exec::{
     produce_partials, produce_partitions, Dataset, ExecContext, ExecError, ExecResult, FaultSite,
 };
@@ -57,10 +57,10 @@ use cleanm_values::Value;
 use crate::algebra::plan::{Alg, PairShape};
 use crate::calculus::eval::{merge_values, truthy, EvalCtx};
 use crate::calculus::subst::free_vars;
-use crate::calculus::{CalcExpr, Func, MonoidKind, Program};
+use crate::calculus::{CalcExpr, FilterAlgo, Func, MonoidKind, Program};
 use crate::engine::storage::StoredTable;
 
-use super::blocks::{Collects, GroupedBlocks, KeysOf};
+use super::blocks::{Collects, GroupedBlocks, KeyedBy};
 use super::groupfold::{self, AggFoldShape, ColumnarFold, KEY_SLOT_VAR};
 use super::kernel::{ColumnProgram, PredKernel};
 use super::pairs::{BlockPairs, PairSweep, SweepInput};
@@ -114,6 +114,10 @@ pub struct Executor<'a> {
     /// Shared scans that only grouped `Nest`s read: they read by column
     /// ([`Executor::columnar_source`]).
     block_scans: HashSet<usize>,
+    /// The ids of block keys that do not pack into a `u64`, shared by the
+    /// keyed `Nest`s so that CLUSTER BY's two sides compare ids; made by
+    /// the first.
+    long_keys: Option<Arc<Mutex<KeyIds>>>,
     /// Strategy decisions made while executing, in plan order.
     pub decisions: Vec<PlanDecision>,
     /// Plan-node expressions compiled to slot-resolved programs.
@@ -223,6 +227,7 @@ impl<'a> Executor<'a> {
             grouped: HashMap::new(),
             blocks: HashMap::new(),
             block_scans: HashSet::new(),
+            long_keys: None,
             decisions: Vec::new(),
             compiled_exprs: 0,
             fused_selects: 0,
@@ -808,6 +813,24 @@ impl<'a> Executor<'a> {
         self.grouped.contains_key(&(Arc::as_ptr(node) as usize))
     }
 
+    /// How a keyed `Nest` keyed by `BlockKeys(algo)(e)` keys its values:
+    /// `algo`'s prepared blocker — `None` when it is not prepared, and the
+    /// `Nest` then materializes, failing as the reference evaluator does —
+    /// with the query's interner of long keys.
+    fn keyed_by(&mut self, key: &CalcExpr) -> Option<KeyedBy> {
+        let CalcExpr::Call(Func::BlockKeys(algo), _) = key else {
+            unreachable!("a keyed Nest's key is a BlockKeys call")
+        };
+        Some(KeyedBy {
+            blocker: self.eval.ctx.prepared_blocker(algo)?,
+            long: Arc::clone(self.long_keys.get_or_insert_default()),
+            qgrams: match algo {
+                FilterAlgo::TokenFilter { q } => Some(*q),
+                _ => None,
+            },
+        })
+    }
+
     /// A grouped `Nest`'s blocks, grouped at its first consumer and
     /// memoized for the rest: the scan of the fields its consumers read
     /// (`lower_on_columns`, its `WHERE` chain as the scan's kernel), its
@@ -838,16 +861,21 @@ impl<'a> Executor<'a> {
         let (source, preds) = self.fusible_chain(input);
         let (stored, var) = self.columnar_source(source).expect("checked when planned");
         let scope = [var.to_string()];
-        // A keyed Nest groups by `BlockKeys`' argument and runs the key
-        // once per distinct value of it.
+        // A keyed Nest groups by `BlockKeys`' argument and keys each
+        // distinct value of it with the prepared blocker.
         let coded = block_keys_arg(key);
         let chain = conjoin(&preds).map(|chain| self.compile(&chain, &scope));
         let value_rx = self.compile(coded.unwrap_or(key), &scope);
-        let key_rx = coded.map(|_| self.compile(key, &scope)).transpose();
-        let (Ok(filter), Ok(value_rx), Ok(key_rx)) = (chain.transpose(), value_rx, key_rx) else {
+        // A blocker that is not prepared declines like a program that does
+        // not compile.
+        let keyed_by = coded.map(|_| self.keyed_by(key));
+        let (Ok(filter), Ok(value_rx), None | Some(Some(_))) =
+            (chain.transpose(), value_rx, &keyed_by)
+        else {
             self.blocks.insert(at, None);
             return Ok(None);
         };
+        let keyed_by = keyed_by.flatten();
         let (blocks, frame) = self.in_frame(|ex| {
             let filter_program = filter.as_ref().map(|rx| rx.program());
             let (lowered, scan) = ex.in_frame(|ex| {
@@ -868,7 +896,7 @@ impl<'a> Executor<'a> {
                 return Ok(None);
             };
             ex.decide_nest(key);
-            ex.compiled_exprs += 1 + usize::from(filter.is_some()) + usize::from(coded.is_some());
+            ex.compiled_exprs += 1 + usize::from(filter.is_some());
             ex.fused_selects += preds.len();
             ex.vectorized_rows += scan.len() as u64;
             let collects = Collects {
@@ -876,10 +904,7 @@ impl<'a> Executor<'a> {
                 item: item.clone(),
                 coded: coded.cloned(),
             };
-            let ev = ex.eval.clone();
-            let keys = key_rx.map(|rx| move |row: &Value| ev.eval_pair(&rx, &[], from_ref(row)));
-            let keys = keys.as_ref().map(|f| f as KeysOf<'_>);
-            let blocks = GroupedBlocks::group(&ex.ctx, scan, value, collects, keys)?;
+            let blocks = GroupedBlocks::group(&ex.ctx, scan, value, collects, keyed_by)?;
             Ok(Some(Arc::new(blocks)))
         })?;
         match (&blocks, frame) {
@@ -1037,6 +1062,7 @@ impl<'a> Executor<'a> {
         let outputs = match rows {
             Some(ds) => ds.map_partitions(move |rows| worker.run_partition(rows)),
             None => {
+                sweep.admit();
                 let blocks = sweep.block_pairs();
                 let tasks = blocks.tasks(self.ctx.default_partitions());
                 produce_partitions(

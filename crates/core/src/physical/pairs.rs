@@ -28,32 +28,38 @@
 //!    compiled program over `(X.., a, b)` slices for anything else;
 //! 4. evaluates the head for the surviving pairs only.
 //!
-//! Over keyed blocks every member has a code, one per distinct value of
-//! `BlockKeys`' argument, and two memos apply. A similarity conjunct whose
-//! operands are both sides' coded programs is decided once per distinct
-//! `(code_a, code_b)` pair for the whole sweep ([`Memo`]), so a pair that
-//! shares several blocks is compared once and `comparisons` counts
-//! distinct value pairs. A head that reads only two members that are the
-//! coded values themselves (CLUSTER BY's `{term, repair}`) is built once
-//! per distinct surviving pair and shared.
+//! Keyed blocks (token filtering, k-means) are not walked block by block: a
+//! pair of values sharing m blocks would be met m times. Every member has a
+//! code, one per distinct value of `BlockKeys`' argument, and the sweep
+//! walks *candidate code pairs* instead. Per outer code it counts, over the
+//! codes of each of its blocks (the matched block, for CLUSTER BY), how
+//! many blocks every inner code shares with it (ScanCount), so each inner
+//! code sharing at least one block comes once, with its count c. Each
+//! candidate's rows are paired and narrowed as above, a similarity conjunct
+//! whose operands are both sides' coded programs decided once for the
+//! candidate — after the length and q-gram count filters, which reject
+//! only pairs the metric would (docs/LANGUAGE.md) — and each pair kept is
+//! emitted c times: one output per shared block, as over materialized
+//! groups. The budget is charged `Σ|A|·|B|` over the block pairs before
+//! any task runs ([`PairSweep::admit`]), so pass or fail under a work
+//! budget is the block walk's.
 //!
 //! Semantics are those of the stacked operators: conjuncts short-circuit in
 //! `Select` order, a pair whose predicate cannot be evaluated is rejected
 //! and the error recorded (an operand that fails for a member surfaces only
 //! if a pair reaches its conjunct), outputs keep `(X, a, b)` order —
-//! grouped and keyed blocks in first-appearance block order, so the same
-//! pairs, with the same multiplicity, as over materialized groups, in
-//! another block order.
+//! grouped blocks in first-appearance block order, keyed blocks by outer
+//! code, inner code, outer row and inner row, each in first-appearance or
+//! ascending order — so the same pairs, with the same multiplicity, as over
+//! materialized groups, in another order.
 
 use std::slice::from_ref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
-
 use cleanm_exec::{ExecContext, ExecError, ExecResult};
 use cleanm_text::{Matcher, Metric};
-use cleanm_values::{FxHashMap, Result, Value};
+use cleanm_values::{Result, Value};
 
 use crate::algebra::plan::PairShape;
 use crate::calculus::eval::{eval_binop, truthy};
@@ -67,6 +73,9 @@ use super::program::{RowEnv, RowExpr};
 
 /// The operator name budget and interrupt failures of the sweep carry.
 const OPERATOR: &str = "pair_sweep";
+
+/// No block, code or pattern.
+const NONE: u32 = u32::MAX;
 
 /// Does the expression call a similarity function? Such a call ticks the
 /// comparison counter per evaluation.
@@ -85,15 +94,15 @@ enum Verify {
     /// both sides become per-member columns.
     Cmp { op: BinOp, a: Operand, b: Operand },
     /// `Similar(metric, θ)(ea, eb)`, likewise: per-member text columns, the
-    /// outer member prepared once for its whole inner loop — and, when both
-    /// operands are their side's coded program, the verdicts memoized by
-    /// code pair.
+    /// outer member prepared once for its whole inner loop — or, when both
+    /// operands are their side's coded program (`coded`), decided once per
+    /// candidate code pair.
     Similar {
         metric: Metric,
         theta: f64,
         a: Operand,
         b: Operand,
-        memo: Option<Memo>,
+        coded: bool,
     },
     /// Anything else: the compiled conjunct over `(X.., a, b)`.
     Program(Arc<RowExpr>),
@@ -108,72 +117,15 @@ enum Operand {
     Column(ColumnProgram),
 }
 
-/// The verdicts of a similarity conjunct over coded operands, by
-/// `(code_a, code_b)`, shared by all the sweep's tasks. Of the tasks that
-/// decide an undecided pair (more than one only when they race for it),
-/// the one whose verdict lands first counts the comparison, so the count is
-/// the number of distinct pairs compared whatever the interleaving.
-enum Memo {
-    /// Two bits per code pair, row-major over `width` inner codes: bit 0
-    /// decided, bit 1 the verdict.
-    Dense { width: u64, words: Vec<AtomicU64> },
-    /// The decided pairs.
-    Sparse(Mutex<FxHashMap<(u32, u32), bool>>),
-}
-
-impl Memo {
-    /// A memo over `outer × inner` code pairs for a sweep that admits at
-    /// most `candidates` index pairs: dense when its bytes are no more
-    /// than that, else a map, which holds at most one entry per candidate
-    /// compared. Either way its size is bounded by the candidates.
-    fn new(outer: usize, inner: usize, candidates: u64) -> Memo {
-        let words = (outer as u64 * inner as u64).div_ceil(32);
-        match words.saturating_mul(8) <= candidates {
-            true => Memo::Dense {
-                width: inner as u64,
-                words: (0..words).map(|_| AtomicU64::new(0)).collect(),
-            },
-            false => Memo::Sparse(Mutex::new(FxHashMap::default())),
-        }
-    }
-
-    /// The verdict of `(a, b)`, from the memo or from `decide`, and
-    /// whether this call's verdict was the first recorded (so counts a
-    /// comparison).
-    fn verdict(&self, a: u32, b: u32, decide: impl FnOnce() -> bool) -> (bool, bool) {
-        match self {
-            Memo::Dense { width, words } => {
-                let at = a as u64 * width + b as u64;
-                let (word, shift) = (&words[(at / 32) as usize], at % 32 * 2);
-                let state = word.load(Ordering::Relaxed) >> shift;
-                if state & 1 == 1 {
-                    return (state & 2 == 2, false);
-                }
-                let verdict = decide();
-                let bits = (1 | (verdict as u64) << 1) << shift;
-                let before = word.fetch_or(bits, Ordering::Relaxed) >> shift;
-                (verdict, before & 1 == 0)
-            }
-            Memo::Sparse(map) => {
-                if let Some(&verdict) = map.lock().get(&(a, b)) {
-                    return (verdict, false);
-                }
-                let verdict = decide();
-                (verdict, map.lock().insert((a, b), verdict).is_none())
-            }
-        }
-    }
-}
-
 /// The blocks a sweep over grouped `Nest`s walks: one `Nest`'s blocks,
 /// each paired with itself (DEDUP, blocked DC), or the blocks of two keyed
 /// `Nest`s matched by key (CLUSTER BY's block join).
 pub(super) struct BlockPairs {
     a: Arc<GroupedBlocks>,
     b: Arc<GroupedBlocks>,
-    /// The matched `(a, b)` block ids; `None` when `b` is `a` and each
-    /// block pairs with itself.
-    matched: Option<Vec<(u32, u32)>>,
+    /// Per block of `a`, the block of `b` with its key ([`NONE`] when
+    /// none); `None` when `b` is `a` and each block pairs with itself.
+    partner: Option<Vec<u32>>,
 }
 
 impl BlockPairs {
@@ -182,49 +134,71 @@ impl BlockPairs {
         BlockPairs {
             a: Arc::clone(&blocks),
             b: blocks,
-            matched: None,
+            partner: None,
         }
     }
 
     /// The blocks of `a` and `b` with equal keys.
     pub(super) fn joined(a: Arc<GroupedBlocks>, b: Arc<GroupedBlocks>) -> BlockPairs {
-        let matched = Some(a.matched(&b));
-        BlockPairs { a, b, matched }
+        let partner = Some(a.matched(&b));
+        BlockPairs { a, b, partner }
+    }
+
+    /// Are these keyed blocks, swept by candidate code pair?
+    fn keyed(&self) -> bool {
+        self.a.is_keyed()
+    }
+
+    /// The block of `b` that block `ba` of `a` pairs with.
+    fn partner(&self, ba: u32) -> Option<u32> {
+        match &self.partner {
+            None => Some(ba),
+            Some(partner) => Some(partner[ba as usize]).filter(|&bb| bb != NONE),
+        }
+    }
+
+    /// The block pairs, in `a`'s block order.
+    fn pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0..self.a.len() as u32).filter_map(|ba| Some((ba, self.partner(ba)?)))
     }
 
     /// Number of block pairs.
     pub(super) fn len(&self) -> usize {
-        self.matched.as_ref().map_or(self.a.len(), Vec::len)
+        self.pairs().count()
     }
 
-    /// The `i`-th block pair's rows.
-    fn pair(&self, i: u32) -> (&[u32], &[u32]) {
-        let (ga, gb) = self.matched.as_ref().map_or((i, i), |m| m[i as usize]);
-        (self.a.rows(ga), self.b.rows(gb))
+    /// The index pairs a block pair holds, `|A|·|B|`.
+    fn size(&self, (ba, bb): (u32, u32)) -> u64 {
+        self.a.weight(ba).saturating_mul(self.b.weight(bb))
     }
 
-    /// The index pairs the `i`-th block pair holds, `|A|·|B|`.
-    fn size(&self, i: u32) -> u64 {
-        let (a, b) = self.pair(i);
-        a.len() as u64 * b.len() as u64
-    }
-
-    /// The index pairs the sweep enumerates, `Σ |A|·|B|`.
-    fn candidates(&self) -> u64 {
-        (0..self.len() as u32).map(|i| self.size(i)).sum()
-    }
-
-    /// `p` contiguous ranges of block pairs holding about as many index
-    /// pairs each (a block pair weighs its `|A|·|B|` and one more for
-    /// itself), padded to `p` with empty ranges: first-appearance block
-    /// order tends to put the large blocks of common keys together.
+    /// `p` contiguous ranges of what a task sweeps, holding about as much
+    /// work each, padded to `p` with empty ranges: of grouped blocks' block
+    /// pairs, each weighing its `|A|·|B|` and one more for itself
+    /// (first-appearance block order tends to put the large blocks of
+    /// common keys together); of keyed blocks' outer codes, each weighing
+    /// the block members its count walks, and one more.
     pub(super) fn tasks(&self, p: usize) -> Vec<(u32, u32)> {
-        let n = self.len() as u32;
-        let total = self.candidates() + n as u64;
+        let weights: Vec<u64> = match self.keyed() {
+            false => (0..self.a.len() as u32)
+                .map(|b| self.size((b, b)) + 1)
+                .collect(),
+            true => (0..self.a.distinct() as u32)
+                .map(|ca| {
+                    let blocks = self.a.blocks_of(ca).iter();
+                    let walked = blocks.filter_map(|&ba| self.partner(ba));
+                    walked
+                        .map(|bb| self.b.codes_in(bb).len() as u64)
+                        .sum::<u64>()
+                        + 1
+                })
+                .collect(),
+        };
+        let (n, total) = (weights.len() as u32, weights.iter().sum::<u64>());
         let mut tasks = Vec::with_capacity(p);
         let (mut lo, mut seen) = (0, 0u64);
         for i in 0..n {
-            seen += self.size(i) + 1;
+            seen += weights[i as usize];
             if tasks.len() + 1 < p && seen * p as u64 >= total * (tasks.len() as u64 + 1) {
                 tasks.push((lo, i + 1));
                 lo = i + 1;
@@ -264,8 +238,7 @@ enum Blocks {
     Grouped(BlockPairs),
 }
 
-/// One side of a block: a path's values, or a range of a grouped `Nest`'s
-/// rows.
+/// One side of a block: a path's values, or rows of a grouped `Nest`.
 #[derive(Clone, Copy)]
 enum Members<'m> {
     Values(&'m [Value]),
@@ -286,12 +259,47 @@ impl<'m> Members<'m> {
             Members::Rows(blocks, rows) => blocks.member(rows[j]),
         }
     }
+}
 
-    /// Member `j`'s code: keyed blocks only.
-    fn code(self, j: usize) -> u32 {
-        match self {
-            Members::Rows(blocks, rows) => blocks.code(rows[j]),
-            Members::Values(_) => unreachable!("block rows carry no codes"),
+/// A candidate pair of keyed blocks' codes: an outer code, an inner code
+/// sharing `shared` blocks with it, and what is decided once for all their
+/// rows.
+struct Candidate<'g> {
+    a: &'g GroupedBlocks,
+    b: &'g GroupedBlocks,
+    ca: u32,
+    cb: u32,
+    shared: u32,
+    /// The coded similarity conjunct's verdict, once a row pair reaches it.
+    verdict: Option<bool>,
+    /// The head, once built, when it reads only the two coded values.
+    head: Option<Value>,
+}
+
+impl Candidate<'_> {
+    /// Can the two values be similar at all? Under Levenshtein, `similar`
+    /// means a distance of at most the matcher's own `k = ⌊(1 − θ)·max(|a|,
+    /// |b|) + 1e-9⌋`, so the lengths differ by at most k; and when the
+    /// blocks are token filtering's q-grams and both values normalize
+    /// character by character, the two share at least `max(|Q(a)|,
+    /// |Q(b)|) − q·k` of them (the soundness argument is in
+    /// docs/LANGUAGE.md). Other metrics admit every candidate.
+    fn admits(&self, metric: Metric, theta: f64) -> bool {
+        if metric != Metric::Levenshtein {
+            return true;
+        }
+        let ((la, per_char_a), (lb, per_char_b)) =
+            (self.a.text_shape(self.ca), self.b.text_shape(self.cb));
+        let k = ((1.0 - theta) * la.max(lb) as f64 + 1e-9).floor() as usize;
+        if la.abs_diff(lb) > k {
+            return false;
+        }
+        match (self.a.qgrams(), self.b.qgrams()) {
+            (Some(q), Some(same)) if q == same && per_char_a && per_char_b => {
+                let grams = (self.a.blocks_of(self.ca).len()).max(self.b.blocks_of(self.cb).len());
+                self.shared as usize + q.saturating_mul(k) >= grams
+            }
+            _ => true,
         }
     }
 }
@@ -304,7 +312,7 @@ pub(super) struct PairSweep {
     verify: Vec<Verify>,
     head: Arc<RowExpr>,
     /// Is the head a function of the two members' codes alone — built
-    /// once per distinct surviving pair?
+    /// once per candidate code pair?
     head_coded: bool,
     /// The first budget / cancellation / deadline failure: later blocks
     /// see it and stop enumerating.
@@ -359,16 +367,12 @@ impl PairSweep {
                     if args.len() == 2 && one_sided(&args[0], &args[1]) =>
                 {
                     let ((a, coded_a), (b, coded_b)) = operands(&args[0], &args[1])?;
-                    let memo = pairs.filter(|_| coded_a && coded_b).map(|p| {
-                        let candidates = p.candidates().min(ctx.budget_remaining());
-                        Memo::new(p.a.distinct(), p.b.distinct(), candidates)
-                    });
                     Verify::Similar {
                         metric: *metric,
                         theta: *theta,
                         a,
                         b,
-                        memo,
+                        coded: coded_a && coded_b,
                     }
                 }
                 other => Verify::Program(compile(other, &scope_ab)?),
@@ -411,6 +415,32 @@ impl PairSweep {
         }
     }
 
+    /// Over keyed blocks, charge the work budget `|A|·|B|` for every block
+    /// pair in block order — after a cancellation/deadline check — before
+    /// any task runs, and count them enumerated; the first failure stops
+    /// the sweep. Other sweeps charge per block as they go.
+    pub(super) fn admit(&self) {
+        let Blocks::Grouped(pairs) = &self.blocks else {
+            return;
+        };
+        if !pairs.keyed() {
+            return;
+        }
+        let mut admitted = 0u64;
+        let charged = self.ctx.check_interrupt(OPERATOR).and_then(|()| {
+            pairs.pairs().try_for_each(|pair| {
+                let size = pairs.size(pair);
+                self.ctx.consume_budget(OPERATOR, size)?;
+                admitted += size;
+                Ok(())
+            })
+        });
+        self.enumerated.fetch_add(admitted, Ordering::Relaxed);
+        if let Err(e) = charged {
+            let _ = self.stop.set(e);
+        }
+    }
+
     /// Index pairs enumerated so far.
     pub fn enumerated(&self) -> u64 {
         self.enumerated.load(Ordering::Relaxed)
@@ -443,20 +473,117 @@ impl PairSweep {
         })
     }
 
-    /// Sweep the block pairs `lo..hi` of grouped `Nest`s into head
-    /// values.
+    /// Sweep the range `lo..hi` of [`BlockPairs::tasks`] into head values:
+    /// grouped blocks' block pairs, or keyed blocks' outer codes.
     pub fn run_blocks(&self, (lo, hi): (u32, u32)) -> Vec<Value> {
         let Blocks::Grouped(pairs) = &self.blocks else {
             unreachable!("block rows sweep by partition")
         };
+        if pairs.keyed() {
+            return self.run_codes(pairs, (lo, hi));
+        }
         self.sweep(|s, out| {
-            for i in lo..hi {
+            for b in lo..hi {
                 if self.stop.get().is_some() {
                     break;
                 }
-                let (a, b) = pairs.pair(i);
-                let (a, b) = (Members::Rows(&pairs.a, a), Members::Rows(&pairs.b, b));
-                self.block(&[], a, b, s, out);
+                let rows = Members::Rows(&pairs.a, pairs.a.rows(b));
+                self.block(&[], rows, rows, s, out);
+            }
+        })
+    }
+
+    /// Sweep the outer codes `lo..hi` of keyed blocks: per outer code, the
+    /// inner codes sharing a block with it and how many (ScanCount over
+    /// the codes of its blocks, or of their matched blocks), then each
+    /// candidate in inner-code order.
+    fn run_codes(&self, pairs: &BlockPairs, (lo, hi): (u32, u32)) -> Vec<Value> {
+        let (a, b) = (&*pairs.a, &*pairs.b);
+        self.sweep(|s, out| {
+            if lo == hi || self.stop.get().is_some() {
+                return;
+            }
+            // Every operand column up front, over the task's outer rows and
+            // all inner rows, in code order: the candidates revisit them.
+            let base = a.span(lo).0;
+            let outer_rows = &a.by_code()[base as usize..a.span(hi - 1).1 as usize];
+            let (outer, inner) = (Members::Rows(a, outer_rows), Members::Rows(b, b.by_code()));
+            for (v, c) in self.verify.iter().zip(&mut s.conjuncts) {
+                if let Verify::Cmp { a, b, .. } | Verify::Similar { a, b, .. } = v {
+                    let text = matches!(v, Verify::Similar { .. });
+                    c.columns.0.fill(a, &[], outer, text, &self.ev);
+                    c.columns.1.fill(b, &[], inner, text, &self.ev);
+                }
+                c.filled = true;
+            }
+            // When every conjunct before the coded similarity compares
+            // integer columns — nothing there can fail — a candidate that
+            // conjunct rejects yields nothing and records nothing: one the
+            // filters reject is skipped whole, and once the test fails the
+            // candidate's other rows are.
+            let settled = self
+                .verify
+                .iter()
+                .zip(&s.conjuncts)
+                .find_map(|(v, c)| match v {
+                    Verify::Similar {
+                        metric,
+                        theta,
+                        coded: true,
+                        ..
+                    } => Some(Some((*metric, *theta))),
+                    Verify::Cmp { .. }
+                        if !c.columns.0.ints.is_empty() && !c.columns.1.ints.is_empty() =>
+                    {
+                        None
+                    }
+                    _ => Some(None),
+                });
+            let settled = settled.flatten();
+            let (mut shared, mut touched) = (vec![0u32; b.distinct()], Vec::new());
+            for ca in lo..hi {
+                if let Err(e) = self.ctx.check_interrupt(OPERATOR) {
+                    let _ = self.stop.set(e);
+                }
+                if self.stop.get().is_some() {
+                    break;
+                }
+                for bb in a.blocks_of(ca).iter().filter_map(|&ba| pairs.partner(ba)) {
+                    for &cb in b.codes_in(bb) {
+                        if shared[cb as usize] == 0 {
+                            touched.push(cb);
+                        }
+                        shared[cb as usize] += 1;
+                    }
+                }
+                touched.sort_unstable();
+                for &cb in &touched {
+                    let mut candidate = Candidate {
+                        a,
+                        b,
+                        ca,
+                        cb,
+                        shared: std::mem::take(&mut shared[cb as usize]),
+                        verdict: None,
+                        head: None,
+                    };
+                    if settled.is_some_and(|(metric, theta)| !candidate.admits(metric, theta)) {
+                        continue;
+                    }
+                    let ((olo, ohi), (ilo, ihi)) = (a.span(ca), b.span(cb));
+                    for i in (olo - base)..(ohi - base) {
+                        if settled.is_some() && candidate.verdict == Some(false) {
+                            break;
+                        }
+                        s.sel.clear();
+                        s.sel.extend(ilo..ihi);
+                        self.narrow(s, &[], i as usize, outer, inner, Some(&mut candidate));
+                        let times = candidate.shared;
+                        let head = self.head_coded.then_some(&mut candidate.head);
+                        self.emit(s, &[], outer.get(i as usize), inner, times, head, out);
+                    }
+                }
+                touched.clear();
             }
         })
     }
@@ -464,17 +591,19 @@ impl PairSweep {
     /// Run `each` with a fresh [`Scratch`], then publish its counters.
     fn sweep(&self, each: impl FnOnce(&mut Scratch, &mut Vec<Value>)) -> Vec<Value> {
         let mut s = Scratch {
-            columns: self.verify.iter().map(|_| Default::default()).collect(),
-            filled: Vec::new(),
-            matchers: (self.verify.iter())
-                .map(|v| match v {
-                    Verify::Similar { metric, theta, .. } => Some(metric.matcher(*theta)),
-                    _ => None,
+            conjuncts: (self.verify.iter())
+                .map(|v| Conjunct {
+                    columns: Default::default(),
+                    filled: false,
+                    matcher: match v {
+                        Verify::Similar { metric, theta, .. } => Some(metric.matcher(*theta)),
+                        _ => None,
+                    },
+                    pattern: NONE,
                 })
                 .collect(),
             outer_row: Vec::new(),
             sel: Vec::new(),
-            heads: FxHashMap::default(),
             enumerated: 0,
             comparisons: 0,
         };
@@ -525,8 +654,8 @@ impl PairSweep {
         self.block(x, outer, inner, s, out);
     }
 
-    /// Pair one block's members: charge the budget, fill the operand
-    /// columns, narrow and verify per outer member, build the heads.
+    /// Pair one block's members: charge the budget, then narrow and build
+    /// the heads per outer member.
     fn block(
         &self,
         x: &[Value],
@@ -546,146 +675,189 @@ impl PairSweep {
             return;
         }
         s.enumerated += pairs;
-
-        let ev = &self.ev;
-        s.filled.clear();
-        s.filled.resize(self.verify.len(), false);
+        s.conjuncts.iter_mut().for_each(|c| c.filled = false);
         for i in 0..outer.len() {
-            let a = outer.get(i);
             s.sel.clear();
             s.sel.extend(0..inner.len() as u32);
-            // `(X.., a)`, built when a program (conjunct or head) first
-            // needs it for this outer member.
-            s.outer_row.clear();
-            let outer_row = |row: &mut RowEnv| {
-                if row.is_empty() {
-                    row.extend_from_slice(x);
-                    row.push(a.clone());
+            self.narrow(s, x, i, outer, inner, None);
+            self.emit(s, x, outer.get(i), inner, 1, None, out);
+        }
+    }
+
+    /// Narrow `s.sel`, the inner indices standing for outer member `i`,
+    /// conjunct by conjunct in `Select` order. A conjunct's operand columns
+    /// are filled when a member of the block first reaches it (a one-member
+    /// block rejected by its `__rowid` test fills no text column); a
+    /// similarity conjunct over coded operands is the `candidate`'s, decided
+    /// once for it.
+    fn narrow(
+        &self,
+        s: &mut Scratch,
+        x: &[Value],
+        i: usize,
+        outer: Members<'_>,
+        inner: Members<'_>,
+        mut candidate: Option<&mut Candidate<'_>>,
+    ) {
+        let ev = &self.ev;
+        let member = outer.get(i);
+        s.outer_row.clear();
+        for (v, c) in self.verify.iter().zip(&mut s.conjuncts) {
+            if s.sel.is_empty() {
+                break;
+            }
+            if let (false, Verify::Cmp { a, b, .. } | Verify::Similar { a, b, .. }) = (c.filled, v)
+            {
+                let text = matches!(v, Verify::Similar { .. });
+                c.columns.0.fill(a, x, outer, text, ev);
+                c.columns.1.fill(b, x, inner, text, ev);
+                c.filled = true;
+            }
+            let (col_a, col_b) = (&c.columns.0, &c.columns.1);
+            match v {
+                Verify::Program(rx) => {
+                    outer_row(&mut s.outer_row, x, member);
+                    let row = &s.outer_row;
+                    s.sel
+                        .retain(|&j| ev.holds_pair(rx, row, from_ref(inner.get(j as usize))));
                 }
-            };
-            let conjuncts = (self.verify.iter().zip(&mut s.columns))
-                .zip(&mut s.matchers)
-                .zip(&mut s.filled);
-            for (((v, (col_a, col_b)), matcher), filled) in conjuncts {
-                if s.sel.is_empty() {
-                    break;
+                Verify::Cmp { op, .. } if !col_a.ints.is_empty() && !col_b.ints.is_empty() => {
+                    let l = col_a.ints[i];
+                    s.sel.retain(|&j| int_cmp(*op, l, col_b.ints[j as usize]));
                 }
-                // A conjunct's operand columns are filled when a member of
-                // the block first reaches it (a one-member block rejected
-                // by its `__rowid` test fills no text column).
-                if let (false, Verify::Cmp { a, b, .. } | Verify::Similar { a, b, .. }) =
-                    (*filled, v)
-                {
-                    let text = matches!(v, Verify::Similar { .. });
-                    col_a.fill(a, x, outer, text, ev);
-                    col_b.fill(b, x, inner, text, ev);
-                    *filled = true;
+                // An operand that failed for this member fails every
+                // pair that got here: one record stands for them all.
+                _ if col_a.vals[i].is_err() => {
+                    ev.record(col_a.vals[i].as_ref().unwrap_err());
+                    s.sel.clear();
                 }
-                match v {
-                    Verify::Program(rx) => {
-                        outer_row(&mut s.outer_row);
-                        let row = &s.outer_row;
-                        s.sel
-                            .retain(|&j| ev.holds_pair(rx, row, from_ref(inner.get(j as usize))));
-                    }
-                    Verify::Cmp { op, .. } if !col_a.ints.is_empty() && !col_b.ints.is_empty() => {
-                        let l = col_a.ints[i];
-                        s.sel.retain(|&j| int_cmp(*op, l, col_b.ints[j as usize]));
-                    }
-                    // An operand that failed for this member fails every
-                    // pair that got here: one record stands for them all.
-                    _ if col_a.vals[i].is_err() => {
-                        ev.record(col_a.vals[i].as_ref().unwrap_err());
+                Verify::Cmp { op, .. } => {
+                    let l = col_a.vals[i].as_ref().expect("checked above");
+                    s.sel.retain(|&j| {
+                        let holds = (col_b.vals[j as usize].as_ref())
+                            .map_err(|e| ev.record(e))
+                            .and_then(|r| eval_binop(*op, l, r).map_err(|e| ev.record(e)));
+                        holds.is_ok_and(|v| truthy(&v))
+                    });
+                }
+                Verify::Similar { coded: false, .. } => {
+                    let matcher = c.matcher.as_mut().expect("one per Similar conjunct");
+                    matcher.set_pattern(text(col_a.vals[i].as_ref().expect("checked above")));
+                    let comparisons = &mut s.comparisons;
+                    s.sel.retain(|&j| match &col_b.vals[j as usize] {
+                        Ok(r) => {
+                            *comparisons += 1;
+                            matcher.matches(text(r))
+                        }
+                        Err(e) => {
+                            ev.record(e);
+                            false
+                        }
+                    });
+                }
+                // Coded operands read columns: they cannot fail. One
+                // verdict stands for every row pair of the candidate; the
+                // matcher holds an outer code's text until the next code.
+                Verify::Similar {
+                    metric,
+                    theta,
+                    coded: true,
+                    ..
+                } => {
+                    let candidate =
+                        (candidate.as_deref_mut()).expect("coded operands sweep by code");
+                    let holds = match candidate.verdict {
+                        Some(holds) => holds,
+                        None => {
+                            let holds = candidate.admits(*metric, *theta) && {
+                                let matcher = c.matcher.as_mut().expect("one per Similar conjunct");
+                                if c.pattern != candidate.ca {
+                                    matcher
+                                        .set_pattern(text(col_a.vals[i].as_ref().expect("coded")));
+                                    c.pattern = candidate.ca;
+                                }
+                                s.comparisons += 1;
+                                let r = col_b.vals[s.sel[0] as usize].as_ref().expect("coded");
+                                matcher.matches(text(r))
+                            };
+                            candidate.verdict = Some(holds);
+                            holds
+                        }
+                    };
+                    if !holds {
                         s.sel.clear();
                     }
-                    Verify::Cmp { op, .. } => {
-                        let l = col_a.vals[i].as_ref().expect("checked above");
-                        s.sel.retain(|&j| {
-                            let holds = (col_b.vals[j as usize].as_ref())
-                                .map_err(|e| ev.record(e))
-                                .and_then(|r| eval_binop(*op, l, r).map_err(|e| ev.record(e)));
-                            holds.is_ok_and(|v| truthy(&v))
-                        });
-                    }
-                    Verify::Similar { memo: None, .. } => {
-                        let matcher = matcher.as_mut().expect("one per Similar conjunct");
-                        matcher.set_pattern(text(col_a.vals[i].as_ref().expect("checked above")));
-                        let comparisons = &mut s.comparisons;
-                        s.sel.retain(|&j| match &col_b.vals[j as usize] {
-                            Ok(r) => {
-                                *comparisons += 1;
-                                matcher.matches(text(r))
-                            }
-                            Err(e) => {
-                                ev.record(e);
-                                false
-                            }
-                        });
-                    }
-                    // Coded operands read columns: they cannot fail. The
-                    // outer member is prepared at its first undecided pair.
-                    Verify::Similar {
-                        memo: Some(memo), ..
-                    } => {
-                        let matcher = matcher.as_mut().expect("one per Similar conjunct");
-                        let pattern = text(col_a.vals[i].as_ref().expect("checked above"));
-                        let (ca, mut prepared) = (outer.code(i), false);
-                        let comparisons = &mut s.comparisons;
-                        s.sel.retain(|&j| {
-                            let (verdict, claimed) =
-                                memo.verdict(ca, inner.code(j as usize), || {
-                                    if !std::mem::replace(&mut prepared, true) {
-                                        matcher.set_pattern(pattern);
-                                    }
-                                    let r = col_b.vals[j as usize].as_ref().expect("coded");
-                                    matcher.matches(text(r))
-                                });
-                            *comparisons += claimed as u64;
-                            verdict
-                        });
-                    }
                 }
             }
-            if s.sel.is_empty() {
-                continue;
-            }
-            outer_row(&mut s.outer_row);
-            let ca = self.head_coded.then(|| outer.code(i));
-            for &j in &s.sel {
-                let b = from_ref(inner.get(j as usize));
-                let head = || {
-                    let v = self.head.eval_pair(&s.outer_row, b, &ev.ctx);
-                    v.map_err(|e| ev.record(e)).unwrap_or(Value::Null)
-                };
-                out.push(match ca {
-                    Some(ca) => {
-                        let at = (ca, inner.code(j as usize));
-                        s.heads.entry(at).or_insert_with(head).clone()
-                    }
-                    None => head(),
-                });
-            }
         }
+    }
+
+    /// Build the head of every pair left in `s.sel` for outer member
+    /// `member`, `times` times each; a `coded` head is built once for the
+    /// candidate and shared.
+    #[allow(clippy::too_many_arguments)]
+    fn emit(
+        &self,
+        s: &mut Scratch,
+        x: &[Value],
+        member: &Value,
+        inner: Members<'_>,
+        times: u32,
+        mut coded: Option<&mut Option<Value>>,
+        out: &mut Vec<Value>,
+    ) {
+        if s.sel.is_empty() {
+            return;
+        }
+        outer_row(&mut s.outer_row, x, member);
+        for &j in &s.sel {
+            let b = from_ref(inner.get(j as usize));
+            let head = || {
+                let v = self.head.eval_pair(&s.outer_row, b, &self.ev.ctx);
+                v.map_err(|e| self.ev.record(e)).unwrap_or(Value::Null)
+            };
+            let v = match coded.as_deref_mut() {
+                Some(built) => built.get_or_insert_with(head).clone(),
+                None => head(),
+            };
+            out.extend((1..times).map(|_| v.clone()));
+            out.push(v);
+        }
+    }
+}
+
+/// `(X.., a)` in `row`, built when a program (conjunct or head) first
+/// needs it for the outer member `a`.
+fn outer_row(row: &mut RowEnv, x: &[Value], a: &Value) {
+    if row.is_empty() {
+        row.extend_from_slice(x);
+        row.push(a.clone());
     }
 }
 
 /// Per-worker state of a sweep, reused from block to block.
 struct Scratch {
-    /// The `(outer, inner)` operand columns of each conjunct (unused for
-    /// [`Verify::Program`]).
-    columns: Vec<(Column, Column)>,
-    /// Which conjuncts' columns hold the current block's operands.
-    filled: Vec<bool>,
-    /// The prepared matcher of each [`Verify::Similar`] conjunct.
-    matchers: Vec<Option<Matcher>>,
+    /// Per conjunct of the pair predicate.
+    conjuncts: Vec<Conjunct>,
     /// `(X.., a)` for the current outer member; empty until needed.
     outer_row: RowEnv,
     /// Inner indices still standing for the current outer member.
     sel: Vec<u32>,
-    /// The heads built so far by code pair, when the head is coded.
-    heads: FxHashMap<(u32, u32), Value>,
     enumerated: u64,
     comparisons: u64,
+}
+
+/// One conjunct's per-worker state.
+struct Conjunct {
+    /// The `(outer, inner)` operand columns (unused for
+    /// [`Verify::Program`]).
+    columns: (Column, Column),
+    /// Do the columns hold the current block's operands?
+    filled: bool,
+    /// The prepared matcher of a [`Verify::Similar`] conjunct.
+    matcher: Option<Matcher>,
+    /// The outer code whose text a coded conjunct's matcher holds.
+    pattern: u32,
 }
 
 /// One operand evaluated for every member of a block side.
