@@ -278,19 +278,18 @@ struct Candidate<'g> {
 
 impl Candidate<'_> {
     /// Can the two values be similar at all? Under Levenshtein, `similar`
-    /// means a distance of at most the matcher's own `k = ⌊(1 − θ)·max(|a|,
-    /// |b|) + 1e-9⌋`, so the lengths differ by at most k; and when the
-    /// blocks are token filtering's q-grams and both values normalize
-    /// character by character, the two share at least `max(|Q(a)|,
-    /// |Q(b)|) − q·k` of them (the soundness argument is in
+    /// means a distance of at most the matcher's own k
+    /// ([`Metric::max_edits`]), so the lengths differ by at most k; and
+    /// when the blocks are token filtering's q-grams and both values
+    /// normalize character by character, the two share at least
+    /// `max(|Q(a)|, |Q(b)|) − q·k` of them (the soundness argument is in
     /// docs/LANGUAGE.md). Other metrics admit every candidate.
     fn admits(&self, metric: Metric, theta: f64) -> bool {
-        if metric != Metric::Levenshtein {
-            return true;
-        }
         let ((la, per_char_a), (lb, per_char_b)) =
             (self.a.text_shape(self.ca), self.b.text_shape(self.cb));
-        let k = ((1.0 - theta) * la.max(lb) as f64 + 1e-9).floor() as usize;
+        let Some(k) = metric.max_edits(theta, la, lb) else {
+            return true;
+        };
         if la.abs_diff(lb) > k {
             return false;
         }

@@ -52,6 +52,18 @@ impl Metric {
         }
     }
 
+    /// The most edits two strings of `len_a` and `len_b` characters may be
+    /// apart and still reach `theta`: `sim >= theta` under Levenshtein is
+    /// `dist <= (1 - theta) · max(len_a, len_b)`. `None` for every other
+    /// metric. [`Matcher::matches`] and the engine's length and q-gram
+    /// count filters all bound by this one number.
+    pub fn max_edits(self, theta: f64, len_a: usize, len_b: usize) -> Option<usize> {
+        // The small epsilon compensates for `1 - theta` not being exactly
+        // representable (e.g. theta = 0.8).
+        (self == Metric::Levenshtein)
+            .then(|| ((1.0 - theta) * len_a.max(len_b) as f64 + 1e-9).floor() as usize)
+    }
+
     /// Parse a metric name as it appears in CleanM query text.
     pub fn parse(name: &str) -> Option<Metric> {
         match name.to_ascii_lowercase().as_str() {
@@ -90,14 +102,10 @@ impl Matcher {
 
     /// Does `text` reach the threshold against the held pattern?
     pub fn matches(&mut self, text: &str) -> bool {
-        if self.metric != Metric::Levenshtein {
-            return self.metric.similarity(&self.pattern, text) >= self.theta;
+        match (self.metric).max_edits(self.theta, self.ld.len(), char_len(text)) {
+            Some(max_dist) => self.ld.distance_within(text, max_dist).is_some(),
+            None => self.metric.similarity(&self.pattern, text) >= self.theta,
         }
-        let denom = self.ld.len().max(char_len(text));
-        // The small epsilon compensates for `1 - theta` not being exactly
-        // representable (e.g. theta = 0.8).
-        let max_dist = ((1.0 - self.theta) * denom as f64 + 1e-9).floor() as usize;
-        self.ld.distance_within(text, max_dist).is_some()
     }
 }
 

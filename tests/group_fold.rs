@@ -31,7 +31,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use cleanm::core::algebra::{lower_op, Alg};
-use cleanm::core::calculus::{desugar_query, eval, CalcExpr, EvalCtx};
+use cleanm::core::calculus::{desugar_query, eval, CalcExpr, EvalCtx, FilterAlgo, Func};
 use cleanm::core::engine::storage::StoredTable;
 use cleanm::core::lang::parse_query;
 use cleanm::core::physical::{EngineProfile, Executor, NestStrategy, Planner, ProfileNode};
@@ -1424,19 +1424,28 @@ fn keyed_reference(db: &CleanDb, sql: &str, dict: &[String]) -> (EvalCtx, CalcEx
     (ctx, comp)
 }
 
+/// The operator's blocker and similarity threshold, as its comprehension
+/// names them.
+fn keyed_funcs(comp: &CalcExpr) -> (FilterAlgo, f64) {
+    let (mut algo, mut theta) = (None, None);
+    comp.any_node(&mut |e| {
+        match e {
+            CalcExpr::Call(Func::BlockKeys(a), _) => algo = Some(a.clone()),
+            CalcExpr::Call(Func::Similar(_, t), _) => theta = Some(*t),
+            _ => {}
+        }
+        false
+    });
+    (
+        algo.expect("a keyed operator"),
+        theta.expect("a similarity test"),
+    )
+}
+
 /// The blocking keys of `term` under the operator's blocker.
 fn block_keys(ctx: &EvalCtx, comp: &CalcExpr, term: &Value) -> Vec<Value> {
-    use cleanm::core::calculus::Func;
-    let mut algo = None;
-    comp.any_node(&mut |e| match e {
-        CalcExpr::Call(Func::BlockKeys(a), _) => {
-            algo = Some(a.clone());
-            true
-        }
-        _ => false,
-    });
     let call = CalcExpr::call(
-        Func::BlockKeys(algo.expect("a keyed operator")),
+        Func::BlockKeys(keyed_funcs(comp).0),
         vec![CalcExpr::Const(term.clone())],
     );
     eval(&call, &vec![], ctx)
@@ -1446,13 +1455,48 @@ fn block_keys(ctx: &EvalCtx, comp: &CalcExpr, term: &Value) -> Vec<Value> {
         .to_vec()
 }
 
-/// The distinct `(outer, inner)` value pairs that reach the similarity
-/// conjunct, counted from the data: CLUSTER BY's (term, dictionary word)
-/// pairs sharing a block, DEDUP's (name, name) pairs of rows sharing a
-/// block with ascending `__rowid`s.
-fn distinct_value_pairs(db: &CleanDb, sql: &str, dict: &[String]) -> usize {
+/// Do the length and count filters let the values `a` and `b`, with
+/// `keys_a` and `keys_b` distinct keys of which they share `shared`, reach
+/// Levenshtein at `theta`? Their texts differ in length by at most the
+/// matcher's k edits, and under token filtering(`q`), when both normalize
+/// character by character, they share at least `max(keys) − q·k` q-grams.
+fn filters_admit(
+    theta: f64,
+    q: Option<usize>,
+    (a, keys_a): (&Value, usize),
+    (b, keys_b): (&Value, usize),
+    shared: usize,
+) -> bool {
+    use cleanm::cluster::normalizes_per_char;
+    use cleanm::text::Metric;
+    let (a, b) = (a.to_text(), b.to_text());
+    let (la, lb) = (a.chars().count(), b.chars().count());
+    let k = Metric::Levenshtein.max_edits(theta, la, lb).unwrap();
+    let per_char = normalizes_per_char(&a) && normalizes_per_char(&b);
+    la.abs_diff(lb) <= k
+        && match q {
+            Some(q) if per_char => shared + q * k >= keys_a.max(keys_b),
+            _ => true,
+        }
+}
+
+/// The distinct `(outer, inner)` value pairs that reach Levenshtein,
+/// counted from the data: CLUSTER BY's (term, dictionary word) pairs
+/// sharing a block, DEDUP's (name, name) pairs of rows sharing a block
+/// with ascending `__rowid`s, each only if [`filters_admit`] it.
+fn compared_value_pairs(db: &CleanDb, sql: &str, dict: &[String]) -> usize {
     let (ctx, comp) = keyed_reference(db, sql, dict);
+    let (algo, theta) = keyed_funcs(&comp);
+    let q = match algo {
+        FilterAlgo::TokenFilter { q } => Some(q),
+        _ => None,
+    };
     let keys = |v: &Value| -> HashSet<Value> { block_keys(&ctx, &comp, v).into_iter().collect() };
+    let admits = |a: &Value, b: &Value| {
+        let (ka, kb) = (keys(a), keys(b));
+        let shared = ka.intersection(&kb).count();
+        shared > 0 && filters_admit(theta, q, (a, ka.len()), (b, kb.len()), shared)
+    };
     let passes = |r: &Value| {
         !sql.contains("WHERE") || matches!(r.field("v").unwrap(), Value::Int(v) if *v > 0)
     };
@@ -1462,24 +1506,20 @@ fn distinct_value_pairs(db: &CleanDb, sql: &str, dict: &[String]) -> usize {
     let mut pairs: HashSet<(Value, Value)> = HashSet::new();
     if sql.contains("CLUSTER BY") {
         for r in &rows {
-            for w in dict {
-                let w = Value::str(w);
-                if !keys(&name(r)).is_disjoint(&keys(&w)) {
-                    pairs.insert((name(r), w));
-                }
+            for w in dict.iter().map(Value::str) {
+                pairs.insert((name(r), w));
             }
         }
     } else {
         for a in &rows {
             for b in &rows {
-                let ordered = a.field("__rowid").unwrap() < b.field("__rowid").unwrap();
-                if ordered && !keys(&name(a)).is_disjoint(&keys(&name(b))) {
+                if a.field("__rowid").unwrap() < b.field("__rowid").unwrap() {
                     pairs.insert((name(a), name(b)));
                 }
             }
         }
     }
-    pairs.len()
+    pairs.iter().filter(|(a, b)| admits(a, b)).count()
 }
 
 /// Each of [`KEYED_QUERIES`] over `rows` and `dict` with 1 and 2 workers:
@@ -1488,9 +1528,9 @@ fn distinct_value_pairs(db: &CleanDb, sql: &str, dict: &[String]) -> usize {
 /// groups), the SparkSQL-like profile and the reference evaluator agree on
 /// the outputs as sorted multisets; the three runs enumerate the same
 /// index pairs; and the typed run compares no more than the row route,
-/// which compares once per shared block, nor — at 1 worker — than the
-/// distinct value pairs that reach the similarity conjunct (the length
-/// and count filters reject some without comparing).
+/// which compares once per shared block, and — at 1 worker — exactly the
+/// distinct value pairs that reach the similarity conjunct and pass the
+/// length and count filters.
 fn assert_keyed_agree(rows: &[Value], dict: &[String]) -> Result<(), TestCaseError> {
     for (sql, read) in KEYED_QUERIES {
         let typed = |c: &&str| rows.iter().any(|r| !r.field(c).unwrap().is_null());
@@ -1544,8 +1584,8 @@ fn assert_keyed_agree(rows: &[Value], dict: &[String]) -> Result<(), TestCaseErr
                 );
             }
             if coded && workers == 1 {
-                let distinct = distinct_value_pairs(&db, sql, dict) as u64;
-                prop_assert!(keyed.metrics.comparisons <= distinct, "{}", on);
+                let compared = compared_value_pairs(&db, sql, dict) as u64;
+                prop_assert_eq!(keyed.metrics.comparisons, compared, "{}", on);
             }
         }
     }
@@ -1660,15 +1700,17 @@ fn filter_inputs() -> BoxedStrategy<(Vec<Value>, Vec<String>, usize, f64)> {
 /// with a row of larger `__rowid` (DEDUP) that the metric finds similar,
 /// once per key the two share — for token filtering the distinct q-grams
 /// of the normalized texts, for k-means the reference evaluator's centers
-/// — and the index pairs a block walk holds: the keys shared, summed over
-/// every pair of members (a row with itself included).
+/// — the index pairs a block walk holds: the keys shared, summed over
+/// every pair of members (a row with itself included), and the distinct
+/// value pairs that reach Levenshtein: those sharing a key that
+/// [`filters_admit`].
 fn filter_oracle(
     db: &CleanDb,
     sql: &str,
     dict: &[String],
     q: Option<usize>,
     theta: f64,
-) -> (Vec<Value>, u64) {
+) -> (Vec<Value>, u64, u64) {
     use cleanm::text::{normalize, qgrams, Metric};
     let (ctx, comp) = keyed_reference(db, sql, dict);
     let keys = |v: &Value| -> HashSet<String> {
@@ -1683,12 +1725,18 @@ fn filter_oracle(
         |a: &Value, b: &Value| Metric::Levenshtein.similar(&a.to_text(), &b.to_text(), theta);
     let rows = db.table_rows("t").unwrap();
     let name = |r: &Value| r.field("name").unwrap().clone();
-    let (mut out, mut enumerated) = (Vec::new(), 0u64);
+    let (mut out, mut enumerated, mut compared) = (Vec::new(), 0u64, HashSet::new());
     let mut pair = |a: &Value, b: &Value, emit: bool, record: Value| {
-        let shared = keys(a).intersection(&keys(b)).count();
+        let (ka, kb) = (keys(a), keys(b));
+        let shared = ka.intersection(&kb).count();
         enumerated += shared as u64;
-        if emit && shared > 0 && similar(a, b) {
-            out.extend(std::iter::repeat_n(by_name(&record), shared));
+        if emit && shared > 0 {
+            if filters_admit(theta, q, (a, ka.len()), (b, kb.len()), shared) {
+                compared.insert((a.clone(), b.clone()));
+            }
+            if similar(a, b) {
+                out.extend(std::iter::repeat_n(by_name(&record), shared));
+            }
         }
     };
     for r in rows.iter() {
@@ -1706,14 +1754,15 @@ fn filter_oracle(
         }
     }
     out.sort();
-    (out, enumerated)
+    (out, enumerated, compared.len() as u64)
 }
 
 /// CLUSTER BY and DEDUP under token filtering(q) and k-means over `rows`
 /// and `dict`, with 1 and 2 workers, on keyed blocks wherever the names
 /// are typed: the outputs equal the brute force as multisets — the count
 /// and length filters lose no similar pair and keep one output per shared
-/// key — the index pairs enumerated equal the block walk's, the outputs
+/// key — the index pairs enumerated equal the block walk's, at 1 worker
+/// Levenshtein runs once per value pair the filters admit, the outputs
 /// come in the same order at either worker count, and a work budget one
 /// short of the walk fails in `pair_sweep` while one that covers it
 /// passes.
@@ -1756,9 +1805,12 @@ fn assert_filters_agree(
                 "{}",
                 on
             );
-            let (expected, walked) = filter_oracle(&db, sql, dict, *grams, theta);
+            let (expected, walked, compared) = filter_oracle(&db, sql, dict, *grams, theta);
             prop_assert_eq!(exact(&named_output(&report)), exact(&expected), "{}", on);
             prop_assert_eq!(pairs_enumerated(&report), walked, "{}", on);
+            if workers == 1 && typed {
+                prop_assert_eq!(report.metrics.comparisons, compared, "{}", on);
+            }
             let this = exact(&report.ops[0].output);
             prop_assert_eq!(order.get_or_insert_with(|| this.clone()), &this, "{}", on);
             if walked == 0 || grams.is_none() {
