@@ -2,7 +2,9 @@
 //! blocking, plus the classic multi-pass algorithm (§4.3 "multi-pass
 //! partitional algorithms").
 
-use cleanm_text::{fixed_step_sample, levenshtein, normalize, reservoir_sample};
+use cleanm_text::{
+    fixed_step_sample, levenshtein, levenshtein_bounded, normalize, reservoir_sample,
+};
 
 use crate::blocking::{Blocker, KeyIds};
 
@@ -76,15 +78,24 @@ impl KMeansBlocker {
         self.centers.len()
     }
 
-    /// Indices of the assigned centers for a term.
+    /// Indices of the assigned centers for a term. Each center's distance
+    /// is bounded by the best so far plus `delta`: a center beyond that
+    /// bound is beyond the final minimum plus `delta` too, so it is never
+    /// assigned and its distance is not needed.
     pub fn assign(&self, term: &str) -> Vec<usize> {
         let norm = normalize(term);
-        let distances: Vec<usize> = self.centers.iter().map(|c| levenshtein(&norm, c)).collect();
-        let min = *distances.iter().min().expect("non-empty centers");
-        distances
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d <= min + self.delta)
+        let mut best = usize::MAX;
+        let mut within: Vec<(usize, usize)> = Vec::new();
+        for (i, c) in self.centers.iter().enumerate() {
+            if let Some(d) = levenshtein_bounded(&norm, c, best.saturating_add(self.delta)) {
+                best = best.min(d);
+                within.push((i, d));
+            }
+        }
+        let keep = best + self.delta;
+        within
+            .into_iter()
+            .filter(|&(_, d)| d <= keep)
             .map(|(i, _)| i)
             .collect()
     }
@@ -249,6 +260,54 @@ mod tests {
         // "abcd" is distance 0/1: delta 2 captures both.
         assert_eq!(blocker0.keys("abcd").len(), 1);
         assert_eq!(blocker2.keys("abcd").len(), 2);
+    }
+
+    /// The assignment as computed before the bounded distance: every
+    /// center's full distance, then those within the minimum plus delta.
+    fn assign_unbounded(blocker: &KMeansBlocker, term: &str) -> Vec<usize> {
+        let norm = normalize(term);
+        let distances: Vec<usize> = blocker
+            .centers
+            .iter()
+            .map(|c| levenshtein(&norm, c))
+            .collect();
+        let min = *distances.iter().min().unwrap();
+        (0..distances.len())
+            .filter(|&i| distances[i] <= min + blocker.delta)
+            .collect()
+    }
+
+    #[test]
+    fn bounded_assignment_equals_the_unbounded_one() {
+        // Generated terms over an alphabet with non-ASCII letters, from
+        // empty to past 64 characters (the bit-vector kernel's limit).
+        let alphabet: Vec<char> = "abcdeéßz ".chars().collect();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut term =
+            |len: usize| -> String { (0..len).map(|_| alphabet[next(alphabet.len())]).collect() };
+        let lens = [0, 1, 2, 3, 5, 8, 13, 30, 63, 64, 65, 70, 90];
+        let terms: Vec<String> = (0..240).map(|i| term(lens[i % lens.len()])).collect();
+        for k in [1, 3, 7] {
+            let centers: Vec<String> = (0..k)
+                .map(|i| normalize(&terms[i * 5 + 1]).into_owned())
+                .collect();
+            for delta in [0, 1, 2] {
+                let blocker = KMeansBlocker::new(centers.clone(), delta);
+                for t in &terms {
+                    assert_eq!(
+                        blocker.assign(t),
+                        assign_unbounded(&blocker, t),
+                        "{t:?} k={k} δ={delta}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,18 +6,21 @@
 //! plans, that every consumer of the node reads its groups either through
 //! monoid reductions (an FD's fold, `physical/groupfold.rs`) or by pairing
 //! members within a block (DEDUP, blocked DC and CLUSTER BY,
-//! `physical/pairs.rs`). One pass over the grouped column program assigns
-//! dense codes per chunk ([`Groups::assign`]), the chunks merge in chunk
-//! order ([`Groups::absorb`]) into first-appearance codes over the whole
-//! table — one per distinct value — and a counting sort lays the selected
-//! rows out by code: code `c` is the range `order[offsets[c]..offsets[c +
-//! 1]]` of ascending row indices into the scan.
+//! `physical/pairs.rs`). One pass over the grouped column program
+//! ([`group_pass`], the only grouping pass under CleanDB: a lone fold runs
+//! it too) assigns dense codes per chunk ([`Groups::assign`]), folds every
+//! fold consumer's slots by them, and merges the chunks in chunk order
+//! ([`Groups::absorb`]) into first-appearance codes over the whole table —
+//! one per distinct value; a counting sort then lays the selected rows out
+//! by code: code `c` is the range `order[offsets[c]..offsets[c + 1]]` of
+//! ascending row indices into the scan.
 //!
 //! Two kinds of `Nest` group this way:
 //!
 //! - **grouped blocks**, a scalar key: the key is the grouped program and
-//!   each code is a block. A fold consumer folds its slots by these codes;
-//!   a pair consumer sweeps the ranges.
+//!   each code is a block. A fold consumer's slots fold in the grouping
+//!   pass and its members are read off the ranges; a pair consumer sweeps
+//!   the ranges.
 //! - **keyed blocks**, a key `BlockKeys(algo)(e)` (token filtering,
 //!   k-means): `e` is the grouped program, and the key ids
 //!   ([`cleanm_cluster::Blocker::key_ids`]) of each distinct value are
@@ -50,14 +53,111 @@ use cleanm_values::{FxHashMap, Value};
 use crate::calculus::eval::text_of;
 use crate::calculus::CalcExpr;
 
-use super::execute::group_record;
+use super::execute::{group_record, RowEval};
+use super::groupfold::{ColumnarFold, SlotAccs};
 use super::kernel::{ColumnProgram, Groups};
 use super::program::RowEnv;
 use super::scan::{chunk_ranges, ColumnScan};
 
-/// One chunk of the scan: its selected rows, ascending, and each one's
-/// code over the whole table.
-pub(super) type ChunkIds = (Vec<u32>, Vec<u32>);
+/// One chunk of the scan once grouped: its selected rows, ascending, each
+/// one's code over the whole table, and the codes of the chunk's own
+/// groups, in the order the chunk met them.
+pub(super) type ChunkIds = (Vec<u32>, Vec<u32>, Vec<u32>);
+
+/// The stages the grouping pass runs as: grouped or keyed blocks, or a
+/// lone fold — an aggregate's, or a group-keeping (FD) shape's probe.
+#[derive(Clone, Copy, PartialEq)]
+pub(super) enum Pass {
+    Blocks,
+    Fold,
+    Probe,
+}
+
+/// What the grouping pass leaves: each code's first row, codes in
+/// first-appearance order; the chunks, in chunk order (none for an
+/// aggregate's fold); per fold consumer, its slots' accumulators by code;
+/// and per chunk, what the pass computed of its groups.
+pub(super) type Grouping<K> = (Vec<u32>, Vec<ChunkIds>, Vec<Vec<SlotAccs>>, Vec<K>);
+
+/// One chunk's task's result: its groups, its rows by local code (no
+/// groups yet), each fold consumer's accumulators by local code, and what
+/// else the pass computes of its groups.
+type Partial<K> = (Groups, ChunkIds, Vec<Vec<SlotAccs>>, K);
+
+/// The one grouping pass under CleanDB: one stage (`group_blocks`,
+/// `group_fold` or `group_fold_probe`, by `pass`) over the chunks the row
+/// path would have scanned (so a claim is one `PartitionStart` site and one
+/// interrupt check). Per chunk it selects the rows of `scan` (its fused
+/// `WHERE` kernel), assigns them dense local codes by `value`
+/// ([`Groups::assign`]), folds each of `folds`' slots by those codes and
+/// computes `extra` of the chunk's groups. The driver then merges the
+/// chunks in chunk order — the association a keyed shuffle of per-partition
+/// partials has, so float sums associate per chunk, then in chunk order:
+/// each chunk's groups probe one table by representative row
+/// ([`Groups::absorb`]), each consumer's accumulators merge through the
+/// chunk's remap, and the chunk's rows keep their codes over the table —
+/// unless an aggregate's fold, which reads no row back. Fold errors go to
+/// `ev`.
+pub(super) fn group_pass<K: Send>(
+    ctx: &Arc<ExecContext>,
+    pass: Pass,
+    scan: &ColumnScan,
+    value: &ColumnProgram,
+    folds: &[&ColumnarFold],
+    ev: &RowEval,
+    extra: impl Fn(&Groups) -> K + Sync,
+) -> ExecResult<Grouping<K>> {
+    let total = scan.len() as u32;
+    let tasks = chunk_ranges(total, ctx.default_partitions());
+    let stage = match pass {
+        Pass::Blocks => "group_blocks",
+        Pass::Fold => "group_fold",
+        Pass::Probe => "group_fold_probe",
+    };
+    // A probe moves one partial table per chunk to its merge; the others
+    // each chunk's groups, as a local-aggregate shuffle moves its map-side
+    // partials.
+    let moved = |parts: &[Partial<K>]| match pass {
+        Pass::Probe => parts.len() as u64,
+        _ => parts.iter().map(|(groups, ..)| groups.len() as u64).sum(),
+    };
+    let partials = produce_partials(ctx, stage, total as u64, tasks, moved, |range| {
+        let rows = scan.sweep(range);
+        // At most one group per selected row: the table never rehashes.
+        let (mut groups, mut codes) = (Groups::with_capacity(rows.len()), Vec::new());
+        groups.assign(value, &rows, &mut codes);
+        let accs = folds.iter().map(|fold| {
+            let mut accs = fold.new_accs();
+            for (fs, acc) in fold.slots.iter().zip(&mut accs) {
+                acc.fold(fs, groups.len(), &rows, &codes, ev);
+            }
+            accs
+        });
+        let (accs, extra) = (accs.collect(), extra(&groups));
+        (groups, (rows, codes, Vec::new()), accs, extra)
+    })?;
+    ctx.catch_driver("group merge", || {
+        // Room for every chunk's groups: the table never rehashes.
+        let room = partials.iter().map(|(groups, ..)| groups.len()).sum();
+        let mut groups = Groups::with_capacity(room);
+        let mut accs: Vec<Vec<SlotAccs>> = folds.iter().map(|f| f.new_accs()).collect();
+        let (mut chunks, mut extra) = (Vec::new(), Vec::with_capacity(partials.len()));
+        for (local, (rows, mut codes, _), theirs, more) in partials {
+            let remap = groups.absorb(value, &local);
+            for ((fold, mine), theirs) in folds.iter().zip(&mut accs).zip(theirs) {
+                for ((fs, mine), theirs) in fold.slots.iter().zip(mine).zip(theirs) {
+                    mine.merge(fs, theirs, &remap, ev);
+                }
+            }
+            if pass != Pass::Fold {
+                codes.iter_mut().for_each(|c| *c = remap[*c as usize]);
+                chunks.push((rows, codes, remap));
+            }
+            extra.push(more);
+        }
+        Ok((groups.reps().to_vec(), chunks, accs, extra))
+    })
+}
 
 /// What a grouped `Nest` collects: its scan variable, its item over that
 /// variable, and — for a keyed `Nest` — `BlockKeys`' argument, the program
@@ -98,8 +198,6 @@ pub(super) struct GroupedBlocks {
     value: ColumnProgram,
     /// Code `c`'s first row.
     reps: Vec<u32>,
-    /// Per chunk, in chunk order.
-    chunks: Vec<ChunkIds>,
     /// The selected rows by code, ascending within each code.
     order: Vec<u32>,
     /// Code `c`'s rows are `order[offsets[c]..offsets[c + 1]]`.
@@ -135,10 +233,6 @@ struct Keyed {
     /// Code `c`'s value, when the members are values.
     values: Option<Vec<Value>>,
 }
-
-/// One chunk's task's result: its groups, selected rows and their local
-/// codes, and — when it computes them — the keys of its distinct values.
-type Chunk = (Groups, Vec<u32>, Vec<u32>, Option<CodeKeys>);
 
 /// The keys of one chunk's distinct values, in local-code order.
 #[derive(Default)]
@@ -205,63 +299,50 @@ impl CodeKeys {
 }
 
 impl GroupedBlocks {
-    /// Group `scan` by `value`: one `group_blocks` stage over the chunks
-    /// the row path would have scanned (so a claim is one `PartitionStart`
-    /// site), each chunk's codes — and, when the `Nest` is keyed, the key
-    /// ids of its distinct values — moving as the map-side partials of a
-    /// local-aggregate shuffle move (the per-chunk distinct values), then
-    /// the merge in chunk order and the counting sorts on the driver.
+    /// Group `scan` by `value` in one `group_blocks` [`group_pass`], each
+    /// chunk's codes — and, when the `Nest` is keyed, the key ids of its
+    /// distinct values — moving as the map-side partials of a
+    /// local-aggregate shuffle move (the per-chunk distinct values), then the
+    /// counting sorts on the driver. `folds`, the `Nest`'s fold consumers
+    /// lowered onto `scan`, fold in that pass: their accumulators by code
+    /// come back with the blocks.
     pub(super) fn group(
         ctx: &Arc<ExecContext>,
         scan: ColumnScan,
         value: ColumnProgram,
         collects: Collects,
         keyed_by: Option<KeyedBy>,
-    ) -> ExecResult<GroupedBlocks> {
+        folds: &[&ColumnarFold],
+        ev: &RowEval,
+    ) -> ExecResult<(GroupedBlocks, Vec<Vec<SlotAccs>>)> {
         let total = scan.len() as u32;
-        let tasks = chunk_ranges(total, ctx.default_partitions());
-        let moved = |parts: &[Chunk]| parts.iter().map(|(groups, ..)| groups.len() as u64).sum();
         // q-grams are cheap to compute: each chunk's task computes those of
         // its distinct values. Other keys (k-means: k edit distances per
         // value) are computed on the driver, once per code.
         let in_chunks = keyed_by.as_ref().filter(|by| by.qgrams.is_some());
         let blocker = in_chunks.map(|by| &*by.blocker);
-        let partials =
-            produce_partials(ctx, "group_blocks", total as u64, tasks, moved, |range| {
-                let sel = scan.sweep(range);
-                // At most one group per selected row: the table never rehashes.
-                let (mut groups, mut gids) = (Groups::with_capacity(sel.len()), Vec::new());
-                groups.assign(&value, &sel, &mut gids);
-                let keys = blocker.map(|b| CodeKeys::of(b, &value, groups.reps()));
-                (groups, sel, gids, keys)
-            })?;
+        let pass = group_pass(ctx, Pass::Blocks, &scan, &value, folds, ev, |groups| {
+            blocker.map(|b| CodeKeys::of(b, &value, groups.reps()))
+        })?;
         ctx.catch_driver("group blocks merge", || {
-            let room = partials.iter().map(|(groups, ..)| groups.len()).sum();
-            let mut groups = Groups::with_capacity(room);
-            let mut keys = keyed_by
-                .as_ref()
-                .map(|by| (CodeKeys::new(), by, by.long.lock()));
-            let chunks: Vec<ChunkIds> = (partials.into_iter())
-                .map(|(local, rows, mut gids, local_keys)| {
-                    let remap = groups.absorb(&value, &local);
-                    if let Some((all, by, long)) = &mut keys {
-                        // A code new to the table takes this chunk's keys,
-                        // or its keys are computed here; new codes come in
-                        // local-code order.
-                        for (c, &g) in remap.iter().enumerate() {
-                            if g as usize == all.lens.len()
-                                && !local_keys.as_ref().is_some_and(|k| all.copy(k, c))
-                            {
-                                let v = value.value(local.reps()[c]);
-                                all.push(&*by.blocker, &v, Some(long));
-                            }
+            let (reps, chunks, accs, extra) = pass;
+            // A code new to the table takes the keys of the chunk that
+            // first held it, or its keys are computed here; new codes come
+            // in chunk order, then local-code order.
+            let keys = keyed_by.as_ref().map(|by| {
+                let (mut all, mut long) = (CodeKeys::new(), by.long.lock());
+                for ((.., groups), local) in chunks.iter().zip(extra) {
+                    for (c, &g) in groups.iter().enumerate() {
+                        if g as usize == all.lens.len()
+                            && !local.as_ref().is_some_and(|k| all.copy(k, c))
+                        {
+                            let v = value.value(reps[g as usize]);
+                            all.push(&*by.blocker, &v, Some(&mut long));
                         }
                     }
-                    gids.iter_mut().for_each(|g| *g = remap[*g as usize]);
-                    (rows, gids)
-                })
-                .collect();
-            let reps = groups.reps().to_vec();
+                }
+                all
+            });
             let n = reps.len();
             let mut offsets = vec![0u32; n + 1];
             incidences(&chunks, |_, c| offsets[c as usize + 1] += 1);
@@ -274,7 +355,6 @@ impl GroupedBlocks {
                 order[next[c as usize] as usize] = row;
                 next[c as usize] += 1;
             });
-            let keys = keys.map(|(keys, ..)| keys);
             let keyed = match (keys, keyed_by) {
                 (Some(keys), Some(by)) => {
                     let values =
@@ -283,16 +363,16 @@ impl GroupedBlocks {
                 }
                 _ => None,
             };
-            Ok(GroupedBlocks {
+            let blocks = GroupedBlocks {
                 scan,
                 value,
                 reps,
-                chunks,
                 order,
                 offsets,
                 keyed,
                 collects,
-            })
+            };
+            Ok((blocks, accs))
         })
     }
 
@@ -325,11 +405,6 @@ impl GroupedBlocks {
     /// The selected rows, by code.
     pub(super) fn by_code(&self) -> &[u32] {
         &self.order
-    }
-
-    /// The chunks, in chunk order.
-    pub(super) fn chunks(&self) -> &[ChunkIds] {
-        &self.chunks
     }
 
     fn keyed(&self) -> &Keyed {
@@ -495,7 +570,7 @@ impl Keyed {
 
 /// Call `visit(row, code)` for every selected row, in chunk order.
 fn incidences(chunks: &[ChunkIds], mut visit: impl FnMut(u32, u32)) {
-    for (rows, codes) in chunks {
+    for (rows, codes, _) in chunks {
         for (&row, &code) in rows.iter().zip(codes) {
             visit(row, code)
         }

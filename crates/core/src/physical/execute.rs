@@ -52,7 +52,7 @@ use cleanm_cluster::KeyIds;
 use cleanm_exec::{
     produce_partials, produce_partitions, Dataset, ExecContext, ExecError, ExecResult, FaultSite,
 };
-use cleanm_values::Value;
+use cleanm_values::{Column, Value};
 
 use crate::algebra::plan::{Alg, PairShape};
 use crate::calculus::eval::{merge_values, truthy, EvalCtx};
@@ -60,8 +60,8 @@ use crate::calculus::subst::free_vars;
 use crate::calculus::{CalcExpr, FilterAlgo, Func, MonoidKind, Program};
 use crate::engine::storage::StoredTable;
 
-use super::blocks::{Collects, GroupedBlocks, KeyedBy};
-use super::groupfold::{self, AggFoldShape, ColumnarFold, KEY_SLOT_VAR};
+use super::blocks::{group_pass, ChunkIds, Collects, GroupedBlocks, KeyedBy, Pass};
+use super::groupfold::{self, AggFoldShape, ColumnarFold, FoldedGroups, KEY_SLOT_VAR};
 use super::kernel::{ColumnProgram, PredKernel};
 use super::pairs::{BlockPairs, PairSweep, SweepInput};
 use super::profile::{nest_stage_label, EngineProfile, NestStrategy};
@@ -105,12 +105,16 @@ pub struct Executor<'a> {
     /// with a single consumer would deep-copy its dataset for nothing).
     shared_nodes: HashSet<usize>,
     /// The `Nest`s that run as grouped blocks (`physical/blocks.rs`), by
-    /// node, each with the fields of the scanned rows its consumers read —
+    /// node, each with the fields of the scanned rows its consumers read
+    /// and its fold consumers (their `Reduce` roots, with their shapes) —
     /// decided from the registered plans ([`Executor::register_plans`]).
-    grouped: HashMap<usize, Vec<String>>,
+    grouped: HashMap<usize, (Vec<String>, Vec<FoldConsumer>)>,
     /// Each grouped `Nest`'s blocks once grouped, `None` when its table
     /// or key did not lower onto columns (it then materializes).
     blocks: HashMap<usize, Option<Arc<GroupedBlocks>>>,
+    /// The fold consumers of grouped `Nest`s that folded in their `Nest`'s
+    /// grouping pass, by `Reduce` root.
+    shared_folds: HashMap<usize, Arc<LoweredFold>>,
     /// Shared scans that only grouped `Nest`s read: they read by column
     /// ([`Executor::columnar_source`]).
     block_scans: HashSet<usize>,
@@ -226,6 +230,7 @@ impl<'a> Executor<'a> {
             shared_nodes: HashSet::new(),
             grouped: HashMap::new(),
             blocks: HashMap::new(),
+            shared_folds: HashMap::new(),
             block_scans: HashSet::new(),
             long_keys: None,
             decisions: Vec::new(),
@@ -626,24 +631,26 @@ impl<'a> Executor<'a> {
         }
         // Per Nest: the node, the nodes of its consumers that read it
         // (a DEDUP and a blocked DC may read it through one shared
-        // `Unnest`), whether one pairs and whether one folds, and what
-        // they read.
+        // `Unnest`), whether one pairs, the roots and shapes of those that
+        // fold, and what they read.
         #[derive(Default)]
         struct Consumers {
             readers: HashSet<usize>,
             pairs: bool,
-            folds: bool,
+            folds: Vec<FoldConsumer>,
             fields: Vec<String>,
         }
         let mut consumers: HashMap<usize, (&Arc<Alg>, Consumers)> = HashMap::new();
         let mut roots = HashSet::new();
         for plan in plans.iter().filter(|p| roots.insert(Arc::as_ptr(p))) {
-            for (nest, reader, pairs, fields) in self.block_consumers(plan) {
+            for (nest, reader, fold, fields) in self.block_consumers(plan) {
                 let at = Arc::as_ptr(nest) as usize;
                 let (_, entry) = consumers.entry(at).or_insert((nest, Consumers::default()));
                 entry.readers.insert(Arc::as_ptr(reader) as usize);
-                entry.pairs |= pairs;
-                entry.folds |= !pairs;
+                entry.pairs |= fold.is_none();
+                entry
+                    .folds
+                    .extend(fold.map(|shape| (Arc::clone(plan), shape)));
                 entry.fields.extend(fields);
             }
         }
@@ -678,7 +685,7 @@ impl<'a> Executor<'a> {
             };
             let rows = *item == CalcExpr::var(var);
             let qualifies = match block_keys_arg(key) {
-                Some(e) => pairs && !folds && (rows || item == e),
+                Some(e) => pairs && folds.is_empty() && (rows || item == e),
                 None => {
                     let list_key =
                         key.any_node(&mut |e| matches!(e, CalcExpr::Call(Func::BlockKeys(_), _)));
@@ -691,7 +698,7 @@ impl<'a> Executor<'a> {
             fields.extend(fields_of(var, chain.into_iter().chain([key])));
             fields.sort_unstable();
             fields.dedup();
-            self.grouped.insert(at, fields);
+            self.grouped.insert(at, (fields, folds));
             let scan_reader = reader_of(nest, source);
             let scan = Arc::as_ptr(source) as usize;
             scans.insert(at, (scan, Arc::as_ptr(scan_reader) as usize));
@@ -715,8 +722,9 @@ impl<'a> Executor<'a> {
     }
 
     /// The `Nest`s a registered plan consumes as grouped or keyed blocks,
-    /// each with the node that reads it, whether the consumer pairs their
-    /// members, and the fields of the members it reads by column: a
+    /// each with the node that reads it, the consumer's shape when it folds
+    /// (`None`: it pairs their members), and the fields of the members it
+    /// reads by column: a
     /// grouped `Reduce` whose group predicates and head fold
     /// ([`groupfold::recognize`]; the `Nest` may be shared, the `Select`s
     /// above it not), a pair pipeline directly over the `Nest` that
@@ -725,11 +733,7 @@ impl<'a> Executor<'a> {
     /// `partition` (CLUSTER BY) — neither pipeline's predicates nor its
     /// head reading a group variable (the sweep never builds the group
     /// record).
-    #[allow(clippy::type_complexity)]
-    fn block_consumers<'p>(
-        &self,
-        plan: &'p Arc<Alg>,
-    ) -> Vec<(&'p Arc<Alg>, &'p Arc<Alg>, bool, Vec<String>)> {
+    fn block_consumers<'p>(&self, plan: &'p Arc<Alg>) -> Vec<BlockConsumer<'p>> {
         let Alg::Reduce {
             input,
             monoid,
@@ -750,7 +754,7 @@ impl<'a> Executor<'a> {
             let nest = beneath_selects(input);
             return match monoid {
                 MonoidKind::Bag | MonoidKind::Set => {
-                    vec![(nest, reader_of(plan, nest), false, fields)]
+                    vec![(nest, reader_of(plan, nest), Some(shape), fields)]
                 }
                 _ => Vec::new(),
             };
@@ -780,7 +784,7 @@ impl<'a> Executor<'a> {
                 let mut read = fields(shape.var_a);
                 read.extend(fields(shape.var_b));
                 let reader = reader_of(plan, shape.input);
-                vec![(shape.input, reader, true, read)]
+                vec![(shape.input, reader, None, read)]
             }
             Alg::Join {
                 left,
@@ -800,8 +804,8 @@ impl<'a> Executor<'a> {
                     return Vec::new();
                 }
                 vec![
-                    (left, shape.input, true, fields(shape.var_a)),
-                    (right, shape.input, true, fields(shape.var_b)),
+                    (left, shape.input, None, fields(shape.var_a)),
+                    (right, shape.input, None, fields(shape.var_b)),
                 ]
             }
             _ => Vec::new(),
@@ -834,24 +838,27 @@ impl<'a> Executor<'a> {
     /// A grouped `Nest`'s blocks, grouped at its first consumer and
     /// memoized for the rest: the scan of the fields its consumers read
     /// (`lower_on_columns`, its `WHERE` chain as the scan's kernel), its
-    /// key lowered onto the block, then [`GroupedBlocks::group`]. In a
-    /// profile tree the first consumer shows the `Nest` flagged
-    /// `group-blocks` over its `Scan`, the others a `cached` leaf.
+    /// key lowered onto the block, then [`GroupedBlocks::group`], in whose
+    /// pass every fold consumer that lowers onto the scan folds
+    /// ([`Executor::compile_fold`]; kept in `shared_folds` for that
+    /// consumer's [`Executor::try_group_fold`]). In a profile tree the
+    /// first consumer shows the `Nest` flagged `group-blocks` over its
+    /// `Scan` — the folds' time included — the others a `cached` leaf.
     /// `None` — memoized too, and the `Nest` materializes its groups for
     /// every consumer — when the node is not grouped, a program does not
     /// compile, or the table or the key does not lower; a declined
     /// grouping leaves no count, decision or profile node behind.
     fn grouped_blocks(&mut self, nest: &Arc<Alg>) -> ExecResult<Option<Arc<GroupedBlocks>>> {
         let at = Arc::as_ptr(nest) as usize;
-        let Some(fields) = self.grouped.get(&at).cloned() else {
-            return Ok(None);
-        };
         if let Some(memo) = self.blocks.get(&at).cloned() {
             if let Some(blocks) = &memo {
                 self.cached_leaf(nest, blocks.len() as u64);
             }
             return Ok(memo);
         }
+        let Some((fields, folds)) = self.grouped.get(&at).cloned() else {
+            return Ok(None);
+        };
         let Alg::Nest {
             input, key, item, ..
         } = &**nest
@@ -904,7 +911,22 @@ impl<'a> Executor<'a> {
                 item: item.clone(),
                 coded: coded.cloned(),
             };
-            let blocks = GroupedBlocks::group(&ex.ctx, scan, value, collects, keyed_by)?;
+            // Each fold consumer lowers onto the scan, unfiltered: the blocks
+            // hold the rows the chain selected. One that does not reads
+            // groups materialized from the blocks.
+            let lower = |(plan, shape): &FoldConsumer| {
+                let lower = ex.compile_fold(key, shape, var)?;
+                Some((Arc::as_ptr(plan) as usize, lower(scan.unfiltered())?))
+            };
+            let lowered: Vec<_> = folds.iter().filter_map(lower).collect();
+            let consumers: Vec<&ColumnarFold> = lowered.iter().map(|(_, l)| &l.fold).collect();
+            let (blocks, accs) = GroupedBlocks::group(
+                &ex.ctx, scan, value, collects, keyed_by, &consumers, &ex.eval,
+            )?;
+            for ((plan, mut lowered), accs) in lowered.into_iter().zip(accs) {
+                lowered.finished = Some(lowered.fold.finish(accs));
+                ex.shared_folds.insert(plan, Arc::new(lowered));
+            }
             Ok(Some(Arc::new(blocks)))
         })?;
         match (&blocks, frame) {
@@ -1106,26 +1128,29 @@ impl<'a> Executor<'a> {
     }
 
     /// The columnar fold of a grouped `Reduce`: when every consumer above
-    /// an unshared `Nest` reduces the group purely through monoid
-    /// reductions (grouped aggregates, FD distinct-RHS tests — see
-    /// `groupfold`) and the Nest reads a table by column
-    /// ([`Executor::lower_columnar_fold`]), the table's key and slot columns
-    /// fold into per-group accumulators and the `(key, Vec<member>)` group
-    /// lists are never built. The group-level `Select`s and the Reduce
-    /// itself are consumed structurally. Returns `None` — the Nest
-    /// materializes its groups and the Reduce consumes them — when the
-    /// plan does not match, when the `Nest` or an intermediate `Select` is
-    /// a shared DAG node (its materialized result has other consumers), for
-    /// a non-collection outer monoid, or when the fold does not lower; a
-    /// declined fold leaves no count, decision or profile node behind. A
-    /// shared `Nest` that runs as grouped blocks is the exception: every
-    /// fold above it folds by its group ids.
+    /// a `Nest` reduces the group purely through monoid reductions
+    /// (grouped aggregates, FD distinct-RHS tests — see `groupfold`) and
+    /// the Nest reads a table by column, the table's key and slot columns
+    /// fold into per-group accumulators in the grouping pass
+    /// ([`group_pass`]) and the `(key, Vec<member>)` group lists are never
+    /// built: an unshared `Nest` runs that pass for this fold alone
+    /// ([`Executor::lower_columnar_fold`]); a
+    /// `Nest` that runs as grouped blocks folded every fold consumer in its
+    /// own pass ([`Executor::grouped_blocks`]). The group-level `Select`s
+    /// and the Reduce itself are consumed structurally. Returns `None` —
+    /// the Nest materializes its groups and the Reduce consumes them —
+    /// when the plan does not match, when the `Nest` or an intermediate
+    /// `Select` is a shared DAG node (its materialized result has other
+    /// consumers) and the `Nest` is not grouped, for a non-collection outer
+    /// monoid, or when the fold does not lower; a declined fold leaves no
+    /// count, decision or profile node behind.
     ///
     /// Semantics note: aggregate member expressions are evaluated for
     /// *every* row during the fold, so an evaluation error in an aggregate
     /// the materialized path would only have computed for groups surviving
     /// an earlier group predicate surfaces eagerly here (as with any fused
-    /// evaluation, errors can only appear earlier, never differently).
+    /// evaluation, errors can only appear earlier, never differently) —
+    /// over grouped blocks, at the `Nest`'s first consumer.
     fn try_group_fold(&mut self, plan: &Arc<Alg>) -> ExecResult<Option<Vec<Value>>> {
         let Alg::Reduce {
             input,
@@ -1145,15 +1170,53 @@ impl<'a> Executor<'a> {
         let Some(shape) = groupfold::recognize(group_var, item, head, &group_preds) else {
             return Ok(None);
         };
-        let lowered = self.lower_columnar_fold(beneath_selects(input), &shape)?;
-        let Some((fold, finish, blocks)) = lowered else {
+        let nest = beneath_selects(input);
+        let (lowered, blocks) = if self.is_grouped(nest) {
+            // A grouped Nest groups first, whatever this consumer's own
+            // programs do, so one grouping serves every consumer; its pass
+            // folded this consumer when the consumer's programs lowered.
+            let blocks = self.grouped_blocks(nest)?;
+            let at = Arc::as_ptr(plan) as usize;
+            (self.shared_folds.get(&at).cloned(), blocks)
+        } else {
+            (self.lower_columnar_fold(nest, &shape)?.map(Arc::new), None)
+        };
+        let Some(lowered) = lowered else {
             return Ok(None);
         };
+        self.compiled_exprs += lowered.compiled;
         self.fused_selects += group_preds.len();
+        self.vectorized_rows += lowered.fold.scan.len() as u64;
         if self.profiling {
             self.last_fold_key = Some(clip(format!("by {key}")));
         }
-        let mut outputs = self.exec_columnar_fold(&fold, &shape, finish, blocks.as_deref())?;
+        let folded = match (&lowered.finished, &blocks) {
+            (Some(finished), Some(blocks)) => FoldedGroups {
+                reps: blocks.reps().to_vec(),
+                finished: finished.clone(),
+                chunks: Vec::new(),
+            },
+            // Alone, it groups by its key in its own pass: a group-keeping
+            // shape's probe keeps each chunk's rows for the gather.
+            _ => {
+                let fold = &lowered.fold;
+                let pass = if shape.keeps_groups() {
+                    Pass::Probe
+                } else {
+                    Pass::Fold
+                };
+                let (scan, ev) = (&fold.scan, &self.eval);
+                let (reps, chunks, mut accs, _) =
+                    group_pass(&self.ctx, pass, scan, &fold.key, &[fold], ev, |_| ())?;
+                let finished = fold.finish(accs.pop().expect("one consumer"));
+                FoldedGroups {
+                    reps,
+                    finished,
+                    chunks,
+                }
+            }
+        };
+        let mut outputs = self.finish_fold(&lowered, &shape, folded, blocks.as_deref())?;
         if *monoid == MonoidKind::Set {
             outputs.sort();
             outputs.dedup();
@@ -1190,8 +1253,8 @@ impl<'a> Executor<'a> {
         })
     }
 
-    /// Try to lower a recognized group fold of `nest` onto the stored
-    /// table's columns (`physical/groupfold.rs`, [`ColumnarFold`]).
+    /// Try to lower a recognized group fold of an unshared `nest` onto the
+    /// stored table's columns (`physical/groupfold.rs`, [`ColumnarFold`]).
     /// Decided once, here: `None` — the Nest materializes its groups —
     /// unless the Nest's input is a scan the planner reads by column
     /// ([`Executor::columnar_source`]) beneath its fusible `WHERE` chain,
@@ -1199,18 +1262,13 @@ impl<'a> Executor<'a> {
     /// members are the scanned rows themselves, every program compiles,
     /// the table reads by column, and the chain, the key and every slot's
     /// member program lower to kernels over typed columns. On success —
-    /// and only then — the Nest's decision is recorded and the programs
-    /// and fused `Select`s are counted; with them come the programs that
-    /// finish each group, compiled against the shape's scope.
+    /// and only then — the Nest's decision is recorded and the fused
+    /// `Select`s are counted; with the fold come the programs that finish
+    /// each group, compiled against the shape's scope.
     ///
     /// Only the columns those expressions read are pivoted, as the
     /// vectorized `Select` pivots ([`Executor::lower_on_columns`]). In a
     /// profile tree the pivot is the fold's `Scan` child.
-    ///
-    /// A grouped `Nest` ([`Executor::grouped_blocks`]) has grouped — or
-    /// groups now — and made the decision, the chain and the pivot its
-    /// own: the fold lowers onto its blocks' scan, unfiltered, and folds
-    /// by its group ids, which come back with the fold.
     fn lower_columnar_fold(
         &mut self,
         nest: &Arc<Alg>,
@@ -1225,17 +1283,7 @@ impl<'a> Executor<'a> {
         else {
             unreachable!("a group pipeline ends in a Nest")
         };
-        // A grouped Nest groups first, whatever this consumer's own
-        // programs do, so one grouping serves every consumer.
-        let blocks = if self.is_grouped(nest) {
-            let Some(blocks) = self.grouped_blocks(nest)? else {
-                return Ok(None);
-            };
-            Some(blocks)
-        } else {
-            None
-        };
-        let (source, mut preds) = self.fusible_chain(nest_input);
+        let (source, preds) = self.fusible_chain(nest_input);
         let Some((stored, var)) = self.columnar_source(source) else {
             return Ok(None);
         };
@@ -1247,71 +1295,66 @@ impl<'a> Executor<'a> {
         if shape.keeps_groups() && !members_are_rows {
             return Ok(None);
         }
-        // A compile failure is the materialized path's to report.
-        let scope = [var.to_string()];
-        let compile_all = |exprs: &[&CalcExpr], scope: &[String]| -> ExecResult<Vec<_>> {
-            exprs.iter().map(|e| self.compile(e, scope)).collect()
-        };
-        if blocks.is_some() {
-            preds.clear(); // the blocks hold the rows the chain selected
-        }
-        let chain = conjoin(&preds);
-        let row_exprs: Vec<&CalcExpr> = (chain.iter().chain([key]))
-            .chain(shape.slots.iter().map(|s| &s.row_expr))
-            .collect();
-        let finish_exprs: Vec<&CalcExpr> = shape.preds.iter().chain(&shape.head).collect();
-        let (Ok(row_rxs), Ok(mut finish_rxs)) = (
-            compile_all(&row_exprs, &scope),
-            compile_all(&finish_exprs, &shape.scope),
-        ) else {
+        let chain = conjoin(&preds).map(|chain| self.compile(&chain, &[var.to_string()]));
+        let (Ok(chain), Some(lower)) = (chain.transpose(), self.compile_fold(key, shape, var))
+        else {
             return Ok(None);
         };
-        let (filter, rest) = row_rxs.split_at(usize::from(chain.is_some()));
-        let (key_rx, slot_rxs) = rest.split_first().expect("the key is compiled");
-        let slot_programs: Vec<&Program> = slot_rxs.iter().map(|rx| rx.program()).collect();
-
         let read = std::iter::once(key)
             .chain(shape.slots.iter().map(|s| &s.row_expr))
             .chain(preds.iter().copied());
         let fields = fields_of(var, read);
-
-        let (keeps, key_program) = (shape.keeps_groups(), key_rx.program());
-        let lower =
-            |scan| ColumnarFold::lower(scan, key_program, &shape.slots, &slot_programs, keeps);
-        let fold = if let Some(blocks) = &blocks {
-            let Some(fold) = lower(blocks.scan.unfiltered()) else {
-                return Ok(None);
-            };
-            fold
-        } else {
-            let filter_program = filter.first().map(|rx| rx.program());
-            let (lowered, frame) =
-                self.in_frame(|ex| ex.lower_on_columns(stored, &fields, filter_program, lower))?;
-            let Some(fold) = lowered else {
-                if frame.is_some() {
-                    self.abort_node();
-                }
-                return Ok(None);
-            };
-            if let Some(frame) = frame {
-                let (op, detail) = plan_label(source);
-                self.end_node(frame, op, detail, stored.len() as u64, Vec::new());
+        let filter = chain.as_ref().map(|rx| rx.program());
+        let (lowered, frame) =
+            self.in_frame(|ex| ex.lower_on_columns(stored, &fields, filter, lower))?;
+        let Some(mut lowered) = lowered else {
+            if frame.is_some() {
+                self.abort_node();
             }
-            self.decide_nest(key);
-            self.fused_selects += preds.len();
-            fold
+            return Ok(None);
         };
-        self.compiled_exprs += row_rxs.len() + finish_rxs.len();
-        let head = shape.head.as_ref().and_then(|_| finish_rxs.pop());
-        Ok(Some((fold, (finish_rxs, head), blocks)))
+        if let Some(frame) = frame {
+            let (op, detail) = plan_label(source);
+            self.end_node(frame, op, detail, stored.len() as u64, Vec::new());
+        }
+        self.decide_nest(key);
+        self.fused_selects += preds.len();
+        lowered.compiled += usize::from(chain.is_some());
+        Ok(Some(lowered))
     }
 
-    /// Run a lowered fold: one `group_fold` / `group_fold_probe` stage
-    /// over the contiguous chunks [`Dataset::from_vec`] would have cut
-    /// (same chunks, same order — so a claim is one `PartitionStart` site
-    /// and one interrupt check, and the per-chunk partials merge in chunk
-    /// order: float sums associate per chunk, as in any map-side combine),
-    /// the merge by representative row, then the finish over the finished
+    /// Compile a recognized fold's programs, uncounted — the key and each
+    /// slot's member over the scan variable `var`, the group predicates and
+    /// head over the shape's scope — into what lowers the fold onto a scan
+    /// ([`ColumnarFold::lower`]; `None` when a program does not lower).
+    /// `None` when one does not compile: the materialized path's to report.
+    fn compile_fold<'s>(
+        &self,
+        key: &CalcExpr,
+        shape: &'s AggFoldShape,
+        var: &str,
+    ) -> Option<impl FnOnce(ColumnScan) -> Option<LoweredFold> + 's> {
+        let scope = [var.to_string()];
+        let row = |e: &CalcExpr| self.compile(e, &scope);
+        let group = |e: &CalcExpr| self.compile(e, &shape.scope);
+        let key = row(key).ok()?;
+        let slots = shape.slots.iter().map(|s| row(&s.row_expr));
+        let slots: Vec<_> = slots.collect::<ExecResult<_>>().ok()?;
+        let preds = shape.preds.iter().map(group);
+        let preds: Vec<_> = preds.collect::<ExecResult<_>>().ok()?;
+        let head = shape.head.as_ref().map(group).transpose().ok()?;
+        Some(move |scan| {
+            let programs: Vec<&Program> = slots.iter().map(|rx| rx.program()).collect();
+            Some(LoweredFold {
+                fold: ColumnarFold::lower(scan, key.program(), &shape.slots, &programs)?,
+                compiled: 1 + slots.len() + preds.len() + usize::from(head.is_some()),
+                finish: (preds, head),
+                finished: None,
+            })
+        })
+    }
+
+    /// Finish a folded fold ([`Executor::try_group_fold`]): the finished
     /// slots as one batch, a row per group ([`ColumnarFold::finish_batch`],
     /// with the key's column only when a finish program reads it): group
     /// predicates that lower run as [`PredKernel`] sweeps over it, a head
@@ -1320,61 +1363,21 @@ impl<'a> Executor<'a> {
     /// once per group over a reused environment filled from the batch.
     ///
     /// Aggregate heads finish on the pool (`group_finish`). A
-    /// group-keeping shape decides the passing groups, then gathers their
-    /// members — the stored row values, by index, in ascending row order —
-    /// in one `group_fold_materialize` stage that sees the violating rows
-    /// alone; with no passing group it does not run.
-    ///
-    /// Over the `blocks` of a grouped `Nest`, one `fold_slots` stage folds
-    /// each of its chunks by their group ids — it groups nothing, and
-    /// nothing moves that the grouping did not already move — and the
-    /// passing groups' members are read off their row ranges.
-    fn exec_columnar_fold(
+    /// group-keeping shape decides the passing groups, then reads their
+    /// members — the stored row values in ascending row order — off the
+    /// row ranges of the grouped `blocks` it folded in, or, alone, gathers
+    /// them by index in one `group_fold_materialize` stage that sees the
+    /// violating rows alone; with no passing group it does not run.
+    fn finish_fold(
         &mut self,
-        fold: &ColumnarFold,
+        lowered: &LoweredFold,
         shape: &AggFoldShape,
-        (finish_preds, finish_head): Finish,
+        folded: FoldedGroups,
         blocks: Option<&GroupedBlocks>,
     ) -> ExecResult<Vec<Value>> {
-        let total = fold.scan.len() as u64;
-        self.vectorized_rows += total;
-        let ev = self.eval.clone();
-        let folded = match blocks {
-            Some(blocks) => {
-                let groups = blocks.len();
-                let tasks = blocks.chunks().iter().collect();
-                let partials = produce_partials(
-                    &self.ctx,
-                    "fold_slots",
-                    total,
-                    tasks,
-                    |_| 0,
-                    |(rows, gids)| fold.fold_rows(groups, rows, gids, &ev),
-                )?;
-                let merge = || Ok(fold.merge_shared(partials, blocks, &ev));
-                self.ctx.catch_driver("group fold merge", merge)?
-            }
-            None => {
-                let tasks = chunk_ranges(total as u32, self.ctx.default_partitions());
-                // What travels: one partial table per chunk to the probe's
-                // merge; for aggregates, every per-chunk group partial, as
-                // a keyed shuffle of map-side partials moves them.
-                let (label, moved): (_, fn(&[groupfold::ChunkFold]) -> u64) =
-                    if shape.keeps_groups() {
-                        ("group_fold_probe", |parts| parts.len() as u64)
-                    } else {
-                        ("group_fold", |parts| {
-                            parts.iter().map(|p| p.groups() as u64).sum()
-                        })
-                    };
-                let partials = produce_partials(&self.ctx, label, total, tasks, moved, |range| {
-                    fold.fold_chunk(range, &ev)
-                })?;
-                let merge = || Ok(fold.merge(partials, &ev));
-                self.ctx.catch_driver("group fold merge", merge)?
-            }
-        };
         self.check_errors()?;
+        let (fold, (finish_preds, finish_head)) = (&lowered.fold, &lowered.finish);
+        let ev = self.eval.clone();
 
         let groups = folded.reps.len() as u32;
         let reads_key = |e: &CalcExpr| free_vars(e).contains(KEY_SLOT_VAR);
@@ -1427,23 +1430,35 @@ impl<'a> Executor<'a> {
                 return Ok(keyed.zip(members).map(group_record).collect());
             }
             const NONE: u32 = u32::MAX;
-            let mut out_of = vec![NONE; groups as usize];
+            let (mut out_of, mut sizes) =
+                (vec![NONE; groups as usize], vec![0u32; groups as usize]);
             for (out, &g) in passing.iter().enumerate() {
                 out_of[g as usize] = out as u32;
             }
-            let size = |g: &u32| folded.sizes[*g as usize];
+            for &g in folded.chunks.iter().flat_map(|(_, codes, _)| codes) {
+                sizes[g as usize] += 1;
+            }
+            let size = |g: &u32| sizes[*g as usize];
             let violating: u64 = passing.iter().map(|g| size(g) as u64).sum();
-            let moved: u64 = folded.members.iter().map(|m| m.kept_groups(&out_of)).sum();
+            // The per-chunk member lists a keyed shuffle would have moved.
+            let kept = |(.., groups): &ChunkIds| {
+                groups
+                    .iter()
+                    .filter(|&&g| out_of[g as usize] != NONE)
+                    .count() as u64
+            };
+            let moved: u64 = folded.chunks.iter().map(kept).sum();
             let gathered = produce_partials(
                 &self.ctx,
                 "group_fold_materialize",
                 violating,
-                folded.members,
+                folded.chunks,
                 |_| moved,
-                |chunk| -> Vec<(u32, Value)> {
-                    let picked = chunk.gather(&out_of);
-                    picked
-                        .map(|(out, at)| (out, fold.scan.row(at).clone()))
+                |(rows, codes, _)| -> Vec<(u32, Value)> {
+                    let placed = codes.iter().map(|&g| out_of[g as usize]);
+                    (placed.zip(&rows))
+                        .filter(|(out, _)| *out != NONE)
+                        .map(|(out, &at)| (out, fold.scan.row(at).clone()))
                         .collect()
                 },
             )?;
@@ -1474,7 +1489,7 @@ impl<'a> Executor<'a> {
                 let mut out = Vec::with_capacity(passing.len());
                 for g in passing {
                     fill(g, &mut env);
-                    out.extend(ev.eval(&head_rx, &env));
+                    out.extend(ev.eval(head_rx, &env));
                 }
                 out
             },
@@ -1750,10 +1765,29 @@ struct FusedInput<'p> {
     pred_rx: Option<Arc<RowExpr>>,
 }
 
-/// A fold lowered onto columns ([`Executor::lower_columnar_fold`]): the
-/// fold, its finish programs, and the grouped blocks whose ids it folds by
-/// (`None`: it groups its own chunks).
-type LoweredFold = (ColumnarFold, Finish, Option<Arc<GroupedBlocks>>);
+/// A fold lowered onto columns ([`Executor::lower_columnar_fold`],
+/// [`Executor::compile_fold`]): the fold, its finish programs, how
+/// many programs it compiled (counted when it runs) and — when it folded in
+/// a grouped `Nest`'s pass — its finished slots by block.
+struct LoweredFold {
+    fold: ColumnarFold,
+    finish: Finish,
+    compiled: usize,
+    finished: Option<Vec<Column>>,
+}
+
+/// A consumer of a grouped `Nest` ([`Executor::block_consumers`]): the
+/// `Nest`, the node that reads it, the consumer's shape when it folds
+/// (`None`: it pairs the members), and the fields it reads.
+type BlockConsumer<'p> = (
+    &'p Arc<Alg>,
+    &'p Arc<Alg>,
+    Option<AggFoldShape>,
+    Vec<String>,
+);
+
+/// A fold consumer of a grouped `Nest`: its `Reduce` root and its shape.
+type FoldConsumer = (Arc<Alg>, AggFoldShape);
 
 /// What a pair sweep walks ([`Executor::pair_input`]).
 enum PairInput<'p> {

@@ -28,11 +28,13 @@
 //!   members by row index — non-violating rows never move.
 //!
 //! DEDUP's pairwise comparison and CLUSTER BY genuinely consume members
-//! (`Unnest` over `g.partition`), so their plans never match. When an FD
+//! (`Unnest` over `g.partition`), so their plans never match. Every fold
+//! runs inside the one grouping pass of `physical/blocks.rs`
+//! ([`group_pass`](super::blocks::group_pass)): a lone fold is that pass
+//! over its own filtered scan with itself as the one consumer; when an FD
 //! shares its `Nest` with them (or with another fold), the `Nest` groups
-//! once as grouped blocks (`physical/blocks.rs`) and the fold folds its
-//! slots by the blocks' group ids ([`ColumnarFold::fold_rows`],
-//! [`ColumnarFold::merge_shared`]).
+//! once as grouped blocks and every fold consumer's slots fold in that same
+//! pass.
 
 use std::sync::Arc;
 
@@ -42,9 +44,9 @@ use crate::calculus::eval::merge_values;
 use crate::calculus::subst::{free_vars, substitute};
 use crate::calculus::{CalcExpr, Comprehension, Func, MonoidKind, Program, Qual};
 
-use super::blocks::GroupedBlocks;
+use super::blocks::ChunkIds;
 use super::execute::RowEval;
-use super::kernel::{ColumnProgram, Groups};
+use super::kernel::ColumnProgram;
 use super::scan::ColumnScan;
 
 /// The variable the group key is bound to in finish-program scope.
@@ -442,26 +444,24 @@ impl AggSlot {
 /// and every slot's member expression are [`ColumnProgram`]s over its
 /// block, so a chunk of rows folds as *hash key cells → dense group ids →
 /// fold each slot's accumulators by id* without building a key record, a
-/// value vector or a row environment per row. Lowered once per execution;
+/// value vector or a row environment per row — in the grouping pass
+/// ([`group_pass`](super::blocks::group_pass)). Lowered once per execution;
 /// `None` from [`ColumnarFold::lower`] leaves the `Nest` to materialize its
 /// groups.
 pub(crate) struct ColumnarFold {
     /// The table the fold reads, filtered by the fused `WHERE` chain.
     pub(super) scan: ColumnScan,
-    key: ColumnProgram,
+    pub(super) key: ColumnProgram,
     /// Each aggregate slot with its member expression and its empty
     /// accumulators (which kind is decided once, at lowering).
-    slots: Vec<FoldSlot>,
-    /// Group-keeping (FD) shape: chunks remember each row's group so the
-    /// passing groups' members are gathered by index afterwards.
-    keeps_groups: bool,
+    pub(super) slots: Vec<FoldSlot>,
 }
 
 /// One aggregate slot of a lowered fold.
-struct FoldSlot {
+pub(super) struct FoldSlot {
     slot: AggSlot,
     member: ColumnProgram,
-    empty: SlotAccs,
+    pub(super) empty: SlotAccs,
 }
 
 /// The accumulators of one slot, flat and indexed by group id. Numeric
@@ -546,7 +546,14 @@ impl SlotAccs {
     /// Fold the slot's member value at each row of `sel` into the
     /// accumulator of that row's group (`gids`, parallel to `sel`), after
     /// extending the accumulators to `groups` groups.
-    fn fold(&mut self, fs: &FoldSlot, groups: usize, sel: &[u32], gids: &[u32], ev: &RowEval) {
+    pub(super) fn fold(
+        &mut self,
+        fs: &FoldSlot,
+        groups: usize,
+        sel: &[u32],
+        gids: &[u32],
+        ev: &RowEval,
+    ) {
         let cols = &fs.member;
         let numbers = || cols.numbers().expect("a typed slot reads numeric cells");
         match self {
@@ -593,7 +600,7 @@ impl SlotAccs {
     /// Merge another chunk's accumulators in: its group `g` is this
     /// side's `remap[g]`, a group this side has not seen moves over as is
     /// (new groups arrive in id order, so they are pushed).
-    fn merge(&mut self, fs: &FoldSlot, other: SlotAccs, remap: &[u32], ev: &RowEval) {
+    pub(super) fn merge(&mut self, fs: &FoldSlot, other: SlotAccs, remap: &[u32], ev: &RowEval) {
         match (self, other) {
             (
                 SlotAccs::Witnesses { cap, n, rows },
@@ -750,66 +757,15 @@ fn witness(cap: usize, n: &mut [u8], rows: &mut [u32], cols: &ColumnProgram, g: 
     }
 }
 
-/// What one chunk of rows folds to: its groups, their accumulators, and —
-/// for group-keeping shapes — which group each of its rows fell into.
-pub(crate) struct ChunkFold {
-    groups: Groups,
-    accs: Vec<SlotAccs>,
-    members: ChunkMembers,
-}
-
-impl ChunkFold {
-    /// How many groups the chunk's rows fell into.
-    pub fn groups(&self) -> usize {
-        self.groups.len()
-    }
-}
-
-/// The selected rows of one chunk, in row order, with each one's group id
-/// (chunk-local until [`ColumnarFold::merge`] rewrites it).
-#[derive(Default)]
-pub(crate) struct ChunkMembers {
-    rows: Vec<u32>,
-    gids: Vec<u32>,
-    /// The distinct groups the chunk's rows fell into (set by the merge).
-    groups: Vec<u32>,
-}
-
-impl ChunkMembers {
-    /// The rows whose group `out_of` maps to an output position, as
-    /// `(position, row)` in row order.
-    pub fn gather<'a>(&'a self, out_of: &'a [u32]) -> impl Iterator<Item = (u32, u32)> + 'a {
-        let placed = self
-            .gids
-            .iter()
-            .map(|&g| out_of[g as usize])
-            .zip(&self.rows);
-        placed
-            .filter(|(out, _)| *out != u32::MAX)
-            .map(|(out, &at)| (out, at))
-    }
-
-    /// How many distinct groups of this chunk `out_of` keeps — the
-    /// per-chunk member lists a keyed shuffle would have moved.
-    pub fn kept_groups(&self, out_of: &[u32]) -> u64 {
-        let kept = self
-            .groups
-            .iter()
-            .filter(|&&g| out_of[g as usize] != u32::MAX);
-        kept.count() as u64
-    }
-}
-
 /// Every chunk merged: the table's groups with their finished slot values.
 pub(crate) struct FoldedGroups {
     /// Each group's representative row, in group-id order.
     pub reps: Vec<u32>,
     /// Slot `s`'s value for group `g` is `finished[s].value(g)`.
     pub finished: Vec<Column>,
-    /// Rows per group (group-keeping shapes; empty otherwise).
-    pub sizes: Vec<u32>,
-    /// Per chunk, in chunk order (group-keeping shapes; empty otherwise).
-    pub members: Vec<ChunkMembers>,
+    /// A lone group-keeping fold's chunks, in chunk order, to gather the
+    /// passing groups' members from (empty otherwise).
+    pub chunks: Vec<ChunkIds>,
 }
 
 impl ColumnarFold {
@@ -822,7 +778,6 @@ impl ColumnarFold {
         key: &Program,
         slots: &[AggSlot],
         slot_programs: &[&Program],
-        keeps_groups: bool,
     ) -> Option<ColumnarFold> {
         let block = scan.block();
         let lower_slot = |(slot, p): (&AggSlot, &&Program)| {
@@ -841,118 +796,17 @@ impl ColumnarFold {
                 .map(lower_slot)
                 .collect::<Option<_>>()?,
             scan,
-            keeps_groups,
         })
     }
 
-    /// Fold one chunk, the table's rows `lo..hi`: select (the fused
-    /// `WHERE`), assign group ids from the key columns, then fold each
-    /// slot by id.
-    pub fn fold_chunk(&self, range: (u32, u32), ev: &RowEval) -> ChunkFold {
-        let sel = self.scan.sweep(range);
-        // At most one group per selected row: the table never rehashes.
-        let (mut groups, mut gids) = (Groups::with_capacity(sel.len()), Vec::new());
-        groups.assign(&self.key, &sel, &mut gids);
-        let accs = self.fold_rows(groups.len(), &sel, &gids, ev);
-        let members = if self.keeps_groups {
-            ChunkMembers {
-                rows: sel,
-                gids,
-                groups: Vec::new(),
-            }
-        } else {
-            ChunkMembers::default()
-        };
-        ChunkFold {
-            groups,
-            accs,
-            members,
-        }
-    }
-
-    /// Merge the chunks' partials in chunk order — the association a
-    /// keyed shuffle of per-partition partials has — by probing each
-    /// chunk's groups into one table by representative row, then finish
-    /// every slot.
-    pub fn merge(&self, partials: Vec<ChunkFold>, ev: &RowEval) -> FoldedGroups {
-        // Room for every chunk's groups: the table never rehashes.
-        let mut groups = Groups::with_capacity(partials.iter().map(ChunkFold::groups).sum());
-        let mut accs = self.new_accs();
-        let mut members = Vec::new();
-        for mut part in partials {
-            let remap = groups.absorb(&self.key, &part.groups);
-            for ((slot, mine), theirs) in self.slots.iter().zip(&mut accs).zip(part.accs) {
-                mine.merge(slot, theirs, &remap, ev);
-            }
-            if self.keeps_groups {
-                for g in &mut part.members.gids {
-                    *g = remap[*g as usize];
-                }
-                part.members.groups = remap;
-                members.push(part.members);
-            }
-        }
-        let mut sizes = vec![0u32; if self.keeps_groups { groups.len() } else { 0 }];
-        for g in members.iter().flat_map(|m| &m.gids) {
-            sizes[*g as usize] += 1;
-        }
-        FoldedGroups {
-            finished: self.finish(accs),
-            reps: groups.reps().to_vec(),
-            sizes,
-            members,
-        }
-    }
-
-    /// Fold every slot over the rows `sel`, `gids` holding each one's
-    /// group among `groups`.
-    pub fn fold_rows(
-        &self,
-        groups: usize,
-        sel: &[u32],
-        gids: &[u32],
-        ev: &RowEval,
-    ) -> Vec<SlotAccs> {
-        let mut accs = self.new_accs();
-        for (slot, accs) in self.slots.iter().zip(&mut accs) {
-            accs.fold(slot, groups, sel, gids, ev);
-        }
-        accs
-    }
-
-    /// Merge per-chunk partials folded by the shared group ids of
-    /// `blocks` ([`ColumnarFold::fold_rows`] over each of its chunks) in
-    /// chunk order: every partial spans all groups, a group absent from a
-    /// chunk holding its slot's identity, so a float sum still associates
-    /// per chunk, then in chunk order.
-    pub fn merge_shared(
-        &self,
-        partials: Vec<Vec<SlotAccs>>,
-        blocks: &GroupedBlocks,
-        ev: &RowEval,
-    ) -> FoldedGroups {
-        let same: Vec<u32> = (0..blocks.len() as u32).collect();
-        let mut accs = self.new_accs();
-        for part in partials {
-            for ((slot, mine), theirs) in self.slots.iter().zip(&mut accs).zip(part) {
-                mine.merge(slot, theirs, &same, ev);
-            }
-        }
-        // Members are read off the blocks' row ranges.
-        FoldedGroups {
-            finished: self.finish(accs),
-            reps: blocks.reps().to_vec(),
-            sizes: Vec::new(),
-            members: Vec::new(),
-        }
-    }
-
-    fn finish(&self, accs: Vec<SlotAccs>) -> Vec<Column> {
+    /// Every slot's accumulators, finished into one column each.
+    pub(super) fn finish(&self, accs: Vec<SlotAccs>) -> Vec<Column> {
         let finished = accs.into_iter().zip(&self.slots);
         finished.map(|(a, fs)| a.finish(&fs.slot)).collect()
     }
 
-    fn new_accs(&self) -> Vec<SlotAccs> {
+    /// Every slot's empty accumulators.
+    pub(super) fn new_accs(&self) -> Vec<SlotAccs> {
         self.slots.iter().map(|fs| fs.empty.clone()).collect()
     }
 

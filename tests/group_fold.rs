@@ -1084,10 +1084,11 @@ fn columnar_fd_on_lineitem_shuffles_no_more_than_materialized_groups() {
 
 /// An FD, an exact DEDUP and a blocked DC over one `Nest` key — in one
 /// statement (the `Nest` shared by all three), each alone, all three
-/// beneath a `WHERE` chain, and an FD whose right-hand side does not lower
+/// beneath a `WHERE` chain, an FD whose right-hand side does not lower
 /// onto columns beside the DEDUP (it reads groups materialized from the
-/// blocks) — with the columns each statement reads.
-const BLOCK_QUERIES: [(&str, &[&str]); 6] = [
+/// blocks), and [`SHARED_FOLDS`]' two FDs beside the DEDUP — with the
+/// columns each statement reads.
+const BLOCK_QUERIES: [(&str, &[&str]); 8] = [
     (
         "SELECT * FROM t c FD(c.k | c.v) DEDUP(exact, LD, 0.7, c.k, c.n) \
          DC(t1.k = t2.k AND t1.v > t2.v)",
@@ -1110,6 +1111,28 @@ const BLOCK_QUERIES: [(&str, &[&str]); 6] = [
     (
         "SELECT * FROM t c FD(c.k | c.v + 1) DEDUP(exact, LD, 0.7, c.k, c.n)",
         &["k", "n"],
+    ),
+    (SHARED_FOLDS[0].0, &["k", "n", "v"]),
+    (SHARED_FOLDS[1].0, &["k", "n", "v"]),
+];
+
+/// Two FDs and a DEDUP over one `Nest`, with and without a `WHERE` chain,
+/// and each FD's statement alone.
+const SHARED_FOLDS: [(&str, [&str; 2]); 2] = [
+    (
+        "SELECT * FROM t c FD(c.k | c.v) FD(c.k | c.n) DEDUP(exact, LD, 0.7, c.k, c.n)",
+        [
+            "SELECT * FROM t c FD(c.k | c.v)",
+            "SELECT * FROM t c FD(c.k | c.n)",
+        ],
+    ),
+    (
+        "SELECT * FROM t c WHERE c.v > 0 FD(c.k | c.v) FD(c.k | c.n) \
+         DEDUP(exact, LD, 0.7, c.k, c.n)",
+        [
+            "SELECT * FROM t c WHERE c.v > 0 FD(c.k | c.v)",
+            "SELECT * FROM t c WHERE c.v > 0 FD(c.k | c.n)",
+        ],
     ),
 ];
 
@@ -1250,6 +1273,47 @@ proptest! {
     }
 }
 
+/// Each of [`SHARED_FOLDS`] over `rows` with 1, 2 and 4 workers: the two
+/// FDs fold in the shared `Nest`'s one grouping pass — the statement runs
+/// no stage but `group_blocks` and the DEDUP's `map_partitions` when the
+/// columns it reads are typed — and each FD's output is, byte for byte and
+/// in order (groups, then members), the output of the same FD alone, which
+/// groups and folds in its own pass: the one merge in chunk order gives
+/// both.
+fn assert_shared_folds_equal_lone(rows: &[Value]) -> Result<(), TestCaseError> {
+    let typed = |c: &&str| rows.iter().any(|r| !r.field(c).unwrap().is_null());
+    let columnar = !rows.is_empty() && ["k", "n", "v"].iter().all(typed);
+    for (shared, alone) in SHARED_FOLDS {
+        for workers in [1, 2, 4] {
+            let run = |sql: &str| {
+                block_session(EngineProfile::clean_db(), workers, rows.to_vec())
+                    .run(sql)
+                    .unwrap()
+            };
+            let report = run(shared);
+            let on = format!("{shared} ({workers} worker(s))");
+            if columnar {
+                let stages = stage_names(&report);
+                prop_assert_eq!(stages, ["group_blocks", "map_partitions"], "{}", on);
+            }
+            for (op, sql) in report.ops.iter().zip(alone) {
+                let lone = run(sql);
+                prop_assert_eq!(exact(&op.output), exact(&lone.ops[0].output), "{}", on);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn shared_folds_equal_lone_folds(rows in block_rows()) {
+        assert_shared_folds_equal_lone(&rows)?;
+    }
+}
+
 /// The edges of block tables: none, all singletons, one 60-member block.
 #[test]
 fn grouped_blocks_agree_at_their_edges() {
@@ -1270,6 +1334,7 @@ fn grouped_blocks_agree_at_their_edges() {
     });
     for rows in [Vec::new(), block_table(singletons), block_table(one_block)] {
         assert_blocks_agree(&rows).unwrap();
+        assert_shared_folds_equal_lone(&rows).unwrap();
     }
 }
 
