@@ -2,9 +2,7 @@
 //! blocking, plus the classic multi-pass algorithm (§4.3 "multi-pass
 //! partitional algorithms").
 
-use cleanm_text::{
-    fixed_step_sample, levenshtein, levenshtein_bounded, normalize, reservoir_sample,
-};
+use cleanm_text::{fixed_step_sample, levenshtein, normalize, reservoir_sample, LdPattern};
 
 use crate::blocking::{Blocker, KeyIds};
 
@@ -78,16 +76,17 @@ impl KMeansBlocker {
         self.centers.len()
     }
 
-    /// Indices of the assigned centers for a term. Each center's distance
-    /// is bounded by the best so far plus `delta`: a center beyond that
-    /// bound is beyond the final minimum plus `delta` too, so it is never
+    /// Indices of the assigned centers for a term. The term is prepared
+    /// once and tested against each center; each center's distance is
+    /// bounded by the best so far plus `delta`: a center beyond that bound
+    /// is beyond the final minimum plus `delta` too, so it is never
     /// assigned and its distance is not needed.
     pub fn assign(&self, term: &str) -> Vec<usize> {
-        let norm = normalize(term);
+        let mut pattern = LdPattern::new(&normalize(term));
         let mut best = usize::MAX;
         let mut within: Vec<(usize, usize)> = Vec::new();
         for (i, c) in self.centers.iter().enumerate() {
-            if let Some(d) = levenshtein_bounded(&norm, c, best.saturating_add(self.delta)) {
+            if let Some(d) = pattern.distance_within(c, best.saturating_add(self.delta)) {
                 best = best.min(d);
                 within.push((i, d));
             }

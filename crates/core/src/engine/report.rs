@@ -8,6 +8,7 @@ use cleanm_values::Value;
 use crate::algebra::RewriteStats;
 use crate::calculus::desugar::OpKind;
 use crate::calculus::NormalizeStats;
+use crate::engine::output::Output;
 use crate::engine::repair::RepairSection;
 use cleanm_trace::json;
 
@@ -18,9 +19,12 @@ use crate::physical::{PlanDecision, QueryProfile};
 pub struct OpResult {
     pub label: String,
     pub kind: OpKind,
-    /// Raw reduced output (groups for FD, pairs for DEDUP, (term, repair)
-    /// records for CLUSTER BY, projected rows for SELECT).
-    pub output: Vec<Value>,
+    /// Raw reduced output (groups for FD, pairs for DEDUP and DC, (term,
+    /// repair) records for CLUSTER BY, projected rows for SELECT), read as
+    /// a `&[Value]`. A pair route keeps row-index pairs and builds their
+    /// records only when they are first read; the session reads the
+    /// violating ids ([`Output::rowids`]) without them.
+    pub output: Output,
     pub duration: Duration,
 }
 
@@ -190,7 +194,7 @@ impl CleaningReport {
         self.ops
             .iter()
             .find(|o| o.label == label)
-            .map(|o| o.output.as_slice())
+            .map(|o| &*o.output)
     }
 
     /// The EXPLAIN ANALYZE rendering of this run's execution: one tree per
@@ -316,7 +320,7 @@ mod tests {
             ops: vec![OpResult {
                 label: "FD#0".into(),
                 kind: OpKind::Fd,
-                output: vec![Value::Int(1)],
+                output: vec![Value::Int(1)].into(),
                 duration: Duration::from_millis(5),
             }],
             violating_ids: vec![3, 7],

@@ -28,6 +28,7 @@ use crate::calculus::{normalize, CalcExpr, EvalCtx, Func, NormalizeStats};
 use crate::lang::parse_query;
 use crate::physical::{EngineProfile, Executor, QueryProfile};
 
+use super::output::distinct_ids;
 use super::registry::MetricsRegistry;
 use super::report::{CleaningReport, ExprStats, OpResult, PlanCacheStats, Repair};
 use super::storage::StoredTable;
@@ -820,9 +821,10 @@ impl CleanDb {
             .metrics()
             .add_comparisons(entry.eval_ctx.comparisons() - comparisons_before);
 
-        // One walk per op: its distinct row ids, which the combination and
-        // the registry both read.
-        let op_ids: Vec<Vec<i64>> = ops.iter().map(|op| output_rowids(&op.output)).collect();
+        // Each op's distinct row ids, read once — off the rows a pair route
+        // kept, or the ids a route handed over, without building records —
+        // for the combination and the registry both.
+        let op_ids: Vec<Vec<i64>> = ops.iter().map(|op| op.output.rowids()).collect();
         let counts: Vec<(&'static str, u64)> = (ops.iter().zip(&op_ids))
             .map(|(op, ids)| (op.kind.name(), ids.len() as u64))
             .collect();
@@ -971,7 +973,7 @@ impl CleanDb {
             }
             acc.collect().into_iter().map(|(id, _)| id).collect()
         };
-        Ok(distinct_sorted(ids))
+        Ok(distinct_ids(ids))
     }
 }
 
@@ -1069,68 +1071,6 @@ fn referenced_tables(ops: &[DesugaredOp]) -> HashSet<String> {
     set
 }
 
-/// Pull every `__rowid` out of a (possibly nested) output value.
-pub fn collect_rowids(v: &Value, out: &mut Vec<i64>) {
-    match v {
-        Value::Struct(fields) => {
-            for (name, inner) in fields.iter() {
-                match inner {
-                    Value::Int(id) if name.as_ref() == ROWID_FIELD => out.push(*id),
-                    Value::Struct(_) | Value::List(_) if name.as_ref() != ROWID_FIELD => {
-                        collect_rowids(inner, out)
-                    }
-                    _ => {}
-                }
-            }
-        }
-        Value::List(items) => {
-            for item in items.iter() {
-                collect_rowids(item, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// The distinct `__rowid`s of an op's output, ascending: marked in a
-/// bitmap over `[min, max]` when that span is at most 64 bits per id
-/// collected (a pair output names each row many times), else sorted and
-/// deduplicated.
-fn output_rowids(output: &[Value]) -> Vec<i64> {
-    let mut ids = Vec::new();
-    for v in output {
-        collect_rowids(v, &mut ids);
-    }
-    let (Some(&min), Some(&max)) = (ids.iter().min(), ids.iter().max()) else {
-        return ids;
-    };
-    let span = (max as i128 - min as i128) as u128 + 1;
-    if span > 64 * ids.len() as u128 {
-        return distinct_sorted(ids);
-    }
-    let mut bits = vec![0u64; (span as usize).div_ceil(64)];
-    for &id in &ids {
-        let at = (id - min) as usize;
-        bits[at / 64] |= 1 << (at % 64);
-    }
-    ids.clear();
-    for (w, &word) in bits.iter().enumerate() {
-        let mut word = word;
-        while word != 0 {
-            ids.push(min + (w * 64) as i64 + word.trailing_zeros() as i64);
-            word &= word - 1;
-        }
-    }
-    ids
-}
-
-/// `ids` sorted and deduplicated.
-fn distinct_sorted(mut ids: Vec<i64>) -> Vec<i64> {
-    ids.sort_unstable();
-    ids.dedup();
-    ids
-}
-
 /// Extract (term, repair) pairs from term-validation outputs.
 pub fn collect_repairs(ops: &[OpResult]) -> Vec<Repair> {
     let mut out = Vec::new();
@@ -1166,29 +1106,6 @@ fn uses_kmeans_blocker(op: &DesugaredOp) -> bool {
 mod tests {
     use super::*;
     use cleanm_values::{DataType, Row, Schema};
-
-    /// The bitmap walk and sort + dedup give the same ids: dense and
-    /// sparse spans, negative ids, ids at the ends of `i64`, repeats.
-    #[test]
-    fn output_rowids_mark_or_sort_alike() {
-        let pair = |a: i64, b: i64| {
-            let row = |id: i64| Value::record([(ROWID_FIELD, Value::Int(id))]);
-            Value::record([("left", row(a)), ("right", row(b))])
-        };
-        let cases: [&[(i64, i64)]; 5] = [
-            &[],
-            &[(3, 1), (1, 3), (2, 3), (130, 64), (63, 65)],
-            &[(-5, 70), (-5, -6), (0, 0)],
-            &[(i64::MIN, i64::MAX), (0, 1)],
-            &[(7, 1_000_000), (7, 8)],
-        ];
-        for ids in cases {
-            let output: Vec<Value> = ids.iter().map(|&(a, b)| pair(a, b)).collect();
-            let mut all = Vec::new();
-            output.iter().for_each(|v| collect_rowids(v, &mut all));
-            assert_eq!(output_rowids(&output), distinct_sorted(all), "{ids:?}");
-        }
-    }
 
     fn customer_table() -> Table {
         let schema = Schema::of([

@@ -16,9 +16,10 @@ use std::time::{Duration, Instant};
 use cleanm_exec::ExecError;
 use cleanm_values::Value;
 
-use crate::calculus::desugar::{expr_to_calc, ROWID_FIELD};
+use crate::calculus::desugar::expr_to_calc;
 use crate::calculus::{BinOp, CalcExpr};
-use crate::engine::{CleanDb, EngineError};
+use crate::engine::output::top_rowid;
+use crate::engine::{CleanDb, EngineError, Output};
 use crate::lang::ast::CleanOp;
 use crate::lang::parse_query;
 
@@ -271,8 +272,9 @@ impl InequalityDc {
         Ok(out)
     }
 
-    /// Run the rendered query; the outcome plus the operator's output rows.
-    fn detect(&self, db: &mut CleanDb) -> Result<(DcOutcome, Vec<Value>), EngineError> {
+    /// Run the rendered query; the outcome plus the operator's output,
+    /// whose records the outcome does not build.
+    fn detect(&self, db: &mut CleanDb) -> Result<(DcOutcome, Output), EngineError> {
         let start = Instant::now();
         match db.run(&self.to_sql()) {
             Ok(mut report) => {
@@ -292,7 +294,7 @@ impl InequalityDc {
                     needed,
                     duration: start.elapsed(),
                 },
-                Vec::new(),
+                Output::default(),
             )),
             Err(e) => Err(e),
         }
@@ -302,17 +304,18 @@ impl InequalityDc {
 /// The `{left, right}` output rows of a DC operator that carry both row
 /// ids, as `((t1, t2), left row, right row)`.
 fn pair_rows(outputs: &[Value]) -> impl Iterator<Item = ((i64, i64), &Value, &Value)> {
-    let rowid = |row: &Value| row.field(ROWID_FIELD).ok()?.as_int().ok();
-    outputs.iter().filter_map(move |pair| {
+    outputs.iter().filter_map(|pair| {
         let (left, right) = (pair.field("left").ok()?, pair.field("right").ok()?);
-        Some(((rowid(left)?, rowid(right)?), left, right))
+        Some(((top_rowid(left)?, top_rowid(right)?), left, right))
     })
 }
 
 /// The distinct `(t1, t2)` row-id pairs of a DC operator's `{left, right}`
-/// output rows, sorted — the violation unit Table 5 reports.
-pub fn pair_ids(outputs: &[Value]) -> Vec<(i64, i64)> {
-    let mut pairs: Vec<(i64, i64)> = pair_rows(outputs).map(|(ids, ..)| ids).collect();
+/// output rows, sorted — the violation unit Table 5 reports. Read off the
+/// index pairs when the route kept them ([`Output::pairs`]), without
+/// building a record.
+pub fn pair_ids(output: &Output) -> Vec<(i64, i64)> {
+    let mut pairs = output.pairs();
     pairs.sort_unstable();
     pairs.dedup();
     pairs
@@ -321,6 +324,7 @@ pub fn pair_ids(outputs: &[Value]) -> Vec<(i64, i64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calculus::desugar::ROWID_FIELD;
     use crate::physical::EngineProfile;
     use cleanm_exec::ExecContext;
     use cleanm_values::{DataType, Row, Schema, Table};

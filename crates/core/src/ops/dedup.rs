@@ -1,9 +1,7 @@
 //! Duplicate elimination (`DEDUP(op, metric, theta, attrs…)`).
 
 use cleanm_text::Metric;
-use cleanm_values::Value;
 
-use crate::calculus::desugar::ROWID_FIELD;
 use crate::engine::{CleanDb, CleaningReport, EngineError};
 
 /// A duplicate-detection task: block on `block_attr`, compare `sim_attrs`
@@ -77,34 +75,25 @@ impl Dedup {
 /// Distinct (left, right) row-id pairs from a dedup report. Multi-key
 /// blocking can emit the same pair from several blocks; this dedups them —
 /// the transitive-closure-free equivalent of the paper's "pairs of records
-/// that are potential duplicates".
+/// that are potential duplicates". An op that kept its pairs as row indices
+/// gives them without building a record ([`Output::pairs`]).
+///
+/// [`Output::pairs`]: crate::engine::Output::pairs
 pub fn extract_pairs(report: &CleaningReport) -> Vec<(i64, i64)> {
-    let mut pairs = Vec::new();
-    for op in &report.ops {
-        for v in &op.output {
-            let (Ok(l), Ok(r)) = (v.field("left"), v.field("right")) else {
-                continue;
-            };
-            let (Some(li), Some(ri)) = (rowid(l), rowid(r)) else {
-                continue;
-            };
-            pairs.push((li.min(ri), li.max(ri)));
-        }
-    }
+    let mut pairs: Vec<(i64, i64)> = (report.ops.iter())
+        .flat_map(|op| op.output.pairs())
+        .map(|(l, r)| (l.min(r), l.max(r)))
+        .collect();
     pairs.sort_unstable();
     pairs.dedup();
     pairs
-}
-
-fn rowid(v: &Value) -> Option<i64> {
-    v.field(ROWID_FIELD).ok().and_then(|x| x.as_int().ok())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::physical::EngineProfile;
-    use cleanm_values::{DataType, Row, Schema, Table};
+    use cleanm_values::{DataType, Row, Schema, Table, Value};
 
     fn table() -> Table {
         let schema = Schema::of([("name", DataType::Str), ("city", DataType::Str)]);

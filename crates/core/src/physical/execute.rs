@@ -58,12 +58,13 @@ use crate::algebra::plan::{Alg, PairShape};
 use crate::calculus::eval::{merge_values, truthy, EvalCtx};
 use crate::calculus::subst::free_vars;
 use crate::calculus::{CalcExpr, FilterAlgo, Func, MonoidKind, Program};
+use crate::engine::output::Output;
 use crate::engine::storage::StoredTable;
 
 use super::blocks::{group_pass, ChunkIds, Collects, GroupedBlocks, KeyedBy, Pass};
 use super::groupfold::{self, AggFoldShape, ColumnarFold, FoldedGroups, KEY_SLOT_VAR};
 use super::kernel::{ColumnProgram, PredKernel};
-use super::pairs::{BlockPairs, PairSweep, SweepInput};
+use super::pairs::{BlockPairs, Emitted, PairSweep, SweepInput};
 use super::profile::{nest_stage_label, EngineProfile, NestStrategy};
 use super::program::{env_layout, RowEnv, RowExpr};
 use super::qprofile::{clip, ProfileNode};
@@ -950,10 +951,14 @@ impl<'a> Executor<'a> {
     /// Reduce runs *inside* the head-evaluation pass, so the filtered rows
     /// are never materialized.
     ///
+    /// A Bag `Reduce` of `{left: p1, right: p2}` over stored rows — a
+    /// pair sweep over grouped or keyed blocks, or a theta join read by
+    /// column — returns its pairs as row indices ([`Output`]).
+    ///
     /// With profiling on, the whole per-operator execution becomes the
     /// root [`ProfileNode`]: `GroupFold` when the columnar fold consumed
     /// the Nest+Reduce, `Reduce[monoid]` otherwise.
-    pub fn run_reduce(&mut self, plan: &Arc<Alg>) -> ExecResult<Vec<Value>> {
+    pub fn run_reduce(&mut self, plan: &Arc<Alg>) -> ExecResult<Output> {
         self.last_fold_key = None;
         let (outputs, frame) = self.in_frame(|ex| ex.run_reduce_inner(plan))?;
         if let Some(frame) = frame {
@@ -973,7 +978,7 @@ impl<'a> Executor<'a> {
         Ok(outputs)
     }
 
-    fn run_reduce_inner(&mut self, plan: &Arc<Alg>) -> ExecResult<Vec<Value>> {
+    fn run_reduce_inner(&mut self, plan: &Arc<Alg>) -> ExecResult<Output> {
         // A grouped Reduce folds the table's columns where its input
         // allows; otherwise — and always under an operator-at-a-time
         // planner — its Nest materializes the groups and the Reduce below
@@ -997,13 +1002,11 @@ impl<'a> Executor<'a> {
         // A pair pipeline (two independent Unnests) never materializes
         // its candidate pairs, whatever the planner fuses elsewhere.
         if let Some(shape) = self.pair_shape(input) {
-            let outputs = self.exec_pair_sweep(&shape, head)?;
-            return reduce_outputs(monoid, outputs);
+            return self.exec_pair_sweep(&shape, head, monoid);
         }
         // A theta join only this Reduce reads never builds its joined rows.
         if matches!(**input, Alg::ThetaJoin { .. }) && !self.is_shared(input) {
-            let outputs = self.reduce_theta(input, head)?;
-            return reduce_outputs(monoid, outputs);
+            return self.reduce_theta(input, head, monoid);
         }
         let mut fused = self.peel_input(input, None)?;
         let ds = self.run_input(&mut fused)?;
@@ -1043,12 +1046,15 @@ impl<'a> Executor<'a> {
     ///
     /// Over a grouped `Nest` ([`Executor::grouped_blocks`]) the sweep
     /// walks its blocks as row ranges, a contiguous range of groups per
-    /// partition, and never builds a group record or a member list.
+    /// partition, and never builds a group record or a member list; under
+    /// a Bag of `{left: p1, right: p2}` over the scan's rows it keeps each
+    /// pair as its two rows' indices ([`PairSweep::keeps_pairs`]).
     fn exec_pair_sweep(
         &mut self,
         shape: &PairShape<'_>,
         head: &CalcExpr,
-    ) -> ExecResult<Vec<Value>> {
+        monoid: &MonoidKind,
+    ) -> ExecResult<Output> {
         let (input, frame) = self.in_frame(|ex| ex.pair_input(shape.input))?;
         if let Some(frame) = frame {
             let flags = vec!["fused-pairs".to_string()];
@@ -1075,35 +1081,47 @@ impl<'a> Executor<'a> {
         let sweep = Arc::new(PairSweep::compile(
             shape,
             head,
+            *monoid == MonoidKind::Bag,
             sweep_input,
             ctx,
             ev,
             |expr, scope| self.row_expr(expr, scope),
         )?);
         let worker = Arc::clone(&sweep);
-        let outputs = match rows {
-            Some(ds) => ds.map_partitions(move |rows| worker.run_partition(rows)),
+        let emitted = match rows {
+            Some(ds) => ds
+                .map_partitions(move |rows| worker.run_partition(rows))
+                .map(|values| Emitted::Values(values.collect())),
             None => {
                 sweep.admit();
                 let blocks = sweep.block_pairs();
                 let tasks = blocks.tasks(self.ctx.default_partitions());
-                produce_partitions(
-                    &self.ctx,
+                let (ctx, n) = (&self.ctx, blocks.len() as u64);
+                produce_partials(
+                    ctx,
                     "map_partitions",
-                    blocks.len() as u64,
+                    n,
                     tasks,
+                    |_| 0,
                     |range| worker.run_blocks(range),
                 )
+                .map(|parts| sweep.emitted().concat(parts))
             }
         };
         // The fused node's output is known only now: the pairs enumerated.
         if let Some(node) = self.prof_children.last_mut().and_then(|c| c.last_mut()) {
             node.rows_out = sweep.enumerated();
         }
-        let outputs = outputs?.collect();
+        let emitted = emitted?;
         sweep.stopped()?;
         self.check_errors()?;
-        Ok(outputs)
+        match emitted {
+            Emitted::Values(values) => reduce_outputs(monoid, values),
+            Emitted::Pairs(pairs) => {
+                let sides = sweep.keeps_pairs().expect("the sweep kept pairs");
+                Ok(Output::index_pairs(sides.clone(), pairs))
+            }
+        }
     }
 
     /// What a pair sweep walks: a grouped `Nest`'s blocks, or the block
@@ -1151,7 +1169,7 @@ impl<'a> Executor<'a> {
     /// an earlier group predicate surfaces eagerly here (as with any fused
     /// evaluation, errors can only appear earlier, never differently) —
     /// over grouped blocks, at the `Nest`'s first consumer.
-    fn try_group_fold(&mut self, plan: &Arc<Alg>) -> ExecResult<Option<Vec<Value>>> {
+    fn try_group_fold(&mut self, plan: &Arc<Alg>) -> ExecResult<Option<Output>> {
         let Alg::Reduce {
             input,
             monoid,
@@ -1216,10 +1234,12 @@ impl<'a> Executor<'a> {
                 }
             }
         };
-        let mut outputs = self.finish_fold(&lowered, &shape, folded, blocks.as_deref())?;
+        let outputs = self.finish_fold(&lowered, &shape, folded, blocks.as_deref())?;
         if *monoid == MonoidKind::Set {
+            let mut outputs = outputs.into_records();
             outputs.sort();
             outputs.dedup();
+            return Ok(Some(outputs.into()));
         }
         Ok(Some(outputs))
     }
@@ -1374,7 +1394,7 @@ impl<'a> Executor<'a> {
         shape: &AggFoldShape,
         folded: FoldedGroups,
         blocks: Option<&GroupedBlocks>,
-    ) -> ExecResult<Vec<Value>> {
+    ) -> ExecResult<Output> {
         self.check_errors()?;
         let (fold, (finish_preds, finish_head)) = (&lowered.fold, &lowered.finish);
         let ev = self.eval.clone();
@@ -1421,13 +1441,14 @@ impl<'a> Executor<'a> {
                 (self.ctx).catch_driver("group fold decide", || Ok(select((0, groups))))?;
             self.check_errors()?;
             if passing.is_empty() {
-                return Ok(Vec::new());
+                return Ok(Output::default());
             }
             let keyed = passing.iter().map(|&g| fold.key_value(&folded.reps, g));
             if let Some(blocks) = blocks {
                 let rows = |g: u32| blocks.rows(g).iter().map(|&r| fold.scan.row(r).clone());
                 let members = passing.iter().map(|&g| rows(g).collect());
-                return Ok(keyed.zip(members).map(group_record).collect());
+                let records: Vec<Value> = keyed.zip(members).map(group_record).collect();
+                return Ok(records.into());
             }
             const NONE: u32 = u32::MAX;
             let (mut out_of, mut sizes) =
@@ -1469,7 +1490,8 @@ impl<'a> Executor<'a> {
             for (out, row) in gathered.into_iter().flatten() {
                 members[out as usize].push(row);
             }
-            return Ok(keyed.zip(members).map(group_record).collect());
+            let records: Vec<Value> = keyed.zip(members).map(group_record).collect();
+            return Ok(records.into());
         };
 
         // ---- Grouped aggregates: finish each group on the pool ----
@@ -1496,7 +1518,7 @@ impl<'a> Executor<'a> {
         )?
         .collect();
         self.check_errors()?;
-        Ok(outputs)
+        Ok(outputs.into())
     }
 
     pub(super) fn check_errors(&self) -> ExecResult<()> {
@@ -1833,8 +1855,8 @@ fn columns_in(expr: &CalcExpr) -> Vec<(String, String)> {
 /// Combine the head values of a `Reduce` under its monoid: collections
 /// keep them (a set sorted and deduplicated), a primitive monoid folds
 /// them into one value.
-fn reduce_outputs(monoid: &MonoidKind, outputs: Vec<Value>) -> ExecResult<Vec<Value>> {
-    Ok(match monoid {
+pub(super) fn reduce_outputs(monoid: &MonoidKind, outputs: Vec<Value>) -> ExecResult<Output> {
+    Ok(Output::from(match monoid {
         MonoidKind::Bag | MonoidKind::List => outputs,
         MonoidKind::Set => {
             let mut o = outputs;
@@ -1849,7 +1871,7 @@ fn reduce_outputs(monoid: &MonoidKind, outputs: Vec<Value>) -> ExecResult<Vec<Va
             }
             vec![acc]
         }
-    })
+    }))
 }
 
 /// A materialized group as the `{key, partition}` record the group variable
@@ -1968,7 +1990,7 @@ mod tests {
         eval_ctx.prepare_blockers(&dq.ops[0].comp, &[]);
         let ctx = ExecContext::new(2, 4);
         let mut executor = Executor::new(ctx, profile, &tables, Arc::new(eval_ctx));
-        executor.run_reduce(&plan).unwrap()
+        executor.run_reduce(&plan).unwrap().into_records()
     }
 
     #[test]
@@ -2252,7 +2274,7 @@ mod tests {
             let ctx = ExecContext::new(2, 4);
             let mut ex = Executor::new(ctx, profile, &tables, Arc::new(eval_ctx));
             ex.register_plans(std::slice::from_ref(&plan));
-            let mut out = ex.run_reduce(&plan).unwrap();
+            let mut out = ex.run_reduce(&plan).unwrap().into_records();
             out.sort();
             (out, ex.fused_selects)
         };

@@ -26,7 +26,12 @@
 //!    are integers (`__rowid` order tests), a prepared
 //!    [`cleanm_text::Matcher`] over borrowed `&str` for similarity, the
 //!    compiled program over `(X.., a, b)` slices for anything else;
-//! 4. evaluates the head for the surviving pairs only.
+//! 4. evaluates the head for the surviving pairs only — or, for a Bag of
+//!    `{left: p1, right: p2}` over grouped or keyed blocks of stored rows,
+//!    builds no head at all and keeps each pair as its two rows' indices
+//!    into the scans ([`PairSweep::keeps_pairs`]); the report reads the
+//!    ids off those rows and the records are built when first read
+//!    (`engine/output.rs`).
 //!
 //! Keyed blocks (token filtering, k-means) are not walked block by block: a
 //! pair of values sharing m blocks would be met m times. Every member has a
@@ -238,6 +243,53 @@ enum Blocks {
     Grouped(BlockPairs),
 }
 
+/// Is `head` exactly `{left: a, right: b}`: the record whose pairs a sweep
+/// or a theta join can keep as row indices?
+pub(super) fn is_pair_head(head: &CalcExpr, a: &str, b: &str) -> bool {
+    let var = |e: &CalcExpr, name: &str| matches!(e, CalcExpr::Var(v) if v == name);
+    match head {
+        CalcExpr::Record(fields) => match &fields[..] {
+            [(l, el), (r, er)] => l == "left" && r == "right" && var(el, a) && var(er, b),
+            _ => false,
+        },
+        _ => false,
+    }
+}
+
+/// What a sweep task emits: the heads of the pairs it kept, or — when the
+/// sweep keeps pairs ([`PairSweep::keeps_pairs`]) — their rows' indices.
+pub(super) enum Emitted {
+    Values(Vec<Value>),
+    Pairs(Vec<[u32; 2]>),
+}
+
+impl Emitted {
+    fn len(&self) -> usize {
+        match self {
+            Emitted::Values(values) => values.len(),
+            Emitted::Pairs(pairs) => pairs.len(),
+        }
+    }
+
+    /// This emission, then each of `parts`, one sweep's tasks in order,
+    /// grown once to the total.
+    pub(super) fn concat(mut self, parts: Vec<Emitted>) -> Emitted {
+        let more = parts.iter().map(Emitted::len).sum();
+        match &mut self {
+            Emitted::Values(all) => all.reserve_exact(more),
+            Emitted::Pairs(all) => all.reserve_exact(more),
+        }
+        for part in parts {
+            match (&mut self, part) {
+                (Emitted::Values(all), Emitted::Values(more)) => all.extend(more),
+                (Emitted::Pairs(all), Emitted::Pairs(more)) => all.extend(more),
+                _ => unreachable!("a sweep's tasks emit one kind"),
+            }
+        }
+        self
+    }
+}
+
 /// One side of a block: a path's values, or rows of a grouped `Nest`.
 #[derive(Clone, Copy)]
 enum Members<'m> {
@@ -257,6 +309,14 @@ impl<'m> Members<'m> {
         match self {
             Members::Values(values) => &values[j],
             Members::Rows(blocks, rows) => blocks.member(rows[j]),
+        }
+    }
+
+    /// Member `j`'s row of the scan.
+    fn row(self, j: usize) -> u32 {
+        match self {
+            Members::Rows(_, rows) => rows[j],
+            Members::Values(_) => unreachable!("index pairs sweep grouped blocks"),
         }
     }
 }
@@ -313,6 +373,9 @@ pub(super) struct PairSweep {
     /// Is the head a function of the two members' codes alone — built
     /// once per candidate code pair?
     head_coded: bool,
+    /// The two scans' stored rows when the sweep keeps its pairs as row
+    /// indices instead of building heads ([`PairSweep::keeps_pairs`]).
+    keeps: Option<[Arc<Vec<Value>>; 2]>,
     /// The first budget / cancellation / deadline failure: later blocks
     /// see it and stop enumerating.
     stop: OnceLock<ExecError>,
@@ -324,10 +387,12 @@ impl PairSweep {
     /// Compile the shape's expressions (`compile(expr, scope)`, counted by
     /// the executor) against the layout of the block rows — none over
     /// grouped blocks, where each operand that lowers onto its side's
-    /// scan's columns reads them instead.
+    /// scan's columns reads them instead. `bag`: the `Reduce` collects its
+    /// heads into a Bag.
     pub fn compile(
         shape: &PairShape<'_>,
         head: &CalcExpr,
+        bag: bool,
         input: SweepInput<'_>,
         ctx: Arc<ExecContext>,
         ev: RowEval,
@@ -382,6 +447,9 @@ impl PairSweep {
                 .iter()
                 .all(|v| *v == shape.var_a || *v == shape.var_b)
             && !expr_has_similarity(head);
+        let keeps = (pairs.filter(|p| bag && !p.a.values() && !p.b.values()))
+            .filter(|_| is_pair_head(head, shape.var_a, shape.var_b))
+            .map(|p| [Arc::clone(p.a.scan.stored()), Arc::clone(p.b.scan.stored())]);
         let head = compile(head, &scope_ab)?;
         let blocks = match input {
             SweepInput::Rows { scope, pred } => Blocks::Rows {
@@ -401,6 +469,7 @@ impl PairSweep {
             verify,
             head,
             head_coded,
+            keeps,
             stop: OnceLock::new(),
             enumerated: AtomicU64::new(0),
         })
@@ -440,6 +509,23 @@ impl PairSweep {
         }
     }
 
+    /// The stored rows of the two scans whose row indices the sweep keeps
+    /// for each pair, when the `Reduce` is a Bag of `{left: p1, right: p2}`
+    /// over grouped or keyed blocks whose members are the scans' rows:
+    /// tasks emit [`Emitted::Pairs`] then, and no head is built. `None`:
+    /// tasks emit head values.
+    pub(super) fn keeps_pairs(&self) -> Option<&[Arc<Vec<Value>>; 2]> {
+        self.keeps.as_ref()
+    }
+
+    /// Nothing yet, of the kind this sweep's tasks emit.
+    pub(super) fn emitted(&self) -> Emitted {
+        match self.keeps {
+            Some(_) => Emitted::Pairs(Vec::new()),
+            None => Emitted::Values(Vec::new()),
+        }
+    }
+
     /// Index pairs enumerated so far.
     pub fn enumerated(&self) -> u64 {
         self.enumerated.load(Ordering::Relaxed)
@@ -460,7 +546,7 @@ impl PairSweep {
         else {
             unreachable!("grouped blocks sweep by range")
         };
-        self.sweep(|s, out| {
+        let emitted = self.sweep(|s, out| {
             for x in &rows {
                 if self.stop.get().is_some() {
                     break;
@@ -469,12 +555,17 @@ impl PairSweep {
                     self.block_row(x, path_a, path_b.as_deref(), s, out);
                 }
             }
-        })
+        });
+        let Emitted::Values(values) = emitted else {
+            unreachable!("a sweep over block rows builds its heads")
+        };
+        values
     }
 
-    /// Sweep the range `lo..hi` of [`BlockPairs::tasks`] into head values:
-    /// grouped blocks' block pairs, or keyed blocks' outer codes.
-    pub fn run_blocks(&self, (lo, hi): (u32, u32)) -> Vec<Value> {
+    /// Sweep the range `lo..hi` of [`BlockPairs::tasks`] into head values
+    /// or index pairs: grouped blocks' block pairs, or keyed blocks' outer
+    /// codes.
+    pub fn run_blocks(&self, (lo, hi): (u32, u32)) -> Emitted {
         let Blocks::Grouped(pairs) = &self.blocks else {
             unreachable!("block rows sweep by partition")
         };
@@ -496,7 +587,7 @@ impl PairSweep {
     /// inner codes sharing a block with it and how many (ScanCount over
     /// the codes of its blocks, or of their matched blocks), then each
     /// candidate in inner-code order.
-    fn run_codes(&self, pairs: &BlockPairs, (lo, hi): (u32, u32)) -> Vec<Value> {
+    fn run_codes(&self, pairs: &BlockPairs, (lo, hi): (u32, u32)) -> Emitted {
         let (a, b) = (&*pairs.a, &*pairs.b);
         self.sweep(|s, out| {
             if lo == hi || self.stop.get().is_some() {
@@ -579,7 +670,7 @@ impl PairSweep {
                         self.narrow(s, &[], i as usize, outer, inner, Some(&mut candidate));
                         let times = candidate.shared;
                         let head = self.head_coded.then_some(&mut candidate.head);
-                        self.emit(s, &[], outer.get(i as usize), inner, times, head, out);
+                        self.emit(s, &[], (outer, i as usize), inner, times, head, out);
                     }
                 }
                 touched.clear();
@@ -588,7 +679,7 @@ impl PairSweep {
     }
 
     /// Run `each` with a fresh [`Scratch`], then publish its counters.
-    fn sweep(&self, each: impl FnOnce(&mut Scratch, &mut Vec<Value>)) -> Vec<Value> {
+    fn sweep(&self, each: impl FnOnce(&mut Scratch, &mut Emitted)) -> Emitted {
         let mut s = Scratch {
             conjuncts: (self.verify.iter())
                 .map(|v| Conjunct {
@@ -606,7 +697,7 @@ impl PairSweep {
             enumerated: 0,
             comparisons: 0,
         };
-        let mut out = Vec::new();
+        let mut out = self.emitted();
         each(&mut s, &mut out);
         self.enumerated.fetch_add(s.enumerated, Ordering::Relaxed);
         self.ev.ctx.add_comparisons(s.comparisons);
@@ -634,7 +725,7 @@ impl PairSweep {
         path_a: &RowExpr,
         path_b: Option<&RowExpr>,
         s: &mut Scratch,
-        out: &mut Vec<Value>,
+        out: &mut Emitted,
     ) {
         let Some(outer) = self.members(path_a, x) else {
             return;
@@ -661,7 +752,7 @@ impl PairSweep {
         outer: Members<'_>,
         inner: Members<'_>,
         s: &mut Scratch,
-        out: &mut Vec<Value>,
+        out: &mut Emitted,
     ) {
         let pairs = (outer.len() as u64).saturating_mul(inner.len() as u64);
         if pairs == 0 {
@@ -679,7 +770,7 @@ impl PairSweep {
             s.sel.clear();
             s.sel.extend(0..inner.len() as u32);
             self.narrow(s, x, i, outer, inner, None);
-            self.emit(s, x, outer.get(i), inner, 1, None, out);
+            self.emit(s, x, (outer, i), inner, 1, None, out);
         }
     }
 
@@ -791,24 +882,36 @@ impl PairSweep {
         }
     }
 
-    /// Build the head of every pair left in `s.sel` for outer member
-    /// `member`, `times` times each; a `coded` head is built once for the
-    /// candidate and shared.
+    /// Build the head of every pair left in `s.sel` for outer member `i`,
+    /// `times` times each — or keep the pair's rows' indices, when the
+    /// sweep keeps pairs; a `coded` head is built once for the candidate
+    /// and shared.
     #[allow(clippy::too_many_arguments)]
     fn emit(
         &self,
         s: &mut Scratch,
         x: &[Value],
-        member: &Value,
+        (outer, i): (Members<'_>, usize),
         inner: Members<'_>,
         times: u32,
         mut coded: Option<&mut Option<Value>>,
-        out: &mut Vec<Value>,
+        out: &mut Emitted,
     ) {
         if s.sel.is_empty() {
             return;
         }
-        outer_row(&mut s.outer_row, x, member);
+        let out = match out {
+            Emitted::Values(values) => values,
+            Emitted::Pairs(pairs) => {
+                let a = outer.row(i);
+                for &j in &s.sel {
+                    let pair = [a, inner.row(j as usize)];
+                    pairs.extend(std::iter::repeat_n(pair, times as usize));
+                }
+                return;
+            }
+        };
+        outer_row(&mut s.outer_row, x, outer.get(i));
         for &j in &s.sel {
             let b = from_ref(inner.get(j as usize));
             let head = || {

@@ -68,6 +68,11 @@ impl ColumnScan {
         self.rows.len()
     }
 
+    /// The stored rows, block row `i` at index `i`.
+    pub(super) fn stored(&self) -> &Arc<Vec<Value>> {
+        &self.rows
+    }
+
     /// The stored row at block row `i`.
     pub(super) fn row(&self, i: u32) -> &Value {
         &self.rows[i as usize]

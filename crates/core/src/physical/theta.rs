@@ -20,7 +20,9 @@
 //!   predicate.
 //!
 //! A `Reduce` reading the join evaluates its head on each surviving pair's
-//! two rows by index ([`Executor::reduce_theta`]). Only a join that other
+//! two rows by index ([`Executor::reduce_theta`]) — or, a Bag of
+//! `{left: p1, right: p2}` over column sides, keeps the index pairs
+//! themselves, its records built when first read. Only a join that other
 //! consumers read too builds joined rows ([`Executor::run_theta`]), and
 //! its sides are read by row.
 
@@ -31,11 +33,13 @@ use cleanm_exec::{produce_partials, theta, Dataset, ExecContext, ExecResult};
 use cleanm_values::Value;
 
 use crate::algebra::plan::{string_key, theta_widen, Alg, HintKind, ThetaHint};
-use crate::calculus::{CalcExpr, Program};
+use crate::calculus::{CalcExpr, MonoidKind, Program};
+use crate::engine::output::Output;
 use crate::engine::storage::StoredTable;
 
-use super::execute::{conjoin, fields_of, plan_label, Executor, RowEval};
+use super::execute::{conjoin, fields_of, plan_label, reduce_outputs, Executor, RowEval};
 use super::kernel::{BoundPair, KeyKernel, KeyKinds, PairKernel};
+use super::pairs::is_pair_head;
 use super::profile::ThetaStrategy;
 use super::program::{env_layout, RowEnv, RowExpr};
 use super::scan::{chunk_ranges, ColumnScan};
@@ -245,20 +249,40 @@ fn join_items(
 impl<'a> Executor<'a> {
     /// A `Reduce` straight over an unshared theta join: the join, its
     /// sides by column where they lower, then the head evaluated on each
-    /// surviving pair's two rows — no joined row is built. In a profile
-    /// tree the join is the node `run` would have made, with its sides as
-    /// children.
+    /// surviving pair's two rows — no joined row is built. A Bag of
+    /// `{left: p1, right: p2}` over column sides builds no head either:
+    /// it keeps the index pairs, into the two scans' stored rows. In a
+    /// profile tree the join is the node `run` would have made, with its
+    /// sides as children.
     pub(super) fn reduce_theta(
         &mut self,
         join: &Arc<Alg>,
         head: &CalcExpr,
-    ) -> ExecResult<Vec<Value>> {
+        monoid: &MonoidKind,
+    ) -> ExecResult<Output> {
         let ((sides, pairs), frame) = self.in_frame(|ex| ex.join_theta(join, true))?;
         if let Some(frame) = frame {
             let (op, detail) = plan_label(join);
             self.end_node(frame, op, detail, pairs.count() as u64, Vec::new());
         }
-        let head_rx = self.row_expr(head, &env_layout(join))?;
+        let layout = env_layout(join);
+        // Compiled on the kept route too, where it is not run: the report's
+        // count of compiled expressions is the same whichever route runs,
+        // as the pair sweep's.
+        let head_rx = self.row_expr(head, &layout)?;
+        if let (Sides::Columns(c), MonoidKind::Bag, [a, b]) = (&sides, monoid, &layout[..]) {
+            if is_pair_head(head, a, b) {
+                let kept = pairs
+                    .filter_transform(
+                        "map_partitions",
+                        |_| true,
+                        |((_, a), (_, b)), out: &mut Vec<[u32; 2]>| out.push([a, b]),
+                    )?
+                    .collect();
+                let stored = [c.left.scan.stored(), c.right.scan.stored()];
+                return Ok(Output::index_pairs(stored.map(Arc::clone), kept));
+            }
+        }
         let ev = self.eval.clone();
         let outputs = pairs
             .filter_transform(
@@ -271,7 +295,7 @@ impl<'a> Executor<'a> {
             )?
             .collect();
         self.check_errors()?;
-        Ok(outputs)
+        reduce_outputs(monoid, outputs)
     }
 
     /// A theta join `run` reaches — one that other consumers read too —

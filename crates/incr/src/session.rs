@@ -224,7 +224,7 @@ impl IncrementalSession {
             .map(|((state, op), duration)| OpResult {
                 label: op.label.clone(),
                 kind: op.kind,
-                output: state.output(),
+                output: state.output().into(),
                 duration,
             })
             .collect();

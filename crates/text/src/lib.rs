@@ -9,7 +9,8 @@
 //!   paper's `LD` metric) as the plain two-row DP: the oracle.
 //! * [`levenshtein_bounded`] — "is the distance at most `max`?", allocation-
 //!   free: a length filter, then Myers' bit-vector kernel for ASCII
-//!   patterns of up to 64 characters or Ukkonen's banded DP for the rest.
+//!   patterns of up to 64 characters or Ukkonen's banded DP for the rest;
+//!   [`LdPattern`] holds one side prepared for many such tests.
 //! * [`Matcher`] — a metric and threshold with one side prepared once
 //!   ([`Metric::matcher`]), for loops that test one string against many;
 //!   [`Metric::similar`] is its one-shot form.
@@ -31,6 +32,6 @@ pub use metric::{Matcher, Metric};
 pub use sample::{fixed_step_sample, reservoir_sample};
 pub use sim::{
     jaccard_qgrams, jaccard_words, jaro, jaro_winkler, levenshtein, levenshtein_bounded,
-    levenshtein_similarity,
+    levenshtein_similarity, LdPattern,
 };
 pub use tokenize::{normalize, qgram_spans, qgrams, word_spans, words};

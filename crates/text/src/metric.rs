@@ -1,7 +1,7 @@
 //! The runtime-selectable similarity metric.
 
 use crate::sim::{
-    char_len, jaccard_qgrams, jaccard_words, jaro_winkler, levenshtein_similarity, LdPattern,
+    jaccard_qgrams, jaccard_words, jaro_winkler, levenshtein_similarity, LdPattern, TextShape,
 };
 
 /// Similarity metric named in a CleanM query (`DEDUP(op, metric, theta, …)`).
@@ -100,10 +100,13 @@ impl Matcher {
         }
     }
 
-    /// Does `text` reach the threshold against the held pattern?
+    /// Does `text` reach the threshold against the held pattern? Under
+    /// Levenshtein the text's length and ASCII-ness are read once, for both
+    /// the bound and the kernel.
     pub fn matches(&mut self, text: &str) -> bool {
-        match (self.metric).max_edits(self.theta, self.ld.len(), char_len(text)) {
-            Some(max_dist) => self.ld.distance_within(text, max_dist).is_some(),
+        let shape = TextShape::of(text);
+        match (self.metric).max_edits(self.theta, self.ld.len(), shape.len) {
+            Some(max_dist) => self.ld.within(shape, max_dist).is_some(),
             None => self.metric.similarity(&self.pattern, text) >= self.theta,
         }
     }

@@ -38,9 +38,10 @@ const OUT_OF_BAND: usize = usize::MAX / 2;
 
 /// One side of a bounded Levenshtein comparison, prepared once and matched
 /// against many texts — the shape of a similarity join's inner loop, where
-/// one block member meets every other. Preparing builds the per-character
-/// match masks of the bit-vector kernel (or decodes the pattern for the
-/// banded one) a single time; [`LdPattern::distance_within`] then allocates
+/// one block member meets every other, and of a k-means assignment, where
+/// one term meets every center. Preparing builds the per-character match
+/// masks of the bit-vector kernel (or decodes the pattern for the banded
+/// one) a single time; [`LdPattern::distance_within`] then allocates
 /// nothing once its scratch has grown to the longest text seen.
 ///
 /// Two exact kernels sit behind it, chosen from the pattern alone:
@@ -53,7 +54,7 @@ const OUT_OF_BAND: usize = usize::MAX / 2;
 /// * any other pattern (non-ASCII, or longer) — Ukkonen's banded two-row DP
 ///   over `char`s, which fills only the `2·max + 1` diagonals a distance
 ///   within `max` can touch.
-pub(crate) struct LdPattern {
+pub struct LdPattern {
     /// `peq[c]` has bit `i` set iff pattern byte `i` is `c` (bit-vector
     /// kernel; all zero unless `bitvec`).
     peq: [u64; 128],
@@ -71,7 +72,7 @@ pub(crate) struct LdPattern {
 
 impl LdPattern {
     /// Prepare `pattern`.
-    pub(crate) fn new(pattern: &str) -> LdPattern {
+    pub fn new(pattern: &str) -> LdPattern {
         let mut p = LdPattern {
             peq: [0; 128],
             bitvec: false,
@@ -111,9 +112,14 @@ impl LdPattern {
     /// The edit distance between the pattern and `text` when it is at most
     /// `max`, `None` as soon as it provably is not. A length gap above
     /// `max` rejects before either kernel runs.
-    pub(crate) fn distance_within(&mut self, text: &str, max: usize) -> Option<usize> {
-        let ascii = text.is_ascii();
-        let n = char_len(text);
+    pub fn distance_within(&mut self, text: &str, max: usize) -> Option<usize> {
+        self.within(TextShape::of(text), max)
+    }
+
+    /// [`LdPattern::distance_within`] over a text whose shape the caller
+    /// has read already.
+    pub(crate) fn within(&mut self, shape: TextShape<'_>, max: usize) -> Option<usize> {
+        let (text, n) = (shape.text, shape.len);
         if self.len.abs_diff(n) > max {
             return None;
         }
@@ -123,7 +129,7 @@ impl LdPattern {
             return banded(&self.chars, &self.text, max, &mut self.prev, &mut self.cur);
         }
         let peq = &self.peq;
-        if ascii {
+        if shape.ascii {
             let eqs = text.bytes().map(|b| peq[b as usize]);
             bit_vector(self.len, n, eqs, max)
         } else {
@@ -133,12 +139,24 @@ impl LdPattern {
     }
 }
 
-/// Length in characters; ASCII text skips the decode.
-pub(crate) fn char_len(s: &str) -> usize {
-    if s.is_ascii() {
-        s.len()
-    } else {
-        s.chars().count()
+/// A text with its length in characters and whether it is ASCII, read in
+/// one pass (two for non-ASCII text, whose characters are counted).
+#[derive(Clone, Copy)]
+pub(crate) struct TextShape<'t> {
+    pub(crate) text: &'t str,
+    pub(crate) len: usize,
+    pub(crate) ascii: bool,
+}
+
+impl<'t> TextShape<'t> {
+    pub(crate) fn of(text: &'t str) -> TextShape<'t> {
+        let ascii = text.is_ascii();
+        let len = if ascii {
+            text.len()
+        } else {
+            text.chars().count()
+        };
+        TextShape { text, len, ascii }
     }
 }
 
@@ -207,8 +225,8 @@ fn banded(
 }
 
 /// Levenshtein distance with an upper bound: `None` as soon as the distance
-/// provably exceeds `max`. The one-shot form of the prepared pattern behind
-/// [`crate::Matcher`] — loops that hold one side fixed prepare it once.
+/// provably exceeds `max`. The one-shot form of [`LdPattern`] — loops that
+/// hold one side fixed prepare it once.
 pub fn levenshtein_bounded(a: &str, b: &str, max: usize) -> Option<usize> {
     LdPattern::new(a).distance_within(b, max)
 }

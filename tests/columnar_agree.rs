@@ -55,7 +55,7 @@ fn digest(r: &CleaningReport) -> Digest {
         r.ops
             .iter()
             .map(|o| {
-                let mut out = o.output.clone();
+                let mut out = o.output.to_vec();
                 out.sort();
                 (o.label.clone(), out)
             })

@@ -109,7 +109,7 @@ fn run(
     let ctx = ExecContext::new(2, 4);
     let mut ex = Executor::new(ctx, profile, tables, Arc::new(EvalCtx::new()));
     ex.register_plans(std::slice::from_ref(plan));
-    let mut out = ex.run_reduce(plan).expect("plan executes");
+    let mut out = ex.run_reduce(plan).expect("plan executes").into_records();
     out.sort();
     (out, ex.fused_selects)
 }
@@ -340,7 +340,7 @@ fn run_profiled(
     let mut ex = Executor::new(ctx, profile, tables, Arc::new(EvalCtx::new()));
     ex.register_plans(std::slice::from_ref(plan));
     ex.set_profiling(true);
-    let mut out = ex.run_reduce(plan).expect("plan executes");
+    let mut out = ex.run_reduce(plan).expect("plan executes").into_records();
     out.sort();
     (out, fused(&ex.take_profile_root().expect("profiled")))
 }

@@ -156,7 +156,7 @@ fn run_sql(
     let ctx = ExecContext::new(2, 4);
     let mut ex = Executor::new(ctx.clone(), profile, tables, Arc::new(EvalCtx::new()));
     ex.register_plans(std::slice::from_ref(&plan));
-    let mut out = ex.run_reduce(&plan).expect("executes");
+    let mut out = ex.run_reduce(&plan).expect("executes").into_records();
     out.sort();
     (out, ctx.metrics().snapshot())
 }
@@ -528,7 +528,7 @@ fn reference_of(rows: &[Value], sql: &str) -> Vec<Value> {
 /// The op's outputs as a sorted multiset. A group record carries its
 /// members as a list, so equality pins member order within each group.
 fn sorted_output(report: &CleaningReport) -> Vec<Value> {
-    let mut out = report.ops[0].output.clone();
+    let mut out = report.ops[0].output.to_vec();
     out.sort();
     out
 }

@@ -2,8 +2,9 @@
 //! same logical results. These tests pin that invariant across operator
 //! families and datasets.
 
-use cleanm::core::calculus::desugar::ROWID_FIELD;
+use cleanm::core::calculus::desugar::{OpKind, ROWID_FIELD};
 use cleanm::core::calculus::BinOp;
+use cleanm::core::engine::collect_rowids;
 use cleanm::core::ops::dc::pair_ids;
 use cleanm::core::ops::{DcAtom, DcOutcome, DcSide, DcTerm, Dedup, InequalityDc};
 use cleanm::core::physical::{NestStrategy, ThetaStrategy};
@@ -51,6 +52,12 @@ fn policy_space() -> Vec<EngineProfile> {
         }
     }
     space
+}
+
+/// Is `profile` CleanDB's point of the policy space?
+fn is_clean_db(profile: &EngineProfile) -> bool {
+    let point = |p: &EngineProfile| (p.planner, p.nest, p.theta);
+    point(profile) == point(&EngineProfile::clean_db())
 }
 
 #[test]
@@ -499,6 +506,31 @@ fn pairs_in_order(report: &CleaningReport, op: usize) -> Vec<(i64, i64)> {
         .collect()
 }
 
+/// Each op's output reads the same kept as built: its ids, its id pairs
+/// and its length, read before its records, equal what the walk over the
+/// records finds. Under CleanDB (`clean_db`) a DEDUP or DC in a run that
+/// grouped blocks has kept its pairs and built no record to read them.
+fn outputs_read_as_their_records(report: &CleaningReport, clean_db: bool) {
+    for (i, op) in report.ops.iter().enumerate() {
+        let output = &op.output;
+        let pair_op = matches!(op.kind, OpKind::Dedup | OpKind::Dc);
+        let (ids, pairs, len) = (output.rowids(), output.pairs(), output.len());
+        if clean_db && groups_blocks(report) && pair_op {
+            assert!(!output.is_built(), "{} built its records", op.label);
+        }
+        let records: &[Value] = output;
+        let mut walked = Vec::new();
+        records.iter().for_each(|v| collect_rowids(v, &mut walked));
+        walked.sort_unstable();
+        walked.dedup();
+        assert_eq!(ids, walked, "{}", op.label);
+        assert_eq!(len, records.len(), "{}", op.label);
+        if pair_op {
+            assert_eq!(pairs, pairs_in_order(report, i), "{}", op.label);
+        }
+    }
+}
+
 /// Did the run group a `Nest` as grouped blocks?
 fn groups_blocks(report: &CleaningReport) -> bool {
     report
@@ -586,6 +618,7 @@ proptest! {
             for workers in [1, 2] {
                 let mut db = dc_session(&profile, workers, &stored, batch, false);
                 let report = db.run(&sql).unwrap();
+                outputs_read_as_their_records(&report, is_clean_db(&profile));
                 let mut got = pair_ids(&report.ops[0].output);
                 got.sort_unstable();
                 prop_assert_eq!(&got, &expected, "{} under {}", sql, profile.name);
@@ -700,6 +733,14 @@ fn pair_rows() -> impl Strategy<Value = Vec<Row>> {
     proptest::collection::vec(row, 0..28)
 }
 
+/// FD statements, alone (a lone fold) and beside a DEDUP (a shared
+/// `Nest`): their outputs are not checked against the reference, only
+/// read kept and built.
+const FD_QUERIES: [&str; 2] = [
+    "SELECT * FROM t c FD(c.k | c.x)",
+    "SELECT * FROM t c FD(c.k | c.x) DEDUP(exact, LD, 0.8, c.k, c.name)",
+];
+
 const PAIR_QUERIES: [&str; 4] = [
     "SELECT * FROM t c DEDUP(exact, LD, 0.8, c.k, c.name)",
     "SELECT * FROM t c DEDUP(token_filtering(2), LD, 0.7, c.name)",
@@ -766,10 +807,15 @@ proptest! {
         for profile in policy_space() {
             for workers in [1, 2] {
                 let mut db = session(profile.clone(), workers);
+                let clean_db = is_clean_db(&profile);
+                for sql in FD_QUERIES {
+                    outputs_read_as_their_records(&db.run(sql).unwrap(), clean_db);
+                }
                 for (sql, expected) in PAIR_QUERIES.iter().zip(&expected) {
                     let report = db.run(sql).unwrap();
+                    outputs_read_as_their_records(&report, clean_db);
                     prop_assert_eq!(report.exprs.interpreted, 0, "{}", sql);
-                    let mut got = report.ops[0].output.clone();
+                    let mut got = report.ops[0].output.to_vec();
                     got.sort();
                     prop_assert_eq!(
                         &got,
